@@ -20,7 +20,7 @@ from repro.gc.relu import ReluCircuitSpec, build_relu_circuit, relu_and_gates
 from repro.network.bandwidth import TddLink
 from repro.nn.datasets import TINY_IMAGENET
 from repro.nn.models import resnet18
-from repro.ot.extension import ot_extension_online_bytes
+from repro.ot.extension import iknp_transcript
 from repro.ot.precomputed import online_ot_bytes
 from repro.profiling.devices import EPYC
 from repro.profiling.model_costs import Protocol, profile_network
@@ -97,7 +97,8 @@ def test_ablation_precomputed_ot_online_bytes(benchmark):
 
     def sweep():
         n = 41 * 2_228_224  # one choice bit per share bit, R18/Tiny
-        return ot_extension_online_bytes(n), online_ot_bytes(n)
+        # A full batch run online carries its base OTs with it.
+        return iknp_transcript(n).total_bytes, online_ot_bytes(n)
 
     full, precomputed = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print(f"\nonline OT bytes: full IKNP {full / 1e9:.2f} GB, "

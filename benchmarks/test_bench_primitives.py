@@ -8,9 +8,9 @@ than the paper's testbed" substitution note in DESIGN.md.
 The suite runs on :func:`repro.he.params.fast_params` (62-bit ciphertext
 modulus) so the same workload is exact on both compute backends: run it
 once with ``REPRO_BACKEND=python`` and once with ``REPRO_BACKEND=numpy``
-and the per-backend timings land side by side in ``BENCH_primitives.json``
-(see ``benchmarks/conftest.py``). The vectorized backend is expected to be
->= 10x faster on the NTT/BFV benches.
+and, under ``REPRO_BENCH_RECORD=1``, the per-backend timings land side by
+side in ``BENCH_primitives.json`` (see ``benchmarks/conftest.py``). The
+vectorized backend is expected to be >= 10x faster on the NTT/BFV benches.
 
 The ``*_bigint`` / ``*_rns`` pairs additionally pit the two
 representations of the wide-modulus parameter sets against each other at
@@ -43,7 +43,7 @@ from repro.he.encoder import BatchEncoder
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import key_switch_inner
-from repro.ot.extension import iknp_transfer
+from repro.ot.extension import base_seed_ot, extend, iknp_transfer
 from repro.runtime import PrecomputePool
 
 PARAMS = fast_params(n=256)
@@ -283,6 +283,21 @@ def test_bench_garble_relu_layer_wide(benchmark):
     )
 
 
+def _require_cores(workers):
+    """Skip (fail under REPRO_BENCH_STRICT) a pooled row this host can't run."""
+    cpus = os.cpu_count() or 1
+    if cpus < workers:
+        message = (
+            f"pool-scaling bench requested {workers} workers but this host "
+            f"has {cpus} CPU(s): per_core_efficiency would measure IPC "
+            f"overhead, not scaling — record this row on a >= {workers}-core "
+            "host"
+        )
+        if os.environ.get("REPRO_BENCH_STRICT"):
+            pytest.fail(message)
+        pytest.skip(message)
+
+
 def _pooled_garble_bench(benchmark, workers):
     """Pool-size scaling row: one n=256 ReLU batch through the pool.
 
@@ -298,17 +313,7 @@ def _pooled_garble_bench(benchmark, workers):
     under ``REPRO_BENCH_STRICT=1`` — which CI's bench-smoke job sets, so
     a core-starved runner breaks the build instead of the baseline.
     """
-    cpus = os.cpu_count() or 1
-    if cpus < workers:
-        message = (
-            f"pool-scaling bench requested {workers} workers but this host "
-            f"has {cpus} CPU(s): per_core_efficiency would measure IPC "
-            f"overhead, not scaling — record this row on a >= {workers}-core "
-            "host"
-        )
-        if os.environ.get("REPRO_BENCH_STRICT"):
-            pytest.fail(message)
-        pytest.skip(message)
+    _require_cores(workers)
     spec = ReluCircuitSpec(bits=17, modulus=PARAMS.t, mask_owner="evaluator")
     circuit = build_relu_circuit(spec)
     with PrecomputePool(workers=workers) as pool:
@@ -372,11 +377,69 @@ def test_bench_evaluate_relu(benchmark):
     benchmark(lambda: evaluator.evaluate(garbled, labels))
 
 
-def test_bench_iknp_1000_ots(benchmark):
+def _label_ot_batch(n_ots):
     rng = np.random.default_rng(0)
-    pairs = [(bytes(rng.bytes(16)), bytes(rng.bytes(16))) for _ in range(1000)]
-    choices = rng.integers(0, 2, 1000).tolist()
+    pairs = [(bytes(rng.bytes(16)), bytes(rng.bytes(16))) for _ in range(n_ots)]
+    return pairs, rng.integers(0, 2, n_ots).tolist()
+
+
+def test_bench_iknp_1000_ots(benchmark):
+    pairs, choices = _label_ot_batch(1000)
     benchmark.pedantic(
         lambda: iknp_transfer(pairs, choices, SecureRandom(6)),
         rounds=1, iterations=1,
     )
+
+
+def test_bench_iknp_136_ots(benchmark):
+    """bench_e2e's serve_* online label OT: 8 ReLUs x 17 share bits."""
+    pairs, choices = _label_ot_batch(136)
+    benchmark.pedantic(
+        lambda: iknp_transfer(pairs, choices, SecureRandom(6)),
+        rounds=5, iterations=1, warmup_rounds=1,
+    )
+
+
+def test_bench_iknp_4352_ots(benchmark):
+    """infer_sg_wide's offline label OT: 128 ReLUs x 2 words x 17 bits.
+
+    ``extra_info`` splits the batch into its m-independent base OTs and
+    the m-proportional extension.
+    """
+    pairs, choices = _label_ot_batch(4352)
+    benchmark.pedantic(
+        lambda: iknp_transfer(pairs, choices, SecureRandom(6)),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    seeds = base_seed_ot(SecureRandom(6))
+    benchmark.extra_info["phase_base_ms"] = _best_ms(
+        lambda: base_seed_ot(SecureRandom(6))
+    )
+    benchmark.extra_info["phase_extend_ms"] = _best_ms(
+        lambda: extend(seeds, pairs, choices)
+    )
+
+
+def test_bench_iknp_4352_ots_pool_w2(benchmark):
+    """The same batch with the row hashing sharded over two workers.
+
+    ``speedup_vs_inline`` compares best-of-5 extensions measured here,
+    back to back, on the same seeds (the base OTs never leave the parent).
+    """
+    _require_cores(2)
+    pairs, choices = _label_ot_batch(4352)
+    seeds = base_seed_ot(SecureRandom(6))
+    with PrecomputePool(workers=2) as pool:
+        # Warm the fork + initializer cost out of the measured rounds.
+        pool.iknp_transfer(pairs, choices, SecureRandom(6))
+        benchmark.pedantic(
+            lambda: pool.iknp_transfer(pairs, choices, SecureRandom(6)),
+            rounds=3, iterations=1,
+        )
+        inline_ms = _best_ms(lambda: extend(seeds, pairs, choices))
+        pooled_ms = _best_ms(lambda: extend(seeds, pairs, choices, pool))
+    benchmark.extra_info["pool_workers"] = 2
+    benchmark.extra_info["cpu_count"] = os.cpu_count()
+    benchmark.extra_info["extend_inline_ms"] = inline_ms
+    benchmark.extra_info["extend_pooled_ms"] = pooled_ms
+    benchmark.extra_info["speedup_vs_inline"] = round(inline_ms / pooled_ms, 3)

@@ -35,7 +35,7 @@ from repro.he.encoder import BatchEncoder
 from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.params import BfvParams
 from repro.network.channel import CLIENT, SERVER, Channel
-from repro.ot.extension import iknp_transfer
+from repro.ot.extension import iknp_transfer, iknp_wire_bytes
 
 from repro.backend import backend_for
 
@@ -208,14 +208,13 @@ class MonolithHybridProtocol:
             for wire, bit in zip(circuit.evaluator_inputs, share_bits + mask_bits):
                 pairs.append((encoding.label_for(wire, 0), encoding.label_for(wire, 1)))
                 choices.append(bit)
-        received, transcript = iknp_transfer(pairs, choices, self.rng.spawn())
+        received, _ = iknp_transfer(pairs, choices, self.rng.spawn())
         self.counters.ots_performed += len(pairs)
         receiver = CLIENT if sender == SERVER else SERVER
-        self.channel.send(receiver, None, nbytes=transcript.column_bytes)
+        to_holder, to_chooser = iknp_wire_bytes(len(pairs))
+        self.channel.send(receiver, None, nbytes=to_holder)
         self.channel.recv(sender)
-        self.channel.send(
-            sender, None, nbytes=transcript.base_ot_bytes + transcript.ciphertext_bytes
-        )
+        self.channel.send(sender, None, nbytes=to_chooser)
         self.channel.recv(receiver)
 
         labels: list[dict[int, bytes]] = []
@@ -303,13 +302,12 @@ class MonolithHybridProtocol:
             for wire, bit in zip(circuit.evaluator_inputs, bits):
                 pairs.append((encoding.label_for(wire, 0), encoding.label_for(wire, 1)))
                 choices.append(bit)
-        received, transcript = iknp_transfer(pairs, choices, self.rng.spawn())
+        received, _ = iknp_transfer(pairs, choices, self.rng.spawn())
         self.counters.ots_performed += len(pairs)
-        self.channel.send(SERVER, None, nbytes=transcript.column_bytes)
+        to_holder, to_chooser = iknp_wire_bytes(len(pairs))
+        self.channel.send(SERVER, None, nbytes=to_holder)
         self.channel.recv(CLIENT)
-        self.channel.send(
-            CLIENT, None, nbytes=transcript.base_ot_bytes + transcript.ciphertext_bytes
-        )
+        self.channel.send(CLIENT, None, nbytes=to_chooser)
         self.channel.recv(SERVER)
 
         per = self.bits

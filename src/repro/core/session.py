@@ -475,6 +475,28 @@ class ProtocolSession:
                 for (_, _, _, n), rng in zip(plan, layer_rngs)
             ]
 
+    def _serve_label_ot(
+        self, circuit: Circuit, encodings: list[InputEncoding], choices: list[int]
+    ) -> tuple[list[bytes], int]:
+        """Label-holder side of one layer's OT, after the choice frame arrived.
+
+        Both labels of every evaluator-input wire go in; the chooser's
+        labels and the byte volume to charge for the reply come out.
+        """
+        to_holder, to_chooser = iknp_wire_bytes(len(choices))
+        self._note_recv(nbytes=to_holder)
+        pairs = [
+            (encoding.label_for(wire, 0), encoding.label_for(wire, 1))
+            for encoding in encodings
+            for wire in circuit.evaluator_inputs
+        ]
+        with section("ot", "ot.iknp_transfer", pairs=len(pairs)):
+            received, _ = iknp_transfer(
+                pairs, choices, self.rng.spawn(), pool=self._active_pool
+            )
+        self.counters.ots_performed += len(pairs)
+        return received, to_chooser
+
     # -- offline state transplant (precompute store integration) --------------
 
     def load_offline_bundles(self, bundles: dict[int, ReluBundle]) -> None:
@@ -613,10 +635,10 @@ class ClientSession(ProtocolSession):
             for j in range(n):
                 choices += int_to_bits(self.client_linear_share[lin_idx][j], self.bits)
                 choices += int_to_bits(self.client_r[mask_index][j], self.bits)
-            column_bytes, reply_bytes = iknp_wire_bytes(n * per)
-            # The chooser's half of the extension: charged as the T-matrix
-            # columns the real IKNP receiver would ship.
-            self._send(serialize_bit_vector(choices), nbytes=column_bytes)
+            to_holder, reply_bytes = iknp_wire_bytes(n * per)
+            # The chooser's half of the extension: charged as the base-OT
+            # key and u columns the real IKNP chooser would ship.
+            self._send(serialize_bit_vector(choices), nbytes=to_holder)
             frame = yield
             label_lists = deserialize_label_lists(frame)
             self._note_recv(nbytes=reply_bytes)
@@ -705,23 +727,10 @@ class ClientSession(ProtocolSession):
                 choices = deserialize_bit_vector(frame)
                 if len(choices) != n * per:
                     raise ValueError("OT choice count does not match the layer")
-                column_bytes, _ = iknp_wire_bytes(len(choices))
-                self._note_recv(nbytes=column_bytes)
-                pairs = []
-                for encoding in bundle.encodings:
-                    for wire in circuit.evaluator_inputs:
-                        pairs.append(
-                            (encoding.label_for(wire, 0), encoding.label_for(wire, 1))
-                        )
-                with section("ot", "ot.iknp_transfer", pairs=len(pairs)):
-                    received, transcript = iknp_transfer(
-                        pairs, choices, self.rng.spawn(), pool=self._active_pool
-                    )
-                self.counters.ots_performed += len(pairs)
-                self._send(
-                    serialize_labels(received),
-                    nbytes=transcript.base_ot_bytes + transcript.ciphertext_bytes,
+                received, reply_bytes = self._serve_label_ot(
+                    circuit, bundle.encodings, choices
                 )
+                self._send(serialize_labels(received), nbytes=reply_bytes)
 
         frame = yield
         final_server_share = deserialize_field_vector(frame)
@@ -825,19 +834,7 @@ class ServerSession(ProtocolSession):
             choices = deserialize_bit_vector(frame)
             if len(choices) != n * per:
                 raise ValueError("OT choice count does not match the layer")
-            column_bytes, _ = iknp_wire_bytes(len(choices))
-            self._note_recv(nbytes=column_bytes)
-            pairs = []
-            for encoding in encodings:
-                for wire in circuit.evaluator_inputs:
-                    pairs.append(
-                        (encoding.label_for(wire, 0), encoding.label_for(wire, 1))
-                    )
-            with section("ot", "ot.iknp_transfer", pairs=len(pairs)):
-                received, transcript = iknp_transfer(
-                    pairs, choices, self.rng.spawn(), pool=self._active_pool
-                )
-            self.counters.ots_performed += len(pairs)
+            received, reply_bytes = self._serve_label_ot(circuit, encodings, choices)
             # Chosen labels plus each instance's constant-wire labels (the
             # monolith handed constants over directly; on the wire they
             # ride the same message the masked OT pairs are charged as).
@@ -849,10 +846,7 @@ class ServerSession(ProtocolSession):
                 + received[j * per : (j + 1) * per]
                 for j in range(n)
             ]
-            self._send(
-                serialize_label_lists(label_lists),
-                nbytes=transcript.base_ot_bytes + transcript.ciphertext_bytes,
-            )
+            self._send(serialize_label_lists(label_lists), nbytes=reply_bytes)
             self._relu_bundles[pos] = ReluBundle(
                 circuits=None,
                 encodings=encodings,
@@ -948,8 +942,8 @@ class ServerSession(ProtocolSession):
                 choices: list[int] = []
                 for value in server_vec:
                     choices += int_to_bits(value, self.bits)
-                column_bytes, reply_bytes = iknp_wire_bytes(len(choices))
-                self._send(serialize_bit_vector(choices), nbytes=column_bytes)
+                to_holder, reply_bytes = iknp_wire_bytes(len(choices))
+                self._send(serialize_bit_vector(choices), nbytes=to_holder)
                 frame = yield
                 received = deserialize_labels(frame)
                 self._note_recv(nbytes=reply_bytes)

@@ -56,7 +56,13 @@ def predict_comm(protocol: HybridProtocol) -> dict[str, float]:
 
     Mirrors the per-ReLU formulas of :mod:`repro.profiling.model_costs`,
     re-parameterized by the protocol's actual field width, ciphertext
-    size, and garbled-circuit size.
+    size, and garbled-circuit size. Each ReLU layer's label OT is one
+    seed-form IKNP batch in the phase it runs in (offline under
+    Server-Garbler, online under Client-Garbler), split by direction as
+    :func:`repro.ot.extension.iknp_wire_bytes` does: the chooser sends
+    the base-OT key and kappa columns of one bit per OT (32 + 128*ceil(m/8)
+    bytes), the label holder the kappa base-OT points and both masked
+    labels of every OT (128*32 + 2*m*16 bytes).
     """
     lowered = protocol.lowered
     params = protocol.params

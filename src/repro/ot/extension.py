@@ -1,31 +1,56 @@
-"""IKNP oblivious-transfer extension.
+"""IKNP oblivious-transfer extension, seed form.
 
 Turns kappa = 128 base OTs (public-key operations) into arbitrarily many
 fast symmetric-key OTs — the construction DELPHI relies on to fetch one
 wire label per share bit during the GC sub-protocol. Roles invert between
-the layers: the extension *receiver* plays base-OT *sender* and vice versa.
+the layers: the extension's *chooser* (who ends up with one message of
+each pair) plays base-OT *sender*, the *holder* of the message pairs plays
+base-OT receiver with kappa secret bits ``s``.
 
-Column-major bit matrices are stored as Python integers (one m-bit integer
-per column), which makes the T / T xor r column pairs and the row
-extraction straightforward and exact.
+Message flow of one batch of m OTs (:func:`base_seed_ot` then
+:func:`extend`):
+
+1. kappa random base OTs: the chooser gets seed pairs ``(k0_i, k1_i)``,
+   the holder gets ``k_{s_i}``. On the wire: A (32 B) to the holder, the
+   kappa blinded points (32 B each) back. No base-OT ciphertexts.
+2. The chooser expands ``t_i = G(k0_i)`` and sends the kappa m-bit columns
+   ``u_i = t_i xor G(k1_i) xor r`` (r = its packed choice bits).
+3. The holder forms ``q_i = G(k_{s_i}) xor s_i * u_i`` (= ``t_i xor s_i * r``),
+   so row j of Q is ``t_j xor r_j * s``. It masks pair j with
+   ``H(q_j, j)`` / ``H(q_j xor s, j)`` and sends both ciphertexts.
+4. The chooser unmasks its choice with ``H(t_j, j)``.
+
+Columns are m-bit Python integers (XOR is one big-int operation); the
+kappa x m bit-matrix transpose to 16-byte rows is one
+``unpackbits``/``packbits`` under the numpy backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.backend import get_backend
 from repro.crypto.prg import LABEL_BYTES, Prg, hash_label, xor_bytes
 from repro.crypto.rng import SecureRandom
-from repro.ot.base import BaseOtReceiver, BaseOtSender
+from repro.ot.base import ELEMENT_BYTES, BaseOtReceiver, BaseOtSender
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - minimal images only
+    _np = None
 
 KAPPA = 128  # computational security parameter / number of base OTs
+_ROW_BYTES = KAPPA // 8
 
 # Below this many rows, shipping shard jobs to pool workers costs more
 # than the work they parallelize — relevant since run_online threads a
 # pool through the per-layer label OTs, whose batches can be tiny. The
 # extension simply runs inline below the threshold; output bytes are
 # identical either way (pooling never changes a transcript bit).
-MIN_POOLED_ROWS = 64
+# Measured inline vs two workers on a 2-core host (a row costs ~10 us of
+# hashing, about what pickling it both ways costs): 0.6x at 136 rows,
+# 0.8x at 1000, parity (0.85-1.15x) from 2000 to 8704, 1.2x at 17408.
+MIN_POOLED_ROWS = 2048
 
 
 @dataclass
@@ -41,6 +66,44 @@ class ExtensionTranscript:
         return self.base_ot_bytes + self.column_bytes + self.ciphertext_bytes
 
 
+@dataclass
+class BaseSeeds:
+    """What the kappa random base OTs leave with each party."""
+
+    chooser_pairs: list[tuple[bytes, bytes]]  # (k0_i, k1_i), chooser's
+    holder_bits: list[int]  # s_i, holder's
+    holder_seeds: list[bytes]  # k_{s_i}, holder's
+
+
+def base_seed_ot(rng: SecureRandom) -> BaseSeeds:
+    """Run the kappa random base OTs whose keys seed the extension.
+
+    All of a batch's randomness (the chooser's exponent, the holder's
+    ``s`` and blinding exponents) is drawn here, so :func:`extend` is a
+    pure function of its inputs.
+    """
+    chooser = BaseOtSender(rng.spawn())
+    holder_rng = rng.spawn()
+    holder = BaseOtReceiver(holder_rng.bits(KAPPA), holder_rng)
+    return BaseSeeds(
+        chooser_pairs=chooser.keys(holder.points(chooser.public)),
+        holder_bits=holder.choices,
+        holder_seeds=holder.keys(chooser.public),
+    )
+
+
+def _expand(seed: bytes, m: int) -> int:
+    """G(seed) as an m-bit column (bits past m are never read)."""
+    return int.from_bytes(Prg(seed).read((m + 7) // 8), "little")
+
+
+def _pack_bits(bits: list[int]) -> int:
+    packed = 0
+    for i, bit in enumerate(bits):
+        packed |= (bit & 1) << i
+    return packed
+
+
 def _row(columns: list[int], row_index: int) -> int:
     """Extract row ``row_index`` from column-major integer matrix."""
     value = 0
@@ -49,51 +112,50 @@ def _row(columns: list[int], row_index: int) -> int:
     return value
 
 
-def _int_to_label(value: int) -> bytes:
-    return value.to_bytes(LABEL_BYTES, "little")
+def _transpose_python(columns: list[int], m: int) -> bytes:
+    return b"".join(
+        _row(columns, j).to_bytes(_ROW_BYTES, "little") for j in range(m)
+    )
+
+
+def _transpose_numpy(columns: list[int], m: int) -> bytes:
+    nbytes = (m + 7) // 8
+    packed = _np.frombuffer(
+        b"".join(col.to_bytes(nbytes, "little") for col in columns), dtype=_np.uint8
+    ).reshape(len(columns), nbytes)
+    bits = _np.unpackbits(packed, axis=1, count=m, bitorder="little")
+    return _np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+
+
+def _transpose(columns: list[int], m: int) -> bytes:
+    """The m rows of kappa m-bit columns, ``_ROW_BYTES`` bytes each."""
+    if _np is not None and get_backend().name == "numpy":
+        return _transpose_numpy(columns, m)
+    return _transpose_python(columns, m)
 
 
 # -- shardable stages ----------------------------------------------------------
 #
-# The extension's m-proportional work — PRG column expansion and the
-# per-row mask/unmask hashing — is split into module-level stage functions
-# over contiguous blocks. All randomness (column seeds, base-OT secrets)
-# stays with the caller, so executing the stages through a process pool
+# The per-row mask/unmask hashing is split into module-level stage
+# functions over contiguous row blocks. They are pure functions of their
+# inputs, so executing them through a process pool
 # (repro.runtime.pool.PrecomputePool) produces byte-identical transcripts
-# to the sequential path: the blocks are pure functions of their inputs.
-
-
-def expand_column_block(args) -> list[int]:
-    """PRG-expand a block of column seeds into m-bit column integers."""
-    seeds, m = args
-    mask = (1 << m) - 1
-    nbytes = (m + 7) // 8
-    return [
-        int.from_bytes(Prg(seed).read(nbytes), "little") & mask for seed in seeds
-    ]
-
-
-def _slice_columns(columns: list[int], lo: int, hi: int) -> list[int]:
-    """Rows [lo, hi) of each m-bit column — jobs ship only their shard's
-    bits instead of the full m-row matrix (KAPPA * m/8 bytes per job)."""
-    mask = (1 << (hi - lo)) - 1
-    return [(col >> lo) & mask for col in columns]
+# to the sequential path.
 
 
 def mask_row_block(args) -> list[tuple[bytes, bytes]]:
-    """Sender side: mask a block of message pairs with row hashes of Q.
+    """Holder side: mask a block of message pairs with row hashes of Q.
 
-    ``q_columns`` holds only this block's rows (shard-relative bit 0 is
-    global row ``row_offset``); the hash tweaks stay global.
+    ``q_rows`` holds only this block's rows (the first is global row
+    ``row_offset``); the hash tweaks stay global.
     """
-    pairs, q_columns, s_packed, row_offset, msg_len = args
-    kappa_mask = (1 << KAPPA) - 1
+    pairs, q_rows, s_row, row_offset, msg_len = args
     masked = []
     for offset, (m0, m1) in enumerate(pairs):
         j = row_offset + offset
-        q_j = _row(q_columns, offset)
-        pad0 = hash_label(_int_to_label(q_j & kappa_mask), j)
-        pad1 = hash_label(_int_to_label((q_j ^ s_packed) & kappa_mask), j)
+        q_j = q_rows[offset * _ROW_BYTES : (offset + 1) * _ROW_BYTES]
+        pad0 = hash_label(q_j, j)
+        pad1 = hash_label(xor_bytes(q_j, s_row), j)
         masked.append(
             (
                 xor_bytes(m0, Prg(pad0).read(msg_len)),
@@ -104,26 +166,18 @@ def mask_row_block(args) -> list[tuple[bytes, bytes]]:
 
 
 def unmask_row_block(args) -> list[bytes]:
-    """Receiver side: unmask the chosen message of each row in a block.
+    """Chooser side: unmask the chosen message of each row in a block.
 
-    ``t_columns`` holds only this block's rows, like :func:`mask_row_block`.
+    ``t_rows`` holds only this block's rows, like :func:`mask_row_block`.
     """
-    masked, choices, t_columns, row_offset, msg_len = args
-    kappa_mask = (1 << KAPPA) - 1
+    masked, choices, t_rows, row_offset, msg_len = args
     chosen = []
     for offset, (pair, c) in enumerate(zip(masked, choices)):
         j = row_offset + offset
-        t_j = _row(t_columns, offset)
-        pad = hash_label(_int_to_label(t_j & kappa_mask), j)
+        t_j = t_rows[offset * _ROW_BYTES : (offset + 1) * _ROW_BYTES]
+        pad = hash_label(t_j, j)
         chosen.append(xor_bytes(pair[c & 1], Prg(pad).read(msg_len)))
     return chosen
-
-
-def _block_ranges(total: int, pool) -> list[tuple[int, int]]:
-    """Contiguous block bounds: one block inline, skew-aware under a pool."""
-    if pool is None or total == 0:
-        return [(0, total)]
-    return pool.shard_ranges(total)
 
 
 def _run_stage(pool, func, jobs):
@@ -135,6 +189,82 @@ def _run_stage(pool, func, jobs):
     return [item for block in block_results for item in block]
 
 
+def extend(
+    seeds: BaseSeeds,
+    message_pairs: list[tuple[bytes, bytes]],
+    choices: list[int],
+    pool=None,
+) -> tuple[list[bytes], list[tuple[bytes, bytes]]]:
+    """Extend the base seeds to ``len(message_pairs)`` OTs.
+
+    Returns the chooser's messages and the masked pairs the holder sent.
+    Deterministic in its inputs; ``pool`` only shards the row hashing.
+    """
+    m = len(message_pairs)
+    if len(choices) != m:
+        raise ValueError("one choice bit per message pair required")
+    if m == 0:
+        return [], []
+    msg_len = len(message_pairs[0][0])
+    for m0, m1 in message_pairs:
+        if len(m0) != msg_len or len(m1) != msg_len:
+            raise ValueError("all messages must share one length")
+    if pool is None or m < MIN_POOLED_ROWS:
+        # The online phase's per-layer OTs can be a handful of rows, where
+        # dispatch overhead would swamp the win.
+        pool, row_ranges = None, [(0, m)]
+    else:
+        row_ranges = pool.shard_ranges(m)
+
+    # Chooser: t columns from the k0 seeds, u columns to the holder.
+    r_packed = _pack_bits(choices)
+    t_columns = [_expand(k0, m) for k0, _ in seeds.chooser_pairs]
+    u_columns = [
+        t_i ^ _expand(k1, m) ^ r_packed
+        for t_i, (_, k1) in zip(t_columns, seeds.chooser_pairs)
+    ]
+
+    # Holder: q_i = G(k_{s_i}) xor s_i * u_i, then mask each pair by row.
+    q_columns = [
+        _expand(seed, m) ^ (u_i if s_i else 0)
+        for seed, s_i, u_i in zip(seeds.holder_seeds, seeds.holder_bits, u_columns)
+    ]
+    q_rows = _transpose(q_columns, m)
+    s_row = _pack_bits(seeds.holder_bits).to_bytes(_ROW_BYTES, "little")
+    masked = _run_stage(
+        pool,
+        mask_row_block,
+        [
+            (
+                message_pairs[lo:hi],
+                q_rows[lo * _ROW_BYTES : hi * _ROW_BYTES],
+                s_row,
+                lo,
+                msg_len,
+            )
+            for lo, hi in row_ranges
+        ],
+    )
+
+    # Chooser: unmask its choice of each pair with row hashes of T.
+    t_rows = _transpose(t_columns, m)
+    chosen = _run_stage(
+        pool,
+        unmask_row_block,
+        [
+            (
+                masked[lo:hi],
+                choices[lo:hi],
+                t_rows[lo * _ROW_BYTES : hi * _ROW_BYTES],
+                lo,
+                msg_len,
+            )
+            for lo, hi in row_ranges
+        ],
+    )
+    return chosen, masked
+
+
 def iknp_transfer(
     message_pairs: list[tuple[bytes, bytes]],
     choices: list[int],
@@ -143,97 +273,21 @@ def iknp_transfer(
 ) -> tuple[list[bytes], ExtensionTranscript]:
     """Run IKNP extension end to end for ``len(message_pairs)`` OTs.
 
-    Returns the receiver's chosen messages and a transcript of byte volumes
-    (base OTs + the m x kappa column matrix + the masked message pairs).
+    Returns the chooser's messages and a transcript of byte volumes (base
+    OT points + the kappa x m column matrix + the masked message pairs).
+    The base OTs run once per call, in the phase the call is made in.
 
-    ``pool`` (a :class:`repro.runtime.pool.PrecomputePool`) shards the
-    column expansion and the row mask/unmask hashing across worker
-    processes; output is byte-identical to the sequential path because all
-    randomness is drawn here, in the same order, regardless of pooling.
-    Batches smaller than :data:`MIN_POOLED_ROWS` run every stage inline
-    even under a pool — the online phase's per-layer OTs can be a handful
-    of rows, where dispatch overhead would swamp the win.
+    ``pool`` (a :class:`repro.runtime.pool.PrecomputePool`) shards the row
+    mask/unmask hashing across worker processes; output is byte-identical
+    to the sequential path because all randomness is drawn here, in the
+    same order, regardless of pooling. Batches smaller than
+    :data:`MIN_POOLED_ROWS` run inline even under a pool.
     """
-    rng = rng or SecureRandom()
-    m = len(message_pairs)
-    if len(choices) != m:
-        raise ValueError("one choice bit per message pair required")
-    if m == 0:
+    if not message_pairs and not choices:
         return [], ExtensionTranscript(0, 0, 0)
-    msg_len = len(message_pairs[0][0])
-    for m0, m1 in message_pairs:
-        if len(m0) != msg_len or len(m1) != msg_len:
-            raise ValueError("all messages must share one length")
-    if m < MIN_POOLED_ROWS:
-        # Every stage's work is m-proportional (the column stage expands
-        # KAPPA m-bit columns); below the threshold, run it all inline.
-        pool = None
-
-    r_packed = 0
-    for j, c in enumerate(choices):
-        r_packed |= (c & 1) << j
-
-    # Receiver expands kappa column seeds; the sender obtains, via base OT
-    # with its secret bits s_i, either t_i or t_i xor r per column.
-    receiver_rng = rng.spawn()
-    seeds = [receiver_rng.bytes(LABEL_BYTES) for _ in range(KAPPA)]
-    column_jobs = [
-        (seeds[lo:hi], m) for lo, hi in _block_ranges(KAPPA, pool)
-    ]
-    t_columns = _run_stage(pool, expand_column_block, column_jobs)
-    nbytes = (m + 7) // 8
-    column_pairs = [
-        (t_i.to_bytes(nbytes, "little"), (t_i ^ r_packed).to_bytes(nbytes, "little"))
-        for t_i in t_columns
-    ]
-
-    sender_rng = rng.spawn()
-    s_bits = sender_rng.bits(KAPPA)
-    base_sender = BaseOtSender(rng.spawn())  # played by extension receiver
-    base_receiver = BaseOtReceiver(s_bits, rng.spawn())  # played by ext. sender
-    points = base_receiver.points(base_sender.public)
-    ciphertexts = base_sender.encrypt(points, column_pairs)
-    q_column_bytes = base_receiver.decrypt(base_sender.public, ciphertexts)
-    q_columns = [int.from_bytes(qb, "little") for qb in q_column_bytes]
-
-    s_packed = 0
-    for i, s in enumerate(s_bits):
-        s_packed |= s << i
-
-    # Sender masks each message pair with row hashes of Q.
-    row_ranges = _block_ranges(m, pool)
-    masked = _run_stage(
-        pool,
-        mask_row_block,
-        [
-            (
-                message_pairs[lo:hi],
-                _slice_columns(q_columns, lo, hi),
-                s_packed,
-                lo,
-                msg_len,
-            )
-            for lo, hi in row_ranges
-        ],
-    )
-
-    # Receiver unmasks its chosen message with row hashes of T.
-    chosen = _run_stage(
-        pool,
-        unmask_row_block,
-        [
-            (
-                masked[lo:hi],
-                choices[lo:hi],
-                _slice_columns(t_columns, lo, hi),
-                lo,
-                msg_len,
-            )
-            for lo, hi in row_ranges
-        ],
-    )
-
-    return chosen, iknp_transcript(m, msg_len)
+    seeds = base_seed_ot(rng or SecureRandom())
+    chosen, _ = extend(seeds, message_pairs, choices, pool)
+    return chosen, iknp_transcript(len(chosen), len(chosen[0]))
 
 
 def iknp_transcript(n_ots: int, msg_len: int = LABEL_BYTES) -> ExtensionTranscript:
@@ -241,29 +295,36 @@ def iknp_transcript(n_ots: int, msg_len: int = LABEL_BYTES) -> ExtensionTranscri
 
     :func:`iknp_transfer` returns exactly this (the volumes are a pure
     function of the batch size), and every other accounting surface —
-    the sessions' channel charges via :func:`iknp_wire_bytes`, the
-    analytic predictor in :mod:`repro.core.validation` — derives from it,
-    so the copies cannot drift apart.
+    the sessions' channel charges, :func:`iknp_wire_bytes`, the analytic
+    predictor in :mod:`repro.core.validation` — derives from it, so the
+    copies cannot drift apart.
     """
-    nbytes = (n_ots + 7) // 8
     return ExtensionTranscript(
-        base_ot_bytes=KAPPA * 2 * nbytes + KAPPA * 32 + 32,
-        column_bytes=KAPPA * nbytes,
+        base_ot_bytes=ELEMENT_BYTES + KAPPA * ELEMENT_BYTES,
+        column_bytes=KAPPA * ((n_ots + 7) // 8),
         ciphertext_bytes=2 * n_ots * msg_len,
     )
 
 
 def iknp_wire_bytes(n_ots: int, msg_len: int = LABEL_BYTES) -> tuple[int, int]:
-    """(chooser -> sender, sender -> chooser) bytes of one IKNP batch."""
+    """(chooser -> holder, holder -> chooser) bytes of one IKNP batch.
+
+    Up: the base-OT public key A and the u columns. Down: the kappa
+    base-OT points and the masked pairs.
+    """
     t = iknp_transcript(n_ots, msg_len)
-    return t.column_bytes, t.base_ot_bytes + t.ciphertext_bytes
+    return (
+        ELEMENT_BYTES + t.column_bytes,
+        t.base_ot_bytes - ELEMENT_BYTES + t.ciphertext_bytes,
+    )
 
 
 def ot_extension_online_bytes(n_ots: int, msg_len: int = LABEL_BYTES) -> int:
-    """Online communication of an IKNP batch (columns + masked pairs)."""
-    return KAPPA * ((n_ots + 7) // 8) + 2 * n_ots * msg_len
+    """The m-proportional part of an IKNP batch (columns + masked pairs)."""
+    t = iknp_transcript(n_ots, msg_len)
+    return t.column_bytes + t.ciphertext_bytes
 
 
 def base_ot_offline_bytes() -> int:
-    """Offline communication of the kappa base OTs (group elements + pads)."""
-    return 32 + KAPPA * 32 + 2 * KAPPA * LABEL_BYTES
+    """The per-batch constant: A plus the kappa base-OT points."""
+    return iknp_transcript(0).base_ot_bytes

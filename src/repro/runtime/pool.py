@@ -459,7 +459,7 @@ class PrecomputePool:
         return results
 
     def iknp_transfer(self, message_pairs, choices, rng=None):
-        """Pooled IKNP extension (column expansion + row masking sharded)."""
+        """Pooled IKNP extension (row mask/unmask hashing sharded)."""
         from repro.ot.extension import iknp_transfer
 
         return iknp_transfer(

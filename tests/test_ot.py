@@ -6,15 +6,94 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.prg import key_derivation
 from repro.crypto.rng import SecureRandom
 from repro.network.channel import Channel
-from repro.ot.base import BaseOtReceiver, BaseOtSender, run_base_ot
+from repro.ot import extension
+from repro.ot.base import (
+    GENERATOR,
+    GROUP_PRIME,
+    BaseOtReceiver,
+    BaseOtSender,
+    FixedBaseTable,
+    run_base_ot,
+)
 from repro.ot.extension import (
     KAPPA,
     base_ot_offline_bytes,
+    base_seed_ot,
+    extend,
+    iknp_transcript,
     iknp_transfer,
+    iknp_wire_bytes,
     ot_extension_online_bytes,
 )
+from repro.runtime import PrecomputePool
+
+
+def random_batch(n, msg_len=16, seed=0):
+    rnd = random.Random(seed)
+    pairs = [(rnd.randbytes(msg_len), rnd.randbytes(msg_len)) for _ in range(n)]
+    return pairs, [rnd.getrandbits(1) for _ in range(n)]
+
+
+class TestFixedBaseTable:
+    @given(
+        base=st.integers(min_value=1, max_value=GROUP_PRIME - 1),
+        exponent=st.one_of(
+            st.sampled_from([0, 1, GROUP_PRIME - 2, (1 << 255) - 1]),
+            st.integers(min_value=0, max_value=(1 << 256) - 1),
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_pow_matches_builtin(self, base, exponent):
+        assert FixedBaseTable(base).pow(exponent) == pow(base, exponent, GROUP_PRIME)
+
+    def test_exponent_wider_than_the_table_is_rejected(self):
+        with pytest.raises(OverflowError):
+            FixedBaseTable(GENERATOR).pow(1 << 256)
+
+
+class TestRandomBaseOt:
+    def test_receiver_key_is_the_chosen_sender_key_only(self):
+        for pattern in range(1 << 4):
+            choices = [(pattern >> i) & 1 for i in range(4)]
+            sender = BaseOtSender(SecureRandom(pattern))
+            receiver = BaseOtReceiver(choices, SecureRandom(100 + pattern))
+            sender_keys = sender.keys(receiver.points(sender.public))
+            receiver_keys = receiver.keys(sender.public)
+            for choice, pair, key in zip(choices, sender_keys, receiver_keys):
+                assert key == pair[choice]
+                assert key != pair[1 - choice]
+
+    def test_keys_equal_the_two_modexp_definition(self):
+        """k0 = KDF(B^a, i), k1 = KDF((B/A)^a, i), receiver KDF(A^b, i)."""
+        choices = [0, 1, 1]
+        sender = BaseOtSender(SecureRandom(31))
+        receiver = BaseOtReceiver(choices, SecureRandom(32))
+        a, secrets = sender._a, receiver._secrets
+        assert sender.public == pow(GENERATOR, a, GROUP_PRIME)
+        points = receiver.points(sender.public)
+        a_inverse = pow(sender.public, GROUP_PRIME - 2, GROUP_PRIME)
+
+        def kdf(element, index):
+            return key_derivation(
+                element.to_bytes(32, "little"), index.to_bytes(4, "little")
+            )
+
+        for i, (choice, b, point) in enumerate(zip(choices, secrets, points)):
+            expected = pow(GENERATOR, b, GROUP_PRIME)
+            if choice:
+                expected = expected * sender.public % GROUP_PRIME
+            assert point == expected
+            shifted = point * a_inverse % GROUP_PRIME
+            assert sender.keys(points)[i] == (
+                kdf(pow(point, a, GROUP_PRIME), i),
+                kdf(pow(shifted, a, GROUP_PRIME), i),
+            )
+            assert receiver.keys(sender.public)[i] == kdf(
+                pow(sender.public, b, GROUP_PRIME), i
+            )
 
 
 class TestBaseOt:
@@ -112,6 +191,82 @@ class TestIknpExtension:
             assert g == (m1 if c else m0)
 
 
+@pytest.fixture(scope="module")
+def seeds():
+    return base_seed_ot(SecureRandom(20))
+
+
+class TestSeedFormExtension:
+    def test_base_seeds_are_a_random_ot(self, seeds):
+        assert len(seeds.chooser_pairs) == len(seeds.holder_seeds) == KAPPA
+        for pair, s_i, seed in zip(
+            seeds.chooser_pairs, seeds.holder_bits, seeds.holder_seeds
+        ):
+            assert seed == pair[s_i] != pair[1 - s_i]
+
+    @pytest.mark.parametrize("msg_len", [16, 48])
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129, 1000, 4352])
+    def test_correct_at_byte_and_kappa_boundaries(self, seeds, m, msg_len):
+        pairs, choices = random_batch(m, msg_len, seed=m)
+        chosen, masked = extend(seeds, pairs, choices)
+        assert chosen == [pair[c] for pair, c in zip(pairs, choices)]
+        assert len(masked) == m
+        # the pair is really masked, and with two different pads
+        assert all(y0 != x0 and y1 != x1 for (y0, y1), (x0, x1) in zip(masked, pairs))
+        assert all(
+            int.from_bytes(y0, "little") ^ int.from_bytes(x0, "little")
+            != int.from_bytes(y1, "little") ^ int.from_bytes(x1, "little")
+            for (y0, y1), (x0, x1) in zip(masked, pairs)
+        )
+
+    def test_wrong_holder_seed_breaks_the_transfer(self, seeds):
+        """The holder's q columns really come from its own k_{s_i} seeds."""
+        pairs, choices = random_batch(64)
+        broken = extension.BaseSeeds(
+            seeds.chooser_pairs,
+            seeds.holder_bits,
+            [bytes(16)] + seeds.holder_seeds[1:],
+        )
+        chosen, _ = extend(broken, pairs, choices)
+        assert chosen != [pair[c] for pair, c in zip(pairs, choices)]
+
+    @given(
+        m=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_numpy_transpose_matches_row_reference(self, m, seed):
+        pytest.importorskip("numpy")
+        rnd = random.Random(seed)
+        columns = [rnd.getrandbits(m) for _ in range(KAPPA)]
+        rows = extension._transpose_numpy(columns, m)
+        assert rows == extension._transpose_python(columns, m)
+        assert rows[:16] == extension._row(columns, 0).to_bytes(16, "little")
+
+    def test_same_seed_same_masked_pairs(self):
+        pairs, choices = random_batch(200)
+        one = extend(base_seed_ot(SecureRandom(21)), pairs, choices)
+        two = extend(base_seed_ot(SecureRandom(21)), pairs, choices)
+        other = extend(base_seed_ot(SecureRandom(22)), pairs, choices)
+        assert one == two
+        assert one[0] == other[0] and one[1] != other[1]
+
+    def test_one_spawn_is_all_a_call_takes_from_the_callers_stream(self):
+        pairs, choices = random_batch(10)
+        used, fresh = SecureRandom(23), SecureRandom(23)
+        iknp_transfer(pairs, choices, used.spawn())
+        fresh.spawn()
+        assert used.bytes(16) == fresh.bytes(16)
+
+    def test_pooled_extension_is_byte_identical(self, seeds, monkeypatch):
+        monkeypatch.setattr(extension, "MIN_POOLED_ROWS", 32)
+        pairs, choices = random_batch(300)
+        inline = extend(seeds, pairs, choices)
+        with PrecomputePool(workers=2, min_shard=16) as pool:
+            assert len(pool.shard_ranges(300)) > 1
+            assert extend(seeds, pairs, choices, pool) == inline
+
+
 class TestCommunicationModel:
     def test_online_bytes_scale_linearly(self):
         one = ot_extension_online_bytes(1000)
@@ -123,15 +278,27 @@ class TestCommunicationModel:
         assert ot_extension_online_bytes(n) == KAPPA * (n // 8) + 2 * n * 16
 
     def test_base_ot_offline_constant(self):
-        assert base_ot_offline_bytes() == 32 + KAPPA * 32 + 2 * KAPPA * 16
+        assert base_ot_offline_bytes() == 32 + KAPPA * 32
+
+    @pytest.mark.parametrize("n,msg_len", [(1, 16), (136, 16), (4352, 16), (10, 48)])
+    def test_every_surface_derives_from_the_one_transcript(self, n, msg_len):
+        t = iknp_transcript(n, msg_len)
+        assert t.base_ot_bytes == base_ot_offline_bytes()
+        assert t.column_bytes == KAPPA * ((n + 7) // 8)
+        assert t.ciphertext_bytes == 2 * n * msg_len
+        assert ot_extension_online_bytes(n, msg_len) == (
+            t.column_bytes + t.ciphertext_bytes
+        )
+        to_holder, to_chooser = iknp_wire_bytes(n, msg_len)
+        assert to_holder == 32 + t.column_bytes  # A and the u columns
+        assert to_chooser == KAPPA * 32 + t.ciphertext_bytes  # points, pairs
+        assert to_holder + to_chooser == t.total_bytes
 
     def test_transcript_matches_model(self):
         """Measured transcript of the real protocol tracks the analytic model."""
-        rnd = random.Random(2)
         n = 256
-        pairs = [(rnd.randbytes(16), rnd.randbytes(16)) for _ in range(n)]
-        choices = [rnd.getrandbits(1) for _ in range(n)]
+        pairs, choices = random_batch(n, seed=2)
         _, transcript = iknp_transfer(pairs, choices, SecureRandom(14))
-        model = ot_extension_online_bytes(n)
-        measured = transcript.column_bytes + transcript.ciphertext_bytes
-        assert measured == model
+        assert transcript == iknp_transcript(n)
+        # the u matrix the chooser ships really is kappa columns of n bits
+        assert transcript.column_bytes == KAPPA * n // 8
