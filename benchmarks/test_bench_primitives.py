@@ -418,28 +418,3 @@ def test_bench_iknp_4352_ots(benchmark):
     benchmark.extra_info["phase_extend_ms"] = _best_ms(
         lambda: extend(seeds, pairs, choices)
     )
-
-
-def test_bench_iknp_4352_ots_pool_w2(benchmark):
-    """The same batch with the row hashing sharded over two workers.
-
-    ``speedup_vs_inline`` compares best-of-5 extensions measured here,
-    back to back, on the same seeds (the base OTs never leave the parent).
-    """
-    _require_cores(2)
-    pairs, choices = _label_ot_batch(4352)
-    seeds = base_seed_ot(SecureRandom(6))
-    with PrecomputePool(workers=2) as pool:
-        # Warm the fork + initializer cost out of the measured rounds.
-        pool.iknp_transfer(pairs, choices, SecureRandom(6))
-        benchmark.pedantic(
-            lambda: pool.iknp_transfer(pairs, choices, SecureRandom(6)),
-            rounds=3, iterations=1,
-        )
-        inline_ms = _best_ms(lambda: extend(seeds, pairs, choices))
-        pooled_ms = _best_ms(lambda: extend(seeds, pairs, choices, pool))
-    benchmark.extra_info["pool_workers"] = 2
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-    benchmark.extra_info["extend_inline_ms"] = inline_ms
-    benchmark.extra_info["extend_pooled_ms"] = pooled_ms
-    benchmark.extra_info["speedup_vs_inline"] = round(inline_ms / pooled_ms, 3)

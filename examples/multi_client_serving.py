@@ -11,10 +11,6 @@ of the buffer dynamics the analytic simulator models.
 Run:  python examples/multi_client_serving.py --clients 4 --requests 2 \
           --budget-mb 4
 
-Add --pipelined to interleave the background refill mints with online
-serving (the serving loop steps every session message by message, so the
-overlap is a scheduling decision — compare throughput_rps between modes).
-
 Add --transport socket to (a) run every in-process session pair over
 loopback TCP instead of the in-memory transport, and (b) run the
 two-process demo: a forked server process hosts ServerSessions behind a
@@ -22,12 +18,13 @@ listening socket while this process drives ClientSessions against it —
 the client and server genuinely share nothing but serialized wire
 messages.
 
-Add --concurrent to serve through the ServingGateway instead: the
-serving loop runs in-process with driver threads, then a second demo
-forks one OS process per client against a gateway hosted in this
-process — many live sockets multiplexed by one selector thread while
-refill mints run in background pool workers (compare throughput_rps
-and refill_overlap_seconds against the serialized run).
+Add --concurrent to serve through the ServingGateway instead: the same
+requests are replayed as a zero-think closed-loop schedule by in-process
+driver threads, then a second demo forks one OS process per client
+against a gateway hosted in this process — many live sockets multiplexed
+by one selector thread while refill mints run in background pool workers
+(compare throughput_rps and refill_overlap_seconds against the
+serialized run).
 
 Add --analytic to also run the paper-scale analytic MultiClientSimulator
 (resnet18 profile, 16 GB clients) next to the measured tiny-network run.
@@ -227,7 +224,6 @@ def functional_run(args) -> ServingReport:
         budget_mb=args.budget_mb,
         store_dir=args.store,
         summary_path=args.summary,
-        pipelined=args.pipelined,
         concurrent=args.concurrent,
         transport=args.transport,
     )
@@ -283,11 +279,6 @@ def main() -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
         help="shared pool size (default: REPRO_WORKERS, then all cores)",
-    )
-    parser.add_argument(
-        "--pipelined", action="store_true",
-        help="interleave refill mints with online serving (steady-state "
-        "throughput mode)",
     )
     parser.add_argument(
         "--concurrent", action="store_true",

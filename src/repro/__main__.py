@@ -73,22 +73,16 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="instead of experiments, run the functional multi-client "
         "serving loop with N clients (one shared precompute pool, "
-        "per-client store namespaces under --serve-budget-mb)",
-    )
-    parser.add_argument(
-        "--serve-pipelined",
-        action="store_true",
-        help="with --serve: interleave background refill mints with "
-        "online serving instead of serializing them (steady-state "
-        "throughput lands in the report)",
+        "per-client store namespaces under --serve-budget-mb), mint and "
+        "serve strictly serialized",
     )
     parser.add_argument(
         "--serve-concurrent",
         action="store_true",
-        help="with --serve: serve through the concurrent socket gateway "
-        "(one selector thread multiplexing all client sockets, refill "
-        "mints in background pool workers) — the wall-clock-overlap "
-        "counterpart of --serve-pipelined's schedule-shape overlap",
+        help="with --serve: replay the same requests as a zero-think "
+        "closed-loop schedule through the concurrent socket gateway (one "
+        "selector thread multiplexing all client sockets, refill mints "
+        "in background pool workers)",
     )
     parser.add_argument(
         "--serve-requests",
@@ -106,23 +100,13 @@ def main(argv: list[str] | None = None) -> int:
         "0 = unbounded)",
     )
     parser.add_argument(
-        "--gateway-wait-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help="with --serve-concurrent: seconds a missed request may wait "
-        "in WAIT_STORE for an in-flight refill before demand-minting "
-        "(overrides the REPRO_GATEWAY_WAIT_S environment variable)",
-    )
-    parser.add_argument(
         "--gateway-max-queue",
         type=int,
         default=None,
         metavar="N",
-        help="with --serve-concurrent: admission backlog threshold — "
-        "requests arriving while waiters + credits + in-flight mints "
-        "exceed N are answered with BUSY (overrides the "
-        "REPRO_GATEWAY_MAX_QUEUE environment variable)",
+        help="with --serve-concurrent or --workload: admission backlog "
+        "threshold — requests arriving while waiters + credits + "
+        "in-flight mints exceed N are answered with BUSY (default 8)",
     )
     parser.add_argument(
         "--serve-summary",
@@ -279,9 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="with --serve-concurrent: print the gateway's live stats "
+        help="with --serve-concurrent: print the gateway's stats "
         "snapshot (per-client latency quantiles, queue depth, store "
-        "occupancy, expected time-to-miss) fetched over the GWS1 wire op",
+        "occupancy, expected time-to-miss)",
     )
     args = parser.parse_args(argv)
     if args.backend is not None:
@@ -300,10 +284,8 @@ def main(argv: list[str] | None = None) -> int:
             workers=args.workers,
             budget_mb=args.serve_budget_mb,
             summary_path=args.serve_summary,
-            pipelined=args.serve_pipelined,
             concurrent=args.serve_concurrent,
             transport=args.transport,
-            gateway_wait_seconds=args.gateway_wait_s,
             gateway_max_queue=args.gateway_max_queue,
         )
         if args.stats and report.gateway_stats:

@@ -184,19 +184,16 @@ class HybridProtocol:
             client_end, server_end = make_transport_pair(transport)
         # Precompute parallelism: an explicit pool wins; otherwise `workers`
         # (explicit > REPRO_WORKERS > 1) makes run_offline create ONE pool
-        # shared by both sessions for the duration of the offline phase. A
-        # constructor-provided pool also serves run_online's label OT
-        # (Client-Garbler); `workers` alone stays offline-only, so the
-        # short-lived online phase never pays a pool's fork cost unasked.
-        # Pooled and sequential phases are transcript-identical under the
-        # same seed (all randomness stays parent-side of the pool).
+        # shared by both sessions for the duration of the offline phase.
+        # The online phase never uses a pool. Pooled and sequential
+        # offline phases are transcript-identical under the same seed
+        # (all randomness stays parent-side of the pool).
         from repro.runtime.pool import resolve_workers
 
         self._shared_pool = pool
         self._workers = (
             pool.workers if pool is not None else resolve_workers(workers, default=1)
         )
-        self._active_pool = None
         self._own_pool = None
         # Sessions get workers=1: pool lifecycle is owned here so the two
         # halves share one set of worker processes.
@@ -298,29 +295,22 @@ class HybridProtocol:
 
     # -- phase scheduling ------------------------------------------------------
 
-    def _phase_pool(self, create_own: bool):
+    def start_offline(self) -> None:
+        """Arm the offline phase on both sessions (one shared pool)."""
         pool = self._shared_pool
-        if pool is None and create_own and self._workers > 1:
+        if pool is None and self._workers > 1:
             from repro.core.session import make_phase_pool
 
             pool = self._own_pool = make_phase_pool(
                 self.params.backend, self.params, self._workers
             )
-        return pool
-
-    def start_offline(self) -> None:
-        """Arm the offline phase on both sessions (one shared pool)."""
-        pool = self._phase_pool(create_own=True)
-        self._active_pool = pool
         self.client.start_offline(pool=pool)
         self.server.start_offline(pool=pool)
 
-    def start_online(self, x: list[int], pool=None) -> None:
+    def start_online(self, x: list[int]) -> None:
         """Arm one inference on both sessions."""
-        active = pool if pool is not None else self._shared_pool
-        self._active_pool = active
-        self.client.start_online(x, pool=active)
-        self.server.start_online(pool=active)
+        self.client.start_online(x)
+        self.server.start_online()
 
     def step(self) -> bool:
         """One scheduling round over both sessions; True when phase done."""
@@ -332,7 +322,6 @@ class HybridProtocol:
         return False
 
     def _end_phase(self) -> None:
-        self._active_pool = None
         if self._own_pool is not None:
             self._own_pool.close()
             self._own_pool = None
@@ -379,8 +368,8 @@ class HybridProtocol:
     def run_offline(self) -> None:
         """Execute the full offline phase (HE correlations + garbling + OT).
 
-        With ``workers > 1`` (or an explicit ``pool``), garbling, the OT
-        extension stages, and the Galois key products run on a
+        With ``workers > 1`` (or an explicit ``pool``), garbling and the
+        Galois key products run on a
         :class:`~repro.runtime.pool.PrecomputePool`; every transcript
         byte matches the sequential run under the same seed.
         """
@@ -390,18 +379,11 @@ class HybridProtocol:
         finally:
             self._end_phase()
 
-    def run_online(self, x: list[int], pool=None) -> list[int]:
-        """Run one inference on the client input ``x``; returns the logits.
-
-        ``pool`` (default: the pool passed to the constructor, if any)
-        runs the Client-Garbler online label OT's extension stages on a
-        :class:`~repro.runtime.pool.PrecomputePool`, cutting online
-        latency on multi-core hosts; the channel transcript is
-        byte-identical to the sequential path under the same seed.
-        """
+    def run_online(self, x: list[int]) -> list[int]:
+        """Run one inference on the client input ``x``; returns the logits."""
         if not self._offline_done:
             raise RuntimeError("offline phase must run before online phase")
-        self.start_online(x, pool=pool)
+        self.start_online(x)
         try:
             self._drive()
         finally:

@@ -350,24 +350,18 @@ class ProtocolSession:
 
     # -- phase control --------------------------------------------------------
 
-    def _begin_phase(self, phase: str, gen, pool, allow_own_pool: bool) -> None:
+    def _begin_phase(self, phase: str, gen) -> None:
         if self._gen is not None:
             raise RuntimeError(f"a {self._phase} phase is already in progress")
         if self.transport is None:
             raise RuntimeError("no transport attached to this session")
-        active = pool if pool is not None else self._shared_pool
-        if active is None and allow_own_pool and self._workers > 1:
-            active = self._own_pool = make_phase_pool(
-                self._backend_pref, self.params, self._workers
-            )
-        self._active_pool = active
         self._phase = phase
         self._gen = gen
         self._primed = False
         if TRACER.enabled:
             # Session phases interleave with other sessions on the same
-            # thread (the gateway selector loop, the pipelined drain), so
-            # each session gets its own virtual track for its phase spans.
+            # thread (the gateway selector loop), so each session gets
+            # its own virtual track for its phase spans.
             if self._trace_track is None:
                 self._trace_track = TRACER.new_track(f"{self.role}-session")
             self._phase_start_us = now_us()
@@ -381,7 +375,14 @@ class ProtocolSession:
                 f"cannot start offline from lifecycle state {self.lifecycle!r}"
                 " — reset_for_request() re-arms a completed session"
             )
-        self._begin_phase("offline", self._offline_gen(), pool, allow_own_pool=True)
+        self._begin_phase("offline", self._offline_gen())
+        # Only the offline phase (garbling, key-gen) runs on a pool.
+        active = pool if pool is not None else self._shared_pool
+        if active is None and self._workers > 1:
+            active = self._own_pool = make_phase_pool(
+                self._backend_pref, self.params, self._workers
+            )
+        self._active_pool = active
         self.lifecycle = LIFE_OFFLINE
 
     def step(self, wait: bool = False) -> str:
@@ -491,9 +492,7 @@ class ProtocolSession:
             for wire in circuit.evaluator_inputs
         ]
         with section("ot", "ot.iknp_transfer", pairs=len(pairs)):
-            received, _ = iknp_transfer(
-                pairs, choices, self.rng.spawn(), pool=self._active_pool
-            )
+            received, _ = iknp_transfer(pairs, choices, self.rng.spawn())
         self.counters.ots_performed += len(pairs)
         return received, to_chooser
 
@@ -551,18 +550,18 @@ class ClientSession(ProtocolSession):
     needs_weights = False
     _REQUEST_STATE = ("client_r", "client_linear_share", "_ctx", "_encoder", "_sk")
 
-    def start_online(self, x: list[int], pool=None) -> None:
+    def start_online(self, x: list[int]) -> None:
         """Arm one inference on the client input ``x``."""
         if self.lifecycle not in (LIFE_READY, LIFE_COMPLETE):
             raise RuntimeError("offline phase must run before online phase")
         if len(x) != self.lowered.input_size:
             raise ValueError("input size mismatch")
-        self._begin_phase("online", self._online_gen(list(x)), pool, allow_own_pool=False)
+        self._begin_phase("online", self._online_gen(list(x)))
         self.lifecycle = LIFE_ONLINE
 
-    def run_online(self, x: list[int], pool=None) -> list[int]:
+    def run_online(self, x: list[int]) -> list[int]:
         """Blocking convenience: one inference, returns the logits."""
-        self.start_online(x, pool=pool)
+        self.start_online(x)
         while self.step(wait=True) != DONE:
             pass  # pragma: no cover - step(wait=True) only returns on DONE
         return self.finish()
@@ -755,16 +754,16 @@ class ServerSession(ProtocolSession):
     role = SERVER
     _REQUEST_STATE = ("server_s",)
 
-    def start_online(self, pool=None) -> None:
+    def start_online(self) -> None:
         """Arm the serving side of one inference."""
         if self.lifecycle not in (LIFE_READY, LIFE_COMPLETE):
             raise RuntimeError("offline phase must run before online phase")
-        self._begin_phase("online", self._online_gen(), pool, allow_own_pool=False)
+        self._begin_phase("online", self._online_gen())
         self.lifecycle = LIFE_ONLINE
 
-    def run_online(self, pool=None) -> None:
+    def run_online(self) -> None:
         """Blocking convenience: serve one inference to completion."""
-        self.start_online(pool=pool)
+        self.start_online()
         while self.step(wait=True) != DONE:
             pass  # pragma: no cover - step(wait=True) only returns on DONE
         return self.finish()

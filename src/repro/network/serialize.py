@@ -62,7 +62,6 @@ _FMT_NAMES = {
 # runtime/gateway.py); the frame classifier names them too so the
 # per-message-type transport counters cover the whole wire vocabulary.
 _GATEWAY_MAGIC_NAMES = {
-    b"GWH1": "gateway_hello",  # legacy single-request hello (rejected, named)
     b"GWH2": "gateway_hello",
     b"GWR1": "gateway_request",
     b"GWO1": "gateway_offer",

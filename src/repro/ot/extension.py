@@ -42,16 +42,6 @@ except ImportError:  # pragma: no cover - minimal images only
 KAPPA = 128  # computational security parameter / number of base OTs
 _ROW_BYTES = KAPPA // 8
 
-# Below this many rows, shipping shard jobs to pool workers costs more
-# than the work they parallelize — relevant since run_online threads a
-# pool through the per-layer label OTs, whose batches can be tiny. The
-# extension simply runs inline below the threshold; output bytes are
-# identical either way (pooling never changes a transcript bit).
-# Measured inline vs two workers on a 2-core host (a row costs ~10 us of
-# hashing, about what pickling it both ways costs): 0.6x at 136 rows,
-# 0.8x at 1000, parity (0.85-1.15x) from 2000 to 8704, 1.2x at 17408.
-MIN_POOLED_ROWS = 2048
-
 
 @dataclass
 class ExtensionTranscript:
@@ -134,26 +124,13 @@ def _transpose(columns: list[int], m: int) -> bytes:
     return _transpose_python(columns, m)
 
 
-# -- shardable stages ----------------------------------------------------------
-#
-# The per-row mask/unmask hashing is split into module-level stage
-# functions over contiguous row blocks. They are pure functions of their
-# inputs, so executing them through a process pool
-# (repro.runtime.pool.PrecomputePool) produces byte-identical transcripts
-# to the sequential path.
-
-
-def mask_row_block(args) -> list[tuple[bytes, bytes]]:
-    """Holder side: mask a block of message pairs with row hashes of Q.
-
-    ``q_rows`` holds only this block's rows (the first is global row
-    ``row_offset``); the hash tweaks stay global.
-    """
-    pairs, q_rows, s_row, row_offset, msg_len = args
+def mask_row_block(
+    pairs: list[tuple[bytes, bytes]], q_rows: bytes, s_row: bytes, msg_len: int
+) -> list[tuple[bytes, bytes]]:
+    """Holder side: mask every message pair with the row hashes of Q."""
     masked = []
-    for offset, (m0, m1) in enumerate(pairs):
-        j = row_offset + offset
-        q_j = q_rows[offset * _ROW_BYTES : (offset + 1) * _ROW_BYTES]
+    for j, (m0, m1) in enumerate(pairs):
+        q_j = q_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES]
         pad0 = hash_label(q_j, j)
         pad1 = hash_label(xor_bytes(q_j, s_row), j)
         masked.append(
@@ -165,40 +142,28 @@ def mask_row_block(args) -> list[tuple[bytes, bytes]]:
     return masked
 
 
-def unmask_row_block(args) -> list[bytes]:
-    """Chooser side: unmask the chosen message of each row in a block.
-
-    ``t_rows`` holds only this block's rows, like :func:`mask_row_block`.
-    """
-    masked, choices, t_rows, row_offset, msg_len = args
+def unmask_row_block(
+    masked: list[tuple[bytes, bytes]], choices: list[int], t_rows: bytes,
+    msg_len: int,
+) -> list[bytes]:
+    """Chooser side: unmask the chosen message of every row."""
     chosen = []
-    for offset, (pair, c) in enumerate(zip(masked, choices)):
-        j = row_offset + offset
-        t_j = t_rows[offset * _ROW_BYTES : (offset + 1) * _ROW_BYTES]
+    for j, (pair, c) in enumerate(zip(masked, choices)):
+        t_j = t_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES]
         pad = hash_label(t_j, j)
         chosen.append(xor_bytes(pair[c & 1], Prg(pad).read(msg_len)))
     return chosen
-
-
-def _run_stage(pool, func, jobs):
-    """Run stage jobs through the pool (or inline) and flatten the blocks."""
-    if pool is None:
-        block_results = [func(job) for job in jobs]
-    else:
-        block_results = pool.map_jobs(func, jobs)
-    return [item for block in block_results for item in block]
 
 
 def extend(
     seeds: BaseSeeds,
     message_pairs: list[tuple[bytes, bytes]],
     choices: list[int],
-    pool=None,
 ) -> tuple[list[bytes], list[tuple[bytes, bytes]]]:
     """Extend the base seeds to ``len(message_pairs)`` OTs.
 
     Returns the chooser's messages and the masked pairs the holder sent.
-    Deterministic in its inputs; ``pool`` only shards the row hashing.
+    Deterministic in its inputs.
     """
     m = len(message_pairs)
     if len(choices) != m:
@@ -209,12 +174,6 @@ def extend(
     for m0, m1 in message_pairs:
         if len(m0) != msg_len or len(m1) != msg_len:
             raise ValueError("all messages must share one length")
-    if pool is None or m < MIN_POOLED_ROWS:
-        # The online phase's per-layer OTs can be a handful of rows, where
-        # dispatch overhead would swamp the win.
-        pool, row_ranges = None, [(0, m)]
-    else:
-        row_ranges = pool.shard_ranges(m)
 
     # Chooser: t columns from the k0 seeds, u columns to the holder.
     r_packed = _pack_bits(choices)
@@ -229,39 +188,11 @@ def extend(
         _expand(seed, m) ^ (u_i if s_i else 0)
         for seed, s_i, u_i in zip(seeds.holder_seeds, seeds.holder_bits, u_columns)
     ]
-    q_rows = _transpose(q_columns, m)
     s_row = _pack_bits(seeds.holder_bits).to_bytes(_ROW_BYTES, "little")
-    masked = _run_stage(
-        pool,
-        mask_row_block,
-        [
-            (
-                message_pairs[lo:hi],
-                q_rows[lo * _ROW_BYTES : hi * _ROW_BYTES],
-                s_row,
-                lo,
-                msg_len,
-            )
-            for lo, hi in row_ranges
-        ],
-    )
+    masked = mask_row_block(message_pairs, _transpose(q_columns, m), s_row, msg_len)
 
     # Chooser: unmask its choice of each pair with row hashes of T.
-    t_rows = _transpose(t_columns, m)
-    chosen = _run_stage(
-        pool,
-        unmask_row_block,
-        [
-            (
-                masked[lo:hi],
-                choices[lo:hi],
-                t_rows[lo * _ROW_BYTES : hi * _ROW_BYTES],
-                lo,
-                msg_len,
-            )
-            for lo, hi in row_ranges
-        ],
-    )
+    chosen = unmask_row_block(masked, choices, _transpose(t_columns, m), msg_len)
     return chosen, masked
 
 
@@ -269,24 +200,17 @@ def iknp_transfer(
     message_pairs: list[tuple[bytes, bytes]],
     choices: list[int],
     rng: SecureRandom | None = None,
-    pool=None,
 ) -> tuple[list[bytes], ExtensionTranscript]:
     """Run IKNP extension end to end for ``len(message_pairs)`` OTs.
 
     Returns the chooser's messages and a transcript of byte volumes (base
     OT points + the kappa x m column matrix + the masked message pairs).
     The base OTs run once per call, in the phase the call is made in.
-
-    ``pool`` (a :class:`repro.runtime.pool.PrecomputePool`) shards the row
-    mask/unmask hashing across worker processes; output is byte-identical
-    to the sequential path because all randomness is drawn here, in the
-    same order, regardless of pooling. Batches smaller than
-    :data:`MIN_POOLED_ROWS` run inline even under a pool.
     """
     if not message_pairs and not choices:
         return [], ExtensionTranscript(0, 0, 0)
     seeds = base_seed_ot(rng or SecureRandom())
-    chosen, _ = extend(seeds, message_pairs, choices, pool)
+    chosen, _ = extend(seeds, message_pairs, choices)
     return chosen, iknp_transcript(len(chosen), len(chosen[0]))
 
 

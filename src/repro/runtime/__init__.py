@@ -1,15 +1,16 @@
 """Multi-core offline precompute runtime.
 
-Executes the offline phase — ReLU garbling, IKNP OT extension stages,
-Galois key products — across worker processes
+Executes the offline phase — ReLU garbling, Galois key products, whole
+refill mints — across worker processes
 (:class:`~repro.runtime.pool.PrecomputePool`) and persists the minted
 precomputes in a disk-backed, LRU-evicted buffer
 (:class:`~repro.runtime.store.PrecomputeStore`), mirroring the paper's
 client-storage buffer that the streaming simulator models analytically.
-:class:`~repro.runtime.serving.ServingLoop` closes the loop: N clients'
-precomputes minted on one shared pool, admitted into per-client store
-namespaces under a global byte budget, drained by interleaved online
-requests (§5.2's multi-client serving, measured instead of modeled).
+:class:`~repro.runtime.serving.ServingLoop` closes the loop as the
+serialized reference: N clients' precomputes minted on one shared pool,
+admitted into per-client store namespaces under a global byte budget,
+drained by interleaved online requests (§5.2's multi-client serving,
+measured instead of modeled).
 :class:`~repro.runtime.gateway.ServingGateway` is the concurrent
 deployment shape: one selector thread multiplexing many live client
 sockets while refill mints run in pool worker processes.

@@ -1,10 +1,8 @@
 """Concurrent serving gateway: many live sockets, background refill workers.
 
-:class:`~repro.runtime.serving.ServingLoop`'s ``pipelined`` mode overlaps
-refill mints with online serving only in *schedule shape* — one thread
-steps everything, so wall-clock throughput never actually improves. This
-module makes the overlap real, in the deployment shape the paper's
-client/server characterization assumes:
+:class:`~repro.runtime.serving.ServingLoop` keeps mint and serve strictly
+serialized on one thread. This module overlaps them in wall-clock, in
+the deployment shape the paper's client/server characterization assumes:
 
 * **Accept loop** — a :class:`ServingGateway` owns one selectors-based
   loop (single thread, many non-blocking
@@ -61,13 +59,11 @@ multiplexing — not a security property (see ARCHITECTURE.md).
 from __future__ import annotations
 
 import json
-import os
 import random
 import selectors
 import struct
 import threading
 import time
-import warnings
 from collections import deque
 
 from repro.network.transport import (
@@ -75,6 +71,12 @@ from repro.network.transport import (
     SocketTransport,
     TransportClosed,
     TransportError,
+)
+from repro.runtime.serving import (
+    ServedRequest,
+    ServingReport,
+    client_id as client_name,  # ``client_id`` is a str everywhere below
+    mint_seed,
 )
 from repro.runtime.state import derive_worker_seed
 from repro.runtime.store import KIND_OFFLINE, StoreKey
@@ -93,8 +95,7 @@ from repro.telemetry import (
 # protocol messages; a 4-byte magic keeps them unmistakable for (and
 # versioned independently of) the serialize.py payload formats.
 
-_HELLO_MAGIC = b"GWH2"  # v2: connection-scoped — client_id only, no index
-_LEGACY_HELLO_MAGIC = b"GWH1"  # v1 carried (client_id, request_index) per socket
+_HELLO_MAGIC = b"GWH2"  # connection-scoped — client_id only, no index
 _REQ_MAGIC = b"GWR1"
 _OFFER_MAGIC = b"GWO1"
 _DONE_MAGIC = b"GWD1"
@@ -109,11 +110,6 @@ def encode_hello(client_id: str) -> bytes:
 
 
 def decode_hello(frame: bytes) -> str:
-    if frame[:4] == _LEGACY_HELLO_MAGIC:
-        raise TransportError(
-            "peer sent a GWH1 single-request hello; this gateway speaks "
-            "GWH2 keep-alive connections (one HELLO, then a REQ per request)"
-        )
     if frame[:4] != _HELLO_MAGIC:
         raise TransportError("not a gateway hello frame")
     return bytes(frame[4:]).decode()
@@ -194,53 +190,9 @@ def decode_stats_reply(frame: bytes) -> dict:
 
 # -- admission configuration -----------------------------------------------------
 
-DEFAULT_WAIT_SECONDS = 60.0
-DEFAULT_MAX_QUEUE = 8
-
-
-def _resolve_env_number(name: str, explicit, default, cast):
-    """Explicit > environment > default, mirroring ``resolve_workers``.
-
-    An unparseable environment value warns (RuntimeWarning) and falls
-    back to the default rather than crashing a serving run at startup.
-    """
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            return cast(raw)
-        except ValueError:
-            kind = "an integer" if cast is int else "a number"
-            warnings.warn(
-                f"ignoring unparseable {name}={raw!r} (expected {kind}); "
-                "falling back to the default",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-    return default
-
-
-def resolve_wait_seconds(explicit: float | None = None) -> float:
-    """How long a missed offer may hold for an in-flight refill mint.
-
-    Explicit argument > ``REPRO_GATEWAY_WAIT_S`` > 60 seconds.
-    """
-    return _resolve_env_number(
-        "REPRO_GATEWAY_WAIT_S", explicit, DEFAULT_WAIT_SECONDS, float
-    )
-
-
-def resolve_max_queue(explicit: int | None = None) -> int:
-    """Refill-backlog threshold above which new requests get BUSY.
-
-    Explicit argument > ``REPRO_GATEWAY_MAX_QUEUE`` > 8.
-    """
-    return _resolve_env_number(
-        "REPRO_GATEWAY_MAX_QUEUE", explicit, DEFAULT_MAX_QUEUE, int
-    )
-
-
+DEFAULT_WAIT_SECONDS = 60.0  # a missed offer holds this long for a refill
+DEFAULT_MAX_QUEUE = 8  # refill backlog above which new requests get BUSY
+MAX_INFLIGHT_PER_CLIENT = 1  # admitted requests one client may have active
 MAX_RETRY_AFTER = 5.0
 
 
@@ -526,7 +478,7 @@ class _Connection:
                         client=self.client_id,
                     )
                     self._t_offline_us = None
-                self.session.start_online(pool=self.gateway.pool)
+                self.session.start_online()
                 self._online_start = time.perf_counter()
                 if TRACER.enabled and self._track is not None:
                     self._t_online_us = now_us()
@@ -565,7 +517,7 @@ class _Connection:
             self.hit = True
             self.transport.send(encode_offer(True, blob))
             self.session.load_offline_state(*server_state)
-            self.session.start_online(pool=self.gateway.pool)
+            self.session.start_online()
             self._online_start = time.perf_counter()
             if TRACER.enabled and self._track is not None:
                 self._t_online_us = now_us()
@@ -597,11 +549,12 @@ class ServingGateway:
         gateway.stop()
         report = gateway.report()    # ServingReport with overlap accounting
 
-    ``minted`` may alias a :class:`~repro.runtime.serving.ServingLoop`'s
-    per-client mint counters so seeds continue its sequence (that is what
-    makes gateway-served logits comparable against the loop's sequential
-    reference). ``expected_per_client`` caps refills so a bounded run
-    mints exactly as many precomputes as the serialized drain would.
+    Client names, mint seeds and store keys are
+    :class:`~repro.runtime.serving.ServingLoop`'s (one shared
+    definition), which is what makes gateway-served logits comparable
+    against the loop's sequential reference. ``expected_per_client``
+    caps refills so a bounded run mints exactly as many precomputes as
+    the serialized drain would.
     """
 
     def __init__(
@@ -619,11 +572,8 @@ class ServingGateway:
         truncate_bits: int = 0,
         host: str = "127.0.0.1",
         expected_per_client: int | None = None,
-        minted: list[int] | None = None,
-        refill_inflight: int | None = None,
-        miss_wait_seconds: float | None = None,
+        miss_wait_seconds: float = DEFAULT_WAIT_SECONDS,
         max_queue: int | None = None,
-        max_inflight_per_client: int = 1,
         max_request_deferrals: int | None = None,
         busy_retry_after: float = 0.05,
     ):
@@ -649,9 +599,7 @@ class ServingGateway:
                 )
             expected_per_client = list(expected_per_client)
         self.expected_per_client = expected_per_client
-        self.minted = minted if minted is not None else [0] * num_clients
-        if len(self.minted) != num_clients:
-            raise ValueError("minted counters must match num_clients")
+        self.minted = [0] * num_clients  # per-client mint counter (monotonic)
         if pool is None:
             from repro.runtime.pool import PrecomputePool
 
@@ -659,7 +607,7 @@ class ServingGateway:
         else:
             self._own_pool = None
         self.pool = pool
-        self._refill_inflight = refill_inflight or pool.workers
+        self._refill_inflight = pool.workers
 
         from repro.core.lowering import lower_network
         from repro.core.session import ServerSession
@@ -695,14 +643,13 @@ class ServingGateway:
         self.serve_seconds = 0.0
         self._serve_start: float | None = None
         self._session_counter = 0
-        self._minted_before = sum(self.minted)
         self._evictions_before = store.evictions
         self._connections: set[_Connection] = set()
         self._waiting: set[_Connection] = set()
-        # Admission knobs: explicit argument > environment > default.
-        self.miss_wait_seconds = resolve_wait_seconds(miss_wait_seconds)
-        self.max_queue = max(0, resolve_max_queue(max_queue))
-        self.max_inflight_per_client = max(1, max_inflight_per_client)
+        self.miss_wait_seconds = miss_wait_seconds
+        self.max_queue = (
+            DEFAULT_MAX_QUEUE if max_queue is None else max(0, max_queue)
+        )
         self.max_request_deferrals = max_request_deferrals
         self.busy_retry_after = busy_retry_after
         # Measured mint wall-clock (refill and demand mints alike) feeding
@@ -731,14 +678,12 @@ class ServingGateway:
         # Exclusive-time decomposition accumulated across serve() windows.
         self._phase_totals: dict[str, float] = {}
 
-    # -- identity (mirrors ServingLoop, so seeds and keys line up) ------------
+    # -- identity ---------------------------------------------------------------
 
-    def client_id(self, index: int) -> str:
-        return f"client{index}"
+    client_id = staticmethod(client_name)
 
     def mint_seed(self, client_index: int, mint_index: int) -> int:
-        client_stream = derive_worker_seed(self.base_seed, client_index)
-        return derive_worker_seed(client_stream, mint_index)
+        return mint_seed(self.base_seed, client_index, mint_index)
 
     def store_key(self, client_id: str) -> StoreKey:
         return StoreKey.for_protocol(self.model_id, self.params, client_id)
@@ -925,19 +870,16 @@ class ServingGateway:
 
     def report(self):
         """ServingReport over everything served since start()."""
-        from repro.runtime.serving import ServingReport
-
         worker = self._refill_worker
         return ServingReport(
             num_clients=self.num_clients,
             requests=list(self._served),
-            minted=sum(self.minted) - self._minted_before,
+            minted=sum(self.minted),
             demand_mints=sum(1 for r in self._served if not r.hit),
             evictions=self.store.evictions - self._evictions_before,
             prefill_seconds=self.prefill_seconds,
             refill_seconds=worker.refill_seconds if worker else 0.0,
             serve_seconds=self.serve_seconds,
-            pipelined=False,
             concurrent=True,
             refill_overlap_seconds=worker.overlap_seconds if worker else 0.0,
             peak_live_sessions=self.peak_live_sessions,
@@ -1098,7 +1040,7 @@ class ServingGateway:
         if conn.state != conn.IDLE or not conn.pending:
             return False
         with self._state_lock:
-            if self._inflight.get(conn.client_id, 0) >= self.max_inflight_per_client:
+            if self._inflight.get(conn.client_id, 0) >= MAX_INFLIGHT_PER_CLIENT:
                 return False  # stays queued; a completion re-triggers us
             over = self._backlog_locked() > self.max_queue
             retry_after = self._retry_after_locked() if over else 0.0
@@ -1195,8 +1137,6 @@ class ServingGateway:
             return blob, server_state
 
     def _complete(self, conn: _Connection, online_seconds: float) -> None:
-        from repro.runtime.serving import ServedRequest
-
         if not conn.hit and conn.mint_seconds > 0.0:
             # Demand mints count toward the retry estimator too: under
             # sustained misses they are the honest drain rate.

@@ -9,7 +9,7 @@ sequential paths, which is what makes pooling safe to enable anywhere:
 
 * All randomness is drawn by the parent, in exactly the order the
   sequential code draws it. Jobs are pure functions of pre-drawn
-  material (label matrices, column seeds, key-switch draws), so which
+  material (label matrices, key-switch draws), so which
   worker runs which shard can never change an output bit.
 * Workers are initialized through :func:`repro.runtime.state.
   reset_process_state`: inherited NTT/RNS caches are dropped, the
@@ -254,7 +254,7 @@ def _garble_instances_job(args):
 
 
 class PrecomputePool:
-    """Process pool for the offline phase (garbling, OT stages, key-gen).
+    """Process pool for the offline phase (garbling, key-gen, whole mints).
 
     ``workers`` resolves through :func:`resolve_workers` (explicit >
     ``REPRO_WORKERS`` > all cores). With one worker every method runs
@@ -346,8 +346,8 @@ class PrecomputePool:
 
         This is the refill workers' submission surface: a background
         driver ships whole offline-mint jobs to worker processes and keeps
-        serving while they run, which is what turns the serving loop's
-        schedule-shape overlap into wall-clock overlap. ``callback``
+        serving while they run, which is where the gateway's wall-clock
+        overlap of minting and serving comes from. ``callback``
         receives the result (in a pool-internal thread — keep it tiny and
         thread-safe). With ``workers <= 1`` the job runs inline at submit
         time and the callback fires synchronously, so single-core
@@ -457,14 +457,6 @@ class PrecomputePool:
             cursor += n_shards
             results.append(batch)
         return results
-
-    def iknp_transfer(self, message_pairs, choices, rng=None):
-        """Pooled IKNP extension (row mask/unmask hashing sharded)."""
-        from repro.ot.extension import iknp_transfer
-
-        return iknp_transfer(
-            message_pairs, choices, rng, pool=self if self.workers > 1 else None
-        )
 
     def galois_keygen(self, ctx, sk, elements):
         """Pooled Galois key generation (per-digit products sharded)."""

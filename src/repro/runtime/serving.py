@@ -1,53 +1,40 @@
-"""Multi-client serving loop over the precompute store (§5.2, functional).
+"""Serialized multi-client serving reference over the precompute store (§5.2).
 
 The paper's closing multi-client argument is a statement about *buffers*:
-one server mints offline precomputes for N clients concurrently, each
-client buffers only its own, and end-to-end throughput is governed by how
-fast the mint pipeline refills what the online phase drains.
-:mod:`repro.core.multiclient` models that analytically; this module runs
-it for real:
+one server mints offline precomputes for N clients, each client buffers
+only its own, and end-to-end throughput is governed by how fast the mint
+pipeline refills what the online phase drains.
+:mod:`repro.core.multiclient` models that analytically;
+:class:`~repro.runtime.gateway.ServingGateway` driven by
+:func:`repro.workload.drivers.replay_functional` serves it concurrently.
+:class:`ServingLoop` is the strictly serialized oracle both are checked
+against — one thread, one request at a time:
 
-* **Mint** — per-client offline phases (garbling, IKNP OT, Galois keys)
-  execute on ONE shared :class:`~repro.runtime.pool.PrecomputePool`, the
-  functional analogue of the paper's request-level parallelism: each
-  precompute is a self-contained job stream, and the pool's skew-aware
-  shards keep every core busy across clients.
-* **Admit** — minted transcripts land in per-client namespaces of one
-  :class:`~repro.runtime.store.PrecomputeStore` under a single global
-  byte budget, so clients contend for buffer space exactly like hash-join
-  partitions contend for a memory budget: admitting one client's
-  precompute can evict another's least-recently-used entry.
-* **Drain** — interleaved online requests consume stored precomputes
+* **Mint** — a client's offline phase (garbling, IKNP OT, Galois keys)
+  runs to completion, sharded over the shared
+  :class:`~repro.runtime.pool.PrecomputePool` when one is given.
+* **Admit** — the minted transcript lands in the client's namespace of
+  one :class:`~repro.runtime.store.PrecomputeStore` under a single global
+  byte budget, so admitting one client's precompute can evict another's
+  least-recently-used entry.
+* **Drain** — round-robin online requests consume stored precomputes
   through :meth:`~repro.core.protocol.HybridProtocol.import_offline`. A
   request whose precompute was evicted (or never minted) demand-mints a
-  fresh one on the spot — a *miss*, the measured counterpart of the
-  simulator's un-buffered request path.
+  fresh one on the spot — a *miss*.
 
-Since the session redesign the loop drives each request's
-:class:`~repro.core.session.ClientSession`/:class:`~repro.core.session.
-ServerSession` pair *message by message* through the
-:class:`~repro.core.protocol.HybridProtocol` façade's ``start_*``/
-``step()`` API. That turns "overlap the refill mints with online serving"
-from a rewrite into a scheduling decision: with ``pipelined=True`` the
-round-robin scheduler interleaves one client's background refill steps
-with every other client's online steps (each client's own requests stay
-ordered behind its refill, preserving per-buffer FIFO semantics), and
-:class:`ServingReport` records the resulting steady-state throughput.
-
-Every request's logits are byte-identical to a per-client sequential run
-(mint seeds are derived per (client, mint-index), and the protocol's
-output is seed-independent anyway), so the loop doubles as an end-to-end
-correctness harness while it measures wall-clock, queue depth, and buffer
-occupancy that the analytic :class:`MultiClientSimulator` can be
-validated against.
+The identity functions below (:func:`client_id`, :func:`mint_seed`,
+:func:`draw_inputs`) are the one definition the loop, the gateway and
+the workload drivers share, so the same ``base_seed``/``input_seed``
+names the same precomputes and inputs on every path and gateway-served
+logits can be compared with the loop's per ``(client, index)``.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
+from repro.crypto.rng import SecureRandom
 from repro.runtime.state import derive_worker_seed
 from repro.runtime.store import PrecomputeStore, StoreKey
 from repro.telemetry import PHASES, TRACER
@@ -85,7 +72,6 @@ class ServingReport:
     prefill_seconds: float
     refill_seconds: float = 0.0  # background-refill mints (off critical path)
     serve_seconds: float = 0.0  # wall-clock of the whole drain window
-    pipelined: bool = False  # refills interleaved with online serving
     concurrent: bool = False  # served through the socket gateway
     refill_overlap_seconds: float = 0.0  # window with a mint in flight
     peak_live_sessions: int = 0  # most sockets live at once (gateway)
@@ -145,9 +131,9 @@ class ServingReport:
         """Steady-state requests/second over the drain window.
 
         The drain window covers online serving plus whatever minting the
-        schedule put inside it — serialized in the default mode,
-        overlapped under ``pipelined=True`` — so this is the number the
-        two modes are compared on.
+        schedule put inside it — serialized in :class:`ServingLoop`,
+        overlapped by the gateway's refill workers — so this is the
+        number the two are compared on.
         """
         if not self.requests or self.serve_seconds <= 0:
             return 0.0
@@ -172,7 +158,6 @@ class ServingReport:
             "refill_seconds": round(self.refill_seconds, 6),
             "serve_seconds": round(self.serve_seconds, 6),
             "throughput_rps": round(self.throughput_rps, 3),
-            "pipelined": self.pipelined,
             "concurrent": self.concurrent,
             "refill_overlap_seconds": round(self.refill_overlap_seconds, 6),
             "peak_live_sessions": self.peak_live_sessions,
@@ -193,26 +178,55 @@ class ServingReport:
         }
 
 
+def client_id(index: int) -> str:
+    """The store namespace / wire identity of the index-th client."""
+    return f"client{index}"
+
+
+def mint_seed(base_seed: int, client_index: int, mint_index: int) -> int:
+    """The seed of one client's j-th minted precompute.
+
+    Hash-derived per (base seed, client, mint index), so a per-client
+    *sequential* rerun — mint j with this seed, serve request j — is the
+    reproducible reference every serving path's outputs are tested
+    against.
+    """
+    client_stream = derive_worker_seed(base_seed, client_index)
+    return derive_worker_seed(client_stream, mint_index)
+
+
+def draw_inputs(
+    network, params, counts: list[int], input_seed: int = 1
+) -> list[list[list[int]]]:
+    """Deterministic per-client input vectors (field elements).
+
+    Client c's j-th input is the j-th consecutive draw of
+    ``SecureRandom(derive_worker_seed(input_seed, c))``; ``counts[c]`` is
+    how many that client gets.
+    """
+    size = network.input_shape.elements
+    inputs = []
+    for c, count in enumerate(counts):
+        rng = SecureRandom(derive_worker_seed(input_seed, c))
+        inputs.append([rng.field_vector(size, params.t) for _ in range(count)])
+    return inputs
+
+
 class ServingLoop:
-    """Mint → admit → drain loop serving N clients from one shared pool.
+    """Serialized mint → admit → drain reference serving N clients.
 
     One :class:`~repro.runtime.store.PrecomputeStore` holds every
     client's precomputes in its own namespace under the store's *global*
     byte budget; one optional :class:`~repro.runtime.pool.PrecomputePool`
-    executes all clients' offline phases AND the online label OT
-    (Client-Garbler) — ``pool=None`` runs everything sequentially with
+    shards each offline phase — ``pool=None`` runs it sequentially with
     byte-identical transcripts.
 
     ``prefill`` precomputes are minted per client before serving starts
     (round-robin, so budget pressure hits all clients evenly — the
     admission analogue of a fair partition split); with ``refill`` each
     consumed precompute is re-minted after the request completes while
-    that client still has demand, modelling the simulator's background
-    refill worker. ``pipelined=False`` keeps mint and serve strictly
-    serialized (deterministic admission order); ``pipelined=True`` steps
-    refill mints and online sessions in one round-robin scheduler, so a
-    refill occupies only the gaps between other clients' messages — the
-    ROADMAP's "overlap the refill mints with online serving", measured.
+    that client still has demand. Mint and serve stay strictly
+    serialized, so the admission order is deterministic.
 
     ``transport`` selects the session transport for every minted/served
     protocol ("memory" default; "socket" runs each one over a loopback
@@ -229,20 +243,14 @@ class ServingLoop:
         garbler: str = "client",
         prefill: int = 1,
         refill: bool = True,
-        pipelined: bool = False,
-        concurrent: bool = False,
         base_seed: int = 0,
         model_id: str = "serving",
         transport: str | None = None,
-        gateway_wait_seconds: float | None = None,
-        gateway_max_queue: int | None = None,
     ):
         if num_clients < 1:
             raise ValueError("need at least one client")
         if prefill < 0:
             raise ValueError("prefill must be >= 0")
-        if pipelined and concurrent:
-            raise ValueError("pipelined and concurrent modes are exclusive")
         self.network = network
         self.params = params
         self.num_clients = num_clients
@@ -251,33 +259,24 @@ class ServingLoop:
         self.garbler = garbler
         self.prefill = prefill
         self.refill = refill
-        self.pipelined = pipelined
-        self.concurrent = concurrent
         self.base_seed = base_seed
         self.model_id = model_id
         self.transport = transport
-        # Gateway admission knobs (concurrent mode only): None defers to
-        # the REPRO_GATEWAY_WAIT_S / REPRO_GATEWAY_MAX_QUEUE env vars and
-        # their defaults, resolved inside ServingGateway.
-        self.gateway_wait_seconds = gateway_wait_seconds
-        self.gateway_max_queue = gateway_max_queue
         self.minted = [0] * num_clients  # per-client mint counter (monotonic)
         self._occupancy: list[dict] = []
 
-    # -- identity -----------------------------------------------------------
-
-    def client_id(self, index: int) -> str:
-        return f"client{index}"
+    client_id = staticmethod(client_id)
 
     def mint_seed(self, client_index: int, mint_index: int) -> int:
-        """The seed of one client's j-th minted precompute.
+        return mint_seed(self.base_seed, client_index, mint_index)
 
-        Hash-derived per (base seed, client, mint index), so a per-client
-        *sequential* rerun — mint j with this seed, serve request j — is
-        the reproducible reference the loop's outputs are tested against.
-        """
-        client_stream = derive_worker_seed(self.base_seed, client_index)
-        return derive_worker_seed(client_stream, mint_index)
+    def draw_inputs(
+        self, requests_per_client: int, input_seed: int = 1
+    ) -> list[list[list[int]]]:
+        return draw_inputs(
+            self.network, self.params,
+            [requests_per_client] * self.num_clients, input_seed,
+        )
 
     def _protocol(self, seed: int):
         from repro.core.protocol import HybridProtocol
@@ -289,11 +288,6 @@ class ServingLoop:
             seed=seed,
             pool=self.pool,
             transport=self.transport,
-        )
-
-    def store_key(self, client_index: int) -> StoreKey:
-        return StoreKey.for_protocol(
-            self.model_id, self.params, self.client_id(client_index)
         )
 
     # -- mint + admit -------------------------------------------------------
@@ -308,35 +302,21 @@ class ServingLoop:
         the paper's ``buffer_capacity == 0`` regime, where serving from
         storage is impossible.
         """
-        with TRACER.timed_span(
-            "serving.mint", client=self.client_id(client_index)
-        ) as span:
-            for _ in self._mint_steps(client_index):
-                pass
+        client = self.client_id(client_index)
+        index = self.minted[client_index]
+        with TRACER.timed_span("serving.mint", client=client) as span:
+            minter = self._protocol(self.mint_seed(client_index, index))
+            try:
+                minter.run_offline()
+                minter.export_offline(
+                    self.store, self.model_id, client_id=client,
+                    name=f"{index:08d}",
+                )
+            finally:
+                minter.shutdown()
+            self.minted[client_index] += 1
+            self._sample("mint", client_index)
         return span.seconds
-
-    def _mint_steps(self, client_index: int):
-        """One mint as a stepwise task: yields between scheduler rounds.
-
-        Drives the minting protocol's client/server session pair message
-        by message, so a pipelined scheduler can interleave this mint
-        with other clients' online traffic at message granularity.
-        """
-        seed = self.mint_seed(client_index, self.minted[client_index])
-        minter = self._protocol(seed)
-        try:
-            minter.start_offline()
-            yield from minter.drive_steps()
-            minter.export_offline(
-                self.store,
-                self.model_id,
-                client_id=self.client_id(client_index),
-                name=f"{self.minted[client_index]:08d}",
-            )
-        finally:
-            minter.shutdown()
-        self.minted[client_index] += 1
-        self._sample("mint", client_index)
 
     def prefill_buffers(self) -> float:
         """Mint ``prefill`` precomputes per client, interleaved round-robin."""
@@ -358,17 +338,15 @@ class ServingLoop:
 
     # -- drain --------------------------------------------------------------
 
-    def _serve_steps(
+    def serve_one(
         self, client_index: int, x: list[int], request_index: int,
-        queue_depth: int,
-    ):
-        """Serve one online request stepwise, demand-minting on a miss.
+        queue_depth: int = 0,
+    ) -> ServedRequest:
+        """Serve one online request, demand-minting on a miss.
 
-        The import (and any demand mint) happens up front on the critical
-        path; the online phase is then driven one scheduler round at a
-        time — each resumption steps both sessions through every message
-        currently in flight. Returns the :class:`ServedRequest` as the
-        generator's return value (``yield from`` captures it).
+        The import (and any demand mint) happens up front on the
+        request's critical path; the online phase then runs to
+        completion.
         """
         server = self._protocol(
             derive_worker_seed(self.base_seed + 0x5EED, request_index)
@@ -388,20 +366,11 @@ class ServingLoop:
                         f"{client}: freshly minted precompute immediately "
                         "unavailable — store budget admits no entry"
                     )
-            # Each request's online window goes on its own virtual trace
-            # track: under the pipelined scheduler many requests' windows
-            # interleave on this one thread.
-            track = TRACER.new_track("request") if TRACER.enabled else None
             with TRACER.timed_span(
-                "serving.online", track=track, client=client,
-                index=request_index, hit=hit,
+                "serving.online", client=client, index=request_index, hit=hit,
             ) as span:
-                server.start_online(x)
-                yield from server.drive_steps()
-                logits = server.client.finish()
-            # Measured before teardown (transport close flushes sockets);
-            # in pipelined mode this is still wall-clock over the window,
-            # including interleaved work — the report's stated basis.
+                logits = server.run_online(x)
+            # Measured before teardown (transport close flushes sockets).
             online_seconds = span.seconds
         finally:
             server.shutdown()
@@ -416,18 +385,6 @@ class ServingLoop:
             store_bytes=self.store.total_bytes,
             logits=logits,
         )
-
-    def serve_one(
-        self, client_index: int, x: list[int], request_index: int,
-        queue_depth: int = 0,
-    ) -> ServedRequest:
-        """Serve one online request to completion (non-interleaved)."""
-        steps = self._serve_steps(client_index, x, request_index, queue_depth)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as stop:
-                return stop.value
 
     def run(
         self,
@@ -453,8 +410,6 @@ class ServingLoop:
                 f"inputs must provide >= {requests_per_client} vector(s) for "
                 f"each of {self.num_clients} clients"
             )
-        if self.concurrent:
-            return self._run_concurrent(requests_per_client, inputs)
         # Deltas/slices against the pre-run state, so a reused loop's
         # second run() reports only its own activity.
         evictions_before = self.store.evictions
@@ -462,6 +417,9 @@ class ServingLoop:
         occupancy_before = len(self._occupancy)
         prefill_seconds = self.prefill_buffers()
 
+        total = requests_per_client * self.num_clients
+        served: list[ServedRequest] = []
+        refill_seconds = 0.0
         # The phase window brackets exactly the perf_counter reads that
         # define serve_seconds, so its exclusive-time buckets decompose
         # that very number (they sum to the window by construction).
@@ -469,14 +427,21 @@ class ServingLoop:
         phase_seconds: dict[str, float] = {}
         serve_start = time.perf_counter()
         try:
-            if self.pipelined:
-                served, demand_mints, refill_seconds = self._drain_pipelined(
-                    requests_per_client, inputs
-                )
-            else:
-                served, demand_mints, refill_seconds = self._drain_sequential(
-                    requests_per_client, inputs
-                )
+            for j in range(requests_per_client):
+                for c in range(self.num_clients):
+                    served.append(
+                        self.serve_one(
+                            c, inputs[c][j], request_index=j,
+                            queue_depth=total - len(served) - 1,
+                        )
+                    )
+                    # Background-worker analogue: replace the drained
+                    # entry while this client still has demand — on the
+                    # request schedule, not len(inputs), so an oversized
+                    # inputs array mints nothing for requests that will
+                    # never arrive.
+                    if self.refill and j + 1 < requests_per_client:
+                        refill_seconds += self.mint_one(c)
         finally:
             serve_seconds = time.perf_counter() - serve_start
             if window is not None:
@@ -485,237 +450,14 @@ class ServingLoop:
             num_clients=self.num_clients,
             requests=served,
             minted=sum(self.minted) - minted_before,
-            demand_mints=demand_mints,
+            demand_mints=sum(1 for r in served if not r.hit),
             evictions=self.store.evictions - evictions_before,
             prefill_seconds=prefill_seconds,
             refill_seconds=refill_seconds,
             serve_seconds=serve_seconds,
-            pipelined=self.pipelined,
             occupancy=list(self._occupancy[occupancy_before:]),
             phase_seconds=phase_seconds,
         )
-
-    def _drain_sequential(self, requests_per_client: int, inputs):
-        """Serialized mint+serve drain (deterministic admission order)."""
-        pending: list[tuple[int, int]] = [
-            (c, j)
-            for j in range(requests_per_client)
-            for c in range(self.num_clients)
-        ]
-        # Gate refills on the request schedule, not len(inputs): an
-        # oversized inputs array must not mint precomputes for requests
-        # that will never arrive.
-        remaining = [requests_per_client] * self.num_clients
-        served: list[ServedRequest] = []
-        demand_mints = 0
-        refill_seconds = 0.0
-        while pending:
-            c, j = pending.pop(0)
-            request = self.serve_one(
-                c, inputs[c][j], request_index=j, queue_depth=len(pending)
-            )
-            served.append(request)
-            remaining[c] -= 1
-            if not request.hit:
-                demand_mints += 1
-            if self.refill and remaining[c] > 0:
-                # Background-worker analogue: replace the drained entry
-                # while this client still has demand.
-                refill_seconds += self.mint_one(c)
-        return served, demand_mints, refill_seconds
-
-    def _drain_pipelined(self, requests_per_client: int, inputs):
-        """Round-robin scheduler: refill mints overlap online serving.
-
-        One task per client serves that client's requests in order; after
-        each drained request the client's refill mint runs *inside* the
-        same task, so it occupies only the scheduler rounds between other
-        clients' online messages. Per-client FIFO semantics (request j+1
-        waits for refill j) are preserved; cross-client, everything
-        overlaps — which is exactly what the analytic simulator's
-        background worker assumes and the sequential mode serializes.
-        """
-        served: list[ServedRequest] = []
-        state = {"outstanding": self.num_clients * requests_per_client}
-        # Each refill is driven through a telemetry StepTimer, which
-        # accrues only the time spent inside resumptions (the old
-        # mutable-cell perf_counter bookkeeping, same per-step
-        # semantics) and — when tracing — spans the refill's wall
-        # window on its own track.
-        refill_timers = []
-
-        def timed_refill(c):
-            timer = TRACER.step_timer(
-                "serving.refill", client=self.client_id(c)
-            )
-            refill_timers.append(timer)
-            yield from timer.drive(self._mint_steps(c))
-
-        def client_task(c):
-            for j in range(requests_per_client):
-                queue_depth = state["outstanding"] - 1
-                request = yield from self._serve_steps(
-                    c, inputs[c][j], j, queue_depth
-                )
-                served.append(request)
-                state["outstanding"] -= 1
-                if self.refill and j + 1 < requests_per_client:
-                    yield from timed_refill(c)
-
-        tasks = deque(client_task(c) for c in range(self.num_clients))
-        while tasks:
-            task = tasks.popleft()
-            try:
-                next(task)
-            except StopIteration:
-                continue
-            tasks.append(task)
-        demand_mints = sum(1 for r in served if not r.hit)
-        refill_seconds = sum(t.seconds for t in refill_timers)
-        return served, demand_mints, refill_seconds
-
-    def _run_concurrent(self, requests_per_client: int, inputs) -> ServingReport:
-        """Serve through the socket gateway: real concurrency, real wire.
-
-        A :class:`~repro.runtime.gateway.ServingGateway` runs the selector
-        loop in *this* thread while one driver thread per client opens a
-        single keep-alive :class:`~repro.runtime.gateway.GatewayClient`
-        connection and issues all of its requests over it in order (each
-        driver blocks on its own socket, so the GIL is free whenever a
-        driver waits on the gateway and vice versa; refill mints run in
-        pool worker processes). The gateway shares this loop's store,
-        pool, and mint counters, so seeds — and therefore logits — line
-        up with the sequential reference. Logits materialize client-side
-        and are merged into the report's :class:`ServedRequest` rows by
-        ``(client, index)``.
-        """
-        import threading
-
-        from repro.core.lowering import lower_network
-        from repro.runtime.gateway import (
-            GatewayClient,
-            ServingGateway,
-            request_stats,
-        )
-
-        gateway = ServingGateway(
-            self.network,
-            self.params,
-            self.num_clients,
-            self.store,
-            pool=self.pool,
-            garbler=self.garbler,
-            prefill=self.prefill,
-            refill=self.refill,
-            base_seed=self.base_seed,
-            model_id=self.model_id,
-            expected_per_client=requests_per_client,
-            minted=self.minted,
-            miss_wait_seconds=self.gateway_wait_seconds,
-            max_queue=self.gateway_max_queue,
-        )
-        results: dict[tuple[str, int], list[int]] = {}
-        errors: list[BaseException] = []
-        # One shape-only lowering shared by every driver: the client side
-        # never holds weights, and re-lowering per request is pure waste.
-        client_lowered = lower_network(
-            self.network, self.params.t, backend=self.params.backend,
-            shape_only=True,
-        )
-
-        def drive(c: int) -> None:
-            try:
-                # One connection per client for the whole run; the session
-                # seed is connection-scoped (request-level randomness never
-                # leaves either endpoint, so logits don't depend on it).
-                client = GatewayClient(
-                    gateway.host,
-                    gateway.port,
-                    self.network,
-                    self.params,
-                    garbler=self.garbler,
-                    client_id=self.client_id(c),
-                    seed=derive_worker_seed(self.base_seed + 0xC11E, c),
-                    lowered=client_lowered,
-                )
-                try:
-                    for j in range(requests_per_client):
-                        results[(self.client_id(c), j)] = client.request(
-                            inputs[c][j], request_index=j
-                        )
-                finally:
-                    client.close()
-            except BaseException as exc:  # surfaced after the serve loop
-                errors.append(exc)
-
-        gateway.start()
-        try:
-            threads = [
-                threading.Thread(target=drive, args=(c,), daemon=True)
-                for c in range(self.num_clients)
-            ]
-            for t in threads:
-                t.start()
-            gateway.serve(
-                self.num_clients * requests_per_client,
-                timeout=600.0,
-                abort=lambda: bool(errors),
-            )
-            for t in threads:
-                t.join(timeout=60.0)
-            gateway.check_refills()
-            # Exercise the GWS1 stats op over the real wire: a helper
-            # thread connects while this thread keeps the selector loop
-            # turning (the gateway serves stats like any other frame).
-            stats_box: dict = {}
-
-            def fetch_stats() -> None:
-                try:
-                    stats_box["stats"] = request_stats(
-                        gateway.host, gateway.port, retries=5
-                    )
-                except BaseException as exc:  # fall back to the local view
-                    stats_box["error"] = exc
-
-            stats_thread = threading.Thread(target=fetch_stats, daemon=True)
-            stats_thread.start()
-            deadline = time.perf_counter() + 30.0
-            while stats_thread.is_alive() and time.perf_counter() < deadline:
-                gateway.poll(0.05)
-            stats_thread.join(timeout=5.0)
-        finally:
-            gateway.stop()
-        if errors:
-            raise RuntimeError(
-                f"{len(errors)} gateway client driver(s) failed"
-            ) from errors[0]
-        report = gateway.report()
-        if "stats" in stats_box:
-            # Prefer the wire-fetched snapshot (it proves GWS1 works
-            # end-to-end); report() already fell back to the local view.
-            report.gateway_stats = stats_box["stats"]
-        for request in report.requests:
-            request.logits = results.get((request.client, request.index), [])
-        self._occupancy.extend(report.occupancy)
-        return report
-
-    def draw_inputs(
-        self, requests_per_client: int, input_seed: int = 1
-    ) -> list[list[list[int]]]:
-        """Deterministic per-client input vectors (field elements)."""
-        from repro.crypto.rng import SecureRandom
-
-        size = self.network.input_shape.elements
-        inputs = []
-        for c in range(self.num_clients):
-            rng = SecureRandom(derive_worker_seed(input_seed, c))
-            inputs.append(
-                [
-                    rng.field_vector(size, self.params.t)
-                    for _ in range(requests_per_client)
-                ]
-            )
-        return inputs
 
 
 def demo_network_and_params():
@@ -743,10 +485,8 @@ def demo(
     budget_mb: float = 8.0,
     store_dir: str | None = None,
     summary_path: str | None = None,
-    pipelined: bool = False,
     concurrent: bool = False,
     transport: str | None = None,
-    gateway_wait_seconds: float | None = None,
     gateway_max_queue: int | None = None,
 ) -> ServingReport:
     """Self-contained serving run on a tiny network.
@@ -756,10 +496,11 @@ def demo(
     never surface a stale result), and optionally writes the queue-depth
     summary JSON. Both ``python -m repro --serve N`` and
     ``examples/multi_client_serving.py`` are thin wrappers over this.
-    ``budget_mb=0`` means unbounded; ``pipelined`` overlaps refill mints
-    with online serving; ``concurrent`` serves through the socket gateway
-    (driver threads over loopback TCP, refill mints in worker processes);
-    ``transport="socket"`` runs every session pair over loopback TCP.
+    ``budget_mb=0`` means unbounded. The default is the serialized
+    :class:`ServingLoop` (``transport="socket"`` runs every session pair
+    over loopback TCP); ``concurrent`` replays the same requests as a
+    zero-think closed-loop schedule through the socket gateway (driver
+    threads over loopback TCP, refill mints in worker processes).
     When ``store_dir`` is None the temporary store directory is removed
     before returning (after the summary, if any, is written).
     """
@@ -773,28 +514,30 @@ def demo(
     made_tempdir = store_dir is None
     root = store_dir or tempfile.mkdtemp(prefix="repro-serving-")
     store = PrecomputeStore(root, byte_budget=int(budget_mb * 1e6) or None)
-    if pipelined and concurrent:
-        raise ValueError("pipelined and concurrent modes are exclusive")
-    mode = (
-        "concurrent gateway"
-        if concurrent
-        else ("pipelined" if pipelined else "serialized")
-    )
+    inputs = draw_inputs(network, params, [requests_per_client] * num_clients)
     with PrecomputePool(workers=workers) as pool:
         print(
             f"serving {num_clients} clients x {requests_per_client} requests "
             f"({pool.workers} worker(s), budget {budget_mb:g} MB, "
             f"{transport or 'memory'} transport, "
-            f"{mode} refills, store {root})"
+            f"{'concurrent gateway' if concurrent else 'serialized'} refills, "
+            f"store {root})"
         )
-        loop = ServingLoop(
-            network, params, num_clients, store, pool=pool, garbler="client",
-            pipelined=pipelined, concurrent=concurrent, transport=transport,
-            gateway_wait_seconds=gateway_wait_seconds,
-            gateway_max_queue=gateway_max_queue,
-        )
-        inputs = loop.draw_inputs(requests_per_client)
-        report = loop.run(requests_per_client, inputs=inputs)
+        if concurrent:
+            from repro.workload.drivers import replay_functional
+            from repro.workload.generators import closed_schedule
+
+            report = replay_functional(
+                closed_schedule(num_clients, requests_per_client, 0.0),
+                network, params, store, pool=pool, inputs=inputs,
+                gateway_max_queue=gateway_max_queue,
+            )
+        else:
+            loop = ServingLoop(
+                network, params, num_clients, store, pool=pool,
+                transport=transport,
+            )
+            report = loop.run(requests_per_client, inputs=inputs)
 
     lowered = lower_network(network, params.t)
     for request in report.requests:

@@ -9,7 +9,7 @@ from repro.simulation.engine import (
     Store,
     Timeout,
 )
-from repro.simulation.workload import (
+from repro.workload.generators import (
     InferenceRequest,
     PoissonWorkload,
     deterministic_arrivals,

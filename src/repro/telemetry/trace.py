@@ -30,7 +30,6 @@ import time
 __all__ = [
     "Tracer",
     "TimedSpan",
-    "StepTimer",
     "now_us",
     "read_trace_events",
     "validate_trace_events",
@@ -127,49 +126,6 @@ class TimedSpan:
         return False
 
 
-class StepTimer:
-    """Accumulate active (resumed) time of a generator, span the window.
-
-    ``drive(gen)`` re-yields every value from ``gen`` while accruing
-    only the time spent *inside* resumptions into ``.seconds`` — the
-    exact semantics of the per-step ``perf_counter`` bookkeeping it
-    replaces in ``serving.py`` (including the final resumption that
-    raises ``StopIteration``). When tracing is enabled, one wall-clock
-    span (first resumption to exhaustion, on its own virtual track)
-    is emitted with the active time attached as an argument.
-    """
-
-    __slots__ = ("_tracer", "_name", "_args", "seconds")
-
-    def __init__(self, tracer, name, args):
-        self._tracer = tracer
-        self._name = name
-        self._args = args
-        self.seconds = 0.0
-
-    def drive(self, gen):
-        tracer = self._tracer
-        start_us = now_us() if tracer is not None else 0
-        try:
-            while True:
-                t0 = time.perf_counter()
-                try:
-                    value = next(gen)
-                except StopIteration as stop:
-                    self.seconds += time.perf_counter() - t0
-                    return stop.value
-                self.seconds += time.perf_counter() - t0
-                yield value
-        finally:
-            if tracer is not None:
-                args = dict(self._args)
-                args["active_seconds"] = round(self.seconds, 6)
-                tracer._record(
-                    self._name, start_us, now_us(),
-                    tracer.new_track(self._name), args,
-                )
-
-
 class Tracer:
     """Process-local trace-event buffer with a global enable flag."""
 
@@ -206,10 +162,6 @@ class Tracer:
     def timed_span(self, name: str, track: int | None = None, **args):
         """A span whose ``.seconds`` is measured even when disabled."""
         return TimedSpan(self if self.enabled else None, name, track, args)
-
-    def step_timer(self, name: str, **args) -> StepTimer:
-        """Per-resumption generator timer (see :class:`StepTimer`)."""
-        return StepTimer(self if self.enabled else None, name, args)
 
     def emit_since(self, name: str, start_us: int, tid: int | None = None,
                    **args) -> None:

@@ -38,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.crypto.rng import SecureRandom
+from repro.runtime.serving import draw_inputs
 from repro.runtime.state import derive_worker_seed
 from repro.simulation.engine import Environment, Resource, Timeout
 from repro.telemetry.metrics import Histogram
@@ -56,21 +56,12 @@ def draw_schedule_inputs(schedule: Schedule, network, params,
                          input_seed: int = 1) -> list[list[list[int]]]:
     """Deterministic per-client input vectors for a schedule's requests.
 
-    Client c's j-th input is the j-th consecutive draw from
-    ``SecureRandom(derive_worker_seed(input_seed, c))`` — the exact
-    convention of :meth:`ServingLoop.draw_inputs`, so a per-client
-    sequential reference run (and the plaintext oracle) sees the same
-    vectors the workload replay served.
+    :func:`~repro.runtime.serving.draw_inputs` over the schedule's
+    per-client request counts, so a serialized
+    :class:`~repro.runtime.serving.ServingLoop` reference run (and the
+    plaintext oracle) sees the same vectors the workload replay served.
     """
-    size = network.input_shape.elements
-    counts = schedule.request_counts()
-    inputs = []
-    for c in range(schedule.num_clients):
-        rng = SecureRandom(derive_worker_seed(input_seed, c))
-        inputs.append(
-            [rng.field_vector(size, params.t) for _ in range(counts[c])]
-        )
-    return inputs
+    return draw_inputs(network, params, schedule.request_counts(), input_seed)
 
 
 def _workload_columns(

@@ -13,7 +13,7 @@ from repro.nn.datasets import CIFAR100, TINY_IMAGENET
 from repro.nn.models import resnet18, resnet32
 from repro.profiling.devices import ATOM, EPYC
 from repro.profiling.model_costs import Protocol, profile_network
-from repro.simulation.workload import PoissonWorkload
+from repro.workload.generators import PoissonWorkload
 
 
 @pytest.fixture(scope="module")

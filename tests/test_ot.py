@@ -28,7 +28,6 @@ from repro.ot.extension import (
     iknp_wire_bytes,
     ot_extension_online_bytes,
 )
-from repro.runtime import PrecomputePool
 
 
 def random_batch(n, msg_len=16, seed=0):
@@ -257,14 +256,6 @@ class TestSeedFormExtension:
         iknp_transfer(pairs, choices, used.spawn())
         fresh.spawn()
         assert used.bytes(16) == fresh.bytes(16)
-
-    def test_pooled_extension_is_byte_identical(self, seeds, monkeypatch):
-        monkeypatch.setattr(extension, "MIN_POOLED_ROWS", 32)
-        pairs, choices = random_batch(300)
-        inline = extend(seeds, pairs, choices)
-        with PrecomputePool(workers=2, min_shard=16) as pool:
-            assert len(pool.shard_ranges(300)) > 1
-            assert extend(seeds, pairs, choices, pool) == inline
 
 
 class TestCommunicationModel:

@@ -30,7 +30,6 @@ from repro.network.serialize import (
     serialize_garbled_circuit,
     serialize_input_encoding,
 )
-from repro.ot.extension import iknp_transfer
 from repro.runtime import (
     PrecomputePool,
     derive_worker_seed,
@@ -166,24 +165,6 @@ def test_pool_garble_layers_matches_per_layer_sequential():
     for i, count in enumerate(counts):
         expected = Garbler(SecureRandom(30 + i)).garble_batch(circuit, count)
         assert batch_bytes(batches[i]) == batch_bytes(expected)
-
-
-# -- pooled OT extension parity -------------------------------------------------
-
-
-def test_pool_iknp_transfer_matches_sequential(monkeypatch):
-    # 300 rows sit below the measured break-even; force them through.
-    monkeypatch.setattr("repro.ot.extension.MIN_POOLED_ROWS", 64)
-    rng = SecureRandom(17)
-    pairs = [
-        (rng.bytes(16), rng.bytes(16)) for _ in range(300)
-    ]
-    choices = [rng.bit() for _ in range(300)]
-    expected, tr_expected = iknp_transfer(pairs, choices, SecureRandom(5))
-    with PrecomputePool(workers=2, min_shard=16) as pool:
-        pooled, tr_pooled = pool.iknp_transfer(pairs, choices, SecureRandom(5))
-    assert pooled == expected
-    assert tr_pooled == tr_expected
 
 
 # -- pooled Galois keygen parity ------------------------------------------------

@@ -1,14 +1,10 @@
-"""Multi-client serving loop + pooled online OT.
+"""The serialized multi-client serving loop.
 
-Enforces the subsystem's two invariants end to end:
-
-* Serving N interleaved clients from one shared pool and per-client store
-  namespaces produces logits byte-identical to per-client sequential
-  runs — including under a byte budget tight enough that admissions evict
-  other clients' precomputes (a miss demand-mints; it must never surface
-  a stale or mismatched precompute).
-* Threading a pool through ``run_online``'s label OT changes no channel
-  byte in either garbler role.
+Serving N interleaved clients from one shared pool and per-client store
+namespaces produces logits byte-identical to per-client sequential runs —
+including under a byte budget tight enough that admissions evict other
+clients' precomputes (a miss demand-mints; it must never surface a stale
+or mismatched precompute).
 """
 
 import numpy as np
@@ -18,7 +14,6 @@ from repro import HybridProtocol, tiny_dataset, tiny_mlp
 from repro.core.multiclient import MultiClientConfig, MultiClientSimulator
 from repro.core.system import SystemConfig
 from repro.he.params import fast_params
-from repro.network.channel import Channel
 from repro.profiling.model_costs import Protocol, profile_network
 from repro.runtime import PrecomputePool, PrecomputeStore, ServingLoop
 
@@ -120,53 +115,6 @@ def test_serving_report_summary_is_json_serializable(tmp_path):
     assert len(second.occupancy) == second.minted + len(second.requests)
 
 
-def test_pipelined_serving_matches_sequential_logits(tmp_path):
-    """pipelined=True reorders only the schedule: every request's logits
-    (and the per-request hit/miss outcome under an ample budget) match
-    the serialized drain."""
-    network = _network()
-    sequential = ServingLoop(
-        network, PARAMS, 3, PrecomputeStore(tmp_path / "seq"), garbler="client"
-    )
-    inputs = sequential.draw_inputs(2)
-    report_seq = sequential.run(2, inputs=inputs)
-
-    pipelined = ServingLoop(
-        network, PARAMS, 3, PrecomputeStore(tmp_path / "pipe"),
-        garbler="client", pipelined=True,
-    )
-    report_pipe = pipelined.run(2, inputs=inputs)
-
-    assert report_pipe.pipelined and not report_seq.pipelined
-    assert len(report_pipe.requests) == len(report_seq.requests)
-    by_key = {(r.client, r.index): r.logits for r in report_seq.requests}
-    for request in report_pipe.requests:
-        assert request.logits == by_key[(request.client, request.index)]
-        assert request.hit  # ample budget: refills keep every buffer warm
-    assert report_pipe.minted == report_seq.minted
-
-
-def test_pipelined_report_records_throughput(tmp_path):
-    import json
-
-    network = _network()
-    loop = ServingLoop(
-        network, PARAMS, 2, PrecomputeStore(tmp_path), garbler="client",
-        pipelined=True,
-    )
-    report = loop.run(2)
-    summary = json.loads(json.dumps(report.summary()))
-    assert summary["pipelined"] is True
-    assert summary["serve_seconds"] > 0
-    assert summary["throughput_rps"] > 0
-    assert summary["throughput_rps"] == pytest.approx(
-        len(report.requests) / report.serve_seconds, rel=1e-3
-    )
-    # Refill wall-clock is measured inside the drain window, not on top.
-    assert report.refill_seconds > 0
-    assert report.refill_seconds < report.serve_seconds
-
-
 def test_multiclient_simulator_run_functional(tmp_path):
     """The analytic simulator's deployment executes for real: measured
     wall-clock/queue/occupancy results to validate the model against."""
@@ -182,79 +130,6 @@ def test_multiclient_simulator_run_functional(tmp_path):
     assert report.max_queue_depth == 3
     assert report.total_mint_seconds > 0
     assert all(r.online_seconds > 0 for r in report.requests)
-
-
-# -- pooled online OT parity ----------------------------------------------------
-
-
-class RecordingChannel(Channel):
-    """Channel that logs every online-phase message for byte comparison."""
-
-    def __init__(self, field_bytes: int = 6):
-        super().__init__(field_bytes=field_bytes)
-        self.online_log: list[tuple] = []
-
-    @staticmethod
-    def _freeze(payload):
-        if isinstance(payload, (list, tuple)):
-            return tuple(RecordingChannel._freeze(item) for item in payload)
-        return payload
-
-    def send(self, sender, payload, nbytes=None):
-        size = super().send(sender, payload, nbytes)
-        if self.phase == "online":
-            self.online_log.append((sender, self._freeze(payload), size))
-        return size
-
-
-def _online_transcript(garbler, pool):
-    network = _network()
-    protocol = HybridProtocol(network, PARAMS, garbler=garbler, seed=99)
-    protocol.run_offline()
-    protocol.channel = RecordingChannel(field_bytes=(protocol.bits + 7) // 8)
-    x = np.random.default_rng(5).integers(0, PARAMS.t, size=16).tolist()
-    logits = protocol.run_online(x, pool=pool)
-    assert logits == protocol.plaintext_reference(x)
-    return logits, protocol.channel.online_log, protocol.channel.summary()
-
-
-@pytest.mark.parametrize("garbler", ["server", "client"])
-def test_online_pool_path_is_byte_identical(garbler):
-    """run_online(pool=...) changes no channel byte in either role.
-
-    The Client-Garbler role routes its per-layer label OTs through the
-    pool; the Server-Garbler role has no online OT — in both, logits and
-    every online message must match the sequential run bit for bit.
-    """
-    logits_seq, log_seq, summary_seq = _online_transcript(garbler, pool=None)
-    with PrecomputePool(workers=2, min_shard=4) as pool:
-        logits_pool, log_pool, summary_pool = _online_transcript(garbler, pool)
-    assert logits_pool == logits_seq
-    assert log_pool == log_seq
-    assert summary_pool == summary_seq
-
-
-def test_constructor_pool_serves_run_online():
-    """A pool passed at construction is picked up by run_online too."""
-    network = _network()
-    sequential = HybridProtocol(network, PARAMS, garbler="client", seed=4)
-    sequential.run_offline()
-    with PrecomputePool(workers=2, min_shard=4) as pool:
-        pooled = HybridProtocol(
-            network, PARAMS, garbler="client", seed=4, pool=pool
-        )
-        pooled.run_offline()
-        x = np.random.default_rng(6).integers(0, PARAMS.t, size=16).tolist()
-        assert pooled.run_online(x) == sequential.run_online(x)
-        assert pooled._active_pool is None  # cleared after the phase
-    assert (
-        pooled.channel.summary()["online_up"]
-        == sequential.channel.summary()["online_up"]
-    )
-    assert (
-        pooled.channel.summary()["online_down"]
-        == sequential.channel.summary()["online_down"]
-    )
 
 
 def test_demo_cleans_up_created_store_dir(tmp_path, monkeypatch, capsys):

@@ -37,7 +37,8 @@ from repro import HybridProtocol, tiny_dataset, tiny_mlp, telemetry
 from repro.he.params import fast_params
 from repro.network.serialize import frame_format_name
 from repro.network.transport import InMemoryTransport
-from repro.runtime import PrecomputePool, PrecomputeStore, ServingLoop
+from repro.runtime import PrecomputePool, PrecomputeStore
+from repro.runtime.serving import mint_seed
 from repro.telemetry import (
     HISTOGRAM_BOUNDS,
     METRICS,
@@ -53,6 +54,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.metrics import _NULL_INSTRUMENT, series_key
 from repro.telemetry.trace import _NULL_SPAN
+from repro.workload import closed_schedule, draw_schedule_inputs, replay_functional
 
 PARAMS = fast_params(n=256)
 
@@ -430,31 +432,32 @@ def test_transport_frames_counted_by_direction_and_format():
 
 
 def test_concurrent_gateway_stats_phases_and_trace(tmp_path):
-    """2 clients through the gateway with the spine on: live GWS1 stats,
-    a phase decomposition summing to the serve window, and a validating
-    exported trace — while logits still match the sequential reference."""
+    """2 clients through the gateway with the spine on: the stats
+    snapshot, a phase decomposition summing to the serve window, and a
+    validating exported trace — while logits still match the sequential
+    reference."""
     telemetry.configure(True)
     network = _network()
     store = PrecomputeStore(tmp_path)
+    schedule = closed_schedule(2, 1, 0.0)
+    inputs = draw_schedule_inputs(schedule, network, PARAMS)
     with PrecomputePool(workers=1) as pool:
-        loop = ServingLoop(
-            network, PARAMS, 2, store, pool=pool, garbler="client",
-            concurrent=True,
+        report = replay_functional(
+            schedule, network, PARAMS, store, pool=pool, inputs=inputs
         )
-        inputs = loop.draw_inputs(1)
-        report = loop.run(1, inputs=inputs)
 
     assert len(report.requests) == 2 and report.hit_rate == 1.0
     for request in report.requests:
         c = int(request.client[len("client"):])
         reference = HybridProtocol(
             network, PARAMS, garbler="client",
-            seed=loop.mint_seed(c, request.index),
+            seed=mint_seed(0, c, request.index),
         )
         reference.run_offline()
         assert request.logits == reference.run_online(inputs[c][request.index])
 
-    # Live stats fetched over the GWS1 wire op mid-poll.
+    # The report carries the gateway's stats snapshot (the GWS1 wire op
+    # serving the same dict is test_stats_probe_leaves_no_transcript_trace).
     stats = report.gateway_stats
     assert stats["served"] == 2
     assert stats["hit_rate"] == 1.0

@@ -234,8 +234,8 @@ def test_rate_validation():
         closed_schedule(1, 1, 0.1, distribution="weibull")
 
 
-def test_legacy_shim_still_imports():
-    from repro.simulation.workload import (
+def test_single_stream_arrival_helpers():
+    from repro.workload.generators import (
         InferenceRequest,
         PoissonWorkload,
         deterministic_arrivals,
