@@ -52,9 +52,8 @@ def _collect_primitive_stats(session):
                 "mean_s": bench.stats.mean,
                 "min_s": bench.stats.min,
                 "rounds": bench.stats.rounds,
-                # Host provenance per row: scaling annotations and perf
-                # diffs are only comparable between rows recorded on
-                # like-for-like hardware.
+                # Host provenance per row: perf diffs are only comparable
+                # between rows recorded on like-for-like hardware.
                 "cpu_count": os.cpu_count(),
                 "platform": platform.platform(),
             }
@@ -64,42 +63,6 @@ def _collect_primitive_stats(session):
         if extra:
             stats[bench.name]["extra"] = extra
     return stats
-
-
-def _annotate_pool_scaling(results):
-    """Wall-clock + per-core efficiency for pooled rows.
-
-    Pool-size scaling rows carry ``extra.workers``; the ``workers == 1``
-    row is the single-core oracle. Efficiency = t1 / (w * tw), so a value
-    near 1.0 means linear scaling and a regression shows up as a drop in
-    the JSON diff. Computed over the merged results so partial runs keep
-    annotations consistent with the stored baseline.
-    """
-    baseline = None
-    pooled = []
-    for stats in results.values():
-        workers = stats.get("extra", {}).get("workers")
-        if workers is None:
-            continue
-        pooled.append((workers, stats))
-        if workers == 1:
-            baseline = stats["min_s"]
-    for workers, stats in pooled:
-        stats["wall_clock_s"] = stats["min_s"]
-        cpus = stats.get("extra", {}).get("cpu_count")
-        if cpus is not None and cpus < workers:
-            # A row recorded on a core-starved host measures IPC overhead,
-            # not scaling; the bench now fails before recording one, but a
-            # stale merged row must not keep advertising an efficiency.
-            stats.pop("speedup_vs_w1", None)
-            stats.pop("per_core_efficiency", None)
-            stats["insufficient_cores"] = True
-            continue
-        if baseline is not None and stats["min_s"] > 0:
-            stats["speedup_vs_w1"] = round(baseline / stats["min_s"], 3)
-            stats["per_core_efficiency"] = round(
-                baseline / (workers * stats["min_s"]), 3
-            )
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -123,7 +86,6 @@ def pytest_sessionfinish(session, exitstatus):
     # Merge per test so a partial run (-k/::test selection) refreshes only
     # the benches it actually executed instead of clobbering the column.
     entry.setdefault("results", {}).update(stats)
-    _annotate_pool_scaling(entry["results"])
     try:
         path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
     except OSError:  # read-only checkout: benches still ran fine

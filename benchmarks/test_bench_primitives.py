@@ -44,15 +44,12 @@ from repro.he.ntt import NegacyclicNtt
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import key_switch_inner
 from repro.ot.extension import base_seed_ot, extend, iknp_transfer
-from repro.runtime import PrecomputePool
 
 PARAMS = fast_params(n=256)
 RELU_BATCH = 64
 # One wider conv layer's worth of activations (ROADMAP: raise benchmark
 # network sizes) — e.g. an 8-channel 8x8 feature map.
 WIDE_RELU_BATCH = 512
-# The pool-scaling batch the acceptance row is measured at.
-POOL_RELU_BATCH = 256
 
 
 def _ntt_multiply_bench(benchmark, n):
@@ -281,66 +278,6 @@ def test_bench_garble_relu_layer_wide(benchmark):
         lambda: garbler.garble_batch(circuit, WIDE_RELU_BATCH),
         rounds=1, iterations=1,
     )
-
-
-def _require_cores(workers):
-    """Skip (fail under REPRO_BENCH_STRICT) a pooled row this host can't run."""
-    cpus = os.cpu_count() or 1
-    if cpus < workers:
-        message = (
-            f"pool-scaling bench requested {workers} workers but this host "
-            f"has {cpus} CPU(s): per_core_efficiency would measure IPC "
-            f"overhead, not scaling — record this row on a >= {workers}-core "
-            "host"
-        )
-        if os.environ.get("REPRO_BENCH_STRICT"):
-            pytest.fail(message)
-        pytest.skip(message)
-
-
-def _pooled_garble_bench(benchmark, workers):
-    """Pool-size scaling row: one n=256 ReLU batch through the pool.
-
-    ``workers=1`` runs the identical shard jobs inline, so the w1 row is
-    the single-core baseline the per-core efficiency of the w2/w4 rows is
-    computed against (see benchmarks/conftest.py). The recorded rows are
-    transcript-identical across pool sizes by construction.
-
-    On a host with fewer cores than requested workers the row would
-    measure IPC overhead, not scaling — a misleading number that once
-    landed in BENCH_primitives.json from a 1-CPU container. Never record
-    it: skip on small hosts (tier-1 collects this file), and fail loudly
-    under ``REPRO_BENCH_STRICT=1`` — which CI's bench-smoke job sets, so
-    a core-starved runner breaks the build instead of the baseline.
-    """
-    _require_cores(workers)
-    spec = ReluCircuitSpec(bits=17, modulus=PARAMS.t, mask_owner="evaluator")
-    circuit = build_relu_circuit(spec)
-    with PrecomputePool(workers=workers) as pool:
-        if workers > 1:
-            # Warm the fork + initializer cost out of the measured rounds.
-            pool.garble_batch(circuit, 16, rng=SecureRandom(0))
-        benchmark.pedantic(
-            lambda: pool.garble_batch(
-                circuit, POOL_RELU_BATCH, rng=SecureRandom(21)
-            ),
-            rounds=2, iterations=1,
-        )
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["batch"] = POOL_RELU_BATCH
-    benchmark.extra_info["cpu_count"] = os.cpu_count()
-
-
-def test_bench_garble_relu_pool_w1(benchmark):
-    _pooled_garble_bench(benchmark, 1)
-
-
-def test_bench_garble_relu_pool_w2(benchmark):
-    _pooled_garble_bench(benchmark, 2)
-
-
-def test_bench_garble_relu_pool_w4(benchmark):
-    _pooled_garble_bench(benchmark, 4)
 
 
 def test_bench_evaluate_relu_layer(benchmark):

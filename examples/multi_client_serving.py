@@ -1,9 +1,11 @@
 """Multi-client PI serving: RLP's sweet spot (§5.2), measured for real.
 
-N clients share one server: per-client precomputes are minted on ONE
-shared PrecomputePool (the paper's request-level parallelism), admitted
-into per-client namespaces of one PrecomputeStore under a *global* byte
-budget, and drained by interleaved online requests. Under a tight budget
+N clients share one server: per-client precomputes are minted one after
+another by the serialized ServingLoop (or, with --concurrent, as whole
+mints side by side on ONE shared PrecomputePool — the paper's
+request-level parallelism), admitted into per-client namespaces of one
+PrecomputeStore under a *global* byte budget, and drained by
+interleaved online requests. Under a tight budget
 one client's admission evicts another's least-recently-used precompute,
 and the victim's next request pays a demand mint — the measured analogue
 of the buffer dynamics the analytic simulator models.
@@ -278,7 +280,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="shared pool size (default: REPRO_WORKERS, then all cores)",
+        help="whole-mint worker processes for --concurrent (default: "
+        "REPRO_WORKERS, then all cores)",
     )
     parser.add_argument(
         "--concurrent", action="store_true",

@@ -1,16 +1,19 @@
 """Offline-then-online serving through the precompute runtime.
 
 Mints offline precomputes — garbled ReLU layers, OT correlations, HE
-share vectors — on a multi-core :class:`~repro.runtime.PrecomputePool`,
-persists them in a disk-backed :class:`~repro.runtime.PrecomputeStore`
-(the functional analogue of the paper's client storage buffer), then
+share vectors — as whole-mint jobs, one per worker process of a
+:class:`~repro.runtime.PrecomputePool` (the paper's request-level
+parallelism), persists them in a disk-backed
+:class:`~repro.runtime.PrecomputeStore` (the functional analogue of the
+paper's client storage buffer), then
 serves inferences whose online phase consumes the stored precomputes one
 by one, exactly the buffer-drain cycle the streaming simulator models.
 
 Run:  python examples/offline_precompute.py --workers 4 --precomputes 3
 
-Pooled minting is transcript-identical to sequential minting under the
-same seed; --workers only changes wall-clock time (on multi-core hosts).
+A mint is a pure function of its seed and compute backend, so a blob
+minted in a worker is byte-identical to the same mint run in-process;
+--workers only changes how many mints run side by side.
 """
 
 import argparse
@@ -27,6 +30,8 @@ from repro import (
     tiny_dataset,
     toy_params,
 )
+from repro.runtime import StoreKey, mint_offline_job
+from repro.runtime.store import KIND_OFFLINE
 
 MODEL_ID = "tiny_cnn_w4"
 
@@ -35,7 +40,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="precompute pool size (default: REPRO_WORKERS, then all cores)",
+        help="whole-mint worker processes (default: REPRO_WORKERS, then all "
+        "cores)",
     )
     parser.add_argument(
         "--precomputes", type=int, default=2,
@@ -67,17 +73,23 @@ def main() -> None:
     store = PrecomputeStore(store_dir, byte_budget=int(args.budget_mb * 1e6))
     print(f"\nstore: {store_dir} (budget {args.budget_mb:.0f} MB)")
 
-    # -- offline: mint precomputes on the pool ------------------------------
+    # -- offline: one whole-mint job per precompute, side by side -----------
+    key = StoreKey.for_protocol(MODEL_ID, params, "client0")
     with PrecomputePool(workers=args.workers) as pool:
-        print(f"minting {args.precomputes} precomputes with {pool.workers} worker(s)...")
+        print(
+            f"minting {args.precomputes} precomputes on {pool.workers} "
+            "worker process(es)..."
+        )
         t0 = time.perf_counter()
-        for i in range(args.precomputes):
-            minter = HybridProtocol(
-                network, params, garbler="client", seed=100 + i, pool=pool
+        jobs = [
+            pool.apply_async(
+                mint_offline_job, (network, params, "client", 100 + i, 0)
             )
-            minter.run_offline()
+            for i in range(args.precomputes)
+        ]
+        for job in jobs:
             try:
-                name = minter.export_offline(store, MODEL_ID)
+                name = store.put(key, KIND_OFFLINE, job.get())
             except ValueError as exc:
                 # One precompute alone exceeds the budget: the paper's
                 # buffer_capacity == 0 case — buffering is impossible.

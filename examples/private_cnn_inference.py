@@ -15,9 +15,6 @@ from repro import HybridProtocol, tiny_cnn, tiny_dataset, toy_params
 
 
 def run_role(network, x, garbler: str):
-    # workers=None defers to REPRO_WORKERS: set it (or pass workers=N) to
-    # mint the offline phase on a multi-core PrecomputePool — transcripts
-    # are byte-identical either way.
     protocol = HybridProtocol(network, toy_params(n=256), garbler=garbler, seed=7)
     protocol.run_offline()
     prediction = protocol.run_online(x)

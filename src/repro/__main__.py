@@ -53,9 +53,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="offline precompute pool size for functional protocol runs "
-        "(overrides the REPRO_WORKERS environment variable; 1 disables "
-        "pooling)",
+        help="whole-mint worker processes for --serve --serve-concurrent, "
+        "--workload and --plan (overrides the REPRO_WORKERS environment "
+        "variable; default all cores)",
     )
     parser.add_argument(
         "--transport",
@@ -357,14 +357,12 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     # Parameter sets and protocol objects are built inside each
     # experiment; the environment variables are how 'auto' representation
-    # resolution and worker-count resolution hear about the overrides.
+    # resolution and transport selection hear about the overrides.
     # Scoped to the experiment runs (and restored after) so an in-process
     # caller of main() does not leak the selections.
     scoped = {}
     if args.representation is not None:
         scoped["REPRO_REPRESENTATION"] = args.representation
-    if args.workers is not None:
-        scoped["REPRO_WORKERS"] = str(max(1, args.workers))
     if args.transport is not None:
         scoped["REPRO_TRANSPORT"] = args.transport
     saved = {name: os.environ.get(name) for name in scoped}

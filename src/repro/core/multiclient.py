@@ -14,8 +14,8 @@ is the shared resource).
 
 The analytical answer is no longer the only one: :meth:`MultiClientSimulator.
 run_functional` executes the same deployment for real through
-:class:`repro.runtime.serving.ServingLoop` — per-client precomputes minted
-on one shared :class:`~repro.runtime.PrecomputePool`, admitted into
+:class:`repro.runtime.serving.ServingLoop` — per-client precomputes minted one
+after another, admitted into
 per-client :class:`~repro.runtime.PrecomputeStore` namespaces under a
 global byte budget, and drained by interleaved online requests — returning
 measured wall-clock/queue-depth/buffer-occupancy results this simulator
@@ -26,7 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.system import OfflineParallelism, SystemConfig, pipeline_times
+from repro.core.system import (
+    OfflineParallelism,
+    SystemConfig,
+    _hold,
+    pipeline_times,
+)
 from repro.profiling.model_costs import Protocol
 from repro.simulation.engine import Container, Environment, Resource, Store
 from repro.workload.generators import InferenceRequest, PoissonWorkload
@@ -79,26 +84,21 @@ class MultiClientSimulator:
         self.times = pipeline_times(config.base)
         self.link = config.base.link()
 
-    def _use(self, env, resource: Resource, seconds: float):
-        yield resource.request()
-        yield env.timeout(seconds)
-        resource.release()
-
     def _pipeline(self, env, server_he, client_rig):
         t = self.times
-        yield from self._use(env, client_rig["client_cpu"], t.client_he)
-        yield from self._use(env, server_he, t.server_he)
+        yield from _hold(env, client_rig["client_cpu"], t.client_he)
+        yield from _hold(env, server_he, t.server_he)
         # Client-Garbler: garbling runs on the client's own device.
         garble_rig = (
             client_rig["client_cpu"]
             if self.config.base.protocol is Protocol.CLIENT_GARBLER
             else server_he
         )
-        yield from self._use(env, garble_rig, t.garble)
-        yield from self._use(
+        yield from _hold(env, garble_rig, t.garble)
+        yield from _hold(
             env, client_rig["up"], self.link.upload_seconds(t.offline_up_bytes)
         )
-        yield from self._use(
+        yield from _hold(
             env, client_rig["down"], self.link.download_seconds(t.offline_down_bytes)
         )
 
@@ -125,10 +125,10 @@ class MultiClientSimulator:
 
         online_start = env.now
         volumes = base.profile.comm(base.protocol)
-        yield from self._use(
+        yield from _hold(
             env, client_rig["up"], self.link.upload_seconds(volumes.online_up)
         )
-        yield from self._use(
+        yield from _hold(
             env, client_rig["down"], self.link.download_seconds(volumes.online_down)
         )
         evaluator = (
@@ -136,9 +136,9 @@ class MultiClientSimulator:
         )
         eval_seconds = base.profile.gc_eval_seconds(evaluator)
         if base.protocol is Protocol.CLIENT_GARBLER:
-            yield from self._use(env, server_he, eval_seconds)
+            yield from _hold(env, server_he, eval_seconds)
         else:
-            yield from self._use(env, client_rig["client_cpu"], eval_seconds)
+            yield from _hold(env, client_rig["client_cpu"], eval_seconds)
         yield env.timeout(base.profile.ss_online_seconds(base.server))
         request.online_seconds = env.now - online_start
         request.completion_time = env.now
@@ -188,7 +188,6 @@ class MultiClientSimulator:
         network,
         store,
         requests_per_client: int = 1,
-        workers: int | None = None,
         prefill: int = 1,
         seed: int = 0,
         model_id: str = "multiclient",
@@ -197,35 +196,30 @@ class MultiClientSimulator:
 
         Builds a :class:`~repro.runtime.serving.ServingLoop` shaped like
         this deployment — garbler role from the config's protocol, BFV
-        parameters from ``functional_bfv_params()``, pool size from
-        ``precompute_workers()`` unless overridden — and serves
+        parameters from ``functional_bfv_params()`` — and serves
         ``requests_per_client`` interleaved requests per client from the
         given :class:`~repro.runtime.PrecomputeStore`. Returns the
         :class:`~repro.runtime.serving.ServingReport` of measured
         wall-clock, queue-depth, and buffer-occupancy results that the
         analytical :meth:`run` answer can be validated against.
         """
-        from repro.runtime.pool import PrecomputePool
         from repro.runtime.serving import ServingLoop
 
         base = self.config.base
         garbler = (
             "client" if base.protocol is Protocol.CLIENT_GARBLER else "server"
         )
-        resolved = base.precompute_workers() if workers is None else workers
-        with PrecomputePool(workers=resolved) as pool:
-            loop = ServingLoop(
-                network,
-                base.functional_bfv_params(),
-                self.config.num_clients,
-                store,
-                pool=pool,
-                garbler=garbler,
-                prefill=prefill,
-                base_seed=seed,
-                model_id=model_id,
-            )
-            return loop.run(requests_per_client)
+        loop = ServingLoop(
+            network,
+            base.functional_bfv_params(),
+            self.config.num_clients,
+            store,
+            garbler=garbler,
+            prefill=prefill,
+            base_seed=seed,
+            model_id=model_id,
+        )
+        return loop.run(requests_per_client)
 
     def _arrivals(self, env, server_he, service, rig, workload, requests, buffered):
         previous = 0.0

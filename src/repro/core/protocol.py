@@ -171,10 +171,17 @@ class HybridProtocol:
         truncate_bits: int = 0,
         backend: str | None = None,
         representation: str | None = None,
-        workers: int | None = None,
-        pool=None,
+        workers: int = 1,
         transport: str | tuple | None = None,
     ):
+        if workers != 1:
+            # Leftover keyword (bench_e2e passes workers=1): a protocol is
+            # one single-core mint; parallelism is many mints on a
+            # PrecomputePool. Delete at the next benchmark re-baseline.
+            raise ValueError(
+                f"workers={workers!r}: a HybridProtocol is one single-core "
+                "mint; run several side by side on a PrecomputePool"
+            )
         self.params = resolve_protocol_params(params, backend, representation)
         self.garbler_role = garbler
         self.truncate_bits = truncate_bits
@@ -182,21 +189,6 @@ class HybridProtocol:
             client_end, server_end = transport
         else:
             client_end, server_end = make_transport_pair(transport)
-        # Precompute parallelism: an explicit pool wins; otherwise `workers`
-        # (explicit > REPRO_WORKERS > 1) makes run_offline create ONE pool
-        # shared by both sessions for the duration of the offline phase.
-        # The online phase never uses a pool. Pooled and sequential
-        # offline phases are transcript-identical under the same seed
-        # (all randomness stays parent-side of the pool).
-        from repro.runtime.pool import resolve_workers
-
-        self._shared_pool = pool
-        self._workers = (
-            pool.workers if pool is not None else resolve_workers(workers, default=1)
-        )
-        self._own_pool = None
-        # Sessions get workers=1: pool lifecycle is owned here so the two
-        # halves share one set of worker processes.
         self.client = ClientSession(
             network,
             params=self.params,
@@ -204,7 +196,6 @@ class HybridProtocol:
             seed=role_seed(seed, CLIENT),
             truncate_bits=truncate_bits,
             transport=client_end,
-            workers=1,
         )
         # The client lowers shape-only (cheap, no weights); only the
         # server pays the full matrix expansion — per-protocol setup cost
@@ -216,7 +207,6 @@ class HybridProtocol:
             seed=role_seed(seed, SERVER),
             truncate_bits=truncate_bits,
             transport=server_end,
-            workers=1,
         )
         self.modulus = self.client.modulus
         self.bits = self.client.bits
@@ -272,15 +262,8 @@ class HybridProtocol:
         self.client.close()
         self.server.close()
 
-    def shutdown(self) -> None:
-        """Abort any active phase (closing an owned pool) and close.
-
-        The public cleanup surface for external schedulers: safe to call
-        on success (phase teardown is idempotent) and on error paths
-        where a phase died mid-flight.
-        """
-        self._end_phase()
-        self.close()
+    # The name external schedulers call on success and error paths alike.
+    shutdown = close
 
     def reset_for_request(self) -> None:
         """Recycle both sessions for a fresh request (keep-alive reuse).
@@ -296,16 +279,9 @@ class HybridProtocol:
     # -- phase scheduling ------------------------------------------------------
 
     def start_offline(self) -> None:
-        """Arm the offline phase on both sessions (one shared pool)."""
-        pool = self._shared_pool
-        if pool is None and self._workers > 1:
-            from repro.core.session import make_phase_pool
-
-            pool = self._own_pool = make_phase_pool(
-                self.params.backend, self.params, self._workers
-            )
-        self.client.start_offline(pool=pool)
-        self.server.start_offline(pool=pool)
+        """Arm the offline phase on both sessions."""
+        self.client.start_offline()
+        self.server.start_offline()
 
     def start_online(self, x: list[int]) -> None:
         """Arm one inference on both sessions."""
@@ -316,15 +292,7 @@ class HybridProtocol:
         """One scheduling round over both sessions; True when phase done."""
         c = self.client.step()
         s = self.server.step()
-        if c == DONE and s == DONE:
-            self._end_phase()
-            return True
-        return False
-
-    def _end_phase(self) -> None:
-        if self._own_pool is not None:
-            self._own_pool.close()
-            self._own_pool = None
+        return c == DONE and s == DONE
 
     def _stalled(self) -> bool:
         return not (
@@ -366,28 +334,16 @@ class HybridProtocol:
     # -- blocking phase API (the monolith-era surface) -------------------------
 
     def run_offline(self) -> None:
-        """Execute the full offline phase (HE correlations + garbling + OT).
-
-        With ``workers > 1`` (or an explicit ``pool``), garbling and the
-        Galois key products run on a
-        :class:`~repro.runtime.pool.PrecomputePool`; every transcript
-        byte matches the sequential run under the same seed.
-        """
+        """Execute the full offline phase (HE correlations + garbling + OT)."""
         self.start_offline()
-        try:
-            self._drive()
-        finally:
-            self._end_phase()
+        self._drive()
 
     def run_online(self, x: list[int]) -> list[int]:
         """Run one inference on the client input ``x``; returns the logits."""
         if not self._offline_done:
             raise RuntimeError("offline phase must run before online phase")
         self.start_online(x)
-        try:
-            self._drive()
-        finally:
-            self._end_phase()
+        self._drive()
         return self.client.finish()
 
     # -- precompute store integration ------------------------------------------

@@ -88,7 +88,7 @@ WAITING = "waiting"
 # NEW → [OFFLINE →] READY → ONLINE → COMPLETE, and
 # ``reset_for_request()`` re-arms a COMPLETE session back to NEW while
 # keeping the connection-scoped state (transport, channel accounting,
-# counters, lowering, circuit cache, RNG stream, pool wiring).
+# counters, lowering, circuit cache, RNG stream).
 LIFE_NEW = "new"
 LIFE_OFFLINE = "offline"
 LIFE_READY = "ready"
@@ -153,27 +153,6 @@ def resolve_protocol_params(
     return replace(params, **overrides)
 
 
-def make_phase_pool(backend_pref: str | None, params: BfvParams, workers: int):
-    """A PrecomputePool carrying the protocol's *effective* selections.
-
-    A worker's initializer re-reads its environment (dropping the
-    parent's programmatic set_backend / a params-level override), so an
-    explicit backend or representation choice must travel with the pool.
-    One definition shared by the façade and standalone sessions.
-    """
-    from repro.backend import active_backend_name
-    from repro.runtime.pool import PrecomputePool
-
-    backend = backend_pref
-    if not backend or backend == "auto":
-        backend = active_backend_name()
-    return PrecomputePool(
-        workers=workers,
-        backend=backend,
-        representation=params.resolve_representation(),
-    )
-
-
 def role_seed(seed: int | None, role: str) -> int | None:
     """Derive one role's RNG seed from a protocol-level seed.
 
@@ -216,8 +195,6 @@ class ProtocolSession:
         representation: str | None = None,
         transport=None,
         channel: Channel | None = None,
-        workers: int | None = None,
-        pool=None,
         lowered: LoweredNetwork | None = None,
     ):
         if garbler not in ("server", "client"):
@@ -251,17 +228,6 @@ class ProtocolSession:
         self.transport = transport
         self.channel = channel or Channel(field_bytes=(self.bits + 7) // 8)
         self.counters = ProtocolCounters()
-        # Precompute parallelism mirrors the façade's rules: an explicit
-        # pool wins; otherwise `workers` (explicit > REPRO_WORKERS > 1)
-        # makes start_offline create a pool for the phase's duration.
-        from repro.runtime.pool import resolve_workers
-
-        self._shared_pool = pool
-        self._workers = (
-            pool.workers if pool is not None else resolve_workers(workers, default=1)
-        )
-        self._active_pool = None
-        self._own_pool = None
         self._relu_circuit_cache: Circuit | None = None
         self._relu_bundles: dict[int, ReluBundle] = {}
         self.lifecycle = LIFE_NEW
@@ -366,7 +332,7 @@ class ProtocolSession:
                 self._trace_track = TRACER.new_track(f"{self.role}-session")
             self._phase_start_us = now_us()
 
-    def start_offline(self, pool=None) -> None:
+    def start_offline(self) -> None:
         """Arm the offline phase (HE correlations + garbling + OT)."""
         if self._gen is not None:
             raise RuntimeError(f"a {self._phase} phase is already in progress")
@@ -376,13 +342,6 @@ class ProtocolSession:
                 " — reset_for_request() re-arms a completed session"
             )
         self._begin_phase("offline", self._offline_gen())
-        # Only the offline phase (garbling, key-gen) runs on a pool.
-        active = pool if pool is not None else self._shared_pool
-        if active is None and self._workers > 1:
-            active = self._own_pool = make_phase_pool(
-                self._backend_pref, self.params, self._workers
-            )
-        self._active_pool = active
         self.lifecycle = LIFE_OFFLINE
 
     def step(self, wait: bool = False) -> str:
@@ -426,10 +385,6 @@ class ProtocolSession:
             )
         self._phase_start_us = None
         self._gen = None
-        self._active_pool = None
-        if self._own_pool is not None:
-            self._own_pool.close()
-            self._own_pool = None
         if self._phase == "offline":
             # A failed offline phase must not look finished: the lifecycle
             # rolls back to NEW so the session can be re-armed (or reset).
@@ -458,19 +413,11 @@ class ProtocolSession:
         """Garble every ReLU layer's batch up front (both garbler roles).
 
         All layers' RNGs spawn first, in plan order, then garbling runs
-        sequentially per layer or through one skew-aware
-        ``garble_layers()`` pool plan — the draw ordering is
-        transcript-critical and shared by both roles, so it lives here
-        exactly once. Pooled and sequential outputs are byte-identical
-        under the same rng.
+        layer by layer — the draw ordering is transcript-critical and
+        shared by both roles, so it lives here exactly once.
         """
         layer_rngs = [self.rng.spawn() for _ in plan]
         with section("gc", "gc.garble_layers", layers=len(plan)):
-            if self._active_pool is not None:
-                return self._active_pool.garble_layers(
-                    [(circuit, n, rng) for (_, _, _, n), rng in zip(plan, layer_rngs)],
-                    vectorize=self._vectorize_gc,
-                )
             return [
                 Garbler(rng).garble_batch(circuit, n, vectorize=self._vectorize_gc)
                 for (_, _, _, n), rng in zip(plan, layer_rngs)
@@ -519,7 +466,7 @@ class ProtocolSession:
 
         Keeps what is amortized across a keep-alive connection — the
         transport, channel byte accounting, operation counters, lowering,
-        ReLU circuit cache, RNG stream, and pool wiring — while clearing
+        ReLU circuit cache, and RNG stream — while clearing
         per-request protocol state (offline shares/keys, garbled bundles,
         the phase result) and re-arming the lifecycle at NEW so the next
         request can run or adopt a fresh offline phase.
@@ -587,9 +534,7 @@ class ClientSession(ProtocolSession):
         encoder = BatchEncoder(params)
         with section("he_linear", "he.keygen"):
             sk, pk = ctx.keygen()
-            gk = ctx.galois_keygen(
-                sk, [encoder.galois_element_for_rotation(1)], pool=self._active_pool
-            )
+            gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
         self._send(serialize_public_key(pk), payload=pk)
         self._send(serialize_galois_keys(gk), payload=gk)
         self._ctx, self._encoder, self._sk = ctx, encoder, sk

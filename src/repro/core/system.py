@@ -28,6 +28,13 @@ from repro.simulation.engine import Container, Environment, Resource, Store
 from repro.workload.generators import InferenceRequest, PoissonWorkload
 
 
+def _hold(env, resource: Resource, seconds: float):
+    """Simulation process step: hold ``resource`` for ``seconds``."""
+    yield resource.request()
+    yield env.timeout(seconds)
+    resource.release()
+
+
 class OfflineParallelism(Enum):
     SEQUENTIAL = "sequential"  # baseline DELPHI: one pre-compute, one HE core
     LPHE = "lphe"  # one pre-compute, HE layers spread across server cores
@@ -53,12 +60,6 @@ class SystemConfig:
     # BfvParams for callers that instantiate real crypto for a simulated
     # deployment.
     compute_backend: str = "auto"
-    # Offline precompute pool size for functional runs of this deployment
-    # (None defers to REPRO_WORKERS, then 1). The simulator's `parallelism`
-    # knob models the same resource analytically; `workers` is what an
-    # actual HybridProtocol built for this deployment hands to its
-    # PrecomputePool. Resolve via :meth:`precompute_workers`.
-    workers: int | None = None
 
     def functional_bfv_params(self, n: int = 256, t_bits: int = 17):
         """BFV parameters for a functional run of this deployment.
@@ -72,19 +73,13 @@ class SystemConfig:
 
         return fast_params(n=n, t_bits=t_bits, backend=self.compute_backend)
 
-    def precompute_workers(self) -> int:
-        """Resolved offline pool size (explicit > REPRO_WORKERS > 1)."""
-        from repro.runtime.pool import resolve_workers
-
-        return resolve_workers(self.workers, default=1)
-
     def functional_protocol(self, network, n: int = 256, t_bits: int = 17, **kwargs):
         """A HybridProtocol configured like this deployment.
 
         Threads the deployment's compute backend (via
-        :meth:`functional_bfv_params`), garbling role, and offline pool
-        size into a functional protocol instance, so a simulated
-        configuration can be executed for real with one call.
+        :meth:`functional_bfv_params`) and garbling role into a
+        functional protocol instance, so a simulated configuration can
+        be executed for real with one call.
         """
         from repro.core.protocol import HybridProtocol
         from repro.profiling.model_costs import Protocol as ProtocolKind
@@ -93,7 +88,6 @@ class SystemConfig:
             "garbler",
             "client" if self.protocol is ProtocolKind.CLIENT_GARBLER else "server",
         )
-        kwargs.setdefault("workers", self.precompute_workers())
         return HybridProtocol(
             network, self.functional_bfv_params(n=n, t_bits=t_bits), **kwargs
         )
@@ -208,26 +202,16 @@ class PiSystemSimulator:
 
     # -- simulation processes ---------------------------------------------------
 
-    def _transfer(self, env, resource: Resource, seconds: float):
-        yield resource.request()
-        yield env.timeout(seconds)
-        resource.release()
-
-    def _use(self, env, resource: Resource, seconds: float):
-        yield resource.request()
-        yield env.timeout(seconds)
-        resource.release()
-
     def _offline_pipeline(self, env, rig):
         """One pre-compute: client HE, server HE, garbling, transfers."""
         t = self.times
-        yield from self._use(env, rig["client_he"], t.client_he)
-        yield from self._use(env, rig["server_he"], t.server_he)
-        yield from self._use(env, rig["garble"], t.garble)
-        yield from self._transfer(
+        yield from _hold(env, rig["client_he"], t.client_he)
+        yield from _hold(env, rig["server_he"], t.server_he)
+        yield from _hold(env, rig["garble"], t.garble)
+        yield from _hold(
             env, rig["up"], self.link.upload_seconds(t.offline_up_bytes)
         )
-        yield from self._transfer(
+        yield from _hold(
             env, rig["down"], self.link.download_seconds(t.offline_down_bytes)
         )
 
@@ -255,10 +239,10 @@ class PiSystemSimulator:
 
         online_start = env.now
         volumes = profile.comm(config.protocol)
-        yield from self._transfer(
+        yield from _hold(
             env, rig["up"], self.link.upload_seconds(volumes.online_up)
         )
-        yield from self._transfer(
+        yield from _hold(
             env, rig["down"], self.link.download_seconds(volumes.online_down)
         )
         evaluator = (
@@ -266,7 +250,7 @@ class PiSystemSimulator:
             if config.protocol is Protocol.SERVER_GARBLER
             else config.server
         )
-        yield from self._use(env, rig["eval"], profile.gc_eval_seconds(evaluator))
+        yield from _hold(env, rig["eval"], profile.gc_eval_seconds(evaluator))
         yield env.timeout(profile.ss_online_seconds(config.server))
         request.online_seconds = env.now - online_start
         request.completion_time = env.now

@@ -101,11 +101,8 @@ def derive_instance_labels(
     """Draw one instance's delta and input zero-labels.
 
     This is the *only* randomness one garbling consumes; the half-gates
-    walk after it is deterministic, which is what lets a process pool
-    shard the walk across workers while the parent keeps the RNG stream —
-    pooled output stays byte-identical to :meth:`Garbler.garble` under
-    the same seed (see :mod:`repro.runtime.pool`). Draw order: delta,
-    then CONST_ZERO, CONST_ONE, garbler inputs, evaluator inputs.
+    walk after it is deterministic. Draw order: delta, then CONST_ZERO,
+    CONST_ONE, garbler inputs, evaluator inputs.
     """
     delta = bytearray(rng.bytes(LABEL_BYTES))
     delta[0] |= 1  # point-and-permute bit rides on the LSB
@@ -214,10 +211,9 @@ def garble_batch_from_labels(
 ) -> list[tuple[GarbledCircuit, InputEncoding]]:
     """Deterministic vectorized walk over pre-drawn (count, 16) matrices.
 
-    Every operation is row-wise, so the walk over any contiguous row slice
-    of the full batch's matrices produces exactly those instances' results
-    — the property :class:`repro.runtime.pool.PrecomputePool` relies on to
-    shard one layer's batch across processes without splitting the RNG.
+    Every operation is row-wise: row i of every result depends only on
+    row i of the inputs, which is what makes the walk equal to ``count``
+    scalar :func:`garble_from_labels` walks.
     """
     count = deltas.shape[0]
     zero_labels: dict[int, "_np.ndarray"] = dict(input_zero_labels)

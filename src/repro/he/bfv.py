@@ -148,42 +148,6 @@ def _same_representation(digit, key0) -> bool:
     )
 
 
-def _galois_digit_product(params: BfvParams, s, rotated_s, a_j, e_j, j: int):
-    """One key-switching digit: k0 = -(a*s + e) + rotated_s * 2^(j*w).
-
-    The single definition both the sequential loop and the pool job use,
-    so the two execution paths cannot drift apart.
-    """
-    factor = pow(2, j * params.decomp_bits, params.q)
-    return -(a_j * s + e_j) + rotated_s * factor
-
-
-def galois_digit_block(args):
-    """Pool job: the key products for one block of key-switching digits.
-
-    Pure function of pre-drawn randomness — the parent keeps the RNG, so
-    which worker runs which block never changes the keys. Coefficients
-    travel as plain int lists (representation-independent and picklable).
-    """
-    params, s_coeffs, g, digit_draws = args
-    if params.rns_primes:
-        # Fresh interpreters (spawn workers) lack the parent's factor
-        # registry; unpickling a frozen dataclass skips __post_init__.
-        from repro.crypto.modmath import register_modulus_factors
-
-        register_modulus_factors(params.q, params.rns_primes)
-    ctx = BfvContext(params)
-    s = ctx._ring_poly(s_coeffs)
-    rotated_s = s.automorphism(g)
-    out = []
-    for j, a, e in digit_draws:
-        k0 = _galois_digit_product(
-            params, s, rotated_s, ctx._ring_poly(a), ctx._ring_poly(e), j
-        )
-        out.append((g, j, k0.coeffs))
-    return out
-
-
 class BfvContext:
     """Stateless algorithm bundle for one parameter set.
 
@@ -242,21 +206,9 @@ class BfvContext:
         pk = PublicKey(p, -(a * s + e), a)
         return SecretKey(p, s), pk
 
-    def galois_keygen(
-        self, sk: SecretKey, elements: list[int], pool=None
-    ) -> GaloisKeys:
-        """Generate key-switching keys for each Galois element.
-
-        With ``pool`` (a :class:`repro.runtime.pool.PrecomputePool`) the
-        per-digit key products — the NTT multiplies, which dominate at
-        wide parameters — are sharded across worker processes. The
-        randomness is drawn here either way, in the same (g, digit)
-        order, so pooled keys are coefficient-identical to sequential
-        ones under the same context RNG.
-        """
+    def galois_keygen(self, sk: SecretKey, elements: list[int]) -> GaloisKeys:
+        """Generate key-switching keys for each Galois element."""
         p = self.params
-        if pool is not None and getattr(pool, "workers", 1) > 1:
-            return self._galois_keygen_pooled(sk, elements, pool)
         keys: dict[int, list[tuple]] = {}
         for g in elements:
             rotated_s = sk.s.automorphism(g)
@@ -264,48 +216,13 @@ class BfvContext:
             for j in range(p.num_decomp_digits):
                 a_j = self._random_uniform()
                 e_j = self._noise()
-                k0 = _galois_digit_product(p, sk.s, rotated_s, a_j, e_j, j)
-                digits.append((k0, a_j))
+                # One key-switching digit: -(a*s + e) + rotated_s * 2^(j*w).
+                factor = pow(2, j * p.decomp_bits, p.q)
+                digits.append((-(a_j * sk.s + e_j) + rotated_s * factor, a_j))
             keys[g] = digits
         gk = GaloisKeys(p, keys)
         for g in elements:
             gk.eval_keys(g)  # pay the key-side forward NTTs once, here
-        return gk
-
-    def _galois_keygen_pooled(
-        self, sk: SecretKey, elements: list[int], pool
-    ) -> GaloisKeys:
-        """Shard the per-(element, digit) key products across a pool."""
-        p = self.params
-        draws: list[tuple[int, list[tuple[int, list[int], list[int]]]]] = []
-        for g in elements:
-            per_digit = []
-            for j in range(p.num_decomp_digits):
-                # Exactly _random_uniform / _noise's draw order.
-                a = [self._rng.field_element(p.q) for _ in range(p.n)]
-                e = [self._rng.centered_binomial(p.noise_eta) for _ in range(p.n)]
-                per_digit.append((j, a, e))
-            draws.append((g, per_digit))
-        s_coeffs = sk.s.coeffs
-        jobs = []
-        for g, per_digit in draws:
-            for lo, hi in pool.shard_ranges(len(per_digit), min_shard=1):
-                jobs.append((p, s_coeffs, g, per_digit[lo:hi]))
-        keys: dict[int, list] = {
-            g: [None] * p.num_decomp_digits for g in elements
-        }
-        uniform_draws = {
-            (g, j): a for g, per_digit in draws for j, a, _ in per_digit
-        }
-        for block in pool.map_jobs(galois_digit_block, jobs):
-            for g, j, k0_coeffs in block:
-                keys[g][j] = (
-                    self._ring_poly(k0_coeffs),
-                    self._ring_poly(uniform_draws[g, j]),
-                )
-        gk = GaloisKeys(p, keys)
-        for g in elements:
-            gk.eval_keys(g)  # same eager transform as the sequential path
         return gk
 
     # -- encryption / decryption -------------------------------------------

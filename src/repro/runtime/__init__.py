@@ -1,13 +1,12 @@
 """Multi-core offline precompute runtime.
 
-Executes the offline phase — ReLU garbling, Galois key products, whole
-refill mints — across worker processes
+Executes whole offline mints side by side in worker processes
 (:class:`~repro.runtime.pool.PrecomputePool`) and persists the minted
 precomputes in a disk-backed, LRU-evicted buffer
 (:class:`~repro.runtime.store.PrecomputeStore`), mirroring the paper's
 client-storage buffer that the streaming simulator models analytically.
 :class:`~repro.runtime.serving.ServingLoop` closes the loop as the
-serialized reference: N clients' precomputes minted on one shared pool,
+serialized reference: N clients' precomputes minted in the serving thread,
 admitted into per-client store namespaces under a global byte budget,
 drained by interleaved online requests (§5.2's multi-client serving,
 measured instead of modeled).
@@ -15,10 +14,9 @@ measured instead of modeled).
 deployment shape: one selector thread multiplexing many live client
 sockets while refill mints run in pool worker processes.
 
-Transcript parity is the design invariant: a pooled offline phase is
-byte-identical to the sequential one under the same seeds, because all
-randomness is drawn by the parent in sequential order and jobs are pure
-functions of pre-drawn material (see :mod:`repro.runtime.pool`).
+A mint is a pure function of its seed and compute backend, so a blob
+minted in a worker is byte-identical to the same mint run in-process
+(see :mod:`repro.runtime.pool`).
 """
 
 from repro.runtime.gateway import (
@@ -30,7 +28,7 @@ from repro.runtime.gateway import (
 from repro.runtime.pool import (
     AsyncJob,
     PrecomputePool,
-    plan_shards,
+    mint_offline_job,
     resolve_workers,
 )
 from repro.runtime.serving import ServedRequest, ServingLoop, ServingReport
@@ -53,8 +51,8 @@ __all__ = [
     "ServingReport",
     "StoreKey",
     "derive_worker_seed",
+    "mint_offline_job",
     "params_fingerprint",
-    "plan_shards",
     "request_inference",
     "request_stats",
     "reset_process_state",

@@ -72,6 +72,7 @@ from repro.network.transport import (
     TransportClosed,
     TransportError,
 )
+from repro.runtime.pool import PrecomputePool, mint_offline_job
 from repro.runtime.serving import (
     ServedRequest,
     ServingReport,
@@ -224,38 +225,7 @@ def adaptive_retry_after(
     return min(cap, max(floor, drain))
 
 
-# -- refill jobs -----------------------------------------------------------------
-
-
-def _mint_offline_job(args):
-    """Pool job: run one whole offline phase, return its store blob.
-
-    Unlike the latency-oriented path (one mint sharded across all
-    workers), refill is throughput-oriented: each worker process runs a
-    complete mint end to end, so W workers sustain W concurrent mints
-    while the gateway's selector thread keeps serving. ``workers=1`` and
-    ``transport="memory"`` are forced — pool workers are daemonic (no
-    nested pools) and the mint is process-local; only its *product*
-    crosses the wire later. The blob is byte-identical to a parent-side
-    mint under the same seed (all protocol randomness is seed-derived).
-    """
-    network, params, garbler, seed, truncate_bits = args
-    from repro.core.protocol import HybridProtocol
-
-    protocol = HybridProtocol(
-        network,
-        params,
-        garbler=garbler,
-        seed=seed,
-        truncate_bits=truncate_bits,
-        workers=1,
-        transport="memory",
-    )
-    try:
-        protocol.run_offline()
-        return protocol.offline_blob()
-    finally:
-        protocol.shutdown()
+# -- refill policy --------------------------------------------------------------
 
 
 def pick_refill_client(
@@ -322,16 +292,7 @@ class _RefillWorker(threading.Thread):
                 t0 = time.perf_counter()
                 if overlap_start is None:
                     overlap_start = t0
-                job = gateway.pool.apply_async(
-                    _mint_offline_job,
-                    (
-                        gateway.network,
-                        gateway.params,
-                        gateway.garbler,
-                        seed,
-                        gateway.truncate_bits,
-                    ),
-                )
+                job = gateway._submit_mint(seed)
                 inflight[job] = (c, index, t0)
             for job in [j for j in inflight if j.ready()]:
                 c, index, t0 = inflight.pop(job)
@@ -530,7 +491,7 @@ class _Connection:
             self._mint_start = time.perf_counter()
             if TRACER.enabled and self._track is not None:
                 self._t_offline_us = now_us()
-            self.session.start_offline(pool=self.gateway.pool)
+            self.session.start_offline()
             self.state = self.OFFLINE
 
 
@@ -601,8 +562,6 @@ class ServingGateway:
         self.expected_per_client = expected_per_client
         self.minted = [0] * num_clients  # per-client mint counter (monotonic)
         if pool is None:
-            from repro.runtime.pool import PrecomputePool
-
             pool = self._own_pool = PrecomputePool()
         else:
             self._own_pool = None
@@ -710,27 +669,19 @@ class ServingGateway:
         self._refill_worker = _RefillWorker(self, self._refill_inflight)
         self._refill_worker.start()
 
+    def _submit_mint(self, seed: int):
+        """Ship one whole-mint job to the pool; returns its AsyncJob."""
+        return self.pool.apply_async(
+            mint_offline_job,
+            (self.network, self.params, self.garbler, seed, self.truncate_bits),
+        )
+
     def _prefill(self) -> None:
         jobs = []
         for _ in range(self.prefill):
             for c in range(self.num_clients):
                 index = self._reserve_mint(c)
-                jobs.append(
-                    (
-                        c,
-                        index,
-                        self.pool.apply_async(
-                            _mint_offline_job,
-                            (
-                                self.network,
-                                self.params,
-                                self.garbler,
-                                self.mint_seed(c, index),
-                                self.truncate_bits,
-                            ),
-                        ),
-                    )
-                )
+                jobs.append((c, index, self._submit_mint(self.mint_seed(c, index))))
         # Admit in submission order: round-robin, so budget pressure hits
         # all clients evenly — same admission order as the serial loop.
         for c, index, job in jobs:
@@ -1108,7 +1059,6 @@ class ServingGateway:
             truncate_bits=self.truncate_bits,
             transport=transport,
             lowered=self.lowered,
-            pool=self.pool,
         )
 
     def _take_precompute(self, client_id: str):

@@ -11,8 +11,7 @@ pipeline refills what the online phase drains.
 against — one thread, one request at a time:
 
 * **Mint** — a client's offline phase (garbling, IKNP OT, Galois keys)
-  runs to completion, sharded over the shared
-  :class:`~repro.runtime.pool.PrecomputePool` when one is given.
+  runs to completion in the serving thread.
 * **Admit** — the minted transcript lands in the client's namespace of
   one :class:`~repro.runtime.store.PrecomputeStore` under a single global
   byte budget, so admitting one client's precompute can evict another's
@@ -217,9 +216,7 @@ class ServingLoop:
 
     One :class:`~repro.runtime.store.PrecomputeStore` holds every
     client's precomputes in its own namespace under the store's *global*
-    byte budget; one optional :class:`~repro.runtime.pool.PrecomputePool`
-    shards each offline phase — ``pool=None`` runs it sequentially with
-    byte-identical transcripts.
+    byte budget. Mints run in the serving thread, one after another.
 
     ``prefill`` precomputes are minted per client before serving starts
     (round-robin, so budget pressure hits all clients evenly — the
@@ -239,7 +236,6 @@ class ServingLoop:
         params,
         num_clients: int,
         store: PrecomputeStore,
-        pool=None,
         garbler: str = "client",
         prefill: int = 1,
         refill: bool = True,
@@ -255,7 +251,6 @@ class ServingLoop:
         self.params = params
         self.num_clients = num_clients
         self.store = store
-        self.pool = pool
         self.garbler = garbler
         self.prefill = prefill
         self.refill = refill
@@ -286,7 +281,6 @@ class ServingLoop:
             self.params,
             garbler=self.garbler,
             seed=seed,
-            pool=self.pool,
             transport=self.transport,
         )
 
@@ -295,7 +289,7 @@ class ServingLoop:
     def mint_one(self, client_index: int) -> float:
         """Mint one precompute for a client; returns wall-clock seconds.
 
-        The offline phase runs through the shared pool; the resulting
+        The offline phase runs here, in the serving thread; the resulting
         transcript is admitted into the client's store namespace under
         the global budget (possibly evicting another client's LRU entry).
         Raises ``ValueError`` if a single precompute exceeds the budget —
@@ -500,7 +494,8 @@ def demo(
     :class:`ServingLoop` (``transport="socket"`` runs every session pair
     over loopback TCP); ``concurrent`` replays the same requests as a
     zero-think closed-loop schedule through the socket gateway (driver
-    threads over loopback TCP, refill mints in worker processes).
+    threads over loopback TCP, refill mints in ``workers`` worker
+    processes — the serialized loop ignores ``workers``).
     When ``store_dir`` is None the temporary store directory is removed
     before returning (after the summary, if any, is written).
     """
@@ -508,36 +503,35 @@ def demo(
     import tempfile
 
     from repro.core.lowering import lower_network, plaintext_reference
-    from repro.runtime.pool import PrecomputePool
 
     network, params = demo_network_and_params()
     made_tempdir = store_dir is None
     root = store_dir or tempfile.mkdtemp(prefix="repro-serving-")
     store = PrecomputeStore(root, byte_budget=int(budget_mb * 1e6) or None)
     inputs = draw_inputs(network, params, [requests_per_client] * num_clients)
-    with PrecomputePool(workers=workers) as pool:
-        print(
-            f"serving {num_clients} clients x {requests_per_client} requests "
-            f"({pool.workers} worker(s), budget {budget_mb:g} MB, "
-            f"{transport or 'memory'} transport, "
-            f"{'concurrent gateway' if concurrent else 'serialized'} refills, "
-            f"store {root})"
-        )
-        if concurrent:
-            from repro.workload.drivers import replay_functional
-            from repro.workload.generators import closed_schedule
+    print(
+        f"serving {num_clients} clients x {requests_per_client} requests "
+        f"(budget {budget_mb:g} MB, {transport or 'memory'} transport, "
+        f"{'concurrent gateway' if concurrent else 'serialized'} refills, "
+        f"store {root})"
+    )
+    if concurrent:
+        from repro.runtime.pool import PrecomputePool
+        from repro.workload.drivers import replay_functional
+        from repro.workload.generators import closed_schedule
 
+        with PrecomputePool(workers=workers) as pool:
+            print(f"  {pool.workers} whole-mint worker process(es)")
             report = replay_functional(
                 closed_schedule(num_clients, requests_per_client, 0.0),
                 network, params, store, pool=pool, inputs=inputs,
                 gateway_max_queue=gateway_max_queue,
             )
-        else:
-            loop = ServingLoop(
-                network, params, num_clients, store, pool=pool,
-                transport=transport,
-            )
-            report = loop.run(requests_per_client, inputs=inputs)
+    else:
+        loop = ServingLoop(
+            network, params, num_clients, store, transport=transport
+        )
+        report = loop.run(requests_per_client, inputs=inputs)
 
     lowered = lower_network(network, params.t)
     for request in report.requests:

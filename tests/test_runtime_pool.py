@@ -1,39 +1,33 @@
-"""Pooled-vs-sequential parity for the offline precompute runtime.
+"""The process pool: whole-mint parity, worker resolution, fork safety.
 
-The design invariant of :mod:`repro.runtime.pool` is that pooling never
-changes an output bit: all randomness is drawn by the parent in the
-sequential order and jobs are pure functions of pre-drawn material. These
-tests enforce byte-identity between pooled and sequential garbling, OT
-extension, Galois key generation, and whole protocol offline phases, plus
-the fork-safety contract of the worker initializer.
+A :class:`~repro.runtime.PrecomputePool` runs one job kind, the whole
+mint. A mint is a pure function of its seed and compute backend, so the
+blob a worker returns must equal the same mint run in-process, byte for
+byte. The rest is the fork-safety contract of the worker initializer and
+the async submission surface the gateway's refill thread drives.
 """
 
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 import repro.runtime.state as runtime_state
+from repro import HybridProtocol, tiny_dataset, tiny_mlp
 from repro.backend import (
     RnsContext,
     active_backend_name,
-    reset_backend_selection,
+    get_backend,
     set_backend,
 )
 from repro.crypto.rng import SecureRandom
-from repro.gc.garble import Garbler
-from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
-from repro.he.bfv import BfvContext
-from repro.he.encoder import BatchEncoder
 from repro.he.params import fast_params, toy_params
 from repro.he.polynomial import RingPoly, ntt_cache_size
-from repro.network.serialize import (
-    serialize_garbled_circuit,
-    serialize_input_encoding,
-)
 from repro.runtime import (
     PrecomputePool,
     derive_worker_seed,
-    plan_shards,
+    mint_offline_job,
     reset_process_state,
     resolve_workers,
 )
@@ -41,34 +35,76 @@ from repro.runtime import (
 PARAMS = fast_params(n=256)
 
 
-def relu_circuit():
-    spec = ReluCircuitSpec(bits=17, modulus=PARAMS.t, mask_owner="evaluator")
-    return build_relu_circuit(spec)
+def tiny_network(hidden=8):
+    network = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=hidden)
+    network.randomize_weights(PARAMS.t, np.random.default_rng(0))
+    return network
 
 
-def batch_bytes(batch):
-    return b"".join(
-        serialize_garbled_circuit(garbled) + serialize_input_encoding(encoding)
-        for garbled, encoding in batch
-    )
+# -- the one job kind: whole mints ---------------------------------------------
 
 
-# -- worker resolution and shard planning ---------------------------------------
+@pytest.mark.parametrize("garbler", ["client", "server"])
+def test_mint_offline_job_matches_inprocess_mint(garbler):
+    """A worker-minted blob equals the in-process mint under the same seed.
+
+    The job carries its backend in ``params.backend``: a worker re-reads
+    its own environment, so a programmatic ``set_backend`` in the parent
+    reaches it only through the parameters.
+    """
+    network = tiny_network()
+    params = dataclasses.replace(PARAMS, backend=get_backend().name)
+    reference = HybridProtocol(network, params, garbler=garbler, seed=42)
+    reference.run_offline()
+    with PrecomputePool(workers=2) as pool:
+        job = pool.apply_async(mint_offline_job, (network, params, garbler, 42, 0))
+        blob = job.get(timeout=120)
+        assert pool._pool is not None  # really minted in a worker process
+    assert blob == reference.offline_blob()
+
+
+def test_protocol_rejects_workers_other_than_one():
+    """``workers`` survives only as the benchmark's ``workers=1`` spelling."""
+    network = tiny_network(hidden=4)
+    HybridProtocol(network, PARAMS, seed=1, workers=1)
+    with pytest.raises(ValueError, match="workers=2"):
+        HybridProtocol(network, PARAMS, seed=1, workers=2)
+
+
+def test_protocol_never_builds_a_pool(monkeypatch):
+    """REPRO_WORKERS sizes PrecomputePools; a protocol never creates one."""
+    import repro.runtime.pool as pool_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a protocol must not construct a PrecomputePool")
+
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    monkeypatch.setattr(pool_module, "PrecomputePool", forbidden)
+    monkeypatch.setattr("repro.runtime.PrecomputePool", forbidden)
+    protocol = HybridProtocol(tiny_network(hidden=4), PARAMS, seed=1)
+    protocol.run_offline()
+    x = list(range(16))
+    assert protocol.run_online(x) == protocol.plaintext_reference(x)
+
+
+# -- worker resolution ---------------------------------------------------------
 
 
 def test_resolve_workers_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    all_cores = os.cpu_count() or 1
     assert resolve_workers(3) == 3
-    assert resolve_workers(None, default=1) == 1
-    assert resolve_workers(None) == (os.cpu_count() or 1)
+    assert resolve_workers(None) == all_cores
+    assert resolve_workers() == all_cores
     monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert resolve_workers(None, default=1) == 5
+    assert resolve_workers(None) == 5
     assert resolve_workers(2) == 2  # explicit beats env
     monkeypatch.setenv("REPRO_WORKERS", "junk")
     with pytest.warns(RuntimeWarning):
-        assert resolve_workers(None, default=1) == 1  # fail soft, loudly
+        assert resolve_workers(None) == all_cores  # fail soft, loudly
     monkeypatch.setenv("REPRO_WORKERS", "0")
-    assert resolve_workers(None, default=1) == 1  # floored at one
+    assert resolve_workers(None) == 1  # floored at one
+    assert resolve_workers(0) == 1
 
 
 def test_resolve_workers_warns_naming_the_bad_value(monkeypatch):
@@ -80,7 +116,7 @@ def test_resolve_workers_warns_naming_the_bad_value(monkeypatch):
     """
     monkeypatch.setenv("REPRO_WORKERS", "all-the-cores")
     with pytest.warns(RuntimeWarning, match="all-the-cores"):
-        assert resolve_workers(None, default=1) == 1
+        assert resolve_workers(None) == (os.cpu_count() or 1)
     with pytest.warns(RuntimeWarning, match="REPRO_WORKERS"):
         resolve_workers(None)
     # A parseable value stays silent...
@@ -89,125 +125,10 @@ def test_resolve_workers_warns_naming_the_bad_value(monkeypatch):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert resolve_workers(None, default=1) == 2
+        assert resolve_workers(None) == 2
         # ...and so does an explicit argument, which never consults env.
         monkeypatch.setenv("REPRO_WORKERS", "junk")
         assert resolve_workers(4) == 4
-
-
-def test_plan_shards_covers_and_balances():
-    plans = plan_shards([100], workers=4, min_shard=8, oversubscribe=4)
-    ranges = plans[0]
-    assert ranges[0][0] == 0 and ranges[-1][1] == 100
-    assert all(hi > lo for lo, hi in ranges)
-    assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
-    sizes = [hi - lo for lo, hi in ranges]
-    assert max(sizes) - min(sizes) <= 1  # even split
-    assert min(sizes) >= 7  # ~min_shard
-
-
-def test_plan_shards_is_skew_aware():
-    # One wide layer among small ones: the target comes from the total,
-    # so the wide layer splits finely while small layers stay whole.
-    plans = plan_shards([512, 16, 16], workers=4, min_shard=8, oversubscribe=4)
-    assert len(plans[0]) > 8
-    assert len(plans[1]) == 1 and len(plans[2]) == 1
-    assert plans[1][0] == (0, 16)
-
-
-def test_plan_shards_edge_cases():
-    assert plan_shards([0], workers=2) == [[]]
-    assert plan_shards([1], workers=8) == [[(0, 1)]]
-    assert plan_shards([], workers=2) == []
-
-
-# -- pooled garbling parity -----------------------------------------------------
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_pool_garble_batch_matches_sequential_vectorized(workers):
-    circuit = relu_circuit()
-    expected = Garbler(SecureRandom(99)).garble_batch(circuit, 40)
-    with PrecomputePool(workers=workers, min_shard=4) as pool:
-        pooled = pool.garble_batch(circuit, 40, rng=SecureRandom(99))
-    assert batch_bytes(pooled) == batch_bytes(expected)
-    # The parent's shared topology object is rebound on every instance
-    # (the batched evaluator's fast path requires identity).
-    assert all(garbled.circuit is circuit for garbled, _ in pooled)
-
-
-def test_pool_garble_batch_matches_sequential_scalar():
-    circuit = relu_circuit()
-    expected = Garbler(SecureRandom(7)).garble_batch(circuit, 9, vectorize=False)
-    with PrecomputePool(workers=2, min_shard=2) as pool:
-        pooled = pool.garble_batch(
-            circuit, 9, rng=SecureRandom(7), vectorize=False
-        )
-    assert batch_bytes(pooled) == batch_bytes(expected)
-
-
-def test_pool_garble_batch_edges():
-    circuit = relu_circuit()
-    with PrecomputePool(workers=2) as pool:
-        assert pool.garble_batch(circuit, 0, rng=SecureRandom(1)) == []
-        single = pool.garble_batch(circuit, 1, rng=SecureRandom(1))
-    expected = Garbler(SecureRandom(1)).garble_batch(circuit, 1)
-    assert batch_bytes(single) == batch_bytes(expected)
-
-
-def test_pool_garble_layers_matches_per_layer_sequential():
-    circuit = relu_circuit()
-    counts = [48, 8]
-    with PrecomputePool(workers=2, min_shard=4) as pool:
-        batches = pool.garble_layers(
-            [(circuit, count, SecureRandom(30 + i)) for i, count in enumerate(counts)]
-        )
-    for i, count in enumerate(counts):
-        expected = Garbler(SecureRandom(30 + i)).garble_batch(circuit, count)
-        assert batch_bytes(batches[i]) == batch_bytes(expected)
-
-
-# -- pooled Galois keygen parity ------------------------------------------------
-
-
-def test_pool_galois_keygen_matches_sequential():
-    encoder = BatchEncoder(PARAMS)
-    g = encoder.galois_element_for_rotation(1)
-
-    ctx_seq = BfvContext(PARAMS, SecureRandom(11))
-    sk_seq, _ = ctx_seq.keygen()
-    gk_seq = ctx_seq.galois_keygen(sk_seq, [g])
-
-    ctx_pool = BfvContext(PARAMS, SecureRandom(11))
-    sk_pool, _ = ctx_pool.keygen()
-    with PrecomputePool(workers=2) as pool:
-        gk_pool = pool.galois_keygen(ctx_pool, sk_pool, [g])
-
-    assert sorted(gk_seq.keys) == sorted(gk_pool.keys)
-    for (k0_a, k1_a), (k0_b, k1_b) in zip(gk_seq.keys[g], gk_pool.keys[g]):
-        assert k0_a.coeffs == k0_b.coeffs
-        assert k1_a.coeffs == k1_b.coeffs
-
-
-def test_pool_galois_keygen_rns_chain():
-    """Pooled keygen on an RNS-chained parameter set (worker re-registers
-    the composite factorization; coefficients stay oracle-exact)."""
-    params = toy_params(n=256)
-    encoder = BatchEncoder(params)
-    g = encoder.galois_element_for_rotation(1)
-
-    ctx_seq = BfvContext(params, SecureRandom(23))
-    sk_seq, _ = ctx_seq.keygen()
-    gk_seq = ctx_seq.galois_keygen(sk_seq, [g])
-
-    ctx_pool = BfvContext(params, SecureRandom(23))
-    sk_pool, _ = ctx_pool.keygen()
-    with PrecomputePool(workers=2) as pool:
-        gk_pool = pool.galois_keygen(ctx_pool, sk_pool, [g])
-
-    for (k0_a, k1_a), (k0_b, k1_b) in zip(gk_seq.keys[g], gk_pool.keys[g]):
-        assert k0_a.coeffs == k0_b.coeffs
-        assert k1_a.coeffs == k1_b.coeffs
 
 
 # -- fork-safety / process state ------------------------------------------------
@@ -265,76 +186,10 @@ def test_pool_workers_have_independent_rngs():
     assert SecureRandom(123).bytes(8) not in draws
 
 
-def test_system_config_threads_workers_into_protocol(monkeypatch):
-    """SystemConfig.workers reaches the functional protocol's pool size."""
-    import numpy as np
-
-    from repro.core.system import SystemConfig
-    from repro.nn.datasets import tiny_dataset
-    from repro.nn.models import tiny_mlp
-    from repro.profiling.model_costs import Protocol, profile_network
-
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    network = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=8)
-    profile = profile_network(network)
-    config = SystemConfig(
-        profile=profile, protocol=Protocol.CLIENT_GARBLER, workers=2
-    )
-    assert config.precompute_workers() == 2
-    network.randomize_weights(
-        config.functional_bfv_params().t, np.random.default_rng(0)
-    )
-    protocol = config.functional_protocol(network, seed=3)
-    assert protocol._workers == 2
-    assert protocol.garbler_role == "client"
-    protocol.run_offline()
-    x = np.random.default_rng(1).integers(0, protocol.params.t, size=16).tolist()
-    assert protocol.run_online(x) == protocol.plaintext_reference(x)
-
-
-def _worker_backend_probe(_job):
-    """Pool job: report the backend selection this worker resolved."""
-    return active_backend_name()
-
-
-def test_pool_forwards_backend_selection_to_workers(monkeypatch):
-    """A pool-level backend choice survives the worker's env reset."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    with PrecomputePool(workers=2, backend="python") as pool:
-        probes = pool.map_jobs(_worker_backend_probe, list(range(4)))
-    assert set(probes) == {"python"}
-
-
-def test_protocol_pool_inherits_explicit_backend(monkeypatch):
-    """HybridProtocol's own pool carries the protocol's backend choice."""
-    import numpy as np
-
-    import repro.runtime.pool as pool_module
-    from repro import HybridProtocol, tiny_dataset, tiny_mlp
-
-    captured = {}
-    real_pool = pool_module.PrecomputePool
-
-    def capturing_pool(*args, **kwargs):
-        captured.update(kwargs)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    monkeypatch.setattr(pool_module, "PrecomputePool", capturing_pool)
-    network = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=4)
-    network.randomize_weights(PARAMS.t, np.random.default_rng(0))
-    protocol = HybridProtocol(
-        network, PARAMS, garbler="server", seed=1, backend="python", workers=2
-    )
-    protocol.run_offline()
-    assert captured["backend"] == "python"
-    assert captured["representation"] == "bigint"
-
-
 def test_pool_inline_when_single_worker():
-    circuit = relu_circuit()
     pool = PrecomputePool(workers=1)
-    pool.garble_batch(circuit, 8, rng=SecureRandom(3))
+    probes = pool.map_jobs(_worker_probe, list(range(3)))
+    assert {pid for _, _, pid in probes} == {os.getpid()}
     assert pool._pool is None  # no processes were spawned
     assert runtime_state.worker_index() is None  # parent untouched
     pool.close()

@@ -15,7 +15,7 @@ from repro.core.multiclient import MultiClientConfig, MultiClientSimulator
 from repro.core.system import SystemConfig
 from repro.he.params import fast_params
 from repro.profiling.model_costs import Protocol, profile_network
-from repro.runtime import PrecomputePool, PrecomputeStore, ServingLoop
+from repro.runtime import PrecomputeStore, ServingLoop
 
 PARAMS = fast_params(n=256)
 
@@ -30,16 +30,13 @@ def _network(hidden=8):
 
 
 def test_serving_loop_matches_per_client_sequential_runs(tmp_path):
-    """4 interleaved clients, one shared pool: logits byte-identical to
-    each client running its own mint-then-serve sequence alone."""
+    """4 interleaved clients, one store: logits byte-identical to each
+    client running its own mint-then-serve sequence alone."""
     network = _network()
     store = PrecomputeStore(tmp_path)
-    with PrecomputePool(workers=2, min_shard=4) as pool:
-        loop = ServingLoop(
-            network, PARAMS, 4, store, pool=pool, garbler="client"
-        )
-        inputs = loop.draw_inputs(1)
-        report = loop.run(1, inputs=inputs)
+    loop = ServingLoop(network, PARAMS, 4, store, garbler="client")
+    inputs = loop.draw_inputs(1)
+    report = loop.run(1, inputs=inputs)
 
     assert len(report.requests) == 4
     assert report.hit_rate == 1.0  # ample budget: every request buffered
@@ -124,7 +121,7 @@ def test_multiclient_simulator_run_functional(tmp_path):
     config = MultiClientConfig(base=base, num_clients=4)
     simulator = MultiClientSimulator(config)
     store = base.functional_store(tmp_path, byte_budget=0)  # unbounded
-    report = simulator.run_functional(network, store, workers=1, seed=7)
+    report = simulator.run_functional(network, store, seed=7)
     assert report.num_clients == 4
     assert report.hit_rate == 1.0  # prefilled buffer, like the simulator's
     assert report.max_queue_depth == 3

@@ -7,7 +7,7 @@ import pytest
 from repro import HybridProtocol, tiny_dataset, tiny_mlp
 from repro.he.params import fast_params, toy_params
 from repro.runtime import PrecomputeStore, StoreKey, params_fingerprint
-from repro.runtime.store import KIND_OFFLINE, KIND_RELU
+from repro.runtime.store import KIND_RELU
 
 KEY = StoreKey(model="m", params="p", client="c0")
 
@@ -290,19 +290,3 @@ def test_import_offline_rejects_moved_relu_structure(tmp_path):
     with pytest.raises(ValueError, match="ReLU"):
         other.import_offline(store, "tiny_mlp")
     assert store.entry_count == 1  # rejected transcripts stay buffered
-
-
-def test_pooled_minting_serves_same_bytes(tmp_path):
-    """A workers=2 minted precompute is byte-identical to a sequential one."""
-    store_a = PrecomputeStore(tmp_path / "a")
-    store_b = PrecomputeStore(tmp_path / "b")
-    seq, _ = _protocol("client", seed=42)
-    seq.run_offline()
-    name_a = seq.export_offline(store_a, "tiny_mlp")
-    pooled, _ = _protocol("client", seed=42, workers=2)
-    pooled.run_offline()
-    name_b = pooled.export_offline(store_b, "tiny_mlp")
-    key = StoreKey.for_protocol("tiny_mlp", seq.params, "client0")
-    assert store_a.get(key, KIND_OFFLINE, name_a) == store_b.get(
-        key, KIND_OFFLINE, name_b
-    )
