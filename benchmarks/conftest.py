@@ -38,11 +38,40 @@ def once(benchmark):
     return runner
 
 
+def _provenance():
+    """When, where and on what a row was recorded: perf diffs are only
+    comparable between rows from like-for-like hardware, Python, numpy
+    and compute backend, and a partial run refreshes only its own rows
+    (the column-level ``recorded_at`` is the latest of them)."""
+    from repro.backend import get_backend
+
+    try:
+        import numpy
+
+        numpy_version = numpy.__version__
+    except ImportError:
+        numpy_version = None
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on this platform
+        nproc = os.cpu_count()
+    return {
+        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "cpu_count": os.cpu_count(),
+        "nproc": nproc,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "backend": get_backend().name,
+    }
+
+
 def _collect_primitive_stats(session):
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None:
         return {}
     stats = {}
+    provenance = _provenance()
     for bench in getattr(bench_session, "benchmarks", []):
         fullname = getattr(bench, "fullname", "") or ""
         if _PRIMITIVES_MODULE not in fullname:
@@ -52,10 +81,7 @@ def _collect_primitive_stats(session):
                 "mean_s": bench.stats.mean,
                 "min_s": bench.stats.min,
                 "rounds": bench.stats.rounds,
-                # Host provenance per row: perf diffs are only comparable
-                # between rows recorded on like-for-like hardware.
-                "cpu_count": os.cpu_count(),
-                "platform": platform.platform(),
+                **provenance,  # per row: a partial run refreshes only its rows
             }
         except (AttributeError, TypeError):  # incomplete run; skip quietly
             continue

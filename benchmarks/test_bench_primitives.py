@@ -43,6 +43,7 @@ from repro.he.encoder import BatchEncoder
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import key_switch_inner
+from repro.network.serialize import deserialize_galois_keys, serialize_galois_keys
 from repro.ot.extension import base_seed_ot, extend, iknp_transfer
 
 PARAMS = fast_params(n=256)
@@ -142,16 +143,16 @@ def _best_ms(fn, rounds=5):
 def _rotation_phase_breakdown(ctx, ct, g, gk):
     """Where one delphi-RNS rotation spends its time, phase by phase.
 
-    Three probes: the digit decomposition (the vectorized exact base
-    conversion), the full eval-domain key inner product, and the pure
-    transform share of that product (the stacked digit forwards plus the
-    two-vector inverse each residue ring pays). Recorded as extra_info so
-    the JSON diff shows *where* a regression landed, not just that one
-    happened.
+    Three probes: the digit decomposition (one digit per chain prime:
+    each residue lifted into every base), the full eval-domain key inner
+    product, and the pure transform share of that product (the stacked
+    digit forwards plus the two-vector inverse each residue ring pays).
+    Recorded as extra_info so the JSON diff shows *where* a regression
+    landed, not just that one happened.
     """
     p = ctx.params
     rotated = ct.c1.automorphism(g)
-    digits = rotated.decompose(p.decomp_bits, p.num_decomp_digits)
+    digits = rotated.decompose(p.rns_primes, p.decomp_bits)
     pairs = gk.eval_keys(g)
     rns = digits[0].ctx
     plans = [
@@ -166,7 +167,7 @@ def _rotation_phase_breakdown(ctx, ct, g, gk):
 
     return {
         "phase_decompose_ms": _best_ms(
-            lambda: rotated.decompose(p.decomp_bits, p.num_decomp_digits)
+            lambda: rotated.decompose(p.rns_primes, p.decomp_bits)
         ),
         "phase_key_product_ms": _best_ms(
             lambda: key_switch_inner(digits, pairs)
@@ -208,8 +209,9 @@ def _guard_against_committed_baseline(benchmark, name, threshold):
 def test_bench_bfv_rotation_delphi_rns(benchmark):
     """Key-switched rotation at delphi scale on the RNS chain.
 
-    The headline hot-path row: eval-domain Galois keys + the vectorized
-    exact base conversion. ``extra_info`` carries the phase breakdown,
+    The headline hot-path row: eval-domain Galois keys + the RNS gadget
+    (six residue digits, no base conversion). ``extra_info`` carries the
+    phase breakdown,
     and under ``REPRO_BENCH_STRICT=1`` (CI bench-smoke) the fresh mean
     must stay within 1.3x of the committed baseline.
     """
@@ -230,26 +232,68 @@ def test_bench_bfv_rotation_delphi_rns(benchmark):
         )
 
 
+def _delphi_rns_rig(seed):
+    params = dataclasses.replace(delphi_params(), representation="rns")
+    ctx = BfvContext(params, SecureRandom(seed))
+    encoder = BatchEncoder(params)
+    sk, pk = ctx.keygen()
+    return params, ctx, encoder, sk, pk
+
+
 def test_bench_rns_decompose_delphi(benchmark):
     """The key-switch digit decomposition alone at delphi scale.
 
-    This is the operation the exact fast base conversion replaced — it
-    used to reconstruct every ~180-bit coefficient through bigint CRT.
-    Isolated so the decompose share of a rotation regression is visible
-    without untangling the fused key product.
+    Once a ~180-bit CRT reconstruction per coefficient, then the exact
+    fast base conversion, now just the six residues lifted into each
+    other's bases. Isolated so the decompose share of a rotation
+    regression is visible without untangling the fused key product.
     """
-    params = dataclasses.replace(delphi_params(), representation="rns")
-    ctx = BfvContext(params, SecureRandom(17))
-    encoder = BatchEncoder(params)
-    sk, pk = ctx.keygen()
+    params, ctx, encoder, sk, pk = _delphi_rns_rig(17)
     ct = ctx.encrypt(pk, encoder.encode(list(range(100))))
     rotated = ct.c1.automorphism(
         encoder.galois_element_for_rotation(1)
     )
     benchmark.pedantic(
-        lambda: rotated.decompose(params.decomp_bits, params.num_decomp_digits),
+        lambda: rotated.decompose(params.rns_primes, params.decomp_bits),
         rounds=5, iterations=1, warmup_rounds=1,
     )
+
+
+def test_bench_galois_keygen_delphi_rns(benchmark):
+    """One Galois key at delphi scale: six (a, e) draws, six key digits,
+    twelve eval-domain forwards — what every mint pays before its first
+    rotation."""
+    params, ctx, encoder, sk, pk = _delphi_rns_rig(19)
+    g = encoder.galois_element_for_rotation(1)
+    benchmark.pedantic(
+        lambda: ctx.galois_keygen(sk, [g]),
+        rounds=5, iterations=1, warmup_rounds=1,
+    )
+    benchmark.extra_info["digits"] = params.num_decomp_digits
+
+
+def test_bench_galois_keys_serialize_delphi_rns(benchmark):
+    """Residues -> wire bytes for one Galois key (twelve polynomials)."""
+    params, ctx, encoder, sk, pk = _delphi_rns_rig(23)
+    gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
+    wire = benchmark.pedantic(
+        lambda: serialize_galois_keys(gk),
+        rounds=5, iterations=1, warmup_rounds=1,
+    )
+    benchmark.extra_info["wire_bytes"] = len(wire)
+
+
+def test_bench_galois_keys_deserialize_delphi_rns(benchmark):
+    """Wire bytes -> residues for one Galois key (twelve polynomials)."""
+    params, ctx, encoder, sk, pk = _delphi_rns_rig(23)
+    gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
+    wire = serialize_galois_keys(gk)
+    restored = benchmark.pedantic(
+        lambda: deserialize_galois_keys(wire, params),
+        rounds=5, iterations=1, warmup_rounds=1,
+    )
+    assert restored.keys == gk.keys
+    benchmark.extra_info["wire_bytes"] = len(wire)
 
 
 def test_bench_garble_relu(benchmark):

@@ -23,6 +23,7 @@ from repro.backend import (
     backend_for,
     get_backend,
     set_backend,
+    using_backend,
 )
 from repro.core import (
     ClientSession,
@@ -95,6 +96,7 @@ __all__ = [
     "get_backend",
     "profile_network",
     "set_backend",
+    "using_backend",
     "resnet18",
     "resnet32",
     "simulate_mean_latency",

@@ -28,6 +28,7 @@ vectorized backend handles exactly — see
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 from repro.backend.base import ComputeBackend, NttPlan
@@ -44,6 +45,7 @@ __all__ = [
     "get_backend",
     "reset_backend_selection",
     "set_backend",
+    "using_backend",
 ]
 
 _REGISTRY: dict[str, ComputeBackend] = {"python": PythonBackend()}
@@ -97,6 +99,24 @@ def set_backend(name: str) -> None:
             f"unknown backend {name!r}; choose one of {', '.join(_VALID)}"
         )
     _active = name
+
+
+@contextlib.contextmanager
+def using_backend(name: str):
+    """Select ``name`` for a block, then restore the previous selection.
+
+    The scoped form of :func:`set_backend`: whatever was active before —
+    an environment choice, an earlier ``set_backend`` — is active again
+    afterwards, so code that mints in this process and in pool workers
+    (which re-read the environment) keeps agreeing on the backend.
+    """
+    global _active
+    previous = _active
+    set_backend(name)
+    try:
+        yield
+    finally:
+        _active = previous
 
 
 def get_backend(name: str | None = None) -> ComputeBackend:

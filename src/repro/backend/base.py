@@ -147,17 +147,35 @@ class ComputeBackend(abc.ABC):
     ) -> list[Vec]:
         """Digit decomposition: vec = sum_j digits[j] << (j * base_bits)."""
 
+    # -- wire codec ---------------------------------------------------------
+
+    @abc.abstractmethod
+    def pack_le(self, limbs: Sequence[Vec], limb_bytes: int, width: int) -> bytes:
+        """Fixed-width little-endian packing, ``width`` bytes per element.
+
+        Element i is the integer sum_j limbs[j][i] * 256^(limb_bytes*j),
+        which the caller guarantees fits ``width`` bytes. A single reduced
+        vector is one limb (``limb_bytes = width``); the RNS codec hands
+        over the base-2^16 digit vectors of :meth:`rns_digit_split`.
+        """
+
+    @abc.abstractmethod
+    def unpack_le(self, data, width: int, moduli: Sequence[int]) -> list[Vec]:
+        """Inverse of :meth:`pack_le`: the ``len(data) // width`` integers
+        of ``data`` reduced mod each of ``moduli`` — one native vector per
+        modulus, without materializing the integers where lanes allow."""
+
     # -- RNS base conversion -----------------------------------------------
 
     def make_rns_digit_plan(self, primes: Sequence[int], q: int, base_bits: int):
         """Precomputed constants for :meth:`rns_digit_split`, or ``None``.
 
         ``None`` means this backend has no exact fast kernel for the given
-        chain/digit-width shape; the caller (:class:`repro.backend.rns
-        .RnsContext`) then falls back to arbitrary-precision CRT
-        reconstruction. The returned plan is opaque and backend-specific —
-        it is only ever handed back to the same backend's
-        :meth:`rns_digit_split`.
+        chain/digit-width shape (the python backend never has one: it
+        reconstructs); the caller (:class:`repro.backend.rns.RnsContext`)
+        then falls back to arbitrary-precision CRT reconstruction. The
+        returned plan is opaque and backend-specific — it is only ever
+        handed back to the same backend's :meth:`rns_digit_split`.
         """
         return None
 

@@ -31,6 +31,7 @@ The module degrades gracefully when numpy is absent: ``NumpyBackend`` is
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from repro.backend.base import ComputeBackend, NttPlan
@@ -99,6 +100,15 @@ def _scalar_shoup(scalar: int, q: int):
     return np.uint64(scalar), np.uint64(sh >> 32), np.uint64(sh & 0xFFFFFFFF)
 
 
+@functools.lru_cache(maxsize=16)
+def _byte_power_table(width: int, moduli: tuple[int, ...]):
+    """T[j, i] = 256^j mod moduli[i]: byte rows @ T are residues mod each."""
+    return np.asarray(
+        [[pow(256, j, q) for q in moduli] for j in range(width)],
+        dtype=np.uint64,
+    )
+
+
 class _NumpyRnsDigitPlan:
     """Precomputed limb tables for the vectorized exact base conversion.
 
@@ -108,9 +118,10 @@ class _NumpyRnsDigitPlan:
 
         sum_i y_i * (Q/q_i) = x + alpha*Q,   alpha = floor(sum_i y_i/q_i)
 
-    * ``m_limbs`` holds every Q/q_i in base-2^w limbs (w = the key-switch
-      digit width), so the sum accumulates as an (n, L) uint64 matrix of
-      lazy limbs — small-int multiply-adds only.
+    * ``m_limbs`` holds every Q/q_i in base-2^w limbs (w = the digit
+      width asked for; the wire codec uses 16), so the sum accumulates
+      as an (n, L) uint64 matrix of lazy limbs — small-int multiply-adds
+      only.
     * alpha is first *estimated* from below with the fixed-point
       reciprocals ``recips`` = floor(2^s / q_i): the estimate
       beta = floor(sum_i y_i*recips / 2^s) provably lies in
@@ -348,9 +359,14 @@ class _NumpyBackendImpl(ComputeBackend):
             try:
                 arr = np.asarray(values, dtype=np.uint64)
             except (OverflowError, TypeError, ValueError):
-                # Negative or >= 2^64 entries (noise draws, delta-scaled
-                # coefficients built by the python path): reduce exactly first.
-                return np.asarray([int(v) % q for v in values], dtype=np.uint64)
+                try:  # negative entries (noise draws): the signed branch above
+                    return self.asvec(np.asarray(values, dtype=np.int64), q)
+                except (OverflowError, TypeError, ValueError):
+                    # >= 2^63 in magnitude (delta-scaled coefficients built
+                    # by the python path): reduce exactly first.
+                    return np.asarray(
+                        [int(v) % q for v in values], dtype=np.uint64
+                    )
         if arr.size and int(arr.max()) >= q:
             arr = np.remainder(arr, np.uint64(q))
         return arr
@@ -430,6 +446,32 @@ class _NumpyBackendImpl(ComputeBackend):
             digits.append(work & mask)
             work = work >> shift
         return digits
+
+    # -- wire codec ---------------------------------------------------------
+
+    def pack_le(self, limbs, limb_bytes, width):
+        if len(limbs) == 1:
+            lanes = limbs[0].astype("<u8")  # a reduced vector: one 8-byte lane
+        else:
+            lanes = np.stack(limbs, axis=1).astype(f"<u{limb_bytes}")
+        raw = lanes.view(np.uint8).reshape(lanes.shape[0], -1)
+        return raw[:, :width].tobytes()
+
+    def unpack_le(self, data, width, moduli):
+        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+        if width <= 8:
+            lanes = np.zeros((raw.shape[0], 8), dtype=np.uint8)
+            lanes[:, :width] = raw
+            values = lanes.view("<u8").ravel().astype(np.uint64)
+            return [self.asvec(values, q) for q in moduli]
+        if 255 * width * max(moduli) < 1 << 64:
+            # Wider than a lane: sum_j byte_j * (256^j mod q) stays below
+            # 2^64 for every modulus, so one (n, width) @ (width, k)
+            # product and a reduction per column finish the job.
+            sums = raw.astype(np.uint64) @ _byte_power_table(width, tuple(moduli))
+            return [sums[:, i] % np.uint64(q) for i, q in enumerate(moduli)]
+        exact = _PY_FALLBACK.unpack_le(data, width, moduli)
+        return [self.asvec(values, q) for values, q in zip(exact, moduli)]
 
     # -- RNS base conversion -----------------------------------------------
 

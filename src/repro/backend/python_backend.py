@@ -44,17 +44,6 @@ def _iterative_ntt(values: list[int], root: int, q: int) -> list[int]:
     return a
 
 
-class _PythonRnsDigitPlan:
-    """CRT constants for the exact reference base conversion."""
-
-    __slots__ = ("q", "big", "base_bits")
-
-    def __init__(self, q: int, big: tuple[int, ...], base_bits: int):
-        self.q = q
-        self.big = big
-        self.base_bits = base_bits
-
-
 class _PythonNttPlan(NttPlan):
     def __init__(self, n: int, q: int, root: int):
         self.n = n
@@ -151,28 +140,23 @@ class PythonBackend(ComputeBackend):
             coeffs = [c >> base_bits for c in coeffs]
         return digits
 
-    # -- RNS base conversion -----------------------------------------------
+    # -- wire codec ---------------------------------------------------------
 
-    def make_rns_digit_plan(self, primes, q, base_bits):
-        # Arbitrary precision is native here, so the "plan" is just the
-        # wide CRT constants; this is the reference semantics the numpy
-        # limb kernel must match bit for bit.
-        return _PythonRnsDigitPlan(
-            q=q, big=tuple(q // p for p in primes), base_bits=base_bits
+    def pack_le(self, limbs, limb_bytes, width):
+        shift = 8 * limb_bytes
+        return b"".join(
+            sum(d << (shift * j) for j, d in enumerate(row)).to_bytes(
+                width, "little"
+            )
+            for row in zip(*limbs)
         )
 
-    def rns_digit_split(self, ys, plan, num_digits):
-        q, big, w = plan.q, plan.big, plan.base_bits
-        mask = (1 << w) - 1
-        coeffs = [
-            sum(y[j] * m for y, m in zip(ys, big)) % q
-            for j in range(len(ys[0]))
+    def unpack_le(self, data, width, moduli):
+        values = [
+            int.from_bytes(data[i : i + width], "little")
+            for i in range(0, len(data), width)
         ]
-        digits = []
-        for _ in range(num_digits):
-            digits.append([c & mask for c in coeffs])
-            coeffs = [c >> w for c in coeffs]
-        return digits
+        return [[v % q for v in values] for q in moduli]
 
     # -- transforms --------------------------------------------------------
 

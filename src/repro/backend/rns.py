@@ -10,16 +10,19 @@ scalar lift) commutes with the CRT isomorphism
 
     Z_q[X]/(X^n + 1)  ≅  ⨉_i  Z_{q_i}[X]/(X^n + 1),
 
-so the whole chain runs on the vectorized backend. Only the
-noise-sensitive steps that need the *integer representative* of a
-coefficient reconstruct through the CRT: decryption rounding still does,
-but key-switch digit decomposition now goes through
-:meth:`RnsContext.decompose_digits`, an exact fast base conversion that
-produces the digits of the representative directly from the residues on
-small-int vectorized kernels (bit-identical to reconstruction, see
-:meth:`repro.backend.base.ComputeBackend.rns_digit_split`) — the digits
-it produces are small enough to convert straight back into every
-residue base.
+so the whole chain runs on the vectorized backend — key switching
+included, whose digits are the residues themselves (see
+:meth:`repro.he.params.BfvParams.gadget_factors`). Only two places need
+the *integer representative* of a coefficient: decryption rounding, which
+reconstructs through the CRT (:meth:`RnsContext.from_rns`), and the wire,
+whose format is the little-endian representative. The wire codec
+(:meth:`RnsContext.pack_le` / :meth:`RnsContext.unpack_le`) gets there
+without Python ints: outbound through :meth:`RnsContext.decompose_digits`,
+an exact fast base conversion that produces the base-2^16 digits of the
+representative directly from the residues on small-int vectorized kernels
+(bit-identical to reconstruction, see
+:meth:`repro.backend.base.ComputeBackend.rns_digit_split`); inbound
+through one byte-matrix product against the powers of 256 mod each prime.
 
 :class:`RnsContext` owns the chain: the primes, the per-prime compute
 backends, and the precomputed CRT garbage (Q/q_i and its inverse mod
@@ -141,20 +144,42 @@ class RnsContext:
             for j in range(len(parts[0]))
         ]
 
+    def pack_le(self, residues: Sequence, width: int) -> bytes:
+        """The integer representatives as ``width``-byte little-endian
+        words — the wire form of a ring element, byte-identical to
+        packing ``from_rns(residues)`` one integer at a time."""
+        digits = self.decompose_digits(residues, 16, -(-width // 2))
+        if digits is not None:
+            return self.backends[0].pack_le(digits, 2, width)
+        exact = backend_for(self.q, prefer="python")
+        return exact.pack_le([self.from_rns(residues)], width, width)
+
+    def unpack_le(self, data, width: int) -> list:
+        """Residue vectors of the ``width``-byte little-endian integers in
+        ``data`` (inverse of :meth:`pack_le`; out-of-range integers are
+        reduced, as every constructor from integers does)."""
+        be = self.backends[0]
+        if all(other is be for other in self.backends):
+            return be.unpack_le(data, width, self.primes)
+        return [
+            be.unpack_le(data, width, (p,))[0]
+            for p, be in zip(self.primes, self.backends)
+        ]
+
     def decompose_digits(
         self, residues: Sequence, base_bits: int, num_digits: int
     ) -> list | None:
         """Base-2^w digits of the integer representative, backend-native.
 
-        The key-switch hot path: equivalent to ``from_rns(residues)``
-        followed by a mask/shift split, but runs entirely on the
-        backend's small-int kernels when all residues share one backend
-        with a fast :meth:`rns_digit_split`. Returns ``None`` when no
-        exact fast kernel applies (mixed backends or a chain/width shape
-        the backend declined); callers then take the reconstruction
-        path. Each returned digit is a native vector of values
-        < 2^base_bits, suitable for :meth:`to_rns`, and is REQUIRED (and
-        tested) to be bit-identical to the reconstruction path.
+        The outbound half of the wire codec: equivalent to
+        ``from_rns(residues)`` followed by a mask/shift split, but runs
+        entirely on the backend's small-int kernels when all residues
+        share one backend with a fast :meth:`rns_digit_split`. Returns
+        ``None`` when no exact fast kernel applies (mixed backends, the
+        python backend, or a chain/width shape the backend declined);
+        :meth:`pack_le` then takes the reconstruction path. Each returned
+        digit is a native vector of values < 2^base_bits and is REQUIRED
+        (and tested) to be bit-identical to the reconstruction path.
         """
         be = self.backends[0]
         if any(other is not be for other in self.backends):

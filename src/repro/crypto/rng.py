@@ -7,12 +7,28 @@ default construction remains unpredictable.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
+import struct
+
+
+@functools.lru_cache(maxsize=None)
+def _popcount_table(eta: int) -> bytes:
+    """byte -> popcount of its low ``eta`` bits, as a ``translate`` table."""
+    mask = (1 << eta) - 1
+    return bytes(bin(b & mask).count("1") for b in range(256))
 
 
 class SecureRandom:
-    """Random source with the handful of draws the protocols need."""
+    """Random source with the handful of draws the protocols need.
+
+    The vector draws (:meth:`field_vector`, :meth:`ternary_vector`,
+    :meth:`centered_binomial_vector`) take their randomness in whole-vector
+    ``getrandbits`` calls and return plain ``list[int]``, so a seed fixes
+    the same values whichever compute backend or ring representation
+    consumes them.
+    """
 
     def __init__(self, seed: int | bytes | None = None):
         if seed is None:
@@ -23,9 +39,31 @@ class SecureRandom:
         """Uniform element of Z_modulus."""
         return self._rng.randrange(modulus)
 
+    def _words(self, count: int, width: int) -> tuple[int, ...]:
+        """``count`` uniform ``width``-byte words from one ``getrandbits``."""
+        data = self.bytes(count * width)
+        if width in (4, 8):
+            return struct.unpack(f"<{count}{'I' if width == 4 else 'Q'}", data)
+        return tuple(
+            int.from_bytes(data[i : i + width], "little")
+            for i in range(0, len(data), width)
+        )
+
     def field_vector(self, n: int, modulus: int) -> list[int]:
-        """Vector of ``n`` uniform elements of Z_modulus."""
-        return [self._rng.randrange(modulus) for _ in range(n)]
+        """Vector of ``n`` uniform elements of Z_modulus.
+
+        Exact rejection sampling over whole-vector draws: each pass takes
+        one word per missing element, masks it to the modulus' bit length
+        and keeps the values below the modulus (at least half of them).
+        """
+        bits = modulus.bit_length()
+        width = 4 if bits <= 32 else 8 if bits <= 64 else (bits + 7) // 8
+        mask = (1 << bits) - 1
+        out: list[int] = []
+        while len(out) < n:
+            words = self._words(n - len(out), width)
+            out += [v for v in (w & mask for w in words) if v < modulus]
+        return out
 
     def bit(self) -> int:
         return self._rng.getrandbits(1)
@@ -40,15 +78,21 @@ class SecureRandom:
         """Uniform integer in [low, high] inclusive."""
         return self._rng.randint(low, high)
 
-    def ternary(self) -> int:
-        """Uniform draw from {-1, 0, 1} (RLWE secret coefficient)."""
-        return self._rng.randrange(3) - 1
+    def ternary_vector(self, n: int) -> list[int]:
+        """``n`` draws from {-1, 0, 1} (RLWE secret coefficients): one
+        32-bit word each, reduced mod 3 (off uniform by under 2^-31)."""
+        return [w % 3 - 1 for w in self._words(n, 4)]
 
-    def centered_binomial(self, eta: int = 4) -> int:
-        """Centered-binomial noise draw, the standard discrete-Gaussian stand-in."""
-        return sum(self._rng.getrandbits(1) for _ in range(eta)) - sum(
-            self._rng.getrandbits(1) for _ in range(eta)
-        )
+    def centered_binomial_vector(self, n: int, eta: int = 4) -> list[int]:
+        """``n`` centered-binomial noise draws, the standard discrete-
+        Gaussian stand-in: popcount(eta bits) - popcount(eta bits), one
+        byte per half so both popcounts are C-speed table lookups."""
+        if not 1 <= eta <= 8:
+            raise ValueError("centered-binomial width must be in 1..8")
+        table = _popcount_table(eta)
+        data = self.bytes(2 * n)
+        plus, minus = data[:n].translate(table), data[n:].translate(table)
+        return [a - b for a, b in zip(plus, minus)]
 
     def shuffle(self, items: list) -> None:
         self._rng.shuffle(items)

@@ -2,9 +2,10 @@
 
 Implements exactly the surface DELPHI needs from SEAL: key generation,
 encryption, decryption, ciphertext addition, plaintext multiplication and
-addition, and slot rotations via Galois automorphisms with digit-decomposed
-key switching. Ciphertext-ciphertext multiplication is deliberately absent —
-the hybrid protocol never uses it.
+addition, and slot rotations via Galois automorphisms with gadget key
+switching (residue digits on a prime chain, positional digits otherwise).
+Ciphertext-ciphertext multiplication is deliberately absent — the hybrid
+protocol never uses it.
 
 The ciphertext-ring representation is resolved per parameter set (see
 :meth:`repro.he.params.BfvParams.resolve_representation`): ``bigint``
@@ -111,13 +112,23 @@ class Ciphertext:
         return Ciphertext(self.params, -self.c0, -self.c1)
 
 
-def make_ring_element(coeffs, params: BfvParams):
-    """Ciphertext-ring element in the params' resolved representation.
-
-    The constructor deserialization and key loading go through, so wire
-    bytes land directly in whichever representation the receiving context
-    computes in.
+def check_digit_count(params: BfvParams, galois_element: int, found: int) -> None:
+    """Reject a Galois key whose digit count is not the parameters' gadget
+    (e.g. a 16-bit-digit key from an older build): the key switch would
+    otherwise pair digits against the wrong factors and decrypt to noise.
     """
+    expected = params.num_decomp_digits
+    if found != expected:
+        raise ValueError(
+            f"Galois key for element {galois_element} carries {found} "
+            f"key-switching digits; these parameters use {expected}"
+        )
+
+
+def make_ring_element(coeffs, params: BfvParams):
+    """Ciphertext-ring element in the params' resolved representation
+    (from integer coefficients; wire bytes use
+    :func:`ring_element_from_bytes`)."""
     if params.resolve_representation() == "rns":
         ctx = RnsContext.for_primes(params.rns_primes, prefer=params.backend)
         return RnsPoly.from_coeffs(ctx, coeffs)
@@ -126,26 +137,19 @@ def make_ring_element(coeffs, params: BfvParams):
     )
 
 
-def _same_representation(digit, key0) -> bool:
-    """Whether the eval-domain key-switch fast path applies.
-
-    The fused inner product multiplies digit and key vectors on one
-    backend per ring, so the decomposed digits and the stored key
-    components must agree on representation — same RNS chain and
-    backends, or same bigint ring and backend instance. Anything else
-    (a cross-representation ciphertext) takes the coercing fallback.
+def ring_element_from_bytes(data, params: BfvParams):
+    """Ring element from its wire form (``n`` little-endian integers of
+    ``len(data) // n`` bytes), landing directly in the params' resolved
+    representation — bytes to residues or to the backend vector, with no
+    list of Python ints in between on the vectorized backend.
     """
-    if isinstance(digit, RnsPoly):
-        return (
-            isinstance(key0, RnsPoly)
-            and key0.ctx.primes == digit.ctx.primes
-            and key0.ctx.backends == digit.ctx.backends
-        )
-    return (
-        isinstance(key0, RingPoly)
-        and key0.q == digit.q
-        and key0.backend is digit.backend
-    )
+    width = len(data) // params.n
+    if params.resolve_representation() == "rns":
+        ctx = RnsContext.for_primes(params.rns_primes, prefer=params.backend)
+        return RnsPoly(ctx, ctx.unpack_le(data, width))
+    be = backend_for(params.q, prefer=params.backend)
+    (vec,) = be.unpack_le(data, width, (params.q,))
+    return RingPoly._from_vec(vec, params.q, be)
 
 
 class BfvContext:
@@ -200,7 +204,7 @@ class BfvContext:
 
     def keygen(self) -> tuple[SecretKey, PublicKey]:
         p = self.params
-        s = self._ring_poly([self._rng.ternary() for _ in range(p.n)])
+        s = self._ring_poly(self._rng.ternary_vector(p.n))
         a = self._random_uniform()
         e = self._noise()
         pk = PublicKey(p, -(a * s + e), a)
@@ -209,15 +213,15 @@ class BfvContext:
     def galois_keygen(self, sk: SecretKey, elements: list[int]) -> GaloisKeys:
         """Generate key-switching keys for each Galois element."""
         p = self.params
+        factors = p.gadget_factors()
         keys: dict[int, list[tuple]] = {}
         for g in elements:
             rotated_s = sk.s.automorphism(g)
             digits = []
-            for j in range(p.num_decomp_digits):
+            for factor in factors:
                 a_j = self._random_uniform()
                 e_j = self._noise()
-                # One key-switching digit: -(a*s + e) + rotated_s * 2^(j*w).
-                factor = pow(2, j * p.decomp_bits, p.q)
+                # One key-switching digit: -(a*s + e) + rotated_s * g_j.
                 digits.append((-(a_j * sk.s + e_j) + rotated_s * factor, a_j))
             keys[g] = digits
         gk = GaloisKeys(p, keys)
@@ -231,7 +235,7 @@ class BfvContext:
         """Encrypt a plaintext polynomial with coefficients in [0, t)."""
         p = self.params
         self._check_plaintext(plaintext)
-        u = self._ring_poly([self._rng.ternary() for _ in range(p.n)])
+        u = self._ring_poly(self._rng.ternary_vector(p.n))
         e1, e2 = self._noise(), self._noise()
         scaled = self._scale_plain(plaintext)
         c0 = pk.p0 * u + e1 + scaled
@@ -297,40 +301,44 @@ class BfvContext:
         eval-domain key components (:meth:`GaloisKeys.eval_keys`) — one
         stacked forward pass over all digits and a single two-vector
         inverse per ring, no key-side transforms and no accumulator
-        allocations. Falls back to the per-digit coefficient-domain loop
-        only when the ciphertext and keys disagree on representation
-        (e.g. a deserialized bigint ciphertext under RNS keys); both
-        paths are bit-identical.
+        allocations. The digits come from the parameters' gadget
+        (:meth:`~repro.he.params.BfvParams.gadget_factors`): on a chain
+        they are the residues c1 already consists of.
         """
         p = self.params
         if galois_element not in gk.keys:
             raise KeyError(f"no Galois key for element {galois_element}")
+        check_digit_count(p, galois_element, len(gk.keys[galois_element]))
         rotated_c0 = ct.c0.automorphism(galois_element)
         rotated_c1 = ct.c1.automorphism(galois_element)
-        digits = rotated_c1.decompose(p.decomp_bits, p.num_decomp_digits)
-        key_pairs = gk.keys[galois_element]
-        if _same_representation(digits[0], key_pairs[0][0]):
-            m0, m1 = key_switch_inner(digits, gk.eval_keys(galois_element))
-            return Ciphertext(p, rotated_c0 + m0, m1)
-        new_c0 = rotated_c0
-        new_c1 = None
-        for d_j, (k0, k1) in zip(digits, key_pairs):
-            # Each digit hits both key components: share its forward NTT.
-            m0, m1 = multiply_shared(d_j, (k0, k1))
-            new_c0 = new_c0 + m0
-            new_c1 = m1 if new_c1 is None else new_c1 + m1
-        return Ciphertext(p, new_c0, new_c1)
+        digits = rotated_c1.decompose(p.rns_primes, p.decomp_bits)
+        m0, m1 = key_switch_inner(digits, gk.eval_keys(galois_element))
+        return Ciphertext(p, rotated_c0 + m0, m1)
 
     # -- helpers --------------------------------------------------------------
 
     def _random_uniform(self):
+        """Uniform ring element. On a chain it is drawn as one uniform
+        residue vector per prime (the CRT image of uniform mod q), so no
+        wide integer is ever sampled; the bigint oracle reconstructs the
+        same element from the same draws."""
         p = self.params
-        return self._ring_poly([self._rng.field_element(p.q) for _ in range(p.n)])
+        if p.rns_primes is None:
+            return self._ring_poly(self._rng.field_vector(p.n, p.q))
+        rns = self._rns or RnsContext.for_primes(p.rns_primes, prefer=p.backend)
+        poly = RnsPoly(
+            rns,
+            [
+                be.asvec(self._rng.field_vector(p.n, prime), prime)
+                for prime, be in zip(rns.primes, rns.backends)
+            ],
+        )
+        return poly if self._rns is not None else self._ring_poly(poly.coeffs)
 
     def _noise(self):
         p = self.params
         return self._ring_poly(
-            [self._rng.centered_binomial(p.noise_eta) for _ in range(p.n)]
+            self._rng.centered_binomial_vector(p.n, p.noise_eta)
         )
 
     def _check_plaintext(self, plaintext: RingPoly) -> None:

@@ -132,7 +132,7 @@ class NegacyclicNtt:
         The shared operand is twisted and transformed exactly once, and all
         forward transforms (1 + len(others)) land in a single batched plan
         call — likewise the inverse transforms — so a two-component
-        ciphertext op (c0, c1 against one plaintext or key digit) costs one
+        ciphertext op (c0, c1 against one plaintext) costs one
         stacked forward and one stacked inverse instead of four and two
         separate transforms. Outputs are fully reduced and bit-identical to
         ``[multiply_vec(shared, o) for o in others]``.
@@ -172,7 +172,9 @@ class NegacyclicNtt:
         twisted = [be.mul(v, self._psi_powers, q) for v in digit_vecs]
         transformed = self._ntt._plan.forward_many(twisted)
         acc0 = acc1 = None
-        for f, k0, k1 in zip(transformed, key0_evals, key1_evals):
+        for f, k0, k1 in zip(
+            transformed, key0_evals, key1_evals, strict=True
+        ):  # a digit/key count mismatch must not truncate silently
             p0 = be.mul(f, k0, q)
             p1 = be.mul(f, k1, q)
             acc0 = p0 if acc0 is None else be.add(acc0, p0, q)

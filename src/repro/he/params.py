@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.crypto.modmath import (
+    crt_combine,
     find_ntt_prime,
     generate_ntt_primes,
     register_modulus_factors,
@@ -47,7 +48,11 @@ class BfvParams:
             prime, or the product of the ``rns_primes`` chain.
         t: plaintext modulus (prime, ≡ 1 mod 2n so batching works).
         noise_eta: centered-binomial width for fresh encryption noise.
-        decomp_bits: digit width for key-switching decomposition.
+        decomp_bits: key-switching digit width of a *chainless* modulus
+            (base-2^w positional digits; defaults to 16). Parameter sets
+            with an ``rns_primes`` chain key-switch on the chain itself —
+            one digit per prime, see :meth:`gadget_factors` — and reject
+            a ``decomp_bits`` rather than ignore it.
         backend: compute backend preference ('auto', 'python', 'numpy')
             for every object built from these params; whatever is chosen,
             moduli a backend cannot handle exactly fall back to python
@@ -62,7 +67,7 @@ class BfvParams:
     q: int
     t: int
     noise_eta: int = 4
-    decomp_bits: int = 16
+    decomp_bits: int | None = None
     backend: str = "auto"
     rns_primes: tuple[int, ...] | None = None
     representation: str = "auto"
@@ -81,7 +86,17 @@ class BfvParams:
                 f"unknown representation {self.representation!r}; choose one "
                 f"of {', '.join(_REPRESENTATIONS)}"
             )
-        if self.rns_primes is not None:
+        if self.rns_primes is None:
+            if self.representation == "rns":
+                raise ValueError("representation='rns' requires rns_primes")
+            if self.decomp_bits is None:
+                object.__setattr__(self, "decomp_bits", 16)
+        else:
+            if self.decomp_bits is not None:
+                raise ValueError(
+                    "decomp_bits applies to chainless parameters only: a "
+                    "chain key-switches with one digit per rns_primes entry"
+                )
             primes = tuple(int(p) for p in self.rns_primes)
             object.__setattr__(self, "rns_primes", primes)
             product = 1
@@ -96,8 +111,6 @@ class BfvParams:
             # Distinctness is checked here; the bigint oracle needs the
             # factorization to find roots of unity in the composite ring.
             register_modulus_factors(self.q, primes)
-        elif self.representation == "rns":
-            raise ValueError("representation='rns' requires rns_primes")
 
     def resolve_representation(self) -> str:
         """The concrete ciphertext-ring representation for these params.
@@ -153,7 +166,31 @@ class BfvParams:
 
     @property
     def num_decomp_digits(self) -> int:
+        """Key-switching digits per Galois key (= pairs on the wire)."""
+        if self.rns_primes is not None:
+            return len(self.rns_primes)
         return -(-self.q_bits // self.decomp_bits)
+
+    def gadget_factors(self) -> list[int]:
+        """The key-switching gadget g with <digits(c), g> = c mod q.
+
+        Chain parameters use the RNS gadget SEAL uses: digit i of c is
+        its residue mod p_i and g_i is the CRT idempotent
+        (q/p_i)·[(q/p_i)^-1 mod p_i] — 1 mod p_i, 0 mod every other chain
+        prime — so the digits are the residues the ring already holds.
+        Chainless parameters use base-2^decomp_bits positional digits
+        with g_j = 2^(j·decomp_bits).
+        """
+        if self.rns_primes is None:
+            return [
+                pow(2, j * self.decomp_bits, self.q)
+                for j in range(self.num_decomp_digits)
+            ]
+        k = len(self.rns_primes)
+        return [
+            crt_combine([int(i == j) for j in range(k)], self.rns_primes)
+            for i in range(k)
+        ]
 
     field_cache: dict = field(default_factory=dict, compare=False, hash=False)
 
@@ -165,7 +202,9 @@ def toy_params(n: int = 256, t_bits: int = 17) -> BfvParams:
     so the ring runs RNS-vectorized whenever numpy is available — leaves
     enough noise headroom for a chain of row rotations followed by a
     plaintext multiplication with full-width weights, which is what the
-    diagonal-method matvec performs.
+    diagonal-method matvec performs: key-switching on the four residues
+    (see :func:`delphi_params`) it keeps 22 of its 76 fresh bits after a
+    full-row (128-wide) matvec, 25 after a 16-wide one.
     """
     primes = generate_ntt_primes(n, count=4, bits=25)
     q = 1
@@ -180,14 +219,15 @@ def fast_params(n: int = 256, t_bits: int = 17, backend: str = "auto") -> BfvPar
 
     Like :func:`toy_params` but with a single 62-bit ciphertext prime —
     the widest the numpy backend's Shoup reduction handles exactly — so
-    the whole BFV pipeline runs vectorized without RNS bookkeeping. The
-    narrower q buys noise budget back by shrinking the key-switching
-    digits to 4 bits (more digits per rotation, each contributing far
-    less noise): a full-row diagonal matvec at a 17-bit plaintext field
-    retains ~9 bits of budget, versus going negative with the default
-    16-bit digits. The python backend computes these parameters exactly
-    too, which is what makes cross-backend parity and benchmark
-    comparisons apples-to-apples.
+    the whole BFV pipeline runs vectorized without RNS bookkeeping. With
+    no chain to key-switch on, it keeps the positional gadget, and the
+    narrower q buys noise budget back by shrinking the digits to 4 bits
+    (sixteen digits per rotation, each contributing far less noise): a
+    16-wide diagonal matvec at a 17-bit plaintext field retains ~9 bits
+    of budget and a full-row (128-wide) one 3-6, versus going negative
+    with the default 16-bit digits. The python backend computes these
+    parameters exactly too, which is what makes cross-backend parity and
+    benchmark comparisons apples-to-apples.
     """
     q = find_ntt_prime(62, n)
     t = find_ntt_prime(t_bits, n)
@@ -210,6 +250,21 @@ def delphi_params() -> BfvParams:
     that term at 120 bits, but no <2^31 chain prime can satisfy a 41-bit
     congruence, and the chain is what puts the ring on the vectorized
     backend — SEAL makes the same trade.)
+
+    Key switching uses the chain as its gadget, as SEAL does: six digits,
+    the residues of c1, against the six CRT idempotents
+    (:meth:`BfvParams.gadget_factors`) — half the key material of the
+    twelve 16-bit positional digits this set used before, and no base
+    conversion inside a rotation. The price is noise. One key switch adds
+    Σ_i d_i·e_i with d_i < 2^30 and centered-binomial e_i (variance 2):
+    about 2^30·sqrt(6·n·2) ≈ 2^37, peaks near 2^39, where 16-bit digits
+    added ~2^25. The diagonal matvec then multiplies by full-width
+    weights (~sqrt(n)·t ≈ 2^47 per term) and sums w terms, so the
+    rotation share lands near 2^(86 + log2(w)/2) — now level with the
+    rounding term instead of far below it. Measured budget after a
+    width-w matvec with random 41-bit weights (fresh: 131 bits): 50 bits
+    at w = 16 and 46 at w = 256, down from 55 and 51; the floor is pinned
+    in ``tests/test_keyswitch_gadget.py``.
     """
     n = 2048
     t = find_ntt_prime(41, n)

@@ -13,8 +13,10 @@ Two representations of a ring element are provided:
   ``tests/test_rns_parity.py``.
 
 The ``coeffs`` property of either class materializes (and caches) a
-plain-int list for serialization, decryption and tests — for ``RnsPoly``
-that is the CRT reconstruction.
+plain-int list for decryption and tests — for ``RnsPoly`` that is the CRT
+reconstruction. Serialization does not go through it: ``to_bytes`` packs
+the wire form from the backend vectors (see
+:meth:`repro.backend.rns.RnsContext.pack_le`).
 
 Long-lived operands that are always *multiplied* — Galois key components
 in the key switch — additionally have an NTT-domain form
@@ -132,6 +134,11 @@ class RingPoly:
         """Backend-native coefficient vector (treat as immutable)."""
         return self._vec
 
+    def to_bytes(self, width: int) -> bytes:
+        """Wire form: every coefficient as ``width`` little-endian bytes,
+        packed straight from the backend vector."""
+        return self._backend.pack_le([self._vec], width, width)
+
     def _coerce(self, other: "RingPoly | RnsPoly"):
         """Other's vector on this poly's backend (same ring checked first).
 
@@ -191,13 +198,23 @@ class RingPoly:
             be.automorphism(self._vec, galois_element, self.q), self.q, be
         )
 
-    def decompose(self, base_bits: int, num_digits: int) -> list["RingPoly"]:
-        """Digit decomposition: self = sum_j digits[j] * 2^(j*base_bits)."""
+    def decompose(self, chain, base_bits: int | None = None) -> list["RingPoly"]:
+        """Key-switching digits, self = sum_j digits[j] * g_j mod q for
+        the gadget g of :meth:`repro.he.params.BfvParams.gadget_factors`.
+
+        Along a prime ``chain`` (whose product is q) digit i is every
+        coefficient's residue mod chain[i] — the bigint reference
+        :meth:`RnsPoly.decompose` is held bit-identical to. A chainless
+        modulus (``chain`` None) splits into base-2^base_bits positional
+        digits instead.
+        """
         be = self._backend
-        return [
-            RingPoly._from_vec(digit, self.q, be)
-            for digit in be.decompose(self._vec, base_bits, num_digits, self.q)
-        ]
+        if chain is None:
+            num_digits = -(-self.q.bit_length() // base_bits)
+            vecs = be.decompose(self._vec, base_bits, num_digits, self.q)
+        else:
+            vecs = [be.asvec(self._vec, p) for p in chain]
+        return [RingPoly._from_vec(vec, self.q, be) for vec in vecs]
 
     def to_eval(self) -> "EvalRingPoly":
         """NTT-domain form (for key material that is only ever multiplied)."""
@@ -302,10 +319,11 @@ class RnsPoly:
     ``residues[i]`` is a backend-native coefficient vector mod the chain's
     i-th prime. All ring operations act residue-wise (they commute with
     the CRT isomorphism), so each runs as small-modulus vectorized
-    kernels; only ``coeffs`` — and the operations that genuinely need the
-    integer representative, decryption rounding and digit decomposition —
-    pay for CRT reconstruction. Mirrors the :class:`RingPoly` surface the
-    BFV layer uses, so ciphertexts are representation-agnostic.
+    kernels — key-switch digits included, they *are* the residues; only
+    ``coeffs`` and decryption rounding, which need the integer
+    representative, pay for CRT reconstruction. Mirrors the
+    :class:`RingPoly` surface the BFV layer uses, so ciphertexts are
+    representation-agnostic.
     """
 
     __slots__ = ("ctx", "residues", "n", "_coeffs")
@@ -340,6 +358,12 @@ class RnsPoly:
         if self._coeffs is None:
             self._coeffs = self.ctx.from_rns(self.residues)
         return self._coeffs
+
+    def to_bytes(self, width: int) -> bytes:
+        """Wire form: the integer representative of every coefficient as
+        ``width`` little-endian bytes (:meth:`RnsContext.pack_le`, no CRT
+        reconstruction on the vectorized backend)."""
+        return self.ctx.pack_le(self.residues, width)
 
     def _coerce(self, other: "RnsPoly | RingPoly") -> "RnsPoly":
         if isinstance(other, RnsPoly):
@@ -421,39 +445,16 @@ class RnsPoly:
             lambda i, p, be: be.automorphism(self.residues[i], galois_element, p)
         )
 
-    def decompose(self, base_bits: int, num_digits: int) -> list["RnsPoly"]:
-        """Digit decomposition of the *integer representative* of each
-        coefficient — the exact base conversion the key switch needs, in
-        one of two bit-identical flavours:
-
-        * fast path: :meth:`RnsContext.decompose_digits` produces the
-          digits straight from the residues on small-int vectorized
-          kernels (no bigint reconstruction at all);
-        * fallback (mixed backends, an already-reconstructed poly, or a
-          chain/width shape the backend declined): reconstruct once
-          through the CRT — reusing the cached ``coeffs`` if present —
-          then mask/shift.
-
-        Either way each (small) digit converts straight back into every
-        residue base.
+    def decompose(self, chain, base_bits: int | None = None) -> list["RnsPoly"]:
+        """Key-switching digits along the element's own chain: digit i is
+        residue i re-expressed in every base — at most one reduction of an
+        already-small vector per base, no base conversion and no integer
+        representative. Bit-identical to :meth:`RingPoly.decompose` along
+        the same chain.
         """
-        if self._coeffs is None:
-            split = self.ctx.decompose_digits(
-                self.residues, base_bits, num_digits
-            )
-            if split is not None:
-                return [
-                    RnsPoly.from_coeffs(self.ctx, digit) for digit in split
-                ]
-        mask = (1 << base_bits) - 1
-        work = self.coeffs
-        digits = []
-        for _ in range(num_digits):
-            digits.append(
-                RnsPoly.from_coeffs(self.ctx, [c & mask for c in work])
-            )
-            work = [c >> base_bits for c in work]
-        return digits
+        if tuple(chain or ()) != self.ctx.primes:
+            raise ValueError("an RNS element decomposes along its own chain")
+        return [RnsPoly.from_coeffs(self.ctx, r) for r in self.residues]
 
     def to_eval(self) -> "EvalRnsPoly":
         """NTT-domain form, residue-wise (see :class:`EvalRingPoly`)."""
@@ -533,8 +534,9 @@ def key_switch_inner(digits, key_pairs):
     :meth:`~repro.he.ntt.NegacyclicNtt.key_switch_inner_vec` (per
     residue ring for RNS), so each ring pays one stacked digit forward
     pass and one two-vector inverse — key material is never
-    forward-transformed here. Bit-identical to the per-digit
-    ``multiply_shared`` + accumulate loop it replaces.
+    forward-transformed here. Bit-identical to a per-digit
+    ``multiply_shared`` + accumulate loop. Digits and keys must be one
+    per gadget factor; a count mismatch raises instead of truncating.
     """
     first = digits[0]
     if isinstance(first, RnsPoly):
@@ -566,9 +568,9 @@ def key_switch_inner(digits, key_pairs):
 def multiply_shared(shared, others):
     """Products shared*o for each ring element o, batching NTT transforms.
 
-    The shared operand (a lifted plaintext in ``mul_plain``, a key-switch
-    digit in ``rotate``) is forward-transformed once and all transforms
-    run as stacked plan calls — see
+    The shared operand (the lifted plaintext in ``mul_plain``) is
+    forward-transformed once and all transforms run as stacked plan
+    calls — see
     :meth:`~repro.he.ntt.NegacyclicNtt.multiply_shared_vec`. Dispatches on
     representation; results are bit-identical to ``[shared * o for o in
     others]`` either way.

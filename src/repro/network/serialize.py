@@ -22,7 +22,13 @@ import struct
 from repro.crypto.prg import LABEL_BYTES
 from repro.gc.circuit import Circuit
 from repro.gc.garble import GarbledCircuit, GarbledGate, InputEncoding
-from repro.he.bfv import Ciphertext, GaloisKeys, PublicKey, make_ring_element
+from repro.he.bfv import (
+    Ciphertext,
+    GaloisKeys,
+    PublicKey,
+    check_digit_count,
+    ring_element_from_bytes,
+)
 from repro.he.params import BfvParams
 
 # -- wire header ---------------------------------------------------------------
@@ -151,32 +157,39 @@ def deserialize_field_vector(data: bytes) -> list[int]:
 # -- BFV ciphertexts and keys ----------------------------------------------------
 
 def _serialize_poly_pair(params: BfvParams, a, b) -> bytes:
-    """Two ring polynomials, coefficients packed at ceil(log2 q)/8 bytes."""
+    """Two ring polynomials, coefficients packed at ceil(log2 q)/8 bytes
+    (the little-endian integer representative, whatever representation
+    the polynomials compute in)."""
     width = _coeff_width(params.q)
-    body = bytearray(struct.pack("<IB", params.n, width))
-    for poly in (a, b):
-        for coeff in poly.coeffs:
-            body += _pack_uint(coeff, width)
-    return bytes(body)
+    return (
+        struct.pack("<IB", params.n, width)
+        + a.to_bytes(width)
+        + b.to_bytes(width)
+    )
 
 
 def _deserialize_poly_pair(data: bytes, offset: int, params: BfvParams):
+    if offset + 5 > len(data):
+        raise ValueError("truncated polynomial pair header")
     n, width = struct.unpack_from("<IB", data, offset)
     if n != params.n:
         raise ValueError(f"degree mismatch: wire {n} vs params {params.n}")
     if width != _coeff_width(params.q):
         raise ValueError("coefficient width mismatch")
     offset += 5
-    polys = []
-    for _ in range(2):
-        coeffs = []
-        for _ in range(n):
-            coeffs.append(int.from_bytes(data[offset : offset + width], "little"))
-            offset += width
-        # Lands in the params' resolved representation (bigint or RNS), so
-        # a deserialized element computes natively at the receiver.
-        polys.append(make_ring_element(coeffs, params))
-    return polys[0], polys[1], offset
+    size = n * width
+    if offset + 2 * size > len(data):
+        raise ValueError(
+            f"truncated polynomial pair: {len(data) - offset} of "
+            f"{2 * size} coefficient bytes"
+        )
+    view = memoryview(data)
+    # Lands in the params' resolved representation (bigint or RNS), so a
+    # deserialized element computes natively at the receiver.
+    first = ring_element_from_bytes(view[offset : offset + size], params)
+    offset += size
+    second = ring_element_from_bytes(view[offset : offset + size], params)
+    return first, second, offset + size
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
@@ -227,11 +240,16 @@ def serialize_galois_keys(gk: GaloisKeys) -> bytes:
 
 def deserialize_galois_keys(data: bytes, params: BfvParams) -> GaloisKeys:
     read_wire_header(data, FMT_GALOIS_KEYS)
+    if len(data) < WIRE_HEADER_BYTES + 4:
+        raise ValueError("truncated Galois keys header")
     (n_elements,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
     offset = WIRE_HEADER_BYTES + 4
     keys: dict[int, list[tuple]] = {}
     for _ in range(n_elements):
+        if offset + 8 > len(data):
+            raise ValueError("truncated Galois key header")
         g, n_digits = struct.unpack_from("<II", data, offset)
+        check_digit_count(params, g, n_digits)
         offset += 8
         digits = []
         for _ in range(n_digits):

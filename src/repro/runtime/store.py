@@ -49,7 +49,12 @@ KIND_OT = "ot"  # an OT label correlation batch
 
 
 def params_fingerprint(params) -> str:
-    """Short stable id for a parameter set (store directory component)."""
+    """Short stable id for a parameter set (store directory component).
+
+    Covers the key-switching gadget — ``decomp_bits`` for a chainless
+    modulus, the chain itself (``decomp_bits`` is None) otherwise — so
+    entries minted under another gadget are never looked up.
+    """
     material = repr(
         (
             params.n,

@@ -13,7 +13,14 @@ import random
 
 import pytest
 
-from repro.backend import available_backends, backend_for, get_backend, set_backend
+from repro.backend import (
+    active_backend_name,
+    available_backends,
+    backend_for,
+    get_backend,
+    set_backend,
+    using_backend,
+)
 from repro.crypto.modmath import (
     find_ntt_prime,
     matvec_mod,
@@ -118,12 +125,41 @@ class TestKernelParity:
         s = rng.randrange(q)
         assert (pa * s).coeffs == (na * s).coeffs
         assert pa.automorphism(3).coeffs == na.automorphism(3).coeffs
-        digits_py = pa.decompose(4, 8)
-        digits_np = na.decompose(4, 8)
+        digits_py = pa.decompose(None, 4)  # chainless: base-2^4 digits
+        digits_np = na.decompose(None, 4)
+        assert len(digits_py) == -(-q_bits // 4)
         assert [d.coeffs for d in digits_py] == [d.coeffs for d in digits_np]
+        assert pa.to_bytes(8) == na.to_bytes(8)
         # Negative / unreduced construction agrees too.
         raw = [rng.randrange(-q, 2 * q) for _ in range(n)]
         assert RingPoly(raw, q, backend=PY) == RingPoly(raw, q, backend=NP)
+
+    def test_wire_codec_kernels(self):
+        """``pack_le``/``unpack_le`` against the per-integer definition:
+        one limb and interleaved 16-bit limbs out; in, the lane view
+        (width <= 8), the byte-table product (small moduli) and the exact
+        fallback (a modulus too wide for the product to stay in a lane)."""
+        rng = random.Random(9)
+        values = [0, 1, (1 << 40) - 1] + [rng.randrange(1 << 40) for _ in range(30)]
+        want = b"".join(v.to_bytes(5, "little") for v in values)
+        assert PY.pack_le([values], 5, 5) == want
+        assert NP.pack_le([NP.asvec(values, 1 << 40)], 5, 5) == want
+        limbs = [[(v >> (16 * j)) & 0xFFFF for v in values] for j in range(3)]
+        assert PY.pack_le(limbs, 2, 5) == want
+        assert NP.pack_le([NP.asvec(d, 1 << 16) for d in limbs], 2, 5) == want
+        q30, q31 = find_ntt_prime(30, 64), find_ntt_prime(31, 64)
+        q62 = find_ntt_prime(62, 64)
+        for width, moduli in ((5, (q30, q62)), (12, (q30, q31)), (12, (q30, q62))):
+            data = bytes(rng.randrange(256) for _ in range(40 * width))
+            data = b"\xff" * width + data[width:]
+            ints = [
+                int.from_bytes(data[i : i + width], "little")
+                for i in range(0, len(data), width)
+            ]
+            expected = [[v % q for v in ints] for q in moduli]
+            assert PY.unpack_le(data, width, moduli) == expected
+            got = NP.unpack_le(memoryview(data), width, moduli)
+            assert [NP.tolist(v) for v in got] == expected
 
     @pytest.mark.parametrize("q_bits", (18, 41, 62))
     def test_vector_helpers(self, q_bits):
@@ -132,8 +168,7 @@ class TestKernelParity:
         q = find_ntt_prime(q_bits, 16) if q_bits != 41 else find_ntt_prime(41, 16)
         a, b = rand_vec(rng, n, q), rand_vec(rng, n, q)
         for name in ("python", "numpy"):
-            set_backend(name)
-            try:
+            with using_backend(name):
                 assert mod_add_vec(a, b, q) == [(x + y) % q for x, y in zip(a, b)]
                 assert mod_sub_vec(a, b, q) == [(x - y) % q for x, y in zip(a, b)]
                 assert mod_mul_vec(a, b, q) == [x * y % q for x, y in zip(a, b)]
@@ -143,8 +178,6 @@ class TestKernelParity:
                     sum(w * x for w, x in zip(row, a)) % q for row in matrix
                 ]
                 assert matvec_mod(matrix, a, q) == want
-            finally:
-                set_backend("auto")
 
 
 class TestBfvParity:
@@ -153,8 +186,7 @@ class TestBfvParity:
         values = list(range(100))
         results = {}
         for name in ("python", "numpy"):
-            set_backend(name)
-            try:
+            with using_backend(name):
                 clear_ntt_cache()
                 ctx = BfvContext(params, SecureRandom(7))
                 encoder = BatchEncoder(params)
@@ -168,8 +200,6 @@ class TestBfvParity:
                     "c1": ct.c1.coeffs,
                     "decoded": decoded[:100],
                 }
-            finally:
-                set_backend("auto")
         # Same seeded randomness: the entire transcript must match exactly.
         assert results["python"] == results["numpy"]
         assert results["numpy"]["decoded"] == values
@@ -186,8 +216,7 @@ class TestBfvParity:
         ]
         outputs = {}
         for name in ("python", "numpy"):
-            set_backend(name)
-            try:
+            with using_backend(name):
                 clear_ntt_cache()
                 ctx = BfvContext(params, SecureRandom(9))
                 encoder = BatchEncoder(params)
@@ -198,8 +227,6 @@ class TestBfvParity:
                 ct_y = evaluator.matvec(ct, matrix)
                 assert ctx.noise_budget_bits(sk, ct_y) > 0
                 outputs[name] = encoder.decode(ctx.decrypt(sk, ct_y))[:n_out]
-            finally:
-                set_backend("auto")
         assert outputs["python"] == outputs["numpy"] == want
 
 
@@ -217,16 +244,13 @@ class TestProtocolParity:
         x = list(range(4))
         runs = {}
         for name in ("python", "numpy"):
-            set_backend(name)
-            try:
+            with using_backend(name):
                 clear_ntt_cache()
                 proto = HybridProtocol(net, params, garbler="client", seed=21)
                 proto.run_offline()
                 logits = proto.run_online(x)
                 assert logits == proto.plaintext_reference(x)
                 runs[name] = (logits, proto.channel.total_bytes)
-            finally:
-                set_backend("auto")
         # Identical logits and identical transcript byte accounting.
         assert runs["python"] == runs["numpy"]
 
@@ -236,20 +260,33 @@ class TestBackendSelection:
         huge = (1 << 100) + 277  # anything >= 2^63 must not hit numpy
         assert backend_for(huge).name == "python"
         assert backend_for(huge, prefer="numpy").name == "python"
-        set_backend("numpy")
-        try:
+        with using_backend("numpy"):
             assert backend_for(huge).name == "python"
             assert backend_for((1 << 61) + 1).name == "numpy"
-        finally:
-            set_backend("auto")
 
     def test_explicit_python_never_uses_numpy(self):
-        set_backend("python")
-        try:
+        with using_backend("python"):
             assert backend_for(97).name == "python"
             assert get_backend().name == "python"
-        finally:
-            set_backend("auto")
+
+    def test_using_backend_restores_the_previous_selection(self):
+        """Not ``auto``: whatever was selected before the block — else a
+        parent under REPRO_BACKEND=python and its pool workers (which
+        re-read the environment) would mint on different backends."""
+        before = active_backend_name()
+        with using_backend("python"):
+            with using_backend("numpy"):
+                assert active_backend_name() == "numpy"
+            assert active_backend_name() == "python"
+            with pytest.raises(RuntimeError):
+                with using_backend("numpy"):
+                    raise RuntimeError("restored on the way out too")
+            assert active_backend_name() == "python"
+        assert active_backend_name() == before
+        with pytest.raises(ValueError):
+            with using_backend("cuda"):
+                pass
+        assert active_backend_name() == before
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -285,16 +322,13 @@ class TestBackendSelection:
         net = tiny_mlp(tiny_dataset(size=2, classes=2), hidden=4)
         params = fast_params(n=128)
         net.randomize_weights(params.t, np.random.default_rng(1))
-        set_backend("python")
-        try:
+        with using_backend("python"):
             proto = HybridProtocol(net, params, seed=3, backend="numpy")
             assert proto._vectorize_gc
             assert isinstance(proto.lowered.linears[0].matrix, np.ndarray)
             inverse = HybridProtocol(net, params, seed=3, backend="python")
             assert not inverse._vectorize_gc
             assert isinstance(inverse.lowered.linears[0].matrix, list)
-        finally:
-            set_backend("auto")
 
     def test_system_config_threads_backend(self):
         from repro.core.system import SystemConfig

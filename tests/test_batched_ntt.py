@@ -205,6 +205,28 @@ class TestPinnedOpCounts:
             )
             assert counter.vectors["forward_many"] == 3
 
+    def test_rns_rotate_is_one_digit_per_chain_prime(self):
+        """On a chain the key-switch digits are the residues: every
+        residue ring forwards exactly len(chain) digit rows in one stacked
+        pass and inverts two — no base conversion, no extra transforms."""
+        params = dataclasses.replace(toy_params(n=64), representation="rns")
+        ctx, encoder, sk, ct = self._rig(params)
+        g = encoder.galois_element_for_rotation(1)
+        gk = ctx.galois_keygen(sk, [g])
+        counters = [
+            _counted_context(params.n, prime, be)[1]
+            for prime, be in zip(ctx._rns.primes, ctx._rns.backends)
+        ]
+        rotated = ctx.rotate(ct, g, gk)
+        assert params.num_decomp_digits == len(params.rns_primes) == 4
+        for counter in counters:
+            assert counter.calls == Counter(
+                {"forward_many": 1, "inverse_unscaled_many": 1}
+            )
+            assert counter.vectors["forward_many"] == 4
+            assert counter.vectors["inverse_unscaled_many"] == 2
+        assert encoder.decode(ctx.decrypt(sk, rotated))[:7] == list(range(1, 8))
+
     def test_batched_output_still_decrypts(self):
         params = fast_params(n=64)
         ctx, encoder, sk, ct = self._rig(params)

@@ -55,4 +55,8 @@ def test_record_flag_merges_the_rows(bench_conftest, tmp_path, monkeypatch):
     target = committed_copy(tmp_path)
     bench_conftest.pytest_sessionfinish(finished_session(tmp_path), 0)
     column = json.loads(target.read_text())["backends"][get_backend().name]
-    assert column["results"]["test_bench_probe"]["min_s"] == 0.001
+    row = column["results"]["test_bench_probe"]
+    assert row["min_s"] == 0.001
+    # Every recorded row says where it came from.
+    assert row["backend"] == get_backend().name
+    assert row["nproc"] >= 1 and row["python"] and "numpy" in row

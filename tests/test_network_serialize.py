@@ -1,5 +1,9 @@
 """Round-trip and size tests for the wire serialization codecs."""
 
+import dataclasses
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +12,13 @@ from repro.crypto.rng import SecureRandom
 from repro.gc.circuit import CircuitBuilder
 from repro.gc.evaluate import Evaluator
 from repro.gc.garble import Garbler
-from repro.he.bfv import BfvContext
+from repro.backend import available_backends
+from repro.he.bfv import BfvContext, Ciphertext, make_ring_element
 from repro.he.encoder import BatchEncoder
-from repro.he.params import toy_params
+from repro.he.params import delphi_params, fast_params, toy_params
+from repro.he.polynomial import RingPoly, RnsPoly
 from repro.network.serialize import (
+    FMT_CIPHERTEXT,
     WIRE_MAGIC,
     WIRE_VERSION,
     ciphertext_wire_bytes,
@@ -32,6 +39,7 @@ from repro.network.serialize import (
     serialize_label_lists,
     serialize_labels,
     serialize_public_key,
+    wire_header,
 )
 
 PARAMS = toy_params(n=128)
@@ -110,6 +118,128 @@ class TestCiphertext:
         other = toy_params(n=256)
         with pytest.raises(ValueError):
             deserialize_ciphertext(wire, other)
+
+
+def reference_poly_pair(params, a_coeffs, b_coeffs) -> bytes:
+    """The wire format, written out the slow obvious way: ``(n, width)``
+    then every integer coefficient as ``width`` little-endian bytes."""
+    width = (params.q.bit_length() + 7) // 8
+    body = struct.pack("<IB", params.n, width)
+    for coeffs in (a_coeffs, b_coeffs):
+        body += b"".join(int(c).to_bytes(width, "little") for c in coeffs)
+    return body
+
+
+def ring_codec_cases():
+    """(id, params) over every way a ring element is held in memory."""
+    cases = []
+    for name, params in (
+        ("delphi", delphi_params()),
+        ("toy", toy_params(n=128)),
+        ("fast", fast_params(n=128)),
+    ):
+        for backend in available_backends():
+            pinned = dataclasses.replace(params, backend=backend)
+            if params.rns_primes is None:
+                cases.append((f"{name}-{backend}", pinned))
+                continue
+            for rep in ("rns", "bigint"):
+                cases.append((
+                    f"{name}-{rep}-{backend}",
+                    dataclasses.replace(pinned, representation=rep),
+                ))
+    return cases
+
+
+RING_CODEC_CASES = ring_codec_cases()
+
+
+class TestRingCodec:
+    """The vectorized RNS <-> wire-bytes codec is the same format, byte
+    for byte, as a per-coefficient integer encoder — on every
+    representation and backend — and a short frame says so up front."""
+
+    @staticmethod
+    def _coeffs(params, seed):
+        rng = random.Random(seed)
+        q = params.q
+        edges = [0, 1, q - 1, q - 2, q // 2, q // 2 + 1, 255, 256, (1 << 64) % q]
+        return edges + [rng.randrange(q) for _ in range(params.n - len(edges))]
+
+    @pytest.mark.parametrize(
+        "params", [c[1] for c in RING_CODEC_CASES], ids=[c[0] for c in RING_CODEC_CASES]
+    )
+    def test_bytes_match_the_integer_encoder_and_round_trip(self, params):
+        a, b = self._coeffs(params, 1), self._coeffs(params, 2)
+        c0, c1 = make_ring_element(a, params), make_ring_element(b, params)
+        expected_type = (
+            RnsPoly if params.resolve_representation() == "rns" else RingPoly
+        )
+        assert isinstance(c0, expected_type)
+        wire = serialize_ciphertext(Ciphertext(params, c0, c1))
+        assert wire[4:] == reference_poly_pair(params, a, b)
+        assert len(wire) == ciphertext_wire_bytes(params)
+        restored = deserialize_ciphertext(wire, params)
+        assert isinstance(restored.c0, expected_type)
+        assert restored.c0.coeffs == a and restored.c1.coeffs == b
+        assert serialize_ciphertext(restored) == wire
+
+    def test_edge_polynomials(self):
+        """All-zero, all-one and all-(q-1) polynomials: the constant rows
+        are where a carry or correction bug in the limb conversion hides."""
+        for _, params in RING_CODEC_CASES:
+            for value in (0, 1, params.q - 1):
+                coeffs = [value] * params.n
+                poly = make_ring_element(coeffs, params)
+                wire = serialize_ciphertext(Ciphertext(params, poly, poly))
+                assert wire[4:] == reference_poly_pair(params, coeffs, coeffs)
+                assert deserialize_ciphertext(wire, params).c1.coeffs == coeffs
+
+    def test_unreduced_integers_reduce_the_same_everywhere(self):
+        """Bytes spelling integers >= q (a hostile or corrupted frame)
+        land as the same ring element in every representation."""
+        for name in ("toy", "delphi"):
+            cases = [p for cid, p in RING_CODEC_CASES if cid.startswith(name)]
+            width = (cases[0].q.bit_length() + 7) // 8
+            rng = random.Random(5)
+            body = bytes(rng.randrange(256) for _ in range(2 * cases[0].n * width))
+            body = b"\xff" * width + body[width:]
+            frame = (
+                wire_header(FMT_CIPHERTEXT)
+                + struct.pack("<IB", cases[0].n, width)
+                + body
+            )
+            want = [
+                int.from_bytes(body[i : i + width], "little") % cases[0].q
+                for i in range(0, cases[0].n * width, width)
+            ]
+            for params in cases:
+                assert deserialize_ciphertext(frame, params).c0.coeffs == want
+
+    @pytest.mark.parametrize(
+        "params",
+        [c[1] for c in RING_CODEC_CASES if c[0].startswith(("toy", "fast"))],
+        ids=[c[0] for c in RING_CODEC_CASES if c[0].startswith(("toy", "fast"))],
+    )
+    def test_truncated_frame_says_truncated(self, params):
+        poly = make_ring_element(self._coeffs(params, 3), params)
+        wire = serialize_ciphertext(Ciphertext(params, poly, poly))
+        cuts = {4, 6, 8, 9, 10, len(wire) // 2, len(wire) - 1}
+        for cut in sorted(cuts):
+            with pytest.raises(ValueError, match="truncated"):
+                deserialize_ciphertext(wire[:cut], params)
+        with pytest.raises(ValueError, match="trailing"):
+            deserialize_ciphertext(wire + b"\x00", params)
+
+    def test_truncated_galois_key_says_truncated(self):
+        ctx = BfvContext(PARAMS, SecureRandom(24))
+        encoder = BatchEncoder(PARAMS)
+        sk, _ = ctx.keygen()
+        gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
+        wire = serialize_galois_keys(gk)
+        for cut in (len(wire) - 1, len(wire) - PARAMS.ciphertext_bytes, 40, 12, 6):
+            with pytest.raises(ValueError, match="truncated"):
+                deserialize_galois_keys(wire[:cut], PARAMS)
 
 
 class TestKeys:

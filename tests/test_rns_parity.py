@@ -138,9 +138,27 @@ class TestRingElementParity:
         rng = random.Random(4)
         a = rand_vec(rng, TOY.n, TOY.q)
         big, rns = self._pair(a)
-        digits_big = big.decompose(TOY.decomp_bits, TOY.num_decomp_digits)
-        digits_rns = rns.decompose(TOY.decomp_bits, TOY.num_decomp_digits)
+        digits_big = big.decompose(TOY.rns_primes, TOY.decomp_bits)
+        digits_rns = rns.decompose(TOY.rns_primes, TOY.decomp_bits)
+        assert len(digits_rns) == TOY.num_decomp_digits == len(TOY.rns_primes)
         assert [d.coeffs for d in digits_big] == [d.coeffs for d in digits_rns]
+        # One digit per chain prime: the residue, small enough to live
+        # unchanged in the wide ring, and the gadget recombines them.
+        for digit, p in zip(digits_rns, TOY.rns_primes):
+            assert digit.coeffs == [c % p for c in a]
+        recombined = [
+            sum(d.coeffs[i] * g for d, g in zip(digits_rns, TOY.gadget_factors()))
+            % TOY.q
+            for i in range(TOY.n)
+        ]
+        assert recombined == a
+
+    def test_decompose_rejects_a_foreign_chain(self):
+        _, rns = self._pair(rand_vec(random.Random(4), TOY.n, TOY.q))
+        with pytest.raises(ValueError):
+            rns.decompose(TOY.rns_primes[:-1], None)
+        with pytest.raises(ValueError):
+            rns.decompose(None, 16)  # no positional digits on a chain
 
     def test_equality_crosses_representations(self):
         rng = random.Random(5)
@@ -366,12 +384,15 @@ class TestDelphiScaleAcceptance:
 class TestFastBaseConversionParity:
     """The vectorized exact base conversion vs bigint reconstruction.
 
-    ``RnsContext.decompose_digits`` must be bit-identical to
-    ``from_rns`` + mask/shift for ANY input — including the small
-    representatives that exercise the correction term, where the fast
-    path's alpha estimate lands one low and the exact multi-limb
-    conditional subtract has to fix it up — on every backend, at both
-    key-switch digit widths, on both the toy and delphi chains.
+    ``RnsContext.decompose_digits`` — the outbound half of the wire codec
+    (``tests/test_network_serialize.py`` pins the format) — must be
+    bit-identical to ``from_rns`` + mask/shift for ANY input, including
+    the small representatives that exercise the correction term, where
+    the fast path's alpha estimate lands one low and the exact multi-limb
+    conditional subtract has to fix it up: at the codec's 16-bit digits
+    and at 4-bit ones, on both the toy and delphi chains. The python
+    backend has no such kernel: it declines, and ``pack_le`` reaches the
+    same bytes through the CRT reconstruction.
     """
 
     CHAINS = {"toy": toy_params(n=128), "delphi": delphi_params()}
@@ -384,6 +405,7 @@ class TestFastBaseConversionParity:
         ctx = RnsContext.for_primes(params.rns_primes, prefer=backend_name)
         q = ctx.q
         num_digits = -(-q.bit_length() // base_bits)
+        width = (q.bit_length() + 7) // 8
         rng = random.Random(base_bits * 1000 + len(chain))
         mask = (1 << base_bits) - 1
         # First batch leads with correction-term edge values; the rest
@@ -392,34 +414,20 @@ class TestFastBaseConversionParity:
         batches = [edge + [rng.randrange(q) for _ in range(56)]]
         batches += [[rng.randrange(q) for _ in range(64)] for _ in range(3)]
         for values in batches:
-            got = ctx.decompose_digits(
-                ctx.to_rns(values), base_bits, num_digits
+            residues = ctx.to_rns(values)
+            got = ctx.decompose_digits(residues, base_bits, num_digits)
+            if backend_name == "python":
+                assert got is None  # no kernel: pack_le reconstructs
+            else:
+                be = ctx.backends[0]
+                want = [
+                    [(v >> (j * base_bits)) & mask for v in values]
+                    for j in range(num_digits)
+                ]
+                assert [be.tolist(d) for d in got] == want
+            assert ctx.pack_le(residues, width) == b"".join(
+                v.to_bytes(width, "little") for v in values
             )
-            assert got is not None  # uniform backend + in-gate shape
-            be = ctx.backends[0]
-            want = [
-                [(v >> (j * base_bits)) & mask for v in values]
-                for j in range(num_digits)
-            ]
-            assert [be.tolist(d) for d in got] == want
-
-    @pytest.mark.parametrize("base_bits", (16, 4))
-    def test_poly_decompose_paths_agree(self, base_bits):
-        """Fast path vs the cached-coeffs fallback vs the bigint oracle:
-        all three digit decompositions are identical."""
-        rng = random.Random(42)
-        values = rand_vec(rng, TOY.n, TOY.q)
-        num_digits = -(-TOY.q.bit_length() // base_bits)
-        ctx = RnsContext.for_primes(TOY.rns_primes)
-        fast = RnsPoly.from_coeffs(ctx, values)
-        fallback = RnsPoly.from_coeffs(ctx, values)
-        _ = fallback.coeffs  # materialize: decompose now reuses the cache
-        oracle = RingPoly(values, TOY.q, backend=backend_for(TOY.q))
-        want = [d.coeffs for d in oracle.decompose(base_bits, num_digits)]
-        assert [d.coeffs for d in fast.decompose(base_bits, num_digits)] == want
-        assert [
-            d.coeffs for d in fallback.decompose(base_bits, num_digits)
-        ] == want
 
 
 class TestBsgsLinearLayerParity:

@@ -7,7 +7,6 @@ byte. The rest is the fork-safety contract of the worker initializer and
 the async submission surface the gateway's refill thread drives.
 """
 
-import dataclasses
 import os
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro import HybridProtocol, tiny_dataset, tiny_mlp
 from repro.backend import (
     RnsContext,
     active_backend_name,
-    get_backend,
     set_backend,
 )
 from repro.crypto.rng import SecureRandom
@@ -48,16 +46,15 @@ def tiny_network(hidden=8):
 def test_mint_offline_job_matches_inprocess_mint(garbler):
     """A worker-minted blob equals the in-process mint under the same seed.
 
-    The job carries its backend in ``params.backend``: a worker re-reads
-    its own environment, so a programmatic ``set_backend`` in the parent
-    reaches it only through the parameters.
+    Parent and worker both select their backend from the environment
+    (tests that switch it do so under ``using_backend``, which restores
+    the previous selection), so plain ``auto`` parameters agree.
     """
     network = tiny_network()
-    params = dataclasses.replace(PARAMS, backend=get_backend().name)
-    reference = HybridProtocol(network, params, garbler=garbler, seed=42)
+    reference = HybridProtocol(network, PARAMS, garbler=garbler, seed=42)
     reference.run_offline()
     with PrecomputePool(workers=2) as pool:
-        job = pool.apply_async(mint_offline_job, (network, params, garbler, 42, 0))
+        job = pool.apply_async(mint_offline_job, (network, PARAMS, garbler, 42, 0))
         blob = job.get(timeout=120)
         assert pool._pool is not None  # really minted in a worker process
     assert blob == reference.offline_blob()
