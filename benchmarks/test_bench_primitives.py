@@ -21,6 +21,7 @@ the numpy backend the RNS ciphertext multiply at n=2048 is expected to be
 >= 3x faster than the bigint oracle.
 """
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -37,9 +38,9 @@ from repro.gc.circuit import int_to_bits
 from repro.gc.evaluate import Evaluator
 from repro.gc.garble import Garbler
 from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
-from repro.he import polynomial
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
+from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import key_switch_inner
@@ -153,12 +154,8 @@ def _rotation_phase_breakdown(ctx, ct, g, gk):
     p = ctx.params
     rotated = ct.c1.automorphism(g)
     digits = rotated.decompose(p.rns_primes, p.decomp_bits)
-    pairs = gk.eval_keys(g)
-    rns = digits[0].ctx
-    plans = [
-        polynomial._context(p.n, prime, be)._ntt._plan
-        for prime, be in zip(rns.primes, rns.backends)
-    ]
+    eval_keys = gk.eval_keys(g)  # per ring: the (K0, K1) digit stacks
+    plans = [ntt._ntt._plan for ntt in rotated.ring_ntts()]
 
     def transforms_only():
         for i, plan in enumerate(plans):
@@ -170,7 +167,7 @@ def _rotation_phase_breakdown(ctx, ct, g, gk):
             lambda: rotated.decompose(p.rns_primes, p.decomp_bits)
         ),
         "phase_key_product_ms": _best_ms(
-            lambda: key_switch_inner(digits, pairs)
+            lambda: key_switch_inner(digits, eval_keys)
         ),
         "phase_ntt_ms": _best_ms(transforms_only),
     }
@@ -238,6 +235,132 @@ def _delphi_rns_rig(seed):
     encoder = BatchEncoder(params)
     sk, pk = ctx.keygen()
     return params, ctx, encoder, sk, pk
+
+
+class _PhaseClock:
+    """Wall time and transform rows below chosen call sites of one
+    instrumented run: each wrapped callable adds its duration to a named
+    phase and, for a transform, the rows it was handed to a named count.
+    Nested wrapped calls are charged once — time to the outermost phase,
+    rows to the outermost transform (a plan's ``*_many`` may be built on
+    its single-vector form); ``close`` puts the originals back."""
+
+    def __init__(self):
+        self.ms = {}
+        self.rows = {}
+        self._busy = set()  # "time" / "rows": already charged up the stack
+        self._undo = contextlib.ExitStack()
+
+    def wrap(self, obj, name, phase=None, rows=None):
+        inner = getattr(obj, name)
+        charges = {"time"} if phase else set()
+        if rows:
+            charges.add("rows")
+
+        def timed(*args, **kwargs):
+            mine = charges - self._busy
+            if "rows" in mine:
+                handed = len(args[0]) if name.endswith("many") else 1
+                self.rows[rows] = self.rows.get(rows, 0) + handed
+            self._busy |= mine
+            start = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                self._busy -= mine
+                if "time" in mine:
+                    elapsed = (time.perf_counter() - start) * 1000
+                    self.ms[phase] = self.ms.get(phase, 0.0) + elapsed
+
+        setattr(obj, name, timed)  # shadows the method on this instance
+        self._undo.callback(delattr, obj, name)
+
+    def close(self):
+        self._undo.close()
+
+
+_TRANSFORMS = ("forward_many", "inverse_unscaled_many", "inverse_unscaled")
+
+
+def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix):
+    """Where one evaluation-domain matvec spends its time, and how many
+    rows it transforms.
+
+    One instrumented run: diagonal encoding (the stacked inverse mod t
+    included), the key-switch inner products, and the ciphertext-ring
+    transforms; rows are counted at the plans — per diagonal and ring
+    D + 1 on a chain, D + 2 without one, plus one row mod t, the ledger
+    ``tests/test_batched_ntt.py`` pins.
+    """
+    clock = _PhaseClock()
+    rings = ct.c1.ring_ntts()
+    try:
+        clock.wrap(encoder, "encode_many", "phase_encode_ms")
+        for name in _TRANSFORMS:
+            clock.wrap(encoder._ntt._ntt._plan, name, rows="plain_rows")
+        for ntt in rings:
+            clock.wrap(ntt, "key_switch_eval", "phase_key_product_ms")
+            for name in _TRANSFORMS:
+                clock.wrap(ntt._ntt._plan, name, "phase_ntt_ms", "ring_rows")
+        start = time.perf_counter()
+        evaluator.matvec(ct, matrix)
+        total_ms = (time.perf_counter() - start) * 1000
+    finally:
+        clock.close()
+    rows = sum(clock.rows.values())
+    return {
+        "digits": ctx.params.num_decomp_digits,
+        "rings": len(rings),
+        "transform_rows": rows,
+        "transform_rows_per_diagonal": round(rows / len(matrix[0]), 2),
+        "phase_total_ms": round(total_ms, 3),
+        **{phase: round(ms, 3) for phase, ms in sorted(clock.ms.items())},
+    }
+
+
+def _matvec_bench(benchmark, params, seed, shape, rounds):
+    """Whole ``HomomorphicLinearEvaluator.matvec`` on the matrix form a
+    lowered network hands it (``asmatrix``), one Galois key."""
+    from repro.backend import backend_for
+
+    ctx = BfvContext(params, SecureRandom(seed))
+    encoder = BatchEncoder(params)
+    sk, pk = ctx.keygen()
+    gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, params.t, size=shape).tolist()
+    matrix = backend_for(params.t, prefer=params.backend).asmatrix(rows, params.t)
+    evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
+    x = rng.integers(0, params.t, size=shape[1]).tolist()
+    ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
+    out = benchmark.pedantic(
+        lambda: evaluator.matvec(ct, matrix),
+        rounds=rounds, iterations=1, warmup_rounds=1,
+    )
+    assert encoder.decode(ctx.decrypt(sk, out))[: shape[0]] == [
+        sum(w * v for w, v in zip(row, x)) % params.t for row in rows
+    ]
+    benchmark.extra_info.update(
+        _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix)
+    )
+
+
+def test_bench_matvec_delphi_rns_w16(benchmark):
+    """The first layer of ``infer_cg_delphi`` (8x16 at delphi scale): 15
+    rotations and 16 plaintext products without leaving the evaluation
+    domain. Most of a delphi mint; guarded like the rotation row."""
+    params = dataclasses.replace(delphi_params(), representation="rns")
+    _matvec_bench(benchmark, params, seed=29, shape=(8, 16), rounds=3)
+    if os.environ.get("REPRO_BENCH_STRICT"):
+        _guard_against_committed_baseline(
+            benchmark, "test_bench_matvec_delphi_rns_w16", threshold=1.3
+        )
+
+
+def test_bench_matvec_fast_w128(benchmark):
+    """The wide layer of ``infer_sg_wide`` (3x128, a full batching row of
+    ``fast_params(256)``): 127 rotations of sixteen positional digits."""
+    _matvec_bench(benchmark, PARAMS, seed=31, shape=(3, 128), rounds=3)
 
 
 def test_bench_rns_decompose_delphi(benchmark):

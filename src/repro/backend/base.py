@@ -23,6 +23,10 @@ import abc
 from typing import Any, Sequence
 
 Vec = Any  # backend-native vector (list[int] or np.ndarray)
+# Backend-native stack of equal-length vectors (list of lists or a 2D
+# ndarray): index or iterate it for its rows. Kernels that take a stack
+# also take any sequence of vectors; what they return is a stack.
+Stack = Any
 Mat = Any  # backend-native 2D matrix (list[list[int]] or np.ndarray)
 Index = Any  # backend-native gather index (list[int] or np.ndarray)
 
@@ -52,23 +56,16 @@ class NttPlan(abc.ABC):
         pointwise multiply on the same backend.
         """
 
-    def forward_pair(self, a: Vec, b: Vec) -> tuple[Vec, Vec]:
-        """Two forward transforms; backends may batch them into one pass.
-
-        Same contract as :meth:`inverse_unscaled`: outputs may be
-        unreduced and must feed a reducing pointwise multiply.
-        """
-        return self.forward(a), self.forward(b)
-
-    def forward_many(self, vecs: Sequence[Vec]) -> list[Vec]:
+    def forward_many(self, vecs: Stack, normalize: bool = False) -> Stack:
         """Forward transforms of every vector; backends may stack them
         into a single pass (one ufunc walk per butterfly stage instead of
-        one per vector). Same unreduced-output contract as
+        one per vector). Rows are canonical when ``normalize`` is set;
+        otherwise they follow the unreduced-output contract of
         :meth:`inverse_unscaled`.
         """
         return [self.forward(v) for v in vecs]
 
-    def inverse_unscaled_many(self, vecs: Sequence[Vec]) -> list[Vec]:
+    def inverse_unscaled_many(self, vecs: Stack) -> Stack:
         """Unscaled inverse transforms of every vector, batchable like
         :meth:`forward_many`; outputs follow the :meth:`inverse_unscaled`
         unreduced contract.
@@ -118,6 +115,23 @@ class ComputeBackend(abc.ABC):
     @abc.abstractmethod
     def mul(self, a: Vec, b: Vec, q: int) -> Vec:
         """Elementwise product mod q (both operands reduced)."""
+
+    @abc.abstractmethod
+    def mul_rows(self, rows: Stack, vec: Vec, q: int) -> Stack:
+        """Every vector of ``rows`` times ``vec`` mod q (operands as for
+        :meth:`mul`): the twist of a whole batch in one kernel call."""
+
+    @abc.abstractmethod
+    def inner_product(self, a: Stack, b: Stack, q: int) -> Vec:
+        """``sum_j a[j] * b[j] mod q``, fully reduced — the key-switch
+        and plaintext-accumulation kernel of the evaluation domain.
+
+        Rows of ``a`` may be lazily reduced transform outputs (entries
+        below 2q), rows of ``b`` are canonical. Reduction is lazy too: a
+        backend sums as many products as its lanes hold before each
+        ``mod q`` and derives that count from ``q``. A row-count mismatch
+        raises ``ValueError`` rather than truncating or broadcasting.
+        """
 
     @abc.abstractmethod
     def scalar_mul(self, a: Vec, scalar: int, q: int) -> Vec:

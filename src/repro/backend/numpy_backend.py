@@ -68,6 +68,12 @@ def _cond_sub(s, q):
     return np.minimum(s, s - q)
 
 
+def _as_stack(vecs):
+    """A sequence of equal-length vectors as one 2D array (a stack passes
+    through untouched, so nothing already stacked is copied again)."""
+    return vecs if isinstance(vecs, np.ndarray) else np.stack(vecs)
+
+
 def _shoup_mulmod(x, w, w_sh_h, w_sh_l, q):
     """x * w mod q for constant w < q with w' = floor(w * 2^64 / q) pre-split.
 
@@ -284,25 +290,11 @@ class _NumpyNttPlan(NttPlan):
     def forward(self, vec):
         return self._transform(vec, self.fwd_stages)
 
-    def forward_pair(self, a, b):
-        """Both forward transforms as one stacked pass (halves ufunc overhead).
-
-        Outputs may be unreduced residues in [0, 2q) per the base-class
-        contract — the pointwise multiply that consumes them reduces exactly.
-        """
-        stacked = self._transform(np.stack((a, b)), self.fwd_stages, normalize=False)
-        return stacked[0], stacked[1]
-
-    def forward_many(self, vecs):
-        """All forward transforms as one stacked pass; outputs may be
-        unreduced residues in [0, 2q) per the base-class contract."""
-        if len(vecs) < 2:  # np.stack needs at least one array
-            return [
-                self._transform(v, self.fwd_stages, normalize=False)
-                for v in vecs
-            ]
-        stacked = self._transform(np.stack(vecs), self.fwd_stages, normalize=False)
-        return list(stacked)
+    def forward_many(self, vecs, normalize=False):
+        """All forward transforms as one stacked pass; unless normalized,
+        rows may be unreduced residues in [0, 2q) per the base-class
+        contract."""
+        return self._transform(_as_stack(vecs), self.fwd_stages, normalize)
 
     def inverse(self, vec):
         out = self._transform(vec, self.inv_stages)
@@ -316,13 +308,7 @@ class _NumpyNttPlan(NttPlan):
     def inverse_unscaled_many(self, vecs):
         """All unscaled inverse transforms as one stacked pass (unreduced
         outputs, same contract as :meth:`inverse_unscaled`)."""
-        if len(vecs) < 2:  # np.stack needs at least one array
-            return [
-                self._transform(v, self.inv_stages, normalize=False)
-                for v in vecs
-            ]
-        stacked = self._transform(np.stack(vecs), self.inv_stages, normalize=False)
-        return list(stacked)
+        return self._transform(_as_stack(vecs), self.inv_stages, normalize=False)
 
 
 class _NumpyBackendImpl(ComputeBackend):
@@ -407,6 +393,33 @@ class _NumpyBackendImpl(ComputeBackend):
         # a*b mod q = (hi * (2^64 mod q) + lo) mod q
         r = _shoup_mulmod(hi, ctx.c64, ctx.c64_sh_h, ctx.c64_sh_l, qv)
         return _cond_sub(r + np.remainder(lo, qv), qv)
+
+    def mul_rows(self, rows, vec, q):
+        return self.mul(_as_stack(rows), vec, q)  # vec broadcasts over rows
+
+    def inner_product(self, a, b, q):
+        a, b = _as_stack(a), _as_stack(b)
+        if a.shape != b.shape:
+            raise ValueError(
+                f"inner product of {a.shape[0]} rows against {b.shape[0]}"
+            )
+        if q < _DIRECT_LIMIT:
+            terms = a * b  # a < 2q, b < q: every product is below 2q^2
+            bound = 2 * q * q
+        else:
+            terms = self.mul(a, b, q)  # exact for the lazy rows of a
+            bound = q
+        qv = np.uint64(q)
+        while True:
+            # One reduction per chunk of as many terms as 64 bits hold.
+            chunk = (1 << 64) // bound
+            rows = terms.shape[0]
+            if rows <= chunk:
+                return terms.sum(axis=0) % qv
+            full = rows - rows % chunk
+            sums = terms[:full].reshape(-1, chunk, terms.shape[1]).sum(axis=1)
+            terms = np.concatenate((sums, terms[full:])) % qv
+            bound = q  # partial sums and leftover terms are canonical now
 
     def scalar_mul(self, a, scalar, q):
         scalar %= q

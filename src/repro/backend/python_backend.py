@@ -102,6 +102,19 @@ class PythonBackend(ComputeBackend):
     def mul(self, a, b, q):
         return [x * y % q for x, y in zip(a, b)]
 
+    def mul_rows(self, rows, vec, q):
+        return [self.mul(row, vec, q) for row in rows]
+
+    def inner_product(self, a, b, q):
+        if len(a) != len(b):
+            raise ValueError(
+                f"inner product of {len(a)} rows against {len(b)}"
+            )
+        return [
+            sum(x * y for x, y in zip(xs, ys)) % q
+            for xs, ys in zip(zip(*a), zip(*b))
+        ]
+
     def scalar_mul(self, a, scalar, q):
         scalar %= q
         return [x * scalar % q for x in a]

@@ -33,6 +33,7 @@ the per-prime NTT contexts from the shared LRU cache.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Sequence
 
@@ -54,6 +55,10 @@ class RnsContext:
 
     _cache: OrderedDict[tuple, "RnsContext"] = OrderedDict()
     _cache_max = 16
+    # Same compound get -> move_to_end / insert -> evict sequence, from the
+    # same threads, as the NTT-context LRU (repro.he.polynomial): an
+    # eviction racing a move_to_end is a KeyError without the lock.
+    _cache_lock = threading.Lock()
 
     def __init__(self, primes: Sequence[int], prefer: str | None = None):
         primes = tuple(int(p) for p in primes)
@@ -87,13 +92,16 @@ class RnsContext:
         primes = tuple(int(p) for p in primes)
         names = tuple(backend_for(p, prefer=prefer).name for p in primes)
         key = (primes, names)
-        ctx = cls._cache.get(key)
-        if ctx is None:
-            ctx = cls._cache[key] = cls(primes, prefer=prefer)
+        with cls._cache_lock:
+            ctx = cls._cache.get(key)
+            if ctx is not None:
+                cls._cache.move_to_end(key)
+                return ctx
+        ctx = cls(primes, prefer=prefer)  # built outside the lock
+        with cls._cache_lock:
+            cls._cache[key] = ctx
             while len(cls._cache) > cls._cache_max:
                 cls._cache.popitem(last=False)
-        else:
-            cls._cache.move_to_end(key)
         return ctx
 
     @classmethod
@@ -104,7 +112,8 @@ class RnsContext:
         it so their contexts re-resolve under the worker's own backend
         selection instead of state inherited across fork().
         """
-        cls._cache.clear()
+        with cls._cache_lock:
+            cls._cache.clear()
 
     def __len__(self) -> int:
         return len(self.primes)

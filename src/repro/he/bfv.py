@@ -25,6 +25,7 @@ from repro.he.params import BfvParams
 from repro.he.polynomial import (
     RingPoly,
     RnsPoly,
+    eval_stacks,
     key_switch_inner,
     multiply_shared,
 )
@@ -72,20 +73,27 @@ class GaloisKeys:
         return sum(len(digits) * per_digit for digits in self.keys.values())
 
     def eval_keys(self, galois_element: int) -> list[tuple]:
-        """NTT-domain (k0, k1) pairs for one element (built once).
+        """Per residue ring, the ``(K0, K1)`` evaluation-domain stacks of
+        one element's key (a row per digit), built once.
 
-        The forward transforms here are the ones ``rotate`` no longer
-        pays per invocation; the cached vectors survive `_NTT_CACHE`
-        eviction because they are stored here, not in the NTT context.
+        All 2·D components go through one stacked forward pass per ring
+        and are kept as the two halves of that pass's output, which is
+        the shape the key-switch inner product consumes: nothing is
+        transformed, re-stacked or copied per rotation. The stacks
+        survive `_NTT_CACHE` eviction because they are stored here, not
+        in the NTT context.
         """
-        pairs = self._eval.get(galois_element)
-        if pairs is None:
-            pairs = [
-                (k0.to_eval(), k1.to_eval())
-                for k0, k1 in self.keys[galois_element]
+        stacks = self._eval.get(galois_element)
+        if stacks is None:
+            pairs = self.keys[galois_element]
+            both = eval_stacks(
+                [k0 for k0, _ in pairs] + [k1 for _, k1 in pairs]
+            )
+            d = len(pairs)
+            stacks = self._eval[galois_element] = [
+                (rows[:d], rows[d:]) for rows in both
             ]
-            self._eval[galois_element] = pairs
-        return pairs
+        return stacks
 
 
 class Ciphertext:
@@ -238,9 +246,9 @@ class BfvContext:
         u = self._ring_poly(self._rng.ternary_vector(p.n))
         e1, e2 = self._noise(), self._noise()
         scaled = self._scale_plain(plaintext)
-        c0 = pk.p0 * u + e1 + scaled
-        c1 = pk.p1 * u + e2
-        return Ciphertext(p, c0, c1)
+        # u multiplies both key components: one shared forward transform.
+        m0, m1 = multiply_shared(u, (pk.p0, pk.p1))
+        return Ciphertext(p, m0 + e1 + scaled, m1 + e2)
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> RingPoly:
         """Decrypt to a plaintext polynomial over Z_t."""
@@ -294,26 +302,50 @@ class BfvContext:
         c0, c1 = multiply_shared(lifted, (ct.c0, ct.c1))
         return Ciphertext(p, c0, c1)
 
+    def rotation_keys(self, galois_element: int, gk: GaloisKeys) -> list[tuple]:
+        """The evaluation-domain key stacks for one rotation, after the
+        checks every key switch makes first: the key exists (``KeyError``)
+        and carries the parameters' digit count (``ValueError``)."""
+        if galois_element not in gk.keys:
+            raise KeyError(f"no Galois key for element {galois_element}")
+        check_digit_count(
+            self.params, galois_element, len(gk.keys[galois_element])
+        )
+        return gk.eval_keys(galois_element)
+
     def rotate(self, ct: Ciphertext, galois_element: int, gk: GaloisKeys) -> Ciphertext:
         """Apply the automorphism X -> X^g and switch back to the original key.
 
-        Hot path: the key-switch inner product runs against the stored
-        eval-domain key components (:meth:`GaloisKeys.eval_keys`) — one
-        stacked forward pass over all digits and a single two-vector
-        inverse per ring, no key-side transforms and no accumulator
-        allocations. The digits come from the parameters' gadget
+        The key-switch inner product runs against the stored eval-domain
+        key stacks (:meth:`GaloisKeys.eval_keys`) — one stacked forward
+        pass over all digits and a single two-vector inverse per ring, no
+        key-side transforms. The digits come from the parameters' gadget
         (:meth:`~repro.he.params.BfvParams.gadget_factors`): on a chain
-        they are the residues c1 already consists of.
+        they are the residues c1 already consists of. A chain of
+        rotations feeding plaintext products should not call this in a
+        loop: :meth:`repro.he.linear.HomomorphicLinearEvaluator.matvec`
+        keeps the ciphertext in the evaluation domain in between.
         """
         p = self.params
-        if galois_element not in gk.keys:
-            raise KeyError(f"no Galois key for element {galois_element}")
-        check_digit_count(p, galois_element, len(gk.keys[galois_element]))
+        eval_keys = self.rotation_keys(galois_element, gk)
         rotated_c0 = ct.c0.automorphism(galois_element)
         rotated_c1 = ct.c1.automorphism(galois_element)
         digits = rotated_c1.decompose(p.rns_primes, p.decomp_bits)
-        m0, m1 = key_switch_inner(digits, gk.eval_keys(galois_element))
+        m0, m1 = key_switch_inner(digits, eval_keys)
         return Ciphertext(p, rotated_c0 + m0, m1)
+
+    def plain_evals(self, plaintexts: list[RingPoly]) -> list:
+        """Per residue ring of the ciphertext modulus, the evaluation-
+        domain stack (a row per plaintext, lazily reduced) of plaintexts
+        lifted into the ciphertext ring — the multiplier form of
+        :meth:`mul_plain`, a block at a time. Every plaintext passes the
+        degree and range check ``mul_plain`` applies."""
+        for plaintext in plaintexts:
+            self._check_plaintext(plaintext)
+        return eval_stacks(
+            [self._lift_plain(plaintext) for plaintext in plaintexts],
+            lazy=True,
+        )
 
     # -- helpers --------------------------------------------------------------
 

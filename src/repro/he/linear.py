@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.he.bfv import BfvContext, Ciphertext, GaloisKeys, PublicKey, SecretKey
 from repro.he.encoder import BatchEncoder
+from repro.he.polynomial import EvalPair
 
 
 def required_rotation_steps(n_in: int) -> list[int]:
@@ -32,23 +33,41 @@ class HomomorphicLinearEvaluator:
         self.rotations_performed = 0
         self.plain_mults_performed = 0
 
-    def _diagonal(self, matrix, d: int, n_in: int, n_out: int, row_size: int):
-        """Generalized diagonal d padded to a full batching row.
+    def _diagonals(self, matrix, start: int, stop: int, n_in: int, n_out: int):
+        """Generalized diagonals start..stop-1, each padded to a full
+        batching row: entry i of diagonal d is ``matrix[i][(i + d) % n_in]``.
 
-        Vectorized gather when the matrix arrives as an ndarray (the
-        lowered-network representation under the numpy backend); the list
-        path keeps the reference loop.
+        One fancy-index for the whole block when the matrix is an ndarray
+        (see :meth:`_gatherable`); the list path keeps the reference loop.
         """
         t = self._encoder.params.t
+        row_size = self._encoder.row_size
         if isinstance(matrix, np.ndarray):
             rows = np.arange(n_out)
-            diag = np.zeros(row_size, dtype=np.uint64)
-            diag[:n_out] = matrix[rows, (rows + d) % n_in] % np.uint64(t)
-            return diag
+            shifts = np.arange(start, stop)[:, None]
+            block = np.zeros((stop - start, row_size), dtype=np.uint64)
+            block[:, :n_out] = matrix[rows, (rows + shifts) % n_in] % np.uint64(t)
+            return block
         return [
-            matrix[i][(i + d) % n_in] % t if i < n_out else 0
-            for i in range(row_size)
+            [
+                matrix[i][(i + d) % n_in] % t if i < n_out else 0
+                for i in range(row_size)
+            ]
+            for d in range(start, stop)
         ]
+
+    def _gatherable(self, matrix):
+        """The matrix as a ``uint64`` array whenever plaintexts live on a
+        vectorized backend. ``asmatrix`` keeps lists from t = 2^32 up —
+        its products would overflow a lane — but gathering a diagonal
+        multiplies nothing, so that choice need not cost a Python loop
+        per diagonal here. Entries a lane cannot hold stay a list."""
+        if isinstance(matrix, np.ndarray) or self._encoder.backend.name == "python":
+            return matrix
+        try:
+            return np.asarray(matrix, dtype=np.uint64)
+        except OverflowError:  # negative or >= 2^64: the list path reduces
+            return matrix
 
     @staticmethod
     def _both_rows(diag):
@@ -63,8 +82,19 @@ class HomomorphicLinearEvaluator:
         ``ct_x`` must encrypt x replicated to fill a batching row (see
         :meth:`pack_vector`); the matrix width must divide the row size.
         ``matrix`` is a 2D field matrix — list of rows or ndarray.
+
+        Computes ``sum_d diag_d * rotate^d(ct_x)`` — the ciphertext the
+        public ``rotate`` / ``mul_plain`` / ``+`` ops build, residue for
+        residue — without leaving the evaluation domain in between
+        (:class:`repro.he.polynomial.EvalPair`): the input is transformed
+        once, every rotation is a permutation plus the key-switch inner
+        product, every plaintext product accumulates pointwise, and the
+        sum is transformed back once. Diagonals are encoded a bounded
+        block at a time so the working set stays a few hundred KB at any
+        width.
         """
-        encoder = self._encoder
+        ctx, encoder = self._ctx, self._encoder
+        p = ctx.params
         row_size = encoder.row_size
         n_out = len(matrix)
         n_in = len(matrix[0])
@@ -73,21 +103,35 @@ class HomomorphicLinearEvaluator:
         if n_out > row_size:
             raise ValueError(f"matrix height {n_out} exceeds row size {row_size}")
 
-        result: Ciphertext | None = None
-        rotated = ct_x
-        for d in range(n_in):
-            if d > 0:
-                g = encoder.galois_element_for_rotation(1)
-                rotated = self._ctx.rotate(rotated, g, self._galois_keys)
-                self.rotations_performed += 1
-            diag = self._diagonal(matrix, d, n_in, n_out, row_size)
+        g = encoder.galois_element_for_rotation(1)
+        eval_keys = ctx.rotation_keys(g, self._galois_keys) if n_in > 1 else None
+        matrix = self._gatherable(matrix)
+        pair = EvalPair.from_coeff(ct_x.c0, ct_x.c1)
+        # About 2^15 coefficients of encoded diagonals at a time, over all
+        # residue rings: 2 rows at delphi_params, 128 at fast_params(256).
+        block = max(1, (1 << 15) // (p.n * len(pair.e0)))
+        result: EvalPair | None = None
+        for start in range(0, n_in, block):
+            stop = min(start + block, n_in)
+            diagonals = self._diagonals(matrix, start, stop, n_in, n_out)
             # Replicate into the second row so both rows stay consistent.
-            pt_diag = encoder.encode(self._both_rows(diag))
-            term = self._ctx.mul_plain(rotated, pt_diag)
-            self.plain_mults_performed += 1
+            plains = ctx.plain_evals(
+                encoder.encode_many([self._both_rows(d) for d in diagonals])
+            )
+            pairs = []
+            for d in range(start, stop):
+                if d > 0:
+                    pair = pair.rotated(g, eval_keys, p.rns_primes, p.decomp_bits)
+                    self.rotations_performed += 1
+                pairs.append(pair)
+            term = EvalPair.dot(plains, pairs)
+            self.plain_mults_performed += stop - start
             result = term if result is None else result + term
+            # Free this block's stacks before the next block allocates.
+            del diagonals, plains, pairs, term
         assert result is not None
-        return result
+        c0, c1 = result.to_coeff()
+        return Ciphertext(p, c0, c1)
 
     def matvec_bsgs(
         self, ct_x: Ciphertext, matrix, baby_steps: int
@@ -124,7 +168,9 @@ class HomomorphicLinearEvaluator:
             shift = g * baby_steps
             partial: Ciphertext | None = None
             for b in range(baby_steps):
-                diag = self._diagonal(matrix, shift + b, n_in, n_out, row_size)
+                (diag,) = self._diagonals(
+                    matrix, shift + b, shift + b + 1, n_in, n_out
+                )
                 # Pre-rotate the plaintext right by the giant shift so the
                 # final ciphertext rotation lands entries at the right slot.
                 if isinstance(diag, np.ndarray):

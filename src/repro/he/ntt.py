@@ -97,6 +97,7 @@ class NegacyclicNtt:
         self._psi_inv_scaled = self.backend.asvec(
             [p * n_inv % q for p in self._powers(self.psi_inv)], q
         )
+        self._automorphism_indices: dict[int, object] = {}
 
     def _powers(self, base: int) -> list[int]:
         powers = [1] * self.n
@@ -120,11 +121,51 @@ class NegacyclicNtt:
 
     def multiply_vec(self, a, b):
         """Negacyclic product of two backend-native coefficient vectors."""
-        be = self.backend
-        ta = be.mul(a, self._psi_powers, self.q)
-        tb = be.mul(b, self._psi_powers, self.q)
-        fa, fb = self._ntt._plan.forward_pair(ta, tb)
-        return self.inverse_vec(be.mul(fa, fb, self.q))
+        fa, fb = self.forward_stack([a, b], lazy=True)
+        return self.inverse_vec(self.backend.mul(fa, fb, self.q))
+
+    def forward_stack(self, vecs, lazy=False):
+        """Evaluation-domain forms of every coefficient vector, twisted and
+        transformed as one stacked pass.
+
+        Rows are canonical unless ``lazy``; lazy rows may be unreduced
+        (the :meth:`~repro.backend.base.NttPlan.inverse_unscaled`
+        contract) and are only valid as the first operand of a reducing
+        product — ``mul``, ``mul_rows``, ``inner_product``.
+        """
+        if not len(vecs):
+            return []
+        twisted = self.backend.mul_rows(vecs, self._psi_powers, self.q)
+        return self._ntt._plan.forward_many(twisted, normalize=not lazy)
+
+    def inverse_stack(self, evals):
+        """Coefficient vectors (canonical) of every evaluation-domain
+        vector: one stacked unscaled inverse, then the scaled untwist."""
+        if not len(evals):
+            return []
+        coeffs = self._ntt._plan.inverse_unscaled_many(evals)
+        return self.backend.mul_rows(coeffs, self._psi_inv_scaled, self.q)
+
+    def automorphism_index(self, galois_element: int):
+        """Gather index applying X -> X^g to an evaluation-domain vector.
+
+        Entry k of a forward transform is the evaluation at psi^(2k+1)
+        (the ordering :class:`~repro.he.encoder.BatchEncoder` maps slots
+        through), and a(X^g) evaluated there is a at psi^(g(2k+1)): the
+        automorphism is the index permutation
+        ``out[k] = in[((g(2k+1) mod 2n) - 1) / 2]``, no arithmetic at all.
+        """
+        index = self._automorphism_indices.get(galois_element)
+        if index is None:
+            if galois_element % 2 == 0:
+                raise ValueError("Galois element must be odd")
+            two_n = 2 * self.n
+            index = self.backend.index_array(
+                (galois_element * (2 * k + 1) % two_n - 1) // 2
+                for k in range(self.n)
+            )
+            self._automorphism_indices[galois_element] = index
+        return index
 
     def multiply_shared_vec(self, shared, others):
         """Products shared*o for every vector in ``others``.
@@ -137,52 +178,50 @@ class NegacyclicNtt:
         separate transforms. Outputs are fully reduced and bit-identical to
         ``[multiply_vec(shared, o) for o in others]``.
         """
+        transformed = self.forward_stack([shared, *others], lazy=True)
+        products = self.backend.mul_rows(
+            transformed[1:], transformed[0], self.q
+        )
+        return list(self.inverse_stack(products))
+
+    def key_switch_eval(self, digit_evals, key0_evals, key1_evals):
+        """The key-switch inner product (Σ_j d_j·k0_j, Σ_j d_j·k1_j), in
+        and out of the evaluation domain.
+
+        ``digit_evals`` are the (possibly lazy) transforms of the digits,
+        the key stacks the stored canonical eval form: each sum is one
+        stacked, lazily reduced
+        :meth:`~repro.backend.base.ComputeBackend.inner_product`. The one
+        key-switch kernel — :meth:`key_switch_inner_vec` (a lone
+        rotation) and the evaluation-domain matvec both end up here.
+        """
         be = self.backend
-        q = self.q
-        twisted = [
-            be.mul(v, self._psi_powers, q) for v in (shared, *others)
-        ]
-        transformed = self._ntt._plan.forward_many(twisted)
-        f_shared = transformed[0]
-        products = [be.mul(f_shared, f, q) for f in transformed[1:]]
-        untwisted = self._ntt._plan.inverse_unscaled_many(products)
-        return [be.mul(v, self._psi_inv_scaled, q) for v in untwisted]
+        return (
+            be.inner_product(digit_evals, key0_evals, self.q),
+            be.inner_product(digit_evals, key1_evals, self.q),
+        )
 
     def key_switch_inner_vec(self, digit_vecs, key0_evals, key1_evals):
-        """Fused key-switch inner product (Σ_j d_j·k0_j, Σ_j d_j·k1_j).
+        """Key-switch inner product of coefficient-domain digits, back in
+        the coefficient domain.
 
-        ``digit_vecs`` are coefficient-domain backend vectors; the key
-        components arrive already in the evaluation domain (stored eval
-        form, :meth:`forward_vec` output), so no key-side forward
-        transforms happen here. All D digit forwards run in one stacked
-        :meth:`~repro.backend.base.NttPlan.forward_many` pass, the D
-        pointwise products accumulate *in the eval domain*, and a single
-        two-vector unscaled inverse + untwist finishes both components:
+        All D digit forwards run in one stacked pass, the products
+        accumulate *in the eval domain* (:meth:`key_switch_eval`; the key
+        stacks arrive already transformed, so no key-side forwards happen
+        here), and a single two-vector inverse finishes both components:
         D + 2 transform rows instead of the 5D (3 forward + 2 inverse
         per digit) a per-digit multiply-accumulate loop costs.
 
-        Bit-identical to that loop: the backend's ``mul`` is exact mod q
-        for the unreduced ``forward_many`` outputs, modular addition is
-        associative, and the inverse transform is linear, so accumulating
-        before the inverse yields the same canonical residues as summing
-        per-digit inverses.
+        Bit-identical to that loop: every product is exact mod q,
+        modular addition is associative, and the inverse transform is
+        linear, so accumulating before the inverse yields the same
+        canonical residues as summing per-digit inverses.
         """
-        be = self.backend
-        q = self.q
-        twisted = [be.mul(v, self._psi_powers, q) for v in digit_vecs]
-        transformed = self._ntt._plan.forward_many(twisted)
-        acc0 = acc1 = None
-        for f, k0, k1 in zip(
-            transformed, key0_evals, key1_evals, strict=True
-        ):  # a digit/key count mismatch must not truncate silently
-            p0 = be.mul(f, k0, q)
-            p1 = be.mul(f, k1, q)
-            acc0 = p0 if acc0 is None else be.add(acc0, p0, q)
-            acc1 = p1 if acc1 is None else be.add(acc1, p1, q)
-        untwisted = self._ntt._plan.inverse_unscaled_many([acc0, acc1])
-        return (
-            be.mul(untwisted[0], self._psi_inv_scaled, q),
-            be.mul(untwisted[1], self._psi_inv_scaled, q),
+        transformed = self.forward_stack(digit_vecs, lazy=True)
+        return tuple(
+            self.inverse_stack(
+                self.key_switch_eval(transformed, key0_evals, key1_evals)
+            )
         )
 
     # -- list API (reference semantics) ------------------------------------

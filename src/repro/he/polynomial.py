@@ -18,13 +18,14 @@ reconstruction. Serialization does not go through it: ``to_bytes`` packs
 the wire form from the backend vectors (see
 :meth:`repro.backend.rns.RnsContext.pack_le`).
 
-Long-lived operands that are always *multiplied* — Galois key components
-in the key switch — additionally have an NTT-domain form
-(``EvalRingPoly`` / ``EvalRnsPoly``, built with ``to_eval()``): the
-psi-twisted forward transform is taken once at keygen, and
-:func:`key_switch_inner` consumes it directly so rotations never
-forward-transform key material again. Wire formats stay in the
-coefficient domain; the eval form is a local cache, never serialized.
+Operands that are only ever *multiplied* never need their coefficient
+form in the hot path. Galois key components are held as evaluation-domain
+stacks (:func:`eval_stacks`, one per residue ring, transformed once at
+keygen or on first use after deserialization), and the diagonal matvec
+keeps its whole working ciphertext there (:class:`EvalPair`): rotate by an
+index permutation plus the key-switch inner product, multiply and
+accumulate pointwise, and transform back once at the end. Wire formats
+stay in the coefficient domain; an eval form is local, never serialized.
 
 Ring multiplications share :class:`~repro.he.ntt.NegacyclicNtt` contexts
 through a bounded LRU cache keyed by (n, q, backend): parameter sweeps
@@ -70,16 +71,19 @@ def _context(n: int, q: int, backend: ComputeBackend) -> NegacyclicNtt:
 
 def clear_ntt_cache() -> None:
     """Drop all cached NTT contexts (tests and parameter sweeps)."""
-    _NTT_CACHE.clear()
+    with _NTT_CACHE_LOCK:
+        _NTT_CACHE.clear()
 
 
 def ntt_cache_size() -> int:
-    return len(_NTT_CACHE)
+    with _NTT_CACHE_LOCK:
+        return len(_NTT_CACHE)
 
 
 def ntt_cache_keys() -> tuple[tuple[int, int, str], ...]:
     """Cache keys oldest-first (the LRU eviction order), for tests."""
-    return tuple(_NTT_CACHE)
+    with _NTT_CACHE_LOCK:  # iterating a dict another thread resizes raises
+        return tuple(_NTT_CACHE)
 
 
 class RingPoly:
@@ -216,12 +220,24 @@ class RingPoly:
             vecs = [be.asvec(self._vec, p) for p in chain]
         return [RingPoly._from_vec(vec, self.q, be) for vec in vecs]
 
-    def to_eval(self) -> "EvalRingPoly":
-        """NTT-domain form (for key material that is only ever multiplied)."""
-        ctx = _context(self.n, self.q, self._backend)
-        return EvalRingPoly(
-            ctx.forward_vec(self._vec), self.q, self._backend
-        )
+    # -- residue-ring views (one ring: the element itself) --------------------
+
+    # Whether digit i of :meth:`decompose`, read in ring i, is the
+    # element's own vector there (see :class:`RnsPoly`).
+    residue_digits = False
+
+    def ring_ntts(self) -> list[NegacyclicNtt]:
+        """The transform context of every residue ring of this element."""
+        return [_context(self.n, self.q, self._backend)]
+
+    def ring_vecs(self) -> list:
+        """The coefficient vector in every residue ring (immutable)."""
+        return [self._vec]
+
+    def from_ring_vecs(self, vecs) -> "RingPoly":
+        """An element of this one's ring from per-ring canonical vectors."""
+        (vec,) = vecs
+        return RingPoly._from_vec(vec, self.q, self._backend)
 
     # -- cross-modulus helpers (plaintext <-> ciphertext ring) --------------
 
@@ -271,46 +287,6 @@ class RingPoly:
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:4])
         return f"RingPoly(n={self.n}, q={self.q}, [{head}, ...])"
-
-
-class EvalRingPoly:
-    """Ring element held in the NTT (evaluation) domain.
-
-    The vector is the psi-twisted forward transform of a
-    :class:`RingPoly`, fully reduced. Deliberately *not* a ring element
-    API — eval-domain values only support the one thing the key switch
-    needs, being a pointwise-multiply operand inside
-    :func:`key_switch_inner` — so there is no way to accidentally mix
-    domains in ring arithmetic. ``to_coeff()`` round-trips back for
-    serialization and tests.
-    """
-
-    __slots__ = ("n", "q", "_backend", "_vec")
-
-    def __init__(self, vec, q: int, backend: ComputeBackend):
-        self._backend = backend
-        self._vec = vec
-        self.n = backend.veclen(vec)
-        self.q = q
-
-    @property
-    def backend(self) -> ComputeBackend:
-        return self._backend
-
-    @property
-    def vec(self):
-        """Backend-native eval-domain vector (treat as immutable)."""
-        return self._vec
-
-    def to_coeff(self) -> RingPoly:
-        """Inverse-transform back to a coefficient-domain RingPoly."""
-        ctx = _context(self.n, self.q, self._backend)
-        return RingPoly._from_vec(
-            ctx.inverse_vec(self._vec), self.q, self._backend
-        )
-
-    def __repr__(self) -> str:
-        return f"EvalRingPoly(n={self.n}, q={self.q})"
 
 
 class RnsPoly:
@@ -456,17 +432,26 @@ class RnsPoly:
             raise ValueError("an RNS element decomposes along its own chain")
         return [RnsPoly.from_coeffs(self.ctx, r) for r in self.residues]
 
-    def to_eval(self) -> "EvalRnsPoly":
-        """NTT-domain form, residue-wise (see :class:`EvalRingPoly`)."""
-        return EvalRnsPoly(
-            self.ctx,
-            [
-                _context(self.n, p, be).forward_vec(r)
-                for r, p, be in zip(
-                    self.residues, self.ctx.primes, self.ctx.backends
-                )
-            ],
-        )
+    # -- residue-ring views ----------------------------------------------------
+
+    # Digit i of :meth:`decompose` is residue i, so read in ring i it is
+    # the element's own vector: its transform need never be recomputed.
+    residue_digits = True
+
+    def ring_ntts(self) -> list[NegacyclicNtt]:
+        """The transform context of every residue ring of this element."""
+        return [
+            _context(self.n, p, be)
+            for p, be in zip(self.ctx.primes, self.ctx.backends)
+        ]
+
+    def ring_vecs(self) -> list:
+        """The coefficient vector in every residue ring (immutable)."""
+        return self.residues
+
+    def from_ring_vecs(self, vecs) -> "RnsPoly":
+        """An element of this one's ring from per-ring canonical vectors."""
+        return RnsPoly(self.ctx, list(vecs))
 
     def max_coeff(self) -> int:
         return max(self.coeffs)
@@ -490,79 +475,151 @@ class RnsPoly:
         return f"RnsPoly(n={self.n}, chain={bits} bits)"
 
 
-class EvalRnsPoly:
-    """RNS ring element held in the NTT (evaluation) domain.
-
-    One eval-domain vector per residue ring (the per-prime analogue of
-    :class:`EvalRingPoly`); same deliberately narrow surface.
+def eval_stacks(polys, lazy: bool = False) -> list:
+    """Per residue ring, the evaluation-domain stack of ``polys`` (one row
+    each; all in one ring and representation): a single stacked forward
+    pass per ring, rows canonical unless ``lazy`` (see
+    :meth:`~repro.he.ntt.NegacyclicNtt.forward_stack`).
     """
-
-    __slots__ = ("ctx", "evals", "n")
-
-    def __init__(self, ctx: RnsContext, evals: list):
-        self.ctx = ctx
-        self.evals = evals
-        self.n = ctx.backends[0].veclen(evals[0])
-
-    @property
-    def q(self) -> int:
-        return self.ctx.q
-
-    def to_coeff(self) -> RnsPoly:
-        """Inverse-transform back to a coefficient-domain RnsPoly."""
-        return RnsPoly(
-            self.ctx,
-            [
-                _context(self.n, p, be).inverse_vec(v)
-                for v, p, be in zip(
-                    self.evals, self.ctx.primes, self.ctx.backends
-                )
-            ],
-        )
-
-    def __repr__(self) -> str:
-        bits = [p.bit_length() for p in self.ctx.primes]
-        return f"EvalRnsPoly(n={self.n}, chain={bits} bits)"
+    columns = zip(*(poly.ring_vecs() for poly in polys))
+    return [
+        ntt.forward_stack(list(column), lazy)
+        for ntt, column in zip(polys[0].ring_ntts(), columns)
+    ]
 
 
-def key_switch_inner(digits, key_pairs):
-    """(Σ_j d_j·k0_j, Σ_j d_j·k1_j) with eval-domain key components.
+def key_switch_inner(digits, eval_keys):
+    """(Σ_j d_j·k0_j, Σ_j d_j·k1_j) with eval-domain key stacks.
 
     ``digits`` are coefficient-domain ring elements (all the same
-    representation); ``key_pairs`` are matching ``(k0, k1)`` tuples of
-    :class:`EvalRingPoly` / :class:`EvalRnsPoly`. Dispatches to
-    :meth:`~repro.he.ntt.NegacyclicNtt.key_switch_inner_vec` (per
-    residue ring for RNS), so each ring pays one stacked digit forward
-    pass and one two-vector inverse — key material is never
-    forward-transformed here. Bit-identical to a per-digit
-    ``multiply_shared`` + accumulate loop. Digits and keys must be one
-    per gadget factor; a count mismatch raises instead of truncating.
+    representation); ``eval_keys`` holds one ``(K0, K1)`` pair of stacks
+    per residue ring, a row per digit
+    (:meth:`repro.he.bfv.GaloisKeys.eval_keys`). Each ring pays one
+    stacked digit forward pass, the eval-domain inner product
+    (:meth:`~repro.he.ntt.NegacyclicNtt.key_switch_eval`) and one
+    two-vector inverse — key material is never forward-transformed here.
+    Bit-identical to a per-digit ``multiply_shared`` + accumulate loop.
+    Digits and keys must be one per gadget factor; a count mismatch
+    raises instead of truncating.
     """
     first = digits[0]
-    if isinstance(first, RnsPoly):
-        ctx = first.ctx
-        out0, out1 = [], []
-        for i, (p, be) in enumerate(zip(ctx.primes, ctx.backends)):
-            ntt = _context(first.n, p, be)
-            r0, r1 = ntt.key_switch_inner_vec(
-                [d.residues[i] for d in digits],
-                [k0.evals[i] for k0, _ in key_pairs],
-                [k1.evals[i] for _, k1 in key_pairs],
+    columns = zip(*(d.ring_vecs() for d in digits))
+    out = [
+        ntt.key_switch_inner_vec(list(column), k0, k1)
+        for ntt, column, (k0, k1) in zip(
+            first.ring_ntts(), columns, eval_keys, strict=True
+        )
+    ]
+    m0, m1 = zip(*out)
+    return first.from_ring_vecs(m0), first.from_ring_vecs(m1)
+
+
+class EvalPair:
+    """Two elements of one ring — a ciphertext's (c0, c1) — resident in the
+    evaluation domain: per residue ring, one canonical eval vector each.
+
+    The working form of the diagonal matvec. Everything it does between
+    the two domain changes is pointwise: a rotation is an index
+    permutation plus the key-switch inner product (:meth:`rotated`),
+    plaintext products accumulate as one more inner product
+    (:meth:`dot`). Only the key-switch *digits* need coefficients — they
+    depend on the canonical integer representative of c1 — so the
+    coefficient form of c1 alone is recovered, lazily, when a pair is
+    rotated. Every value is the canonical residue of the same ring
+    element the coefficient-domain ops compute, hence bit-identical
+    ciphertexts.
+    """
+
+    __slots__ = ("_like", "_ntts", "e0", "e1", "_c1")
+
+    def __init__(self, like, ntts, e0, e1, c1=None):
+        self._like = like  # any element of the ring (rebuilds polys)
+        self._ntts = ntts
+        self.e0 = e0
+        self.e1 = e1
+        self._c1 = c1  # coefficient form of c1, once known
+
+    @classmethod
+    def from_coeff(cls, c0, c1) -> "EvalPair":
+        """Transform a coefficient-domain pair (one two-row pass per ring)."""
+        e0, e1 = zip(*eval_stacks([c0, c1]))
+        return cls(c1, c1.ring_ntts(), e0, e1, c1)
+
+    def to_coeff(self):
+        """Back to coefficient-domain ring elements (c0, c1)."""
+        c0, c1 = zip(
+            *(
+                ntt.inverse_stack([a, b])
+                for ntt, a, b in zip(self._ntts, self.e0, self.e1)
             )
-            out0.append(r0)
-            out1.append(r1)
-        return RnsPoly(ctx, out0), RnsPoly(ctx, out1)
-    be = first.backend
-    ntt = _context(first.n, first.q, be)
-    v0, v1 = ntt.key_switch_inner_vec(
-        [d.vec for d in digits],
-        [k0.vec for k0, _ in key_pairs],
-        [k1.vec for _, k1 in key_pairs],
-    )
-    return (
-        RingPoly._from_vec(v0, first.q, be),
-        RingPoly._from_vec(v1, first.q, be),
-    )
+        )
+        return self._like.from_ring_vecs(c0), self._like.from_ring_vecs(c1)
+
+    def _coeff_c1(self):
+        if self._c1 is None:
+            self._c1 = self._like.from_ring_vecs(
+                [ntt.inverse_vec(e) for ntt, e in zip(self._ntts, self.e1)]
+            )
+        return self._c1
+
+    def rotated(self, galois_element: int, eval_keys, chain, base_bits):
+        """X -> X^g on both components, key-switched back: the pair
+        :meth:`repro.he.bfv.BfvContext.rotate` computes, eval domain in
+        and out.
+
+        The digits are taken exactly as ``rotate`` takes them — the
+        coefficient-domain automorphism of c1, decomposed — so they are
+        bit-identical; c0 is permuted in place of being transformed, and
+        on a chain so is digit i in ring i, which is the rotated c1
+        residue whose eval form is already held.
+        """
+        rotated_c1 = self._coeff_c1().automorphism(galois_element)
+        own_digit = rotated_c1.residue_digits
+        digit_vecs = [
+            d.ring_vecs() for d in rotated_c1.decompose(chain, base_bits)
+        ]
+        e0, e1 = [], []
+        for i, (ntt, (k0, k1)) in enumerate(
+            zip(self._ntts, eval_keys, strict=True)
+        ):
+            be = ntt.backend
+            index = ntt.automorphism_index(galois_element)
+            rows = [
+                vecs[i]
+                for j, vecs in enumerate(digit_vecs)
+                if not (own_digit and j == i)
+            ]
+            evals = list(ntt.forward_stack(rows, lazy=True))
+            if own_digit:
+                evals.insert(i, be.permute(self.e1[i], index))
+            m0, m1 = ntt.key_switch_eval(evals, k0, k1)
+            e0.append(be.add(be.permute(self.e0[i], index), m0, ntt.q))
+            e1.append(m1)
+        return EvalPair(self._like, self._ntts, e0, e1)
+
+    @classmethod
+    def dot(cls, plain_stacks, pairs) -> "EvalPair":
+        """Σ_j plain_j · pairs[j]: ``plain_stacks`` holds, per residue
+        ring, the (possibly lazy) eval stack of the multipliers, a row
+        per pair."""
+        first = pairs[0]
+        e0, e1 = [], []
+        for i, (ntt, rows) in enumerate(zip(first._ntts, plain_stacks)):
+            be = ntt.backend
+            e0.append(be.inner_product(rows, [p.e0[i] for p in pairs], ntt.q))
+            e1.append(be.inner_product(rows, [p.e1[i] for p in pairs], ntt.q))
+        return cls(first._like, first._ntts, e0, e1)
+
+    def __add__(self, other: "EvalPair") -> "EvalPair":
+        def add(xs, ys):
+            return [
+                ntt.backend.add(x, y, ntt.q)
+                for ntt, x, y in zip(self._ntts, xs, ys)
+            ]
+
+        return EvalPair(
+            self._like, self._ntts, add(self.e0, other.e0), add(self.e1, other.e1)
+        )
 
 
 def multiply_shared(shared, others):

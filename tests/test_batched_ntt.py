@@ -6,7 +6,9 @@ shared operand must be forward-transformed once, and all transforms must
 land in batched plan calls (`forward_many` / `inverse_unscaled_many`)
 rather than per-product passes. A call-counting stub wrapped around the
 cached NTT plan pins the exact op counts so the batching cannot silently
-regress to the 4-forward/2-inverse shape.
+regress to the 4-forward/2-inverse shape — and pins the transform-row
+ledger of the evaluation-domain matvec, so a reintroduced domain round
+trip fails a test, not a benchmark.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from repro.crypto.rng import SecureRandom
 from repro.he import polynomial
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
+from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import fast_params, toy_params
 from repro.he.polynomial import RingPoly, clear_ntt_cache, multiply_shared
@@ -35,18 +38,23 @@ class CountingPlan:
         self.vectors = Counter()
 
     def _wrap(self, name, vecs_counted):
-        def call(*args):
+        def call(*args, **kwargs):
             self.calls[name] += 1
             self.vectors[name] += vecs_counted(*args)
-            return getattr(self._plan, name)(*args)
+            return getattr(self._plan, name)(*args, **kwargs)
 
         return call
+
+    FORWARDS = ("forward", "forward_many")
+    INVERSES = ("inverse", "inverse_unscaled", "inverse_unscaled_many")
+
+    def rows(self, names):
+        """Vectors transformed through any of the named entry points."""
+        return sum(self.vectors[name] for name in names)
 
     def __getattr__(self, name):
         if name in ("forward", "inverse", "inverse_unscaled"):
             return self._wrap(name, lambda vec: 1)
-        if name == "forward_pair":
-            return self._wrap(name, lambda a, b: 2)
         if name in ("forward_many", "inverse_unscaled_many"):
             return self._wrap(name, lambda vecs: len(vecs))
         return getattr(self._plan, name)
@@ -184,7 +192,9 @@ class TestPinnedOpCounts:
         ctx, encoder, sk, ct = self._rig(params)
         g = encoder.galois_element_for_rotation(1)
         gk = ctx.galois_keygen(sk, [g])
-        assert g in gk._eval  # eager population at keygen
+        # Eager population at keygen: per ring, a (K0, K1) pair of stacks.
+        ((k0, k1),) = gk._eval[g]
+        assert len(k0) == len(k1) == params.num_decomp_digits
         _, counter = _counted_context(params.n, params.q, ctx._rq)
         for _ in range(3):
             ctx.rotate(ct, g, gk)
@@ -226,6 +236,48 @@ class TestPinnedOpCounts:
             assert counter.vectors["forward_many"] == 4
             assert counter.vectors["inverse_unscaled_many"] == 2
         assert encoder.decode(ctx.decrypt(sk, rotated))[:7] == list(range(1, 8))
+
+    @pytest.mark.parametrize("width", (1, 2, 8))
+    @pytest.mark.parametrize("family", ("chain", "chainless"))
+    def test_matvec_row_ledger(self, family, width):
+        """Transform rows of one width-w evaluation-domain matvec, per
+        residue ring: forwards 2 (c0, c1) + (w-1) rotations x the digits
+        + w plaintexts, inverses one c1 per rotation but the last + the
+        two accumulators. On a chain a rotation forwards D-1 digits — the
+        ring's own residue digit is a permutation of the eval form it
+        holds — and D without one. Encoding costs w inverse rows mod t.
+        """
+        if family == "chain":
+            params = dataclasses.replace(toy_params(n=64), representation="rns")
+            forwarded_digits = params.num_decomp_digits - 1
+        else:
+            params = fast_params(n=64)
+            forwarded_digits = params.num_decomp_digits
+        ctx = BfvContext(params, SecureRandom(4))
+        encoder = BatchEncoder(params)
+        sk, pk = ctx.keygen()
+        gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
+        evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
+        x = list(range(1, width + 1))
+        ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
+        if ctx._rns is not None:
+            rings = list(zip(ctx._rns.primes, ctx._rns.backends))
+        else:
+            rings = [(params.q, ctx._rq)]
+        counters = [_counted_context(params.n, q, be)[1] for q, be in rings]
+        _, plain_counter = _counted_context(params.n, params.t, encoder.backend)
+        matrix = [[(3 * i + j) % params.t for j in range(width)] for i in range(2)]
+        out = evaluator.matvec(ct, matrix)
+        for counter in counters:
+            assert counter.rows(counter.FORWARDS) == (
+                2 + (width - 1) * forwarded_digits + width
+            )
+            assert counter.rows(counter.INVERSES) == max(width - 2, 0) + 2
+        assert plain_counter.rows(plain_counter.FORWARDS) == 0
+        assert plain_counter.rows(plain_counter.INVERSES) == width
+        assert encoder.decode(ctx.decrypt(sk, out))[:2] == [
+            sum(w * v for w, v in zip(row, x)) % params.t for row in matrix
+        ]
 
     def test_batched_output_still_decrypts(self):
         params = fast_params(n=64)

@@ -291,10 +291,16 @@ class TestKeys:
         # the wire bytes do not depend on it.
         assert restored._eval == {}
         assert serialize_galois_keys(restored) == wire
-        # Eval form is an exact involution of the stored coefficients.
-        for (k0, k1), (e0, e1) in zip(gk.keys[g], gk.eval_keys(g)):
-            assert e0.to_coeff().coeffs == k0.coeffs
-            assert e1.to_coeff().coeffs == k1.coeffs
+        # Eval form — per residue ring one (K0, K1) pair of stacks, a row
+        # per digit — is an exact involution of the stored coefficients.
+        rings = gk.keys[g][0][0].ring_ntts()
+        for i, (ntt, stacks) in enumerate(
+            zip(rings, gk.eval_keys(g), strict=True)
+        ):
+            for side, stack in enumerate(stacks):
+                assert len(stack) == PARAMS.num_decomp_digits
+                for pair, row in zip(gk.keys[g], ntt.inverse_stack(stack)):
+                    assert ntt.backend.eq(row, pair[side].ring_vecs()[i])
         # Restored keys (lazily rebuilt eval form) rotate identically.
         ct = ctx.encrypt(pk, encoder.encode(list(range(8))))
         a = ctx.rotate(ct, g, gk)

@@ -8,10 +8,12 @@ chain's per-prime contexts coexist in steady state instead of thrashing.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
-from repro.backend import available_backends, get_backend
+from repro.backend import RnsContext, available_backends, get_backend
 from repro.crypto.modmath import find_ntt_prime
 from repro.crypto.rng import SecureRandom
 from repro.he import polynomial
@@ -97,6 +99,62 @@ class TestLruBasics:
             RingPoly([1] * N, q, backend=be) * RingPoly([2] * N, q, backend=be)
         assert ntt_cache_size() == len(names)
         assert {key[2] for key in ntt_cache_keys()} == set(names)
+
+
+class TestConcurrentLru:
+    """Both shared LRUs — NTT contexts here, RNS chains in
+    ``RnsContext.for_primes`` — run a compound get -> move_to_end /
+    insert -> evict sequence, and the gateway's refill and selector
+    threads both run HE work: hammer each from two threads over more keys
+    than it holds, so hits, inserts and evictions interleave."""
+
+    @staticmethod
+    def _hammer(lookup, keys, rounds):
+        errors = []
+
+        def worker(seed):
+            # Random picks: mostly hits, steady evictions — the lost race
+            # is a hit whose entry the other thread evicts before the
+            # move_to_end (a sequential sweep would never hit at all).
+            rng = random.Random(seed)
+            try:
+                for _ in range(rounds):
+                    lookup(rng.choice(keys))
+            except Exception as exc:  # surfaces as a KeyError
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in (1, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_ntt_context_cache(self):
+        clear_ntt_cache()
+        be = get_backend("python")  # cheap contexts: the race is in the dict
+        primes = _distinct_primes(polynomial._NTT_CACHE_MAX + 6, start_bits=14)
+        self._hammer(lambda q: polynomial._context(N, q, be), primes, 20000)
+        assert ntt_cache_size() == polynomial._NTT_CACHE_MAX
+        assert len(set(ntt_cache_keys())) == polynomial._NTT_CACHE_MAX
+        clear_ntt_cache()
+
+    def test_rns_context_cache(self):
+        RnsContext.clear_cache()
+        primes = _distinct_primes(RnsContext._cache_max + 7, start_bits=14)
+        chains = [tuple(primes[i : i + 2]) for i in range(len(primes) - 1)]
+        assert len(chains) > RnsContext._cache_max
+        self._hammer(RnsContext.for_primes, chains, 60000)
+        assert len(RnsContext._cache) == RnsContext._cache_max
+        for chain in chains[-3:]:
+            assert RnsContext.for_primes(chain).primes == chain
+        RnsContext.clear_cache()
 
 
 class TestRnsChainCaching:
