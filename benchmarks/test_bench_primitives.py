@@ -144,8 +144,9 @@ def _best_ms(fn, rounds=5):
 def _rotation_phase_breakdown(ctx, ct, g, gk):
     """Where one delphi-RNS rotation spends its time, phase by phase.
 
-    Three probes: the digit decomposition (one digit per chain prime:
-    each residue lifted into every base), the full eval-domain key inner
+    Three probes: the digit decomposition (one digit per pair of chain
+    primes: the pair's residues lifted into one lane, then reduced into
+    the other bases), the full eval-domain key inner
     product, and the pure transform share of that product (the stacked
     digit forwards plus the two-vector inverse each residue ring pays).
     Recorded as extra_info so the JSON diff shows *where* a regression
@@ -153,7 +154,7 @@ def _rotation_phase_breakdown(ctx, ct, g, gk):
     """
     p = ctx.params
     rotated = ct.c1.automorphism(g)
-    digits = rotated.decompose(p.rns_primes, p.decomp_bits)
+    digits = rotated.decompose(p.digit_groups, p.decomp_bits)
     eval_keys = gk.eval_keys(g)  # per ring: the (K0, K1) digit stacks
     plans = [ntt._ntt._plan for ntt in rotated.ring_ntts()]
 
@@ -164,7 +165,7 @@ def _rotation_phase_breakdown(ctx, ct, g, gk):
 
     return {
         "phase_decompose_ms": _best_ms(
-            lambda: rotated.decompose(p.rns_primes, p.decomp_bits)
+            lambda: rotated.decompose(p.digit_groups, p.decomp_bits)
         ),
         "phase_key_product_ms": _best_ms(
             lambda: key_switch_inner(digits, eval_keys)
@@ -207,8 +208,8 @@ def test_bench_bfv_rotation_delphi_rns(benchmark):
     """Key-switched rotation at delphi scale on the RNS chain.
 
     The headline hot-path row: eval-domain Galois keys + the RNS gadget
-    (six residue digits, no base conversion). ``extra_info`` carries the
-    phase breakdown,
+    (three prime-pair digits, no base conversion). ``extra_info`` carries
+    the phase breakdown,
     and under ``REPRO_BENCH_STRICT=1`` (CI bench-smoke) the fresh mean
     must stay within 1.3x of the committed baseline.
     """
@@ -289,7 +290,8 @@ def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix):
     One instrumented run: diagonal encoding (the stacked inverse mod t
     included), the key-switch inner products, and the ciphertext-ring
     transforms; rows are counted at the plans — per diagonal and ring
-    D + 1 on a chain, D + 2 without one, plus one row mod t, the ledger
+    D + 1 on a chain (D - 1 digits, the accumulator's c1, the plaintext),
+    D + 2 without one, plus one row mod t, the ledger
     ``tests/test_batched_ntt.py`` pins.
     """
     clock = _PhaseClock()
@@ -359,7 +361,7 @@ def test_bench_matvec_delphi_rns_w16(benchmark):
 
 def test_bench_matvec_fast_w128(benchmark):
     """The wide layer of ``infer_sg_wide`` (3x128, a full batching row of
-    ``fast_params(256)``): 127 rotations of sixteen positional digits."""
+    ``fast_params(256)``): 127 rotations of three positional digits."""
     _matvec_bench(benchmark, PARAMS, seed=31, shape=(3, 128), rounds=3)
 
 
@@ -367,8 +369,9 @@ def test_bench_rns_decompose_delphi(benchmark):
     """The key-switch digit decomposition alone at delphi scale.
 
     Once a ~180-bit CRT reconstruction per coefficient, then the exact
-    fast base conversion, now just the six residues lifted into each
-    other's bases. Isolated so the decompose share of a rotation
+    fast base conversion, then the six residues lifted into each other's
+    bases, now three prime-pair lifts (``crt_lift``) each reduced into
+    the four other bases. Isolated so the decompose share of a rotation
     regression is visible without untangling the fused key product.
     """
     params, ctx, encoder, sk, pk = _delphi_rns_rig(17)
@@ -377,15 +380,15 @@ def test_bench_rns_decompose_delphi(benchmark):
         encoder.galois_element_for_rotation(1)
     )
     benchmark.pedantic(
-        lambda: rotated.decompose(params.rns_primes, params.decomp_bits),
+        lambda: rotated.decompose(params.digit_groups, params.decomp_bits),
         rounds=5, iterations=1, warmup_rounds=1,
     )
 
 
 def test_bench_galois_keygen_delphi_rns(benchmark):
-    """One Galois key at delphi scale: six (a, e) draws, six key digits,
-    twelve eval-domain forwards — what every mint pays before its first
-    rotation."""
+    """One Galois key at delphi scale: three (a, e) draws, three key
+    digits, six eval-domain forwards — what every mint pays before its
+    first rotation."""
     params, ctx, encoder, sk, pk = _delphi_rns_rig(19)
     g = encoder.galois_element_for_rotation(1)
     benchmark.pedantic(
@@ -396,7 +399,7 @@ def test_bench_galois_keygen_delphi_rns(benchmark):
 
 
 def test_bench_galois_keys_serialize_delphi_rns(benchmark):
-    """Residues -> wire bytes for one Galois key (twelve polynomials)."""
+    """Residues -> wire bytes for one Galois key (six polynomials)."""
     params, ctx, encoder, sk, pk = _delphi_rns_rig(23)
     gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
     wire = benchmark.pedantic(
@@ -407,7 +410,7 @@ def test_bench_galois_keys_serialize_delphi_rns(benchmark):
 
 
 def test_bench_galois_keys_deserialize_delphi_rns(benchmark):
-    """Wire bytes -> residues for one Galois key (twelve polynomials)."""
+    """Wire bytes -> residues for one Galois key (six polynomials)."""
     params, ctx, encoder, sk, pk = _delphi_rns_rig(23)
     gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
     wire = serialize_galois_keys(gk)

@@ -101,6 +101,11 @@ class ComputeBackend(abc.ABC):
     @abc.abstractmethod
     def eq(self, a: Vec, b: Vec) -> bool: ...
 
+    @abc.abstractmethod
+    def stack(self, vecs: Sequence[Vec]) -> Stack:
+        """The vectors as one native stack (a stack passes through): an
+        operand reused across kernel calls is stacked once, not per call."""
+
     # -- elementwise mod-q kernels ----------------------------------------
 
     @abc.abstractmethod
@@ -160,6 +165,17 @@ class ComputeBackend(abc.ABC):
         self, vec: Vec, base_bits: int, num_digits: int, q: int
     ) -> list[Vec]:
         """Digit decomposition: vec = sum_j digits[j] << (j * base_bits)."""
+
+    @abc.abstractmethod
+    def crt_lift(self, residues: Sequence[Vec], primes: Sequence[int]) -> Vec:
+        """The integer below ``prod(primes)`` with the given residues, per
+        element — the key-switching digit of a group of chain primes.
+
+        Garner's mixed-radix form, ``x <- x + P·(((r - x)·P^-1) mod p)``
+        prime by prime, so every intermediate stays below the product,
+        which the caller guarantees is under 2^62. Bit-identical to
+        reducing the CRT representative mod ``prod(primes)``.
+        """
 
     # -- wire codec ---------------------------------------------------------
 

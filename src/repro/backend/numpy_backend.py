@@ -369,6 +369,9 @@ class _NumpyBackendImpl(ComputeBackend):
     def eq(self, a, b) -> bool:
         return bool(np.array_equal(a, b))
 
+    def stack(self, vecs):
+        return _as_stack(vecs)
+
     # -- elementwise -------------------------------------------------------
 
     def add(self, a, b, q):
@@ -459,6 +462,18 @@ class _NumpyBackendImpl(ComputeBackend):
             digits.append(work & mask)
             work = work >> shift
         return digits
+
+    def crt_lift(self, residues, primes):
+        x, product = residues[0], primes[0]
+        for r, p in zip(residues[1:], primes[1:]):
+            pv = np.uint64(p)
+            # (r - x) mod p as r + (p - x mod p), below 2p; scalar_mul
+            # reduces it times P^-1 exactly in either regime, and
+            # x + P·t < P·p <= prod(primes) < 2^62.
+            t = self.scalar_mul(r + (pv - x % pv), mod_inverse(product % p, p), p)
+            x = x + np.uint64(product) * t
+            product *= p
+        return x
 
     # -- wire codec ---------------------------------------------------------
 

@@ -88,6 +88,9 @@ class PythonBackend(ComputeBackend):
     def eq(self, a: list[int], b: list[int]) -> bool:
         return a == b
 
+    def stack(self, vecs):
+        return list(vecs)
+
     # -- elementwise -------------------------------------------------------
 
     def add(self, a, b, q):
@@ -152,6 +155,14 @@ class PythonBackend(ComputeBackend):
             digits.append([c & mask for c in coeffs])
             coeffs = [c >> base_bits for c in coeffs]
         return digits
+
+    def crt_lift(self, residues, primes):
+        x, product = residues[0], primes[0]
+        for r, p in zip(residues[1:], primes[1:]):
+            inv = mod_inverse(product % p, p)
+            x = [a + product * ((b - a) * inv % p) for a, b in zip(x, r)]
+            product *= p
+        return x
 
     # -- wire codec ---------------------------------------------------------
 

@@ -11,7 +11,8 @@ scalar lift) commutes with the CRT isomorphism
     Z_q[X]/(X^n + 1)  ≅  ⨉_i  Z_{q_i}[X]/(X^n + 1),
 
 so the whole chain runs on the vectorized backend — key switching
-included, whose digits are the residues themselves (see
+included, whose digits are built from the residues of a few chain primes
+at a time in a 64-bit lane (see
 :meth:`repro.he.params.BfvParams.gadget_factors`). Only two places need
 the *integer representative* of a coefficient: decryption rounding, which
 reconstructs through the CRT (:meth:`RnsContext.from_rns`), and the wire,

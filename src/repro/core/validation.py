@@ -82,8 +82,7 @@ def predict_comm(protocol: HybridProtocol) -> dict[str, float]:
     gc_tables = 2 * LABEL_BYTES * circuit.and_count
 
     # Public key (one ciphertext-sized pair) plus one Galois key with one
-    # (k0, k1) pair per key-switching digit: one per chain prime on RNS
-    # parameter sets, ceil(q_bits / decomp_bits) on chainless ones.
+    # (k0, k1) pair per key-switching digit of the parameters' gadget.
     key_bytes = params.ciphertext_bytes * (1 + params.num_decomp_digits)
     he_up = n_linear * params.ciphertext_bytes
     he_down = n_linear * params.ciphertext_bytes

@@ -3,7 +3,7 @@
 from repro.he.bfv import BfvContext, Ciphertext, GaloisKeys, PublicKey, SecretKey
 from repro.he.costmodel import HeOpCount, HeUnitCosts, conv_op_count, fc_op_count
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator, required_rotation_steps
+from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.ntt import NegacyclicNtt, Ntt
 from repro.he.params import BfvParams, delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly, clear_ntt_cache
@@ -27,6 +27,5 @@ __all__ = [
     "delphi_params",
     "fast_params",
     "fc_op_count",
-    "required_rotation_steps",
     "toy_params",
 ]

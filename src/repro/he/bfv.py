@@ -3,7 +3,7 @@
 Implements exactly the surface DELPHI needs from SEAL: key generation,
 encryption, decryption, ciphertext addition, plaintext multiplication and
 addition, and slot rotations via Galois automorphisms with gadget key
-switching (residue digits on a prime chain, positional digits otherwise).
+switching (CRT digits on a prime chain, positional digits otherwise).
 Ciphertext-ciphertext multiplication is deliberately absent — the hybrid
 protocol never uses it.
 
@@ -122,8 +122,9 @@ class Ciphertext:
 
 def check_digit_count(params: BfvParams, galois_element: int, found: int) -> None:
     """Reject a Galois key whose digit count is not the parameters' gadget
-    (e.g. a 16-bit-digit key from an older build): the key switch would
-    otherwise pair digits against the wrong factors and decrypt to noise.
+    (e.g. a one-digit-per-prime key from an older build): the key switch
+    would otherwise pair digits against the wrong factors and decrypt to
+    noise.
     """
     expected = params.num_decomp_digits
     if found != expected:
@@ -321,16 +322,17 @@ class BfvContext:
         pass over all digits and a single two-vector inverse per ring, no
         key-side transforms. The digits come from the parameters' gadget
         (:meth:`~repro.he.params.BfvParams.gadget_factors`): on a chain
-        they are the residues c1 already consists of. A chain of
-        rotations feeding plaintext products should not call this in a
-        loop: :meth:`repro.he.linear.HomomorphicLinearEvaluator.matvec`
-        keeps the ciphertext in the evaluation domain in between.
+        they are c1 mod each group of chain primes, built from the
+        residues c1 already consists of. A chain of rotations and
+        plaintext products should not call this in a loop:
+        :meth:`repro.he.linear.HomomorphicLinearEvaluator.matvec` keeps
+        the ciphertext in the evaluation domain in between.
         """
         p = self.params
         eval_keys = self.rotation_keys(galois_element, gk)
         rotated_c0 = ct.c0.automorphism(galois_element)
         rotated_c1 = ct.c1.automorphism(galois_element)
-        digits = rotated_c1.decompose(p.rns_primes, p.decomp_bits)
+        digits = rotated_c1.decompose(p.digit_groups, p.decomp_bits)
         m0, m1 = key_switch_inner(digits, eval_keys)
         return Ciphertext(p, rotated_c0 + m0, m1)
 

@@ -17,6 +17,13 @@ diagonal matrix-vector product:
 * fully connected (n_out x n_in):
   - plaintext mults    ``ceil(n_in * n_out / slots)``
   - rotations          ``mults + log2(slots / max(n_out, 1))``
+
+The functional kernel (:meth:`repro.he.linear.HomomorphicLinearEvaluator.matvec`)
+runs its diagonal product in Gazelle's *output-rotation* (Horner) order —
+the accumulator is rotated, not the input. That changes where key-switch
+noise lands and so how wide the key-switching digits may be; it changes
+none of the counts here (w - 1 rotations and w plaintext products per
+width-w product either way).
 """
 
 from __future__ import annotations

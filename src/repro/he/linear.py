@@ -2,7 +2,9 @@
 
 The hybrid protocol's offline phase asks the server to compute ``W @ r`` on
 an encrypted random vector ``r``. We implement the Halevi-Shoup diagonal
-method for packed matrix-vector products, and evaluate convolutions by
+method for packed matrix-vector products — in Gazelle's output-rotation
+(Horner) order, see :meth:`HomomorphicLinearEvaluator.matvec` — and
+evaluate convolutions by
 lowering them to a matrix-vector product over the flattened input (the
 im2col/Toeplitz matrix). Gazelle's rotation-optimized convolution kernels
 differ only in *cost*, never in the computed function; their operation
@@ -18,11 +20,6 @@ from repro.he.encoder import BatchEncoder
 from repro.he.polynomial import EvalPair
 
 
-def required_rotation_steps(n_in: int) -> list[int]:
-    """Rotation steps the diagonal method needs for an n_in-wide matvec."""
-    return list(range(1, n_in))
-
-
 class HomomorphicLinearEvaluator:
     """Server-side evaluator for encrypted matrix-vector products."""
 
@@ -35,7 +32,10 @@ class HomomorphicLinearEvaluator:
 
     def _diagonals(self, matrix, start: int, stop: int, n_in: int, n_out: int):
         """Generalized diagonals start..stop-1, each padded to a full
-        batching row: entry i of diagonal d is ``matrix[i][(i + d) % n_in]``.
+        batching row and pre-rotated right by its own index: entry j of
+        diagonal d is ``matrix[(j - d) % row_size][j % n_in]`` where that
+        row exists, else 0 — rotating it left by d gives the textbook
+        diagonal ``matrix[i][(i + d) % n_in]``.
 
         One fancy-index for the whole block when the matrix is an ndarray
         (see :meth:`_gatherable`); the list path keeps the reference loop.
@@ -43,15 +43,16 @@ class HomomorphicLinearEvaluator:
         t = self._encoder.params.t
         row_size = self._encoder.row_size
         if isinstance(matrix, np.ndarray):
-            rows = np.arange(n_out)
-            shifts = np.arange(start, stop)[:, None]
-            block = np.zeros((stop - start, row_size), dtype=np.uint64)
-            block[:, :n_out] = matrix[rows, (rows + shifts) % n_in] % np.uint64(t)
-            return block
+            slots = np.arange(row_size)
+            rows = (slots - np.arange(start, stop)[:, None]) % row_size
+            values = matrix[np.minimum(rows, n_out - 1), slots % n_in]
+            return np.where(rows < n_out, values % np.uint64(t), np.uint64(0))
         return [
             [
-                matrix[i][(i + d) % n_in] % t if i < n_out else 0
-                for i in range(row_size)
+                matrix[(j - d) % row_size][j % n_in] % t
+                if (j - d) % row_size < n_out
+                else 0
+                for j in range(row_size)
             ]
             for d in range(start, stop)
         ]
@@ -83,15 +84,21 @@ class HomomorphicLinearEvaluator:
         :meth:`pack_vector`); the matrix width must divide the row size.
         ``matrix`` is a 2D field matrix — list of rows or ndarray.
 
-        Computes ``sum_d diag_d * rotate^d(ct_x)`` — the ciphertext the
-        public ``rotate`` / ``mul_plain`` / ``+`` ops build, residue for
-        residue — without leaving the evaluation domain in between
+        Computes ``sum_d rotate^d(P_d * ct_x)`` in Horner form,
+        ``acc = P_{w-1} * x; acc = rotate(acc) + P_d * x`` for d = w-2 …
+        0, with ``P_d`` the d-th diagonal pre-rotated right by d
+        (:meth:`_diagonals`) — the ciphertext the public ``rotate`` /
+        ``mul_plain`` / ``+`` ops build in that order, residue for
+        residue. Rotating the *accumulator* instead of the input means
+        every key-switch error is added after the weights have been
+        multiplied in, never scaled by them, which is what lets the
+        parameter sets key-switch on few, wide digits. The working pair
+        never leaves the evaluation domain
         (:class:`repro.he.polynomial.EvalPair`): the input is transformed
-        once, every rotation is a permutation plus the key-switch inner
-        product, every plaintext product accumulates pointwise, and the
-        sum is transformed back once. Diagonals are encoded a bounded
-        block at a time so the working set stays a few hundred KB at any
-        width.
+        once, every step is a permutation plus one inner product per
+        component, and the sum is transformed back once. Diagonals are
+        encoded a bounded block at a time so the working set stays a few
+        hundred KB at any width.
         """
         ctx, encoder = self._ctx, self._encoder
         p = ctx.params
@@ -104,90 +111,35 @@ class HomomorphicLinearEvaluator:
             raise ValueError(f"matrix height {n_out} exceeds row size {row_size}")
 
         g = encoder.galois_element_for_rotation(1)
-        eval_keys = ctx.rotation_keys(g, self._galois_keys) if n_in > 1 else None
+        groups = p.digit_groups
         matrix = self._gatherable(matrix)
-        pair = EvalPair.from_coeff(ct_x.c0, ct_x.c1)
+        x = EvalPair.from_coeff(ct_x.c0, ct_x.c1)
+        # A width-1 product rotates nothing and needs no key.
+        keyed = x.keyed(ctx.rotation_keys(g, self._galois_keys)) if n_in > 1 else None
         # About 2^15 coefficients of encoded diagonals at a time, over all
         # residue rings: 2 rows at delphi_params, 128 at fast_params(256).
-        block = max(1, (1 << 15) // (p.n * len(pair.e0)))
-        result: EvalPair | None = None
-        for start in range(0, n_in, block):
-            stop = min(start + block, n_in)
+        block = max(1, (1 << 15) // (p.n * len(x.e0)))
+        acc: EvalPair | None = None
+        for stop in range(n_in, 0, -block):
+            start = max(stop - block, 0)
             diagonals = self._diagonals(matrix, start, stop, n_in, n_out)
             # Replicate into the second row so both rows stay consistent.
             plains = ctx.plain_evals(
                 encoder.encode_many([self._both_rows(d) for d in diagonals])
             )
-            pairs = []
-            for d in range(start, stop):
-                if d > 0:
-                    pair = pair.rotated(g, eval_keys, p.rns_primes, p.decomp_bits)
-                    self.rotations_performed += 1
-                pairs.append(pair)
-            term = EvalPair.dot(plains, pairs)
-            self.plain_mults_performed += stop - start
-            result = term if result is None else result + term
-            # Free this block's stacks before the next block allocates.
-            del diagonals, plains, pairs, term
-        assert result is not None
-        c0, c1 = result.to_coeff()
-        return Ciphertext(p, c0, c1)
-
-    def matvec_bsgs(
-        self, ct_x: Ciphertext, matrix, baby_steps: int
-    ) -> Ciphertext:
-        """Baby-step/giant-step diagonal matvec (Gazelle's hoisting trick).
-
-        Splits each diagonal index d = g*B + b: the B baby rotations of x
-        are computed once and shared across giant steps, and each giant
-        partial sum is rotated into place with a Horner-style pass, cutting
-        rotations from n_in - 1 to (B - 1) + (G - 1). Requires Galois keys
-        for single-step and B-step rotations.
-        """
-        encoder = self._encoder
-        row_size = encoder.row_size
-        n_out = len(matrix)
-        n_in = len(matrix[0])
-        if n_in % baby_steps != 0:
-            raise ValueError("baby_steps must divide the matrix width")
-        if row_size % n_in != 0:
-            raise ValueError(f"matrix width {n_in} must divide row size {row_size}")
-        if n_out > row_size:
-            raise ValueError(f"matrix height {n_out} exceeds row size {row_size}")
-        giant_steps = n_in // baby_steps
-        g1 = encoder.galois_element_for_rotation(1)
-        g_big = encoder.galois_element_for_rotation(baby_steps)
-
-        babies = [ct_x]
-        for _ in range(1, baby_steps):
-            babies.append(self._ctx.rotate(babies[-1], g1, self._galois_keys))
-            self.rotations_performed += 1
-
-        result: Ciphertext | None = None
-        for g in range(giant_steps - 1, -1, -1):
-            shift = g * baby_steps
-            partial: Ciphertext | None = None
-            for b in range(baby_steps):
-                (diag,) = self._diagonals(
-                    matrix, shift + b, shift + b + 1, n_in, n_out
-                )
-                # Pre-rotate the plaintext right by the giant shift so the
-                # final ciphertext rotation lands entries at the right slot.
-                if isinstance(diag, np.ndarray):
-                    pre = np.roll(diag, shift)
+            for k in range(stop - start - 1, -1, -1):
+                plain = [rows[k] for rows in plains]
+                if acc is None:
+                    acc = x.times(plain)
                 else:
-                    pre = [diag[(j - shift) % row_size] for j in range(row_size)]
-                term = self._ctx.mul_plain(babies[b], encoder.encode(self._both_rows(pre)))
+                    acc = acc.rotated_plus(g, keyed, groups, p.decomp_bits, plain)
+                    self.rotations_performed += 1
                 self.plain_mults_performed += 1
-                partial = term if partial is None else partial + term
-            assert partial is not None
-            if result is None:
-                result = partial
-            else:
-                result = self._ctx.rotate(result, g_big, self._galois_keys) + partial
-                self.rotations_performed += 1
-        assert result is not None
-        return result
+            # Free this block's stacks before the next block allocates.
+            del diagonals, plains
+        assert acc is not None
+        c0, c1 = acc.to_coeff()
+        return Ciphertext(p, c0, c1)
 
     def pack_vector(self, vector: list[int]) -> list[int]:
         """Replicate a vector periodically across a full batching row.

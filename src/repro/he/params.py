@@ -25,6 +25,7 @@ arbitrary-precision Python.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -51,7 +52,7 @@ class BfvParams:
         decomp_bits: key-switching digit width of a *chainless* modulus
             (base-2^w positional digits; defaults to 16). Parameter sets
             with an ``rns_primes`` chain key-switch on the chain itself —
-            one digit per prime, see :meth:`gadget_factors` — and reject
+            see ``digit_primes`` and :meth:`gadget_factors` — and reject
             a ``decomp_bits`` rather than ignore it.
         backend: compute backend preference ('auto', 'python', 'numpy')
             for every object built from these params; whatever is chosen,
@@ -61,6 +62,12 @@ class BfvParams:
             product is q; required for the ``rns`` representation.
         representation: ciphertext-ring representation ('auto', 'bigint',
             'rns'); resolve with :meth:`resolve_representation`.
+        digit_primes: consecutive chain primes per key-switching digit
+            (defaults to 1): digit G of c is ``c mod`` the product of the
+            G-th group of ``rns_primes``. Must divide the chain length,
+            and a group's product must stay below 2^62 so a digit fits a
+            vectorized lane. Chainless parameters reject it, as a chain
+            rejects ``decomp_bits``.
     """
 
     n: int
@@ -71,6 +78,7 @@ class BfvParams:
     backend: str = "auto"
     rns_primes: tuple[int, ...] | None = None
     representation: str = "auto"
+    digit_primes: int | None = None
 
     def __post_init__(self) -> None:
         if self.n & (self.n - 1):
@@ -89,13 +97,18 @@ class BfvParams:
         if self.rns_primes is None:
             if self.representation == "rns":
                 raise ValueError("representation='rns' requires rns_primes")
+            if self.digit_primes is not None:
+                raise ValueError(
+                    "digit_primes applies to chain parameters only: a "
+                    "chainless modulus key-switches on decomp_bits"
+                )
             if self.decomp_bits is None:
                 object.__setattr__(self, "decomp_bits", 16)
         else:
             if self.decomp_bits is not None:
                 raise ValueError(
                     "decomp_bits applies to chainless parameters only: a "
-                    "chain key-switches with one digit per rns_primes entry"
+                    "chain key-switches on groups of digit_primes primes"
                 )
             primes = tuple(int(p) for p in self.rns_primes)
             object.__setattr__(self, "rns_primes", primes)
@@ -108,6 +121,18 @@ class BfvParams:
                 product *= p
             if product != self.q:
                 raise ValueError("rns_primes must multiply to q")
+            if self.digit_primes is None:
+                object.__setattr__(self, "digit_primes", 1)
+            if self.digit_primes < 1 or len(primes) % self.digit_primes:
+                raise ValueError(
+                    f"digit_primes={self.digit_primes} must divide the "
+                    f"chain length {len(primes)}"
+                )
+            if any(math.prod(group) >= 1 << 62 for group in self.digit_groups):
+                raise ValueError(
+                    f"a group of {self.digit_primes} chain primes reaches "
+                    "2^62: a key-switching digit must fit a 64-bit lane"
+                )
             # Distinctness is checked here; the bigint oracle needs the
             # factorization to find roots of unity in the composite ring.
             register_modulus_factors(self.q, primes)
@@ -165,31 +190,43 @@ class BfvParams:
         return 2 * self.n * ((self.q_bits + 7) // 8)
 
     @property
+    def digit_groups(self) -> tuple[tuple[int, ...], ...] | None:
+        """The chain split into its key-switching groups of
+        ``digit_primes`` consecutive primes (None without a chain) — what
+        ``decompose`` takes next to ``decomp_bits``."""
+        if self.rns_primes is None:
+            return None
+        k = self.digit_primes
+        return tuple(
+            self.rns_primes[i : i + k] for i in range(0, len(self.rns_primes), k)
+        )
+
+    @property
     def num_decomp_digits(self) -> int:
         """Key-switching digits per Galois key (= pairs on the wire)."""
         if self.rns_primes is not None:
-            return len(self.rns_primes)
+            return len(self.rns_primes) // self.digit_primes
         return -(-self.q_bits // self.decomp_bits)
 
     def gadget_factors(self) -> list[int]:
         """The key-switching gadget g with <digits(c), g> = c mod q.
 
-        Chain parameters use the RNS gadget SEAL uses: digit i of c is
-        its residue mod p_i and g_i is the CRT idempotent
-        (q/p_i)·[(q/p_i)^-1 mod p_i] — 1 mod p_i, 0 mod every other chain
-        prime — so the digits are the residues the ring already holds.
-        Chainless parameters use base-2^decomp_bits positional digits
-        with g_j = 2^(j·decomp_bits).
+        Chain parameters use the RNS gadget SEAL uses: digit G of c is
+        its residue mod P_G, the product of the G-th group of chain
+        primes, and g_G is the CRT idempotent
+        (q/P_G)·[(q/P_G)^-1 mod P_G] — 1 mod every prime of the group, 0
+        mod every other chain prime. With ``digit_primes`` = 1 the digits
+        are the residues the ring already holds. Chainless parameters use
+        base-2^decomp_bits positional digits with g_j = 2^(j·decomp_bits).
         """
         if self.rns_primes is None:
             return [
                 pow(2, j * self.decomp_bits, self.q)
                 for j in range(self.num_decomp_digits)
             ]
-        k = len(self.rns_primes)
         return [
-            crt_combine([int(i == j) for j in range(k)], self.rns_primes)
-            for i in range(k)
+            crt_combine([int(p in group) for p in self.rns_primes], self.rns_primes)
+            for group in self.digit_groups
         ]
 
     field_cache: dict = field(default_factory=dict, compare=False, hash=False)
@@ -200,18 +237,20 @@ def toy_params(n: int = 256, t_bits: int = 17) -> BfvParams:
 
     The ~100-bit ciphertext modulus — a chain of four 25-bit NTT primes,
     so the ring runs RNS-vectorized whenever numpy is available — leaves
-    enough noise headroom for a chain of row rotations followed by a
-    plaintext multiplication with full-width weights, which is what the
-    diagonal-method matvec performs: key-switching on the four residues
-    (see :func:`delphi_params`) it keeps 22 of its 76 fresh bits after a
-    full-row (128-wide) matvec, 25 after a 16-wide one.
+    ample noise headroom for the diagonal-method matvec. Key switching
+    keeps one digit per chain prime (``digit_primes=1``): the matvec
+    rotates its accumulator, so a key-switch error is only ever *added*
+    (see :func:`delphi_params`), but a 100-bit q has less room above the
+    n·t² rounding term than delphi's 180 bits — four 25-bit digits keep
+    38 of the 76 fresh bits after a full-row (128-wide) matvec and 44
+    after a 16-wide one, two 50-bit digits would keep 20-23.
     """
     primes = generate_ntt_primes(n, count=4, bits=25)
     q = 1
     for p in primes:
         q *= p
     t = find_ntt_prime(t_bits, n)
-    return BfvParams(n=n, q=q, t=t, rns_primes=primes)
+    return BfvParams(n=n, q=q, t=t, rns_primes=primes, digit_primes=1)
 
 
 def fast_params(n: int = 256, t_bits: int = 17, backend: str = "auto") -> BfvParams:
@@ -220,18 +259,23 @@ def fast_params(n: int = 256, t_bits: int = 17, backend: str = "auto") -> BfvPar
     Like :func:`toy_params` but with a single 62-bit ciphertext prime —
     the widest the numpy backend's Shoup reduction handles exactly — so
     the whole BFV pipeline runs vectorized without RNS bookkeeping. With
-    no chain to key-switch on, it keeps the positional gadget, and the
-    narrower q buys noise budget back by shrinking the digits to 4 bits
-    (sixteen digits per rotation, each contributing far less noise): a
-    16-wide diagonal matvec at a 17-bit plaintext field retains ~9 bits
-    of budget and a full-row (128-wide) one 3-6, versus going negative
-    with the default 16-bit digits. The python backend computes these
+    no chain to key-switch on, it keeps the positional gadget: three
+    21-bit digits. The diagonal matvec rotates its *accumulator*
+    (:meth:`repro.he.linear.HomomorphicLinearEvaluator.matvec`), so each
+    key switch adds its error Σ_j d_j·e_j ≈ 2^21·sqrt(3·n·2) ≈ 2^26 once,
+    after the weights — w of them sum to ~2^30 at a full row, far below
+    the n·t² ≈ 2^42 rounding term of the plaintext products that sets the
+    budget. Measured after a matvec at a 17-bit plaintext field (fresh:
+    37 bits): 4 bits at a full row (128 wide), 10 at 16 wide, the same at
+    every digit width up to 21 bits; 31-bit digits (two of them) reach
+    that term and drop to 1-4. The floors are pinned in
+    ``tests/test_keyswitch_gadget.py``. The python backend computes these
     parameters exactly too, which is what makes cross-backend parity and
     benchmark comparisons apples-to-apples.
     """
     q = find_ntt_prime(62, n)
     t = find_ntt_prime(t_bits, n)
-    return BfvParams(n=n, q=q, t=t, decomp_bits=4, backend=backend)
+    return BfvParams(n=n, q=q, t=t, decomp_bits=21, backend=backend)
 
 
 def delphi_params() -> BfvParams:
@@ -251,20 +295,24 @@ def delphi_params() -> BfvParams:
     congruence, and the chain is what puts the ring on the vectorized
     backend — SEAL makes the same trade.)
 
-    Key switching uses the chain as its gadget, as SEAL does: six digits,
-    the residues of c1, against the six CRT idempotents
-    (:meth:`BfvParams.gadget_factors`) — half the key material of the
-    twelve 16-bit positional digits this set used before, and no base
-    conversion inside a rotation. The price is noise. One key switch adds
-    Σ_i d_i·e_i with d_i < 2^30 and centered-binomial e_i (variance 2):
-    about 2^30·sqrt(6·n·2) ≈ 2^37, peaks near 2^39, where 16-bit digits
-    added ~2^25. The diagonal matvec then multiplies by full-width
-    weights (~sqrt(n)·t ≈ 2^47 per term) and sums w terms, so the
-    rotation share lands near 2^(86 + log2(w)/2) — now level with the
-    rounding term instead of far below it. Measured budget after a
-    width-w matvec with random 41-bit weights (fresh: 131 bits): 50 bits
-    at w = 16 and 46 at w = 256, down from 55 and 51; the floor is pinned
-    in ``tests/test_keyswitch_gadget.py``.
+    Key switching uses the chain as its gadget, as SEAL does, two primes
+    to a digit (``digit_primes=2``): three digits, c1 mod p_a·p_b (below
+    2^60, rebuilt from the two residues in one 64-bit lane), against the
+    CRT idempotents of the pairs (:meth:`BfvParams.gadget_factors`) —
+    half the key material of one digit per prime, a quarter of the
+    twelve 16-bit positional digits this set started with. The price is
+    noise, and the matvec is arranged so that it is cheap: one key switch
+    adds Σ_G d_G·e_G with d_G < 2^60 and centered-binomial e_G (variance
+    2), about 2^60·sqrt(3·n·2) ≈ 2^67, and because the diagonal method
+    rotates its *accumulator* (Horner order, see
+    :meth:`repro.he.linear.HomomorphicLinearEvaluator.matvec`) that error
+    is added after the weights have been multiplied in — w of them sum
+    to ~2^(67 + log2(w)/2), against the ~2^93 rounding term above. (With
+    input rotations every such error was scaled by ~sqrt(n)·t ≈ 2^47,
+    which is what held the digits at 30 bits.) Measured budget after a
+    width-w matvec with random 41-bit weights (fresh: 130 bits): 53 bits
+    at w = 16, 48 at 64, 44 at 256 — identical with one digit per prime;
+    the floors are pinned in ``tests/test_keyswitch_gadget.py``.
     """
     n = 2048
     t = find_ntt_prime(41, n)
@@ -272,4 +320,4 @@ def delphi_params() -> BfvParams:
     q = 1
     for p in primes:
         q *= p
-    return BfvParams(n=n, q=q, t=t, rns_primes=primes)
+    return BfvParams(n=n, q=q, t=t, rns_primes=primes, digit_primes=2)

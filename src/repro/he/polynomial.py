@@ -37,6 +37,7 @@ mid-ciphertext-op (pinned by ``tests/test_ntt_cache.py``).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 
@@ -202,29 +203,32 @@ class RingPoly:
             be.automorphism(self._vec, galois_element, self.q), self.q, be
         )
 
-    def decompose(self, chain, base_bits: int | None = None) -> list["RingPoly"]:
+    def decompose(self, groups, base_bits: int | None = None) -> list["RingPoly"]:
         """Key-switching digits, self = sum_j digits[j] * g_j mod q for
         the gadget g of :meth:`repro.he.params.BfvParams.gadget_factors`.
 
-        Along a prime ``chain`` (whose product is q) digit i is every
-        coefficient's residue mod chain[i] — the bigint reference
-        :meth:`RnsPoly.decompose` is held bit-identical to. A chainless
-        modulus (``chain`` None) splits into base-2^base_bits positional
-        digits instead.
+        Along the prime ``groups`` of a chain (whose product is q;
+        :attr:`~repro.he.params.BfvParams.digit_groups`) digit G is every
+        coefficient reduced mod the product of group G — the bigint
+        reference :meth:`RnsPoly.decompose` is held bit-identical to. A
+        chainless modulus (``groups`` None) splits into base-2^base_bits
+        positional digits instead.
         """
         be = self._backend
-        if chain is None:
+        if groups is None:
             num_digits = -(-self.q.bit_length() // base_bits)
             vecs = be.decompose(self._vec, base_bits, num_digits, self.q)
         else:
-            vecs = [be.asvec(self._vec, p) for p in chain]
+            vecs = [be.asvec(self._vec, math.prod(group)) for group in groups]
         return [RingPoly._from_vec(vec, self.q, be) for vec in vecs]
 
     # -- residue-ring views (one ring: the element itself) --------------------
 
-    # Whether digit i of :meth:`decompose`, read in ring i, is the
-    # element's own vector there (see :class:`RnsPoly`).
-    residue_digits = False
+    def own_digits(self, groups) -> list[int | None]:
+        """Per residue ring, which digit of :meth:`decompose` is, read in
+        that ring, the element's own vector there: none in a single ring
+        (see :class:`RnsPoly`)."""
+        return [None]
 
     def ring_ntts(self) -> list[NegacyclicNtt]:
         """The transform context of every residue ring of this element."""
@@ -295,7 +299,8 @@ class RnsPoly:
     ``residues[i]`` is a backend-native coefficient vector mod the chain's
     i-th prime. All ring operations act residue-wise (they commute with
     the CRT isomorphism), so each runs as small-modulus vectorized
-    kernels — key-switch digits included, they *are* the residues; only
+    kernels — key-switch digits included, each lifted from the residues
+    of one group of chain primes (:meth:`decompose`); only
     ``coeffs`` and decryption rounding, which need the integer
     representative, pay for CRT reconstruction. Mirrors the
     :class:`RingPoly` surface the BFV layer uses, so ciphertexts are
@@ -421,22 +426,41 @@ class RnsPoly:
             lambda i, p, be: be.automorphism(self.residues[i], galois_element, p)
         )
 
-    def decompose(self, chain, base_bits: int | None = None) -> list["RnsPoly"]:
-        """Key-switching digits along the element's own chain: digit i is
-        residue i re-expressed in every base — at most one reduction of an
-        already-small vector per base, no base conversion and no integer
-        representative. Bit-identical to :meth:`RingPoly.decompose` along
-        the same chain.
+    def decompose(self, groups, base_bits: int | None = None) -> list["RnsPoly"]:
+        """Key-switching digits along the element's own chain: digit G is
+        the integer below the product of prime group G with the residues
+        held there (:meth:`~repro.backend.base.ComputeBackend.crt_lift`;
+        the residue itself for a group of one), re-expressed in every
+        base — in the group's own rings that is the residue already
+        held, elsewhere one reduction of a vector that fits a lane. No
+        integer representative mod q anywhere. Bit-identical to
+        :meth:`RingPoly.decompose` along the same groups.
         """
-        if tuple(chain or ()) != self.ctx.primes:
+        if tuple(p for group in groups or () for p in group) != self.ctx.primes:
             raise ValueError("an RNS element decomposes along its own chain")
-        return [RnsPoly.from_coeffs(self.ctx, r) for r in self.residues]
+        rings = list(zip(self.ctx.primes, self.ctx.backends))
+        digits, start = [], 0
+        for group in groups:
+            stop = start + len(group)
+            lifted = rings[start][1].crt_lift(self.residues[start:stop], group)
+            digits.append(
+                RnsPoly(
+                    self.ctx,
+                    [
+                        self.residues[i] if start <= i < stop else be.asvec(lifted, p)
+                        for i, (p, be) in enumerate(rings)
+                    ],
+                )
+            )
+            start = stop
+        return digits
 
     # -- residue-ring views ----------------------------------------------------
 
-    # Digit i of :meth:`decompose` is residue i, so read in ring i it is
-    # the element's own vector: its transform need never be recomputed.
-    residue_digits = True
+    def own_digits(self, groups) -> list[int]:
+        """Digit G of :meth:`decompose` is the residue itself in every
+        ring of group G: its transform there need never be recomputed."""
+        return [j for j, group in enumerate(groups) for _ in group]
 
     def ring_ntts(self) -> list[NegacyclicNtt]:
         """The transform context of every residue ring of this element."""
@@ -518,32 +542,31 @@ class EvalPair:
     """Two elements of one ring — a ciphertext's (c0, c1) — resident in the
     evaluation domain: per residue ring, one canonical eval vector each.
 
-    The working form of the diagonal matvec. Everything it does between
-    the two domain changes is pointwise: a rotation is an index
-    permutation plus the key-switch inner product (:meth:`rotated`),
-    plaintext products accumulate as one more inner product
-    (:meth:`dot`). Only the key-switch *digits* need coefficients — they
-    depend on the canonical integer representative of c1 — so the
-    coefficient form of c1 alone is recovered, lazily, when a pair is
-    rotated. Every value is the canonical residue of the same ring
-    element the coefficient-domain ops compute, hence bit-identical
-    ciphertexts.
+    The working form of the diagonal matvec, which is a Horner recurrence
+    on pairs: ``acc <- rot(acc) + plain ⊙ x`` (:meth:`rotated_plus`),
+    seeded with a pointwise product (:meth:`times`). Everything between
+    the two domain changes is pointwise — a rotation is an index
+    permutation plus the key-switch inner product, and the plaintext
+    product rides in that same inner product as one more row. Only the
+    key-switch *digits* need coefficients: they depend on the canonical
+    integer representative of c1, so each step inverts c1 alone. Every
+    value is the canonical residue of the same ring element the
+    coefficient-domain ops compute, hence bit-identical ciphertexts.
     """
 
-    __slots__ = ("_like", "_ntts", "e0", "e1", "_c1")
+    __slots__ = ("_like", "_ntts", "e0", "e1")
 
-    def __init__(self, like, ntts, e0, e1, c1=None):
+    def __init__(self, like, ntts, e0, e1):
         self._like = like  # any element of the ring (rebuilds polys)
         self._ntts = ntts
         self.e0 = e0
         self.e1 = e1
-        self._c1 = c1  # coefficient form of c1, once known
 
     @classmethod
     def from_coeff(cls, c0, c1) -> "EvalPair":
         """Transform a coefficient-domain pair (one two-row pass per ring)."""
         e0, e1 = zip(*eval_stacks([c0, c1]))
-        return cls(c1, c1.ring_ntts(), e0, e1, c1)
+        return cls(c1, c1.ring_ntts(), e0, e1)
 
     def to_coeff(self):
         """Back to coefficient-domain ring elements (c0, c1)."""
@@ -555,71 +578,72 @@ class EvalPair:
         )
         return self._like.from_ring_vecs(c0), self._like.from_ring_vecs(c1)
 
-    def _coeff_c1(self):
-        if self._c1 is None:
-            self._c1 = self._like.from_ring_vecs(
-                [ntt.inverse_vec(e) for ntt, e in zip(self._ntts, self.e1)]
-            )
-        return self._c1
+    def times(self, plain) -> "EvalPair":
+        """plain ⊙ self: ``plain`` holds, per residue ring, the (possibly
+        lazy) eval vector of the multiplier."""
+        e0, e1 = [], []
+        for ntt, row, a, b in zip(self._ntts, plain, self.e0, self.e1):
+            e0.append(ntt.backend.mul(row, a, ntt.q))
+            e1.append(ntt.backend.mul(row, b, ntt.q))
+        return EvalPair(self._like, self._ntts, e0, e1)
 
-    def rotated(self, galois_element: int, eval_keys, chain, base_bits):
-        """X -> X^g on both components, key-switched back: the pair
-        :meth:`repro.he.bfv.BfvContext.rotate` computes, eval domain in
-        and out.
+    def keyed(self, eval_keys) -> list[tuple]:
+        """Per residue ring, the key stacks of one Galois element with
+        this pair's components appended as one more row each,
+        ``(K0 ⧺ e0, K1 ⧺ e1)``: the canonical side of every
+        :meth:`rotated_plus` that adds a multiple of this pair, stacked
+        once per matvec instead of once per step."""
+        return [
+            (ntt.backend.stack([*k0, a]), ntt.backend.stack([*k1, b]))
+            for ntt, (k0, k1), a, b in zip(
+                self._ntts, eval_keys, self.e0, self.e1, strict=True
+            )
+        ]
+
+    def rotated_plus(
+        self, galois_element: int, keyed, groups, base_bits, plain
+    ) -> "EvalPair":
+        """rot(self) + plain ⊙ x for the pair x that built ``keyed``
+        (:meth:`keyed`) — one Horner step of the diagonal matvec: X -> X^g
+        on both components, key-switched back as
+        :meth:`repro.he.bfv.BfvContext.rotate` does it, plus the product
+        :meth:`times` computes, eval domain in and out.
 
         The digits are taken exactly as ``rotate`` takes them — the
         coefficient-domain automorphism of c1, decomposed — so they are
         bit-identical; c0 is permuted in place of being transformed, and
-        on a chain so is digit i in ring i, which is the rotated c1
-        residue whose eval form is already held.
+        on a chain so is the ring's own digit (:meth:`RnsPoly.own_digits`),
+        which is the rotated c1 residue whose eval form is already held.
+        The plaintext row is stacked onto the digit rows as x's
+        components are onto the key rows, so each component is one
+        lazily reduced inner product, ``Σ_j d_j·k_j + plain·x``.
         """
-        rotated_c1 = self._coeff_c1().automorphism(galois_element)
-        own_digit = rotated_c1.residue_digits
+        c1 = self._like.from_ring_vecs(
+            [ntt.inverse_vec(e) for ntt, e in zip(self._ntts, self.e1)]
+        )
+        rotated_c1 = c1.automorphism(galois_element)
+        own_digits = rotated_c1.own_digits(groups)
         digit_vecs = [
-            d.ring_vecs() for d in rotated_c1.decompose(chain, base_bits)
+            d.ring_vecs() for d in rotated_c1.decompose(groups, base_bits)
         ]
         e0, e1 = [], []
-        for i, (ntt, (k0, k1)) in enumerate(
-            zip(self._ntts, eval_keys, strict=True)
-        ):
+        for i, (ntt, (k0, k1)) in enumerate(zip(self._ntts, keyed, strict=True)):
             be = ntt.backend
+            own = own_digits[i]
             index = ntt.automorphism_index(galois_element)
-            rows = [
-                vecs[i]
-                for j, vecs in enumerate(digit_vecs)
-                if not (own_digit and j == i)
-            ]
-            evals = list(ntt.forward_stack(rows, lazy=True))
-            if own_digit:
-                evals.insert(i, be.permute(self.e1[i], index))
-            m0, m1 = ntt.key_switch_eval(evals, k0, k1)
+            rows = list(
+                ntt.forward_stack(
+                    [vecs[i] for j, vecs in enumerate(digit_vecs) if j != own],
+                    lazy=True,
+                )
+            )
+            if own is not None:
+                rows.insert(own, be.permute(self.e1[i], index))
+            rows.append(plain[i])
+            m0, m1 = ntt.key_switch_eval(be.stack(rows), k0, k1)
             e0.append(be.add(be.permute(self.e0[i], index), m0, ntt.q))
             e1.append(m1)
         return EvalPair(self._like, self._ntts, e0, e1)
-
-    @classmethod
-    def dot(cls, plain_stacks, pairs) -> "EvalPair":
-        """Σ_j plain_j · pairs[j]: ``plain_stacks`` holds, per residue
-        ring, the (possibly lazy) eval stack of the multipliers, a row
-        per pair."""
-        first = pairs[0]
-        e0, e1 = [], []
-        for i, (ntt, rows) in enumerate(zip(first._ntts, plain_stacks)):
-            be = ntt.backend
-            e0.append(be.inner_product(rows, [p.e0[i] for p in pairs], ntt.q))
-            e1.append(be.inner_product(rows, [p.e1[i] for p in pairs], ntt.q))
-        return cls(first._like, first._ntts, e0, e1)
-
-    def __add__(self, other: "EvalPair") -> "EvalPair":
-        def add(xs, ys):
-            return [
-                ntt.backend.add(x, y, ntt.q)
-                for ntt, x, y in zip(self._ntts, xs, ys)
-            ]
-
-        return EvalPair(
-            self._like, self._ntts, add(self.e0, other.e0), add(self.e1, other.e1)
-        )
 
 
 def multiply_shared(shared, others):

@@ -52,8 +52,9 @@ def params_fingerprint(params) -> str:
     """Short stable id for a parameter set (store directory component).
 
     Covers the key-switching gadget — ``decomp_bits`` for a chainless
-    modulus, the chain itself (``decomp_bits`` is None) otherwise — so
-    entries minted under another gadget are never looked up.
+    modulus, the chain and its ``digit_primes`` grouping otherwise (each
+    is None where the other applies) — so entries minted under another
+    gadget are never looked up.
     """
     material = repr(
         (
@@ -63,6 +64,7 @@ def params_fingerprint(params) -> str:
             params.noise_eta,
             params.decomp_bits,
             params.rns_primes,
+            params.digit_primes,
         )
     ).encode()
     return hashlib.sha256(material).hexdigest()[:12]

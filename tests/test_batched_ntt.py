@@ -25,7 +25,7 @@ from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
 from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.ntt import NegacyclicNtt
-from repro.he.params import fast_params, toy_params
+from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly, clear_ntt_cache, multiply_shared
 
 
@@ -237,22 +237,19 @@ class TestPinnedOpCounts:
             assert counter.vectors["inverse_unscaled_many"] == 2
         assert encoder.decode(ctx.decrypt(sk, rotated))[:7] == list(range(1, 8))
 
-    @pytest.mark.parametrize("width", (1, 2, 8))
-    @pytest.mark.parametrize("family", ("chain", "chainless"))
-    def test_matvec_row_ledger(self, family, width):
-        """Transform rows of one width-w evaluation-domain matvec, per
-        residue ring: forwards 2 (c0, c1) + (w-1) rotations x the digits
-        + w plaintexts, inverses one c1 per rotation but the last + the
-        two accumulators. On a chain a rotation forwards D-1 digits — the
-        ring's own residue digit is a permutation of the eval form it
-        holds — and D without one. Encoding costs w inverse rows mod t.
-        """
-        if family == "chain":
-            params = dataclasses.replace(toy_params(n=64), representation="rns")
-            forwarded_digits = params.num_decomp_digits - 1
-        else:
-            params = fast_params(n=64)
-            forwarded_digits = params.num_decomp_digits
+    FAMILIES = {
+        # One digit per chain prime (D = 4), prime pairs (the delphi
+        # chain at degree 64: D = 3), three positional digits.
+        "chain": lambda: dataclasses.replace(toy_params(n=64), representation="rns"),
+        "pairs": lambda: dataclasses.replace(
+            delphi_params(), n=64, representation="rns"
+        ),
+        "chainless": lambda: fast_params(n=64),
+    }
+
+    def _matvec_rows(self, params, width):
+        """Transform rows of one width-w matvec: per ciphertext residue
+        ring (forwards, inverses), and the same pair mod t."""
         ctx = BfvContext(params, SecureRandom(4))
         encoder = BatchEncoder(params)
         sk, pk = ctx.keygen()
@@ -268,16 +265,50 @@ class TestPinnedOpCounts:
         _, plain_counter = _counted_context(params.n, params.t, encoder.backend)
         matrix = [[(3 * i + j) % params.t for j in range(width)] for i in range(2)]
         out = evaluator.matvec(ct, matrix)
-        for counter in counters:
-            assert counter.rows(counter.FORWARDS) == (
-                2 + (width - 1) * forwarded_digits + width
-            )
-            assert counter.rows(counter.INVERSES) == max(width - 2, 0) + 2
-        assert plain_counter.rows(plain_counter.FORWARDS) == 0
-        assert plain_counter.rows(plain_counter.INVERSES) == width
+        (*per_ring, mod_t) = [
+            (c.rows(c.FORWARDS), c.rows(c.INVERSES))
+            for c in (*counters, plain_counter)
+        ]
         assert encoder.decode(ctx.decrypt(sk, out))[:2] == [
             sum(w * v for w, v in zip(row, x)) % params.t for row in matrix
         ]
+        return per_ring, mod_t
+
+    @pytest.mark.parametrize("width", (1, 2, 8))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matvec_row_ledger(self, family, width):
+        """Transform rows of one width-w evaluation-domain matvec, per
+        residue ring: forwards 2 (c0, c1 of the input) + (w-1) rotations
+        x the digits + w plaintexts, inverses one accumulator c1 per
+        rotation + the two accumulators at the end. On a chain a rotation
+        forwards D-1 digits — the ring's own group's digit is a
+        permutation of the eval form it holds — and D without one.
+        Encoding costs w inverse rows mod t.
+        """
+        params = self.FAMILIES[family]()
+        digits = params.num_decomp_digits
+        forwarded_digits = digits - 1 if params.rns_primes else digits
+        per_ring, mod_t = self._matvec_rows(params, width)
+        assert len(per_ring) == len(params.rns_primes or (params.q,))
+        for forwards, inverses in per_ring:
+            assert forwards == 2 + (width - 1) * forwarded_digits + width
+            assert inverses == (width - 1) + 2
+        assert mod_t == (0, width)
+
+    @pytest.mark.parametrize(
+        "family, rows", [("pairs", 25), ("chainless", 6), ("chain", 21)]
+    )
+    def test_rows_per_diagonal(self, family, rows):
+        """What one more diagonal costs, all rings and the encode: 25
+        rows on the delphi chain (6 x (2 digits + the accumulator's c1 +
+        the plaintext) + 1), 6 at fast_params (3 + 1 + 1 + 1)."""
+        params = self.FAMILIES[family]()
+
+        def total(width):
+            per_ring, mod_t = self._matvec_rows(params, width)
+            return sum(map(sum, per_ring)) + sum(mod_t)
+
+        assert total(8) - total(2) == 6 * rows
 
     def test_batched_output_still_decrypts(self):
         params = fast_params(n=64)

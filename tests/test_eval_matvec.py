@@ -1,11 +1,13 @@
-"""The evaluation-domain matvec computes today's ciphertexts, bit for bit.
+"""The evaluation-domain matvec computes the public ops' ciphertexts, bit
+for bit.
 
-``HomomorphicLinearEvaluator.matvec`` keeps its working ciphertext in the
+``HomomorphicLinearEvaluator.matvec`` runs the diagonal method in
+output-rotation (Horner) order and keeps its working ciphertext in the
 evaluation domain between one forward and one inverse transform. Nothing
-about the *result* may depend on that: these tests hold it equal, residue
-for residue, to the sum the public ``rotate`` / ``mul_plain`` / ``+`` ops
-build on every backend x representation cell, pin whole-protocol frames to
-digests recorded on the commit before the rewrite, check the lazily
+about the *result* may depend on the second part: these tests hold it
+equal, residue for residue, to the same Horner sum built from the public
+``rotate`` / ``mul_plain`` / ``+`` ops on every backend x representation
+cell, pin whole-protocol frames to recorded digests, check the lazily
 reduced inner product at its overflow boundary against Python integers,
 and keep every error path raising what it raised before.
 """
@@ -57,21 +59,21 @@ def keyed(params, seed=3):
 
 
 def reference_matvec(ctx, encoder, gk, ct, matrix):
-    """The diagonal method spelled out with the public ciphertext ops."""
+    """The diagonal method in Horner order, spelled out with the public
+    ciphertext ops: ``acc = rotate(acc) + P_d * x`` for d = w-1 … 0, P_d
+    the d-th generalized diagonal pre-rotated right by d."""
     n_out, n_in = len(matrix), len(matrix[0])
     t, row = ctx.params.t, encoder.row_size
     g = encoder.galois_element_for_rotation(1)
-    result, rotated = None, ct
-    for d in range(n_in):
-        if d:
-            rotated = ctx.rotate(rotated, g, gk)
+    acc = None
+    for d in range(n_in - 1, -1, -1):
         diag = [
-            int(matrix[i][(i + d) % n_in]) % t if i < n_out else 0
-            for i in range(row)
+            int(matrix[(j - d) % row][j % n_in]) % t if (j - d) % row < n_out else 0
+            for j in range(row)
         ]
-        term = ctx.mul_plain(rotated, encoder.encode(diag + diag))
-        result = term if result is None else result + term
-    return result
+        term = ctx.mul_plain(ct, encoder.encode(diag + diag))
+        acc = term if acc is None else ctx.rotate(acc, g, gk) + term
+    return acc
 
 
 def assert_same_ciphertext(got, want):
@@ -126,7 +128,7 @@ class TestBitIdentity:
     def test_benchmark_shapes_at_full_degree(self, name, shape):
         """The layers ``bench_e2e`` mints, at their real ring degree: here
         the diagonals are encoded in several bounded blocks (two rows at
-        a time at delphi_params)."""
+        a time at delphi_params), walked from the last one down."""
         params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
         params = dataclasses.replace(params, backend="numpy")
         ctx, encoder, sk, pk, g, gk = keyed(params, seed=7)
@@ -144,25 +146,32 @@ class TestBitIdentity:
 
 
 # sha256 of each `serialize_ciphertext(ct_out)` frame the server sends in
-# the HE pass of a seeded offline phase, recorded on the parent commit
-# (the coefficient-domain diagonal loop) with the script below: transcript
-# identity pinned by something the evaluation-domain code did not compute.
+# the HE pass of a seeded offline phase. Re-recorded on the commit that
+# moved the matvec to output-rotation (Horner) order and widened the
+# gadgets (three 21-bit digits at fast_params, chain-prime pairs at
+# delphi_params): the keys hold different samples and the sum is taken
+# in another order, so these are different valid ciphertexts by design —
+# the digests of the input-rotation kernel could not carry over. What
+# ties them to the public ops is TestBitIdentity above; what they add is
+# that a later change to the kernel cannot move a transcript byte
+# unnoticed. (When recorded, the arbitrary-precision oracle —
+# REPRO_REPRESENTATION=bigint — produced the same eight digests.)
 GOLDEN_FRAMES = {
     ("delphi", "client", 8, 1701): [
-        "1ba00aeb54d3eca7d890294829d2ac36dca77f3bab57c94041692cb2e05ef954",
-        "c242445aa58c394e4cc012952f3d143eb88609f4d36e138be8ca570de6dd6e58",
+        "bc58d4471035e06ae3031b0351bd23d0924c93e55523d4abacd48c1c0b38ad38",
+        "f0e1e8a66003996f643136bb8c061fc146abf2aec02d28e98762ed2cd795a7df",
     ],
     ("delphi", "client", 8, 1702): [
-        "65743149ea81eefc81b8e62eb7e90490194ad47c49cf8196c4998e66bd730310",
-        "872af35f9b270dec4be7147b69af2fbb36494039b2ec94132f3b53ddfbd8de63",
+        "581dec5ec8247af61442f0de50d298d332fdc7d9e98a79f6dedaa38eeb549ce1",
+        "e067bafb08cf1a768fbde5e949d4f1c718bf07f533e3390cd4887692957564f3",
     ],
     ("fast", "server", 128, 1701): [
-        "0807fe661b9813202551f2ce845cad97540bd39521c14bd2f4e4a91927aa51e3",
-        "4f372ba3faf4390007dbccd4b0a121a53196e9959c8f97f42dbe565a06cf8f90",
+        "be599b944f31b477aa91aa567fdd9905d75e5b8cebc5719a528e6bef6c439535",
+        "3d4d638add72c601c1f115086399ba857e79a881f543b6bfbc5665baa3ec6c0f",
     ],
     ("fast", "server", 128, 1702): [
-        "ccbdc6ac131d904658f7e7020f9617654370820f059fcdf808e852f3e5f5b01c",
-        "d54fd43399de412a636fabb881ace3af2d7f98762cdfd1363e6c474135b2d914",
+        "7078c0870cc4c955fc803f2d831953461e634e1f52d3ba484509503f4e699b2e",
+        "fd562443c15f232098334f590921468cc1485620fa85c8612733e513daad81a9",
     ],
 }
 
@@ -193,7 +202,7 @@ def server_ciphertext_digests(params, garbler, hidden, seed):
 
 class TestGoldenFrames:
     @pytest.mark.parametrize("case", GOLDEN_FRAMES, ids=lambda c: f"{c[0]}-{c[3]}")
-    def test_server_frames_match_the_parent_commit(self, case):
+    def test_server_frames_match_the_recorded_digests(self, case):
         name, garbler, hidden, seed = case
         params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
         if backend_for(params.t, prefer=params.backend).name != "numpy":
@@ -268,7 +277,7 @@ class TestLazyInnerProduct:
 
 
 class TestErrorPaths:
-    """The checks of the per-diagonal loop, raised as before."""
+    """The checks of the composed public ops, raised as before."""
 
     @pytest.fixture(scope="class")
     def rig(self):

@@ -6,7 +6,7 @@ import pytest
 from repro.crypto.rng import SecureRandom
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator, required_rotation_steps
+from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.params import toy_params
 
 
@@ -141,8 +141,3 @@ class TestConvLowering:
         expected = (np.array(matrix) @ x.reshape(-1)) % params.t
         assert y == expected.tolist()
 
-
-class TestRequiredRotations:
-    def test_steps(self):
-        assert required_rotation_steps(4) == [1, 2, 3]
-        assert required_rotation_steps(1) == []

@@ -1,25 +1,35 @@
 """The key-switching gadget per parameter family, and what it costs.
 
 Chain parameters (``toy_params``, ``delphi_params``) key-switch on the
-chain itself — one digit per prime, the residue the ring already holds,
-against the CRT idempotents — while chainless ones (``fast_params``) keep
-base-2^w positional digits. These tests pin the digit counts, the gadget
-identity, bit-exact parity across representations and backends, the
-noise budget each family keeps after its widest matvec, the typed error
-an old-gadget key meets, and the exact byte accounting that follows from
-the digit count.
+chain itself — one digit per group of ``digit_primes`` chain primes (one
+prime at toy, a pair at delphi), against the CRT idempotents of the
+groups — while chainless ones (``fast_params``) keep base-2^w positional
+digits, three of 21 bits. These tests pin the digit counts, the gadget
+identity, the pair-CRT digit kernel against Python integers, bit-exact
+parity across representations and backends, the noise budget each family
+keeps after the matvecs it is asked for (and that the next wider gadget
+would not keep it), the typed error an old-gadget key meets, and the
+exact byte accounting that follows from the digit count.
 """
 
 import dataclasses
 import hashlib
+import math
 import random
 
 import numpy as np
 import pytest
 
-from repro.backend import RnsContext, available_backends, backend_for, using_backend
+from repro.backend import (
+    RnsContext,
+    available_backends,
+    backend_for,
+    get_backend,
+    using_backend,
+)
 from repro.core.protocol import HybridProtocol
 from repro.core.validation import predict_comm
+from repro.crypto.modmath import crt_combine, generate_ntt_primes
 from repro.crypto.rng import SecureRandom
 from repro.he.bfv import BfvContext, GaloisKeys
 from repro.he.encoder import BatchEncoder
@@ -36,7 +46,7 @@ PARAM_SETS = {
     "toy": toy_params(),
     "fast": fast_params(),
 }
-DIGITS = {"delphi": 6, "toy": 4, "fast": 16}
+DIGITS = {"delphi": 3, "toy": 4, "fast": 3}
 
 
 def with_representation(params: BfvParams, rep: str) -> BfvParams:
@@ -73,22 +83,28 @@ class TestGadgetShape:
         assert params.num_decomp_digits == DIGITS[name]
         assert len(params.gadget_factors()) == DIGITS[name]
 
-    def test_chain_digits_are_one_per_prime(self):
-        for name in ("delphi", "toy"):
+    def test_chain_digits_are_one_per_group_of_primes(self):
+        for name, per_digit in (("delphi", 2), ("toy", 1)):
             params = PARAM_SETS[name]
             assert params.decomp_bits is None
-            assert params.num_decomp_digits == len(params.rns_primes)
-            # The CRT idempotents: 1 mod their own prime, 0 mod the rest.
-            for i, factor in enumerate(params.gadget_factors()):
+            assert params.digit_primes == per_digit
+            groups = params.digit_groups
+            assert sum(groups, ()) == params.rns_primes
+            assert {len(group) for group in groups} == {per_digit}
+            assert params.num_decomp_digits == len(groups)
+            # The CRT idempotents of the groups: 1 mod each of their own
+            # primes, 0 mod the rest.
+            for group, factor in zip(groups, params.gadget_factors()):
                 assert [factor % p for p in params.rns_primes] == [
-                    int(i == j) for j in range(len(params.rns_primes))
+                    int(p in group) for p in params.rns_primes
                 ]
 
     def test_chainless_digits_are_positional(self):
         params = PARAM_SETS["fast"]
-        assert params.rns_primes is None and params.decomp_bits == 4
+        assert params.rns_primes is None and params.decomp_bits == 21
+        assert params.digit_primes is None and params.digit_groups is None
         assert params.gadget_factors() == [
-            1 << (4 * j) for j in range(params.num_decomp_digits)
+            1 << (21 * j) for j in range(params.num_decomp_digits)
         ]
 
     def test_digit_width_on_a_chain_is_rejected_not_ignored(self):
@@ -102,6 +118,23 @@ class TestGadgetShape:
         fast = PARAM_SETS["fast"]
         assert BfvParams(n=fast.n, q=fast.q, t=fast.t).decomp_bits == 16
 
+    def test_digit_primes_is_checked_at_construction(self):
+        fast, toy, delphi = (PARAM_SETS[k] for k in ("fast", "toy", "delphi"))
+        with pytest.raises(ValueError, match="digit_primes"):  # no chain
+            BfvParams(n=fast.n, q=fast.q, t=fast.t, digit_primes=1)
+        for bad in (0, 3, 8):  # does not divide the four-prime chain
+            with pytest.raises(ValueError, match="divide the chain length 4"):
+                dataclasses.replace(toy, digit_primes=bad)
+        # 3 x 30 bits and 4 x 25 bits no longer fit a 64-bit lane.
+        with pytest.raises(ValueError, match="2\\^62"):
+            dataclasses.replace(delphi, digit_primes=3)
+        with pytest.raises(ValueError, match="2\\^62"):
+            dataclasses.replace(toy, digit_primes=4)
+        # A chain defaults to one digit per prime; pairs of 25-bit primes fit.
+        plain = BfvParams(n=toy.n, q=toy.q, t=toy.t, rns_primes=toy.rns_primes)
+        assert plain.digit_primes == 1 and plain == toy
+        assert dataclasses.replace(toy, digit_primes=2).num_decomp_digits == 2
+
     @pytest.mark.parametrize("name", PARAM_SETS)
     def test_digits_recombine_through_the_gadget(self, name):
         params = PARAM_SETS[name]
@@ -111,25 +144,42 @@ class TestGadgetShape:
             rng.randrange(q) for _ in range(params.n - 4)
         ]
         poly = RingPoly(coeffs, q, backend=backend_for(q, prefer=params.backend))
-        digits = poly.decompose(params.rns_primes, params.decomp_bits)
+        digits = poly.decompose(params.digit_groups, params.decomp_bits)
         assert len(digits) == params.num_decomp_digits
         factors = params.gadget_factors()
-        bound = max(params.rns_primes) if params.rns_primes else 1 << params.decomp_bits
+        if params.rns_primes:
+            bound = max(math.prod(group) for group in params.digit_groups)
+        else:
+            bound = 1 << params.decomp_bits
+        assert bound < 1 << 62  # a digit fits a vectorized lane
         for i in range(0, params.n, 97):
             parts = [d.coeffs[i] for d in digits]
             assert max(parts) < bound
             assert sum(d * g for d, g in zip(parts, factors)) % q == coeffs[i]
 
     def test_store_fingerprint_separates_the_gadgets(self):
-        """A chain's fingerprint carries no digit width any more, so blobs
-        minted under the 16-bit-digit gadget live in another directory."""
-        delphi = PARAM_SETS["delphi"]
-        old_style = repr(
-            (delphi.n, delphi.q, delphi.t, delphi.noise_eta, 16, delphi.rns_primes)
-        )
-        assert params_fingerprint(delphi) != hashlib.sha256(
-            old_style.encode()
-        ).hexdigest()[:12]
+        """The fingerprint covers the whole gadget — digit width without a
+        chain, the chain and its grouping with one — so blobs minted under
+        16-bit positional digits, one digit per prime, or another digit
+        width live in other directories and are never looked up."""
+        delphi, fast = PARAM_SETS["delphi"], PARAM_SETS["fast"]
+        singles = dataclasses.replace(delphi, digit_primes=1)
+        assert singles.num_decomp_digits == 6
+        prints = {
+            params_fingerprint(delphi),
+            params_fingerprint(singles),
+            params_fingerprint(fast),
+            params_fingerprint(dataclasses.replace(fast, decomp_bits=4)),
+        }
+        assert len(prints) == 4
+        for old_style in (
+            (delphi.n, delphi.q, delphi.t, delphi.noise_eta, 16, delphi.rns_primes),
+            (delphi.n, delphi.q, delphi.t, delphi.noise_eta, None, delphi.rns_primes),
+        ):
+            assert (
+                hashlib.sha256(repr(old_style).encode()).hexdigest()[:12]
+                not in prints
+            )
 
 
 class TestGadgetParity:
@@ -176,48 +226,167 @@ class TestGadgetParity:
         assert runs["python"] == runs["numpy"]
         assert runs["numpy"]["decoded"] == list(range(1, 40))
 
-    def test_rns_decompose_is_the_bigint_reference(self):
-        params = PARAM_SETS["delphi"]
-        rng = random.Random(3)
-        coeffs = [rng.randrange(params.q) for _ in range(64)]
-        ctx = RnsContext.for_primes(params.rns_primes)
-        rns = RnsPoly.from_coeffs(ctx, coeffs).decompose(params.rns_primes)
-        big = RingPoly(coeffs, params.q).decompose(params.rns_primes, None)
-        assert [d.coeffs for d in rns] == [d.coeffs for d in big]
+class TestPairDigits:
+    """Digit G of c is c mod the product of prime group G, rebuilt from
+    the group's residues in one 64-bit lane (``crt_lift``): numpy
+    residues, python residues and the bigint ``c mod P_G`` agree on every
+    coefficient, worst cases included."""
+
+    PAIRS = {
+        "delphi": PARAM_SETS["delphi"],
+        "toy-pairs": dataclasses.replace(PARAM_SETS["toy"], digit_primes=2),
+    }
+
+    @staticmethod
+    def coefficients(params):
+        """Edge coefficients first — 0, 1, q - 1 (every residue p - 1),
+        and per pair (p_a > p_b) the residue patterns that stress the
+        lift: r_a = p_a - 1 >= p_b over r_b = 0, r_a = 0 under r_b =
+        p_b - 1, both maximal — then uniform draws."""
+        q, primes = params.q, params.rns_primes
+        rng = random.Random(7)
+        coeffs = [0, 1, q - 1, q // 2]
+        for a, b in params.digit_groups:
+            assert a > b  # chains are generated downward from 2^bits
+            for r_a, r_b in ((a - 1, 0), (0, b - 1), (a - 1, b - 1), (b, 1)):
+                residues = [
+                    r_a if p == a else r_b if p == b else rng.randrange(p)
+                    for p in primes
+                ]
+                coeffs.append(crt_combine(residues, primes))
+        return coeffs + [rng.randrange(q) for _ in range(64 - len(coeffs))]
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_rns_digits_are_the_bigint_reference_on_every_backend(self, name):
+        params = self.PAIRS[name]
+        groups = params.digit_groups
+        coeffs = self.coefficients(params)
+        want = [[c % math.prod(group) for c in coeffs] for group in groups]
+        big = RingPoly(coeffs, params.q).decompose(groups, None)
+        assert [d.coeffs for d in big] == want
+        for backend in available_backends():
+            ctx = RnsContext.for_primes(params.rns_primes, prefer=backend)
+            assert {be.name for be in ctx.backends} == {backend}
+            poly = RnsPoly.from_coeffs(ctx, coeffs)
+            digits = poly.decompose(groups)
+            # A digit is below P_G < q, so its CRT reconstruction is itself.
+            assert [d.coeffs for d in digits] == want
+            # In its own group's rings a digit is the residue already held.
+            owners = poly.own_digits(groups)
+            assert owners == [j for j, group in enumerate(groups) for _ in group]
+            for ring, owner in enumerate(owners):
+                assert digits[owner].residues[ring] is poly.residues[ring]
+        factors = params.gadget_factors()
+        for i, c in enumerate(coeffs):
+            assert sum(d[i] * g for d, g in zip(want, factors)) % params.q == c
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_lift_kernel_matches_python_ints(self, backend_name):
+        """``crt_lift`` alone, beyond the shipped chains: the largest
+        30/31-bit pairs, a 20-bit next to a 41-bit prime (the wide one
+        reduces through the Shoup path on numpy), a triple of 20-bit
+        primes, a group of one — every product below 2^62."""
+        be = get_backend(backend_name)
+        groups = [
+            tuple(generate_ntt_primes(2048, 2, 30)),
+            tuple(generate_ntt_primes(64, 2, 31)),
+            (generate_ntt_primes(64, 1, 20)[0], generate_ntt_primes(64, 1, 41)[0]),
+            (generate_ntt_primes(64, 1, 41)[0], generate_ntt_primes(64, 1, 20)[0]),
+            tuple(generate_ntt_primes(64, 3, 20)),
+            tuple(generate_ntt_primes(64, 1, 25)),
+        ]
+        rng = random.Random(9)
+        for primes in groups:
+            product = math.prod(primes)
+            assert product < 1 << 62
+            values = [0, 1, product - 1, product // 2, primes[0] % product]
+            values += [  # one residue maximal, the others 0
+                crt_combine([p - 1 if p == top else 0 for p in primes], primes)
+                for top in primes
+            ]
+            values += [rng.randrange(product) for _ in range(50)]
+            residues = [be.asvec([v % p for v in values], p) for p in primes]
+            assert be.tolist(be.crt_lift(residues, primes)) == values
+
+
+# (parameter set, (n_out, n_in)) -> bits that must remain.
+FLOORS = {
+    ("delphi", (256, 256)): 42,  # measured 44 (one digit per prime: 44)
+    ("delphi", (8, 16)): 50,  # 53
+    ("fast", (3, 128)): 3,  # 4 (sixteen 4-bit digits: 4)
+    ("fast", (128, 16)): 9,  # 10
+    ("toy", (128, 128)): 34,  # 38
+}
+TOO_WIDE = {
+    "fast": dataclasses.replace(PARAM_SETS["fast"], decomp_bits=31),  # 1 and 4
+    "toy": dataclasses.replace(PARAM_SETS["toy"], digit_primes=2),  # 20
+}
+
+
+def floor_id(case):
+    name, (n_out, n_in) = case
+    return f"{name}-{n_out}x{n_in}"
 
 
 class TestNoiseBudgetFloor:
-    """Bits of budget left after the widest diagonal matvec each set is
-    asked for, full-width random weights. Fewer, wider digits spend
-    budget: delphi went 51 -> 46 bits at width 256 (55 -> 50 at the
-    benchmark's width 16), toy 34 -> 22; fast kept its 4-bit digits.
-    Delphi's row holds 1024 slots; width 256 keeps the test at ~5 s and
-    the remaining factor of four in rotations costs two more bits.
+    """Bits of budget left after a diagonal matvec with full-width random
+    weights — the minimum over eight keyed contexts, at every shape the
+    benchmark mints and the widest each set is asked for. The matvec
+    rotates its accumulator, so key-switch errors are added after the
+    weights and the budget is set by the plaintext products alone: the
+    measured minima (in the comments) are the same at every narrower
+    gadget, and the next wider one — two 31-bit digits at fast, prime
+    pairs at toy — falls below the floor, so the shipped widths are the
+    edge, not a guess. Delphi's row holds 1024 slots; width 256 keeps the
+    test at a couple of seconds per seed and the remaining factor of four
+    in rotations costs two more bits.
     """
 
-    CASES = {"delphi": (256, 42), "toy": (128, 20), "fast": (128, 2)}
+    SEEDS = range(1, 9)
 
-    @pytest.mark.parametrize("name", CASES)
-    def test_floor_after_widest_matvec(self, name):
-        params = vectorized(PARAM_SETS[name])
-        width, floor_bits = self.CASES[name]
-        assert params.row_size % width == 0
-        ctx, encoder, sk, pk, g, gk = keyed_context(params, seed=1)
-        rng = random.Random(1)
+    @staticmethod
+    def budget_after_matvec(params, shape, seed):
+        """Budget of ``matrix @ x`` under ``params`` keyed from ``seed``,
+        after checking that it decrypts to the plaintext product."""
+        n_out, n_in = shape
+        assert params.row_size % n_in == 0
+        ctx, encoder, sk, pk, g, gk = keyed_context(params, seed)
+        rng = random.Random(seed)
         matrix = np.array(
-            [[rng.randrange(params.t) for _ in range(width)] for _ in range(width)],
+            [[rng.randrange(params.t) for _ in range(n_in)] for _ in range(n_out)],
             dtype=np.uint64,
         )
-        x = [rng.randrange(params.t) for _ in range(width)]
+        x = [rng.randrange(params.t) for _ in range(n_in)]
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
         ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
         out = evaluator.matvec(ct, matrix)
-        assert evaluator.rotations_performed == width - 1
+        assert evaluator.rotations_performed == n_in - 1
         want = [
             sum(int(w) * v for w, v in zip(row, x)) % params.t for row in matrix
         ]
-        assert encoder.decode(ctx.decrypt(sk, out))[:width] == want
-        assert ctx.noise_budget_bits(sk, out) >= floor_bits
+        assert encoder.decode(ctx.decrypt(sk, out))[:n_out] == want
+        return ctx.noise_budget_bits(sk, out)
+
+    @pytest.mark.parametrize("case", FLOORS, ids=floor_id)
+    def test_floor_after_matvec(self, case):
+        name, shape = case
+        params = vectorized(PARAM_SETS[name])
+        worst = min(
+            self.budget_after_matvec(params, shape, seed) for seed in self.SEEDS
+        )
+        assert worst >= FLOORS[case]
+
+    @pytest.mark.parametrize(
+        "case", [case for case in FLOORS if case[0] in TOO_WIDE], ids=floor_id
+    )
+    def test_the_next_wider_gadget_falls_below_the_floor(self, case):
+        name, shape = case
+        params = vectorized(TOO_WIDE[name])
+        assert params.num_decomp_digits == 2
+        worst = min(
+            self.budget_after_matvec(params, shape, seed) for seed in self.SEEDS
+        )
+        assert worst < FLOORS[case]
 
 
 class TestDigitCountMismatch:
@@ -228,28 +397,46 @@ class TestDigitCountMismatch:
     def stale(self):
         params = vectorized(PARAM_SETS["delphi"])
         ctx, encoder, sk, pk, g, gk = keyed_context(params, seed=2)
-        # Twelve (k0, k1) pairs, the shape of a 16-bit-digit delphi key.
+        # Six (k0, k1) pairs, the shape of a one-digit-per-prime delphi key.
         return ctx, encoder, pk, g, GaloisKeys(params, {g: gk.keys[g] * 2})
 
-    def test_deserialize_rejects_a_twelve_digit_key(self, stale):
+    def test_deserialize_rejects_a_six_digit_key(self, stale):
         ctx, encoder, pk, g, old = stale
         wire = serialize_galois_keys(old)
-        with pytest.raises(ValueError, match=r"12 .*use 6"):
+        with pytest.raises(ValueError, match=r"6 .*use 3"):
             deserialize_galois_keys(wire, ctx.params)
 
-    def test_rotate_rejects_a_twelve_digit_key(self, stale):
+    def test_rotate_and_matvec_reject_a_six_digit_key(self, stale):
         ctx, encoder, pk, g, old = stale
         ct = ctx.encrypt(pk, encoder.encode([1, 2, 3]))
-        with pytest.raises(ValueError, match=r"12 .*use 6"):
+        with pytest.raises(ValueError, match=r"6 .*use 3"):
             ctx.rotate(ct, g, old)
+        with pytest.raises(ValueError, match=r"6 .*use 3"):
+            HomomorphicLinearEvaluator(ctx, encoder, old).matvec(ct, [[1, 2]])
 
     def test_too_few_digits_rejected_too(self, stale):
         ctx, encoder, pk, g, old = stale
-        short = GaloisKeys(ctx.params, {g: old.keys[g][:5]})
-        with pytest.raises(ValueError, match=r"5 .*use 6"):
+        short = GaloisKeys(ctx.params, {g: old.keys[g][:2]})
+        with pytest.raises(ValueError, match=r"2 .*use 3"):
             ctx.rotate(ctx.encrypt(pk, encoder.encode([1])), g, short)
-        with pytest.raises(ValueError, match=r"5 .*use 6"):
+        with pytest.raises(ValueError, match=r"2 .*use 3"):
             deserialize_galois_keys(serialize_galois_keys(short), ctx.params)
+
+    def test_a_sixteen_digit_fast_key_is_rejected(self):
+        """The 4-bit-digit key an older build minted at ``fast_params``."""
+        params = PARAM_SETS["fast"]
+        old_params = dataclasses.replace(params, decomp_bits=4)
+        ctx, encoder, sk, pk, g, old = keyed_context(old_params, seed=2)
+        assert len(old.keys[g]) == 16
+        with pytest.raises(ValueError, match=r"16 .*use 3"):
+            deserialize_galois_keys(serialize_galois_keys(old), params)
+        current = BfvContext(params, SecureRandom(2))
+        stale = GaloisKeys(params, old.keys)
+        ct = current.encrypt(pk, encoder.encode([1, 2]))
+        with pytest.raises(ValueError, match=r"16 .*use 3"):
+            current.rotate(ct, g, stale)
+        with pytest.raises(ValueError, match=r"16 .*use 3"):
+            HomomorphicLinearEvaluator(current, encoder, stale).matvec(ct, [[1, 2]])
 
 
 class TestKeyBytesAreExact:

@@ -138,8 +138,8 @@ class TestRingElementParity:
         rng = random.Random(4)
         a = rand_vec(rng, TOY.n, TOY.q)
         big, rns = self._pair(a)
-        digits_big = big.decompose(TOY.rns_primes, TOY.decomp_bits)
-        digits_rns = rns.decompose(TOY.rns_primes, TOY.decomp_bits)
+        digits_big = big.decompose(TOY.digit_groups, TOY.decomp_bits)
+        digits_rns = rns.decompose(TOY.digit_groups, TOY.decomp_bits)
         assert len(digits_rns) == TOY.num_decomp_digits == len(TOY.rns_primes)
         assert [d.coeffs for d in digits_big] == [d.coeffs for d in digits_rns]
         # One digit per chain prime: the residue, small enough to live
@@ -156,7 +156,7 @@ class TestRingElementParity:
     def test_decompose_rejects_a_foreign_chain(self):
         _, rns = self._pair(rand_vec(random.Random(4), TOY.n, TOY.q))
         with pytest.raises(ValueError):
-            rns.decompose(TOY.rns_primes[:-1], None)
+            rns.decompose(TOY.digit_groups[:-1], None)
         with pytest.raises(ValueError):
             rns.decompose(None, 16)  # no positional digits on a chain
 
@@ -294,6 +294,76 @@ class TestProtocolParity:
         assert runs["bigint"] == runs["rns"]
 
 
+class TestMintTranscriptParity:
+    """One seeded inference sends the same HE bytes — public key, Galois
+    key, every ciphertext in and out of the Horner matvec — whichever
+    backend and representation computes it. (GC frames are not compared:
+    the vectorized garbler the numpy backend selects and the scalar one
+    draw different, equally valid, labels from one seed.)"""
+
+    CHAINS = {
+        # The delphi chain (prime-pair digits) at a degree the bigint
+        # python oracle walks in under a second.
+        "toy": toy_params(n=128),
+        "delphi": dataclasses.replace(delphi_params(), n=128),
+    }
+
+    @staticmethod
+    def _he_frames_digest(net, params, x, backend, representation):
+        import hashlib
+
+        from repro.core.protocol import HybridProtocol
+        from repro.network import serialize
+
+        he_formats = {
+            serialize.FMT_PUBLIC_KEY,
+            serialize.FMT_GALOIS_KEYS,
+            serialize.FMT_CIPHERTEXT,
+        }
+        clear_ntt_cache()
+        proto = HybridProtocol(
+            net, params, garbler="client", seed=33, backend=backend,
+            representation=representation, transport="memory",
+        )
+        digest, count = hashlib.sha256(), 0
+        for party in (proto.client, proto.server):
+            def send(frame, _send=party.transport.send):
+                nonlocal count
+                if serialize.read_wire_header(frame) in he_formats:
+                    digest.update(bytes(frame))
+                    count += 1
+                _send(frame)
+
+            party.transport.send = send
+        try:
+            proto.run_offline()
+            logits = proto.run_online(x)
+        finally:
+            proto.close()
+        assert logits == proto.plaintext_reference(x)
+        # pk + gk, then a ciphertext up and one down per linear layer.
+        assert count == 2 + 2 * len(proto.lowered.linears)
+        return digest.hexdigest(), tuple(logits), repr(proto.channel.summary())
+
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_every_cell_sends_the_same_bytes(self, name):
+        import numpy as np
+
+        from repro.nn.datasets import tiny_dataset
+        from repro.nn.models import tiny_mlp
+
+        params = self.CHAINS[name]
+        net = tiny_mlp(tiny_dataset(size=2, classes=2), hidden=4)
+        net.randomize_weights(params.t, np.random.default_rng(0))
+        x = list(range(4))
+        runs = {
+            (backend, rep): self._he_frames_digest(net, params, x, backend, rep)
+            for backend in available_backends()
+            for rep in ("bigint", "rns")
+        }
+        assert len(runs) >= 2 and len(set(runs.values())) == 1, runs
+
+
 class TestRepresentationResolution:
     def test_explicit_rns_requires_chain(self):
         with pytest.raises(ValueError):
@@ -429,44 +499,3 @@ class TestFastBaseConversionParity:
                 v.to_bytes(width, "little") for v in values
             )
 
-
-class TestBsgsLinearLayerParity:
-    def test_rotation_heavy_bsgs_matches_bigint_oracle(self):
-        """A full BSGS linear layer — the rotation-heavy consumer of the
-        eval-domain key switch — produces byte-identical ciphertexts and
-        logits on both representations."""
-        from repro.he.linear import HomomorphicLinearEvaluator
-
-        rng = random.Random(77)
-        n_in = 16
-        matrix = [
-            [rng.randrange(TOY.t) for _ in range(n_in)] for _ in range(n_in)
-        ]
-        x = [rng.randrange(TOY.t) for _ in range(n_in)]
-        results = {}
-        for rep in ("bigint", "rns"):
-            clear_ntt_cache()
-            p = with_representation(TOY, rep)
-            ctx = BfvContext(p, SecureRandom(31))
-            encoder = BatchEncoder(p)
-            sk, pk = ctx.keygen()
-            elements = {
-                encoder.galois_element_for_rotation(1),
-                encoder.galois_element_for_rotation(4),
-            }
-            gk = ctx.galois_keygen(sk, sorted(elements))
-            evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
-            ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
-            out = evaluator.matvec_bsgs(ct, matrix, 4)
-            results[rep] = (
-                out.c0.coeffs,
-                out.c1.coeffs,
-                encoder.decode(ctx.decrypt(sk, out))[:n_in],
-                evaluator.rotations_performed,
-            )
-        assert results["bigint"] == results["rns"]
-        expected = [
-            sum(matrix[i][j] * x[j] for j in range(n_in)) % TOY.t
-            for i in range(n_in)
-        ]
-        assert results["rns"][2] == expected

@@ -48,9 +48,12 @@ def _functional(schedule, *, budget_mb=8.0, workers=2, **kwargs):
 
 
 def _saturation_schedule():
+    # 10 req/s offered against ~0.1 s mints: arrivals land while a refill
+    # is still owed. (At 5 req/s this drew four requests whose gaps only
+    # happened to undercut the slower mints of earlier builds.)
     return poisson_schedule(
         3,
-        zipf_rates(3, 5.0, 1.5),
+        zipf_rates(3, 10.0, 1.5),
         horizon=1.5,
         seed=11,
         name="burst-skewed",
