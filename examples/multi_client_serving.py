@@ -135,7 +135,7 @@ def _gateway_client_main(port: int, client_index: int, requests: int,
     ClientSession is recycled between requests, never rebuilt.
     """
     from repro.core.lowering import lower_network, plaintext_reference
-    from repro.runtime.gateway import GatewayClient
+    from repro.runtime.client import GatewayClient
 
     network, params = demo_network_and_params()
     oracle = lower_network(network, params.t)

@@ -10,7 +10,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.backend import available_backends, set_backend
@@ -38,15 +37,6 @@ def main(argv: list[str] | None = None) -> int:
         help="compute backend for the functional crypto substrate "
         "(overrides the REPRO_BACKEND environment variable; 'auto' picks "
         "numpy when available, falling back to exact python per modulus)",
-    )
-    parser.add_argument(
-        "--representation",
-        choices=("auto", "bigint", "rns"),
-        default=None,
-        help="ciphertext-ring representation for wide-modulus BFV "
-        "parameter sets (overrides the REPRO_REPRESENTATION environment "
-        "variable; 'auto' picks RNS residues whenever a parameter set "
-        "carries a prime chain and the vectorized backend is active)",
     )
     parser.add_argument(
         "--workers",
@@ -355,27 +345,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"unknown experiment {item!r}; try --list", file=sys.stderr)
             return 2
-    # Parameter sets and protocol objects are built inside each
-    # experiment; the environment variables are how 'auto' representation
-    # resolution and transport selection hear about the overrides.
-    # Scoped to the experiment runs (and restored after) so an in-process
-    # caller of main() does not leak the selections.
-    scoped = {}
-    if args.representation is not None:
-        scoped["REPRO_REPRESENTATION"] = args.representation
-    if args.transport is not None:
-        scoped["REPRO_TRANSPORT"] = args.transport
-    saved = {name: os.environ.get(name) for name in scoped}
-    os.environ.update(scoped)
-    try:
-        for key in selected:
-            ALL_EXPERIMENTS[key].main()
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    for key in selected:
+        ALL_EXPERIMENTS[key].main()
     return 0
 
 

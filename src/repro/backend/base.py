@@ -93,9 +93,6 @@ class ComputeBackend(abc.ABC):
         """Plain Python ints, the interchange format between backends."""
 
     @abc.abstractmethod
-    def zeros(self, n: int, q: int) -> Vec: ...
-
-    @abc.abstractmethod
     def veclen(self, vec: Vec) -> int: ...
 
     @abc.abstractmethod

@@ -360,9 +360,6 @@ class _NumpyBackendImpl(ComputeBackend):
     def tolist(self, vec) -> list[int]:
         return vec.tolist()  # ndarray.tolist() yields plain Python ints
 
-    def zeros(self, n: int, q: int):
-        return np.zeros(n, dtype=np.uint64)
-
     def veclen(self, vec) -> int:
         return int(vec.shape[0])
 

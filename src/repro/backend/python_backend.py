@@ -79,9 +79,6 @@ class PythonBackend(ComputeBackend):
     def tolist(self, vec: list[int]) -> list[int]:
         return list(vec)
 
-    def zeros(self, n: int, q: int) -> list[int]:
-        return [0] * n
-
     def veclen(self, vec: list[int]) -> int:
         return len(vec)
 

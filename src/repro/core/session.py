@@ -249,17 +249,6 @@ class ProtocolSession:
     def offline_done(self) -> bool:
         return self.lifecycle in (LIFE_READY, LIFE_ONLINE, LIFE_COMPLETE)
 
-    @property
-    def active_phase(self) -> str | None:
-        """The phase currently armed ("offline"/"online"), or None.
-
-        External schedulers (the serving gateway's selector loop) use
-        this to distinguish "step() returned DONE because the phase just
-        completed" from "nothing is armed at all" without poking at the
-        generator internals.
-        """
-        return self._phase
-
     def relu_circuit(self) -> Circuit:
         """The (shared, public) ReLU circuit topology for this protocol.
 

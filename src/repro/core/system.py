@@ -73,25 +73,6 @@ class SystemConfig:
 
         return fast_params(n=n, t_bits=t_bits, backend=self.compute_backend)
 
-    def functional_protocol(self, network, n: int = 256, t_bits: int = 17, **kwargs):
-        """A HybridProtocol configured like this deployment.
-
-        Threads the deployment's compute backend (via
-        :meth:`functional_bfv_params`) and garbling role into a
-        functional protocol instance, so a simulated configuration can
-        be executed for real with one call.
-        """
-        from repro.core.protocol import HybridProtocol
-        from repro.profiling.model_costs import Protocol as ProtocolKind
-
-        kwargs.setdefault(
-            "garbler",
-            "client" if self.protocol is ProtocolKind.CLIENT_GARBLER else "server",
-        )
-        return HybridProtocol(
-            network, self.functional_bfv_params(n=n, t_bits=t_bits), **kwargs
-        )
-
     def functional_store(self, root, byte_budget: float | None = None):
         """A :class:`~repro.runtime.PrecomputeStore` for this deployment.
 

@@ -92,16 +92,6 @@ def run_all(replications: int = 2, horizon_hours: float = 24.0) -> list[dict]:
     return rows
 
 
-def low_rate_speedup(model: str = "ResNet-18", dataset: str = "TinyImageNet") -> float:
-    """Proposed-vs-baseline mean latency ratio at the lowest arrival rate."""
-    minutes = ARRIVAL_SWEEPS[(model, dataset)][0]
-    latencies = {}
-    for label, config in configs_for(model, dataset):
-        stats = simulate_mean_latency(config, minutes * 60, replications=3)
-        latencies[label] = stats["latency"]
-    return latencies["SG-16GB"] / latencies["Proposed-16GB"]
-
-
 def main() -> None:
     for model, dataset in EVAL_PAIRS:
         print_rows(f"Figure 12: {model} on {dataset}", run(model, dataset))

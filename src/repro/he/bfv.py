@@ -188,11 +188,6 @@ class BfvContext:
             return RnsPoly.from_coeffs(self._rns, coeffs)
         return RingPoly(coeffs, self.params.q, backend=self._rq)
 
-    def _zero_poly(self):
-        if self._rns is not None:
-            return RnsPoly.zero(self._rns, self.params.n)
-        return RingPoly.zero(self.params.n, self.params.q, backend=self._rq)
-
     def _lift_plain(self, plaintext: RingPoly):
         """Reinterpret a mod-t plaintext in the ciphertext ring."""
         if self._rns is not None:

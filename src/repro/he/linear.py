@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.he.bfv import BfvContext, Ciphertext, GaloisKeys, PublicKey, SecretKey
+from repro.he.bfv import BfvContext, Ciphertext, GaloisKeys
 from repro.he.encoder import BatchEncoder
 from repro.he.polynomial import EvalPair
 
@@ -186,13 +186,3 @@ class HomomorphicLinearEvaluator:
                                     col = (ic * height + iy) * width + ix
                                     matrix[row][col] = int(weights[oc, ic, ky, kx]) % modulus
         return matrix
-
-
-def make_client_he_material(
-    ctx: BfvContext, encoder: BatchEncoder, max_width: int
-) -> tuple[SecretKey, PublicKey, GaloisKeys]:
-    """Client-side key generation covering every rotation the server needs."""
-    sk, pk = ctx.keygen()
-    g = encoder.galois_element_for_rotation(1)
-    gk = ctx.galois_keygen(sk, [g])
-    return sk, pk, gk

@@ -111,11 +111,6 @@ class RingPoly:
         return poly
 
     @classmethod
-    def zero(cls, n: int, q: int, backend: ComputeBackend | None = None) -> "RingPoly":
-        backend = backend or backend_for(q)
-        return cls._from_vec(backend.zeros(n, q), q, backend)
-
-    @classmethod
     def constant(cls, value: int, n: int, q: int) -> "RingPoly":
         coeffs = [0] * n
         coeffs[0] = value % q
@@ -319,13 +314,6 @@ class RnsPoly:
     def from_coeffs(cls, ctx: RnsContext, values) -> "RnsPoly":
         """Decompose integer (or backend-native) coefficients into residues."""
         return cls(ctx, ctx.to_rns(values))
-
-    @classmethod
-    def zero(cls, ctx: RnsContext, n: int) -> "RnsPoly":
-        return cls(
-            ctx,
-            [be.zeros(n, p) for p, be in zip(ctx.primes, ctx.backends)],
-        )
 
     # -- representation -----------------------------------------------------
 

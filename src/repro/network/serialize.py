@@ -30,6 +30,7 @@ from repro.he.bfv import (
     ring_element_from_bytes,
 )
 from repro.he.params import BfvParams
+from repro.network.frames import FRAMES
 
 # -- wire header ---------------------------------------------------------------
 
@@ -64,30 +65,17 @@ _FMT_NAMES = {
     FMT_CIRCUIT_BATCH: "circuit_batch",
 }
 
-# Gateway control frames carry their own 4-byte magics (see
-# runtime/gateway.py); the frame classifier names them too so the
-# per-message-type transport counters cover the whole wire vocabulary.
-_GATEWAY_MAGIC_NAMES = {
-    b"GWH2": "gateway_hello",
-    b"GWR1": "gateway_request",
-    b"GWO1": "gateway_offer",
-    b"GWD1": "gateway_done",
-    b"GWB1": "gateway_busy",
-    b"GWG1": "gateway_goaway",
-    b"GWS1": "gateway_stats",
-}
-
 
 def frame_format_name(frame: bytes) -> str:
     """Classify a wire frame by message type, for telemetry counters.
 
-    Never raises: frames that are neither protocol messages nor gateway
-    control frames are counted as ``"unknown"``.
+    Covers the whole wire vocabulary — protocol messages by format code,
+    gateway control frames by their :data:`~repro.network.frames.FRAMES`
+    row. Never raises: anything else is counted as ``"unknown"``.
     """
     head = bytes(frame[:4])
-    name = _GATEWAY_MAGIC_NAMES.get(head)
-    if name is not None:
-        return name
+    if head in FRAMES:
+        return FRAMES[head][0]
     if len(head) >= 4 and head[:2] == WIRE_MAGIC:
         return _FMT_NAMES.get(head[3], f"fmt_0x{head[3]:02x}")
     return "unknown"

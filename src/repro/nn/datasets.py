@@ -1,4 +1,4 @@
-"""Dataset shape specifications and synthetic input generation.
+"""Dataset shape specifications.
 
 Private-inference cost depends only on the input resolution and the network
 architecture, never on pixel values, so synthetic uniformly random inputs
@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.nn.shapes import TensorShape
 
 
@@ -20,18 +18,6 @@ class DatasetSpec:
     name: str
     input_shape: TensorShape
     num_classes: int
-
-    def synthetic_input(self, rng: np.random.Generator) -> np.ndarray:
-        s = self.input_shape
-        return rng.random((s.channels, s.height, s.width))
-
-    def synthetic_field_input(
-        self, rng: np.random.Generator, modulus: int
-    ) -> np.ndarray:
-        s = self.input_shape
-        return rng.integers(
-            0, modulus, size=(s.channels, s.height, s.width)
-        ).astype(object)
 
 
 CIFAR100 = DatasetSpec("CIFAR-100", TensorShape(3, 32, 32), 100)

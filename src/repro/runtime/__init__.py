@@ -19,12 +19,8 @@ minted in a worker is byte-identical to the same mint run in-process
 (see :mod:`repro.runtime.pool`).
 """
 
-from repro.runtime.gateway import (
-    GatewayClient,
-    ServingGateway,
-    request_inference,
-    request_stats,
-)
+from repro.runtime.client import GatewayClient, request_inference, request_stats
+from repro.runtime.gateway import ServingGateway
 from repro.runtime.pool import (
     AsyncJob,
     PrecomputePool,

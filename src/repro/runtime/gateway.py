@@ -48,6 +48,12 @@ recycled between requests via ``reset_for_request()``; a ``GWS1`` stats
 probe works both as a standalone connection and mid-stream between two
 requests on a live one.
 
+This module holds the sockets, sessions and threads only. The frame
+vocabulary is :mod:`repro.network.frames`; every admission and refill
+decision, and the counters behind it, is the
+:class:`~repro.runtime.policy.RefillLedger` the gateway calls under its
+state lock; the peer is :mod:`repro.runtime.client`.
+
 Fidelity note: on a hit the gateway ships the *whole* stored transcript
 (both role halves) to the client, mirroring what
 ``HybridProtocol.import_offline`` does in-process. A hardened deployment
@@ -58,19 +64,20 @@ multiplexing — not a security property (see ARCHITECTURE.md).
 
 from __future__ import annotations
 
-import json
-import random
 import selectors
-import struct
 import threading
 import time
 from collections import deque
 
-from repro.network.transport import (
-    SocketListener,
-    SocketTransport,
-    TransportClosed,
-    TransportError,
+from repro.network import frames
+from repro.network.transport import SocketListener, SocketTransport, TransportError
+from repro.runtime.client import GatewayClient  # noqa: F401 - bench_e2e imports it here
+from repro.runtime.policy import (
+    DEFAULT_MAX_QUEUE,
+    MAX_INFLIGHT_PER_CLIENT,
+    MISS_WAIT_SECONDS,
+    POLL_SECONDS,
+    RefillLedger,
 )
 from repro.runtime.pool import PrecomputePool, mint_offline_job
 from repro.runtime.serving import (
@@ -90,182 +97,20 @@ from repro.telemetry import (
     section,
 )
 
-# -- wire frames -----------------------------------------------------------------
-#
-# Gateway control frames ride the same length-prefixed transport as the
-# protocol messages; a 4-byte magic keeps them unmistakable for (and
-# versioned independently of) the serialize.py payload formats.
-
-_HELLO_MAGIC = b"GWH2"  # connection-scoped — client_id only, no index
-_REQ_MAGIC = b"GWR1"
-_OFFER_MAGIC = b"GWO1"
-_DONE_MAGIC = b"GWD1"
-_BUSY_MAGIC = b"GWB1"
-_GOAWAY_MAGIC = b"GWG1"
-_STATS_MAGIC = b"GWS1"
-
-
-def encode_hello(client_id: str) -> bytes:
-    """Client -> gateway, once per connection: who I am."""
-    return _HELLO_MAGIC + client_id.encode()
-
-
-def decode_hello(frame: bytes) -> str:
-    if frame[:4] != _HELLO_MAGIC:
-        raise TransportError("not a gateway hello frame")
-    return bytes(frame[4:]).decode()
-
-
-def encode_request(request_index: int) -> bytes:
-    """Client -> gateway, once per request: which of my requests this is."""
-    return _REQ_MAGIC + struct.pack("<I", request_index)
-
-
-def decode_request(frame: bytes) -> int:
-    if frame[:4] != _REQ_MAGIC:
-        raise TransportError("not a gateway request frame")
-    (request_index,) = struct.unpack_from("<I", frame, 4)
-    return request_index
-
-
-def encode_offer(hit: bool, blob: bytes = b"") -> bytes:
-    """Gateway -> client: buffered precompute (hit) or run offline (miss)."""
-    return _OFFER_MAGIC + struct.pack("<B", 1 if hit else 0) + blob
-
-
-def decode_offer(frame: bytes) -> tuple[bool, bytes]:
-    if frame[:4] != _OFFER_MAGIC:
-        raise TransportError("not a gateway offer frame")
-    return frame[4] == 1, bytes(frame[5:])
-
-
-def encode_done(request_index: int, hit: bool) -> bytes:
-    """Gateway -> client: the request's final share shipped; cycle over."""
-    return _DONE_MAGIC + struct.pack("<IB", request_index, 1 if hit else 0)
-
-
-def decode_done(frame: bytes) -> tuple[int, bool]:
-    if frame[:4] != _DONE_MAGIC:
-        raise TransportError("not a gateway done frame")
-    request_index, hit = struct.unpack_from("<IB", frame, 4)
-    return request_index, hit == 1
-
-
-def encode_busy(retry_after: float) -> bytes:
-    """Gateway -> client: request deferred; retry after this many seconds."""
-    return _BUSY_MAGIC + struct.pack("<d", max(0.0, retry_after))
-
-
-def decode_busy(frame: bytes) -> float:
-    if frame[:4] != _BUSY_MAGIC:
-        raise TransportError("not a gateway busy frame")
-    (retry_after,) = struct.unpack_from("<d", frame, 4)
-    return retry_after
-
-
-def encode_goaway(reason: str = "") -> bytes:
-    """Either direction: this connection is over (reject or graceful bye)."""
-    return _GOAWAY_MAGIC + reason.encode()
-
-
-def decode_goaway(frame: bytes) -> str:
-    if frame[:4] != _GOAWAY_MAGIC:
-        raise TransportError("not a gateway goaway frame")
-    return bytes(frame[4:]).decode()
-
-
-def encode_stats_request() -> bytes:
-    """Client -> gateway: asks for a live stats snapshot (no session)."""
-    return _STATS_MAGIC
-
-
-def encode_stats_reply(stats: dict) -> bytes:
-    return _STATS_MAGIC + json.dumps(stats, sort_keys=True).encode()
-
-
-def decode_stats_reply(frame: bytes) -> dict:
-    if frame[:4] != _STATS_MAGIC:
-        raise TransportError("not a gateway stats frame")
-    return json.loads(bytes(frame[4:]).decode())
-
-
-# -- admission configuration -----------------------------------------------------
-
-DEFAULT_WAIT_SECONDS = 60.0  # a missed offer holds this long for a refill
-DEFAULT_MAX_QUEUE = 8  # refill backlog above which new requests get BUSY
-MAX_INFLIGHT_PER_CLIENT = 1  # admitted requests one client may have active
-MAX_RETRY_AFTER = 5.0
-
-
-def adaptive_retry_after(
-    backlog: int,
-    max_queue: int,
-    mean_mint_seconds: float,
-    mint_parallelism: int,
-    floor: float,
-    cap: float = MAX_RETRY_AFTER,
-) -> float:
-    """How long a deferred client should wait before re-issuing its REQ.
-
-    The backlog the admission check just measured drains at roughly
-    ``mint_parallelism / mean_mint_seconds`` mints per second, so the
-    *excess* over ``max_queue`` clears in about
-    ``excess * mean_mint_seconds / mint_parallelism`` — that is when a
-    retry has a real chance of being admitted. Telling the client
-    anything shorter buys nothing but wasted BUSY round-trips; anything
-    longer leaves admission slots idle. ``floor`` (the old fixed
-    ``busy_retry_after``) is both the fallback before any mint has been
-    timed and the lower clamp; ``cap`` bounds the hint when a burst
-    piles the backlog sky-high.
-    """
-    if mean_mint_seconds <= 0.0:
-        return floor  # no measured mints yet: the fixed constant stands
-    excess = max(1, backlog - max_queue)
-    drain = excess * mean_mint_seconds / max(1, mint_parallelism)
-    return min(cap, max(floor, drain))
-
-
-# -- refill policy --------------------------------------------------------------
-
-
-def pick_refill_client(
-    credits: list[int], buffered: list[float], rates: list[float]
-) -> int | None:
-    """The refill policy: smallest expected time to miss wins.
-
-    ``credits[c]`` counts refills owed to client c, ``buffered[c]`` its
-    buffer depth (stored + in-flight mints), ``rates[c]`` its measured
-    consumption rate. Expected time to miss is ``buffered / rate``; a
-    client that has never consumed (rate 0) can't miss soon, so it ranks
-    last among credited clients, tie-broken by shallowest buffer. Returns
-    None when no client holds a credit.
-    """
-    best = None
-    best_rank = None
-    for c, credit in enumerate(credits):
-        if credit <= 0:
-            continue
-        rate = rates[c]
-        ettm = buffered[c] / rate if rate > 0 else float("inf")
-        rank = (ettm, buffered[c], c)
-        if best_rank is None or rank < best_rank:
-            best, best_rank = c, rank
-    return best
-
 
 class _RefillWorker(threading.Thread):
     """Background driver keeping per-client store namespaces warm.
 
-    Submits up to ``inflight_limit`` offline-mint jobs through the shared
-    pool's async surface and admits completed blobs into the store. All
-    mint-index reservation and credit accounting lives in the gateway
-    (under its state lock); this thread only schedules and admits.
+    Keeps up to one offline-mint job per pool worker in flight through
+    the shared pool's async surface and admits completed blobs into the
+    store. All mint-index reservation and credit accounting lives in the
+    gateway's ledger (under its state lock); this thread only schedules
+    and admits.
     """
 
-    def __init__(self, gateway: "ServingGateway", inflight_limit: int):
+    def __init__(self, gateway: "ServingGateway"):
         super().__init__(name="gateway-refill", daemon=True)
         self.gateway = gateway
-        self.inflight_limit = max(1, inflight_limit)
         self.refill_seconds = 0.0  # sum of per-mint wall-clock
         self.overlap_seconds = 0.0  # union of windows with >= 1 mint in flight
         self.errors: list[tuple[int, Exception]] = []
@@ -280,11 +125,12 @@ class _RefillWorker(threading.Thread):
         self._wake.set()
 
     def run(self) -> None:
-        gateway = self.gateway
+        gateway, ledger = self.gateway, self.gateway.ledger
+        limit = max(1, ledger.mint_parallelism)
         inflight: dict = {}  # AsyncJob -> (client, mint index, submit time)
         overlap_start: float | None = None
         while True:
-            while len(inflight) < self.inflight_limit and not self._stop_evt.is_set():
+            while len(inflight) < limit and not self._stop_evt.is_set():
                 reserved = gateway._next_refill_mint()
                 if reserved is None:
                     break
@@ -298,13 +144,15 @@ class _RefillWorker(threading.Thread):
                 c, index, t0 = inflight.pop(job)
                 elapsed = time.perf_counter() - t0
                 self.refill_seconds += elapsed
-                gateway._note_mint_seconds(elapsed)
                 try:
-                    blob = job.get()
-                    gateway._admit(c, index, blob)
+                    gateway._admit(c, index, job.get())
+                    outcome = ledger.landed
                 except Exception as exc:  # surfaced via gateway.check_refills()
-                    gateway._mint_failed(c)
+                    outcome = ledger.failed
                     self.errors.append((c, exc))
+                with gateway._state_lock:
+                    ledger.mint_took(elapsed)
+                    outcome(c)
             if not inflight and overlap_start is not None:
                 self.overlap_seconds += time.perf_counter() - overlap_start
                 overlap_start = None
@@ -313,7 +161,7 @@ class _RefillWorker(threading.Thread):
             if inflight:
                 time.sleep(0.005)
             else:
-                self._wake.wait(timeout=0.05)
+                self._wake.wait(timeout=POLL_SECONDS)
                 self._wake.clear()
 
 
@@ -337,6 +185,7 @@ class _Connection:
         self.session = None
         self.state = self.HELLO
         self.client_id = "?"
+        self.client_index: int | None = None  # None: not one of the N served
         self.request_index = -1
         self.pending: deque[int] = deque()  # REQs queued behind the active one
         self.requests_completed = 0
@@ -349,10 +198,8 @@ class _Connection:
         self._mint_start = 0.0
         self._online_start = 0.0
         self.registered_events = selectors.EVENT_READ
-        # Request-latency clock (always on: feeds the live stats
-        # histograms) plus, under tracing, a per-connection virtual
-        # track carrying the accept -> request* -> close spans.
-        self.accepted = time.perf_counter()
+        # Under tracing, a per-connection virtual track carrying the
+        # accept -> request* -> close spans.
         self._track: int | None = None
         self._t_accept_us: int | None = None
         self._t_request_us: int | None = None
@@ -383,19 +230,20 @@ class _Connection:
                 frame = self.transport.recv(wait=False)
                 if frame is None:
                     return
-                if frame[:4] == _STATS_MAGIC:
+                if bytes(frame[:4]) == frames.STATS:
                     # A monitoring peer, not a protocol client: answer
                     # with a live snapshot and close. No session is
                     # created and the session seed counter never
                     # advances, so stats probes cannot perturb a serving
                     # run's transcripts.
                     self.transport.send(
-                        encode_stats_reply(self.gateway.stats())
+                        frames.encode_stats_reply(self.gateway.stats())
                     )
                     self.gateway._drop(self, error=None)
                     return
-                self.client_id = decode_hello(frame)
-                self.gateway._register_hello(self)
+                self.client_id = frames.decode_hello(frame)
+                self.client_index = self.gateway._client_index.get(self.client_id)
+                self.gateway.connections_accepted += 1
                 self.state = self.IDLE
                 continue
             if self.state == self.IDLE:
@@ -405,19 +253,19 @@ class _Connection:
                         return
                     continue  # a queued request started: run its phase
                 head = bytes(frame[:4])
-                if head == _STATS_MAGIC:
+                if head == frames.STATS:
                     # Mid-stream probe between two requests on a live
                     # keep-alive connection: answered inline, the
                     # connection (and its recycled session) lives on.
                     self.transport.send(
-                        encode_stats_reply(self.gateway.stats())
+                        frames.encode_stats_reply(self.gateway.stats())
                     )
                     continue
-                if head == _GOAWAY_MAGIC:
+                if head == frames.GOAWAY:
                     # The client is done with this connection.
                     self.gateway._drop(self, error=None)
                     return
-                self.pending.append(decode_request(frame))
+                self.pending.append(frames.decode_request(frame))
                 self.gateway.requests_issued += 1
                 self.gateway._maybe_start(self)
                 if self not in self.gateway._connections:
@@ -476,7 +324,7 @@ class _Connection:
         if taken is not None:
             blob, server_state = taken
             self.hit = True
-            self.transport.send(encode_offer(True, blob))
+            self.transport.send(frames.encode_offer(True, blob))
             self.session.load_offline_state(*server_state)
             self.session.start_online()
             self._online_start = time.perf_counter()
@@ -487,7 +335,7 @@ class _Connection:
             # Miss: the demand mint runs over the wire, on this request's
             # critical path, multiplexed with the other sessions — the
             # measured miss penalty.
-            self.transport.send(encode_offer(False))
+            self.transport.send(frames.encode_offer(False))
             self._mint_start = time.perf_counter()
             if TRACER.enabled and self._track is not None:
                 self._t_offline_us = now_us()
@@ -532,11 +380,9 @@ class ServingGateway:
         model_id: str = "serving",
         truncate_bits: int = 0,
         host: str = "127.0.0.1",
-        expected_per_client: int | None = None,
-        miss_wait_seconds: float = DEFAULT_WAIT_SECONDS,
+        expected_per_client: int | list[int] | None = None,
         max_queue: int | None = None,
         max_request_deferrals: int | None = None,
-        busy_retry_after: float = 0.05,
     ):
         if num_clients < 1:
             raise ValueError("need at least one client")
@@ -546,27 +392,27 @@ class ServingGateway:
         self.store = store
         self.garbler = garbler
         self.prefill = prefill
-        self.refill = refill
         self.base_seed = base_seed
         self.model_id = model_id
         self.truncate_bits = truncate_bits
         self.host = host
-        # Refill cap: one scalar for uniform drains, or one cap per client
-        # for skewed schedules whose clients carry unequal request counts.
-        if isinstance(expected_per_client, (list, tuple)):
-            if len(expected_per_client) != num_clients:
-                raise ValueError(
-                    "per-client refill caps must match num_clients"
-                )
-            expected_per_client = list(expected_per_client)
-        self.expected_per_client = expected_per_client
-        self.minted = [0] * num_clients  # per-client mint counter (monotonic)
         if pool is None:
             pool = self._own_pool = PrecomputePool()
         else:
             self._own_pool = None
         self.pool = pool
-        self._refill_inflight = pool.workers
+        # Every admission and refill decision and the counters behind it,
+        # shared with the analytic replay; guarded by _state_lock. The
+        # refill cap is one scalar for uniform drains, or one cap per
+        # client for skewed schedules with unequal request counts.
+        self._state_lock = threading.Lock()
+        self.ledger = RefillLedger(
+            num_clients,
+            caps=expected_per_client,
+            refill=refill,
+            max_queue=DEFAULT_MAX_QUEUE if max_queue is None else max(0, max_queue),
+            mint_parallelism=pool.workers,
+        )
 
         from repro.core.lowering import lower_network
         from repro.core.session import ServerSession
@@ -590,10 +436,6 @@ class ServingGateway:
         self._circuit = template.relu_circuit()
         self._client_index = {self.client_id(c): c for c in range(num_clients)}
 
-        self._state_lock = threading.Lock()
-        self._credits = [0] * num_clients
-        self._pending_mints = [0] * num_clients
-        self._consumed = [0] * num_clients
         self._served: list = []
         self._occupancy: list[dict] = []
         self.dropped_sessions = 0
@@ -604,18 +446,8 @@ class ServingGateway:
         self._session_counter = 0
         self._evictions_before = store.evictions
         self._connections: set[_Connection] = set()
-        self._waiting: set[_Connection] = set()
-        self.miss_wait_seconds = miss_wait_seconds
-        self.max_queue = (
-            DEFAULT_MAX_QUEUE if max_queue is None else max(0, max_queue)
-        )
+        self._waiting: set[_Connection] = set()  # WAIT_STORE holders
         self.max_request_deferrals = max_request_deferrals
-        self.busy_retry_after = busy_retry_after
-        # Measured mint wall-clock (refill and demand mints alike) feeding
-        # the adaptive BUSY retry hint; busy_retry_after stays the floor
-        # and the fallback until the first mint completes.
-        self._mint_time_total = 0.0
-        self._mint_time_count = 0
         # Admission ledger: every REQ frame received is *issued* and gets
         # exactly one of OFFER (admitted), BUSY (deferred), or GOAWAY
         # (rejected) — clean runs balance admitted+deferred+rejected ==
@@ -666,7 +498,7 @@ class ServingGateway:
         )
         self._selector = selectors.DefaultSelector()
         self._selector.register(self.listener, selectors.EVENT_READ, None)
-        self._refill_worker = _RefillWorker(self, self._refill_inflight)
+        self._refill_worker = _RefillWorker(self)
         self._refill_worker.start()
 
     def _submit_mint(self, seed: int):
@@ -680,14 +512,17 @@ class ServingGateway:
         jobs = []
         for _ in range(self.prefill):
             for c in range(self.num_clients):
-                index = self._reserve_mint(c)
+                with self._state_lock:
+                    index = self.ledger.reserve(c)
                 jobs.append((c, index, self._submit_mint(self.mint_seed(c, index))))
         # Admit in submission order: round-robin, so budget pressure hits
         # all clients evenly — same admission order as the serial loop.
         for c, index, job in jobs:
             self._admit(c, index, job.get())
+            with self._state_lock:
+                self.ledger.landed(c)
 
-    def poll(self, timeout: float = 0.05) -> None:
+    def poll(self, timeout: float = POLL_SECONDS) -> None:
         """One selector round: accept, step ready sessions, flush outboxes."""
         if self._selector is None:
             raise RuntimeError("gateway not started")
@@ -703,11 +538,11 @@ class ServingGateway:
         # Retry held offers: a refill may have landed since last round.
         for conn in list(self._waiting):
             taken = self._take_precompute(conn.client_id)
-            if taken is None and self._mint_pending(conn.client_id) and (
-                time.perf_counter() < conn.wait_deadline
-            ):
-                continue  # still worth holding for the in-flight mint
-            self._waiting.discard(conn)
+            if taken is None and time.perf_counter() < conn.wait_deadline:
+                with self._state_lock:
+                    if self.ledger.mint_pending(conn.client_index):
+                        continue  # still worth holding for the in-flight mint
+            self._hold(conn, False)
             try:
                 conn.begin_request(taken)
                 conn.advance()
@@ -755,7 +590,7 @@ class ServingGateway:
             while len(self._served) < total_requests:
                 if abort is not None and abort():
                     break
-                self.poll(0.05)
+                self.poll()
                 if deadline is not None and time.monotonic() > deadline:
                     raise TransportError(
                         f"gateway timed out with {len(self._served)}/"
@@ -775,9 +610,8 @@ class ServingGateway:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._state_lock:
-                idle = not any(self._credits) and not any(self._pending_mints)
-            if idle:
-                return
+                if self.ledger.idle():
+                    return
             time.sleep(0.01)
 
     def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
@@ -791,7 +625,7 @@ class ServingGateway:
             # Tell live keep-alive peers the gateway is going away; the
             # bounded close-flush makes a best effort to deliver it.
             try:
-                conn.transport.send(encode_goaway("gateway shutting down"))
+                conn.transport.send(frames.encode_goaway("gateway shutting down"))
             except TransportError:  # pragma: no cover - peer already gone
                 pass
             self._drop(conn, error=None)
@@ -825,7 +659,7 @@ class ServingGateway:
         return ServingReport(
             num_clients=self.num_clients,
             requests=list(self._served),
-            minted=sum(self.minted),
+            minted=sum(self.ledger.minted),
             demand_mints=sum(1 for r in self._served if not r.hit),
             evictions=self.store.evictions - self._evictions_before,
             prefill_seconds=self.prefill_seconds,
@@ -856,17 +690,16 @@ class ServingGateway:
         """
         served = list(self._served)
         connections = list(self._connections)
+        ledger = self.ledger
         with self._state_lock:
-            rates, buffered = self._rates_and_buffered_locked()
-            pending = list(self._pending_mints)
-            credits = list(self._credits)
-            backlog = self._backlog_locked()
-            retry_after = self._retry_after_locked()
-            mean_mint = (
-                self._mint_time_total / self._mint_time_count
-                if self._mint_time_count
-                else 0.0
-            )
+            # Exactly the numbers the refill policy decides on.
+            rates = ledger.rates(self._serve_elapsed())
+            buffered = ledger.depths(self._stored_counts())
+            pending = list(ledger.pending)
+            credits = list(ledger.credits)
+            backlog = ledger.backlog()
+            retry_after = ledger.retry_after()
+            mean_mint = ledger.mean_mint_seconds
             inflight = sum(self._inflight.values())
             # Sessions, not sockets: a stats probe (or a pre-hello
             # connection) holds no session and must not count itself.
@@ -906,7 +739,7 @@ class ServingGateway:
             ),
             "refill_inflight": sum(pending),
             "admission": {
-                "max_queue": self.max_queue,
+                "max_queue": ledger.max_queue,
                 "backlog": backlog,
                 # What the *next* deferred request would be told to wait,
                 # and the measured mean mint time behind it.
@@ -950,35 +783,23 @@ class ServingGateway:
             )
             self._selector.register(transport, selectors.EVENT_READ, conn)
 
-    def _live_count(self) -> int:
-        return len(self._connections)
+    def _record(self, name: str, value: float | None = None, **labels) -> None:
+        """Count — or, given a value, observe — one series on the always-on
+        stats registry and on the global one (a no-op while telemetry is off)."""
+        for registry in (self._stats_registry, METRICS):
+            if value is None:
+                registry.counter(name, **labels).inc()
+            else:
+                registry.histogram(name, **labels).observe(value)
 
-    def _register_hello(self, conn: _Connection) -> None:
-        """A protocol client introduced itself (stats probes never land here)."""
-        self.connections_accepted += 1
-
-    def _backlog_locked(self) -> int:
-        """The admission pressure signal (state lock held).
-
-        Held WAIT_STORE offers plus refill work still owed or in flight:
-        when this crosses ``max_queue`` the refill pipeline is behind and
-        new requests are deferred rather than silently piling on.
-        """
-        return (
-            len(self._waiting)
-            + sum(self._credits)
-            + sum(self._pending_mints)
-        )
-
-    def _note_outcome(self, client_id: str, outcome: str) -> None:
-        """Admission outcome counters (always-on stats + opt-in telemetry)."""
-        self._stats_registry.counter(
-            "gateway_requests_total", client=client_id, outcome=outcome
-        ).inc()
-        if METRICS.enabled:
-            METRICS.counter(
-                "gateway_requests_total", client=client_id, outcome=outcome
-            ).inc()
+    def _hold(self, conn: _Connection, held: bool) -> None:
+        """Enter or leave WAIT_STORE bookkeeping (idempotent either way)."""
+        if held:
+            self._waiting.add(conn)
+        else:
+            self._waiting.discard(conn)
+        with self._state_lock:
+            self.ledger.waiting = len(self._waiting)
 
     def _maybe_start(self, conn: _Connection) -> bool:
         """Start the next queued request on an idle connection, if allowed.
@@ -993,8 +814,8 @@ class ServingGateway:
         with self._state_lock:
             if self._inflight.get(conn.client_id, 0) >= MAX_INFLIGHT_PER_CLIENT:
                 return False  # stays queued; a completion re-triggers us
-            over = self._backlog_locked() > self.max_queue
-            retry_after = self._retry_after_locked() if over else 0.0
+            over = self.ledger.backlog() > self.ledger.max_queue
+            retry_after = self.ledger.retry_after() if over else 0.0
             inflight_total = sum(self._inflight.values())
             if not over:
                 self._inflight[conn.client_id] = (
@@ -1008,18 +829,22 @@ class ServingGateway:
                 and conn.deferrals > self.max_request_deferrals
             ):
                 self.requests_rejected += 1
-                self._note_outcome(conn.client_id, "rejected")
+                self._record(
+                    "gateway_requests_total", client=conn.client_id, outcome="rejected"
+                )
                 try:
                     conn.transport.send(
-                        encode_goaway("admission backlog over max_queue")
+                        frames.encode_goaway("admission backlog over max_queue")
                     )
                 except TransportError:  # pragma: no cover - peer gone
                     pass
                 self._drop(conn, error=None)
                 return False
             self.requests_deferred += 1
-            self._note_outcome(conn.client_id, "deferred")
-            conn.transport.send(encode_busy(retry_after))
+            self._record(
+                "gateway_requests_total", client=conn.client_id, outcome="deferred"
+            )
+            conn.transport.send(frames.encode_busy(retry_after))
             return False
         conn.deferrals = 0
         conn.request_index = index
@@ -1032,17 +857,22 @@ class ServingGateway:
         # holders included — they hold an in-flight slot).
         conn.queue_depth = inflight_total
         self.requests_admitted += 1
-        self._note_outcome(conn.client_id, "admitted")
+        self._record(
+            "gateway_requests_total", client=conn.client_id, outcome="admitted"
+        )
         taken = self._take_precompute(conn.client_id)
-        if taken is None and self._mint_pending(conn.client_id):
-            # A refill for this client is already underway: hold the
-            # offer instead of duplicating the whole offline phase over
-            # the wire. poll() retries us each round; other sessions
-            # keep flowing meanwhile.
-            conn.state = conn.WAIT_STORE
-            conn.wait_deadline = time.perf_counter() + self.miss_wait_seconds
-            self._waiting.add(conn)
-            return True
+        if taken is None and conn.client_index is not None:
+            with self._state_lock:
+                refilling = self.ledger.mint_pending(conn.client_index)
+            if refilling:
+                # A refill for this client is already underway: hold the
+                # offer instead of duplicating the whole offline phase
+                # over the wire. poll() retries us each round; other
+                # sessions keep flowing meanwhile.
+                conn.state = conn.WAIT_STORE
+                conn.wait_deadline = time.perf_counter() + MISS_WAIT_SECONDS
+                self._hold(conn, True)
+                return True
         conn.begin_request(taken)
         return True
 
@@ -1087,28 +917,16 @@ class ServingGateway:
             return blob, server_state
 
     def _complete(self, conn: _Connection, online_seconds: float) -> None:
-        if not conn.hit and conn.mint_seconds > 0.0:
-            # Demand mints count toward the retry estimator too: under
-            # sustained misses they are the honest drain rate.
-            self._note_mint_seconds(conn.mint_seconds)
-        latency = time.perf_counter() - conn.request_started
-        self._stats_registry.histogram(
-            "gateway_request_seconds", client=conn.client_id
-        ).observe(latency)
-        self._stats_registry.counter(
+        self._record(
+            "gateway_request_seconds",
+            time.perf_counter() - conn.request_started,
+            client=conn.client_id,
+        )
+        self._record(
             "gateway_served_total",
             client=conn.client_id,
             result="hit" if conn.hit else "miss",
-        ).inc()
-        if METRICS.enabled:
-            METRICS.histogram(
-                "gateway_request_seconds", client=conn.client_id
-            ).observe(latency)
-            METRICS.counter(
-                "gateway_served_total",
-                client=conn.client_id,
-                result="hit" if conn.hit else "miss",
-            ).inc()
+        )
         if conn._t_online_us is not None:
             TRACER.emit_since(
                 "gateway.online", conn._t_online_us, tid=conn._track,
@@ -1134,16 +952,18 @@ class ServingGateway:
             )
         )
         self._sample("serve", conn.client_id)
-        conn.transport.send(encode_done(conn.request_index, conn.hit))
-        c = self._client_index.get(conn.client_id)
+        conn.transport.send(frames.encode_done(conn.request_index, conn.hit))
+        c = conn.client_index
         with self._state_lock:
             self._inflight[conn.client_id] = max(
                 0, self._inflight.get(conn.client_id, 0) - 1
             )
+            if not conn.hit and conn.mint_seconds > 0.0:
+                # Demand mints count toward the retry estimator too: under
+                # sustained misses they are the honest drain rate.
+                self.ledger.mint_took(conn.mint_seconds)
             if c is not None:
-                self._consumed[c] += 1
-                if self.refill and self._may_mint_locked(c):
-                    self._credits[c] += 1
+                self.ledger.completed(c)
         if c is not None and self._refill_worker is not None:
             self._refill_worker.kick()
         # Keep-alive: the connection survives the request. Recycle the
@@ -1155,19 +975,11 @@ class ServingGateway:
         conn.hit = False
         conn.mint_seconds = 0.0
 
-    def _mint_pending(self, client_id: str) -> bool:
-        """Is a refill for this client credited or already in flight?"""
-        c = self._client_index.get(client_id)
-        if c is None or not self.refill:
-            return False
-        with self._state_lock:
-            return self._credits[c] > 0 or self._pending_mints[c] > 0
-
     def _drop(self, conn: _Connection, error) -> None:
         if conn not in self._connections:
             return
         self._connections.discard(conn)
-        self._waiting.discard(conn)
+        self._hold(conn, False)
         had_active_request = conn.state in (
             conn.WAIT_STORE, conn.OFFLINE, conn.ONLINE
         )
@@ -1213,315 +1025,38 @@ class ServingGateway:
 
     # -- refill-side internals ------------------------------------------------
 
-    def _may_mint_locked(self, c: int) -> bool:
-        if self.expected_per_client is None:
-            return True
-        cap = self.expected_per_client
-        if isinstance(cap, list):
-            cap = cap[c]
-        return self.minted[c] < cap
-
-    def _note_mint_seconds(self, seconds: float) -> None:
-        """Fold one completed mint's wall-clock into the retry estimator."""
-        with self._state_lock:
-            self._mint_time_total += seconds
-            self._mint_time_count += 1
-
-    def _retry_after_locked(self) -> float:
-        """The adaptive BUSY hint for the backlog just measured."""
-        mean = (
-            self._mint_time_total / self._mint_time_count
-            if self._mint_time_count
-            else 0.0
-        )
-        return adaptive_retry_after(
-            self._backlog_locked(),
-            self.max_queue,
-            mean,
-            self._refill_inflight,
-            self.busy_retry_after,
-        )
-
-    def _reserve_mint(self, c: int) -> int:
-        with self._state_lock:
-            index = self.minted[c]
-            self.minted[c] += 1
-            self._pending_mints[c] += 1
-            return index
-
-    def _rates_and_buffered_locked(self) -> tuple[list[float], list[int]]:
-        """Per-client consumption rates and buffer depths (state lock held).
-
-        Rates are measured over the serve window so far; depth counts
-        stored precomputes plus mints already in flight. Shared by the
-        refill policy and the live stats snapshot, so ``stats()`` reports
-        exactly the numbers ``pick_refill_client`` decides on.
-        """
+    def _serve_elapsed(self) -> float:
         now = time.perf_counter()
-        elapsed = max(now - (self._serve_start or now), 1e-9)
-        rates = [self._consumed[c] / elapsed for c in range(self.num_clients)]
-        buffered = [
+        return now - (self._serve_start or now)
+
+    def _stored_counts(self) -> list[int]:
+        """Precomputes each client has in the store right now."""
+        return [
             len(self.store.names(self.store_key(self.client_id(c)), KIND_OFFLINE))
-            + self._pending_mints[c]
             for c in range(self.num_clients)
         ]
-        return rates, buffered
 
     def _next_refill_mint(self):
         """Claim the most urgent owed refill: (client, mint index, seed)."""
         with self._state_lock:
-            if not any(self._credits):
-                return None
-            rates, buffered = self._rates_and_buffered_locked()
-            c = pick_refill_client(self._credits, buffered, rates)
-            if c is None:
-                return None
-            self._credits[c] -= 1
-            index = self.minted[c]
-            self.minted[c] += 1
-            self._pending_mints[c] += 1
+            if not any(self.ledger.credits):
+                return None  # nothing owed: skip the store scan
+            c, index = self.ledger.claim(
+                self._stored_counts(), self._serve_elapsed()
+            )
         return c, index, self.mint_seed(c, index)
 
     def _admit(self, c: int, index: int, blob: bytes) -> None:
-        """Admit one minted blob into the client's namespace (any thread)."""
-        try:
-            self.store.put(
-                self.store_key(self.client_id(c)),
-                KIND_OFFLINE,
-                blob,
-                name=f"{index:08d}",
-            )
-        finally:
-            with self._state_lock:
-                self._pending_mints[c] = max(0, self._pending_mints[c] - 1)
-        self._sample("mint", self.client_id(c))
+        """Store one minted blob in the client's namespace (any thread).
 
-    def _mint_failed(self, c: int) -> None:
-        with self._state_lock:
-            self._pending_mints[c] = max(0, self._pending_mints[c] - 1)
-
-
-# -- client side -----------------------------------------------------------------
-
-
-class GatewayClient:
-    """Keep-alive client: one connection, any number of requests.
-
-    Wire lifecycle: HELLO once at connect, then per request
-    ``REQ → (BUSY backoff → REQ)* → OFFER → protocol → DONE``; GOAWAY
-    (either direction) ends the connection. The underlying
-    :class:`~repro.core.session.ClientSession` is connection-scoped and
-    recycled between requests via ``reset_for_request()``, so transport,
-    channel accounting, counters, and the shape-only lowering are all
-    amortized across requests. The ``issued``/``admitted``/``deferred``/
-    ``rejected`` attributes mirror the gateway's admission ledger from
-    this side of the wire.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        network,
-        params,
-        *,
-        garbler: str = "client",
-        client_id: str = "client0",
-        seed: int | None = None,
-        truncate_bits: int = 0,
-        lowered=None,
-        retries: int = 40,
-        max_busy_retries: int = 1000,
-    ):
-        from repro.core.session import ClientSession
-
-        self.client_id = client_id
-        self.garbler = garbler
-        self.truncate_bits = truncate_bits
-        self.max_busy_retries = max_busy_retries
-        self.issued = 0
-        self.admitted = 0
-        self.deferred = 0
-        self.rejected = 0
-        self.retry_sleep_seconds = 0.0  # total time spent in BUSY backoff
-        self._next_index = 0
-        self._closed = False
-        # Backoff jitter stream: seeded clients get deterministic sleeps
-        # (protocol randomness is untouched — logits never depend on it).
-        self._backoff_rng = random.Random(seed)
-        self._backoff_cap = 2 * MAX_RETRY_AFTER
-        self.transport = SocketTransport.connect(host, port, retries=retries)
-        self.session = ClientSession(
-            network,
-            params=params,
-            garbler=garbler,
-            seed=seed,
-            truncate_bits=truncate_bits,
-            transport=self.transport,
-            lowered=lowered,
-        )
-        self.transport.send(encode_hello(client_id))
-
-    def __enter__(self) -> "GatewayClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def request(self, x: list[int], request_index: int | None = None) -> list[int]:
-        """One inference over the live connection; returns the logits.
-
-        Issues a REQ (honoring BUSY backoff with the server-suggested
-        retry-after), adopts the offered precompute half on a hit or runs
-        the full offline phase over the wire on a miss, drives the online
-        phase, and consumes the DONE acknowledgement.
+        The caller tells the ledger the mint landed only afterwards, so a
+        held offer never sees "nothing stored, nothing in flight" in
+        between.
         """
-        from repro.core.protocol import split_offline_state
-        from repro.core.session import LIFE_NEW
-
-        if request_index is None:
-            request_index = self._next_index
-        self._next_index = request_index + 1
-        deferrals = 0
-        backoff = 0.0
-        while True:
-            self.transport.send(encode_request(request_index))
-            self.issued += 1
-            frame = self.transport.recv(wait=True)
-            head = bytes(frame[:4])
-            if head == _BUSY_MAGIC:
-                self.deferred += 1
-                deferrals += 1
-                if deferrals > self.max_busy_retries:
-                    raise TransportError(
-                        f"request {request_index} deferred {deferrals} "
-                        "times; giving up"
-                    )
-                # Decorrelated jitter seeded by the server's hint: the
-                # first retry sleeps exactly retry_after (the server's
-                # best estimate of when the backlog clears); repeat
-                # deferrals spread out uniformly in [hint, 3 * previous]
-                # so a crowd of deferred clients doesn't re-stampede the
-                # gateway on one synchronized beat.
-                hint = max(0.0, decode_busy(frame))
-                backoff = min(
-                    self._backoff_cap,
-                    self._backoff_rng.uniform(hint, max(hint, 3.0 * backoff)),
-                )
-                self.retry_sleep_seconds += backoff
-                time.sleep(backoff)
-                continue
-            if head == _GOAWAY_MAGIC:
-                self.rejected += 1
-                self._closed = True
-                reason = decode_goaway(frame) or "no reason given"
-                raise TransportError(
-                    f"gateway rejected request {request_index}: {reason}"
-                )
-            hit, blob = decode_offer(frame)
-            break
-        self.admitted += 1
-        session = self.session
-        if session.lifecycle != LIFE_NEW:
-            session.reset_for_request()
-        if hit:
-            client_state, _ = split_offline_state(
-                blob,
-                session.lowered,
-                session.relu_circuit(),
-                self.garbler,
-                self.truncate_bits,
-            )
-            session.load_offline_state(*client_state)
-        else:
-            session.run_offline()
-        logits = session.run_online(x)
-        done_index, _ = decode_done(self.transport.recv(wait=True))
-        if done_index != request_index:
-            raise TransportError(
-                f"gateway acknowledged request {done_index}, "
-                f"expected {request_index}"
-            )
-        return logits
-
-    def stats(self) -> dict:
-        """Mid-stream ``GWS1`` stats snapshot (only between requests)."""
-        self.transport.send(encode_stats_request())
-        return decode_stats_reply(self.transport.recv(wait=True))
-
-    def local_stats(self) -> dict:
-        """This side of the admission ledger, plus backoff accounting."""
-        return {
-            "issued": self.issued,
-            "admitted": self.admitted,
-            "deferred": self.deferred,
-            "rejected": self.rejected,
-            "busy_retries": self.deferred,
-            "retry_sleep_seconds": round(self.retry_sleep_seconds, 6),
-        }
-
-    def close(self) -> None:
-        """Graceful bye: best-effort GOAWAY, then close the socket."""
-        if not self._closed:
-            self._closed = True
-            try:
-                self.transport.send(encode_goaway("client done"))
-            except TransportError:  # pragma: no cover - peer already gone
-                pass
-        self.transport.close()
-
-
-def request_inference(
-    host: str,
-    port: int,
-    network,
-    params,
-    x: list[int],
-    *,
-    garbler: str = "client",
-    client_id: str = "client0",
-    request_index: int = 0,
-    seed: int | None = None,
-    truncate_bits: int = 0,
-    lowered=None,
-    retries: int = 40,
-) -> list[int]:
-    """One inference against a running gateway, from the client's side.
-
-    A thin single-request wrapper over :class:`GatewayClient`: connect,
-    HELLO, one REQ cycle, GOAWAY, close. ``lowered`` may carry a
-    pre-built *shape-only* lowering to amortize across calls; weights
-    never materialize client-side either way.
-    """
-    client = GatewayClient(
-        host,
-        port,
-        network,
-        params,
-        garbler=garbler,
-        client_id=client_id,
-        seed=seed,
-        truncate_bits=truncate_bits,
-        lowered=lowered,
-        retries=retries,
-    )
-    try:
-        return client.request(x, request_index=request_index)
-    finally:
-        client.close()
-
-
-def request_stats(host: str, port: int, *, retries: int = 40) -> dict:
-    """Fetch a live stats snapshot from a running gateway.
-
-    Speaks the ``GWS1`` wire op: connect, send the 4-byte stats magic
-    where a hello would normally go, read back one JSON frame. The
-    gateway answers from its selector thread without minting a session,
-    so probing is free of transcript side effects.
-    """
-    transport = SocketTransport.connect(host, port, retries=retries)
-    try:
-        transport.send(encode_stats_request())
-        return decode_stats_reply(transport.recv(wait=True))
-    finally:
-        transport.close()
+        self.store.put(
+            self.store_key(self.client_id(c)),
+            KIND_OFFLINE,
+            blob,
+            name=f"{index:08d}",
+        )
+        self._sample("mint", self.client_id(c))

@@ -254,40 +254,29 @@ class PrecomputePool:
             return [func(job) for job in jobs]
         return self._ensure_pool().map(func, jobs, chunksize=1)
 
-    def apply_async(self, func, job, callback=None) -> AsyncJob:
+    def apply_async(self, func, job) -> AsyncJob:
         """Submit one picklable job without waiting; returns an AsyncJob.
 
         This is the refill workers' submission surface: a background
         driver ships whole offline-mint jobs to worker processes and keeps
-        serving while they run, which is where the gateway's wall-clock
-        overlap of minting and serving comes from. ``callback``
-        receives the result (in a pool-internal thread — keep it tiny and
-        thread-safe). With ``workers <= 1`` the job runs inline at submit
-        time and the callback fires synchronously, so single-core
-        deployments keep identical semantics minus the overlap.
+        serving while they run (polling ``ready()``), which is where the
+        gateway's wall-clock overlap of minting and serving comes from.
+        With ``workers <= 1`` the job runs inline at submit time, so
+        single-core deployments keep identical semantics minus the
+        overlap.
         """
         if self.workers <= 1:
             try:
-                value = func(job)
+                return _ImmediateJob(func(job))
             except BaseException as exc:
                 return _ImmediateJob(error=exc)
-            if callback is not None:
-                callback(value)
-            return _ImmediateJob(value)
         from repro import telemetry
 
         if telemetry.enabled():
-            # Ship worker-side telemetry home with the result; the
-            # callback still sees the bare value (payloads merge on the
-            # submitting side, at get(), never in the pool's thread).
-            wrapped = None
-            if callback is not None:
-                wrapped = lambda pair: callback(pair[0])  # noqa: E731
+            # Ship worker-side telemetry home with the result (payloads
+            # merge on the submitting side, at get(), never in the
+            # pool's thread).
             return _TracedPoolJob(
-                self._ensure_pool().apply_async(
-                    _run_traced_job, ((func, job),), callback=wrapped
-                )
+                self._ensure_pool().apply_async(_run_traced_job, ((func, job),))
             )
-        return _PoolJob(
-            self._ensure_pool().apply_async(func, (job,), callback=callback)
-        )
+        return _PoolJob(self._ensure_pool().apply_async(func, (job,)))

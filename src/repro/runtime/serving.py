@@ -138,9 +138,6 @@ class ServingReport:
             return 0.0
         return len(self.requests) / self.serve_seconds
 
-    def client_requests(self, client: str) -> list[ServedRequest]:
-        return [r for r in self.requests if r.client == client]
-
     def summary(self) -> dict:
         """JSON-serializable digest (what the CI smoke job uploads)."""
         return {

@@ -5,7 +5,7 @@ The workload engine's core contract is *one schedule, two executions*:
 * :func:`replay_functional` drives a real
   :class:`~repro.runtime.gateway.ServingGateway` over loopback TCP — one
   thread per client holding a single keep-alive
-  :class:`~repro.runtime.gateway.GatewayClient`, sleeping to the
+  :class:`~repro.runtime.client.GatewayClient`, sleeping to the
   schedule's arrival times (open-loop) or think gaps (closed-loop) and
   honoring BUSY/GOAWAY — and returns a measured
   :class:`~repro.runtime.serving.ServingReport`.
@@ -19,11 +19,9 @@ Both report per-workload latency quantiles (p50/p95/p99 via the
 telemetry :class:`~repro.telemetry.metrics.Histogram`), deferral rate,
 and goodput, keyed by workload name, so the planner can compare
 prediction against measurement number for number. The analytic side
-deliberately reuses the gateway's own policy code
-(:func:`~repro.runtime.gateway.pick_refill_client`,
-:func:`~repro.runtime.gateway.adaptive_retry_after`) — the model and the
-system share one admission/refill brain and differ only in what a
-"second" costs.
+constructs the gateway's own :class:`~repro.runtime.policy.RefillLedger`
+— the model and the system share one admission/refill brain and differ
+only in what a "second" costs.
 
 Latency convention: open-loop latency is measured from the *scheduled*
 arrival (lateness under overload counts as queueing — the standard
@@ -38,6 +36,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.runtime.policy import DEFAULT_MAX_QUEUE, POLL_SECONDS, RefillLedger
 from repro.runtime.serving import draw_inputs
 from repro.runtime.state import derive_worker_seed
 from repro.simulation.engine import Environment, Resource, Timeout
@@ -134,7 +133,8 @@ def replay_functional(
     0.25x to hammer a slow CI host, without changing the schedule bytes.
     """
     from repro.core.lowering import lower_network
-    from repro.runtime.gateway import GatewayClient, ServingGateway
+    from repro.runtime.client import GatewayClient
+    from repro.runtime.gateway import ServingGateway
 
     if time_scale <= 0:
         raise ValueError("time_scale must be positive")
@@ -285,9 +285,8 @@ class ServiceModel:
     thread; ``demand_mint_seconds`` one miss-path offline phase;
     ``refill_mint_seconds`` one background refill mint on a pool worker.
     ``workers`` bounds concurrent mints, ``store_entries`` the store's
-    capacity in precompute entries (None = unbounded),
-    ``max_queue``/``retry_floor``/``retry_cap`` mirror the gateway's
-    admission knobs.
+    capacity in precompute entries (None = unbounded), ``max_queue``
+    the gateway's admission threshold.
     """
 
     online_seconds: float
@@ -296,10 +295,7 @@ class ServiceModel:
     workers: int = 1
     store_entries: int | None = None
     prefill: int = 1
-    max_queue: int = 8
-    retry_floor: float = 0.05
-    retry_cap: float = 5.0
-    wait_poll_seconds: float = 0.05  # WAIT_STORE retry granularity
+    max_queue: int = DEFAULT_MAX_QUEUE
 
     def to_json_dict(self) -> dict:
         return {
@@ -319,94 +315,73 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     Structure mirrors the real gateway one to one: a capacity-1 serving
     resource (the selector thread serializes online phases), a
     ``workers``-wide mint resource, per-client buffers drained on hits
-    and refilled by a background worker that picks clients with the
-    *actual* :func:`pick_refill_client` policy, FIFO cross-client
-    eviction under ``store_entries``, backlog-gated admission deferring
-    with the *actual* :func:`adaptive_retry_after` hint, and a
-    WAIT_STORE hold when a miss has a refill already in flight. The
-    returned dict carries the same column block as the functional
+    and refilled by a background worker, FIFO cross-client eviction
+    under ``store_entries``, backlog-gated admission deferring with the
+    adaptive retry hint, and a WAIT_STORE hold when a miss has a refill
+    already in flight. Credits, caps, refill order, the backlog and the
+    hint are the gateway's own :class:`~repro.runtime.policy.RefillLedger`.
+    The returned dict carries the same column block as the functional
     replay, plus predicted hit/demand/eviction counters.
     """
-    from repro.runtime.gateway import adaptive_retry_after, pick_refill_client
-
     env = Environment()
     C = schedule.num_clients
-    counts = schedule.request_counts()
     total = schedule.total_requests
     serving = Resource(env, 1)
     mint_slots = Resource(env, max(1, model.workers))
-    state = {
-        "buffered": [0] * C,
-        "pending": [0] * C,
-        "credits": [0] * C,
-        "consumed": [0] * C,
-        "minted": [0] * C,
-        "waiting": 0,
-        "completed": 0,
-        "issued": 0,
-        "admitted": 0,
-        "deferred": 0,
-        "hits": 0,
-        "demand": 0,
-        "evictions": 0,
-        "last_completion": 0.0,
-    }
+    ledger = RefillLedger(
+        C,
+        caps=schedule.request_counts(),
+        max_queue=model.max_queue,
+        mint_parallelism=model.workers,
+    )
+    # The model's mints all take exactly this long: one observation pins
+    # the mean behind the retry hint from t=0.
+    ledger.mint_took(model.refill_mint_seconds)
+    buffered = [0] * C
     admit_order: list[int] = []  # admission-ordered entries (FIFO eviction)
     latencies: list[float] = []
+    tally = {
+        "completed": 0, "issued": 0, "admitted": 0, "deferred": 0,
+        "hits": 0, "demand": 0, "evictions": 0, "last_completion": 0.0,
+    }
 
     def admit(c: int) -> None:
         if model.store_entries is not None:
             if model.store_entries < 1:
                 return  # budget admits no entry: every request misses
-            while sum(state["buffered"]) >= model.store_entries:
-                victim = admit_order.pop(0)
-                state["buffered"][victim] -= 1
-                state["evictions"] += 1
-        state["buffered"][c] += 1
+            while sum(buffered) >= model.store_entries:
+                buffered[admit_order.pop(0)] -= 1
+                tally["evictions"] += 1
+        buffered[c] += 1
         admit_order.append(c)
 
     def take(c: int) -> None:
-        state["buffered"][c] -= 1
+        buffered[c] -= 1
         admit_order.remove(c)  # oldest entry of this client
-
-    def backlog() -> int:
-        return (
-            state["waiting"] + sum(state["credits"]) + sum(state["pending"])
-        )
-
-    def may_mint(c: int) -> bool:
-        return state["minted"][c] + state["credits"][c] < counts[c]
 
     # Prefill: round-robin, instantaneous at t=0 (the functional run
     # brackets prefill outside the serve window too).
     for _ in range(model.prefill):
         for c in range(C):
+            ledger.reserve(c)
+            ledger.landed(c)
             admit(c)
-            state["minted"][c] += 1
 
     def mint_proc(c: int):
         grant = mint_slots.request()
         yield grant
         yield Timeout(env, model.refill_mint_seconds)
         mint_slots.release()
-        state["pending"][c] -= 1
+        ledger.landed(c)
         admit(c)
 
     def refill_proc():
-        while state["completed"] < total:
-            elapsed = max(env.now, 1e-9)
-            rates = [state["consumed"][c] / elapsed for c in range(C)]
-            depth = [
-                state["buffered"][c] + state["pending"][c] for c in range(C)
-            ]
-            c = pick_refill_client(state["credits"], depth, rates)
-            if c is None:
-                yield Timeout(env, 0.05)
+        while tally["completed"] < total:
+            claimed = ledger.claim(buffered, env.now)
+            if claimed is None:
+                yield Timeout(env, POLL_SECONDS)
                 continue
-            state["credits"][c] -= 1
-            state["minted"][c] += 1
-            state["pending"][c] += 1
-            env.process(mint_proc(c))
+            env.process(mint_proc(claimed[0]))
             yield Timeout(env, 0.0)
 
     def client_proc(c: int, lane):
@@ -420,39 +395,23 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
                 if a.think > 0:
                     yield Timeout(env, a.think)
                 scheduled = env.now
-            state["issued"] += 1
-            while backlog() > model.max_queue:
-                state["deferred"] += 1
-                retry = adaptive_retry_after(
-                    backlog(),
-                    model.max_queue,
-                    model.refill_mint_seconds,
-                    model.workers,
-                    model.retry_floor,
-                    model.retry_cap,
-                )
-                yield Timeout(env, retry)
-                state["issued"] += 1
-            state["admitted"] += 1
-            hit = False
-            if state["buffered"][c] > 0:
-                take(c)
-                hit = True
-            elif state["pending"][c] > 0 or state["credits"][c] > 0:
+            tally["issued"] += 1
+            while ledger.backlog() > ledger.max_queue:
+                tally["deferred"] += 1
+                yield Timeout(env, ledger.retry_after())
+                tally["issued"] += 1
+            tally["admitted"] += 1
+            if buffered[c] == 0 and ledger.mint_pending(c):
                 # WAIT_STORE: hold the offer for the in-flight refill.
-                state["waiting"] += 1
-                while state["buffered"][c] == 0 and (
-                    state["pending"][c] > 0 or state["credits"][c] > 0
-                ):
-                    yield Timeout(env, model.wait_poll_seconds)
-                state["waiting"] -= 1
-                if state["buffered"][c] > 0:
-                    take(c)
-                    hit = True
-            if hit:
-                state["hits"] += 1
+                ledger.waiting += 1
+                while buffered[c] == 0 and ledger.mint_pending(c):
+                    yield Timeout(env, POLL_SECONDS)
+                ledger.waiting -= 1
+            if buffered[c] > 0:
+                take(c)
+                tally["hits"] += 1
             else:
-                state["demand"] += 1
+                tally["demand"] += 1
                 grant = mint_slots.request()
                 yield grant
                 yield Timeout(env, model.demand_mint_seconds)
@@ -461,11 +420,9 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
             yield grant
             yield Timeout(env, model.online_seconds)
             serving.release()
-            state["consumed"][c] += 1
-            if may_mint(c):
-                state["credits"][c] += 1
-            state["completed"] += 1
-            state["last_completion"] = env.now
+            ledger.completed(c)
+            tally["completed"] += 1
+            tally["last_completion"] = env.now
             latencies.append(env.now - scheduled)
 
     lanes = schedule.per_client()
@@ -478,20 +435,20 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     columns = _workload_columns(
         schedule,
         latencies,
-        issued=state["issued"],
-        deferred=state["deferred"],
+        issued=tally["issued"],
+        deferred=tally["deferred"],
         rejected=0,
-        makespan=state["last_completion"],
+        makespan=tally["last_completion"],
     )
     columns.update(
         {
-            "hits": state["hits"],
-            "demand_mints": state["demand"],
-            "evictions": state["evictions"],
-            "minted": sum(state["minted"]),
-            "issued": state["issued"],
-            "admitted": state["admitted"],
-            "deferred": state["deferred"],
+            "hits": tally["hits"],
+            "demand_mints": tally["demand"],
+            "evictions": tally["evictions"],
+            "minted": sum(ledger.minted),
+            "issued": tally["issued"],
+            "admitted": tally["admitted"],
+            "deferred": tally["deferred"],
         }
     )
     return columns

@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.runtime.policy import DEFAULT_MAX_QUEUE
 from repro.workload.drivers import ServiceModel, replay_analytic
 from repro.workload.generators import Schedule, poisson_schedule
 
@@ -35,6 +36,11 @@ __all__ = [
     "fit_service_times",
     "calibrate",
 ]
+
+# A simple linear resource price — enough to rank "more cores" against
+# "more store" honestly; swap the coefficients for a real bill of materials.
+CORE_COST = 1.0
+ENTRY_COST = 0.05
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class CalibratedModel:
         workers: int = 1,
         store_entries: int | None = None,
         prefill: int = 1,
-        max_queue: int = 8,
+        max_queue: int = DEFAULT_MAX_QUEUE,
     ) -> ServiceModel:
         return ServiceModel(
             online_seconds=self.online_seconds,
@@ -112,9 +118,7 @@ class CalibratedModel:
         }
 
 
-def fit_service_times(
-    reports, *, prefills=None, min_det: float = 1e-9
-) -> CalibratedModel:
+def fit_service_times(reports, *, prefills=None) -> CalibratedModel:
     """Least-squares fit of the service model over calibration runs.
 
     Each report contributes one observation ``serve_seconds ≈
@@ -177,7 +181,7 @@ def fit_service_times(
     method = "fallback-direct"
     online, demand = online_direct, demand_direct
     residual = None
-    if det > min_det and s22 > 0:
+    if det > 1e-9 and s22 > 0:
         ls_online = (b1 * s22 - b2 * s12) / det
         ls_demand = (b2 * s11 - b1 * s12) / det
         if ls_online > 0 and ls_demand > 0:
@@ -246,29 +250,19 @@ class SLO:
 class CapacityPlanner:
     """Sweep a calibrated model over configuration grids; pick the cheapest.
 
-    Cost is a simple linear resource price — ``workers * core_cost +
-    store_entries * entry_cost`` — enough to rank "more cores" against
-    "more store" honestly; swap the coefficients for a real bill of
-    materials.
+    Cost is ``workers * CORE_COST + store_entries * ENTRY_COST``.
     """
 
     def __init__(
         self,
         model: CalibratedModel,
         *,
-        core_cost: float = 1.0,
-        entry_cost: float = 0.05,
         prefill: int = 1,
-        max_queue: int = 8,
+        max_queue: int = DEFAULT_MAX_QUEUE,
     ):
         self.model = model
-        self.core_cost = core_cost
-        self.entry_cost = entry_cost
         self.prefill = prefill
         self.max_queue = max_queue
-
-    def _cost(self, workers: int, store_entries: int) -> float:
-        return workers * self.core_cost + store_entries * self.entry_cost
 
     def sweep(
         self,
@@ -313,7 +307,9 @@ class CapacityPlanner:
                                 "workers": workers,
                                 "store_entries": store_entries,
                                 "cost": round(
-                                    self._cost(workers, store_entries), 6
+                                    workers * CORE_COST
+                                    + store_entries * ENTRY_COST,
+                                    6,
                                 ),
                                 "latency_p50": predicted["latency_p50"],
                                 "latency_p95": predicted["latency_p95"],
@@ -464,7 +460,9 @@ def calibrate(
             workers=pool.workers,
             prefill=1,
             max_queue=(
-                gateway_max_queue if gateway_max_queue is not None else 8
+                DEFAULT_MAX_QUEUE
+                if gateway_max_queue is None
+                else gateway_max_queue
             ),
         )
         result = {

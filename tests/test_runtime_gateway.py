@@ -28,7 +28,16 @@ import pytest
 from repro import HybridProtocol, tiny_dataset, tiny_mlp
 from repro.core.lowering import lower_network, plaintext_reference
 from repro.he.params import fast_params
-from repro.network.transport import SocketTransport
+from repro.network.frames import (
+    decode_busy,
+    decode_goaway,
+    decode_offer,
+    encode_busy,
+    encode_goaway,
+    encode_hello,
+    encode_request,
+)
+from repro.network.transport import SocketTransport, TransportError
 from repro.runtime import (
     PrecomputePool,
     PrecomputeStore,
@@ -36,24 +45,8 @@ from repro.runtime import (
     ServingLoop,
     request_inference,
 )
-from repro.runtime.gateway import (
-    MAX_RETRY_AFTER,
-    GatewayClient,
-    adaptive_retry_after,
-    decode_busy,
-    decode_done,
-    decode_goaway,
-    decode_hello,
-    decode_offer,
-    decode_request,
-    encode_busy,
-    encode_done,
-    encode_goaway,
-    encode_hello,
-    encode_offer,
-    encode_request,
-    pick_refill_client,
-)
+from repro.runtime.client import GatewayClient
+from repro.runtime.policy import BUSY_RETRY_FLOOR, MAX_RETRY_AFTER
 from repro.runtime.serving import mint_seed
 from repro.workload import closed_schedule, draw_schedule_inputs, replay_functional
 
@@ -64,58 +57,6 @@ def _network(hidden=8):
     network = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=hidden)
     network.randomize_weights(PARAMS.t, np.random.default_rng(0))
     return network
-
-
-# -- wire codecs and refill policy ----------------------------------------------
-
-
-def test_gateway_wire_codecs_roundtrip():
-    assert decode_hello(encode_hello("client7")) == "client7"
-    assert decode_hello(encode_hello("")) == ""
-    assert decode_request(encode_request(3)) == 3
-    assert decode_request(encode_request(0)) == 0
-    hit, blob = decode_offer(encode_offer(True, b"precompute-bytes"))
-    assert hit and blob == b"precompute-bytes"
-    hit, blob = decode_offer(encode_offer(False))
-    assert not hit and blob == b""
-    assert decode_done(encode_done(7, True)) == (7, True)
-    assert decode_done(encode_done(0, False)) == (0, False)
-    assert decode_busy(encode_busy(0.25)) == 0.25
-    assert decode_busy(encode_busy(-1.0)) == 0.0  # clamped on encode
-    assert decode_goaway(encode_goaway("backlog over max_queue")) == (
-        "backlog over max_queue"
-    )
-    assert decode_goaway(encode_goaway()) == ""
-    from repro.network.transport import TransportError
-
-    with pytest.raises(TransportError):
-        decode_hello(encode_offer(True, b"x"))
-    with pytest.raises(TransportError):
-        decode_offer(encode_hello("client0"))
-    with pytest.raises(TransportError):
-        decode_request(encode_done(0, False))
-    with pytest.raises(TransportError):
-        decode_busy(encode_goaway("nope"))
-
-
-def test_gateway_rejects_legacy_single_request_hello():
-    """A pre-keep-alive GWH1 hello is just another frame that is not a hello."""
-    from repro.network.transport import TransportError
-
-    legacy = b"GWH1" + b"client0" + b"\x00\x00\x00\x00"
-    with pytest.raises(TransportError, match="^not a gateway hello frame$"):
-        decode_hello(legacy)
-
-
-def test_pick_refill_client_prefers_earliest_miss():
-    # Client 1 drains fastest relative to its buffer: it misses first.
-    assert pick_refill_client([1, 1, 1], [2.0, 1.0, 4.0], [1.0, 2.0, 1.0]) == 1
-    # Only credited clients are eligible.
-    assert pick_refill_client([0, 1, 0], [2.0, 9.0, 0.0], [5.0, 0.1, 5.0]) == 1
-    # Never-consuming clients (rate 0) rank last, tie-broken by buffer.
-    assert pick_refill_client([1, 1], [3.0, 1.0], [0.0, 0.0]) == 1
-    # No credits anywhere: nothing to refill.
-    assert pick_refill_client([0, 0], [1.0, 1.0], [1.0, 1.0]) is None
 
 
 # -- concurrent serving correctness ---------------------------------------------
@@ -197,8 +138,6 @@ def test_replay_matches_serialized_serving_loop(
 
 def _forked_client_main(port, client_index, requests):
     """Child process: request inferences and verify logits, or exit 1."""
-    from repro.runtime.gateway import request_inference
-
     network = _network()
     oracle = lower_network(network, PARAMS.t)
     shape = lower_network(network, PARAMS.t, shape_only=True)
@@ -458,34 +397,36 @@ def _pump_for_frame(gateway, transport, timeout=30.0):
 
 def test_gateway_busy_then_goaway_raw_frames(tmp_path):
     """Raw admission wire semantics, single-threaded: a REQ over the
-    backlog threshold gets BUSY carrying the configured retry-after, and
-    blowing the deferral cap gets GOAWAY with a reason."""
+    backlog threshold gets BUSY carrying the retry-after floor (no mint
+    has been timed), and blowing the deferral cap gets GOAWAY with a
+    reason."""
     network = _network()
     store = PrecomputeStore(tmp_path)
     with PrecomputePool(workers=1) as pool:
         gateway = ServingGateway(
             network, PARAMS, 1, store, pool=pool, garbler="client",
             prefill=0, refill=False, max_queue=0, max_request_deferrals=1,
-            busy_retry_after=0.01,
         )
         gateway.start()
         try:
             # Fake an in-flight mint backlog so admission must defer.
             with gateway._state_lock:
-                gateway._pending_mints[0] = 3
+                gateway.ledger.pending[0] = 3
             transport = SocketTransport.connect(
                 "127.0.0.1", gateway.port, retries=5
             )
             transport.send(encode_hello("client0"))
             transport.send(encode_request(0))
-            assert decode_busy(_pump_for_frame(gateway, transport)) == 0.01
+            assert decode_busy(_pump_for_frame(gateway, transport)) == (
+                BUSY_RETRY_FLOOR
+            )
             transport.send(encode_request(0))
             reason = decode_goaway(_pump_for_frame(gateway, transport))
             assert "backlog" in reason
             transport.close()
         finally:
             with gateway._state_lock:
-                gateway._pending_mints[0] = 0
+                gateway.ledger.pending[0] = 0
             gateway.stop(drain=False)
 
     assert gateway.requests_issued == 2
@@ -551,46 +492,16 @@ def test_midstream_stats_on_keepalive_connection(tmp_path):
     assert gateway.requests_admitted == 2
 
 
-# -- adaptive retry_after and client-side backoff ---------------------------------
+# -- refill caps and client-side backoff -------------------------------------------
 
 
-def test_adaptive_retry_after_scales_with_backlog():
-    floor = 0.05
-    # No measured mints yet: the fixed constant stands.
-    assert adaptive_retry_after(10, 0, 0.0, 4, floor) == floor
-    # One excess request, one worker: wait about one mint.
-    assert adaptive_retry_after(1, 0, 0.4, 1, floor) == pytest.approx(0.4)
-    # Deeper excess drains linearly...
-    assert adaptive_retry_after(3, 0, 0.4, 1, floor) == pytest.approx(1.2)
-    # ...and parallel mint slots divide it.
-    assert adaptive_retry_after(3, 0, 0.4, 2, floor) == pytest.approx(0.6)
-    # Backlog at/under the threshold still waits for >= one mint slot.
-    assert adaptive_retry_after(2, 8, 0.4, 1, floor) == pytest.approx(0.4)
-    # Tiny mint times clamp up to the floor, huge backlogs down to the cap.
-    assert adaptive_retry_after(1, 0, 0.001, 1, floor) == floor
-    assert adaptive_retry_after(10_000, 0, 0.4, 1, floor) == MAX_RETRY_AFTER
-    assert adaptive_retry_after(10_000, 0, 0.4, 1, floor, cap=2.0) == 2.0
-
-
-def test_gateway_retry_after_tracks_measured_mints(tmp_path):
-    """The BUSY hint starts at the fixed floor and follows the running
-    mean of measured mint times once the estimator has samples."""
+def test_gateway_refill_caps_bound_the_mint_count(tmp_path):
+    """Caps reach the ledger: a mismatched list is refused at construction,
+    and a run prefilled to one short of its cap tops up by exactly one
+    mint however its completions and the refill driver interleave."""
     network = _network()
-    with PrecomputePool(workers=1) as pool:
-        gateway = ServingGateway(
-            network, PARAMS, 2, PrecomputeStore(tmp_path), pool=pool,
-            garbler="client", max_queue=0,
-        )
-        assert gateway._retry_after_locked() == gateway.busy_retry_after
-        gateway._note_mint_seconds(0.4)
-        gateway._note_mint_seconds(0.6)
-        # Mean mint 0.5s, empty backlog -> one mint's worth of wait.
-        assert gateway._retry_after_locked() == pytest.approx(0.5)
-
-
-def test_gateway_per_client_refill_caps(tmp_path):
-    """A skewed schedule hands the gateway per-client expected counts."""
-    network = _network()
+    oracle = lower_network(network, PARAMS.t)
+    logits, errors = [], []
     with PrecomputePool(workers=1) as pool:
         with pytest.raises(ValueError, match="match num_clients"):
             ServingGateway(
@@ -598,13 +509,35 @@ def test_gateway_per_client_refill_caps(tmp_path):
                 pool=pool, expected_per_client=[3],
             )
         gateway = ServingGateway(
-            network, PARAMS, 3, PrecomputeStore(tmp_path / "ok"), pool=pool,
-            garbler="client", expected_per_client=[3, 1, 0],
+            network, PARAMS, 1, PrecomputeStore(tmp_path / "ok"), pool=pool,
+            garbler="client", prefill=3, expected_per_client=4,
         )
-        gateway.minted = [2, 1, 0]
-        assert gateway._may_mint_locked(0)  # under its cap
-        assert not gateway._may_mint_locked(1)  # at its cap
-        assert not gateway._may_mint_locked(2)  # zero-request client
+        gateway.start()
+
+        def drive():
+            try:
+                with GatewayClient(
+                    "127.0.0.1", gateway.port, network, PARAMS, garbler="client",
+                ) as client:
+                    for _ in range(4):
+                        logits.append(client.request(list(range(16))))
+            except BaseException as exc:  # pragma: no cover - debug aid
+                errors.append(exc)
+
+        thread = threading.Thread(target=drive, daemon=True)
+        try:
+            thread.start()
+            gateway.serve(4, timeout=300.0)
+            thread.join(timeout=60.0)
+            gateway.check_refills()
+        finally:
+            gateway.stop()
+
+    assert errors == []
+    assert logits == [plaintext_reference(oracle, list(range(16)))] * 4
+    report = gateway.report()
+    assert report.minted == 4  # never above expected_per_client
+    assert report.hit_rate == 1.0
 
 
 class _ScriptedTransport:
@@ -628,7 +561,6 @@ def _scripted_client(frames, seed=7):
 
     client = object.__new__(GatewayClient)
     client.client_id = "client0"
-    client.max_busy_retries = 1000
     client.issued = client.admitted = client.deferred = client.rejected = 0
     client.retry_sleep_seconds = 0.0
     client._next_index = 0
@@ -643,8 +575,6 @@ def test_client_backoff_honors_hint_with_decorrelated_jitter(monkeypatch):
     """First retry sleeps exactly the server hint; later retries jitter
     in [hint, 3 x previous] capped at 2 x MAX_RETRY_AFTER, and every
     sleep lands in local_stats."""
-    from repro.network.transport import TransportError
-
     sleeps = []
     monkeypatch.setattr(time, "sleep", lambda s: sleeps.append(s))
     hint = 0.2
@@ -667,10 +597,21 @@ def test_client_backoff_honors_hint_with_decorrelated_jitter(monkeypatch):
     assert stats["retry_sleep_seconds"] == pytest.approx(sum(sleeps), abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "reply",
+    [b"", b"GWB1\x00", b"GWO1", b"GWG1\xff", b"GWD1\x00\x00\x00\x00\x00"],
+    ids=["empty", "short-busy", "short-offer", "non-utf8-goaway", "unexpected-kind"],
+)
+def test_client_surfaces_malformed_replies_as_transport_errors(reply):
+    """Whatever the peer answers a REQ with, the caller sees the one typed
+    error — never a ``struct.error`` or ``IndexError`` out of a codec."""
+    client = _scripted_client([reply])
+    with pytest.raises(TransportError):
+        client.request([0])
+
+
 def test_client_backoff_seeded_determinism(monkeypatch):
     monkeypatch.setattr(time, "sleep", lambda s: None)
-    from repro.network.transport import TransportError
-
     def run(seed):
         client = _scripted_client(
             [encode_busy(0.1)] * 6 + [encode_goaway("bye")], seed=seed

@@ -200,11 +200,9 @@ def test_apply_async_inline_resolves_at_submit():
     import math
 
     with PrecomputePool(workers=1) as pool:
-        seen = []
-        job = pool.apply_async(math.sqrt, 16.0, callback=seen.append)
+        job = pool.apply_async(math.sqrt, 16.0)
         assert job.ready()
         assert job.get() == 4.0
-        assert seen == [4.0]  # callback ran synchronously
         assert pool._pool is None  # still no processes
 
 
@@ -212,12 +210,10 @@ def test_apply_async_inline_captures_exceptions():
     import math
 
     with PrecomputePool(workers=1) as pool:
-        seen = []
-        job = pool.apply_async(math.sqrt, -1.0, callback=seen.append)
+        job = pool.apply_async(math.sqrt, -1.0)
         assert job.ready()  # resolved — to an error
         with pytest.raises(ValueError):
             job.get()
-        assert seen == []  # callback must not fire on failure
 
 
 def test_apply_async_pooled_runs_in_worker():
@@ -233,21 +229,6 @@ def test_apply_async_pooled_runs_in_worker():
         failing = pool.apply_async(math.sqrt, -1.0)
         with pytest.raises(ValueError):
             failing.get(timeout=60)
-
-
-def test_apply_async_pooled_callback_fires():
-    import math
-    import time
-
-    with PrecomputePool(workers=2) as pool:
-        seen = []
-        job = pool.apply_async(math.sqrt, 81.0, callback=seen.append)
-        assert job.get(timeout=60) == 9.0
-        deadline = time.monotonic() + 60
-        while not seen:  # callback runs on the pool's result thread
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        assert seen == [9.0]
 
 
 def test_pool_creation_is_thread_safe():

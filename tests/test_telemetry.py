@@ -395,7 +395,7 @@ def test_section_charges_phase_and_records_span():
 def test_transport_frames_counted_by_direction_and_format():
     telemetry.configure(True)
     a, b = InMemoryTransport.pair()
-    from repro.runtime.gateway import encode_hello
+    from repro.network.frames import encode_hello
 
     frame = encode_hello("client0")
     assert frame_format_name(frame) == "gateway_hello"
@@ -525,7 +525,7 @@ def test_concurrent_gateway_stats_phases_and_trace(tmp_path):
 def test_stats_probe_leaves_no_transcript_trace(tmp_path):
     """A GWS1 probe must not mint a session, burn a seed, or count as a
     drop — transcripts stay byte-identical with and without probing."""
-    from repro.runtime.gateway import ServingGateway, request_stats
+    from repro.runtime import ServingGateway, request_stats
 
     network = _network()
     store = PrecomputeStore(tmp_path)

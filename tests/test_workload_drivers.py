@@ -175,6 +175,74 @@ def test_analytic_replay_deterministic():
     assert replay_analytic(schedule, model) == replay_analytic(schedule, model)
 
 
+# The full result dicts of three (schedule, model) pairs from this file —
+# open, closed, store-starved — recorded before ``replay_analytic`` moved
+# onto ``RefillLedger``: the swap is bit-neutral for the model.
+_PINNED = {
+    "open": {
+        "mode": "open", "requests": 4, "latency_p50": 0.25,
+        "latency_p95": 0.9, "latency_p99": 0.98, "mean_latency": 0.375,
+        "deferral_rate": 0.0, "rejected": 0, "goodput_rps": 4.0,
+        "offered_rps": 6.666667, "makespan_seconds": 1.0, "time_scale": 1.0,
+        "hits": 4, "demand_mints": 0, "evictions": 0, "minted": 4,
+        "issued": 4, "admitted": 4, "deferred": 0,
+    },
+    "closed": {
+        "mode": "closed", "requests": 3, "latency_p50": 0.09375,
+        "latency_p95": 0.121875, "latency_p99": 0.124375, "mean_latency": 0.1,
+        "deferral_rate": 0.0, "rejected": 0, "goodput_rps": 3.333333,
+        "offered_rps": 5.0, "makespan_seconds": 0.9, "time_scale": 1.0,
+        "hits": 3, "demand_mints": 0, "evictions": 0, "minted": 3,
+        "issued": 3, "admitted": 3, "deferred": 0,
+    },
+    "starved": {
+        "mode": "open", "requests": 8, "latency_p50": 1.25,
+        "latency_p95": 3.2, "latency_p99": 3.84, "mean_latency": 1.113683,
+        "deferral_rate": 0.619048, "rejected": 0, "goodput_rps": 2.943822,
+        "offered_rps": 5.333333, "makespan_seconds": 2.717556,
+        "time_scale": 1.0, "hits": 5, "demand_mints": 3, "evictions": 3,
+        "minted": 8, "issued": 21, "admitted": 8, "deferred": 13,
+    },
+}
+
+
+def test_analytic_replay_matches_recorded_results():
+    cases = {
+        "open": (
+            uniform_schedule(2, 2, 0.3, name="pair"),
+            ServiceModel(online_seconds=0.2, demand_mint_seconds=0.2,
+                         refill_mint_seconds=0.35, workers=2),
+        ),
+        "closed": (
+            closed_schedule(1, 3, 0.2, seed=1, distribution="fixed"),
+            ServiceModel(online_seconds=0.1, demand_mint_seconds=0.1,
+                         refill_mint_seconds=0.1, workers=1),
+        ),
+        "starved": (
+            _saturation_schedule(),
+            ServiceModel(online_seconds=0.2, demand_mint_seconds=0.2,
+                         refill_mint_seconds=0.35, workers=2, store_entries=2,
+                         max_queue=0),
+        ),
+    }
+    for name, (schedule, model) in cases.items():
+        assert replay_analytic(schedule, model) == _PINNED[name], name
+
+
+def test_same_brain_mints_the_schedule_once():
+    """A capped, ample-budget uniform schedule: the model and the live
+    gateway — one ``RefillLedger`` class behind both — mint exactly one
+    precompute per scheduled request."""
+    schedule = uniform_schedule(2, 3, 0.05, name="same-brain")
+    predicted = replay_analytic(
+        schedule,
+        ServiceModel(online_seconds=0.1, demand_mint_seconds=0.2,
+                     refill_mint_seconds=0.1, workers=2),
+    )
+    report = _functional(schedule)
+    assert predicted["minted"] == report.minted == schedule.total_requests
+
+
 def test_analytic_counters_balance():
     schedule = _saturation_schedule()
     out = replay_analytic(
