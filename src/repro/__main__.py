@@ -4,7 +4,7 @@ Usage::
 
     python -m repro --list
     python -m repro fig3 fig9 table1
-    python -m repro all          # everything (simulation figures are slow)
+    python -m repro all          # everything (~9 s, 8 of them fig7/10/12/13)
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ from repro.core.estimator import (
     estimate,
 )
 from repro.core.future import FUTURE_STEPS, WaterfallStep, waterfall
-from repro.core.multiclient import MultiClientConfig, MultiClientSimulator
 from repro.core.protocol import HybridProtocol, LoweredNetwork, lower_network
 from repro.core.session import ClientSession, ServerSession
 from repro.core.validation import predict_comm, validate_protocol_comm
@@ -38,8 +37,6 @@ __all__ = [
     "HybridProtocol",
     "ServerSession",
     "LoweredNetwork",
-    "MultiClientConfig",
-    "MultiClientSimulator",
     "OfflineParallelism",
     "best_case_latency",
     "max_sustainable_rate_per_minute",

@@ -10,7 +10,7 @@ simulator's behaviour:
   online", the paper's high-rate asymptote).
 
 The simulator must land between these curves (and approach each in its
-regime); ``tests/test_core_analytic.py`` enforces this.
+regime); ``tests/test_extensions.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.system import SystemConfig, pipeline_times
-from repro.profiling.model_costs import Protocol
 
 
 @dataclass(frozen=True)
@@ -38,30 +37,12 @@ class AnalyticLatency:
 
 def online_service_seconds(config: SystemConfig) -> float:
     """Online-phase duration: comm + GC evaluation + SS."""
-    profile = config.profile
-    link = config.link()
-    volumes = profile.comm(config.protocol)
-    evaluator = (
-        config.client if config.protocol is Protocol.SERVER_GARBLER else config.server
-    )
-    return (
-        link.transfer_seconds(volumes.online_up, volumes.online_down)
-        + profile.gc_eval_seconds(evaluator)
-        + profile.ss_online_seconds(config.server)
-    )
+    return pipeline_times(config).online_seconds
 
 
 def offline_service_seconds(config: SystemConfig) -> float:
     """Full offline pipeline duration when incurred inline."""
-    t = pipeline_times(config)
-    link = config.link()
-    return (
-        t.client_he
-        + t.server_he
-        + t.garble
-        + link.upload_seconds(t.offline_up_bytes)
-        + link.download_seconds(t.offline_down_bytes)
-    )
+    return pipeline_times(config).offline_seconds
 
 
 def md1_mean_wait(service: float, mean_interarrival: float) -> float:
@@ -94,20 +75,15 @@ def worst_case_latency(config: SystemConfig, mean_interarrival: float) -> Analyt
 
 
 def max_sustainable_rate_per_minute(config: SystemConfig) -> float:
-    """Upper bound on throughput (requests/minute) from the service floor.
+    """Upper bound on one client's throughput (requests/minute).
 
     With no buffer the full protocol serializes per request. With a buffer
     the binding resource is the slower of the online chain and the offline
     production period; RLP amortizes production across its concurrent
     workers (bounded by buffer slots and server cores).
     """
-    from repro.core.system import OfflineParallelism
-
-    online = online_service_seconds(config)
-    production = offline_service_seconds(config)
+    times = pipeline_times(config)
     if config.buffer_capacity < 1:
-        return 60.0 / (online + production)
-    if config.parallelism is OfflineParallelism.RLP:
-        workers = min(config.server.cores, config.buffer_capacity)
-        production /= max(1, workers)
-    return 60.0 / max(online, production)
+        return 60.0 / (times.online_seconds + times.offline_seconds)
+    production = times.offline_seconds / config.workers_per_client
+    return 60.0 / max(times.online_seconds, production)

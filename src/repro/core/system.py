@@ -1,11 +1,12 @@
 """Streaming private-inference system simulation.
 
-Models the paper's single-client / single-server deployment: Poisson
-inference requests served FIFO, a client storage budget that bounds how
-many offline pre-computes can be buffered, offline pipelines that refill
-the buffer during idle time, and a TDD wireless link shared between
-offline transfers and online traffic. This is the machinery behind
-Figures 7, 10, 12, and 13.
+Models the paper's deployment of one server and ``num_clients`` identical
+clients (one, for every figure): per client, Poisson inference requests
+served FIFO, a storage budget that bounds how many offline pre-computes
+can be buffered, offline pipelines that refill the buffer during idle
+time, and a TDD wireless link shared between offline transfers and online
+traffic; across clients, the server's HE and GC compute. This is the
+machinery behind Figures 7, 10, 12, and 13 and §5.2's multi-client claim.
 
 Offline parallelism strategies (§5.2):
 
@@ -17,13 +18,14 @@ Offline parallelism strategies (§5.2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from repro.core.wsa import optimal_upload_fraction
 from repro.network.bandwidth import TddLink
 from repro.profiling.devices import ATOM, EPYC, DeviceProfile
 from repro.profiling.model_costs import NetworkCostProfile, Protocol
+from repro.runtime.state import derive_worker_seed
 from repro.simulation.engine import Container, Environment, Resource, Store
 from repro.workload.generators import InferenceRequest, PoissonWorkload
 
@@ -50,49 +52,32 @@ class SystemConfig:
     client: DeviceProfile = ATOM
     server: DeviceProfile = EPYC
     client_storage_bytes: float = 16e9
-    server_storage_bytes: float = 10_000e9
     total_bps: float = 1e9
     wsa: bool = True
     parallelism: OfflineParallelism = OfflineParallelism.LPHE
-    # Compute backend ('auto'/'python'/'numpy') the functional substrate of
-    # this deployment runs on. The analytic simulation itself is
-    # backend-agnostic; :meth:`functional_bfv_params` threads the tag into
-    # BfvParams for callers that instantiate real crypto for a simulated
-    # deployment.
-    compute_backend: str = "auto"
+    # Identical clients, each with its own device, link, storage and
+    # request stream, sharing the one server (§5.2's closing discussion).
+    num_clients: int = 1
 
-    def functional_bfv_params(self, n: int = 256, t_bits: int = 17):
-        """BFV parameters for a functional run of this deployment.
-
-        Returns vectorization-friendly parameters carrying this config's
-        ``compute_backend`` preference, so a :class:`~repro.core.protocol.
-        HybridProtocol` built from them runs the crypto substrate on the
-        backend the deployment specifies.
-        """
-        from repro.he.params import fast_params
-
-        return fast_params(n=n, t_bits=t_bits, backend=self.compute_backend)
-
-    def functional_store(self, root, byte_budget: float | None = None):
-        """A :class:`~repro.runtime.PrecomputeStore` for this deployment.
-
-        The store's global byte budget defaults to this config's
-        ``client_storage_bytes`` — the functional analogue of the
-        simulator's storage container. Pass an explicit ``byte_budget``
-        (or ``0`` for unbounded) for scaled-down functional runs whose
-        tiny precomputes would never pressure a 16 GB budget.
-        """
-        from repro.runtime.store import PrecomputeStore
-
-        budget = self.client_storage_bytes if byte_budget is None else byte_budget
-        return PrecomputeStore(
-            root, byte_budget=int(budget) if budget else None
-        )
+    def __post_init__(self) -> None:
+        if self.num_clients < 1:
+            raise ValueError("need at least one client")
 
     def link(self) -> TddLink:
         volumes = self.profile.comm(self.protocol)
         fraction = optimal_upload_fraction(volumes) if self.wsa else 0.5
         return TddLink(self.total_bps, fraction)
+
+    def gc_roles(self, client, server):
+        """``(garbler, evaluator)`` out of a client-side and a server-side thing.
+
+        The one place the protocol assigns the GC roles: called with the
+        two device profiles for the stage durations and with the two
+        parties' resources for the simulation rig.
+        """
+        if self.protocol is Protocol.CLIENT_GARBLER:
+            return client, server
+        return server, client
 
     @property
     def precompute_footprint(self) -> float:
@@ -101,85 +86,120 @@ class SystemConfig:
 
     @property
     def buffer_capacity(self) -> int:
-        """How many pre-computes the client can hold at once."""
+        """How many pre-computes each client can hold at once."""
         return int(self.client_storage_bytes // self.precompute_footprint)
+
+    @property
+    def workers_per_client(self) -> int:
+        """Concurrent offline pipelines refilling one client's buffer."""
+        if self.parallelism is OfflineParallelism.RLP:
+            return min(self.server.cores, self.buffer_capacity)
+        return 1
 
 
 @dataclass(frozen=True)
 class PipelineTimes:
-    """Durations of the offline pipeline stages for one pre-compute."""
+    """Seconds each protocol stage holds its resource, for one inference."""
 
     client_he: float
     server_he: float
     garble: float
-    offline_up_bytes: float
-    offline_down_bytes: float
+    offline_up: float
+    offline_down: float
+    online_up: float
+    online_down: float
+    gc_eval: float
+    ss: float
+
+    @property
+    def offline_seconds(self) -> float:
+        """One pre-compute, its stages run back to back."""
+        return (
+            self.client_he
+            + self.server_he
+            + self.garble
+            + self.offline_up
+            + self.offline_down
+        )
+
+    @property
+    def online_seconds(self) -> float:
+        return self.online_up + self.online_down + self.gc_eval + self.ss
 
 
 def pipeline_times(config: SystemConfig) -> PipelineTimes:
-    profile, protocol = config.profile, config.protocol
+    profile = config.profile
     if config.parallelism is OfflineParallelism.LPHE:
         server_he = profile.he_lphe_seconds(config.server, config.server.cores)
     else:  # SEQUENTIAL and RLP both run one layer at a time on one core
         server_he = profile.he_sequential_seconds(config.server)
-    garbler = config.client if protocol is Protocol.CLIENT_GARBLER else config.server
+    garbler, evaluator = config.gc_roles(config.client, config.server)
     garble = profile.garble_seconds(garbler)
     if config.parallelism is OfflineParallelism.RLP:
         garble *= garbler.cores  # single-core worker on a multi-core budget
-    volumes = profile.comm(protocol)
+    volumes = profile.comm(config.protocol)
+    link = config.link()
     return PipelineTimes(
         client_he=profile.client_he_seconds(config.client),
         server_he=server_he,
         garble=garble,
-        offline_up_bytes=volumes.offline_up,
-        offline_down_bytes=volumes.offline_down,
+        offline_up=link.upload_seconds(volumes.offline_up),
+        offline_down=link.download_seconds(volumes.offline_down),
+        online_up=link.upload_seconds(volumes.online_up),
+        online_down=link.download_seconds(volumes.online_down),
+        gc_eval=profile.gc_eval_seconds(evaluator),
+        ss=profile.ss_online_seconds(config.server),
     )
+
+
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
 
 
 @dataclass
 class SimulationResult:
-    """Aggregated outcome of one replication."""
+    """Aggregated outcome of one replication (fleet-wide unless per client)."""
 
-    requests: list[InferenceRequest]
+    per_client: list[list[InferenceRequest]]
+
+    @property
+    def requests(self) -> list[InferenceRequest]:
+        return [r for requests in self.per_client for r in requests]
 
     @property
     def completed(self) -> list[InferenceRequest]:
         return [r for r in self.requests if r.completion_time is not None]
 
-    def _mean(self, values: list[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
     @property
     def mean_latency(self) -> float:
-        return self._mean([r.latency for r in self.completed])
+        return _mean([r.latency for r in self.completed])
+
+    def client_mean_latency(self, index: int) -> float:
+        return SimulationResult([self.per_client[index]]).mean_latency
 
     @property
     def mean_queue(self) -> float:
-        return self._mean([r.queue_seconds for r in self.completed])
+        return _mean([r.queue_seconds for r in self.completed])
 
     @property
     def mean_offline(self) -> float:
-        return self._mean([r.offline_seconds for r in self.completed])
+        return _mean([r.offline_seconds for r in self.completed])
 
     @property
     def mean_online(self) -> float:
-        return self._mean([r.online_seconds for r in self.completed])
+        return _mean([r.online_seconds for r in self.completed])
 
     @property
     def precompute_hit_rate(self) -> float:
-        done = self.completed
-        if not done:
-            return 0.0
-        return sum(1 for r in done if r.used_precompute) / len(done)
+        return _mean([float(r.used_precompute) for r in self.completed])
 
 
 class PiSystemSimulator:
-    """Discrete-event model of the two-party PI serving system."""
+    """Discrete-event model of N clients' PI serving on one server."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.times = pipeline_times(config)
-        self.link = config.link()
 
     # -- simulation processes ---------------------------------------------------
 
@@ -189,12 +209,8 @@ class PiSystemSimulator:
         yield from _hold(env, rig["client_he"], t.client_he)
         yield from _hold(env, rig["server_he"], t.server_he)
         yield from _hold(env, rig["garble"], t.garble)
-        yield from _hold(
-            env, rig["up"], self.link.upload_seconds(t.offline_up_bytes)
-        )
-        yield from _hold(
-            env, rig["down"], self.link.download_seconds(t.offline_down_bytes)
-        )
+        yield from _hold(env, rig["up"], t.offline_up)
+        yield from _hold(env, rig["down"], t.offline_down)
 
     def _worker(self, env, rig):
         """Continuously refill the pre-compute buffer while storage allows."""
@@ -204,105 +220,101 @@ class PiSystemSimulator:
             yield env.process(self._offline_pipeline(env, rig))
             rig["buffer"].put(object())
 
-    def _serve(self, env, rig, request: InferenceRequest, workers_enabled: bool):
-        profile, config = self.config.profile, self.config
+    def _serve(self, env, rig, request: InferenceRequest, buffered: bool):
+        t = self.times
         yield rig["service"].request()
         request.service_start = env.now
-        start = env.now
-        reserved = False
-        if workers_enabled:
+        if buffered:
             yield rig["buffer"].get()
             request.used_precompute = request.service_start == env.now
-            reserved = True
         else:
             yield env.process(self._offline_pipeline(env, rig))
-        request.offline_seconds = env.now - start
+        request.offline_seconds = env.now - request.service_start
 
         online_start = env.now
-        volumes = profile.comm(config.protocol)
-        yield from _hold(
-            env, rig["up"], self.link.upload_seconds(volumes.online_up)
-        )
-        yield from _hold(
-            env, rig["down"], self.link.download_seconds(volumes.online_down)
-        )
-        evaluator = (
-            config.client
-            if config.protocol is Protocol.SERVER_GARBLER
-            else config.server
-        )
-        yield from _hold(env, rig["eval"], profile.gc_eval_seconds(evaluator))
-        yield env.timeout(profile.ss_online_seconds(config.server))
+        yield from _hold(env, rig["up"], t.online_up)
+        yield from _hold(env, rig["down"], t.online_down)
+        yield from _hold(env, rig["eval"], t.gc_eval)
+        yield env.timeout(t.ss)
         request.online_seconds = env.now - online_start
         request.completion_time = env.now
         rig["service"].release()
-        if reserved:
-            yield rig["storage"].put(config.precompute_footprint)
+        if buffered:
+            yield rig["storage"].put(self.config.precompute_footprint)
 
-    def _arrivals(self, env, rig, arrival_times, requests, workers_enabled):
+    def _arrivals(self, env, rig, arrival_times, requests, buffered):
         previous = 0.0
         for index, at in enumerate(arrival_times):
             yield env.timeout(at - previous)
             previous = at
             request = InferenceRequest(index=index, arrival_time=env.now)
             requests.append(request)
-            env.process(self._serve(env, rig, request, workers_enabled))
+            env.process(self._serve(env, rig, request, buffered))
 
     # -- entry point -----------------------------------------------------------
 
-    def run(self, workload: PoissonWorkload, drain: bool = True) -> SimulationResult:
-        """Simulate one replication of the workload.
+    def run(self, workload: PoissonWorkload) -> SimulationResult:
+        """Simulate one replication, until every arrived request completes.
 
-        With ``drain`` the simulation runs until every arrived request
-        completes (the paper reports mean latency over all requests of the
-        24 h window).
+        (The paper reports mean latency over all requests of the 24 h
+        window; workers block once buffer and storage fill, so the event
+        queue drains on its own.) Client 0 draws its arrivals from
+        ``workload`` itself, client ``c`` from the same process on a
+        stream hash-derived from ``(workload.seed, c)``.
         """
         env = Environment()
         config = self.config
-        workers_enabled = config.buffer_capacity >= 1
         rlp = config.parallelism is OfflineParallelism.RLP
+        buffered = config.buffer_capacity >= 1
         # The buffer starts full (steady-state assumption, as in the paper's
         # Figure 7 where the near-zero-rate latency is purely online).
-        prefill = config.buffer_capacity if workers_enabled else 0
-        rig = {
-            "service": Resource(env, 1),
-            "up": Resource(env, 1),
-            "down": Resource(env, 1),
-            "client_he": Resource(env, config.client.cores if rlp else 1),
-            "server_he": Resource(env, config.server.cores if rlp else 1),
-            "garble": Resource(
-                env,
-                (config.client.cores if config.protocol is Protocol.CLIENT_GARBLER
-                 else config.server.cores) if rlp else 1,
-            ),
-            "eval": Resource(env, 1),
-            "storage": Container(
-                env, max(config.client_storage_bytes, 1.0),
-                init=config.client_storage_bytes
-                - prefill * config.precompute_footprint,
-            ),
-            "buffer": Store(env),
-        }
-        for _ in range(prefill):
-            rig["buffer"].put(object())
-        requests: list[InferenceRequest] = []
-        env.process(
-            self._arrivals(env, rig, workload.arrival_times(), requests, workers_enabled)
-        )
-        if workers_enabled:
-            worker_count = (
-                min(config.server.cores, max(1, config.buffer_capacity))
-                if rlp
-                else 1
+        prefill = config.buffer_capacity
+
+        def compute(device: DeviceProfile) -> dict[str, Resource]:
+            """One party's compute: every core on one job, or (RLP) a job per
+            core. GC evaluation is never split, so it takes the whole device."""
+            slots = device.cores if rlp else 1
+            return {
+                "he": Resource(env, slots),
+                "garble": Resource(env, slots),
+                "eval": Resource(env, 1),
+            }
+
+        server = compute(config.server)
+        per_client: list[list[InferenceRequest]] = []
+        for index in range(config.num_clients):
+            client = compute(config.client)
+            garbler, evaluator = config.gc_roles(client, server)
+            rig = {
+                "service": Resource(env, 1),  # FIFO per client
+                "up": Resource(env, 1),
+                "down": Resource(env, 1),
+                "client_he": client["he"],
+                "server_he": server["he"],
+                "garble": garbler["garble"],
+                "eval": evaluator["eval"],
+                "storage": Container(
+                    env, max(config.client_storage_bytes, 1.0),
+                    init=config.client_storage_bytes
+                    - prefill * config.precompute_footprint,
+                ),
+                "buffer": Store(env),
+            }
+            for _ in range(prefill):
+                rig["buffer"].put(object())
+            arrivals = workload if index == 0 else replace(
+                workload, seed=derive_worker_seed(workload.seed, index)
             )
-            for _ in range(worker_count):
-                env.process(self._worker(env, rig))
-        env.run(until=workload.horizon)
-        if drain:
-            # Let in-flight requests finish (workers eventually idle once the
-            # buffer and storage fill, so the event queue drains naturally).
-            env.run(until=workload.horizon + 1000 * 24 * 3600)
-        return SimulationResult(requests=list(requests))
+            requests: list[InferenceRequest] = []
+            per_client.append(requests)
+            env.process(
+                self._arrivals(env, rig, arrivals.arrival_times(), requests, buffered)
+            )
+            if buffered:
+                for _ in range(config.workers_per_client):
+                    env.process(self._worker(env, rig))
+        env.run()
+        return SimulationResult(per_client)
 
 
 def simulate_mean_latency(

@@ -10,7 +10,6 @@ from repro.profiling.devices import (
     I5_2X,
     SERVER_DEVICES,
     DeviceProfile,
-    with_storage,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "I5_2X",
     "SERVER_DEVICES",
     "DeviceProfile",
-    "with_storage",
 ]

@@ -25,7 +25,6 @@ class DeviceProfile:
     cores: int
     gc_hash_seconds: float  # seconds per correlation-robust hash (1 core)
     he_scale: float  # HE op speed relative to the reference server core
-    storage_bytes: float  # bytes available for protocol pre-computes
 
     def scaled(self, factor: float, name: str | None = None) -> "DeviceProfile":
         """A device ``factor`` times faster (the paper's 2x / 4x variants)."""
@@ -47,24 +46,16 @@ class DeviceProfile:
         return 2 * and_gates * self.gc_hash_seconds / threads
 
 
-_GB = 1e9
-
 # Hash times fitted to the paper's ResNet-18/TinyImageNet measurements
 # (2,228,224 ReLUs x 534 AND gates; see module docstring).
 ATOM = DeviceProfile("Intel Atom Z8350", cores=4, gc_hash_seconds=8.2e-8,
-                     he_scale=0.066, storage_bytes=16 * _GB)
-I5 = DeviceProfile("Intel i5", cores=4, gc_hash_seconds=2.25e-8,
-                   he_scale=0.24, storage_bytes=16 * _GB)
+                     he_scale=0.066)
+I5 = DeviceProfile("Intel i5", cores=4, gc_hash_seconds=2.25e-8, he_scale=0.24)
 I5_2X = I5.scaled(2.0, "Intel i5 (2x)")
 EPYC = DeviceProfile("AMD EPYC 7502", cores=32, gc_hash_seconds=5.0e-9,
-                     he_scale=1.0, storage_bytes=10_000 * _GB)
+                     he_scale=1.0)
 EPYC_2X = EPYC.scaled(2.0, "AMD EPYC (2x)")
 EPYC_4X = EPYC.scaled(4.0, "AMD EPYC (4x)")
 
 CLIENT_DEVICES = {"atom": ATOM, "i5": I5, "i5_2x": I5_2X}
 SERVER_DEVICES = {"epyc": EPYC, "epyc_2x": EPYC_2X, "epyc_4x": EPYC_4X}
-
-
-def with_storage(device: DeviceProfile, gigabytes: float) -> DeviceProfile:
-    """The same device with a different storage budget."""
-    return replace(device, storage_bytes=gigabytes * _GB)

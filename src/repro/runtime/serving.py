@@ -4,7 +4,7 @@ The paper's closing multi-client argument is a statement about *buffers*:
 one server mints offline precomputes for N clients, each client buffers
 only its own, and end-to-end throughput is governed by how fast the mint
 pipeline refills what the online phase drains.
-:mod:`repro.core.multiclient` models that analytically;
+:mod:`repro.core.system` models that analytically (``num_clients``);
 :class:`~repro.runtime.gateway.ServingGateway` driven by
 :func:`repro.workload.drivers.replay_functional` serves it concurrently.
 :class:`ServingLoop` is the strictly serialized oracle both are checked
@@ -57,10 +57,10 @@ class ServedRequest:
 class ServingReport:
     """Measured outcome of one serving run.
 
-    The analytic :class:`~repro.core.multiclient.MultiClientSimulator`
-    reports the same quantities (hit rate, queue, latency decomposition)
-    from its discrete-event model; this report is the measured ground
-    truth it can be validated against.
+    The analytic :class:`~repro.core.system.PiSystemSimulator` reports
+    the same quantities (hit rate, queue, latency decomposition) from its
+    discrete-event model; this report is the measured ground truth it can
+    be validated against.
     """
 
     num_clients: int

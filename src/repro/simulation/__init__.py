@@ -1,4 +1,4 @@
-"""Discrete-event simulation substrate (SimPy work-alike) and workloads."""
+"""Discrete-event simulation substrate (SimPy work-alike)."""
 
 from repro.simulation.engine import (
     Container,
@@ -9,21 +9,13 @@ from repro.simulation.engine import (
     Store,
     Timeout,
 )
-from repro.workload.generators import (
-    InferenceRequest,
-    PoissonWorkload,
-    deterministic_arrivals,
-)
 
 __all__ = [
     "Container",
     "Environment",
     "Event",
-    "InferenceRequest",
-    "PoissonWorkload",
     "Process",
     "Resource",
     "Store",
     "Timeout",
-    "deterministic_arrivals",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator
 
 
 class Event:
@@ -109,9 +109,6 @@ class Environment:
     def timeout(self, delay: float, value=None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def event(self) -> Event:
-        return Event(self)
-
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
 
@@ -130,33 +127,6 @@ class Environment:
                 callback(event)
         if until is not None:
             self.now = until
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires once every given event has fired."""
-        events = list(events)
-        gate = Event(self)
-        remaining = len(events)
-        if remaining == 0:
-            gate.succeed([])
-            return gate
-        results = [None] * remaining
-
-        def arm(index: int, event: Event) -> None:
-            def on_fire(fired: Event) -> None:
-                nonlocal remaining
-                results[index] = fired.value
-                remaining -= 1
-                if remaining == 0:
-                    gate.succeed(results)
-
-            if event.triggered and not event.callbacks and event not in self._pending:
-                on_fire(event)
-            else:
-                event.callbacks.append(on_fire)
-
-        for index, event in enumerate(events):
-            arm(index, event)
-        return gate
 
 
 class Resource:
@@ -187,10 +157,6 @@ class Resource:
             self._waiting.popleft().succeed()
         else:
             self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
 
 
 class Container:
@@ -258,6 +224,3 @@ class Store:
         else:
             self._waiting.append(event)
         return event
-
-    def __len__(self) -> int:
-        return len(self.items)

@@ -26,7 +26,6 @@ from repro.workload.generators import (
     PoissonWorkload,
     Schedule,
     closed_schedule,
-    deterministic_arrivals,
     poisson_schedule,
     uniform_schedule,
     zipf_rates,
@@ -51,7 +50,6 @@ __all__ = [
     "ServiceModel",
     "calibrate",
     "closed_schedule",
-    "deterministic_arrivals",
     "draw_schedule_inputs",
     "fit_service_times",
     "poisson_schedule",

@@ -26,8 +26,7 @@ streams hash-derived per (seed, client), so the same seed reproduces the
 same schedule byte for byte — the property every replay test pins.
 
 This module absorbed the orphaned ``repro/simulation/workload.py``
-(:class:`PoissonWorkload`, :func:`deterministic_arrivals`,
-:class:`InferenceRequest` live here now; the old path re-exports them).
+(:class:`PoissonWorkload` and :class:`InferenceRequest` live here now).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "closed_schedule",
     "InferenceRequest",
     "PoissonWorkload",
-    "deterministic_arrivals",
 ]
 
 MODE_OPEN = "open"
@@ -158,9 +156,7 @@ class Schedule:
         """Last nominal arrival offset (falls back to the horizon)."""
         if not self.arrivals:
             return self.horizon
-        return max(self.horizon, self.arrivals[-1].at) or max(
-            a.at for a in self.arrivals
-        )
+        return max(self.horizon, self.arrivals[-1].at)
 
     def to_json(self) -> str:
         """Canonical JSON: byte-identical iff the schedules are identical."""
@@ -428,10 +424,9 @@ def closed_schedule(
 
 # -- absorbed from repro/simulation/workload.py ----------------------------------
 #
-# The analytic system model (core/system.py, core/multiclient.py) predates
-# the schedule abstraction and draws its arrivals on the fly from these;
-# they live here now so every arrival process has one home. The old
-# module path re-exports them.
+# The analytic system model (core/system.py) predates the schedule
+# abstraction and draws its arrivals on the fly from these; they live
+# here now so every arrival process has one home.
 
 
 @dataclass
@@ -491,13 +486,3 @@ class PoissonWorkload:
     @property
     def rate_per_minute(self) -> float:
         return 60.0 / self.mean_interarrival
-
-
-def deterministic_arrivals(period: float, horizon: float) -> list[float]:
-    """Evenly spaced arrivals (for validation against analytic queueing)."""
-    times = []
-    t = period
-    while t < horizon:
-        times.append(t)
-        t += period
-    return times

@@ -330,19 +330,6 @@ class TestBackendSelection:
             assert not inverse._vectorize_gc
             assert isinstance(inverse.lowered.linears[0].matrix, list)
 
-    def test_system_config_threads_backend(self):
-        from repro.core.system import SystemConfig
-        from repro.nn.datasets import tiny_dataset
-        from repro.nn.models import tiny_mlp
-        from repro.profiling.model_costs import profile_network
-
-        profile = profile_network(tiny_mlp(tiny_dataset(size=2, classes=2)))
-        config = SystemConfig(profile=profile, compute_backend="python")
-        params = config.functional_bfv_params(n=128)
-        assert params.backend == "python"
-        ctx = BfvContext(params, SecureRandom(0))
-        assert ctx._rq.name == "python"
-
     def test_wide_modulus_matrix_stays_exact_lists(self):
         # 41-bit share prime: q^2 overflows uint64, so the numpy backend
         # must keep the list representation and the exact matvec path.

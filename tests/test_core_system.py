@@ -38,6 +38,13 @@ def make_config(profile, **kwargs):
     return SystemConfig(**defaults)
 
 
+def simulate(profile, mean_interarrival, horizon, seed, **kwargs):
+    """One replication of ``make_config(profile, **kwargs)``."""
+    return PiSystemSimulator(make_config(profile, **kwargs)).run(
+        PoissonWorkload(mean_interarrival, horizon, seed=seed)
+    )
+
+
 class TestConfig:
     def test_buffer_capacity(self, r18_tiny):
         cfg = make_config(r18_tiny, client_storage_bytes=16e9)
@@ -187,6 +194,71 @@ class TestLpheVsRlp:
             rate, replications=2,
         )
         assert lphe["latency"] <= rlp["latency"] * 1.05
+
+
+class TestManyClients:
+    """§5.2's closing discussion: N clients, each with its own storage,
+    link and request stream, sharing one server."""
+
+    def test_validation(self, r18_tiny):
+        with pytest.raises(ValueError):
+            make_config(r18_tiny, num_clients=0)
+
+    def test_three_clients_low_rate(self, r18_tiny):
+        """§5.2: each client's latency resembles the single-client 16 GB case."""
+        result = simulate(r18_tiny, 120 * 60, 12 * 3600, seed=1, num_clients=3)
+        single = simulate_mean_latency(
+            make_config(r18_tiny), 120 * 60, replications=2
+        )
+        assert result.completed
+        assert result.mean_latency == pytest.approx(single["latency"], rel=0.6)
+
+    def test_server_contention_raises_latency(self, r18_tiny):
+        """More clients at the same per-client rate -> more contention."""
+        few, many = (
+            simulate(r18_tiny, 60 * 60, 12 * 3600, seed=2, num_clients=n)
+            for n in (2, 8)
+        )
+        assert many.mean_latency >= few.mean_latency * 0.8
+
+    def test_per_client_latency_accessor(self, r18_tiny):
+        result = simulate(r18_tiny, 90 * 60, 8 * 3600, seed=3, num_clients=2)
+        first, second = result.per_client
+        assert first and second and result.requests == first + second
+        assert [r.arrival_time for r in first] != [r.arrival_time for r in second]
+        weighted = sum(
+            result.client_mean_latency(c) * len(requests)
+            for c, requests in enumerate(result.per_client)
+        )
+        assert weighted / len(result.requests) == pytest.approx(result.mean_latency)
+
+    def test_client_zero_is_the_single_client_run(self, r18_tiny):
+        """Extra clients change client 0's contention, not its arrivals."""
+        alone, shared = (
+            simulate(r18_tiny, 60 * 60, 12 * 3600, seed=4, num_clients=n)
+            for n in (1, 3)
+        )
+        assert alone.per_client == [alone.requests]
+        assert [r.arrival_time for r in shared.per_client[0]] == [
+            r.arrival_time for r in alone.requests
+        ]
+
+    def test_rlp_not_lphe_scales_to_many_clients(self, r18_tiny):
+        """§5.2's multi-client claim. 64 clients x 1 req/h ask for 64 x 113 s
+        of all-core server HE per 3,600 s under LPHE — oversubscribed 2x, so
+        the fleet mean runs away — while RLP's one core per pre-compute keeps
+        every client near its single-client latency."""
+        lphe, rlp = OfflineParallelism.LPHE, OfflineParallelism.RLP
+        mean = {
+            (mode, n): simulate(
+                r18_tiny, 3600, 24 * 3600, seed=1, parallelism=mode, num_clients=n
+            ).mean_latency
+            for mode in (lphe, rlp)
+            for n in (1, 64)
+        }
+        assert mean[lphe, 64] > 10 * mean[lphe, 1]
+        assert mean[rlp, 1] / 1.5 < mean[rlp, 64] < 1.5 * mean[rlp, 1]
+        assert mean[rlp, 64] < mean[lphe, 64]
 
 
 class TestWorkload:

@@ -1,5 +1,5 @@
-"""Tests for the extension modules: multi-client serving, energy,
-PI-friendly transforms, analytic queueing, and the CLI."""
+"""Tests for the extension modules: energy, PI-friendly transforms,
+analytic queueing, and the CLI."""
 
 import pytest
 
@@ -10,10 +10,6 @@ from repro.core.analytic import (
     offline_service_seconds,
     online_service_seconds,
     worst_case_latency,
-)
-from repro.core.multiclient import (
-    MultiClientConfig,
-    MultiClientSimulator,
 )
 from repro.core.system import OfflineParallelism, SystemConfig, simulate_mean_latency
 from repro.nn.datasets import CIFAR100, TINY_IMAGENET
@@ -164,41 +160,6 @@ class TestAnalytic:
 
     def test_service_components(self, cg_config):
         assert 0 < online_service_seconds(cg_config) < offline_service_seconds(cg_config)
-
-
-class TestMultiClient:
-    def test_aggregate_storage(self, cg_config):
-        mc = MultiClientConfig(base=cg_config, num_clients=9)
-        assert mc.aggregate_storage_bytes == pytest.approx(9 * 16e9)
-
-    def test_validation(self, cg_config):
-        with pytest.raises(ValueError):
-            MultiClientConfig(base=cg_config, num_clients=0)
-
-    def test_nine_clients_low_rate(self, cg_config):
-        """§5.2: each client's latency resembles the single-client 16 GB case."""
-        mc = MultiClientConfig(base=cg_config, num_clients=3)
-        sim = MultiClientSimulator(mc)
-        result = sim.run(mean_interarrival=120 * 60, horizon=12 * 3600, seed=1)
-        single = simulate_mean_latency(cg_config, 120 * 60, replications=2)
-        assert result.all_completed
-        assert result.mean_latency == pytest.approx(single["latency"], rel=0.6)
-
-    def test_server_contention_raises_latency(self, cg_config):
-        """More clients at the same per-client rate -> more contention."""
-        few = MultiClientSimulator(MultiClientConfig(cg_config, 2)).run(
-            60 * 60, 12 * 3600, seed=2
-        )
-        many = MultiClientSimulator(MultiClientConfig(cg_config, 8)).run(
-            60 * 60, 12 * 3600, seed=2
-        )
-        assert many.mean_latency >= few.mean_latency * 0.8
-
-    def test_per_client_latency_accessor(self, cg_config):
-        sim = MultiClientSimulator(MultiClientConfig(cg_config, 2))
-        result = sim.run(90 * 60, 8 * 3600, seed=3)
-        for c in range(2):
-            assert result.client_mean_latency(c) >= 0
 
 
 class TestCli:

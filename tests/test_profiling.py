@@ -9,7 +9,7 @@ import pytest
 from repro.nn.datasets import CIFAR100, TINY_IMAGENET
 from repro.nn.models import resnet18, resnet32, vgg16
 from repro.profiling import calibration as cal
-from repro.profiling.devices import ATOM, EPYC, EPYC_4X, I5, I5_2X, with_storage
+from repro.profiling.devices import ATOM, EPYC, EPYC_4X, I5, I5_2X
 from repro.profiling.model_costs import Protocol, profile_network
 
 
@@ -27,11 +27,6 @@ class TestDevices:
         fast = EPYC.scaled(4.0)
         assert fast.gc_hash_seconds == EPYC.gc_hash_seconds / 4
         assert fast.he_scale == 4.0
-
-    def test_with_storage(self):
-        dev = with_storage(ATOM, 64)
-        assert dev.storage_bytes == 64e9
-        assert dev.gc_hash_seconds == ATOM.gc_hash_seconds
 
     def test_garble_eval_ratio_is_two(self):
         """Half-gates: garbling hashes twice as much as evaluating."""

