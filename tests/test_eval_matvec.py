@@ -200,6 +200,229 @@ def server_ciphertext_digests(params, garbler, hidden, seed):
     return [hashlib.sha256(frame).hexdigest() for frame in he_frames]
 
 
+def every_frame_digests(params, garbler, hidden, seed):
+    """Run one seeded offline and online phase of the same MLP and hash
+    every frame either party sends, in send order per (party, phase)."""
+    net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=hidden)
+    net.randomize_weights(params.t, np.random.default_rng([seed, 0]))
+    x = np.random.default_rng([seed, 1]).integers(0, params.t, size=16).tolist()
+    proto = HybridProtocol(
+        net, params, garbler=garbler, seed=seed, transport="memory"
+    )
+    digests = {}
+    phase = "offline"
+    for party in (proto.client, proto.server):
+        def recording_send(frame, _role=party.role, _send=party.transport.send):
+            digests.setdefault(f"{_role}/{phase}", []).append(
+                hashlib.sha256(bytes(frame)).hexdigest()
+            )
+            _send(frame)
+
+        party.transport.send = recording_send
+    try:
+        proto.run_offline()
+        phase = "online"
+        assert proto.run_online(x) == proto.plaintext_reference(x)
+    finally:
+        proto.close()
+    return digests
+
+
+# sha256 of EVERY frame of the four (params, hidden, seed) cases above,
+# each under both garblers — keys, ciphertexts, garbled batches, label
+# lists, OT choice and reply frames, the masked input and the final
+# share — both parties, both phases. Recorded on the
+# tree before the garbler/evaluator legs of core/session.py were written
+# once, and not edited by that change: TestMonolithParity pins charged
+# bytes and message counts, this pins the bytes on the wire and with
+# them the RNG draw order (every layer's garbling RNG spawns before any
+# layer is garbled; the OT holder spawns one per layer when it serves).
+# GC frames depend on the garbler in use (vectorized on numpy, scalar on
+# python draw different labels from one seed), hence the numpy-only skip.
+GOLDEN_EVERY_FRAME = {
+    ("delphi", "server", "8", "1701"): {
+        "client/offline": [
+            "0c1829ef26b9ea2f4e2f8ba9a323b8d5155457a975343aef618278d2d5d50bbd",
+            "ba96c758574ce0c71593e3fc7f30774a6f3ca5221cbba1d2ba601e182afbf54f",
+            "831c83cf70bb5c3126cff581728c966fea2e507ea1b2b735fec54488c969d6e2",
+            "e3a304208ba6b448a6f797a490e9d0976c25404113973211b7a05b6022f6dbb8",
+            "7cb5808c1adabd364205b23b343568032cf578ea9b2a978365ddc11c174283d8",
+        ],
+        "server/offline": [
+            "bc58d4471035e06ae3031b0351bd23d0924c93e55523d4abacd48c1c0b38ad38",
+            "f0e1e8a66003996f643136bb8c061fc146abf2aec02d28e98762ed2cd795a7df",
+            "25a02ca4282fc1766ee2438570170b3a6b221b9838ee82dfab47278ab59ccf1c",
+            "8c9e8625702e8b5b7e5a36e2aaa051c4cbf384e17a9c93be81682da816b9d502",
+        ],
+        "client/online": [
+            "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
+            "2a08b85ca6226fbc04eddeda9d804f34aeffab5871fba5034958e08a8fd9e106",
+        ],
+        "server/online": [
+            "c5b12ba1a04aba9ed273cf5d735b0eb83d8478923d15199de65c737f6496427c",
+            "aeadc0a5bb3676f860b57ecf320fa31f57ac872730d7ec8a24d6aa70a024f674",
+        ],
+    },
+    ("delphi", "client", "8", "1701"): {
+        "client/offline": [
+            "0c1829ef26b9ea2f4e2f8ba9a323b8d5155457a975343aef618278d2d5d50bbd",
+            "ba96c758574ce0c71593e3fc7f30774a6f3ca5221cbba1d2ba601e182afbf54f",
+            "831c83cf70bb5c3126cff581728c966fea2e507ea1b2b735fec54488c969d6e2",
+            "e3a304208ba6b448a6f797a490e9d0976c25404113973211b7a05b6022f6dbb8",
+            "89e6ed7787dd36afa4bf33456d4f5a3339757228ca234f51d8af12adc3be8cc4",
+            "af23bca044f6f7ba5d9e6c3ec2d1a66a5dadf1b64a2ccd5fe664de46d01bfb19",
+        ],
+        "server/offline": [
+            "bc58d4471035e06ae3031b0351bd23d0924c93e55523d4abacd48c1c0b38ad38",
+            "f0e1e8a66003996f643136bb8c061fc146abf2aec02d28e98762ed2cd795a7df",
+        ],
+        "client/online": [
+            "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
+            "8b1db8c8d5d14f32404251741d614bc4ad83477470e5e716c978d09e3376b315",
+        ],
+        "server/online": [
+            "49d61066e7447a16bfdc05e0c95289d4b0d6ca1a62a8c6600e7053432e9edae2",
+            "aeadc0a5bb3676f860b57ecf320fa31f57ac872730d7ec8a24d6aa70a024f674",
+        ],
+    },
+    ("delphi", "server", "8", "1702"): {
+        "client/offline": [
+            "57599c6b3ae37ca22fbe8a244593a9f9b916a90384c4447e710ee3371418e0e1",
+            "f056ad0f4a18a93049190286e63c08ec2d3647e03f9210939aaef5f0a25ad49a",
+            "ccee0beb0f16dc1e608fcdb4270e96120474c33b348b19c55546ea7db1222e65",
+            "cd5712b6f4d554534ed39966801143c2980cb09b0f6ffafe85ca29fb0dab6464",
+            "f0325c018c42a94c9df1fffc9cbdb7f5ae7e39a758b062ef963358b70a4b5bc7",
+        ],
+        "server/offline": [
+            "581dec5ec8247af61442f0de50d298d332fdc7d9e98a79f6dedaa38eeb549ce1",
+            "e067bafb08cf1a768fbde5e949d4f1c718bf07f533e3390cd4887692957564f3",
+            "6a23558e6c130aae74e6761d3a26ce1f9158dfb7558d61f28d0bd6b770b1fa47",
+            "9337b6538d5a846f860a5985c42edc80be14e50e2c946d69513d128c0c82cfcb",
+        ],
+        "client/online": [
+            "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
+            "27f3a335b136399f9f7fa4111f7d497183fdf6445eab4c3643900e737f51f87f",
+        ],
+        "server/online": [
+            "8b6b8c2f8cb4364e7f38c28dc899c3fe11e470ac8eddd92efb5509f83e690ef5",
+            "29f8794cc836eb57990f0aac6f87e3ce1a2f1e92843fb52f0e0d2eeee382bb01",
+        ],
+    },
+    ("delphi", "client", "8", "1702"): {
+        "client/offline": [
+            "57599c6b3ae37ca22fbe8a244593a9f9b916a90384c4447e710ee3371418e0e1",
+            "f056ad0f4a18a93049190286e63c08ec2d3647e03f9210939aaef5f0a25ad49a",
+            "ccee0beb0f16dc1e608fcdb4270e96120474c33b348b19c55546ea7db1222e65",
+            "cd5712b6f4d554534ed39966801143c2980cb09b0f6ffafe85ca29fb0dab6464",
+            "0a58205c129aa0dd4f3cc8716430eaa5b80e2ecdac1f111c58cf53aa63fe746e",
+            "70e147b6e46deaca0949ebee05ab04f7567494acda4570921215983e0cdf4618",
+        ],
+        "server/offline": [
+            "581dec5ec8247af61442f0de50d298d332fdc7d9e98a79f6dedaa38eeb549ce1",
+            "e067bafb08cf1a768fbde5e949d4f1c718bf07f533e3390cd4887692957564f3",
+        ],
+        "client/online": [
+            "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
+            "756c5d2c1f99985b2e0f459fc69e5040776a94cdfba6dd81af6c5188e9eb5cee",
+        ],
+        "server/online": [
+            "95caeb6dd3c3b68041f9edd4f8b04a42e251cf792ab2d85065ab7a03a5c2542b",
+            "29f8794cc836eb57990f0aac6f87e3ce1a2f1e92843fb52f0e0d2eeee382bb01",
+        ],
+    },
+    ("fast", "server", "128", "1701"): {
+        "client/offline": [
+            "fb987626023f7382c09d3e3be59032abfb3aa2315d3bb36a773f7de6e121e8ec",
+            "8213fec873a35ddf51466bf3b92f77bdbd1f633fd49c59f492c3a1792c567f73",
+            "c122fb249d159b04aadc5be42597b594142d7f98712b843858051adfebeb4496",
+            "cbb7ada0464aa2f8d289f960147f8cae8de8d03cb175987054e3bc4e605627f1",
+            "f5bd45b67177f404df740a16a28c173b812bf253870f27a08e0d9e2e9d19b4bc",
+        ],
+        "server/offline": [
+            "be599b944f31b477aa91aa567fdd9905d75e5b8cebc5719a528e6bef6c439535",
+            "3d4d638add72c601c1f115086399ba857e79a881f543b6bfbc5665baa3ec6c0f",
+            "b5deb83c8205a3b2dcd6117214cd627abecc0bb09cdc48dd5dde80fe5d39e826",
+            "c46ceac94bb08471f8d38974b749fc53fe87127690f1774c77957199a9957491",
+        ],
+        "client/online": [
+            "0e78a2c6cdc41be8a2f17f6693c4e0f1c006813ac49c59548ad7518681501b6a",
+            "5ffb49afbf163e3496d43f09575e546be79ea1436209e98c8cb5122c08a42d90",
+        ],
+        "server/online": [
+            "5068b9172cb0967390a836361633e169ab607a8a5829dad8b3af0bb547bea921",
+            "6fe50986f61cfdd664e36a98659688b9ddd82918d991e3e4bfb54e45fd415ba4",
+        ],
+    },
+    ("fast", "client", "128", "1701"): {
+        "client/offline": [
+            "fb987626023f7382c09d3e3be59032abfb3aa2315d3bb36a773f7de6e121e8ec",
+            "8213fec873a35ddf51466bf3b92f77bdbd1f633fd49c59f492c3a1792c567f73",
+            "c122fb249d159b04aadc5be42597b594142d7f98712b843858051adfebeb4496",
+            "cbb7ada0464aa2f8d289f960147f8cae8de8d03cb175987054e3bc4e605627f1",
+            "5b63367c2cf9f4ce387bdeee495abfb0bb0253432eba0a6c1d4c58c155312666",
+            "7689ecda0e1a30a97ee01599f4e622be00aad4f8f8e05bca8740ebc99948dc5c",
+        ],
+        "server/offline": [
+            "be599b944f31b477aa91aa567fdd9905d75e5b8cebc5719a528e6bef6c439535",
+            "3d4d638add72c601c1f115086399ba857e79a881f543b6bfbc5665baa3ec6c0f",
+        ],
+        "client/online": [
+            "0e78a2c6cdc41be8a2f17f6693c4e0f1c006813ac49c59548ad7518681501b6a",
+            "92af4a64d34b42978141e590a440bbbe2f56aab6b66fdb0cc74256650d86d1da",
+        ],
+        "server/online": [
+            "ff423f68da019c6445693c86edac89972d8e8ff8996e5fa61d621d13c23846eb",
+            "6fe50986f61cfdd664e36a98659688b9ddd82918d991e3e4bfb54e45fd415ba4",
+        ],
+    },
+    ("fast", "server", "128", "1702"): {
+        "client/offline": [
+            "06afcc1545721aece030aaf0910f30603ec7ed701d91799911cb48b5acc6658b",
+            "bdd32f817e5d2774c44698e0a8c0cea1f5b6a4ebf0317c6401bc6045d84a94fc",
+            "a38bfe2cb7935e6d252d2cec115dea09d10692d17c2e50c44e6ce6d8c62dbc41",
+            "15531be6dbfe074ca9f3c7f57a3dbf622c39fbb59013ffff1ff6eb639e5594df",
+            "3dd64ea9b2fe347bb5f636be07fd16d425fb4b10decc23e36d205d9dc2e7b4b4",
+        ],
+        "server/offline": [
+            "7078c0870cc4c955fc803f2d831953461e634e1f52d3ba484509503f4e699b2e",
+            "fd562443c15f232098334f590921468cc1485620fa85c8612733e513daad81a9",
+            "6651882ec4edf2c3eb1f3c1a024a6abf6bae9c7c8ab841c52b0e66631b2cf7f0",
+            "d9f2e91a0ef2f1a82854c870791960874a941d1b6a34dd7575beb55b89bdb72e",
+        ],
+        "client/online": [
+            "3f19f7b26cd2a871f4b58b1be986b754698e99edc18b7ef8cd0294ad51891c9a",
+            "7692364dc768f4e52bc4899e54770fa21b07dbf7bb6e4feb03afea80ce9f4e3d",
+        ],
+        "server/online": [
+            "b7071affcbaddc1b0ad15174de933a62fde85c68f8284a95ed0699f1c0a993e8",
+            "f39020dd31478d6e98906f197c795c38e5225c5590bf7a589fbab52cc701475a",
+        ],
+    },
+    ("fast", "client", "128", "1702"): {
+        "client/offline": [
+            "06afcc1545721aece030aaf0910f30603ec7ed701d91799911cb48b5acc6658b",
+            "bdd32f817e5d2774c44698e0a8c0cea1f5b6a4ebf0317c6401bc6045d84a94fc",
+            "a38bfe2cb7935e6d252d2cec115dea09d10692d17c2e50c44e6ce6d8c62dbc41",
+            "15531be6dbfe074ca9f3c7f57a3dbf622c39fbb59013ffff1ff6eb639e5594df",
+            "2ba2d2e08a6beb6b2c0521a5c2cc0578b0e5e36f70dcfd99797bd306a7719571",
+            "d067f07d1d83e33dbd27fa409ebd07c294b04f09e3852b93c9e8e3abb6c3de62",
+        ],
+        "server/offline": [
+            "7078c0870cc4c955fc803f2d831953461e634e1f52d3ba484509503f4e699b2e",
+            "fd562443c15f232098334f590921468cc1485620fa85c8612733e513daad81a9",
+        ],
+        "client/online": [
+            "3f19f7b26cd2a871f4b58b1be986b754698e99edc18b7ef8cd0294ad51891c9a",
+            "2bd19505c227fb7fc3f6de3e70c0c11e0f4a8fb30b29502455fcc815514f3493",
+        ],
+        "server/online": [
+            "059530f384bfea90f1d97c25b3a72bda46b19057edd64f1fecc5c9d99a3d760c",
+            "f39020dd31478d6e98906f197c795c38e5225c5590bf7a589fbab52cc701475a",
+        ],
+    },
+}
+
+
 class TestGoldenFrames:
     @pytest.mark.parametrize("case", GOLDEN_FRAMES, ids=lambda c: f"{c[0]}-{c[3]}")
     def test_server_frames_match_the_recorded_digests(self, case):
@@ -210,6 +433,18 @@ class TestGoldenFrames:
         assert (
             server_ciphertext_digests(params, garbler, hidden, seed)
             == GOLDEN_FRAMES[case]
+        )
+
+    @pytest.mark.parametrize("case", GOLDEN_EVERY_FRAME, ids="-".join)
+    def test_every_frame_of_both_phases_matches_the_recorded_digests(self, case):
+        name, garbler, hidden, seed = case
+        hidden, seed = int(hidden), int(seed)
+        params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
+        if backend_for(params.t, prefer=params.backend).name != "numpy":
+            pytest.skip("full-degree mints need the vectorized backend")
+        assert (
+            every_frame_digests(params, garbler, hidden, seed)
+            == GOLDEN_EVERY_FRAME[case]
         )
 
 
