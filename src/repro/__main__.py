@@ -51,10 +51,9 @@ def main(argv: list[str] | None = None) -> int:
         "--transport",
         choices=("memory", "socket"),
         default=None,
-        help="session transport for functional protocol runs (overrides "
-        "the REPRO_TRANSPORT environment variable; 'memory' pairs the "
-        "client/server sessions in-process, 'socket' runs every session "
-        "pair over loopback TCP)",
+        help="session transport for functional protocol runs ('memory', "
+        "the default, pairs the client/server sessions in-process; "
+        "'socket' runs every session pair over loopback TCP)",
     )
     parser.add_argument(
         "--serve",

@@ -23,7 +23,7 @@ from repro.core.lowering import (
     plaintext_reference,
     validate_packing,
 )
-from repro.core.session import ProtocolCounters, resolve_protocol_params
+from repro.core.session import ProtocolCounters
 from repro.crypto.modmath import matvec_mod, mod_add_vec, mod_sub_vec
 from repro.crypto.rng import SecureRandom
 from repro.gc.circuit import Circuit, int_to_bits, words_to_int
@@ -33,7 +33,7 @@ from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
 from repro.he.linear import HomomorphicLinearEvaluator
-from repro.he.params import BfvParams
+from repro.he.params import BfvParams, toy_params
 from repro.network.channel import CLIENT, SERVER, Channel
 from repro.ot.extension import iknp_transfer, iknp_wire_bytes
 
@@ -62,12 +62,10 @@ class MonolithHybridProtocol:
         garbler: str = "server",
         seed: int | None = None,
         truncate_bits: int = 0,
-        backend: str | None = None,
-        representation: str | None = None,
     ):
         if garbler not in ("server", "client"):
             raise ValueError("garbler must be 'server' or 'client'")
-        self.params = resolve_protocol_params(params, backend, representation)
+        self.params = params or toy_params(n=256)
         self.garbler_role = garbler
         self.modulus = self.params.t
         self.bits = self.modulus.bit_length()

@@ -36,7 +36,6 @@ the parity suites. The pre-redesign monolith survives, frozen, in
 
 from __future__ import annotations
 
-import os
 import time
 
 # Re-exported for compatibility: lowering and the shared protocol
@@ -55,10 +54,9 @@ from repro.core.session import (  # noqa: F401
     ProtocolCounters,
     ReluBundle,
     ServerSession,
-    resolve_protocol_params,
     role_seed,
 )
-from repro.he.params import BfvParams, toy_params
+from repro.he.params import BfvParams
 from repro.network.channel import CLIENT, SERVER, Channel  # noqa: F401
 from repro.network.transport import InMemoryTransport, SocketTransport
 
@@ -68,11 +66,11 @@ _DEADLOCK_SPINS = 50  # idle scheduler rounds before declaring deadlock
 def make_transport_pair(kind: str | None = None):
     """A connected (client, server) transport pair of the requested kind.
 
-    ``kind`` resolves explicit > ``REPRO_TRANSPORT`` > ``"memory"``.
-    ``"memory"`` is the zero-copy in-process pair; ``"socket"`` runs the
-    same protocol over loopback TCP (real kernel sockets, one process).
+    ``"memory"`` (the default) is the zero-copy in-process pair;
+    ``"socket"`` runs the same protocol over loopback TCP (real kernel
+    sockets, one process).
     """
-    kind = kind or os.environ.get("REPRO_TRANSPORT", "").strip() or "memory"
+    kind = kind or "memory"
     if kind == "memory":
         return InMemoryTransport.pair()
     if kind == "socket":
@@ -133,22 +131,12 @@ def split_offline_state(
     evaluator_bundles, garbler_bundles = {}, {}
     for pos, (mask_index, circuits, encodings, labels) in bundles.items():
         evaluator_bundles[pos] = ReluBundle(
-            circuits=circuits,
-            encodings=None,
-            evaluator_labels=labels,
-            mask_index=mask_index,
+            mask_index, circuits=circuits, evaluator_labels=labels
         )
-        garbler_bundles[pos] = ReluBundle(
-            circuits=None,
-            encodings=encodings,
-            evaluator_labels=None,
-            mask_index=mask_index,
-        )
-    if garbler_role == "server":
-        client_bundles, server_bundles = evaluator_bundles, garbler_bundles
-    else:
-        client_bundles, server_bundles = garbler_bundles, evaluator_bundles
-    return (client_r, shares, client_bundles), (server_s, server_bundles)
+        garbler_bundles[pos] = ReluBundle(mask_index, encodings=encodings)
+    by_role = dict.fromkeys((CLIENT, SERVER), evaluator_bundles)
+    by_role[garbler_role] = garbler_bundles
+    return (client_r, shares, by_role[CLIENT]), (server_s, by_role[SERVER])
 
 
 class HybridProtocol:
@@ -169,8 +157,6 @@ class HybridProtocol:
         garbler: str = "server",
         seed: int | None = None,
         truncate_bits: int = 0,
-        backend: str | None = None,
-        representation: str | None = None,
         workers: int = 1,
         transport: str | tuple | None = None,
     ):
@@ -182,7 +168,6 @@ class HybridProtocol:
                 f"workers={workers!r}: a HybridProtocol is one single-core "
                 "mint; run several side by side on a PrecomputePool"
             )
-        self.params = resolve_protocol_params(params, backend, representation)
         self.garbler_role = garbler
         self.truncate_bits = truncate_bits
         if isinstance(transport, (tuple, list)):
@@ -191,12 +176,13 @@ class HybridProtocol:
             client_end, server_end = make_transport_pair(transport)
         self.client = ClientSession(
             network,
-            params=self.params,
+            params=params,
             garbler=garbler,
             seed=role_seed(seed, CLIENT),
             truncate_bits=truncate_bits,
             transport=client_end,
         )
+        self.params = self.client.params
         # The client lowers shape-only (cheap, no weights); only the
         # server pays the full matrix expansion — per-protocol setup cost
         # stays at the monolith's one lowering.
@@ -248,6 +234,13 @@ class HybridProtocol:
         return self.client.client_linear_share
 
     @property
+    def _gc_parties(self) -> tuple:
+        """(garbling session, evaluating session), by ``ProtocolSession.garbles``."""
+        if self.client.garbles:
+            return self.client, self.server
+        return self.server, self.client
+
+    @property
     def _offline_done(self) -> bool:
         return self.client.offline_done and self.server.offline_done
 
@@ -294,42 +287,27 @@ class HybridProtocol:
         s = self.server.step()
         return c == DONE and s == DONE
 
-    def _stalled(self) -> bool:
-        return not (
-            self.client.transport.pending or self.server.transport.pending
-        )
+    def _drive(self) -> None:
+        """Step both sessions until the active phase completes.
 
-    def drive_steps(self):
-        """Generator stepping the active phase with the stall policy.
-
-        Yields after every non-final scheduling round, so external
-        schedulers (the serving loop) interleave protocols while keeping
-        the same deadlock detection the blocking ``run_*`` calls get: an
-        idle in-memory pair raises immediately; sockets get a bounded
-        spin with a short sleep for in-flight bytes to land.
+        Deadlock detection: an idle in-memory pair raises immediately;
+        sockets get a bounded spin with a short sleep for in-flight
+        bytes to land.
         """
         idle = 0
         while not self.step():
-            if self._stalled():
-                idle += 1
-                if isinstance(self.client.transport, InMemoryTransport):
-                    raise RuntimeError(
-                        "protocol deadlock: both sessions are waiting and no "
-                        "message is in flight"
-                    )
-                if idle > _DEADLOCK_SPINS:
-                    raise RuntimeError(
-                        "protocol deadlock: no transport progress"
-                    )
-                time.sleep(0.001)  # sockets: let in-flight bytes land
-            else:
+            if self.client.transport.pending or self.server.transport.pending:
                 idle = 0
-            yield
-
-    def _drive(self) -> None:
-        """Step both sessions until the active phase completes."""
-        for _ in self.drive_steps():
-            pass
+                continue
+            idle += 1
+            if isinstance(self.client.transport, InMemoryTransport):
+                raise RuntimeError(
+                    "protocol deadlock: both sessions are waiting and no "
+                    "message is in flight"
+                )
+            if idle > _DEADLOCK_SPINS:
+                raise RuntimeError("protocol deadlock: no transport progress")
+            time.sleep(0.001)  # sockets: let in-flight bytes land
 
     # -- blocking phase API (the monolith-era surface) -------------------------
 
@@ -362,8 +340,7 @@ class HybridProtocol:
         from repro.runtime.store import serialize_offline_transcript
 
         bundles = {}
-        evaluator = self.client if self.garbler_role == "server" else self.server
-        garbler = self.server if self.garbler_role == "server" else self.client
+        garbler, evaluator = self._gc_parties
         for pos, eb in evaluator._relu_bundles.items():
             gb = garbler._relu_bundles[pos]
             bundles[pos] = (eb.mask_index, eb.circuits, gb.encodings, eb.evaluator_labels)
@@ -414,7 +391,7 @@ class HybridProtocol:
             return False
         # Bind stored circuits to the topology of the session that will
         # evaluate them (the client under Server-Garbler, else the server).
-        evaluator = self.client if self.garbler_role == "server" else self.server
+        _, evaluator = self._gc_parties
         client_state, server_state = split_offline_state(
             blob,
             self.lowered,

@@ -105,10 +105,10 @@ class ReluBundle:
     material it received (``evaluator_labels``). Unused fields are None.
     """
 
-    circuits: list[GarbledCircuit] | None
-    encodings: list[InputEncoding] | None
-    evaluator_labels: list[dict[int, bytes]] | None
     mask_index: int  # which linear layer's r masks this ReLU's output
+    circuits: list[GarbledCircuit] | None = None
+    encodings: list[InputEncoding] | None = None
+    evaluator_labels: list[dict[int, bytes]] | None = None
 
 
 @dataclass
@@ -128,29 +128,6 @@ class ProtocolCounters:
         for f in fields(ProtocolCounters):
             setattr(out, f.name, getattr(self, f.name) + getattr(other, f.name))
         return out
-
-
-def resolve_protocol_params(
-    params: BfvParams | None,
-    backend: str | None = None,
-    representation: str | None = None,
-) -> BfvParams:
-    """The parameter set a protocol actually runs, overrides applied.
-
-    'bigint' forces the one-vector oracle ring; 'rns' forces CRT residues
-    (params must carry a chain); 'auto' re-opens the per-params heuristic.
-    """
-    params = params or toy_params(n=256)
-    if backend is None and representation is None:
-        return params
-    from dataclasses import replace
-
-    overrides = {}
-    if backend is not None:
-        overrides["backend"] = backend
-    if representation is not None:
-        overrides["representation"] = representation
-    return replace(params, **overrides)
 
 
 def role_seed(seed: int | None, role: str) -> int | None:
@@ -191,15 +168,13 @@ class ProtocolSession:
         garbler: str = "server",
         seed: int | None = None,
         truncate_bits: int = 0,
-        backend: str | None = None,
-        representation: str | None = None,
         transport=None,
         channel: Channel | None = None,
         lowered: LoweredNetwork | None = None,
     ):
         if garbler not in ("server", "client"):
             raise ValueError("garbler must be 'server' or 'client'")
-        self.params = resolve_protocol_params(params, backend, representation)
+        self.params = params or toy_params(n=256)
         self.garbler_role = garbler
         self.modulus = self.params.t
         self.bits = self.modulus.bit_length()
@@ -246,6 +221,15 @@ class ProtocolSession:
         return SERVER if self.role == CLIENT else CLIENT
 
     @property
+    def garbles(self) -> bool:
+        """Whether this party garbles the ReLUs (else it stores and evaluates).
+
+        The one place the protocol assigns the garbler/evaluator roles —
+        the functional twin of :meth:`SystemConfig.gc_roles`.
+        """
+        return self.role == self.garbler_role
+
+    @property
     def offline_done(self) -> bool:
         return self.lifecycle in (LIFE_READY, LIFE_ONLINE, LIFE_COMPLETE)
 
@@ -257,11 +241,13 @@ class ProtocolSession:
         stored bundles rebind without re-lowering.
         """
         if self._relu_circuit_cache is None:
-            mask_owner = "evaluator" if self.garbler_role == "server" else "garbler"
+            # The mask r is the client's input, so it sits on whichever
+            # half of the circuit the client plays.
+            client_garbles = self.garbles == (self.role == CLIENT)
             spec = ReluCircuitSpec(
                 bits=self.bits,
                 modulus=self.modulus,
-                mask_owner=mask_owner,
+                mask_owner="garbler" if client_garbles else "evaluator",
                 truncate_bits=self.truncate_bits,
             )
             self._relu_circuit_cache = build_relu_circuit(spec)
@@ -398,28 +384,137 @@ class ProtocolSession:
         if self.transport is not None:
             self.transport.close()
 
-    def _garble_all_layers(self, circuit: Circuit, plan):
-        """Garble every ReLU layer's batch up front (both garbler roles).
+    # -- the garbled-ReLU legs, each written once -------------------------------
+    #
+    # Client-Garbler is Server-Garbler with the two halves swapped between
+    # the parties; what does not swap is *when* a party's input bits exist:
+    # the client's share and mask words are fixed offline, the server's
+    # share only online. So each half takes ``own_input_bits`` — a function
+    # (lin_idx, mask_index) -> one bit list per instance, or None while
+    # the bits do not exist yet — and a party's labels travel in the phase
+    # its bits are known: directly if it garbles, by OT if it evaluates.
+    # The two constant-wire labels depend on no input and ride whichever
+    # of those two deliveries is the offline one.
 
-        All layers' RNGs spawn first, in plan order, then garbling runs
-        layer by layer — the draw ordering is transcript-critical and
-        shared by both roles, so it lives here exactly once.
+    _CONST_WIRES = [Circuit.CONST_ZERO, Circuit.CONST_ONE]
+
+    def _garbler_offline(self, own_input_bits, keep_decode_bits: bool):
+        """Garbler half of the offline phase: garble, ship, deliver labels.
+
+        Every layer's RNG spawns first, in plan order, and only then does
+        garbling run layer by layer — the draw order is transcript-critical.
+        ``keep_decode_bits`` ships the output decode bits with the circuits
+        (the evaluating server may learn x - r and decodes locally); without
+        them the evaluating client returns output labels it cannot read.
+        With ``own_input_bits`` the garbler's own labels follow each batch;
+        without, the evaluator's labels are due now: serve its label OT.
         """
+        circuit = self.relu_circuit()
+        plan = self._relu_plan()
         layer_rngs = [self.rng.spawn() for _ in plan]
         with section("gc", "gc.garble_layers", layers=len(plan)):
-            return [
+            batches = [
                 Garbler(rng).garble_batch(circuit, n, vectorize=self._vectorize_gc)
                 for (_, _, _, n), rng in zip(plan, layer_rngs)
             ]
+        for (pos, lin_idx, mask_index, n), batch in zip(plan, batches):
+            circuits, encodings = map(list, zip(*batch))
+            self.counters.gc_circuits_garbled += n
+            if not keep_decode_bits:
+                circuits = [GarbledCircuit(c.circuit, c.tables, []) for c in circuits]
+            self._send(serialize_circuit_batch(circuits), payload=circuits)
+            if own_input_bits is None:
+                yield from self._label_ot_holder(circuit, encodings)
+            else:
+                label_lists = [
+                    list(Garbler.encode_inputs(encoding, circuit, bits).values())
+                    for encoding, bits in zip(
+                        encodings, own_input_bits(lin_idx, mask_index)
+                    )
+                ]
+                self._send(serialize_label_lists(label_lists), payload=label_lists)
+            self._relu_bundles[pos] = ReluBundle(mask_index, encodings=encodings)
 
-    def _serve_label_ot(
-        self, circuit: Circuit, encodings: list[InputEncoding], choices: list[int]
-    ) -> tuple[list[bytes], int]:
-        """Label-holder side of one layer's OT, after the choice frame arrived.
+    def _evaluator_offline(self, own_input_bits):
+        """Evaluator half of the offline phase: store circuits and labels.
 
-        Both labels of every evaluator-input wire go in; the chooser's
-        labels and the byte volume to charge for the reply come out.
+        With ``own_input_bits`` this party's input labels are fetched now
+        by OT; without, what arrives now is the garbler's own labels and
+        this party's follow online.
         """
+        circuit = self.relu_circuit()
+        garbler_wires = self._CONST_WIRES + circuit.garbler_inputs
+        for pos, lin_idx, mask_index, n in self._relu_plan():
+            frame = yield
+            circuits = deserialize_circuit_batch(frame, circuit)
+            self._note_recv(circuits)
+            if len(circuits) != n:
+                raise ValueError("garbled batch width does not match the layer")
+            if own_input_bits is None:
+                frame = yield
+                label_lists = deserialize_label_lists(frame)
+                self._note_recv(label_lists)
+                labels = self._bind_labels(garbler_wires, label_lists, n)
+            else:
+                labels = yield from self._label_ot_chooser(
+                    [bit for bits in own_input_bits(lin_idx, mask_index) for bit in bits]
+                )
+            self._relu_bundles[pos] = ReluBundle(
+                mask_index, circuits=circuits, evaluator_labels=labels
+            )
+
+    @staticmethod
+    def _check_label_frame(label_lists, n: int, width: int) -> None:
+        """A received label frame must have the layer's shape, checked in
+        the phase that received it: zip() would silently truncate a short
+        list and the missing wire would surface later, as a KeyError
+        inside ``evaluate_batch`` or as a wrong decoded word."""
+        if len(label_lists) != n or any(len(ls) != width for ls in label_lists):
+            raise ValueError("label frame does not match the layer")
+
+    def _bind_labels(self, wires: list[int], label_lists, n: int):
+        """One {wire: label} dict per instance of a received label frame."""
+        self._check_label_frame(label_lists, n, len(wires))
+        return [dict(zip(wires, labels)) for labels in label_lists]
+
+    def _label_ot_chooser(self, choices: list[int]):
+        """Chooser half of one layer's label OT; returns the bound labels.
+
+        Ships the choice bits — charged as the base-OT key and u columns
+        the real IKNP chooser would ship — and binds the reply to the
+        evaluator-input wires, one dict per circuit instance.
+        """
+        wires = self.relu_circuit().evaluator_inputs
+        to_holder, to_chooser = iknp_wire_bytes(len(choices))
+        self._send(serialize_bit_vector(choices), nbytes=to_holder)
+        frame = yield
+        if self._phase == "offline":
+            label_lists, lead = deserialize_label_lists(frame), 2
+        else:
+            flat, lead = deserialize_labels(frame), 0
+            label_lists = [
+                flat[i : i + len(wires)] for i in range(0, len(flat), len(wires))
+            ]
+        self._note_recv(nbytes=to_chooser)
+        # Stored label maps keep the order [inputs, constants]: the store
+        # blob serializes them as they iterate.
+        return self._bind_labels(
+            wires + self._CONST_WIRES[:lead],
+            [labels[lead:] + labels[:lead] for labels in label_lists],
+            len(choices) // len(wires),
+        )
+
+    def _label_ot_holder(self, circuit: Circuit, encodings: list[InputEncoding]):
+        """Label-holder half of one layer's OT: choice bits in, labels out.
+
+        Both labels of every evaluator-input wire go into the extension;
+        the reply is charged as the masked pairs the real holder would ship.
+        """
+        per = len(circuit.evaluator_inputs)
+        frame = yield
+        choices = deserialize_bit_vector(frame)
+        if len(choices) != len(encodings) * per:
+            raise ValueError("OT choice count does not match the layer")
         to_holder, to_chooser = iknp_wire_bytes(len(choices))
         self._note_recv(nbytes=to_holder)
         pairs = [
@@ -430,7 +525,38 @@ class ProtocolSession:
         with section("ot", "ot.iknp_transfer", pairs=len(pairs)):
             received, _ = iknp_transfer(pairs, choices, self.rng.spawn())
         self.counters.ots_performed += len(pairs)
-        return received, to_chooser
+        if self._phase == "offline":
+            # Each instance's constant-wire labels ride the same message
+            # the masked OT pairs are charged as.
+            reply = serialize_label_lists(
+                [
+                    [
+                        encoding.label_for(Circuit.CONST_ZERO, 0),
+                        encoding.label_for(Circuit.CONST_ONE, 1),
+                    ]
+                    + received[j * per : (j + 1) * per]
+                    for j, encoding in enumerate(encodings)
+                ]
+            )
+        else:
+            reply = serialize_labels(received)
+        self._send(reply, nbytes=to_chooser)
+
+    def _evaluate_layer(self, bundle: ReluBundle, arrived: list[dict[int, bytes]]):
+        """Evaluator's online step for one layer; returns the output labels.
+
+        ``arrived`` (the labels this phase delivered, one dict per
+        instance) completes the ones stored offline.
+        """
+        labels_batch = [
+            {**stored, **new} for stored, new in zip(bundle.evaluator_labels, arrived)
+        ]
+        with section("gc", "gc.evaluate_batch", width=len(labels_batch)):
+            outputs = Evaluator().evaluate_batch(
+                bundle.circuits, labels_batch, vectorize=self._vectorize_gc
+            )
+        self.counters.gc_circuits_evaluated += len(labels_batch)
+        return outputs
 
     # -- offline state transplant (precompute store integration) --------------
 
@@ -549,76 +675,19 @@ class ClientSession(ProtocolSession):
             self.counters.he_decryptions += 1
             self.client_linear_share.append(share)
 
-        if self.garbler_role == "server":
-            yield from self._offline_receive_garbled()
-        else:
-            self._offline_garble()
-
-    def _offline_receive_garbled(self):
-        """Server-Garbler: receive circuits, fetch input labels via OT."""
-        circuit = self.relu_circuit()
-        per = len(circuit.evaluator_inputs)
-        for pos, lin_idx, mask_index, n in self._relu_plan():
-            frame = yield
-            wire_circuits = deserialize_circuit_batch(frame, circuit)
-            self._note_recv(wire_circuits)
-            if len(wire_circuits) != n:
-                raise ValueError("garbled batch width does not match the layer")
-            choices: list[int] = []
-            for j in range(n):
-                choices += int_to_bits(self.client_linear_share[lin_idx][j], self.bits)
-                choices += int_to_bits(self.client_r[mask_index][j], self.bits)
-            to_holder, reply_bytes = iknp_wire_bytes(n * per)
-            # The chooser's half of the extension: charged as the base-OT
-            # key and u columns the real IKNP chooser would ship.
-            self._send(serialize_bit_vector(choices), nbytes=to_holder)
-            frame = yield
-            label_lists = deserialize_label_lists(frame)
-            self._note_recv(nbytes=reply_bytes)
-            if len(label_lists) != n:
-                raise ValueError("label batch width does not match the layer")
-            evaluator_labels = []
-            for labels in label_lists:
-                label_map = dict(zip(circuit.evaluator_inputs, labels[2:]))
-                label_map[Circuit.CONST_ZERO] = labels[0]
-                label_map[Circuit.CONST_ONE] = labels[1]
-                evaluator_labels.append(label_map)
-            self._relu_bundles[pos] = ReluBundle(
-                circuits=wire_circuits,
-                encodings=None,
-                evaluator_labels=evaluator_labels,
-                mask_index=mask_index,
-            )
-
-    def _offline_garble(self) -> None:
-        """Client-Garbler: garble every layer, ship circuits + own labels."""
-        circuit = self.relu_circuit()
-        plan = self._relu_plan()
-        batches = self._garble_all_layers(circuit, plan)
-        for (pos, lin_idx, mask_index, n), batch in zip(plan, batches):
-            circuits = [garbled for garbled, _ in batch]
-            encodings = [encoding for _, encoding in batch]
-            self.counters.gc_circuits_garbled += n
-            # Decode bits ship with the circuits: the server may learn
-            # x - r, so Client-Garbler lets it decode locally.
-            self._send(serialize_circuit_batch(circuits), payload=circuits)
-            garbler_labels = []
-            for j, (garbled, encoding) in enumerate(zip(circuits, encodings)):
-                share_bits = int_to_bits(self.client_linear_share[lin_idx][j], self.bits)
-                mask_bits = int_to_bits(self.client_r[mask_index][j], self.bits)
-                garbler_labels.append(
-                    Garbler.encode_inputs(
-                        encoding, garbled.circuit, share_bits + mask_bits
-                    )
+        def own_input_bits(lin_idx: int, mask_index: int) -> list[list[int]]:
+            """Per instance, this side's two GC input words: share, mask."""
+            return [
+                int_to_bits(share, self.bits) + int_to_bits(mask, self.bits)
+                for share, mask in zip(
+                    self.client_linear_share[lin_idx], self.client_r[mask_index]
                 )
-            label_lists = [list(lbls.values()) for lbls in garbler_labels]
-            self._send(serialize_label_lists(label_lists), payload=label_lists)
-            self._relu_bundles[pos] = ReluBundle(
-                circuits=None,
-                encodings=encodings,
-                evaluator_labels=None,
-                mask_index=mask_index,
-            )
+            ]
+
+        if self.garbles:
+            yield from self._garbler_offline(own_input_bits, keep_decode_bits=True)
+        else:
+            yield from self._evaluator_offline(own_input_bits)
 
     # -- online ----------------------------------------------------------------
 
@@ -629,41 +698,21 @@ class ClientSession(ProtocolSession):
         self._send(serialize_field_vector(masked, p), payload=masked)
 
         circuit = self.relu_circuit()
-        evaluator = Evaluator()
-        if self.garbler_role == "server":
-            # Evaluate each layer's circuits on the server's share labels.
-            for pos, _, _, n in self._relu_plan():
-                bundle = self._relu_bundles[pos]
+        for pos, _, _, n in self._relu_plan():
+            bundle = self._relu_bundles[pos]
+            if self.garbles:
+                # The server fetches its share's labels from these encodings.
+                yield from self._label_ot_holder(circuit, bundle.encodings)
+            else:
+                # Evaluate on the server's share labels; return the output
+                # labels, which only the garbler can decode.
                 frame = yield
-                all_labels = deserialize_label_lists(frame)
-                self._note_recv(all_labels)
-                labels_batch = []
-                for j, garbler_labels in enumerate(all_labels):
-                    labels = dict(bundle.evaluator_labels[j])
-                    labels.update(zip(circuit.garbler_inputs, garbler_labels))
-                    labels_batch.append(labels)
-                with section("gc", "gc.evaluate_batch", width=n):
-                    output_label_batch = evaluator.evaluate_batch(
-                        bundle.circuits, labels_batch, vectorize=self._vectorize_gc
-                    )
-                self.counters.gc_circuits_evaluated += len(labels_batch)
-                self._send(
-                    serialize_label_lists(output_label_batch),
-                    payload=output_label_batch,
+                label_lists = deserialize_label_lists(frame)
+                self._note_recv(label_lists)
+                outputs = self._evaluate_layer(
+                    bundle, self._bind_labels(circuit.garbler_inputs, label_lists, n)
                 )
-        else:
-            # Serve the server's online label OT from this side's encodings.
-            per = len(circuit.evaluator_inputs)
-            for pos, _, _, n in self._relu_plan():
-                bundle = self._relu_bundles[pos]
-                frame = yield
-                choices = deserialize_bit_vector(frame)
-                if len(choices) != n * per:
-                    raise ValueError("OT choice count does not match the layer")
-                received, reply_bytes = self._serve_label_ot(
-                    circuit, bundle.encodings, choices
-                )
-                self._send(serialize_labels(received), nbytes=reply_bytes)
+                self._send(serialize_label_lists(outputs), payload=outputs)
 
         frame = yield
         final_server_share = deserialize_field_vector(frame)
@@ -739,81 +788,15 @@ class ServerSession(ProtocolSession):
                 s_row = list(s) + [0] * (row - lin.n_out)
                 ct_out = ctx.sub_plain(ct_y, encoder.encode(s_row + s_row))
             self._send(serialize_ciphertext(ct_out), payload=ct_out)
-        self.counters.he_rotations = evaluator.rotations_performed
-        self.counters.he_plain_mults = evaluator.plain_mults_performed
+        self.counters.he_rotations += evaluator.rotations_performed
+        self.counters.he_plain_mults += evaluator.plain_mults_performed
 
-        if self.garbler_role == "server":
-            yield from self._offline_garble()
+        # This side's GC input (its share of the activation) exists only
+        # online, so neither half has input bits to deliver yet.
+        if self.garbles:
+            yield from self._garbler_offline(None, keep_decode_bits=False)
         else:
-            yield from self._offline_receive_garbled()
-
-    def _offline_garble(self):
-        """Server-Garbler: garble every layer, serve the client's label OT."""
-        circuit = self.relu_circuit()
-        plan = self._relu_plan()
-        per = len(circuit.evaluator_inputs)
-        batches = self._garble_all_layers(circuit, plan)
-        for (pos, _, mask_index, n), batch in zip(plan, batches):
-            circuits = [garbled for garbled, _ in batch]
-            encodings = [encoding for _, encoding in batch]
-            self.counters.gc_circuits_garbled += n
-            # Decode bits stripped: the evaluating client must not learn
-            # the cleartext ReLU outputs.
-            wire_circuits = [
-                GarbledCircuit(c.circuit, c.tables, []) for c in circuits
-            ]
-            self._send(serialize_circuit_batch(wire_circuits), payload=wire_circuits)
-            frame = yield
-            choices = deserialize_bit_vector(frame)
-            if len(choices) != n * per:
-                raise ValueError("OT choice count does not match the layer")
-            received, reply_bytes = self._serve_label_ot(circuit, encodings, choices)
-            # Chosen labels plus each instance's constant-wire labels (the
-            # monolith handed constants over directly; on the wire they
-            # ride the same message the masked OT pairs are charged as).
-            label_lists = [
-                [
-                    encodings[j].label_for(Circuit.CONST_ZERO, 0),
-                    encodings[j].label_for(Circuit.CONST_ONE, 1),
-                ]
-                + received[j * per : (j + 1) * per]
-                for j in range(n)
-            ]
-            self._send(serialize_label_lists(label_lists), nbytes=reply_bytes)
-            self._relu_bundles[pos] = ReluBundle(
-                circuits=None,
-                encodings=encodings,
-                evaluator_labels=None,
-                mask_index=mask_index,
-            )
-
-    def _offline_receive_garbled(self):
-        """Client-Garbler: store circuits (decode bits intact) + labels."""
-        circuit = self.relu_circuit()
-        garbler_wire_order = [
-            Circuit.CONST_ZERO,
-            Circuit.CONST_ONE,
-        ] + circuit.garbler_inputs
-        for pos, _, mask_index, n in self._relu_plan():
-            frame = yield
-            circuits = deserialize_circuit_batch(frame, circuit)
-            self._note_recv(circuits)
-            frame = yield
-            label_lists = deserialize_label_lists(frame)
-            self._note_recv(label_lists)
-            if len(circuits) != n or len(label_lists) != n:
-                raise ValueError("garbled batch width does not match the layer")
-            # Rebuild the garbler's label dicts in their insertion order
-            # ([consts, garbler inputs]) — the online phase relies on it.
-            evaluator_labels = [
-                dict(zip(garbler_wire_order, labels)) for labels in label_lists
-            ]
-            self._relu_bundles[pos] = ReluBundle(
-                circuits=circuits,
-                encodings=None,
-                evaluator_labels=evaluator_labels,
-                mask_index=mask_index,
-            )
+            yield from self._evaluator_offline(None)
 
     # -- online ----------------------------------------------------------------
 
@@ -827,7 +810,6 @@ class ServerSession(ProtocolSession):
             raise ValueError("masked input size mismatch")
 
         circuit = self.relu_circuit()
-        evaluator = Evaluator()
         for pos, (kind, lin_idx) in enumerate(self.lowered.steps):
             if kind == "linear":
                 lin = self.lowered.linears[lin_idx]
@@ -842,62 +824,44 @@ class ServerSession(ProtocolSession):
                     )
                 continue
             bundle = self._relu_bundles[pos]
-            if self.garbler_role == "server":
+            share_bits = [int_to_bits(value, self.bits) for value in server_vec]
+            if self.garbles:
                 # Ship the labels of this side's share; the client
                 # evaluates and returns output labels; decode here.
                 with section("gc", "gc.encode_labels", width=len(server_vec)):
-                    all_labels = []
-                    for j, value in enumerate(server_vec):
-                        encoding = bundle.encodings[j]
-                        bits = int_to_bits(value, self.bits)
-                        all_labels.append(
-                            [
-                                encoding.label_for(w, b)
-                                for w, b in zip(circuit.garbler_inputs, bits)
-                            ]
-                        )
+                    all_labels = [
+                        [
+                            encoding.label_for(w, b)
+                            for w, b in zip(circuit.garbler_inputs, bits)
+                        ]
+                        for encoding, bits in zip(bundle.encodings, share_bits)
+                    ]
                 self._send(serialize_label_lists(all_labels), payload=all_labels)
                 frame = yield
-                output_label_batch = deserialize_label_lists(frame)
-                self._note_recv(output_label_batch)
-                with section("gc", "gc.decode_outputs",
-                             width=len(output_label_batch)):
-                    out = []
-                    for j, out_labels in enumerate(output_label_batch):
-                        bits = Garbler.decode_output_labels(
-                            bundle.encodings[j], circuit, out_labels
+                outputs = deserialize_label_lists(frame)
+                self._note_recv(outputs)
+                self._check_label_frame(
+                    outputs, len(server_vec), len(circuit.outputs)
+                )
+                with section("gc", "gc.decode_outputs", width=len(outputs)):
+                    server_vec = [
+                        words_to_int(
+                            Garbler.decode_output_labels(encoding, circuit, out_labels)
                         )
-                        out.append(words_to_int(bits))
-                    server_vec = out
+                        for encoding, out_labels in zip(bundle.encodings, outputs)
+                    ]
             else:
                 # Fetch labels for this side's share via online OT, then
                 # evaluate and decode locally (decode bits shipped offline).
-                choices: list[int] = []
-                for value in server_vec:
-                    choices += int_to_bits(value, self.bits)
-                to_holder, reply_bytes = iknp_wire_bytes(len(choices))
-                self._send(serialize_bit_vector(choices), nbytes=to_holder)
-                frame = yield
-                received = deserialize_labels(frame)
-                self._note_recv(nbytes=reply_bytes)
-                per = self.bits
-                labels_batch = []
-                for j in range(len(server_vec)):
-                    labels = dict(bundle.evaluator_labels[j])
-                    chunk = received[j * per : (j + 1) * per]
-                    labels.update(zip(circuit.evaluator_inputs, chunk))
-                    labels_batch.append(labels)
-                with section("gc", "gc.evaluate_batch", width=len(labels_batch)):
-                    output_label_batch = evaluator.evaluate_batch(
-                        bundle.circuits, labels_batch, vectorize=self._vectorize_gc
-                    )
-                    self.counters.gc_circuits_evaluated += len(labels_batch)
-                    server_vec = [
-                        words_to_int(evaluator.decode(garbled, out_labels))
-                        for garbled, out_labels in zip(
-                            bundle.circuits, output_label_batch
-                        )
-                    ]
+                arrived = yield from self._label_ot_chooser(
+                    [bit for bits in share_bits for bit in bits]
+                )
+                outputs = self._evaluate_layer(bundle, arrived)
+                decode = Evaluator().decode
+                server_vec = [
+                    words_to_int(decode(garbled, out_labels))
+                    for garbled, out_labels in zip(bundle.circuits, outputs)
+                ]
 
         # Final reconstruction: ship this side's output share.
         self._send(serialize_field_vector(server_vec, p), payload=server_vec)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.protocol import HybridProtocol
-from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
 from repro.ot.extension import KAPPA
 from repro.profiling.calibration import LABEL_BYTES
 
@@ -76,10 +75,7 @@ def predict_comm(protocol: HybridProtocol) -> dict[str, float]:
     ]
     relu_count = sum(relu_layers)
     n_linear = len(lowered.linears)
-    mask_owner = "evaluator" if protocol.garbler_role == "server" else "garbler"
-    spec = ReluCircuitSpec(bits=bits, modulus=protocol.modulus, mask_owner=mask_owner)
-    circuit = build_relu_circuit(spec)
-    gc_tables = 2 * LABEL_BYTES * circuit.and_count
+    gc_tables = 2 * LABEL_BYTES * protocol.client.relu_circuit().and_count
 
     # Public key (one ciphertext-sized pair) plus one Galois key with one
     # (k0, k1) pair per key-switching digit of the parameters' gadget.
@@ -90,7 +86,7 @@ def predict_comm(protocol: HybridProtocol) -> dict[str, float]:
     result_down = lowered.output_size * field_bytes
     word_labels = bits * LABEL_BYTES
 
-    if protocol.garbler_role == "server":
+    if protocol.server.garbles:
         # Offline: GCs + label OT (2 words per ReLU) travel down; HE up/down.
         per_layer_ot = [_iknp_bytes(2 * bits * n) for n in relu_layers]
         offline_up = key_bytes + he_up + sum(c for c, _ in per_layer_ot)

@@ -225,7 +225,7 @@ def centered(value: int, modulus: int) -> int:
 # The backend import is deferred into each function: repro.backend imports
 # this module for mod_inverse, so a top-level import would be circular.
 # ``prefer`` overrides the active backend selection per call (how
-# ``BfvParams.backend`` / ``HybridProtocol(backend=...)`` reach these).
+# ``BfvParams.backend`` reaches these).
 
 
 def _backend(modulus: int, prefer: str | None = None):

@@ -108,6 +108,20 @@ def read_wire_header(data: bytes, expect: int | None = None) -> int:
     return fmt
 
 
+def _need(data: bytes, offset: int, k: int, what: str) -> None:
+    """The one truncation check: ``k`` more bytes must follow ``offset``.
+
+    Every decoder calls it before each unpack and before any loop or
+    allocation sized by a count the peer supplied, so a frame that is cut
+    short — or claims more than it carries — is a ``ValueError`` (what
+    every frame handler catches), never a ``struct.error`` and never a
+    walk over billions of empty slices.
+    """
+    have = len(data) - offset
+    if have < k:
+        raise ValueError(f"truncated {what}: {max(have, 0)} of {k} bytes")
+
+
 def _pack_uint(value: int, width: int) -> bytes:
     return int(value).to_bytes(width, "little")
 
@@ -131,15 +145,18 @@ def serialize_field_vector(values: list[int], modulus: int) -> bytes:
 
 def deserialize_field_vector(data: bytes) -> list[int]:
     read_wire_header(data, FMT_FIELD_VECTOR)
+    _need(data, WIRE_HEADER_BYTES, 5, "field vector header")
     count, width = struct.unpack_from("<IB", data, WIRE_HEADER_BYTES)
+    if width == 0:
+        raise ValueError("field vector element width must be positive")
     offset = WIRE_HEADER_BYTES + 5
-    values = []
-    for _ in range(count):
-        values.append(int.from_bytes(data[offset : offset + width], "little"))
-        offset += width
-    if offset != len(data):
+    _need(data, offset, count * width, "field vector")
+    if offset + count * width != len(data):
         raise ValueError("trailing bytes in field vector")
-    return values
+    return [
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(offset, len(data), width)
+    ]
 
 
 # -- BFV ciphertexts and keys ----------------------------------------------------
@@ -157,8 +174,7 @@ def _serialize_poly_pair(params: BfvParams, a, b) -> bytes:
 
 
 def _deserialize_poly_pair(data: bytes, offset: int, params: BfvParams):
-    if offset + 5 > len(data):
-        raise ValueError("truncated polynomial pair header")
+    _need(data, offset, 5, "polynomial pair header")
     n, width = struct.unpack_from("<IB", data, offset)
     if n != params.n:
         raise ValueError(f"degree mismatch: wire {n} vs params {params.n}")
@@ -166,11 +182,7 @@ def _deserialize_poly_pair(data: bytes, offset: int, params: BfvParams):
         raise ValueError("coefficient width mismatch")
     offset += 5
     size = n * width
-    if offset + 2 * size > len(data):
-        raise ValueError(
-            f"truncated polynomial pair: {len(data) - offset} of "
-            f"{2 * size} coefficient bytes"
-        )
+    _need(data, offset, 2 * size, "polynomial pair")
     view = memoryview(data)
     # Lands in the params' resolved representation (bigint or RNS), so a
     # deserialized element computes natively at the receiver.
@@ -228,14 +240,12 @@ def serialize_galois_keys(gk: GaloisKeys) -> bytes:
 
 def deserialize_galois_keys(data: bytes, params: BfvParams) -> GaloisKeys:
     read_wire_header(data, FMT_GALOIS_KEYS)
-    if len(data) < WIRE_HEADER_BYTES + 4:
-        raise ValueError("truncated Galois keys header")
+    _need(data, WIRE_HEADER_BYTES, 4, "Galois keys header")
     (n_elements,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
     offset = WIRE_HEADER_BYTES + 4
     keys: dict[int, list[tuple]] = {}
     for _ in range(n_elements):
-        if offset + 8 > len(data):
-            raise ValueError("truncated Galois key header")
+        _need(data, offset, 8, "Galois key header")
         g, n_digits = struct.unpack_from("<II", data, offset)
         check_digit_count(params, g, n_digits)
         offset += 8
@@ -266,6 +276,7 @@ def serialize_bit_vector(bits: list[int]) -> bytes:
 
 def deserialize_bit_vector(data: bytes) -> list[int]:
     read_wire_header(data, FMT_BIT_VECTOR)
+    _need(data, WIRE_HEADER_BYTES, 4, "bit vector header")
     (count,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
     nbytes = (count + 7) // 8
     if len(data) != WIRE_HEADER_BYTES + 4 + nbytes:
@@ -291,6 +302,7 @@ def serialize_labels(labels: list[bytes]) -> bytes:
 
 def deserialize_labels(data: bytes) -> list[bytes]:
     read_wire_header(data, FMT_LABELS)
+    _need(data, WIRE_HEADER_BYTES, 4, "label batch header")
     (count,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
     base = WIRE_HEADER_BYTES + 4
     expected = base + count * LABEL_BYTES
@@ -316,12 +328,16 @@ def serialize_label_lists(lists: list[list[bytes]]) -> bytes:
 
 def deserialize_label_lists(data: bytes) -> list[list[bytes]]:
     read_wire_header(data, FMT_LABEL_LISTS)
+    _need(data, WIRE_HEADER_BYTES, 4, "label lists header")
     (count,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
     offset = WIRE_HEADER_BYTES + 4
+    _need(data, offset, 4 * count, "label lists")  # a length word per list
     lists: list[list[bytes]] = []
     for _ in range(count):
+        _need(data, offset, 4, "label list header")
         (n,) = struct.unpack_from("<I", data, offset)
         offset += 4
+        _need(data, offset, n * LABEL_BYTES, "label list")
         labels = [
             data[offset + i * LABEL_BYTES : offset + (i + 1) * LABEL_BYTES]
             for i in range(n)
@@ -353,8 +369,10 @@ def serialize_label_map(labels: dict[int, bytes]) -> bytes:
 
 def deserialize_label_map(data: bytes) -> dict[int, bytes]:
     read_wire_header(data, FMT_LABEL_MAP)
+    _need(data, WIRE_HEADER_BYTES, 4, "label map header")
     (count,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
     offset = WIRE_HEADER_BYTES + 4
+    _need(data, offset, count * (4 + LABEL_BYTES), "label map")
     labels: dict[int, bytes] = {}
     for _ in range(count):
         (wire,) = struct.unpack_from("<I", data, offset)
@@ -381,8 +399,10 @@ def serialize_input_encoding(encoding: InputEncoding) -> bytes:
 
 def deserialize_input_encoding(data: bytes) -> InputEncoding:
     read_wire_header(data, FMT_INPUT_ENCODING)
+    _need(data, WIRE_HEADER_BYTES, 8, "input encoding header")
     n_zero, n_out = struct.unpack_from("<II", data, WIRE_HEADER_BYTES)
     offset = WIRE_HEADER_BYTES + 8
+    _need(data, offset, LABEL_BYTES + n_zero + n_out, "input encoding")
     delta = data[offset : offset + LABEL_BYTES]
     offset += LABEL_BYTES
     zero = deserialize_label_map(data[offset : offset + n_zero])
@@ -421,8 +441,15 @@ def serialize_garbled_circuit(garbled: GarbledCircuit) -> bytes:
 
 def deserialize_garbled_circuit(data: bytes, circuit: Circuit) -> GarbledCircuit:
     read_wire_header(data, FMT_GARBLED_CIRCUIT)
+    _need(data, WIRE_HEADER_BYTES, 8, "garbled circuit header")
     n_tables, n_decode = struct.unpack_from("<II", data, WIRE_HEADER_BYTES)
     offset = WIRE_HEADER_BYTES + 8
+    _need(
+        data,
+        offset,
+        n_tables * (4 + 2 * LABEL_BYTES) + (n_decode + 7) // 8,
+        "garbled circuit",
+    )
     tables = {}
     for _ in range(n_tables):
         (index,) = struct.unpack_from("<I", data, offset)
@@ -464,12 +491,16 @@ def serialize_circuit_batch(circuits: list[GarbledCircuit]) -> bytes:
 def deserialize_circuit_batch(data: bytes, circuit: Circuit) -> list[GarbledCircuit]:
     """Rebind every instance in a batch to the shared public topology."""
     read_wire_header(data, FMT_CIRCUIT_BATCH)
+    _need(data, WIRE_HEADER_BYTES, 4, "circuit batch header")
     (count,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
     offset = WIRE_HEADER_BYTES + 4
+    _need(data, offset, 4 * count, "circuit batch")  # a length word per circuit
     circuits = []
     for _ in range(count):
+        _need(data, offset, 4, "circuit length")
         (n,) = struct.unpack_from("<I", data, offset)
         offset += 4
+        _need(data, offset, n, "garbled circuit")
         circuits.append(deserialize_garbled_circuit(data[offset : offset + n], circuit))
         offset += n
     if offset != len(data):

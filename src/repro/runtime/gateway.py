@@ -432,7 +432,7 @@ class ServingGateway:
             truncate_bits=truncate_bits,
             lowered=self.lowered,
         )
-        self.params = template.params  # overrides resolved once
+        self.params = template.params  # None resolved to the default set
         self._circuit = template.relu_circuit()
         self._client_index = {self.client_id(c): c for c in range(num_clients)}
 

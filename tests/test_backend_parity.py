@@ -10,6 +10,7 @@ and the bounded NTT-context cache.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -323,10 +324,10 @@ class TestBackendSelection:
         params = fast_params(n=128)
         net.randomize_weights(params.t, np.random.default_rng(1))
         with using_backend("python"):
-            proto = HybridProtocol(net, params, seed=3, backend="numpy")
+            proto = HybridProtocol(net, replace(params, backend="numpy"), seed=3)
             assert proto._vectorize_gc
             assert isinstance(proto.lowered.linears[0].matrix, np.ndarray)
-            inverse = HybridProtocol(net, params, seed=3, backend="python")
+            inverse = HybridProtocol(net, replace(params, backend="python"), seed=3)
             assert not inverse._vectorize_gc
             assert isinstance(inverse.lowered.linears[0].matrix, list)
 

@@ -395,3 +395,78 @@ class TestGarbledCircuit:
             serialize_garbled_circuit(garbled), circuit
         )
         assert restored.output_decode_bits == garbled.output_decode_bits
+
+
+class TestHostileGcOtFrames:
+    """The GC/OT decoders answer a cut or lying frame with ``ValueError`` —
+    the one exception every frame handler catches — before they allocate
+    anything sized by a count the peer supplied."""
+
+    @staticmethod
+    def _frames():
+        from repro.network.serialize import (
+            deserialize_circuit_batch,
+            serialize_circuit_batch,
+        )
+
+        circuit, garbled, _ = TestGarbledCircuit()._garbled()
+        labels = [bytes([i]) * 16 for i in range(3)]
+        return {
+            "field_vector": (
+                serialize_field_vector([1, 2, 3], 65537),
+                deserialize_field_vector,
+            ),
+            "bit_vector": (serialize_bit_vector([1, 0] * 9), deserialize_bit_vector),
+            "labels": (serialize_labels(labels), deserialize_labels),
+            "label_lists": (
+                serialize_label_lists([labels, labels[:1]]),
+                deserialize_label_lists,
+            ),
+            "circuit_batch": (
+                serialize_circuit_batch([garbled, garbled]),
+                lambda data: deserialize_circuit_batch(data, circuit),
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["field_vector", "bit_vector", "labels", "label_lists", "circuit_batch"],
+    )
+    def test_every_cut_is_a_value_error(self, name):
+        wire, decode = self._frames()[name]
+        assert decode(wire) is not None
+        # header only, inside the count word(s), and everywhere after:
+        # exactly ValueError — pytest.raises would let a struct.error through
+        # only as a failure, never as a pass.
+        for cut in range(4, len(wire)):
+            with pytest.raises(ValueError):
+                decode(wire[:cut])
+
+    @pytest.mark.parametrize(
+        "name",
+        ["field_vector", "bit_vector", "labels", "label_lists", "circuit_batch"],
+    )
+    def test_count_larger_than_payload(self, name):
+        wire, decode = self._frames()[name]
+        for count in (len(wire), 1 << 26, (1 << 32) - 1):
+            lying = wire[:4] + struct.pack("<I", count) + wire[8:]
+            with pytest.raises(ValueError):
+                decode(lying)
+
+    def test_inner_count_is_checked_before_any_slice_is_built(self):
+        """16 bytes claiming one list of 2^26 (then 2^32 - 1) labels: the
+        parent spent 12 s on the first and had no bound on the second."""
+        import time
+
+        for n in (1 << 26, (1 << 32) - 1):
+            frame = wire_header(0x0A) + struct.pack("<II", 1, n) + b"\x00" * 4
+            assert len(frame) == 16
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="truncated"):
+                deserialize_label_lists(frame)
+            assert time.perf_counter() - start < 0.5
+
+    def test_zero_width_field_vector_cannot_claim_elements(self):
+        frame = wire_header(0x01) + struct.pack("<IB", (1 << 32) - 1, 0)
+        with pytest.raises(ValueError, match="width"):
+            deserialize_field_vector(frame)

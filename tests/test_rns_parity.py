@@ -284,7 +284,9 @@ class TestProtocolParity:
         for rep in ("bigint", "rns"):
             clear_ntt_cache()
             proto = HybridProtocol(
-                net, toy_params(n=128), seed=21, representation=rep
+                net,
+                dataclasses.replace(toy_params(n=128), representation=rep),
+                seed=21,
             )
             proto.run_offline()
             logits = proto.run_online(x)
@@ -322,8 +324,11 @@ class TestMintTranscriptParity:
         }
         clear_ntt_cache()
         proto = HybridProtocol(
-            net, params, garbler="client", seed=33, backend=backend,
-            representation=representation, transport="memory",
+            net,
+            dataclasses.replace(
+                params, backend=backend, representation=representation
+            ),
+            garbler="client", seed=33, transport="memory",
         )
         digest, count = hashlib.sha256(), 0
         for party in (proto.client, proto.server):

@@ -409,7 +409,7 @@ class TestSessionLifecycle:
         proto.start_online([0] * 16)
         assert proto.client.lifecycle == LIFE_ONLINE
         assert proto.server.lifecycle == LIFE_ONLINE
-        for _ in proto.drive_steps():
+        while not proto.step():
             pass
         logits = proto.client.finish()
         assert proto.client.lifecycle == LIFE_COMPLETE
@@ -436,6 +436,23 @@ class TestSessionLifecycle:
         assert proto.run_online(second_x) == proto.plaintext_reference(second_x)
         # Same transport, same channel: the books span both requests.
         assert proto.channel.total_bytes > bytes_after_first
+
+    def test_counters_accumulate_across_recycled_requests(self):
+        """Counters are connection-scoped: a second request through
+        ``reset_for_request()`` doubles every field (the HE rotation and
+        plain-mult counts used to be assigned, so they stood still)."""
+        from dataclasses import asdict
+
+        proto = self._proto()
+        x = [1] * 16
+        proto.run_offline()
+        proto.run_online(x)
+        first = asdict(proto.counters)
+        assert all(first.values())
+        proto.reset_for_request()
+        proto.run_offline()
+        proto.run_online(x)
+        assert asdict(proto.counters) == {k: 2 * v for k, v in first.items()}
 
     def test_repeat_offline_without_reset_rejected(self):
         proto = self._proto()
@@ -465,3 +482,60 @@ class TestSessionLifecycle:
         x = [1] * 16
         logits = proto.run_online(x)
         assert logits == proto.plaintext_reference(x)
+
+
+class TestLabelFramesCheckedWhereReceived:
+    """Every leg that receives wire labels checks the frame against the
+    circuit when it arrives: one label short is a ``ValueError`` in that
+    phase, not a ``KeyError`` inside ``evaluate_batch`` a phase later
+    (or, for the garbler's decode, a silently shorter word)."""
+
+    # (garbler, phase the frame travels in, who sends it, its format)
+    LEGS = {
+        "direct-labels-offline": ("client", "offline", "client", "label_lists"),
+        "ot-reply-offline": ("server", "offline", "server", "label_lists"),
+        "ot-reply-online": ("client", "online", "client", "labels"),
+        "direct-labels-online": ("server", "online", "server", "label_lists"),
+        "output-labels-online": ("server", "online", "client", "label_lists"),
+    }
+
+    @staticmethod
+    def _drop_one_label(frame):
+        from repro.network import serialize
+
+        if serialize.frame_format_name(frame) == "labels":
+            return serialize.serialize_labels(serialize.deserialize_labels(frame)[:-1])
+        lists = serialize.deserialize_label_lists(frame)
+        lists[-1] = lists[-1][:-1]
+        return serialize.serialize_label_lists(lists)
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_one_label_short_is_a_value_error_in_the_receiving_phase(self, leg):
+        from repro.network.serialize import frame_format_name
+
+        garbler, phase, sender, fmt = self.LEGS[leg]
+        net = tiny_mlp(tiny_dataset(size=4, classes=3), hidden=4)
+        net.randomize_weights(P, np.random.default_rng(0))
+        proto = HybridProtocol(net, PARAMS, garbler=garbler, seed=5)
+        armed = []  # the shim fires once, on the first matching frame
+        transport = getattr(proto, sender).transport
+        send = transport.send
+
+        def lossy_send(frame):
+            if armed and frame_format_name(frame) == fmt:
+                armed.clear()
+                frame = self._drop_one_label(frame)
+            send(frame)
+
+        transport.send = lossy_send
+        if phase == "offline":
+            armed.append(True)
+            with pytest.raises(ValueError, match="label frame does not match"):
+                proto.run_offline()
+            assert not proto._offline_done
+        else:
+            proto.run_offline()
+            armed.append(True)
+            with pytest.raises(ValueError, match="label frame does not match"):
+                proto.run_online([1] * 16)
+        assert not armed
