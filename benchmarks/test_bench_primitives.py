@@ -36,7 +36,7 @@ from repro.crypto.modmath import find_ntt_prime
 from repro.crypto.rng import SecureRandom
 from repro.gc.circuit import int_to_bits
 from repro.gc.evaluate import Evaluator
-from repro.gc.garble import Garbler
+from repro.gc.garble import Garbler, LabelBatch
 from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
@@ -44,7 +44,12 @@ from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import key_switch_inner
-from repro.network.serialize import deserialize_galois_keys, serialize_galois_keys
+from repro.network.serialize import (
+    deserialize_circuit_batch,
+    deserialize_galois_keys,
+    serialize_circuit_batch,
+    serialize_galois_keys,
+)
 from repro.ot.extension import base_seed_ot, extend, iknp_transfer
 
 PARAMS = fast_params(n=256)
@@ -454,21 +459,42 @@ def test_bench_evaluate_relu_layer(benchmark):
     """One ReLU layer's worth of circuits through the batch evaluator."""
     spec = ReluCircuitSpec(bits=17, modulus=PARAMS.t, mask_owner="evaluator")
     circuit = build_relu_circuit(spec)
-    batch = Garbler(SecureRandom(15)).garble_batch(circuit, RELU_BATCH)
-    labels_batch = []
-    for garbled, encoding in batch:
-        labels = Garbler.encode_inputs(encoding, circuit, int_to_bits(123, 17))
-        for wire, bit in zip(
-            circuit.evaluator_inputs, int_to_bits(456, 17) + int_to_bits(789, 17)
-        ):
-            labels[wire] = encoding.label_for(wire, bit)
-        labels_batch.append(labels)
+    circuits, encodings = Garbler(SecureRandom(15)).garble_batch(circuit, RELU_BATCH)
+    own = Garbler.encode_inputs(
+        encodings, circuit, [int_to_bits(123, 17)] * RELU_BATCH
+    )
+    zero, one = encodings.evaluator_pairs()
+    chosen = np.array(
+        (int_to_bits(456, 17) + int_to_bits(789, 17)) * RELU_BATCH, dtype=bool
+    )
+    theirs = LabelBatch(
+        circuit.evaluator_inputs,
+        np.where(chosen[:, None], one, zero).reshape(RELU_BATCH, -1, 16),
+    )
+    labels = {**own.columns(), **theirs.columns()}
     evaluator = Evaluator()
     benchmark.pedantic(
-        lambda: evaluator.evaluate_batch([g for g, _ in batch], labels_batch),
+        lambda: evaluator.evaluate_batch(circuits, labels),
         rounds=1,
         iterations=1,
     )
+
+
+def test_bench_circuit_batch_codec_wide(benchmark):
+    """infer_sg_wide's garbled layer (128 instances) to wire bytes and back."""
+    spec = ReluCircuitSpec(bits=17, modulus=PARAMS.t, mask_owner="evaluator")
+    circuit = build_relu_circuit(spec)
+    circuits, _ = Garbler(SecureRandom(17)).garble_batch(circuit, 128)
+
+    def round_trip():
+        wire = serialize_circuit_batch(circuits)
+        return wire, deserialize_circuit_batch(wire, circuit)
+
+    wire, restored = benchmark.pedantic(
+        round_trip, rounds=5, iterations=1, warmup_rounds=1
+    )
+    assert (restored.tables == circuits.tables).all()
+    benchmark.extra_info["wire_bytes"] = len(wire)
 
 
 def test_bench_evaluate_relu(benchmark):

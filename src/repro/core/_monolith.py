@@ -161,8 +161,8 @@ class MonolithHybridProtocol:
     def _offline_relu_layer(self, pos, lin_idx, mask_index, garbled_batch) -> None:
         n = self.lowered.linears[lin_idx].n_out
         circuit = self._relu_circuit()
-        circuits = [garbled for garbled, _ in garbled_batch]
-        encodings = [encoding for _, encoding in garbled_batch]
+        # The frozen reference reads the batch instance by instance.
+        circuits, encodings = map(list, garbled_batch)
         self.counters.gc_circuits_garbled += n
 
         if self.garbler_role == "server":
@@ -279,9 +279,10 @@ class MonolithHybridProtocol:
                 labels = dict(bundle.evaluator_labels[j])
                 labels.update(zip(circuit.garbler_inputs, garbler_labels))
                 labels_batch.append(labels)
-            output_label_batch = evaluator.evaluate_batch(
-                bundle.circuits, labels_batch, vectorize=self._vectorize_gc
-            )
+            output_label_batch = [
+                evaluator.evaluate(garbled, labels)
+                for garbled, labels in zip(bundle.circuits, labels_batch)
+            ]
             self.counters.gc_circuits_evaluated += len(labels_batch)
             self.channel.send(CLIENT, output_label_batch)
             output_label_batch = self.channel.recv(SERVER)
@@ -321,9 +322,10 @@ class MonolithHybridProtocol:
             chunk = received[j * per : (j + 1) * per]
             labels.update(zip(circuit.evaluator_inputs, chunk))
             labels_batch.append(labels)
-        output_label_batch = evaluator.evaluate_batch(
-            bundle.circuits, labels_batch, vectorize=self._vectorize_gc
-        )
+        output_label_batch = [
+            evaluator.evaluate(garbled, labels)
+            for garbled, labels in zip(bundle.circuits, labels_batch)
+        ]
         self.counters.gc_circuits_evaluated += len(labels_batch)
         return [
             words_to_int(evaluator.decode(garbled, out_labels))

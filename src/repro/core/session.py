@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from repro.backend import backend_for
 from repro.core.lowering import (
     LoweredNetwork,
@@ -51,7 +53,7 @@ from repro.crypto.modmath import matvec_mod, mod_add_vec, mod_sub_vec
 from repro.crypto.rng import SecureRandom
 from repro.gc.circuit import Circuit, int_to_bits, words_to_int
 from repro.gc.evaluate import Evaluator
-from repro.gc.garble import GarbledCircuit, Garbler, InputEncoding
+from repro.gc.garble import EncodingBatch, GarbledBatch, Garbler, LabelBatch
 from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
@@ -106,9 +108,9 @@ class ReluBundle:
     """
 
     mask_index: int  # which linear layer's r masks this ReLU's output
-    circuits: list[GarbledCircuit] | None = None
-    encodings: list[InputEncoding] | None = None
-    evaluator_labels: list[dict[int, bytes]] | None = None
+    circuits: GarbledBatch | None = None
+    encodings: EncodingBatch | None = None
+    evaluator_labels: LabelBatch | None = None
 
 
 @dataclass
@@ -398,6 +400,16 @@ class ProtocolSession:
 
     _CONST_WIRES = [Circuit.CONST_ZERO, Circuit.CONST_ONE]
 
+    def _bit_matrix(self, *vectors: list[int]):
+        """Per instance, the little-endian bits of one word from each vector."""
+        return np.array(
+            [
+                [bit for word in words for bit in int_to_bits(word, self.bits)]
+                for words in zip(*vectors)
+            ],
+            dtype=np.uint8,
+        )
+
     def _garbler_offline(self, own_input_bits, keep_decode_bits: bool):
         """Garbler half of the offline phase: garble, ship, deliver labels.
 
@@ -417,22 +429,18 @@ class ProtocolSession:
                 Garbler(rng).garble_batch(circuit, n, vectorize=self._vectorize_gc)
                 for (_, _, _, n), rng in zip(plan, layer_rngs)
             ]
-        for (pos, lin_idx, mask_index, n), batch in zip(plan, batches):
-            circuits, encodings = map(list, zip(*batch))
+        for (pos, lin_idx, mask_index, n), (circuits, encodings) in zip(plan, batches):
             self.counters.gc_circuits_garbled += n
             if not keep_decode_bits:
-                circuits = [GarbledCircuit(c.circuit, c.tables, []) for c in circuits]
+                circuits = circuits.without_decode_bits()
             self._send(serialize_circuit_batch(circuits), payload=circuits)
             if own_input_bits is None:
-                yield from self._label_ot_holder(circuit, encodings)
+                yield from self._label_ot_holder(encodings)
             else:
-                label_lists = [
-                    list(Garbler.encode_inputs(encoding, circuit, bits).values())
-                    for encoding, bits in zip(
-                        encodings, own_input_bits(lin_idx, mask_index)
-                    )
-                ]
-                self._send(serialize_label_lists(label_lists), payload=label_lists)
+                labels = Garbler.encode_inputs(
+                    encodings, circuit, own_input_bits(lin_idx, mask_index)
+                ).labels
+                self._send(serialize_label_lists(labels), nbytes=labels.nbytes)
             self._relu_bundles[pos] = ReluBundle(mask_index, encodings=encodings)
 
     def _evaluator_offline(self, own_input_bits):
@@ -451,111 +459,97 @@ class ProtocolSession:
             if len(circuits) != n:
                 raise ValueError("garbled batch width does not match the layer")
             if own_input_bits is None:
-                frame = yield
-                label_lists = deserialize_label_lists(frame)
-                self._note_recv(label_lists)
-                labels = self._bind_labels(garbler_wires, label_lists, n)
+                labels = yield from self._recv_labels(garbler_wires, n)
             else:
                 labels = yield from self._label_ot_chooser(
-                    [bit for bits in own_input_bits(lin_idx, mask_index) for bit in bits]
+                    own_input_bits(lin_idx, mask_index)
                 )
             self._relu_bundles[pos] = ReluBundle(
                 mask_index, circuits=circuits, evaluator_labels=labels
             )
 
-    @staticmethod
-    def _check_label_frame(label_lists, n: int, width: int) -> None:
-        """A received label frame must have the layer's shape, checked in
-        the phase that received it: zip() would silently truncate a short
-        list and the missing wire would surface later, as a KeyError
-        inside ``evaluate_batch`` or as a wrong decoded word."""
-        if len(label_lists) != n or any(len(ls) != width for ls in label_lists):
-            raise ValueError("label frame does not match the layer")
+    def _recv_labels(self, wires: list[int], n: int) -> LabelBatch:
+        """Receive one layer's directly-sent labels, bound to ``wires``.
 
-    def _bind_labels(self, wires: list[int], label_lists, n: int):
-        """One {wire: label} dict per instance of a received label frame."""
-        self._check_label_frame(label_lists, n, len(wires))
-        return [dict(zip(wires, labels)) for labels in label_lists]
+        The frame must have the layer's shape, checked by the codec in the
+        phase that received it: a short list would otherwise surface
+        later, as a KeyError inside ``evaluate_batch`` or a wrong word.
+        """
+        frame = yield
+        labels = deserialize_label_lists(frame, n, len(wires))
+        self._note_recv(nbytes=labels.nbytes)
+        return LabelBatch(wires, labels)
 
-    def _label_ot_chooser(self, choices: list[int]):
+    def _label_ot_chooser(self, choice_bits) -> LabelBatch:
         """Chooser half of one layer's label OT; returns the bound labels.
 
-        Ships the choice bits — charged as the base-OT key and u columns
-        the real IKNP chooser would ship — and binds the reply to the
-        evaluator-input wires, one dict per circuit instance.
+        Ships the (count, n_evaluator) choice bits — charged as the
+        base-OT key and u columns the real IKNP chooser would ship — and
+        binds the reply to the evaluator-input wires.
         """
         wires = self.relu_circuit().evaluator_inputs
-        to_holder, to_chooser = iknp_wire_bytes(len(choices))
-        self._send(serialize_bit_vector(choices), nbytes=to_holder)
+        count = len(choice_bits)
+        to_holder, to_chooser = iknp_wire_bytes(choice_bits.size)
+        self._send(serialize_bit_vector(choice_bits.ravel().tolist()), nbytes=to_holder)
         frame = yield
-        if self._phase == "offline":
-            label_lists, lead = deserialize_label_lists(frame), 2
-        else:
-            flat, lead = deserialize_labels(frame), 0
-            label_lists = [
-                flat[i : i + len(wires)] for i in range(0, len(flat), len(wires))
-            ]
         self._note_recv(nbytes=to_chooser)
-        # Stored label maps keep the order [inputs, constants]: the store
+        if self._phase == "online":
+            flat = deserialize_labels(frame, choice_bits.size)
+            return LabelBatch(wires, flat.reshape(count, len(wires), -1))
+        # Offline the two constant-wire labels lead each instance's list;
+        # stored label maps keep the order [inputs, constants]: the store
         # blob serializes them as they iterate.
-        return self._bind_labels(
-            wires + self._CONST_WIRES[:lead],
-            [labels[lead:] + labels[:lead] for labels in label_lists],
-            len(choices) // len(wires),
+        labels = deserialize_label_lists(frame, count, 2 + len(wires))
+        return LabelBatch(
+            wires + self._CONST_WIRES,
+            np.concatenate([labels[:, 2:], labels[:, :2]], axis=1),
         )
 
-    def _label_ot_holder(self, circuit: Circuit, encodings: list[InputEncoding]):
+    def _label_ot_holder(self, encodings: EncodingBatch):
         """Label-holder half of one layer's OT: choice bits in, labels out.
 
         Both labels of every evaluator-input wire go into the extension;
         the reply is charged as the masked pairs the real holder would ship.
         """
-        per = len(circuit.evaluator_inputs)
+        pairs = encodings.evaluator_pairs()
         frame = yield
         choices = deserialize_bit_vector(frame)
-        if len(choices) != len(encodings) * per:
+        if len(choices) != len(pairs[0]):
             raise ValueError("OT choice count does not match the layer")
         to_holder, to_chooser = iknp_wire_bytes(len(choices))
         self._note_recv(nbytes=to_holder)
-        pairs = [
-            (encoding.label_for(wire, 0), encoding.label_for(wire, 1))
-            for encoding in encodings
-            for wire in circuit.evaluator_inputs
-        ]
-        with section("ot", "ot.iknp_transfer", pairs=len(pairs)):
+        with section("ot", "ot.iknp_transfer", pairs=len(choices)):
             received, _ = iknp_transfer(pairs, choices, self.rng.spawn())
-        self.counters.ots_performed += len(pairs)
+        self.counters.ots_performed += len(choices)
         if self._phase == "offline":
             # Each instance's constant-wire labels ride the same message
             # the masked OT pairs are charged as.
             reply = serialize_label_lists(
-                [
+                np.concatenate(
                     [
-                        encoding.label_for(Circuit.CONST_ZERO, 0),
-                        encoding.label_for(Circuit.CONST_ONE, 1),
-                    ]
-                    + received[j * per : (j + 1) * per]
-                    for j, encoding in enumerate(encodings)
-                ]
+                        encodings.constant_labels(),
+                        received.reshape(len(encodings), -1, received.shape[1]),
+                    ],
+                    axis=1,
+                )
             )
         else:
             reply = serialize_labels(received)
         self._send(reply, nbytes=to_chooser)
 
-    def _evaluate_layer(self, bundle: ReluBundle, arrived: list[dict[int, bytes]]):
+    def _evaluate_layer(self, bundle: ReluBundle, arrived: LabelBatch):
         """Evaluator's online step for one layer; returns the output labels.
 
-        ``arrived`` (the labels this phase delivered, one dict per
-        instance) completes the ones stored offline.
+        ``arrived`` (the labels this phase delivered) completes the ones
+        stored offline.
         """
-        labels_batch = [
-            {**stored, **new} for stored, new in zip(bundle.evaluator_labels, arrived)
-        ]
-        with section("gc", "gc.evaluate_batch", width=len(labels_batch)):
+        with section("gc", "gc.evaluate_batch", width=len(arrived)):
             outputs = Evaluator().evaluate_batch(
-                bundle.circuits, labels_batch, vectorize=self._vectorize_gc
+                bundle.circuits,
+                {**bundle.evaluator_labels.columns(), **arrived.columns()},
+                vectorize=self._vectorize_gc,
             )
-        self.counters.gc_circuits_evaluated += len(labels_batch)
+        self.counters.gc_circuits_evaluated += len(arrived)
         return outputs
 
     # -- offline state transplant (precompute store integration) --------------
@@ -675,14 +669,11 @@ class ClientSession(ProtocolSession):
             self.counters.he_decryptions += 1
             self.client_linear_share.append(share)
 
-        def own_input_bits(lin_idx: int, mask_index: int) -> list[list[int]]:
+        def own_input_bits(lin_idx: int, mask_index: int):
             """Per instance, this side's two GC input words: share, mask."""
-            return [
-                int_to_bits(share, self.bits) + int_to_bits(mask, self.bits)
-                for share, mask in zip(
-                    self.client_linear_share[lin_idx], self.client_r[mask_index]
-                )
-            ]
+            return self._bit_matrix(
+                self.client_linear_share[lin_idx], self.client_r[mask_index]
+            )
 
         if self.garbles:
             yield from self._garbler_offline(own_input_bits, keep_decode_bits=True)
@@ -702,17 +693,13 @@ class ClientSession(ProtocolSession):
             bundle = self._relu_bundles[pos]
             if self.garbles:
                 # The server fetches its share's labels from these encodings.
-                yield from self._label_ot_holder(circuit, bundle.encodings)
+                yield from self._label_ot_holder(bundle.encodings)
             else:
                 # Evaluate on the server's share labels; return the output
                 # labels, which only the garbler can decode.
-                frame = yield
-                label_lists = deserialize_label_lists(frame)
-                self._note_recv(label_lists)
-                outputs = self._evaluate_layer(
-                    bundle, self._bind_labels(circuit.garbler_inputs, label_lists, n)
-                )
-                self._send(serialize_label_lists(outputs), payload=outputs)
+                arrived = yield from self._recv_labels(circuit.garbler_inputs, n)
+                outputs = self._evaluate_layer(bundle, arrived)
+                self._send(serialize_label_lists(outputs), nbytes=outputs.nbytes)
 
         frame = yield
         final_server_share = deserialize_field_vector(frame)
@@ -824,44 +811,29 @@ class ServerSession(ProtocolSession):
                     )
                 continue
             bundle = self._relu_bundles[pos]
-            share_bits = [int_to_bits(value, self.bits) for value in server_vec]
+            share_bits = self._bit_matrix(server_vec)
             if self.garbles:
                 # Ship the labels of this side's share; the client
                 # evaluates and returns output labels; decode here.
                 with section("gc", "gc.encode_labels", width=len(server_vec)):
-                    all_labels = [
-                        [
-                            encoding.label_for(w, b)
-                            for w, b in zip(circuit.garbler_inputs, bits)
-                        ]
-                        for encoding, bits in zip(bundle.encodings, share_bits)
-                    ]
-                self._send(serialize_label_lists(all_labels), payload=all_labels)
+                    labels = bundle.encodings.garbler_labels(share_bits)
+                self._send(serialize_label_lists(labels), nbytes=labels.nbytes)
                 frame = yield
-                outputs = deserialize_label_lists(frame)
-                self._note_recv(outputs)
-                self._check_label_frame(
-                    outputs, len(server_vec), len(circuit.outputs)
+                outputs = deserialize_label_lists(
+                    frame, len(server_vec), len(circuit.outputs)
                 )
+                self._note_recv(nbytes=outputs.nbytes)
                 with section("gc", "gc.decode_outputs", width=len(outputs)):
-                    server_vec = [
-                        words_to_int(
-                            Garbler.decode_output_labels(encoding, circuit, out_labels)
-                        )
-                        for encoding, out_labels in zip(bundle.encodings, outputs)
-                    ]
+                    output_bits = Garbler.decode_output_labels(
+                        bundle.encodings, circuit, outputs
+                    )
             else:
                 # Fetch labels for this side's share via online OT, then
                 # evaluate and decode locally (decode bits shipped offline).
-                arrived = yield from self._label_ot_chooser(
-                    [bit for bits in share_bits for bit in bits]
-                )
+                arrived = yield from self._label_ot_chooser(share_bits)
                 outputs = self._evaluate_layer(bundle, arrived)
-                decode = Evaluator().decode
-                server_vec = [
-                    words_to_int(decode(garbled, out_labels))
-                    for garbled, out_labels in zip(bundle.circuits, outputs)
-                ]
+                output_bits = Evaluator().decode(bundle.circuits, outputs)
+            server_vec = [words_to_int(bits) for bits in output_bits.tolist()]
 
         # Final reconstruction: ship this side's output share.
         self._send(serialize_field_vector(server_vec, p), payload=server_vec)

@@ -1,10 +1,13 @@
 """Pseudo-random generation and hashing primitives.
 
 Garbled-circuit constructions are specified in terms of a fixed-key block
-cipher used as a correlation-robust hash. We substitute SHA-256 in counter
-mode: the security argument is the standard random-oracle one and the byte
-layout (16-byte blocks, tweakable) matches what an AES-based implementation
-would produce, so all size and count accounting is faithful.
+cipher used as a correlation-robust hash. We substitute a tweakable
+16-byte hash of the label (:func:`hash_label`, and :func:`hash_rows` over
+a whole label matrix): the security argument is the standard
+random-oracle one and the byte layout (16-byte blocks, tweakable) matches
+what an AES-based implementation would produce, so all size and count
+accounting is faithful. Seed expansion (:class:`Prg`) and key derivation
+are SHA-256.
 """
 
 from __future__ import annotations
@@ -12,7 +15,14 @@ from __future__ import annotations
 import hashlib
 import struct
 
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - minimal images only
+    _np = None
+
 LABEL_BYTES = 16  # 128-bit wire labels, as in DELPHI / fancy-garbling.
+
+_pack_tweak = struct.Struct("<Q").pack
 
 
 def hash_label(label: bytes, tweak: int) -> bytes:
@@ -21,14 +31,48 @@ def hash_label(label: bytes, tweak: int) -> bytes:
     ``tweak`` is the gate index (point-and-permute position folded in by the
     caller); including it makes each gate's ciphertexts domain-separated.
     """
-    digest = hashlib.sha256(label + struct.pack("<Q", tweak)).digest()
-    return digest[:LABEL_BYTES]
+    return hashlib.sha256(label + _pack_tweak(tweak)).digest()[:LABEL_BYTES]
+
+
+def byte_matrix(rows: list[bytes], width: int = LABEL_BYTES):
+    """Equal-length byte strings as the rows of a (len, width) uint8 matrix."""
+    return _np.frombuffer(b"".join(rows), dtype=_np.uint8).reshape(-1, width)
+
+
+def byte_rows(matrix) -> list[bytes]:
+    """The rows (last axis) of a uint8 array, in C order, as byte strings."""
+    flat, width = matrix.tobytes(), matrix.shape[-1]
+    return [flat[i : i + width] for i in range(0, len(flat), width)]
+
+
+def hash_rows(rows, tweak):
+    """:func:`hash_label` of every row of an (n, width) uint8 matrix.
+
+    ``tweak`` is one int for all rows (a gate's label column) or one per
+    row (OT extension: row ``j`` under tweak ``j``). Returns an (n, 16)
+    matrix; the hash itself cannot be vectorized from Python, everything
+    around it (label XOR, point-and-permute masking) works on the result.
+    """
+    flat = rows.tobytes()
+    width = rows.shape[1]
+    cuts = range(0, len(flat), width)
+    digest = hashlib.sha256
+    if isinstance(tweak, int):
+        packed = _pack_tweak(tweak)
+        digests = [digest(flat[i : i + width] + packed).digest() for i in cuts]
+    else:
+        digests = [
+            digest(flat[i : i + width] + _pack_tweak(t)).digest()
+            for i, t in zip(cuts, tweak, strict=True)
+        ]
+    return _np.frombuffer(b"".join(digests), dtype=_np.uint8).reshape(-1, 32)[
+        :, :LABEL_BYTES
+    ]
 
 
 def hash_pair(a: bytes, b: bytes, tweak: int) -> bytes:
     """Hash of two labels (classic two-input garbling hash)."""
-    digest = hashlib.sha256(a + b + struct.pack("<Q", tweak)).digest()
-    return digest[:LABEL_BYTES]
+    return hash_label(a + b, tweak)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

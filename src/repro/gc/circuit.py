@@ -51,6 +51,20 @@ class Circuit:
     def xor_count(self) -> int:
         return sum(1 for g in self.gates if g.kind is GateType.XOR)
 
+    @property
+    def and_indices(self) -> list[int]:
+        """Gate-list positions of the AND gates (the garbled tables' keys)."""
+        return [i for i, g in enumerate(self.gates) if g.kind is GateType.AND]
+
+    @property
+    def input_wires(self) -> list[int]:
+        """Every input wire in encoding order: constants, garbler's, evaluator's."""
+        return (
+            [self.CONST_ZERO, self.CONST_ONE]
+            + self.garbler_inputs
+            + self.evaluator_inputs
+        )
+
     def evaluate_plain(
         self, garbler_bits: list[int], evaluator_bits: list[int]
     ) -> list[int]:

@@ -20,10 +20,6 @@ from repro.gc.circuit import Circuit, GateType
 from repro.gc.garble import InputEncoding
 
 
-def _lsb(label: bytes) -> int:
-    return label[0] & 1
-
-
 @dataclass
 class ClassicGarbledCircuit:
     """Four ciphertexts per AND gate, ordered by permute bits."""
@@ -70,25 +66,18 @@ class ClassicGarbler:
                     la = a0 if va == 0 else xor_bytes(a0, delta)
                     lb = b0 if vb == 0 else xor_bytes(b0, delta)
                     out = out0 if (va & vb) == 0 else xor_bytes(out0, delta)
-                    position = (_lsb(la) << 1) | _lsb(lb)
+                    position = ((la[0] & 1) << 1) | (lb[0] & 1)
                     rows[position] = xor_bytes(hash_pair(la, lb, index), out)
             assert all(row is not None for row in rows)
             tables[index] = rows  # type: ignore[assignment]
             zero[gate.out] = out0
 
         encoding = InputEncoding(
-            zero_labels={
-                w: zero[w]
-                for w in (
-                    [Circuit.CONST_ZERO, Circuit.CONST_ONE]
-                    + circuit.garbler_inputs
-                    + circuit.evaluator_inputs
-                )
-            },
+            zero_labels={w: zero[w] for w in circuit.input_wires},
             delta=delta,
             output_zero_labels={w: zero[w] for w in circuit.outputs},
         )
-        decode = [_lsb(zero[w]) for w in circuit.outputs]
+        decode = [zero[w][0] & 1 for w in circuit.outputs]
         return ClassicGarbledCircuit(circuit, tables, decode), encoding
 
 
@@ -104,12 +93,12 @@ class ClassicEvaluator:
             if gate.kind is GateType.XOR:
                 labels[gate.out] = xor_bytes(a, b)
                 continue
-            row = garbled.tables[index][(_lsb(a) << 1) | _lsb(b)]
+            row = garbled.tables[index][((a[0] & 1) << 1) | (b[0] & 1)]
             labels[gate.out] = xor_bytes(hash_pair(a, b, index), row)
         return [labels[w] for w in garbled.circuit.outputs]
 
     def decode(self, garbled: ClassicGarbledCircuit, outputs: list[bytes]) -> list[int]:
         return [
-            _lsb(label) ^ bit
+            (label[0] & 1) ^ bit
             for label, bit in zip(outputs, garbled.output_decode_bits)
         ]

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-import struct
-
-from repro.crypto.prg import LABEL_BYTES, hash_label, xor_bytes
+from repro.crypto.prg import (
+    LABEL_BYTES,
+    byte_matrix,
+    byte_rows,
+    hash_label,
+    hash_rows,
+    xor_bytes,
+)
 from repro.gc.circuit import GateType
-from repro.gc.garble import GarbledCircuit, hash_label_rows
+from repro.gc.garble import GarbledBatch, GarbledCircuit
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - minimal images only
     _np = None
-
-
-def _lsb(label: bytes) -> int:
-    return label[0] & 1
 
 
 class Evaluator:
@@ -37,82 +38,72 @@ class Evaluator:
             tweak_g = 2 * index
             tweak_e = 2 * index + 1
             w_g = hash_label(a, tweak_g)
-            if _lsb(a):
+            if a[0] & 1:
                 w_g = xor_bytes(w_g, table.generator_half)
             w_e = hash_label(b, tweak_e)
-            if _lsb(b):
+            if b[0] & 1:
                 w_e = xor_bytes(w_e, xor_bytes(table.evaluator_half, a))
             labels[gate.out] = xor_bytes(w_g, w_e)
         return [labels[w] for w in circuit.outputs]
 
     def evaluate_batch(
         self,
-        garbled_batch: list[GarbledCircuit],
-        input_labels_batch: list[dict[int, bytes]],
+        garbled_batch: GarbledBatch,
+        input_labels: dict,
         vectorize: bool | None = None,
-    ) -> list[list[bytes]]:
-        """Evaluate many garbled instances of one circuit topology at once.
+    ):
+        """Evaluate every instance of a garbled batch at once.
 
-        The per-layer ReLU batch shares a single :class:`Circuit`, so the
-        gate walk happens once with every instance's active labels carried
-        as a (count, 16) byte matrix — free-XOR gates collapse to one
-        vectorized XOR and half-gate corrections to masked row XORs. Falls
-        back to per-instance :meth:`evaluate` when numpy is missing, the
-        resolved gate is python, or topologies differ; ``vectorize``
-        overrides the default gate (active backend == numpy) either way.
+        ``input_labels`` maps each input wire to the (count, 16) matrix of
+        its active labels; the result is the (count, n_out, 16) block of
+        output labels. The gate walk happens once with every instance's
+        active labels carried as a matrix — free-XOR gates collapse to one
+        vectorized XOR and half-gate corrections to column masks.
+        ``vectorize`` overrides the default gate (active backend ==
+        numpy); False evaluates instance by instance with :meth:`evaluate`.
         """
+        circuit = garbled_batch.circuit
         count = len(garbled_batch)
-        if count != len(input_labels_batch):
-            raise ValueError("one input-label map per garbled circuit required")
-        if count == 0:
-            return []
         if vectorize is None:
             from repro.backend import get_backend
 
             vectorize = get_backend().name == "numpy"
-        circuit = garbled_batch[0].circuit
-        if (
-            _np is None
-            or count == 1
-            or not vectorize
-            or any(g.circuit is not circuit for g in garbled_batch[1:])
-        ):
-            return [
-                self.evaluate(g, labels)
-                for g, labels in zip(garbled_batch, input_labels_batch)
+        if not vectorize:
+            rows = {wire: byte_rows(matrix) for wire, matrix in input_labels.items()}
+            outputs = [
+                label
+                for i, garbled in enumerate(garbled_batch)
+                for label in self.evaluate(
+                    garbled, {wire: labels[i] for wire, labels in rows.items()}
+                )
             ]
+            return byte_matrix(outputs).reshape(count, -1, LABEL_BYTES)
 
-        def stack(rows: list[bytes]):
-            return _np.frombuffer(b"".join(rows), dtype=_np.uint8).reshape(
-                count, LABEL_BYTES
-            )
-
-        labels: dict[int, "_np.ndarray"] = {
-            wire: stack([inst[wire] for inst in input_labels_batch])
-            for wire in input_labels_batch[0]
-        }
+        labels = dict(input_labels)
+        tables = garbled_batch.tables
+        slot = 0
         for index, gate in enumerate(circuit.gates):
             a = labels[gate.a]
             b = labels[gate.b]
             if gate.kind is GateType.XOR:
                 labels[gate.out] = a ^ b
                 continue
-            table_g = stack([g.tables[index].generator_half for g in garbled_batch])
-            table_e = stack([g.tables[index].evaluator_half for g in garbled_batch])
-            lsb_a = (a[:, :1] & 1).astype(bool)
-            lsb_b = (b[:, :1] & 1).astype(bool)
-            h_a = hash_label_rows(a, struct.pack("<Q", 2 * index))
-            h_b = hash_label_rows(b, struct.pack("<Q", 2 * index + 1))
-            w_g = _np.where(lsb_a, h_a ^ table_g, h_a)
-            w_e = _np.where(lsb_b, h_b ^ table_e ^ a, h_b)
+            # Point-and-permute bits as 0x00 / 0xFF column masks.
+            w_g = hash_rows(a, 2 * index) ^ (tables[:, slot, 0] & -(a[:, :1] & 1))
+            w_e = hash_rows(b, 2 * index + 1) ^ (
+                (tables[:, slot, 1] ^ a) & -(b[:, :1] & 1)
+            )
             labels[gate.out] = w_g ^ w_e
-        return [
-            [labels[w][i].tobytes() for w in circuit.outputs] for i in range(count)
-        ]
+            slot += 1
+        return _np.stack([labels[w] for w in circuit.outputs], axis=1)
 
-    def decode(self, garbled: GarbledCircuit, output_labels: list[bytes]) -> list[int]:
-        """Decode output labels to cleartext bits using the decode bits."""
+    def decode(self, garbled, output_labels):
+        """Decode output labels to cleartext bits using the decode bits:
+        a bit list for one :class:`GarbledCircuit` and its label list, a
+        (count, n_out) matrix for a :class:`GarbledBatch` and its block."""
+        if isinstance(garbled, GarbledBatch):
+            return (output_labels[:, :, 0] & 1) ^ garbled.decode_bits
         return [
-            _lsb(label) ^ bit
+            (label[0] & 1) ^ bit
             for label, bit in zip(output_labels, garbled.output_decode_bits)
         ]

@@ -5,15 +5,29 @@ ciphertexts (the generator and evaluator halves). Wire labels are 128 bits
 with the point-and-permute bit in the least significant position of the
 global offset ``delta``, the free-XOR invariant being
 ``label1 = label0 XOR delta`` on every wire.
+
+A ReLU layer garbles one circuit ``count`` times, and that batch is held
+column by column from the garbler's walk to the evaluator's:
+:class:`GarbledBatch` (all tables in one block), :class:`EncodingBatch`
+(one zero-label matrix per wire) and :class:`LabelBatch` (active labels).
+Row ``i`` of every column belongs to instance ``i``; indexing a batch
+builds that instance's :class:`GarbledCircuit` / :class:`InputEncoding` /
+label dict on demand, which is what the scalar reference walk and the
+tests read.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass, field
 
-from repro.crypto.prg import LABEL_BYTES, hash_label, xor_bytes
+from repro.crypto.prg import (
+    LABEL_BYTES,
+    byte_matrix,
+    byte_rows,
+    hash_label,
+    hash_rows,
+    xor_bytes,
+)
 from repro.crypto.rng import SecureRandom
 from repro.gc.circuit import Circuit, GateType
 
@@ -21,30 +35,6 @@ try:
     import numpy as _np
 except ImportError:  # pragma: no cover - minimal images only
     _np = None
-
-
-def _lsb(label: bytes) -> int:
-    return label[0] & 1
-
-
-def hash_label_rows(labels, tweak_bytes: bytes):
-    """H(label, tweak) for every row of a (count, 16) uint8 label matrix.
-
-    SHA-256 itself cannot be vectorized from Python, but hashing straight
-    out of the matrix rows avoids the per-gate dict walks and bytes
-    plumbing of the scalar path; everything around the hashes (label XOR,
-    point-and-permute masking) is done on whole matrices.
-    """
-    digest = hashlib.sha256
-    count = labels.shape[0]
-    flat = labels.tobytes()
-    joined = b"".join(
-        digest(flat[i * LABEL_BYTES : (i + 1) * LABEL_BYTES] + tweak_bytes).digest()[
-            :LABEL_BYTES
-        ]
-        for i in range(count)
-    )
-    return _np.frombuffer(joined, dtype=_np.uint8).reshape(count, LABEL_BYTES)
 
 
 @dataclass
@@ -95,6 +85,169 @@ class InputEncoding:
         return LABEL_BYTES * (2 * len(self.zero_labels) + 1)
 
 
+# -- columnar batches ------------------------------------------------------------
+
+
+class _Instances:
+    """Iteration over a batch's per-instance views (``batch[i]``)."""
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+@dataclass
+class GarbledBatch(_Instances):
+    """``count`` garbled instances of one circuit.
+
+    ``tables[i, k]`` holds instance ``i``'s (generator, evaluator) halves
+    of the circuit's ``k``-th AND gate; ``decode_bits`` is (count, 0) when
+    the decode bits are withheld from the evaluator.
+    """
+
+    circuit: Circuit
+    tables: "_np.ndarray"  # (count, n_and, 2, 16) uint8
+    decode_bits: "_np.ndarray"  # (count, n_out) uint8 of 0/1
+
+    def __len__(self) -> int:
+        return self.tables.shape[0]
+
+    def __getitem__(self, i: int) -> GarbledCircuit:
+        halves = byte_rows(self.tables[i])
+        tables = {
+            index: GarbledGate(halves[2 * k], halves[2 * k + 1])
+            for k, index in enumerate(self.circuit.and_indices)
+        }
+        return GarbledCircuit(self.circuit, tables, self.decode_bits[i].tolist())
+
+    @classmethod
+    def from_instances(cls, circuit: Circuit, instances: list[GarbledCircuit]):
+        indices = circuit.and_indices
+        halves = [
+            half
+            for garbled in instances
+            for index in indices
+            for half in (
+                garbled.tables[index].generator_half,
+                garbled.tables[index].evaluator_half,
+            )
+        ]
+        return cls(
+            circuit,
+            byte_matrix(halves).reshape(len(instances), len(indices), 2, LABEL_BYTES),
+            _np.array(
+                [garbled.output_decode_bits for garbled in instances], dtype=_np.uint8
+            ).reshape(len(instances), -1),
+        )
+
+    def without_decode_bits(self) -> "GarbledBatch":
+        """The same tables for an evaluator that must not read the outputs."""
+        return GarbledBatch(self.circuit, self.tables, self.decode_bits[:, :0])
+
+    @property
+    def size_bytes(self) -> int:
+        """Transmitted size: the sum of the instances' ``size_bytes``."""
+        count, n_and = self.tables.shape[:2]
+        return count * (2 * LABEL_BYTES * n_and + (self.decode_bits.shape[1] + 7) // 8)
+
+
+@dataclass
+class LabelBatch(_Instances):
+    """One active label per listed wire, for every instance of a batch."""
+
+    wires: list[int]
+    labels: "_np.ndarray"  # (count, len(wires), 16) uint8
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def __getitem__(self, i: int) -> dict[int, bytes]:
+        return dict(zip(self.wires, byte_rows(self.labels[i])))
+
+    def columns(self) -> dict:
+        """wire -> that wire's (count, 16) label matrix."""
+        return dict(zip(self.wires, _np.ascontiguousarray(self.labels.transpose(1, 0, 2))))
+
+
+@dataclass
+class EncodingBatch(_Instances):
+    """The garbler-private encodings of ``count`` instances.
+
+    ``zero_labels[k]`` is the (count, 16) zero-label matrix of the
+    ``k``-th wire of ``circuit.input_wires`` and ``output_zero_labels[k]``
+    that of the ``k``-th output wire; instance ``i``'s one-labels are its
+    zero-labels XOR ``deltas[i]``.
+    """
+
+    circuit: Circuit
+    deltas: "_np.ndarray"  # (count, 16) uint8
+    zero_labels: "_np.ndarray"  # (n_inputs, count, 16) uint8
+    output_zero_labels: "_np.ndarray"  # (n_outputs, count, 16) uint8
+
+    def __len__(self) -> int:
+        return self.deltas.shape[0]
+
+    def __getitem__(self, i: int) -> InputEncoding:
+        circuit = self.circuit
+        return InputEncoding(
+            zero_labels=dict(zip(circuit.input_wires, byte_rows(self.zero_labels[:, i]))),
+            delta=self.deltas[i].tobytes(),
+            output_zero_labels=dict(
+                zip(circuit.outputs, byte_rows(self.output_zero_labels[:, i]))
+            ),
+        )
+
+    @classmethod
+    def from_instances(cls, circuit: Circuit, instances: list[InputEncoding]):
+        def wire_major(maps: list[dict[int, bytes]], wires: list[int]):
+            return byte_matrix(
+                [labels[wire] for wire in wires for labels in maps]
+            ).reshape(len(wires), len(maps), LABEL_BYTES)
+
+        return cls(
+            circuit,
+            byte_matrix([encoding.delta for encoding in instances]),
+            wire_major([e.zero_labels for e in instances], circuit.input_wires),
+            wire_major([e.output_zero_labels for e in instances], circuit.outputs),
+        )
+
+    def _active(self, zero, bits):
+        """(count, len(zero), 16) active labels of wire-major ``zero``
+        matrices under a (count, len(zero)) bit matrix."""
+        select = (-_np.asarray(bits, dtype=_np.uint8))[:, :, None]  # 0x00 / 0xFF
+        return zero.transpose(1, 0, 2) ^ (self.deltas[:, None, :] & select)
+
+    def constant_labels(self):
+        """(count, 2, 16): the labels of constant-zero's 0 and constant-one's 1."""
+        return _np.stack([self.zero_labels[0], self.zero_labels[1] ^ self.deltas], axis=1)
+
+    def garbler_labels(self, bits):
+        """(count, n_garbler, 16) labels of the garbler's inputs under a
+        (count, n_garbler) bit matrix."""
+        n = len(self.circuit.garbler_inputs)
+        if _np.shape(bits) != (len(self), n):
+            raise ValueError("garbler input length mismatch")
+        return self._active(self.zero_labels[2 : 2 + n], bits)
+
+    def evaluator_pairs(self):
+        """Both (count * n_evaluator, 16) label matrices of every evaluator
+        input, instance by instance: what the label OT transfers."""
+        zero = self.zero_labels[2 + len(self.circuit.garbler_inputs) :].transpose(1, 0, 2)
+        one = zero ^ self.deltas[:, None, :]
+        return zero.reshape(-1, LABEL_BYTES), one.reshape(-1, LABEL_BYTES)
+
+    def decode_outputs(self, labels):
+        """(count, n_out) output bits of a (count, n_out, 16) label block;
+        ``ValueError`` when a label is neither of its wire's two."""
+        off = labels ^ self.output_zero_labels.transpose(1, 0, 2)
+        is_one = (off == self.deltas[:, None, :]).all(axis=2)
+        if not (is_one | ~off.any(axis=2)).all():
+            raise ValueError("an output label is not in the encoding")
+        return is_one.astype(_np.uint8)
+
+
+# -- label derivation and the two walks ---------------------------------------------
+
+
 def derive_instance_labels(
     rng: SecureRandom, circuit: Circuit
 ) -> tuple[bytes, dict[int, bytes]]:
@@ -106,51 +259,32 @@ def derive_instance_labels(
     """
     delta = bytearray(rng.bytes(LABEL_BYTES))
     delta[0] |= 1  # point-and-permute bit rides on the LSB
-    delta = bytes(delta)
-
-    zero_labels: dict[int, bytes] = {}
-
-    def fresh_label() -> bytes:
-        return rng.bytes(LABEL_BYTES)
-
     # Constant wires: the garbler knows their truth values, so it hands
     # the evaluator the label of the actual value; zero-label bookkeeping
     # stays uniform.
-    zero_labels[Circuit.CONST_ZERO] = fresh_label()
-    zero_labels[Circuit.CONST_ONE] = fresh_label()
-    for wire in circuit.garbler_inputs:
-        zero_labels[wire] = fresh_label()
-    for wire in circuit.evaluator_inputs:
-        zero_labels[wire] = fresh_label()
-    return delta, zero_labels
+    return bytes(delta), {wire: rng.bytes(LABEL_BYTES) for wire in circuit.input_wires}
 
 
 def derive_batch_labels(rng: SecureRandom, circuit: Circuit, count: int):
-    """Draw a batch's deltas and input zero-labels as (count, 16) matrices.
+    """Draw a batch's deltas (count, 16) and input zero-labels (n_inputs, count, 16).
 
-    The vectorized analogue of :func:`derive_instance_labels`, consuming
-    the RNG in exactly the order :meth:`Garbler.garble_batch` does: all
-    deltas first, then each input wire's labels for the whole batch. Row
-    ``i`` of every matrix belongs to instance ``i``.
+    The vectorized analogue of :func:`derive_instance_labels`: all deltas
+    first, then each input wire's labels for the whole batch (one draw —
+    the generator's output is a word stream, so it equals a draw per wire).
+    Row ``i`` of every matrix belongs to instance ``i``.
     """
 
-    def fresh_labels():
-        return _np.frombuffer(
-            rng.bytes(count * LABEL_BYTES), dtype=_np.uint8
-        ).reshape(count, LABEL_BYTES).copy()
+    def fresh_labels(*shape):
+        size = LABEL_BYTES * count
+        for n in shape:
+            size *= n
+        return _np.frombuffer(rng.bytes(size), dtype=_np.uint8).reshape(
+            *shape, count, LABEL_BYTES
+        )
 
-    deltas = fresh_labels()
+    deltas = fresh_labels().copy()
     deltas[:, 0] |= 1  # point-and-permute bit rides on the LSB
-
-    zero_labels: dict[int, "_np.ndarray"] = {
-        Circuit.CONST_ZERO: fresh_labels(),
-        Circuit.CONST_ONE: fresh_labels(),
-    }
-    for wire in circuit.garbler_inputs:
-        zero_labels[wire] = fresh_labels()
-    for wire in circuit.evaluator_inputs:
-        zero_labels[wire] = fresh_labels()
-    return deltas, zero_labels
+    return deltas, fresh_labels(len(circuit.input_wires))
 
 
 def garble_from_labels(
@@ -167,8 +301,8 @@ def garble_from_labels(
             continue
         a1 = xor_bytes(a0, delta)
         b1 = xor_bytes(b0, delta)
-        p_a = _lsb(a0)
-        p_b = _lsb(b0)
+        p_a = a0[0] & 1
+        p_b = b0[0] & 1
         tweak_g = 2 * index
         tweak_e = 2 * index + 1
         # Generator half-gate: computes a AND p_b (garbler knows p_b).
@@ -189,16 +323,9 @@ def garble_from_labels(
         zero_labels[gate.out] = out0
         tables[index] = GarbledGate(t_g, t_e)
 
-    decode_bits = [_lsb(zero_labels[w]) for w in circuit.outputs]
+    decode_bits = [zero_labels[w][0] & 1 for w in circuit.outputs]
     encoding = InputEncoding(
-        zero_labels={
-            w: zero_labels[w]
-            for w in (
-                [Circuit.CONST_ZERO, Circuit.CONST_ONE]
-                + circuit.garbler_inputs
-                + circuit.evaluator_inputs
-            )
-        },
+        zero_labels={w: zero_labels[w] for w in circuit.input_wires},
         delta=delta,
         output_zero_labels={w: zero_labels[w] for w in circuit.outputs},
     )
@@ -208,64 +335,50 @@ def garble_from_labels(
 
 def garble_batch_from_labels(
     circuit: Circuit, deltas, input_zero_labels
-) -> list[tuple[GarbledCircuit, InputEncoding]]:
-    """Deterministic vectorized walk over pre-drawn (count, 16) matrices.
+) -> tuple[GarbledBatch, EncodingBatch]:
+    """Deterministic vectorized walk over pre-drawn label matrices.
 
     Every operation is row-wise: row i of every result depends only on
     row i of the inputs, which is what makes the walk equal to ``count``
     scalar :func:`garble_from_labels` walks.
     """
     count = deltas.shape[0]
-    zero_labels: dict[int, "_np.ndarray"] = dict(input_zero_labels)
-    and_tables: list[tuple[int, "_np.ndarray", "_np.ndarray"]] = []
+    zero_labels = dict(zip(circuit.input_wires, input_zero_labels))
+    tables = _np.empty((count, circuit.and_count, 2, LABEL_BYTES), dtype=_np.uint8)
+    slot = 0
     for index, gate in enumerate(circuit.gates):
         a0 = zero_labels[gate.a]
         b0 = zero_labels[gate.b]
         if gate.kind is GateType.XOR:
             zero_labels[gate.out] = a0 ^ b0
             continue
-        a1 = a0 ^ deltas
-        b1 = b0 ^ deltas
-        p_a = (a0[:, :1] & 1).astype(bool)  # column vectors broadcast
-        p_b = (b0[:, :1] & 1).astype(bool)
-        tweak_g = struct.pack("<Q", 2 * index)
-        tweak_e = struct.pack("<Q", 2 * index + 1)
-        h_a0 = hash_label_rows(a0, tweak_g)
-        h_a1 = hash_label_rows(a1, tweak_g)
-        h_b0 = hash_label_rows(b0, tweak_e)
-        h_b1 = hash_label_rows(b1, tweak_e)
+        # Point-and-permute bits as 0x00 / 0xFF column masks.
+        p_a = -(a0[:, :1] & 1)
+        p_b = -(b0[:, :1] & 1)
+        h_a0 = hash_rows(a0, 2 * index)
+        h_a1 = hash_rows(a0 ^ deltas, 2 * index)
+        h_b0 = hash_rows(b0, 2 * index + 1)
+        h_b1 = hash_rows(b0 ^ deltas, 2 * index + 1)
         # Generator half-gate: computes a AND p_b (garbler knows p_b).
-        t_g = h_a0 ^ h_a1
-        t_g = _np.where(p_b, t_g ^ deltas, t_g)
-        w_g = _np.where(p_a, h_a0 ^ t_g, h_a0)
+        t_g = h_a0 ^ h_a1 ^ (deltas & p_b)
+        w_g = h_a0 ^ (t_g & p_a)
         # Evaluator half-gate: computes a AND (b XOR p_b).
         t_e = h_b0 ^ h_b1 ^ a0
-        w_e = _np.where(p_b, h_b0 ^ t_e ^ a0, h_b0)
+        w_e = h_b0 ^ ((t_e ^ a0) & p_b)
         zero_labels[gate.out] = w_g ^ w_e
-        and_tables.append((index, t_g, t_e))
+        tables[:, slot, 0] = t_g
+        tables[:, slot, 1] = t_e
+        slot += 1
 
-    encoding_wires = (
-        [Circuit.CONST_ZERO, Circuit.CONST_ONE]
-        + circuit.garbler_inputs
-        + circuit.evaluator_inputs
+    output_zero_labels = _np.empty(
+        (len(circuit.outputs), count, LABEL_BYTES), dtype=_np.uint8
     )
-    output_rows = {w: zero_labels[w] for w in circuit.outputs}
-    results = []
-    for i in range(count):
-        tables = {
-            index: GarbledGate(t_g[i].tobytes(), t_e[i].tobytes())
-            for index, t_g, t_e in and_tables
-        }
-        decode_bits = [int(output_rows[w][i, 0]) & 1 for w in circuit.outputs]
-        encoding = InputEncoding(
-            zero_labels={w: zero_labels[w][i].tobytes() for w in encoding_wires},
-            delta=deltas[i].tobytes(),
-            output_zero_labels={
-                w: output_rows[w][i].tobytes() for w in circuit.outputs
-            },
-        )
-        results.append((GarbledCircuit(circuit, tables, decode_bits), encoding))
-    return results
+    for k, wire in enumerate(circuit.outputs):
+        output_zero_labels[k] = zero_labels[wire]
+    return (
+        GarbledBatch(circuit, tables, output_zero_labels[:, :, 0].T & 1),
+        EncodingBatch(circuit, deltas, input_zero_labels, output_zero_labels),
+    )
 
 
 class Garbler:
@@ -280,42 +393,54 @@ class Garbler:
 
     def garble_batch(
         self, circuit: Circuit, count: int, vectorize: bool | None = None
-    ) -> list[tuple[GarbledCircuit, InputEncoding]]:
+    ) -> tuple[GarbledBatch, EncodingBatch]:
         """Garble ``count`` independent instances of the same circuit.
 
         A ReLU layer garbles one identical circuit per activation wire, so
         instead of walking the gate list once per instance we walk it once
         and carry every instance's labels as a (count, 16) byte matrix:
         free-XOR gates become single vectorized XORs across the whole
-        batch and half-gate masking becomes boolean row selection. Each
+        batch and half-gate masking becomes column masks. Each
         instance still draws its own delta and input labels, and the
         produced tables are exactly what per-instance :meth:`garble` would
         accept — only the RNG draw order differs.
 
         ``vectorize`` overrides the default gate (label matrices when the
-        active backend is numpy); pass False to force sequential garbling
-        (keeping `REPRO_BACKEND=python` runs pure) or True to vectorize
-        regardless of the global selection, e.g. from a per-protocol
-        backend preference.
+        active backend is numpy); pass False to garble instance by
+        instance with the scalar walk (keeping `REPRO_BACKEND=python` runs
+        pure) or True to vectorize regardless of the global selection,
+        e.g. from a per-protocol backend preference.
         """
-        if count <= 0:
-            return []
         if vectorize is None:
             from repro.backend import get_backend
 
             vectorize = get_backend().name == "numpy"
-        if _np is None or count == 1 or not vectorize:
-            return [self.garble(circuit) for _ in range(count)]
-        deltas, zero_labels = derive_batch_labels(self._rng, circuit, count)
-        return garble_batch_from_labels(circuit, deltas, zero_labels)
+        if vectorize:
+            deltas, zero_labels = derive_batch_labels(self._rng, circuit, count)
+            return garble_batch_from_labels(circuit, deltas, zero_labels)
+        instances = [self.garble(circuit) for _ in range(count)]
+        return (
+            GarbledBatch.from_instances(circuit, [g for g, _ in instances]),
+            EncodingBatch.from_instances(circuit, [e for _, e in instances]),
+        )
 
     @staticmethod
-    def encode_inputs(
-        encoding: InputEncoding,
-        circuit: Circuit,
-        garbler_bits: list[int],
-    ) -> dict[int, bytes]:
-        """Labels for the garbler's own inputs plus the constant wires."""
+    def encode_inputs(encoding, circuit: Circuit, garbler_bits):
+        """Labels for the garbler's own inputs plus the constant wires.
+
+        One instance (:class:`InputEncoding`, a bit list) gives a
+        ``{wire: label}`` dict; a batch (:class:`EncodingBatch`, a
+        (count, n_garbler) bit matrix) the same labels as one
+        :class:`LabelBatch`, wires in the dict's order.
+        """
+        if isinstance(encoding, EncodingBatch):
+            return LabelBatch(
+                circuit.input_wires[: 2 + len(circuit.garbler_inputs)],
+                _np.concatenate(
+                    [encoding.constant_labels(), encoding.garbler_labels(garbler_bits)],
+                    axis=1,
+                ),
+            )
         labels = {
             Circuit.CONST_ZERO: encoding.label_for(Circuit.CONST_ZERO, 0),
             Circuit.CONST_ONE: encoding.label_for(Circuit.CONST_ONE, 1),
@@ -327,10 +452,11 @@ class Garbler:
         return labels
 
     @staticmethod
-    def decode_output_labels(
-        encoding: InputEncoding, circuit: Circuit, labels: list[bytes]
-    ) -> list[int]:
-        """Garbler-side decoding of output labels returned by the evaluator."""
+    def decode_output_labels(encoding, circuit: Circuit, labels):
+        """Garbler-side decoding of output labels returned by the evaluator:
+        a bit list for one instance, a (count, n_out) matrix for a batch."""
+        if isinstance(encoding, EncodingBatch):
+            return encoding.decode_outputs(labels)
         bits = []
         for wire, label in zip(circuit.outputs, labels):
             zero = encoding.output_zero_labels[wire]

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from repro.crypto.prg import LABEL_BYTES
 from repro.gc.circuit import Circuit
-from repro.gc.garble import GarbledCircuit, GarbledGate, InputEncoding
+from repro.gc.garble import EncodingBatch, GarbledBatch, GarbledCircuit, LabelBatch
 from repro.he.bfv import (
     Ciphertext,
     GaloisKeys,
@@ -287,185 +289,220 @@ def deserialize_bit_vector(data: bytes) -> list[int]:
     return [(packed >> i) & 1 for i in range(count)]
 
 
+# -- columnar records ------------------------------------------------------------
+#
+# Every instance of a ReLU layer's batch has the same length, so each
+# batched format is a packed numpy record dtype: the per-instance bytes of
+# the format, field by field, with the label columns written and read as
+# whole blocks. A layout pairs the dtype with its *constants* — the fields
+# whose value the public circuit fixes (format headers, counts, length
+# words, gate and wire indices). The encoder stamps them; the decoder
+# compares them, which is all the validation a fixed-length record needs.
+
+_U32 = "<u4"
+_LABEL = ("u1", (LABEL_BYTES,))
+_LABEL_MAP_ENTRY = np.dtype([("wire", _U32), ("label", *_LABEL)])
+
+
+def _head(fmt: int) -> int:
+    return int.from_bytes(wire_header(fmt), "little")
+
+
+def _at(records, path: tuple):
+    for name in path:
+        records = records[name]
+    return records
+
+
+def _stamp(records, constants) -> None:
+    for path, value in constants:
+        _at(records, path)[...] = value
+
+
+def _records(data: bytes, offset: int, count: int, layout, what: str):
+    """``count`` records of ``layout`` at ``offset``, constants verified."""
+    dtype, constants = layout
+    _need(data, offset, count * dtype.itemsize, what)
+    records = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+    for path, value in constants:
+        if (_at(records, path) != value).any():
+            raise ValueError(f"malformed {what}: unexpected {'.'.join(path)}")
+    return records
+
+
+def _length_prefixed(parts):
+    """Layout of ``name_len`` word + blob for each (name, layout) part."""
+    fields, constants = [], []
+    for name, (dtype, part_constants) in parts:
+        fields += [(f"{name}_len", _U32), (name, dtype)]
+        constants.append(((f"{name}_len",), dtype.itemsize))
+        constants += [((name,) + path, value) for path, value in part_constants]
+    return np.dtype(fields), constants
+
+
+def _peek_u32(data: bytes, offset: int, what: str) -> int:
+    _need(data, offset, 4, what)
+    return struct.unpack_from("<I", data, offset)[0]
+
+
 # -- label batches -------------------------------------------------------------
 
-def serialize_labels(labels: list[bytes]) -> bytes:
-    for label in labels:
-        if len(label) != LABEL_BYTES:
-            raise ValueError("labels must be 16 bytes")
+def serialize_labels(labels) -> bytes:
+    """A flat (count, 16) label matrix."""
+    if labels.ndim != 2 or labels.shape[1] != LABEL_BYTES:
+        raise ValueError("labels must be 16 bytes")
     return (
-        wire_header(FMT_LABELS)
-        + struct.pack("<I", len(labels))
-        + b"".join(labels)
+        wire_header(FMT_LABELS) + struct.pack("<I", len(labels)) + labels.tobytes()
     )
 
 
-def deserialize_labels(data: bytes) -> list[bytes]:
+def deserialize_labels(data: bytes, count: int):
+    """The (count, 16) label matrix of a frame that must carry ``count``."""
     read_wire_header(data, FMT_LABELS)
-    _need(data, WIRE_HEADER_BYTES, 4, "label batch header")
-    (count,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
     base = WIRE_HEADER_BYTES + 4
-    expected = base + count * LABEL_BYTES
-    if len(data) != expected:
-        raise ValueError("label batch length mismatch")
-    return [
-        data[base + i * LABEL_BYTES : base + (i + 1) * LABEL_BYTES]
-        for i in range(count)
+    if _peek_u32(data, WIRE_HEADER_BYTES, "label batch header") != count or (
+        len(data) != base + count * LABEL_BYTES
+    ):
+        raise ValueError("label frame does not match the layer")
+    return np.frombuffer(data, dtype=np.uint8, offset=base).reshape(count, LABEL_BYTES)
+
+
+def _label_list_layout(width: int):
+    return np.dtype([("n", _U32), ("labels", "u1", (width, LABEL_BYTES))]), [
+        (("n",), width)
     ]
 
 
-def serialize_label_lists(lists: list[list[bytes]]) -> bytes:
-    """A batch of label lists (one per circuit instance), order-preserving."""
-    out = [wire_header(FMT_LABEL_LISTS), struct.pack("<I", len(lists))]
-    for labels in lists:
-        out.append(struct.pack("<I", len(labels)))
-        for label in labels:
-            if len(label) != LABEL_BYTES:
-                raise ValueError("labels must be 16 bytes")
-            out.append(label)
-    return b"".join(out)
-
-
-def deserialize_label_lists(data: bytes) -> list[list[bytes]]:
-    read_wire_header(data, FMT_LABEL_LISTS)
-    _need(data, WIRE_HEADER_BYTES, 4, "label lists header")
-    (count,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
-    offset = WIRE_HEADER_BYTES + 4
-    _need(data, offset, 4 * count, "label lists")  # a length word per list
-    lists: list[list[bytes]] = []
-    for _ in range(count):
-        _need(data, offset, 4, "label list header")
-        (n,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        _need(data, offset, n * LABEL_BYTES, "label list")
-        labels = [
-            data[offset + i * LABEL_BYTES : offset + (i + 1) * LABEL_BYTES]
-            for i in range(n)
-        ]
-        offset += n * LABEL_BYTES
-        lists.append(labels)
-    if offset != len(data):
-        raise ValueError("trailing bytes in label lists")
-    return lists
-
-
-# -- label maps and input encodings --------------------------------------------
-
-def serialize_label_map(labels: dict[int, bytes]) -> bytes:
-    """Ordered (wire id, label) pairs.
-
-    Iteration order is preserved on the wire and restored on
-    deserialization — the protocol's online phase relies on garbler label
-    dicts keeping their insertion order ([consts, garbler inputs]).
-    """
-    out = [wire_header(FMT_LABEL_MAP), struct.pack("<I", len(labels))]
-    for wire, label in labels.items():
-        if len(label) != LABEL_BYTES:
-            raise ValueError("labels must be 16 bytes")
-        out.append(struct.pack("<I", wire))
-        out.append(label)
-    return b"".join(out)
-
-
-def deserialize_label_map(data: bytes) -> dict[int, bytes]:
-    read_wire_header(data, FMT_LABEL_MAP)
-    _need(data, WIRE_HEADER_BYTES, 4, "label map header")
-    (count,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
-    offset = WIRE_HEADER_BYTES + 4
-    _need(data, offset, count * (4 + LABEL_BYTES), "label map")
-    labels: dict[int, bytes] = {}
-    for _ in range(count):
-        (wire,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        labels[wire] = data[offset : offset + LABEL_BYTES]
-        offset += LABEL_BYTES
-    if offset != len(data):
-        raise ValueError("trailing bytes in label map")
-    return labels
-
-
-def serialize_input_encoding(encoding: InputEncoding) -> bytes:
-    """Delta plus the (ordered) zero-label and output-zero-label maps."""
-    zero = serialize_label_map(encoding.zero_labels)
-    outputs = serialize_label_map(encoding.output_zero_labels)
+def serialize_label_lists(labels) -> bytes:
+    """A (count, width, 16) label block: one ``width``-label list per
+    circuit instance, order-preserving."""
+    count, width, label_bytes = labels.shape
+    if label_bytes != LABEL_BYTES:
+        raise ValueError("labels must be 16 bytes")
+    dtype, constants = _label_list_layout(width)
+    records = np.zeros(count, dtype=dtype)
+    _stamp(records, constants)
+    records["labels"] = labels
     return (
-        wire_header(FMT_INPUT_ENCODING)
-        + struct.pack("<II", len(zero), len(outputs))
-        + encoding.delta
-        + zero
-        + outputs
+        wire_header(FMT_LABEL_LISTS) + struct.pack("<I", count) + records.tobytes()
     )
 
 
-def deserialize_input_encoding(data: bytes) -> InputEncoding:
-    read_wire_header(data, FMT_INPUT_ENCODING)
-    _need(data, WIRE_HEADER_BYTES, 8, "input encoding header")
-    n_zero, n_out = struct.unpack_from("<II", data, WIRE_HEADER_BYTES)
-    offset = WIRE_HEADER_BYTES + 8
-    _need(data, offset, LABEL_BYTES + n_zero + n_out, "input encoding")
-    delta = data[offset : offset + LABEL_BYTES]
-    offset += LABEL_BYTES
-    zero = deserialize_label_map(data[offset : offset + n_zero])
-    offset += n_zero
-    outputs = deserialize_label_map(data[offset : offset + n_out])
-    offset += n_out
-    if offset != len(data):
-        raise ValueError("trailing bytes in input encoding")
-    return InputEncoding(
-        zero_labels=zero, delta=delta, output_zero_labels=outputs
-    )
+def deserialize_label_lists(data: bytes, count: int, width: int):
+    """The (count, width, 16) label block of a frame that must carry
+    ``count`` lists of ``width`` labels — the receiving layer's shape, so a
+    short list is an error here and not a missing wire a phase later."""
+    read_wire_header(data, FMT_LABEL_LISTS)
+    base = WIRE_HEADER_BYTES + 4
+    layout = _label_list_layout(width)
+    if _peek_u32(data, WIRE_HEADER_BYTES, "label lists header") != count or (
+        len(data) != base + count * layout[0].itemsize
+    ):
+        raise ValueError("label frame does not match the layer")
+    return _records(data, base, count, layout, "label lists")["labels"]
+
+
+# -- label maps and input encodings (store entries) -----------------------------
+
+def _label_map_layout(wires: list[int]):
+    """Ordered (wire id, label) pairs, the order being the circuit's."""
+    return np.dtype(
+        [("head", _U32), ("count", _U32), ("entries", _LABEL_MAP_ENTRY, (len(wires),))]
+    ), [
+        (("head",), _head(FMT_LABEL_MAP)),
+        (("count",), len(wires)),
+        (("entries", "wire"), np.array(wires, dtype=np.uint32)),
+    ]
+
+
+def _input_encoding_layout(circuit: Circuit):
+    """Delta plus the (ordered) zero-label and output-zero-label maps."""
+    zero, zero_constants = _label_map_layout(circuit.input_wires)
+    outputs, output_constants = _label_map_layout(circuit.outputs)
+    return np.dtype(
+        [
+            ("head", _U32),
+            ("zero_len", _U32),
+            ("outputs_len", _U32),
+            ("delta", *_LABEL),
+            ("zero", zero),
+            ("outputs", outputs),
+        ]
+    ), [
+        (("head",), _head(FMT_INPUT_ENCODING)),
+        (("zero_len",), zero.itemsize),
+        (("outputs_len",), outputs.itemsize),
+        *((("zero",) + path, value) for path, value in zero_constants),
+        *((("outputs",) + path, value) for path, value in output_constants),
+    ]
 
 
 # -- garbled circuits ----------------------------------------------------------
 
-def serialize_garbled_circuit(garbled: GarbledCircuit) -> bytes:
+def _circuit_layout(circuit: Circuit, n_decode: int):
     """Tables and decode bits only — the circuit topology is public and
     shared out of band (both parties derive it from the network shape)."""
-    indices = sorted(garbled.tables)
-    out = [
-        wire_header(FMT_GARBLED_CIRCUIT),
-        struct.pack("<II", len(indices), len(garbled.output_decode_bits)),
+    indices = np.array(circuit.and_indices, dtype=np.uint32)
+    gate = np.dtype([("index", _U32), ("halves", "u1", (2, LABEL_BYTES))])
+    return np.dtype(
+        [
+            ("head", _U32),
+            ("n_tables", _U32),
+            ("n_decode", _U32),
+            ("gates", gate, (len(indices),)),
+            ("decode", "u1", ((n_decode + 7) // 8,)),
+        ]
+    ), [
+        (("head",), _head(FMT_GARBLED_CIRCUIT)),
+        (("n_tables",), len(indices)),
+        (("n_decode",), n_decode),
+        (("gates", "index"), indices),
     ]
-    for index in indices:
-        gate = garbled.tables[index]
-        out.append(struct.pack("<I", index))
-        out.append(gate.generator_half)
-        out.append(gate.evaluator_half)
-    bits = 0
-    for i, bit in enumerate(garbled.output_decode_bits):
-        bits |= (bit & 1) << i
-    n_decode_bytes = (len(garbled.output_decode_bits) + 7) // 8
-    out.append(bits.to_bytes(n_decode_bytes, "little"))
-    return b"".join(out)
+
+
+def _peek_circuit_layout(data: bytes, offset: int, circuit: Circuit):
+    """The layout the circuit record at ``offset`` claims: its decode-bit
+    count is the one field the circuit leaves open (all or none)."""
+    n_decode = _peek_u32(data, offset + 8, "garbled circuit header")
+    if n_decode not in (0, len(circuit.outputs)):
+        raise ValueError(
+            f"garbled circuit carries {n_decode} decode bits, "
+            f"the circuit has {len(circuit.outputs)} outputs"
+        )
+    return _circuit_layout(circuit, n_decode)
+
+
+def _fill_circuits(records, batch: GarbledBatch) -> None:
+    records["gates"]["halves"] = batch.tables
+    records["decode"] = np.packbits(batch.decode_bits, axis=1, bitorder="little")
+
+
+def _read_circuits(records, circuit: Circuit) -> GarbledBatch:
+    n_decode = 0 if not len(records) else int(records["n_decode"][0])
+    return GarbledBatch(
+        circuit,
+        records["gates"]["halves"],
+        np.unpackbits(records["decode"], axis=1, count=n_decode, bitorder="little"),
+    )
+
+
+def serialize_garbled_circuit(garbled: GarbledCircuit) -> bytes:
+    """One instance: a one-record batch without the batch framing."""
+    batch = GarbledBatch.from_instances(garbled.circuit, [garbled])
+    dtype, constants = _circuit_layout(batch.circuit, batch.decode_bits.shape[1])
+    records = np.zeros(1, dtype=dtype)
+    _stamp(records, constants)
+    _fill_circuits(records, batch)
+    return records.tobytes()
 
 
 def deserialize_garbled_circuit(data: bytes, circuit: Circuit) -> GarbledCircuit:
     read_wire_header(data, FMT_GARBLED_CIRCUIT)
-    _need(data, WIRE_HEADER_BYTES, 8, "garbled circuit header")
-    n_tables, n_decode = struct.unpack_from("<II", data, WIRE_HEADER_BYTES)
-    offset = WIRE_HEADER_BYTES + 8
-    _need(
-        data,
-        offset,
-        n_tables * (4 + 2 * LABEL_BYTES) + (n_decode + 7) // 8,
-        "garbled circuit",
-    )
-    tables = {}
-    for _ in range(n_tables):
-        (index,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        generator = data[offset : offset + LABEL_BYTES]
-        offset += LABEL_BYTES
-        evaluator = data[offset : offset + LABEL_BYTES]
-        offset += LABEL_BYTES
-        tables[index] = GarbledGate(generator, evaluator)
-    n_decode_bytes = (n_decode + 7) // 8
-    packed = int.from_bytes(data[offset : offset + n_decode_bytes], "little")
-    offset += n_decode_bytes
-    if offset != len(data):
+    layout = _peek_circuit_layout(data, 0, circuit)
+    records = _records(data, 0, 1, layout, "garbled circuit")
+    if len(data) != layout[0].itemsize:
         raise ValueError("trailing bytes in garbled circuit")
-    decode_bits = [(packed >> i) & 1 for i in range(n_decode)]
-    return GarbledCircuit(circuit, tables, decode_bits)
+    return _read_circuits(records, circuit)[0]
 
 
 def garbled_circuit_wire_bytes(and_gates: int, outputs: int) -> int:
@@ -478,31 +515,106 @@ def garbled_circuit_wire_bytes(and_gates: int, outputs: int) -> int:
     )
 
 
-def serialize_circuit_batch(circuits: list[GarbledCircuit]) -> bytes:
+def serialize_circuit_batch(batch: GarbledBatch) -> bytes:
     """One ReLU layer's garbled circuits as a single wire message."""
-    out = [wire_header(FMT_CIRCUIT_BATCH), struct.pack("<I", len(circuits))]
-    for garbled in circuits:
-        blob = serialize_garbled_circuit(garbled)
-        out.append(struct.pack("<I", len(blob)))
-        out.append(blob)
-    return b"".join(out)
+    dtype, constants = _length_prefixed(
+        [("circuit", _circuit_layout(batch.circuit, batch.decode_bits.shape[1]))]
+    )
+    records = np.zeros(len(batch), dtype=dtype)
+    _stamp(records, constants)
+    _fill_circuits(records["circuit"], batch)
+    return (
+        wire_header(FMT_CIRCUIT_BATCH)
+        + struct.pack("<I", len(batch))
+        + records.tobytes()
+    )
 
 
-def deserialize_circuit_batch(data: bytes, circuit: Circuit) -> list[GarbledCircuit]:
-    """Rebind every instance in a batch to the shared public topology."""
+def deserialize_circuit_batch(data: bytes, circuit: Circuit) -> GarbledBatch:
+    """Rebind every instance in a batch to the shared public topology.
+
+    A frame whose gate indices are not the circuit's AND gates in order,
+    whose instances are not all the one legal length, or whose decode-bit
+    count is neither none nor all is a ``ValueError`` here, where it is
+    received — not a ``KeyError`` inside ``evaluate_batch`` a phase later.
+    """
     read_wire_header(data, FMT_CIRCUIT_BATCH)
-    _need(data, WIRE_HEADER_BYTES, 4, "circuit batch header")
-    (count,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
-    offset = WIRE_HEADER_BYTES + 4
-    _need(data, offset, 4 * count, "circuit batch")  # a length word per circuit
-    circuits = []
-    for _ in range(count):
-        _need(data, offset, 4, "circuit length")
-        (n,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        _need(data, offset, n, "garbled circuit")
-        circuits.append(deserialize_garbled_circuit(data[offset : offset + n], circuit))
-        offset += n
-    if offset != len(data):
+    count = _peek_u32(data, WIRE_HEADER_BYTES, "circuit batch header")
+    base = WIRE_HEADER_BYTES + 4
+    if not count:
+        layout = _circuit_layout(circuit, 0)
+    else:
+        layout = _peek_circuit_layout(data, base + 4, circuit)
+    layout = _length_prefixed([("circuit", layout)])
+    records = _records(data, base, count, layout, "circuit batch")
+    if len(data) != base + count * layout[0].itemsize:
         raise ValueError("trailing bytes in circuit batch")
-    return circuits
+    return _read_circuits(records["circuit"], circuit)
+
+
+# -- one ReLU layer of a store entry ------------------------------------------------
+
+def _bundle_layout(circuit: Circuit, circuit_layout, label_wires: list[int]):
+    return _length_prefixed(
+        [
+            ("circuit", circuit_layout),
+            ("encoding", _input_encoding_layout(circuit)),
+            ("labels", _label_map_layout(label_wires)),
+        ]
+    )
+
+
+def serialize_relu_bundle(
+    circuits: GarbledBatch, encodings: EncodingBatch, labels: LabelBatch
+) -> bytes:
+    """One layer of a store entry: per instance its garbled circuit, input
+    encoding and evaluator label map, each length-prefixed."""
+    circuit = circuits.circuit
+    dtype, constants = _bundle_layout(
+        circuit, _circuit_layout(circuit, circuits.decode_bits.shape[1]), labels.wires
+    )
+    records = np.zeros(len(circuits), dtype=dtype)
+    _stamp(records, constants)
+    _fill_circuits(records["circuit"], circuits)
+    encoding = records["encoding"]
+    encoding["delta"] = encodings.deltas
+    encoding["zero"]["entries"]["label"] = encodings.zero_labels.transpose(1, 0, 2)
+    encoding["outputs"]["entries"]["label"] = encodings.output_zero_labels.transpose(
+        1, 0, 2
+    )
+    records["labels"]["entries"]["label"] = labels.labels
+    return records.tobytes()
+
+
+def deserialize_relu_bundle(data: bytes, offset: int, count: int, circuit: Circuit):
+    """``count`` instances of one stored layer starting at ``offset``.
+
+    Returns ``(circuits, encodings, labels, end offset)``. The label map
+    is self-describing (it lists its wires); what is required of it is
+    that every instance lists the same wires in the same order.
+    """
+    if not count:
+        circuit_layout, label_wires = _circuit_layout(circuit, 0), []
+    else:
+        circuit_layout = _peek_circuit_layout(data, offset + 4, circuit)
+        fixed = _bundle_layout(circuit, circuit_layout, [])[0]
+        n_labels = _peek_u32(data, offset + fixed.itemsize - 4, "label map header")
+        entries = offset + fixed.itemsize
+        _need(data, entries, n_labels * _LABEL_MAP_ENTRY.itemsize, "label map")
+        label_wires = np.frombuffer(
+            data, dtype=_LABEL_MAP_ENTRY, count=n_labels, offset=entries
+        )["wire"].tolist()
+    layout = _bundle_layout(circuit, circuit_layout, label_wires)
+    records = _records(data, offset, count, layout, "stored ReLU layer")
+    encoding = records["encoding"]
+    return (
+        _read_circuits(records["circuit"], circuit),
+        EncodingBatch(
+            circuit,
+            encoding["delta"],
+            encoding["zero"]["entries"]["label"].transpose(1, 0, 2),
+            encoding["outputs"]["entries"]["label"].transpose(1, 0, 2),
+        ),
+        LabelBatch(label_wires, records["labels"]["entries"]["label"]),
+        offset + count * layout[0].itemsize,
+    )

@@ -30,7 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.backend import get_backend
-from repro.crypto.prg import LABEL_BYTES, Prg, hash_label, xor_bytes
+from repro.crypto.prg import (
+    LABEL_BYTES,
+    Prg,
+    byte_matrix,
+    byte_rows,
+    hash_label,
+    hash_rows,
+    xor_bytes,
+)
 from repro.crypto.rng import SecureRandom
 from repro.ot.base import ELEMENT_BYTES, BaseOtReceiver, BaseOtSender
 
@@ -124,56 +132,91 @@ def _transpose(columns: list[int], m: int) -> bytes:
     return _transpose_python(columns, m)
 
 
-def mask_row_block(
-    pairs: list[tuple[bytes, bytes]], q_rows: bytes, s_row: bytes, msg_len: int
-) -> list[tuple[bytes, bytes]]:
-    """Holder side: mask every message pair with the row hashes of Q."""
+def _pad(row: bytes, j: int, msg_len: int) -> bytes:
+    """The ``msg_len``-byte pad that row ``j`` masks a message with."""
+    return Prg(hash_label(row, j)).read(msg_len)
+
+
+def _pads(rows, msg_len: int):
+    """:func:`_pad` of every row of an (m, 16) matrix, as (m, msg_len)."""
+    hashed = byte_rows(hash_rows(rows, range(len(rows))))
+    return byte_matrix([Prg(seed).read(msg_len) for seed in hashed], msg_len)
+
+
+def mask_row_block(pairs, q_rows: bytes, s_row: bytes, msg_len: int):
+    """Holder side: mask every message pair with the row hashes of Q.
+
+    ``pairs`` is a pair of (m, msg_len) matrices — every zero message,
+    every one message — masked in one pass per side, or (the scalar
+    reference) a list of (m0, m1) byte pairs masked row by row; the
+    masked pairs come back in the same form.
+    """
+    if isinstance(pairs, tuple):
+        q = byte_matrix([q_rows], _ROW_BYTES)
+        return (
+            pairs[0] ^ _pads(q, msg_len),
+            pairs[1] ^ _pads(q ^ byte_matrix([s_row], _ROW_BYTES), msg_len),
+        )
     masked = []
     for j, (m0, m1) in enumerate(pairs):
         q_j = q_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES]
-        pad0 = hash_label(q_j, j)
-        pad1 = hash_label(xor_bytes(q_j, s_row), j)
         masked.append(
             (
-                xor_bytes(m0, Prg(pad0).read(msg_len)),
-                xor_bytes(m1, Prg(pad1).read(msg_len)),
+                xor_bytes(m0, _pad(q_j, j, msg_len)),
+                xor_bytes(m1, _pad(xor_bytes(q_j, s_row), j, msg_len)),
             )
         )
     return masked
 
 
-def unmask_row_block(
-    masked: list[tuple[bytes, bytes]], choices: list[int], t_rows: bytes,
-    msg_len: int,
-) -> list[bytes]:
-    """Chooser side: unmask the chosen message of every row."""
-    chosen = []
-    for j, (pair, c) in enumerate(zip(masked, choices)):
-        t_j = t_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES]
-        pad = hash_label(t_j, j)
-        chosen.append(xor_bytes(pair[c & 1], Prg(pad).read(msg_len)))
-    return chosen
+def unmask_row_block(masked, choices: list[int], t_rows: bytes, msg_len: int):
+    """Chooser side: unmask the chosen message of every row — an
+    (m, msg_len) matrix for a pair of matrices, a list for a list."""
+    if isinstance(masked, tuple):
+        chose_one = _np.array(choices, dtype=bool)[:, None]
+        pads = _pads(byte_matrix([t_rows], _ROW_BYTES), msg_len)
+        return _np.where(chose_one, masked[1], masked[0]) ^ pads
+    return [
+        xor_bytes(
+            pair[c & 1],
+            _pad(t_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES], j, msg_len),
+        )
+        for j, (pair, c) in enumerate(zip(masked, choices))
+    ]
 
 
-def extend(
-    seeds: BaseSeeds,
-    message_pairs: list[tuple[bytes, bytes]],
-    choices: list[int],
-) -> tuple[list[bytes], list[tuple[bytes, bytes]]]:
-    """Extend the base seeds to ``len(message_pairs)`` OTs.
+def _to_matrices(pairs: list[tuple[bytes, bytes]], msg_len: int):
+    both = byte_matrix([half for pair in pairs for half in pair], msg_len)
+    return both[0::2], both[1::2]
 
-    Returns the chooser's messages and the masked pairs the holder sent.
-    Deterministic in its inputs.
+
+def _to_pairs(matrices) -> list[tuple[bytes, bytes]]:
+    return list(zip(byte_rows(matrices[0]), byte_rows(matrices[1])))
+
+
+def extend(seeds: BaseSeeds, message_pairs, choices: list[int]):
+    """Extend the base seeds to one OT per message pair.
+
+    ``message_pairs`` is a list of (m0, m1) byte pairs or a pair of
+    (m, msg_len) uint8 matrices (what the sessions hold). Returns the
+    chooser's messages and the masked pairs the holder sent, both in the
+    form the pairs came in. The numpy backend masks matrices and the
+    python backend walks rows, whichever form came in. Deterministic in
+    its inputs.
     """
-    m = len(message_pairs)
+    as_matrices = isinstance(message_pairs, tuple)
+    m = len(message_pairs[0]) if as_matrices else len(message_pairs)
     if len(choices) != m:
         raise ValueError("one choice bit per message pair required")
     if m == 0:
         return [], []
-    msg_len = len(message_pairs[0][0])
-    for m0, m1 in message_pairs:
-        if len(m0) != msg_len or len(m1) != msg_len:
-            raise ValueError("all messages must share one length")
+    if as_matrices:
+        msg_len = message_pairs[0].shape[1]
+    else:
+        msg_len = len(message_pairs[0][0])
+        for m0, m1 in message_pairs:
+            if len(m0) != msg_len or len(m1) != msg_len:
+                raise ValueError("all messages must share one length")
 
     # Chooser: t columns from the k0 seeds, u columns to the holder.
     r_packed = _pack_bits(choices)
@@ -189,23 +232,29 @@ def extend(
         for seed, s_i, u_i in zip(seeds.holder_seeds, seeds.holder_bits, u_columns)
     ]
     s_row = _pack_bits(seeds.holder_bits).to_bytes(_ROW_BYTES, "little")
+    vectorize = _np is not None and get_backend().name == "numpy"
+    if vectorize and not as_matrices:
+        message_pairs = _to_matrices(message_pairs, msg_len)
+    elif as_matrices and not vectorize:
+        message_pairs = _to_pairs(message_pairs)
     masked = mask_row_block(message_pairs, _transpose(q_columns, m), s_row, msg_len)
 
     # Chooser: unmask its choice of each pair with row hashes of T.
     chosen = unmask_row_block(masked, choices, _transpose(t_columns, m), msg_len)
+    if vectorize and not as_matrices:
+        return byte_rows(chosen), _to_pairs(masked)
+    if as_matrices and not vectorize:
+        return byte_matrix(chosen, msg_len), _to_matrices(masked, msg_len)
     return chosen, masked
 
 
-def iknp_transfer(
-    message_pairs: list[tuple[bytes, bytes]],
-    choices: list[int],
-    rng: SecureRandom | None = None,
-) -> tuple[list[bytes], ExtensionTranscript]:
-    """Run IKNP extension end to end for ``len(message_pairs)`` OTs.
+def iknp_transfer(message_pairs, choices: list[int], rng: SecureRandom | None = None):
+    """Run IKNP extension end to end, one OT per message pair.
 
-    Returns the chooser's messages and a transcript of byte volumes (base
-    OT points + the kappa x m column matrix + the masked message pairs).
-    The base OTs run once per call, in the phase the call is made in.
+    Returns the chooser's messages — in the form :func:`extend` took the
+    pairs in — and a transcript of byte volumes (base OT points + the
+    kappa x m column matrix + the masked message pairs). The base OTs run
+    once per call, in the phase the call is made in.
     """
     if not message_pairs and not choices:
         return [], ExtensionTranscript(0, 0, 0)

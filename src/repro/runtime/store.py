@@ -31,13 +31,9 @@ from pathlib import Path
 
 from repro.network.serialize import (
     deserialize_field_vector,
-    deserialize_garbled_circuit,
-    deserialize_input_encoding,
-    deserialize_label_map,
+    deserialize_relu_bundle,
     serialize_field_vector,
-    serialize_garbled_circuit,
-    serialize_input_encoding,
-    serialize_label_map,
+    serialize_relu_bundle,
 )
 from repro.telemetry import METRICS, TRACER, section
 
@@ -387,14 +383,14 @@ def serialize_offline_transcript(
     client_r: list[list[int]],
     server_s: list[list[int]],
     client_shares: list[list[int]],
-    bundles: dict[int, tuple[int, list, list, list]],
+    bundles: dict[int, tuple],
     garbler_role: str = "server",
     truncate_bits: int = 0,
 ) -> bytes:
     """Pack one offline phase's outputs into a store entry.
 
-    ``bundles`` maps ReLU step position to (mask_index, garbled circuits,
-    input encodings, evaluator/garbler label maps). The garbler role and
+    ``bundles`` maps ReLU step position to (mask_index, garbled batch,
+    encoding batch, evaluator label batch). The garbler role and
     truncation are recorded so an importer with a different circuit shape
     (the mask owner flips between roles) is rejected instead of
     mis-binding stored labels to the wrong wires.
@@ -418,10 +414,7 @@ def serialize_offline_transcript(
     for pos in sorted(bundles):
         mask_index, circuits, encodings, labels = bundles[pos]
         out.append(struct.pack("<III", pos, mask_index, len(circuits)))
-        for i, garbled in enumerate(circuits):
-            out.append(_lp(serialize_garbled_circuit(garbled)))
-            out.append(_lp(serialize_input_encoding(encodings[i])))
-            out.append(_lp(serialize_label_map(labels[i])))
+        out.append(serialize_relu_bundle(circuits, encodings, labels))
     return b"".join(out)
 
 
@@ -468,18 +461,15 @@ def deserialize_offline_transcript(
         client_r.append(deserialize_field_vector(reader.blob()))
         server_s.append(deserialize_field_vector(reader.blob()))
         client_shares.append(deserialize_field_vector(reader.blob()))
-    bundles: dict[int, tuple[int, list, list, list]] = {}
+    bundles: dict[int, tuple] = {}
     n_bundles = reader.u32()
     for _ in range(n_bundles):
         pos = reader.u32()
         mask_index = reader.u32()
         count = reader.u32()
-        circuit = circuits_by_pos[pos]
-        circuits, encodings, labels = [], [], []
-        for _ in range(count):
-            circuits.append(deserialize_garbled_circuit(reader.blob(), circuit))
-            encodings.append(deserialize_input_encoding(reader.blob()))
-            labels.append(deserialize_label_map(reader.blob()))
+        circuits, encodings, labels, reader.offset = deserialize_relu_bundle(
+            data, reader.offset, count, circuits_by_pos[pos]
+        )
         bundles[pos] = (mask_index, circuits, encodings, labels)
     if not reader.done():
         raise ValueError("trailing bytes in offline transcript")

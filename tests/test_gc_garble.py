@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,15 @@ from repro.crypto.prg import LABEL_BYTES, xor_bytes
 from repro.crypto.rng import SecureRandom
 from repro.gc.circuit import CircuitBuilder, int_to_bits, words_to_int
 from repro.gc.evaluate import Evaluator
-from repro.gc.garble import Garbler
+from repro.gc.garble import (
+    EncodingBatch,
+    GarbledBatch,
+    Garbler,
+    LabelBatch,
+    derive_batch_labels,
+    garble_batch_from_labels,
+    garble_from_labels,
+)
 from repro.gc.relu import (
     ReluCircuitSpec,
     build_relu_circuit,
@@ -219,3 +228,99 @@ class TestReluCircuit:
         """First-principles garbled ReLU size ≈ the paper's 18.2 KB/ReLU."""
         size = garbled_relu_bytes(41)
         assert 0.85 * 18200 <= size <= 1.1 * 18200
+
+
+class TestBatchedWalkIsTheScalarWalk:
+    """A batch is ``count`` scalar instances, bit for bit: same tables,
+    decode bits and encodings from the same labels, same output labels
+    from the same inputs — so the columnar walk has the scalar one's
+    correctness, whatever the row hash is."""
+
+    P = 65521
+
+    @pytest.fixture(scope="class", params=["evaluator", "garbler"])
+    def circuit(self, request):
+        return build_relu_circuit(
+            ReluCircuitSpec(bits=16, modulus=self.P, mask_owner=request.param)
+        )
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 128])
+    def test_garble_and_evaluate(self, circuit, count):
+        deltas, zero = derive_batch_labels(SecureRandom(count), circuit, count)
+        circuits, encodings = garble_batch_from_labels(circuit, deltas, zero)
+        scalar = [
+            garble_from_labels(
+                circuit,
+                deltas[i].tobytes(),
+                {w: zero[k, i].tobytes() for k, w in enumerate(circuit.input_wires)},
+            )
+            for i in range(count)
+        ]
+        assert list(circuits) == [garbled for garbled, _ in scalar]
+        assert list(encodings) == [encoding for _, encoding in scalar]
+        # ... and the views convert back to the same columns.
+        again = GarbledBatch.from_instances(circuit, list(circuits))
+        assert (again.tables == circuits.tables).all()
+        assert (again.decode_bits == circuits.decode_bits).all()
+        back = EncodingBatch.from_instances(circuit, list(encodings))
+        assert (back.zero_labels == encodings.zero_labels).all()
+        assert (back.output_zero_labels == encodings.output_zero_labels).all()
+
+        rnd = random.Random(count)
+        g_bits = np.array(
+            [[rnd.getrandbits(1) for _ in circuit.garbler_inputs] for _ in range(count)],
+            dtype=np.uint8,
+        )
+        e_bits = [[rnd.getrandbits(1) for _ in circuit.evaluator_inputs] for _ in range(count)]
+        own = Garbler.encode_inputs(encodings, circuit, g_bits)
+        zero_e, one_e = encodings.evaluator_pairs()
+        chosen = np.where(np.array(e_bits, dtype=bool).reshape(-1, 1), one_e, zero_e)
+        theirs = LabelBatch(
+            circuit.evaluator_inputs, chosen.reshape(count, -1, LABEL_BYTES)
+        )
+        for i, (_, encoding) in enumerate(scalar):
+            assert own[i] == Garbler.encode_inputs(encoding, circuit, g_bits[i].tolist())
+            assert theirs[i] == {
+                w: encoding.label_for(w, bit)
+                for w, bit in zip(circuit.evaluator_inputs, e_bits[i])
+            }
+
+        evaluator = Evaluator()
+        columns = {**own.columns(), **theirs.columns()}
+        outputs = evaluator.evaluate_batch(circuits, columns, vectorize=True)
+        assert (
+            outputs == evaluator.evaluate_batch(circuits, columns, vectorize=False)
+        ).all()
+        bits = evaluator.decode(circuits, outputs)
+        assert (bits == Garbler.decode_output_labels(encodings, circuit, outputs)).all()
+        for i, (garbled, encoding) in enumerate(scalar):
+            labels = evaluator.evaluate(garbled, {**own[i], **theirs[i]})
+            assert labels == [row.tobytes() for row in outputs[i]]
+            assert evaluator.decode(garbled, labels) == bits[i].tolist()
+            assert bits[i].tolist() == circuit.evaluate_plain(
+                g_bits[i].tolist(), e_bits[i]
+            )
+
+    def test_scalar_garbler_fills_the_same_columns(self, circuit):
+        """``vectorize=False`` (the python backend's garbler) is ``count``
+        ``garble()`` calls packed into the batch."""
+        circuits, encodings = Garbler(SecureRandom(9)).garble_batch(
+            circuit, 3, vectorize=False
+        )
+        rng = SecureRandom(9)
+        scalar = [Garbler(rng).garble(circuit) for _ in range(3)]
+        assert list(circuits) == [garbled for garbled, _ in scalar]
+        assert list(encodings) == [encoding for _, encoding in scalar]
+
+    def test_a_forged_output_label_is_rejected_in_the_batch_too(self, circuit):
+        circuits, encodings = Garbler(SecureRandom(2)).garble_batch(circuit, 4)
+        outputs = encodings.output_zero_labels.transpose(1, 0, 2).copy()
+        assert not Garbler.decode_output_labels(encodings, circuit, outputs).any()
+        outputs[2, 5, 7] ^= 1
+        with pytest.raises(ValueError):
+            Garbler.decode_output_labels(encodings, circuit, outputs)
+
+    def test_wrong_garbler_bit_matrix_shape(self, circuit):
+        _, encodings = Garbler(SecureRandom(3)).garble_batch(circuit, 2)
+        with pytest.raises(ValueError):
+            Garbler.encode_inputs(encodings, circuit, np.zeros((2, 1), dtype=np.uint8))

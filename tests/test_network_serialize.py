@@ -4,14 +4,17 @@ import dataclasses
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.prg import byte_rows
 from repro.crypto.rng import SecureRandom
-from repro.gc.circuit import CircuitBuilder
+from repro.gc.circuit import Circuit, CircuitBuilder
 from repro.gc.evaluate import Evaluator
-from repro.gc.garble import Garbler
+from repro.gc.garble import Garbler, LabelBatch
+from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
 from repro.backend import available_backends
 from repro.he.bfv import BfvContext, Ciphertext, make_ring_element
 from repro.he.encoder import BatchEncoder
@@ -24,25 +27,35 @@ from repro.network.serialize import (
     ciphertext_wire_bytes,
     deserialize_bit_vector,
     deserialize_ciphertext,
+    deserialize_circuit_batch,
     deserialize_field_vector,
     deserialize_galois_keys,
     deserialize_garbled_circuit,
     deserialize_label_lists,
     deserialize_labels,
     deserialize_public_key,
+    deserialize_relu_bundle,
     garbled_circuit_wire_bytes,
     serialize_bit_vector,
     serialize_ciphertext,
+    serialize_circuit_batch,
     serialize_field_vector,
     serialize_galois_keys,
     serialize_garbled_circuit,
     serialize_label_lists,
     serialize_labels,
     serialize_public_key,
+    serialize_relu_bundle,
     wire_header,
 )
 
 PARAMS = toy_params(n=128)
+
+
+def label_block(seed, *shape):
+    """A (*shape, 16) uint8 block of pseudo-random labels."""
+    data = SecureRandom(seed).bytes(16 * int(np.prod(shape)))
+    return np.frombuffer(data, dtype=np.uint8).reshape(*shape, 16)
 
 
 class TestWireHeader:
@@ -60,14 +73,14 @@ class TestWireHeader:
             deserialize_field_vector(skewed)
 
     def test_bad_magic_rejected(self):
-        blob = serialize_labels([b"x" * 16])
+        blob = serialize_labels(label_block(0, 1))
         with pytest.raises(ValueError, match="magic"):
-            deserialize_labels(b"ZZ" + blob[2:])
+            deserialize_labels(b"ZZ" + blob[2:], 1)
 
     def test_cross_format_confusion_rejected(self):
         blob = serialize_bit_vector([1, 0, 1])
         with pytest.raises(ValueError, match="format"):
-            deserialize_labels(blob)
+            deserialize_labels(blob, 3)
 
 
 class TestFieldVector:
@@ -323,33 +336,53 @@ class TestBitVector:
 
 class TestLabelLists:
     def test_roundtrip(self):
-        rng = SecureRandom(31)
-        lists = [[rng.bytes(16) for _ in range(n)] for n in (0, 3, 1)]
-        assert deserialize_label_lists(serialize_label_lists(lists)) == lists
+        for count, width in ((0, 3), (3, 0), (1, 1), (5, 19)):
+            block = label_block(31, count, width)
+            wire = serialize_label_lists(block)
+            assert len(wire) == 8 + count * (4 + 16 * width)
+            assert (deserialize_label_lists(wire, count, width) == block).all()
 
     def test_trailing_bytes_rejected(self):
-        blob = serialize_label_lists([[b"y" * 16]])
+        blob = serialize_label_lists(label_block(1, 1, 1))
         with pytest.raises(ValueError):
-            deserialize_label_lists(blob + b"\x00")
+            deserialize_label_lists(blob + b"\x00", 1, 1)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 5), (2, 4), (51, 0), (3, 3)])
+    def test_a_frame_of_another_shape_is_rejected_where_it_is_received(self, shape):
+        """Same byte count or not, (count, width) must be the layer's."""
+        blob = serialize_label_lists(label_block(2, 3, 4))
+        with pytest.raises(ValueError, match="label"):
+            deserialize_label_lists(blob, *shape)
+
+    def test_one_short_list_among_full_ones_is_rejected(self):
+        """Total length right, one list's length word wrong."""
+        blob = bytearray(serialize_label_lists(label_block(3, 3, 2)))
+        struct.pack_into("<I", blob, 8 + (4 + 32), 1)
+        with pytest.raises(ValueError, match="label lists"):
+            deserialize_label_lists(bytes(blob), 3, 2)
 
 
 class TestLabels:
     def test_roundtrip(self):
-        rng = SecureRandom(4)
-        labels = [rng.bytes(16) for _ in range(10)]
-        assert deserialize_labels(serialize_labels(labels)) == labels
+        labels = label_block(4, 10)
+        assert (deserialize_labels(serialize_labels(labels), 10) == labels).all()
 
     def test_empty(self):
-        assert deserialize_labels(serialize_labels([])) == []
+        assert deserialize_labels(serialize_labels(label_block(0, 0)), 0).shape == (0, 16)
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
-            serialize_labels([b"short"])
+            serialize_labels(np.zeros((1, 5), dtype=np.uint8))
 
     def test_truncated_rejected(self):
-        data = serialize_labels([b"x" * 16])
+        data = serialize_labels(label_block(5, 1))
         with pytest.raises(ValueError):
-            deserialize_labels(data[:-1])
+            deserialize_labels(data[:-1], 1)
+
+    def test_another_count_rejected(self):
+        data = serialize_labels(label_block(6, 4))
+        with pytest.raises(ValueError, match="label frame does not match"):
+            deserialize_labels(data, 3)
 
 
 class TestGarbledCircuit:
@@ -396,6 +429,242 @@ class TestGarbledCircuit:
         )
         assert restored.output_decode_bits == garbled.output_decode_bits
 
+    @staticmethod
+    def _with_index_words(wire, indices):
+        """``wire`` (one serialized circuit) with its per-gate index words
+        replaced — every length and count untouched."""
+        out = bytearray(wire)
+        for k, index in enumerate(indices):
+            struct.pack_into("<I", out, 12 + 36 * k, index)
+        return bytes(out)
+
+    def test_index_words_must_be_the_circuits_and_gates_in_order(self):
+        """Permuted, duplicated or non-AND index words used to decode
+        cleanly and surface online as a KeyError inside the evaluator."""
+        circuit, garbled, _ = self._garbled()
+        wire = serialize_garbled_circuit(garbled)
+        ands = circuit.and_indices
+        xor = next(i for i in range(len(circuit.gates)) if i not in ands)
+        assert self._with_index_words(wire, ands) == wire
+        for hostile in (
+            ands[1:2] + ands[:1] + ands[2:],  # permuted
+            ands[:1] + ands[:-1],  # duplicated
+            [xor] + ands[1:],  # not an AND gate
+            ands[:-1] + [len(circuit.gates)],  # not a gate at all
+        ):
+            with pytest.raises(ValueError, match="gates.index"):
+                deserialize_garbled_circuit(
+                    self._with_index_words(wire, hostile), circuit
+                )
+            framing = wire_header(0x0B) + struct.pack("<II", 1, len(wire))
+            assert len(deserialize_circuit_batch(framing + wire, circuit)) == 1
+            with pytest.raises(ValueError, match="gates.index"):
+                deserialize_circuit_batch(
+                    framing + self._with_index_words(wire, hostile), circuit
+                )
+
+    def test_decode_bit_count_is_all_or_none(self):
+        circuit, garbled, _ = self._garbled()
+        wire = serialize_garbled_circuit(garbled)
+        n_out = len(circuit.outputs)
+        stripped = dataclasses.replace(garbled, output_decode_bits=[])
+        assert deserialize_garbled_circuit(
+            serialize_garbled_circuit(stripped), circuit
+        ).output_decode_bits == []
+        for n_decode in (1, n_out - 1, n_out + 1, 8 * n_out):
+            lying = wire[:8] + struct.pack("<I", n_decode) + wire[12:]
+            with pytest.raises(ValueError, match="decode bits"):
+                deserialize_garbled_circuit(lying, circuit)
+
+    def test_table_count_must_be_the_circuits(self):
+        circuit, garbled, _ = self._garbled()
+        wire = serialize_garbled_circuit(garbled)
+        fewer = wire[:4] + struct.pack("<I", circuit.and_count - 1) + wire[8:]
+        with pytest.raises(ValueError, match="n_tables"):
+            deserialize_garbled_circuit(fewer, circuit)
+
+    def test_every_instance_of_a_batch_has_the_one_legal_length(self):
+        """A batch that moves bytes between two instances — total length
+        right, both length words wrong — is refused by its length words."""
+        circuit, garbled, _ = self._garbled()
+        one = serialize_garbled_circuit(garbled)
+        frame = wire_header(0x0B) + struct.pack("<I", 2)
+        frame += struct.pack("<I", len(one) - 4) + one[:-4]
+        frame += struct.pack("<I", len(one) + 4) + one + one[-4:]
+        with pytest.raises(ValueError, match="circuit_len"):
+            deserialize_circuit_batch(frame, circuit)
+        good = wire_header(0x0B) + struct.pack("<I", 2) + 2 * (
+            struct.pack("<I", len(one)) + one
+        )
+        assert len(deserialize_circuit_batch(good, circuit)) == 2
+
+
+# -- the per-instance formats, written out field by field ------------------------
+#
+# What the codecs wrote before a layer's batch became one record array: the
+# reference the columnar encoders must reproduce byte for byte.
+
+
+def reference_garbled_circuit(garbled) -> bytes:
+    out = wire_header(0x06)
+    out += struct.pack("<II", len(garbled.tables), len(garbled.output_decode_bits))
+    for index in sorted(garbled.tables):
+        gate = garbled.tables[index]
+        out += struct.pack("<I", index) + gate.generator_half + gate.evaluator_half
+    packed = sum((bit & 1) << i for i, bit in enumerate(garbled.output_decode_bits))
+    return out + packed.to_bytes((len(garbled.output_decode_bits) + 7) // 8, "little")
+
+
+def reference_label_map(labels: dict) -> bytes:
+    out = wire_header(0x04) + struct.pack("<I", len(labels))
+    for wire, label in labels.items():
+        out += struct.pack("<I", wire) + label
+    return out
+
+
+def reference_input_encoding(encoding) -> bytes:
+    zero = reference_label_map(encoding.zero_labels)
+    outputs = reference_label_map(encoding.output_zero_labels)
+    return (
+        wire_header(0x05)
+        + struct.pack("<II", len(zero), len(outputs))
+        + encoding.delta
+        + zero
+        + outputs
+    )
+
+
+def length_prefixed(blob: bytes) -> bytes:
+    return struct.pack("<I", len(blob)) + blob
+
+
+def reference_circuit_batch(circuits) -> bytes:
+    return wire_header(0x0B) + struct.pack("<I", len(circuits)) + b"".join(
+        length_prefixed(reference_garbled_circuit(garbled)) for garbled in circuits
+    )
+
+
+def reference_label_lists(lists) -> bytes:
+    return wire_header(0x0A) + struct.pack("<I", len(lists)) + b"".join(
+        struct.pack("<I", len(labels)) + b"".join(labels) for labels in lists
+    )
+
+
+def reference_offline_transcript(modulus, r, s, share, role, pos, mask_index, bundle):
+    circuits, encodings, label_maps = bundle
+    out = b"RPC2" + struct.pack("<BI", role, 0) + struct.pack("<I", 1)
+    for vector in (r, s, share):
+        out += length_prefixed(serialize_field_vector(vector, modulus))
+    out += struct.pack("<I", 1) + struct.pack("<III", pos, mask_index, len(circuits))
+    for garbled, encoding, labels in zip(circuits, encodings, label_maps):
+        out += length_prefixed(reference_garbled_circuit(garbled))
+        out += length_prefixed(reference_input_encoding(encoding))
+        out += length_prefixed(reference_label_map(labels))
+    return out
+
+
+class TestColumnarCodecParity:
+    """A layer's batch goes to the wire and into the store as one record
+    array; the bytes are those of the per-instance encoders above, for
+    either garbler's circuit, with the decode bits shipped or withheld,
+    and decoding gives back the columns that were encoded."""
+
+    P = 65521
+    CIRCUITS = {
+        # Server-Garbler: the mask is the evaluating client's input and the
+        # evaluator stores [its inputs, constants]; Client-Garbler: the mask
+        # is the garbler's and the evaluator stores [constants, garbler's].
+        role: build_relu_circuit(ReluCircuitSpec(bits=16, modulus=65521, mask_owner=owner))
+        for role, owner in (("server", "evaluator"), ("client", "garbler"))
+    }
+
+    @staticmethod
+    def _stored_wires(circuit, role):
+        consts = [Circuit.CONST_ZERO, Circuit.CONST_ONE]
+        if role == "server":
+            return circuit.evaluator_inputs + consts
+        return consts + circuit.garbler_inputs
+
+    @given(
+        count=st.sampled_from([1, 2, 8, 128]),
+        role=st.sampled_from(["server", "client"]),
+        keep_decode_bits=st.booleans(),
+        vectorize=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_batch_bytes_are_the_per_instance_bytes(
+        self, count, role, keep_decode_bits, vectorize, seed
+    ):
+        from repro.runtime.store import (
+            deserialize_offline_transcript,
+            serialize_offline_transcript,
+        )
+
+        circuit = self.CIRCUITS[role]
+        circuits, encodings = Garbler(SecureRandom(seed)).garble_batch(
+            circuit, count, vectorize=vectorize
+        )
+        if not keep_decode_bits:
+            circuits = circuits.without_decode_bits()
+        wires = self._stored_wires(circuit, role)
+        labels = LabelBatch(wires, label_block(seed, count, len(wires)))
+
+        wire = serialize_circuit_batch(circuits)
+        assert wire == reference_circuit_batch(list(circuits))
+        assert len(wire) == 8 + count * (
+            4 + garbled_circuit_wire_bytes(
+                circuit.and_count, len(circuit.outputs) * keep_decode_bits
+            )
+        )
+        restored = deserialize_circuit_batch(wire, circuit)
+        assert (restored.tables == circuits.tables).all()
+        assert (restored.decode_bits == circuits.decode_bits).all()
+        assert serialize_circuit_batch(restored) == wire
+
+        lists = serialize_label_lists(labels.labels)
+        assert lists == reference_label_lists([byte_rows(block) for block in labels.labels])
+        assert (
+            deserialize_label_lists(lists, count, len(wires)) == labels.labels
+        ).all()
+
+        r, s_vec, share = [1, 2], [3, 4], [5, 6]
+        role_index = ("server", "client").index(role)
+        entry = serialize_offline_transcript(
+            self.P, [r], [s_vec], [share], {3: (1, circuits, encodings, labels)},
+            garbler_role=role,
+        )
+        assert entry == reference_offline_transcript(
+            self.P, r, s_vec, share, role_index, 3, 1,
+            (list(circuits), list(encodings), list(labels)),
+        )
+        *vectors, bundles = deserialize_offline_transcript(
+            entry, {3: circuit}, garbler_role=role, truncate_bits=0
+        )
+        assert vectors == [[r], [s_vec], [share]]
+        mask_index, got_circuits, got_encodings, got_labels = bundles[3]
+        assert mask_index == 1 and got_labels.wires == wires
+        assert (got_circuits.tables == circuits.tables).all()
+        assert (got_circuits.decode_bits == circuits.decode_bits).all()
+        assert (got_encodings.deltas == encodings.deltas).all()
+        assert (got_encodings.zero_labels == encodings.zero_labels).all()
+        assert (
+            got_encodings.output_zero_labels == encodings.output_zero_labels
+        ).all()
+        assert (got_labels.labels == labels.labels).all()
+
+    def test_a_stored_layer_with_a_foreign_wire_list_in_one_instance_is_rejected(self):
+        circuit = self.CIRCUITS["client"]
+        circuits, encodings = Garbler(SecureRandom(1)).garble_batch(circuit, 3)
+        wires = self._stored_wires(circuit, "client")
+        labels = LabelBatch(wires, label_block(1, 3, len(wires)))
+        blob = bytearray(serialize_relu_bundle(circuits, encodings, labels))
+        assert deserialize_relu_bundle(bytes(blob), 0, 3, circuit)[3] == len(blob)
+        # the last instance's last label-map entry names another wire
+        struct.pack_into("<I", blob, len(blob) - 20, wires[0])
+        with pytest.raises(ValueError, match="labels.entries.wire"):
+            deserialize_relu_bundle(bytes(blob), 0, 3, circuit)
+
 
 class TestHostileGcOtFrames:
     """The GC/OT decoders answer a cut or lying frame with ``ValueError`` —
@@ -404,26 +673,26 @@ class TestHostileGcOtFrames:
 
     @staticmethod
     def _frames():
-        from repro.network.serialize import (
-            deserialize_circuit_batch,
-            serialize_circuit_batch,
-        )
+        from repro.gc.garble import GarbledBatch
 
         circuit, garbled, _ = TestGarbledCircuit()._garbled()
-        labels = [bytes([i]) * 16 for i in range(3)]
+        batch = GarbledBatch.from_instances(circuit, [garbled, garbled])
         return {
             "field_vector": (
                 serialize_field_vector([1, 2, 3], 65537),
                 deserialize_field_vector,
             ),
             "bit_vector": (serialize_bit_vector([1, 0] * 9), deserialize_bit_vector),
-            "labels": (serialize_labels(labels), deserialize_labels),
+            "labels": (
+                serialize_labels(label_block(1, 3)),
+                lambda data: deserialize_labels(data, 3),
+            ),
             "label_lists": (
-                serialize_label_lists([labels, labels[:1]]),
-                deserialize_label_lists,
+                serialize_label_lists(label_block(2, 2, 3)),
+                lambda data: deserialize_label_lists(data, 2, 3),
             ),
             "circuit_batch": (
-                serialize_circuit_batch([garbled, garbled]),
+                serialize_circuit_batch(batch),
                 lambda data: deserialize_circuit_batch(data, circuit),
             ),
         }
@@ -462,8 +731,8 @@ class TestHostileGcOtFrames:
             frame = wire_header(0x0A) + struct.pack("<II", 1, n) + b"\x00" * 4
             assert len(frame) == 16
             start = time.perf_counter()
-            with pytest.raises(ValueError, match="truncated"):
-                deserialize_label_lists(frame)
+            with pytest.raises(ValueError, match="label frame does not match"):
+                deserialize_label_lists(frame, 1, 1)
             assert time.perf_counter() - start < 0.5
 
     def test_zero_width_field_vector_cannot_claim_elements(self):

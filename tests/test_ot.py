@@ -242,6 +242,33 @@ class TestSeedFormExtension:
         assert rows == extension._transpose_python(columns, m)
         assert rows[:16] == extension._row(columns, 0).to_bytes(16, "little")
 
+    @pytest.mark.parametrize("msg_len", [16, 8, 48])
+    @pytest.mark.parametrize("m", [1, 9, 136, 1000])
+    def test_numpy_and_python_backends_agree_bit_for_bit(self, seeds, m, msg_len):
+        """Matrices or byte pairs in, one-pass masking or the row loop:
+        four ways through ``extend``, one set of bytes."""
+        np = pytest.importorskip("numpy")
+        from repro.backend import using_backend
+
+        pairs, choices = random_batch(m, msg_len, seed=m + msg_len)
+        matrices = tuple(
+            np.frombuffer(b"".join(side), dtype=np.uint8).reshape(m, msg_len)
+            for side in zip(*pairs)
+        )
+        results = {}
+        for backend in ("python", "numpy"):
+            with using_backend(backend):
+                results[backend, "pairs"] = extend(seeds, pairs, choices)
+                chosen, masked = extend(seeds, matrices, choices)
+            assert chosen.shape == (m, msg_len) and len(masked) == 2
+            results[backend, "matrices"] = (
+                [row.tobytes() for row in chosen],
+                [(y0.tobytes(), y1.tobytes()) for y0, y1 in zip(*masked)],
+            )
+        first, *others = results.values()
+        assert first[0] == [pair[c] for pair, c in zip(pairs, choices)]
+        assert all(other == first for other in others)
+
     def test_same_seed_same_masked_pairs(self):
         pairs, choices = random_batch(200)
         one = extend(base_seed_ot(SecureRandom(21)), pairs, choices)

@@ -13,6 +13,7 @@ genuine two-process run).
 """
 
 import multiprocessing
+import struct
 
 import numpy as np
 import pytest
@@ -355,7 +356,7 @@ class TestWireVersioning:
     def test_wrong_format_code_rejected(self):
         from repro.network import serialize
 
-        blob = serialize.serialize_labels([b"x" * 16])
+        blob = serialize.serialize_labels(np.zeros((1, 16), dtype=np.uint8))
         with pytest.raises(ValueError, match="format"):
             serialize.deserialize_field_vector(blob)
 
@@ -501,13 +502,19 @@ class TestLabelFramesCheckedWhereReceived:
 
     @staticmethod
     def _drop_one_label(frame):
+        """The frame a sender one label short would have written: the
+        last label gone and the count word that covers it (the batch's in
+        a flat frame, the last list's in a label-lists frame) one less."""
         from repro.network import serialize
 
+        cut = frame[:-16]
         if serialize.frame_format_name(frame) == "labels":
-            return serialize.serialize_labels(serialize.deserialize_labels(frame)[:-1])
-        lists = serialize.deserialize_label_lists(frame)
-        lists[-1] = lists[-1][:-1]
-        return serialize.serialize_label_lists(lists)
+            (count,) = struct.unpack_from("<I", frame, 4)
+            return cut[:4] + struct.pack("<I", count - 1) + cut[8:]
+        (count,) = struct.unpack_from("<I", frame, 4)
+        (width,) = struct.unpack_from("<I", frame, 8)
+        last = 8 + (count - 1) * (4 + 16 * width)
+        return cut[:last] + struct.pack("<I", width - 1) + cut[last + 4 :]
 
     @pytest.mark.parametrize("leg", LEGS)
     def test_one_label_short_is_a_value_error_in_the_receiving_phase(self, leg):
@@ -539,3 +546,36 @@ class TestLabelFramesCheckedWhereReceived:
             with pytest.raises(ValueError, match="label frame does not match"):
                 proto.run_online([1] * 16)
         assert not armed
+
+    @pytest.mark.parametrize("garbler", ["server", "client"])
+    def test_permuted_gate_indices_fail_in_the_offline_phase(self, garbler):
+        """A circuit batch whose first two per-gate index words are swapped
+        has every length right and used to decode cleanly; the evaluator
+        now refuses it when it arrives, before anything is stored."""
+        from repro.network.serialize import frame_format_name
+
+        net = tiny_mlp(tiny_dataset(size=4, classes=3), hidden=4)
+        net.randomize_weights(P, np.random.default_rng(0))
+        proto = HybridProtocol(net, PARAMS, garbler=garbler, seed=5)
+        transport = getattr(proto, garbler).transport
+        send = transport.send
+        swapped = []
+
+        def hostile_send(frame):
+            if frame_format_name(frame) == "circuit_batch":
+                first = 8 + 4 + 12  # batch header, length word, circuit header
+                second = first + 36  # one gate: index word + two halves
+                frame = (
+                    frame[:first]
+                    + frame[second : second + 4]
+                    + frame[first + 4 : second]
+                    + frame[first : first + 4]
+                    + frame[second + 4 :]
+                )
+                swapped.append(True)
+            send(frame)
+
+        transport.send = hostile_send
+        with pytest.raises(ValueError, match="malformed circuit batch"):
+            proto.run_offline()
+        assert swapped and not proto._offline_done
