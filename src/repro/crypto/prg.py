@@ -1,13 +1,14 @@
 """Pseudo-random generation and hashing primitives.
 
 Garbled-circuit constructions are specified in terms of a fixed-key block
-cipher used as a correlation-robust hash. We substitute a tweakable
-16-byte hash of the label (:func:`hash_label`, and :func:`hash_rows` over
-a whole label matrix): the security argument is the standard
-random-oracle one and the byte layout (16-byte blocks, tweakable) matches
-what an AES-based implementation would produce, so all size and count
-accounting is faithful. Seed expansion (:class:`Prg`) and key derivation
-are SHA-256.
+cipher used as a correlation-robust hash. We substitute BLAKE2s with the
+tweak as its salt and a 16-byte digest (:func:`hash_label`, and
+:func:`hash_rows` over a whole label matrix) — the cheapest hash in the
+standard library that takes the tweak as a parameter: the security
+argument is the standard random-oracle one and the byte layout (16-byte
+blocks, tweakable) matches what an AES-based implementation would
+produce, so all size and count accounting is faithful. Seed expansion
+(:class:`Prg`) and key derivation are SHA-256.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ except ImportError:  # pragma: no cover - minimal images only
 
 LABEL_BYTES = 16  # 128-bit wire labels, as in DELPHI / fancy-garbling.
 
-_pack_tweak = struct.Struct("<Q").pack
+_pack_tweak = struct.Struct("<Q").pack  # a BLAKE2s salt is at most 8 bytes
 
 
 def hash_label(label: bytes, tweak: int) -> bytes:
@@ -31,7 +32,9 @@ def hash_label(label: bytes, tweak: int) -> bytes:
     ``tweak`` is the gate index (point-and-permute position folded in by the
     caller); including it makes each gate's ciphertexts domain-separated.
     """
-    return hashlib.sha256(label + _pack_tweak(tweak)).digest()[:LABEL_BYTES]
+    return hashlib.blake2s(
+        label, digest_size=LABEL_BYTES, salt=_pack_tweak(tweak)
+    ).digest()
 
 
 def byte_matrix(rows: list[bytes], width: int = LABEL_BYTES):
@@ -41,33 +44,32 @@ def byte_matrix(rows: list[bytes], width: int = LABEL_BYTES):
 
 def byte_rows(matrix) -> list[bytes]:
     """The rows (last axis) of a uint8 array, in C order, as byte strings."""
-    flat, width = matrix.tobytes(), matrix.shape[-1]
-    return [flat[i : i + width] for i in range(0, len(flat), width)]
+    rows = _np.ascontiguousarray(matrix).reshape(-1, matrix.shape[-1])
+    return rows.view(f"V{rows.shape[1]}").ravel().tolist()
 
 
 def hash_rows(rows, tweak):
     """:func:`hash_label` of every row of an (n, width) uint8 matrix.
 
-    ``tweak`` is one int for all rows (a gate's label column) or one per
-    row (OT extension: row ``j`` under tweak ``j``). Returns an (n, 16)
-    matrix; the hash itself cannot be vectorized from Python, everything
-    around it (label XOR, point-and-permute masking) works on the result.
+    ``tweak`` is one int for all rows (a gate's label column: the salted
+    state is built once and copied per row) or one per row (OT extension:
+    row ``j`` under tweak ``j``). Returns an (n, 16) matrix; the hash
+    itself cannot be vectorized from Python, everything around it (label
+    XOR, point-and-permute masking) works on the result.
     """
-    flat = rows.tobytes()
-    width = rows.shape[1]
-    cuts = range(0, len(flat), width)
-    digest = hashlib.sha256
+    digests = []
     if isinstance(tweak, int):
-        packed = _pack_tweak(tweak)
-        digests = [digest(flat[i : i + width] + packed).digest() for i in cuts]
+        fresh = hashlib.blake2s(
+            digest_size=LABEL_BYTES, salt=_pack_tweak(tweak)
+        ).copy
+        for row in byte_rows(rows):
+            state = fresh()
+            state.update(row)
+            digests.append(state.digest())
     else:
-        digests = [
-            digest(flat[i : i + width] + _pack_tweak(t)).digest()
-            for i, t in zip(cuts, tweak, strict=True)
-        ]
-    return _np.frombuffer(b"".join(digests), dtype=_np.uint8).reshape(-1, 32)[
-        :, :LABEL_BYTES
-    ]
+        for row, row_tweak in zip(byte_rows(rows), tweak, strict=True):
+            digests.append(hash_label(row, row_tweak))
+    return byte_matrix(digests)
 
 
 def hash_pair(a: bytes, b: bytes, tweak: int) -> bytes:

@@ -133,14 +133,20 @@ def _transpose(columns: list[int], m: int) -> bytes:
 
 
 def _pad(row: bytes, j: int, msg_len: int) -> bytes:
-    """The ``msg_len``-byte pad that row ``j`` masks a message with."""
-    return Prg(hash_label(row, j)).read(msg_len)
+    """The ``msg_len``-byte pad that row ``j`` masks a message with: the
+    row hash itself, expanded only for messages longer than a label."""
+    pad = hash_label(row, j)
+    return pad[:msg_len] if msg_len <= LABEL_BYTES else Prg(pad).read(msg_len)
 
 
 def _pads(rows, msg_len: int):
     """:func:`_pad` of every row of an (m, 16) matrix, as (m, msg_len)."""
-    hashed = byte_rows(hash_rows(rows, range(len(rows))))
-    return byte_matrix([Prg(seed).read(msg_len) for seed in hashed], msg_len)
+    hashed = hash_rows(rows, range(len(rows)))
+    if msg_len <= LABEL_BYTES:
+        return hashed[:, :msg_len]
+    return byte_matrix(
+        [Prg(seed).read(msg_len) for seed in byte_rows(hashed)], msg_len
+    )
 
 
 def mask_row_block(pairs, q_rows: bytes, s_row: bytes, msg_len: int):

@@ -15,7 +15,7 @@ the deployment shape the paper's client/server characterization assumes:
 * **Background refill** — mints leave the serving thread entirely: a
   refill driver thread submits whole offline-mint jobs through
   :meth:`~repro.runtime.pool.PrecomputePool.apply_async`, so the
-  SHA-256-bound garbling runs in pool worker *processes* while the
+  hash-bound garbling runs in pool worker *processes* while the
   selector thread serves online requests. On a multi-core host the
   online CPU work and the offline garbling genuinely overlap, and
   ``throughput_rps`` rises accordingly (the report's

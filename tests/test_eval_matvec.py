@@ -239,6 +239,11 @@ def every_frame_digests(params, garbler, hidden, seed):
 # layer is garbled; the OT holder spawns one per layer when it serves).
 # GC frames depend on the garbler in use (vectorized on numpy, scalar on
 # python draw different labels from one seed), hence the numpy-only skip.
+# Twelve digests — each case's garbled-circuit batch and, under the server
+# garbler, the output labels the client returns — were re-recorded once,
+# on the commit that made the row hash salted BLAKE2s; every input-label,
+# OT, HE and share frame kept the digest recorded above (the commit before
+# it, which made the batch columnar, moved none).
 GOLDEN_EVERY_FRAME = {
     ("delphi", "server", "8", "1701"): {
         "client/offline": [
@@ -251,12 +256,12 @@ GOLDEN_EVERY_FRAME = {
         "server/offline": [
             "bc58d4471035e06ae3031b0351bd23d0924c93e55523d4abacd48c1c0b38ad38",
             "f0e1e8a66003996f643136bb8c061fc146abf2aec02d28e98762ed2cd795a7df",
-            "25a02ca4282fc1766ee2438570170b3a6b221b9838ee82dfab47278ab59ccf1c",
+            "412d08cb1e04c0548a49cb00166eef4d40503fa7bafd4b7b710a273590bf35e6",
             "8c9e8625702e8b5b7e5a36e2aaa051c4cbf384e17a9c93be81682da816b9d502",
         ],
         "client/online": [
             "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
-            "2a08b85ca6226fbc04eddeda9d804f34aeffab5871fba5034958e08a8fd9e106",
+            "d8bb01b299abd0d9c0f98e87f340aff55f096be0fd0df10e62822bb3f8d2f1c9",
         ],
         "server/online": [
             "c5b12ba1a04aba9ed273cf5d735b0eb83d8478923d15199de65c737f6496427c",
@@ -269,7 +274,7 @@ GOLDEN_EVERY_FRAME = {
             "ba96c758574ce0c71593e3fc7f30774a6f3ca5221cbba1d2ba601e182afbf54f",
             "831c83cf70bb5c3126cff581728c966fea2e507ea1b2b735fec54488c969d6e2",
             "e3a304208ba6b448a6f797a490e9d0976c25404113973211b7a05b6022f6dbb8",
-            "89e6ed7787dd36afa4bf33456d4f5a3339757228ca234f51d8af12adc3be8cc4",
+            "c2abcdafdb99da291a6ea311e7275eb48e7474e26ffa8dc38921016771c168bc",
             "af23bca044f6f7ba5d9e6c3ec2d1a66a5dadf1b64a2ccd5fe664de46d01bfb19",
         ],
         "server/offline": [
@@ -296,12 +301,12 @@ GOLDEN_EVERY_FRAME = {
         "server/offline": [
             "581dec5ec8247af61442f0de50d298d332fdc7d9e98a79f6dedaa38eeb549ce1",
             "e067bafb08cf1a768fbde5e949d4f1c718bf07f533e3390cd4887692957564f3",
-            "6a23558e6c130aae74e6761d3a26ce1f9158dfb7558d61f28d0bd6b770b1fa47",
+            "eca38736ce8b1c6d6b5f8ed41bba54fa8a1352010da7182c87684d97b2b0cf1b",
             "9337b6538d5a846f860a5985c42edc80be14e50e2c946d69513d128c0c82cfcb",
         ],
         "client/online": [
             "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
-            "27f3a335b136399f9f7fa4111f7d497183fdf6445eab4c3643900e737f51f87f",
+            "c89efb97a773a8d269cc4a0331ecac45c5eaf3e682c22a38a5e92b8f4197dfb0",
         ],
         "server/online": [
             "8b6b8c2f8cb4364e7f38c28dc899c3fe11e470ac8eddd92efb5509f83e690ef5",
@@ -314,7 +319,7 @@ GOLDEN_EVERY_FRAME = {
             "f056ad0f4a18a93049190286e63c08ec2d3647e03f9210939aaef5f0a25ad49a",
             "ccee0beb0f16dc1e608fcdb4270e96120474c33b348b19c55546ea7db1222e65",
             "cd5712b6f4d554534ed39966801143c2980cb09b0f6ffafe85ca29fb0dab6464",
-            "0a58205c129aa0dd4f3cc8716430eaa5b80e2ecdac1f111c58cf53aa63fe746e",
+            "717be3ecd238ebcc58bbe79bb1ff0df27a9968e9b1125118581e0e0aaa4a05fd",
             "70e147b6e46deaca0949ebee05ab04f7567494acda4570921215983e0cdf4618",
         ],
         "server/offline": [
@@ -341,12 +346,12 @@ GOLDEN_EVERY_FRAME = {
         "server/offline": [
             "be599b944f31b477aa91aa567fdd9905d75e5b8cebc5719a528e6bef6c439535",
             "3d4d638add72c601c1f115086399ba857e79a881f543b6bfbc5665baa3ec6c0f",
-            "b5deb83c8205a3b2dcd6117214cd627abecc0bb09cdc48dd5dde80fe5d39e826",
+            "b0ea9fdd9ea397a35caa7b5991da47a90db3605baf4931776a4af7e74a99fdc1",
             "c46ceac94bb08471f8d38974b749fc53fe87127690f1774c77957199a9957491",
         ],
         "client/online": [
             "0e78a2c6cdc41be8a2f17f6693c4e0f1c006813ac49c59548ad7518681501b6a",
-            "5ffb49afbf163e3496d43f09575e546be79ea1436209e98c8cb5122c08a42d90",
+            "7878e121449a327f827e6732576830604d713489fe1ea382072b49d2514e77f3",
         ],
         "server/online": [
             "5068b9172cb0967390a836361633e169ab607a8a5829dad8b3af0bb547bea921",
@@ -359,7 +364,7 @@ GOLDEN_EVERY_FRAME = {
             "8213fec873a35ddf51466bf3b92f77bdbd1f633fd49c59f492c3a1792c567f73",
             "c122fb249d159b04aadc5be42597b594142d7f98712b843858051adfebeb4496",
             "cbb7ada0464aa2f8d289f960147f8cae8de8d03cb175987054e3bc4e605627f1",
-            "5b63367c2cf9f4ce387bdeee495abfb0bb0253432eba0a6c1d4c58c155312666",
+            "25ff36c709fc7ccabf31d748ad9452e6e24b1339d5129eaefdd6b6ca542093ae",
             "7689ecda0e1a30a97ee01599f4e622be00aad4f8f8e05bca8740ebc99948dc5c",
         ],
         "server/offline": [
@@ -386,12 +391,12 @@ GOLDEN_EVERY_FRAME = {
         "server/offline": [
             "7078c0870cc4c955fc803f2d831953461e634e1f52d3ba484509503f4e699b2e",
             "fd562443c15f232098334f590921468cc1485620fa85c8612733e513daad81a9",
-            "6651882ec4edf2c3eb1f3c1a024a6abf6bae9c7c8ab841c52b0e66631b2cf7f0",
+            "f0aaef017a29b83556a5a67c047220a75f694c03e0814bb0aa19d909f194d4aa",
             "d9f2e91a0ef2f1a82854c870791960874a941d1b6a34dd7575beb55b89bdb72e",
         ],
         "client/online": [
             "3f19f7b26cd2a871f4b58b1be986b754698e99edc18b7ef8cd0294ad51891c9a",
-            "7692364dc768f4e52bc4899e54770fa21b07dbf7bb6e4feb03afea80ce9f4e3d",
+            "5ed90070517de67fdd527a232a664622b661cc7b0ecbd9537915ef78563024e9",
         ],
         "server/online": [
             "b7071affcbaddc1b0ad15174de933a62fde85c68f8284a95ed0699f1c0a993e8",
@@ -404,7 +409,7 @@ GOLDEN_EVERY_FRAME = {
             "bdd32f817e5d2774c44698e0a8c0cea1f5b6a4ebf0317c6401bc6045d84a94fc",
             "a38bfe2cb7935e6d252d2cec115dea09d10692d17c2e50c44e6ce6d8c62dbc41",
             "15531be6dbfe074ca9f3c7f57a3dbf622c39fbb59013ffff1ff6eb639e5594df",
-            "2ba2d2e08a6beb6b2c0521a5c2cc0578b0e5e36f70dcfd99797bd306a7719571",
+            "e03c349067bc340b54533260baa2544efdc1b9c557879abebbd05ffb0e952279",
             "d067f07d1d83e33dbd27fa409ebd07c294b04f09e3852b93c9e8e3abb6c3de62",
         ],
         "server/offline": [
