@@ -165,7 +165,8 @@ class LabelBatch(_Instances):
 
     def columns(self) -> dict:
         """wire -> that wire's (count, 16) label matrix."""
-        return dict(zip(self.wires, _np.ascontiguousarray(self.labels.transpose(1, 0, 2))))
+        by_wire = _np.ascontiguousarray(self.labels.transpose(1, 0, 2))
+        return dict(zip(self.wires, by_wire))
 
 
 @dataclass
@@ -188,12 +189,12 @@ class EncodingBatch(_Instances):
 
     def __getitem__(self, i: int) -> InputEncoding:
         circuit = self.circuit
+        zero = byte_rows(self.zero_labels[:, i])
+        output_zero = byte_rows(self.output_zero_labels[:, i])
         return InputEncoding(
-            zero_labels=dict(zip(circuit.input_wires, byte_rows(self.zero_labels[:, i]))),
+            zero_labels=dict(zip(circuit.input_wires, zero)),
             delta=self.deltas[i].tobytes(),
-            output_zero_labels=dict(
-                zip(circuit.outputs, byte_rows(self.output_zero_labels[:, i]))
-            ),
+            output_zero_labels=dict(zip(circuit.outputs, output_zero)),
         )
 
     @classmethod
@@ -210,15 +211,10 @@ class EncodingBatch(_Instances):
             wire_major([e.output_zero_labels for e in instances], circuit.outputs),
         )
 
-    def _active(self, zero, bits):
-        """(count, len(zero), 16) active labels of wire-major ``zero``
-        matrices under a (count, len(zero)) bit matrix."""
-        select = (-_np.asarray(bits, dtype=_np.uint8))[:, :, None]  # 0x00 / 0xFF
-        return zero.transpose(1, 0, 2) ^ (self.deltas[:, None, :] & select)
-
     def constant_labels(self):
         """(count, 2, 16): the labels of constant-zero's 0 and constant-one's 1."""
-        return _np.stack([self.zero_labels[0], self.zero_labels[1] ^ self.deltas], axis=1)
+        zero, one = self.zero_labels[:2]
+        return _np.stack([zero, one ^ self.deltas], axis=1)
 
     def garbler_labels(self, bits):
         """(count, n_garbler, 16) labels of the garbler's inputs under a
@@ -226,12 +222,15 @@ class EncodingBatch(_Instances):
         n = len(self.circuit.garbler_inputs)
         if _np.shape(bits) != (len(self), n):
             raise ValueError("garbler input length mismatch")
-        return self._active(self.zero_labels[2 : 2 + n], bits)
+        select = (-_np.asarray(bits, dtype=_np.uint8))[:, :, None]  # 0x00 / 0xFF
+        zero = self.zero_labels[2 : 2 + n].transpose(1, 0, 2)
+        return zero ^ (self.deltas[:, None, :] & select)
 
     def evaluator_pairs(self):
         """Both (count * n_evaluator, 16) label matrices of every evaluator
         input, instance by instance: what the label OT transfers."""
-        zero = self.zero_labels[2 + len(self.circuit.garbler_inputs) :].transpose(1, 0, 2)
+        first = 2 + len(self.circuit.garbler_inputs)
+        zero = self.zero_labels[first:].transpose(1, 0, 2)
         one = zero ^ self.deltas[:, None, :]
         return zero.reshape(-1, LABEL_BYTES), one.reshape(-1, LABEL_BYTES)
 
@@ -274,15 +273,11 @@ def derive_batch_labels(rng: SecureRandom, circuit: Circuit, count: int):
     Row ``i`` of every matrix belongs to instance ``i``.
     """
 
-    def fresh_labels(*shape):
-        size = LABEL_BYTES * count
-        for n in shape:
-            size *= n
-        return _np.frombuffer(rng.bytes(size), dtype=_np.uint8).reshape(
-            *shape, count, LABEL_BYTES
-        )
+    def fresh_labels(wires: int):
+        drawn = rng.bytes(wires * count * LABEL_BYTES)
+        return _np.frombuffer(drawn, dtype=_np.uint8).reshape(wires, count, LABEL_BYTES)
 
-    deltas = fresh_labels().copy()
+    deltas = fresh_labels(1)[0].copy()
     deltas[:, 0] |= 1  # point-and-permute bit rides on the LSB
     return deltas, fresh_labels(len(circuit.input_wires))
 
@@ -363,8 +358,9 @@ def garble_batch_from_labels(
         t_g = h_a0 ^ h_a1 ^ (deltas & p_b)
         w_g = h_a0 ^ (t_g & p_a)
         # Evaluator half-gate: computes a AND (b XOR p_b).
-        t_e = h_b0 ^ h_b1 ^ a0
-        w_e = h_b0 ^ ((t_e ^ a0) & p_b)
+        h_b = h_b0 ^ h_b1
+        t_e = h_b ^ a0
+        w_e = h_b0 ^ (h_b & p_b)
         zero_labels[gate.out] = w_g ^ w_e
         tables[:, slot, 0] = t_g
         tables[:, slot, 1] = t_e

@@ -314,9 +314,13 @@ def _at(records, path: tuple):
     return records
 
 
-def _stamp(records, constants) -> None:
+def _blank(count: int, layout):
+    """``count`` records of ``layout`` with the constants stamped in."""
+    dtype, constants = layout
+    records = np.zeros(count, dtype=dtype)
     for path, value in constants:
         _at(records, path)[...] = value
+    return records
 
 
 def _records(data: bytes, offset: int, count: int, layout, what: str):
@@ -379,9 +383,7 @@ def serialize_label_lists(labels) -> bytes:
     count, width, label_bytes = labels.shape
     if label_bytes != LABEL_BYTES:
         raise ValueError("labels must be 16 bytes")
-    dtype, constants = _label_list_layout(width)
-    records = np.zeros(count, dtype=dtype)
-    _stamp(records, constants)
+    records = _blank(count, _label_list_layout(width))
     records["labels"] = labels
     return (
         wire_header(FMT_LABEL_LISTS) + struct.pack("<I", count) + records.tobytes()
@@ -489,9 +491,7 @@ def _read_circuits(records, circuit: Circuit) -> GarbledBatch:
 def serialize_garbled_circuit(garbled: GarbledCircuit) -> bytes:
     """One instance: a one-record batch without the batch framing."""
     batch = GarbledBatch.from_instances(garbled.circuit, [garbled])
-    dtype, constants = _circuit_layout(batch.circuit, batch.decode_bits.shape[1])
-    records = np.zeros(1, dtype=dtype)
-    _stamp(records, constants)
+    records = _blank(1, _circuit_layout(batch.circuit, batch.decode_bits.shape[1]))
     _fill_circuits(records, batch)
     return records.tobytes()
 
@@ -517,11 +517,8 @@ def garbled_circuit_wire_bytes(and_gates: int, outputs: int) -> int:
 
 def serialize_circuit_batch(batch: GarbledBatch) -> bytes:
     """One ReLU layer's garbled circuits as a single wire message."""
-    dtype, constants = _length_prefixed(
-        [("circuit", _circuit_layout(batch.circuit, batch.decode_bits.shape[1]))]
-    )
-    records = np.zeros(len(batch), dtype=dtype)
-    _stamp(records, constants)
+    layout = _circuit_layout(batch.circuit, batch.decode_bits.shape[1])
+    records = _blank(len(batch), _length_prefixed([("circuit", layout)]))
     _fill_circuits(records["circuit"], batch)
     return (
         wire_header(FMT_CIRCUIT_BATCH)
@@ -570,11 +567,10 @@ def serialize_relu_bundle(
     """One layer of a store entry: per instance its garbled circuit, input
     encoding and evaluator label map, each length-prefixed."""
     circuit = circuits.circuit
-    dtype, constants = _bundle_layout(
+    layout = _bundle_layout(
         circuit, _circuit_layout(circuit, circuits.decode_bits.shape[1]), labels.wires
     )
-    records = np.zeros(len(circuits), dtype=dtype)
-    _stamp(records, constants)
+    records = _blank(len(circuits), layout)
     _fill_circuits(records["circuit"], circuits)
     encoding = records["encoding"]
     encoding["delta"] = encodings.deltas

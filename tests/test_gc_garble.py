@@ -267,11 +267,12 @@ class TestBatchedWalkIsTheScalarWalk:
         assert (back.output_zero_labels == encodings.output_zero_labels).all()
 
         rnd = random.Random(count)
-        g_bits = np.array(
-            [[rnd.getrandbits(1) for _ in circuit.garbler_inputs] for _ in range(count)],
-            dtype=np.uint8,
-        )
-        e_bits = [[rnd.getrandbits(1) for _ in circuit.evaluator_inputs] for _ in range(count)]
+
+        def random_bits(wires):
+            return [[rnd.getrandbits(1) for _ in wires] for _ in range(count)]
+
+        g_bits = np.array(random_bits(circuit.garbler_inputs), dtype=np.uint8)
+        e_bits = random_bits(circuit.evaluator_inputs)
         own = Garbler.encode_inputs(encodings, circuit, g_bits)
         zero_e, one_e = encodings.evaluator_pairs()
         chosen = np.where(np.array(e_bits, dtype=bool).reshape(-1, 1), one_e, zero_e)
@@ -279,7 +280,9 @@ class TestBatchedWalkIsTheScalarWalk:
             circuit.evaluator_inputs, chosen.reshape(count, -1, LABEL_BYTES)
         )
         for i, (_, encoding) in enumerate(scalar):
-            assert own[i] == Garbler.encode_inputs(encoding, circuit, g_bits[i].tolist())
+            assert own[i] == Garbler.encode_inputs(
+                encoding, circuit, g_bits[i].tolist()
+            )
             assert theirs[i] == {
                 w: encoding.label_for(w, bit)
                 for w, bit in zip(circuit.evaluator_inputs, e_bits[i])

@@ -368,7 +368,8 @@ class TestLabels:
         assert (deserialize_labels(serialize_labels(labels), 10) == labels).all()
 
     def test_empty(self):
-        assert deserialize_labels(serialize_labels(label_block(0, 0)), 0).shape == (0, 16)
+        empty = deserialize_labels(serialize_labels(label_block(0, 0)), 0)
+        assert empty.shape == (0, 16)
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):
@@ -574,7 +575,9 @@ class TestColumnarCodecParity:
         # Server-Garbler: the mask is the evaluating client's input and the
         # evaluator stores [its inputs, constants]; Client-Garbler: the mask
         # is the garbler's and the evaluator stores [constants, garbler's].
-        role: build_relu_circuit(ReluCircuitSpec(bits=16, modulus=65521, mask_owner=owner))
+        role: build_relu_circuit(
+            ReluCircuitSpec(bits=16, modulus=65521, mask_owner=owner)
+        )
         for role, owner in (("server", "evaluator"), ("client", "garbler"))
     }
 
@@ -623,7 +626,9 @@ class TestColumnarCodecParity:
         assert serialize_circuit_batch(restored) == wire
 
         lists = serialize_label_lists(labels.labels)
-        assert lists == reference_label_lists([byte_rows(block) for block in labels.labels])
+        assert lists == reference_label_lists(
+            [byte_rows(block) for block in labels.labels]
+        )
         assert (
             deserialize_label_lists(lists, count, len(wires)) == labels.labels
         ).all()
