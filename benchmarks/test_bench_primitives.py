@@ -136,6 +136,46 @@ def test_bench_ct_mul_delphi_rns(benchmark):
     _mul_plain_bench(benchmark, delphi_params(), "rns", rounds=5)
 
 
+def test_bench_chain_ntt_delphi(benchmark):
+    """The transform kernel alone on the delphi chain: forward (lazy, as
+    every product consumes it) of 6 rings x 1, 2 and 6 rows, one plan call
+    each — the shapes a mint makes most (an accumulator's c1, a block of
+    two plaintexts, a Galois key's six components). ``extra_info``
+    splits the three and prices a butterfly; guarded like the rotation
+    row under ``REPRO_BENCH_STRICT=1``."""
+    from repro.backend import backend_for
+
+    params = delphi_params()
+    primes = params.rns_primes
+    be = backend_for(max(primes), prefer=params.backend)
+    ntt = NegacyclicNtt(params.n, primes, backend=be)
+    rng = random.Random(37)
+    stacks = {
+        rows: [
+            [be.asvec([rng.randrange(q) for _ in range(params.n)], q) for _ in range(rows)]
+            for q in primes
+        ]
+        for rows in (1, 2, 6)
+    }
+    benchmark.pedantic(
+        lambda: [ntt.forward_stack(stack, lazy=True) for stack in stacks.values()],
+        rounds=5, iterations=1, warmup_rounds=1,
+    )
+    butterflies = len(primes) * (params.n // 2) * (params.n.bit_length() - 1)
+    for rows, stack in stacks.items():
+        ms = _best_ms(lambda: ntt.forward_stack(stack, lazy=True))
+        benchmark.extra_info[f"rows_{rows}_ms"] = ms
+        benchmark.extra_info[f"rows_{rows}_ns_per_butterfly"] = round(
+            ms * 1e6 / (rows * butterflies), 2
+        )
+    benchmark.extra_info["rings"] = len(primes)
+    benchmark.extra_info["rows"] = sorted(stacks)
+    if os.environ.get("REPRO_BENCH_STRICT"):
+        _guard_against_committed_baseline(
+            benchmark, "test_bench_chain_ntt_delphi", threshold=1.3
+        )
+
+
 def _best_ms(fn, rounds=5):
     """Best-of-N wall time in ms (phase probes, not benchmark rows)."""
     times = []
@@ -152,8 +192,9 @@ def _rotation_phase_breakdown(ctx, ct, g, gk):
     Three probes: the digit decomposition (one digit per pair of chain
     primes: the pair's residues lifted into one lane, then reduced into
     the other bases), the full eval-domain key inner
-    product, and the pure transform share of that product (the stacked
-    digit forwards plus the two-vector inverse each residue ring pays).
+    product, and the pure transform share of that product (the digit
+    forwards plus the two-row inverse of every residue ring: one chain
+    plan call each).
     Recorded as extra_info so the JSON diff shows *where* a regression
     landed, not just that one happened.
     """
@@ -161,12 +202,12 @@ def _rotation_phase_breakdown(ctx, ct, g, gk):
     rotated = ct.c1.automorphism(g)
     digits = rotated.decompose(p.digit_groups, p.decomp_bits)
     eval_keys = gk.eval_keys(g)  # per ring: the (K0, K1) digit stacks
-    plans = [ntt._ntt._plan for ntt in rotated.ring_ntts()]
+    plan = rotated.ring_ntt()._plan  # the whole chain's, one call per step
+    digit_stack = [list(column) for column in zip(*(d.residues for d in digits))]
 
     def transforms_only():
-        for i, plan in enumerate(plans):
-            fwd = plan.forward_many([d.residues[i] for d in digits])
-            plan.inverse_unscaled_many(fwd[:2])
+        fwd = plan.forward(digit_stack, lazy=True)
+        plan.inverse([rows[:2] for rows in fwd])
 
     return {
         "phase_decompose_ms": _best_ms(
@@ -244,16 +285,17 @@ def _delphi_rns_rig(seed):
 
 
 class _PhaseClock:
-    """Wall time and transform rows below chosen call sites of one
-    instrumented run: each wrapped callable adds its duration to a named
-    phase and, for a transform, the rows it was handed to a named count.
-    Nested wrapped calls are charged once — time to the outermost phase,
-    rows to the outermost transform (a plan's ``*_many`` may be built on
-    its single-vector form); ``close`` puts the originals back."""
+    """Wall time, transform rows and plan calls below chosen call sites
+    of one instrumented run: each wrapped callable adds its duration to a
+    named phase and, for a plan's transform, one call and the rows of the
+    ``[ring][row]`` stack it was handed (all rings together) to a named
+    count. Nested wrapped calls are charged once — time to the outermost
+    phase; ``close`` puts the originals back."""
 
     def __init__(self):
         self.ms = {}
         self.rows = {}
+        self.calls = {}
         self._busy = set()  # "time" / "rows": already charged up the stack
         self._undo = contextlib.ExitStack()
 
@@ -266,8 +308,9 @@ class _PhaseClock:
         def timed(*args, **kwargs):
             mine = charges - self._busy
             if "rows" in mine:
-                handed = len(args[0]) if name.endswith("many") else 1
+                handed = sum(len(ring_rows) for ring_rows in args[0])
                 self.rows[rows] = self.rows.get(rows, 0) + handed
+                self.calls[rows] = self.calls.get(rows, 0) + 1
             self._busy |= mine
             start = time.perf_counter()
             try:
@@ -285,7 +328,7 @@ class _PhaseClock:
         self._undo.close()
 
 
-_TRANSFORMS = ("forward_many", "inverse_unscaled_many", "inverse_unscaled")
+_TRANSFORMS = ("forward", "inverse")  # the NttPlan contract
 
 
 def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix):
@@ -294,21 +337,20 @@ def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix):
 
     One instrumented run: diagonal encoding (the stacked inverse mod t
     included), the key-switch inner products, and the ciphertext-ring
-    transforms; rows are counted at the plans — per diagonal and ring
-    D + 1 on a chain (D - 1 digits, the accumulator's c1, the plaintext),
-    D + 2 without one, plus one row mod t, the ledger
+    transforms; rows and calls are counted at the plans — per diagonal
+    and ring D + 1 rows on a chain (D - 1 digits, the accumulator's c1,
+    the plaintext), D + 2 without one, plus one row mod t; per diagonal
+    two ciphertext-ring calls whatever the chain length — the ledgers
     ``tests/test_batched_ntt.py`` pins.
     """
     clock = _PhaseClock()
-    rings = ct.c1.ring_ntts()
+    ntt = ct.c1.ring_ntt()
     try:
         clock.wrap(encoder, "encode_many", "phase_encode_ms")
+        clock.wrap(ntt, "key_switch_eval", "phase_key_product_ms")
         for name in _TRANSFORMS:
-            clock.wrap(encoder._ntt._ntt._plan, name, rows="plain_rows")
-        for ntt in rings:
-            clock.wrap(ntt, "key_switch_eval", "phase_key_product_ms")
-            for name in _TRANSFORMS:
-                clock.wrap(ntt._ntt._plan, name, "phase_ntt_ms", "ring_rows")
+            clock.wrap(encoder._ntt._plan, name, rows="plain_rows")
+            clock.wrap(ntt._plan, name, "phase_ntt_ms", "ring_rows")
         start = time.perf_counter()
         evaluator.matvec(ct, matrix)
         total_ms = (time.perf_counter() - start) * 1000
@@ -317,9 +359,11 @@ def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix):
     rows = sum(clock.rows.values())
     return {
         "digits": ctx.params.num_decomp_digits,
-        "rings": len(rings),
+        "rings": len(ntt.moduli),
         "transform_rows": rows,
         "transform_rows_per_diagonal": round(rows / len(matrix[0]), 2),
+        "transform_calls": sum(clock.calls.values()),
+        "ring_transform_calls": clock.calls["ring_rows"],
         "phase_total_ms": round(total_ms, 3),
         **{phase: round(ms, 3) for phase, ms in sorted(clock.ms.items())},
     }

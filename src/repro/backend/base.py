@@ -29,48 +29,39 @@ Vec = Any  # backend-native vector (list[int] or np.ndarray)
 Stack = Any
 Mat = Any  # backend-native 2D matrix (list[list[int]] or np.ndarray)
 Index = Any  # backend-native gather index (list[int] or np.ndarray)
+# One stack per residue ring of a chain, ``[ring][row]`` (3D ndarray or
+# nested sequences): what an :class:`NttPlan` transforms in one call.
+ChainStack = Any
 
 
 class NttPlan(abc.ABC):
-    """Precomputed transform tables for one (n, q, root) triple.
+    """Precomputed transform tables for a chain of residue rings: one
+    size-n transform per modulus, every ring of the chain in one call.
 
-    ``forward`` applies the size-n cyclic NTT; ``inverse`` applies the
-    inverse transform including the 1/n scaling. Both consume and produce
-    backend-native vectors of reduced residues.
+    Both methods take and return a *chain stack* ``[ring][row]`` of
+    backend-native vectors — ``(rings, rows, n)`` as a 3D array or any
+    nested sequence, a single modulus being a chain of one ring. A
+    negacyclic plan (built with ``twists``, see
+    :meth:`ComputeBackend.make_ntt_plan`) multiplies coefficient k by
+    psi^k before the cyclic transform and by psi^-k after its inverse.
+    A ring count other than the plan's, or a row whose length is not n,
+    raises ``ValueError`` instead of truncating or padding.
     """
 
     @abc.abstractmethod
-    def forward(self, vec: Vec) -> Vec: ...
+    def forward(self, stack: ChainStack, lazy: bool = False) -> ChainStack:
+        """Transforms of every row (entries reduced, or at most below 2q).
+
+        Rows come back canonical unless ``lazy``; lazy rows may hold
+        *unreduced* residues (congruent mod q, below 2q) and are only
+        valid as the first operand of a reducing product on the same
+        backend — ``mul``, ``mul_rows``, ``inner_product``.
+        """
 
     @abc.abstractmethod
-    def inverse(self, vec: Vec) -> Vec: ...
-
-    @abc.abstractmethod
-    def inverse_unscaled(self, vec: Vec) -> Vec:
-        """Inverse transform without the 1/n factor — callers that follow
-        with a pointwise multiply (psi-untwisting) fold the factor into
-        their own table, saving one full-vector pass.
-
-        CONTRACT: the output may hold *unreduced* residues (congruent mod
-        q but not canonical); it is only valid as input to a reducing
-        pointwise multiply on the same backend.
-        """
-
-    def forward_many(self, vecs: Stack, normalize: bool = False) -> Stack:
-        """Forward transforms of every vector; backends may stack them
-        into a single pass (one ufunc walk per butterfly stage instead of
-        one per vector). Rows are canonical when ``normalize`` is set;
-        otherwise they follow the unreduced-output contract of
-        :meth:`inverse_unscaled`.
-        """
-        return [self.forward(v) for v in vecs]
-
-    def inverse_unscaled_many(self, vecs: Stack) -> Stack:
-        """Unscaled inverse transforms of every vector, batchable like
-        :meth:`forward_many`; outputs follow the :meth:`inverse_unscaled`
-        unreduced contract.
-        """
-        return [self.inverse_unscaled(v) for v in vecs]
+    def inverse(self, stack: ChainStack) -> ChainStack:
+        """Inverse transforms of every row, the 1/n factor included;
+        rows take entries below 2q and come back canonical."""
 
 
 class ComputeBackend(abc.ABC):
@@ -154,8 +145,12 @@ class ComputeBackend(abc.ABC):
         """Gather: out[i] = vec[index[i]]."""
 
     @abc.abstractmethod
-    def automorphism(self, vec: Vec, galois_element: int, q: int) -> Vec:
-        """Apply X -> X^g in Z_q[X]/(X^n + 1); g must be odd."""
+    def automorphism(
+        self, rows: Stack, galois_element: int, moduli: Sequence[int]
+    ) -> Stack:
+        """Apply X -> X^g (g odd) to one coefficient vector per residue
+        ring of an element — row i in Z_{moduli[i]}[X]/(X^n + 1) — all
+        rings through one scatter."""
 
     @abc.abstractmethod
     def decompose(
@@ -225,8 +220,18 @@ class ComputeBackend(abc.ABC):
     # -- transforms --------------------------------------------------------
 
     @abc.abstractmethod
-    def make_ntt_plan(self, n: int, q: int, root: int) -> NttPlan:
-        """Plan for the size-n cyclic NTT with primitive n-th root ``root``."""
+    def make_ntt_plan(
+        self,
+        n: int,
+        moduli: Sequence[int],
+        roots: Sequence[int],
+        twists: Sequence[int] | None = None,
+    ) -> NttPlan:
+        """Plan for the size-n NTTs of a chain: ring i transforms mod
+        ``moduli[i]`` with the primitive n-th root ``roots[i]``. With
+        ``twists`` — per ring a primitive 2n-th root psi whose square is
+        the ring's root — the plan is negacyclic (X^n + 1), else cyclic.
+        """
 
     # -- linear algebra ----------------------------------------------------
 

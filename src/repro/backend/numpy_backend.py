@@ -1,11 +1,11 @@
 """Vectorized ``uint64`` backend with Barrett/Shoup residue arithmetic.
 
-All coefficients live in flat ``uint64`` ndarrays. Two reduction regimes,
-chosen per modulus:
+All coefficients live in flat ``uint64`` ndarrays. Pointwise kernels pick
+one of two reduction regimes per modulus:
 
 * **direct** (q < 2^31): residue products fit in 64 bits, so ``a * b % q``
-  is exact with plain ufuncs. This covers the plaintext field t
-  (17-41 bits needs the next tier) and small test moduli.
+  is exact with plain ufuncs. This covers the chain primes of the RNS
+  parameter sets and small test moduli.
 * **Shoup** (2^31 <= q < 2^62): products overflow 64 bits, so we compute
   the full 128-bit product from 32-bit limbs and reduce with Shoup's
   precomputed-quotient trick: for a constant w with
@@ -15,15 +15,23 @@ chosen per modulus:
   variable*variable product reduces its high word the same way against
   the constant 2^64 mod q.
 
-The NTT additionally uses Harvey-style *lazy* butterflies: values stay in
-[0, 2q) between stages, the quotient estimate drops the low-limb carry
-(underestimating by at most 2, so remainders stay under 4q < 2^64 given
-q < 2^62), and a single normalization pass lands the output in [0, q).
+The NTT (:class:`_NumpyNttPlan`) is one kernel for a whole *chain* of
+residue rings — a ``(rings, rows, n)`` stack per call, per-ring moduli and
+twiddles broadcast down the ring axis — and never divides: every
+multiplier it meets (twiddles, the negacyclic twist, the scaled untwist)
+is a constant with a precomputed Shoup companion, and its butterflies
+are Harvey-style *lazy*, in 32-bit Shoup arithmetic when every modulus
+is below 2^30 (:class:`_NarrowLanes`, where the bound is argued) and in
+the 64-bit form otherwise (:class:`_WideLanes`). ``%`` therefore remains
+only in pointwise operations, where the modulus is one scalar, and in
+building tables. A final pass lands the output in [0, q), or in [0, 2q)
+for callers that follow with a reducing product.
 
 Everything is exact integer arithmetic — no floats — so results agree
 bit for bit with the python reference backend (enforced by
-``tests/test_backend_parity.py``). Moduli at or above 2^62 are rejected
-by :meth:`supports_modulus`; the registry then falls back to python.
+``tests/test_backend_parity.py`` and ``tests/test_chain_ntt.py``). Moduli
+at or above 2^62 are rejected by :meth:`supports_modulus`; the registry
+then falls back to python.
 
 The module degrades gracefully when numpy is absent: ``NumpyBackend`` is
 ``None`` and the registry simply never offers the backend.
@@ -47,6 +55,10 @@ _PY_FALLBACK = PythonBackend()  # exact path for shapes uint64 cannot hold
 
 _DIRECT_LIMIT = 1 << 31  # q below this: products of residues fit in uint64
 _MODULUS_LIMIT = 1 << 62  # q below this: (lazy) Shoup reduction is exact
+_NARROW_LIMIT = 1 << 30  # q below this: the NTT's lazy values (< 4q) fit 32 bits
+_TRANSPOSED_BLOCK = 32  # butterfly blocks up to this size run transposed
+_SLAB = 3 << 15  # elements transformed per pass: 768 KB of stack, as much scratch
+_UFUNC_BUFFER = 256  # elements, while a transform runs; see _NumpyNttPlan._transform
 
 if np is not None:
     _M32 = np.uint64(0xFFFFFFFF)
@@ -115,6 +127,19 @@ def _byte_power_table(width: int, moduli: tuple[int, ...]):
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _automorphism_scatter(n: int, galois_element: int):
+    """Where X -> X^g sends coefficient i of a degree-n element, and
+    whether X^n = -1 flips its sign on the way: (targets, wrap), a
+    function of (n, g) alone, built once instead of once per rotation
+    and ring. Shared between callers, hence read-only."""
+    index = (np.arange(n, dtype=np.int64) * galois_element) % (2 * n)
+    wrap = index >= n
+    targets = np.where(wrap, index - n, index)
+    targets.flags.writeable = wrap.flags.writeable = False
+    return targets, wrap
+
+
 class _NumpyRnsDigitPlan:
     """Precomputed limb tables for the vectorized exact base conversion.
 
@@ -177,138 +202,307 @@ class _NumpyRnsDigitPlan:
         )
 
 
-class _NumpyNttPlan(NttPlan):
-    """Precomputed bit-reversal permutation plus per-stage twiddle tables.
+def _ring_constant(values):
+    """Per-ring constants — one each, or a row of k — shaped to broadcast
+    against stage operands: ``(rings, 1, k, 1)``, or ``(1, k, 1)`` for a
+    chain of one."""
+    values = np.asarray(values, dtype=np.uint64)
+    lead = values.shape[:1] if values.shape[0] > 1 else ()
+    return values.reshape(*lead, 1, -1, 1)
 
-    Stage tables hold w_len^k for k < length/2 exactly as the reference
-    iterative NTT generates them, so butterfly outputs match the python
-    backend bit for bit.
+
+class _NarrowLanes:
+    """Butterfly arithmetic for a chain whose moduli are all below 2^30.
+
+    Every value the transform holds stays below 4q < 2^32, so the twiddle
+    product is a 32-bit Shoup multiply held entirely in ``uint64``: with
+    w' = floor(w * 2^32 / q), ``x*w - ((x*w') >> 32)*q`` lies in [0, 2q)
+    for ANY x < 2^32 (the quotient estimate is short by at most 1), and
+    neither product overflows (x*w' < 2^64, x*w < 2^62). Harvey's lazy
+    butterfly then needs one conditional subtract, on u, per stage: from
+    u, x in [0, 4q) it leaves u' + v and u' - v + 2q, both in [0, 4q).
+    No ``%`` and no ``//``: per-ring moduli broadcast down the ring axis,
+    where a remainder by an *array* of moduli would be a hardware divide
+    per element.
+
+    Operands are views ``(rings, blocks, half, run)``; constants are
+    shaped ``(rings, 1, k, 1)`` to broadcast against them (a chain of one
+    drops the ring axis from both: fewer dimensions, cheaper calls).
     """
 
-    def __init__(self, backend: "NumpyBackend", n: int, q: int, root: int):
-        self.backend = backend
+    def __init__(self, moduli):
+        self.q = _ring_constant(moduli)
+        self.two_q = self.q * np.uint64(2)
+
+    def table(self, w):
+        """A constant multiplier table with its Shoup companion."""
+        return w, (w << _S32) // self.q  # w < 2^30: the shift cannot overflow
+
+    def mul(self, x, table, out, tmp):
+        """out = x*w mod q lazily, in [0, 2q), for x < 2^32 (out may be x)."""
+        w, w_sh = table
+        np.multiply(x, w_sh, out=tmp)
+        tmp >>= _S32
+        tmp *= self.q
+        np.multiply(x, w, out=out)
+        out -= tmp
+
+    def butterfly(self, u, x, table, s1, s2):
+        """(u, x) <- (u + w*x, u - w*x), in place, values in [0, 4q)."""
+        if table is None:  # twiddle 1 (first stage): operands are below 2q
+            np.subtract(u, x, out=s1)
+            u += x
+            np.add(s1, self.two_q, out=x)
+            return
+        self.mul(x, table, out=s2, tmp=s1)
+        np.subtract(u, self.two_q, out=s1)
+        np.minimum(u, s1, out=u)  # u in [0, 2q)
+        np.subtract(u, s2, out=x)
+        x += self.two_q
+        u += s2
+
+    def settle(self, a, tmp):
+        """Stage values [0, 4q) -> the lazy output range [0, 2q)."""
+        np.subtract(a, self.two_q, out=tmp)
+        np.minimum(a, tmp, out=a)
+
+
+class _WideLanes:
+    """Butterfly arithmetic for a chain with a modulus in [2^30, 2^62).
+
+    Same interface and layout as :class:`_NarrowLanes`, 64-bit products:
+    the twiddle product takes the full-width Shoup quotient from 32-bit
+    limbs, dropping the low-limb carry (an underestimate of at most 2 on
+    top of Shoup's 1), so the remainder lies in [0, 4q) < 2^64 and one
+    conditional subtract lands it in [0, 2q) — where every stage value
+    stays.
+    """
+
+    def __init__(self, moduli):
+        self.moduli = tuple(moduli)
+        self.q = _ring_constant(moduli)
+        self.two_q = self.q * np.uint64(2)
+
+    def table(self, w):
+        """A constant multiplier table with the two limbs of
+        w' = floor(w * 2^64 / q) (128-bit numerators: Python ints)."""
+        per_ring = w.reshape(len(self.moduli), -1).tolist()
+        sh = np.asarray(
+            [[(v << 64) // q for v in row] for row, q in zip(per_ring, self.moduli)],
+            dtype=object,
+        ).reshape(w.shape)
+        return w, (sh >> 32).astype(np.uint64), (sh & 0xFFFFFFFF).astype(np.uint64)
+
+    def mul(self, x, table, out, tmp):
+        """out = x*w mod q lazily, in [0, 2q), for any x < 2^64."""
+        w, w_sh_h, w_sh_l = table
+        xh = x >> _S32
+        xl = x & _M32
+        q_hat = xh * w_sh_h + ((xh * w_sh_l) >> _S32) + ((xl * w_sh_h) >> _S32)
+        np.multiply(x, w, out=tmp)
+        tmp -= q_hat * self.q  # in [0, 4q)
+        np.subtract(tmp, self.two_q, out=out)
+        np.minimum(out, tmp, out=out)
+
+    def butterfly(self, u, x, table, s1, s2):
+        """(u, x) <- (u + w*x, u - w*x), in place, values in [0, 2q)."""
+        if table is None:  # twiddle 1 (first stage): x is below 2q already
+            v = x
+        else:
+            self.mul(x, table, out=s2, tmp=s1)
+            v = s2
+        np.add(u, v, out=s1)  # < 4q
+        np.subtract(self.two_q, v, out=s2)
+        s2 += u  # in (0, 4q)
+        np.subtract(s1, self.two_q, out=u)
+        np.minimum(u, s1, out=u)
+        np.subtract(s2, self.two_q, out=x)
+        np.minimum(x, s2, out=x)
+
+    def settle(self, a, tmp):
+        """Stage values are in the lazy output range [0, 2q) already."""
+
+
+def _bit_reverse_indices(n: int):
+    bits = n.bit_length() - 1
+    index = np.arange(n, dtype=np.intp)
+    out = np.zeros(n, dtype=np.intp)
+    for bit in range(bits):
+        out |= ((index >> bit) & 1) << (bits - 1 - bit)
+    return out
+
+
+class _NumpyNttPlan(NttPlan):
+    """One kernel for every residue ring of a chain.
+
+    The walk is the reference iterative Cooley-Tukey (bit-reversal, then
+    stages of half = 1, 2, ... n/2 with twiddles w_len^k), so outputs
+    match the python backend bit for bit; what differs is the layout:
+
+    * the whole ``(rings, rows, n)`` stack goes through each ufunc at
+      once, per-ring moduli and twiddles broadcasting down the ring axis;
+    * the short stages (block = 2*half <= 32) run on a *transposed*
+      ``(32, n/32)`` view of each row — the transpose is folded into the
+      bit-reversal gather — where a butterfly's operands are whole rows of
+      that view: every ufunc walks runs of n/32 contiguous elements
+      instead of 1 to 16. One transpose copy then restores natural order
+      for the long stages. Below 64 points there is no run worth walking
+      and every stage takes the natural layout;
+    * the negacyclic twist rides on the gathered array (its table is
+      stored in gather order) and the untwist, with 1/n folded in, is the
+      last pass.
+
+    The arithmetic is :class:`_NarrowLanes` when every modulus is below
+    2^30 and :class:`_WideLanes` otherwise; neither divides.
+    """
+
+    def __init__(self, backend, n: int, moduli, roots, twists):
+        rings = len(moduli)
+        if not (len(roots) == rings and (twists is None or len(twists) == rings)):
+            raise ValueError("one root (and twist) per modulus")
         self.n = n
-        self.q = q
-        self.n_inv = mod_inverse(n, q)
-        self.perm = self._bit_reverse_indices(n)
-        self.fwd_stages = self._stage_tables(root)
-        self.inv_stages = self._stage_tables(mod_inverse(root, q))
+        self.rings = rings
+        self.lanes = (
+            _NarrowLanes if max(moduli) < _NARROW_LIMIT else _WideLanes
+        )(moduli)
+        self.lead = self.lanes.q.shape[:-3]  # (rings,), or () for a chain of one
+        self.block = _TRANSPOSED_BLOCK if n >= 2 * _TRANSPOSED_BLOCK else 1
+        self.gather = (
+            _bit_reverse_indices(n).reshape(n // self.block, self.block).T.ravel()
+        )
 
-    @staticmethod
-    def _bit_reverse_indices(n: int):
-        out = list(range(n))
-        j = 0
-        for i in range(1, n):
-            bit = n >> 1
-            while j & bit:
-                j ^= bit
-                bit >>= 1
-            j |= bit
-            if i < j:
-                out[i], out[j] = out[j], out[i]
-        return np.asarray(out, dtype=np.intp)
-
-    def _stage_tables(self, base: int):
-        n, q = self.n, self.q
-        small = q < _DIRECT_LIMIT
-        stages = []
-        length = 2
-        while length <= n:
-            w_len = pow(base, n // length, q)
-            half = length // 2
-            tbl = [1] * half
-            for k in range(1, half):
-                tbl[k] = tbl[k - 1] * w_len % q
-            w = np.asarray(tbl, dtype=np.uint64)
-            if small:
-                stages.append((w, None, None))
-            else:
-                sh = [(t << 64) // q for t in tbl]
-                stages.append(
-                    (
-                        w,
-                        np.asarray([s >> 32 for s in sh], dtype=np.uint64),
-                        np.asarray([s & 0xFFFFFFFF for s in sh], dtype=np.uint64),
+        def powers(bases, count):
+            """bases[i]^k mod moduli[i] for k < count, a row per ring, by
+            doubling: log2(count) vector products, not count scalar ones."""
+            out = np.ones((rings, count), dtype=np.uint64)
+            for row, base, q in zip(out, bases, moduli):
+                done = 1
+                while done < count:
+                    row[done : 2 * done] = backend.scalar_mul(
+                        row[:done], pow(base, done, q), q
                     )
+                    done *= 2
+            return out
+
+        def stages(bases):
+            """Per stage (half, twiddle table): w_len^k for k < half."""
+            table = powers(bases, max(n // 2, 1))
+            out = [(1, None)]  # w_len^0: the first stage multiplies by 1
+            half = 2
+            while half < n:
+                w = np.ascontiguousarray(table[:, :: n // 2 // half])
+                out.append((half, self.lanes.table(_ring_constant(w))))
+                half *= 2
+            return out
+
+        def inverses(values):
+            return [mod_inverse(v, q) for v, q in zip(values, moduli)]
+
+        self.fwd_stages = stages(roots)
+        self.inv_stages = stages(inverses(roots))
+        # Going in: psi^k, in gather order. Coming out: psi^-k / n, or the
+        # bare 1/n of a cyclic plan.
+        n_inv = inverses([n] * rings)
+        if twists is None:
+            self.twist = None
+            untwist = np.asarray(n_inv, dtype=np.uint64)[:, None]
+        else:
+            self.twist = self.lanes.table(
+                _ring_constant(powers(twists, n)[:, self.gather])
+            )
+            untwist = np.stack(
+                [
+                    backend.scalar_mul(row, scale, q)
+                    for row, scale, q in zip(
+                        powers(inverses(twists), n), n_inv, moduli
+                    )
+                ]
+            )
+        self.untwist = self.lanes.table(_ring_constant(untwist))
+
+    def _as_chain(self, stack):
+        """The caller's ``[ring][row]`` stack as one (rings, rows, n) array."""
+        if not isinstance(stack, np.ndarray):
+            stack = np.asarray([list(rows) for rows in stack], dtype=np.uint64)
+        if stack.shape[:1] != (self.rings,):
+            raise ValueError(
+                f"expected a stack for each of {self.rings} residue rings, "
+                f"got {len(stack)}"
+            )
+        if stack.size == 0:
+            return np.empty((self.rings, 0, self.n), dtype=np.uint64)
+        if stack.ndim != 3:
+            raise ValueError(f"expected [ring][row] vectors, got shape {stack.shape}")
+        if stack.shape[2] != self.n:
+            raise ValueError(
+                f"expected rows of {self.n} values, got {stack.shape[2]}"
+            )
+        return stack
+
+    def _transform(self, stack, stages, twist, untwist, lazy):
+        """The chain's transforms, a slab of rows at a time (so the
+        working set stays in cache however many rows arrive)."""
+        stack = self._as_chain(stack)
+        rows = stack.shape[1]
+        step = max(1, _SLAB // (self.rings * self.n))
+        # Stage operands are strided views. numpy copies an operand whose
+        # contiguous runs are shorter than its ufunc buffer (8192 elements
+        # by default) through that buffer to run longer inner loops: two
+        # extra passes per ufunc, about 3x the arithmetic here. With a
+        # 256-element buffer only runs shorter than that are still copied
+        # (there a copy does beat one inner loop per 8..128 elements).
+        # The setting is per thread, and restored.
+        buffer = np.setbufsize(_UFUNC_BUFFER)
+        try:
+            slabs = [
+                self._slab(stack[:, lo : lo + step], stages, twist, untwist, lazy)
+                for lo in range(0, rows, step)
+            ]
+        finally:
+            np.setbufsize(buffer)
+        if len(slabs) == 1:
+            return slabs[0]
+        return np.concatenate(slabs, axis=1) if slabs else stack
+
+    def _slab(self, src, stages, twist, untwist, lazy):
+        lanes, lead = self.lanes, self.lead
+        rings, rows, n = src.shape
+        a = np.take(src, self.gather, axis=-1).reshape(-1)  # fresh, contiguous
+        scratch = np.empty_like(a)
+        whole = (*lead, rows, n, 1)
+        if twist is not None:
+            lanes.mul(a.reshape(whole), twist, a.reshape(whole), scratch.reshape(whole))
+        run = n // self.block if self.block > 1 else 1
+        for half, table in stages:
+            if run > 1 and half == self.block:
+                # Short stages done: back to natural order, once — into
+                # the scratch, which then trades places with the stack.
+                np.copyto(
+                    scratch.reshape(-1, run, self.block),
+                    a.reshape(-1, self.block, run).transpose(0, 2, 1),
                 )
-            length <<= 1
-        return stages
+                a, scratch = scratch, a
+                run = 1
+            pairs = a.reshape(*lead, -1, 2, half, run)
+            halves = scratch.reshape(2, *lead, pairs.shape[-4], half, run)
+            lanes.butterfly(
+                pairs[..., 0, :, :], pairs[..., 1, :, :], table, halves[0], halves[1]
+            )
+        out, tmp = a.reshape(whole), scratch.reshape(whole)
+        if untwist is not None:
+            lanes.mul(out, untwist, out, tmp)
+        else:
+            lanes.settle(out, tmp)
+        if not lazy:
+            np.subtract(out, lanes.q, out=tmp)
+            np.minimum(out, tmp, out=out)  # [0, 2q) -> [0, q)
+        return a.reshape(rings, rows, n)
 
-    def _transform(self, vec, stages, normalize=True):
-        """Transform the last axis; rows of a stacked input stay independent.
+    def forward(self, stack, lazy=False):
+        return self._transform(stack, self.fwd_stages, self.twist, None, lazy)
 
-        Harvey-style lazy butterflies: stage values live in [0, 2q), the
-        twiddle product uses a carry-free quotient estimate (off by at most
-        2, keeping remainders under 4q < 2^64 for q < 2^62), and a single
-        final pass normalizes into [0, q). All integer, hence bit-exact.
-        With ``normalize=False`` the output stays in [0, 2q) — valid only
-        when the caller follows with a reducing pointwise multiply.
-        """
-        q = np.uint64(self.q)
-        # Fancy indexing copies (so in-place below is safe) but on stacked
-        # input it returns an axis-moved layout whose reshape would copy
-        # again and drop the butterfly writes — force C order.
-        a = np.ascontiguousarray(vec[..., self.perm])
-        if self.q < _DIRECT_LIMIT:
-            for stage, (w, _, _) in enumerate(stages):
-                half = w.shape[0]
-                block = a.reshape(-1, 2 * half)
-                u = block[:, :half]
-                x = block[:, half:]
-                v = x if stage == 0 else (x * w) % q
-                s = _cond_sub(u + v, q)
-                block[:, half:] = np.minimum(u - v, u + (q - v))
-                block[:, :half] = s
-            return a
-        two_q = np.uint64(2 * self.q)
-        for stage, (w, w_sh_h, w_sh_l) in enumerate(stages):
-            half = w.shape[0]
-            block = a.reshape(-1, 2 * half)
-            u = block[:, :half]  # in [0, 2q)
-            x = block[:, half:]
-            if stage == 0:
-                v = x  # first stage twiddle is always 1
-            else:
-                # Lazy Shoup: the quotient estimate drops the low-limb carry
-                # (underestimate <= 2) on top of Shoup's slack of 1, so the
-                # remainder lies in [0, 4q); one conditional lands it in [0, 2q).
-                xh = x >> _S32
-                xl = x & _M32
-                q_hat = (
-                    xh * w_sh_h + ((xh * w_sh_l) >> _S32) + ((xl * w_sh_h) >> _S32)
-                )
-                r = x * w - q_hat * q
-                v = np.minimum(r, r - two_q)
-            s = u + v  # < 4q
-            d = u + (two_q - v)  # in (0, 4q)
-            block[:, :half] = np.minimum(s, s - two_q)
-            block[:, half:] = np.minimum(d, d - two_q)
-        if normalize:
-            return np.minimum(a, a - q)  # [0, 2q) -> [0, q)
-        return a
-
-    def forward(self, vec):
-        return self._transform(vec, self.fwd_stages)
-
-    def forward_many(self, vecs, normalize=False):
-        """All forward transforms as one stacked pass; unless normalized,
-        rows may be unreduced residues in [0, 2q) per the base-class
-        contract."""
-        return self._transform(_as_stack(vecs), self.fwd_stages, normalize)
-
-    def inverse(self, vec):
-        out = self._transform(vec, self.inv_stages)
-        return self.backend.scalar_mul(out, self.n_inv, self.q)
-
-    def inverse_unscaled(self, vec):
-        """Inverse transform WITHOUT the 1/n factor (caller folds it in);
-        output may be unreduced per the base-class contract."""
-        return self._transform(vec, self.inv_stages, normalize=False)
-
-    def inverse_unscaled_many(self, vecs):
-        """All unscaled inverse transforms as one stacked pass (unreduced
-        outputs, same contract as :meth:`inverse_unscaled`)."""
-        return self._transform(_as_stack(vecs), self.inv_stages, normalize=False)
+    def inverse(self, stack):
+        return self._transform(stack, self.inv_stages, None, self.untwist, False)
 
 
 class _NumpyBackendImpl(ComputeBackend):
@@ -439,15 +633,14 @@ class _NumpyBackendImpl(ComputeBackend):
     def permute(self, vec, index):
         return vec[index]
 
-    def automorphism(self, vec, galois_element, q):
-        n = vec.shape[0]
-        qv = np.uint64(q)
-        idx = (np.arange(n, dtype=np.int64) * galois_element) % (2 * n)
-        wrap = idx >= n
-        targets = np.where(wrap, idx - n, idx)
-        values = np.where(wrap, self.neg(vec, q), vec)
-        out = np.empty(n, dtype=np.uint64)
-        out[targets] = values  # X -> X^g is a bijection: no collisions
+    def automorphism(self, rows, galois_element, moduli):
+        rows = _as_stack(rows)
+        targets, wrap = _automorphism_scatter(rows.shape[1], galois_element)
+        q = np.asarray(moduli, dtype=np.uint64)[:, None]
+        negated = np.where(rows == 0, rows, q - rows)
+        out = np.empty_like(rows)
+        # X -> X^g is a bijection on exponents: no collisions.
+        out[:, targets] = np.where(wrap, negated, rows)
         return out
 
     def decompose(self, vec, base_bits, num_digits, q):
@@ -548,8 +741,8 @@ class _NumpyBackendImpl(ComputeBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def make_ntt_plan(self, n, q, root):
-        return _NumpyNttPlan(self, n, q, root)
+    def make_ntt_plan(self, n, moduli, roots, twists=None):
+        return _NumpyNttPlan(self, n, moduli, roots, twists)
 
     # -- linear algebra ----------------------------------------------------
 

@@ -44,25 +44,79 @@ def _iterative_ntt(values: list[int], root: int, q: int) -> list[int]:
     return a
 
 
-class _PythonNttPlan(NttPlan):
-    def __init__(self, n: int, q: int, root: int):
-        self.n = n
+def _powers(base: int, count: int, q: int) -> list[int]:
+    powers = [1] * count
+    for i in range(1, count):
+        powers[i] = powers[i - 1] * base % q
+    return powers
+
+
+class _PythonRingPlan:
+    """One residue ring of a chain: the textbook transform mod one q."""
+
+    def __init__(self, n: int, q: int, root: int, psi: int | None):
         self.q = q
         self.root = root
         self.root_inv = mod_inverse(root, q)
-        self.n_inv = mod_inverse(n, q)
+        n_inv = mod_inverse(n, q)
+        # A negacyclic ring twists by psi^k going in and by psi^-k / n
+        # coming out; a cyclic one only scales by 1/n coming out.
+        self.twist = None if psi is None else _powers(psi, n, q)
+        self.untwist = (
+            [n_inv] * n
+            if psi is None
+            else [p * n_inv % q for p in _powers(mod_inverse(psi, q), n, q)]
+        )
 
     def forward(self, vec: list[int]) -> list[int]:
-        return _iterative_ntt(vec, self.root, self.q)
+        q = self.q
+        if self.twist is not None:
+            vec = [x * w % q for x, w in zip(vec, self.twist)]
+        return _iterative_ntt(vec, self.root, q)
 
     def inverse(self, vec: list[int]) -> list[int]:
         q = self.q
         out = _iterative_ntt(vec, self.root_inv, q)
-        n_inv = self.n_inv
-        return [v * n_inv % q for v in out]
+        return [x * w % q for x, w in zip(out, self.untwist)]
 
-    def inverse_unscaled(self, vec: list[int]) -> list[int]:
-        return _iterative_ntt(vec, self.root_inv, self.q)
+
+class _PythonNttPlan(NttPlan):
+    """The reference semantics of the chain form: a loop over per-ring
+    plans, a loop over rows. Outputs are always canonical (``lazy`` is a
+    licence, not an obligation)."""
+
+    def __init__(self, n, moduli, roots, twists):
+        self.n = n
+        self.rings = [
+            _PythonRingPlan(n, q, root, psi)
+            for q, root, psi in zip(
+                moduli, roots, twists or [None] * len(moduli), strict=True
+            )
+        ]
+
+    def _each(self, stack, transform):
+        stack = [list(rows) for rows in stack]
+        if len(stack) != len(self.rings):
+            raise ValueError(
+                f"expected a stack for each of {len(self.rings)} residue "
+                f"rings, got {len(stack)}"
+            )
+        for rows in stack:
+            for row in rows:
+                if len(row) != self.n:
+                    raise ValueError(
+                        f"expected rows of {self.n} values, got {len(row)}"
+                    )
+        return [
+            [transform(ring, row) for row in rows]
+            for ring, rows in zip(self.rings, stack)
+        ]
+
+    def forward(self, stack, lazy=False):
+        return self._each(stack, _PythonRingPlan.forward)
+
+    def inverse(self, stack):
+        return self._each(stack, _PythonRingPlan.inverse)
 
 
 class PythonBackend(ComputeBackend):
@@ -130,7 +184,14 @@ class PythonBackend(ComputeBackend):
     def permute(self, vec, index):
         return [vec[i] for i in index]
 
-    def automorphism(self, vec, galois_element, q):
+    def automorphism(self, rows, galois_element, moduli):
+        return [
+            self._automorphism(vec, galois_element, q)
+            for vec, q in zip(rows, moduli, strict=True)
+        ]
+
+    @staticmethod
+    def _automorphism(vec, galois_element, q):
         n = len(vec)
         two_n = 2 * n
         out = [0] * n
@@ -181,8 +242,8 @@ class PythonBackend(ComputeBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def make_ntt_plan(self, n, q, root):
-        return _PythonNttPlan(n, q, root)
+    def make_ntt_plan(self, n, moduli, roots, twists=None):
+        return _PythonNttPlan(n, moduli, roots, twists)
 
     # -- linear algebra ----------------------------------------------------
 

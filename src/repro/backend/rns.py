@@ -25,11 +25,11 @@ representative directly from the residues on small-int vectorized kernels
 :meth:`repro.backend.base.ComputeBackend.rns_digit_split`); inbound
 through one byte-matrix product against the powers of 256 mod each prime.
 
-:class:`RnsContext` owns the chain: the primes, the per-prime compute
-backends, and the precomputed CRT garbage (Q/q_i and its inverse mod
-q_i). The ring element itself lives in
+:class:`RnsContext` owns the chain: the primes, the compute backend all
+of its residues live on, and the precomputed CRT garbage (Q/q_i and its
+inverse mod q_i). The ring element itself lives in
 :class:`repro.he.polynomial.RnsPoly`, which pairs these residues with
-the per-prime NTT contexts from the shared LRU cache.
+the chain's NTT context from the shared LRU cache.
 """
 
 from __future__ import annotations
@@ -50,9 +50,15 @@ class RnsContext:
     cached instance keyed by (primes, resolved backend names) — a bounded
     LRU, so parameter sweeps over many chains cannot grow it without
     limit (same policy as the NTT-context cache).
+
+    The whole chain computes on ONE backend — the one that is exact for
+    its largest prime — because a chain's residues are transformed
+    together, as one stack (``backends`` repeats it per prime).
     """
 
-    __slots__ = ("primes", "q", "backends", "_m", "_m_inv", "_digit_plans")
+    __slots__ = (
+        "primes", "q", "backend", "backends", "_m", "_m_inv", "_digit_plans",
+    )
 
     _cache: OrderedDict[tuple, "RnsContext"] = OrderedDict()
     _cache_max = 16
@@ -72,9 +78,8 @@ class RnsContext:
         for p in primes:
             q *= p
         self.q = q
-        self.backends: tuple[ComputeBackend, ...] = tuple(
-            backend_for(p, prefer=prefer) for p in primes
-        )
+        self.backend: ComputeBackend = backend_for(max(primes), prefer=prefer)
+        self.backends = (self.backend,) * len(primes)
         self._m = tuple(q // p for p in primes)
         self._m_inv = tuple(
             mod_inverse(m % p, p) for m, p in zip(self._m, primes)
@@ -91,8 +96,7 @@ class RnsContext:
     ) -> "RnsContext":
         """Shared context for a chain (re-resolves if the backend changed)."""
         primes = tuple(int(p) for p in primes)
-        names = tuple(backend_for(p, prefer=prefer).name for p in primes)
-        key = (primes, names)
+        key = (primes, backend_for(max(primes), prefer=prefer).name)
         with cls._cache_lock:
             ctx = cls._cache.get(key)
             if ctx is not None:
@@ -109,7 +113,7 @@ class RnsContext:
     def clear_cache(cls) -> None:
         """Drop all shared contexts (fork-safety / test isolation hook).
 
-        A context caches per-prime backend resolutions; pool workers clear
+        A context caches its backend resolution; pool workers clear
         it so their contexts re-resolve under the worker's own backend
         selection instead of state inherited across fork().
         """
@@ -124,14 +128,12 @@ class RnsContext:
     def to_rns(self, values) -> list:
         """Residue vectors of ``values`` (ints, a list, or a native vector).
 
-        Each backend's ``asvec`` handles the reduction, so small inputs
+        The backend's ``asvec`` handles the reduction, so small inputs
         (plaintext coefficients, key-switch digits, noise draws) take the
         vectorized path and only genuinely wide integers pay for
         arbitrary-precision reduction.
         """
-        return [
-            be.asvec(values, p) for p, be in zip(self.primes, self.backends)
-        ]
+        return [self.backend.asvec(values, p) for p in self.primes]
 
     def from_rns(self, residues: Sequence) -> list[int]:
         """CRT reconstruction to integer coefficients in [0, q).
@@ -141,11 +143,10 @@ class RnsContext:
         arbitrary-precision, so reconstruction costs O(n*k) bigint
         multiply-adds for a chain of k primes.
         """
+        be = self.backend
         parts = [
             be.tolist(be.scalar_mul(r, inv, p))
-            for r, inv, p, be in zip(
-                residues, self._m_inv, self.primes, self.backends
-            )
+            for r, inv, p in zip(residues, self._m_inv, self.primes)
         ]
         q = self.q
         big = self._m
@@ -160,7 +161,7 @@ class RnsContext:
         packing ``from_rns(residues)`` one integer at a time."""
         digits = self.decompose_digits(residues, 16, -(-width // 2))
         if digits is not None:
-            return self.backends[0].pack_le(digits, 2, width)
+            return self.backend.pack_le(digits, 2, width)
         exact = backend_for(self.q, prefer="python")
         return exact.pack_le([self.from_rns(residues)], width, width)
 
@@ -168,13 +169,7 @@ class RnsContext:
         """Residue vectors of the ``width``-byte little-endian integers in
         ``data`` (inverse of :meth:`pack_le`; out-of-range integers are
         reduced, as every constructor from integers does)."""
-        be = self.backends[0]
-        if all(other is be for other in self.backends):
-            return be.unpack_le(data, width, self.primes)
-        return [
-            be.unpack_le(data, width, (p,))[0]
-            for p, be in zip(self.primes, self.backends)
-        ]
+        return self.backend.unpack_le(data, width, self.primes)
 
     def decompose_digits(
         self, residues: Sequence, base_bits: int, num_digits: int
@@ -184,16 +179,14 @@ class RnsContext:
         The outbound half of the wire codec: equivalent to
         ``from_rns(residues)`` followed by a mask/shift split, but runs
         entirely on the backend's small-int kernels when all residues
-        share one backend with a fast :meth:`rns_digit_split`. Returns
-        ``None`` when no exact fast kernel applies (mixed backends, the
+        backend has a fast :meth:`rns_digit_split`. Returns
+        ``None`` when no exact fast kernel applies (the
         python backend, or a chain/width shape the backend declined);
         :meth:`pack_le` then takes the reconstruction path. Each returned
         digit is a native vector of values < 2^base_bits and is REQUIRED
         (and tested) to be bit-identical to the reconstruction path.
         """
-        be = self.backends[0]
-        if any(other is not be for other in self.backends):
-            return None  # ys must live on one backend to stack
+        be = self.backend
         plan = self._digit_plans.get(base_bits)
         if plan is None:
             plan = be.make_rns_digit_plan(self.primes, self.q, base_bits)

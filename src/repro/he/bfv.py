@@ -76,12 +76,12 @@ class GaloisKeys:
         """Per residue ring, the ``(K0, K1)`` evaluation-domain stacks of
         one element's key (a row per digit), built once.
 
-        All 2·D components go through one stacked forward pass per ring
-        and are kept as the two halves of that pass's output, which is
-        the shape the key-switch inner product consumes: nothing is
-        transformed, re-stacked or copied per rotation. The stacks
-        survive `_NTT_CACHE` eviction because they are stored here, not
-        in the NTT context.
+        All 2·D components of all rings go through one forward plan
+        call and are kept as the two halves of each ring's share of its
+        output, which is the shape the key-switch inner product
+        consumes: nothing is transformed, re-stacked or copied per
+        rotation. The stacks survive `_NTT_CACHE` eviction because they
+        are stored here, not in the NTT context.
         """
         stacks = self._eval.get(galois_element)
         if stacks is None:
@@ -289,8 +289,9 @@ class BfvContext:
         """Multiply by a plaintext polynomial (coefficients in [0, t)).
 
         The lifted plaintext multiplies both ciphertext components, so its
-        forward NTT is shared and all transforms run as one batched pass
-        per ring (see :func:`repro.he.polynomial.multiply_shared`).
+        forward NTT is shared and all transforms of all rings run as one
+        forward and one inverse plan call (see
+        :func:`repro.he.polynomial.multiply_shared`).
         """
         p = self.params
         self._check_plaintext(plaintext)
@@ -313,8 +314,8 @@ class BfvContext:
         """Apply the automorphism X -> X^g and switch back to the original key.
 
         The key-switch inner product runs against the stored eval-domain
-        key stacks (:meth:`GaloisKeys.eval_keys`) — one stacked forward
-        pass over all digits and a single two-vector inverse per ring, no
+        key stacks (:meth:`GaloisKeys.eval_keys`) — one forward plan call
+        over all digits of all rings and a single two-row inverse, no
         key-side transforms. The digits come from the parameters' gadget
         (:meth:`~repro.he.params.BfvParams.gadget_factors`): on a chain
         they are c1 mod each group of chain primes, built from the
@@ -335,8 +336,9 @@ class BfvContext:
         """Per residue ring of the ciphertext modulus, the evaluation-
         domain stack (a row per plaintext, lazily reduced) of plaintexts
         lifted into the ciphertext ring — the multiplier form of
-        :meth:`mul_plain`, a block at a time. Every plaintext passes the
-        degree and range check ``mul_plain`` applies."""
+        :meth:`mul_plain`, a block at a time through one plan call. Every
+        plaintext passes the degree and range check ``mul_plain``
+        applies."""
         for plaintext in plaintexts:
             self._check_plaintext(plaintext)
         return eval_stacks(
@@ -358,8 +360,8 @@ class BfvContext:
         poly = RnsPoly(
             rns,
             [
-                be.asvec(self._rng.field_vector(p.n, prime), prime)
-                for prime, be in zip(rns.primes, rns.backends)
+                rns.backend.asvec(self._rng.field_vector(p.n, prime), prime)
+                for prime in rns.primes
             ],
         )
         return poly if self._rns is not None else self._ring_poly(poly.coeffs)

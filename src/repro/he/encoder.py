@@ -88,10 +88,8 @@ class BatchEncoder:
         evals = [
             be.permute(be.asvec(row, p.t), self._gather_encode) for row in rows
         ]
-        return [
-            RingPoly._from_vec(vec, p.t, be)
-            for vec in self._ntt.inverse_stack(evals)
-        ]
+        (coeffs,) = self._ntt.inverse_stack([evals])  # t is a chain of one
+        return [RingPoly._from_vec(vec, p.t, be) for vec in coeffs]
 
     def decode(self, plaintext: RingPoly) -> list[int]:
         """Decode a plaintext polynomial back to its n slot values."""

@@ -2,27 +2,33 @@
 
 Two flavours are provided:
 
-* :class:`Ntt` — the plain cyclic NTT (X^n - 1), used by the BFV batch
-  encoder to map plaintext slot values to polynomial coefficients.
+* :class:`Ntt` — the plain cyclic NTT (X^n - 1) over one modulus.
 * :class:`NegacyclicNtt` — the negacyclic NTT (X^n + 1), used for fast
-  multiplication in the RLWE ciphertext ring R_q = Z_q[X]/(X^n + 1).
+  multiplication in the RLWE ciphertext ring R_q = Z_q[X]/(X^n + 1) and by
+  the BFV batch encoder to map plaintext slot values to polynomial
+  coefficients. One context serves a whole *chain* of residue rings
+  (:class:`repro.he.polynomial.RnsPoly`), a single modulus being a chain
+  of one: every transform step of a ring element is one plan call, all
+  residue rings stacked.
 
-Root finding and psi-twisting live here; the transform kernel itself is
-delegated to the active compute backend (:mod:`repro.backend`): iterative
-Cooley-Tukey over ``list[int]`` on the python backend, precomputed
-twiddle-table stages over ``uint64`` ndarrays on the numpy backend. Both
-produce bit-identical outputs.
+Root finding lives here; the transform kernel itself, psi-twisting
+included, is delegated to the active compute backend
+(:mod:`repro.backend`): iterative Cooley-Tukey over ``list[int]`` on the
+python backend, one chain-stacked table-driven kernel over ``uint64``
+ndarrays on the numpy backend. Both produce bit-identical outputs.
 
-The public ``forward``/``inverse``/``multiply`` methods keep the seed's
-list-in/list-out contract; the ``*_vec`` variants operate on backend-native
-vectors and are what :class:`repro.he.polynomial.RingPoly` uses so the hot
-path never round-trips through Python lists.
+The ``forward``/``inverse``/``multiply`` methods keep the seed's
+list-in/list-out contract over one modulus; everything the ring
+polynomials use (``*_stack``, :meth:`NegacyclicNtt.multiply_shared`,
+:meth:`NegacyclicNtt.key_switch_eval`) operates on backend-native
+vectors, a ``[ring][row]`` chain stack at a time, so the hot path never
+round-trips through Python lists.
 """
 
 from __future__ import annotations
 
 from repro.backend import ComputeBackend, backend_for
-from repro.crypto.modmath import mod_inverse, primitive_root_of_unity
+from repro.crypto.modmath import primitive_root_of_unity
 
 
 class Ntt:
@@ -41,110 +47,78 @@ class Ntt:
         self.q = q
         self.backend = backend or backend_for(q)
         self.root = root if root is not None else primitive_root_of_unity(n, q)
-        self.root_inv = mod_inverse(self.root, q)
-        self.n_inv = mod_inverse(n, q)
-        self._plan = self.backend.make_ntt_plan(n, q, self.root)
-
-    def _check_length(self, values) -> None:
-        if len(values) != self.n:
-            raise ValueError(f"expected {self.n} values, got {len(values)}")
+        self._plan = self.backend.make_ntt_plan(n, (q,), (self.root,))
 
     # -- backend-native API -------------------------------------------------
 
     def forward_vec(self, vec):
-        return self._plan.forward(vec)
+        return self._plan.forward([[vec]])[0][0]
 
     def inverse_vec(self, vec):
-        return self._plan.inverse(vec)
+        return self._plan.inverse([[vec]])[0][0]
 
     # -- list API (reference semantics) ------------------------------------
 
     def forward(self, values: list[int]) -> list[int]:
-        self._check_length(values)
         be = self.backend
         return be.tolist(self.forward_vec(be.asvec(values, self.q)))
 
     def inverse(self, values: list[int]) -> list[int]:
-        self._check_length(values)
         be = self.backend
         return be.tolist(self.inverse_vec(be.asvec(values, self.q)))
 
 
 class NegacyclicNtt:
-    """Negacyclic NTT for R_q = Z_q[X]/(X^n + 1) (requires q ≡ 1 mod 2n).
+    """Negacyclic NTTs for a chain of residue rings Z_{q_i}[X]/(X^n + 1)
+    (every q_i ≡ 1 mod 2n); ``q`` is one modulus or the chain's primes.
 
-    Uses the standard psi-twisting: multiply coefficient i by psi^i before a
-    cyclic NTT, where psi is a primitive 2n-th root of unity, and by
-    psi^{-i} after the inverse transform. Pointwise products in the
-    transformed domain then realize negacyclic convolution.
+    Uses the standard psi-twisting: multiply coefficient k by psi^k before
+    a cyclic NTT, where psi is a primitive 2n-th root of unity, and by
+    psi^{-k} after the inverse transform. Pointwise products in the
+    transformed domain then realize negacyclic convolution. Twisting is
+    part of the backend's plan (:meth:`~repro.backend.base.ComputeBackend.
+    make_ntt_plan`), which transforms all rings of the chain in one call;
+    what is pointwise in the evaluation domain runs per ring, on the rows
+    of that call's output.
     """
 
-    def __init__(self, n: int, q: int, backend: ComputeBackend | None = None):
+    def __init__(self, n: int, q, backend: ComputeBackend | None = None):
+        moduli = (q,) if isinstance(q, int) else tuple(q)
         if n & (n - 1):
             raise ValueError("ring degree must be a power of two")
-        if (q - 1) % (2 * n) != 0:
-            raise ValueError(f"q={q} is not NTT friendly for degree {n}")
+        for p in moduli:
+            if (p - 1) % (2 * n) != 0:
+                raise ValueError(f"q={p} is not NTT friendly for degree {n}")
         self.n = n
-        self.q = q
-        self.backend = backend or backend_for(q)
-        self.psi = primitive_root_of_unity(2 * n, q)
-        self.psi_inv = mod_inverse(self.psi, q)
-        self._ntt = Ntt(n, q, root=self.psi * self.psi % q, backend=self.backend)
-        self._psi_powers = self.backend.asvec(self._powers(self.psi), q)
-        # 1/n folded into the untwist table: the inverse transform then skips
-        # its separate scaling pass (identical values, one fewer vector op).
-        n_inv = self._ntt.n_inv
-        self._psi_inv_scaled = self.backend.asvec(
-            [p * n_inv % q for p in self._powers(self.psi_inv)], q
+        self.moduli = moduli
+        self.backend = backend or backend_for(max(moduli))
+        self.psis = tuple(primitive_root_of_unity(2 * n, p) for p in moduli)
+        self._plan = self.backend.make_ntt_plan(
+            n,
+            moduli,
+            [psi * psi % p for psi, p in zip(self.psis, moduli)],
+            self.psis,
         )
         self._automorphism_indices: dict[int, object] = {}
 
-    def _powers(self, base: int) -> list[int]:
-        powers = [1] * self.n
-        for i in range(1, self.n):
-            powers[i] = powers[i - 1] * base % self.q
-        return powers
+    # -- chain stacks: [ring][row] backend-native vectors --------------------
 
-    # -- backend-native API -------------------------------------------------
-
-    def forward_vec(self, vec):
-        if self.backend.veclen(vec) != self.n:
-            raise ValueError(f"expected {self.n} coefficients")
-        twisted = self.backend.mul(vec, self._psi_powers, self.q)
-        return self._ntt.forward_vec(twisted)
-
-    def inverse_vec(self, vec):
-        if self.backend.veclen(vec) != self.n:
-            raise ValueError(f"expected {self.n} values")
-        coeffs = self._ntt._plan.inverse_unscaled(vec)
-        return self.backend.mul(coeffs, self._psi_inv_scaled, self.q)
-
-    def multiply_vec(self, a, b):
-        """Negacyclic product of two backend-native coefficient vectors."""
-        fa, fb = self.forward_stack([a, b], lazy=True)
-        return self.inverse_vec(self.backend.mul(fa, fb, self.q))
-
-    def forward_stack(self, vecs, lazy=False):
-        """Evaluation-domain forms of every coefficient vector, twisted and
-        transformed as one stacked pass.
+    def forward_stack(self, stack, lazy=False):
+        """Evaluation-domain forms of every coefficient vector of a chain
+        stack, twisted and transformed in one plan call.
 
         Rows are canonical unless ``lazy``; lazy rows may be unreduced
-        (the :meth:`~repro.backend.base.NttPlan.inverse_unscaled`
-        contract) and are only valid as the first operand of a reducing
-        product — ``mul``, ``mul_rows``, ``inner_product``.
+        (the :meth:`~repro.backend.base.NttPlan.forward` contract) and are
+        only valid as the first operand of a reducing product — ``mul``,
+        ``mul_rows``, ``inner_product``.
         """
-        if not len(vecs):
-            return []
-        twisted = self.backend.mul_rows(vecs, self._psi_powers, self.q)
-        return self._ntt._plan.forward_many(twisted, normalize=not lazy)
+        return self._plan.forward(stack, lazy)
 
-    def inverse_stack(self, evals):
+    def inverse_stack(self, stack):
         """Coefficient vectors (canonical) of every evaluation-domain
-        vector: one stacked unscaled inverse, then the scaled untwist."""
-        if not len(evals):
-            return []
-        coeffs = self._ntt._plan.inverse_unscaled_many(evals)
-        return self.backend.mul_rows(coeffs, self._psi_inv_scaled, self.q)
+        vector of a chain stack: one plan call, the scaled untwist
+        included."""
+        return self._plan.inverse(stack)
 
     def automorphism_index(self, galois_element: int):
         """Gather index applying X -> X^g to an evaluation-domain vector.
@@ -153,7 +127,8 @@ class NegacyclicNtt:
         (the ordering :class:`~repro.he.encoder.BatchEncoder` maps slots
         through), and a(X^g) evaluated there is a at psi^(g(2k+1)): the
         automorphism is the index permutation
-        ``out[k] = in[((g(2k+1) mod 2n) - 1) / 2]``, no arithmetic at all.
+        ``out[k] = in[((g(2k+1) mod 2n) - 1) / 2]``, no arithmetic at all —
+        the same in every ring of the chain.
         """
         index = self._automorphism_indices.get(galois_element)
         if index is None:
@@ -167,76 +142,72 @@ class NegacyclicNtt:
             self._automorphism_indices[galois_element] = index
         return index
 
-    def multiply_shared_vec(self, shared, others):
-        """Products shared*o for every vector in ``others``.
+    def multiply_shared(self, shared, others):
+        """Products shared*o for every element of ``others``; ``shared``
+        and each o hold one coefficient vector per ring.
 
         The shared operand is twisted and transformed exactly once, and all
-        forward transforms (1 + len(others)) land in a single batched plan
-        call — likewise the inverse transforms — so a two-component
-        ciphertext op (c0, c1 against one plaintext) costs one
-        stacked forward and one stacked inverse instead of four and two
-        separate transforms. Outputs are fully reduced and bit-identical to
-        ``[multiply_vec(shared, o) for o in others]``.
+        forward transforms (1 + len(others) rows in every ring) land in a
+        single plan call — likewise the inverse transforms — so a
+        two-component ciphertext op (c0, c1 against one plaintext) costs
+        one forward and one inverse call instead of four and two
+        transforms per ring. Outputs are fully reduced.
         """
-        transformed = self.forward_stack([shared, *others], lazy=True)
-        products = self.backend.mul_rows(
-            transformed[1:], transformed[0], self.q
+        if not others:
+            return []
+        be = self.backend
+        evals = self.forward_stack(
+            [[vec, *(o[i] for o in others)] for i, vec in enumerate(shared)],
+            lazy=True,
         )
-        return list(self.inverse_stack(products))
+        products = self.inverse_stack(
+            [
+                be.mul_rows(rows[1:], rows[0], q)
+                for rows, q in zip(evals, self.moduli)
+            ]
+        )
+        return [[rows[j] for rows in products] for j in range(len(others))]
 
-    def key_switch_eval(self, digit_evals, key0_evals, key1_evals):
-        """The key-switch inner product (Σ_j d_j·k0_j, Σ_j d_j·k1_j), in
-        and out of the evaluation domain.
+    def key_switch_eval(self, digit_evals, eval_keys):
+        """The key-switch inner products, in and out of the evaluation
+        domain: per ring the pair (Σ_j d_j·k0_j, Σ_j d_j·k1_j) — itself a
+        two-row chain stack.
 
-        ``digit_evals`` are the (possibly lazy) transforms of the digits,
-        the key stacks the stored canonical eval form: each sum is one
-        stacked, lazily reduced
-        :meth:`~repro.backend.base.ComputeBackend.inner_product`. The one
-        key-switch kernel — :meth:`key_switch_inner_vec` (a lone
-        rotation) and the evaluation-domain matvec both end up here.
+        ``digit_evals`` holds per ring the (possibly lazy) transforms of
+        the digits, ``eval_keys`` per ring the ``(K0, K1)`` stacks of the
+        stored canonical eval form: each sum is one stacked, lazily
+        reduced :meth:`~repro.backend.base.ComputeBackend.inner_product`.
+        The one key-switch kernel — a lone rotation and the
+        evaluation-domain matvec both end up here. A ring-count mismatch
+        raises instead of truncating, as a row-count mismatch does inside.
         """
         be = self.backend
-        return (
-            be.inner_product(digit_evals, key0_evals, self.q),
-            be.inner_product(digit_evals, key1_evals, self.q),
-        )
-
-    def key_switch_inner_vec(self, digit_vecs, key0_evals, key1_evals):
-        """Key-switch inner product of coefficient-domain digits, back in
-        the coefficient domain.
-
-        All D digit forwards run in one stacked pass, the products
-        accumulate *in the eval domain* (:meth:`key_switch_eval`; the key
-        stacks arrive already transformed, so no key-side forwards happen
-        here), and a single two-vector inverse finishes both components:
-        D + 2 transform rows instead of the 5D (3 forward + 2 inverse
-        per digit) a per-digit multiply-accumulate loop costs.
-
-        Bit-identical to that loop: every product is exact mod q,
-        modular addition is associative, and the inverse transform is
-        linear, so accumulating before the inverse yields the same
-        canonical residues as summing per-digit inverses.
-        """
-        transformed = self.forward_stack(digit_vecs, lazy=True)
-        return tuple(
-            self.inverse_stack(
-                self.key_switch_eval(transformed, key0_evals, key1_evals)
+        return [
+            (be.inner_product(rows, k0, q), be.inner_product(rows, k1, q))
+            for rows, (k0, k1), q in zip(
+                digit_evals, eval_keys, self.moduli, strict=True
             )
-        )
+        ]
 
-    # -- list API (reference semantics) ------------------------------------
+    # -- one modulus: vectors and the list API (reference semantics) ---------
+
+    def forward_vec(self, vec):
+        return self.forward_stack([[vec]])[0][0]
+
+    def inverse_vec(self, vec):
+        return self.inverse_stack([[vec]])[0][0]
 
     def forward(self, coeffs: list[int]) -> list[int]:
         be = self.backend
-        return be.tolist(self.forward_vec(be.asvec(coeffs, self.q)))
+        return be.tolist(self.forward_vec(be.asvec(coeffs, *self.moduli)))
 
     def inverse(self, values: list[int]) -> list[int]:
         be = self.backend
-        return be.tolist(self.inverse_vec(be.asvec(values, self.q)))
+        return be.tolist(self.inverse_vec(be.asvec(values, *self.moduli)))
 
     def multiply(self, a: list[int], b: list[int]) -> list[int]:
         """Negacyclic product of two coefficient vectors."""
         be = self.backend
-        return be.tolist(
-            self.multiply_vec(be.asvec(a, self.q), be.asvec(b, self.q))
-        )
+        (q,) = self.moduli
+        ((product,),) = self.multiply_shared([be.asvec(a, q)], [[be.asvec(b, q)]])
+        return be.tolist(product)

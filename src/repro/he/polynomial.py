@@ -18,9 +18,18 @@ reconstruction. Serialization does not go through it: ``to_bytes`` packs
 the wire form from the backend vectors (see
 :meth:`repro.backend.rns.RnsContext.pack_le`).
 
+Either class is, to the transform layer, one coefficient vector per
+*residue ring* (:meth:`RingPoly.ring_vecs`; a ``RingPoly`` has one ring)
+and one :class:`~repro.he.ntt.NegacyclicNtt` context for the whole chain
+(:meth:`RingPoly.ring_ntt`): every transform step — the operands of a
+product, the digits of a key switch, a ciphertext pair — is ONE plan
+call on a ``[ring][row]`` chain stack, whatever the chain length. What is
+pointwise in the evaluation domain (products, inner products, sums) runs
+per ring on the rows of that call's output.
+
 Operands that are only ever *multiplied* never need their coefficient
 form in the hot path. Galois key components are held as evaluation-domain
-stacks (:func:`eval_stacks`, one per residue ring, transformed once at
+stacks (:func:`eval_stacks`, transformed once at
 keygen or on first use after deserialization), and the diagonal matvec
 keeps its whole working ciphertext there (:class:`EvalPair`): rotate by an
 index permutation plus the key-switch inner product, multiply and
@@ -28,11 +37,10 @@ accumulate pointwise, and transform back once at the end. Wire formats
 stay in the coefficient domain; an eval form is local, never serialized.
 
 Ring multiplications share :class:`~repro.he.ntt.NegacyclicNtt` contexts
-through a bounded LRU cache keyed by (n, q, backend): parameter sweeps
-used to grow the old unbounded dict without limit. An RNS chain of k
-primes occupies k slots (one per residue ring); the bound comfortably
-exceeds any realistic chain so a chain never evicts its own contexts
-mid-ciphertext-op (pinned by ``tests/test_ntt_cache.py``).
+through a bounded LRU cache keyed by (n, q, backend) — q a single modulus
+or the tuple of a chain's primes: parameter sweeps used to grow the old
+unbounded dict without limit. An RNS chain occupies ONE slot, whatever
+its length (pinned by ``tests/test_ntt_cache.py``).
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from collections import OrderedDict
 from repro.backend import ComputeBackend, RnsContext, backend_for
 from repro.he.ntt import NegacyclicNtt
 
-_NTT_CACHE: OrderedDict[tuple[int, int, str], NegacyclicNtt] = OrderedDict()
+_NTT_CACHE: OrderedDict[tuple, NegacyclicNtt] = OrderedDict()
 _NTT_CACHE_MAX = 32
 # The get→insert→evict sequence is compound: the serving gateway's inline
 # refill thread and its selector thread can both run HE work, and an
@@ -55,7 +63,9 @@ _NTT_CACHE_MAX = 32
 _NTT_CACHE_LOCK = threading.Lock()
 
 
-def _context(n: int, q: int, backend: ComputeBackend) -> NegacyclicNtt:
+def _context(n: int, q, backend: ComputeBackend) -> NegacyclicNtt:
+    """The shared transform context of one modulus ``q``, or of the chain
+    whose primes ``q`` lists."""
     key = (n, q, backend.name)
     with _NTT_CACHE_LOCK:
         ctx = _NTT_CACHE.get(key)
@@ -81,7 +91,7 @@ def ntt_cache_size() -> int:
         return len(_NTT_CACHE)
 
 
-def ntt_cache_keys() -> tuple[tuple[int, int, str], ...]:
+def ntt_cache_keys() -> tuple[tuple, ...]:
     """Cache keys oldest-first (the LRU eviction order), for tests."""
     with _NTT_CACHE_LOCK:  # iterating a dict another thread resizes raises
         return tuple(_NTT_CACHE)
@@ -155,6 +165,12 @@ class RingPoly:
         if self.n != other.n or self.q != other.q:
             raise ValueError("ring mismatch between polynomials")
 
+    def _operand_vecs(self, other: "RingPoly | RnsPoly") -> list:
+        """``other``'s per-ring vectors as an operand of this element
+        (``ValueError`` unless it lives in the same ring)."""
+        self._check(other)
+        return [self._coerce(other)]
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "RingPoly") -> "RingPoly":
@@ -181,11 +197,7 @@ class RingPoly:
             return RingPoly._from_vec(
                 be.scalar_mul(self._vec, other, self.q), self.q, be
             )
-        self._check(other)
-        ctx = _context(self.n, self.q, be)
-        return RingPoly._from_vec(
-            ctx.multiply_vec(self._vec, self._coerce(other)), self.q, be
-        )
+        return multiply_shared(self, [other])[0]
 
     __rmul__ = __mul__
 
@@ -194,9 +206,8 @@ class RingPoly:
         if galois_element % 2 == 0:
             raise ValueError("Galois element must be odd")
         be = self._backend
-        return RingPoly._from_vec(
-            be.automorphism(self._vec, galois_element, self.q), self.q, be
-        )
+        (vec,) = be.automorphism([self._vec], galois_element, (self.q,))
+        return RingPoly._from_vec(vec, self.q, be)
 
     def decompose(self, groups, base_bits: int | None = None) -> list["RingPoly"]:
         """Key-switching digits, self = sum_j digits[j] * g_j mod q for
@@ -225,9 +236,9 @@ class RingPoly:
         (see :class:`RnsPoly`)."""
         return [None]
 
-    def ring_ntts(self) -> list[NegacyclicNtt]:
-        """The transform context of every residue ring of this element."""
-        return [_context(self.n, self.q, self._backend)]
+    def ring_ntt(self) -> NegacyclicNtt:
+        """The transform context of this element's residue rings."""
+        return _context(self.n, self.q, self._backend)
 
     def ring_vecs(self) -> list:
         """The coefficient vector in every residue ring (immutable)."""
@@ -304,10 +315,10 @@ class RnsPoly:
 
     __slots__ = ("ctx", "residues", "n", "_coeffs")
 
-    def __init__(self, ctx: RnsContext, residues: list):
+    def __init__(self, ctx: RnsContext, residues):
         self.ctx = ctx
-        self.residues = residues
-        self.n = ctx.backends[0].veclen(residues[0])
+        self.residues = list(residues)  # of a 2D stack: its row views
+        self.n = ctx.backend.veclen(self.residues[0])
         self._coeffs: list[int] | None = None
 
     @classmethod
@@ -347,15 +358,14 @@ class RnsPoly:
             return RnsPoly.from_coeffs(self.ctx, other.coeffs)
         raise TypeError(f"cannot combine RnsPoly with {type(other).__name__}")
 
+    def _operand_vecs(self, other: "RnsPoly | RingPoly") -> list:
+        """``other``'s per-ring vectors as an operand of this element."""
+        return self._coerce(other).residues
+
     def _map(self, op) -> "RnsPoly":
+        be = self.ctx.backend
         return RnsPoly(
-            self.ctx,
-            [
-                op(i, p, be)
-                for i, (p, be) in enumerate(
-                    zip(self.ctx.primes, self.ctx.backends)
-                )
-            ],
+            self.ctx, [op(i, p, be) for i, p in enumerate(self.ctx.primes)]
         )
 
     # -- ring operations ----------------------------------------------------
@@ -380,38 +390,20 @@ class RnsPoly:
             return self._map(
                 lambda i, p, be: be.scalar_mul(self.residues[i], other, p)
             )
-        o = self._coerce(other)
-        return self._map(
-            lambda i, p, be: _context(self.n, p, be).multiply_vec(
-                self.residues[i], o.residues[i]
-            )
-        )
+        return multiply_shared(self, [other])[0]
 
     __rmul__ = __mul__
 
-    def mul_shared(self, others: list) -> list["RnsPoly"]:
-        """self*o for each o, batching NTTs per residue ring (the paired
-        c0/c1 transform: self is forward-transformed once per prime)."""
-        coerced = [self._coerce(o) for o in others]
-        per_prime = [
-            _context(self.n, p, be).multiply_shared_vec(
-                self.residues[i], [o.residues[i] for o in coerced]
-            )
-            for i, (p, be) in enumerate(
-                zip(self.ctx.primes, self.ctx.backends)
-            )
-        ]
-        return [
-            RnsPoly(self.ctx, [prime_out[j] for prime_out in per_prime])
-            for j in range(len(others))
-        ]
-
     def automorphism(self, galois_element: int) -> "RnsPoly":
-        """Apply X -> X^g residue-wise (the map commutes with the CRT)."""
+        """Apply X -> X^g residue-wise (the map commutes with the CRT),
+        every ring through one scatter."""
         if galois_element % 2 == 0:
             raise ValueError("Galois element must be odd")
-        return self._map(
-            lambda i, p, be: be.automorphism(self.residues[i], galois_element, p)
+        return RnsPoly(
+            self.ctx,
+            self.ctx.backend.automorphism(
+                self.residues, galois_element, self.ctx.primes
+            ),
         )
 
     def decompose(self, groups, base_bits: int | None = None) -> list["RnsPoly"]:
@@ -426,17 +418,17 @@ class RnsPoly:
         """
         if tuple(p for group in groups or () for p in group) != self.ctx.primes:
             raise ValueError("an RNS element decomposes along its own chain")
-        rings = list(zip(self.ctx.primes, self.ctx.backends))
+        be = self.ctx.backend
         digits, start = [], 0
         for group in groups:
             stop = start + len(group)
-            lifted = rings[start][1].crt_lift(self.residues[start:stop], group)
+            lifted = be.crt_lift(self.residues[start:stop], group)
             digits.append(
                 RnsPoly(
                     self.ctx,
                     [
                         self.residues[i] if start <= i < stop else be.asvec(lifted, p)
-                        for i, (p, be) in enumerate(rings)
+                        for i, p in enumerate(self.ctx.primes)
                     ],
                 )
             )
@@ -450,12 +442,10 @@ class RnsPoly:
         ring of group G: its transform there need never be recomputed."""
         return [j for j, group in enumerate(groups) for _ in group]
 
-    def ring_ntts(self) -> list[NegacyclicNtt]:
-        """The transform context of every residue ring of this element."""
-        return [
-            _context(self.n, p, be)
-            for p, be in zip(self.ctx.primes, self.ctx.backends)
-        ]
+    def ring_ntt(self) -> NegacyclicNtt:
+        """The transform context of this element's residue rings: one for
+        the whole chain."""
+        return _context(self.n, self.ctx.primes, self.ctx.backend)
 
     def ring_vecs(self) -> list:
         """The coefficient vector in every residue ring (immutable)."""
@@ -463,7 +453,7 @@ class RnsPoly:
 
     def from_ring_vecs(self, vecs) -> "RnsPoly":
         """An element of this one's ring from per-ring canonical vectors."""
-        return RnsPoly(self.ctx, list(vecs))
+        return RnsPoly(self.ctx, vecs)
 
     def max_coeff(self) -> int:
         return max(self.coeffs)
@@ -473,10 +463,8 @@ class RnsPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RnsPoly) and other.ctx.primes == self.ctx.primes:
             return all(
-                be.eq(a, b)
-                for a, b, be in zip(
-                    self.residues, other.residues, self.ctx.backends
-                )
+                self.ctx.backend.eq(a, b)
+                for a, b in zip(self.residues, other.residues)
             )
         if isinstance(other, (RnsPoly, RingPoly)) and other.q == self.q:
             return self.coeffs == other.coeffs
@@ -487,17 +475,19 @@ class RnsPoly:
         return f"RnsPoly(n={self.n}, chain={bits} bits)"
 
 
-def eval_stacks(polys, lazy: bool = False) -> list:
-    """Per residue ring, the evaluation-domain stack of ``polys`` (one row
-    each; all in one ring and representation): a single stacked forward
-    pass per ring, rows canonical unless ``lazy`` (see
+def eval_stacks(polys, lazy: bool = False):
+    """The evaluation-domain chain stack of ``polys`` — per residue ring,
+    one row each; all in one ring and representation: a single forward
+    plan call for every ring and row, rows canonical unless ``lazy`` (see
     :meth:`~repro.he.ntt.NegacyclicNtt.forward_stack`).
     """
     columns = zip(*(poly.ring_vecs() for poly in polys))
-    return [
-        ntt.forward_stack(list(column), lazy)
-        for ntt, column in zip(polys[0].ring_ntts(), columns)
-    ]
+    return polys[0].ring_ntt().forward_stack([list(c) for c in columns], lazy)
+
+
+def _column(stack, j: int) -> list:
+    """Row j of every ring of a chain stack: one element's per-ring vectors."""
+    return [rows[j] for rows in stack]
 
 
 def key_switch_inner(digits, eval_keys):
@@ -506,24 +496,25 @@ def key_switch_inner(digits, eval_keys):
     ``digits`` are coefficient-domain ring elements (all the same
     representation); ``eval_keys`` holds one ``(K0, K1)`` pair of stacks
     per residue ring, a row per digit
-    (:meth:`repro.he.bfv.GaloisKeys.eval_keys`). Each ring pays one
-    stacked digit forward pass, the eval-domain inner product
-    (:meth:`~repro.he.ntt.NegacyclicNtt.key_switch_eval`) and one
-    two-vector inverse — key material is never forward-transformed here.
-    Bit-identical to a per-digit ``multiply_shared`` + accumulate loop.
-    Digits and keys must be one per gadget factor; a count mismatch
-    raises instead of truncating.
+    (:meth:`repro.he.bfv.GaloisKeys.eval_keys`). All D digit forwards of
+    all rings run in one plan call, the products accumulate *in the eval
+    domain* (:meth:`~repro.he.ntt.NegacyclicNtt.key_switch_eval`; the key
+    stacks arrive already transformed, so no key-side forwards happen
+    here), and a single two-row inverse call finishes both components:
+    D + 2 transform rows per ring instead of the 5D (3 forward + 2
+    inverse per digit) a per-digit multiply-accumulate loop costs.
+
+    Bit-identical to that loop: every product is exact mod q, modular
+    addition is associative, and the inverse transform is linear, so
+    accumulating before the inverse yields the same canonical residues as
+    summing per-digit inverses. Digits and keys must be one per gadget
+    factor; a count mismatch raises instead of truncating.
     """
     first = digits[0]
-    columns = zip(*(d.ring_vecs() for d in digits))
-    out = [
-        ntt.key_switch_inner_vec(list(column), k0, k1)
-        for ntt, column, (k0, k1) in zip(
-            first.ring_ntts(), columns, eval_keys, strict=True
-        )
-    ]
-    m0, m1 = zip(*out)
-    return first.from_ring_vecs(m0), first.from_ring_vecs(m1)
+    ntt = first.ring_ntt()
+    sums = ntt.key_switch_eval(eval_stacks(digits, lazy=True), eval_keys)
+    out = ntt.inverse_stack(sums)
+    return first.from_ring_vecs(_column(out, 0)), first.from_ring_vecs(_column(out, 1))
 
 
 class EvalPair:
@@ -542,38 +533,37 @@ class EvalPair:
     coefficient-domain ops compute, hence bit-identical ciphertexts.
     """
 
-    __slots__ = ("_like", "_ntts", "e0", "e1")
+    __slots__ = ("_like", "_ntt", "e0", "e1")
 
-    def __init__(self, like, ntts, e0, e1):
+    def __init__(self, like, e0, e1):
         self._like = like  # any element of the ring (rebuilds polys)
-        self._ntts = ntts
+        self._ntt = like.ring_ntt()
         self.e0 = e0
         self.e1 = e1
 
     @classmethod
     def from_coeff(cls, c0, c1) -> "EvalPair":
-        """Transform a coefficient-domain pair (one two-row pass per ring)."""
-        e0, e1 = zip(*eval_stacks([c0, c1]))
-        return cls(c1, c1.ring_ntts(), e0, e1)
+        """Transform a coefficient-domain pair (one two-row plan call)."""
+        evals = eval_stacks([c0, c1])
+        return cls(c1, _column(evals, 0), _column(evals, 1))
 
     def to_coeff(self):
         """Back to coefficient-domain ring elements (c0, c1)."""
-        c0, c1 = zip(
-            *(
-                ntt.inverse_stack([a, b])
-                for ntt, a, b in zip(self._ntts, self.e0, self.e1)
-            )
+        out = self._ntt.inverse_stack([list(pair) for pair in zip(self.e0, self.e1)])
+        return (
+            self._like.from_ring_vecs(_column(out, 0)),
+            self._like.from_ring_vecs(_column(out, 1)),
         )
-        return self._like.from_ring_vecs(c0), self._like.from_ring_vecs(c1)
 
     def times(self, plain) -> "EvalPair":
         """plain ⊙ self: ``plain`` holds, per residue ring, the (possibly
         lazy) eval vector of the multiplier."""
-        e0, e1 = [], []
-        for ntt, row, a, b in zip(self._ntts, plain, self.e0, self.e1):
-            e0.append(ntt.backend.mul(row, a, ntt.q))
-            e1.append(ntt.backend.mul(row, b, ntt.q))
-        return EvalPair(self._like, self._ntts, e0, e1)
+        be, moduli = self._ntt.backend, self._ntt.moduli
+        return EvalPair(
+            self._like,
+            [be.mul(row, a, q) for row, a, q in zip(plain, self.e0, moduli)],
+            [be.mul(row, b, q) for row, b, q in zip(plain, self.e1, moduli)],
+        )
 
     def keyed(self, eval_keys) -> list[tuple]:
         """Per residue ring, the key stacks of one Galois element with
@@ -581,11 +571,10 @@ class EvalPair:
         ``(K0 ⧺ e0, K1 ⧺ e1)``: the canonical side of every
         :meth:`rotated_plus` that adds a multiple of this pair, stacked
         once per matvec instead of once per step."""
+        be = self._ntt.backend
         return [
-            (ntt.backend.stack([*k0, a]), ntt.backend.stack([*k1, b]))
-            for ntt, (k0, k1), a, b in zip(
-                self._ntts, eval_keys, self.e0, self.e1, strict=True
-            )
+            (be.stack([*k0, a]), be.stack([*k1, b]))
+            for (k0, k1), a, b in zip(eval_keys, self.e0, self.e1, strict=True)
         ]
 
     def rotated_plus(
@@ -604,54 +593,53 @@ class EvalPair:
         which is the rotated c1 residue whose eval form is already held.
         The plaintext row is stacked onto the digit rows as x's
         components are onto the key rows, so each component is one
-        lazily reduced inner product, ``Σ_j d_j·k_j + plain·x``.
+        lazily reduced inner product, ``Σ_j d_j·k_j + plain·x``. Two plan
+        calls whatever the chain length: c1 back to coefficients, the
+        other rings' digits forward.
         """
+        ntt = self._ntt
+        be = ntt.backend
         c1 = self._like.from_ring_vecs(
-            [ntt.inverse_vec(e) for ntt, e in zip(self._ntts, self.e1)]
+            _column(ntt.inverse_stack([[e] for e in self.e1]), 0)
         )
         rotated_c1 = c1.automorphism(galois_element)
         own_digits = rotated_c1.own_digits(groups)
         digit_vecs = [
             d.ring_vecs() for d in rotated_c1.decompose(groups, base_bits)
         ]
-        e0, e1 = [], []
-        for i, (ntt, (k0, k1)) in enumerate(zip(self._ntts, keyed, strict=True)):
-            be = ntt.backend
-            own = own_digits[i]
-            index = ntt.automorphism_index(galois_element)
-            rows = list(
-                ntt.forward_stack(
-                    [vecs[i] for j, vecs in enumerate(digit_vecs) if j != own],
-                    lazy=True,
-                )
-            )
+        forwarded = ntt.forward_stack(
+            [
+                [vecs[i] for j, vecs in enumerate(digit_vecs) if j != own]
+                for i, own in enumerate(own_digits)
+            ],
+            lazy=True,
+        )
+        index = ntt.automorphism_index(galois_element)
+        stacks = []
+        for i, own in enumerate(own_digits):
+            rows = list(forwarded[i])
             if own is not None:
                 rows.insert(own, be.permute(self.e1[i], index))
             rows.append(plain[i])
-            m0, m1 = ntt.key_switch_eval(be.stack(rows), k0, k1)
-            e0.append(be.add(be.permute(self.e0[i], index), m0, ntt.q))
-            e1.append(m1)
-        return EvalPair(self._like, self._ntts, e0, e1)
+            stacks.append(be.stack(rows))
+        sums = ntt.key_switch_eval(stacks, keyed)
+        e0 = [
+            be.add(be.permute(a, index), m0, q)
+            for a, (m0, _), q in zip(self.e0, sums, ntt.moduli)
+        ]
+        return EvalPair(self._like, e0, [m1 for _, m1 in sums])
 
 
 def multiply_shared(shared, others):
     """Products shared*o for each ring element o, batching NTT transforms.
 
     The shared operand (the lifted plaintext in ``mul_plain``) is
-    forward-transformed once and all transforms run as stacked plan
-    calls — see
-    :meth:`~repro.he.ntt.NegacyclicNtt.multiply_shared_vec`. Dispatches on
+    forward-transformed once and all transforms run as two plan calls for
+    every residue ring together — see
+    :meth:`~repro.he.ntt.NegacyclicNtt.multiply_shared`. Either
     representation; results are bit-identical to ``[shared * o for o in
-    others]`` either way.
+    others]``, ring mismatches raise as they do there.
     """
-    others = list(others)
-    if isinstance(shared, RnsPoly):
-        return shared.mul_shared(others)
-    coerced = []
-    for o in others:
-        shared._check(o)  # same ValueError the elementwise path raises
-        coerced.append(shared._coerce(o))
-    be = shared.backend
-    ctx = _context(shared.n, shared.q, be)
-    vecs = ctx.multiply_shared_vec(shared.vec, coerced)
-    return [RingPoly._from_vec(v, shared.q, be) for v in vecs]
+    operands = [shared._operand_vecs(o) for o in others]
+    products = shared.ring_ntt().multiply_shared(shared.ring_vecs(), operands)
+    return [shared.from_ring_vecs(vecs) for vecs in products]

@@ -2,13 +2,15 @@
 
 ``mul_plain`` and ``rotate`` multiply one shared operand (the lifted
 plaintext, a key-switch digit) into both ciphertext components. The
-shared operand must be forward-transformed once, and all transforms must
-land in batched plan calls (`forward_many` / `inverse_unscaled_many`)
-rather than per-product passes. A call-counting stub wrapped around the
-cached NTT plan pins the exact op counts so the batching cannot silently
-regress to the 4-forward/2-inverse shape — and pins the transform-row
-ledger of the evaluation-domain matvec, so a reintroduced domain round
-trip fails a test, not a benchmark.
+shared operand must be forward-transformed once, and all transforms —
+of every residue ring of a chain — must land in one plan call per
+transform step (`NttPlan.forward` / `NttPlan.inverse` on a
+``[ring][row]`` stack) rather than per-product or per-ring passes. A
+call-counting stub wrapped around the cached context's plan pins the
+exact call and row counts so the batching cannot silently regress to the
+4-forward/2-inverse shape or to one call per ring — and pins the
+transform-row and plan-call ledgers of the evaluation-domain matvec, so
+a reintroduced domain round trip fails a test, not a benchmark.
 """
 
 import dataclasses
@@ -30,41 +32,38 @@ from repro.he.polynomial import RingPoly, clear_ntt_cache, multiply_shared
 
 
 class CountingPlan:
-    """Wraps an NttPlan, counting calls and transformed vectors."""
+    """Wraps a chain NttPlan, counting calls and — per residue ring — the
+    rows each direction transformed."""
 
     def __init__(self, plan):
         self._plan = plan
         self.calls = Counter()
-        self.vectors = Counter()
+        self.ring_rows = {"forward": Counter(), "inverse": Counter()}
 
-    def _wrap(self, name, vecs_counted):
-        def call(*args, **kwargs):
-            self.calls[name] += 1
-            self.vectors[name] += vecs_counted(*args)
-            return getattr(self._plan, name)(*args, **kwargs)
+    def rows(self, name):
+        """Rows transformed in one direction, all rings together."""
+        return sum(self.ring_rows[name].values())
 
-        return call
+    def _counted(self, name, stack, *args):
+        stack = [list(rows) for rows in stack]
+        self.calls[name] += 1
+        for ring, rows in enumerate(stack):
+            self.ring_rows[name][ring] += len(rows)
+        return getattr(self._plan, name)(stack, *args)
 
-    FORWARDS = ("forward", "forward_many")
-    INVERSES = ("inverse", "inverse_unscaled", "inverse_unscaled_many")
+    def forward(self, stack, lazy=False):
+        return self._counted("forward", stack, lazy)
 
-    def rows(self, names):
-        """Vectors transformed through any of the named entry points."""
-        return sum(self.vectors[name] for name in names)
-
-    def __getattr__(self, name):
-        if name in ("forward", "inverse", "inverse_unscaled"):
-            return self._wrap(name, lambda vec: 1)
-        if name in ("forward_many", "inverse_unscaled_many"):
-            return self._wrap(name, lambda vecs: len(vecs))
-        return getattr(self._plan, name)
+    def inverse(self, stack):
+        return self._counted("inverse", stack)
 
 
 def _counted_context(n, q, backend):
-    """The cached NegacyclicNtt for (n, q, backend) with a counting plan."""
+    """The cached NegacyclicNtt for (n, q, backend) — q one modulus or a
+    chain's primes — with a counting plan."""
     ctx = polynomial._context(n, q, backend)
-    counter = CountingPlan(ctx._ntt._plan)
-    ctx._ntt._plan = counter
+    counter = CountingPlan(ctx._plan)
+    ctx._plan = counter
     return ctx, counter
 
 
@@ -88,7 +87,9 @@ class TestMultiplySharedCorrectness:
         others = [[rng.randrange(q) for _ in range(n)] for _ in range(3)]
         sv = be.asvec(shared, q)
         ov = [be.asvec(o, q) for o in others]
-        batched = [be.tolist(v) for v in ntt.multiply_shared_vec(sv, ov)]
+        batched = [
+            be.tolist(v) for (v,) in ntt.multiply_shared([sv], [[o] for o in ov])
+        ]
         separate = [ntt.multiply(shared, o) for o in others]
         assert batched == separate
 
@@ -113,7 +114,7 @@ class TestMultiplySharedCorrectness:
         be = get_backend(backend_name)
         ntt = NegacyclicNtt(n, q, backend=be)
         shared = be.asvec(list(range(n)), q)
-        assert ntt.multiply_shared_vec(shared, []) == []
+        assert ntt.multiply_shared([shared], []) == []
         poly = RingPoly(list(range(n)), q, backend=be)
         assert multiply_shared(poly, []) == []
 
@@ -161,11 +162,9 @@ class TestPinnedOpCounts:
         ctx.mul_plain(ct, encoder.encode([5] * params.n))
         # One stacked forward of {lifted plaintext, c0, c1}; one stacked
         # inverse of the two products. No per-vector transform calls.
-        assert counter.calls == Counter(
-            {"forward_many": 1, "inverse_unscaled_many": 1}
-        )
-        assert counter.vectors["forward_many"] == 3
-        assert counter.vectors["inverse_unscaled_many"] == 2
+        assert counter.calls == Counter({"forward": 1, "inverse": 1})
+        assert counter.rows("forward") == 3
+        assert counter.rows("inverse") == 2
 
     def test_rotate_batches_per_key_digit(self):
         params = fast_params(n=64)
@@ -179,11 +178,9 @@ class TestPinnedOpCounts:
         # the key components arrive pre-transformed (eval-domain storage,
         # zero key-side forwards here), and the eval-domain accumulation
         # needs just one two-vector inverse for (c0_delta, c1_delta).
-        assert counter.calls == Counter(
-            {"forward_many": 1, "inverse_unscaled_many": 1}
-        )
-        assert counter.vectors["forward_many"] == digits
-        assert counter.vectors["inverse_unscaled_many"] == 2
+        assert counter.calls == Counter({"forward": 1, "inverse": 1})
+        assert counter.rows("forward") == digits
+        assert counter.rows("inverse") == 2
 
     def test_rotate_skips_key_side_forward_transforms(self):
         # The eval-domain cache is built at keygen; rotations afterwards
@@ -199,42 +196,40 @@ class TestPinnedOpCounts:
         for _ in range(3):
             ctx.rotate(ct, g, gk)
         digits = params.num_decomp_digits
-        assert counter.vectors["forward_many"] == 3 * digits
-        assert counter.calls["forward"] == 0  # no per-key transforms at all
+        # One forward call per rotation, digits only: no key transforms.
+        assert counter.calls["forward"] == 3
+        assert counter.rows("forward") == 3 * digits
 
-    def test_rns_mul_plain_batches_every_residue_ring(self):
+    def _chain_counter(self, ctx):
+        rns = ctx._rns
+        return _counted_context(ctx.params.n, rns.primes, rns.backend)[1]
+
+    def test_rns_mul_plain_is_one_call_for_every_residue_ring(self):
         params = dataclasses.replace(toy_params(n=64), representation="rns")
         ctx, encoder, sk, ct = self._rig(params)
-        counters = []
-        for prime, be in zip(ctx._rns.primes, ctx._rns.backends):
-            counters.append(_counted_context(params.n, prime, be)[1])
+        counter = self._chain_counter(ctx)
         ctx.mul_plain(ct, encoder.encode([3] * params.n))
-        for counter in counters:
-            assert counter.calls == Counter(
-                {"forward_many": 1, "inverse_unscaled_many": 1}
-            )
-            assert counter.vectors["forward_many"] == 3
+        # The whole chain in the two calls a single ring makes.
+        assert counter.calls == Counter({"forward": 1, "inverse": 1})
+        rings = range(len(params.rns_primes))
+        assert counter.ring_rows["forward"] == Counter({i: 3 for i in rings})
+        assert counter.ring_rows["inverse"] == Counter({i: 2 for i in rings})
 
     def test_rns_rotate_is_one_digit_per_chain_prime(self):
         """On a chain the key-switch digits are the residues: every
-        residue ring forwards exactly len(chain) digit rows in one stacked
-        pass and inverts two — no base conversion, no extra transforms."""
+        residue ring forwards exactly len(chain) digit rows and inverts
+        two, all rings in one call each way — no base conversion, no
+        extra transforms."""
         params = dataclasses.replace(toy_params(n=64), representation="rns")
         ctx, encoder, sk, ct = self._rig(params)
         g = encoder.galois_element_for_rotation(1)
         gk = ctx.galois_keygen(sk, [g])
-        counters = [
-            _counted_context(params.n, prime, be)[1]
-            for prime, be in zip(ctx._rns.primes, ctx._rns.backends)
-        ]
+        counter = self._chain_counter(ctx)
         rotated = ctx.rotate(ct, g, gk)
         assert params.num_decomp_digits == len(params.rns_primes) == 4
-        for counter in counters:
-            assert counter.calls == Counter(
-                {"forward_many": 1, "inverse_unscaled_many": 1}
-            )
-            assert counter.vectors["forward_many"] == 4
-            assert counter.vectors["inverse_unscaled_many"] == 2
+        assert counter.calls == Counter({"forward": 1, "inverse": 1})
+        assert counter.ring_rows["forward"] == Counter({i: 4 for i in range(4)})
+        assert counter.ring_rows["inverse"] == Counter({i: 2 for i in range(4)})
         assert encoder.decode(ctx.decrypt(sk, rotated))[:7] == list(range(1, 8))
 
     FAMILIES = {
@@ -247,9 +242,10 @@ class TestPinnedOpCounts:
         "chainless": lambda: fast_params(n=64),
     }
 
-    def _matvec_rows(self, params, width):
-        """Transform rows of one width-w matvec: per ciphertext residue
-        ring (forwards, inverses), and the same pair mod t."""
+    def _matvec_ledger(self, params, width):
+        """One width-w matvec at the plans: transform rows per ciphertext
+        residue ring (forwards, inverses), the same pair mod t, and the
+        ciphertext-ring plan calls."""
         ctx = BfvContext(params, SecureRandom(4))
         encoder = BatchEncoder(params)
         sk, pk = ctx.keygen()
@@ -258,21 +254,25 @@ class TestPinnedOpCounts:
         x = list(range(1, width + 1))
         ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
         if ctx._rns is not None:
-            rings = list(zip(ctx._rns.primes, ctx._rns.backends))
+            counter = self._chain_counter(ctx)
         else:
-            rings = [(params.q, ctx._rq)]
-        counters = [_counted_context(params.n, q, be)[1] for q, be in rings]
+            _, counter = _counted_context(params.n, params.q, ctx._rq)
         _, plain_counter = _counted_context(params.n, params.t, encoder.backend)
         matrix = [[(3 * i + j) % params.t for j in range(width)] for i in range(2)]
         out = evaluator.matvec(ct, matrix)
-        (*per_ring, mod_t) = [
-            (c.rows(c.FORWARDS), c.rows(c.INVERSES))
-            for c in (*counters, plain_counter)
+        per_ring = [
+            (counter.ring_rows["forward"][i], counter.ring_rows["inverse"][i])
+            for i in range(len(params.rns_primes or (params.q,)))
         ]
+        mod_t = (plain_counter.rows("forward"), plain_counter.rows("inverse"))
+        calls = Counter(counter.calls)  # before the decryption below adds its own
         assert encoder.decode(ctx.decrypt(sk, out))[:2] == [
             sum(w * v for w, v in zip(row, x)) % params.t for row in matrix
         ]
-        return per_ring, mod_t
+        return per_ring, mod_t, calls
+
+    def _matvec_rows(self, params, width):
+        return self._matvec_ledger(params, width)[:2]
 
     @pytest.mark.parametrize("width", (1, 2, 8))
     @pytest.mark.parametrize("family", FAMILIES)
@@ -294,6 +294,20 @@ class TestPinnedOpCounts:
             assert forwards == 2 + (width - 1) * forwarded_digits + width
             assert inverses == (width - 1) + 2
         assert mod_t == (0, width)
+
+    @pytest.mark.parametrize("width", (1, 2, 8))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matvec_call_ledger(self, family, width):
+        """Ciphertext-ring plan calls of one width-w matvec: an inverse
+        (the accumulator's c1) and a forward (the digits) per rotation,
+        plus three — the input pair forward, the diagonals' plaintexts
+        forward (one block at this degree), the accumulators inverse.
+        2(w - 1) + 3 whatever the chain length: four primes, six, or a
+        single modulus make the same calls."""
+        params = self.FAMILIES[family]()
+        _, _, calls = self._matvec_ledger(params, width)
+        assert calls == Counter({"forward": width + 1, "inverse": width})
+        assert sum(calls.values()) == 2 * (width - 1) + 3
 
     @pytest.mark.parametrize(
         "family, rows", [("pairs", 25), ("chainless", 6), ("chain", 21)]

@@ -3,8 +3,9 @@
 The cache (`repro.he.polynomial._NTT_CACHE`) backs every RingPoly/RnsPoly
 multiplication; these tests pin the behaviours the rest of the system
 relies on: clearing, the LRU eviction order (recently used entries
-survive), per-backend keying, and — new with the RNS chain — that a
-chain's per-prime contexts coexist in steady state instead of thrashing.
+survive), per-backend keying, and that an RNS chain is ONE context in
+ONE slot — keyed (n, primes, backend), dropped by ``clear_ntt_cache()``
+and by ``repro.runtime.reset_process_state()`` — reused in steady state.
 """
 
 import random
@@ -169,17 +170,30 @@ class TestRnsChainCaching:
         sk, pk = ctx.keygen()
         return params, ctx, encoder, sk, pk
 
-    def test_chain_fits_comfortably_under_the_bound(self):
-        params = toy_params(n=128)
-        assert len(params.rns_primes) * 2 <= polynomial._NTT_CACHE_MAX
-
-    def test_one_context_per_chain_prime(self, rig):
+    def test_one_slot_for_the_whole_chain(self, rig):
         params, ctx, encoder, sk, pk = rig
         ctx.encrypt(pk, encoder.encode([1, 2, 3]))
-        cached_q = {key[1] for key in ntt_cache_keys()}
-        assert set(params.rns_primes) <= cached_q
-        # Nothing should have built a context at the wide composite q.
-        assert params.q not in cached_q
+        backend = ctx._rns.backend.name
+        # The chain's slot is keyed by its primes; the encoder's mod-t
+        # transform has its own. No per-prime contexts beside them, and
+        # nothing built a context at the wide composite q.
+        assert set(ntt_cache_keys()) == {
+            (params.n, params.rns_primes, backend),
+            (params.n, params.t, encoder.backend.name),
+        }
+        chain = polynomial._context(params.n, params.rns_primes, ctx._rns.backend)
+        assert chain.moduli == params.rns_primes
+        assert ntt_cache_size() == 2  # a hit, not a new slot
+
+    def test_clear_and_process_reset_drop_the_chain_slot(self, rig):
+        from repro.runtime import reset_process_state
+
+        params, ctx, encoder, sk, pk = rig
+        for drop in (clear_ntt_cache, reset_process_state):
+            ctx.encrypt(pk, encoder.encode([1, 2, 3]))
+            assert any(key[1] == params.rns_primes for key in ntt_cache_keys())
+            drop()
+            assert ntt_cache_keys() == ()
 
     def test_steady_state_does_not_thrash(self, rig):
         params, ctx, encoder, sk, pk = rig
@@ -190,8 +204,8 @@ class TestRnsChainCaching:
         size_before = ntt_cache_size()
         for _ in range(3):
             ct = ctx.rotate(ctx.mul_plain(ct, encoder.encode([3] * params.n)), g, gk)
-        # Repeated full-width ciphertext ops reuse the same per-prime
-        # contexts: no new entries, no evictions, no rebuild churn.
+        # Repeated full-width ciphertext ops reuse the chain's context:
+        # no new entries, no evictions, no rebuild churn.
         assert set(ntt_cache_keys()) == before
         assert ntt_cache_size() == size_before
         assert encoder.decode(ctx.decrypt(sk, ct))[:3] == [
