@@ -153,6 +153,6 @@ def backend_for(q: int, prefer: str | None = None) -> ComputeBackend:
     return _REGISTRY["python"]
 
 
-# Imported last: repro.backend.rns resolves its per-prime backends through
+# Imported last: repro.backend.rns resolves its chain's backend through
 # backend_for above, so it needs this module's registry to exist first.
 from repro.backend.rns import RnsContext  # noqa: E402

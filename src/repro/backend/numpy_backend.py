@@ -57,8 +57,6 @@ _DIRECT_LIMIT = 1 << 31  # q below this: products of residues fit in uint64
 _MODULUS_LIMIT = 1 << 62  # q below this: (lazy) Shoup reduction is exact
 _NARROW_LIMIT = 1 << 30  # q below this: the NTT's lazy values (< 4q) fit 32 bits
 _TRANSPOSED_BLOCK = 32  # butterfly blocks up to this size run transposed
-_SLAB = 3 << 15  # elements transformed per pass: 768 KB of stack, as much scratch
-_UFUNC_BUFFER = 256  # elements, while a transform runs; see _NumpyNttPlan._transform
 
 if np is not None:
     _M32 = np.uint64(0xFFFFFFFF)
@@ -254,12 +252,14 @@ class _NarrowLanes:
             u += x
             np.add(s1, self.two_q, out=x)
             return
+        # u and x are strided views, s1 and s2 contiguous: every pass that
+        # can runs on the scratch, and each view is read twice, written once.
         self.mul(x, table, out=s2, tmp=s1)
         np.subtract(u, self.two_q, out=s1)
-        np.minimum(u, s1, out=u)  # u in [0, 2q)
-        np.subtract(u, s2, out=x)
-        x += self.two_q
-        u += s2
+        np.minimum(u, s1, out=s1)  # u in [0, 2q)
+        np.add(s1, s2, out=u)
+        s1 += self.two_q
+        np.subtract(s1, s2, out=x)
 
     def settle(self, a, tmp):
         """Stage values [0, 4q) -> the lazy output range [0, 2q)."""
@@ -387,11 +387,13 @@ class _NumpyNttPlan(NttPlan):
         def stages(bases):
             """Per stage (half, twiddle table): w_len^k for k < half."""
             table = powers(bases, max(n // 2, 1))
-            out = [(1, None)]  # w_len^0: the first stage multiplies by 1
-            half = 2
-            while half < n:
+            out, half = [], 1
+            while half < n:  # no stage at all for n = 1
                 w = np.ascontiguousarray(table[:, :: n // 2 // half])
-                out.append((half, self.lanes.table(_ring_constant(w))))
+                # w_len^0: the first stage multiplies by 1
+                out.append(
+                    (half, self.lanes.table(_ring_constant(w)) if half > 1 else None)
+                )
                 half *= 2
             return out
 
@@ -440,33 +442,11 @@ class _NumpyNttPlan(NttPlan):
         return stack
 
     def _transform(self, stack, stages, twist, untwist, lazy):
-        """The chain's transforms, a slab of rows at a time (so the
-        working set stays in cache however many rows arrive)."""
-        stack = self._as_chain(stack)
-        rows = stack.shape[1]
-        step = max(1, _SLAB // (self.rings * self.n))
-        # Stage operands are strided views. numpy copies an operand whose
-        # contiguous runs are shorter than its ufunc buffer (8192 elements
-        # by default) through that buffer to run longer inner loops: two
-        # extra passes per ufunc, about 3x the arithmetic here. With a
-        # 256-element buffer only runs shorter than that are still copied
-        # (there a copy does beat one inner loop per 8..128 elements).
-        # The setting is per thread, and restored.
-        buffer = np.setbufsize(_UFUNC_BUFFER)
-        try:
-            slabs = [
-                self._slab(stack[:, lo : lo + step], stages, twist, untwist, lazy)
-                for lo in range(0, rows, step)
-            ]
-        finally:
-            np.setbufsize(buffer)
-        if len(slabs) == 1:
-            return slabs[0]
-        return np.concatenate(slabs, axis=1) if slabs else stack
-
-    def _slab(self, src, stages, twist, untwist, lazy):
+        src = self._as_chain(stack)
         lanes, lead = self.lanes, self.lead
         rings, rows, n = src.shape
+        if rows == 0:
+            return src
         a = np.take(src, self.gather, axis=-1).reshape(-1)  # fresh, contiguous
         scratch = np.empty_like(a)
         whole = (*lead, rows, n, 1)

@@ -27,6 +27,8 @@ round-trips through Python lists.
 
 from __future__ import annotations
 
+import numbers
+
 from repro.backend import ComputeBackend, backend_for
 from repro.crypto.modmath import primitive_root_of_unity
 
@@ -83,7 +85,7 @@ class NegacyclicNtt:
     """
 
     def __init__(self, n: int, q, backend: ComputeBackend | None = None):
-        moduli = (q,) if isinstance(q, int) else tuple(q)
+        moduli = (int(q),) if isinstance(q, numbers.Integral) else tuple(q)
         if n & (n - 1):
             raise ValueError("ring degree must be a power of two")
         for p in moduli:

@@ -3,18 +3,17 @@
 One numpy plan call transforms every residue ring of a chain; these tests
 hold it bit-identical to the python backend's loop over per-ring textbook
 transforms — across ring degrees (including those smaller than the
-transposed block, where the layout degrades to the plain walk, and large
-enough that the rows split into slabs), chain lengths, row counts,
-directions, output contracts, both arithmetic regimes and the inputs that
-sit on their bounds. Also: a row of the wrong length is a typed error on
-both backends, never a truncation.
+transposed block, where the layout degrades to the plain walk), chain
+lengths, row counts, directions, output contracts, both arithmetic
+regimes and the inputs that sit on their bounds. Also: a row of the wrong
+length is a typed error on both backends, never a truncation.
 """
 
 import random
 
 import pytest
 
-from repro.backend import available_backends, get_backend, numpy_backend
+from repro.backend import available_backends, get_backend
 from repro.crypto.modmath import (
     find_ntt_prime,
     generate_ntt_primes,
@@ -98,20 +97,31 @@ class TestBitIdentity:
         _compare(64, generate_ntt_primes(64, 6, 30), rows, random.Random(rows))
 
     @pytest.mark.parametrize("regime", REGIMES)
-    def test_degree_4096_splits_rows_into_slabs(self, regime):
-        """Thirteen rows of a two-prime chain at n = 4096 exceed one slab:
-        the pieces come back joined, in order."""
+    def test_degree_4096(self, regime):
         primes = generate_ntt_primes(4096, 2, REGIMES[regime])
         fast, reference = _plans(4096, primes)
         rng = random.Random(4096)
         stack = [
-            [[rng.randrange(q) for _ in range(4096)] for _ in range(13)]
+            [[rng.randrange(q) for _ in range(4096)] for _ in range(3)]
             for q in primes
         ]
         native = np.asarray(stack, dtype=np.uint64)
-        assert numpy_backend._SLAB // native[:, 0].size < 13  # really split
         _check(fast.forward(native), reference.forward(stack), primes, lazy=False)
         _check(fast.inverse(native), reference.inverse(stack), primes, lazy=False)
+
+    @pytest.mark.parametrize("negacyclic", (True, False))
+    def test_degree_one_runs_no_stage(self, negacyclic):
+        """A one-point transform is the identity, as on the reference."""
+        moduli = (find_ntt_prime(30, 2), find_ntt_prime(62, 2))
+        for length in (1, 2):
+            chain = moduli[:length]
+            fast, reference = _plans(1, chain, negacyclic)
+            stack = [[[0], [q - 1], [q // 3]] for q in chain]
+            native = np.asarray(stack, dtype=np.uint64)
+            for call in ("forward", "inverse"):
+                want = getattr(reference, call)(stack)
+                assert want == stack
+                _check(getattr(fast, call)(native), want, chain, lazy=False)
 
     def test_delphi_degree_on_the_delphi_chain(self):
         from repro.he.params import delphi_params
@@ -160,6 +170,11 @@ class TestChainContext:
         assert [[be.tolist(r) for r in rows] for rows in back] == [
             [be.tolist(r) for r in rows] for rows in stack
         ]
+
+    def test_a_numpy_integer_is_one_modulus_not_a_chain(self):
+        q = find_ntt_prime(30, 64)
+        ntt = NegacyclicNtt(64, np.uint64(q), backend=NP)
+        assert ntt.moduli == (q,) and type(ntt.moduli[0]) is int
 
     @pytest.mark.parametrize("backend_name", available_backends())
     def test_unfriendly_prime_anywhere_in_the_chain_is_rejected(self, backend_name):
