@@ -40,7 +40,7 @@ from repro.gc.garble import Garbler, LabelBatch
 from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator
+from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import key_switch_inner
@@ -331,7 +331,7 @@ class _PhaseClock:
 _TRANSFORMS = ("forward", "inverse")  # the NttPlan contract
 
 
-def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix):
+def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix, warm):
     """Where one evaluation-domain matvec spends its time, and how many
     rows it transforms.
 
@@ -341,8 +341,12 @@ def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix):
     and ring D + 1 rows on a chain (D - 1 digits, the accumulator's c1,
     the plaintext), D + 2 without one, plus one row mod t; per diagonal
     two ciphertext-ring calls whatever the chain length — the ledgers
-    ``tests/test_batched_ntt.py`` pins.
+    ``tests/test_batched_ntt.py`` pins. Cold unless ``warm``: then the
+    diagonals come from the cache the bench rounds filled, and neither
+    the plaintext forwards nor the rows mod t happen.
     """
+    if not warm:
+        clear_plain_cache()
     clock = _PhaseClock()
     ntt = ct.c1.ring_ntt()
     try:
@@ -369,9 +373,12 @@ def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix):
     }
 
 
-def _matvec_bench(benchmark, params, seed, shape, rounds):
+def _matvec_bench(benchmark, params, seed, shape, rounds, warm=False):
     """Whole ``HomomorphicLinearEvaluator.matvec`` on the matrix form a
-    lowered network hands it (``asmatrix``), one Galois key."""
+    lowered network hands it (``asmatrix``), one Galois key. Cold rows
+    empty the cache of encoded diagonals before every round — a model's
+    first matvec in a process; warm rows leave it filled — every later
+    one."""
     from repro.backend import backend_for
 
     ctx = BfvContext(params, SecureRandom(seed))
@@ -386,32 +393,47 @@ def _matvec_bench(benchmark, params, seed, shape, rounds):
     ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
     out = benchmark.pedantic(
         lambda: evaluator.matvec(ct, matrix),
+        setup=None if warm else clear_plain_cache,
         rounds=rounds, iterations=1, warmup_rounds=1,
     )
     assert encoder.decode(ctx.decrypt(sk, out))[: shape[0]] == [
         sum(w * v for w, v in zip(row, x)) % params.t for row in rows
     ]
     benchmark.extra_info.update(
-        _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix)
+        _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix, warm)
     )
+
+
+def _delphi_w16(benchmark, name, warm):
+    params = dataclasses.replace(delphi_params(), representation="rns")
+    _matvec_bench(benchmark, params, seed=29, shape=(8, 16), rounds=3, warm=warm)
+    if os.environ.get("REPRO_BENCH_STRICT"):
+        _guard_against_committed_baseline(benchmark, name, threshold=1.3)
 
 
 def test_bench_matvec_delphi_rns_w16(benchmark):
     """The first layer of ``infer_cg_delphi`` (8x16 at delphi scale): 15
     rotations and 16 plaintext products without leaving the evaluation
-    domain. Most of a delphi mint; guarded like the rotation row."""
-    params = dataclasses.replace(delphi_params(), representation="rns")
-    _matvec_bench(benchmark, params, seed=29, shape=(8, 16), rounds=3)
-    if os.environ.get("REPRO_BENCH_STRICT"):
-        _guard_against_committed_baseline(
-            benchmark, "test_bench_matvec_delphi_rns_w16", threshold=1.3
-        )
+    domain, its diagonals encoded afresh. Guarded like the rotation row."""
+    _delphi_w16(benchmark, "test_bench_matvec_delphi_rns_w16", warm=False)
+
+
+def test_bench_matvec_delphi_rns_w16_warm(benchmark):
+    """The same layer as every mint after a process's first runs it: the
+    diagonals' evaluation-domain plaintexts come from the cache."""
+    _delphi_w16(benchmark, "test_bench_matvec_delphi_rns_w16_warm", warm=True)
 
 
 def test_bench_matvec_fast_w128(benchmark):
     """The wide layer of ``infer_sg_wide`` (3x128, a full batching row of
-    ``fast_params(256)``): 127 rotations of three positional digits."""
+    ``fast_params(256)``): 127 rotations of three positional digits, its
+    diagonals encoded afresh."""
     _matvec_bench(benchmark, PARAMS, seed=31, shape=(3, 128), rounds=3)
+
+
+def test_bench_matvec_fast_w128_warm(benchmark):
+    """The wide layer with its diagonals cached."""
+    _matvec_bench(benchmark, PARAMS, seed=31, shape=(3, 128), rounds=3, warm=True)
 
 
 def test_bench_rns_decompose_delphi(benchmark):

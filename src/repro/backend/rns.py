@@ -53,12 +53,10 @@ class RnsContext:
 
     The whole chain computes on ONE backend — the one that is exact for
     its largest prime — because a chain's residues are transformed
-    together, as one stack (``backends`` repeats it per prime).
+    together, as one stack.
     """
 
-    __slots__ = (
-        "primes", "q", "backend", "backends", "_m", "_m_inv", "_digit_plans",
-    )
+    __slots__ = ("primes", "q", "backend", "_m", "_m_inv", "_digit_plans")
 
     _cache: OrderedDict[tuple, "RnsContext"] = OrderedDict()
     _cache_max = 16
@@ -79,7 +77,6 @@ class RnsContext:
             q *= p
         self.q = q
         self.backend: ComputeBackend = backend_for(max(primes), prefer=prefer)
-        self.backends = (self.backend,) * len(primes)
         self._m = tuple(q // p for p in primes)
         self._m_inv = tuple(
             mod_inverse(m % p, p) for m, p in zip(self._m, primes)

@@ -10,7 +10,11 @@ from __future__ import annotations
 import functools
 import os
 import random
-import struct
+
+import numpy as np
+
+# Word widths drawn as one array: the bytes of a draw read in place.
+_LANES = {4: np.dtype("<u4"), 8: np.dtype("<u8")}
 
 
 @functools.lru_cache(maxsize=None)
@@ -39,11 +43,13 @@ class SecureRandom:
         """Uniform element of Z_modulus."""
         return self._rng.randrange(modulus)
 
-    def _words(self, count: int, width: int) -> tuple[int, ...]:
-        """``count`` uniform ``width``-byte words from one ``getrandbits``."""
+    def _words(self, count: int, width: int):
+        """``count`` uniform little-endian ``width``-byte words from one
+        ``getrandbits``: a numpy array for widths 4 and 8, else a tuple
+        of ints."""
         data = self.bytes(count * width)
-        if width in (4, 8):
-            return struct.unpack(f"<{count}{'I' if width == 4 else 'Q'}", data)
+        if width in _LANES:
+            return np.frombuffer(data, dtype=_LANES[width])
         return tuple(
             int.from_bytes(data[i : i + width], "little")
             for i in range(0, len(data), width)
@@ -54,7 +60,8 @@ class SecureRandom:
 
         Exact rejection sampling over whole-vector draws: each pass takes
         one word per missing element, masks it to the modulus' bit length
-        and keeps the values below the modulus (at least half of them).
+        and keeps, in order, the values below the modulus (at least half
+        of them) — one numpy pass for moduli up to 64 bits.
         """
         bits = modulus.bit_length()
         width = 4 if bits <= 32 else 8 if bits <= 64 else (bits + 7) // 8
@@ -62,7 +69,11 @@ class SecureRandom:
         out: list[int] = []
         while len(out) < n:
             words = self._words(n - len(out), width)
-            out += [v for v in (w & mask for w in words) if v < modulus]
+            if width in _LANES:
+                words = words & mask
+                out += words[words < modulus].tolist()
+            else:
+                out += [v for v in (w & mask for w in words) if v < modulus]
         return out
 
     def bit(self) -> int:
@@ -81,7 +92,7 @@ class SecureRandom:
     def ternary_vector(self, n: int) -> list[int]:
         """``n`` draws from {-1, 0, 1} (RLWE secret coefficients): one
         32-bit word each, reduced mod 3 (off uniform by under 2^-31)."""
-        return [w % 3 - 1 for w in self._words(n, 4)]
+        return ((self._words(n, 4) % 3).astype(np.int64) - 1).tolist()
 
     def centered_binomial_vector(self, n: int, eta: int = 4) -> list[int]:
         """``n`` centered-binomial noise draws, the standard discrete-

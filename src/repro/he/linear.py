@@ -9,15 +9,116 @@ lowering them to a matrix-vector product over the flattened input (the
 im2col/Toeplitz matrix). Gazelle's rotation-optimized convolution kernels
 differ only in *cost*, never in the computed function; their operation
 counts are modeled separately in :mod:`repro.he.costmodel`.
+
+A server's weights are the same for every request, so the plaintext side
+of a matvec — gathering the diagonals, encoding them, lifting them into
+the ciphertext ring and transforming them — is done once per process:
+:data:`_PLAIN_CACHE` keeps the evaluation-domain plaintexts of every
+diagonal block, keyed by a digest of the matrix content and the ring
+they live in (see :meth:`HomomorphicLinearEvaluator.matvec`).
 """
 
 from __future__ import annotations
+
+import hashlib
+import threading
+from collections import OrderedDict
 
 import numpy as np
 
 from repro.he.bfv import BfvContext, Ciphertext, GaloisKeys
 from repro.he.encoder import BatchEncoder
 from repro.he.polynomial import EvalPair
+
+# Bytes of cached plaintext stacks per process: a delphi_params 16-8-3
+# MLP keeps ~1.2 MB, a fast_params(256) 16-128-3 one ~0.3 MB.
+_PLAIN_CACHE_BUDGET = 32 << 20
+
+
+class _PlainEvalCache:
+    """LRU of evaluation-domain plaintext stacks, bounded in bytes.
+
+    The get → ``move_to_end`` / insert → evict sequence is compound and the
+    gateway's refill and selector threads both run matvecs, so it sits
+    behind a lock like the NTT-context LRU; encoding happens outside it
+    (two threads missing on one block both encode it, identically, and
+    the second insert is a no-op). An entry larger than the whole budget
+    is not kept. Entries are pure functions of their keys, so a forked
+    child may use what it inherits; pool workers drop it anyway through
+    :func:`repro.runtime.reset_process_state`.
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, stack, nbytes: int) -> None:
+        with self._lock:
+            if key in self._entries or nbytes > _PLAIN_CACHE_BUDGET:
+                return
+            self._entries[key] = (stack, nbytes)
+            self._bytes += nbytes
+            while self._bytes > _PLAIN_CACHE_BUDGET:
+                _, (_, freed) = self._entries.popitem(last=False)
+                self._bytes -= freed
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+
+    def size(self) -> tuple[int, int]:
+        """(entries, bytes)."""
+        with self._lock:
+            return len(self._entries), self._bytes
+
+
+_PLAIN_CACHE = _PlainEvalCache()
+
+
+def clear_plain_cache() -> None:
+    """Drop every cached plaintext stack (tests, parameter sweeps, forks)."""
+    _PLAIN_CACHE.clear()
+
+
+def plain_cache_size() -> tuple[int, int]:
+    """(entries, bytes) of the plaintext cache, for tests and probes."""
+    return _PLAIN_CACHE.size()
+
+
+def _matrix_digest(matrix) -> bytes:
+    """Content digest of a weight matrix: dtype, shape and bytes of an
+    array, the entries' integers of a list of rows."""
+    h = hashlib.blake2b(digest_size=16)
+    if isinstance(matrix, np.ndarray) and matrix.dtype != object:
+        h.update(f"{matrix.dtype.str}{matrix.shape}".encode())
+        h.update(matrix.tobytes())
+    else:
+        h.update(repr([[int(v) for v in row] for row in matrix]).encode())
+    return h.digest()
+
+
+def _frozen(stack, bound: int):
+    """A read-only chain stack of values below ``bound``, and its bytes:
+    on numpy the narrowest unsigned lane that holds them (``uint32`` for
+    the lazy output of every chain prime below 2^31), on the python
+    backend tuples (counted at a word per coefficient)."""
+    if isinstance(stack, np.ndarray):
+        lane = np.uint32 if bound <= 1 << 32 else np.uint64
+        stack = stack.astype(lane, copy=False)
+        stack.flags.writeable = False
+        return stack, stack.nbytes
+    stack = tuple(tuple(tuple(row) for row in rows) for rows in stack)
+    return stack, 8 * sum(len(row) for rows in stack for row in rows)
 
 
 class HomomorphicLinearEvaluator:
@@ -96,9 +197,14 @@ class HomomorphicLinearEvaluator:
         never leaves the evaluation domain
         (:class:`repro.he.polynomial.EvalPair`): the input is transformed
         once, every step is a permutation plus one inner product per
-        component, and the sum is transformed back once. Diagonals are
-        encoded a bounded block at a time so the working set stays a few
-        hundred KB at any width.
+        component, and the sum is transformed back once.
+
+        Diagonals are taken a bounded block at a time, each block's
+        evaluation-domain plaintexts from the process-wide cache or, on
+        a miss, gathered, encoded, range-checked, lifted, transformed and
+        inserted (:meth:`_plain_block`). The key is the matrix content
+        and the ring the plaintexts live in, so a model's weights are
+        encoded once per process however many protocols lower them.
         """
         ctx, encoder = self._ctx, self._encoder
         p = ctx.params
@@ -113,19 +219,25 @@ class HomomorphicLinearEvaluator:
         g = encoder.galois_element_for_rotation(1)
         groups = p.digit_groups
         matrix = self._gatherable(matrix)
+        ring = ct_x.c1.ring_ntt()
+        # Everything the cached stacks depend on besides the weights: the
+        # encoding (n, t, the plaintext backend) and the ring (its moduli
+        # — q or the chain's primes — and backend).
+        content = (
+            _matrix_digest(matrix), p.n, p.t, encoder.backend.name,
+            ring.moduli, ring.backend.name,
+        )
         x = EvalPair.from_coeff(ct_x.c0, ct_x.c1)
         # A width-1 product rotates nothing and needs no key.
         keyed = x.keyed(ctx.rotation_keys(g, self._galois_keys)) if n_in > 1 else None
         # About 2^15 coefficients of encoded diagonals at a time, over all
         # residue rings: 2 rows at delphi_params, 128 at fast_params(256).
-        block = max(1, (1 << 15) // (p.n * len(x.e0)))
+        block = max(1, (1 << 15) // (p.n * len(ring.moduli)))
         acc: EvalPair | None = None
         for stop in range(n_in, 0, -block):
             start = max(stop - block, 0)
-            diagonals = self._diagonals(matrix, start, stop, n_in, n_out)
-            # Replicate into the second row so both rows stay consistent.
-            plains = ctx.plain_evals(
-                encoder.encode_many([self._both_rows(d) for d in diagonals])
+            plains = self._plain_block(
+                (*content, start, stop), matrix, start, stop, 2 * max(ring.moduli)
             )
             for k in range(stop - start - 1, -1, -1):
                 plain = [rows[k] for rows in plains]
@@ -135,11 +247,30 @@ class HomomorphicLinearEvaluator:
                     acc = acc.rotated_plus(g, keyed, groups, p.decomp_bits, plain)
                     self.rotations_performed += 1
                 self.plain_mults_performed += 1
-            # Free this block's stacks before the next block allocates.
-            del diagonals, plains
+            # An uncached block's stacks go before the next block allocates.
+            del plains
         assert acc is not None
         c0, c1 = acc.to_coeff()
         return Ciphertext(p, c0, c1)
+
+    def _plain_block(self, key, matrix, start: int, stop: int, bound: int):
+        """Per residue ring, the read-only evaluation-domain stack of the
+        diagonals start..stop-1 (a row each, lazily reduced: entries
+        below ``bound``) — cached, or encoded now and inserted. Every
+        plaintext passes ``plain_evals``' range check when it is encoded."""
+        plains = _PLAIN_CACHE.get(key)
+        if plains is None:
+            n_in, n_out = len(matrix[0]), len(matrix)
+            diagonals = self._diagonals(matrix, start, stop, n_in, n_out)
+            # Replicate into the second row so both rows stay consistent.
+            plains, nbytes = _frozen(
+                self._ctx.plain_evals(
+                    self._encoder.encode_many([self._both_rows(d) for d in diagonals])
+                ),
+                bound,
+            )
+            _PLAIN_CACHE.put(key, plains, nbytes)
+        return plains
 
     def pack_vector(self, vector: list[int]) -> list[int]:
         """Replicate a vector periodically across a full batching row.

@@ -2,7 +2,8 @@
 
 The crypto substrate keeps process-global state for speed: the NTT-context
 LRU in :mod:`repro.he.polynomial`, the :class:`~repro.backend.rns.RnsContext`
-share cache, and the module-level backend selection in
+share cache, the encoded-diagonal cache in :mod:`repro.he.linear`, and
+the module-level backend selection in
 :mod:`repro.backend`. Under ``fork`` start methods a worker inherits all of
 it, which is *correct* for derived data (twiddle tables, CRT constants,
 the modulus-factor registry — pure functions of their keys) but wrong for
@@ -30,18 +31,23 @@ _worker_index: int | None = None
 def reset_process_state() -> None:
     """Reset process-global crypto state after a fork (or fresh spawn).
 
-    Clears the NTT-context LRU and the RnsContext share cache, and
-    re-reads the backend selection from ``REPRO_BACKEND`` (dropping any
-    programmatic ``set_backend`` the parent made). The modulus-factor
-    registry in :mod:`repro.crypto.modmath` is deliberately *not* cleared:
-    it holds derived, input-independent data (a factorization is a pure
-    property of the modulus), so inherited copies are safe, and workers
-    re-register on demand anyway.
+    Clears the NTT-context LRU, the RnsContext share cache and the
+    matvec's cache of encoded weight diagonals, and re-reads the backend
+    selection from ``REPRO_BACKEND`` (dropping any programmatic
+    ``set_backend`` the parent made). A worker therefore encodes a
+    model's diagonals on its first mint and reuses them for every later
+    one. The
+    modulus-factor registry in :mod:`repro.crypto.modmath` is
+    deliberately *not* cleared: it holds derived, input-independent data
+    (a factorization is a pure property of the modulus), so inherited
+    copies are safe, and workers re-register on demand anyway.
     """
     from repro.backend import RnsContext, reset_backend_selection
+    from repro.he.linear import clear_plain_cache
     from repro.he.polynomial import clear_ntt_cache
 
     clear_ntt_cache()
+    clear_plain_cache()
     RnsContext.clear_cache()
     reset_backend_selection()
 

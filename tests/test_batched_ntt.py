@@ -9,8 +9,9 @@ transform step (`NttPlan.forward` / `NttPlan.inverse` on a
 call-counting stub wrapped around the cached context's plan pins the
 exact call and row counts so the batching cannot silently regress to the
 4-forward/2-inverse shape or to one call per ring — and pins the
-transform-row and plan-call ledgers of the evaluation-domain matvec, so
-a reintroduced domain round trip fails a test, not a benchmark.
+transform-row and plan-call ledgers of the evaluation-domain matvec, cold
+and warm (its encoded diagonals cached), so a reintroduced domain round
+trip or a cache that stops hitting fails a test, not a benchmark.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ from repro.crypto.rng import SecureRandom
 from repro.he import polynomial
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator
+from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly, clear_ntt_cache, multiply_shared
@@ -69,9 +70,13 @@ def _counted_context(n, q, backend):
 
 @pytest.fixture(autouse=True)
 def _fresh_cache():
+    """Cold NTT contexts and cold encoded diagonals: no ledger depends on
+    what an earlier test left behind."""
     clear_ntt_cache()
+    clear_plain_cache()
     yield
     clear_ntt_cache()
+    clear_plain_cache()
 
 
 class TestMultiplySharedCorrectness:
@@ -242,10 +247,11 @@ class TestPinnedOpCounts:
         "chainless": lambda: fast_params(n=64),
     }
 
-    def _matvec_ledger(self, params, width):
+    def _matvec_ledger(self, params, width, warm=False):
         """One width-w matvec at the plans: transform rows per ciphertext
         residue ring (forwards, inverses), the same pair mod t, and the
-        ciphertext-ring plan calls."""
+        ciphertext-ring plan calls — of a cold matvec, or ``warm``: of a
+        second one on the same matrix, its diagonals already encoded."""
         ctx = BfvContext(params, SecureRandom(4))
         encoder = BatchEncoder(params)
         sk, pk = ctx.keygen()
@@ -253,12 +259,14 @@ class TestPinnedOpCounts:
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
         x = list(range(1, width + 1))
         ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
+        matrix = [[(3 * i + j) % params.t for j in range(width)] for i in range(2)]
+        if warm:
+            evaluator.matvec(ct, matrix)
         if ctx._rns is not None:
             counter = self._chain_counter(ctx)
         else:
             _, counter = _counted_context(params.n, params.q, ctx._rq)
         _, plain_counter = _counted_context(params.n, params.t, encoder.backend)
-        matrix = [[(3 * i + j) % params.t for j in range(width)] for i in range(2)]
         out = evaluator.matvec(ct, matrix)
         per_ring = [
             (counter.ring_rows["forward"][i], counter.ring_rows["inverse"][i])
@@ -308,6 +316,25 @@ class TestPinnedOpCounts:
         _, _, calls = self._matvec_ledger(params, width)
         assert calls == Counter({"forward": width + 1, "inverse": width})
         assert sum(calls.values()) == 2 * (width - 1) + 3
+
+    @pytest.mark.parametrize("width", (1, 2, 8))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_warm_matvec_ledger(self, family, width):
+        """A second matvec on the same matrix takes its plaintexts from
+        the cache: per ring no plaintext forwards — 2 + (w-1) x the
+        forwarded digits — and the same w + 1 inverses; nothing mod t;
+        2(w - 1) + 2 ciphertext-ring plan calls."""
+        params = self.FAMILIES[family]()
+        digits = params.num_decomp_digits
+        forwarded_digits = digits - 1 if params.rns_primes else digits
+        per_ring, mod_t, calls = self._matvec_ledger(params, width, warm=True)
+        assert len(per_ring) == len(params.rns_primes or (params.q,))
+        for forwards, inverses in per_ring:
+            assert forwards == 2 + (width - 1) * forwarded_digits
+            assert inverses == width + 1
+        assert mod_t == (0, 0)
+        assert calls == Counter({"forward": width, "inverse": width})
+        assert sum(calls.values()) == 2 * (width - 1) + 2
 
     @pytest.mark.parametrize(
         "family, rows", [("pairs", 25), ("chainless", 6), ("chain", 21)]

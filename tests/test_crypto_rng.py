@@ -7,11 +7,13 @@ really draw in bulk.
 """
 
 import random
+import struct
 from collections import Counter
 
 import pytest
 
 from repro.crypto.rng import SecureRandom
+from repro.he.params import delphi_params, fast_params
 
 
 class CountingRandom(random.Random):
@@ -88,6 +90,64 @@ class TestTernaryVector:
         assert a.ternary_vector(64) == b.ternary_vector(64)
         assert a.ternary_vector(64) == b.ternary_vector(64)  # and advances
         assert SecureRandom(5).ternary_vector(64) != a.ternary_vector(64)
+
+
+def reference_field_vector(rng, n, modulus):
+    """The per-word loop the numpy pass replaces: same bytes, same order."""
+    bits = modulus.bit_length()
+    width = 4 if bits <= 32 else 8
+    out = []
+    while len(out) < n:
+        data = rng.bytes((n - len(out)) * width)
+        words = struct.unpack(f"<{len(data) // width}{'I' if width == 4 else 'Q'}", data)
+        out += [v for v in (w & ((1 << bits) - 1) for w in words) if v < modulus]
+    return out
+
+
+def reference_ternary_vector(rng, n):
+    return [w % 3 - 1 for w in struct.unpack(f"<{n}I", rng.bytes(4 * n))]
+
+
+class TestOnePassDraws:
+    """Moduli up to 64 bits and the ternary draw read their words as one
+    array: the values, their order and the stream position afterwards are
+    the reference loop's."""
+
+    MODULI = [
+        *delphi_params().rns_primes,
+        fast_params().q,
+        fast_params().t,
+        (1 << 41) - 21,
+        3,
+        (1 << 30) + 3,  # half the words rejected: several retry passes
+        (1 << 32) - 5,
+        (1 << 64) - 59,
+    ]
+
+    @pytest.mark.parametrize("n", (0, 1, 16, 2048))
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_field_vector_is_the_reference_loop(self, modulus, n):
+        fast, slow = SecureRandom(11), SecureRandom(11)
+        got = fast.field_vector(n, modulus)
+        assert got == reference_field_vector(slow, n, modulus)
+        assert all(type(v) is int for v in got)
+        assert fast.bytes(16) == slow.bytes(16)  # the same stream position
+
+    def test_rejection_retries_take_the_same_words(self):
+        modulus = (1 << 30) + 3
+        fast, slow = counted(12), counted(12)
+        got = fast.field_vector(2048, modulus)
+        assert got == reference_field_vector(slow, 2048, modulus)
+        assert fast._rng.calls == slow._rng.calls > 1
+        assert fast.field_vector(5, modulus) == reference_field_vector(slow, 5, modulus)
+
+    @pytest.mark.parametrize("n", (0, 1, 16, 2048))
+    def test_ternary_vector_is_the_reference_loop(self, n):
+        fast, slow = SecureRandom(13), SecureRandom(13)
+        got = fast.ternary_vector(n)
+        assert got == reference_ternary_vector(slow, n)
+        assert all(type(v) is int for v in got)
+        assert fast.ternary_vector(7) == reference_ternary_vector(slow, 7)
 
 
 class TestCenteredBinomialVector:

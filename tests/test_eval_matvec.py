@@ -24,7 +24,7 @@ from repro.crypto.modmath import is_probable_prime
 from repro.crypto.rng import SecureRandom
 from repro.he.bfv import BfvContext, GaloisKeys
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator
+from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly
 from repro.network.serialize import serialize_ciphertext
@@ -562,6 +562,7 @@ class TestErrorPaths:
     def test_every_encoded_diagonal_is_range_checked(self, rig, monkeypatch):
         ctx, encoder, sk, pk, g, gk = rig
         params = ctx.params
+        clear_plain_cache()  # the check runs when a diagonal is encoded
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
         encode_many = encoder.encode_many
 

@@ -494,7 +494,7 @@ class TestFastBaseConversionParity:
             if backend_name == "python":
                 assert got is None  # no kernel: pack_le reconstructs
             else:
-                be = ctx.backends[0]
+                be = ctx.backend
                 want = [
                     [(v >> (j * base_bits)) & mask for v in values]
                     for j in range(num_digits)
