@@ -65,6 +65,7 @@ multiplexing — not a security property (see ARCHITECTURE.md).
 from __future__ import annotations
 
 import selectors
+import socket
 import threading
 import time
 from collections import deque
@@ -76,7 +77,6 @@ from repro.runtime.policy import (
     DEFAULT_MAX_QUEUE,
     MAX_INFLIGHT_PER_CLIENT,
     MISS_WAIT_SECONDS,
-    POLL_SECONDS,
     RefillLedger,
 )
 from repro.runtime.pool import PrecomputePool, mint_offline_job
@@ -97,6 +97,55 @@ from repro.telemetry import (
     section,
 )
 
+# The longest an idle selector round lasts. Nothing a request waits for
+# rides on it — a landed mint wakes the selector through its wake pipe —
+# it only bounds how long the loop goes without checking ``serve()``'s
+# ``abort`` and the held offers' deadlines.
+IDLE_TICK_SECONDS = 0.05
+
+
+class _Waker:
+    """The selector's wake pipe: a non-blocking socketpair.
+
+    Its read end sits in the selector, so any thread can end a
+    ``select()`` at once with :meth:`wake`. A full pipe already holds a
+    pending wake-up, so a write that would block is dropped; a wake after
+    :meth:`close` is a no-op.
+    """
+
+    def __init__(self):
+        self._recv, self._send = socket.socketpair()
+        self._recv.setblocking(False)
+        self._send.setblocking(False)
+        self._lock = threading.Lock()  # wake() vs close() across threads
+        self.closed = False
+
+    def fileno(self) -> int:
+        return self._recv.fileno()
+
+    def wake(self) -> None:
+        with self._lock:
+            if self.closed:
+                return
+            try:
+                self._send.send(b"\0")
+            except BlockingIOError:
+                pass  # pipe full: the selector is bound to wake anyway
+
+    def on_event(self, mask: int) -> None:
+        """Drain every pending wake byte (selector thread)."""
+        try:
+            while self._recv.recv(4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def close(self) -> None:
+        with self._lock:
+            self.closed = True
+            self._recv.close()
+            self._send.close()
+
 
 class _RefillWorker(threading.Thread):
     """Background driver keeping per-client store namespaces warm.
@@ -105,7 +154,8 @@ class _RefillWorker(threading.Thread):
     the shared pool's async surface and admits completed blobs into the
     store. All mint-index reservation and credit accounting lives in the
     gateway's ledger (under its state lock); this thread only schedules
-    and admits.
+    and admits. Between rounds it blocks on one event, set by a job's
+    completion, by :meth:`kick` and by :meth:`stop` — never on a clock.
     """
 
     def __init__(self, gateway: "ServingGateway"):
@@ -125,11 +175,14 @@ class _RefillWorker(threading.Thread):
         self._wake.set()
 
     def run(self) -> None:
-        gateway, ledger = self.gateway, self.gateway.ledger
-        limit = max(1, ledger.mint_parallelism)
+        gateway = self.gateway
+        limit = max(1, gateway.ledger.mint_parallelism)
         inflight: dict = {}  # AsyncJob -> (client, mint index, submit time)
         overlap_start: float | None = None
         while True:
+            # Cleared before the round, so a completion, kick or stop that
+            # arrives during it makes the wait below return at once.
+            self._wake.clear()
             while len(inflight) < limit and not self._stop_evt.is_set():
                 reserved = gateway._next_refill_mint()
                 if reserved is None:
@@ -138,7 +191,7 @@ class _RefillWorker(threading.Thread):
                 t0 = time.perf_counter()
                 if overlap_start is None:
                     overlap_start = t0
-                job = gateway._submit_mint(seed)
+                job = gateway._submit_mint(seed, on_done=self._wake.set)
                 inflight[job] = (c, index, t0)
             for job in [j for j in inflight if j.ready()]:
                 c, index, t0 = inflight.pop(job)
@@ -146,23 +199,17 @@ class _RefillWorker(threading.Thread):
                 self.refill_seconds += elapsed
                 try:
                     gateway._admit(c, index, job.get())
-                    outcome = ledger.landed
+                    landed = True
                 except Exception as exc:  # surfaced via gateway.check_refills()
-                    outcome = ledger.failed
+                    landed = False
                     self.errors.append((c, exc))
-                with gateway._state_lock:
-                    ledger.mint_took(elapsed)
-                    outcome(c)
+                gateway._settle_refill(c, elapsed, landed)
             if not inflight and overlap_start is not None:
                 self.overlap_seconds += time.perf_counter() - overlap_start
                 overlap_start = None
             if self._stop_evt.is_set() and not inflight:
                 return
-            if inflight:
-                time.sleep(0.005)
-            else:
-                self._wake.wait(timeout=POLL_SECONDS)
-                self._wake.clear()
+            self._wake.wait()
 
 
 class _Connection:
@@ -193,6 +240,7 @@ class _Connection:
         self.queue_depth = 0
         self.hit = False
         self.mint_seconds = 0.0
+        self.hold_seconds = 0.0  # admission -> OFFER of a WAIT_STORE hold
         self.wait_deadline = 0.0
         self.request_started = 0.0
         self._mint_start = 0.0
@@ -317,6 +365,11 @@ class _Connection:
         """
         from repro.core.session import LIFE_NEW
 
+        self.hold_seconds = (
+            time.perf_counter() - self.request_started
+            if self.state == self.WAIT_STORE
+            else 0.0
+        )
         if self.session is None:
             self.session = self.gateway._make_session(self.transport)
         elif self.session.lifecycle != LIFE_NEW:
@@ -406,6 +459,8 @@ class ServingGateway:
         # refill cap is one scalar for uniform drains, or one cap per
         # client for skewed schedules with unequal request counts.
         self._state_lock = threading.Lock()
+        # Notified whenever a refill mint lands or fails (drain_refills).
+        self._refills_settled = threading.Condition(self._state_lock)
         self.ledger = RefillLedger(
             num_clients,
             caps=expected_per_client,
@@ -460,6 +515,7 @@ class ServingGateway:
         self._inflight: dict[str, int] = {}  # active requests per client
         self.listener: SocketListener | None = None
         self._selector = None
+        self._waker: _Waker | None = None
         self._refill_worker: _RefillWorker | None = None
         # Request-granularity latency histograms for the live stats
         # surface. Always on — decoupled from the global telemetry flag,
@@ -498,14 +554,17 @@ class ServingGateway:
         )
         self._selector = selectors.DefaultSelector()
         self._selector.register(self.listener, selectors.EVENT_READ, None)
+        self._waker = _Waker()
+        self._selector.register(self._waker, selectors.EVENT_READ, self._waker)
         self._refill_worker = _RefillWorker(self)
         self._refill_worker.start()
 
-    def _submit_mint(self, seed: int):
+    def _submit_mint(self, seed: int, on_done=None):
         """Ship one whole-mint job to the pool; returns its AsyncJob."""
         return self.pool.apply_async(
             mint_offline_job,
             (self.network, self.params, self.garbler, seed, self.truncate_bits),
+            on_done,
         )
 
     def _prefill(self) -> None:
@@ -522,8 +581,14 @@ class ServingGateway:
             with self._state_lock:
                 self.ledger.landed(c)
 
-    def poll(self, timeout: float = POLL_SECONDS) -> None:
-        """One selector round: accept, step ready sessions, flush outboxes."""
+    def poll(self, timeout: float = IDLE_TICK_SECONDS) -> None:
+        """One selector round: accept, step ready sessions, flush outboxes.
+
+        The round ends early when a socket is ready or the wake pipe is
+        written — after every landed or failed refill mint, and at
+        ``stop()`` — so a held offer is retried as soon as its blob is
+        stored; ``timeout`` only caps an idle round.
+        """
         if self._selector is None:
             raise RuntimeError("gateway not started")
         # Selector waits are the "queue" bucket of the decomposition
@@ -576,8 +641,9 @@ class ServingGateway:
 
         Returns (and records) the drain-window wall clock —
         ``throughput_rps``'s denominator, directly comparable with the
-        serialized loop's. ``abort`` is polled each round; returning True
-        ends the loop early (a driver thread hit an error).
+        serialized loop's. ``abort`` is polled each round, so at least
+        every ``IDLE_TICK_SECONDS``; returning True ends the loop early (a
+        driver thread hit an error).
         """
         if self._serve_start is None:
             self._serve_start = time.perf_counter()
@@ -607,15 +673,13 @@ class ServingGateway:
 
     def drain_refills(self, timeout: float = 60.0) -> None:
         """Wait for owed refill mints to finish (bounded)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._state_lock:
-                if self.ledger.idle():
-                    return
-            time.sleep(0.01)
+        with self._refills_settled:
+            self._refills_settled.wait_for(self.ledger.idle, timeout)
 
     def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
         """Tear down: refill worker, live connections, listener, own pool."""
+        if self._waker is not None:
+            self._waker.wake()  # a select() on another thread returns now
         if self._refill_worker is not None:
             if drain:
                 self.drain_refills(timeout)
@@ -630,12 +694,15 @@ class ServingGateway:
                 pass
             self._drop(conn, error=None)
         if self._selector is not None:
-            try:
-                self._selector.unregister(self.listener)
-            except (KeyError, ValueError):  # pragma: no cover - already gone
-                pass
+            for registered in (self.listener, self._waker):
+                try:
+                    self._selector.unregister(registered)
+                except (KeyError, ValueError):  # pragma: no cover - already gone
+                    pass
             self._selector.close()
             self._selector = None
+        if self._waker is not None:
+            self._waker.close()
         if self.listener is not None:
             self.listener.close()
         if self._own_pool is not None:
@@ -710,12 +777,18 @@ class ServingGateway:
             hist = self._stats_registry.histogram(
                 "gateway_request_seconds", client=cid
             )
+            hold = self._stats_registry.histogram(
+                "gateway_hold_seconds", client=cid
+            )
             rate = rates[c]
             clients[cid] = {
                 "requests": hist.count,
                 "latency_p50": round(hist.quantile(0.50), 6),
                 "latency_p95": round(hist.quantile(0.95), 6),
                 "latency_p99": round(hist.quantile(0.99), 6),
+                # The WAIT_STORE share of a latency (0.0 for unheld requests).
+                "hold_p50": round(hold.quantile(0.50), 6),
+                "hold_p95": round(hold.quantile(0.95), 6),
                 "rate_rps": round(rate, 6),
                 "buffered": buffered[c],
                 "pending_mints": pending[c],
@@ -867,8 +940,8 @@ class ServingGateway:
             if refilling:
                 # A refill for this client is already underway: hold the
                 # offer instead of duplicating the whole offline phase
-                # over the wire. poll() retries us each round; other
-                # sessions keep flowing meanwhile.
+                # over the wire. Its landing wakes the selector, which
+                # offers it then; other sessions keep flowing meanwhile.
                 conn.state = conn.WAIT_STORE
                 conn.wait_deadline = time.perf_counter() + MISS_WAIT_SECONDS
                 self._hold(conn, True)
@@ -923,6 +996,9 @@ class ServingGateway:
             client=conn.client_id,
         )
         self._record(
+            "gateway_hold_seconds", conn.hold_seconds, client=conn.client_id
+        )
+        self._record(
             "gateway_served_total",
             client=conn.client_id,
             result="hit" if conn.hit else "miss",
@@ -948,6 +1024,7 @@ class ServingGateway:
                 mint_seconds=conn.mint_seconds,
                 online_seconds=online_seconds,
                 store_bytes=self.store.total_bytes,
+                hold_seconds=conn.hold_seconds,
                 logits=[],  # logits materialize client-side; drivers merge them
             )
         )
@@ -1060,3 +1137,13 @@ class ServingGateway:
             name=f"{index:08d}",
         )
         self._sample("mint", self.client_id(c))
+
+    def _settle_refill(self, c: int, seconds: float, landed: bool) -> None:
+        """Book a refill mint that landed (after ``_admit``) or failed, then
+        wake whoever waits on it: ``drain_refills`` and the selector, whose
+        next round offers the blob to a held request."""
+        with self._refills_settled:
+            self.ledger.mint_took(seconds)
+            (self.ledger.landed if landed else self.ledger.failed)(c)
+            self._refills_settled.notify_all()
+        self._waker.wake()

@@ -17,7 +17,6 @@ time and stored-entry counts in, and serialize access themselves.
 from __future__ import annotations
 
 MISS_WAIT_SECONDS = 60.0  # a missed offer holds this long for a refill
-POLL_SECONDS = 0.05  # how often a held offer / an empty credit list is re-checked
 DEFAULT_MAX_QUEUE = 8  # refill backlog above which new requests get BUSY
 MAX_INFLIGHT_PER_CLIENT = 1  # admitted requests one client may have active
 BUSY_RETRY_FLOOR = 0.05  # BUSY hint before any mint is timed; lower clamp after

@@ -100,33 +100,36 @@ class AsyncJob:
         raise NotImplementedError
 
 
-class _ImmediateJob(AsyncJob):
-    """An already-resolved job (the inline / single-worker path)."""
+class _PoolJob(AsyncJob):
+    """A job resolved by its outcome: a worker's result callbacks, or inline.
 
-    def __init__(self, value=None, error: BaseException | None = None):
-        self._value = value
-        self._error = error
+    The outcome is stored before ``on_done`` runs, so a thread woken by
+    ``on_done`` always finds :meth:`ready` true. ``AsyncResult`` itself is
+    not read: multiprocessing runs a job's callbacks *before* its
+    ``ready()`` turns true.
+    """
+
+    def __init__(self, on_done=None):
+        self._resolved = threading.Event()
+        self._value = None
+        self._error: BaseException | None = None
+        self._on_done = on_done
+
+    def _resolve(self, value=None, error: BaseException | None = None) -> None:
+        self._value, self._error = value, error
+        self._resolved.set()
+        if self._on_done is not None:
+            self._on_done()
 
     def ready(self) -> bool:
-        return True
+        return self._resolved.is_set()
 
     def get(self, timeout: float | None = None):
+        if not self._resolved.wait(timeout):
+            raise multiprocessing.TimeoutError
         if self._error is not None:
             raise self._error
         return self._value
-
-
-class _PoolJob(AsyncJob):
-    """A job executing on a worker process (wraps AsyncResult)."""
-
-    def __init__(self, result):
-        self._result = result
-
-    def ready(self) -> bool:
-        return self._result.ready()
-
-    def get(self, timeout: float | None = None):
-        return self._result.get(timeout)
 
 
 def _run_traced_job(packed):
@@ -158,24 +161,21 @@ def _run_traced_job(packed):
         telemetry.METRICS.enabled = False
 
 
-class _TracedPoolJob(AsyncJob):
+class _TracedPoolJob(_PoolJob):
     """A traced pool job: unwraps the telemetry payload on first get().
 
-    The wrapped result is ``(value, payload)``; the payload is merged
+    The resolved value is ``(value, payload)``; the payload is merged
     into the parent-process tracer/metrics exactly once (get() may be
     called repeatedly), and callers see only the bare value.
     """
 
-    def __init__(self, result):
-        self._result = result
+    def __init__(self, on_done=None):
+        super().__init__(on_done)
         self._merged = False
         self._merge_lock = threading.Lock()
 
-    def ready(self) -> bool:
-        return self._result.ready()
-
     def get(self, timeout: float | None = None):
-        value, payload = self._result.get(timeout)
+        value, payload = super().get(timeout)
         with self._merge_lock:
             if not self._merged:
                 self._merged = True
@@ -254,29 +254,41 @@ class PrecomputePool:
             return [func(job) for job in jobs]
         return self._ensure_pool().map(func, jobs, chunksize=1)
 
-    def apply_async(self, func, job) -> AsyncJob:
+    def apply_async(self, func, job, on_done=None) -> AsyncJob:
         """Submit one picklable job without waiting; returns an AsyncJob.
 
         This is the refill workers' submission surface: a background
         driver ships whole offline-mint jobs to worker processes and keeps
-        serving while they run (polling ``ready()``), which is where the
-        gateway's wall-clock overlap of minting and serving comes from.
-        With ``workers <= 1`` the job runs inline at submit time, so
-        single-core deployments keep identical semantics minus the
-        overlap.
+        serving while they run, which is where the gateway's wall-clock
+        overlap of minting and serving comes from. ``on_done`` (no
+        arguments, must not raise) is called once the job has resolved,
+        successfully or not — on the pool's result thread, or before this
+        returns when the job ran inline — so a driver can block on one
+        event instead of polling ``ready()``. With ``workers <= 1`` the
+        job runs inline at submit time, so single-core deployments keep
+        identical semantics minus the overlap.
         """
         if self.workers <= 1:
+            handle = _PoolJob(on_done)
             try:
-                return _ImmediateJob(func(job))
-            except BaseException as exc:
-                return _ImmediateJob(error=exc)
+                value = func(job)
+            except Exception as exc:  # what a pool worker would ship back
+                handle._resolve(error=exc)
+            else:
+                handle._resolve(value)
+            return handle
         from repro import telemetry
 
         if telemetry.enabled():
             # Ship worker-side telemetry home with the result (payloads
             # merge on the submitting side, at get(), never in the
             # pool's thread).
-            return _TracedPoolJob(
-                self._ensure_pool().apply_async(_run_traced_job, ((func, job),))
-            )
-        return _PoolJob(self._ensure_pool().apply_async(func, (job,)))
+            handle = _TracedPoolJob(on_done)
+            func, job = _run_traced_job, (func, job)
+        else:
+            handle = _PoolJob(on_done)
+        self._ensure_pool().apply_async(
+            func, (job,), callback=handle._resolve,
+            error_callback=lambda exc: handle._resolve(error=exc),
+        )
+        return handle

@@ -50,6 +50,9 @@ class ServedRequest:
     mint_seconds: float  # demand-mint wall-clock (0.0 on a hit)
     online_seconds: float  # run_online wall-clock
     store_bytes: int  # buffer occupancy right after the drain
+    # Admission -> OFFER of a request held for an in-flight refill
+    # (gateway WAIT_STORE); 0.0 for every other request.
+    hold_seconds: float = 0.0
     logits: list[int] = field(repr=False, default_factory=list)
 
 
@@ -118,6 +121,12 @@ class ServingReport:
         return sum(r.online_seconds for r in self.requests) / len(self.requests)
 
     @property
+    def mean_hold_seconds(self) -> float:
+        if not self.requests:
+            return 0.0
+        return sum(r.hold_seconds for r in self.requests) / len(self.requests)
+
+    @property
     def total_mint_seconds(self) -> float:
         return (
             self.prefill_seconds
@@ -150,6 +159,7 @@ class ServingReport:
             "max_queue_depth": self.max_queue_depth,
             "mean_queue_depth": round(self.mean_queue_depth, 3),
             "mean_online_seconds": round(self.mean_online_seconds, 6),
+            "mean_hold_seconds": round(self.mean_hold_seconds, 6),
             "prefill_seconds": round(self.prefill_seconds, 6),
             "refill_seconds": round(self.refill_seconds, 6),
             "serve_seconds": round(self.serve_seconds, 6),

@@ -36,10 +36,10 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.runtime.policy import DEFAULT_MAX_QUEUE, POLL_SECONDS, RefillLedger
+from repro.runtime.policy import DEFAULT_MAX_QUEUE, RefillLedger
 from repro.runtime.serving import draw_inputs
 from repro.runtime.state import derive_worker_seed
-from repro.simulation.engine import Environment, Resource, Timeout
+from repro.simulation.engine import Environment, Event, Resource, Timeout
 from repro.telemetry.metrics import Histogram
 from repro.workload.generators import MODE_OPEN, Schedule
 
@@ -318,8 +318,11 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     and refilled by a background worker, FIFO cross-client eviction
     under ``store_entries``, backlog-gated admission deferring with the
     adaptive retry hint, and a WAIT_STORE hold when a miss has a refill
-    already in flight. Credits, caps, refill order, the backlog and the
-    hint are the gateway's own :class:`~repro.runtime.policy.RefillLedger`.
+    already in flight. Every wait ends at its event, as in the gateway:
+    a hold at the instant the client's mint lands, the refill worker's
+    idle wait at the next completion, which may have posted a credit.
+    Credits, caps, refill order, the backlog and the hint are the
+    gateway's own :class:`~repro.runtime.policy.RefillLedger`.
     The returned dict carries the same column block as the functional
     replay, plus predicted hit/demand/eviction counters.
     """
@@ -359,6 +362,16 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         buffered[c] -= 1
         admit_order.remove(c)  # oldest entry of this client
 
+    # Re-armed one-shot events: landed[c] fires when a refill mint for
+    # client c lands; kicked[0] at every completion, which is when the
+    # gateway kicks its refill driver (a credit may have been posted).
+    landed = [Event(env) for _ in range(C)]
+    kicked = [Event(env)]
+
+    def signal(events: list, i: int) -> None:
+        fired, events[i] = events[i], Event(env)
+        fired.succeed()
+
     # Prefill: round-robin, instantaneous at t=0 (the functional run
     # brackets prefill outside the serve window too).
     for _ in range(model.prefill):
@@ -374,12 +387,13 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         mint_slots.release()
         ledger.landed(c)
         admit(c)
+        signal(landed, c)
 
     def refill_proc():
         while tally["completed"] < total:
             claimed = ledger.claim(buffered, env.now)
             if claimed is None:
-                yield Timeout(env, POLL_SECONDS)
+                yield kicked[0]
                 continue
             env.process(mint_proc(claimed[0]))
             yield Timeout(env, 0.0)
@@ -405,7 +419,7 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
                 # WAIT_STORE: hold the offer for the in-flight refill.
                 ledger.waiting += 1
                 while buffered[c] == 0 and ledger.mint_pending(c):
-                    yield Timeout(env, POLL_SECONDS)
+                    yield landed[c]
                 ledger.waiting -= 1
             if buffered[c] > 0:
                 take(c)
@@ -422,6 +436,7 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
             serving.release()
             ledger.completed(c)
             tally["completed"] += 1
+            signal(kicked, 0)
             tally["last_completion"] = env.now
             latencies.append(env.now - scheduled)
 
