@@ -181,18 +181,11 @@ class _RefillWorker(threading.Thread):
         overlap_start: float | None = None
         while True:
             # Cleared before the round, so a completion, kick or stop that
-            # arrives during it makes the wait below return at once.
+            # arrives during it makes the wait below return at once. Jobs
+            # are harvested before new ones are submitted: every job that
+            # completed before the clear frees its slot for this round's
+            # submissions, so no owed credit waits on a later completion.
             self._wake.clear()
-            while len(inflight) < limit and not self._stop_evt.is_set():
-                reserved = gateway._next_refill_mint()
-                if reserved is None:
-                    break
-                c, index, seed = reserved
-                t0 = time.perf_counter()
-                if overlap_start is None:
-                    overlap_start = t0
-                job = gateway._submit_mint(seed, on_done=self._wake.set)
-                inflight[job] = (c, index, t0)
             for job in [j for j in inflight if j.ready()]:
                 c, index, t0 = inflight.pop(job)
                 elapsed = time.perf_counter() - t0
@@ -207,6 +200,16 @@ class _RefillWorker(threading.Thread):
             if not inflight and overlap_start is not None:
                 self.overlap_seconds += time.perf_counter() - overlap_start
                 overlap_start = None
+            while len(inflight) < limit and not self._stop_evt.is_set():
+                reserved = gateway._next_refill_mint()
+                if reserved is None:
+                    break
+                c, index, seed = reserved
+                t0 = time.perf_counter()
+                if overlap_start is None:
+                    overlap_start = t0
+                job = gateway._submit_mint(seed, on_done=self._wake.set)
+                inflight[job] = (c, index, t0)
             if self._stop_evt.is_set() and not inflight:
                 return
             self._wake.wait()

@@ -363,14 +363,10 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         admit_order.remove(c)  # oldest entry of this client
 
     # Re-armed one-shot events: landed[c] fires when a refill mint for
-    # client c lands; kicked[0] at every completion, which is when the
+    # client c lands; kicked at every completion, which is when the
     # gateway kicks its refill driver (a credit may have been posted).
     landed = [Event(env) for _ in range(C)]
-    kicked = [Event(env)]
-
-    def signal(events: list, i: int) -> None:
-        fired, events[i] = events[i], Event(env)
-        fired.succeed()
+    kicked = Event(env)
 
     # Prefill: round-robin, instantaneous at t=0 (the functional run
     # brackets prefill outside the serve window too).
@@ -387,18 +383,20 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         mint_slots.release()
         ledger.landed(c)
         admit(c)
-        signal(landed, c)
+        fired, landed[c] = landed[c], Event(env)
+        fired.succeed()
 
     def refill_proc():
         while tally["completed"] < total:
             claimed = ledger.claim(buffered, env.now)
             if claimed is None:
-                yield kicked[0]
+                yield kicked
                 continue
             env.process(mint_proc(claimed[0]))
             yield Timeout(env, 0.0)
 
     def client_proc(c: int, lane):
+        nonlocal kicked
         for a in lane:
             if schedule.mode == MODE_OPEN:
                 delay = a.at - env.now
@@ -436,7 +434,8 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
             serving.release()
             ledger.completed(c)
             tally["completed"] += 1
-            signal(kicked, 0)
+            fired, kicked = kicked, Event(env)
+            fired.succeed()
             tally["last_completion"] = env.now
             latencies.append(env.now - scheduled)
 

@@ -178,15 +178,7 @@ def test_analytic_replay_deterministic():
 # The full result dicts of three (schedule, model) pairs from this file —
 # open, closed, store-starved — recorded before ``replay_analytic`` moved
 # onto ``RefillLedger``: the swap is bit-neutral for the model. "open" was
-# re-recorded when the model's waits became event-driven. Its refill worker
-# used to find a credit on its next 50 ms poll tick, so both refills
-# landed 0.05 s late (0.60 and 0.80 instead of 0.55 and 0.75), and so did
-# the two second requests held for them. Raw latencies went
-# [0.2, 0.25, 0.5, 0.55] -> [0.2, 0.25, 0.45, 0.5]: mean 0.375 -> 0.35,
-# makespan 1.0 -> 0.95, goodput 4/1.0 -> 4/0.95. The slowest request left
-# the (0.5, 1] histogram bucket for (0.25, 0.5], so the interpolated tail
-# went p95 0.9 -> 0.475 and p99 0.98 -> 0.495. "closed" and "starved" did
-# not move.
+# re-recorded when model holds began ending at landings (see CHANGES.md).
 _PINNED = {
     "open": {
         "mode": "open", "requests": 4, "latency_p50": 0.25,
