@@ -54,6 +54,8 @@ from repro.ot.extension import base_seed_ot, extend, iknp_transfer
 
 PARAMS = fast_params(n=256)
 RELU_BATCH = 64
+# bench_e2e's serve_* (and infer_cg_delphi) ReLU layer: 8 activations.
+NARROW_RELU_BATCH = 8
 # One wider conv layer's worth of activations (ROADMAP: raise benchmark
 # network sizes) — e.g. an 8-channel 8x8 feature map.
 WIDE_RELU_BATCH = 512
@@ -510,6 +512,21 @@ def test_bench_garble_relu_layer(benchmark):
     )
 
 
+def test_bench_garble_relu_layer_narrow(benchmark):
+    """The serve_* workloads' ReLU layer: 8 instances, a lane walk."""
+    spec = ReluCircuitSpec(bits=17, modulus=PARAMS.t, mask_owner="evaluator")
+    circuit = build_relu_circuit(spec)
+    garbler = Garbler(SecureRandom(18))
+    benchmark.pedantic(
+        lambda: garbler.garble_batch(circuit, NARROW_RELU_BATCH),
+        rounds=7, iterations=1, warmup_rounds=1,
+    )
+    if os.environ.get("REPRO_BENCH_STRICT"):
+        _guard_against_committed_baseline(
+            benchmark, "test_bench_garble_relu_layer_narrow", threshold=1.3
+        )
+
+
 def test_bench_garble_relu_layer_wide(benchmark):
     """A wider conv layer's GC batch (512 activations, n=2048-era shapes)."""
     spec = ReluCircuitSpec(bits=17, modulus=PARAMS.t, mask_owner="evaluator")
@@ -525,32 +542,42 @@ def test_bench_garble_relu_layer_wide(benchmark):
         )
 
 
-def test_bench_evaluate_relu_layer(benchmark):
-    """One ReLU layer's worth of circuits through the batch evaluator."""
+def _evaluate_relu_layer_bench(benchmark, name, count, rounds):
+    """``count`` garbled ReLUs through the batch evaluator, guarded."""
     spec = ReluCircuitSpec(bits=17, modulus=PARAMS.t, mask_owner="evaluator")
     circuit = build_relu_circuit(spec)
-    circuits, encodings = Garbler(SecureRandom(15)).garble_batch(circuit, RELU_BATCH)
-    own = Garbler.encode_inputs(
-        encodings, circuit, [int_to_bits(123, 17)] * RELU_BATCH
-    )
+    circuits, encodings = Garbler(SecureRandom(15)).garble_batch(circuit, count)
+    own = Garbler.encode_inputs(encodings, circuit, [int_to_bits(123, 17)] * count)
     zero, one = encodings.evaluator_pairs()
     chosen = np.array(
-        (int_to_bits(456, 17) + int_to_bits(789, 17)) * RELU_BATCH, dtype=bool
+        (int_to_bits(456, 17) + int_to_bits(789, 17)) * count, dtype=bool
     )
     theirs = LabelBatch(
         circuit.evaluator_inputs,
-        np.where(chosen[:, None], one, zero).reshape(RELU_BATCH, -1, 16),
+        np.where(chosen[:, None], one, zero).reshape(count, -1, 16),
     )
     labels = {**own.columns(), **theirs.columns()}
     evaluator = Evaluator()
     benchmark.pedantic(
         lambda: evaluator.evaluate_batch(circuits, labels),
-        rounds=3, iterations=1, warmup_rounds=1,
+        rounds=rounds, iterations=1, warmup_rounds=1,
     )
     if os.environ.get("REPRO_BENCH_STRICT"):
-        _guard_against_committed_baseline(
-            benchmark, "test_bench_evaluate_relu_layer", threshold=1.3
-        )
+        _guard_against_committed_baseline(benchmark, name, threshold=1.3)
+
+
+def test_bench_evaluate_relu_layer(benchmark):
+    """One ReLU layer's worth of circuits through the batch evaluator."""
+    _evaluate_relu_layer_bench(
+        benchmark, "test_bench_evaluate_relu_layer", RELU_BATCH, rounds=3
+    )
+
+
+def test_bench_evaluate_relu_layer_narrow(benchmark):
+    """The serve_* workloads' ReLU layer: 8 instances, a lane walk."""
+    _evaluate_relu_layer_bench(
+        benchmark, "test_bench_evaluate_relu_layer_narrow", NARROW_RELU_BATCH, rounds=7
+    )
 
 
 def test_bench_circuit_batch_codec_wide(benchmark):

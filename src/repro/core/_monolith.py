@@ -81,7 +81,6 @@ class MonolithHybridProtocol:
         self.channel = Channel(field_bytes=(self.bits + 7) // 8)
         self.counters = ProtocolCounters()
         self._offline_done = False
-        self._relu_circuit_cache: Circuit | None = None
         validate_packing(self.lowered, self.params.row_size)
 
     # -- offline phase ---------------------------------------------------------
@@ -147,16 +146,15 @@ class MonolithHybridProtocol:
         self._offline_done = True
 
     def _relu_circuit(self) -> Circuit:
-        if self._relu_circuit_cache is None:
-            mask_owner = "evaluator" if self.garbler_role == "server" else "garbler"
-            spec = ReluCircuitSpec(
+        mask_owner = "evaluator" if self.garbler_role == "server" else "garbler"
+        return build_relu_circuit(
+            ReluCircuitSpec(
                 bits=self.bits,
                 modulus=self.modulus,
                 mask_owner=mask_owner,
                 truncate_bits=self.truncate_bits,
             )
-            self._relu_circuit_cache = build_relu_circuit(spec)
-        return self._relu_circuit_cache
+        )
 
     def _offline_relu_layer(self, pos, lin_idx, mask_index, garbled_batch) -> None:
         n = self.lowered.linears[lin_idx].n_out

@@ -205,7 +205,6 @@ class ProtocolSession:
         self.transport = transport
         self.channel = channel or Channel(field_bytes=(self.bits + 7) // 8)
         self.counters = ProtocolCounters()
-        self._relu_circuit_cache: Circuit | None = None
         self._relu_bundles: dict[int, ReluBundle] = {}
         self.lifecycle = LIFE_NEW
         self._gen = None
@@ -239,21 +238,21 @@ class ProtocolSession:
         """The (shared, public) ReLU circuit topology for this protocol.
 
         Every ReLU layer garbles the same public topology — only the
-        labels differ — so it is built once and shared, which also lets
-        stored bundles rebind without re-lowering.
+        labels differ — so it is one process-wide circuit per spec
+        (:func:`build_relu_circuit`), which also lets stored bundles
+        rebind without re-lowering.
         """
-        if self._relu_circuit_cache is None:
-            # The mask r is the client's input, so it sits on whichever
-            # half of the circuit the client plays.
-            client_garbles = self.garbles == (self.role == CLIENT)
-            spec = ReluCircuitSpec(
+        # The mask r is the client's input, so it sits on whichever half
+        # of the circuit the client plays.
+        client_garbles = self.garbles == (self.role == CLIENT)
+        return build_relu_circuit(
+            ReluCircuitSpec(
                 bits=self.bits,
                 modulus=self.modulus,
                 mask_owner="garbler" if client_garbles else "evaluator",
                 truncate_bits=self.truncate_bits,
             )
-            self._relu_circuit_cache = build_relu_circuit(spec)
-        return self._relu_circuit_cache
+        )
 
     def _relu_plan(self) -> list[tuple[int, int, int, int]]:
         """(step position, linear index, mask index, width) per ReLU layer."""

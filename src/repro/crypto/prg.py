@@ -3,7 +3,8 @@
 Garbled-circuit constructions are specified in terms of a fixed-key block
 cipher used as a correlation-robust hash. We substitute BLAKE2s with the
 tweak as its salt and a 16-byte digest (:func:`hash_label`, and
-:func:`hash_rows` over a whole label matrix) — the cheapest hash in the
+:func:`hash_rows` / :func:`hash_lanes` over a whole label matrix or packed
+label int) — the cheapest hash in the
 standard library that takes the tweak as a parameter: the security
 argument is the standard random-oracle one and the byte layout (16-byte
 blocks, tweakable) matches what an AES-based implementation would
@@ -59,9 +60,7 @@ def hash_rows(rows, tweak):
     """
     digests = []
     if isinstance(tweak, int):
-        fresh = hashlib.blake2s(
-            digest_size=LABEL_BYTES, salt=_pack_tweak(tweak)
-        ).copy
+        fresh = salted_state(tweak).copy
         for row in byte_rows(rows):
             state = fresh()
             state.update(row)
@@ -70,6 +69,27 @@ def hash_rows(rows, tweak):
         for row, row_tweak in zip(byte_rows(rows), tweak, strict=True):
             digests.append(hash_label(row, row_tweak))
     return byte_matrix(digests)
+
+
+def salted_state(tweak: int):
+    """The BLAKE2s state :func:`hash_label` starts from under ``tweak``:
+    copy it per label instead of building it again."""
+    return hashlib.blake2s(digest_size=LABEL_BYTES, salt=_pack_tweak(tweak))
+
+
+def hash_lanes(lanes: int, nbytes: int, state) -> int:
+    """:func:`hash_label` of every 16-byte lane of a packed label int.
+
+    ``lanes`` holds ``nbytes // 16`` labels little-endian, label ``i`` at
+    bytes ``[16i, 16i + 16)``; ``state`` is :func:`salted_state` of the
+    tweak, copied per lane. The digests come back packed the same way.
+    """
+    digests = []
+    for lane in _np.frombuffer(lanes.to_bytes(nbytes, "little"), "V16").tolist():
+        h = state.copy()
+        h.update(lane)
+        digests.append(h.digest())
+    return int.from_bytes(b"".join(digests), "little")
 
 
 def hash_pair(a: bytes, b: bytes, tweak: int) -> bytes:

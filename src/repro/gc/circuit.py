@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class GateType(Enum):
@@ -32,6 +33,11 @@ class Circuit:
     Wire 0 is the constant-zero wire and wire 1 the constant-one wire; both
     are provided by the garbler. ``garbler_inputs`` and ``evaluator_inputs``
     list the remaining input wires by owner, in protocol order.
+
+    A built circuit is never changed (:meth:`CircuitBuilder.build` hands
+    out a copy), so one instance is shared by every session of a process
+    and its derived values — the AND positions, the input wires, the lane
+    program — are computed once; callers must not mutate the lists.
     """
 
     n_wires: int = 2
@@ -45,24 +51,37 @@ class Circuit:
 
     @property
     def and_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind is GateType.AND)
+        return len(self.and_indices)
 
     @property
     def xor_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind is GateType.XOR)
+        return len(self.gates) - self.and_count
 
-    @property
+    @cached_property
     def and_indices(self) -> list[int]:
         """Gate-list positions of the AND gates (the garbled tables' keys)."""
         return [i for i, g in enumerate(self.gates) if g.kind is GateType.AND]
 
-    @property
+    @cached_property
     def input_wires(self) -> list[int]:
         """Every input wire in encoding order: constants, garbler's, evaluator's."""
         return (
             [self.CONST_ZERO, self.CONST_ONE]
             + self.garbler_inputs
             + self.evaluator_inputs
+        )
+
+    @cached_property
+    def lane_program(self) -> tuple[tuple[int, int, int, int | None], ...]:
+        """The gate list as the lane walk reads it: ``(a, b, out, tweak)``.
+
+        ``tweak`` is ``None`` for an XOR gate and ``2 * index`` for an AND
+        gate, the tweak of its generator half (its evaluator half hashes
+        under ``tweak + 1``).
+        """
+        return tuple(
+            (g.a, g.b, g.out, None if g.kind is GateType.XOR else 2 * index)
+            for index, g in enumerate(self.gates)
         )
 
     def evaluate_plain(
@@ -222,7 +241,15 @@ class CircuitBuilder:
         return self.mux_word(borrow, wrapped, diff)
 
     def build(self) -> Circuit:
-        return self.circuit
+        """A copy of the circuit so far: building on never changes it."""
+        c = self.circuit
+        return Circuit(
+            c.n_wires,
+            list(c.gates),
+            list(c.garbler_inputs),
+            list(c.evaluator_inputs),
+            list(c.outputs),
+        )
 
 
 def words_to_int(bits: list[int]) -> int:

@@ -14,6 +14,11 @@ Row ``i`` of every column belongs to instance ``i``; indexing a batch
 builds that instance's :class:`GarbledCircuit` / :class:`InputEncoding` /
 label dict on demand, which is what the scalar reference walk and the
 tests read.
+
+The batched walks carry a wire's labels either as a (count, 16) matrix
+(:func:`garble_columns`) or, for batches of up to
+:data:`LANE_WALK_MAX_ROWS` instances, packed into one Python int
+(:func:`garble_lanes`); both produce the same batch, byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from repro.crypto.prg import (
     byte_matrix,
     byte_rows,
     hash_label,
+    hash_lanes,
     hash_rows,
+    salted_state,
     xor_bytes,
 )
 from repro.crypto.rng import SecureRandom
@@ -244,7 +251,39 @@ class EncodingBatch(_Instances):
         return is_one.astype(_np.uint8)
 
 
-# -- label derivation and the two walks ---------------------------------------------
+# -- lanes -------------------------------------------------------------------------
+
+# The widest batch that walks on lanes. Per gate the column walk pays
+# numpy calls of ~1 us each whatever the width, the lane walk big-int
+# operations that grow with it: lanes are ~2.2x faster at 8 rows and ~1.1x
+# at 64, break even near 128 and lose 2-11 % at 256-512
+# (ARCHITECTURE.md, *Batched garbling*, has the measured table).
+LANE_WALK_MAX_ROWS = 64
+
+LANE = (1 << 8 * LABEL_BYTES) - 1  # every bit of one lane
+
+
+def pack_lanes(matrix) -> int:
+    """A (count, 16) label matrix as one int: row ``i`` at bytes
+    ``[16i, 16i + 16)``, little-endian, so byte 0 of a label (its
+    point-and-permute bit) is the low byte of its lane."""
+    return int.from_bytes(matrix.tobytes(), "little")
+
+
+def unpack_lanes(packed: list[int], count: int):
+    """The (len(packed), count, 16) label matrices of packed label ints."""
+    nbytes = count * LABEL_BYTES
+    joined = bytearray().join(x.to_bytes(nbytes, "little") for x in packed)
+    return _np.frombuffer(joined, dtype=_np.uint8).reshape(-1, count, LABEL_BYTES)
+
+
+def lane_lsb(count: int) -> int:
+    """Bit 0 of each of ``count`` lanes: ``(x & lsb) * LANE`` spreads every
+    lane's point-and-permute bit over its lane."""
+    return int.from_bytes(b"\x01".ljust(LABEL_BYTES, b"\x00") * count, "little")
+
+
+# -- label derivation and the walks ------------------------------------------------
 
 
 def derive_instance_labels(
@@ -335,8 +374,20 @@ def garble_batch_from_labels(
 
     Every operation is row-wise: row i of every result depends only on
     row i of the inputs, which is what makes the walk equal to ``count``
-    scalar :func:`garble_from_labels` walks.
+    scalar :func:`garble_from_labels` walks. Batches of up to
+    :data:`LANE_WALK_MAX_ROWS` instances walk on lanes
+    (:func:`garble_lanes`), wider ones on label matrices
+    (:func:`garble_columns`); both give the same bytes.
     """
+    if 0 < deltas.shape[0] <= LANE_WALK_MAX_ROWS:
+        return garble_lanes(circuit, deltas, input_zero_labels)
+    return garble_columns(circuit, deltas, input_zero_labels)
+
+
+def garble_columns(
+    circuit: Circuit, deltas, input_zero_labels
+) -> tuple[GarbledBatch, EncodingBatch]:
+    """The walk with every wire a (count, 16) label matrix."""
     count = deltas.shape[0]
     zero_labels = dict(zip(circuit.input_wires, input_zero_labels))
     tables = _np.empty((count, circuit.and_count, 2, LABEL_BYTES), dtype=_np.uint8)
@@ -377,6 +428,58 @@ def garble_batch_from_labels(
     )
 
 
+def garble_lanes(
+    circuit: Circuit, deltas, input_zero_labels
+) -> tuple[GarbledBatch, EncodingBatch]:
+    """The walk with every wire one int of ``count`` lanes (:func:`pack_lanes`).
+
+    The column walk's operations carry over lane-wise: a free-XOR gate is
+    one ``^``, a point-and-permute mask is ``(x & lsb) * LANE`` and each
+    half-gate hash one :func:`hash_lanes` call under the gate's salted
+    state, built here per gate and dropped with the walk.
+    """
+    count = deltas.shape[0]
+    nbytes = count * LABEL_BYTES
+    lsb = lane_lsb(count)
+    delta = pack_lanes(deltas)
+    labels = dict(zip(circuit.input_wires, map(pack_lanes, input_zero_labels)))
+    # Gate by gate, the generator half then the evaluator half; bytes, not
+    # ints, so a layer's tables take one buffer while the walk runs.
+    halves = bytearray()
+    for a, b, out, tweak in circuit.lane_program:
+        a0 = labels[a]
+        b0 = labels[b]
+        if tweak is None:
+            labels[out] = a0 ^ b0
+            continue
+        p_a = (a0 & lsb) * LANE
+        p_b = (b0 & lsb) * LANE
+        salt_g = salted_state(tweak)
+        salt_e = salted_state(tweak + 1)
+        h_a0 = hash_lanes(a0, nbytes, salt_g)
+        h_b0 = hash_lanes(b0, nbytes, salt_e)
+        # Generator half-gate: computes a AND p_b (garbler knows p_b).
+        t_g = h_a0 ^ hash_lanes(a0 ^ delta, nbytes, salt_g) ^ (delta & p_b)
+        # Evaluator half-gate: computes a AND (b XOR p_b).
+        h_b = h_b0 ^ hash_lanes(b0 ^ delta, nbytes, salt_e)
+        labels[out] = h_a0 ^ (t_g & p_a) ^ h_b0 ^ (h_b & p_b)
+        halves += t_g.to_bytes(nbytes, "little")
+        halves += (h_b ^ a0).to_bytes(nbytes, "little")
+
+    tables = _np.frombuffer(halves, dtype=_np.uint8).reshape(
+        -1, 2, count, LABEL_BYTES
+    )
+    output_zero_labels = unpack_lanes([labels[w] for w in circuit.outputs], count)
+    return (
+        GarbledBatch(
+            circuit,
+            _np.ascontiguousarray(tables.transpose(2, 0, 1, 3)),
+            output_zero_labels[:, :, 0].T & 1,
+        ),
+        EncodingBatch(circuit, deltas, input_zero_labels, output_zero_labels),
+    )
+
+
 class Garbler:
     """Produces a garbled circuit plus the private input encoding."""
 
@@ -394,9 +497,10 @@ class Garbler:
 
         A ReLU layer garbles one identical circuit per activation wire, so
         instead of walking the gate list once per instance we walk it once
-        and carry every instance's labels as a (count, 16) byte matrix:
-        free-XOR gates become single vectorized XORs across the whole
-        batch and half-gate masking becomes column masks. Each
+        and carry every instance's labels together (a packed int or a
+        (count, 16) byte matrix, :func:`garble_batch_from_labels`):
+        free-XOR gates become single XORs across the whole batch and
+        half-gate masking becomes lane or column masks. Each
         instance still draws its own delta and input labels, and the
         produced tables are exactly what per-instance :meth:`garble` would
         accept — only the RNG draw order differs.

@@ -16,6 +16,7 @@ the server's share_a arrives via online OT.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.crypto.prg import LABEL_BYTES
 from repro.gc.circuit import Circuit, CircuitBuilder
@@ -45,12 +46,17 @@ class ReluCircuitSpec:
             raise ValueError("truncate_bits must be in [0, bits)")
 
 
+@lru_cache(maxsize=16)
 def build_relu_circuit(spec: ReluCircuitSpec) -> Circuit:
     """Build the share-combining ReLU circuit for one activation.
 
     Input order: garbler word(s) first, then evaluator word(s); within each
     party the share word precedes the mask word when that party owns the
     mask. All words are little-endian ``spec.bits`` wide.
+
+    Every ReLU layer of every session garbles the same public topology —
+    only the labels differ — so one circuit per spec is built per process
+    and shared (a :class:`Circuit` is never changed once built).
     """
     builder = CircuitBuilder()
     p = spec.modulus

@@ -200,6 +200,13 @@ def _to_pairs(matrices) -> list[tuple[bytes, bytes]]:
     return list(zip(byte_rows(matrices[0]), byte_rows(matrices[1])))
 
 
+def _batch_size(message_pairs) -> int:
+    """m: the number of pairs in a list of pairs or of rows in a matrix pair."""
+    if isinstance(message_pairs, tuple):
+        return len(message_pairs[0])
+    return len(message_pairs)
+
+
 def extend(seeds: BaseSeeds, message_pairs, choices: list[int]):
     """Extend the base seeds to one OT per message pair.
 
@@ -211,11 +218,11 @@ def extend(seeds: BaseSeeds, message_pairs, choices: list[int]):
     its inputs.
     """
     as_matrices = isinstance(message_pairs, tuple)
-    m = len(message_pairs[0]) if as_matrices else len(message_pairs)
+    m = _batch_size(message_pairs)
     if len(choices) != m:
         raise ValueError("one choice bit per message pair required")
     if m == 0:
-        return [], []
+        return (message_pairs[0][:0], message_pairs) if as_matrices else ([], [])
     if as_matrices:
         msg_len = message_pairs[0].shape[1]
     else:
@@ -260,10 +267,12 @@ def iknp_transfer(message_pairs, choices: list[int], rng: SecureRandom | None = 
     Returns the chooser's messages — in the form :func:`extend` took the
     pairs in — and a transcript of byte volumes (base OT points + the
     kappa x m column matrix + the masked message pairs). The base OTs run
-    once per call, in the phase the call is made in.
+    once per call, in the phase the call is made in. An empty batch runs
+    no base OTs and moves no bytes.
     """
-    if not message_pairs and not choices:
-        return [], ExtensionTranscript(0, 0, 0)
+    if _batch_size(message_pairs) == 0:
+        chosen, _ = extend(None, message_pairs, choices)  # needs no seeds
+        return chosen, ExtensionTranscript(0, 0, 0)
     seeds = base_seed_ot(rng or SecureRandom())
     chosen, _ = extend(seeds, message_pairs, choices)
     return chosen, iknp_transcript(len(chosen), len(chosen[0]))

@@ -203,3 +203,16 @@ class TestRelUCorrectnessInsideProtocol:
         assert got == proto.plaintext_reference(x)
         # With all-zero ReLU output, logits are exactly 0.
         assert got == [0, 0]
+
+
+class TestSharedReluCircuit:
+    def test_every_session_reads_one_circuit_per_spec(self):
+        """Both roles of every protocol read the process-wide ReLU circuit
+        of their spec instead of each building its own."""
+        net = make_mlp()
+        for garbler in ("server", "client"):
+            one = HybridProtocol(net, PARAMS, garbler=garbler, seed=1)
+            two = HybridProtocol(net, PARAMS, garbler=garbler, seed=2)
+            circuit = one.client.relu_circuit()
+            assert circuit is one.server.relu_circuit()
+            assert circuit is two.client.relu_circuit() is two.server.relu_circuit()

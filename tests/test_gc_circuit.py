@@ -160,3 +160,18 @@ class TestGateCounting:
             w = b.not_(w)
         b.mark_output([w])
         assert b.build().and_count == 0
+
+
+class TestBuiltCircuitsNeverChange:
+    def test_building_on_leaves_a_built_circuit_alone(self):
+        """A built circuit is shared and its derived lists are computed
+        once, so adding gates to the CircuitBuilder must not grow it."""
+        b = CircuitBuilder()
+        x = b.garbler_input()
+        b.mark_output([x])
+        c = b.build()
+        assert (c.and_indices, c.input_wires) == ([], [0, 1, x])
+        b.mark_output([b.and_(x, b.evaluator_input())])
+        assert c.gates == [] and c.outputs == [x] and c.evaluator_inputs == []
+        assert (c.and_count, c.input_wires) == (0, [0, 1, x])
+        assert b.build().and_count == 1

@@ -9,16 +9,26 @@ from hypothesis import strategies as st
 
 from repro.crypto.prg import LABEL_BYTES, xor_bytes
 from repro.crypto.rng import SecureRandom
-from repro.gc.circuit import CircuitBuilder, int_to_bits, words_to_int
-from repro.gc.evaluate import Evaluator
+from repro.gc.circuit import (
+    Circuit,
+    CircuitBuilder,
+    Gate,
+    GateType,
+    int_to_bits,
+    words_to_int,
+)
+from repro.gc.evaluate import Evaluator, evaluate_columns, evaluate_lanes
 from repro.gc.garble import (
+    LANE_WALK_MAX_ROWS,
     EncodingBatch,
     GarbledBatch,
     Garbler,
     LabelBatch,
     derive_batch_labels,
     garble_batch_from_labels,
+    garble_columns,
     garble_from_labels,
+    garble_lanes,
 )
 from repro.gc.relu import (
     ReluCircuitSpec,
@@ -244,7 +254,9 @@ class TestBatchedWalkIsTheScalarWalk:
             ReluCircuitSpec(bits=16, modulus=self.P, mask_owner=request.param)
         )
 
-    @pytest.mark.parametrize("count", [1, 2, 8, 128])
+    @pytest.mark.parametrize(
+        "count", [1, 2, 8, LANE_WALK_MAX_ROWS, LANE_WALK_MAX_ROWS + 1, 128]
+    )
     def test_garble_and_evaluate(self, circuit, count):
         deltas, zero = derive_batch_labels(SecureRandom(count), circuit, count)
         circuits, encodings = garble_batch_from_labels(circuit, deltas, zero)
@@ -327,3 +339,128 @@ class TestBatchedWalkIsTheScalarWalk:
         _, encodings = Garbler(SecureRandom(3)).garble_batch(circuit, 2)
         with pytest.raises(ValueError):
             Garbler.encode_inputs(encodings, circuit, np.zeros((2, 1), dtype=np.uint8))
+
+
+@st.composite
+def random_circuits(draw):
+    """Small XOR/AND circuits over any earlier wire: repeated operands
+    (``a == b``), constant wires as operands and outputs, outputs that are
+    inputs, repeated outputs, no AND gate at all."""
+    n_garbler = draw(st.integers(0, 3))
+    n_evaluator = draw(st.integers(0, 3))
+    wires = 2 + n_garbler + n_evaluator
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from([GateType.XOR, GateType.AND]))
+        a = draw(st.integers(0, wires - 1))
+        b = draw(st.one_of(st.just(a), st.integers(0, wires - 1)))
+        gates.append(Gate(kind, a, b, wires))
+        wires += 1
+    return Circuit(
+        n_wires=wires,
+        gates=gates,
+        garbler_inputs=list(range(2, 2 + n_garbler)),
+        evaluator_inputs=list(range(2 + n_garbler, 2 + n_garbler + n_evaluator)),
+        outputs=draw(st.lists(st.integers(0, wires - 1), min_size=1, max_size=6)),
+    )
+
+
+class TestLaneWalk:
+    """The lane walk, the column walk and the scalar walk are one walk:
+    same tables, decode bits and output zero-labels from the same labels,
+    same output labels and bits from the same inputs, on either side of
+    the width at which ``garble_batch_from_labels`` switches walks."""
+
+    @given(
+        circuit=random_circuits(),
+        count=st.sampled_from(
+            [1, LANE_WALK_MAX_ROWS - 1, LANE_WALK_MAX_ROWS, LANE_WALK_MAX_ROWS + 1, 128]
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_three_walks_agree(self, circuit, count, seed):
+        deltas, zero = derive_batch_labels(SecureRandom(seed), circuit, count)
+        lanes, lane_encodings = garble_lanes(circuit, deltas, zero)
+        columns, column_encodings = garble_columns(circuit, deltas, zero)
+        scalar = [
+            garble_from_labels(
+                circuit,
+                deltas[i].tobytes(),
+                {w: zero[k, i].tobytes() for k, w in enumerate(circuit.input_wires)},
+            )
+            for i in range(count)
+        ]
+        reference = GarbledBatch.from_instances(circuit, [g for g, _ in scalar])
+        encoding = EncodingBatch.from_instances(circuit, [e for _, e in scalar])
+        for batch in (lanes, columns):
+            assert (batch.tables == reference.tables).all()
+            assert (batch.decode_bits == reference.decode_bits).all()
+        for encodings in (lane_encodings, column_encodings):
+            assert (encodings.output_zero_labels == encoding.output_zero_labels).all()
+
+        rnd = random.Random(seed)
+        g_bits = np.array(
+            [[rnd.getrandbits(1) for _ in circuit.garbler_inputs] for _ in range(count)],
+            dtype=np.uint8,
+        ).reshape(count, -1)
+        e_bits = np.array(
+            [[rnd.getrandbits(1) for _ in circuit.evaluator_inputs] for _ in range(count)],
+            dtype=bool,
+        ).reshape(count, -1)
+        zero_e, one_e = encoding.evaluator_pairs()
+        chosen = np.where(e_bits.reshape(-1, 1), one_e, zero_e)
+        labels = {
+            **Garbler.encode_inputs(encoding, circuit, g_bits).columns(),
+            **LabelBatch(
+                circuit.evaluator_inputs, chosen.reshape(count, -1, LABEL_BYTES)
+            ).columns(),
+        }
+        evaluator = Evaluator()
+        outputs = evaluator.evaluate_batch(reference, labels, vectorize=False)
+        assert (evaluate_lanes(reference, labels) == outputs).all()
+        assert (evaluate_columns(reference, labels) == outputs).all()
+        bits = evaluator.decode(reference, outputs)
+        assert (bits == Garbler.decode_output_labels(encoding, circuit, outputs)).all()
+        for i in range(count):
+            assert bits[i].tolist() == circuit.evaluate_plain(
+                g_bits[i].tolist(), e_bits[i].astype(int).tolist()
+            )
+
+    def test_the_batch_width_picks_the_walk(self, monkeypatch):
+        """Up to LANE_WALK_MAX_ROWS instances walk on lanes, beyond on
+        columns — garbler and evaluator alike."""
+        from repro.gc import evaluate, garble
+
+        circuit = build_relu_circuit(
+            ReluCircuitSpec(bits=8, modulus=251, mask_owner="evaluator")
+        )
+        walked = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def walk(*args):
+                walked.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, walk)
+
+        for module, name in (
+            (garble, "garble_lanes"),
+            (garble, "garble_columns"),
+            (evaluate, "evaluate_lanes"),
+            (evaluate, "evaluate_columns"),
+        ):
+            spy(module, name)
+        for count in (1, LANE_WALK_MAX_ROWS, LANE_WALK_MAX_ROWS + 1):
+            walked.clear()
+            circuits, encodings = Garbler(SecureRandom(count)).garble_batch(
+                circuit, count, vectorize=True
+            )
+            zero = encodings.zero_labels
+            Evaluator().evaluate_batch(
+                circuits, dict(zip(circuit.input_wires, zero)), vectorize=True
+            )
+            kind = "lanes" if count <= LANE_WALK_MAX_ROWS else "columns"
+            assert walked == [f"garble_{kind}", f"evaluate_{kind}"]

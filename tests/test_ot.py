@@ -154,10 +154,31 @@ class TestIknpExtension:
             assert g == (m1 if c else m0)
         assert transcript.total_bytes > 0
 
-    def test_empty_batch(self):
+    def test_empty_batch(self, monkeypatch, seeds):
+        """An empty batch comes back in the form it came in — a list, or
+        an empty (0, len) matrix and matrix pair — and runs no base OT.
+        A pair of empty matrices used to pay for 128 base OTs and then
+        raise IndexError."""
+        np = pytest.importorskip("numpy")
+
+        def no_base_ots(rng):
+            raise AssertionError("an empty batch ran base OTs")
+
+        monkeypatch.setattr(extension, "base_seed_ot", no_base_ots)
         got, transcript = iknp_transfer([], [], SecureRandom(9))
         assert got == []
         assert transcript.total_bytes == 0
+        assert extend(seeds, [], []) == ([], [])
+
+        empty = (np.zeros((0, 16), np.uint8), np.zeros((0, 16), np.uint8))
+        got, transcript = iknp_transfer(empty, [], SecureRandom(9))
+        assert isinstance(got, np.ndarray) and got.shape == (0, 16)
+        assert transcript.total_bytes == 0
+        chosen, masked = extend(seeds, empty, [])
+        assert chosen.shape == (0, 16)
+        assert [side.shape for side in masked] == [(0, 16), (0, 16)]
+        with pytest.raises(ValueError):
+            iknp_transfer(empty, [1])
 
     def test_single_ot(self):
         got, _ = iknp_transfer([(b"A" * 16, b"B" * 16)], [1], SecureRandom(10))
