@@ -97,8 +97,8 @@ def test_ablation_precomputed_ot_online_bytes(benchmark):
 
     def sweep():
         n = 41 * 2_228_224  # one choice bit per share bit, R18/Tiny
-        # A full batch run online carries its base OTs with it.
-        return iknp_transcript(n).total_bytes, online_ot_bytes(n)
+        # A batch on a warm stream: columns and masked pairs, no base OTs.
+        return iknp_transcript(n, setup=False).total_bytes, online_ot_bytes(n)
 
     full, precomputed = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print(f"\nonline OT bytes: full IKNP {full / 1e9:.2f} GB, "

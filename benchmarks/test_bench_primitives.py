@@ -50,7 +50,7 @@ from repro.network.serialize import (
     serialize_circuit_batch,
     serialize_galois_keys,
 )
-from repro.ot.extension import base_seed_ot, extend, iknp_transfer
+from repro.ot.extension import IknpStream, base_seed_ot, extend, iknp_transfer
 
 PARAMS = fast_params(n=256)
 RELU_BATCH = 64
@@ -623,18 +623,42 @@ def _label_ot_batch(n_ots):
 def test_bench_iknp_1000_ots(benchmark):
     pairs, choices = _label_ot_batch(1000)
     benchmark.pedantic(
-        lambda: iknp_transfer(pairs, choices, SecureRandom(6)),
+        lambda: iknp_transfer(pairs, choices, IknpStream(SecureRandom(6))),
         rounds=1, iterations=1,
     )
 
 
 def test_bench_iknp_136_ots(benchmark):
-    """bench_e2e's serve_* online label OT: 8 ReLUs x 17 share bits."""
+    """bench_e2e's serve_* label OT on a fresh stream (8 ReLUs x 17
+    share bits): the base OTs plus one batch."""
     pairs, choices = _label_ot_batch(136)
     benchmark.pedantic(
-        lambda: iknp_transfer(pairs, choices, SecureRandom(6)),
+        lambda: iknp_transfer(pairs, choices, IknpStream(SecureRandom(6))),
         rounds=5, iterations=1, warmup_rounds=1,
     )
+
+
+def _warm_iknp_bench(benchmark, n_ots):
+    """One batch on a stream whose base OTs already ran: what every label
+    OT after a keep-alive connection's first one costs."""
+    pairs, choices = _label_ot_batch(n_ots)
+    stream = IknpStream(SecureRandom(6))
+    iknp_transfer(pairs, choices, stream)  # the connection's first OT
+    _, transcript = benchmark.pedantic(
+        lambda: iknp_transfer(pairs, choices, stream),
+        rounds=10, iterations=1, warmup_rounds=1,
+    )
+    assert transcript.base_ot_bytes == 0
+
+
+def test_bench_iknp_136_ots_warm(benchmark):
+    """serve_warm's per-request label OT: 8 ReLUs x 17 share bits."""
+    _warm_iknp_bench(benchmark, 136)
+
+
+def test_bench_iknp_328_ots_warm(benchmark):
+    """infer_cg_delphi's label OT at its 41-bit field: 8 ReLUs x 41 bits."""
+    _warm_iknp_bench(benchmark, 328)
 
 
 def test_bench_iknp_4352_ots(benchmark):
@@ -645,7 +669,7 @@ def test_bench_iknp_4352_ots(benchmark):
     """
     pairs, choices = _label_ot_batch(4352)
     benchmark.pedantic(
-        lambda: iknp_transfer(pairs, choices, SecureRandom(6)),
+        lambda: iknp_transfer(pairs, choices, IknpStream(SecureRandom(6))),
         rounds=3, iterations=1, warmup_rounds=1,
     )
     seeds = base_seed_ot(SecureRandom(6))
@@ -653,5 +677,5 @@ def test_bench_iknp_4352_ots(benchmark):
         lambda: base_seed_ot(SecureRandom(6))
     )
     benchmark.extra_info["phase_extend_ms"] = _best_ms(
-        lambda: extend(seeds, pairs, choices)
+        lambda: extend(IknpStream(seeds=seeds), pairs, choices)
     )

@@ -35,7 +35,7 @@ from repro.he.encoder import BatchEncoder
 from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.params import BfvParams, toy_params
 from repro.network.channel import CLIENT, SERVER, Channel
-from repro.ot.extension import iknp_transfer, iknp_wire_bytes
+from repro.ot.extension import IknpStream, iknp_transfer
 
 from repro.backend import backend_for
 
@@ -78,6 +78,7 @@ class MonolithHybridProtocol:
             backend_for(self.modulus, prefer=self._backend_pref).name == "numpy"
         )
         self.rng = SecureRandom(seed)
+        self._iknp_stream = IknpStream(self.rng)
         self.channel = Channel(field_bytes=(self.bits + 7) // 8)
         self.counters = ProtocolCounters()
         self._offline_done = False
@@ -204,14 +205,7 @@ class MonolithHybridProtocol:
             for wire, bit in zip(circuit.evaluator_inputs, share_bits + mask_bits):
                 pairs.append((encoding.label_for(wire, 0), encoding.label_for(wire, 1)))
                 choices.append(bit)
-        received, _ = iknp_transfer(pairs, choices, self.rng.spawn())
-        self.counters.ots_performed += len(pairs)
-        receiver = CLIENT if sender == SERVER else SERVER
-        to_holder, to_chooser = iknp_wire_bytes(len(pairs))
-        self.channel.send(receiver, None, nbytes=to_holder)
-        self.channel.recv(sender)
-        self.channel.send(sender, None, nbytes=to_chooser)
-        self.channel.recv(receiver)
+        received = self._label_ot(pairs, choices, holder=sender)
 
         labels: list[dict[int, bytes]] = []
         per = len(circuit.evaluator_inputs)
@@ -222,6 +216,21 @@ class MonolithHybridProtocol:
             label_map[Circuit.CONST_ONE] = encoding.label_for(Circuit.CONST_ONE, 1)
             labels.append(label_map)
         return labels
+
+    def _label_ot(self, pairs, choices, holder: str) -> list[bytes]:
+        """One batch of the protocol's IKNP stream, charged per direction;
+        its first batch books the base OTs to the setup phase."""
+        received, transcript = iknp_transfer(pairs, choices, self._iknp_stream)
+        self.counters.ots_performed += len(pairs)
+        chooser = CLIENT if holder == SERVER else SERVER
+        if transcript.base_ot_bytes:
+            self.channel.book("setup", chooser, transcript.key_bytes)
+            self.channel.book("setup", holder, transcript.point_bytes)
+        self.channel.send(chooser, None, nbytes=transcript.column_bytes)
+        self.channel.recv(holder)
+        self.channel.send(holder, None, nbytes=transcript.ciphertext_bytes)
+        self.channel.recv(chooser)
+        return received
 
     # -- online phase ------------------------------------------------------------
 
@@ -299,13 +308,7 @@ class MonolithHybridProtocol:
             for wire, bit in zip(circuit.evaluator_inputs, bits):
                 pairs.append((encoding.label_for(wire, 0), encoding.label_for(wire, 1)))
                 choices.append(bit)
-        received, _ = iknp_transfer(pairs, choices, self.rng.spawn())
-        self.counters.ots_performed += len(pairs)
-        to_holder, to_chooser = iknp_wire_bytes(len(pairs))
-        self.channel.send(SERVER, None, nbytes=to_holder)
-        self.channel.recv(CLIENT)
-        self.channel.send(CLIENT, None, nbytes=to_chooser)
-        self.channel.recv(SERVER)
+        received = self._label_ot(pairs, choices, holder=CLIENT)
 
         per = self.bits
         labels_batch = []

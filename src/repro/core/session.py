@@ -28,12 +28,17 @@ characterization, not a hardened deployment: the IKNP extension is
 executed by the label-holding party after the chooser ships its choice
 bits over the wire (the monolith computed it jointly in one call and put
 nothing on the wire — the *charged* byte volumes are the real
-extension's, from :func:`repro.ot.extension.iknp_wire_bytes`, but the
+extension's, from :func:`repro.ot.extension.iknp_transcript`, but the
 exchanged bits would leak the chooser's shares to a real adversary, so
 the socket deployments demonstrate the system shape and byte volumes,
-not a security property). The client session's lowering is *shape-only*:
-layer widths and ReLU placement are public, and no weight matrix ever
-materializes client-side.
+not a security property). The extension is one
+:class:`~repro.ot.extension.IknpStream` per connection: the holder keeps
+it — the chooser's half included — for as long as the session lives, and
+the base OTs run on the connection's first label OT, charged once to the
+channel's ``setup`` phase; every later batch continues the same PRG
+streams and row tweaks and pays only its columns and masked pairs. The
+client session's lowering is *shape-only*: layer widths and ReLU
+placement are public, and no weight matrix ever materializes client-side.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ from repro.network.serialize import (
     serialize_labels,
     serialize_public_key,
 )
-from repro.ot.extension import iknp_transfer, iknp_wire_bytes
+from repro.ot.extension import IknpStream, iknp_transcript, iknp_transfer
 from repro.telemetry import TRACER, now_us, section
 
 # step() results
@@ -90,7 +95,7 @@ WAITING = "waiting"
 # NEW → [OFFLINE →] READY → ONLINE → COMPLETE, and
 # ``reset_for_request()`` re-arms a COMPLETE session back to NEW while
 # keeping the connection-scoped state (transport, channel accounting,
-# counters, lowering, circuit cache, RNG stream).
+# counters, lowering, circuit cache, RNG stream, label-OT stream).
 LIFE_NEW = "new"
 LIFE_OFFLINE = "offline"
 LIFE_READY = "ready"
@@ -205,6 +210,11 @@ class ProtocolSession:
         self.transport = transport
         self.channel = channel or Channel(field_bytes=(self.bits + 7) // 8)
         self.counters = ProtocolCounters()
+        # Connection-scoped label-OT state: the holder's running extension
+        # (its base OTs drawn from ``rng`` on the first batch) and the
+        # chooser's matching fact that the base OTs have run.
+        self.iknp_stream = IknpStream(self.rng)
+        self._base_ots_done = False
         self._relu_bundles: dict[int, ReluBundle] = {}
         self.lifecycle = LIFE_NEW
         self._gen = None
@@ -289,6 +299,14 @@ class ProtocolSession:
         """Charge an inbound message (the peer's send) to the channel stats."""
         self.channel.send(self.peer, payload, nbytes)
         self.channel.recv(self.role)
+
+    def _book_base_ots(self, transcript, holder: str) -> None:
+        """Charge a label OT's base OTs, if it ran any, to the setup phase:
+        A from the chooser to ``holder``, the kappa points back."""
+        if transcript.base_ot_bytes:
+            chooser = SERVER if holder == CLIENT else CLIENT
+            self.channel.book("setup", chooser, transcript.key_bytes)
+            self.channel.book("setup", holder, transcript.point_bytes)
 
     # -- phase control --------------------------------------------------------
 
@@ -482,16 +500,22 @@ class ProtocolSession:
     def _label_ot_chooser(self, choice_bits) -> LabelBatch:
         """Chooser half of one layer's label OT; returns the bound labels.
 
-        Ships the (count, n_evaluator) choice bits — charged as the
-        base-OT key and u columns the real IKNP chooser would ship — and
-        binds the reply to the evaluator-input wires.
+        Ships the (count, n_evaluator) choice bits — charged as the u
+        columns the real IKNP chooser would ship, plus the connection's
+        base OTs on its first OT — and binds the reply to the
+        evaluator-input wires.
         """
         wires = self.relu_circuit().evaluator_inputs
         count = len(choice_bits)
-        to_holder, to_chooser = iknp_wire_bytes(choice_bits.size)
-        self._send(serialize_bit_vector(choice_bits.ravel().tolist()), nbytes=to_holder)
+        transcript = iknp_transcript(choice_bits.size, setup=not self._base_ots_done)
+        self._base_ots_done = True
+        self._book_base_ots(transcript, holder=self.peer)
+        self._send(
+            serialize_bit_vector(choice_bits.ravel().tolist()),
+            nbytes=transcript.column_bytes,
+        )
         frame = yield
-        self._note_recv(nbytes=to_chooser)
+        self._note_recv(nbytes=transcript.ciphertext_bytes)
         if self._phase == "online":
             flat = deserialize_labels(frame, choice_bits.size)
             return LabelBatch(wires, flat.reshape(count, len(wires), -1))
@@ -507,18 +531,19 @@ class ProtocolSession:
     def _label_ot_holder(self, encodings: EncodingBatch):
         """Label-holder half of one layer's OT: choice bits in, labels out.
 
-        Both labels of every evaluator-input wire go into the extension;
-        the reply is charged as the masked pairs the real holder would ship.
+        Both labels of every evaluator-input wire go into the next batch
+        of the connection's extension; the reply is charged as the masked
+        pairs the real holder would ship.
         """
         pairs = encodings.evaluator_pairs()
         frame = yield
         choices = deserialize_bit_vector(frame)
         if len(choices) != len(pairs[0]):
             raise ValueError("OT choice count does not match the layer")
-        to_holder, to_chooser = iknp_wire_bytes(len(choices))
-        self._note_recv(nbytes=to_holder)
         with section("ot", "ot.iknp_transfer", pairs=len(choices)):
-            received, _ = iknp_transfer(pairs, choices, self.rng.spawn())
+            received, transcript = iknp_transfer(pairs, choices, self.iknp_stream)
+        self._book_base_ots(transcript, holder=self.role)
+        self._note_recv(nbytes=transcript.column_bytes)
         self.counters.ots_performed += len(choices)
         if self._phase == "offline":
             # Each instance's constant-wire labels ride the same message
@@ -534,7 +559,7 @@ class ProtocolSession:
             )
         else:
             reply = serialize_labels(received)
-        self._send(reply, nbytes=to_chooser)
+        self._send(reply, nbytes=transcript.ciphertext_bytes)
 
     def _evaluate_layer(self, bundle: ReluBundle, arrived: LabelBatch):
         """Evaluator's online step for one layer; returns the output labels.
@@ -574,7 +599,7 @@ class ProtocolSession:
 
         Keeps what is amortized across a keep-alive connection — the
         transport, channel byte accounting, operation counters, lowering,
-        ReLU circuit cache, and RNG stream — while clearing
+        ReLU circuit cache, RNG stream, and label-OT stream — while clearing
         per-request protocol state (offline shares/keys, garbled bundles,
         the phase result) and re-arming the lifecycle at NEW so the next
         request can run or adopt a fresh offline phase.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.protocol import HybridProtocol
-from repro.ot.extension import KAPPA
+from repro.ot.extension import iknp_transcript
 from repro.profiling.calibration import LABEL_BYTES
 
 
@@ -39,29 +39,19 @@ class CommValidation:
         return max(self.relative_errors().values())
 
 
-def _iknp_bytes(n_ots: int) -> tuple[float, float]:
-    """(receiver->sender, sender->receiver) bytes of one IKNP batch.
-
-    Delegates to the extension's own formula so the predictor can never
-    drift from what the protocol actually charges.
-    """
-    from repro.ot.extension import iknp_wire_bytes
-
-    return iknp_wire_bytes(n_ots, LABEL_BYTES)
-
-
 def predict_comm(protocol: HybridProtocol) -> dict[str, float]:
     """Analytic communication prediction for a functional protocol setup.
 
     Mirrors the per-ReLU formulas of :mod:`repro.profiling.model_costs`,
     re-parameterized by the protocol's actual field width, ciphertext
     size, and garbled-circuit size. Each ReLU layer's label OT is one
-    seed-form IKNP batch in the phase it runs in (offline under
-    Server-Garbler, online under Client-Garbler), split by direction as
-    :func:`repro.ot.extension.iknp_wire_bytes` does: the chooser sends
-    the base-OT key and kappa columns of one bit per OT (32 + 128*ceil(m/8)
-    bytes), the label holder the kappa base-OT points and both masked
-    labels of every OT (128*32 + 2*m*16 bytes).
+    batch of the protocol's IKNP stream in the phase it runs in (offline
+    under Server-Garbler, online under Client-Garbler): the chooser sends
+    kappa columns of one bit per OT (128*ceil(m/8) bytes), the label
+    holder both masked labels of every OT (2*m*16 bytes). The stream's
+    base OTs — the chooser's key A (32 bytes) and the holder's kappa
+    points (128*32 bytes) — are setup, paid once by its first batch. All
+    of it is :func:`repro.ot.extension.iknp_transcript`.
     """
     lowered = protocol.lowered
     params = protocol.params
@@ -86,30 +76,42 @@ def predict_comm(protocol: HybridProtocol) -> dict[str, float]:
     result_down = lowered.output_size * field_bytes
     word_labels = bits * LABEL_BYTES
 
+    # Server-Garbler OTs both client words per ReLU, Client-Garbler the
+    # server's share word.
+    ot_words = 2 if protocol.server.garbles else 1
+    ots = [
+        iknp_transcript(ot_words * bits * n, LABEL_BYTES, setup=i == 0)
+        for i, n in enumerate(relu_layers)
+    ]
+    to_holder = sum(t.column_bytes for t in ots)
+    to_chooser = sum(t.ciphertext_bytes for t in ots)
+    setup_to_holder = sum(t.key_bytes for t in ots)
+    setup_to_chooser = sum(t.point_bytes for t in ots)
+
     if protocol.server.garbles:
         # Offline: GCs + label OT (2 words per ReLU) travel down; HE up/down.
-        per_layer_ot = [_iknp_bytes(2 * bits * n) for n in relu_layers]
-        offline_up = key_bytes + he_up + sum(c for c, _ in per_layer_ot)
-        offline_down = he_down + relu_count * gc_tables + sum(
-            p for _, p in per_layer_ot
-        )
+        setup_up, setup_down = setup_to_holder, setup_to_chooser
+        offline_up = key_bytes + he_up + to_holder
+        offline_down = he_down + relu_count * gc_tables + to_chooser
         online_up = input_up + relu_count * word_labels
         online_down = relu_count * word_labels + result_down
     else:
         # Offline: client uploads GCs (+decode bits) and its own labels.
         decode_bytes = (bits + 7) // 8
         own_labels = (2 * bits + 2) * LABEL_BYTES  # share+mask words + constants
+        setup_up, setup_down = setup_to_chooser, setup_to_holder
         offline_up = (
             key_bytes
             + he_up
             + relu_count * (gc_tables + decode_bytes + own_labels)
         )
         offline_down = he_down
-        per_layer_ot = [_iknp_bytes(bits * n) for n in relu_layers]
-        online_up = input_up + sum(p for _, p in per_layer_ot)
-        online_down = sum(c for c, _ in per_layer_ot) + result_down
+        online_up = input_up + to_chooser
+        online_down = to_holder + result_down
 
     return {
+        "setup_up": setup_up,
+        "setup_down": setup_down,
         "offline_up": offline_up,
         "offline_down": offline_down,
         "online_up": online_up,

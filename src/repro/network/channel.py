@@ -3,7 +3,9 @@
 The functional protocols exchange Python objects through a :class:`Channel`;
 every send is charged a serialized size so that, after a protocol run, the
 per-phase upload/download volumes can be compared against the paper's
-communication numbers and fed to the TDD bandwidth model.
+communication numbers and fed to the TDD bandwidth model. Three phases:
+``setup`` (what a connection pays once, such as the base OTs of its label
+OTs), ``offline`` and ``online`` (what every request pays).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from repro.telemetry import METRICS
 
 CLIENT = "client"
 SERVER = "server"
+PHASES = ("setup", "offline", "online")
 
 
 def wire_size(payload, field_bytes: int = 6) -> int:
@@ -62,8 +65,8 @@ class Channel:
         self.downlink = DirectionStats()  # server -> client
         self._phase = "offline"
         self.phase_stats: dict[str, dict[str, DirectionStats]] = {
-            "offline": {"up": DirectionStats(), "down": DirectionStats()},
-            "online": {"up": DirectionStats(), "down": DirectionStats()},
+            phase: {"up": DirectionStats(), "down": DirectionStats()}
+            for phase in PHASES
         }
 
     def set_phase(self, phase: str) -> None:
@@ -77,26 +80,33 @@ class Channel:
 
     def send(self, sender: str, payload, nbytes: int | None = None) -> int:
         """Enqueue ``payload`` for the peer; returns the charged byte size."""
+        size = wire_size(payload, self._field_bytes) if nbytes is None else nbytes
+        self.book(self._phase, sender, size)
+        self._queues[SERVER if sender == CLIENT else CLIENT].append(payload)
+        return size
+
+    def book(self, phase: str, sender: str, nbytes: int) -> None:
+        """Charge one ``nbytes`` message from ``sender`` to ``phase``.
+
+        What :meth:`send` charges, without a payload and to any phase: the
+        setup a connection pays once, inside whichever phase first needs it.
+        """
         if sender not in (CLIENT, SERVER):
             raise ValueError(f"unknown sender {sender!r}")
-        size = wire_size(payload, self._field_bytes) if nbytes is None else nbytes
-        receiver = SERVER if sender == CLIENT else CLIENT
-        self._queues[receiver].append(payload)
         stats = self.uplink if sender == CLIENT else self.downlink
         stats.messages += 1
-        stats.bytes += size
+        stats.bytes += nbytes
         direction = "up" if sender == CLIENT else "down"
-        phase_stats = self.phase_stats[self._phase][direction]
+        phase_stats = self.phase_stats[phase][direction]
         phase_stats.messages += 1
-        phase_stats.bytes += size
+        phase_stats.bytes += nbytes
         if METRICS.enabled:
             METRICS.counter(
-                "channel_messages_total", phase=self._phase, dir=direction
+                "channel_messages_total", phase=phase, dir=direction
             ).inc()
             METRICS.counter(
-                "channel_bytes_total", phase=self._phase, dir=direction
-            ).inc(size)
-        return size
+                "channel_bytes_total", phase=phase, dir=direction
+            ).inc(nbytes)
 
     def recv(self, receiver: str):
         """Dequeue the next payload addressed to ``receiver``."""
@@ -110,9 +120,9 @@ class Channel:
         return self.uplink.bytes + self.downlink.bytes
 
     def summary(self) -> dict[str, int]:
+        """Bytes per phase and direction: ``setup_up`` ... ``online_down``."""
         return {
-            "offline_up": self.phase_stats["offline"]["up"].bytes,
-            "offline_down": self.phase_stats["offline"]["down"].bytes,
-            "online_up": self.phase_stats["online"]["up"].bytes,
-            "online_down": self.phase_stats["online"]["down"].bytes,
+            f"{phase}_{direction}": stats.bytes
+            for phase, directions in self.phase_stats.items()
+            for direction, stats in directions.items()
         }

@@ -4,9 +4,9 @@ from repro.ot.base import BaseOtReceiver, BaseOtSender, run_base_ot
 from repro.ot.extension import (
     KAPPA,
     ExtensionTranscript,
-    base_ot_offline_bytes,
+    IknpStream,
+    iknp_transcript,
     iknp_transfer,
-    ot_extension_online_bytes,
 )
 from repro.ot.precomputed import (
     PrecomputedReceiverBatch,
@@ -20,12 +20,12 @@ __all__ = [
     "BaseOtReceiver",
     "BaseOtSender",
     "ExtensionTranscript",
+    "IknpStream",
     "PrecomputedReceiverBatch",
     "PrecomputedSenderBatch",
-    "base_ot_offline_bytes",
+    "iknp_transcript",
     "iknp_transfer",
     "online_ot_bytes",
-    "ot_extension_online_bytes",
     "precompute_ots",
     "run_base_ot",
 ]

@@ -39,6 +39,19 @@ def _stretch(key: bytes, n: int) -> bytes:
     return Prg(key).read(n)
 
 
+def _check_element(element: int) -> int:
+    """A peer's group element, refused unless it can be a real one.
+
+    0 and anything outside [0, p) are not in the group; 1 and p - 1 span
+    subgroups of order 1 and 2, so every key derived from them is
+    predictable. The keys seed the IKNP stream of a whole connection, so
+    one such element would poison every later OT on it.
+    """
+    if not isinstance(element, int) or not 1 < element < GROUP_PRIME - 1:
+        raise ValueError(f"degenerate base-OT group element: {element!r}")
+    return element
+
+
 def _index_key(shared: int, index: int) -> bytes:
     """The OT key of instance ``index`` from its Diffie-Hellman element."""
     return key_derivation(_encode(shared), index.to_bytes(4, "little"))
@@ -95,7 +108,7 @@ class BaseOtSender:
         unshift = mod_inverse(pow(self.public, self._a, GROUP_PRIME), GROUP_PRIME)
         pairs = []
         for index, point in enumerate(receiver_points):
-            shared = pow(point, self._a, GROUP_PRIME)
+            shared = pow(_check_element(point), self._a, GROUP_PRIME)
             pairs.append(
                 (
                     _index_key(shared, index),
@@ -131,6 +144,7 @@ class BaseOtReceiver:
 
     def points(self, sender_public: int) -> list[int]:
         """Blinded group elements to send to the sender."""
+        _check_element(sender_public)
         g = _generator_table()
         pts = []
         for choice, b in zip(self.choices, self._secrets):
@@ -142,7 +156,7 @@ class BaseOtReceiver:
 
     def keys(self, sender_public: int) -> list[bytes]:
         """Random-OT output: the sender's key at each instance's choice bit."""
-        table = FixedBaseTable(sender_public)
+        table = FixedBaseTable(_check_element(sender_public))
         return [
             _index_key(table.pow(b), index) for index, b in enumerate(self._secrets)
         ]

@@ -7,22 +7,30 @@ the layers: the extension's *chooser* (who ends up with one message of
 each pair) plays base-OT *sender*, the *holder* of the message pairs plays
 base-OT receiver with kappa secret bits ``s``.
 
-Message flow of one batch of m OTs (:func:`base_seed_ot` then
-:func:`extend`):
+The extension is a stream (:class:`IknpStream`) that lives as long as
+the chooser/holder pair. Its first batch runs the base OTs
+(:func:`base_seed_ot`); every batch, the first included, is one
+:func:`extend`:
 
-1. kappa random base OTs: the chooser gets seed pairs ``(k0_i, k1_i)``,
-   the holder gets ``k_{s_i}``. On the wire: A (32 B) to the holder, the
-   kappa blinded points (32 B each) back. No base-OT ciphertexts.
-2. The chooser expands ``t_i = G(k0_i)`` and sends the kappa m-bit columns
+1. Setup, once per stream — kappa random base OTs: the chooser gets seed
+   pairs ``(k0_i, k1_i)``, the holder gets ``k_{s_i}``. On the wire: A
+   (32 B) to the holder, the kappa blinded points (32 B each) back. No
+   base-OT ciphertexts.
+2. The chooser reads the next ceil(m/8) bytes of ``t_i = G(k0_i)`` and of
+   ``G(k1_i)`` and sends the kappa m-bit columns
    ``u_i = t_i xor G(k1_i) xor r`` (r = its packed choice bits).
-3. The holder forms ``q_i = G(k_{s_i}) xor s_i * u_i`` (= ``t_i xor s_i * r``),
-   so row j of Q is ``t_j xor r_j * s``. It masks pair j with
-   ``H(q_j, j)`` / ``H(q_j xor s, j)`` and sends both ciphertexts.
-4. The chooser unmasks its choice with ``H(t_j, j)``.
+3. The holder reads the same stretch of ``G(k_{s_i})`` and forms
+   ``q_i = G(k_{s_i}) xor s_i * u_i`` (= ``t_i xor s_i * r``), so row j of
+   Q is ``t_j xor r_j * s``. It masks pair j with ``H(q_j, i0 + j)`` /
+   ``H(q_j xor s, i0 + j)`` and sends both ciphertexts, where ``i0``
+   counts the rows of every earlier batch on the stream.
+4. The chooser unmasks its choice with ``H(t_j, i0 + j)``.
 
-Columns are m-bit Python integers (XOR is one big-int operation); the
-kappa x m bit-matrix transpose to 16-byte rows is one
-``unpackbits``/``packbits`` under the numpy backend.
+Each batch reads on where the last one stopped, in every PRG stream and
+in the row tweaks, so no column bit and no pad is ever used twice however
+many batches share the base OTs. Columns are m-bit Python integers (XOR
+is one big-int operation); the kappa x m bit-matrix transpose to 16-byte
+rows is one ``unpackbits``/``packbits`` under the numpy backend.
 """
 
 from __future__ import annotations
@@ -51,13 +59,23 @@ KAPPA = 128  # computational security parameter / number of base OTs
 _ROW_BYTES = KAPPA // 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtensionTranscript:
-    """Byte sizes of each message flow, for communication accounting."""
+    """Byte sizes of each IKNP message flow, for communication accounting.
 
-    base_ot_bytes: int
+    Chooser to holder: the base-OT key A, then the u columns. Holder to
+    chooser: the kappa base-OT points, then the masked pairs. The two
+    base-OT flows are a stream's setup, which only its first batch has.
+    """
+
+    key_bytes: int
+    point_bytes: int
     column_bytes: int
     ciphertext_bytes: int
+
+    @property
+    def base_ot_bytes(self) -> int:
+        return self.key_bytes + self.point_bytes
 
     @property
     def total_bytes(self) -> int:
@@ -76,9 +94,9 @@ class BaseSeeds:
 def base_seed_ot(rng: SecureRandom) -> BaseSeeds:
     """Run the kappa random base OTs whose keys seed the extension.
 
-    All of a batch's randomness (the chooser's exponent, the holder's
-    ``s`` and blinding exponents) is drawn here, so :func:`extend` is a
-    pure function of its inputs.
+    All of a stream's randomness (the chooser's exponent, the holder's
+    ``s`` and blinding exponents) is drawn here, so every batch of
+    :func:`extend` is a pure function of the seeds and what came before.
     """
     chooser = BaseOtSender(rng.spawn())
     holder_rng = rng.spawn()
@@ -90,9 +108,60 @@ def base_seed_ot(rng: SecureRandom) -> BaseSeeds:
     )
 
 
-def _expand(seed: bytes, m: int) -> int:
-    """G(seed) as an m-bit column (bits past m are never read)."""
-    return int.from_bytes(Prg(seed).read((m + 7) // 8), "little")
+class IknpStream:
+    """One chooser/holder pair's IKNP extension, continued batch after batch.
+
+    Holds the base seeds, one :class:`Prg` per seed that keeps reading,
+    and the row index the next batch's tweaks start at. The base OTs run
+    on the first batch (:meth:`start`), seeded by one child of ``rng``
+    spawned then, so a fresh stream's first batch is exactly the one-shot
+    extension over ``base_seed_ot(rng.spawn())``; later batches draw
+    nothing. ``seeds`` adopts base OTs that already ran instead.
+
+    The holder runs both halves (see the fidelity note in
+    :mod:`repro.core.session`), so one object keeps the chooser's
+    ``G(k0_i)``/``G(k1_i)`` streams beside the holder's ``G(k_{s_i})``.
+    """
+
+    def __init__(
+        self, rng: SecureRandom | None = None, seeds: BaseSeeds | None = None
+    ):
+        self._rng = rng
+        self.seeds: BaseSeeds | None = None
+        self.next_index = 0  # rows extended so far: the next batch's first tweak
+        if seeds is not None:
+            self._adopt(seeds)
+
+    @property
+    def started(self) -> bool:
+        return self.seeds is not None
+
+    def start(self) -> BaseSeeds:
+        """The base seeds, running the base OTs if this is the first batch."""
+        if self.seeds is None:
+            self._adopt(base_seed_ot((self._rng or SecureRandom()).spawn()))
+        return self.seeds
+
+    def _adopt(self, seeds: BaseSeeds) -> None:
+        self.seeds = seeds
+        self._t_prgs = [Prg(k0) for k0, _ in seeds.chooser_pairs]
+        self._k1_prgs = [Prg(k1) for _, k1 in seeds.chooser_pairs]
+        self._held_prgs = [Prg(seed) for seed in seeds.holder_seeds]
+
+    def take(self, m: int):
+        """Claim the next m rows: ``(first, t, k1, held)``.
+
+        ``first`` is the rows' first tweak; the three column lists are the
+        next ceil(m/8) bytes of every seed's stream as m-bit integers —
+        ``G(k0_i)``, ``G(k1_i)`` and ``G(k_{s_i})`` (bits past m are never
+        read, and never read again).
+        """
+        first, self.next_index = self.next_index, self.next_index + m
+        nbytes = (m + 7) // 8
+        return first, *(
+            [int.from_bytes(prg.read(nbytes), "little") for prg in prgs]
+            for prgs in (self._t_prgs, self._k1_prgs, self._held_prgs)
+        )
 
 
 def _pack_bits(bits: list[int]) -> int:
@@ -139,9 +208,10 @@ def _pad(row: bytes, j: int, msg_len: int) -> bytes:
     return pad[:msg_len] if msg_len <= LABEL_BYTES else Prg(pad).read(msg_len)
 
 
-def _pads(rows, msg_len: int):
-    """:func:`_pad` of every row of an (m, 16) matrix, as (m, msg_len)."""
-    hashed = hash_rows(rows, range(len(rows)))
+def _pads(rows, first: int, msg_len: int):
+    """:func:`_pad` of every row of an (m, 16) matrix, the rows tweaked
+    ``first``, ``first + 1``, ..., as (m, msg_len)."""
+    hashed = hash_rows(rows, range(first, first + len(rows)))
     if msg_len <= LABEL_BYTES:
         return hashed[:, :msg_len]
     return byte_matrix(
@@ -149,43 +219,46 @@ def _pads(rows, msg_len: int):
     )
 
 
-def mask_row_block(pairs, q_rows: bytes, s_row: bytes, msg_len: int):
+def mask_row_block(pairs, q_rows: bytes, s_row: bytes, first: int, msg_len: int):
     """Holder side: mask every message pair with the row hashes of Q.
 
     ``pairs`` is a pair of (m, msg_len) matrices — every zero message,
     every one message — masked in one pass per side, or (the scalar
     reference) a list of (m0, m1) byte pairs masked row by row; the
-    masked pairs come back in the same form.
+    masked pairs come back in the same form. Row j is tweaked
+    ``first + j``.
     """
     if isinstance(pairs, tuple):
         q = byte_matrix([q_rows], _ROW_BYTES)
         return (
-            pairs[0] ^ _pads(q, msg_len),
-            pairs[1] ^ _pads(q ^ byte_matrix([s_row], _ROW_BYTES), msg_len),
+            pairs[0] ^ _pads(q, first, msg_len),
+            pairs[1] ^ _pads(q ^ byte_matrix([s_row], _ROW_BYTES), first, msg_len),
         )
     masked = []
     for j, (m0, m1) in enumerate(pairs):
         q_j = q_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES]
         masked.append(
             (
-                xor_bytes(m0, _pad(q_j, j, msg_len)),
-                xor_bytes(m1, _pad(xor_bytes(q_j, s_row), j, msg_len)),
+                xor_bytes(m0, _pad(q_j, first + j, msg_len)),
+                xor_bytes(m1, _pad(xor_bytes(q_j, s_row), first + j, msg_len)),
             )
         )
     return masked
 
 
-def unmask_row_block(masked, choices: list[int], t_rows: bytes, msg_len: int):
+def unmask_row_block(
+    masked, choices: list[int], t_rows: bytes, first: int, msg_len: int
+):
     """Chooser side: unmask the chosen message of every row — an
     (m, msg_len) matrix for a pair of matrices, a list for a list."""
     if isinstance(masked, tuple):
         chose_one = _np.array(choices, dtype=bool)[:, None]
-        pads = _pads(byte_matrix([t_rows], _ROW_BYTES), msg_len)
+        pads = _pads(byte_matrix([t_rows], _ROW_BYTES), first, msg_len)
         return _np.where(chose_one, masked[1], masked[0]) ^ pads
     return [
         xor_bytes(
             pair[c & 1],
-            _pad(t_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES], j, msg_len),
+            _pad(t_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES], first + j, msg_len),
         )
         for j, (pair, c) in enumerate(zip(masked, choices))
     ]
@@ -207,15 +280,17 @@ def _batch_size(message_pairs) -> int:
     return len(message_pairs)
 
 
-def extend(seeds: BaseSeeds, message_pairs, choices: list[int]):
-    """Extend the base seeds to one OT per message pair.
+def extend(stream: IknpStream, message_pairs, choices: list[int]):
+    """Extend ``stream`` by one OT per message pair.
 
     ``message_pairs`` is a list of (m0, m1) byte pairs or a pair of
     (m, msg_len) uint8 matrices (what the sessions hold). Returns the
     chooser's messages and the masked pairs the holder sent, both in the
     form the pairs came in. The numpy backend masks matrices and the
-    python backend walks rows, whichever form came in. Deterministic in
-    its inputs.
+    python backend walks rows, whichever form came in. Runs the stream's
+    base OTs if this is its first batch, then reads the batch's columns
+    and row tweaks on from where the last batch stopped; a batch that
+    fails validation moves nothing. An empty batch needs no base OTs.
     """
     as_matrices = isinstance(message_pairs, tuple)
     m = _batch_size(message_pairs)
@@ -230,19 +305,17 @@ def extend(seeds: BaseSeeds, message_pairs, choices: list[int]):
         for m0, m1 in message_pairs:
             if len(m0) != msg_len or len(m1) != msg_len:
                 raise ValueError("all messages must share one length")
+    seeds = stream.start()
+    first, t_columns, k1_columns, held_columns = stream.take(m)
 
-    # Chooser: t columns from the k0 seeds, u columns to the holder.
+    # Chooser: t columns from the k0 streams, u columns to the holder.
     r_packed = _pack_bits(choices)
-    t_columns = [_expand(k0, m) for k0, _ in seeds.chooser_pairs]
-    u_columns = [
-        t_i ^ _expand(k1, m) ^ r_packed
-        for t_i, (_, k1) in zip(t_columns, seeds.chooser_pairs)
-    ]
+    u_columns = [t_i ^ k1_i ^ r_packed for t_i, k1_i in zip(t_columns, k1_columns)]
 
     # Holder: q_i = G(k_{s_i}) xor s_i * u_i, then mask each pair by row.
     q_columns = [
-        _expand(seed, m) ^ (u_i if s_i else 0)
-        for seed, s_i, u_i in zip(seeds.holder_seeds, seeds.holder_bits, u_columns)
+        g_i ^ (u_i if s_i else 0)
+        for g_i, s_i, u_i in zip(held_columns, seeds.holder_bits, u_columns)
     ]
     s_row = _pack_bits(seeds.holder_bits).to_bytes(_ROW_BYTES, "little")
     vectorize = _np is not None and get_backend().name == "numpy"
@@ -250,10 +323,14 @@ def extend(seeds: BaseSeeds, message_pairs, choices: list[int]):
         message_pairs = _to_matrices(message_pairs, msg_len)
     elif as_matrices and not vectorize:
         message_pairs = _to_pairs(message_pairs)
-    masked = mask_row_block(message_pairs, _transpose(q_columns, m), s_row, msg_len)
+    masked = mask_row_block(
+        message_pairs, _transpose(q_columns, m), s_row, first, msg_len
+    )
 
     # Chooser: unmask its choice of each pair with row hashes of T.
-    chosen = unmask_row_block(masked, choices, _transpose(t_columns, m), msg_len)
+    chosen = unmask_row_block(
+        masked, choices, _transpose(t_columns, m), first, msg_len
+    )
     if vectorize and not as_matrices:
         return byte_rows(chosen), _to_pairs(masked)
     if as_matrices and not vectorize:
@@ -261,58 +338,40 @@ def extend(seeds: BaseSeeds, message_pairs, choices: list[int]):
     return chosen, masked
 
 
-def iknp_transfer(message_pairs, choices: list[int], rng: SecureRandom | None = None):
-    """Run IKNP extension end to end, one OT per message pair.
+def iknp_transfer(message_pairs, choices: list[int], stream: IknpStream | None = None):
+    """Run one IKNP batch end to end, one OT per message pair.
 
-    Returns the chooser's messages — in the form :func:`extend` took the
-    pairs in — and a transcript of byte volumes (base OT points + the
-    kappa x m column matrix + the masked message pairs). The base OTs run
-    once per call, in the phase the call is made in. An empty batch runs
-    no base OTs and moves no bytes.
+    ``stream`` is the pair's running extension; a fresh one (the default)
+    makes this a one-shot transfer. Returns the chooser's messages — in
+    the form :func:`extend` took the pairs in — and the transcript of what
+    this batch moved: the base OTs on a stream's first batch, in the phase
+    that batch runs in, then the kappa x m column matrix and the masked
+    message pairs. An empty batch runs no base OTs and moves no bytes.
     """
-    if _batch_size(message_pairs) == 0:
-        chosen, _ = extend(None, message_pairs, choices)  # needs no seeds
-        return chosen, ExtensionTranscript(0, 0, 0)
-    seeds = base_seed_ot(rng or SecureRandom())
-    chosen, _ = extend(seeds, message_pairs, choices)
-    return chosen, iknp_transcript(len(chosen), len(chosen[0]))
+    stream = stream or IknpStream()
+    m = _batch_size(message_pairs)
+    setup = m > 0 and not stream.started
+    chosen, _ = extend(stream, message_pairs, choices)
+    return chosen, iknp_transcript(
+        m, len(chosen[0]) if m else LABEL_BYTES, setup=setup
+    )
 
 
-def iknp_transcript(n_ots: int, msg_len: int = LABEL_BYTES) -> ExtensionTranscript:
+def iknp_transcript(
+    n_ots: int, msg_len: int = LABEL_BYTES, *, setup: bool = True
+) -> ExtensionTranscript:
     """Byte volumes of one IKNP batch — the ONE definition of the formula.
 
-    :func:`iknp_transfer` returns exactly this (the volumes are a pure
-    function of the batch size), and every other accounting surface —
-    the sessions' channel charges, :func:`iknp_wire_bytes`, the analytic
-    predictor in :mod:`repro.core.validation` — derives from it, so the
-    copies cannot drift apart.
+    ``setup`` is whether the batch is its stream's first, which carries
+    the base OTs. :func:`iknp_transfer` returns exactly this (the volumes
+    are a pure function of the batch size), and every other accounting
+    surface — the sessions' and the monolith's channel charges, the
+    analytic predictor in :mod:`repro.core.validation` — derives from it,
+    so the copies cannot drift apart.
     """
     return ExtensionTranscript(
-        base_ot_bytes=ELEMENT_BYTES + KAPPA * ELEMENT_BYTES,
+        key_bytes=ELEMENT_BYTES if setup else 0,
+        point_bytes=KAPPA * ELEMENT_BYTES if setup else 0,
         column_bytes=KAPPA * ((n_ots + 7) // 8),
         ciphertext_bytes=2 * n_ots * msg_len,
     )
-
-
-def iknp_wire_bytes(n_ots: int, msg_len: int = LABEL_BYTES) -> tuple[int, int]:
-    """(chooser -> holder, holder -> chooser) bytes of one IKNP batch.
-
-    Up: the base-OT public key A and the u columns. Down: the kappa
-    base-OT points and the masked pairs.
-    """
-    t = iknp_transcript(n_ots, msg_len)
-    return (
-        ELEMENT_BYTES + t.column_bytes,
-        t.base_ot_bytes - ELEMENT_BYTES + t.ciphertext_bytes,
-    )
-
-
-def ot_extension_online_bytes(n_ots: int, msg_len: int = LABEL_BYTES) -> int:
-    """The m-proportional part of an IKNP batch (columns + masked pairs)."""
-    t = iknp_transcript(n_ots, msg_len)
-    return t.column_bytes + t.ciphertext_bytes
-
-
-def base_ot_offline_bytes() -> int:
-    """The per-batch constant: A plus the kappa base-OT points."""
-    return iknp_transcript(0).base_ot_bytes

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.crypto.prg import LABEL_BYTES, xor_bytes
 from repro.crypto.rng import SecureRandom
-from repro.ot.extension import iknp_transfer
+from repro.ot.extension import IknpStream, iknp_transfer
 
 
 @dataclass
@@ -85,7 +85,7 @@ def precompute_ots(
         (rng.bytes(LABEL_BYTES), rng.bytes(LABEL_BYTES)) for _ in range(count)
     ]
     choices = rng.bits(count)
-    received, _ = iknp_transfer(pads, choices, rng.spawn())
+    received, _ = iknp_transfer(pads, choices, IknpStream(rng))
     return (
         PrecomputedSenderBatch(pads=pads),
         PrecomputedReceiverBatch(random_choices=choices, pads=received),

@@ -54,5 +54,27 @@ class TestCommValidation:
         x = [1] * 16
         validation = validate_protocol_comm(protocol, x)
         assert set(validation.relative_errors()) == {
+            "setup_up", "setup_down",
             "offline_up", "offline_down", "online_up", "online_down",
         }
+
+    @pytest.mark.parametrize("garbler", ["server", "client"])
+    def test_setup_is_the_base_ots_once_exactly(self, garbler):
+        """Two ReLU layers, one IKNP stream: the setup phase is one set of
+        base OTs in the OT's direction — A from the chooser, the kappa
+        points from the holder — and the prediction has it to the byte."""
+        from repro.ot.extension import iknp_transcript
+
+        net = make_net("cnn", 3)
+        protocol = HybridProtocol(net, PARAMS, garbler=garbler, seed=10)
+        assert sum(kind == "relu" for kind, _ in protocol.lowered.steps) == 2
+        validation = validate_protocol_comm(protocol, [1] * 16)
+        base = iknp_transcript(0)
+        chooser_up = garbler == "server"  # the client chooses its labels
+        expected = (
+            (base.key_bytes, base.point_bytes)
+            if chooser_up
+            else (base.point_bytes, base.key_bytes)
+        )
+        for source in (validation.measured, validation.predicted):
+            assert (source["setup_up"], source["setup_down"]) == expected

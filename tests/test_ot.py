@@ -1,12 +1,13 @@
 """Tests for base OT and IKNP OT extension."""
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.prg import key_derivation
+from repro.crypto.prg import Prg, hash_label, key_derivation
 from repro.crypto.rng import SecureRandom
 from repro.network.channel import Channel
 from repro.ot import extension
@@ -20,13 +21,11 @@ from repro.ot.base import (
 )
 from repro.ot.extension import (
     KAPPA,
-    base_ot_offline_bytes,
+    IknpStream,
     base_seed_ot,
     extend,
     iknp_transcript,
     iknp_transfer,
-    iknp_wire_bytes,
-    ot_extension_online_bytes,
 )
 
 
@@ -95,6 +94,39 @@ class TestRandomBaseOt:
             )
 
 
+DEGENERATE_ELEMENTS = [0, 1, GROUP_PRIME - 1, GROUP_PRIME, GROUP_PRIME + 2, -5]
+
+
+class TestGroupElementsAreValidated:
+    """A peer's A or B_i of 0, 1, p - 1 or outside [0, p) would make the
+    keys degenerate or predictable — and with one IKNP stream per
+    connection, poison every later OT on it. Each is a ValueError."""
+
+    @pytest.mark.parametrize("element", DEGENERATE_ELEMENTS)
+    def test_receiver_rejects_a_degenerate_sender_key(self, element):
+        receiver = BaseOtReceiver([0, 1], SecureRandom(40))
+        with pytest.raises(ValueError, match="degenerate"):
+            receiver.points(element)
+        with pytest.raises(ValueError, match="degenerate"):
+            receiver.keys(element)
+        with pytest.raises(ValueError, match="degenerate"):
+            receiver.decrypt(element, [(b"x" * 16, b"y" * 16)] * 2)
+
+    @pytest.mark.parametrize("element", DEGENERATE_ELEMENTS)
+    def test_sender_rejects_a_degenerate_receiver_point(self, element):
+        sender = BaseOtSender(SecureRandom(41))
+        points = BaseOtReceiver([0, 1], SecureRandom(42)).points(sender.public)
+        with pytest.raises(ValueError, match="degenerate"):
+            sender.keys(points[:1] + [element])
+        with pytest.raises(ValueError, match="degenerate"):
+            sender.encrypt([element], [(b"x" * 16, b"y" * 16)])
+
+    def test_the_extremes_of_the_valid_range_are_accepted(self):
+        sender = BaseOtSender(SecureRandom(43))
+        assert len(sender.keys([2, GROUP_PRIME - 2])) == 2
+        assert len(BaseOtReceiver([1], SecureRandom(44)).keys(2)) == 1
+
+
 class TestBaseOt:
     def test_receiver_gets_chosen_message(self):
         pairs = [(b"zero" + bytes(12), b"one!" + bytes(12)) for _ in range(4)]
@@ -149,7 +181,7 @@ class TestIknpExtension:
         n = 200
         pairs = [(rnd.randbytes(16), rnd.randbytes(16)) for _ in range(n)]
         choices = [rnd.getrandbits(1) for _ in range(n)]
-        got, transcript = iknp_transfer(pairs, choices, SecureRandom(8))
+        got, transcript = iknp_transfer(pairs, choices, IknpStream(SecureRandom(8)))
         for g, c, (m0, m1) in zip(got, choices, pairs):
             assert g == (m1 if c else m0)
         assert transcript.total_bytes > 0
@@ -165,33 +197,35 @@ class TestIknpExtension:
             raise AssertionError("an empty batch ran base OTs")
 
         monkeypatch.setattr(extension, "base_seed_ot", no_base_ots)
-        got, transcript = iknp_transfer([], [], SecureRandom(9))
+        stream = IknpStream(SecureRandom(9))
+        got, transcript = iknp_transfer([], [], stream)
         assert got == []
         assert transcript.total_bytes == 0
-        assert extend(seeds, [], []) == ([], [])
+        assert extend(IknpStream(seeds=seeds), [], []) == ([], [])
 
         empty = (np.zeros((0, 16), np.uint8), np.zeros((0, 16), np.uint8))
-        got, transcript = iknp_transfer(empty, [], SecureRandom(9))
+        got, transcript = iknp_transfer(empty, [], stream)
         assert isinstance(got, np.ndarray) and got.shape == (0, 16)
         assert transcript.total_bytes == 0
-        chosen, masked = extend(seeds, empty, [])
+        assert not stream.started and stream.next_index == 0
+        chosen, masked = extend(IknpStream(seeds=seeds), empty, [])
         assert chosen.shape == (0, 16)
         assert [side.shape for side in masked] == [(0, 16), (0, 16)]
         with pytest.raises(ValueError):
             iknp_transfer(empty, [1])
 
     def test_single_ot(self):
-        got, _ = iknp_transfer([(b"A" * 16, b"B" * 16)], [1], SecureRandom(10))
+        got, _ = iknp_transfer([(b"A" * 16, b"B" * 16)], [1])
         assert got == [b"B" * 16]
 
     def test_all_zero_choices(self):
         pairs = [(bytes([i] * 16), bytes([255 - i] * 16)) for i in range(50)]
-        got, _ = iknp_transfer(pairs, [0] * 50, SecureRandom(11))
+        got, _ = iknp_transfer(pairs, [0] * 50, IknpStream(SecureRandom(11)))
         assert got == [p[0] for p in pairs]
 
     def test_all_one_choices(self):
         pairs = [(bytes([i] * 16), bytes([255 - i] * 16)) for i in range(50)]
-        got, _ = iknp_transfer(pairs, [1] * 50, SecureRandom(12))
+        got, _ = iknp_transfer(pairs, [1] * 50, IknpStream(SecureRandom(12)))
         assert got == [p[1] for p in pairs]
 
     def test_length_mismatch_rejected(self):
@@ -206,7 +240,7 @@ class TestIknpExtension:
         rnd = random.Random(1)
         pairs = [(rnd.randbytes(48), rnd.randbytes(48)) for _ in range(10)]
         choices = [rnd.getrandbits(1) for _ in range(10)]
-        got, _ = iknp_transfer(pairs, choices, SecureRandom(13))
+        got, _ = iknp_transfer(pairs, choices, IknpStream(SecureRandom(13)))
         for g, c, (m0, m1) in zip(got, choices, pairs):
             assert g == (m1 if c else m0)
 
@@ -228,7 +262,7 @@ class TestSeedFormExtension:
     @pytest.mark.parametrize("m", [1, 7, 8, 9, 127, 128, 129, 1000, 4352])
     def test_correct_at_byte_and_kappa_boundaries(self, seeds, m, msg_len):
         pairs, choices = random_batch(m, msg_len, seed=m)
-        chosen, masked = extend(seeds, pairs, choices)
+        chosen, masked = extend(IknpStream(seeds=seeds), pairs, choices)
         assert chosen == [pair[c] for pair, c in zip(pairs, choices)]
         assert len(masked) == m
         # the pair is really masked, and with two different pads
@@ -247,7 +281,7 @@ class TestSeedFormExtension:
             seeds.holder_bits,
             [bytes(16)] + seeds.holder_seeds[1:],
         )
-        chosen, _ = extend(broken, pairs, choices)
+        chosen, _ = extend(IknpStream(seeds=broken), pairs, choices)
         assert chosen != [pair[c] for pair, c in zip(pairs, choices)]
 
     @given(
@@ -268,76 +302,268 @@ class TestSeedFormExtension:
     def test_numpy_and_python_backends_agree_bit_for_bit(self, seeds, m, msg_len):
         """Matrices or byte pairs in, one-pass masking or the row loop:
         four ways through ``extend``, one set of bytes."""
-        np = pytest.importorskip("numpy")
+        pytest.importorskip("numpy")
         from repro.backend import using_backend
 
         pairs, choices = random_batch(m, msg_len, seed=m + msg_len)
-        matrices = tuple(
-            np.frombuffer(b"".join(side), dtype=np.uint8).reshape(m, msg_len)
-            for side in zip(*pairs)
-        )
         results = {}
         for backend in ("python", "numpy"):
             with using_backend(backend):
-                results[backend, "pairs"] = extend(seeds, pairs, choices)
-                chosen, masked = extend(seeds, matrices, choices)
-            assert chosen.shape == (m, msg_len) and len(masked) == 2
-            results[backend, "matrices"] = (
-                [row.tobytes() for row in chosen],
-                [(y0.tobytes(), y1.tobytes()) for y0, y1 in zip(*masked)],
-            )
+                for form in ("pairs", "matrices"):
+                    results[backend, form] = as_pairs(
+                        *extend(IknpStream(seeds=seeds), in_form(pairs, form), choices)
+                    )
         first, *others = results.values()
         assert first[0] == [pair[c] for pair, c in zip(pairs, choices)]
         assert all(other == first for other in others)
 
     def test_same_seed_same_masked_pairs(self):
         pairs, choices = random_batch(200)
-        one = extend(base_seed_ot(SecureRandom(21)), pairs, choices)
-        two = extend(base_seed_ot(SecureRandom(21)), pairs, choices)
-        other = extend(base_seed_ot(SecureRandom(22)), pairs, choices)
+        one = extend(IknpStream(SecureRandom(21)), pairs, choices)
+        two = extend(IknpStream(SecureRandom(21)), pairs, choices)
+        other = extend(IknpStream(SecureRandom(22)), pairs, choices)
         assert one == two
         assert one[0] == other[0] and one[1] != other[1]
 
-    def test_one_spawn_is_all_a_call_takes_from_the_callers_stream(self):
+
+def in_form(pairs, form):
+    """A batch as a list of byte pairs or as the pair of matrices."""
+    if form == "pairs":
+        return pairs
+    np = pytest.importorskip("numpy")
+    m, msg_len = len(pairs), len(pairs[0][0])
+    return tuple(
+        np.frombuffer(b"".join(side), dtype=np.uint8).reshape(m, msg_len)
+        for side in zip(*pairs)
+    )
+
+
+def as_pairs(chosen, masked):
+    """``extend``'s result in list form, whichever form it came back in."""
+    if isinstance(masked, tuple):
+        return (
+            [row.tobytes() for row in chosen],
+            [(y0.tobytes(), y1.tobytes()) for y0, y1 in zip(*masked)],
+        )
+    return chosen, masked
+
+
+def transfer_digest(chosen, masked) -> str:
+    digest = hashlib.sha256()
+    for row in chosen:
+        digest.update(row)
+    for y0, y1 in masked:
+        digest.update(y0)
+        digest.update(y1)
+    return digest.hexdigest()[:16]
+
+
+def reference_batches(seeds, batches):
+    """Textbook IKNP over ONE long read of every seed's PRG stream.
+
+    Batch k takes the next ceil(m_k/8) bytes of each stream as its
+    columns and tweaks its rows from the count of rows before it: what
+    an IknpStream must reproduce batch by batch. Returns each batch's
+    (chosen, masked) in list form, scalar code only.
+    """
+    widths = [(len(pairs) + 7) // 8 for pairs, _ in batches]
+    total = sum(widths)
+    t_long = [Prg(k0).read(total) for k0, _ in seeds.chooser_pairs]
+    k1_long = [Prg(k1).read(total) for _, k1 in seeds.chooser_pairs]
+    held_long = [Prg(seed).read(total) for seed in seeds.holder_seeds]
+    s_row = sum(bit << i for i, bit in enumerate(seeds.holder_bits))
+    out, offset, first = [], 0, 0
+    for (pairs, choices), width in zip(batches, widths):
+
+        def column(long, i):
+            return int.from_bytes(long[i][offset : offset + width], "little")
+
+        r = sum(bit << j for j, bit in enumerate(choices))
+        chosen, masked = [], []
+        for j, ((x0, x1), c) in enumerate(zip(pairs, choices)):
+            t_row = q_row = 0
+            for i, s_i in enumerate(seeds.holder_bits):
+                t_i = column(t_long, i)
+                u_i = t_i ^ column(k1_long, i) ^ r
+                q_i = column(held_long, i) ^ (u_i if s_i else 0)
+                t_row |= ((t_i >> j) & 1) << i
+                q_row |= ((q_i >> j) & 1) << i
+
+            def pad(row, n=len(x0), tweak=first + j):
+                h = hash_label(row.to_bytes(16, "little"), tweak)
+                return int.from_bytes(h if n <= 16 else Prg(h).read(n), "little")
+
+            y = [
+                (int.from_bytes(x0, "little") ^ pad(q_row)).to_bytes(len(x0), "little"),
+                (int.from_bytes(x1, "little") ^ pad(q_row ^ s_row)).to_bytes(
+                    len(x1), "little"
+                ),
+            ]
+            masked.append(tuple(y))
+            chosen.append(
+                (int.from_bytes(y[c], "little") ^ pad(t_row)).to_bytes(len(x0), "little")
+            )
+        out.append((chosen, masked))
+        offset += width
+        first += len(pairs)
+    return out
+
+
+# sha256[:16] of (chosen, masked) from the one-shot, per-batch extension
+# that preceded the stream (base OTs run for every batch, rows tweaked
+# from 0), over base_seed_ot(SecureRandom(20)) and random_batch(m, len,
+# seed=m + len): a fresh stream's first batch must reproduce them.
+ONE_SHOT_DIGESTS = {
+    (1, 16): "f6159f3a87299558",
+    (136, 16): "a46865cb6ccd7c00",
+    (1000, 16): "6bb19b910a794d61",
+    (9, 48): "ef050f990f51145a",
+}
+
+
+class TestIknpStream:
+    """One extension per chooser/holder pair: base OTs once, then every
+    batch reads on along the same PRG streams and row tweaks."""
+
+    @pytest.mark.parametrize("form", ["pairs", "matrices"])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("case", ONE_SHOT_DIGESTS, ids=str)
+    def test_a_fresh_streams_first_batch_is_the_one_shot_extension(
+        self, seeds, case, backend, form
+    ):
+        from repro.backend import using_backend
+
+        pytest.importorskip("numpy")
+        m, msg_len = case
+        pairs, choices = random_batch(m, msg_len, seed=m + msg_len)
+        with using_backend(backend):
+            result = extend(IknpStream(seeds=seeds), in_form(pairs, form), choices)
+        assert transfer_digest(*as_pairs(*result)) == ONE_SHOT_DIGESTS[case]
+
+    def test_a_stream_draws_its_base_ots_from_one_spawn_on_its_first_batch(self):
+        """The session hands its own RNG to the stream: the base OTs take
+        exactly the one child the holder used to spawn per batch, at the
+        first batch, and later batches draw nothing."""
         pairs, choices = random_batch(10)
         used, fresh = SecureRandom(23), SecureRandom(23)
-        iknp_transfer(pairs, choices, used.spawn())
+        stream = IknpStream(used)
+        assert not stream.started
+        iknp_transfer(pairs, choices, stream)
+        assert stream.seeds == base_seed_ot(SecureRandom(23).spawn())
+        iknp_transfer(pairs, choices, stream)
         fresh.spawn()
         assert used.bytes(16) == fresh.bytes(16)
 
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_k_batches_read_one_long_stream_under_disjoint_tweaks(
+        self, seeds, monkeypatch, backend
+    ):
+        """The columns of k batches are one long PRG read split at the
+        batch boundaries, and each batch's row tweaks start where the last
+        batch's ended: no column bit and no pad is used twice."""
+        from repro.backend import using_backend
+
+        pytest.importorskip("numpy")
+        batches = [random_batch(m, 16, seed=50 + m) for m in (136, 7, 1, 328, 64)]
+        tweaks = []
+        hash_rows, hash_one = extension.hash_rows, extension.hash_label
+
+        def record_rows(rows, tweak):
+            tweaks.extend(tweak)
+            return hash_rows(rows, tweak)
+
+        def record_one(row, tweak):
+            tweaks.append(tweak)
+            return hash_one(row, tweak)
+
+        monkeypatch.setattr(extension, "hash_rows", record_rows)
+        monkeypatch.setattr(extension, "hash_label", record_one)
+        stream = IknpStream(seeds=seeds)
+        got, ranges = [], []
+        with using_backend(backend):
+            for pairs, choices in batches:
+                tweaks.clear()
+                first = stream.next_index
+                got.append(extend(stream, pairs, choices))
+                ranges.append(set(tweaks))
+                assert ranges[-1] == set(range(first, first + len(pairs)))
+        assert got == reference_batches(seeds, batches)
+        assert stream.next_index == sum(len(pairs) for pairs, _ in batches)
+        for k, tweak_range in enumerate(ranges):
+            assert all(tweak_range.isdisjoint(other) for other in ranges[k + 1 :])
+        for (chosen, _), (pairs, choices) in zip(got, batches):
+            assert chosen == [pair[c] for pair, c in zip(pairs, choices)]
+
+    def test_a_continued_batch_masks_with_fresh_pads(self, seeds):
+        """Two identical batches on one stream: both transfer correctly,
+        yet neither masked pair repeats the other's."""
+        pairs, choices = random_batch(136)
+        stream = IknpStream(seeds=seeds)
+        first = extend(stream, pairs, choices)
+        second = extend(stream, pairs, choices)
+        assert first[0] == second[0] == [p[c] for p, c in zip(pairs, choices)]
+        assert all(a != b for a, b in zip(first[1], second[1]))
+
+    def test_a_refused_batch_does_not_move_the_stream(self, seeds):
+        stream = IknpStream(seeds=seeds)
+        extend(stream, *random_batch(9))
+        with pytest.raises(ValueError):
+            extend(stream, [(b"x" * 16, b"y" * 16)], [0, 1])
+        with pytest.raises(ValueError):
+            extend(stream, [(b"x" * 16, b"y" * 8)], [0])
+        assert stream.next_index == 9
+        pairs, choices = random_batch(20, seed=3)
+        assert [extend(stream, pairs, choices)] == reference_batches(
+            seeds, [random_batch(9), (pairs, choices)]
+        )[1:]
+
+    def test_transcripts_carry_the_base_ots_on_the_first_batch_only(self):
+        stream = IknpStream(SecureRandom(24))
+        sizes = (136, 328, 136)
+        transcripts = [
+            iknp_transfer(*random_batch(m, seed=m), stream)[1] for m in sizes
+        ]
+        assert transcripts == [
+            iknp_transcript(m, setup=k == 0) for k, m in enumerate(sizes)
+        ]
+        assert [t.base_ot_bytes for t in transcripts] == [32 + KAPPA * 32, 0, 0]
+
 
 class TestCommunicationModel:
-    def test_online_bytes_scale_linearly(self):
-        one = ot_extension_online_bytes(1000)
-        two = ot_extension_online_bytes(2000)
+    def test_batch_bytes_scale_linearly(self):
+        one = iknp_transcript(1000, setup=False).total_bytes
+        two = iknp_transcript(2000, setup=False).total_bytes
         assert 1.9 < two / one < 2.1
 
-    def test_online_bytes_formula(self):
+    def test_batch_bytes_formula(self):
         n = 800
-        assert ot_extension_online_bytes(n) == KAPPA * (n // 8) + 2 * n * 16
+        assert iknp_transcript(n, setup=False).total_bytes == (
+            KAPPA * (n // 8) + 2 * n * 16
+        )
 
-    def test_base_ot_offline_constant(self):
-        assert base_ot_offline_bytes() == 32 + KAPPA * 32
+    def test_setup_is_the_base_ot_constant(self):
+        t = iknp_transcript(0)
+        assert (t.key_bytes, t.point_bytes) == (32, KAPPA * 32)
+        assert t.total_bytes == t.base_ot_bytes == 32 + KAPPA * 32
+        assert iknp_transcript(0, setup=False).total_bytes == 0
 
     @pytest.mark.parametrize("n,msg_len", [(1, 16), (136, 16), (4352, 16), (10, 48)])
-    def test_every_surface_derives_from_the_one_transcript(self, n, msg_len):
+    def test_every_flow_is_one_field_of_the_one_transcript(self, n, msg_len):
         t = iknp_transcript(n, msg_len)
-        assert t.base_ot_bytes == base_ot_offline_bytes()
-        assert t.column_bytes == KAPPA * ((n + 7) // 8)
-        assert t.ciphertext_bytes == 2 * n * msg_len
-        assert ot_extension_online_bytes(n, msg_len) == (
-            t.column_bytes + t.ciphertext_bytes
+        assert t.column_bytes == KAPPA * ((n + 7) // 8)  # chooser -> holder
+        assert t.ciphertext_bytes == 2 * n * msg_len  # holder -> chooser
+        assert t.total_bytes == (
+            t.key_bytes + t.point_bytes + t.column_bytes + t.ciphertext_bytes
         )
-        to_holder, to_chooser = iknp_wire_bytes(n, msg_len)
-        assert to_holder == 32 + t.column_bytes  # A and the u columns
-        assert to_chooser == KAPPA * 32 + t.ciphertext_bytes  # points, pairs
-        assert to_holder + to_chooser == t.total_bytes
+        continued = iknp_transcript(n, msg_len, setup=False)
+        assert (continued.key_bytes, continued.point_bytes) == (0, 0)
+        assert continued.total_bytes == t.total_bytes - t.base_ot_bytes
 
     def test_transcript_matches_model(self):
         """Measured transcript of the real protocol tracks the analytic model."""
         n = 256
         pairs, choices = random_batch(n, seed=2)
-        _, transcript = iknp_transfer(pairs, choices, SecureRandom(14))
+        _, transcript = iknp_transfer(pairs, choices, IknpStream(SecureRandom(14)))
         assert transcript == iknp_transcript(n)
         # the u matrix the chooser ships really is kappa columns of n bits
         assert transcript.column_bytes == KAPPA * n // 8

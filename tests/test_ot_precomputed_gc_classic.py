@@ -47,10 +47,11 @@ class TestPrecomputedOt:
         # One correction bit per OT plus two masked labels.
         assert online_ot_bytes(800) == 100 + 2 * 800 * 16
 
-    def test_online_cheaper_than_full_iknp(self):
-        from repro.ot.extension import ot_extension_online_bytes
+    def test_online_cheaper_than_a_warm_iknp_batch(self):
+        from repro.ot.extension import iknp_transcript
 
-        assert online_ot_bytes(10_000) < ot_extension_online_bytes(10_000)
+        warm = iknp_transcript(10_000, setup=False)
+        assert online_ot_bytes(10_000) < warm.total_bytes
 
     def test_lengths(self):
         sender, receiver = precompute_ots(5, SecureRandom(4))

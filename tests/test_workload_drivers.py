@@ -47,10 +47,16 @@ def _functional(schedule, *, budget_mb=8.0, workers=2, **kwargs):
         shutil.rmtree(root, ignore_errors=True)
 
 
+# Replays the saturation schedule 50x faster than drawn: client 0's three
+# arrivals fall within 4 ms, so each of its later requests is issued at
+# the DONE of the one before, while the refill that DONE earned is owed or
+# in flight — a mint takes tens of ms — and is deferred whatever a request
+# costs. At the drawn pace (10 req/s) its gaps are ~0.1 s, and whether a
+# refill was still owed at an arrival depended on how long requests took.
+SATURATION_TIME_SCALE = 0.02
+
+
 def _saturation_schedule():
-    # 10 req/s offered against ~0.1 s mints: arrivals land while a refill
-    # is still owed. (At 5 req/s this drew four requests whose gaps only
-    # happened to undercut the slower mints of earlier builds.)
     return poisson_schedule(
         3,
         zipf_rates(3, 10.0, 1.5),
@@ -110,7 +116,8 @@ def test_saturation_deferrals_ledger_and_oracle():
     assert schedule.request_counts()[0] >= schedule.request_counts()[-1]
     inputs = draw_schedule_inputs(schedule, NETWORK, PARAMS)
     report = _functional(
-        schedule, budget_mb=0.2, gateway_max_queue=0, inputs=inputs
+        schedule, budget_mb=0.2, gateway_max_queue=0, inputs=inputs,
+        time_scale=SATURATION_TIME_SCALE,
     )
     assert report.requests_deferred > 0
     assert report.requests_issued == (
