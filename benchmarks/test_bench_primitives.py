@@ -2,8 +2,7 @@
 
 Not a paper figure — these measure this library's own primitive throughput
 (NTT, BFV ops, garbling, OT extension) so regressions in the functional
-layer are visible, and they ground the "pure Python is ~10^3-10^4x slower
-than the paper's testbed" substitution note in DESIGN.md.
+layer are visible (ARCHITECTURE.md, *Benchmark trajectory*).
 
 The suite runs on :func:`repro.he.params.fast_params` (62-bit ciphertext
 modulus) so the same workload is exact on both compute backends: run it

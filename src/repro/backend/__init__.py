@@ -11,7 +11,7 @@ label batches, lowered linear layers) runs on whichever
 Selection precedence, highest first:
 
 1. an explicit ``backend=`` argument on the constructor being called
-   (``RingPoly``, ``Ntt``, ``BfvParams.backend``, ``HybridProtocol``),
+   (``RingPoly``, ``NegacyclicNtt``, ``BfvParams.backend``, ``HybridProtocol``),
 2. :func:`set_backend` (what the ``--backend`` CLI flag calls),
 3. the ``REPRO_BACKEND`` environment variable (read at import),
 4. ``auto``: numpy when available, python otherwise.

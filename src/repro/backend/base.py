@@ -40,10 +40,10 @@ class NttPlan(abc.ABC):
 
     Both methods take and return a *chain stack* ``[ring][row]`` of
     backend-native vectors — ``(rings, rows, n)`` as a 3D array or any
-    nested sequence, a single modulus being a chain of one ring. A
-    negacyclic plan (built with ``twists``, see
-    :meth:`ComputeBackend.make_ntt_plan`) multiplies coefficient k by
-    psi^k before the cyclic transform and by psi^-k after its inverse.
+    nested sequence, a single modulus being a chain of one ring. Every
+    plan is negacyclic (see :meth:`ComputeBackend.make_ntt_plan`): it
+    multiplies coefficient k by psi^k before the cyclic transform and by
+    psi^-k after its inverse.
     A ring count other than the plan's, or a row whose length is not n,
     raises ``ValueError`` instead of truncating or padding.
     """
@@ -225,12 +225,12 @@ class ComputeBackend(abc.ABC):
         n: int,
         moduli: Sequence[int],
         roots: Sequence[int],
-        twists: Sequence[int] | None = None,
+        twists: Sequence[int],
     ) -> NttPlan:
-        """Plan for the size-n NTTs of a chain: ring i transforms mod
-        ``moduli[i]`` with the primitive n-th root ``roots[i]``. With
-        ``twists`` — per ring a primitive 2n-th root psi whose square is
-        the ring's root — the plan is negacyclic (X^n + 1), else cyclic.
+        """Plan for the size-n negacyclic (X^n + 1) NTTs of a chain: ring
+        i transforms mod ``moduli[i]`` with the primitive n-th root
+        ``roots[i]``, twisted by ``twists[i]``, a primitive 2n-th root psi
+        whose square is that root.
         """
 
     # -- linear algebra ----------------------------------------------------

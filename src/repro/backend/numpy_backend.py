@@ -358,8 +358,8 @@ class _NumpyNttPlan(NttPlan):
 
     def __init__(self, backend, n: int, moduli, roots, twists):
         rings = len(moduli)
-        if not (len(roots) == rings and (twists is None or len(twists) == rings)):
-            raise ValueError("one root (and twist) per modulus")
+        if not len(roots) == len(twists) == rings:
+            raise ValueError("one root and one twist per modulus")
         self.n = n
         self.rings = rings
         self.lanes = (
@@ -402,24 +402,18 @@ class _NumpyNttPlan(NttPlan):
 
         self.fwd_stages = stages(roots)
         self.inv_stages = stages(inverses(roots))
-        # Going in: psi^k, in gather order. Coming out: psi^-k / n, or the
-        # bare 1/n of a cyclic plan.
-        n_inv = inverses([n] * rings)
-        if twists is None:
-            self.twist = None
-            untwist = np.asarray(n_inv, dtype=np.uint64)[:, None]
-        else:
-            self.twist = self.lanes.table(
-                _ring_constant(powers(twists, n)[:, self.gather])
-            )
-            untwist = np.stack(
-                [
-                    backend.scalar_mul(row, scale, q)
-                    for row, scale, q in zip(
-                        powers(inverses(twists), n), n_inv, moduli
-                    )
-                ]
-            )
+        # Going in: psi^k, in gather order. Coming out: psi^-k / n.
+        self.twist = self.lanes.table(
+            _ring_constant(powers(twists, n)[:, self.gather])
+        )
+        untwist = np.stack(
+            [
+                backend.scalar_mul(row, scale, q)
+                for row, scale, q in zip(
+                    powers(inverses(twists), n), inverses([n] * rings), moduli
+                )
+            ]
+        )
         self.untwist = self.lanes.table(_ring_constant(untwist))
 
     def _as_chain(self, stack):
@@ -721,7 +715,7 @@ class _NumpyBackendImpl(ComputeBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def make_ntt_plan(self, n, moduli, roots, twists=None):
+    def make_ntt_plan(self, n, moduli, roots, twists):
         return _NumpyNttPlan(self, n, moduli, roots, twists)
 
     # -- linear algebra ----------------------------------------------------

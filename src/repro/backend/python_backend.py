@@ -54,24 +54,18 @@ def _powers(base: int, count: int, q: int) -> list[int]:
 class _PythonRingPlan:
     """One residue ring of a chain: the textbook transform mod one q."""
 
-    def __init__(self, n: int, q: int, root: int, psi: int | None):
+    def __init__(self, n: int, q: int, root: int, psi: int):
         self.q = q
         self.root = root
         self.root_inv = mod_inverse(root, q)
         n_inv = mod_inverse(n, q)
-        # A negacyclic ring twists by psi^k going in and by psi^-k / n
-        # coming out; a cyclic one only scales by 1/n coming out.
-        self.twist = None if psi is None else _powers(psi, n, q)
-        self.untwist = (
-            [n_inv] * n
-            if psi is None
-            else [p * n_inv % q for p in _powers(mod_inverse(psi, q), n, q)]
-        )
+        # Twist by psi^k going in, by psi^-k / n coming out.
+        self.twist = _powers(psi, n, q)
+        self.untwist = [p * n_inv % q for p in _powers(mod_inverse(psi, q), n, q)]
 
     def forward(self, vec: list[int]) -> list[int]:
         q = self.q
-        if self.twist is not None:
-            vec = [x * w % q for x, w in zip(vec, self.twist)]
+        vec = [x * w % q for x, w in zip(vec, self.twist)]
         return _iterative_ntt(vec, self.root, q)
 
     def inverse(self, vec: list[int]) -> list[int]:
@@ -89,9 +83,7 @@ class _PythonNttPlan(NttPlan):
         self.n = n
         self.rings = [
             _PythonRingPlan(n, q, root, psi)
-            for q, root, psi in zip(
-                moduli, roots, twists or [None] * len(moduli), strict=True
-            )
+            for q, root, psi in zip(moduli, roots, twists, strict=True)
         ]
 
     def _each(self, stack, transform):
@@ -242,7 +234,7 @@ class PythonBackend(ComputeBackend):
 
     # -- transforms --------------------------------------------------------
 
-    def make_ntt_plan(self, n, moduli, roots, twists=None):
+    def make_ntt_plan(self, n, moduli, roots, twists):
         return _PythonNttPlan(n, moduli, roots, twists)
 
     # -- linear algebra ----------------------------------------------------

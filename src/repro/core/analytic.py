@@ -30,10 +30,6 @@ class AnalyticLatency:
     def total_seconds(self) -> float:
         return self.service_seconds + self.queue_seconds
 
-    @property
-    def stable(self) -> bool:
-        return self.utilization < 1.0
-
 
 def online_service_seconds(config: SystemConfig) -> float:
     """Online-phase duration: comm + GC evaluation + SS."""

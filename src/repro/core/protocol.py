@@ -208,13 +208,9 @@ class HybridProtocol:
 
         Both sessions charge identical per-phase stats; exposing the
         client's keeps the monolith-era reading (`protocol.channel`)
-        working, including replacing it with a recording subclass.
+        working.
         """
         return self.client.channel
-
-    @channel.setter
-    def channel(self, value: Channel) -> None:
-        self.client.channel = value
 
     @property
     def counters(self) -> ProtocolCounters:
@@ -224,14 +220,6 @@ class HybridProtocol:
     @property
     def client_r(self) -> list[list[int]]:
         return self.client.client_r
-
-    @property
-    def server_s(self) -> list[list[int]]:
-        return self.server.server_s
-
-    @property
-    def client_linear_share(self) -> list[list[int]]:
-        return self.client.client_linear_share
 
     @property
     def _gc_parties(self) -> tuple:

@@ -1,23 +1,20 @@
 """Shared cryptographic utilities: modular math, PRG/hashing, randomness."""
 
 from repro.crypto.modmath import (
-    centered,
     find_ntt_prime,
     is_probable_prime,
     mod_inverse,
     primitive_root_of_unity,
 )
-from repro.crypto.prg import LABEL_BYTES, Prg, hash_label, hash_pair, xor_bytes
+from repro.crypto.prg import LABEL_BYTES, Prg, hash_label, xor_bytes
 from repro.crypto.rng import SecureRandom
 
 __all__ = [
     "LABEL_BYTES",
     "Prg",
     "SecureRandom",
-    "centered",
     "find_ntt_prime",
     "hash_label",
-    "hash_pair",
     "is_probable_prime",
     "mod_inverse",
     "primitive_root_of_unity",

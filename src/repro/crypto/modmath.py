@@ -1,4 +1,4 @@
-"""Modular arithmetic helpers used across the HE, SS, and OT substrates.
+"""Modular arithmetic helpers for the HE and OT substrates and share arithmetic.
 
 Scalar helpers operate on plain Python integers so that moduli larger than
 64 bits (e.g. the ~41-bit DELPHI share prime or a 60-bit RLWE ciphertext
@@ -10,7 +10,6 @@ numpy is available without holding backend state themselves.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -151,10 +150,6 @@ def register_modulus_factors(modulus: int, factors: Sequence[int]) -> None:
     _MODULUS_FACTORS[modulus] = factors
 
 
-def registered_modulus_factors(modulus: int) -> tuple[int, ...] | None:
-    return _MODULUS_FACTORS.get(modulus)
-
-
 def primitive_root_of_unity(order: int, p: int) -> int:
     """A primitive ``order``-th root of unity modulo ``p``.
 
@@ -203,23 +198,6 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
-def random_prime(bits: int, rng: random.Random | None = None) -> int:
-    """A random prime with exactly ``bits`` bits."""
-    rng = rng or random.Random()
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate):
-            return candidate
-
-
-def centered(value: int, modulus: int) -> int:
-    """Map ``value`` mod ``modulus`` into the centered range (-m/2, m/2]."""
-    value %= modulus
-    if value > modulus // 2:
-        value -= modulus
-    return value
-
-
 # -- vectorized helpers (backend-dispatched) -----------------------------------
 #
 # The backend import is deferred into each function: repro.backend imports
@@ -248,32 +226,6 @@ def mod_sub_vec(
     """Elementwise (a - b) mod modulus."""
     be = _backend(modulus, prefer)
     return be.tolist(be.sub(be.asvec(a, modulus), be.asvec(b, modulus), modulus))
-
-
-def mod_mul_vec(
-    a: Sequence[int], b: Sequence[int], modulus: int, prefer: str | None = None
-) -> list[int]:
-    """Elementwise (a * b) mod modulus."""
-    be = _backend(modulus, prefer)
-    return be.tolist(be.mul(be.asvec(a, modulus), be.asvec(b, modulus), modulus))
-
-
-def mod_pow_vec(
-    bases: Sequence[int], exponent: int, modulus: int, prefer: str | None = None
-) -> list[int]:
-    """Elementwise pow(base, exponent, modulus) by square-and-multiply."""
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    be = _backend(modulus, prefer)
-    base = be.asvec(bases, modulus)
-    result = be.asvec([1] * be.veclen(base), modulus)
-    while exponent:
-        if exponent & 1:
-            result = be.mul(result, base, modulus)
-        exponent >>= 1
-        if exponent:
-            base = be.mul(base, base, modulus)
-    return be.tolist(result)
 
 
 def matvec_mod(

@@ -92,11 +92,6 @@ def hash_lanes(lanes: int, nbytes: int, state) -> int:
     return int.from_bytes(b"".join(digests), "little")
 
 
-def hash_pair(a: bytes, b: bytes, tweak: int) -> bytes:
-    """Hash of two labels (classic two-input garbling hash)."""
-    return hash_label(a + b, tweak)
-
-
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
@@ -132,17 +127,6 @@ class Prg:
             self._buffer += block
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
-
-    def read_int(self, bits: int) -> int:
-        """Return a pseudo-random integer with at most ``bits`` bits."""
-        nbytes = (bits + 7) // 8
-        value = int.from_bytes(self.read(nbytes), "little")
-        return value & ((1 << bits) - 1)
-
-    def read_bits(self, n: int) -> list[int]:
-        """Return ``n`` pseudo-random bits as a list of 0/1 ints."""
-        value = self.read_int(n)
-        return [(value >> i) & 1 for i in range(n)]
 
 
 def key_derivation(*parts: bytes) -> bytes:

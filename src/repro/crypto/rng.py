@@ -76,18 +76,11 @@ class SecureRandom:
                 out += [v for v in (w & mask for w in words) if v < modulus]
         return out
 
-    def bit(self) -> int:
-        return self._rng.getrandbits(1)
-
     def bits(self, n: int) -> list[int]:
         return [self._rng.getrandbits(1) for _ in range(n)]
 
     def bytes(self, n: int) -> bytes:
         return self._rng.getrandbits(n * 8).to_bytes(n, "little") if n else b""
-
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
-        return self._rng.randint(low, high)
 
     def ternary_vector(self, n: int) -> list[int]:
         """``n`` draws from {-1, 0, 1} (RLWE secret coefficients): one
@@ -104,9 +97,6 @@ class SecureRandom:
         data = self.bytes(2 * n)
         plus, minus = data[:n].translate(table), data[n:].translate(table)
         return [a - b for a, b in zip(plus, minus)]
-
-    def shuffle(self, items: list) -> None:
-        self._rng.shuffle(items)
 
     def exponential(self, mean: float) -> float:
         """Exponential inter-arrival draw (Poisson process) with given mean."""

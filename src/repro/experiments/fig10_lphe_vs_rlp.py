@@ -57,13 +57,6 @@ def run(
     return rows
 
 
-def run_all(replications: int = 3) -> list[dict]:
-    rows = []
-    for storage in STORAGE_SWEEPS:
-        rows.extend(run(storage_gb=storage, replications=replications))
-    return rows
-
-
 def main() -> None:
     for storage in (8, 16, 64, 140):
         print_rows(

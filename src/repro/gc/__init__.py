@@ -1,4 +1,5 @@
-"""Garbled circuits: free-XOR + half-gates, circuit builder, ReLU circuits."""
+"""Garbled circuits: free-XOR + half-gates garbling, the circuit builder and
+the ReLU circuit."""
 
 from repro.gc.circuit import (
     Circuit,
@@ -8,7 +9,6 @@ from repro.gc.circuit import (
     int_to_bits,
     words_to_int,
 )
-from repro.gc.classic import ClassicEvaluator, ClassicGarbler
 from repro.gc.evaluate import Evaluator
 from repro.gc.garble import GarbledCircuit, Garbler, InputEncoding
 from repro.gc.relu import (
@@ -22,8 +22,6 @@ from repro.gc.relu import (
 __all__ = [
     "Circuit",
     "CircuitBuilder",
-    "ClassicEvaluator",
-    "ClassicGarbler",
     "Evaluator",
     "GarbledCircuit",
     "Garbler",

@@ -4,7 +4,7 @@ from repro.he.bfv import BfvContext, Ciphertext, GaloisKeys, PublicKey, SecretKe
 from repro.he.costmodel import HeOpCount, HeUnitCosts, conv_op_count, fc_op_count
 from repro.he.encoder import BatchEncoder
 from repro.he.linear import HomomorphicLinearEvaluator
-from repro.he.ntt import NegacyclicNtt, Ntt
+from repro.he.ntt import NegacyclicNtt
 from repro.he.params import BfvParams, delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly, clear_ntt_cache
 
@@ -18,7 +18,6 @@ __all__ = [
     "HeUnitCosts",
     "HomomorphicLinearEvaluator",
     "NegacyclicNtt",
-    "Ntt",
     "PublicKey",
     "RingPoly",
     "SecretKey",

@@ -42,15 +42,6 @@ class HeOpCount:
     rotations: int
     additions: int
 
-    def __add__(self, other: "HeOpCount") -> "HeOpCount":
-        return HeOpCount(
-            self.input_ciphertexts + other.input_ciphertexts,
-            self.output_ciphertexts + other.output_ciphertexts,
-            self.plain_mults + other.plain_mults,
-            self.rotations + other.rotations,
-            self.additions + other.additions,
-        )
-
 
 def conv_op_count(
     in_height: int,
@@ -113,11 +104,4 @@ class HeUnitCosts:
             ops.plain_mults * self.plain_mult
             + ops.rotations * self.rotation
             + ops.additions * self.addition
-        )
-
-    def client_seconds(self, ops: HeOpCount) -> float:
-        """Client-side encrypt/decrypt time for one layer's ciphertexts."""
-        return (
-            ops.input_ciphertexts * self.encrypt
-            + ops.output_ciphertexts * self.decrypt
         )

@@ -1,15 +1,12 @@
 """Number-theoretic transforms over Z_q.
 
-Two flavours are provided:
-
-* :class:`Ntt` — the plain cyclic NTT (X^n - 1) over one modulus.
-* :class:`NegacyclicNtt` — the negacyclic NTT (X^n + 1), used for fast
-  multiplication in the RLWE ciphertext ring R_q = Z_q[X]/(X^n + 1) and by
-  the BFV batch encoder to map plaintext slot values to polynomial
-  coefficients. One context serves a whole *chain* of residue rings
-  (:class:`repro.he.polynomial.RnsPoly`), a single modulus being a chain
-  of one: every transform step of a ring element is one plan call, all
-  residue rings stacked.
+:class:`NegacyclicNtt` is the negacyclic NTT (X^n + 1), used for fast
+multiplication in the RLWE ciphertext ring R_q = Z_q[X]/(X^n + 1) and by
+the BFV batch encoder to map plaintext slot values to polynomial
+coefficients. One context serves a whole *chain* of residue rings
+(:class:`repro.he.polynomial.RnsPoly`), a single modulus being a chain of
+one: every transform step of a ring element is one plan call, all residue
+rings stacked.
 
 Root finding lives here; the transform kernel itself, psi-twisting
 included, is delegated to the active compute backend
@@ -31,43 +28,6 @@ import numbers
 
 from repro.backend import ComputeBackend, backend_for
 from repro.crypto.modmath import primitive_root_of_unity
-
-
-class Ntt:
-    """Cyclic NTT of size n over Z_q (requires q ≡ 1 mod n)."""
-
-    def __init__(
-        self,
-        n: int,
-        q: int,
-        root: int | None = None,
-        backend: ComputeBackend | None = None,
-    ):
-        if n & (n - 1):
-            raise ValueError("NTT size must be a power of two")
-        self.n = n
-        self.q = q
-        self.backend = backend or backend_for(q)
-        self.root = root if root is not None else primitive_root_of_unity(n, q)
-        self._plan = self.backend.make_ntt_plan(n, (q,), (self.root,))
-
-    # -- backend-native API -------------------------------------------------
-
-    def forward_vec(self, vec):
-        return self._plan.forward([[vec]])[0][0]
-
-    def inverse_vec(self, vec):
-        return self._plan.inverse([[vec]])[0][0]
-
-    # -- list API (reference semantics) ------------------------------------
-
-    def forward(self, values: list[int]) -> list[int]:
-        be = self.backend
-        return be.tolist(self.forward_vec(be.asvec(values, self.q)))
-
-    def inverse(self, values: list[int]) -> list[int]:
-        be = self.backend
-        return be.tolist(self.inverse_vec(be.asvec(values, self.q)))
 
 
 class NegacyclicNtt:

@@ -172,10 +172,6 @@ class BfvParams:
         return self.q // self.t
 
     @property
-    def slot_count(self) -> int:
-        return self.n
-
-    @property
     def row_size(self) -> int:
         """Slots per batching row (n/2); rotations act within a row."""
         return self.n // 2

@@ -120,12 +120,6 @@ class RingPoly:
         poly._coeffs = None
         return poly
 
-    @classmethod
-    def constant(cls, value: int, n: int, q: int) -> "RingPoly":
-        coeffs = [0] * n
-        coeffs[0] = value % q
-        return cls(coeffs, q)
-
     # -- representation -----------------------------------------------------
 
     @property

@@ -1,6 +1,6 @@
 """Communication substrate: byte-counted channel and TDD bandwidth model."""
 
-from repro.network.bandwidth import GBPS, MBPS, TddLink, even_split
+from repro.network.bandwidth import GBPS, MBPS, TddLink
 from repro.network.channel import CLIENT, SERVER, Channel, wire_size
 from repro.network.serialize import (
     deserialize_ciphertext,
@@ -24,7 +24,6 @@ __all__ = [
     "deserialize_field_vector",
     "deserialize_garbled_circuit",
     "deserialize_labels",
-    "even_split",
     "serialize_ciphertext",
     "serialize_field_vector",
     "serialize_garbled_circuit",

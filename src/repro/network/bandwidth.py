@@ -56,10 +56,5 @@ class TddLink:
         return self.upload_seconds(up_bytes) + self.download_seconds(down_bytes)
 
 
-def even_split(total_bps: float) -> TddLink:
-    """The default provisioning the paper shows is sub-optimal for PI."""
-    return TddLink(total_bps, 0.5)
-
-
 MBPS = 1e6
 GBPS = 1e9

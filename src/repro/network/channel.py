@@ -74,10 +74,6 @@ class Channel:
             raise ValueError(f"unknown phase {phase!r}")
         self._phase = phase
 
-    @property
-    def phase(self) -> str:
-        return self._phase
-
     def send(self, sender: str, payload, nbytes: int | None = None) -> int:
         """Enqueue ``payload`` for the peer; returns the charged byte size."""
         size = wire_size(payload, self._field_bytes) if nbytes is None else nbytes

@@ -52,6 +52,13 @@ def unpack(magic: bytes, frame: bytes) -> tuple:
     return (*fixed.unpack_from(frame, 4), bytes(frame[4 + fixed.size:]))
 
 
+def _hit(flag: int, label: str) -> bool:
+    """A frame's hit byte: 1 is a hit, 0 a miss, anything else malformed."""
+    if flag not in (0, 1):
+        raise TransportError(f"{label} frame hit byte is {flag}, not 0 or 1")
+    return flag == 1
+
+
 def _text(tail: bytes) -> str:
     try:
         return tail.decode()
@@ -83,8 +90,11 @@ def encode_offer(hit: bool, blob: bytes = b"") -> bytes:
 
 
 def decode_offer(frame: bytes) -> tuple[bool, bytes]:
-    hit, blob = unpack(OFFER, frame)
-    return hit == 1, blob
+    flag, blob = unpack(OFFER, frame)
+    hit = _hit(flag, "gateway offer")
+    if blob and not hit:
+        raise TransportError(f"a miss gateway offer carries {len(blob)} byte(s)")
+    return hit, blob
 
 
 def encode_done(request_index: int, hit: bool) -> bytes:
@@ -93,8 +103,8 @@ def encode_done(request_index: int, hit: bool) -> bytes:
 
 
 def decode_done(frame: bytes) -> tuple[int, bool]:
-    request_index, hit, _ = unpack(DONE, frame)
-    return request_index, hit == 1
+    request_index, flag, _ = unpack(DONE, frame)
+    return request_index, _hit(flag, "gateway done")
 
 
 def encode_busy(retry_after: float) -> bytes:

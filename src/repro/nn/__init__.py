@@ -29,7 +29,6 @@ from repro.nn.models import (
 from repro.nn.network import Network
 from repro.nn.quantize import FixedPointEncoder, quantize_network
 from repro.nn.shapes import LinearLayerInfo, ReluLayerInfo, TensorShape
-from repro.nn.transforms import polynomialize_relus, prune_relus
 
 __all__ = [
     "AvgPool2d",
@@ -39,8 +38,6 @@ __all__ = [
     "DatasetSpec",
     "FixedPointEncoder",
     "Flatten",
-    "polynomialize_relus",
-    "prune_relus",
     "quantize_network",
     "GlobalAvgPool",
     "IMAGENET",

@@ -31,14 +31,6 @@ class Layer:
         """Exact forward pass over Z_modulus (protocol reference)."""
         raise NotImplementedError
 
-    @property
-    def is_linear(self) -> bool:
-        return False
-
-    @property
-    def is_relu(self) -> bool:
-        return False
-
 
 def _as_chw(x: np.ndarray) -> np.ndarray:
     if x.ndim != 3:
@@ -71,10 +63,6 @@ class Conv2d(Layer):
         if weights.shape != (out_channels, in_channels, kernel, kernel):
             raise ValueError("weight shape mismatch")
         self.weights = weights
-
-    @property
-    def is_linear(self) -> bool:
-        return True
 
     def output_shape(self, in_shape: TensorShape) -> TensorShape:
         if in_shape.channels != self.in_channels:
@@ -130,10 +118,6 @@ class Linear(Layer):
             raise ValueError("weight shape mismatch")
         self.weights = weights
 
-    @property
-    def is_linear(self) -> bool:
-        return True
-
     def output_shape(self, in_shape: TensorShape) -> TensorShape:
         if in_shape.elements != self.in_features:
             raise ValueError(
@@ -154,10 +138,6 @@ class ReLU(Layer):
 
     def __init__(self, name: str = "relu"):
         self.name = name
-
-    @property
-    def is_relu(self) -> bool:
-        return True
 
     def output_shape(self, in_shape: TensorShape) -> TensorShape:
         return in_shape
@@ -180,10 +160,6 @@ class AvgPool2d(Layer):
     def __init__(self, kernel: int = 2, name: str = "avgpool"):
         self.kernel = kernel
         self.name = name
-
-    @property
-    def is_linear(self) -> bool:
-        return False  # folded into adjacent linear layers in the protocol
 
     def output_shape(self, in_shape: TensorShape) -> TensorShape:
         if in_shape.height % self.kernel or in_shape.width % self.kernel:

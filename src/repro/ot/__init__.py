@@ -1,18 +1,13 @@
-"""Oblivious transfer: Chou-Orlandi-style base OT and IKNP extension."""
+"""Oblivious transfer: Chou-Orlandi random base OTs seed a connection-long
+IKNP extension stream (:class:`IknpStream`)."""
 
-from repro.ot.base import BaseOtReceiver, BaseOtSender, run_base_ot
+from repro.ot.base import BaseOtReceiver, BaseOtSender
 from repro.ot.extension import (
     KAPPA,
     ExtensionTranscript,
     IknpStream,
     iknp_transcript,
     iknp_transfer,
-)
-from repro.ot.precomputed import (
-    PrecomputedReceiverBatch,
-    PrecomputedSenderBatch,
-    online_ot_bytes,
-    precompute_ots,
 )
 
 __all__ = [
@@ -21,11 +16,6 @@ __all__ = [
     "BaseOtSender",
     "ExtensionTranscript",
     "IknpStream",
-    "PrecomputedReceiverBatch",
-    "PrecomputedSenderBatch",
     "iknp_transcript",
     "iknp_transfer",
-    "online_ot_bytes",
-    "precompute_ots",
-    "run_base_ot",
 ]

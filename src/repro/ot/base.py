@@ -4,10 +4,8 @@ Runs Diffie-Hellman style over the multiplicative group modulo the prime
 2^255 - 19. The sender publishes A = g^a; the receiver with choice bit c
 replies B = g^b (c = 0) or B = A * g^b (c = 1). Natively this is a
 *random* OT: the sender derives the two keys H(B^a) and H(B^a * A^-a), the
-receiver can compute only H(A^b), the key at its choice bit — and that is
-all the IKNP extension needs (the keys are its column seeds). The
-chosen-message form (``encrypt``/``decrypt``/:func:`run_base_ot`) is a thin
-wrapper that pads each message with a PRG stretch of its key.
+receiver can compute only H(A^b), the key at its choice bit. That is
+all the IKNP extension needs: the keys are its column seeds.
 
 Cost per OT: the sender pays one variable-base exponentiation (B^a; the
 second key reuses it through A^-a, computed once per batch); the
@@ -20,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from repro.crypto.modmath import mod_inverse
-from repro.crypto.prg import Prg, key_derivation, xor_bytes
+from repro.crypto.prg import key_derivation
 from repro.crypto.rng import SecureRandom
 
 # 2^255 - 19 (prime); using its multiplicative group keeps exponentiations
@@ -33,10 +31,6 @@ ELEMENT_BYTES = 32  # one encoded group element on the wire
 
 def _encode(element: int) -> bytes:
     return element.to_bytes(ELEMENT_BYTES, "little")
-
-
-def _stretch(key: bytes, n: int) -> bytes:
-    return Prg(key).read(n)
 
 
 def _check_element(element: int) -> int:
@@ -117,20 +111,6 @@ class BaseOtSender:
             )
         return pairs
 
-    def encrypt(
-        self, receiver_points: list[int], message_pairs: list[tuple[bytes, bytes]]
-    ) -> list[tuple[bytes, bytes]]:
-        """Produce the two pad-encrypted messages for each OT instance."""
-        if len(receiver_points) != len(message_pairs):
-            raise ValueError("one receiver point per message pair required")
-        return [
-            (
-                xor_bytes(m0, _stretch(k0, len(m0))),
-                xor_bytes(m1, _stretch(k1, len(m1))),
-            )
-            for (k0, k1), (m0, m1) in zip(self.keys(receiver_points), message_pairs)
-        ]
-
 
 class BaseOtReceiver:
     """Receiver of a batch of base OTs (holds choice bits)."""
@@ -160,39 +140,3 @@ class BaseOtReceiver:
         return [
             _index_key(table.pow(b), index) for index, b in enumerate(self._secrets)
         ]
-
-    def decrypt(
-        self, sender_public: int, ciphertexts: list[tuple[bytes, bytes]]
-    ) -> list[bytes]:
-        """Recover the chosen message of each pair."""
-        out = []
-        for choice, key, pair in zip(
-            self.choices, self.keys(sender_public), ciphertexts
-        ):
-            chosen = pair[choice]
-            out.append(xor_bytes(chosen, _stretch(key, len(chosen))))
-        return out
-
-
-def run_base_ot(
-    message_pairs: list[tuple[bytes, bytes]],
-    choices: list[int],
-    rng: SecureRandom | None = None,
-    channel=None,
-) -> list[bytes]:
-    """Execute a full base-OT batch, optionally accounting bytes on a channel."""
-    rng = rng or SecureRandom()
-    sender = BaseOtSender(rng.spawn())
-    receiver = BaseOtReceiver(choices, rng.spawn())
-    points = receiver.points(sender.public)
-    ciphertexts = sender.encrypt(points, message_pairs)
-    if channel is not None:
-        from repro.network.channel import CLIENT, SERVER
-
-        channel.send(SERVER, _encode(sender.public))
-        channel.recv(CLIENT)
-        channel.send(CLIENT, [_encode(p) for p in points])
-        channel.recv(SERVER)
-        channel.send(SERVER, [c for pair in ciphertexts for c in pair])
-        channel.recv(CLIENT)
-    return receiver.decrypt(sender.public, ciphertexts)

@@ -55,7 +55,6 @@ __all__ = [
     "record_frame",
     "section",
     "snapshot_to_prometheus",
-    "span",
     "validate_trace_events",
 ]
 
@@ -72,11 +71,6 @@ def configure(enabled: bool) -> None:
 
 def enabled() -> bool:
     return TRACER.enabled
-
-
-def span(name: str, track: int | None = None, **args):
-    """Shorthand for ``TRACER.span``."""
-    return TRACER.span(name, track=track, **args)
 
 
 class _Section:

@@ -297,17 +297,6 @@ class ServiceModel:
     prefill: int = 1
     max_queue: int = DEFAULT_MAX_QUEUE
 
-    def to_json_dict(self) -> dict:
-        return {
-            "online_seconds": round(self.online_seconds, 6),
-            "demand_mint_seconds": round(self.demand_mint_seconds, 6),
-            "refill_mint_seconds": round(self.refill_mint_seconds, 6),
-            "workers": self.workers,
-            "store_entries": self.store_entries,
-            "prefill": self.prefill,
-            "max_queue": self.max_queue,
-        }
-
 
 def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     """Replay a schedule through the discrete-event engine; returns columns.

@@ -19,7 +19,7 @@ from repro.crypto.modmath import (
     generate_ntt_primes,
     primitive_root_of_unity,
 )
-from repro.he.ntt import NegacyclicNtt, Ntt
+from repro.he.ntt import NegacyclicNtt
 
 np = pytest.importorskip("numpy")
 NP = get_backend("numpy")
@@ -30,13 +30,12 @@ PY = get_backend("python")
 REGIMES = {"narrow": 30, "edge": 31, "wide": 62}
 
 
-def _plans(n, moduli, negacyclic=True):
+def _plans(n, moduli):
     psis = [primitive_root_of_unity(2 * n, q) for q in moduli]
     roots = [psi * psi % q for psi, q in zip(psis, moduli)]
-    twists = psis if negacyclic else None
     return (
-        NP.make_ntt_plan(n, moduli, roots, twists),
-        PY.make_ntt_plan(n, moduli, roots, twists),
+        NP.make_ntt_plan(n, moduli, roots, psis),
+        PY.make_ntt_plan(n, moduli, roots, psis),
     )
 
 
@@ -68,8 +67,8 @@ def _check(got, want, moduli, lazy):
             assert values == want_row
 
 
-def _compare(n, moduli, rows, rng, negacyclic=True):
-    fast, reference = _plans(n, moduli, negacyclic)
+def _compare(n, moduli, rows, rng):
+    fast, reference = _plans(n, moduli)
     for name, stack in _stacks(n, moduli, [rows] * len(moduli), rng):
         native = np.asarray(stack, dtype=np.uint64).reshape(len(moduli), rows, n)
         want = reference.forward(stack)
@@ -82,7 +81,7 @@ def _compare(n, moduli, rows, rng, negacyclic=True):
 
 class TestBitIdentity:
     @pytest.mark.parametrize("regime", REGIMES)
-    @pytest.mark.parametrize("n", (2, 4, 8, 16, 32, 64, 128, 512))
+    @pytest.mark.parametrize("n", (2, 4, 8, 16, 32, 64, 128, 256, 512))
     def test_every_degree_chain_length_and_row_count(self, n, regime):
         """n = 2 … 512 (below 64 the plain walk, from 64 up the
         transposed short stages), chains of 1–6 primes, 0–7 rows."""
@@ -109,13 +108,12 @@ class TestBitIdentity:
         _check(fast.forward(native), reference.forward(stack), primes, lazy=False)
         _check(fast.inverse(native), reference.inverse(stack), primes, lazy=False)
 
-    @pytest.mark.parametrize("negacyclic", (True, False))
-    def test_degree_one_runs_no_stage(self, negacyclic):
+    def test_degree_one_runs_no_stage(self):
         """A one-point transform is the identity, as on the reference."""
         moduli = (find_ntt_prime(30, 2), find_ntt_prime(62, 2))
         for length in (1, 2):
             chain = moduli[:length]
-            fast, reference = _plans(1, chain, negacyclic)
+            fast, reference = _plans(1, chain)
             stack = [[[0], [q - 1], [q // 3]] for q in chain]
             native = np.asarray(stack, dtype=np.uint64)
             for call in ("forward", "inverse"):
@@ -138,13 +136,6 @@ class TestBitIdentity:
             generate_ntt_primes(n, 1, 31)[0],
         )
         _compare(n, moduli, 3, random.Random(5))
-
-    @pytest.mark.parametrize("regime", REGIMES)
-    @pytest.mark.parametrize("n", (4, 64, 256))
-    def test_cyclic_plans(self, n, regime):
-        """No twist going in, the bare 1/n coming out."""
-        moduli = generate_ntt_primes(n, 2, REGIMES[regime])
-        _compare(n, moduli, 2, random.Random(n), negacyclic=False)
 
 
 class TestChainContext:
@@ -170,6 +161,19 @@ class TestChainContext:
         assert [[be.tolist(r) for r in rows] for rows in back] == [
             [be.tolist(r) for r in rows] for rows in stack
         ]
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_a_plan_takes_one_twist_per_modulus(self, backend_name):
+        """Every plan is negacyclic: no twists is no plan, and a twist
+        list shorter than the chain is refused, not zipped short."""
+        be = get_backend(backend_name)
+        n, primes = 16, generate_ntt_primes(16, 2, 30)
+        psis = [primitive_root_of_unity(2 * n, q) for q in primes]
+        roots = [psi * psi % q for psi, q in zip(psis, primes)]
+        with pytest.raises(TypeError):
+            be.make_ntt_plan(n, primes, roots)
+        with pytest.raises(ValueError):
+            be.make_ntt_plan(n, primes, roots, psis[:1])
 
     def test_a_numpy_integer_is_one_modulus_not_a_chain(self):
         q = find_ntt_prime(30, 64)
@@ -226,18 +230,6 @@ class TestWrongLengthRows:
         for call in (ntt.forward_vec, ntt.inverse_vec):
             with pytest.raises(ValueError, match=rf"{self.N}\b.*\b{length}\b"):
                 call(bad)
-
-    @pytest.mark.parametrize("length", (8, 32))
-    @pytest.mark.parametrize("backend_name", available_backends())
-    def test_cyclic_vec_calls(self, backend_name, length):
-        be = get_backend(backend_name)
-        ntt = Ntt(self.N, self.Q, backend=be)
-        bad = be.asvec(list(range(length)), self.Q)
-        for call in (ntt.forward_vec, ntt.inverse_vec):
-            with pytest.raises(ValueError, match=rf"{self.N}\b.*\b{length}\b"):
-                call(bad)
-        with pytest.raises(ValueError):
-            ntt.forward(list(range(length)))
 
     @pytest.mark.parametrize("backend_name", available_backends())
     def test_a_stack_for_the_wrong_number_of_rings(self, backend_name):

@@ -15,7 +15,7 @@ from repro.core.wsa import (
     optimize,
     sweep_allocations,
 )
-from repro.network.bandwidth import GBPS, MBPS, TddLink, even_split
+from repro.network.bandwidth import GBPS, MBPS, TddLink
 from repro.nn.datasets import TINY_IMAGENET
 from repro.nn.models import resnet18
 from repro.profiling.model_costs import CommVolumes, Protocol, profile_network
@@ -51,9 +51,6 @@ class TestTddLink:
             TddLink(1e9, 0.0)
         with pytest.raises(ValueError):
             TddLink(1e9, 1.0)
-
-    def test_even_split_helper(self):
-        assert even_split(1e9).upload_fraction == 0.5
 
     def test_units(self):
         assert GBPS == 1000 * MBPS

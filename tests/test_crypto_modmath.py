@@ -1,18 +1,14 @@
 """Unit and property tests for modular arithmetic helpers."""
 
-import random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.modmath import (
-    centered,
     find_ntt_prime,
     is_probable_prime,
     mod_inverse,
     primitive_root_of_unity,
-    random_prime,
 )
 
 
@@ -90,26 +86,3 @@ class TestPrimitiveRootOfUnity:
         assert pow(root, 256, q) == 1
         assert pow(root, 128, q) == q - 1  # psi^n == -1 for negacyclic psi
 
-
-class TestCentered:
-    @given(st.integers(), st.integers(min_value=2, max_value=10**9))
-    def test_range_and_congruence(self, v, m):
-        c = centered(v, m)
-        assert -m // 2 <= c <= m // 2
-        assert (c - v) % m == 0
-
-    def test_boundaries(self):
-        assert centered(3, 6) == 3
-        assert centered(4, 6) == -2
-        assert centered(5, 7) == -2
-
-
-class TestRandomPrime:
-    def test_bit_length_and_primality(self):
-        rng = random.Random(7)
-        p = random_prime(48, rng)
-        assert p.bit_length() == 48
-        assert is_probable_prime(p)
-
-    def test_deterministic_with_seed(self):
-        assert random_prime(32, random.Random(1)) == random_prime(32, random.Random(1))

@@ -8,7 +8,6 @@ from repro.crypto.prg import (
     LABEL_BYTES,
     Prg,
     hash_label,
-    hash_pair,
     key_derivation,
     xor_bytes,
 )
@@ -26,15 +25,6 @@ class TestHashLabel:
 
     def test_label_sensitivity(self):
         assert hash_label(b"a" * 16, 0) != hash_label(b"b" * 16, 0)
-
-
-class TestHashPair:
-    def test_arg_order_matters(self):
-        a, b = b"x" * 16, b"y" * 16
-        assert hash_pair(a, b, 0) != hash_pair(b, a, 0)
-
-    def test_length(self):
-        assert len(hash_pair(b"1" * 16, b"2" * 16, 9)) == LABEL_BYTES
 
 
 class TestXorBytes:
@@ -81,17 +71,6 @@ class TestPrg:
     def test_negative_read_rejected(self):
         with pytest.raises(ValueError):
             Prg(b"s").read(-1)
-
-    @given(st.integers(min_value=1, max_value=256))
-    def test_read_int_bit_bound(self, bits):
-        value = Prg(b"q").read_int(bits)
-        assert 0 <= value < (1 << bits)
-
-    def test_read_bits(self):
-        bits = Prg(b"b").read_bits(64)
-        assert len(bits) == 64
-        assert set(bits) <= {0, 1}
-        assert 10 < sum(bits) < 54  # sanity: not constant
 
 
 class TestKeyDerivation:

@@ -174,3 +174,50 @@ class TestCenteredBinomialVector:
         for eta in (0, 9):
             with pytest.raises(ValueError):
                 SecureRandom(9).centered_binomial_vector(8, eta)
+
+
+class TestScalarDraws:
+    """The draws outside the vector path: base-OT secrets and choice
+    bits, per-stream spawns, and the workload generators' clocks."""
+
+    def test_field_element_range_and_seed(self):
+        draws = [SecureRandom(3).field_element(7) for _ in range(2)]
+        assert draws[0] == draws[1]
+        rng = SecureRandom(4)
+        assert set(rng.field_element(7) for _ in range(700)) == set(range(7))
+
+    def test_bits_are_binary_balanced_and_seeded(self):
+        bits = SecureRandom(5).bits(4000)
+        assert set(bits) == {0, 1}
+        assert 1800 < sum(bits) < 2200
+        assert bits == SecureRandom(5).bits(4000)
+        assert SecureRandom(5).bits(0) == []
+
+    def test_bytes_length_and_seed(self):
+        for n in (0, 1, 16, 33):
+            data = SecureRandom(6).bytes(n)
+            assert isinstance(data, bytes) and len(data) == n
+            assert data == SecureRandom(6).bytes(n)
+        assert SecureRandom(6).bytes(32) != SecureRandom(7).bytes(32)
+
+    def test_exponential_mean(self):
+        rng = SecureRandom(8)
+        draws = [rng.exponential(2.5) for _ in range(20000)]
+        assert min(draws) >= 0
+        assert sum(draws) / len(draws) == pytest.approx(2.5, rel=0.05)
+
+    def test_uniform_bounds_and_mean(self):
+        rng = SecureRandom(9)
+        draws = [rng.uniform(-1.0, 3.0) for _ in range(20000)]
+        assert all(-1.0 <= d < 3.0 for d in draws)
+        assert sum(draws) / len(draws) == pytest.approx(1.0, abs=0.05)
+        assert 0.0 <= SecureRandom(9).uniform() < 1.0
+
+    def test_spawn_is_seeded_and_independent_of_the_parent(self):
+        parent, twin = SecureRandom(10), SecureRandom(10)
+        child, twin_child = parent.spawn(), twin.spawn()
+        assert child.bytes(32) == twin_child.bytes(32)
+        # The child is a new stream, not the parent's continuation, and a
+        # second spawn is a different stream again.
+        assert parent.bytes(32) != child.bytes(32)
+        assert parent.spawn().bytes(32) != SecureRandom(10).spawn().bytes(32)

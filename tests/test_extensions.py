@@ -1,5 +1,4 @@
-"""Tests for the extension modules: energy, PI-friendly transforms,
-analytic queueing, and the CLI."""
+"""Tests for the analytic queueing model and the CLI."""
 
 import pytest
 
@@ -12,10 +11,9 @@ from repro.core.analytic import (
     worst_case_latency,
 )
 from repro.core.system import OfflineParallelism, SystemConfig, simulate_mean_latency
-from repro.nn.datasets import CIFAR100, TINY_IMAGENET
-from repro.nn.models import resnet18, resnet32
-from repro.nn.transforms import polynomialize_relus, prune_relus
-from repro.profiling.energy import EnergyBudget, client_energy, garbling_energy_ratio
+from repro.experiments import ALL_EXPERIMENTS
+from repro.nn.datasets import TINY_IMAGENET
+from repro.nn.models import resnet18
 from repro.profiling.model_costs import Protocol, profile_network
 
 
@@ -33,83 +31,6 @@ def cg_config(r18_tiny):
         wsa=True,
         parallelism=OfflineParallelism.LPHE,
     )
-
-
-class TestEnergy:
-    def test_ratio_matches_paper(self, r18_tiny):
-        assert garbling_energy_ratio(r18_tiny) == pytest.approx(2.33 / 1.25)
-
-    def test_budget_components_positive(self, r18_tiny):
-        budget = client_energy(r18_tiny, Protocol.CLIENT_GARBLER)
-        assert budget.gc_joules > 0
-        assert budget.he_joules > 0
-        assert budget.radio_joules > 0
-        assert budget.total_joules == pytest.approx(
-            budget.gc_joules + budget.he_joules + budget.radio_joules
-        )
-
-    def test_radio_dominates_on_big_network(self, r18_tiny):
-        """Tens of GB over the radio dwarf the GC crypto energy."""
-        budget = client_energy(r18_tiny, Protocol.SERVER_GARBLER)
-        assert budget.radio_joules > budget.gc_joules
-
-    def test_battery_fraction(self, r18_tiny):
-        budget = client_energy(r18_tiny, Protocol.CLIENT_GARBLER)
-        fraction = budget.battery_fraction(battery_wh=15.0)
-        assert 0 < fraction < 0.1  # one inference: percent-level battery
-
-
-class TestTransforms:
-    def test_prune_reduces_relus(self):
-        net = resnet32(CIFAR100)
-        pruned = prune_relus(net, keep_fraction=0.5)
-        assert pruned.relu_count <= net.relu_count * 0.55
-        assert pruned.relu_count > 0
-
-    def test_prune_keeps_linear_layers(self):
-        net = resnet32(CIFAR100)
-        pruned = prune_relus(net, keep_fraction=0.3)
-        assert pruned.linear_layer_count == net.linear_layer_count
-
-    def test_prune_shrinks_cost_profile(self):
-        net = resnet18(TINY_IMAGENET)
-        pruned = prune_relus(net, keep_fraction=0.1)
-        before = profile_network(net).storage(Protocol.SERVER_GARBLER).client_bytes
-        after = profile_network(pruned).storage(Protocol.SERVER_GARBLER).client_bytes
-        assert after < before * 0.2
-
-    def test_prune_validation(self):
-        with pytest.raises(ValueError):
-            prune_relus(resnet32(CIFAR100), keep_fraction=0.0)
-
-    def test_prune_full_keep_is_identity(self):
-        net = resnet32(CIFAR100)
-        assert prune_relus(net, 1.0).relu_count == net.relu_count
-
-    def test_polynomialize_split(self):
-        net = resnet32(CIFAR100)
-        costs = polynomialize_relus(net, poly_fraction=0.5)
-        total = costs.gc_relus + costs.poly_activations
-        assert total == net.relu_count
-        assert costs.poly_activations >= 0.5 * total
-        assert 0 < costs.gc_fraction < 0.5 + 0.2
-
-    def test_polynomialize_extremes(self):
-        net = resnet32(CIFAR100)
-        none = polynomialize_relus(net, 0.0)
-        assert none.poly_activations == 0
-        everything = polynomialize_relus(net, 1.0)
-        assert everything.gc_relus == 0
-
-    def test_polynomialize_byte_costs(self):
-        net = resnet32(CIFAR100)
-        costs = polynomialize_relus(net, 1.0)
-        assert costs.beaver_triple_bytes() == 3 * 6 * net.relu_count
-        assert costs.online_opening_bytes() == 4 * 6 * net.relu_count
-
-    def test_polynomialize_validation(self):
-        with pytest.raises(ValueError):
-            polynomialize_relus(resnet32(CIFAR100), 1.5)
 
 
 class TestAnalytic:
@@ -180,3 +101,27 @@ class TestCli:
         from repro.__main__ import main
 
         assert main(["fig99"]) == 2
+
+    @pytest.mark.parametrize("key", list(ALL_EXPERIMENTS))
+    def test_every_experiment_prints_its_rows(self, key, capsys):
+        """``python -m repro all`` runs each ``main()``; none is reached
+        by a ``run()`` test."""
+        from repro.__main__ import main
+
+        assert main([key]) == 0
+        out = capsys.readouterr().out
+        titles = [line for line in out.splitlines() if line.startswith("== ")]
+        assert titles, out
+        assert "(no rows)" not in out
+        # A title, a header and at least one row for every table printed.
+        assert len(out.strip().splitlines()) >= 3 * len(titles)
+
+    def test_fast_runs_the_analytic_set(self, capsys):
+        from repro.__main__ import FAST, main
+
+        assert main(["fast"]) == 0
+        titles = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("== ")
+        ]
+        assert len(titles) >= len(FAST)

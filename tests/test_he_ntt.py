@@ -1,11 +1,11 @@
-"""Tests for cyclic and negacyclic NTTs."""
+"""Tests for the negacyclic NTT."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.modmath import find_ntt_prime
-from repro.he.ntt import NegacyclicNtt, Ntt
+from repro.he.ntt import NegacyclicNtt
 
 Q = find_ntt_prime(40, 64)
 
@@ -22,32 +22,6 @@ def schoolbook_negacyclic(a, b, q):
             else:
                 out[k - n] = (out[k - n] - ai * bj) % q
     return out
-
-
-class TestNtt:
-    def test_roundtrip(self):
-        ntt = Ntt(64, Q)
-        values = list(range(64))
-        assert ntt.inverse(ntt.forward(values)) == values
-
-    def test_size_validation(self):
-        ntt = Ntt(64, Q)
-        with pytest.raises(ValueError):
-            ntt.forward([1] * 32)
-        with pytest.raises(ValueError):
-            ntt.inverse([1] * 32)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError):
-            Ntt(48, Q)
-
-    def test_linearity(self):
-        ntt = Ntt(64, Q)
-        a = [i * 7 % Q for i in range(64)]
-        b = [i * i % Q for i in range(64)]
-        fa, fb = ntt.forward(a), ntt.forward(b)
-        fsum = ntt.forward([(x + y) % Q for x, y in zip(a, b)])
-        assert fsum == [(x + y) % Q for x, y in zip(fa, fb)]
 
 
 class TestNegacyclicNtt:
@@ -86,3 +60,40 @@ class TestNegacyclicNtt:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             NegacyclicNtt(20, Q)
+
+    def test_size_validation(self):
+        ntt = NegacyclicNtt(64, Q)
+        with pytest.raises(ValueError):
+            ntt.forward([1] * 32)
+        with pytest.raises(ValueError):
+            ntt.inverse([1] * 128)
+
+    def test_linearity(self):
+        ntt = NegacyclicNtt(64, Q)
+        a = [i * 7 % Q for i in range(64)]
+        b = [i * i % Q for i in range(64)]
+        fa, fb = ntt.forward(a), ntt.forward(b)
+        fsum = ntt.forward([(x + y) % Q for x, y in zip(a, b)])
+        assert fsum == [(x + y) % Q for x, y in zip(fa, fb)]
+
+    def test_forward_evaluates_at_the_odd_powers_of_psi(self):
+        """The transform is evaluation at the n roots of X^n + 1, in some
+        order: psi^(2i+1) for the primitive 2n-th root psi."""
+        n, q = 16, find_ntt_prime(40, 16)
+        ntt = NegacyclicNtt(n, q)
+        (psi,) = ntt.psis
+        coeffs = [(3 * k * k + 1) % q for k in range(n)]
+        points = [pow(psi, 2 * i + 1, q) for i in range(n)]
+        want = [
+            sum(c * pow(x, k, q) for k, c in enumerate(coeffs)) % q for x in points
+        ]
+        assert sorted(ntt.forward(coeffs)) == sorted(want)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=Q - 1), min_size=16, max_size=16),
+        st.lists(st.integers(min_value=0, max_value=Q - 1), min_size=16, max_size=16),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_multiply_commutes(self, a, b):
+        ntt = NegacyclicNtt(16, Q)
+        assert ntt.multiply(a, b) == ntt.multiply(b, a)

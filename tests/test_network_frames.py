@@ -122,3 +122,19 @@ def test_decode_accepts_exactly_what_the_table_says(magic, damage):
 def test_undecodable_tails_are_transport_errors(decode, frame):
     with pytest.raises(TransportError):
         decode(frame)
+
+
+@pytest.mark.parametrize(
+    "decode, frame, match",
+    [
+        (decode_offer, b"GWO1\x02", "hit byte is 2"),
+        (decode_offer, b"GWO1\xffprecompute", "hit byte is 255"),
+        (decode_done, b"GWD1\x07\x00\x00\x00\x02", "hit byte is 2"),
+        (decode_done, b"GWD1\x07\x00\x00\x00\xff", "hit byte is 255"),
+        (decode_offer, b"GWO1\x00precompute", "miss gateway offer carries 10"),
+    ],
+)
+def test_hit_byte_and_offer_tail_must_agree(decode, frame, match):
+    """A hit byte is 0 or 1, and only a hit OFFER carries a precompute."""
+    with pytest.raises(TransportError, match=match):
+        decode(frame)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.crypto.prg import Prg, hash_label, key_derivation
 from repro.crypto.rng import SecureRandom
-from repro.network.channel import Channel
 from repro.ot import extension
 from repro.ot.base import (
     GENERATOR,
@@ -17,7 +16,6 @@ from repro.ot.base import (
     BaseOtReceiver,
     BaseOtSender,
     FixedBaseTable,
-    run_base_ot,
 )
 from repro.ot.extension import (
     KAPPA,
@@ -64,6 +62,38 @@ class TestRandomBaseOt:
                 assert key == pair[choice]
                 assert key != pair[1 - choice]
 
+    @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12))
+    @settings(max_examples=8, deadline=None)
+    def test_all_choice_patterns(self, choices):
+        sender = BaseOtSender(SecureRandom(len(choices)))
+        receiver = BaseOtReceiver(choices, SecureRandom(sum(choices) + 50))
+        sender_keys = sender.keys(receiver.points(sender.public))
+        assert len(sender_keys) == len(choices)
+        assert receiver.keys(sender.public) == [
+            pair[c] for c, pair in zip(choices, sender_keys)
+        ]
+
+    def test_keys_are_kdf_width_and_distinct_across_instances(self):
+        """Equal choices still give unrelated keys: each instance has its
+        own secret and its index in the KDF."""
+        choices = [0] * 4 + [1] * 4
+        sender = BaseOtSender(SecureRandom(61))
+        receiver = BaseOtReceiver(choices, SecureRandom(62))
+        pairs = sender.keys(receiver.points(sender.public))
+        flat = [key for pair in pairs for key in pair]
+        assert {len(key) for key in flat} == {len(key_derivation(b"x", b"y"))}
+        assert len(set(flat)) == len(flat)
+
+    def test_a_different_sender_gives_the_receiver_nothing(self):
+        """Keys from one sender's public value are not another's keys."""
+        choices = [0, 1, 1, 0]
+        receiver = BaseOtReceiver(choices, SecureRandom(71))
+        honest, other = BaseOtSender(SecureRandom(72)), BaseOtSender(SecureRandom(73))
+        pairs = honest.keys(receiver.points(honest.public))
+        wrong = receiver.keys(other.public)
+        for key, pair in zip(wrong, pairs):
+            assert key not in pair
+
     def test_keys_equal_the_two_modexp_definition(self):
         """k0 = KDF(B^a, i), k1 = KDF((B/A)^a, i), receiver KDF(A^b, i)."""
         choices = [0, 1, 1]
@@ -109,8 +139,6 @@ class TestGroupElementsAreValidated:
             receiver.points(element)
         with pytest.raises(ValueError, match="degenerate"):
             receiver.keys(element)
-        with pytest.raises(ValueError, match="degenerate"):
-            receiver.decrypt(element, [(b"x" * 16, b"y" * 16)] * 2)
 
     @pytest.mark.parametrize("element", DEGENERATE_ELEMENTS)
     def test_sender_rejects_a_degenerate_receiver_point(self, element):
@@ -118,61 +146,11 @@ class TestGroupElementsAreValidated:
         points = BaseOtReceiver([0, 1], SecureRandom(42)).points(sender.public)
         with pytest.raises(ValueError, match="degenerate"):
             sender.keys(points[:1] + [element])
-        with pytest.raises(ValueError, match="degenerate"):
-            sender.encrypt([element], [(b"x" * 16, b"y" * 16)])
 
     def test_the_extremes_of_the_valid_range_are_accepted(self):
         sender = BaseOtSender(SecureRandom(43))
         assert len(sender.keys([2, GROUP_PRIME - 2])) == 2
         assert len(BaseOtReceiver([1], SecureRandom(44)).keys(2)) == 1
-
-
-class TestBaseOt:
-    def test_receiver_gets_chosen_message(self):
-        pairs = [(b"zero" + bytes(12), b"one!" + bytes(12)) for _ in range(4)]
-        choices = [0, 1, 1, 0]
-        got = run_base_ot(pairs, choices, SecureRandom(1))
-        for g, c, (m0, m1) in zip(got, choices, pairs):
-            assert g == (m1 if c else m0)
-
-    @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=16))
-    @settings(max_examples=10, deadline=None)
-    def test_all_choice_patterns(self, choices):
-        rnd = random.Random(42)
-        pairs = [(rnd.randbytes(16), rnd.randbytes(16)) for _ in choices]
-        got = run_base_ot(pairs, choices, SecureRandom(2))
-        for g, c, (m0, m1) in zip(got, choices, pairs):
-            assert g == (m1 if c else m0)
-
-    def test_variable_message_lengths(self):
-        pairs = [(b"a" * 5, b"b" * 5), (b"c" * 100, b"d" * 100)]
-        got = run_base_ot(pairs, [1, 0], SecureRandom(3))
-        assert got == [b"b" * 5, b"c" * 100]
-
-    def test_sender_point_count_validation(self):
-        sender = BaseOtSender(SecureRandom(4))
-        with pytest.raises(ValueError):
-            sender.encrypt([1, 2], [(b"x" * 16, b"y" * 16)])
-
-    def test_unchosen_message_stays_hidden(self):
-        """Decrypting the wrong slot must NOT give the other message."""
-        pairs = [(b"m0" + bytes(14), b"m1" + bytes(14))]
-        sender = BaseOtSender(SecureRandom(5))
-        receiver = BaseOtReceiver([0], SecureRandom(6))
-        points = receiver.points(sender.public)
-        cts = sender.encrypt(points, pairs)
-        # Receiver key only opens slot 0; slot 1 under the same key is junk.
-        wrong = BaseOtReceiver([1], SecureRandom(6))
-        garbage = wrong.decrypt(sender.public, cts)
-        assert garbage[0] != pairs[0][1]
-
-    def test_channel_accounting(self):
-        channel = Channel()
-        pairs = [(b"x" * 16, b"y" * 16)] * 3
-        run_base_ot(pairs, [0, 1, 0], SecureRandom(7), channel=channel)
-        assert channel.total_bytes > 0
-        assert channel.uplink.bytes > 0  # receiver points
-        assert channel.downlink.bytes > 0  # public key + ciphertexts
 
 
 class TestIknpExtension:

@@ -185,3 +185,14 @@ class TestCalibrationInternals:
         assert costs.plain_mult > 0
         assert costs.rotation == pytest.approx(3 * costs.plain_mult)
         assert cal.fitted_he_unit_costs() is costs  # lru cached
+
+    def test_ss_cost_is_one_per_mac_rate_for_every_model(self):
+        """The 0.61 s anchor fixes a per-MAC rate that prices every model."""
+        per_mac = cal.fitted_ss_seconds_per_mac()
+        assert cal.fitted_ss_seconds_per_mac() == per_mac
+        for build in (resnet32, vgg16):
+            p = profile_network(build(CIFAR100))
+            assert p.ss_online_seconds(EPYC) == pytest.approx(p.mac_count * per_mac)
+            assert p.ss_online_seconds(EPYC_4X) == pytest.approx(
+                p.ss_online_seconds(EPYC) / 4
+            )

@@ -25,7 +25,6 @@ from repro.crypto.modmath import (
     generate_ntt_primes,
     is_probable_prime,
     primitive_root_of_unity,
-    registered_modulus_factors,
 )
 from repro.crypto.rng import SecureRandom
 from repro.he.bfv import BfvContext, make_ring_element
@@ -86,7 +85,6 @@ class TestCrtMaps:
         # principal 2n-th root in the composite ring: primitive mod every
         # chain prime, hence invertible NTTs on both paths.
         q, n = TOY.q, TOY.n
-        assert registered_modulus_factors(q) is not None
         psi = primitive_root_of_unity(2 * n, q)
         assert pow(psi, 2 * n, q) == 1
         for p in TOY.rns_primes:

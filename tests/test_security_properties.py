@@ -4,7 +4,7 @@ The threat model is semi-honest, so these are not attack proofs — they
 check the *mechanisms* the security argument rests on: labels reveal
 nothing without the encoding, decode information is withheld from the
 Server-Garbler evaluator, tampering is detected where the protocol can
-detect it, and secret shares are marginally uniform.
+detect it, and the client's first message is its input masked.
 """
 
 import random
@@ -23,7 +23,6 @@ from repro.he.encoder import BatchEncoder
 from repro.he.params import BfvParams, toy_params
 from repro.nn.datasets import tiny_dataset
 from repro.nn.models import tiny_mlp
-from repro.ss.additive import share
 
 PARAMS = toy_params(n=256)
 P = PARAMS.t
@@ -104,19 +103,46 @@ class TestTamperDetection:
             Garbler.decode_output_labels(encoding, circuit, [bytes(16)])
 
 
+def _offline_masks(seeds):
+    """Client masks r and server shares s from real offline phases."""
+    net = tiny_mlp(tiny_dataset(size=4, classes=3), hidden=PARAMS.row_size)
+    net.randomize_weights(P, np.random.default_rng(12))
+    client, server = [], []
+    for seed in seeds:
+        protocol = HybridProtocol(net, PARAMS, garbler="server", seed=seed)
+        protocol.run_offline()
+        client += [v for r in protocol.client_r for v in r]
+        server += [v for s in protocol.server.server_s for v in s]
+    return client, server
+
+
+def _spread_across_octants(samples):
+    """Chi-square style sanity: every eighth of the field holds its share
+    of the samples, within five standard deviations."""
+    buckets = [0] * 8
+    for v in samples:
+        assert 0 <= v < P
+        buckets[v * 8 // P] += 1
+    mean = len(samples) / 8
+    sd = (len(samples) * (1 / 8) * (7 / 8)) ** 0.5
+    return all(abs(b - mean) <= 5 * sd for b in buckets), buckets
+
+
 class TestShareUniformity:
     def test_first_share_is_marginally_uniform(self):
-        """Chi-square sanity: share values spread across the field."""
-        rng = SecureRandom(7)
-        samples = []
-        for _ in range(200):
-            s1, _ = share([42], P, rng)
-            samples.append(s1.values[0])
-        buckets = [0] * 8
-        for v in samples:
-            buckets[v * 8 // P] += 1
-        # Each octant should hold roughly 25 of 200 samples.
-        assert all(8 <= b <= 55 for b in buckets), buckets
+        """The client's masks r, one per linear-layer input, spread
+        across the field: x - r on the wire then says nothing of x."""
+        client, _ = _offline_masks((21, 22))
+        assert len(client) >= 200
+        ok, buckets = _spread_across_octants(client)
+        assert ok, buckets
+
+    def test_server_share_is_marginally_uniform(self):
+        """The server's output shares s hide W r from the client."""
+        _, server = _offline_masks((23, 24))
+        assert len(server) >= 200
+        ok, buckets = _spread_across_octants(server)
+        assert ok, buckets
 
     def test_masked_input_is_not_the_input(self):
         net = tiny_mlp(tiny_dataset(size=4, classes=3), hidden=8)

@@ -81,3 +81,20 @@ def test_main_dispatches_workload(tmp_path, capsys):
     assert rc == 0
     assert json.loads(out.read_text())["schedule"]["mode"] == "closed"
     assert "closed" in capsys.readouterr().out
+
+
+def test_main_dispatches_plan(tmp_path, capsys):
+    """``--plan``: calibrate on measured runs, then pick from the grid."""
+    from repro.__main__ import main
+
+    out = tmp_path / "plan.json"
+    assert main(["--plan", "--workers", "1", "--plan-out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "held-out validation" in printed
+    artifact = json.loads(out.read_text())
+    assert set(artifact) == {"calibration", "plan"}
+    choice = artifact["plan"]["choice"]
+    if choice is None:
+        assert "no grid configuration meets the SLO" in printed
+    else:
+        assert f"{choice['workers']} worker(s)" in printed
