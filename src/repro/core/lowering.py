@@ -1,8 +1,7 @@
 """Lowering a layered network to the field-matrix program the 2PC runs.
 
-Shared by the role-separated sessions (:mod:`repro.core.session`), the
-:class:`~repro.core.protocol.HybridProtocol` façade, and the frozen
-pre-redesign reference (:mod:`repro.core._monolith`): one definition of
+Shared by the role-separated sessions (:mod:`repro.core.session`) and
+the :class:`~repro.core.protocol.HybridProtocol` façade: one definition of
 the alternating linear/ReLU program, its packing rules, and the exact
 plaintext evaluation the protocol is validated against.
 """

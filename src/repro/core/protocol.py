@@ -30,8 +30,7 @@ message. The two state machines exchange only serialized wire messages;
 the façade merely schedules them and preserves the original one-object
 API (``run_offline`` / ``run_online`` / ``channel`` / ``counters`` /
 ``export_offline`` / ``import_offline``) for callers, experiments, and
-the parity suites. The pre-redesign monolith survives, frozen, in
-:mod:`repro.core._monolith` as the transcript-parity reference.
+the test suites.
 """
 
 from __future__ import annotations
@@ -184,8 +183,8 @@ class HybridProtocol:
         )
         self.params = self.client.params
         # The client lowers shape-only (cheap, no weights); only the
-        # server pays the full matrix expansion — per-protocol setup cost
-        # stays at the monolith's one lowering.
+        # server pays the full matrix expansion — one lowering per
+        # protocol.
         self.server = ServerSession(
             network,
             params=self.params,
@@ -207,7 +206,7 @@ class HybridProtocol:
         """Byte-accounting view of the protocol (the client session's).
 
         Both sessions charge identical per-phase stats; exposing the
-        client's keeps the monolith-era reading (`protocol.channel`)
+        client's keeps the one-object reading (`protocol.channel`)
         working.
         """
         return self.client.channel
@@ -297,7 +296,7 @@ class HybridProtocol:
                 raise RuntimeError("protocol deadlock: no transport progress")
             time.sleep(0.001)  # sockets: let in-flight bytes land
 
-    # -- blocking phase API (the monolith-era surface) -------------------------
+    # -- blocking phase API (the one-object surface) ---------------------------
 
     def run_offline(self) -> None:
         """Execute the full offline phase (HE correlations + garbling + OT)."""

@@ -18,16 +18,15 @@ over a pluggable :class:`~repro.network.transport.Transport`:
   scheduler (``InMemoryTransport``, loopback sockets) or a blocking
   two-process deployment (``SocketTransport``);
 * every message a session sends or receives is charged to its own
-  :class:`~repro.network.channel.Channel` with the same analytic sizes
-  the monolith charged, so per-phase byte accounting is *identical* to
-  the pre-redesign transcripts (enforced by the parity suite in
-  ``tests/test_session_transport.py``).
+  :class:`~repro.network.channel.Channel` at its analytic size — what
+  :func:`repro.core.validation.predict_comm` predicts to the byte, and
+  what ``tests/test_eval_matvec.py`` pins per phase beside the frame
+  digests.
 
 Fidelity notes. This is a functional reproduction of the paper's system
 characterization, not a hardened deployment: the IKNP extension is
 executed by the label-holding party after the chooser ships its choice
-bits over the wire (the monolith computed it jointly in one call and put
-nothing on the wire — the *charged* byte volumes are the real
+bits over the wire (the *charged* byte volumes are the real
 extension's, from :func:`repro.ot.extension.iknp_transcript`, but the
 exchanged bits would leak the chooser's shares to a real adversary, so
 the socket deployments demonstrate the system shape and byte volumes,
@@ -73,7 +72,6 @@ from repro.network.serialize import (
     deserialize_galois_keys,
     deserialize_label_lists,
     deserialize_labels,
-    deserialize_public_key,
     serialize_bit_vector,
     serialize_ciphertext,
     serialize_circuit_batch,
@@ -81,7 +79,6 @@ from repro.network.serialize import (
     serialize_galois_keys,
     serialize_label_lists,
     serialize_labels,
-    serialize_public_key,
 )
 from repro.ot.extension import IknpStream, iknp_transcript, iknp_transfer
 from repro.telemetry import TRACER, now_us, section
@@ -286,10 +283,8 @@ class ProtocolSession:
     def _send(self, frame: bytes, payload=None, nbytes: int | None = None) -> None:
         """Ship a frame and charge it to this session's channel stats.
 
-        ``payload``/``nbytes`` reproduce exactly what the monolith charged
-        for the same message (analytic wire sizes, not serialized sizes),
-        so a session's per-phase summary is comparable to — and tested
-        byte-identical with — the pre-redesign transcripts.
+        ``payload``/``nbytes`` give the message's analytic wire size (not
+        its serialized size), the figure ``predict_comm`` predicts.
         """
         self.transport.send(frame)
         self.channel.send(self.role, payload, nbytes)
@@ -665,10 +660,11 @@ class ClientSession(ProtocolSession):
         params = self.params
         ctx = BfvContext(params, self.rng.spawn())
         encoder = BatchEncoder(params)
+        # The server needs the Galois keys and nothing else: the client
+        # encrypts with its secret key, so no public key is made or sent.
         with section("he_linear", "he.keygen"):
-            sk, pk = ctx.keygen()
+            sk = ctx.secret_keygen()
             gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
-        self._send(serialize_public_key(pk), payload=pk)
         self._send(serialize_galois_keys(gk), payload=gk)
         self._ctx, self._encoder, self._sk = ctx, encoder, sk
         # The evaluator object is used purely for its packing layout here;
@@ -682,7 +678,7 @@ class ClientSession(ProtocolSession):
         # HE pass: send Enc(r_i); the server returns Enc(W r_i - s_i).
         for lin, r in zip(self.lowered.linears, self.client_r):
             with section("he_linear", "he.encrypt"):
-                ct = ctx.encrypt(pk, encoder.encode(packer.pack_vector(r)))
+                ct = ctx.encrypt(sk, encoder.encode(packer.pack_vector(r)))
             self.counters.he_encryptions += 1
             self._send(serialize_ciphertext(ct), payload=ct)
             frame = yield
@@ -777,9 +773,6 @@ class ServerSession(ProtocolSession):
         params = self.params
         ctx = BfvContext(params)
         encoder = BatchEncoder(params)
-        frame = yield
-        pk = deserialize_public_key(frame, params)
-        self._note_recv(pk)
         frame = yield
         gk = deserialize_galois_keys(frame, params)
         self._note_recv(gk)

@@ -67,10 +67,11 @@ def predict_comm(protocol: HybridProtocol) -> dict[str, float]:
     n_linear = len(lowered.linears)
     gc_tables = 2 * LABEL_BYTES * protocol.client.relu_circuit().and_count
 
-    # Public key (one ciphertext-sized pair) plus one Galois key with one
-    # (k0, k1) pair per key-switching digit of the parameters' gadget.
-    key_bytes = params.ciphertext_bytes * (1 + params.num_decomp_digits)
-    he_up = n_linear * params.ciphertext_bytes
+    # One Galois key, a seeded (k0, seed) digit per key-switching digit of
+    # the parameters' gadget, and a seeded symmetric Enc(r) per linear
+    # layer; the returns Enc(W r - s) travel in full. No public key.
+    key_bytes = params.seeded_ciphertext_bytes * params.num_decomp_digits
+    he_up = n_linear * params.seeded_ciphertext_bytes
     he_down = n_linear * params.ciphertext_bytes
     input_up = lowered.input_size * field_bytes
     result_down = lowered.output_size * field_bytes

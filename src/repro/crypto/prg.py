@@ -9,7 +9,9 @@ standard library that takes the tweak as a parameter: the security
 argument is the standard random-oracle one and the byte layout (16-byte
 blocks, tweakable) matches what an AES-based implementation would
 produce, so all size and count accounting is faithful. Seed expansion
-(:class:`Prg`) and key derivation are SHA-256.
+(:class:`Prg`) and key derivation are SHA-256; a seeded ring element's
+uniform half (:func:`expand_uniform`) is SHAKE-256, one digest per
+polynomial.
 """
 
 from __future__ import annotations
@@ -127,6 +129,69 @@ class Prg:
             self._buffer += block
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
+
+
+SEED_BYTES = 32  # a seeded ring element's uniform half on the wire
+
+_WORDS = {4: "<u4", 8: "<u8"}
+
+
+def expand_uniform(seed: bytes, n: int, moduli) -> list:
+    """``n`` uniform elements of Z_m for each modulus ``m``, from ``seed``.
+
+    One SHAKE-256 stream, read on across the moduli in order: per
+    modulus, exact rejection sampling as
+    :meth:`repro.crypto.rng.SecureRandom.field_vector` does it — one word
+    per missing element (4 or 8 bytes, else the modulus' byte width),
+    masked to its bit length, the values below the modulus kept in
+    order. The stream is a single digest sized for the expected draw
+    plus a margin; SHAKE output is a prefix of every longer output, so
+    the rare rejection run past the margin re-reads a longer digest and
+    carries on. Returns a uint64 array per modulus up to 64 bits, else a
+    list of ints.
+    """
+    if len(seed) != SEED_BYTES:
+        raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
+    shake = hashlib.shake_256(seed)
+    shapes = []
+    for modulus in moduli:
+        bits = modulus.bit_length()
+        width = 4 if bits <= 32 else 8 if bits <= 64 else (bits + 7) // 8
+        shapes.append((modulus, bits, width))
+    # Every modulus keeps more than half of its words: the expected draw is
+    # n·2^bits/m words; an eighth more plus 16 covers it at any acceptance.
+    length = sum(w * ((n << b) // m + n // 8 + 16) for m, b, w in shapes)
+    stream, pos = shake.digest(length), 0
+    out = []
+    for modulus, bits, width in shapes:
+        mask = (1 << bits) - 1
+        kept, count = [], 0
+        while count < n:
+            need = (n - count) * width
+            if pos + need > len(stream):
+                stream = shake.digest(2 * len(stream) + need)
+            block = stream[pos : pos + need]
+            pos += need
+            if width in _WORDS:
+                words = _np.frombuffer(block, dtype=_WORDS[width]).astype(_np.uint64)
+                words &= _np.uint64(mask)
+                words = words[words < modulus]
+            else:
+                words = [
+                    v
+                    for v in (
+                        int.from_bytes(block[i : i + width], "little") & mask
+                        for i in range(0, need, width)
+                    )
+                    if v < modulus
+                ]
+            kept.append(words)
+            count += len(words)
+        if width in _WORDS:
+            out.append(_np.concatenate(kept) if kept else _np.zeros(0, _np.uint64))
+        else:
+            out.append([v for words in kept for v in words])
+    return out
 
 
 def key_derivation(*parts: bytes) -> bytes:

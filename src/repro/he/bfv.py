@@ -13,6 +13,14 @@ keeps one coefficient vector mod q, ``rns`` keeps CRT residues per chain
 prime so wide moduli run on the vectorized backend. Both produce
 bit-identical transcripts under the same randomness; everything below the
 construction helpers is representation-agnostic.
+
+Everything the client sends is made with its secret key: ``Enc(r)`` is a
+symmetric encryption ``(-(a·s + e) + Δm, a)`` and each Galois-key digit
+is ``(-(a_j·s + e_j) + g_j·σ(s), a_j)``, every uniform ``a`` expanded
+from a fresh 32-byte seed (:func:`uniform_from_seed`), so the wire
+carries the seed in its place — SEAL's seeded serialization. Public-key
+encryption stays for callers that hold only a :class:`PublicKey`; the
+protocol never makes or sends one.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.backend import RnsContext, backend_for
+from repro.crypto.prg import SEED_BYTES, expand_uniform
 from repro.crypto.rng import SecureRandom
 from repro.he.params import BfvParams
 from repro.he.polynomial import (
@@ -39,6 +48,9 @@ class SecretKey:
 
 @dataclass
 class PublicKey:
+    """A public encryption key; the protocol's client encrypts with its
+    secret key instead and never sends one."""
+
     params: BfvParams
     p0: "RingPoly | RnsPoly"  # -(a*s + e)
     p1: "RingPoly | RnsPoly"  # a
@@ -52,24 +64,26 @@ class PublicKey:
 class GaloisKeys:
     """Key-switching keys for a set of Galois elements.
 
-    ``keys`` holds the coefficient-domain components — the canonical,
-    serialized form (``network/serialize.py`` reads exactly this, so
-    wire formats are independent of any cached transform state). The
-    evaluation-domain form every rotation actually multiplies against
-    lives in ``_eval``: a derived cache (never serialized, excluded from
-    equality) built once per Galois element via :meth:`eval_keys` —
-    eagerly at keygen, lazily after deserialization.
+    ``keys`` holds the coefficient-domain components and ``seeds`` the
+    seed each digit's uniform ``k1`` expands from; ``k0`` and that seed
+    are the serialized form (``network/serialize.py`` reads exactly
+    these, so wire formats are independent of any cached transform
+    state). The evaluation-domain form every rotation actually
+    multiplies against lives in ``_eval``: a derived cache (never
+    serialized, excluded from equality) built once per Galois element via
+    :meth:`eval_keys` — eagerly at keygen, lazily after deserialization.
     """
 
     params: BfvParams
     keys: dict[int, list[tuple["RingPoly | RnsPoly", "RingPoly | RnsPoly"]]]
+    seeds: dict[int, list[bytes]] = field(default_factory=dict)
     _eval: dict[int, list[tuple]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
     @property
     def byte_size(self) -> int:
-        per_digit = self.params.ciphertext_bytes
+        per_digit = self.params.seeded_ciphertext_bytes
         return sum(len(digits) * per_digit for digits in self.keys.values())
 
     def eval_keys(self, galois_element: int) -> list[tuple]:
@@ -97,17 +111,25 @@ class GaloisKeys:
 
 
 class Ciphertext:
-    """A two-component BFV ciphertext (c0 + c1*s ≈ delta*m)."""
+    """A two-component BFV ciphertext (c0 + c1*s ≈ delta*m).
 
-    __slots__ = ("params", "c0", "c1")
+    ``seed`` is set on a fresh symmetric encryption, whose ``c1`` is the
+    expansion of that seed: it travels in ``c1``'s place. Any operation
+    yields an unseeded ciphertext.
+    """
 
-    def __init__(self, params: BfvParams, c0, c1):
+    __slots__ = ("params", "c0", "c1", "seed")
+
+    def __init__(self, params: BfvParams, c0, c1, seed: bytes | None = None):
         self.params = params
         self.c0 = c0
         self.c1 = c1
+        self.seed = seed
 
     @property
     def byte_size(self) -> int:
+        if self.seed is not None:
+            return self.params.seeded_ciphertext_bytes
         return self.params.ciphertext_bytes
 
     def __add__(self, other: "Ciphertext") -> "Ciphertext":
@@ -144,6 +166,25 @@ def make_ring_element(coeffs, params: BfvParams):
     return RingPoly(
         coeffs, params.q, backend=backend_for(params.q, prefer=params.backend)
     )
+
+
+def uniform_from_seed(seed: bytes, params: BfvParams):
+    """The uniform ring element ``seed`` expands to, in the params'
+    resolved representation. On a chain it is one uniform residue vector
+    per prime (the CRT image of uniform mod q), so no wide integer is
+    ever sampled; the bigint oracle reconstructs the same element from
+    the same residues."""
+    if params.rns_primes is None:
+        (coeffs,) = expand_uniform(seed, params.n, (params.q,))
+        return make_ring_element(coeffs, params)
+    rns = RnsContext.for_primes(params.rns_primes, prefer=params.backend)
+    rows = expand_uniform(seed, params.n, rns.primes)
+    poly = RnsPoly(
+        rns, [rns.backend.asvec(row, prime) for row, prime in zip(rows, rns.primes)]
+    )
+    if params.resolve_representation() == "rns":
+        return poly
+    return make_ring_element(poly.coeffs, params)
 
 
 def ring_element_from_bytes(data, params: BfvParams):
@@ -206,39 +247,52 @@ class BfvContext:
 
     # -- key generation ----------------------------------------------------
 
-    def keygen(self) -> tuple[SecretKey, PublicKey]:
+    def secret_keygen(self) -> SecretKey:
+        """A ternary secret key: all the protocol's client needs."""
         p = self.params
-        s = self._ring_poly(self._rng.ternary_vector(p.n))
-        a = self._random_uniform()
-        e = self._noise()
-        pk = PublicKey(p, -(a * s + e), a)
-        return SecretKey(p, s), pk
+        return SecretKey(p, self._ring_poly(self._rng.ternary_vector(p.n)))
+
+    def keygen(self) -> tuple[SecretKey, PublicKey]:
+        """A secret key and its public key ``(-(a·s + e), a)``."""
+        sk = self.secret_keygen()
+        p0, a, _ = self._seeded_sample(sk)
+        return sk, PublicKey(self.params, p0, a)
 
     def galois_keygen(self, sk: SecretKey, elements: list[int]) -> GaloisKeys:
-        """Generate key-switching keys for each Galois element."""
+        """Generate key-switching keys for each Galois element, each
+        digit's uniform half from its own seed."""
         p = self.params
         factors = p.gadget_factors()
         keys: dict[int, list[tuple]] = {}
+        seeds: dict[int, list[bytes]] = {}
         for g in elements:
             rotated_s = sk.s.automorphism(g)
-            digits = []
+            keys[g], seeds[g] = [], []
             for factor in factors:
-                a_j = self._random_uniform()
-                e_j = self._noise()
                 # One key-switching digit: -(a*s + e) + rotated_s * g_j.
-                digits.append((-(a_j * sk.s + e_j) + rotated_s * factor, a_j))
-            keys[g] = digits
-        gk = GaloisKeys(p, keys)
+                k0, a_j, seed = self._seeded_sample(sk)
+                keys[g].append((k0 + rotated_s * factor, a_j))
+                seeds[g].append(seed)
+        gk = GaloisKeys(p, keys, seeds)
         for g in elements:
             gk.eval_keys(g)  # pay the key-side forward NTTs once, here
         return gk
 
     # -- encryption / decryption -------------------------------------------
 
-    def encrypt(self, pk: PublicKey, plaintext: RingPoly) -> Ciphertext:
-        """Encrypt a plaintext polynomial with coefficients in [0, t)."""
+    def encrypt(self, key: SecretKey | PublicKey, plaintext: RingPoly) -> Ciphertext:
+        """Encrypt a plaintext polynomial with coefficients in [0, t).
+
+        Under a :class:`SecretKey` the encryption is symmetric and seeded,
+        ``(-(a·s + e) + Δm, a)``: one noise term, and ``a`` travels as its
+        seed. Under a :class:`PublicKey` it is ``(u·p0 + e1 + Δm, u·p1 + e2)``.
+        """
         p = self.params
         self._check_plaintext(plaintext)
+        if isinstance(key, SecretKey):
+            c0, a, seed = self._seeded_sample(key)
+            return Ciphertext(p, c0 + self._scale_plain(plaintext), a, seed)
+        pk = key
         u = self._ring_poly(self._rng.ternary_vector(p.n))
         e1, e2 = self._noise(), self._noise()
         scaled = self._scale_plain(plaintext)
@@ -348,23 +402,12 @@ class BfvContext:
 
     # -- helpers --------------------------------------------------------------
 
-    def _random_uniform(self):
-        """Uniform ring element. On a chain it is drawn as one uniform
-        residue vector per prime (the CRT image of uniform mod q), so no
-        wide integer is ever sampled; the bigint oracle reconstructs the
-        same element from the same draws."""
-        p = self.params
-        if p.rns_primes is None:
-            return self._ring_poly(self._rng.field_vector(p.n, p.q))
-        rns = self._rns or RnsContext.for_primes(p.rns_primes, prefer=p.backend)
-        poly = RnsPoly(
-            rns,
-            [
-                rns.backend.asvec(self._rng.field_vector(p.n, prime), prime)
-                for prime in rns.primes
-            ],
-        )
-        return poly if self._rns is not None else self._ring_poly(poly.coeffs)
+    def _seeded_sample(self, sk: SecretKey):
+        """``(-(a·s + e), a, seed)``: an RLWE sample under ``sk`` whose
+        uniform ``a`` expands from a fresh seed, drawn before ``e``."""
+        seed = self._rng.bytes(SEED_BYTES)
+        a = uniform_from_seed(seed, self.params)
+        return -(a * sk.s + self._noise()), a, seed
 
     def _noise(self):
         p = self.params

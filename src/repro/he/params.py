@@ -35,6 +35,7 @@ from repro.crypto.modmath import (
     generate_ntt_primes,
     register_modulus_factors,
 )
+from repro.crypto.prg import SEED_BYTES
 
 _REPRESENTATIONS = ("auto", "bigint", "rns")
 
@@ -184,6 +185,12 @@ class BfvParams:
     def ciphertext_bytes(self) -> int:
         """Serialized size of a fresh 2-component ciphertext."""
         return 2 * self.n * ((self.q_bits + 7) // 8)
+
+    @property
+    def seeded_ciphertext_bytes(self) -> int:
+        """Serialized size of a ciphertext or key digit whose uniform half
+        travels as the seed it expands from."""
+        return self.ciphertext_bytes // 2 + SEED_BYTES
 
     @property
     def digit_groups(self) -> tuple[tuple[int, ...], ...] | None:

@@ -13,6 +13,11 @@ four-byte wire header — a 2-byte magic, a version byte, and a format code —
 so a transport frame identifies itself before any payload is trusted:
 version skew between two deployed parties fails loudly at the first
 message instead of corrupting state mid-protocol.
+
+A seeded ring element — the uniform half of a fresh symmetric ``Enc(r)``
+or of a Galois-key digit — travels as the 32-byte seed it expands from;
+the receiver expands it (:func:`repro.he.bfv.uniform_from_seed`) once
+the whole frame has checked out.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import struct
 
 import numpy as np
 
-from repro.crypto.prg import LABEL_BYTES
+from repro.crypto.prg import LABEL_BYTES, SEED_BYTES
 from repro.gc.circuit import Circuit
 from repro.gc.garble import EncodingBatch, GarbledBatch, GarbledCircuit, LabelBatch
 from repro.he.bfv import (
@@ -30,6 +35,7 @@ from repro.he.bfv import (
     PublicKey,
     check_digit_count,
     ring_element_from_bytes,
+    uniform_from_seed,
 )
 from repro.he.params import BfvParams
 from repro.network.frames import FRAMES
@@ -47,10 +53,13 @@ FMT_LABEL_MAP = 0x04
 FMT_INPUT_ENCODING = 0x05
 FMT_GARBLED_CIRCUIT = 0x06
 FMT_PUBLIC_KEY = 0x07
-FMT_GALOIS_KEYS = 0x08
 FMT_BIT_VECTOR = 0x09
 FMT_LABEL_LISTS = 0x0A
 FMT_CIRCUIT_BATCH = 0x0B
+FMT_SEEDED_CIPHERTEXT = 0x0C
+# Seeded digits. 0x08 was the full-`k1` layout and is no longer spoken, so
+# a peer that still sends it fails on the format code, not mid-parse.
+FMT_GALOIS_KEYS = 0x0D
 
 
 _FMT_NAMES = {
@@ -65,6 +74,7 @@ _FMT_NAMES = {
     FMT_BIT_VECTOR: "bit_vector",
     FMT_LABEL_LISTS: "label_lists",
     FMT_CIRCUIT_BATCH: "circuit_batch",
+    FMT_SEEDED_CIPHERTEXT: "seeded_ciphertext",
 }
 
 
@@ -163,6 +173,16 @@ def deserialize_field_vector(data: bytes) -> list[int]:
 
 # -- BFV ciphertexts and keys ----------------------------------------------------
 
+_SEEDED_HEAD = struct.Struct("<IBB")  # degree, coefficient width, seed length
+
+
+def _check_ring_shape(params: BfvParams, n: int, width: int) -> None:
+    if n != params.n:
+        raise ValueError(f"degree mismatch: wire {n} vs params {params.n}")
+    if width != _coeff_width(params.q):
+        raise ValueError("coefficient width mismatch")
+
+
 def _serialize_poly_pair(params: BfvParams, a, b) -> bytes:
     """Two ring polynomials, coefficients packed at ceil(log2 q)/8 bytes
     (the little-endian integer representative, whatever representation
@@ -178,10 +198,7 @@ def _serialize_poly_pair(params: BfvParams, a, b) -> bytes:
 def _deserialize_poly_pair(data: bytes, offset: int, params: BfvParams):
     _need(data, offset, 5, "polynomial pair header")
     n, width = struct.unpack_from("<IB", data, offset)
-    if n != params.n:
-        raise ValueError(f"degree mismatch: wire {n} vs params {params.n}")
-    if width != _coeff_width(params.q):
-        raise ValueError("coefficient width mismatch")
+    _check_ring_shape(params, n, width)
     offset += 5
     size = n * width
     _need(data, offset, 2 * size, "polynomial pair")
@@ -194,19 +211,60 @@ def _deserialize_poly_pair(data: bytes, offset: int, params: BfvParams):
     return first, second, offset + size
 
 
+def _serialize_seeded(params: BfvParams, poly, seed: bytes) -> bytes:
+    """One ring polynomial and the seed of its uniform partner."""
+    width = _coeff_width(params.q)
+    return _SEEDED_HEAD.pack(params.n, width, len(seed)) + poly.to_bytes(width) + seed
+
+
+def _seeded_span(data: bytes, offset: int, params: BfvParams):
+    """The coefficient bytes and seed of one seeded polynomial at
+    ``offset``, checked and sliced but not yet decoded or expanded."""
+    _need(data, offset, _SEEDED_HEAD.size, "seeded polynomial header")
+    n, width, seed_len = _SEEDED_HEAD.unpack_from(data, offset)
+    _check_ring_shape(params, n, width)
+    if seed_len != SEED_BYTES:
+        raise ValueError(f"seed length {seed_len}, expected {SEED_BYTES}")
+    offset += _SEEDED_HEAD.size
+    size = n * width
+    _need(data, offset, size + SEED_BYTES, "seeded polynomial")
+    view = memoryview(data)
+    end = offset + size + SEED_BYTES
+    return view[offset : offset + size], bytes(view[offset + size : end]), end
+
+
+def _seeded_pair(span, seed: bytes, params: BfvParams):
+    """The ``(poly, uniform)`` pair a checked span stands for."""
+    return ring_element_from_bytes(span, params), uniform_from_seed(seed, params)
+
+
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    """Two polynomials, coefficients packed at ceil(log2 q)/8 bytes each."""
+    """Two polynomials, coefficients packed at ceil(log2 q)/8 bytes each;
+    a fresh symmetric encryption sends ``c0`` and the seed of ``c1``."""
+    if ct.seed is not None:
+        return wire_header(FMT_SEEDED_CIPHERTEXT) + _serialize_seeded(
+            ct.params, ct.c0, ct.seed
+        )
     return wire_header(FMT_CIPHERTEXT) + _serialize_poly_pair(
         ct.params, ct.c0, ct.c1
     )
 
 
 def deserialize_ciphertext(data: bytes, params: BfvParams) -> Ciphertext:
-    read_wire_header(data, FMT_CIPHERTEXT)
-    c0, c1, offset = _deserialize_poly_pair(data, WIRE_HEADER_BYTES, params)
+    """Either ciphertext format; a seeded one expands ``c1`` here."""
+    fmt = read_wire_header(data)
+    if fmt == FMT_CIPHERTEXT:
+        c0, c1, offset = _deserialize_poly_pair(data, WIRE_HEADER_BYTES, params)
+        seed = None
+    elif fmt == FMT_SEEDED_CIPHERTEXT:
+        span, seed, offset = _seeded_span(data, WIRE_HEADER_BYTES, params)
+    else:
+        raise ValueError(f"unexpected wire format 0x{fmt:02x} (expected a ciphertext)")
     if offset != len(data):
         raise ValueError("trailing bytes in ciphertext")
-    return Ciphertext(params, c0, c1)
+    if seed is not None:
+        c0, c1 = _seeded_pair(span, seed, params)
+    return Ciphertext(params, c0, c1, seed)
 
 
 def ciphertext_wire_bytes(params: BfvParams) -> int:
@@ -230,35 +288,43 @@ def deserialize_public_key(data: bytes, params: BfvParams) -> PublicKey:
 
 
 def serialize_galois_keys(gk: GaloisKeys) -> bytes:
-    """Key-switching keys: per Galois element, the per-digit (k0, k1) pairs."""
+    """Key-switching keys: per Galois element, per digit ``k0`` and the
+    seed its uniform ``k1`` expands from."""
     out = [wire_header(FMT_GALOIS_KEYS), struct.pack("<I", len(gk.keys))]
     for g in sorted(gk.keys):
-        digits = gk.keys[g]
+        digits, seeds = gk.keys[g], gk.seeds.get(g, ())
+        if len(seeds) != len(digits):
+            raise ValueError(f"Galois key for element {g} carries no seeds")
         out.append(struct.pack("<II", g, len(digits)))
-        for k0, k1 in digits:
-            out.append(_serialize_poly_pair(gk.params, k0, k1))
+        for (k0, _), seed in zip(digits, seeds):
+            out.append(_serialize_seeded(gk.params, k0, seed))
     return b"".join(out)
 
 
 def deserialize_galois_keys(data: bytes, params: BfvParams) -> GaloisKeys:
+    """The whole frame is checked before any digit is decoded or any seed
+    expanded, so a rejected frame costs no ring arithmetic."""
     read_wire_header(data, FMT_GALOIS_KEYS)
     _need(data, WIRE_HEADER_BYTES, 4, "Galois keys header")
     (n_elements,) = struct.unpack_from("<I", data, WIRE_HEADER_BYTES)
     offset = WIRE_HEADER_BYTES + 4
-    keys: dict[int, list[tuple]] = {}
+    spans: dict[int, list[tuple]] = {}
     for _ in range(n_elements):
         _need(data, offset, 8, "Galois key header")
         g, n_digits = struct.unpack_from("<II", data, offset)
         check_digit_count(params, g, n_digits)
         offset += 8
-        digits = []
+        spans[g] = []
         for _ in range(n_digits):
-            k0, k1, offset = _deserialize_poly_pair(data, offset, params)
-            digits.append((k0, k1))
-        keys[g] = digits
+            span, seed, offset = _seeded_span(data, offset, params)
+            spans[g].append((span, seed))
     if offset != len(data):
         raise ValueError("trailing bytes in Galois keys")
-    return GaloisKeys(params, keys)
+    return GaloisKeys(
+        params,
+        {g: [_seeded_pair(*digit, params) for digit in d] for g, d in spans.items()},
+        {g: [seed for _, seed in d] for g, d in spans.items()},
+    )
 
 
 # -- bit vectors ----------------------------------------------------------------

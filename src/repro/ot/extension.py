@@ -365,9 +365,9 @@ def iknp_transcript(
     ``setup`` is whether the batch is its stream's first, which carries
     the base OTs. :func:`iknp_transfer` returns exactly this (the volumes
     are a pure function of the batch size), and every other accounting
-    surface — the sessions' and the monolith's channel charges, the
-    analytic predictor in :mod:`repro.core.validation` — derives from it,
-    so the copies cannot drift apart.
+    surface — the sessions' channel charges, the analytic predictor in
+    :mod:`repro.core.validation` — derives from it, so the copies cannot
+    drift apart.
     """
     return ExtensionTranscript(
         key_bytes=ELEMENT_BYTES if setup else 0,

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.crypto.prg import (
     LABEL_BYTES,
+    SEED_BYTES,
     Prg,
+    expand_uniform,
     hash_label,
     key_derivation,
     xor_bytes,
@@ -80,3 +82,88 @@ class TestKeyDerivation:
     def test_part_boundaries_matter(self):
         # ("ab", "c") must differ from ("a", "bc") — length framing works.
         assert key_derivation(b"ab", b"c") != key_derivation(b"a", b"bc")
+
+
+def reference_expand(seed: bytes, n: int, moduli) -> list[list[int]]:
+    """The expansion spelled out word by word: one SHAKE-256 stream, per
+    modulus the next width-byte words masked to its bit length, the first
+    n below it kept."""
+    import hashlib
+
+    stream = hashlib.shake_256(seed).digest(1 << 18)
+    pos, out = 0, []
+    for m in moduli:
+        bits = m.bit_length()
+        width = 4 if bits <= 32 else 8 if bits <= 64 else (bits + 7) // 8
+        kept = []
+        while len(kept) < n:
+            word = int.from_bytes(stream[pos : pos + width], "little")
+            pos += width
+            if word & ((1 << bits) - 1) < m:
+                kept.append(word & ((1 << bits) - 1))
+        out.append(kept)
+    return out
+
+
+class TestExpandUniform:
+    SEED = bytes(range(SEED_BYTES))
+
+    @pytest.mark.parametrize(
+        "moduli",
+        [
+            (65537,),  # 4-byte words
+            ((1 << 30) - 35, (1 << 29) - 3),  # a chain, read on in order
+            ((1 << 62) - 57,),  # 8-byte words
+            ((1 << 100) - 15,),  # wide: byte-width words
+            ((1 << 32) + 15,),  # a third of its words rejected
+        ],
+    )
+    def test_equals_the_word_by_word_reference(self, moduli):
+        got = expand_uniform(self.SEED, 300, moduli)
+        want = reference_expand(self.SEED, 300, moduli)
+        assert [[int(v) for v in row] for row in got] == want
+
+    def test_a_run_past_the_margin_rereads_a_longer_digest(self, monkeypatch):
+        """A first digest cut to a quarter of its size stands in for a
+        rejection run past the margin: the longer digest read next
+        continues the same stream, so nothing changes."""
+        import hashlib
+
+        from repro.crypto import prg
+
+        class FirstDigestShort:
+            def __init__(self, seed):
+                self._shake, self._calls = hashlib.shake_256(seed), 0
+
+            def digest(self, length):
+                self._calls += 1
+                return self._shake.digest(length // 4 if self._calls == 1 else length)
+
+        class Hashlib:
+            shake_256 = FirstDigestShort
+
+        moduli = ((1 << 32) + 1, (1 << 30) - 35)
+        want = reference_expand(self.SEED, 500, moduli)
+        monkeypatch.setattr(prg, "hashlib", Hashlib)
+        got = expand_uniform(self.SEED, 500, moduli)
+        assert [row.tolist() for row in got] == want
+
+    def test_seed_separates_and_fixes_the_element(self):
+        moduli = ((1 << 30) - 35,)
+        a = expand_uniform(self.SEED, 64, moduli)[0]
+        assert (a == expand_uniform(self.SEED, 64, moduli)[0]).all()
+        b = expand_uniform(bytes(SEED_BYTES), 64, moduli)[0]
+        assert (a != b).any()
+
+    @pytest.mark.parametrize("length", [0, 16, 31, 33])
+    def test_seed_length_is_checked(self, length):
+        with pytest.raises(ValueError, match="seed"):
+            expand_uniform(bytes(length), 8, (97,))
+
+    def test_roughly_uniform(self):
+        m = (1 << 30) - 35
+        (row,) = expand_uniform(self.SEED, 8192, (m,))
+        buckets = [0] * 8
+        for v in row.tolist():
+            buckets[v * 8 // m] += 1
+        assert all(abs(b - 1024) < 5 * 30 for b in buckets), buckets

@@ -156,22 +156,25 @@ class TestBitIdentity:
 # that a later change to the kernel cannot move a transcript byte
 # unnoticed. (When recorded, the arbitrary-precision oracle —
 # REPRO_REPRESENTATION=bigint — produced the same eight digests.)
+# Re-recorded once more on the commit that made the client's Enc(r) a
+# seeded symmetric encryption: every Enc(W r - s) the server returns is
+# computed from a different (equally valid) Enc(r), so all eight moved.
 GOLDEN_FRAMES = {
     ("delphi", "client", 8, 1701): [
-        "bc58d4471035e06ae3031b0351bd23d0924c93e55523d4abacd48c1c0b38ad38",
-        "f0e1e8a66003996f643136bb8c061fc146abf2aec02d28e98762ed2cd795a7df",
+        "5b04c5a63a3f933c60c29dbe1df1466bf00773d537e21e7084876ee862fdea2d",
+        "7c214366b4ecdf5ac881eaf72656a52ba98264dd0b017efbe40d2602888abf70",
     ],
     ("delphi", "client", 8, 1702): [
-        "581dec5ec8247af61442f0de50d298d332fdc7d9e98a79f6dedaa38eeb549ce1",
-        "e067bafb08cf1a768fbde5e949d4f1c718bf07f533e3390cd4887692957564f3",
+        "f15d2a13dfbaa5b94d722fd498106d363604e4750d54a5540c9b36f0b4e5e6d4",
+        "098bac61157078ee6574b286aae6391c91f68fcbcfa3031416ee0ce316ce1088",
     ],
     ("fast", "server", 128, 1701): [
-        "be599b944f31b477aa91aa567fdd9905d75e5b8cebc5719a528e6bef6c439535",
-        "3d4d638add72c601c1f115086399ba857e79a881f543b6bfbc5665baa3ec6c0f",
+        "726df8df3c303fdb51cc46bba0ee35d5e57ecc2118e6d9d353eabecd0e3369e1",
+        "3648599ba77ae40e65daf827bd77b6fe6de6bea61727c9b832414b4940aa6fc5",
     ],
     ("fast", "server", 128, 1702): [
-        "7078c0870cc4c955fc803f2d831953461e634e1f52d3ba484509503f4e699b2e",
-        "fd562443c15f232098334f590921468cc1485620fa85c8612733e513daad81a9",
+        "7b9117562856b8e7df4cd11317a1f0dd93550596085bd951a6cd3f2432986205",
+        "cccd88e6836349ea34d5463c0ef6d7a3a43c641c616954cd6718036a426ed7db",
     ],
 }
 
@@ -202,7 +205,8 @@ def server_ciphertext_digests(params, garbler, hidden, seed):
 
 def every_frame_digests(params, garbler, hidden, seed):
     """Run one seeded offline and online phase of the same MLP and hash
-    every frame either party sends, in send order per (party, phase)."""
+    every frame either party sends, in send order per (party, phase).
+    Also returns the per-phase ``(messages, bytes)`` each party charged."""
     net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=hidden)
     net.randomize_weights(params.t, np.random.default_rng([seed, 0]))
     x = np.random.default_rng([seed, 1]).integers(0, params.t, size=16).tolist()
@@ -225,7 +229,14 @@ def every_frame_digests(params, garbler, hidden, seed):
         assert proto.run_online(x) == proto.plaintext_reference(x)
     finally:
         proto.close()
-    return digests
+    return digests, [
+        {
+            (phase, direction): (stats.messages, stats.bytes)
+            for phase, directions in party.channel.phase_stats.items()
+            for direction, stats in directions.items()
+        }
+        for party in (proto.client, proto.server)
+    ]
 
 
 # sha256 of EVERY frame of the four (params, hidden, seed) cases above,
@@ -233,9 +244,9 @@ def every_frame_digests(params, garbler, hidden, seed):
 # lists, OT choice and reply frames, the masked input and the final
 # share — both parties, both phases. Recorded on the
 # tree before the garbler/evaluator legs of core/session.py were written
-# once, and not edited by that change: TestMonolithParity pins charged
-# bytes and message counts, this pins the bytes on the wire and with
-# them the RNG draw order (every layer's garbling RNG spawns before any
+# once, and not edited by that change: GOLDEN_TRANSCRIPT below pins
+# charged bytes and message counts, this pins the bytes on the wire and
+# with them the RNG draw order (every layer's garbling RNG spawns before any
 # layer is garbled; the OT holder spawns one per layer when it serves).
 # GC frames depend on the garbler in use (vectorized on numpy, scalar on
 # python draw different labels from one seed), hence the numpy-only skip.
@@ -243,19 +254,24 @@ def every_frame_digests(params, garbler, hidden, seed):
 # garbler, the output labels the client returns — were re-recorded once,
 # on the commit that made the row hash salted BLAKE2s; every input-label,
 # OT, HE and share frame kept the digest recorded above (the commit before
-# it, which made the batch columnar, moved none).
+# it, which made the batch columnar, moved none). The commit that stopped
+# sending the public key and seeded the client's uniform halves moved only
+# HE frames, once: the client's public-key frame is gone, its Galois-key
+# and two Enc(r) frames and the server's two Enc(W r - s) returns were
+# re-recorded; every GC, OT, masked-input and final-share digest is the
+# one recorded before it (the key material draws from the BFV context's
+# own spawned stream, so no other draw moved).
 GOLDEN_EVERY_FRAME = {
     ("delphi", "server", "8", "1701"): {
         "client/offline": [
-            "0c1829ef26b9ea2f4e2f8ba9a323b8d5155457a975343aef618278d2d5d50bbd",
-            "ba96c758574ce0c71593e3fc7f30774a6f3ca5221cbba1d2ba601e182afbf54f",
-            "831c83cf70bb5c3126cff581728c966fea2e507ea1b2b735fec54488c969d6e2",
-            "e3a304208ba6b448a6f797a490e9d0976c25404113973211b7a05b6022f6dbb8",
+            "1ba6098f436e9df7f2187a46e52c43a0960cf0830ae3819fb892c5e532887d7b",
+            "990f713383089d65cd067d107b458386eecc0960882f281b7c9188f42d301222",
+            "881744ab681d88c093591069792c9334faa22e86c8ad7a8bc634eb32048fd36c",
             "7cb5808c1adabd364205b23b343568032cf578ea9b2a978365ddc11c174283d8",
         ],
         "server/offline": [
-            "bc58d4471035e06ae3031b0351bd23d0924c93e55523d4abacd48c1c0b38ad38",
-            "f0e1e8a66003996f643136bb8c061fc146abf2aec02d28e98762ed2cd795a7df",
+            "5b04c5a63a3f933c60c29dbe1df1466bf00773d537e21e7084876ee862fdea2d",
+            "7c214366b4ecdf5ac881eaf72656a52ba98264dd0b017efbe40d2602888abf70",
             "412d08cb1e04c0548a49cb00166eef4d40503fa7bafd4b7b710a273590bf35e6",
             "8c9e8625702e8b5b7e5a36e2aaa051c4cbf384e17a9c93be81682da816b9d502",
         ],
@@ -270,16 +286,15 @@ GOLDEN_EVERY_FRAME = {
     },
     ("delphi", "client", "8", "1701"): {
         "client/offline": [
-            "0c1829ef26b9ea2f4e2f8ba9a323b8d5155457a975343aef618278d2d5d50bbd",
-            "ba96c758574ce0c71593e3fc7f30774a6f3ca5221cbba1d2ba601e182afbf54f",
-            "831c83cf70bb5c3126cff581728c966fea2e507ea1b2b735fec54488c969d6e2",
-            "e3a304208ba6b448a6f797a490e9d0976c25404113973211b7a05b6022f6dbb8",
+            "1ba6098f436e9df7f2187a46e52c43a0960cf0830ae3819fb892c5e532887d7b",
+            "990f713383089d65cd067d107b458386eecc0960882f281b7c9188f42d301222",
+            "881744ab681d88c093591069792c9334faa22e86c8ad7a8bc634eb32048fd36c",
             "c2abcdafdb99da291a6ea311e7275eb48e7474e26ffa8dc38921016771c168bc",
             "af23bca044f6f7ba5d9e6c3ec2d1a66a5dadf1b64a2ccd5fe664de46d01bfb19",
         ],
         "server/offline": [
-            "bc58d4471035e06ae3031b0351bd23d0924c93e55523d4abacd48c1c0b38ad38",
-            "f0e1e8a66003996f643136bb8c061fc146abf2aec02d28e98762ed2cd795a7df",
+            "5b04c5a63a3f933c60c29dbe1df1466bf00773d537e21e7084876ee862fdea2d",
+            "7c214366b4ecdf5ac881eaf72656a52ba98264dd0b017efbe40d2602888abf70",
         ],
         "client/online": [
             "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
@@ -292,15 +307,14 @@ GOLDEN_EVERY_FRAME = {
     },
     ("delphi", "server", "8", "1702"): {
         "client/offline": [
-            "57599c6b3ae37ca22fbe8a244593a9f9b916a90384c4447e710ee3371418e0e1",
-            "f056ad0f4a18a93049190286e63c08ec2d3647e03f9210939aaef5f0a25ad49a",
-            "ccee0beb0f16dc1e608fcdb4270e96120474c33b348b19c55546ea7db1222e65",
-            "cd5712b6f4d554534ed39966801143c2980cb09b0f6ffafe85ca29fb0dab6464",
+            "cff9ecfbf021c88aa3b1e996ddba0dfd32ac422a593224ae0ad110dac40e38e6",
+            "e03de2a2bf98e49b5e81975bb23b460821ee0d7bf62979a56ef9bb1ea5c7290e",
+            "0a52c62a050747375019101e110df92800b0ce04a3679fd9c5f10c8bd5d3a266",
             "f0325c018c42a94c9df1fffc9cbdb7f5ae7e39a758b062ef963358b70a4b5bc7",
         ],
         "server/offline": [
-            "581dec5ec8247af61442f0de50d298d332fdc7d9e98a79f6dedaa38eeb549ce1",
-            "e067bafb08cf1a768fbde5e949d4f1c718bf07f533e3390cd4887692957564f3",
+            "f15d2a13dfbaa5b94d722fd498106d363604e4750d54a5540c9b36f0b4e5e6d4",
+            "098bac61157078ee6574b286aae6391c91f68fcbcfa3031416ee0ce316ce1088",
             "eca38736ce8b1c6d6b5f8ed41bba54fa8a1352010da7182c87684d97b2b0cf1b",
             "9337b6538d5a846f860a5985c42edc80be14e50e2c946d69513d128c0c82cfcb",
         ],
@@ -315,16 +329,15 @@ GOLDEN_EVERY_FRAME = {
     },
     ("delphi", "client", "8", "1702"): {
         "client/offline": [
-            "57599c6b3ae37ca22fbe8a244593a9f9b916a90384c4447e710ee3371418e0e1",
-            "f056ad0f4a18a93049190286e63c08ec2d3647e03f9210939aaef5f0a25ad49a",
-            "ccee0beb0f16dc1e608fcdb4270e96120474c33b348b19c55546ea7db1222e65",
-            "cd5712b6f4d554534ed39966801143c2980cb09b0f6ffafe85ca29fb0dab6464",
+            "cff9ecfbf021c88aa3b1e996ddba0dfd32ac422a593224ae0ad110dac40e38e6",
+            "e03de2a2bf98e49b5e81975bb23b460821ee0d7bf62979a56ef9bb1ea5c7290e",
+            "0a52c62a050747375019101e110df92800b0ce04a3679fd9c5f10c8bd5d3a266",
             "717be3ecd238ebcc58bbe79bb1ff0df27a9968e9b1125118581e0e0aaa4a05fd",
             "70e147b6e46deaca0949ebee05ab04f7567494acda4570921215983e0cdf4618",
         ],
         "server/offline": [
-            "581dec5ec8247af61442f0de50d298d332fdc7d9e98a79f6dedaa38eeb549ce1",
-            "e067bafb08cf1a768fbde5e949d4f1c718bf07f533e3390cd4887692957564f3",
+            "f15d2a13dfbaa5b94d722fd498106d363604e4750d54a5540c9b36f0b4e5e6d4",
+            "098bac61157078ee6574b286aae6391c91f68fcbcfa3031416ee0ce316ce1088",
         ],
         "client/online": [
             "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
@@ -337,15 +350,14 @@ GOLDEN_EVERY_FRAME = {
     },
     ("fast", "server", "128", "1701"): {
         "client/offline": [
-            "fb987626023f7382c09d3e3be59032abfb3aa2315d3bb36a773f7de6e121e8ec",
-            "8213fec873a35ddf51466bf3b92f77bdbd1f633fd49c59f492c3a1792c567f73",
-            "c122fb249d159b04aadc5be42597b594142d7f98712b843858051adfebeb4496",
-            "cbb7ada0464aa2f8d289f960147f8cae8de8d03cb175987054e3bc4e605627f1",
+            "9a181ed864aca26576e9f4d06b93a6961123d8a4f935c3715b4f3242aa8d9995",
+            "a6ad7cdd7ea5c1d6400fee3b41663c57a74a0e8db079a91a2e7bbe3ccaf221be",
+            "62ca28577205de6dbfb11d707781c7c9a4d33495f71dbca4574eb74e3a1ac173",
             "f5bd45b67177f404df740a16a28c173b812bf253870f27a08e0d9e2e9d19b4bc",
         ],
         "server/offline": [
-            "be599b944f31b477aa91aa567fdd9905d75e5b8cebc5719a528e6bef6c439535",
-            "3d4d638add72c601c1f115086399ba857e79a881f543b6bfbc5665baa3ec6c0f",
+            "726df8df3c303fdb51cc46bba0ee35d5e57ecc2118e6d9d353eabecd0e3369e1",
+            "3648599ba77ae40e65daf827bd77b6fe6de6bea61727c9b832414b4940aa6fc5",
             "b0ea9fdd9ea397a35caa7b5991da47a90db3605baf4931776a4af7e74a99fdc1",
             "c46ceac94bb08471f8d38974b749fc53fe87127690f1774c77957199a9957491",
         ],
@@ -360,16 +372,15 @@ GOLDEN_EVERY_FRAME = {
     },
     ("fast", "client", "128", "1701"): {
         "client/offline": [
-            "fb987626023f7382c09d3e3be59032abfb3aa2315d3bb36a773f7de6e121e8ec",
-            "8213fec873a35ddf51466bf3b92f77bdbd1f633fd49c59f492c3a1792c567f73",
-            "c122fb249d159b04aadc5be42597b594142d7f98712b843858051adfebeb4496",
-            "cbb7ada0464aa2f8d289f960147f8cae8de8d03cb175987054e3bc4e605627f1",
+            "9a181ed864aca26576e9f4d06b93a6961123d8a4f935c3715b4f3242aa8d9995",
+            "a6ad7cdd7ea5c1d6400fee3b41663c57a74a0e8db079a91a2e7bbe3ccaf221be",
+            "62ca28577205de6dbfb11d707781c7c9a4d33495f71dbca4574eb74e3a1ac173",
             "25ff36c709fc7ccabf31d748ad9452e6e24b1339d5129eaefdd6b6ca542093ae",
             "7689ecda0e1a30a97ee01599f4e622be00aad4f8f8e05bca8740ebc99948dc5c",
         ],
         "server/offline": [
-            "be599b944f31b477aa91aa567fdd9905d75e5b8cebc5719a528e6bef6c439535",
-            "3d4d638add72c601c1f115086399ba857e79a881f543b6bfbc5665baa3ec6c0f",
+            "726df8df3c303fdb51cc46bba0ee35d5e57ecc2118e6d9d353eabecd0e3369e1",
+            "3648599ba77ae40e65daf827bd77b6fe6de6bea61727c9b832414b4940aa6fc5",
         ],
         "client/online": [
             "0e78a2c6cdc41be8a2f17f6693c4e0f1c006813ac49c59548ad7518681501b6a",
@@ -382,15 +393,14 @@ GOLDEN_EVERY_FRAME = {
     },
     ("fast", "server", "128", "1702"): {
         "client/offline": [
-            "06afcc1545721aece030aaf0910f30603ec7ed701d91799911cb48b5acc6658b",
-            "bdd32f817e5d2774c44698e0a8c0cea1f5b6a4ebf0317c6401bc6045d84a94fc",
-            "a38bfe2cb7935e6d252d2cec115dea09d10692d17c2e50c44e6ce6d8c62dbc41",
-            "15531be6dbfe074ca9f3c7f57a3dbf622c39fbb59013ffff1ff6eb639e5594df",
+            "41c452953d83a5d41050af0f1859c3b824c9b6d9dc2800432087b0d638ab0eac",
+            "5bd00ae2ee89fe12d06a578a9e34d077a0da4f97665c79dab6db608c10c6dd16",
+            "41fc76664dde6c6b9cdec9cc99e8ce35a295e1aa7f9c5db8a0f93a97b55daf5a",
             "3dd64ea9b2fe347bb5f636be07fd16d425fb4b10decc23e36d205d9dc2e7b4b4",
         ],
         "server/offline": [
-            "7078c0870cc4c955fc803f2d831953461e634e1f52d3ba484509503f4e699b2e",
-            "fd562443c15f232098334f590921468cc1485620fa85c8612733e513daad81a9",
+            "7b9117562856b8e7df4cd11317a1f0dd93550596085bd951a6cd3f2432986205",
+            "cccd88e6836349ea34d5463c0ef6d7a3a43c641c616954cd6718036a426ed7db",
             "f0aaef017a29b83556a5a67c047220a75f694c03e0814bb0aa19d909f194d4aa",
             "d9f2e91a0ef2f1a82854c870791960874a941d1b6a34dd7575beb55b89bdb72e",
         ],
@@ -405,16 +415,15 @@ GOLDEN_EVERY_FRAME = {
     },
     ("fast", "client", "128", "1702"): {
         "client/offline": [
-            "06afcc1545721aece030aaf0910f30603ec7ed701d91799911cb48b5acc6658b",
-            "bdd32f817e5d2774c44698e0a8c0cea1f5b6a4ebf0317c6401bc6045d84a94fc",
-            "a38bfe2cb7935e6d252d2cec115dea09d10692d17c2e50c44e6ce6d8c62dbc41",
-            "15531be6dbfe074ca9f3c7f57a3dbf622c39fbb59013ffff1ff6eb639e5594df",
+            "41c452953d83a5d41050af0f1859c3b824c9b6d9dc2800432087b0d638ab0eac",
+            "5bd00ae2ee89fe12d06a578a9e34d077a0da4f97665c79dab6db608c10c6dd16",
+            "41fc76664dde6c6b9cdec9cc99e8ce35a295e1aa7f9c5db8a0f93a97b55daf5a",
             "e03c349067bc340b54533260baa2544efdc1b9c557879abebbd05ffb0e952279",
             "d067f07d1d83e33dbd27fa409ebd07c294b04f09e3852b93c9e8e3abb6c3de62",
         ],
         "server/offline": [
-            "7078c0870cc4c955fc803f2d831953461e634e1f52d3ba484509503f4e699b2e",
-            "fd562443c15f232098334f590921468cc1485620fa85c8612733e513daad81a9",
+            "7b9117562856b8e7df4cd11317a1f0dd93550596085bd951a6cd3f2432986205",
+            "cccd88e6836349ea34d5463c0ef6d7a3a43c641c616954cd6718036a426ed7db",
         ],
         "client/online": [
             "3f19f7b26cd2a871f4b58b1be986b754698e99edc18b7ef8cd0294ad51891c9a",
@@ -424,6 +433,47 @@ GOLDEN_EVERY_FRAME = {
             "059530f384bfea90f1d97c25b3a72bda46b19057edd64f1fecc5c9d99a3d760c",
             "f39020dd31478d6e98906f197c795c38e5225c5590bf7a589fbab52cc701475a",
         ],
+    },
+}
+
+# The (messages, bytes) each party charges per (phase, direction) in the
+# cases above — the same for both seeds, and for both parties' books.
+# Offline up under Client-Garbler at delphi, 383,184 B: one Galois key of
+# three seeded digits (3 x 47,136, half a 94,208-B ciphertext plus a
+# 32-B seed each), two seeded Enc(r) (2 x 47,136) and the garbled
+# batches with the client's own labels (147,504); no public key.
+GOLDEN_TRANSCRIPT = {
+    ("delphi", "server", "8"): {
+        ("setup", "up"): (1, 32),
+        ("setup", "down"): (1, 4_096),
+        ("offline", "up"): (4, 246_176),
+        ("offline", "down"): (4, 346_112),
+        ("online", "up"): (2, 5_344),
+        ("online", "down"): (2, 5_266),
+    },
+    ("delphi", "client", "8"): {
+        ("setup", "up"): (1, 4_096),
+        ("setup", "down"): (1, 32),
+        ("offline", "up"): (5, 383_184),
+        ("offline", "down"): (2, 188_416),
+        ("online", "up"): (2, 10_592),
+        ("online", "down"): (2, 5_266),
+    },
+    ("fast", "server", "128"): {
+        ("setup", "up"): (1, 32),
+        ("setup", "down"): (1, 4_096),
+        ("offline", "up"): (4, 80_032),
+        ("offline", "down"): (4, 1_056_768),
+        ("online", "up"): (2, 34_864),
+        ("online", "down"): (2, 34_825),
+    },
+    ("fast", "client", "128"): {
+        ("setup", "up"): (1, 4_096),
+        ("setup", "down"): (1, 32),
+        ("offline", "up"): (5, 993_824),
+        ("offline", "down"): (2, 8_192),
+        ("online", "up"): (2, 69_680),
+        ("online", "down"): (2, 34_825),
     },
 }
 
@@ -447,10 +497,9 @@ class TestGoldenFrames:
         params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
         if backend_for(params.t, prefer=params.backend).name != "numpy":
             pytest.skip("full-degree mints need the vectorized backend")
-        assert (
-            every_frame_digests(params, garbler, hidden, seed)
-            == GOLDEN_EVERY_FRAME[case]
-        )
+        digests, books = every_frame_digests(params, garbler, hidden, seed)
+        assert digests == GOLDEN_EVERY_FRAME[case]
+        assert books == [GOLDEN_TRANSCRIPT[(name, garbler, str(hidden))]] * 2
 
 
 def largest_prime_below(limit):

@@ -358,7 +358,9 @@ class TestNoiseBudgetFloor:
         )
         x = [rng.randrange(params.t) for _ in range(n_in)]
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
-        ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
+        # The seeded symmetric encryption the client sends.
+        ct = ctx.encrypt(sk, encoder.encode(evaluator.pack_vector(x)))
+        assert ct.seed is not None
         out = evaluator.matvec(ct, matrix)
         assert evaluator.rotations_performed == n_in - 1
         want = [
@@ -375,6 +377,19 @@ class TestNoiseBudgetFloor:
             self.budget_after_matvec(params, shape, seed) for seed in self.SEEDS
         )
         assert worst >= FLOORS[case]
+
+    @pytest.mark.parametrize("name", PARAM_SETS)
+    def test_fresh_symmetric_budget_is_at_least_the_public_key_one(self, name):
+        """A fresh ``Enc(r)`` under the secret key carries one noise term,
+        under the public key ``u·e + e1 + e2·s``: dropping the public key
+        can only leave the matvec more budget."""
+        params = vectorized(PARAM_SETS[name])
+        for seed in self.SEEDS:
+            ctx, encoder, sk, pk, _, _ = keyed_context(params, seed)
+            plain = encoder.encode(list(range(params.row_size)))
+            symmetric = ctx.noise_budget_bits(sk, ctx.encrypt(sk, plain))
+            public = ctx.noise_budget_bits(sk, ctx.encrypt(pk, plain))
+            assert symmetric >= public
 
     @pytest.mark.parametrize(
         "case", [case for case in FLOORS if case[0] in TOO_WIDE], ids=floor_id
@@ -398,7 +413,9 @@ class TestDigitCountMismatch:
         params = vectorized(PARAM_SETS["delphi"])
         ctx, encoder, sk, pk, g, gk = keyed_context(params, seed=2)
         # Six (k0, k1) pairs, the shape of a one-digit-per-prime delphi key.
-        return ctx, encoder, pk, g, GaloisKeys(params, {g: gk.keys[g] * 2})
+        return ctx, encoder, pk, g, GaloisKeys(
+            params, {g: gk.keys[g] * 2}, {g: gk.seeds[g] * 2}
+        )
 
     def test_deserialize_rejects_a_six_digit_key(self, stale):
         ctx, encoder, pk, g, old = stale
@@ -416,7 +433,7 @@ class TestDigitCountMismatch:
 
     def test_too_few_digits_rejected_too(self, stale):
         ctx, encoder, pk, g, old = stale
-        short = GaloisKeys(ctx.params, {g: old.keys[g][:2]})
+        short = GaloisKeys(ctx.params, {g: old.keys[g][:2]}, {g: old.seeds[g][:2]})
         with pytest.raises(ValueError, match=r"2 .*use 3"):
             ctx.rotate(ctx.encrypt(pk, encoder.encode([1])), g, short)
         with pytest.raises(ValueError, match=r"2 .*use 3"):
@@ -431,7 +448,7 @@ class TestDigitCountMismatch:
         with pytest.raises(ValueError, match=r"16 .*use 3"):
             deserialize_galois_keys(serialize_galois_keys(old), params)
         current = BfvContext(params, SecureRandom(2))
-        stale = GaloisKeys(params, old.keys)
+        stale = GaloisKeys(params, old.keys, old.seeds)
         ct = current.encrypt(pk, encoder.encode([1, 2]))
         with pytest.raises(ValueError, match=r"16 .*use 3"):
             current.rotate(ct, g, stale)
@@ -459,7 +476,8 @@ class TestKeyBytesAreExact:
         params = PARAM_SETS[name]
         ctx, encoder, sk, pk, g, gk = keyed_context(params, seed=4)
         width = (params.q_bits + 7) // 8
-        assert gk.byte_size == DIGITS[name] * 2 * params.n * width
-        # Wire = payload + per-pair (n, width) headers + framing.
+        # Per digit k0 in full and the 32-byte seed k1 expands from.
+        assert gk.byte_size == DIGITS[name] * (params.n * width + 32)
+        # Wire = payload + per-digit (n, width, seed length) headers + framing.
         wire = serialize_galois_keys(gk)
-        assert len(wire) == gk.byte_size + 5 * DIGITS[name] + 4 + 4 + 8
+        assert len(wire) == gk.byte_size + 6 * DIGITS[name] + 4 + 4 + 8

@@ -22,6 +22,7 @@ from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly, RnsPoly
 from repro.network.serialize import (
     FMT_CIPHERTEXT,
+    FMT_SEEDED_CIPHERTEXT,
     WIRE_MAGIC,
     WIRE_VERSION,
     ciphertext_wire_bytes,
@@ -116,6 +117,29 @@ class TestCiphertext:
         _, pk = ctx.keygen()
         ct = ctx.encrypt(pk, encoder.encode([1]))
         assert len(serialize_ciphertext(ct)) == ciphertext_wire_bytes(PARAMS)
+
+    def test_seeded_roundtrip_expands_c1_exactly(self):
+        """A secret-key encryption travels as ``c0`` and the seed of
+        ``c1``; the receiver's expansion is the sender's ``c1``."""
+        ctx = BfvContext(PARAMS, SecureRandom(4))
+        encoder = BatchEncoder(PARAMS)
+        sk = ctx.secret_keygen()
+        ct = ctx.encrypt(sk, encoder.encode([5, 6, 7]))
+        assert ct.seed is not None and ct.byte_size == PARAMS.seeded_ciphertext_bytes
+        wire = serialize_ciphertext(ct)
+        assert wire[3] == FMT_SEEDED_CIPHERTEXT
+        # header, (n, width, seed length), c0, seed
+        assert len(wire) == 4 + 6 + PARAMS.seeded_ciphertext_bytes
+        assert ct.c1.to_bytes(13) not in wire
+        restored = deserialize_ciphertext(wire, PARAMS)
+        assert restored.seed == ct.seed and restored.c1 == ct.c1
+        assert restored.byte_size == ct.byte_size
+        assert serialize_ciphertext(restored) == wire
+        assert encoder.decode(ctx.decrypt(sk, restored))[:3] == [5, 6, 7]
+        # Any operation yields an unseeded ciphertext, sent in full.
+        doubled = restored + restored
+        assert doubled.seed is None
+        assert len(serialize_ciphertext(doubled)) == ciphertext_wire_bytes(PARAMS)
 
     def test_wire_size_close_to_analytic(self):
         """Serialized size ≈ the params.ciphertext_bytes accounting."""
@@ -253,6 +277,125 @@ class TestRingCodec:
         for cut in (len(wire) - 1, len(wire) - PARAMS.ciphertext_bytes, 40, 12, 6):
             with pytest.raises(ValueError, match="truncated"):
                 deserialize_galois_keys(wire[:cut], PARAMS)
+
+
+def _seeded_frames(params):
+    """A seeded ciphertext frame and a seeded Galois-key frame."""
+    ctx = BfvContext(params, SecureRandom(25))
+    encoder = BatchEncoder(params)
+    sk = ctx.secret_keygen()
+    gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
+    ct = ctx.encrypt(sk, encoder.encode([1, 2, 3]))
+    return {
+        "ciphertext": (
+            serialize_ciphertext(ct),
+            lambda data: deserialize_ciphertext(data, params),
+        ),
+        "galois_keys": (
+            serialize_galois_keys(gk),
+            lambda data: deserialize_galois_keys(data, params),
+        ),
+    }
+
+
+# Wide enough that decoding one polynomial, or expanding one seed, costs
+# more memory than the frame is long.
+SEEDED_N = 1024
+SEEDED = _seeded_frames(fast_params(n=SEEDED_N))
+
+
+def _rejected_within_its_length(decode, frame: bytes, match=None):
+    """``decode(frame)`` raises ``ValueError`` — exactly, a struct.error
+    would fail here — having allocated less than the frame's own length."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            decode(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < max(len(frame), 4096), (len(frame), peak)
+
+
+class TestHostileSeededFrames:
+    """The seeded ciphertext and Galois-key decoders meet a cut or lying
+    frame with the one typed ``ValueError``, before any coefficient is
+    decoded or any seed expanded — so a rejected frame allocates less than
+    its own length."""
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_the_frames_decode(self, name):
+        wire, decode = SEEDED[name]
+        assert decode(wire) is not None
+
+    @pytest.mark.parametrize("name", SEEDED)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_cut_is_a_value_error(self, name, data):
+        wire, decode = SEEDED[name]
+        cut = data.draw(st.integers(min_value=0, max_value=len(wire) - 1))
+        _rejected_within_its_length(decode, wire[:cut])
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_every_boundary_cut_is_a_value_error(self, name):
+        """The cuts a random sweep may miss: inside every header and at
+        both ends of every seed."""
+        wire, decode = SEEDED[name]
+        body = SEEDED_N * 8  # fast_params: 8-byte coefficients
+        if name == "ciphertext":
+            heads = [4]
+        else:
+            heads = [4 + 4 + 8 + i * (6 + body + 32) for i in range(3)]
+        cuts = set(range(8))
+        for head in heads:
+            cuts |= set(range(head, head + 7))
+            cuts |= {head + 6 + body, head + 6 + body + 31}
+        for cut in sorted(c for c in cuts if c < len(wire)):
+            _rejected_within_its_length(decode, wire[:cut])
+
+    @pytest.mark.parametrize("name", SEEDED)
+    @pytest.mark.parametrize("seed_len", [0, 16, 31, 33, 255])
+    def test_a_wrong_seed_length_is_rejected(self, name, seed_len):
+        wire, decode = SEEDED[name]
+        # The first seeded polynomial's header: (n, width, seed length).
+        at = 4 + 5 if name == "ciphertext" else 4 + 4 + 8 + 5
+        assert wire[at] == 32
+        lying = bytearray(wire)
+        lying[at] = seed_len
+        _rejected_within_its_length(decode, bytes(lying), "seed length")
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_trailing_bytes_are_rejected(self, name):
+        wire, decode = SEEDED[name]
+        for extra in (b"\x00", b"\x00" * 32, wire[-64:]):
+            _rejected_within_its_length(decode, wire + extra, "trailing")
+
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_a_foreign_degree_or_width_is_rejected(self, name):
+        wire, decode = SEEDED[name]
+        at = 4 if name == "ciphertext" else 4 + 4 + 8
+        for field, value in ((slice(at, at + 4), struct.pack("<I", 1 << 20)),
+                             (slice(at + 4, at + 5), b"\x09")):
+            lying = bytearray(wire)
+            lying[field] = value
+            _rejected_within_its_length(decode, bytes(lying), "mismatch")
+
+    def test_an_unseeded_frame_is_not_a_galois_key(self):
+        """0x08, the full-``k1`` key layout, is no longer spoken: a peer
+        that still sends it fails on the format code."""
+        wire, decode = SEEDED["galois_keys"]
+        old = wire[:3] + b"\x08" + wire[4:]
+        _rejected_within_its_length(decode, old, "format 0x08")
+
+    def test_keys_without_seeds_do_not_serialize(self):
+        from repro.he.bfv import GaloisKeys
+
+        params = fast_params(n=SEEDED_N)
+        gk = deserialize_galois_keys(SEEDED["galois_keys"][0], params)
+        with pytest.raises(ValueError, match="no seeds"):
+            serialize_galois_keys(GaloisKeys(params, gk.keys))
 
 
 class TestKeys:

@@ -295,7 +295,7 @@ class TestProtocolParity:
 
 
 class TestMintTranscriptParity:
-    """One seeded inference sends the same HE bytes — public key, Galois
+    """One seeded inference sends the same HE bytes — the seeded Galois
     key, every ciphertext in and out of the Horner matvec — whichever
     backend and representation computes it. (GC frames are not compared:
     the vectorized garbler the numpy backend selects and the scalar one
@@ -316,8 +316,8 @@ class TestMintTranscriptParity:
         from repro.network import serialize
 
         he_formats = {
-            serialize.FMT_PUBLIC_KEY,
             serialize.FMT_GALOIS_KEYS,
+            serialize.FMT_SEEDED_CIPHERTEXT,
             serialize.FMT_CIPHERTEXT,
         }
         clear_ntt_cache()
@@ -344,8 +344,8 @@ class TestMintTranscriptParity:
         finally:
             proto.close()
         assert logits == proto.plaintext_reference(x)
-        # pk + gk, then a ciphertext up and one down per linear layer.
-        assert count == 2 + 2 * len(proto.lowered.linears)
+        # gk, then a ciphertext up and one down per linear layer.
+        assert count == 1 + 2 * len(proto.lowered.linears)
         return digest.hexdigest(), tuple(logits), repr(proto.channel.summary())
 
     @pytest.mark.parametrize("name", CHAINS)
@@ -365,6 +365,75 @@ class TestMintTranscriptParity:
             for rep in ("bigint", "rns")
         }
         assert len(runs) >= 2 and len(set(runs.values())) == 1, runs
+
+
+class TestSeedExpansionParity:
+    """One seed expands to the same ring element — and a seeded symmetric
+    encryption to the same ciphertext — on every backend x representation
+    cell: the vectorized RNS path and the python bigint oracle (which
+    rebuilds the element from the per-prime residues through the CRT)
+    agree coefficient for coefficient. Runs in CI's backend x
+    representation matrix."""
+
+    PARAMS = {
+        "toy": TOY,
+        "delphi": dataclasses.replace(delphi_params(), n=128),
+        "fast": fast_params(n=128),
+    }
+
+    @staticmethod
+    def _cells(params):
+        reps = ("bigint", "rns") if params.rns_primes else ("bigint",)
+        return [
+            dataclasses.replace(params, backend=backend, representation=rep)
+            for backend in available_backends()
+            for rep in reps
+        ]
+
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_one_seed_one_element(self, name):
+        from repro.crypto.prg import expand_uniform
+        from repro.he.bfv import uniform_from_seed
+
+        params = self.PARAMS[name]
+        seed = bytes(range(32))
+        got = {
+            (cell.backend, cell.resolve_representation()): uniform_from_seed(
+                seed, cell
+            ).coeffs
+            for cell in self._cells(params)
+        }
+        assert len(set(map(tuple, got.values()))) == 1, got.keys()
+        # The element is the CRT image of one uniform vector per prime.
+        moduli = params.rns_primes or (params.q,)
+        rows = [[int(v) for v in row] for row in expand_uniform(seed, params.n, moduli)]
+        want = [crt_combine(list(col), list(moduli)) for col in zip(*rows)]
+        assert next(iter(got.values())) == want
+
+    @pytest.mark.parametrize("name", ["toy", "delphi"])
+    def test_numpy_rns_equals_python_bigint(self, name):
+        """The two ends of the matrix, named: a seeded Enc(r) and a seeded
+        Galois digit are the same ring elements on both."""
+        if "numpy" not in available_backends():
+            pytest.skip("needs the vectorized backend")
+        runs = []
+        for backend, rep in (("numpy", "rns"), ("python", "bigint")):
+            params = dataclasses.replace(
+                self.PARAMS[name], backend=backend, representation=rep
+            )
+            clear_ntt_cache()
+            ctx = BfvContext(params, SecureRandom(5))
+            encoder = BatchEncoder(params)
+            sk = ctx.secret_keygen()
+            gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
+            ct = ctx.encrypt(sk, encoder.encode([7, 8, 9]))
+            assert encoder.decode(ctx.decrypt(sk, ct))[:3] == [7, 8, 9]
+            digits = [pair for pairs in gk.keys.values() for pair in pairs]
+            runs.append((
+                ct.seed, ct.c0.coeffs, ct.c1.coeffs,
+                [(k0.coeffs, k1.coeffs) for k0, k1 in digits],
+            ))
+        assert runs[0] == runs[1]
 
 
 class TestRepresentationResolution:

@@ -4,7 +4,8 @@ The threat model is semi-honest, so these are not attack proofs — they
 check the *mechanisms* the security argument rests on: labels reveal
 nothing without the encoding, decode information is withheld from the
 Server-Garbler evaluator, tampering is detected where the protocol can
-detect it, and the client's first message is its input masked.
+detect it, the client's first message is its input masked, and the
+wire carries no key material the server does not use.
 """
 
 import random
@@ -20,7 +21,7 @@ from repro.gc.evaluate import Evaluator
 from repro.gc.garble import GarbledCircuit, Garbler, GarbledGate
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.params import BfvParams, toy_params
+from repro.he.params import BfvParams, delphi_params, fast_params, toy_params
 from repro.nn.datasets import tiny_dataset
 from repro.nn.models import tiny_mlp
 
@@ -198,3 +199,98 @@ class TestChannelIsolation:
             protocol.channel.recv("client")
         with pytest.raises(RuntimeError):
             protocol.channel.recv("server")
+
+
+class TestWireCarriesOnlyWhatTheServerUses:
+    """One full inference per garbler at delphi and fast params: the
+    client sends no public key, no seeded uniform half ``a`` travels in
+    any frame (its 32-byte seed does), and the server's expansion of each
+    seed is exactly the client's ``a``."""
+
+    @staticmethod
+    def _run(params, garbler, monkeypatch):
+        from repro.core import session
+        from repro.network.serialize import frame_format_name
+
+        sent, received = [], {"ct": [], "gk": []}
+        encrypt, keygen = BfvContext.encrypt, BfvContext.galois_keygen
+
+        def record(into, fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                into.append(out)
+                return out
+
+            return wrapper
+
+        made_ct, made_gk = [], []
+        monkeypatch.setattr(BfvContext, "encrypt", record(made_ct, encrypt))
+        monkeypatch.setattr(BfvContext, "galois_keygen", record(made_gk, keygen))
+        for name, key in (("deserialize_ciphertext", "ct"),
+                          ("deserialize_galois_keys", "gk")):
+            monkeypatch.setattr(
+                session, name, record(received[key], getattr(session, name))
+            )
+        net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=8)
+        net.randomize_weights(params.t, np.random.default_rng(3))
+        x = list(range(16))
+        proto = HybridProtocol(net, params, garbler=garbler, seed=5, transport="memory")
+        for party in (proto.client, proto.server):
+            def send(frame, _send=party.transport.send):
+                sent.append(bytes(frame))
+                _send(frame)
+
+            party.transport.send = send
+        try:
+            proto.run_offline()
+            assert proto.run_online(x) == proto.plaintext_reference(x)
+        finally:
+            proto.close()
+        names = [frame_format_name(frame) for frame in sent]
+        return names, sent, made_ct, made_gk, received
+
+    @pytest.mark.parametrize("garbler", ["server", "client"])
+    @pytest.mark.parametrize("name", ["delphi", "fast"])
+    def test_no_public_key_and_no_uniform_half_on_the_wire(
+        self, name, garbler, monkeypatch
+    ):
+        from repro.backend import backend_for
+
+        params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
+        if name == "delphi" and backend_for(params.t).name != "numpy":
+            pytest.skip("full-degree delphi runs need the vectorized backend")
+        names, sent, made_ct, made_gk, received = self._run(
+            params, garbler, monkeypatch
+        )
+        assert "public_key" not in names
+        assert names.count("galois_keys") == 1
+        assert names.count("seeded_ciphertext") == len(made_ct) == 2
+
+        (gk,) = made_gk
+        width = (params.q_bits + 7) // 8
+        seeded = [(ct.c1, ct.seed) for ct in made_ct]
+        seeded += [
+            (a_j, seed)
+            for g in gk.keys
+            for (_, a_j), seed in zip(gk.keys[g], gk.seeds[g])
+        ]
+        assert len(seeded) == 2 + params.num_decomp_digits
+        for a, seed in seeded:
+            assert len(seed) == 32
+            whole = a.to_bytes(width)
+            assert not any(whole in frame for frame in sent)
+            assert sum(seed in frame for frame in sent) == 1
+
+        # The server's expansions are the client's elements, exactly.
+        (server_gk,) = received["gk"]
+        assert server_gk.seeds == gk.seeds
+        for g in gk.keys:
+            for (k0, a_j), (got_k0, got_a) in zip(gk.keys[g], server_gk.keys[g]):
+                assert got_k0 == k0 and got_a == a_j
+        server_cts = [ct for ct in received["ct"] if ct.seed is not None]
+        assert len(server_cts) == len(made_ct)
+        for mine, theirs in zip(made_ct, server_cts):
+            assert theirs.seed == mine.seed
+            assert theirs.c0 == mine.c0 and theirs.c1 == mine.c1
+        # The returns Enc(W r - s) travel in full: nothing to seed.
+        assert sum(ct.seed is None for ct in received["ct"]) == len(made_ct)

@@ -1,15 +1,12 @@
-"""Session/transport redesign: transcript parity, framing, deployments.
+"""Session/transport layering: stepping, framing, deployments.
 
-The acceptance gate of the role-separated API: ``ClientSession`` +
-``ServerSession`` over an ``InMemoryTransport`` must reproduce the
-pre-redesign monolith's per-phase channel transcript (bytes AND message
-counts, both directions, both phases), its logits, and its operation
-counters — for both garbler roles, at toy and DELPHI-scale parameters.
-The monolith is frozen in :mod:`repro.core._monolith` precisely so this
-suite keeps enforcing that gate. On top of parity: transport framing
-(including wire-version rejection), independent step-interleaving of many
-sessions, and real socket deployments (loopback single-process and a
-genuine two-process run).
+``ClientSession`` + ``ServerSession`` step independently over a
+transport: independent step-interleaving of many sessions, transport
+framing (including wire-version rejection), the session lifecycle, and
+real socket deployments (loopback single-process and a genuine
+two-process run). The per-phase transcript of both garblers is pinned —
+frame digests and charged ``(messages, bytes)`` — in
+``tests/test_eval_matvec.py``.
 """
 
 import multiprocessing
@@ -18,11 +15,9 @@ import struct
 import numpy as np
 import pytest
 
-from repro.backend import backend_for
-from repro.core._monolith import MonolithHybridProtocol
 from repro.core.protocol import DONE, WAITING, HybridProtocol
 from repro.core.session import ClientSession, ServerSession
-from repro.he.params import delphi_params, toy_params
+from repro.he.params import toy_params
 from repro.network.transport import (
     InMemoryTransport,
     SocketListener,
@@ -31,24 +26,10 @@ from repro.network.transport import (
     TransportError,
 )
 from repro.nn.datasets import tiny_dataset
-from repro.nn.layers import Linear, ReLU
 from repro.nn.models import tiny_mlp
-from repro.nn.network import Network
-from repro.nn.shapes import TensorShape
 
 PARAMS = toy_params(n=256)
 P = PARAMS.t
-
-
-def make_mlp(widths, seed):
-    rng = np.random.default_rng(seed)
-    layers = []
-    for i in range(len(widths) - 1):
-        weights = rng.integers(0, P, size=(widths[i + 1], widths[i])).astype(object)
-        layers.append(Linear(widths[i], widths[i + 1], weights=weights, name=f"fc{i}"))
-        if i < len(widths) - 2:
-            layers.append(ReLU(name=f"relu{i}"))
-    return Network("mlp", TensorShape(widths[0]), layers)
 
 
 def phase_transcript(channel):
@@ -58,68 +39,6 @@ def phase_transcript(channel):
         for phase, directions in channel.phase_stats.items()
         for direction, stats in directions.items()
     }
-
-
-def assert_parity(net, params, garbler, seed, x):
-    mono = MonolithHybridProtocol(net, params, garbler=garbler, seed=seed)
-    mono.run_offline()
-    logits_mono = mono.run_online(x)
-
-    proto = HybridProtocol(net, params, garbler=garbler, seed=seed)
-    proto.run_offline()
-    logits = proto.run_online(x)
-
-    assert logits == logits_mono
-    assert logits == proto.plaintext_reference(x)
-    assert phase_transcript(proto.channel) == phase_transcript(mono.channel)
-    # The server session keeps its own books; they must agree byte for byte.
-    assert phase_transcript(proto.server.channel) == phase_transcript(mono.channel)
-    assert proto.counters == mono.counters
-    return proto
-
-
-class TestMonolithParity:
-    """Sessions over InMemoryTransport == the PR-4 monolith, per phase."""
-
-    @pytest.mark.parametrize("garbler", ["server", "client"])
-    def test_tiny_mlp_both_roles(self, garbler):
-        net = tiny_mlp(tiny_dataset(size=4, classes=3), hidden=8)
-        net.randomize_weights(P, np.random.default_rng(0))
-        x = np.random.default_rng(1).integers(0, P, size=16).tolist()
-        assert_parity(net, PARAMS, garbler, seed=11, x=x)
-
-    @pytest.mark.parametrize("trial", range(4))
-    def test_randomized_architectures(self, trial):
-        """Random widths/depths/inputs/roles: parity is not shape-specific."""
-        rng = np.random.default_rng(100 + trial)
-        depth = int(rng.integers(2, 4))
-        widths = [16] + [int(rng.choice([2, 4, 8])) for _ in range(depth - 1)]
-        widths.append(int(rng.choice([2, 4])))
-        garbler = ["server", "client"][trial % 2]
-        net = make_mlp(widths, seed=200 + trial)
-        x = rng.integers(0, P, size=16).tolist()
-        assert_parity(net, PARAMS, garbler, seed=300 + trial, x=x)
-
-    def test_truncating_protocol(self):
-        net = make_mlp([16, 8, 3], seed=7)
-        x = np.random.default_rng(8).integers(0, P, size=16).tolist()
-        mono = MonolithHybridProtocol(
-            net, PARAMS, garbler="server", seed=5, truncate_bits=3
-        )
-        mono.run_offline()
-        proto = HybridProtocol(net, PARAMS, garbler="server", seed=5, truncate_bits=3)
-        proto.run_offline()
-        assert proto.run_online(x) == mono.run_online(x)
-        assert phase_transcript(proto.channel) == phase_transcript(mono.channel)
-
-    def test_delphi_scale_params(self):
-        """Parity holds at the paper's 41-bit field / n=2048 ring."""
-        params = delphi_params()
-        if backend_for(params.t, prefer=params.backend).name != "numpy":
-            pytest.skip("delphi-scale parity needs the vectorized backend")
-        net = make_mlp([4, 2, 2], seed=3)
-        x = [1, 2, 3, 4]
-        assert_parity(net, params, "client", seed=17, x=x)
 
 
 class TestSessionStepping:
