@@ -34,6 +34,7 @@ the chain's NTT context from the shared LRU cache.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from typing import Sequence
@@ -56,7 +57,9 @@ class RnsContext:
     together, as one stack.
     """
 
-    __slots__ = ("primes", "q", "backend", "_m", "_m_inv", "_digit_plans")
+    __slots__ = (
+        "primes", "q", "backend", "_m", "_m_inv", "_digit_plans", "_switch_plans"
+    )
 
     _cache: OrderedDict[tuple, "RnsContext"] = OrderedDict()
     _cache_max = 16
@@ -82,6 +85,7 @@ class RnsContext:
             mod_inverse(m % p, p) for m, p in zip(self._m, primes)
         )
         self._digit_plans: dict[int, object] = {}
+        self._switch_plans: dict[tuple[int, int], tuple] = {}
         # Note: the composite q's factorization is registered with the
         # root finder by BfvParams.__post_init__, not here — RNS itself
         # never transforms at the composite modulus (only per prime), so
@@ -195,3 +199,38 @@ class RnsContext:
             for r, inv, p in zip(residues, self._m_inv, self.primes)
         ]
         return be.rns_digit_split(ys, plan, num_digits)
+
+    # -- modulus switching ----------------------------------------------------
+
+    def divide_round(self, residues: Sequence, kept: int) -> list:
+        """Residues mod the first ``kept`` primes of round(x / P), x the
+        integer representative and P the product of the primes dropped,
+        which the caller guarantees is below 2^62: the modulus switch
+        from this chain to its first ``kept`` primes.
+
+        Adding h = (P - 1)/2 turns the floor into the rounding (P is odd,
+        so no coefficient sits on a tie): y = (x + h) mod P comes out of
+        the dropped residues through the lane CRT the key-switch digits
+        use (:meth:`~repro.backend.base.ComputeBackend.crt_lift`), and
+        round(x / P) = (x + h - y) / P is exact, so per kept prime it is
+        (r + h - y)·P^-1. No integer mod q anywhere.
+        """
+        be = self.backend
+        n = be.veclen(residues[0])
+        plan = self._switch_plans.get((kept, n))
+        if plan is None:
+            dropped = self.primes[kept:]
+            product = math.prod(dropped)
+            half = product // 2
+            plan = self._switch_plans[(kept, n)] = (
+                dropped,
+                [be.asvec([half % p] * n, p) for p in self.primes],
+                [mod_inverse(product % p, p) for p in self.primes[:kept]],
+            )
+        dropped, halves, inverses = plan
+        shifted = [be.add(r, h, p) for r, h, p in zip(residues, halves, self.primes)]
+        y = be.crt_lift(shifted[kept:], dropped)
+        return [
+            be.scalar_mul(be.sub(r, be.asvec(y, p), p), inv, p)
+            for r, inv, p in zip(shifted[:kept], inverses, self.primes)
+        ]

@@ -791,6 +791,8 @@ class ServerSession(ProtocolSession):
                 ct_y = evaluator.matvec(ct, lin.matrix)
                 s_row = list(s) + [0] * (row - lin.n_out)
                 ct_out = ctx.sub_plain(ct_y, encoder.encode(s_row + s_row))
+                # Down to the modulus the client's decryption needs.
+                ct_out = ctx.mod_switch(ct_out)
             self._send(serialize_ciphertext(ct_out), payload=ct_out)
         self.counters.he_rotations += evaluator.rotations_performed
         self.counters.he_plain_mults += evaluator.plain_mults_performed

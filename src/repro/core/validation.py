@@ -69,10 +69,11 @@ def predict_comm(protocol: HybridProtocol) -> dict[str, float]:
 
     # One Galois key, a seeded (k0, seed) digit per key-switching digit of
     # the parameters' gadget, and a seeded symmetric Enc(r) per linear
-    # layer; the returns Enc(W r - s) travel in full. No public key.
+    # layer; the returns Enc(W r - s) travel in full at the switched
+    # modulus. No public key.
     key_bytes = params.seeded_ciphertext_bytes * params.num_decomp_digits
     he_up = n_linear * params.seeded_ciphertext_bytes
-    he_down = n_linear * params.ciphertext_bytes
+    he_down = n_linear * params.switched_ciphertext_bytes
     input_up = lowered.input_size * field_bytes
     result_down = lowered.output_size * field_bytes
     word_labels = bits * LABEL_BYTES

@@ -21,11 +21,20 @@ from a fresh 32-byte seed (:func:`uniform_from_seed`), so the wire
 carries the seed in its place — SEAL's seeded serialization. Public-key
 encryption stays for callers that hold only a :class:`PublicKey`; the
 protocol never makes or sends one.
+
+What the server sends back is modulus-switched first
+(:meth:`BfvContext.mod_switch`): rounded down to the chain minus its
+last key-switching group, the shortest modulus with margin for the
+client's decryption. A ciphertext knows its own modulus
+(:attr:`Ciphertext.q`); decryption and the noise budget work at it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.backend import RnsContext, backend_for
 from repro.crypto.prg import SEED_BYTES, expand_uniform
@@ -115,7 +124,9 @@ class Ciphertext:
 
     ``seed`` is set on a fresh symmetric encryption, whose ``c1`` is the
     expansion of that seed: it travels in ``c1``'s place. Any operation
-    yields an unseeded ciphertext.
+    yields an unseeded ciphertext. Its ring is the parameters' q, or
+    :attr:`~repro.he.params.BfvParams.switched_q` after
+    :meth:`BfvContext.mod_switch`.
     """
 
     __slots__ = ("params", "c0", "c1", "seed")
@@ -127,10 +138,15 @@ class Ciphertext:
         self.seed = seed
 
     @property
+    def q(self) -> int:
+        """The modulus this ciphertext is at."""
+        return self.c0.q
+
+    @property
     def byte_size(self) -> int:
         if self.seed is not None:
             return self.params.seeded_ciphertext_bytes
-        return self.params.ciphertext_bytes
+        return 2 * self.params.n * ((self.q.bit_length() + 7) // 8)
 
     def __add__(self, other: "Ciphertext") -> "Ciphertext":
         return Ciphertext(self.params, self.c0 + other.c0, self.c1 + other.c1)
@@ -187,19 +203,23 @@ def uniform_from_seed(seed: bytes, params: BfvParams):
     return make_ring_element(poly.coeffs, params)
 
 
-def ring_element_from_bytes(data, params: BfvParams):
+def ring_element_from_bytes(data, params: BfvParams, primes=None):
     """Ring element from its wire form (``n`` little-endian integers of
     ``len(data) // n`` bytes), landing directly in the params' resolved
     representation — bytes to residues or to the backend vector, with no
-    list of Python ints in between on the vectorized backend.
+    list of Python ints in between on the vectorized backend. ``primes``
+    (a prefix of the chain, e.g. the switched one) names a smaller ring
+    than the whole chain's.
     """
     width = len(data) // params.n
+    primes = primes or params.rns_primes
     if params.resolve_representation() == "rns":
-        ctx = RnsContext.for_primes(params.rns_primes, prefer=params.backend)
+        ctx = RnsContext.for_primes(primes, prefer=params.backend)
         return RnsPoly(ctx, ctx.unpack_le(data, width))
-    be = backend_for(params.q, prefer=params.backend)
-    (vec,) = be.unpack_le(data, width, (params.q,))
-    return RingPoly._from_vec(vec, params.q, be)
+    q = params.q if primes is None else math.prod(primes)
+    be = backend_for(q, prefer=params.backend)
+    (vec,) = be.unpack_le(data, width, (q,))
+    return RingPoly._from_vec(vec, q, be)
 
 
 class BfvContext:
@@ -301,29 +321,48 @@ class BfvContext:
         return Ciphertext(p, m0 + e1 + scaled, m1 + e2)
 
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> RingPoly:
-        """Decrypt to a plaintext polynomial over Z_t."""
-        p = self.params
-        noisy = ct.c0 + ct.c1 * sk.s
+        """Decrypt to a plaintext polynomial over Z_t, at the ciphertext's
+        own modulus."""
+        q, t = ct.q, self.params.t
         # The rounding divide mixes q- and t-sized integers (c*t spans
         # ~q_bits + t_bits), so it runs on exact Python ints regardless of
         # backend or representation (RNS reconstructs through the CRT
         # here); decryption is once-per-ciphertext, not the hot loop.
-        coeffs = [(c * p.t + p.q // 2) // p.q % p.t for c in noisy.coeffs]
-        return RingPoly(coeffs, p.t, backend=self._rt)
+        coeffs = [(c * t + q // 2) // q % t for c in self._phase(sk, ct).coeffs]
+        return RingPoly(coeffs, t, backend=self._rt)
 
     def noise_budget_bits(self, sk: SecretKey, ct: Ciphertext) -> int:
-        """Remaining noise budget in bits (0 means decryption may fail)."""
-        p = self.params
-        noisy = ct.c0 + ct.c1 * sk.s
-        message = self.decrypt(sk, ct)
-        scaled = self._scale_plain(message)
-        residual = noisy - scaled
-        worst = max(
-            min(c, p.q - c) for c in residual.coeffs
-        )  # centered magnitude
-        if worst == 0:
-            return p.q_bits
-        return max(0, (p.q // (2 * p.t)).bit_length() - worst.bit_length())
+        """Remaining noise budget in bits at the ciphertext's own modulus
+        q: ``(q // 2t).bit_length()`` for a noiseless one, one bit less
+        per bit of noise, 0 when decryption may fail."""
+        q, t = ct.q, self.params.t
+        delta = q // t
+        message = self.decrypt(sk, ct).coeffs
+        residual = (
+            (c - delta * m) % q
+            for c, m in zip(self._phase(sk, ct).coeffs, message)
+        )
+        worst = max(min(c, q - c) for c in residual)  # centered magnitude
+        return max(0, (q // (2 * t)).bit_length() - worst.bit_length())
+
+    def mod_switch(self, ct: Ciphertext) -> Ciphertext:
+        """``ct`` rounded to the chain the parameters switch returns to,
+        round(c·q'/q) per coefficient of both components
+        (:attr:`~repro.he.params.BfvParams.switched_primes`); the identity
+        when that drops nothing.
+
+        It divides the noise by q/q' and adds a rounding error of about
+        √n, and Δm becomes Δ'm plus m·(q' mod t)/t, up to t, which is
+        what sets the budget: at delphi the four primes kept leave 39 bits
+        after the benchmark matvecs, three would leave 10 (pinned in
+        ``tests/test_keyswitch_gadget.py``).
+        """
+        primes = self.params.switched_primes
+        if primes is None:
+            return ct
+        return Ciphertext(
+            self.params, ct.c0.mod_switch(primes), ct.c1.mod_switch(primes)
+        )
 
     # -- homomorphic operations ---------------------------------------------
 
@@ -401,6 +440,18 @@ class BfvContext:
         )
 
     # -- helpers --------------------------------------------------------------
+
+    def _phase(self, sk: SecretKey, ct: Ciphertext):
+        """c0 + c1·s at the ciphertext's modulus — a prefix of the chain's
+        product — with s reduced to it."""
+        s = sk.s
+        if ct.q != s.q:
+            chain = self.params.rns_primes or ()
+            products = list(accumulate(chain, operator.mul))
+            if ct.q not in products:
+                raise ValueError("ciphertext modulus is not a prefix of the chain")
+            s = s.reduce_to(chain[: products.index(ct.q) + 1])
+        return ct.c0 + ct.c1 * s
 
     def _seeded_sample(self, sk: SecretKey):
         """``(-(a·s + e), a, seed)``: an RLWE sample under ``sk`` whose

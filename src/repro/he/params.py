@@ -135,8 +135,11 @@ class BfvParams:
                     "2^62: a key-switching digit must fit a 64-bit lane"
                 )
             # Distinctness is checked here; the bigint oracle needs the
-            # factorization to find roots of unity in the composite ring.
+            # factorization to find roots of unity in the composite ring,
+            # and the same at the modulus returns are switched to.
             register_modulus_factors(self.q, primes)
+            if self.switched_primes is not None:
+                register_modulus_factors(self.switched_q, self.switched_primes)
 
     def resolve_representation(self) -> str:
         """The concrete ciphertext-ring representation for these params.
@@ -203,6 +206,28 @@ class BfvParams:
         return tuple(
             self.rns_primes[i : i + k] for i in range(0, len(self.rns_primes), k)
         )
+
+    @property
+    def switched_primes(self) -> tuple[int, ...] | None:
+        """The chain a returned ciphertext is modulus-switched down to
+        (:meth:`repro.he.bfv.BfvContext.mod_switch`): every prime but the
+        last key-switching group. None when that would drop nothing — no
+        chain, or a chain of one group."""
+        groups = self.digit_groups
+        if groups is None or len(groups) < 2:
+            return None
+        return tuple(p for group in groups[:-1] for p in group)
+
+    @property
+    def switched_q(self) -> int:
+        """The modulus of :attr:`switched_primes` (q when none)."""
+        primes = self.switched_primes
+        return self.q if primes is None else math.prod(primes)
+
+    @property
+    def switched_ciphertext_bytes(self) -> int:
+        """Serialized size of a ciphertext switched to :attr:`switched_q`."""
+        return 2 * self.n * ((self.switched_q.bit_length() + 7) // 8)
 
     @property
     def num_decomp_digits(self) -> int:
@@ -314,8 +339,12 @@ def delphi_params() -> BfvParams:
     input rotations every such error was scaled by ~sqrt(n)·t ≈ 2^47,
     which is what held the digits at 30 bits.) Measured budget after a
     width-w matvec with random 41-bit weights (fresh: 130 bits): 53 bits
-    at w = 16, 48 at 64, 44 at 256 — identical with one digit per prime;
-    the floors are pinned in ``tests/test_keyswitch_gadget.py``.
+    at w = 16, 48 at 64, 44 at 256 — identical with one digit per prime.
+    The server then switches each return down to the first two groups
+    (:attr:`BfvParams.switched_primes`: four primes, a 120-bit q'), and 39
+    bits remain at every width: the switch's m·(q' mod t)/t term, up to t,
+    sets that floor, and three primes would keep 10. Both sets of floors
+    are pinned in ``tests/test_keyswitch_gadget.py``.
     """
     n = 2048
     t = find_ntt_prime(41, n)

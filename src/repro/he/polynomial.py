@@ -273,6 +273,27 @@ class RingPoly:
     def max_coeff(self) -> int:
         return self._backend.max_value(self._vec)
 
+    # -- down the chain: q -> q' = prod(primes), q' dividing q ---------------
+
+    def _down(self, coeffs, primes) -> "RingPoly":
+        new_q = math.prod(primes)
+        return RingPoly(
+            coeffs, new_q, backend=backend_for(new_q, prefer=self._backend.name)
+        )
+
+    def reduce_to(self, primes) -> "RingPoly":
+        """The element mod q', a ring homomorphism (e.g. the secret key
+        in the ring of a switched ciphertext)."""
+        return self._down(self.coeffs, primes)
+
+    def mod_switch(self, primes) -> "RingPoly":
+        """round(c·q'/q) mod q' per coefficient — the modulus switch, in
+        exact integers: the oracle :meth:`RnsPoly.mod_switch` is held
+        bit-identical to."""
+        divisor = self.q // math.prod(primes)
+        half = divisor // 2
+        return self._down([(c + half) // divisor for c in self.coeffs], primes)
+
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -451,6 +472,26 @@ class RnsPoly:
 
     def max_coeff(self) -> int:
         return max(self.coeffs)
+
+    # -- down the chain: to a prefix of it -----------------------------------
+
+    def _prefix(self, primes) -> RnsContext:
+        primes = tuple(primes)
+        if self.ctx.primes[: len(primes)] != primes:
+            raise ValueError("an RNS element switches to a prefix of its chain")
+        return RnsContext.for_primes(primes, prefer=self.ctx.backend.name)
+
+    def reduce_to(self, primes) -> "RnsPoly":
+        """The element mod the product of a prefix of its chain: those
+        residues."""
+        return RnsPoly(self._prefix(primes), self.residues[: len(primes)])
+
+    def mod_switch(self, primes) -> "RnsPoly":
+        """round(c·q'/q) for q' the product of a prefix of the chain,
+        from the residues alone (:meth:`RnsContext.divide_round`);
+        bit-identical to :meth:`RingPoly.mod_switch`."""
+        ctx = self._prefix(primes)
+        return RnsPoly(ctx, self.ctx.divide_round(self.residues, len(ctx.primes)))
 
     # -- misc ----------------------------------------------------------------
 

@@ -17,7 +17,9 @@ message instead of corrupting state mid-protocol.
 A seeded ring element — the uniform half of a fresh symmetric ``Enc(r)``
 or of a Galois-key digit — travels as the 32-byte seed it expands from;
 the receiver expands it (:func:`repro.he.bfv.uniform_from_seed`) once
-the whole frame has checked out.
+the whole frame has checked out. A modulus-switched ciphertext — what the
+server returns — names its prime count, and its coefficients take the
+switched modulus's width.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ FMT_SEEDED_CIPHERTEXT = 0x0C
 # Seeded digits. 0x08 was the full-`k1` layout and is no longer spoken, so
 # a peer that still sends it fails on the format code, not mid-parse.
 FMT_GALOIS_KEYS = 0x0D
+FMT_SWITCHED_CIPHERTEXT = 0x0E
 
 
 _FMT_NAMES = {
@@ -75,6 +78,7 @@ _FMT_NAMES = {
     FMT_LABEL_LISTS: "label_lists",
     FMT_CIRCUIT_BATCH: "circuit_batch",
     FMT_SEEDED_CIPHERTEXT: "seeded_ciphertext",
+    FMT_SWITCHED_CIPHERTEXT: "switched_ciphertext",
 }
 
 
@@ -174,12 +178,13 @@ def deserialize_field_vector(data: bytes) -> list[int]:
 # -- BFV ciphertexts and keys ----------------------------------------------------
 
 _SEEDED_HEAD = struct.Struct("<IBB")  # degree, coefficient width, seed length
+_SWITCHED_HEAD = struct.Struct("<IBB")  # degree, coefficient width, prime count
 
 
-def _check_ring_shape(params: BfvParams, n: int, width: int) -> None:
+def _check_ring_shape(params: BfvParams, n: int, width: int, q=None) -> None:
     if n != params.n:
         raise ValueError(f"degree mismatch: wire {n} vs params {params.n}")
-    if width != _coeff_width(params.q):
+    if width != _coeff_width(q or params.q):
         raise ValueError("coefficient width mismatch")
 
 
@@ -195,20 +200,45 @@ def _serialize_poly_pair(params: BfvParams, a, b) -> bytes:
     )
 
 
-def _deserialize_poly_pair(data: bytes, offset: int, params: BfvParams):
+def _pair_spans(data: bytes, offset: int, params: BfvParams, width: int):
+    """The coefficient bytes of two polynomials of ``width`` bytes a
+    coefficient at ``offset``, checked and sliced but not yet decoded."""
+    size = params.n * width
+    _need(data, offset, 2 * size, "polynomial pair")
+    view = memoryview(data)
+    end = offset + 2 * size
+    return (view[offset : offset + size], view[offset + size : end]), end
+
+
+def _plain_pair_spans(data: bytes, offset: int, params: BfvParams):
     _need(data, offset, 5, "polynomial pair header")
     n, width = struct.unpack_from("<IB", data, offset)
     _check_ring_shape(params, n, width)
-    offset += 5
-    size = n * width
-    _need(data, offset, 2 * size, "polynomial pair")
-    view = memoryview(data)
+    return _pair_spans(data, offset + 5, params, width)
+
+
+def _switched_pair_spans(data: bytes, offset: int, params: BfvParams):
+    """A switched ciphertext's pair: its prime count must be the one these
+    parameters switch to and its width that modulus's."""
+    _need(data, offset, _SWITCHED_HEAD.size, "switched ciphertext header")
+    n, width, count = _SWITCHED_HEAD.unpack_from(data, offset)
+    chain = params.rns_primes or ()
+    if not 0 < count <= len(chain):
+        raise ValueError(f"prime count {count} outside a chain of {len(chain)}")
+    primes = params.switched_primes
+    if primes is None or count != len(primes):
+        raise ValueError(
+            f"prime count {count}; these parameters switch to "
+            f"{len(primes) if primes else 'no shorter chain'}"
+        )
+    _check_ring_shape(params, n, width, params.switched_q)
+    return _pair_spans(data, offset + _SWITCHED_HEAD.size, params, width)
+
+
+def _decode_pair(spans, params: BfvParams, primes=None):
     # Lands in the params' resolved representation (bigint or RNS), so a
     # deserialized element computes natively at the receiver.
-    first = ring_element_from_bytes(view[offset : offset + size], params)
-    offset += size
-    second = ring_element_from_bytes(view[offset : offset + size], params)
-    return first, second, offset + size
+    return [ring_element_from_bytes(span, params, primes) for span in spans]
 
 
 def _serialize_seeded(params: BfvParams, poly, seed: bytes) -> bytes:
@@ -240,22 +270,39 @@ def _seeded_pair(span, seed: bytes, params: BfvParams):
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
     """Two polynomials, coefficients packed at ceil(log2 q)/8 bytes each;
-    a fresh symmetric encryption sends ``c0`` and the seed of ``c1``."""
+    a fresh symmetric encryption sends ``c0`` and the seed of ``c1``, a
+    modulus-switched one its prime count and coefficients at the switched
+    modulus's width."""
+    params = ct.params
     if ct.seed is not None:
         return wire_header(FMT_SEEDED_CIPHERTEXT) + _serialize_seeded(
-            ct.params, ct.c0, ct.seed
+            params, ct.c0, ct.seed
         )
-    return wire_header(FMT_CIPHERTEXT) + _serialize_poly_pair(
-        ct.params, ct.c0, ct.c1
+    if ct.q == params.q:
+        return wire_header(FMT_CIPHERTEXT) + _serialize_poly_pair(
+            params, ct.c0, ct.c1
+        )
+    if ct.q != params.switched_q:
+        raise ValueError("ciphertext modulus is not one these parameters use")
+    width = _coeff_width(ct.q)
+    return (
+        wire_header(FMT_SWITCHED_CIPHERTEXT)
+        + _SWITCHED_HEAD.pack(params.n, width, len(params.switched_primes))
+        + ct.c0.to_bytes(width)
+        + ct.c1.to_bytes(width)
     )
 
 
 def deserialize_ciphertext(data: bytes, params: BfvParams) -> Ciphertext:
-    """Either ciphertext format; a seeded one expands ``c1`` here."""
+    """Any ciphertext format, checked to its last byte before a
+    coefficient is decoded; a seeded one expands ``c1`` here."""
     fmt = read_wire_header(data)
+    primes = seed = None
     if fmt == FMT_CIPHERTEXT:
-        c0, c1, offset = _deserialize_poly_pair(data, WIRE_HEADER_BYTES, params)
-        seed = None
+        spans, offset = _plain_pair_spans(data, WIRE_HEADER_BYTES, params)
+    elif fmt == FMT_SWITCHED_CIPHERTEXT:
+        spans, offset = _switched_pair_spans(data, WIRE_HEADER_BYTES, params)
+        primes = params.switched_primes
     elif fmt == FMT_SEEDED_CIPHERTEXT:
         span, seed, offset = _seeded_span(data, WIRE_HEADER_BYTES, params)
     else:
@@ -264,12 +311,19 @@ def deserialize_ciphertext(data: bytes, params: BfvParams) -> Ciphertext:
         raise ValueError("trailing bytes in ciphertext")
     if seed is not None:
         c0, c1 = _seeded_pair(span, seed, params)
+    else:
+        c0, c1 = _decode_pair(spans, params, primes)
     return Ciphertext(params, c0, c1, seed)
 
 
-def ciphertext_wire_bytes(params: BfvParams) -> int:
-    """Exact serialized size (matches params.ciphertext_bytes + header)."""
-    return WIRE_HEADER_BYTES + 5 + 2 * params.n * _coeff_width(params.q)
+def ciphertext_wire_bytes(params: BfvParams, switched: bool = False) -> int:
+    """Exact serialized size of a ciphertext at q (params.ciphertext_bytes
+    + header), or with ``switched`` of one after
+    :meth:`~repro.he.bfv.BfvContext.mod_switch` — the same frame when
+    that drops nothing."""
+    if not switched or params.switched_primes is None:
+        return WIRE_HEADER_BYTES + 5 + params.ciphertext_bytes
+    return WIRE_HEADER_BYTES + _SWITCHED_HEAD.size + params.switched_ciphertext_bytes
 
 
 def serialize_public_key(pk: PublicKey) -> bytes:
@@ -281,10 +335,10 @@ def serialize_public_key(pk: PublicKey) -> bytes:
 
 def deserialize_public_key(data: bytes, params: BfvParams) -> PublicKey:
     read_wire_header(data, FMT_PUBLIC_KEY)
-    p0, p1, offset = _deserialize_poly_pair(data, WIRE_HEADER_BYTES, params)
+    spans, offset = _plain_pair_spans(data, WIRE_HEADER_BYTES, params)
     if offset != len(data):
         raise ValueError("trailing bytes in public key")
-    return PublicKey(params, p0, p1)
+    return PublicKey(params, *_decode_pair(spans, params))
 
 
 def serialize_galois_keys(gk: GaloisKeys) -> bytes:

@@ -159,14 +159,16 @@ class TestBitIdentity:
 # Re-recorded once more on the commit that made the client's Enc(r) a
 # seeded symmetric encryption: every Enc(W r - s) the server returns is
 # computed from a different (equally valid) Enc(r), so all eight moved.
+# The four delphi ones moved again, once, when the returns were
+# modulus-switched to four chain primes (the fast ones switch nothing).
 GOLDEN_FRAMES = {
     ("delphi", "client", 8, 1701): [
-        "5b04c5a63a3f933c60c29dbe1df1466bf00773d537e21e7084876ee862fdea2d",
-        "7c214366b4ecdf5ac881eaf72656a52ba98264dd0b017efbe40d2602888abf70",
+        "012884e474eee2df42d540fd0939f7fabb4f267b00a249e7063d8571c65a36c9",
+        "86813c1fbce7bada489760fb04c82ffdefd95673c998cea710fd1b44fe036e6c",
     ],
     ("delphi", "client", 8, 1702): [
-        "f15d2a13dfbaa5b94d722fd498106d363604e4750d54a5540c9b36f0b4e5e6d4",
-        "098bac61157078ee6574b286aae6391c91f68fcbcfa3031416ee0ce316ce1088",
+        "b59f32df77a252351ec717efd51167b558301dd85fd325a4fa305d9c7191b9ff",
+        "e6148f2dd8776caf14def0460ecf6f1cf60e7658c52fdb86a95cb655abc1390a",
     ],
     ("fast", "server", 128, 1701): [
         "726df8df3c303fdb51cc46bba0ee35d5e57ecc2118e6d9d353eabecd0e3369e1",
@@ -260,7 +262,10 @@ def every_frame_digests(params, garbler, hidden, seed):
 # and two Enc(r) frames and the server's two Enc(W r - s) returns were
 # re-recorded; every GC, OT, masked-input and final-share digest is the
 # one recorded before it (the key material draws from the BFV context's
-# own spawned stream, so no other draw moved).
+# own spawned stream, so no other draw moved). The commit that
+# modulus-switched the server's returns moved only those: the two delphi
+# Enc(W r - s) frames of each case are now 0x0E frames at four primes;
+# every fast digest and every other delphi digest kept its value.
 GOLDEN_EVERY_FRAME = {
     ("delphi", "server", "8", "1701"): {
         "client/offline": [
@@ -270,8 +275,8 @@ GOLDEN_EVERY_FRAME = {
             "7cb5808c1adabd364205b23b343568032cf578ea9b2a978365ddc11c174283d8",
         ],
         "server/offline": [
-            "5b04c5a63a3f933c60c29dbe1df1466bf00773d537e21e7084876ee862fdea2d",
-            "7c214366b4ecdf5ac881eaf72656a52ba98264dd0b017efbe40d2602888abf70",
+            "012884e474eee2df42d540fd0939f7fabb4f267b00a249e7063d8571c65a36c9",
+            "86813c1fbce7bada489760fb04c82ffdefd95673c998cea710fd1b44fe036e6c",
             "412d08cb1e04c0548a49cb00166eef4d40503fa7bafd4b7b710a273590bf35e6",
             "8c9e8625702e8b5b7e5a36e2aaa051c4cbf384e17a9c93be81682da816b9d502",
         ],
@@ -293,8 +298,8 @@ GOLDEN_EVERY_FRAME = {
             "af23bca044f6f7ba5d9e6c3ec2d1a66a5dadf1b64a2ccd5fe664de46d01bfb19",
         ],
         "server/offline": [
-            "5b04c5a63a3f933c60c29dbe1df1466bf00773d537e21e7084876ee862fdea2d",
-            "7c214366b4ecdf5ac881eaf72656a52ba98264dd0b017efbe40d2602888abf70",
+            "012884e474eee2df42d540fd0939f7fabb4f267b00a249e7063d8571c65a36c9",
+            "86813c1fbce7bada489760fb04c82ffdefd95673c998cea710fd1b44fe036e6c",
         ],
         "client/online": [
             "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
@@ -313,8 +318,8 @@ GOLDEN_EVERY_FRAME = {
             "f0325c018c42a94c9df1fffc9cbdb7f5ae7e39a758b062ef963358b70a4b5bc7",
         ],
         "server/offline": [
-            "f15d2a13dfbaa5b94d722fd498106d363604e4750d54a5540c9b36f0b4e5e6d4",
-            "098bac61157078ee6574b286aae6391c91f68fcbcfa3031416ee0ce316ce1088",
+            "b59f32df77a252351ec717efd51167b558301dd85fd325a4fa305d9c7191b9ff",
+            "e6148f2dd8776caf14def0460ecf6f1cf60e7658c52fdb86a95cb655abc1390a",
             "eca38736ce8b1c6d6b5f8ed41bba54fa8a1352010da7182c87684d97b2b0cf1b",
             "9337b6538d5a846f860a5985c42edc80be14e50e2c946d69513d128c0c82cfcb",
         ],
@@ -336,8 +341,8 @@ GOLDEN_EVERY_FRAME = {
             "70e147b6e46deaca0949ebee05ab04f7567494acda4570921215983e0cdf4618",
         ],
         "server/offline": [
-            "f15d2a13dfbaa5b94d722fd498106d363604e4750d54a5540c9b36f0b4e5e6d4",
-            "098bac61157078ee6574b286aae6391c91f68fcbcfa3031416ee0ce316ce1088",
+            "b59f32df77a252351ec717efd51167b558301dd85fd325a4fa305d9c7191b9ff",
+            "e6148f2dd8776caf14def0460ecf6f1cf60e7658c52fdb86a95cb655abc1390a",
         ],
         "client/online": [
             "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
@@ -441,13 +446,15 @@ GOLDEN_EVERY_FRAME = {
 # Offline up under Client-Garbler at delphi, 383,184 B: one Galois key of
 # three seeded digits (3 x 47,136, half a 94,208-B ciphertext plus a
 # 32-B seed each), two seeded Enc(r) (2 x 47,136) and the garbled
-# batches with the client's own labels (147,504); no public key.
+# batches with the client's own labels (147,504); no public key. Offline
+# down at delphi carries the two Enc(W r - s) returns switched to four
+# chain primes: 2 x 2 x 2048 x 15 B = 122,880 (2 x 94,208 at all six).
 GOLDEN_TRANSCRIPT = {
     ("delphi", "server", "8"): {
         ("setup", "up"): (1, 32),
         ("setup", "down"): (1, 4_096),
         ("offline", "up"): (4, 246_176),
-        ("offline", "down"): (4, 346_112),
+        ("offline", "down"): (4, 280_576),
         ("online", "up"): (2, 5_344),
         ("online", "down"): (2, 5_266),
     },
@@ -455,7 +462,7 @@ GOLDEN_TRANSCRIPT = {
         ("setup", "up"): (1, 4_096),
         ("setup", "down"): (1, 32),
         ("offline", "up"): (5, 383_184),
-        ("offline", "down"): (2, 188_416),
+        ("offline", "down"): (2, 122_880),
         ("online", "up"): (2, 10_592),
         ("online", "down"): (2, 5_266),
     },

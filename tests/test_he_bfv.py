@@ -1,13 +1,15 @@
 """Tests for the BFV scheme: correctness, homomorphism, noise, rotations."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.rng import SecureRandom
-from repro.he.bfv import BfvContext
+from repro.he.bfv import BfvContext, Ciphertext, make_ring_element
 from repro.he.encoder import BatchEncoder
-from repro.he.params import BfvParams, delphi_params, toy_params
+from repro.he.params import BfvParams, delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly
 
 
@@ -101,6 +103,65 @@ class TestEncryptDecrypt:
         bad = RingPoly([1] * (params.n // 2), params.t)
         with pytest.raises(ValueError):
             ctx.encrypt(pk, bad)
+
+
+class TestNoiseBudget:
+    """Measured at the ciphertext's own modulus q: the scheme's maximum
+    ``(q // 2t).bit_length()`` when noiseless, one bit less per bit of
+    noise."""
+
+    @staticmethod
+    def trivial(params, message, noise, primes=None):
+        """``(Δm + noise, 0)`` at the product of ``primes``, a prefix of the
+        chain (all of it by default)."""
+        q = params.q if primes is None else math.prod(primes)
+        c0 = [(q // params.t) * m + noise for m in message.coeffs]
+        pair = [make_ring_element(v, params) for v in (c0, [0] * params.n)]
+        if primes is not None:
+            pair = [poly.reduce_to(primes) for poly in pair]
+        return Ciphertext(params, *pair)
+
+    @pytest.mark.parametrize("switched", [False, True], ids=["q", "switched"])
+    def test_noiseless_is_the_maximum_and_noise_one_a_bit_less(self, setup, switched):
+        params, ctx, encoder, sk, pk = setup
+        primes = params.switched_primes if switched else None
+        q = params.switched_q if switched else params.q
+        maximum = (q // (2 * params.t)).bit_length()
+        assert maximum < q.bit_length()
+        message = encoder.encode([5, 6, 7])
+        for noise in (0, 1):
+            ct = self.trivial(params, message, noise, primes)
+            assert ct.q == q
+            assert ctx.decrypt(sk, ct) == message
+            assert ctx.noise_budget_bits(sk, ct) == maximum - noise
+
+
+class TestModSwitch:
+    def test_a_switched_ciphertext_decrypts_at_its_own_modulus(self, setup):
+        params, ctx, encoder, sk, pk = setup
+        values = list(range(40))
+        ct = ctx.mod_switch(ctx.encrypt(sk, encoder.encode(values)))
+        assert ct.seed is None
+        assert ct.q == params.switched_q == math.prod(params.rns_primes[:3])
+        assert ct.byte_size == params.switched_ciphertext_bytes
+        assert params.switched_ciphertext_bytes < params.ciphertext_bytes
+        assert encoder.decode(ctx.decrypt(sk, ct))[:40] == values
+
+    def test_nothing_dropped_is_the_identity(self):
+        params = fast_params(n=128)
+        assert params.switched_primes is None
+        assert params.switched_q == params.q
+        assert params.switched_ciphertext_bytes == params.ciphertext_bytes
+        ctx = BfvContext(params, SecureRandom(3))
+        sk = ctx.secret_keygen()
+        ct = ctx.encrypt(sk, BatchEncoder(params).encode([1, 2]))
+        assert ctx.mod_switch(ct) is ct
+
+    def test_delphi_keeps_two_of_its_three_groups(self):
+        params = delphi_params()
+        assert params.switched_primes == params.rns_primes[:4]
+        assert params.switched_q.bit_length() == 120
+        assert params.switched_ciphertext_bytes == 2 * 2048 * 15
 
 
 class TestHomomorphism:

@@ -13,6 +13,7 @@ exact byte accounting that follows from the digit count.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 import random
@@ -31,7 +32,7 @@ from repro.core.protocol import HybridProtocol
 from repro.core.validation import predict_comm
 from repro.crypto.modmath import crt_combine, generate_ntt_primes
 from repro.crypto.rng import SecureRandom
-from repro.he.bfv import BfvContext, GaloisKeys
+from repro.he.bfv import BfvContext, Ciphertext, GaloisKeys
 from repro.he.encoder import BatchEncoder
 from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.params import BfvParams, delphi_params, fast_params, toy_params
@@ -317,6 +318,13 @@ FLOORS = {
     ("fast", (128, 16)): 9,  # 10
     ("toy", (128, 128)): 34,  # 38
 }
+# The same after BfvContext.mod_switch, which keeps the chain minus its last
+# key-switching group (four primes at delphi, three at toy).
+SWITCHED_FLOORS = {
+    ("delphi", (256, 256)): 36,  # measured 39
+    ("delphi", (8, 16)): 36,  # 39
+    ("toy", (128, 128)): 34,  # 38
+}
 TOO_WIDE = {
     "fast": dataclasses.replace(PARAM_SETS["fast"], decomp_bits=31),  # 1 and 4
     "toy": dataclasses.replace(PARAM_SETS["toy"], digit_primes=2),  # 20
@@ -345,9 +353,11 @@ class TestNoiseBudgetFloor:
     SEEDS = range(1, 9)
 
     @staticmethod
-    def budget_after_matvec(params, shape, seed):
-        """Budget of ``matrix @ x`` under ``params`` keyed from ``seed``,
-        after checking that it decrypts to the plaintext product."""
+    @functools.lru_cache(maxsize=None)
+    def matvec(params, shape, seed):
+        """``(ctx, sk, matrix @ x)`` under ``params`` keyed from ``seed``,
+        after checking that it decrypts to the plaintext product. Cached:
+        the switched rows measure the same products after the switch."""
         n_out, n_in = shape
         assert params.row_size % n_in == 0
         ctx, encoder, sk, pk, g, gk = keyed_context(params, seed)
@@ -367,6 +377,28 @@ class TestNoiseBudgetFloor:
             sum(int(w) * v for w, v in zip(row, x)) % params.t for row in matrix
         ]
         assert encoder.decode(ctx.decrypt(sk, out))[:n_out] == want
+        return ctx, sk, out
+
+    @classmethod
+    def budget_after_matvec(cls, params, shape, seed):
+        ctx, sk, out = cls.matvec(params, shape, seed)
+        return ctx.noise_budget_bits(sk, out)
+
+    @classmethod
+    def budget_after_switch(cls, params, shape, seed, keep=None):
+        """The budget once the product is switched down — to
+        ``switched_primes`` by ``BfvContext.mod_switch``, then one prime at
+        a time to ``keep`` primes if given (a wider drop would not fit the
+        switch's 64-bit lane)."""
+        ctx, sk, out = cls.matvec(params, shape, seed)
+        out = ctx.mod_switch(out)
+        assert out.q == params.switched_q
+        kept = len(params.switched_primes)
+        for count in range(kept - 1, (kept if keep is None else keep) - 1, -1):
+            primes = params.rns_primes[:count]
+            out = Ciphertext(
+                params, out.c0.mod_switch(primes), out.c1.mod_switch(primes)
+            )
         return ctx.noise_budget_bits(sk, out)
 
     @pytest.mark.parametrize("case", FLOORS, ids=floor_id)
@@ -402,6 +434,30 @@ class TestNoiseBudgetFloor:
             self.budget_after_matvec(params, shape, seed) for seed in self.SEEDS
         )
         assert worst < FLOORS[case]
+
+    @pytest.mark.parametrize("case", SWITCHED_FLOORS, ids=floor_id)
+    def test_floor_after_the_switch(self, case):
+        """The switched product still decrypts (the floor is positive) and
+        keeps the budget pinned for it."""
+        name, shape = case
+        params = vectorized(PARAM_SETS[name])
+        worst = min(
+            self.budget_after_switch(params, shape, seed) for seed in self.SEEDS
+        )
+        assert worst >= SWITCHED_FLOORS[case]
+
+    @pytest.mark.parametrize("case", SWITCHED_FLOORS, ids=floor_id)
+    def test_one_more_prime_falls_below_the_floor(self, case):
+        """Four primes are the edge at delphi: three keep 10 bits (two,
+        the next group boundary, none), and toy's two keep 17."""
+        name, shape = case
+        params = vectorized(PARAM_SETS[name])
+        keep = len(params.switched_primes) - 1
+        worst = min(
+            self.budget_after_switch(params, shape, seed, keep)
+            for seed in self.SEEDS
+        )
+        assert worst < SWITCHED_FLOORS[case]
 
 
 class TestDigitCountMismatch:

@@ -23,6 +23,7 @@ from repro.he.polynomial import RingPoly, RnsPoly
 from repro.network.serialize import (
     FMT_CIPHERTEXT,
     FMT_SEEDED_CIPHERTEXT,
+    FMT_SWITCHED_CIPHERTEXT,
     WIRE_MAGIC,
     WIRE_VERSION,
     ciphertext_wire_bytes,
@@ -36,6 +37,7 @@ from repro.network.serialize import (
     deserialize_labels,
     deserialize_public_key,
     deserialize_relu_bundle,
+    frame_format_name,
     garbled_circuit_wire_bytes,
     serialize_bit_vector,
     serialize_ciphertext,
@@ -396,6 +398,148 @@ class TestHostileSeededFrames:
         gk = deserialize_galois_keys(SEEDED["galois_keys"][0], params)
         with pytest.raises(ValueError, match="no seeds"):
             serialize_galois_keys(GaloisKeys(params, gk.keys))
+
+
+SWITCHED_CASES = [case for case in RING_CODEC_CASES if case[1].switched_primes]
+
+
+class TestSwitchedFrames:
+    """The server's returns after ``BfvContext.mod_switch``: a 0x0E frame
+    of ``(n, width, prime count)`` and both components at the switched
+    modulus's width, the same bytes from every backend and
+    representation; the decoder takes only the count these parameters
+    switch to."""
+
+    @pytest.mark.parametrize(
+        "params", [c[1] for c in SWITCHED_CASES], ids=[c[0] for c in SWITCHED_CASES]
+    )
+    def test_round_trip_in_every_cell(self, params):
+        a, b = TestRingCodec._coeffs(params, 1), TestRingCodec._coeffs(params, 2)
+        pair = [make_ring_element(v, params) for v in (a, b)]
+        ct = BfvContext(params).mod_switch(Ciphertext(params, *pair))
+        kept, divisor = params.switched_q, params.q // params.switched_q
+        want = [[(c + divisor // 2) // divisor % kept for c in v] for v in (a, b)]
+        width = (kept.bit_length() + 7) // 8
+        wire = serialize_ciphertext(ct)
+        assert wire[:4] == wire_header(FMT_SWITCHED_CIPHERTEXT)
+        assert frame_format_name(wire) == "switched_ciphertext"
+        assert wire[4:10] == struct.pack(
+            "<IBB", params.n, width, len(params.switched_primes)
+        )
+        assert wire[10:] == b"".join(
+            c.to_bytes(width, "little") for v in want for c in v
+        )
+        assert len(wire) == ciphertext_wire_bytes(params, switched=True)
+        assert len(wire) == 4 + 6 + params.switched_ciphertext_bytes
+        restored = deserialize_ciphertext(wire, params)
+        assert restored.q == kept and restored.seed is None
+        assert [restored.c0.coeffs, restored.c1.coeffs] == want
+        assert restored.byte_size == ct.byte_size == params.switched_ciphertext_bytes
+        assert serialize_ciphertext(restored) == wire
+
+    def test_a_switched_return_decrypts_after_the_wire(self):
+        ctx = BfvContext(PARAMS, SecureRandom(26))
+        encoder = BatchEncoder(PARAMS)
+        sk = ctx.secret_keygen()
+        ct = ctx.mod_switch(ctx.encrypt(sk, encoder.encode([5, 6, 7])))
+        restored = deserialize_ciphertext(serialize_ciphertext(ct), PARAMS)
+        assert encoder.decode(ctx.decrypt(sk, restored))[:3] == [5, 6, 7]
+
+    def test_nothing_dropped_stays_the_full_frame(self):
+        params = fast_params(n=128)
+        ctx = BfvContext(params, SecureRandom(27))
+        ct = ctx.encrypt(ctx.secret_keygen(), BatchEncoder(params).encode([1]))
+        wire = serialize_ciphertext(ctx.mod_switch(ct + ct))
+        assert wire[3] == FMT_CIPHERTEXT
+        assert len(wire) == ciphertext_wire_bytes(params, switched=True)
+        assert ciphertext_wire_bytes(params, switched=True) == ciphertext_wire_bytes(
+            params
+        )
+
+    def test_a_modulus_the_params_do_not_use_does_not_serialize(self):
+        ctx = BfvContext(PARAMS, SecureRandom(28))
+        sk = ctx.secret_keygen()
+        ct = ctx.mod_switch(ctx.encrypt(sk, BatchEncoder(PARAMS).encode([1])))
+        primes = PARAMS.rns_primes[:2]
+        lower = Ciphertext(PARAMS, ct.c0.mod_switch(primes), ct.c1.mod_switch(primes))
+        with pytest.raises(ValueError, match="modulus"):
+            serialize_ciphertext(lower)
+
+
+def _switched_wire(params):
+    """A switched return at ``params``, from random coefficients."""
+    rng = random.Random(29)
+    pair = [
+        make_ring_element([rng.randrange(params.q) for _ in range(params.n)], params)
+        for _ in range(2)
+    ]
+    ct = BfvContext(params).mod_switch(Ciphertext(params, *pair))
+    return serialize_ciphertext(ct)
+
+
+# Delphi's: decoding the pair into residues costs more than the frame.
+SWITCHED_PARAMS = delphi_params()
+SWITCHED_WIRE = _switched_wire(SWITCHED_PARAMS)
+
+
+def _decode_switched(data, params=SWITCHED_PARAMS):
+    return deserialize_ciphertext(data, params)
+
+
+class TestHostileSwitchedFrames:
+    """The 0x0E decoder meets a cut or lying frame with the one typed
+    ``ValueError`` before any coefficient is decoded, allocating less than
+    the frame's own length."""
+
+    def test_the_frame_decodes(self):
+        assert SWITCHED_WIRE[4:10] == struct.pack("<IBB", 2048, 15, 4)
+        assert _decode_switched(SWITCHED_WIRE).q == SWITCHED_PARAMS.switched_q
+
+    @pytest.mark.parametrize(
+        "count, match",
+        [(0, "outside"), (7, "outside"), (255, "outside"), (3, "switch to"),
+         (5, "switch to"), (6, "switch to")],
+    )
+    def test_a_prime_count_other_than_the_switched_one_is_rejected(self, count, match):
+        lying = bytearray(SWITCHED_WIRE)
+        lying[9] = count
+        _rejected_within_its_length(_decode_switched, bytes(lying), match)
+
+    @pytest.mark.parametrize("width", [0, 8, 14, 16, 23])
+    def test_a_width_other_than_the_kept_primes_is_rejected(self, width):
+        lying = bytearray(SWITCHED_WIRE)
+        lying[8] = width
+        _rejected_within_its_length(_decode_switched, bytes(lying), "width")
+
+    def test_a_foreign_degree_is_rejected(self):
+        lying = bytearray(SWITCHED_WIRE)
+        lying[4:8] = struct.pack("<I", 1 << 20)
+        _rejected_within_its_length(_decode_switched, bytes(lying), "degree")
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_cut_is_a_value_error(self, data):
+        cut = data.draw(st.integers(min_value=0, max_value=len(SWITCHED_WIRE) - 1))
+        _rejected_within_its_length(_decode_switched, SWITCHED_WIRE[:cut])
+
+    def test_every_boundary_cut_is_a_value_error(self):
+        half = 10 + 2048 * 15
+        cuts = set(range(11)) | {half - 1, half, half + 1, len(SWITCHED_WIRE) - 1}
+        for cut in sorted(cuts):
+            _rejected_within_its_length(_decode_switched, SWITCHED_WIRE[:cut])
+
+    def test_trailing_bytes_are_rejected(self):
+        for extra in (b"\x00", b"\x00" * 15, SWITCHED_WIRE[-64:]):
+            _rejected_within_its_length(
+                _decode_switched, SWITCHED_WIRE + extra, "trailing"
+            )
+
+    def test_parameters_that_switch_nothing_reject_the_frame(self):
+        _rejected_within_its_length(
+            lambda data: deserialize_ciphertext(data, fast_params(n=2048)),
+            SWITCHED_WIRE,
+            "outside a chain of 0",
+        )
 
 
 class TestKeys:

@@ -319,6 +319,7 @@ class TestMintTranscriptParity:
             serialize.FMT_GALOIS_KEYS,
             serialize.FMT_SEEDED_CIPHERTEXT,
             serialize.FMT_CIPHERTEXT,
+            serialize.FMT_SWITCHED_CIPHERTEXT,
         }
         clear_ntt_cache()
         proto = HybridProtocol(
@@ -434,6 +435,54 @@ class TestSeedExpansionParity:
                 [(k0.coeffs, k1.coeffs) for k0, k1 in digits],
             ))
         assert runs[0] == runs[1]
+
+
+class TestModSwitchParity:
+    """round(c·q'/q) from the residues alone (RNS: the dropped group's
+    residue through the lane CRT, then (c - r)·P^-1 per kept prime) is
+    the bigint oracle's exact integer rounding on every backend x
+    representation cell — at the rounding edges too: c mod P at (P-1)/2
+    rounds down and (P+1)/2 up (P is odd, so there is no tie), and
+    c = q-1 rounds to q' and wraps to 0."""
+
+    PARAMS = {"toy": TOY, "delphi": dataclasses.replace(delphi_params(), n=128)}
+
+    @staticmethod
+    def _edges(params, seed):
+        rng = random.Random(seed)
+        q, kept = params.q, params.switched_q
+        divisor = q // kept
+        half = divisor // 2
+        coeffs = [0, 1, half, half + 1, divisor - 1, divisor, q - 1, q - half - 1]
+        for _ in range(24):
+            base = rng.randrange(kept) * divisor
+            coeffs += [base + half, base + half + 1]
+        return coeffs + [rng.randrange(q) for _ in range(params.n - len(coeffs))]
+
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_every_cell_rounds_the_same(self, name):
+        from repro.he.bfv import Ciphertext
+
+        params = self.PARAMS[name]
+        kept = params.switched_q
+        divisor = params.q // kept
+        a, b = self._edges(params, 1), self._edges(params, 2)
+        want = [[(c + divisor // 2) // divisor % kept for c in v] for v in (a, b)]
+        # (P-1)/2 rounds down, (P+1)/2 up, q-1 wraps, q-(P+1)/2 rounds
+        # to q'-1.
+        assert want[0][:8] == [0, 0, 0, 1, 1, 1, 0, kept - 1]
+        cells = TestSeedExpansionParity._cells(params)
+        for cell in cells:
+            clear_ntt_cache()
+            pair = [make_ring_element(v, cell) for v in (a, b)]
+            ct = BfvContext(cell).mod_switch(Ciphertext(cell, *pair))
+            assert ct.q == kept
+            assert isinstance(ct.c0, RnsPoly) == (
+                cell.resolve_representation() == "rns"
+            )
+            assert [ct.c0.coeffs, ct.c1.coeffs] == want, (
+                cell.backend, cell.resolve_representation()
+            )
 
 
 class TestRepresentationResolution:

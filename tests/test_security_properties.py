@@ -294,3 +294,42 @@ class TestWireCarriesOnlyWhatTheServerUses:
             assert theirs.c0 == mine.c0 and theirs.c1 == mine.c1
         # The returns Enc(W r - s) travel in full: nothing to seed.
         assert sum(ct.seed is None for ct in received["ct"]) == len(made_ct)
+
+    @pytest.mark.parametrize("garbler", ["server", "client"])
+    @pytest.mark.parametrize("name", ["delphi", "fast"])
+    def test_the_returns_travel_switched_where_the_chain_allows(
+        self, name, garbler, monkeypatch
+    ):
+        """Each delphi Enc(W r - s) is a 0x0E frame of four primes whose
+        coefficients all lie below q'; at fast params, one prime and
+        nothing to drop, no 0x0E frame is sent at all."""
+        import struct
+
+        from repro.backend import backend_for
+        from repro.network.serialize import FMT_CIPHERTEXT, FMT_SWITCHED_CIPHERTEXT
+
+        params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
+        if name == "delphi" and backend_for(params.t).name != "numpy":
+            pytest.skip("full-degree delphi runs need the vectorized backend")
+        names, sent, _, _, received = self._run(params, garbler, monkeypatch)
+        returns = [
+            frame for frame, kind in zip(sent, names)
+            if kind in ("ciphertext", "switched_ciphertext")
+        ]
+        assert len(returns) == 2
+        arrived = [ct for ct in received["ct"] if ct.seed is None]
+        assert [ct.q for ct in arrived] == [params.switched_q] * 2
+        if name == "fast":
+            assert "switched_ciphertext" not in names
+            assert all(frame[3] == FMT_CIPHERTEXT for frame in returns)
+            return
+        for frame in returns:
+            assert frame[3] == FMT_SWITCHED_CIPHERTEXT
+            n, width, count = struct.unpack_from("<IBB", frame, 4)
+            assert (n, width, count) == (params.n, 15, 4)
+            body = frame[10:]
+            assert len(body) == 2 * n * width
+            assert max(
+                int.from_bytes(body[i : i + width], "little")
+                for i in range(0, len(body), width)
+            ) < params.switched_q
