@@ -39,7 +39,7 @@ from repro.gc.garble import Garbler, LabelBatch
 from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache
+from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache, slot_layout
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import key_switch_inner
@@ -342,12 +342,14 @@ def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix, warm):
     and ring D + 1 rows on a chain (D - 1 digits, the accumulator's c1,
     the plaintext), D + 2 without one, plus one row mod t; per diagonal
     two ciphertext-ring calls whatever the chain length — the ledgers
-    ``tests/test_batched_ntt.py`` pins. Cold unless ``warm``: then the
+    ``tests/test_batched_ntt.py`` pins. The diagonals are the ``w`` steps
+    of the shape's slot layout. Cold unless ``warm``: then the
     diagonals come from the cache the bench rounds filled, and neither
     the plaintext forwards nor the rows mod t happen.
     """
     if not warm:
         clear_plain_cache()
+    layout = slot_layout(len(matrix), len(matrix[0]), encoder.row_size)
     clock = _PhaseClock()
     ntt = ct.c1.ring_ntt()
     try:
@@ -366,7 +368,7 @@ def _matvec_phase_breakdown(ctx, encoder, evaluator, ct, matrix, warm):
         "digits": ctx.params.num_decomp_digits,
         "rings": len(ntt.moduli),
         "transform_rows": rows,
-        "transform_rows_per_diagonal": round(rows / len(matrix[0]), 2),
+        "transform_rows_per_diagonal": round(rows / layout.steps, 2),
         "transform_calls": sum(clock.calls.values()),
         "ring_transform_calls": clock.calls["ring_rows"],
         "phase_total_ms": round(total_ms, 3),
@@ -397,7 +399,8 @@ def _matvec_bench(benchmark, params, seed, shape, rounds, warm=False):
         setup=None if warm else clear_plain_cache,
         rounds=rounds, iterations=1, warmup_rounds=1,
     )
-    assert encoder.decode(ctx.decrypt(sk, out))[: shape[0]] == [
+    layout = slot_layout(*shape, encoder.row_size)
+    assert layout.reduce(encoder.decode(ctx.decrypt(sk, out)), params.t) == [
         sum(w * v for w, v in zip(row, x)) % params.t for row in rows
     ]
     benchmark.extra_info.update(
@@ -413,9 +416,11 @@ def _delphi_w16(benchmark, name, warm):
 
 
 def test_bench_matvec_delphi_rns_w16(benchmark):
-    """The first layer of ``infer_cg_delphi`` (8x16 at delphi scale): 15
-    rotations and 16 plaintext products without leaving the evaluation
-    domain, its diagonals encoded afresh. Guarded like the rotation row."""
+    """The first layer of ``infer_cg_delphi`` (8x16 at delphi scale): its
+    128 partial sums fit the 2048 slots, so no rotation and one
+    plaintext product (it was 15 and 16 while every product took the
+    full-width sum), its diagonal encoded afresh. Guarded like the
+    rotation row."""
     _delphi_w16(benchmark, "test_bench_matvec_delphi_rns_w16", warm=False)
 
 
@@ -427,8 +432,9 @@ def test_bench_matvec_delphi_rns_w16_warm(benchmark):
 
 def test_bench_matvec_fast_w128(benchmark):
     """The wide layer of ``infer_sg_wide`` (3x128, a full batching row of
-    ``fast_params(256)``): 127 rotations of three positional digits, its
-    diagonals encoded afresh."""
+    ``fast_params(256)``): two steps fit its 384 column products in the
+    256 slots, so one rotation of three positional digits (it was 127),
+    its diagonals encoded afresh."""
     _matvec_bench(benchmark, PARAMS, seed=31, shape=(3, 128), rounds=3)
 
 

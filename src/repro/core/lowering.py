@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.backend import backend_for
 from repro.crypto.modmath import matvec_mod
-from repro.he.linear import HomomorphicLinearEvaluator
+from repro.he.linear import HomomorphicLinearEvaluator, slot_layout
 from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
 from repro.nn.network import Network
 
@@ -135,12 +135,21 @@ def next_linear_index(lowered: LoweredNetwork, relu_pos: int) -> int:
 def validate_packing(lowered: LoweredNetwork, row_size: int) -> None:
     """Reject layer widths the HE batching layout cannot pack."""
     for lin in lowered.linears:
-        if row_size % lin.n_in != 0:
-            raise ValueError(
-                f"{lin.name}: width {lin.n_in} must divide row size {row_size}"
-            )
-        if lin.n_out > row_size:
-            raise ValueError(f"{lin.name}: height {lin.n_out} exceeds row size")
+        try:
+            slot_layout(lin.n_out, lin.n_in, row_size)
+        except ValueError as exc:
+            raise ValueError(f"{lin.name}: {exc}") from None
+
+
+def needs_galois_key(lowered: LoweredNetwork, row_size: int) -> bool:
+    """Whether some layer's product rotates — its
+    :class:`~repro.he.linear.SlotLayout` takes more than one step. Only
+    then is a Galois key made and sent; both parties and
+    ``predict_comm`` decide it from the public shapes."""
+    return any(
+        slot_layout(lin.n_out, lin.n_in, row_size).steps > 1
+        for lin in lowered.linears
+    )
 
 
 def plaintext_reference(

@@ -50,6 +50,7 @@ from repro.backend import backend_for
 from repro.core.lowering import (
     LoweredNetwork,
     lower_network,
+    needs_galois_key,
     next_linear_index,
     validate_packing,
 )
@@ -61,7 +62,7 @@ from repro.gc.garble import EncodingBatch, GarbledBatch, Garbler, LabelBatch
 from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator
+from repro.he.linear import HomomorphicLinearEvaluator, slot_layout
 from repro.he.params import BfvParams, toy_params
 from repro.network.channel import CLIENT, SERVER, Channel
 from repro.network.serialize import (
@@ -660,22 +661,27 @@ class ClientSession(ProtocolSession):
         params = self.params
         ctx = BfvContext(params, self.rng.spawn())
         encoder = BatchEncoder(params)
-        # The server needs the Galois keys and nothing else: the client
-        # encrypts with its secret key, so no public key is made or sent.
+        # The server needs the Galois key and nothing else, and that only
+        # when some layer's product rotates: the client encrypts with its
+        # secret key, so no public key is made or sent.
+        gk = None
         with section("he_linear", "he.keygen"):
             sk = ctx.secret_keygen()
-            gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
-        self._send(serialize_galois_keys(gk), payload=gk)
+            if needs_galois_key(self.lowered, params.row_size):
+                gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
+        if gk is not None:
+            self._send(serialize_galois_keys(gk), payload=gk)
         self._ctx, self._encoder, self._sk = ctx, encoder, sk
         # The evaluator object is used purely for its packing layout here;
         # the homomorphic matvec runs on the server.
-        packer = HomomorphicLinearEvaluator(ctx, encoder, gk)
+        packer = HomomorphicLinearEvaluator(ctx, encoder, None)
 
         self.client_r = [
             self.rng.field_vector(lin.n_in, p) for lin in self.lowered.linears
         ]
         self.client_linear_share = []
-        # HE pass: send Enc(r_i); the server returns Enc(W r_i - s_i).
+        # HE pass: send Enc(r_i); the server returns W r_i - s_i as masked
+        # partial sums, which the layer's slot layout adds up.
         for lin, r in zip(self.lowered.linears, self.client_r):
             with section("he_linear", "he.encrypt"):
                 ct = ctx.encrypt(sk, encoder.encode(packer.pack_vector(r)))
@@ -685,7 +691,9 @@ class ClientSession(ProtocolSession):
             ct_out = deserialize_ciphertext(frame, params)
             self._note_recv(ct_out)
             with section("he_linear", "he.decrypt"):
-                share = encoder.decode(ctx.decrypt(sk, ct_out))[: lin.n_out]
+                share = slot_layout(lin.n_out, lin.n_in, params.row_size).reduce(
+                    encoder.decode(ctx.decrypt(sk, ct_out)), p
+                )
             self.counters.he_decryptions += 1
             self.client_linear_share.append(share)
 
@@ -744,6 +752,13 @@ class ServerSession(ProtocolSession):
     role = SERVER
     _REQUEST_STATE = ("server_s",)
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Connection-scoped, like ``rng``: spawned right after the first
+        # request draws its shares and continued by every later request,
+        # so no two returns of a keep-alive connection share a mask.
+        self._mask_rng: SecureRandom | None = None
+
     def start_online(self) -> None:
         """Arm the serving side of one inference."""
         if self.lifecycle not in (LIFE_READY, LIFE_COMPLETE):
@@ -773,24 +788,31 @@ class ServerSession(ProtocolSession):
         params = self.params
         ctx = BfvContext(params)
         encoder = BatchEncoder(params)
-        frame = yield
-        gk = deserialize_galois_keys(frame, params)
-        self._note_recv(gk)
+        gk = None
+        if needs_galois_key(self.lowered, params.row_size):
+            frame = yield
+            gk = deserialize_galois_keys(frame, params)
+            self._note_recv(gk)
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
 
         self.server_s = [
             self.rng.field_vector(lin.n_out, p) for lin in self.lowered.linears
         ]
+        if self._mask_rng is None:
+            self._mask_rng = self.rng.spawn()
         row = params.row_size
-        # HE pass: homomorphic W r_i - s_i on each received Enc(r_i).
+        # HE pass: W r_i's partial sums on each received Enc(r_i), every
+        # slot masked so that each output's slots sum to its -s_i.
         for lin, s in zip(self.lowered.linears, self.server_s):
             frame = yield
             ct = deserialize_ciphertext(frame, params)
             self._note_recv(ct)
             with section("he_linear", "he.matvec", n_out=lin.n_out):
                 ct_y = evaluator.matvec(ct, lin.matrix)
-                s_row = list(s) + [0] * (row - lin.n_out)
-                ct_out = ctx.sub_plain(ct_y, encoder.encode(s_row + s_row))
+                masks = slot_layout(lin.n_out, lin.n_in, row).masks(
+                    s, self._mask_rng.field_vector(2 * row, p), p
+                )
+                ct_out = ctx.sub_plain(ct_y, encoder.encode(masks))
                 # Down to the modulus the client's decryption needs.
                 ct_out = ctx.mod_switch(ct_out)
             self._send(serialize_ciphertext(ct_out), payload=ct_out)

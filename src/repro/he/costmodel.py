@@ -23,7 +23,10 @@ runs its diagonal product in Gazelle's *output-rotation* (Horner) order —
 the accumulator is rotated, not the input. That changes where key-switch
 noise lands and so how wide the key-switching digits may be; it changes
 none of the counts here (w - 1 rotations and w plaintext products per
-width-w product either way).
+width-w product either way). It also stops after the fewest steps whose
+partial sums fit the slots and lets the client add them up
+(:class:`repro.he.linear.SlotLayout`); the counts here stay Gazelle's,
+the kernels the paper's figures are calibrated against.
 """
 
 from __future__ import annotations

@@ -10,6 +10,16 @@ im2col/Toeplitz matrix). Gazelle's rotation-optimized convolution kernels
 differ only in *cost*, never in the computed function; their operation
 counts are modeled separately in :mod:`repro.he.costmodel`.
 
+The product is not summed to one slot per output. Its client decrypts
+``W r - s`` anyway, so the server stops after ``w`` Horner steps and
+leaves each output spread over ``n_in / w`` slots of partial sums,
+masked with shares of ``s``; the client adds them up in the clear —
+GALA's rotate-and-sum in the share domain (Zhang, Xin and Wu, NDSS
+2021). :class:`SlotLayout` is where everything lands; ``w`` is the
+fewest steps that fit every output in the two batching rows, so a layer
+whose ``n_out * n_in`` fits ``n`` slots rotates nothing and needs no
+Galois key.
+
 A server's weights are the same for every request, so the plaintext side
 of a matvec — gathering the diagonals, encoding them, lifting them into
 the ciphertext ring and transforming them — is done once per process:
@@ -20,6 +30,7 @@ they live in (see :meth:`HomomorphicLinearEvaluator.matvec`).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
@@ -121,39 +132,118 @@ def _frozen(stack, bound: int):
     return stack, 8 * sum(len(row) for rows in stack for row in rows)
 
 
-class HomomorphicLinearEvaluator:
-    """Server-side evaluator for encrypted matrix-vector products."""
+class SlotLayout:
+    """Where a ``(n_out, n_in)`` product's partial sums sit in the ``n``
+    slots of one ciphertext, from the public shape alone.
 
-    def __init__(self, ctx: BfvContext, encoder: BatchEncoder, galois_keys: GaloisKeys):
+    ``steps`` (``w``) is the smallest power of two dividing ``n_in`` with
+    ``2 * row_size * w >= n_out * n_in``; it is ``n_in`` only when
+    ``n_out > row_size``. Slot ``j`` sits in row ``j // row_size`` at
+    ``u = j % row_size``, in block ``q = u // n_in`` at offset
+    ``o = u % n_in``; it holds output
+    ``(row * row_size / n_in + q) * w + o % w`` (:attr:`outputs`) summed
+    over the ``w`` columns ``o … o + w - 1 (mod n_in)``: every output
+    gets ``n_in / w`` slots (:attr:`groups`) that together cover each
+    of its columns once. Outputs ``>= n_out`` mark unused slots.
+    """
+
+    def __init__(self, n_out: int, n_in: int, row_size: int):
+        if row_size % n_in != 0:
+            raise ValueError(f"matrix width {n_in} must divide row size {row_size}")
+        if n_out > 2 * row_size:
+            raise ValueError(
+                f"matrix height {n_out} exceeds the {2 * row_size} slots of two rows"
+            )
+        self.n_out, self.n_in, self.row_size = n_out, n_in, row_size
+        w = 1
+        while w < n_in and 2 * row_size * w < n_out * n_in:
+            w *= 2
+        self.steps = w
+        slots = np.arange(2 * row_size)
+        u = slots % row_size
+        self.outputs = (
+            (slots // row_size * (row_size // n_in) + u // n_in) * w + u % n_in % w
+        )
+        used = np.flatnonzero(self.outputs < n_out)
+        self.groups = used[np.argsort(self.outputs[used], kind="stable")].reshape(
+            n_out, n_in // w
+        )
+        # Shared by every product of this shape (:func:`slot_layout`).
+        self.outputs.flags.writeable = self.groups.flags.writeable = False
+
+    def reduce(self, slots, modulus: int) -> list[int]:
+        """Per output, the sum of its slots mod ``modulus``."""
+        return [
+            sum(int(slots[j]) for j in group) % modulus
+            for group in self.groups.tolist()
+        ]
+
+    def masks(self, s, uniform, modulus: int) -> list[int]:
+        """``uniform`` (one draw per slot) with each output's first slot
+        replaced so the output's slots :meth:`reduce` to its ``s``: every
+        slot is uniform, and only the sums are fixed."""
+        masks = [int(v) for v in uniform]
+        for share, (head, *rest) in zip(s, self.groups.tolist()):
+            masks[head] = (share - sum(masks[j] for j in rest)) % modulus
+        return masks
+
+
+@functools.lru_cache(maxsize=256)
+def slot_layout(n_out: int, n_in: int, row_size: int) -> SlotLayout:
+    """The (shared, immutable) :class:`SlotLayout` of one shape."""
+    return SlotLayout(n_out, n_in, row_size)
+
+
+class HomomorphicLinearEvaluator:
+    """Server-side evaluator for encrypted matrix-vector products.
+
+    ``galois_keys`` may be None when every product it is asked for fits
+    its slots without rotating (:attr:`SlotLayout.steps` of 1); one that
+    rotates then fails as a missing key does (``KeyError``).
+    """
+
+    def __init__(
+        self, ctx: BfvContext, encoder: BatchEncoder, galois_keys: GaloisKeys | None
+    ):
         self._ctx = ctx
         self._encoder = encoder
-        self._galois_keys = galois_keys
+        self._galois_keys = (
+            GaloisKeys(ctx.params, {}) if galois_keys is None else galois_keys
+        )
         self.rotations_performed = 0
         self.plain_mults_performed = 0
 
-    def _diagonals(self, matrix, start: int, stop: int, n_in: int, n_out: int):
-        """Generalized diagonals start..stop-1, each padded to a full
-        batching row and pre-rotated right by its own index: entry j of
-        diagonal d is ``matrix[(j - d) % row_size][j % n_in]`` where that
-        row exists, else 0 — rotating it left by d gives the textbook
-        diagonal ``matrix[i][(i + d) % n_in]``.
+    def _diagonals(self, matrix, start: int, stop: int, layout: SlotLayout):
+        """Diagonals start..stop-1 over both batching rows, each
+        pre-rotated right by its own index within its row: entry j of
+        diagonal d is the weight that slot ``j - d`` of the same row
+        (cyclic in it) takes at Horner step d — ``matrix[i][j % n_in]``,
+        ``i`` that slot's output (:attr:`SlotLayout.outputs`), or 0 where
+        the slot is unused. Rotating it left by d lines it up with the
+        slot.
 
         One fancy-index for the whole block when the matrix is an ndarray
         (see :meth:`_gatherable`); the list path keeps the reference loop.
         """
         t = self._encoder.params.t
-        row_size = self._encoder.row_size
+        row_size, n_in, n_out = layout.row_size, layout.n_in, layout.n_out
+        outputs = layout.outputs
         if isinstance(matrix, np.ndarray):
-            slots = np.arange(row_size)
-            rows = (slots - np.arange(start, stop)[:, None]) % row_size
+            slots = np.arange(2 * row_size)
+            sources = (slots - np.arange(start, stop)[:, None]) % row_size + (
+                slots // row_size * row_size
+            )
+            rows = outputs[sources]
             values = matrix[np.minimum(rows, n_out - 1), slots % n_in]
             return np.where(rows < n_out, values % np.uint64(t), np.uint64(0))
+        outputs = outputs.tolist()
         return [
             [
-                matrix[(j - d) % row_size][j % n_in] % t
-                if (j - d) % row_size < n_out
+                matrix[i][j % n_in] % t
+                if (i := outputs[(j - d) % row_size + j // row_size * row_size])
+                < n_out
                 else 0
-                for j in range(row_size)
+                for j in range(2 * row_size)
             ]
             for d in range(start, stop)
         ]
@@ -171,33 +261,31 @@ class HomomorphicLinearEvaluator:
         except OverflowError:  # negative or >= 2^64: the list path reduces
             return matrix
 
-    @staticmethod
-    def _both_rows(diag):
-        """Replicate a row-sized diagonal into both batching rows."""
-        if isinstance(diag, np.ndarray):
-            return np.concatenate([diag, diag])
-        return diag + diag
-
     def matvec(self, ct_x: Ciphertext, matrix) -> Ciphertext:
-        """Homomorphically compute ``matrix @ x`` via the diagonal method.
+        """Homomorphically compute the partial sums of ``matrix @ x`` in
+        the :class:`SlotLayout` of the matrix's shape.
 
-        ``ct_x`` must encrypt x replicated to fill a batching row (see
-        :meth:`pack_vector`); the matrix width must divide the row size.
-        ``matrix`` is a 2D field matrix — list of rows or ndarray.
+        ``ct_x`` must encrypt x replicated to fill both batching rows
+        (see :meth:`pack_vector`); the matrix width must divide the row
+        size and its height fit two rows. ``matrix`` is a 2D field matrix
+        — list of rows or ndarray. Decrypted, slot j holds its output's
+        sum over the layout's ``w = steps`` columns; the layout's
+        ``reduce`` turns the slots into ``matrix @ x``.
 
-        Computes ``sum_d rotate^d(P_d * ct_x)`` in Horner form,
-        ``acc = P_{w-1} * x; acc = rotate(acc) + P_d * x`` for d = w-2 …
-        0, with ``P_d`` the d-th diagonal pre-rotated right by d
+        Computes ``sum_d rotate^d(P_d * ct_x)`` over d < w in Horner
+        form, ``acc = P_{w-1} * x; acc = rotate(acc) + P_d * x`` for d =
+        w-2 … 0, with ``P_d`` the d-th diagonal pre-rotated right by d
         (:meth:`_diagonals`) — the ciphertext the public ``rotate`` /
         ``mul_plain`` / ``+`` ops build in that order, residue for
-        residue. Rotating the *accumulator* instead of the input means
-        every key-switch error is added after the weights have been
-        multiplied in, never scaled by them, which is what lets the
-        parameter sets key-switch on few, wide digits. The working pair
-        never leaves the evaluation domain
-        (:class:`repro.he.polynomial.EvalPair`): the input is transformed
-        once, every step is a permutation plus one inner product per
-        component, and the sum is transformed back once.
+        residue: ``w - 1`` rotations and ``w`` plaintext products, and
+        neither a rotation nor a key when ``w`` is 1. Rotating the
+        *accumulator* instead of the input means every key-switch error
+        is added after the weights have been multiplied in, never scaled
+        by them, which is what lets the parameter sets key-switch on
+        few, wide digits. The working pair never leaves the evaluation
+        domain (:class:`repro.he.polynomial.EvalPair`): the input is
+        transformed once, every step is a permutation plus one inner
+        product per component, and the sum is transformed back once.
 
         Diagonals are taken a bounded block at a time, each block's
         evaluation-domain plaintexts from the process-wide cache or, on
@@ -208,36 +296,35 @@ class HomomorphicLinearEvaluator:
         """
         ctx, encoder = self._ctx, self._encoder
         p = ctx.params
-        row_size = encoder.row_size
-        n_out = len(matrix)
-        n_in = len(matrix[0])
-        if row_size % n_in != 0:
-            raise ValueError(f"matrix width {n_in} must divide row size {row_size}")
-        if n_out > row_size:
-            raise ValueError(f"matrix height {n_out} exceeds row size {row_size}")
+        layout = slot_layout(len(matrix), len(matrix[0]), encoder.row_size)
 
         g = encoder.galois_element_for_rotation(1)
         groups = p.digit_groups
         matrix = self._gatherable(matrix)
         ring = ct_x.c1.ring_ntt()
-        # Everything the cached stacks depend on besides the weights: the
-        # encoding (n, t, the plaintext backend) and the ring (its moduli
-        # — q or the chain's primes — and backend).
+        # Everything the cached stacks depend on besides the weights (whose
+        # shape fixes the layout): the encoding (n, t, the plaintext
+        # backend) and the ring (its moduli — q or the chain's primes —
+        # and backend).
         content = (
             _matrix_digest(matrix), p.n, p.t, encoder.backend.name,
             ring.moduli, ring.backend.name,
         )
         x = EvalPair.from_coeff(ct_x.c0, ct_x.c1)
-        # A width-1 product rotates nothing and needs no key.
-        keyed = x.keyed(ctx.rotation_keys(g, self._galois_keys)) if n_in > 1 else None
+        keyed = (
+            x.keyed(ctx.rotation_keys(g, self._galois_keys))
+            if layout.steps > 1
+            else None
+        )
         # About 2^15 coefficients of encoded diagonals at a time, over all
         # residue rings: 2 rows at delphi_params, 128 at fast_params(256).
         block = max(1, (1 << 15) // (p.n * len(ring.moduli)))
         acc: EvalPair | None = None
-        for stop in range(n_in, 0, -block):
+        for stop in range(layout.steps, 0, -block):
             start = max(stop - block, 0)
             plains = self._plain_block(
-                (*content, start, stop), matrix, start, stop, 2 * max(ring.moduli)
+                (*content, start, stop), matrix, start, stop, layout,
+                2 * max(ring.moduli),
             )
             for k in range(stop - start - 1, -1, -1):
                 plain = [rows[k] for rows in plains]
@@ -253,20 +340,18 @@ class HomomorphicLinearEvaluator:
         c0, c1 = acc.to_coeff()
         return Ciphertext(p, c0, c1)
 
-    def _plain_block(self, key, matrix, start: int, stop: int, bound: int):
+    def _plain_block(
+        self, key, matrix, start: int, stop: int, layout: SlotLayout, bound: int
+    ):
         """Per residue ring, the read-only evaluation-domain stack of the
         diagonals start..stop-1 (a row each, lazily reduced: entries
         below ``bound``) — cached, or encoded now and inserted. Every
         plaintext passes ``plain_evals``' range check when it is encoded."""
         plains = _PLAIN_CACHE.get(key)
         if plains is None:
-            n_in, n_out = len(matrix[0]), len(matrix)
-            diagonals = self._diagonals(matrix, start, stop, n_in, n_out)
-            # Replicate into the second row so both rows stay consistent.
+            diagonals = self._diagonals(matrix, start, stop, layout)
             plains, nbytes = _frozen(
-                self._ctx.plain_evals(
-                    self._encoder.encode_many([self._both_rows(d) for d in diagonals])
-                ),
+                self._ctx.plain_evals(self._encoder.encode_many(list(diagonals))),
                 bound,
             )
             _PLAIN_CACHE.put(key, plains, nbytes)

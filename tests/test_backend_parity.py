@@ -32,7 +32,7 @@ from repro.crypto.rng import SecureRandom
 from repro.he import polynomial
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator
+from repro.he.linear import HomomorphicLinearEvaluator, slot_layout
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import fast_params
 from repro.he.polynomial import RingPoly, clear_ntt_cache, ntt_cache_size
@@ -197,7 +197,8 @@ class TestBfvParity:
         params = fast_params(n=128)
         rng = random.Random(1)
         t = params.t
-        n_in = n_out = 8
+        # Two full rows of outputs: the full-width layout, seven rotations.
+        n_in, n_out = 8, 2 * params.row_size
         matrix = [[rng.randrange(t) for _ in range(n_in)] for _ in range(n_out)]
         x = [rng.randrange(t) for _ in range(n_in)]
         want = [
@@ -215,7 +216,10 @@ class TestBfvParity:
                 ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
                 ct_y = evaluator.matvec(ct, matrix)
                 assert ctx.noise_budget_bits(sk, ct_y) > 0
-                outputs[name] = encoder.decode(ctx.decrypt(sk, ct_y))[:n_out]
+                assert evaluator.rotations_performed == n_in - 1
+                outputs[name] = slot_layout(n_out, n_in, params.row_size).reduce(
+                    encoder.decode(ctx.decrypt(sk, ct_y)), t
+                )
         assert outputs["python"] == outputs["numpy"] == want
 
 

@@ -26,7 +26,7 @@ from repro.crypto.rng import SecureRandom
 from repro.he import polynomial
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache
+from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache, slot_layout
 from repro.he.ntt import NegacyclicNtt
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly, clear_ntt_cache, multiply_shared
@@ -247,11 +247,14 @@ class TestPinnedOpCounts:
         "chainless": lambda: fast_params(n=64),
     }
 
-    def _matvec_ledger(self, params, width, warm=False):
+    def _matvec_ledger(self, params, width, warm=False, height=None):
         """One width-w matvec at the plans: transform rows per ciphertext
         residue ring (forwards, inverses), the same pair mod t, and the
         ciphertext-ring plan calls — of a cold matvec, or ``warm``: of a
-        second one on the same matrix, its diagonals already encoded."""
+        second one on the same matrix, its diagonals already encoded.
+        The matrix fills both batching rows unless ``height`` says
+        otherwise, so its product takes all w steps (the full-width
+        layout)."""
         ctx = BfvContext(params, SecureRandom(4))
         encoder = BatchEncoder(params)
         sk, pk = ctx.keygen()
@@ -259,7 +262,12 @@ class TestPinnedOpCounts:
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
         x = list(range(1, width + 1))
         ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
-        matrix = [[(3 * i + j) % params.t for j in range(width)] for i in range(2)]
+        height = height or 2 * encoder.row_size
+        matrix = [
+            [(3 * i + j) % params.t for j in range(width)] for i in range(height)
+        ]
+        layout = slot_layout(height, width, encoder.row_size)
+        assert layout.steps == (width if height > encoder.row_size else 1)
         if warm:
             evaluator.matvec(ct, matrix)
         if ctx._rns is not None:
@@ -274,7 +282,7 @@ class TestPinnedOpCounts:
         ]
         mod_t = (plain_counter.rows("forward"), plain_counter.rows("inverse"))
         calls = Counter(counter.calls)  # before the decryption below adds its own
-        assert encoder.decode(ctx.decrypt(sk, out))[:2] == [
+        assert layout.reduce(encoder.decode(ctx.decrypt(sk, out)), params.t) == [
             sum(w * v for w, v in zip(row, x)) % params.t for row in matrix
         ]
         return per_ring, mod_t, calls
@@ -335,6 +343,17 @@ class TestPinnedOpCounts:
         assert mod_t == (0, 0)
         assert calls == Counter({"forward": width, "inverse": width})
         assert sum(calls.values()) == 2 * (width - 1) + 2
+
+    @pytest.mark.parametrize("width", (2, 8))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_product_that_fits_the_slots_is_one_step(self, family, width):
+        """Two outputs of any width fit the slots unrotated: the ledger of
+        a width-1 matvec, cold and warm, whatever the width."""
+        params = self.FAMILIES[family]()
+        for warm in (False, True):
+            assert self._matvec_ledger(
+                params, width, warm, height=2
+            ) == self._matvec_ledger(params, 1, warm)
 
     @pytest.mark.parametrize(
         "family, rows", [("pairs", 25), ("chainless", 6), ("chain", 21)]

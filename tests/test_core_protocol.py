@@ -181,7 +181,8 @@ class TestPackingValidation:
             HybridProtocol(net, PARAMS, seed=1)
 
     def test_too_wide_layer_rejected(self):
-        n = PARAMS.row_size * 2
+        # Two batching rows of outputs fit the slot layout; one more does not.
+        n = PARAMS.row_size * 2 + 1
         net = Network(
             "bad", TensorShape(4), [Linear(4, n, weights=np.zeros((n, 4)))]
         )

@@ -2,14 +2,15 @@
 for bit.
 
 ``HomomorphicLinearEvaluator.matvec`` runs the diagonal method in
-output-rotation (Horner) order and keeps its working ciphertext in the
-evaluation domain between one forward and one inverse transform. Nothing
-about the *result* may depend on the second part: these tests hold it
-equal, residue for residue, to the same Horner sum built from the public
-``rotate`` / ``mul_plain`` / ``+`` ops on every backend x representation
-cell, pin whole-protocol frames to recorded digests, check the lazily
-reduced inner product at its overflow boundary against Python integers,
-and keep every error path raising what it raised before.
+output-rotation (Horner) order — ``w`` steps of the shape's slot layout —
+and keeps its working ciphertext in the evaluation domain between one
+forward and one inverse transform. Nothing about the *result* may depend
+on the second part: these tests hold it equal, residue for residue, to
+the same ``w``-step Horner sum built from the public ``rotate`` /
+``mul_plain`` / ``+`` ops on every backend x representation cell, pin
+whole-protocol frames to recorded digests, check the lazily reduced
+inner product at its overflow boundary against Python integers, and keep
+every error path raising what it raised before.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ from repro.crypto.modmath import is_probable_prime
 from repro.crypto.rng import SecureRandom
 from repro.he.bfv import BfvContext, GaloisKeys
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache
+from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache, slot_layout
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly
 from repro.network.serialize import serialize_ciphertext
@@ -46,8 +47,13 @@ CELLS = [
     for representation in ("bigint", "rns")
     if representation == "bigint" or SMALL[name].rns_primes
 ]
-# (n_out, n_in): widths 1, 2, 16 and the full row; heights 1, n_in, > n_in.
-SHAPES = [(1, 1), (2, 2), (1, 16), (16, 16), (32, 16), (4, 32), (32, 32)]
+# (n_out, n_in): widths 1, 2, 16 and the full row; heights 1, n_in, > n_in,
+# and two full rows (64 x 32, 40 x 4), where the layout is the full-width
+# sum (w = n_in). The others take 1, 1, 1, 4, 8, 2 and 16 steps.
+SHAPES = [
+    (1, 1), (2, 2), (1, 16), (16, 16), (32, 16), (4, 32), (32, 32), (64, 32),
+    (40, 4),
+]
 
 
 def keyed(params, seed=3):
@@ -59,21 +65,31 @@ def keyed(params, seed=3):
 
 
 def reference_matvec(ctx, encoder, gk, ct, matrix):
-    """The diagonal method in Horner order, spelled out with the public
-    ciphertext ops: ``acc = rotate(acc) + P_d * x`` for d = w-1 … 0, P_d
-    the d-th generalized diagonal pre-rotated right by d."""
+    """The diagonal method in Horner order over the shape's slot layout,
+    spelled out with the public ciphertext ops: ``acc = rotate(acc) + P_d
+    * x`` for d = w-1 … 0, P_d the d-th diagonal pre-rotated right by d
+    within each row — slot j carries the weight of column j mod n_in for
+    the output of slot j - d of its row."""
     n_out, n_in = len(matrix), len(matrix[0])
     t, row = ctx.params.t, encoder.row_size
+    layout = slot_layout(n_out, n_in, row)
+    outputs = layout.outputs.tolist()
     g = encoder.galois_element_for_rotation(1)
     acc = None
-    for d in range(n_in - 1, -1, -1):
-        diag = [
-            int(matrix[(j - d) % row][j % n_in]) % t if (j - d) % row < n_out else 0
-            for j in range(row)
-        ]
-        term = ctx.mul_plain(ct, encoder.encode(diag + diag))
+    for d in range(layout.steps - 1, -1, -1):
+        diag = []
+        for j in range(2 * row):
+            i = outputs[j // row * row + (j - d) % row]
+            diag.append(int(matrix[i][j % n_in]) % t if i < n_out else 0)
+        term = ctx.mul_plain(ct, encoder.encode(diag))
         acc = term if acc is None else ctx.rotate(acc, g, gk) + term
     return acc
+
+
+def decrypted_product(ctx, encoder, sk, ct, n_out, n_in):
+    """The decrypted partial sums, added up by the shape's layout."""
+    layout = slot_layout(n_out, n_in, encoder.row_size)
+    return layout.reduce(encoder.decode(ctx.decrypt(sk, ct)), ctx.params.t)
 
 
 def assert_same_ciphertext(got, want):
@@ -112,9 +128,10 @@ class TestBitIdentity:
         want = reference_matvec(ctx, encoder, gk, ct, rows)
         for matrix in (rows, np.array(rows, dtype=np.uint64)):
             assert_same_ciphertext(evaluator.matvec(ct, matrix), want)
-        assert evaluator.rotations_performed == 2 * (n_in - 1)
-        assert evaluator.plain_mults_performed == 2 * n_in
-        assert encoder.decode(ctx.decrypt(sk, want))[:n_out] == [
+        w = slot_layout(n_out, n_in, encoder.row_size).steps
+        assert evaluator.rotations_performed == 2 * (w - 1)
+        assert evaluator.plain_mults_performed == 2 * w
+        assert decrypted_product(ctx, encoder, sk, want, n_out, n_in) == [
             sum(w * v for w, v in zip(row, x)) % params.t for row in rows
         ]
 
@@ -126,9 +143,9 @@ class TestBitIdentity:
         [("delphi", (8, 16)), ("fast", (128, 16)), ("fast", (3, 128))],
     )
     def test_benchmark_shapes_at_full_degree(self, name, shape):
-        """The layers ``bench_e2e`` mints, at their real ring degree: here
-        the diagonals are encoded in several bounded blocks (two rows at
-        a time at delphi_params), walked from the last one down."""
+        """The layers ``bench_e2e`` mints, at their real ring degree: one
+        unrotated product at delphi_params, eight steps and two (in
+        bounded blocks, walked from the last one down) at fast_params."""
         params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
         params = dataclasses.replace(params, backend="numpy")
         ctx, encoder, sk, pk, g, gk = keyed(params, seed=7)
@@ -143,6 +160,9 @@ class TestBitIdentity:
         lowered = backend_for(params.t, prefer="numpy").asmatrix(rows, params.t)
         assert isinstance(lowered, list) == (name == "delphi")
         assert_same_ciphertext(evaluator.matvec(ct, lowered), want)
+        assert decrypted_product(ctx, encoder, sk, want, *shape) == [
+            sum(w * v for w, v in zip(row, x)) % params.t for row in rows
+        ]
 
 
 # sha256 of each `serialize_ciphertext(ct_out)` frame the server sends in
@@ -161,22 +181,26 @@ class TestBitIdentity:
 # computed from a different (equally valid) Enc(r), so all eight moved.
 # The four delphi ones moved again, once, when the returns were
 # modulus-switched to four chain primes (the fast ones switch nothing).
+# All eight moved once more when the returns became masked partial sums
+# in the shapes' slot layouts: other products under other masks (and at
+# delphi, where no layer rotates, from another Enc(r): no Galois key is
+# drawn from the BFV context's stream before it).
 GOLDEN_FRAMES = {
-    ("delphi", "client", 8, 1701): [
-        "012884e474eee2df42d540fd0939f7fabb4f267b00a249e7063d8571c65a36c9",
-        "86813c1fbce7bada489760fb04c82ffdefd95673c998cea710fd1b44fe036e6c",
+    ('delphi', 'client', 8, 1701): [
+        "ef5a43685fe288c7f40855b43e153f3ff785cf86562715bfe4cad73f09258f6b",
+        "2d79895b00408f4d614a3afbf3465ae84a55e248508604121fe4f4361ac1df7d",
     ],
-    ("delphi", "client", 8, 1702): [
-        "b59f32df77a252351ec717efd51167b558301dd85fd325a4fa305d9c7191b9ff",
-        "e6148f2dd8776caf14def0460ecf6f1cf60e7658c52fdb86a95cb655abc1390a",
+    ('delphi', 'client', 8, 1702): [
+        "df678262b26978ba930b9cfbd7bd009566a63f9297d64b25e21dc4cb35f75eeb",
+        "cae4201df7eebfb82c410e17bf2409309067411fdeef4d06d98830aa2ecaa1dd",
     ],
-    ("fast", "server", 128, 1701): [
-        "726df8df3c303fdb51cc46bba0ee35d5e57ecc2118e6d9d353eabecd0e3369e1",
-        "3648599ba77ae40e65daf827bd77b6fe6de6bea61727c9b832414b4940aa6fc5",
+    ('fast', 'server', 128, 1701): [
+        "96bcef168be6e049e939d83f304d20bd4a65b6b0705a5aaf49b3ab3fd2471dbb",
+        "35b08d1d76cebdc9dc462bf7c68468adba4e2e18853c67a84212465113204886",
     ],
-    ("fast", "server", 128, 1702): [
-        "7b9117562856b8e7df4cd11317a1f0dd93550596085bd951a6cd3f2432986205",
-        "cccd88e6836349ea34d5463c0ef6d7a3a43c641c616954cd6718036a426ed7db",
+    ('fast', 'server', 128, 1702): [
+        "37ba79aea252e609c9fabb5112540c7a791e4ee741feca5168534702cb88914c",
+        "9bd3f8fa29d7eedbfd23031e5fa8d71722832ed962a1a48d31f675fcbc23accf",
     ],
 }
 
@@ -265,41 +289,50 @@ def every_frame_digests(params, garbler, hidden, seed):
 # own spawned stream, so no other draw moved). The commit that
 # modulus-switched the server's returns moved only those: the two delphi
 # Enc(W r - s) frames of each case are now 0x0E frames at four primes;
-# every fast digest and every other delphi digest kept its value.
+# every fast digest and every other delphi digest kept its value. The
+# commit that returned masked partial sums (the slot layout) moved HE
+# frames and the server's draws after its mask stream spawns, once:
+# - at delphi the client's Galois-key frame is gone (16-8-3 rotates
+#   nothing) and its two Enc(r) frames moved (no key drawn before them);
+#   at fast 16-128-3 the client's offline frames kept their digests;
+# - every Enc(W r - s) return moved;
+# - under the server garbler, what the server draws after the mask spawn
+#   moved: its garbled batch and label-OT reply offline, its share's
+#   labels online, and with them the output labels the client returns;
+# - every client GC, OT choice, masked-input and final-share digest kept
+#   its value, and under the client garbler nothing but HE frames moved.
 GOLDEN_EVERY_FRAME = {
-    ("delphi", "server", "8", "1701"): {
+    ('delphi', 'server', '8', '1701'): {
         "client/offline": [
-            "1ba6098f436e9df7f2187a46e52c43a0960cf0830ae3819fb892c5e532887d7b",
-            "990f713383089d65cd067d107b458386eecc0960882f281b7c9188f42d301222",
-            "881744ab681d88c093591069792c9334faa22e86c8ad7a8bc634eb32048fd36c",
+            "6ecfe2f69ac7517ec065c9a6e5aee6df9689c92fc1b59ddd6c88cd8095cd5aad",
+            "fbe3cfbceece40f996ef933b375401e54f4213ef9922b7b4c856f4c05cfcdc31",
             "7cb5808c1adabd364205b23b343568032cf578ea9b2a978365ddc11c174283d8",
         ],
         "server/offline": [
-            "012884e474eee2df42d540fd0939f7fabb4f267b00a249e7063d8571c65a36c9",
-            "86813c1fbce7bada489760fb04c82ffdefd95673c998cea710fd1b44fe036e6c",
-            "412d08cb1e04c0548a49cb00166eef4d40503fa7bafd4b7b710a273590bf35e6",
-            "8c9e8625702e8b5b7e5a36e2aaa051c4cbf384e17a9c93be81682da816b9d502",
+            "ef5a43685fe288c7f40855b43e153f3ff785cf86562715bfe4cad73f09258f6b",
+            "2d79895b00408f4d614a3afbf3465ae84a55e248508604121fe4f4361ac1df7d",
+            "09af3af093b3016169b5bd78b0d916fb41803581485709dff82b0cdeca96bbdc",
+            "9b34c9cda2d5a192db29b4a776f718736f3edf98b83bfbf98e3f0268d916817c",
         ],
         "client/online": [
             "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
-            "d8bb01b299abd0d9c0f98e87f340aff55f096be0fd0df10e62822bb3f8d2f1c9",
+            "606db7ffb9e9857a5a5028bb17361a571f8e93f90dbbdcc7cdb77aa2c1b3c07e",
         ],
         "server/online": [
-            "c5b12ba1a04aba9ed273cf5d735b0eb83d8478923d15199de65c737f6496427c",
+            "414d081a67b4cd2fdb500c835e7848e4d483299ec83094a878c0ded4409f13a4",
             "aeadc0a5bb3676f860b57ecf320fa31f57ac872730d7ec8a24d6aa70a024f674",
         ],
     },
-    ("delphi", "client", "8", "1701"): {
+    ('delphi', 'client', '8', '1701'): {
         "client/offline": [
-            "1ba6098f436e9df7f2187a46e52c43a0960cf0830ae3819fb892c5e532887d7b",
-            "990f713383089d65cd067d107b458386eecc0960882f281b7c9188f42d301222",
-            "881744ab681d88c093591069792c9334faa22e86c8ad7a8bc634eb32048fd36c",
+            "6ecfe2f69ac7517ec065c9a6e5aee6df9689c92fc1b59ddd6c88cd8095cd5aad",
+            "fbe3cfbceece40f996ef933b375401e54f4213ef9922b7b4c856f4c05cfcdc31",
             "c2abcdafdb99da291a6ea311e7275eb48e7474e26ffa8dc38921016771c168bc",
             "af23bca044f6f7ba5d9e6c3ec2d1a66a5dadf1b64a2ccd5fe664de46d01bfb19",
         ],
         "server/offline": [
-            "012884e474eee2df42d540fd0939f7fabb4f267b00a249e7063d8571c65a36c9",
-            "86813c1fbce7bada489760fb04c82ffdefd95673c998cea710fd1b44fe036e6c",
+            "ef5a43685fe288c7f40855b43e153f3ff785cf86562715bfe4cad73f09258f6b",
+            "2d79895b00408f4d614a3afbf3465ae84a55e248508604121fe4f4361ac1df7d",
         ],
         "client/online": [
             "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
@@ -310,39 +343,37 @@ GOLDEN_EVERY_FRAME = {
             "aeadc0a5bb3676f860b57ecf320fa31f57ac872730d7ec8a24d6aa70a024f674",
         ],
     },
-    ("delphi", "server", "8", "1702"): {
+    ('delphi', 'server', '8', '1702'): {
         "client/offline": [
-            "cff9ecfbf021c88aa3b1e996ddba0dfd32ac422a593224ae0ad110dac40e38e6",
-            "e03de2a2bf98e49b5e81975bb23b460821ee0d7bf62979a56ef9bb1ea5c7290e",
-            "0a52c62a050747375019101e110df92800b0ce04a3679fd9c5f10c8bd5d3a266",
+            "27ecd1c457b34ece28b2a5f8218c3fc99267041f42a27f50a837ab76132f2593",
+            "89d920ce548581dc92fdba8b0bd4631ce3f73535f891901fe545831f51a37c98",
             "f0325c018c42a94c9df1fffc9cbdb7f5ae7e39a758b062ef963358b70a4b5bc7",
         ],
         "server/offline": [
-            "b59f32df77a252351ec717efd51167b558301dd85fd325a4fa305d9c7191b9ff",
-            "e6148f2dd8776caf14def0460ecf6f1cf60e7658c52fdb86a95cb655abc1390a",
-            "eca38736ce8b1c6d6b5f8ed41bba54fa8a1352010da7182c87684d97b2b0cf1b",
-            "9337b6538d5a846f860a5985c42edc80be14e50e2c946d69513d128c0c82cfcb",
+            "df678262b26978ba930b9cfbd7bd009566a63f9297d64b25e21dc4cb35f75eeb",
+            "cae4201df7eebfb82c410e17bf2409309067411fdeef4d06d98830aa2ecaa1dd",
+            "9d0b3b3e08ce44c0d7faee0d13cd5947ee2525d18656068880b1eca4033d5c0d",
+            "f1ae609a7ccc05004d7b813aae6fb96ed172b94ad171258013cb69b18764d429",
         ],
         "client/online": [
             "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
-            "c89efb97a773a8d269cc4a0331ecac45c5eaf3e682c22a38a5e92b8f4197dfb0",
+            "8ae14bee170bb7567962b9e37dd3d8d64a67b9eed59da355c3ba48c6095a0e57",
         ],
         "server/online": [
-            "8b6b8c2f8cb4364e7f38c28dc899c3fe11e470ac8eddd92efb5509f83e690ef5",
+            "c97bd30e3eebcbf9791829b28ad6b618a2febef2e95a5414ad04a42b04bb96f2",
             "29f8794cc836eb57990f0aac6f87e3ce1a2f1e92843fb52f0e0d2eeee382bb01",
         ],
     },
-    ("delphi", "client", "8", "1702"): {
+    ('delphi', 'client', '8', '1702'): {
         "client/offline": [
-            "cff9ecfbf021c88aa3b1e996ddba0dfd32ac422a593224ae0ad110dac40e38e6",
-            "e03de2a2bf98e49b5e81975bb23b460821ee0d7bf62979a56ef9bb1ea5c7290e",
-            "0a52c62a050747375019101e110df92800b0ce04a3679fd9c5f10c8bd5d3a266",
+            "27ecd1c457b34ece28b2a5f8218c3fc99267041f42a27f50a837ab76132f2593",
+            "89d920ce548581dc92fdba8b0bd4631ce3f73535f891901fe545831f51a37c98",
             "717be3ecd238ebcc58bbe79bb1ff0df27a9968e9b1125118581e0e0aaa4a05fd",
             "70e147b6e46deaca0949ebee05ab04f7567494acda4570921215983e0cdf4618",
         ],
         "server/offline": [
-            "b59f32df77a252351ec717efd51167b558301dd85fd325a4fa305d9c7191b9ff",
-            "e6148f2dd8776caf14def0460ecf6f1cf60e7658c52fdb86a95cb655abc1390a",
+            "df678262b26978ba930b9cfbd7bd009566a63f9297d64b25e21dc4cb35f75eeb",
+            "cae4201df7eebfb82c410e17bf2409309067411fdeef4d06d98830aa2ecaa1dd",
         ],
         "client/online": [
             "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
@@ -353,7 +384,7 @@ GOLDEN_EVERY_FRAME = {
             "29f8794cc836eb57990f0aac6f87e3ce1a2f1e92843fb52f0e0d2eeee382bb01",
         ],
     },
-    ("fast", "server", "128", "1701"): {
+    ('fast', 'server', '128', '1701'): {
         "client/offline": [
             "9a181ed864aca26576e9f4d06b93a6961123d8a4f935c3715b4f3242aa8d9995",
             "a6ad7cdd7ea5c1d6400fee3b41663c57a74a0e8db079a91a2e7bbe3ccaf221be",
@@ -361,21 +392,21 @@ GOLDEN_EVERY_FRAME = {
             "f5bd45b67177f404df740a16a28c173b812bf253870f27a08e0d9e2e9d19b4bc",
         ],
         "server/offline": [
-            "726df8df3c303fdb51cc46bba0ee35d5e57ecc2118e6d9d353eabecd0e3369e1",
-            "3648599ba77ae40e65daf827bd77b6fe6de6bea61727c9b832414b4940aa6fc5",
-            "b0ea9fdd9ea397a35caa7b5991da47a90db3605baf4931776a4af7e74a99fdc1",
-            "c46ceac94bb08471f8d38974b749fc53fe87127690f1774c77957199a9957491",
+            "96bcef168be6e049e939d83f304d20bd4a65b6b0705a5aaf49b3ab3fd2471dbb",
+            "35b08d1d76cebdc9dc462bf7c68468adba4e2e18853c67a84212465113204886",
+            "919ad131ca85159a88b593bbc0ed49269ca43a31477e9cd8b2786444c7bcf54d",
+            "f8c4330bd30312c2f8c0458678ca1b5cd24b6078d55b5b47903eae92f5432618",
         ],
         "client/online": [
             "0e78a2c6cdc41be8a2f17f6693c4e0f1c006813ac49c59548ad7518681501b6a",
-            "7878e121449a327f827e6732576830604d713489fe1ea382072b49d2514e77f3",
+            "f3ccd8edac485637737e5f983fc791c4298b9739ace889c7ece7984aebdc109b",
         ],
         "server/online": [
-            "5068b9172cb0967390a836361633e169ab607a8a5829dad8b3af0bb547bea921",
+            "f5697c870dcedc45ebeca841d558178a7a703f56e46c9dc2e715fac81f191946",
             "6fe50986f61cfdd664e36a98659688b9ddd82918d991e3e4bfb54e45fd415ba4",
         ],
     },
-    ("fast", "client", "128", "1701"): {
+    ('fast', 'client', '128', '1701'): {
         "client/offline": [
             "9a181ed864aca26576e9f4d06b93a6961123d8a4f935c3715b4f3242aa8d9995",
             "a6ad7cdd7ea5c1d6400fee3b41663c57a74a0e8db079a91a2e7bbe3ccaf221be",
@@ -384,8 +415,8 @@ GOLDEN_EVERY_FRAME = {
             "7689ecda0e1a30a97ee01599f4e622be00aad4f8f8e05bca8740ebc99948dc5c",
         ],
         "server/offline": [
-            "726df8df3c303fdb51cc46bba0ee35d5e57ecc2118e6d9d353eabecd0e3369e1",
-            "3648599ba77ae40e65daf827bd77b6fe6de6bea61727c9b832414b4940aa6fc5",
+            "96bcef168be6e049e939d83f304d20bd4a65b6b0705a5aaf49b3ab3fd2471dbb",
+            "35b08d1d76cebdc9dc462bf7c68468adba4e2e18853c67a84212465113204886",
         ],
         "client/online": [
             "0e78a2c6cdc41be8a2f17f6693c4e0f1c006813ac49c59548ad7518681501b6a",
@@ -396,7 +427,7 @@ GOLDEN_EVERY_FRAME = {
             "6fe50986f61cfdd664e36a98659688b9ddd82918d991e3e4bfb54e45fd415ba4",
         ],
     },
-    ("fast", "server", "128", "1702"): {
+    ('fast', 'server', '128', '1702'): {
         "client/offline": [
             "41c452953d83a5d41050af0f1859c3b824c9b6d9dc2800432087b0d638ab0eac",
             "5bd00ae2ee89fe12d06a578a9e34d077a0da4f97665c79dab6db608c10c6dd16",
@@ -404,21 +435,21 @@ GOLDEN_EVERY_FRAME = {
             "3dd64ea9b2fe347bb5f636be07fd16d425fb4b10decc23e36d205d9dc2e7b4b4",
         ],
         "server/offline": [
-            "7b9117562856b8e7df4cd11317a1f0dd93550596085bd951a6cd3f2432986205",
-            "cccd88e6836349ea34d5463c0ef6d7a3a43c641c616954cd6718036a426ed7db",
-            "f0aaef017a29b83556a5a67c047220a75f694c03e0814bb0aa19d909f194d4aa",
-            "d9f2e91a0ef2f1a82854c870791960874a941d1b6a34dd7575beb55b89bdb72e",
+            "37ba79aea252e609c9fabb5112540c7a791e4ee741feca5168534702cb88914c",
+            "9bd3f8fa29d7eedbfd23031e5fa8d71722832ed962a1a48d31f675fcbc23accf",
+            "1695d1bc20f8a5c465d269289d531572b447d4a41173d22fd40b32bf89bdb3f7",
+            "a69436d534b3afcc5406d852acd056ed735869c23f12209797638e452b923701",
         ],
         "client/online": [
             "3f19f7b26cd2a871f4b58b1be986b754698e99edc18b7ef8cd0294ad51891c9a",
-            "5ed90070517de67fdd527a232a664622b661cc7b0ecbd9537915ef78563024e9",
+            "72f2b21dccc9ef1fb4cedb3c3a51b5a28e1b5daa01b2ee7e632e0c8033d4f5b2",
         ],
         "server/online": [
-            "b7071affcbaddc1b0ad15174de933a62fde85c68f8284a95ed0699f1c0a993e8",
+            "e14cdd9cb71ce4347faa7c99d91fbcca18806a58db5571de1c10c7a3f99fc2e6",
             "f39020dd31478d6e98906f197c795c38e5225c5590bf7a589fbab52cc701475a",
         ],
     },
-    ("fast", "client", "128", "1702"): {
+    ('fast', 'client', '128', '1702'): {
         "client/offline": [
             "41c452953d83a5d41050af0f1859c3b824c9b6d9dc2800432087b0d638ab0eac",
             "5bd00ae2ee89fe12d06a578a9e34d077a0da4f97665c79dab6db608c10c6dd16",
@@ -427,8 +458,8 @@ GOLDEN_EVERY_FRAME = {
             "d067f07d1d83e33dbd27fa409ebd07c294b04f09e3852b93c9e8e3abb6c3de62",
         ],
         "server/offline": [
-            "7b9117562856b8e7df4cd11317a1f0dd93550596085bd951a6cd3f2432986205",
-            "cccd88e6836349ea34d5463c0ef6d7a3a43c641c616954cd6718036a426ed7db",
+            "37ba79aea252e609c9fabb5112540c7a791e4ee741feca5168534702cb88914c",
+            "9bd3f8fa29d7eedbfd23031e5fa8d71722832ed962a1a48d31f675fcbc23accf",
         ],
         "client/online": [
             "3f19f7b26cd2a871f4b58b1be986b754698e99edc18b7ef8cd0294ad51891c9a",
@@ -443,17 +474,19 @@ GOLDEN_EVERY_FRAME = {
 
 # The (messages, bytes) each party charges per (phase, direction) in the
 # cases above — the same for both seeds, and for both parties' books.
-# Offline up under Client-Garbler at delphi, 383,184 B: one Galois key of
-# three seeded digits (3 x 47,136, half a 94,208-B ciphertext plus a
-# 32-B seed each), two seeded Enc(r) (2 x 47,136) and the garbled
-# batches with the client's own labels (147,504); no public key. Offline
+# Offline up under Client-Garbler at delphi, 241,776 B: two seeded Enc(r)
+# (2 x 47,136, half a 94,208-B ciphertext plus a 32-B seed each) and the
+# garbled batches with the client's own labels (147,504); no public key,
+# and no Galois key — neither 16-8-3 product rotates (it was 3 x 47,136
+# = 141,408 B while every product took the full-width sum). At fast
+# 16-128-3 the hidden layer takes eight steps, so the key stays. Offline
 # down at delphi carries the two Enc(W r - s) returns switched to four
 # chain primes: 2 x 2 x 2048 x 15 B = 122,880 (2 x 94,208 at all six).
 GOLDEN_TRANSCRIPT = {
     ("delphi", "server", "8"): {
         ("setup", "up"): (1, 32),
         ("setup", "down"): (1, 4_096),
-        ("offline", "up"): (4, 246_176),
+        ("offline", "up"): (3, 104_768),
         ("offline", "down"): (4, 280_576),
         ("online", "up"): (2, 5_344),
         ("online", "down"): (2, 5_266),
@@ -461,7 +494,7 @@ GOLDEN_TRANSCRIPT = {
     ("delphi", "client", "8"): {
         ("setup", "up"): (1, 4_096),
         ("setup", "down"): (1, 32),
-        ("offline", "up"): (5, 383_184),
+        ("offline", "up"): (4, 241_776),
         ("offline", "down"): (2, 122_880),
         ("online", "up"): (2, 10_592),
         ("online", "down"): (2, 5_266),
@@ -590,11 +623,17 @@ class TestErrorPaths:
         with pytest.raises(ValueError, match="width 3 must divide"):
             evaluator.matvec(self.encrypted(rig, 4), [[1, 2, 3]])
 
+    @staticmethod
+    def two_rows(encoder):
+        """A width-2 matrix filling both batching rows: the one shape of
+        that width whose product rotates (w = 2)."""
+        return [[1, 2]] * (2 * encoder.row_size)
+
     def test_height_must_fit_the_row(self, rig):
         ctx, encoder, sk, pk, g, gk = rig
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
-        too_tall = [[1, 2]] * (encoder.row_size + 1)
-        with pytest.raises(ValueError, match="height 33 exceeds"):
+        too_tall = self.two_rows(encoder) + [[1, 2]]
+        with pytest.raises(ValueError, match="height 65 exceeds"):
             evaluator.matvec(self.encrypted(rig, 2), too_tall)
 
     def test_missing_galois_key(self, rig):
@@ -603,17 +642,22 @@ class TestErrorPaths:
             ctx, encoder, GaloisKeys(ctx.params, {})
         )
         with pytest.raises(KeyError, match="no Galois key"):
-            keyless.matvec(self.encrypted(rig, 2), [[1, 2]])
-        # A width-1 matvec rotates nothing and needs no key, as before.
-        out = keyless.matvec(self.encrypted(rig, 1), [[5]])
-        assert encoder.decode(ctx.decrypt(sk, out))[0] == 5
+            keyless.matvec(self.encrypted(rig, 2), self.two_rows(encoder))
+        # A product that fits its slots unrotated needs no key at all.
+        for keys in (GaloisKeys(ctx.params, {}), None):
+            keyless = HomomorphicLinearEvaluator(ctx, encoder, keys)
+            with pytest.raises(KeyError, match="no Galois key"):
+                keyless.matvec(self.encrypted(rig, 2), self.two_rows(encoder))
+            out = keyless.matvec(self.encrypted(rig, 2), [[5, 7]])
+            assert decrypted_product(ctx, encoder, sk, out, 1, 2) == [12]
+            assert keyless.rotations_performed == 0
 
     def test_wrong_digit_count(self, rig):
         ctx, encoder, sk, pk, g, gk = rig
         stale = GaloisKeys(ctx.params, {g: gk.keys[g] * 2})
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, stale)
         with pytest.raises(ValueError, match=r"8 .*use 4"):
-            evaluator.matvec(self.encrypted(rig, 2), [[1, 2]])
+            evaluator.matvec(self.encrypted(rig, 2), self.two_rows(encoder))
 
     def test_every_encoded_diagonal_is_range_checked(self, rig, monkeypatch):
         ctx, encoder, sk, pk, g, gk = rig

@@ -6,7 +6,7 @@ import pytest
 from repro.crypto.rng import SecureRandom
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator
+from repro.he.linear import HomomorphicLinearEvaluator, slot_layout
 from repro.he.params import toy_params
 
 
@@ -26,7 +26,8 @@ def run_matvec(rig, matrix, vector):
     packed = evaluator.pack_vector(vector)
     ct = ctx.encrypt(pk, encoder.encode(packed))
     ct_out = evaluator.matvec(ct, matrix)
-    return encoder.decode(ctx.decrypt(sk, ct_out))[: len(matrix)], evaluator
+    layout = slot_layout(len(matrix), len(matrix[0]), encoder.row_size)
+    return layout.reduce(encoder.decode(ctx.decrypt(sk, ct_out)), params.t), evaluator
 
 
 class TestMatvec:
@@ -69,10 +70,15 @@ class TestMatvec:
         assert y == expected
 
     def test_rotation_count(self, rig):
-        m = [[1] * 16 for _ in range(4)]
-        _, evaluator = run_matvec(rig, m, list(range(16)))
-        assert evaluator.rotations_performed == 15
-        assert evaluator.plain_mults_performed == 16
+        """w - 1 rotations and w products, w the fewest steps that fit
+        n_out x 16 partial sums in the 128 slots: none for 4 x 16, the
+        full width once the outputs outnumber a row."""
+        for n_out, steps in [(4, 1), (16, 2), (65, 16), (128, 16)]:
+            m = [[1] * 16 for _ in range(n_out)]
+            y, evaluator = run_matvec(rig, m, list(range(16)))
+            assert y == [120] * n_out
+            assert evaluator.rotations_performed == steps - 1
+            assert evaluator.plain_mults_performed == steps
 
     def test_width_must_divide_row(self, rig):
         params, ctx, encoder, sk, pk, gk = rig
@@ -85,7 +91,7 @@ class TestMatvec:
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
         packed = evaluator.pack_vector([1] * 8)
         ct = ctx.encrypt(pk, encoder.encode(packed))
-        too_tall = [[0] * 8 for _ in range(params.row_size + 1)]
+        too_tall = [[0] * 8 for _ in range(2 * params.row_size + 1)]
         with pytest.raises(ValueError):
             evaluator.matvec(ct, too_tall)
 

@@ -26,6 +26,7 @@ from repro.he.linear import (
     HomomorphicLinearEvaluator,
     clear_plain_cache,
     plain_cache_size,
+    slot_layout,
 )
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.network.serialize import serialize_ciphertext
@@ -45,7 +46,9 @@ CELLS = [
     for representation in ("bigint", "rns")
     if representation == "bigint" or SMALL[name].rns_primes
 ]
-SHAPE = (4, 16)
+# Two full batching rows of outputs at degree 64: the product is the
+# full-width Horner sum, sixteen diagonals (w = n_in).
+SHAPE = (64, 16)
 
 
 @pytest.fixture(autouse=True)
@@ -102,6 +105,12 @@ def assert_same(got, want):
     assert frame(got) == frame(want)
 
 
+def product(ctx, encoder, sk, ct, n_out, n_in):
+    """The decrypted partial sums, added up by the shape's layout."""
+    layout = slot_layout(n_out, n_in, encoder.row_size)
+    return layout.reduce(encoder.decode(ctx.decrypt(sk, ct)), ctx.params.t)
+
+
 @pytest.fixture(scope="module")
 def rigs():
     made = {}
@@ -134,7 +143,7 @@ class TestHitsAreMisses:
         assert evaluator.rotations_performed == 2 * (SHAPE[1] - 1)
         assert evaluator.plain_mults_performed == 2 * SHAPE[1]
         x = list(range(1, SHAPE[1] + 1))
-        assert encoder.decode(ctx.decrypt(sk, warm))[: SHAPE[0]] == [
+        assert product(ctx, encoder, sk, warm, *SHAPE) == [
             sum(w * v for w, v in zip(row, x)) % ctx.params.t for row in matrix
         ]
 
@@ -149,27 +158,28 @@ class TestHitsAreMisses:
         changed = [list(row) for row in matrix]
         changed[2][5] = (changed[2][5] + 1) % t
         x = list(range(1, SHAPE[1] + 1))
-        for other in (changed, matrix[:3]):
+        for other in (changed, matrix[:40]):
             out = evaluator.matvec(ct, other)
-            assert encoder.decode(ctx.decrypt(sk, out))[: len(other)] == [
+            assert product(ctx, encoder, sk, out, len(other), SHAPE[1]) == [
                 sum(w * v for w, v in zip(row, x)) % t for row in other
             ]
-        # The same entries in another shape: other diagonals.
-        evaluator.matvec(ct, np.array(matrix, dtype=np.uint64).reshape(8, 8))
-        assert encodes == [SHAPE[1]] * 2 + [8]
+        # The same entries in another shape: other diagonals (40 x 16 and
+        # 32 x 32 take sixteen steps too).
+        evaluator.matvec(ct, np.array(matrix, dtype=np.uint64).reshape(32, 32))
+        assert encodes == [SHAPE[1]] * 3
         assert plain_cache_size()[0] == 4
 
     @pytest.mark.skipif(
         "numpy" not in available_backends(), reason="numpy backend unavailable"
     )
     def test_blocks_of_a_reshaped_matrix_miss_at_full_degree(self):
-        """At delphi's degree diagonals go two to a block, so a matrix and
-        its reshape share block ranges: (0, 2) of a 4x16 and of an 8x8
-        with the same bytes are different diagonals."""
+        """At delphi's degree a 64x16 and its 32x32 reshape both fit the
+        slots unrotated, so they share the block range (0, 1): the same
+        bytes, different diagonals."""
         params = dataclasses.replace(delphi_params(), backend="numpy")
         ctx, encoder, sk, gk, ct = rig(params)
         matrix = np.array(weights(params), dtype=np.uint64)
-        reshaped = matrix.reshape(8, 8)
+        reshaped = matrix.reshape(32, 32)
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
         want = evaluator.matvec(ct, reshaped)
         clear_plain_cache()
@@ -196,7 +206,7 @@ class TestHitsAreMisses:
         for ctx, encoder, sk, gk, ct in rigs:
             encodes = count_encodes(monkeypatch, encoder)
             outputs.append(HomomorphicLinearEvaluator(ctx, encoder, gk).matvec(ct, matrix))
-            assert encodes == [SHAPE[1]]
+            assert encodes == [slot_layout(*SHAPE, encoder.row_size).steps]
         assert plain_cache_size()[0] == len(family)
         for (ctx, encoder, sk, gk, ct), want in zip(rigs, outputs):
             encodes = count_encodes(monkeypatch, encoder)

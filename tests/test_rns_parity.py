@@ -297,9 +297,11 @@ class TestProtocolParity:
 class TestMintTranscriptParity:
     """One seeded inference sends the same HE bytes — the seeded Galois
     key, every ciphertext in and out of the Horner matvec — whichever
-    backend and representation computes it. (GC frames are not compared:
-    the vectorized garbler the numpy backend selects and the scalar one
-    draw different, equally valid, labels from one seed.)"""
+    backend and representation computes it. The 64-wide hidden layer
+    overflows the 128 slots, so its product rotates and the key is sent.
+    (GC frames are not compared: the vectorized garbler the numpy backend
+    selects and the scalar one draw different, equally valid, labels from
+    one seed.)"""
 
     CHAINS = {
         # The delphi chain (prime-pair digits) at a degree the bigint
@@ -346,6 +348,7 @@ class TestMintTranscriptParity:
             proto.close()
         assert logits == proto.plaintext_reference(x)
         # gk, then a ciphertext up and one down per linear layer.
+        assert proto.counters.he_rotations == 1
         assert count == 1 + 2 * len(proto.lowered.linears)
         return digest.hexdigest(), tuple(logits), repr(proto.channel.summary())
 
@@ -357,7 +360,7 @@ class TestMintTranscriptParity:
         from repro.nn.models import tiny_mlp
 
         params = self.CHAINS[name]
-        net = tiny_mlp(tiny_dataset(size=2, classes=2), hidden=4)
+        net = tiny_mlp(tiny_dataset(size=2, classes=2), hidden=64)
         net.randomize_weights(params.t, np.random.default_rng(0))
         x = list(range(4))
         runs = {

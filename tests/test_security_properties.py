@@ -208,7 +208,7 @@ class TestWireCarriesOnlyWhatTheServerUses:
     seed is exactly the client's ``a``."""
 
     @staticmethod
-    def _run(params, garbler, monkeypatch):
+    def _run(params, garbler, monkeypatch, hidden=8):
         from repro.core import session
         from repro.network.serialize import frame_format_name
 
@@ -231,7 +231,7 @@ class TestWireCarriesOnlyWhatTheServerUses:
             monkeypatch.setattr(
                 session, name, record(received[key], getattr(session, name))
             )
-        net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=8)
+        net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=hidden)
         net.randomize_weights(params.t, np.random.default_rng(3))
         x = list(range(16))
         proto = HybridProtocol(net, params, garbler=garbler, seed=5, transport="memory")
@@ -247,6 +247,7 @@ class TestWireCarriesOnlyWhatTheServerUses:
         finally:
             proto.close()
         names = [frame_format_name(frame) for frame in sent]
+        assert proto.counters.he_rotations == (7 + 1 if hidden == 128 else 0)
         return names, sent, made_ct, made_gk, received
 
     @pytest.mark.parametrize("garbler", ["server", "client"])
@@ -263,30 +264,34 @@ class TestWireCarriesOnlyWhatTheServerUses:
             params, garbler, monkeypatch
         )
         assert "public_key" not in names
-        assert names.count("galois_keys") == 1
         assert names.count("seeded_ciphertext") == len(made_ct) == 2
+        self._check_seeded(params, sent, made_ct, made_gk, received)
 
-        (gk,) = made_gk
+    @staticmethod
+    def _check_seeded(params, sent, made_ct, made_gk, received):
+        """Every seeded uniform half travels as its seed alone, and the
+        server's expansions are the client's elements, exactly."""
         width = (params.q_bits + 7) // 8
         seeded = [(ct.c1, ct.seed) for ct in made_ct]
         seeded += [
             (a_j, seed)
+            for gk in made_gk
             for g in gk.keys
             for (_, a_j), seed in zip(gk.keys[g], gk.seeds[g])
         ]
-        assert len(seeded) == 2 + params.num_decomp_digits
+        assert len(seeded) == 2 + len(made_gk) * params.num_decomp_digits
         for a, seed in seeded:
             assert len(seed) == 32
             whole = a.to_bytes(width)
             assert not any(whole in frame for frame in sent)
             assert sum(seed in frame for frame in sent) == 1
 
-        # The server's expansions are the client's elements, exactly.
-        (server_gk,) = received["gk"]
-        assert server_gk.seeds == gk.seeds
-        for g in gk.keys:
-            for (k0, a_j), (got_k0, got_a) in zip(gk.keys[g], server_gk.keys[g]):
-                assert got_k0 == k0 and got_a == a_j
+        assert len(received["gk"]) == len(made_gk)
+        for gk, server_gk in zip(made_gk, received["gk"]):
+            assert server_gk.seeds == gk.seeds
+            for g in gk.keys:
+                for (k0, a_j), (got_k0, got_a) in zip(gk.keys[g], server_gk.keys[g]):
+                    assert got_k0 == k0 and got_a == a_j
         server_cts = [ct for ct in received["ct"] if ct.seed is not None]
         assert len(server_cts) == len(made_ct)
         for mine, theirs in zip(made_ct, server_cts):
@@ -294,6 +299,30 @@ class TestWireCarriesOnlyWhatTheServerUses:
             assert theirs.c0 == mine.c0 and theirs.c1 == mine.c1
         # The returns Enc(W r - s) travel in full: nothing to seed.
         assert sum(ct.seed is None for ct in received["ct"]) == len(made_ct)
+
+    @pytest.mark.parametrize("garbler", ["server", "client"])
+    @pytest.mark.parametrize(
+        "name, hidden", [("delphi", 8), ("fast", 8), ("fast", 128)]
+    )
+    def test_a_galois_key_crosses_the_wire_iff_some_layer_rotates(
+        self, name, hidden, garbler, monkeypatch
+    ):
+        """The 16-8-3 products fit delphi's and fast's slots unrotated:
+        no key is made, and no 0x0D frame is sent. Fast's 16-128-3
+        hidden layer needs eight steps (its output layer two), so there
+        exactly one key crosses, and the server expands it exactly."""
+        from repro.backend import backend_for
+
+        params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
+        if name == "delphi" and backend_for(params.t).name != "numpy":
+            pytest.skip("full-degree delphi runs need the vectorized backend")
+        names, sent, made_ct, made_gk, received = self._run(
+            params, garbler, monkeypatch, hidden
+        )
+        rotates = hidden == 128
+        assert len(made_gk) == names.count("galois_keys") == rotates
+        assert sum(frame[3] == 0x0D for frame in sent) == rotates
+        self._check_seeded(params, sent, made_ct, made_gk, received)
 
     @pytest.mark.parametrize("garbler", ["server", "client"])
     @pytest.mark.parametrize("name", ["delphi", "fast"])
@@ -333,3 +362,107 @@ class TestWireCarriesOnlyWhatTheServerUses:
                 int.from_bytes(body[i : i + width], "little")
                 for i in range(0, len(body), width)
             ) < params.switched_q
+
+
+class TestReturnsAreMaskedPerSlot:
+    """The server returns ``W r - s`` as partial sums masked slot by slot
+    (:meth:`repro.he.linear.SlotLayout.masks`): the client decrypts
+    slots whose per-output sums are its share and none of which is a
+    bare partial sum, and a keep-alive connection's mask stream never
+    repeats across its requests."""
+
+    @staticmethod
+    def _net(params, hidden, seed):
+        net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=hidden)
+        net.randomize_weights(params.t, np.random.default_rng(seed))
+        return net
+
+    @staticmethod
+    def _params(name):
+        from repro.backend import backend_for
+
+        params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
+        if name == "delphi" and backend_for(params.t).name != "numpy":
+            pytest.skip("full-degree delphi runs need the vectorized backend")
+        return params
+
+    @pytest.mark.parametrize("name, hidden", [("delphi", 8), ("fast", 128)])
+    def test_no_decrypted_slot_is_its_unmasked_partial_sum(
+        self, name, hidden, monkeypatch
+    ):
+        from repro.he.linear import slot_layout
+
+        params = self._params(name)
+        decrypted = []
+        decrypt = BfvContext.decrypt
+
+        def recording(self, sk, ct):
+            plain = decrypt(self, sk, ct)
+            decrypted.append(plain)
+            return plain
+
+        monkeypatch.setattr(BfvContext, "decrypt", recording)
+        proto = HybridProtocol(
+            self._net(params, hidden, 41), params, garbler="client", seed=43,
+            transport="memory",
+        )
+        proto.run_offline()
+        encoder = BatchEncoder(params)
+        t = params.t
+        linears = proto.server.lowered.linears
+        assert len(decrypted) == len(linears)
+        for lin, r, s, share, plain in zip(
+            linears, proto.client_r, proto.server.server_s,
+            proto.client.client_linear_share, decrypted,
+        ):
+            layout = slot_layout(lin.n_out, lin.n_in, params.row_size)
+            slots = encoder.decode(plain)
+            cols = [
+                [(j + d) % lin.n_in for d in range(layout.steps)]
+                for j in range(len(slots))
+            ]
+            partial = [
+                sum(int(lin.matrix[i][c]) * r[c] for c in cols[j]) % t
+                if i < lin.n_out
+                else 0
+                for j, i in enumerate(layout.outputs.tolist())
+            ]
+            assert not any(a == b for a, b in zip(slots, partial))
+            assert layout.reduce(slots, t) == share == [
+                (sum(int(w) * v for w, v in zip(row, r)) - s_i) % t
+                for row, s_i in zip(lin.matrix, s)
+            ]
+
+    def test_recycled_requests_never_reuse_a_mask(self, monkeypatch):
+        from repro.he.linear import SlotLayout
+
+        params = self._params("delphi")
+        drawn = []
+        masks = SlotLayout.masks
+
+        def recording(self, s, uniform, modulus):
+            drawn.append(list(uniform))
+            return masks(self, s, uniform, modulus)
+
+        monkeypatch.setattr(SlotLayout, "masks", recording)
+        proto = HybridProtocol(
+            self._net(params, 8, 45), params, garbler="client", seed=47,
+            transport="memory",
+        )
+        x = list(range(16))
+        streams = []
+        try:
+            for _ in range(2):
+                proto.run_offline()
+                assert proto.run_online(x) == proto.plaintext_reference(x)
+                streams.append(proto.server._mask_rng)
+                proto.reset_for_request()
+        finally:
+            proto.close()
+        # One stream for the connection, continued by the second request.
+        assert streams[0] is streams[1] is not None
+        assert len(drawn) == 4  # two layers, two requests
+        first = {v for uniform in drawn[:2] for v in uniform}
+        second = {v for uniform in drawn[2:] for v in uniform}
+        assert len(first) == 2 * 2 * params.row_size
+        assert not first & second

@@ -78,9 +78,10 @@ class TestSessionStepping:
         proto = HybridProtocol(net, PARAMS, garbler="client", seed=1)
         proto.client.start_offline()
         proto.server.start_offline()
-        # The server's first act is to wait for the public key.
+        # The server's first act is to wait for the client's first frame
+        # (here Enc(r): neither 16-4-3 layer rotates, so no Galois key).
         assert proto.server.step() == WAITING
-        # The client sends keys and the first ciphertext, then waits.
+        # The client sends the first ciphertext, then waits.
         assert proto.client.step() == WAITING
         # Now the server can consume them and reply.
         assert proto.server.step() == WAITING
@@ -307,8 +308,8 @@ class TestSessionLifecycle:
     """Connection/request split: sessions are explicit state machines that
     can be recycled for the next request with ``reset_for_request()``."""
 
-    def _proto(self, seed=21):
-        net = tiny_mlp(tiny_dataset(size=4, classes=3), hidden=4)
+    def _proto(self, seed=21, hidden=4):
+        net = tiny_mlp(tiny_dataset(size=4, classes=3), hidden=hidden)
         net.randomize_weights(P, np.random.default_rng(0))
         return HybridProtocol(net, PARAMS, garbler="client", seed=seed)
 
@@ -360,10 +361,12 @@ class TestSessionLifecycle:
     def test_counters_accumulate_across_recycled_requests(self):
         """Counters are connection-scoped: a second request through
         ``reset_for_request()`` doubles every field (the HE rotation and
-        plain-mult counts used to be assigned, so they stood still)."""
+        plain-mult counts used to be assigned, so they stood still). A
+        32-wide hidden layer's 16-input product overflows the 256 slots,
+        so the server rotates, once a request."""
         from dataclasses import asdict
 
-        proto = self._proto()
+        proto = self._proto(hidden=32)
         x = [1] * 16
         proto.run_offline()
         proto.run_online(x)
