@@ -2,7 +2,7 @@
 
 Shared by the role-separated sessions (:mod:`repro.core.session`) and
 the :class:`~repro.core.protocol.HybridProtocol` façade: one definition of
-the alternating linear/ReLU program, its packing rules, and the exact
+the alternating linear/ReLU program, its packing plan, and the exact
 plaintext evaluation the protocol is validated against.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.backend import backend_for
 from repro.crypto.modmath import matvec_mod
-from repro.he.linear import HomomorphicLinearEvaluator, slot_layout
+from repro.he.linear import HomomorphicLinearEvaluator, SlotGroup, pack_layers
 from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
 from repro.nn.network import Network
 
@@ -132,24 +132,21 @@ def next_linear_index(lowered: LoweredNetwork, relu_pos: int) -> int:
     raise ValueError("ReLU with no following linear layer")
 
 
-def validate_packing(lowered: LoweredNetwork, row_size: int) -> None:
-    """Reject layer widths the HE batching layout cannot pack."""
-    for lin in lowered.linears:
-        try:
-            slot_layout(lin.n_out, lin.n_in, row_size)
-        except ValueError as exc:
-            raise ValueError(f"{lin.name}: {exc}") from None
-
-
-def needs_galois_key(lowered: LoweredNetwork, row_size: int) -> bool:
-    """Whether some layer's product rotates — its
-    :class:`~repro.he.linear.SlotLayout` takes more than one step. Only
-    then is a Galois key made and sent; both parties and
-    ``predict_comm`` decide it from the public shapes."""
-    return any(
-        slot_layout(lin.n_out, lin.n_in, row_size).steps > 1
-        for lin in lowered.linears
+def packing_plan(lowered: LoweredNetwork, row_size: int) -> tuple[SlotGroup, ...]:
+    """Which ciphertext carries each linear layer's offline product
+    (:func:`~repro.he.linear.pack_layers`): one ``Enc(r)`` up and one
+    ``Enc(W r - s)`` down per group. Both parties and ``predict_comm``
+    read it from the public shapes; a width the HE batching layout
+    cannot pack raises ``ValueError``."""
+    return pack_layers(
+        tuple((lin.n_out, lin.n_in) for lin in lowered.linears), row_size
     )
+
+
+def needs_galois_key(plan: tuple[SlotGroup, ...]) -> bool:
+    """Whether some group's product rotates (takes more than one step).
+    Only then is a Galois key made and sent."""
+    return any(group.steps > 1 for group in plan)
 
 
 def plaintext_reference(

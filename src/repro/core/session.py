@@ -52,7 +52,7 @@ from repro.core.lowering import (
     lower_network,
     needs_galois_key,
     next_linear_index,
-    validate_packing,
+    packing_plan,
 )
 from repro.crypto.modmath import matvec_mod, mod_add_vec, mod_sub_vec
 from repro.crypto.rng import SecureRandom
@@ -62,7 +62,7 @@ from repro.gc.garble import EncodingBatch, GarbledBatch, Garbler, LabelBatch
 from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator, slot_layout
+from repro.he.linear import HomomorphicLinearEvaluator
 from repro.he.params import BfvParams, toy_params
 from repro.network.channel import CLIENT, SERVER, Channel
 from repro.network.serialize import (
@@ -221,7 +221,9 @@ class ProtocolSession:
         self._result = None
         self._trace_track: int | None = None
         self._phase_start_us: int | None = None
-        validate_packing(self.lowered, self.params.row_size)
+        # Which ciphertext carries each layer's offline product; building
+        # it rejects widths the batching layout cannot pack.
+        self.plan = packing_plan(self.lowered, self.params.row_size)
 
     # -- identity -----------------------------------------------------------
 
@@ -667,35 +669,33 @@ class ClientSession(ProtocolSession):
         gk = None
         with section("he_linear", "he.keygen"):
             sk = ctx.secret_keygen()
-            if needs_galois_key(self.lowered, params.row_size):
+            if needs_galois_key(self.plan):
                 gk = ctx.galois_keygen(sk, [encoder.galois_element_for_rotation(1)])
         if gk is not None:
             self._send(serialize_galois_keys(gk), payload=gk)
         self._ctx, self._encoder, self._sk = ctx, encoder, sk
-        # The evaluator object is used purely for its packing layout here;
-        # the homomorphic matvec runs on the server.
-        packer = HomomorphicLinearEvaluator(ctx, encoder, None)
 
         self.client_r = [
             self.rng.field_vector(lin.n_in, p) for lin in self.lowered.linears
         ]
-        self.client_linear_share = []
-        # HE pass: send Enc(r_i); the server returns W r_i - s_i as masked
-        # partial sums, which the layer's slot layout adds up.
-        for lin, r in zip(self.lowered.linears, self.client_r):
+        self.client_linear_share = [None] * len(self.client_r)
+        # HE pass, one ciphertext per group of the packing plan: send the
+        # members' r_i side by side; the server returns their W r_i - s_i
+        # as masked partial sums, which each member's layout adds up.
+        for group in self.plan:
             with section("he_linear", "he.encrypt"):
-                ct = ctx.encrypt(sk, encoder.encode(packer.pack_vector(r)))
+                slots = group.vector([self.client_r[i] for i in group.layers])
+                ct = ctx.encrypt(sk, encoder.encode(slots))
             self.counters.he_encryptions += 1
             self._send(serialize_ciphertext(ct), payload=ct)
             frame = yield
             ct_out = deserialize_ciphertext(frame, params)
             self._note_recv(ct_out)
             with section("he_linear", "he.decrypt"):
-                share = slot_layout(lin.n_out, lin.n_in, params.row_size).reduce(
-                    encoder.decode(ctx.decrypt(sk, ct_out)), p
-                )
+                shares = group.reduce(encoder.decode(ctx.decrypt(sk, ct_out)), p)
             self.counters.he_decryptions += 1
-            self.client_linear_share.append(share)
+            for i, share in zip(group.layers, shares):
+                self.client_linear_share[i] = share
 
         def own_input_bits(lin_idx: int, mask_index: int):
             """Per instance, this side's two GC input words: share, mask."""
@@ -789,7 +789,7 @@ class ServerSession(ProtocolSession):
         ctx = BfvContext(params)
         encoder = BatchEncoder(params)
         gk = None
-        if needs_galois_key(self.lowered, params.row_size):
+        if needs_galois_key(self.plan):
             frame = yield
             gk = deserialize_galois_keys(frame, params)
             self._note_recv(gk)
@@ -800,17 +800,22 @@ class ServerSession(ProtocolSession):
         ]
         if self._mask_rng is None:
             self._mask_rng = self.rng.spawn()
-        row = params.row_size
-        # HE pass: W r_i's partial sums on each received Enc(r_i), every
-        # slot masked so that each output's slots sum to its -s_i.
-        for lin, s in zip(self.lowered.linears, self.server_s):
+        linears = self.lowered.linears
+        # HE pass: each group's partial sums W r_i on its received
+        # ciphertext, every slot masked by one draw so that each output's
+        # slots sum to its -s_i.
+        for group in self.plan:
             frame = yield
             ct = deserialize_ciphertext(frame, params)
             self._note_recv(ct)
-            with section("he_linear", "he.matvec", n_out=lin.n_out):
-                ct_y = evaluator.matvec(ct, lin.matrix)
-                masks = slot_layout(lin.n_out, lin.n_in, row).masks(
-                    s, self._mask_rng.field_vector(2 * row, p), p
+            with section("he_linear", "he.matvec", layers=len(group.layers)):
+                ct_y = evaluator.matvec(
+                    ct, *(linears[i].matrix for i in group.layers), group=group
+                )
+                masks = group.masks(
+                    [self.server_s[i] for i in group.layers],
+                    self._mask_rng.field_vector(2 * params.row_size, p),
+                    p,
                 )
                 ct_out = ctx.sub_plain(ct_y, encoder.encode(masks))
                 # Down to the modulus the client's decryption needs.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.lowering import needs_galois_key
+from repro.core.lowering import needs_galois_key, packing_plan
 from repro.core.protocol import HybridProtocol
 from repro.ot.extension import iknp_transcript
 from repro.profiling.calibration import LABEL_BYTES
@@ -65,20 +65,21 @@ def predict_comm(protocol: HybridProtocol) -> dict[str, float]:
         if kind == "relu"
     ]
     relu_count = sum(relu_layers)
-    n_linear = len(lowered.linears)
+    plan = packing_plan(lowered, params.row_size)
     gc_tables = 2 * LABEL_BYTES * protocol.client.relu_circuit().and_count
 
     # One Galois key — a seeded (k0, seed) digit per key-switching digit of
     # the parameters' gadget — only if some layer's product rotates, and a
-    # seeded symmetric Enc(r) per linear layer; the returns Enc(W r - s)
-    # travel in full at the switched modulus. No public key.
+    # seeded symmetric Enc(r) per group of the packing plan; the returns
+    # Enc(W r - s), one per group, travel in full at the switched modulus.
+    # No public key.
     key_bytes = (
         params.seeded_ciphertext_bytes * params.num_decomp_digits
-        if needs_galois_key(lowered, params.row_size)
+        if needs_galois_key(plan)
         else 0
     )
-    he_up = n_linear * params.seeded_ciphertext_bytes
-    he_down = n_linear * params.switched_ciphertext_bytes
+    he_up = len(plan) * params.seeded_ciphertext_bytes
+    he_down = len(plan) * params.switched_ciphertext_bytes
     input_up = lowered.input_size * field_bytes
     result_down = lowered.output_size * field_bytes
     word_labels = bits * LABEL_BYTES

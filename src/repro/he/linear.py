@@ -18,7 +18,9 @@ GALA's rotate-and-sum in the share domain (Zhang, Xin and Wu, NDSS
 2021). :class:`SlotLayout` is where everything lands; ``w`` is the
 fewest steps that fit every output in the two batching rows, so a layer
 whose ``n_out * n_in`` fits ``n`` slots rotates nothing and needs no
-Galois key.
+Galois key. Such layers move no slot, so :func:`pack_layers` lays them
+side by side in one ciphertext (:class:`SlotGroup`, Gazelle's packing):
+one ``Enc(r)`` up and one ``Enc(W r - s)`` down for all of them.
 
 A server's weights are the same for every request, so the plaintext side
 of a matvec — gathering the diagonals, encoding them, lifting them into
@@ -34,6 +36,7 @@ import functools
 import hashlib
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,9 +148,16 @@ class SlotLayout:
     over the ``w`` columns ``o … o + w - 1 (mod n_in)``: every output
     gets ``n_in / w`` slots (:attr:`groups`) that together cover each
     of its columns once. Outputs ``>= n_out`` mark unused slots.
+
+    A product that takes one step rotates nothing, and slot ``j`` holds
+    the single term ``(j // n_in, j % n_in)``: its used slots are the
+    prefix ``[0, n_out * n_in)``. Such a layout may sit at a slot
+    ``offset``, every slot index shifted by it, so that several share
+    one ciphertext (:func:`pack_layers`); :attr:`span` is the slots a
+    product reads and writes — all of them when it rotates.
     """
 
-    def __init__(self, n_out: int, n_in: int, row_size: int):
+    def __init__(self, n_out: int, n_in: int, row_size: int, offset: int = 0):
         if row_size % n_in != 0:
             raise ValueError(f"matrix width {n_in} must divide row size {row_size}")
         if n_out > 2 * row_size:
@@ -159,11 +169,18 @@ class SlotLayout:
         while w < n_in and 2 * row_size * w < n_out * n_in:
             w *= 2
         self.steps = w
-        slots = np.arange(2 * row_size)
+        if offset and (w > 1 or not 0 < offset <= 2 * row_size - n_out * n_in):
+            raise ValueError(
+                f"a {n_out}x{n_in} product in {w} steps cannot sit at slot {offset}"
+            )
+        self.offset = offset
+        self.span = (offset, offset + n_out * n_in) if w == 1 else (0, 2 * row_size)
+        slots = np.arange(2 * row_size) - offset
         u = slots % row_size
         self.outputs = (
             (slots // row_size * (row_size // n_in) + u // n_in) * w + u % n_in % w
         )
+        self.outputs[slots < 0] = n_out  # before the offset: unused
         used = np.flatnonzero(self.outputs < n_out)
         self.groups = used[np.argsort(self.outputs[used], kind="stable")].reshape(
             n_out, n_in // w
@@ -171,8 +188,15 @@ class SlotLayout:
         # Shared by every product of this shape (:func:`slot_layout`).
         self.outputs.flags.writeable = self.groups.flags.writeable = False
 
+    def _check_slots(self, name: str, values) -> None:
+        if len(values) != 2 * self.row_size:
+            raise ValueError(
+                f"{name} has {len(values)} slots, the layout {2 * self.row_size}"
+            )
+
     def reduce(self, slots, modulus: int) -> list[int]:
         """Per output, the sum of its slots mod ``modulus``."""
+        self._check_slots("slot vector", slots)
         return [
             sum(int(slots[j]) for j in group) % modulus
             for group in self.groups.tolist()
@@ -182,6 +206,9 @@ class SlotLayout:
         """``uniform`` (one draw per slot) with each output's first slot
         replaced so the output's slots :meth:`reduce` to its ``s``: every
         slot is uniform, and only the sums are fixed."""
+        if len(s) != self.n_out:
+            raise ValueError(f"{len(s)} shares for {self.n_out} outputs")
+        self._check_slots("mask draw", uniform)
         masks = [int(v) for v in uniform]
         for share, (head, *rest) in zip(s, self.groups.tolist()):
             masks[head] = (share - sum(masks[j] for j in rest)) % modulus
@@ -189,9 +216,82 @@ class SlotLayout:
 
 
 @functools.lru_cache(maxsize=256)
-def slot_layout(n_out: int, n_in: int, row_size: int) -> SlotLayout:
-    """The (shared, immutable) :class:`SlotLayout` of one shape."""
-    return SlotLayout(n_out, n_in, row_size)
+def slot_layout(n_out: int, n_in: int, row_size: int, offset: int = 0) -> SlotLayout:
+    """The (shared, immutable) :class:`SlotLayout` of one shape and offset."""
+    return SlotLayout(n_out, n_in, row_size, offset)
+
+
+@dataclass(frozen=True)
+class SlotGroup:
+    """Products that share one ciphertext: ``layers`` (indices into the
+    shapes :func:`pack_layers` was given) and their layouts, whose
+    :attr:`SlotLayout.span` are disjoint. A group that rotates has one
+    member: its Horner steps move every slot."""
+
+    layers: tuple[int, ...]
+    layouts: tuple[SlotLayout, ...]
+
+    @property
+    def steps(self) -> int:
+        return max(layout.steps for layout in self.layouts)
+
+    def vector(self, inputs) -> list[int]:
+        """The slots the client encrypts, one input per member: each
+        replicated over its member's span (both rows, for a product that
+        rotates), zero in slots no member uses."""
+        slots = [0] * (2 * self.layouts[0].row_size)
+        for layout, x in zip(self.layouts, inputs, strict=True):
+            if len(x) != layout.n_in:
+                raise ValueError(f"input of {len(x)} for a width-{layout.n_in} product")
+            start, stop = layout.span
+            slots[start:stop] = list(x) * ((stop - start) // layout.n_in)
+        return slots
+
+    def reduce(self, slots, modulus: int) -> list[list[int]]:
+        """Per member, its outputs (:meth:`SlotLayout.reduce`)."""
+        return [layout.reduce(slots, modulus) for layout in self.layouts]
+
+    def masks(self, shares, uniform, modulus: int) -> list[int]:
+        """One ``uniform`` draw for the whole ciphertext, each member's
+        outputs fixed to its share (:meth:`SlotLayout.masks`). Slots no
+        member uses keep their draw."""
+        masks = uniform
+        for layout, s in zip(self.layouts, shares, strict=True):
+            masks = layout.masks(s, masks, modulus)
+        return masks
+
+
+@functools.lru_cache(maxsize=64)
+def pack_layers(
+    shapes: tuple[tuple[int, int], ...], row_size: int
+) -> tuple[SlotGroup, ...]:
+    """Which ciphertext each ``(n_out, n_in)`` product rides in.
+
+    First fit in the given order: a product goes at the end of the first
+    group with room for its ``n_out * n_in`` slots, else opens a group.
+    A product that rotates spans every slot (:attr:`SlotLayout.span`:
+    its Horner steps move them all), so it fits in no group and leaves
+    no room in its own. Groups come in the order they open. Both parties
+    and the byte prediction read this one plan, from the public shapes
+    alone; a shape no layout fits raises ``ValueError`` naming its index.
+    """
+    groups: list[tuple[list[int], list[SlotLayout]]] = []
+    for index, (n_out, n_in) in enumerate(shapes):
+        try:
+            layout = slot_layout(n_out, n_in, row_size)
+        except ValueError as exc:
+            raise ValueError(f"layer {index}: {exc}") from None
+        for indices, layouts in groups:
+            end = layouts[-1].span[1]
+            if end + n_out * n_in <= 2 * row_size:
+                layouts.append(slot_layout(n_out, n_in, row_size, end))
+                indices.append(index)
+                break
+        else:
+            groups.append(([index], [layout]))
+    return tuple(
+        SlotGroup(tuple(indices), tuple(layouts)) for indices, layouts in groups
+    )
 
 
 class HomomorphicLinearEvaluator:
@@ -213,40 +313,45 @@ class HomomorphicLinearEvaluator:
         self.rotations_performed = 0
         self.plain_mults_performed = 0
 
-    def _diagonals(self, matrix, start: int, stop: int, layout: SlotLayout):
+    def _diagonals(self, products, start: int, stop: int):
         """Diagonals start..stop-1 over both batching rows, each
         pre-rotated right by its own index within its row: entry j of
         diagonal d is the weight that slot ``j - d`` of the same row
-        (cyclic in it) takes at Horner step d — ``matrix[i][j % n_in]``,
-        ``i`` that slot's output (:attr:`SlotLayout.outputs`), or 0 where
-        the slot is unused. Rotating it left by d lines it up with the
-        slot.
+        (cyclic in it) takes at Horner step d — ``matrix[i][(j - offset)
+        % n_in]``, ``i`` that slot's output (:attr:`SlotLayout.outputs`)
+        in the ``(layout, matrix)`` product that uses it, or 0 where no
+        product does. Rotating it left by d lines it up with the slot.
+        The products of a packed group take one step each, so their one
+        diagonal is their weights side by side.
 
-        One fancy-index for the whole block when the matrix is an ndarray
-        (see :meth:`_gatherable`); the list path keeps the reference loop.
+        One fancy-index per product when every matrix is an ndarray (see
+        :meth:`_gatherable`); the list path keeps the reference loop.
         """
         t = self._encoder.params.t
-        row_size, n_in, n_out = layout.row_size, layout.n_in, layout.n_out
-        outputs = layout.outputs
-        if isinstance(matrix, np.ndarray):
+        row_size = self._encoder.row_size
+        if all(isinstance(matrix, np.ndarray) for _, matrix in products):
             slots = np.arange(2 * row_size)
             sources = (slots - np.arange(start, stop)[:, None]) % row_size + (
                 slots // row_size * row_size
             )
-            rows = outputs[sources]
-            values = matrix[np.minimum(rows, n_out - 1), slots % n_in]
-            return np.where(rows < n_out, values % np.uint64(t), np.uint64(0))
-        outputs = outputs.tolist()
-        return [
-            [
-                matrix[i][j % n_in] % t
-                if (i := outputs[(j - d) % row_size + j // row_size * row_size])
-                < n_out
-                else 0
-                for j in range(2 * row_size)
-            ]
-            for d in range(start, stop)
-        ]
+            out = np.zeros(sources.shape, dtype=np.uint64)
+            for layout, matrix in products:
+                rows = layout.outputs[sources]
+                values = matrix[
+                    np.minimum(rows, layout.n_out - 1),
+                    (slots - layout.offset) % layout.n_in,
+                ]
+                out = np.where(rows < layout.n_out, values % np.uint64(t), out)
+            return out
+        out = [[0] * (2 * row_size) for _ in range(start, stop)]
+        for layout, matrix in products:
+            outputs, n_in = layout.outputs.tolist(), layout.n_in
+            for row, d in zip(out, range(start, stop)):
+                for j in range(2 * row_size):
+                    i = outputs[(j - d) % row_size + j // row_size * row_size]
+                    if i < layout.n_out:
+                        row[j] = matrix[i][(j - layout.offset) % n_in] % t
+        return out
 
     def _gatherable(self, matrix):
         """The matrix as a ``uint64`` array whenever plaintexts live on a
@@ -261,16 +366,23 @@ class HomomorphicLinearEvaluator:
         except OverflowError:  # negative or >= 2^64: the list path reduces
             return matrix
 
-    def matvec(self, ct_x: Ciphertext, matrix) -> Ciphertext:
+    def matvec(
+        self, ct_x: Ciphertext, *matrices, group: SlotGroup | None = None
+    ) -> Ciphertext:
         """Homomorphically compute the partial sums of ``matrix @ x`` in
-        the :class:`SlotLayout` of the matrix's shape.
+        the :class:`SlotLayout` of the matrix's shape — or, given a
+        packed ``group``, of each member's matrix (one per member, in
+        order) on its own input, each in its layout at its offset.
 
         ``ct_x`` must encrypt x replicated to fill both batching rows
-        (see :meth:`pack_vector`); the matrix width must divide the row
-        size and its height fit two rows. ``matrix`` is a 2D field matrix
+        (see :meth:`pack_vector`), or the group's
+        :meth:`SlotGroup.vector`; the matrix width must divide the row
+        size and its height fit two rows. A matrix is a 2D field matrix
         — list of rows or ndarray. Decrypted, slot j holds its output's
         sum over the layout's ``w = steps`` columns; the layout's
-        ``reduce`` turns the slots into ``matrix @ x``.
+        ``reduce`` turns the slots into ``matrix @ x``. A group's members
+        take one step each, so the product is one plaintext
+        multiplication by their weights side by side.
 
         Computes ``sum_d rotate^d(P_d * ct_x)`` over d < w in Horner
         form, ``acc = P_{w-1} * x; acc = rotate(acc) + P_d * x`` for d =
@@ -290,41 +402,53 @@ class HomomorphicLinearEvaluator:
         Diagonals are taken a bounded block at a time, each block's
         evaluation-domain plaintexts from the process-wide cache or, on
         a miss, gathered, encoded, range-checked, lifted, transformed and
-        inserted (:meth:`_plain_block`). The key is the matrix content
-        and the ring the plaintexts live in, so a model's weights are
-        encoded once per process however many protocols lower them.
+        inserted (:meth:`_plain_block`). The key is every product's
+        matrix content and offset and the ring the plaintexts live in, so
+        a model's weights are encoded once per process however many
+        protocols lower them.
         """
         ctx, encoder = self._ctx, self._encoder
         p = ctx.params
-        layout = slot_layout(len(matrix), len(matrix[0]), encoder.row_size)
+        if group is None:
+            (matrix,) = matrices
+            group = SlotGroup(
+                (0,), (slot_layout(len(matrix), len(matrix[0]), encoder.row_size),)
+            )
+        products = []
+        for layout, matrix in zip(group.layouts, matrices, strict=True):
+            if (len(matrix), len(matrix[0])) != (layout.n_out, layout.n_in):
+                raise ValueError(
+                    f"a {len(matrix)}x{len(matrix[0])} matrix in a "
+                    f"{layout.n_out}x{layout.n_in} layout"
+                )
+            products.append((layout, self._gatherable(matrix)))
+        steps = group.steps
 
         g = encoder.galois_element_for_rotation(1)
         groups = p.digit_groups
-        matrix = self._gatherable(matrix)
         ring = ct_x.c1.ring_ntt()
-        # Everything the cached stacks depend on besides the weights (whose
-        # shape fixes the layout): the encoding (n, t, the plaintext
-        # backend) and the ring (its moduli — q or the chain's primes —
-        # and backend).
+        # Everything the cached stacks depend on besides the weights and
+        # offsets (which with the weights' shapes fix the layouts): the
+        # encoding (n, t, the plaintext backend) and the ring (its moduli
+        # — q or the chain's primes — and backend).
         content = (
-            _matrix_digest(matrix), p.n, p.t, encoder.backend.name,
-            ring.moduli, ring.backend.name,
+            tuple((_matrix_digest(m), layout.offset) for layout, m in products),
+            p.n, p.t, encoder.backend.name, ring.moduli, ring.backend.name,
         )
         x = EvalPair.from_coeff(ct_x.c0, ct_x.c1)
         keyed = (
             x.keyed(ctx.rotation_keys(g, self._galois_keys))
-            if layout.steps > 1
+            if steps > 1
             else None
         )
         # About 2^15 coefficients of encoded diagonals at a time, over all
         # residue rings: 2 rows at delphi_params, 128 at fast_params(256).
         block = max(1, (1 << 15) // (p.n * len(ring.moduli)))
         acc: EvalPair | None = None
-        for stop in range(layout.steps, 0, -block):
+        for stop in range(steps, 0, -block):
             start = max(stop - block, 0)
             plains = self._plain_block(
-                (*content, start, stop), matrix, start, stop, layout,
-                2 * max(ring.moduli),
+                (*content, start, stop), products, start, stop, 2 * max(ring.moduli)
             )
             for k in range(stop - start - 1, -1, -1):
                 plain = [rows[k] for rows in plains]
@@ -340,16 +464,14 @@ class HomomorphicLinearEvaluator:
         c0, c1 = acc.to_coeff()
         return Ciphertext(p, c0, c1)
 
-    def _plain_block(
-        self, key, matrix, start: int, stop: int, layout: SlotLayout, bound: int
-    ):
+    def _plain_block(self, key, products, start: int, stop: int, bound: int):
         """Per residue ring, the read-only evaluation-domain stack of the
         diagonals start..stop-1 (a row each, lazily reduced: entries
         below ``bound``) — cached, or encoded now and inserted. Every
         plaintext passes ``plain_evals``' range check when it is encoded."""
         plains = _PLAIN_CACHE.get(key)
         if plains is None:
-            diagonals = self._diagonals(matrix, start, stop, layout)
+            diagonals = self._diagonals(products, start, stop)
             plains, nbytes = _frozen(
                 self._ctx.plain_evals(self._encoder.encode_many(list(diagonals))),
                 bound,

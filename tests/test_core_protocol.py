@@ -122,7 +122,8 @@ class TestServerGarbler:
         proto, _ = run_protocol(net, [2] * 16, "server")
         assert proto.counters.gc_circuits_garbled == 8  # hidden width
         assert proto.counters.gc_circuits_evaluated == 8
-        assert proto.counters.he_encryptions == 2  # two linear layers
+        # Both linear layers' products ride one ciphertext.
+        assert proto.counters.he_encryptions == len(proto.client.plan) == 1
         assert proto.counters.ots_performed == 8 * 2 * proto.bits
 
 

@@ -28,6 +28,23 @@ def make_net(kind="mlp", seed=0, modulus=P):
     return net
 
 
+def deep_mlp(widths, seed=0, modulus=P):
+    """FC-ReLU-…-FC over the 16 inputs, one linear layer per width."""
+    from repro.nn.layers import Flatten, Linear, ReLU
+    from repro.nn.network import Network
+
+    ds = tiny_dataset(size=4, classes=3)
+    layers, n_in = [Flatten()], ds.input_shape.elements
+    for k, n_out in enumerate(widths):
+        if k:
+            layers.append(ReLU(name=f"relu{k}"))
+        layers.append(Linear(n_in, n_out, name=f"fc{k + 1}"))
+        n_in = n_out
+    net = Network("DeepMLP", ds.input_shape, layers)
+    net.randomize_weights(modulus, np.random.default_rng(seed))
+    return net
+
+
 def exact_validation(kind, name, garbler, seeds):
     """Every phase and direction the channel measured, against
     ``predict_comm``, for one inference of a ``kind`` network; ``seeds``
@@ -54,6 +71,33 @@ class TestCommValidation:
     def test_cnn_bytes_are_exact(self, garbler, name):
         validation = exact_validation("cnn", name, garbler, (3, 10, 4))
         assert validation.measured == validation.predicted
+
+    @pytest.mark.parametrize("garbler", ["server", "client"])
+    @pytest.mark.parametrize(
+        "widths, groups",
+        [
+            # 16-8-16-3 at 256 slots: 128 + 128 fill one ciphertext, the
+            # output layer's 48 open a second.
+            ((8, 16, 3), [(0, 1), (2,)]),
+            # 16-64-2-3: the hidden layer rotates (four steps) and rides
+            # alone; the two after it share one ciphertext.
+            ((64, 2, 3), [(0,), (1, 2)]),
+        ],
+    )
+    def test_packed_plans_are_predicted_exactly(self, widths, groups, garbler):
+        protocol = HybridProtocol(
+            deep_mlp(widths, seed=11), PARAMS, garbler=garbler, seed=12
+        )
+        plan = protocol.client.plan
+        assert [group.layers for group in plan] == groups
+        assert protocol.server.plan == plan
+        x = np.random.default_rng(13).integers(0, P, size=16).tolist()
+        protocol.run_offline()
+        assert protocol.run_online(x) == protocol.plaintext_reference(x)
+        assert protocol.channel.summary() == predict_comm(protocol)
+        assert protocol.counters.he_encryptions == len(plan)
+        assert protocol.counters.he_decryptions == len(plan)
+        assert (protocol.counters.he_rotations > 0) == (widths[0] == 64)
 
     def test_prediction_directions(self):
         """Predicted asymmetries match the paper's qualitative claims."""

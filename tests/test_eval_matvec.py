@@ -25,7 +25,12 @@ from repro.crypto.modmath import is_probable_prime
 from repro.crypto.rng import SecureRandom
 from repro.he.bfv import BfvContext, GaloisKeys
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator, clear_plain_cache, slot_layout
+from repro.he.linear import (
+    HomomorphicLinearEvaluator,
+    clear_plain_cache,
+    pack_layers,
+    slot_layout,
+)
 from repro.he.params import delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly
 from repro.network.serialize import serialize_ciphertext
@@ -135,6 +140,39 @@ class TestBitIdentity:
             sum(w * v for w, v in zip(row, x)) % params.t for row in rows
         ]
 
+    @pytest.mark.parametrize("cell", CELLS, ids="-".join)
+    def test_a_packed_group_is_one_plaintext_product(self, rigs, cell):
+        """Products that take one step share a ciphertext end to end:
+        the group's matvec is one ``mul_plain`` by the members' weights
+        side by side, and each member's span reduces to its product."""
+        ctx, encoder, sk, pk, g, gk = rigs(*cell)
+        t, row = ctx.params.t, encoder.row_size
+        shapes = ((4, 8), (3, 4), (5, 2))  # 32 + 12 + 10 of 64 slots
+        (group,) = pack_layers(shapes, row)
+        rng = np.random.default_rng(len(cell[0]))
+        mats = [rng.integers(0, t, size=shape).tolist() for shape in shapes]
+        xs = [rng.integers(0, t, size=shape[1]).tolist() for shape in shapes]
+        vector, diag, offset = [0] * (2 * row), [0] * (2 * row), 0
+        for (n_out, n_in), matrix, x in zip(shapes, mats, xs):
+            for j in range(n_out * n_in):
+                vector[offset + j] = x[j % n_in]
+                diag[offset + j] = matrix[j // n_in][j % n_in]
+            offset += n_out * n_in
+        assert group.vector(xs) == vector
+        ct = ctx.encrypt(pk, encoder.encode(vector))
+        want = ctx.mul_plain(ct, encoder.encode(diag))
+        evaluator = HomomorphicLinearEvaluator(ctx, encoder, None)
+        for matrices in (mats, [np.array(m, dtype=np.uint64) for m in mats]):
+            assert_same_ciphertext(evaluator.matvec(ct, *matrices, group=group), want)
+        assert evaluator.rotations_performed == 0
+        assert evaluator.plain_mults_performed == 2
+        assert group.reduce(encoder.decode(ctx.decrypt(sk, want)), t) == [
+            [sum(w * v for w, v in zip(row_, x)) % t for row_ in matrix]
+            for matrix, x in zip(mats, xs)
+        ]
+        with pytest.raises(ValueError, match="a 3x4 matrix in a 4x8 layout"):
+            evaluator.matvec(ct, mats[1], mats[0], mats[2], group=group)
+
     @pytest.mark.skipif(
         "numpy" not in available_backends(), reason="numpy backend unavailable"
     )
@@ -184,15 +222,16 @@ class TestBitIdentity:
 # All eight moved once more when the returns became masked partial sums
 # in the shapes' slot layouts: other products under other masks (and at
 # delphi, where no layer rotates, from another Enc(r): no Galois key is
-# drawn from the BFV context's stream before it).
+# drawn from the BFV context's stream before it). The two delphi 16-8-3
+# returns of each seed became one when both products were packed into
+# one ciphertext (:func:`repro.he.linear.pack_layers`); the fast 16-128-3
+# ones, whose layers rotate and stay alone, kept their digests.
 GOLDEN_FRAMES = {
     ('delphi', 'client', 8, 1701): [
-        "ef5a43685fe288c7f40855b43e153f3ff785cf86562715bfe4cad73f09258f6b",
-        "2d79895b00408f4d614a3afbf3465ae84a55e248508604121fe4f4361ac1df7d",
+        "7455aeeed8aac1974e6bc3e440e836c65728caad76635222058e19a02eb0c445",
     ],
     ('delphi', 'client', 8, 1702): [
-        "df678262b26978ba930b9cfbd7bd009566a63f9297d64b25e21dc4cb35f75eeb",
-        "cae4201df7eebfb82c410e17bf2409309067411fdeef4d06d98830aa2ecaa1dd",
+        "6fd9f87fecc2f0c529a5ebf05ed1d31f4480debac905d0791f7fb3d74dbe130c",
     ],
     ('fast', 'server', 128, 1701): [
         "96bcef168be6e049e939d83f304d20bd4a65b6b0705a5aaf49b3ab3fd2471dbb",
@@ -207,7 +246,8 @@ GOLDEN_FRAMES = {
 
 def server_ciphertext_digests(params, garbler, hidden, seed):
     """Run one offline phase of the 16-hidden-3 benchmark MLP and hash the
-    frames the server sends first — one ``ct_out`` per linear layer."""
+    frames the server sends first — one ``ct_out`` per group of the
+    packing plan."""
     net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=hidden)
     net.randomize_weights(params.t, np.random.default_rng([seed, 0]))
     proto = HybridProtocol(
@@ -225,7 +265,7 @@ def server_ciphertext_digests(params, garbler, hidden, seed):
         proto.run_offline()
     finally:
         proto.close()
-    he_frames = frames[: len(proto.lowered.linears)]
+    he_frames = frames[: len(proto.server.plan)]
     return [hashlib.sha256(frame).hexdigest() for frame in he_frames]
 
 
@@ -301,16 +341,19 @@ def every_frame_digests(params, garbler, hidden, seed):
 #   labels online, and with them the output labels the client returns;
 # - every client GC, OT choice, masked-input and final-share digest kept
 #   its value, and under the client garbler nothing but HE frames moved.
+# The commit that packed every rotation-free product into one ciphertext
+# moved only the delphi 16-8-3 HE frames: the client's two Enc(r) frames
+# are one, the server's two returns are one; every key, GC, OT,
+# masked-input and final-share digest kept its value, and every fast
+# 16-128-3 digest (both layers rotate, each alone) is unchanged.
 GOLDEN_EVERY_FRAME = {
     ('delphi', 'server', '8', '1701'): {
         "client/offline": [
-            "6ecfe2f69ac7517ec065c9a6e5aee6df9689c92fc1b59ddd6c88cd8095cd5aad",
-            "fbe3cfbceece40f996ef933b375401e54f4213ef9922b7b4c856f4c05cfcdc31",
+            "9eb9336f8d7d65b5270dc15f0472e28aaaa663e442406f22874ccb36af0de2c4",
             "7cb5808c1adabd364205b23b343568032cf578ea9b2a978365ddc11c174283d8",
         ],
         "server/offline": [
-            "ef5a43685fe288c7f40855b43e153f3ff785cf86562715bfe4cad73f09258f6b",
-            "2d79895b00408f4d614a3afbf3465ae84a55e248508604121fe4f4361ac1df7d",
+            "7455aeeed8aac1974e6bc3e440e836c65728caad76635222058e19a02eb0c445",
             "09af3af093b3016169b5bd78b0d916fb41803581485709dff82b0cdeca96bbdc",
             "9b34c9cda2d5a192db29b4a776f718736f3edf98b83bfbf98e3f0268d916817c",
         ],
@@ -325,14 +368,12 @@ GOLDEN_EVERY_FRAME = {
     },
     ('delphi', 'client', '8', '1701'): {
         "client/offline": [
-            "6ecfe2f69ac7517ec065c9a6e5aee6df9689c92fc1b59ddd6c88cd8095cd5aad",
-            "fbe3cfbceece40f996ef933b375401e54f4213ef9922b7b4c856f4c05cfcdc31",
+            "9eb9336f8d7d65b5270dc15f0472e28aaaa663e442406f22874ccb36af0de2c4",
             "c2abcdafdb99da291a6ea311e7275eb48e7474e26ffa8dc38921016771c168bc",
             "af23bca044f6f7ba5d9e6c3ec2d1a66a5dadf1b64a2ccd5fe664de46d01bfb19",
         ],
         "server/offline": [
-            "ef5a43685fe288c7f40855b43e153f3ff785cf86562715bfe4cad73f09258f6b",
-            "2d79895b00408f4d614a3afbf3465ae84a55e248508604121fe4f4361ac1df7d",
+            "7455aeeed8aac1974e6bc3e440e836c65728caad76635222058e19a02eb0c445",
         ],
         "client/online": [
             "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
@@ -345,13 +386,11 @@ GOLDEN_EVERY_FRAME = {
     },
     ('delphi', 'server', '8', '1702'): {
         "client/offline": [
-            "27ecd1c457b34ece28b2a5f8218c3fc99267041f42a27f50a837ab76132f2593",
-            "89d920ce548581dc92fdba8b0bd4631ce3f73535f891901fe545831f51a37c98",
+            "ac81df755edf1c1b4340f12a997b8c3fd8cf2c935c884f0434c07a74ce405892",
             "f0325c018c42a94c9df1fffc9cbdb7f5ae7e39a758b062ef963358b70a4b5bc7",
         ],
         "server/offline": [
-            "df678262b26978ba930b9cfbd7bd009566a63f9297d64b25e21dc4cb35f75eeb",
-            "cae4201df7eebfb82c410e17bf2409309067411fdeef4d06d98830aa2ecaa1dd",
+            "6fd9f87fecc2f0c529a5ebf05ed1d31f4480debac905d0791f7fb3d74dbe130c",
             "9d0b3b3e08ce44c0d7faee0d13cd5947ee2525d18656068880b1eca4033d5c0d",
             "f1ae609a7ccc05004d7b813aae6fb96ed172b94ad171258013cb69b18764d429",
         ],
@@ -366,14 +405,12 @@ GOLDEN_EVERY_FRAME = {
     },
     ('delphi', 'client', '8', '1702'): {
         "client/offline": [
-            "27ecd1c457b34ece28b2a5f8218c3fc99267041f42a27f50a837ab76132f2593",
-            "89d920ce548581dc92fdba8b0bd4631ce3f73535f891901fe545831f51a37c98",
+            "ac81df755edf1c1b4340f12a997b8c3fd8cf2c935c884f0434c07a74ce405892",
             "717be3ecd238ebcc58bbe79bb1ff0df27a9968e9b1125118581e0e0aaa4a05fd",
             "70e147b6e46deaca0949ebee05ab04f7567494acda4570921215983e0cdf4618",
         ],
         "server/offline": [
-            "df678262b26978ba930b9cfbd7bd009566a63f9297d64b25e21dc4cb35f75eeb",
-            "cae4201df7eebfb82c410e17bf2409309067411fdeef4d06d98830aa2ecaa1dd",
+            "6fd9f87fecc2f0c529a5ebf05ed1d31f4480debac905d0791f7fb3d74dbe130c",
         ],
         "client/online": [
             "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
@@ -474,28 +511,30 @@ GOLDEN_EVERY_FRAME = {
 
 # The (messages, bytes) each party charges per (phase, direction) in the
 # cases above — the same for both seeds, and for both parties' books.
-# Offline up under Client-Garbler at delphi, 241,776 B: two seeded Enc(r)
-# (2 x 47,136, half a 94,208-B ciphertext plus a 32-B seed each) and the
-# garbled batches with the client's own labels (147,504); no public key,
-# and no Galois key — neither 16-8-3 product rotates (it was 3 x 47,136
-# = 141,408 B while every product took the full-width sum). At fast
-# 16-128-3 the hidden layer takes eight steps, so the key stays. Offline
-# down at delphi carries the two Enc(W r - s) returns switched to four
-# chain primes: 2 x 2 x 2048 x 15 B = 122,880 (2 x 94,208 at all six).
+# Offline up under Client-Garbler at delphi, 194,640 B: one seeded Enc(r)
+# (47,136, half a 94,208-B ciphertext plus a 32-B seed), which carries
+# both 16-8-3 products' inputs side by side, and the garbled batches with
+# the client's own labels (147,504); no public key, and no Galois key —
+# neither 16-8-3 product rotates (it was 3 x 47,136 = 141,408 B while
+# every product took the full-width sum). At fast 16-128-3 the hidden
+# layer takes eight steps, so the key stays and each layer keeps a
+# ciphertext of its own. Offline down at delphi carries the one
+# Enc(W r - s) return switched to four chain primes: 2 x 2048 x 15 B =
+# 61,440 (94,208 at all six; two returns, 122,880 B, before packing).
 GOLDEN_TRANSCRIPT = {
     ("delphi", "server", "8"): {
         ("setup", "up"): (1, 32),
         ("setup", "down"): (1, 4_096),
-        ("offline", "up"): (3, 104_768),
-        ("offline", "down"): (4, 280_576),
+        ("offline", "up"): (2, 57_632),
+        ("offline", "down"): (3, 219_136),
         ("online", "up"): (2, 5_344),
         ("online", "down"): (2, 5_266),
     },
     ("delphi", "client", "8"): {
         ("setup", "up"): (1, 4_096),
         ("setup", "down"): (1, 32),
-        ("offline", "up"): (4, 241_776),
-        ("offline", "down"): (2, 122_880),
+        ("offline", "up"): (3, 194_640),
+        ("offline", "down"): (1, 61_440),
         ("online", "up"): (2, 10_592),
         ("online", "down"): (2, 5_266),
     },

@@ -34,7 +34,7 @@ from repro.crypto.modmath import crt_combine, generate_ntt_primes
 from repro.crypto.rng import SecureRandom
 from repro.he.bfv import BfvContext, Ciphertext, GaloisKeys
 from repro.he.encoder import BatchEncoder
-from repro.he.linear import HomomorphicLinearEvaluator, slot_layout
+from repro.he.linear import HomomorphicLinearEvaluator, pack_layers, slot_layout
 from repro.he.params import BfvParams, delphi_params, fast_params, toy_params
 from repro.he.polynomial import RingPoly, RnsPoly, clear_ntt_cache
 from repro.network.serialize import deserialize_galois_keys, serialize_galois_keys
@@ -337,6 +337,18 @@ SWITCHED_FLOORS = {
     ("delphi", (8, 16)): 36,  # 39
     ("toy", (128, 128)): 36,  # 39 (full width: 38)
 }
+# The packed 16-8-3 return a client decrypts — both products, 8 x 16 at
+# slot 0 and 3 x 8 at slot 128, by one plaintext product — after
+# BfvContext.mod_switch (to four primes at delphi; fast has one prime and
+# switches nothing). Measured minima in the comments: the switch's
+# rounding sets delphi's budget, the same 39 bits as the unpacked 8 x 16
+# return; before it the packed input, not periodic in its slots, has
+# dense coefficients and keeps a few bits less than a replicated one (50
+# against 56 at delphi, 10 against 13 at fast).
+PACKED_SWITCHED_FLOORS = {
+    ("delphi", ((8, 16), (3, 8))): 36,  # measured 39
+    ("fast", ((8, 16), (3, 8))): 8,  # 10
+}
 TOO_WIDE = {
     "fast": dataclasses.replace(PARAM_SETS["fast"], decomp_bits=31),  # 1 and 4
     "toy": dataclasses.replace(PARAM_SETS["toy"], digit_primes=2),  # 21
@@ -459,6 +471,39 @@ class TestNoiseBudgetFloor:
             self.budget_after_switch(params, shape, seed) for seed in self.SEEDS
         )
         assert worst >= SWITCHED_FLOORS[case]
+
+    @pytest.mark.parametrize(
+        "case", PACKED_SWITCHED_FLOORS, ids=lambda case: f"{case[0]}-16-8-3"
+    )
+    def test_packed_floor_after_the_switch(self, case):
+        """One packed group (:func:`repro.he.linear.pack_layers`) keeps its
+        pinned budget once switched, and every member reduces to its
+        product."""
+        name, shapes = case
+        params = vectorized(PARAM_SETS[name])
+        (group,) = pack_layers(shapes, params.row_size)
+        worst = math.inf
+        for seed in self.SEEDS:
+            ctx, encoder, sk, pk, g, gk = keyed_context(params, seed)
+            rng = random.Random(seed)
+            matrices = [
+                np.array(
+                    [[rng.randrange(params.t) for _ in range(n_in)] for _ in range(n_out)],
+                    dtype=np.uint64,
+                )
+                for n_out, n_in in shapes
+            ]
+            xs = [[rng.randrange(params.t) for _ in range(n_in)] for _, n_in in shapes]
+            evaluator = HomomorphicLinearEvaluator(ctx, encoder, None)
+            ct = ctx.encrypt(sk, encoder.encode(group.vector(xs)))
+            out = ctx.mod_switch(evaluator.matvec(ct, *matrices, group=group))
+            assert evaluator.rotations_performed == 0
+            assert group.reduce(encoder.decode(ctx.decrypt(sk, out)), params.t) == [
+                [sum(int(w) * v for w, v in zip(row, x)) % params.t for row in m]
+                for m, x in zip(matrices, xs)
+            ]
+            worst = min(worst, ctx.noise_budget_bits(sk, out))
+        assert worst >= PACKED_SWITCHED_FLOORS[case]
 
     @pytest.mark.parametrize("case", SWITCHED_FLOORS, ids=floor_id)
     def test_one_more_prime_falls_below_the_floor(self, case):

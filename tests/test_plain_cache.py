@@ -169,6 +169,41 @@ class TestHitsAreMisses:
         assert encodes == [SHAPE[1]] * 3
         assert plain_cache_size()[0] == 4
 
+    @pytest.mark.parametrize("cell", CELLS, ids="-".join)
+    def test_the_same_weights_at_another_offset_miss(self, rigs, cell, monkeypatch):
+        """A packed group's key holds each member's digest and offset: the
+        same two matrices with the second one moved (or the two swapped)
+        are other plaintexts, each its own entry, each correct warm."""
+        ctx, encoder, sk, gk, _ = rigs(cell)
+        t, row = ctx.params.t, encoder.row_size
+        a, b = weights(ctx.params, (4, 8)), weights(ctx.params, (3, 4))
+        x, y = list(range(1, 9)), list(range(2, 6))
+        evaluator = HomomorphicLinearEvaluator(ctx, encoder, None)
+        moved = [
+            linear.SlotGroup(
+                (0, 1), (slot_layout(4, 8, row), slot_layout(3, 4, row, offset))
+            )
+            for offset in (32, 40)
+        ]
+        (swapped,) = linear.pack_layers(((3, 4), (4, 8)), row)
+        groups = [(group, (a, b), (x, y)) for group in moved]
+        groups.append((swapped, (b, a), (y, x)))
+        cts = [
+            ctx.encrypt(sk, encoder.encode(group.vector(inputs)))
+            for group, _, inputs in groups
+        ]
+        encodes = count_encodes(monkeypatch, encoder)
+        for _ in range(2):  # cold, then warm
+            for (group, matrices, inputs), ct in zip(groups, cts):
+                out = evaluator.matvec(ct, *matrices, group=group)
+                got = group.reduce(encoder.decode(ctx.decrypt(sk, out)), t)
+                assert got == [
+                    [sum(w * v for w, v in zip(r, vec)) % t for r in m]
+                    for m, vec in zip(matrices, inputs)
+                ]
+        assert encodes == [1, 1, 1]
+        assert plain_cache_size()[0] == 3
+
     @pytest.mark.skipif(
         "numpy" not in available_backends(), reason="numpy backend unavailable"
     )

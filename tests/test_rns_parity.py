@@ -347,9 +347,10 @@ class TestMintTranscriptParity:
         finally:
             proto.close()
         assert logits == proto.plaintext_reference(x)
-        # gk, then a ciphertext up and one down per linear layer.
+        # gk, then a ciphertext up and one down per group of the packing
+        # plan: both layers rotate, so each rides its own.
         assert proto.counters.he_rotations == 1
-        assert count == 1 + 2 * len(proto.lowered.linears)
+        assert count == 1 + 2 * len(proto.client.plan) == 1 + 2 * 2
         return digest.hexdigest(), tuple(logits), repr(proto.channel.summary())
 
     @pytest.mark.parametrize("name", CHAINS)

@@ -248,7 +248,8 @@ class TestWireCarriesOnlyWhatTheServerUses:
             proto.close()
         names = [frame_format_name(frame) for frame in sent]
         assert proto.counters.he_rotations == (7 + 1 if hidden == 128 else 0)
-        return names, sent, made_ct, made_gk, received
+        assert proto.server.plan == proto.client.plan
+        return names, sent, made_ct, made_gk, received, proto.client.plan
 
     @pytest.mark.parametrize("garbler", ["server", "client"])
     @pytest.mark.parametrize("name", ["delphi", "fast"])
@@ -260,11 +261,12 @@ class TestWireCarriesOnlyWhatTheServerUses:
         params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
         if name == "delphi" and backend_for(params.t).name != "numpy":
             pytest.skip("full-degree delphi runs need the vectorized backend")
-        names, sent, made_ct, made_gk, received = self._run(
+        names, sent, made_ct, made_gk, received, _ = self._run(
             params, garbler, monkeypatch
         )
         assert "public_key" not in names
-        assert names.count("seeded_ciphertext") == len(made_ct) == 2
+        # Both 16-8-3 products ride one ciphertext.
+        assert names.count("seeded_ciphertext") == len(made_ct) == 1
         self._check_seeded(params, sent, made_ct, made_gk, received)
 
     @staticmethod
@@ -279,7 +281,7 @@ class TestWireCarriesOnlyWhatTheServerUses:
             for g in gk.keys
             for (_, a_j), seed in zip(gk.keys[g], gk.seeds[g])
         ]
-        assert len(seeded) == 2 + len(made_gk) * params.num_decomp_digits
+        assert len(seeded) == len(made_ct) + len(made_gk) * params.num_decomp_digits
         for a, seed in seeded:
             assert len(seed) == 32
             whole = a.to_bytes(width)
@@ -316,13 +318,35 @@ class TestWireCarriesOnlyWhatTheServerUses:
         params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
         if name == "delphi" and backend_for(params.t).name != "numpy":
             pytest.skip("full-degree delphi runs need the vectorized backend")
-        names, sent, made_ct, made_gk, received = self._run(
+        names, sent, made_ct, made_gk, received, _ = self._run(
             params, garbler, monkeypatch, hidden
         )
         rotates = hidden == 128
         assert len(made_gk) == names.count("galois_keys") == rotates
         assert sum(frame[3] == 0x0D for frame in sent) == rotates
         self._check_seeded(params, sent, made_ct, made_gk, received)
+
+    @pytest.mark.parametrize("garbler", ["server", "client"])
+    @pytest.mark.parametrize(
+        "name, hidden", [("delphi", 8), ("fast", 8), ("fast", 128)]
+    )
+    def test_one_ciphertext_each_way_per_packed_group(
+        self, name, hidden, garbler, monkeypatch
+    ):
+        """The client's seeded ``Enc(r)`` frames and the server's returns
+        number one each per group of the packing plan: 16-8-3 packs both
+        products into one ciphertext, 16-128-3 rotates in both layers
+        and keeps two."""
+        from repro.backend import backend_for
+
+        params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
+        if name == "delphi" and backend_for(params.t).name != "numpy":
+            pytest.skip("full-degree delphi runs need the vectorized backend")
+        names, *_, plan = self._run(params, garbler, monkeypatch, hidden)
+        assert len(plan) == (2 if hidden == 128 else 1)
+        up = names.count("seeded_ciphertext")
+        down = names.count("ciphertext") + names.count("switched_ciphertext")
+        assert up == down == len(plan)
 
     @pytest.mark.parametrize("garbler", ["server", "client"])
     @pytest.mark.parametrize("name", ["delphi", "fast"])
@@ -340,14 +364,14 @@ class TestWireCarriesOnlyWhatTheServerUses:
         params = {"delphi": delphi_params(), "fast": fast_params(256)}[name]
         if name == "delphi" and backend_for(params.t).name != "numpy":
             pytest.skip("full-degree delphi runs need the vectorized backend")
-        names, sent, _, _, received = self._run(params, garbler, monkeypatch)
+        names, sent, _, _, received, _ = self._run(params, garbler, monkeypatch)
         returns = [
             frame for frame, kind in zip(sent, names)
             if kind in ("ciphertext", "switched_ciphertext")
         ]
-        assert len(returns) == 2
+        assert len(returns) == 1
         arrived = [ct for ct in received["ct"] if ct.seed is None]
-        assert [ct.q for ct in arrived] == [params.switched_q] * 2
+        assert [ct.q for ct in arrived] == [params.switched_q]
         if name == "fast":
             assert "switched_ciphertext" not in names
             assert all(frame[3] == FMT_CIPHERTEXT for frame in returns)
@@ -365,11 +389,12 @@ class TestWireCarriesOnlyWhatTheServerUses:
 
 
 class TestReturnsAreMaskedPerSlot:
-    """The server returns ``W r - s`` as partial sums masked slot by slot
-    (:meth:`repro.he.linear.SlotLayout.masks`): the client decrypts
-    slots whose per-output sums are its share and none of which is a
-    bare partial sum, and a keep-alive connection's mask stream never
-    repeats across its requests."""
+    """The server returns each group's ``W r - s`` as partial sums masked
+    slot by slot (:meth:`repro.he.linear.SlotGroup.masks`): the client
+    decrypts slots whose per-output sums are its shares and none of
+    which is a bare partial sum, the slots no layer uses are the mask
+    draw alone, and a keep-alive connection's mask stream never repeats
+    across its requests."""
 
     @staticmethod
     def _net(params, hidden, seed):
@@ -386,22 +411,29 @@ class TestReturnsAreMaskedPerSlot:
             pytest.skip("full-degree delphi runs need the vectorized backend")
         return params
 
-    @pytest.mark.parametrize("name, hidden", [("delphi", 8), ("fast", 128)])
+    @pytest.mark.parametrize(
+        "name, hidden", [("delphi", 8), ("fast", 8), ("fast", 128)]
+    )
     def test_no_decrypted_slot_is_its_unmasked_partial_sum(
         self, name, hidden, monkeypatch
     ):
-        from repro.he.linear import slot_layout
+        from repro.he.linear import SlotGroup
 
         params = self._params(name)
-        decrypted = []
-        decrypt = BfvContext.decrypt
+        decrypted, drawn = [], []
+        decrypt, masks = BfvContext.decrypt, SlotGroup.masks
 
         def recording(self, sk, ct):
             plain = decrypt(self, sk, ct)
             decrypted.append(plain)
             return plain
 
+        def recording_masks(self, shares, uniform, modulus):
+            drawn.append(list(uniform))
+            return masks(self, shares, uniform, modulus)
+
         monkeypatch.setattr(BfvContext, "decrypt", recording)
+        monkeypatch.setattr(SlotGroup, "masks", recording_masks)
         proto = HybridProtocol(
             self._net(params, hidden, 41), params, garbler="client", seed=43,
             transport="memory",
@@ -410,41 +442,47 @@ class TestReturnsAreMaskedPerSlot:
         encoder = BatchEncoder(params)
         t = params.t
         linears = proto.server.lowered.linears
-        assert len(decrypted) == len(linears)
-        for lin, r, s, share, plain in zip(
-            linears, proto.client_r, proto.server.server_s,
-            proto.client.client_linear_share, decrypted,
-        ):
-            layout = slot_layout(lin.n_out, lin.n_in, params.row_size)
+        plan = proto.client.plan
+        assert len(decrypted) == len(drawn) == len(plan) == (2 if hidden == 128 else 1)
+        for group, plain, uniform in zip(plan, decrypted, drawn):
             slots = encoder.decode(plain)
-            cols = [
-                [(j + d) % lin.n_in for d in range(layout.steps)]
-                for j in range(len(slots))
-            ]
-            partial = [
-                sum(int(lin.matrix[i][c]) * r[c] for c in cols[j]) % t
-                if i < lin.n_out
-                else 0
-                for j, i in enumerate(layout.outputs.tolist())
-            ]
+            partial = [None] * len(slots)  # the unmasked product, per used slot
+            for i, layout in zip(group.layers, group.layouts):
+                lin, r = linears[i], proto.client_r[i]
+                for j, k in enumerate(layout.outputs.tolist()):
+                    if k < lin.n_out:
+                        cols = [
+                            (j - layout.offset + d) % lin.n_in
+                            for d in range(layout.steps)
+                        ]
+                        partial[j] = sum(int(lin.matrix[k][c]) * r[c] for c in cols) % t
+                assert layout.reduce(slots, t) == proto.client.client_linear_share[i] == [
+                    (sum(int(w) * v for w, v in zip(row, r)) - s_k) % t
+                    for row, s_k in zip(lin.matrix, proto.server.server_s[i])
+                ]
             assert not any(a == b for a, b in zip(slots, partial))
-            assert layout.reduce(slots, t) == share == [
-                (sum(int(w) * v for w, v in zip(row, r)) - s_i) % t
-                for row, s_i in zip(lin.matrix, s)
-            ]
+            # A slot no layer uses carries the negated draw and nothing else.
+            unused = [j for j, v in enumerate(partial) if v is None]
+            assert len(unused) == len(slots) - sum(
+                lin.n_out * lin.n_in // layout.steps
+                for lin, layout in zip(
+                    (linears[i] for i in group.layers), group.layouts
+                )
+            )
+            assert [slots[j] for j in unused] == [(-uniform[j]) % t for j in unused]
 
     def test_recycled_requests_never_reuse_a_mask(self, monkeypatch):
-        from repro.he.linear import SlotLayout
+        from repro.he.linear import SlotGroup
 
         params = self._params("delphi")
         drawn = []
-        masks = SlotLayout.masks
+        masks = SlotGroup.masks
 
-        def recording(self, s, uniform, modulus):
+        def recording(self, shares, uniform, modulus):
             drawn.append(list(uniform))
-            return masks(self, s, uniform, modulus)
+            return masks(self, shares, uniform, modulus)
 
-        monkeypatch.setattr(SlotLayout, "masks", recording)
+        monkeypatch.setattr(SlotGroup, "masks", recording)
         proto = HybridProtocol(
             self._net(params, 8, 45), params, garbler="client", seed=47,
             transport="memory",
@@ -461,8 +499,7 @@ class TestReturnsAreMaskedPerSlot:
             proto.close()
         # One stream for the connection, continued by the second request.
         assert streams[0] is streams[1] is not None
-        assert len(drawn) == 4  # two layers, two requests
-        first = {v for uniform in drawn[:2] for v in uniform}
-        second = {v for uniform in drawn[2:] for v in uniform}
-        assert len(first) == 2 * 2 * params.row_size
+        assert len(drawn) == 2  # one packed group, two requests
+        first, second = set(drawn[0]), set(drawn[1])
+        assert len(first) == 2 * params.row_size
         assert not first & second
