@@ -1,65 +1,43 @@
 """Concurrent serving gateway: many live sockets, background refill workers.
 
 :class:`~repro.runtime.serving.ServingLoop` keeps mint and serve strictly
-serialized on one thread. This module overlaps them in wall-clock, in
-the deployment shape the paper's client/server characterization assumes:
+serialized on one thread. :class:`ServingGateway` overlaps them in
+wall-clock, in the deployment shape the paper's client/server
+characterization assumes: one selectors-based thread hosts a
+:class:`~repro.core.session.ServerSession` per client socket and
+multiplexes them at message granularity (the sessions' resumable
+``step()`` machines over length-prefixed frames), while a refill driver
+thread ships whole offline mints to
+:class:`~repro.runtime.pool.PrecomputePool` worker *processes*. On a
+multi-core host online CPU work and offline garbling overlap
+(``refill_overlap_seconds``), and the client whose buffer will run dry
+first is refilled first (GrASP's demand-driven prefetching, applied to
+the offline phase; JSPIM-style skew-awareness).
 
-* **Accept loop** — a :class:`ServingGateway` owns one selectors-based
-  loop (single thread, many non-blocking
-  :class:`~repro.network.transport.SocketTransport`\\ s) hosting one
-  :class:`~repro.core.session.ServerSession` per connected client socket
-  and multiplexing them at message granularity. The session/transport
-  split (resumable ``step()`` state machines over length-prefixed frames)
-  was built exactly for this; the gateway is the first thing to exploit
-  it concurrently.
-* **Background refill** — mints leave the serving thread entirely: a
-  refill driver thread submits whole offline-mint jobs through
-  :meth:`~repro.runtime.pool.PrecomputePool.apply_async`, so the
-  hash-bound garbling runs in pool worker *processes* while the
-  selector thread serves online requests. On a multi-core host the
-  online CPU work and the offline garbling genuinely overlap, and
-  ``throughput_rps`` rises accordingly (the report's
-  ``refill_overlap_seconds`` measures the overlap window).
-* **Demand-driven prioritization** — refill order follows expected time
-  to miss: per-client consumption counters estimate each client's drain
-  rate, and the client whose buffer will run dry first is refilled first
-  (GrASP's demand-driven prefetching, applied to the offline phase;
-  skewed clients get proportionally more mint slots, JSPIM-style).
+Wire protocol: a client sends one HELLO naming its ``client_id``, then
+any number of REQ frames on the same keep-alive socket. Each REQ is
+answered by an OFFER — a stored precompute (split per role via
+:func:`~repro.core.protocol.split_offline_state`) and the online phase,
+or a miss and the full offline phase over the wire — closed by DONE; or
+by BUSY{retry_after}, after which the client backs off and re-issues;
+or by GOAWAY, which ends the connection. The connection-scoped
+:class:`~repro.core.session.ServerSession` is recycled between requests
+(``reset_for_request()``); a ``GWS1`` stats probe works standalone or
+between two requests.
 
-Wire protocol: a *connection* and a *request* are distinct objects. The
-client sends one HELLO frame naming its ``client_id``, then issues any
-number of REQ frames over the same socket; each admitted REQ is answered
-with an OFFER — either a buffered precompute (the stored offline
-transcript, split per role via
-:func:`~repro.core.protocol.split_offline_state` on both ends) followed
-directly by the online phase, or a miss, in which case both parties run
-the full offline phase over the wire (the demand-mint penalty, paid on
-the request's critical path and multiplexed with the other live
-sessions) — and acknowledged with a DONE frame once the logits' final
-share has shipped. Admission is queue-depth aware: when the refill
-backlog (held WAIT_STORE offers + owed/in-flight refill mints) crosses
-``max_queue``, a REQ is *deferred* with a BUSY{retry_after} frame the
-client honors by backing off and re-issuing, or — past
-``max_request_deferrals`` consecutive deferrals — *rejected* with a
-GOAWAY frame that ends the connection. Either side may send GOAWAY to
-close a connection gracefully. The server-side
-:class:`~repro.core.session.ServerSession` is connection-scoped and
-recycled between requests via ``reset_for_request()``; a ``GWS1`` stats
-probe works both as a standalone connection and mid-stream between two
-requests on a live one.
-
-This module holds the sockets, sessions and threads only. The frame
-vocabulary is :mod:`repro.network.frames`; every admission and refill
-decision, and the counters behind it, is the
-:class:`~repro.runtime.policy.RefillLedger` the gateway calls under its
-state lock; the peer is :mod:`repro.runtime.client`.
+This module is I/O only: frames, sessions, the selector, the refill
+thread, and the set of held connections to retry. It feeds every event
+— a REQ, a miss, a landed or failed mint, a DONE, a drop — to the one
+:class:`~repro.runtime.policy.RefillLedger` under its state lock and
+carries out what comes back (queue, BUSY, GOAWAY, OFFER, HOLD); the
+ledger owns the in-flight counts, the holds and the admission tallies.
+The frame vocabulary is :mod:`repro.network.frames`; the peer is
+:mod:`repro.runtime.client`.
 
 Fidelity note: on a hit the gateway ships the *whole* stored transcript
 (both role halves) to the client, mirroring what
-``HybridProtocol.import_offline`` does in-process. A hardened deployment
-would mint and store the halves separately; this functional shortcut
-demonstrates the system shape — storage drain, refill pipelines, socket
-multiplexing — not a security property (see ARCHITECTURE.md).
+``HybridProtocol.import_offline`` does in-process; it demonstrates the
+system shape, not a security property (see ARCHITECTURE.md).
 """
 
 from __future__ import annotations
@@ -74,9 +52,12 @@ from repro.network import frames
 from repro.network.transport import SocketListener, SocketTransport, TransportError
 from repro.runtime.client import GatewayClient  # noqa: F401 - bench_e2e imports it here
 from repro.runtime.policy import (
+    BUSY,
     DEFAULT_MAX_QUEUE,
-    MAX_INFLIGHT_PER_CLIENT,
-    MISS_WAIT_SECONDS,
+    GOAWAY,
+    HOLD,
+    OUTCOMES,
+    QUEUE,
     RefillLedger,
 )
 from repro.runtime.pool import PrecomputePool, mint_offline_job
@@ -219,14 +200,15 @@ class _Connection:
     """One live client socket: a request queue plus the protocol machine.
 
     State walk: ``HELLO`` (awaiting the connection's identity) → ``IDLE``
-    (between requests; REQ frames queue here) → one of ``WAIT_STORE`` /
-    ``OFFLINE`` / ``ONLINE`` while a request is active → back to ``IDLE``
-    after the DONE frame, until a GOAWAY (either direction) or a
-    transport error ends the connection.
+    (between requests; REQ frames queue here) → ``ADMITTED`` (looking in
+    the store) → one of ``WAIT_STORE`` (held for a refill) / ``OFFLINE``
+    / ``ONLINE`` while the request is active → back to ``IDLE`` after the
+    DONE frame, until a GOAWAY (either direction) or a transport error
+    ends the connection.
     """
 
-    HELLO, IDLE, WAIT_STORE, OFFLINE, ONLINE = (
-        "hello", "idle", "wait-store", "offline", "online",
+    HELLO, IDLE, ADMITTED, WAIT_STORE, OFFLINE, ONLINE = (
+        "hello", "idle", "admitted", "wait-store", "offline", "online",
     )
 
     def __init__(self, gateway: "ServingGateway", transport: SocketTransport):
@@ -235,11 +217,10 @@ class _Connection:
         self.session = None
         self.state = self.HELLO
         self.client_id = "?"
-        self.client_index: int | None = None  # None: not one of the N served
+        self.client: int | str | None = None  # ledger key: index, else id
         self.request_index = -1
         self.pending: deque[int] = deque()  # REQs queued behind the active one
         self.requests_completed = 0
-        self.deferrals = 0  # consecutive BUSY replies on this connection
         self.queue_depth = 0
         self.hit = False
         self.mint_seconds = 0.0
@@ -293,7 +274,9 @@ class _Connection:
                     self.gateway._drop(self, error=None)
                     return
                 self.client_id = frames.decode_hello(frame)
-                self.client_index = self.gateway._client_index.get(self.client_id)
+                self.client = self.gateway._client_index.get(
+                    self.client_id, self.client_id
+                )
                 self.gateway.connections_accepted += 1
                 self.state = self.IDLE
                 continue
@@ -317,7 +300,6 @@ class _Connection:
                     self.gateway._drop(self, error=None)
                     return
                 self.pending.append(frames.decode_request(frame))
-                self.gateway.requests_issued += 1
                 self.gateway._maybe_start(self)
                 if self not in self.gateway._connections:
                     return  # rejected with GOAWAY mid-admission
@@ -368,11 +350,6 @@ class _Connection:
         """
         from repro.core.session import LIFE_NEW
 
-        self.hold_seconds = (
-            time.perf_counter() - self.request_started
-            if self.state == self.WAIT_STORE
-            else 0.0
-        )
         if self.session is None:
             self.session = self.gateway._make_session(self.transport)
         elif self.session.lifecycle != LIFE_NEW:
@@ -458,9 +435,8 @@ class ServingGateway:
             self._own_pool = None
         self.pool = pool
         # Every admission and refill decision and the counters behind it,
-        # shared with the analytic replay; guarded by _state_lock. The
-        # refill cap is one scalar for uniform drains, or one cap per
-        # client for skewed schedules with unequal request counts.
+        # guarded by _state_lock. The refill cap is one scalar for uniform
+        # drains, or one per client for skewed schedules.
         self._state_lock = threading.Lock()
         # Notified whenever a refill mint lands or fails (drain_refills).
         self._refills_settled = threading.Condition(self._state_lock)
@@ -471,6 +447,7 @@ class ServingGateway:
             max_queue=DEFAULT_MAX_QUEUE if max_queue is None else max(0, max_queue),
             mint_parallelism=pool.workers,
         )
+        self.ledger.max_request_deferrals = max_request_deferrals
 
         from repro.core.lowering import lower_network
         from repro.core.session import ServerSession
@@ -504,18 +481,8 @@ class ServingGateway:
         self._session_counter = 0
         self._evictions_before = store.evictions
         self._connections: set[_Connection] = set()
-        self._waiting: set[_Connection] = set()  # WAIT_STORE holders
-        self.max_request_deferrals = max_request_deferrals
-        # Admission ledger: every REQ frame received is *issued* and gets
-        # exactly one of OFFER (admitted), BUSY (deferred), or GOAWAY
-        # (rejected) — clean runs balance admitted+deferred+rejected ==
-        # issued. All four mutate only on the selector thread.
+        self._waiting: set[_Connection] = set()  # WAIT_STORE holders to retry
         self.connections_accepted = 0
-        self.requests_issued = 0
-        self.requests_admitted = 0
-        self.requests_deferred = 0
-        self.requests_rejected = 0
-        self._inflight: dict[str, int] = {}  # active requests per client
         self.listener: SocketListener | None = None
         self._selector = None
         self._waker: _Waker | None = None
@@ -603,28 +570,17 @@ class ServingGateway:
                 self._accept_pending()
             else:
                 key.data.on_event(mask)
-        # Retry held offers: a refill may have landed since last round.
-        for conn in list(self._waiting):
-            taken = self._take_precompute(conn.client_id)
-            if taken is None and time.perf_counter() < conn.wait_deadline:
-                with self._state_lock:
-                    if self.ledger.mint_pending(conn.client_index):
-                        continue  # still worth holding for the in-flight mint
-            self._hold(conn, False)
+        # Look again at held offers (a refill may have landed since last
+        # round), then at idle connections with queued requests (a
+        # completion or a drained backlog may have made them admissible).
+        idle = [c for c in self._connections if c.state == c.IDLE and c.pending]
+        for conn in [*self._waiting, *idle]:
             try:
-                conn.begin_request(taken)
+                if conn.state == conn.WAIT_STORE:
+                    self._offer(conn)
                 conn.advance()
             except (TransportError, ValueError) as exc:
                 self._drop(conn, error=exc)
-        # Idle keep-alive connections with queued requests: a completed
-        # request or a drained backlog since last round may have made
-        # them admissible.
-        for conn in list(self._connections):
-            if conn.state == _Connection.IDLE and conn.pending:
-                try:
-                    conn.advance()
-                except (TransportError, ValueError) as exc:
-                    self._drop(conn, error=exc)
         # Register write interest exactly while userspace outbox bytes
         # wait on kernel buffer space; drop it as soon as they drain.
         for conn in list(self._connections):
@@ -740,10 +696,10 @@ class ServingGateway:
             peak_live_sessions=self.peak_live_sessions,
             dropped_sessions=self.dropped_sessions,
             connections_accepted=self.connections_accepted,
-            requests_issued=self.requests_issued,
-            requests_admitted=self.requests_admitted,
-            requests_deferred=self.requests_deferred,
-            requests_rejected=self.requests_rejected,
+            **{
+                f"requests_{name}": count
+                for name, count in self.ledger.admission().items()
+            },
             occupancy=list(self._occupancy),
             phase_seconds={
                 k: round(v, 6) for k, v in self._phase_totals.items()
@@ -767,10 +723,17 @@ class ServingGateway:
             buffered = ledger.depths(self._stored_counts())
             pending = list(ledger.pending)
             credits = list(ledger.credits)
-            backlog = ledger.backlog()
-            retry_after = ledger.retry_after()
-            mean_mint = ledger.mean_mint_seconds
-            inflight = sum(self._inflight.values())
+            inflight = ledger.in_flight()
+            admission = {
+                "max_queue": ledger.max_queue,
+                "backlog": ledger.backlog(),
+                # What the *next* deferred request would be told to wait,
+                # and the measured mean mint time behind it.
+                "retry_after": round(ledger.retry_after(), 6),
+                "mean_mint_seconds": round(ledger.mean_mint_seconds, 6),
+                "connections_accepted": self.connections_accepted,
+                **ledger.admission(),
+            }
             # Sessions, not sockets: a stats probe (or a pre-hello
             # connection) holds no session and must not count itself.
             live = sum(1 for conn in connections if conn.session is not None)
@@ -814,19 +777,7 @@ class ServingGateway:
                 len(conn.pending) for conn in connections
             ),
             "refill_inflight": sum(pending),
-            "admission": {
-                "max_queue": ledger.max_queue,
-                "backlog": backlog,
-                # What the *next* deferred request would be told to wait,
-                # and the measured mean mint time behind it.
-                "retry_after": round(retry_after, 6),
-                "mean_mint_seconds": round(mean_mint, 6),
-                "connections_accepted": self.connections_accepted,
-                "issued": self.requests_issued,
-                "admitted": self.requests_admitted,
-                "deferred": self.requests_deferred,
-                "rejected": self.requests_rejected,
-            },
+            "admission": admission,
             "connections": [
                 {
                     "client": conn.client_id,
@@ -868,61 +819,37 @@ class ServingGateway:
             else:
                 registry.histogram(name, **labels).observe(value)
 
-    def _hold(self, conn: _Connection, held: bool) -> None:
-        """Enter or leave WAIT_STORE bookkeeping (idempotent either way)."""
-        if held:
-            self._waiting.add(conn)
-        else:
-            self._waiting.discard(conn)
-        with self._state_lock:
-            self.ledger.waiting = len(self._waiting)
-
     def _maybe_start(self, conn: _Connection) -> bool:
-        """Start the next queued request on an idle connection, if allowed.
+        """Ask the ledger to start an idle connection's next queued
+        request and carry out its answer; True when it was admitted.
 
-        Returns True when the connection left IDLE (a request was
-        admitted and is now running). Deferral (BUSY) and rejection
-        (GOAWAY) pop the request but leave/close the connection in place
-        — the peer decides what happens next — so both return False.
+        QUEUE leaves the request queued (a completion re-triggers us);
+        BUSY and GOAWAY pop it, and the peer decides what happens next.
         """
         if conn.state != conn.IDLE or not conn.pending:
             return False
         with self._state_lock:
-            if self._inflight.get(conn.client_id, 0) >= MAX_INFLIGHT_PER_CLIENT:
-                return False  # stays queued; a completion re-triggers us
-            over = self.ledger.backlog() > self.ledger.max_queue
-            retry_after = self.ledger.retry_after() if over else 0.0
-            inflight_total = sum(self._inflight.values())
-            if not over:
-                self._inflight[conn.client_id] = (
-                    self._inflight.get(conn.client_id, 0) + 1
-                )
-        index = conn.pending.popleft()
-        if over:
-            conn.deferrals += 1
-            if (
-                self.max_request_deferrals is not None
-                and conn.deferrals > self.max_request_deferrals
-            ):
-                self.requests_rejected += 1
-                self._record(
-                    "gateway_requests_total", client=conn.client_id, outcome="rejected"
-                )
-                try:
-                    conn.transport.send(
-                        frames.encode_goaway("admission backlog over max_queue")
-                    )
-                except TransportError:  # pragma: no cover - peer gone
-                    pass
-                self._drop(conn, error=None)
-                return False
-            self.requests_deferred += 1
-            self._record(
-                "gateway_requests_total", client=conn.client_id, outcome="deferred"
-            )
-            conn.transport.send(frames.encode_busy(retry_after))
+            verdict, value = self.ledger.request(conn.client)
+        if verdict == QUEUE:
             return False
-        conn.deferrals = 0
+        index = conn.pending.popleft()
+        self._record(
+            "gateway_requests_total", client=conn.client_id,
+            outcome=OUTCOMES[verdict],
+        )
+        if verdict == GOAWAY:
+            try:
+                conn.transport.send(
+                    frames.encode_goaway("admission backlog over max_queue")
+                )
+            except TransportError:  # pragma: no cover - peer gone
+                pass
+            self._drop(conn, error=None)
+            return False
+        if verdict == BUSY:
+            conn.transport.send(frames.encode_busy(value))
+            return False
+        conn.state = conn.ADMITTED  # from here a drop frees its slot
         conn.request_index = index
         conn.hit = False
         conn.mint_seconds = 0.0
@@ -931,26 +858,29 @@ class ServingGateway:
             conn._t_request_us = now_us()
         # Requests already active when this one started (WAIT_STORE
         # holders included — they hold an in-flight slot).
-        conn.queue_depth = inflight_total
-        self.requests_admitted += 1
-        self._record(
-            "gateway_requests_total", client=conn.client_id, outcome="admitted"
-        )
-        taken = self._take_precompute(conn.client_id)
-        if taken is None and conn.client_index is not None:
-            with self._state_lock:
-                refilling = self.ledger.mint_pending(conn.client_index)
-            if refilling:
-                # A refill for this client is already underway: hold the
-                # offer instead of duplicating the whole offline phase
-                # over the wire. Its landing wakes the selector, which
-                # offers it then; other sessions keep flowing meanwhile.
-                conn.state = conn.WAIT_STORE
-                conn.wait_deadline = time.perf_counter() + MISS_WAIT_SECONDS
-                self._hold(conn, True)
-                return True
-        conn.begin_request(taken)
+        conn.queue_depth = value
+        self._offer(conn)
         return True
+
+    def _offer(self, conn: _Connection) -> None:
+        """OFFER an admitted or held request, or hold it for its refill."""
+        taken = self._take_precompute(conn.client_id)
+        held, now = conn in self._waiting, time.perf_counter()
+        with self._state_lock:
+            verdict, deadline = self.ledger.look(
+                conn.client, taken is not None, now,
+                conn.wait_deadline if held else None,
+            )
+        if verdict == HOLD:
+            # A refill for this client is underway: hold the offer rather
+            # than run the offline phase over the wire. Its landing wakes
+            # the selector, which looks again; other sessions flow on.
+            conn.state, conn.wait_deadline = conn.WAIT_STORE, deadline
+            self._waiting.add(conn)
+            return
+        self._waiting.discard(conn)
+        conn.hold_seconds = now - conn.request_started if held else 0.0
+        conn.begin_request(taken)
 
     def _make_session(self, transport):
         seed = derive_worker_seed(
@@ -1033,24 +963,16 @@ class ServingGateway:
         )
         self._sample("serve", conn.client_id)
         conn.transport.send(frames.encode_done(conn.request_index, conn.hit))
-        c = conn.client_index
         with self._state_lock:
-            self._inflight[conn.client_id] = max(
-                0, self._inflight.get(conn.client_id, 0) - 1
-            )
-            if not conn.hit and conn.mint_seconds > 0.0:
-                # Demand mints count toward the retry estimator too: under
-                # sustained misses they are the honest drain rate.
-                self.ledger.mint_took(conn.mint_seconds)
-            if c is not None:
-                self.ledger.completed(c)
-        if c is not None and self._refill_worker is not None:
-            self._refill_worker.kick()
-        # Keep-alive: the connection survives the request. Recycle the
-        # session (connection-scoped state stays) and go back to IDLE so
-        # queued or future REQs on this socket can be admitted.
-        conn.session.reset_for_request()
+            self.ledger.done(conn.client, conn.mint_seconds)
+        # The request is over before anything below can fail: a later
+        # drop must not release its in-flight slot a second time.
         conn.state = conn.IDLE
+        if self._refill_worker is not None:
+            self._refill_worker.kick()  # a refill credit may be owed
+        # Keep-alive: recycle the session (connection-scoped state stays)
+        # for queued or future REQs on this socket.
+        conn.session.reset_for_request()
         conn.requests_completed += 1
         conn.hit = False
         conn.mint_seconds = 0.0
@@ -1059,18 +981,17 @@ class ServingGateway:
         if conn not in self._connections:
             return
         self._connections.discard(conn)
-        self._hold(conn, False)
+        held = conn in self._waiting
+        self._waiting.discard(conn)
         had_active_request = conn.state in (
-            conn.WAIT_STORE, conn.OFFLINE, conn.ONLINE
+            conn.ADMITTED, conn.WAIT_STORE, conn.OFFLINE, conn.ONLINE
         )
         if had_active_request:
             # The admitted request dies with the connection: release its
-            # in-flight slot so the client's later connections still fit
-            # under the per-client concurrency limit.
+            # in-flight slot (and hold) so the client's later connections
+            # still fit under the per-client concurrency limit.
             with self._state_lock:
-                self._inflight[conn.client_id] = max(
-                    0, self._inflight.get(conn.client_id, 0) - 1
-                )
+                self.ledger.drop(conn.client, held)
         try:
             self._selector.unregister(conn.transport)
         except (KeyError, ValueError):  # pragma: no cover - already gone
@@ -1146,7 +1067,6 @@ class ServingGateway:
         wake whoever waits on it: ``drain_refills`` and the selector, whose
         next round offers the blob to a held request."""
         with self._refills_settled:
-            self.ledger.mint_took(seconds)
-            (self.ledger.landed if landed else self.ledger.failed)(c)
+            (self.ledger.landed if landed else self.ledger.failed)(c, seconds)
             self._refills_settled.notify_all()
         self._waker.wake()

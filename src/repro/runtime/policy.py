@@ -1,17 +1,18 @@
-"""Admission and refill policy: one ledger behind both executions.
+"""Admission and refill policy: the one core both executions drive.
 
 The paper's central finding is that the arrival rate decides whether
-pre-processing stays hidden or is "incurred online". What decides it
-here is bookkeeping: when a consumed precompute earns a refill credit,
-which client is refilled first, when a request is deferred and for how
-long. :class:`RefillLedger` is that bookkeeping, once — the live
-:class:`~repro.runtime.gateway.ServingGateway` holds one under its state
-lock and :func:`~repro.workload.drivers.replay_analytic` holds one in
-simulated time, so the system and the model the capacity planner sweeps
-cannot disagree about policy.
+pre-processing stays hidden or is "incurred online". Here that comes
+down to a few rules — when a request is deferred, turned away or held
+for a refill, when a consumed precompute earns a refill credit and which
+client is refilled first — and :class:`RefillLedger` is those rules,
+once. Events go in (request, look, landed, failed, done, drop); decisions
+come out (QUEUE, BUSY, GOAWAY, OFFER, HOLD). The live
+:class:`~repro.runtime.gateway.ServingGateway` and
+:func:`~repro.workload.drivers.replay_analytic` each drive one and only
+carry its decisions out.
 
-Everything here is pure: no clock, no lock, no I/O. Callers pass elapsed
-time and stored-entry counts in, and serialize access themselves.
+Everything here is pure: no clock, no lock, no I/O. Callers pass the
+time and the stored-entry counts in, and serialize access themselves.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ DEFAULT_MAX_QUEUE = 8  # refill backlog above which new requests get BUSY
 MAX_INFLIGHT_PER_CLIENT = 1  # admitted requests one client may have active
 BUSY_RETRY_FLOOR = 0.05  # BUSY hint before any mint is timed; lower clamp after
 MAX_RETRY_AFTER = 5.0
+
+# What admission answers, and the tally each decided answer counts in.
+QUEUE, BUSY, GOAWAY, OFFER, HOLD = "queue", "busy", "goaway", "offer", "hold"
+OUTCOMES = {OFFER: "admitted", BUSY: "deferred", GOAWAY: "rejected"}
 
 
 def adaptive_retry_after(
@@ -76,7 +81,7 @@ def pick_refill_client(
 
 
 class RefillLedger:
-    """Per-client refill accounting plus the admission pressure signal.
+    """Per-client refill accounting plus the admission decisions.
 
     A mint's life: :meth:`completed` request → credit → :meth:`claim`
     (or :meth:`reserve`, for prefill) → in flight → :meth:`landed` or
@@ -85,6 +90,13 @@ class RefillLedger:
     None for unbounded): credits count against it as soon as they are
     earned, so ``minted[c] + credits[c] <= caps[c]`` holds however
     completions and claims interleave.
+
+    A request's life: :meth:`request` → OFFER → :meth:`look` (→ HOLD →
+    :meth:`look` again) → :meth:`done` or :meth:`drop`. A client is its
+    index among the N served, or any other name for a peer outside them,
+    which is admitted alike but never holds or earns a credit. Past
+    ``max_request_deferrals`` consecutive deferrals (None: no limit) a
+    request is rejected.
     """
 
     def __init__(
@@ -110,9 +122,90 @@ class RefillLedger:
         self.pending = [0] * num_clients  # mints reserved, blob not yet stored
         self.consumed = [0] * num_clients  # requests completed
         self.minted = [0] * num_clients  # mint indices handed out (monotonic)
+        self.max_request_deferrals: int | None = None
         self.waiting = 0  # admitted requests holding for an in-flight mint
+        self.inflight: dict = {}  # admitted, unfinished requests per client
+        self._deferrals: dict = {}  # consecutive BUSY answers per client
+        self._tally = dict.fromkeys(("issued", *OUTCOMES.values()), 0)
         self._mint_seconds = 0.0
         self._mints_timed = 0
+
+    # -- admission ------------------------------------------------------------
+
+    def request(self, client) -> tuple[str, float]:
+        """A queued request asks to start: (verdict, value).
+
+        QUEUE: the client is at its in-flight cap; ask again after a
+        :meth:`done` or :meth:`drop`. BUSY: the backlog is over
+        ``max_queue``; value is the retry hint. GOAWAY: the deferral cap
+        is blown. OFFER: admitted; value is the requests already in
+        flight. Every answer but QUEUE is one issued request."""
+        if self.inflight.get(client, 0) >= MAX_INFLIGHT_PER_CLIENT:
+            return QUEUE, 0
+        streak = self._deferrals.pop(client, 0) + 1
+        cap = self.max_request_deferrals
+        if self.backlog() <= self.max_queue:
+            verdict, value = OFFER, self.in_flight()
+            self.inflight[client] = self.inflight.get(client, 0) + 1
+        elif cap is None or streak <= cap:
+            self._deferrals[client] = streak
+            verdict, value = BUSY, self.retry_after()
+        else:
+            verdict, value = GOAWAY, 0
+        self._tally["issued"] += 1
+        self._tally[OUTCOMES[verdict]] += 1
+        return verdict, value
+
+    def look(
+        self, client, stored: bool, now: float, deadline: float | None = None
+    ) -> tuple[str, float | None]:
+        """An admitted request looked in the store (a held one looks again,
+        with its deadline, after each landing). (HOLD, deadline) while
+        nothing is stored and a served client's refill is owed or in
+        flight, until ``now + MISS_WAIT_SECONDS``; else (OFFER, None),
+        closing any hold: a hit if stored, else a demand mint."""
+        held = deadline is not None
+        if not held:
+            deadline = now + MISS_WAIT_SECONDS
+        if not stored and isinstance(client, int) and now < deadline and (
+            self.mint_pending(client)
+        ):
+            if not held:
+                self.waiting += 1
+            return HOLD, deadline
+        if held:
+            self.waiting -= 1
+        return OFFER, None
+
+    def done(self, client, mint_seconds: float = 0.0) -> None:
+        """DONE sent: free the slot, fold a demand mint into the BUSY hint
+        (under sustained misses it is the honest drain rate), and credit
+        a served client's refill."""
+        self._leave(client)
+        if mint_seconds > 0.0:
+            self.mint_took(mint_seconds)
+        if isinstance(client, int):
+            self.completed(client)
+
+    def drop(self, client, held: bool = False) -> None:
+        """An admitted request died with its connection: free its slot."""
+        self._leave(client)
+        if held:
+            self.waiting -= 1
+
+    def admission(self) -> dict:
+        """Issued / admitted / deferred / rejected: the one schema of the
+        live stats and the replay's columns."""
+        return dict(self._tally)
+
+    def in_flight(self) -> int:
+        """Admitted requests not yet done or dropped, over all clients."""
+        return sum(self.inflight.values())
+
+    def _leave(self, client) -> None:
+        left = self.inflight.pop(client) - 1
+        if left:
+            self.inflight[client] = left
 
     # -- the mint pipeline --------------------------------------------------
 
@@ -138,14 +231,16 @@ class RefillLedger:
         self.credits[c] -= 1
         return c, self.reserve(c)
 
-    def landed(self, c: int) -> None:
-        """A reserved mint's blob reached the store."""
+    def landed(self, c: int, seconds: float | None = None) -> None:
+        """A reserved mint's blob reached the store — or, as
+        :meth:`failed`, the mint died: its index stays burned and no
+        credit comes back, so the client pays one demand mint instead.
+        A timed mint feeds the BUSY hint either way."""
+        if seconds is not None:
+            self.mint_took(seconds)
         self.pending[c] -= 1
 
-    def failed(self, c: int) -> None:
-        """A reserved mint died. Its index stays burned and no credit
-        comes back: the client pays one demand mint instead."""
-        self.pending[c] -= 1
+    failed = landed
 
     def completed(self, c: int) -> None:
         """Client c consumed a precompute; credit a refill if its cap allows."""

@@ -78,11 +78,11 @@ class ServingReport:
     refill_overlap_seconds: float = 0.0  # window with a mint in flight
     peak_live_sessions: int = 0  # most sockets live at once (gateway)
     dropped_sessions: int = 0  # client sockets that died mid-protocol
-    # Keep-alive admission ledger (gateway runs only; zero elsewhere).
+    # Keep-alive admission tallies (gateway runs only; zero elsewhere).
     # Invariant: requests_admitted + requests_deferred + requests_rejected
-    # == requests_issued once the run drains.
+    # == requests_issued, the REQs the gateway's ledger has decided.
     connections_accepted: int = 0  # HELLO handshakes completed
-    requests_issued: int = 0  # REQ frames received
+    requests_issued: int = 0  # REQ frames answered
     requests_admitted: int = 0  # answered with an OFFER
     requests_deferred: int = 0  # answered with BUSY (backlog over max_queue)
     requests_rejected: int = 0  # answered with GOAWAY (deferral cap hit)

@@ -18,10 +18,10 @@ The workload engine's core contract is *one schedule, two executions*:
 Both report per-workload latency quantiles (p50/p95/p99 via the
 telemetry :class:`~repro.telemetry.metrics.Histogram`), deferral rate,
 and goodput, keyed by workload name, so the planner can compare
-prediction against measurement number for number. The analytic side
-constructs the gateway's own :class:`~repro.runtime.policy.RefillLedger`
-— the model and the system share one admission/refill brain and differ
-only in what a "second" costs.
+prediction against measurement number for number. Neither decides
+admission or refill: each feeds the same events to one
+:class:`~repro.runtime.policy.RefillLedger` and reads its tallies back;
+the analytic side keeps only simulated time and its store model.
 
 Latency convention: open-loop latency is measured from the *scheduled*
 arrival (lateness under overload counts as queueing — the standard
@@ -36,7 +36,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.runtime.policy import DEFAULT_MAX_QUEUE, RefillLedger
+from repro.runtime.policy import BUSY, DEFAULT_MAX_QUEUE, HOLD, RefillLedger
 from repro.runtime.serving import draw_inputs
 from repro.runtime.state import derive_worker_seed
 from repro.simulation.engine import Environment, Event, Resource, Timeout
@@ -67,13 +67,12 @@ def _workload_columns(
     schedule: Schedule,
     latencies: list[float],
     *,
-    issued: int,
-    deferred: int,
-    rejected: int,
+    admission: dict,
     makespan: float,
     time_scale: float = 1.0,
 ) -> dict:
-    """The per-workload report columns both executions share."""
+    """The per-workload report columns both executions share;
+    ``admission`` is the ledger's :meth:`~RefillLedger.admission`."""
     hist = Histogram()
     for latency in latencies:
         hist.observe(latency)
@@ -85,8 +84,10 @@ def _workload_columns(
         "latency_p95": round(hist.quantile(0.95), 6),
         "latency_p99": round(hist.quantile(0.99), 6),
         "mean_latency": round(hist.sum / hist.count, 6) if hist.count else 0.0,
-        "deferral_rate": round(deferred / issued, 6) if issued else 0.0,
-        "rejected": rejected,
+        "deferral_rate": round(
+            admission["deferred"] / max(1, admission["issued"]), 6
+        ),
+        "rejected": admission["rejected"],
         "goodput_rps": round(completed / makespan, 6) if makespan > 0 else 0.0,
         "offered_rps": round(schedule.offered_rate() / time_scale, 6)
         if time_scale > 0
@@ -167,9 +168,7 @@ def replay_functional(
     clients_ready = threading.Barrier(schedule.num_clients + 1)
     start_evt = threading.Event()
     origin = [0.0]
-    client_ledger = {
-        "issued": 0, "deferred": 0, "rejected": 0, "retry_sleep_seconds": 0.0,
-    }
+    backoff = {"busy_retries": 0, "retry_sleep_seconds": 0.0}
 
     def drive(c: int) -> None:
         cid = gateway.client_id(c)
@@ -212,12 +211,8 @@ def replay_functional(
             finally:
                 local = client.local_stats()
                 with rows_lock:
-                    client_ledger["issued"] += local["issued"]
-                    client_ledger["deferred"] += local["deferred"]
-                    client_ledger["rejected"] += local["rejected"]
-                    client_ledger["retry_sleep_seconds"] += (
-                        local["retry_sleep_seconds"]
-                    )
+                    for key in backoff:
+                        backoff[key] += local[key]
                 client.close()
         except threading.BrokenBarrierError:
             pass  # another driver failed during setup; it holds the error
@@ -260,16 +255,12 @@ def replay_functional(
     columns = _workload_columns(
         schedule,
         latencies,
-        issued=report.requests_issued,
-        deferred=report.requests_deferred,
-        rejected=report.requests_rejected,
+        admission=gateway.ledger.admission(),
         makespan=makespan,
         time_scale=time_scale,
     )
-    columns["busy_retries"] = client_ledger["deferred"]
-    columns["retry_sleep_seconds"] = round(
-        client_ledger["retry_sleep_seconds"], 6
-    )
+    columns["busy_retries"] = backoff["busy_retries"]
+    columns["retry_sleep_seconds"] = round(backoff["retry_sleep_seconds"], 6)
     report.workloads[schedule.name] = columns
     return report
 
@@ -301,19 +292,17 @@ class ServiceModel:
 def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     """Replay a schedule through the discrete-event engine; returns columns.
 
-    Structure mirrors the real gateway one to one: a capacity-1 serving
-    resource (the selector thread serializes online phases), a
+    The model keeps what the gateway's timing rests on: a capacity-1
+    serving resource (the selector thread serializes online phases), a
     ``workers``-wide mint resource, per-client buffers drained on hits
-    and refilled by a background worker, FIFO cross-client eviction
-    under ``store_entries``, backlog-gated admission deferring with the
-    adaptive retry hint, and a WAIT_STORE hold when a miss has a refill
-    already in flight. Every wait ends at its event, as in the gateway:
-    a hold at the instant the client's mint lands, the refill worker's
-    idle wait at the next completion, which may have posted a credit.
-    Credits, caps, refill order, the backlog and the hint are the
-    gateway's own :class:`~repro.runtime.policy.RefillLedger`.
-    The returned dict carries the same column block as the functional
-    replay, plus predicted hit/demand/eviction counters.
+    and refilled by a background worker, and FIFO cross-client eviction
+    under ``store_entries``. Every admission and refill decision comes
+    from a :class:`~repro.runtime.policy.RefillLedger` fed the gateway's
+    events: requests, store looks, timed refill landings, and completions
+    with their demand mints' seconds. Every wait ends at its event: a
+    hold when the client's mint lands, the refill worker's idle wait at
+    the next completion. Returns the functional replay's column block
+    plus hit/demand/eviction counters and the admission tallies.
     """
     env = Environment()
     C = schedule.num_clients
@@ -326,16 +315,11 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         max_queue=model.max_queue,
         mint_parallelism=model.workers,
     )
-    # The model's mints all take exactly this long: one observation pins
-    # the mean behind the retry hint from t=0.
-    ledger.mint_took(model.refill_mint_seconds)
     buffered = [0] * C
     admit_order: list[int] = []  # admission-ordered entries (FIFO eviction)
     latencies: list[float] = []
-    tally = {
-        "completed": 0, "issued": 0, "admitted": 0, "deferred": 0,
-        "hits": 0, "demand": 0, "evictions": 0, "last_completion": 0.0,
-    }
+    tally = {"completed": 0, "hits": 0, "demand": 0, "evictions": 0,
+             "last_completion": 0.0}
 
     def admit(c: int) -> None:
         if model.store_entries is not None:
@@ -357,8 +341,8 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     landed = [Event(env) for _ in range(C)]
     kicked = Event(env)
 
-    # Prefill: round-robin, instantaneous at t=0 (the functional run
-    # brackets prefill outside the serve window too).
+    # Prefill: round-robin, instantaneous and untimed at t=0 (the
+    # functional run brackets prefill outside the serve window too).
     for _ in range(model.prefill):
         for c in range(C):
             ledger.reserve(c)
@@ -370,7 +354,7 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         yield grant
         yield Timeout(env, model.refill_mint_seconds)
         mint_slots.release()
-        ledger.landed(c)
+        ledger.landed(c, model.refill_mint_seconds)
         admit(c)
         fired, landed[c] = landed[c], Event(env)
         fired.succeed()
@@ -396,18 +380,19 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
                 if a.think > 0:
                     yield Timeout(env, a.think)
                 scheduled = env.now
-            tally["issued"] += 1
-            while ledger.backlog() > ledger.max_queue:
-                tally["deferred"] += 1
-                yield Timeout(env, ledger.retry_after())
-                tally["issued"] += 1
-            tally["admitted"] += 1
-            if buffered[c] == 0 and ledger.mint_pending(c):
-                # WAIT_STORE: hold the offer for the in-flight refill.
-                ledger.waiting += 1
-                while buffered[c] == 0 and ledger.mint_pending(c):
-                    yield landed[c]
-                ledger.waiting -= 1
+            # One request at a time per client and no deferral cap: the
+            # answer is BUSY or OFFER, never QUEUE or GOAWAY.
+            verdict, retry_after = ledger.request(c)
+            while verdict == BUSY:
+                yield Timeout(env, retry_after)
+                verdict, retry_after = ledger.request(c)
+            verdict, deadline = ledger.look(c, buffered[c] > 0, env.now)
+            while verdict == HOLD:
+                yield landed[c]
+                verdict, deadline = ledger.look(
+                    c, buffered[c] > 0, env.now, deadline
+                )
+            mint_seconds = 0.0
             if buffered[c] > 0:
                 take(c)
                 tally["hits"] += 1
@@ -415,13 +400,14 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
                 tally["demand"] += 1
                 grant = mint_slots.request()
                 yield grant
-                yield Timeout(env, model.demand_mint_seconds)
+                mint_seconds = model.demand_mint_seconds
+                yield Timeout(env, mint_seconds)
                 mint_slots.release()
             grant = serving.request()
             yield grant
             yield Timeout(env, model.online_seconds)
             serving.release()
-            ledger.completed(c)
+            ledger.done(c, mint_seconds)
             tally["completed"] += 1
             fired, kicked = kicked, Event(env)
             fired.succeed()
@@ -435,12 +421,11 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     env.process(refill_proc())
     env.run()
 
+    admission = ledger.admission()
     columns = _workload_columns(
         schedule,
         latencies,
-        issued=tally["issued"],
-        deferred=tally["deferred"],
-        rejected=0,
+        admission=admission,
         makespan=tally["last_completion"],
     )
     columns.update(
@@ -449,9 +434,7 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
             "demand_mints": tally["demand"],
             "evictions": tally["evictions"],
             "minted": sum(ledger.minted),
-            "issued": tally["issued"],
-            "admitted": tally["admitted"],
-            "deferred": tally["deferred"],
+            **admission,
         }
     )
     return columns

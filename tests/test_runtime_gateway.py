@@ -48,6 +48,7 @@ from repro.runtime import (
 from repro.runtime.client import GatewayClient
 from repro.runtime.policy import BUSY_RETRY_FLOOR, MAX_RETRY_AFTER
 from repro.runtime.serving import mint_seed
+from repro.runtime.store import KIND_OFFLINE
 from repro.workload import closed_schedule, draw_schedule_inputs, replay_functional
 
 PARAMS = fast_params(n=256)
@@ -429,11 +430,47 @@ def test_gateway_busy_then_goaway_raw_frames(tmp_path):
                 gateway.ledger.pending[0] = 0
             gateway.stop(drain=False)
 
-    assert gateway.requests_issued == 2
-    assert gateway.requests_deferred == 1
-    assert gateway.requests_rejected == 1
-    assert gateway.requests_admitted == 0
+    assert gateway.ledger.admission()["issued"] == 2
+    assert gateway.ledger.admission()["deferred"] == 1
+    assert gateway.ledger.admission()["rejected"] == 1
+    assert gateway.ledger.admission()["admitted"] == 0
     assert gateway.dropped_sessions == 0  # rejection is not a mid-protocol death
+
+
+def test_dropped_admission_frees_its_in_flight_slot(tmp_path):
+    """A request admitted and then dropped before its OFFER went out — a
+    stored transcript that does not match the network is refused in
+    ``_take_precompute`` — gives its in-flight slot back, so the client's
+    next connection is not queued behind a request that no longer
+    exists."""
+    network = _network()
+    store = PrecomputeStore(tmp_path)
+    with PrecomputePool(workers=1) as pool:
+        gateway = ServingGateway(
+            network, PARAMS, 1, store, pool=pool, garbler="client",
+            prefill=0, refill=False,
+        )
+        store.put(gateway.store_key("client0"), KIND_OFFLINE, b"not a transcript")
+        gateway.start()
+        try:
+            transport = SocketTransport.connect(
+                "127.0.0.1", gateway.port, retries=5
+            )
+            transport.send(encode_hello("client0"))
+            transport.send(encode_request(0))
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and (
+                gateway.connections_accepted == 0 or gateway._connections
+            ):
+                gateway.poll(0.05)  # until the refused connection is gone
+            transport.close()
+        finally:
+            gateway.stop(drain=False)
+
+    assert gateway.dropped_sessions == 1  # the request was active
+    assert gateway.ledger.admission()["admitted"] == 1
+    assert gateway.ledger.inflight == {}
+    assert gateway.ledger.waiting == 0
 
 
 def test_midstream_stats_on_keepalive_connection(tmp_path):
@@ -489,7 +526,7 @@ def test_midstream_stats_on_keepalive_connection(tmp_path):
     assert rows and rows[0]["requests_completed"] == 1  # taken between reqs
     assert gateway._session_counter == 1  # one session, recycled, not two
     assert gateway.connections_accepted == 1
-    assert gateway.requests_admitted == 2
+    assert gateway.ledger.admission()["admitted"] == 2
 
 
 # -- refill caps and client-side backoff -------------------------------------------

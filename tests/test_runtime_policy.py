@@ -10,8 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.policy import (
+    BUSY,
     BUSY_RETRY_FLOOR,
+    DEFAULT_MAX_QUEUE,
+    GOAWAY,
+    HOLD,
+    MAX_INFLIGHT_PER_CLIENT,
     MAX_RETRY_AFTER,
+    MISS_WAIT_SECONDS,
+    OFFER,
+    QUEUE,
     RefillLedger,
     adaptive_retry_after,
     pick_refill_client,
@@ -142,28 +150,85 @@ def test_claim_follows_expected_time_to_miss():
     assert ledger.pending == [0, 0] and ledger.minted == [1, 1]  # index burned
 
 
+def test_request_life_cycle_decisions():
+    """Each admission answer from the core alone: OFFER under the backlog
+    and the per-client cap, QUEUE at the cap, BUSY with the hint over
+    the backlog, GOAWAY one deferral past the cap, and a miss that holds
+    only while a served client's refill is owed, until its deadline."""
+    ledger = RefillLedger(2, max_queue=0)
+    ledger.max_request_deferrals = 1
+    assert ledger.request(0) == (OFFER, 0)
+    assert ledger.request(0) == (QUEUE, 0)  # at the cap: not yet issued
+    assert ledger.request("outsider") == (OFFER, 1)
+    ledger.reserve(0)  # client 0's refill in flight: backlog 1 > 0
+    assert ledger.request(1) == (BUSY, BUSY_RETRY_FLOOR)
+    assert ledger.request(1) == (GOAWAY, 0)
+    assert ledger.request(1)[0] == BUSY  # a rejection restarts the count
+    # Client 0 misses with its mint in flight: it holds, and looks again.
+    assert ledger.look(0, False, 10.0) == (HOLD, 10.0 + MISS_WAIT_SECONDS)
+    assert ledger.waiting == 1
+    assert ledger.look(0, False, 20.0, 70.0) == (HOLD, 70.0)
+    assert ledger.waiting == 1
+    ledger.landed(0, 0.4)
+    assert ledger.look(0, True, 30.0, 70.0) == (OFFER, None)  # a hit
+    assert ledger.waiting == 0 and ledger.mean_mint_seconds == 0.4
+    # An outsider never holds; a hold past its deadline mints on demand.
+    assert ledger.look("outsider", False, 0.0) == (OFFER, None)
+    ledger.reserve(0)
+    assert ledger.look(0, False, 0.0)[0] == HOLD
+    assert ledger.look(0, False, 60.0, 60.0) == (OFFER, None)
+    assert ledger.waiting == 0
+    ledger.done(0, 0.6)  # its demand mint feeds the hint
+    assert ledger.mean_mint_seconds == pytest.approx(0.5)
+    ledger.drop("outsider")
+    assert ledger.inflight == {} and ledger.consumed == [1, 0]
+    assert ledger.admission() == {
+        "issued": 5, "admitted": 2, "deferred": 2, "rejected": 1,
+    }
+
+
 CLIENTS = 3
+OUTSIDER = "intruder"  # a HELLO naming a client outside the N served
 STEP = st.tuples(
-    st.sampled_from(["reserve", "claim", "landed", "failed", "completed", "hold"]),
-    st.integers(min_value=0, max_value=CLIENTS - 1),
+    st.sampled_from([
+        "reserve", "claim", "landed", "failed", "completed",
+        "request", "miss", "hold", "release", "complete", "drop",
+    ]),
+    st.integers(min_value=0, max_value=CLIENTS),  # CLIENTS: the outsider
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     caps=st.one_of(
         st.none(),
         st.lists(st.integers(0, 6), min_size=CLIENTS, max_size=CLIENTS),
     ),
-    steps=st.lists(STEP, max_size=60),
+    max_queue=st.sampled_from([0, 2, DEFAULT_MAX_QUEUE]),
+    max_deferrals=st.one_of(st.none(), st.integers(0, 2)),
+    steps=st.lists(STEP, min_size=20, max_size=80),
 )
-def test_ledger_invariants_hold_under_any_interleaving(caps, steps):
-    """Random reserve / claim / landed / failed / completed orders — the
-    refill driver and the selector thread interleave freely in the live
-    gateway — never overdraw a counter or mint past a cap."""
-    ledger = RefillLedger(CLIENTS, caps=caps)
+def test_ledger_invariants_hold_under_any_interleaving(
+    caps, max_queue, max_deferrals, steps
+):
+    """Random refill events (reserve / claim / landed / failed /
+    completed) and request events (request / miss / hold / release /
+    complete / drop) for served clients and an outsider — the refill
+    driver and the selector thread interleave freely in the live gateway
+    — never overdraw a counter, mint past a cap, or lose a request."""
+    ledger = RefillLedger(CLIENTS, caps=caps, max_queue=max_queue)
+    ledger.max_request_deferrals = max_deferrals
     reserved = [0] * CLIENTS  # mints taken outside the credit path (prefill)
-    for op, c in steps:
+    # Each client's admitted requests: None while running, else the
+    # deadline of its hold.
+    active = {k: [] for k in [*range(CLIENTS), OUTSIDER]}
+    for step, (op, c) in enumerate(steps):
+        who = OUTSIDER if c == CLIENTS else c
+        now = 5.0 * step  # holds outlive MISS_WAIT_SECONDS after 12 steps
+        running = [i for i, d in enumerate(active[who]) if d is None]
+        held = [i for i, d in enumerate(active[who]) if d is not None]
+        if op in ("reserve", "claim", "landed", "failed", "completed"):
+            c = c % CLIENTS
         if op == "reserve":
             if caps is None or ledger.minted[c] + ledger.credits[c] < caps[c]:
                 ledger.reserve(c)
@@ -174,11 +239,48 @@ def test_ledger_invariants_hold_under_any_interleaving(caps, steps):
             assert (claimed is None) == (before == 0)
         elif op in ("landed", "failed"):
             if ledger.pending[c]:
-                getattr(ledger, op)(c)
+                getattr(ledger, op)(c, 0.5)
         elif op == "completed":
             ledger.completed(c)
-        else:
-            ledger.waiting = c
+        elif op == "request":
+            verdict, value = ledger.request(who)
+            assert verdict != GOAWAY or max_deferrals is not None
+            if verdict == QUEUE:
+                assert len(active[who]) == MAX_INFLIGHT_PER_CLIENT
+            elif verdict == BUSY:
+                assert BUSY_RETRY_FLOOR <= value <= MAX_RETRY_AFTER
+            elif verdict == OFFER:
+                assert value == sum(len(v) for v in active.values())
+                active[who].append(None)
+        elif op == "miss" and running:
+            verdict, deadline = ledger.look(who, False, now)
+            if verdict == HOLD:
+                assert who != OUTSIDER and deadline == now + MISS_WAIT_SECONDS
+                active[who][running[0]] = deadline
+        elif op == "hold" and held:
+            verdict, _ = ledger.look(who, False, now, active[who][held[0]])
+            if verdict == OFFER:
+                active[who][held[0]] = None
+        elif op == "release" and held:
+            assert ledger.look(who, True, now, active[who][held[0]])[0] == OFFER
+            active[who][held[0]] = None
+        elif op == "complete" and running:
+            consumed = sum(ledger.consumed)
+            ledger.done(who, 0.25)
+            active[who].pop(running[0])
+            assert sum(ledger.consumed) == consumed + (who != OUTSIDER)
+        elif op == "drop" and active[who]:
+            ledger.drop(who, held=active[who].pop() is not None)
+        tally = ledger.admission()
+        assert tally["issued"] == (
+            tally["admitted"] + tally["deferred"] + tally["rejected"]
+        )
+        for k, requests in active.items():
+            assert ledger.inflight.get(k, 0) == len(requests)
+            assert 0 <= len(requests) <= MAX_INFLIGHT_PER_CLIENT
+        assert ledger.waiting == sum(
+            d is not None for requests in active.values() for d in requests
+        )
         assert all(n >= 0 for n in ledger.credits)
         assert all(n >= 0 for n in ledger.pending)
         if caps is not None:

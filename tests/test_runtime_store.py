@@ -7,7 +7,7 @@ import pytest
 from repro import HybridProtocol, tiny_dataset, tiny_mlp
 from repro.he.params import fast_params, toy_params
 from repro.runtime import PrecomputeStore, StoreKey, params_fingerprint
-from repro.runtime.store import KIND_RELU
+from repro.runtime.store import KIND_OFFLINE, KIND_RELU
 
 KEY = StoreKey(model="m", params="p", client="c0")
 
@@ -58,6 +58,49 @@ def test_lru_eviction_respects_access_order(tmp_path):
     assert store.get(KEY, KIND_RELU, "b") is None
     assert store.get(KEY, KIND_RELU, "a") is not None
     assert store.total_bytes <= 30
+
+
+def test_gateway_take_path_evicts_in_admission_order(tmp_path):
+    """The gateway reads an offline entry only to consume it
+    (``ServingGateway._take_precompute``: oldest name, ``get``, then
+    ``delete``), so no survivor's LRU recency is ever refreshed: the
+    store's victims are the oldest-admitted survivors, the FIFO
+    ``admit_order`` that ``replay_analytic`` models."""
+    keys = [StoreKey(model="m", params="p", client=f"c{c}") for c in range(3)]
+    store = PrecomputeStore(tmp_path, byte_budget=60)  # six 10-byte entries
+    admit_order: list[tuple[int, str]] = []
+
+    def put(c: int, name: str) -> None:
+        store.put(keys[c], KIND_OFFLINE, b"x" * 10, name=name)
+        admit_order.append((c, name))
+        while len(admit_order) > 6:
+            admit_order.pop(0)
+
+    def take(c: int) -> None:
+        name = store.names(keys[c], KIND_OFFLINE)[0]
+        assert store.get(keys[c], KIND_OFFLINE, name) is not None
+        store.delete(keys[c], KIND_OFFLINE, name)
+        admit_order.remove((c, name))
+
+    def stored() -> set:
+        return {
+            (c, name) for c in range(3)
+            for name in store.names(keys[c], KIND_OFFLINE)
+        }
+
+    for j in range(2):  # round-robin prefill, as the gateway's
+        for c in range(3):
+            put(c, f"{j:08d}")
+    take(1)
+    take(0)
+    for c, name in [(0, "00000002"), (1, "00000002"), (2, "00000002"),
+                    (0, "00000003")]:
+        put(c, name)
+    assert store.evictions == 2
+    # Client 2's first entry and client 0's second went: the two
+    # oldest-admitted survivors, whatever the takes read before them.
+    assert (2, "00000000") not in stored() and (0, "00000001") not in stored()
+    assert stored() == set(admit_order)
 
 
 def test_oversized_entry_is_rejected(tmp_path):
