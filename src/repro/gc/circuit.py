@@ -110,7 +110,10 @@ class CircuitBuilder:
     """Constructs circuits gate by gate with arithmetic conveniences.
 
     Multi-bit values are little-endian lists of wire ids. All arithmetic
-    helpers are pure combinational logic built from XOR/AND.
+    helpers are pure combinational logic built from XOR/AND. The gate
+    constructors fold the garbler's public constant wires and repeated
+    operands: when the result is already some wire, they return it and
+    emit nothing.
     """
 
     def __init__(self):
@@ -153,11 +156,23 @@ class CircuitBuilder:
     # -- single-bit logic -----------------------------------------------------
 
     def xor(self, a: int, b: int) -> int:
+        if a == b:
+            return self.zero
+        if a == self.zero:
+            return b
+        if b == self.zero:
+            return a
         out = self._new_wire()
         self.circuit.gates.append(Gate(GateType.XOR, a, b, out))
         return out
 
     def and_(self, a: int, b: int) -> int:
+        if a == b or b == self.one:
+            return a
+        if a == self.one:
+            return b
+        if self.zero in (a, b):
+            return self.zero
         out = self._new_wire()
         self.circuit.gates.append(Gate(GateType.AND, a, b, out))
         return out
@@ -177,38 +192,33 @@ class CircuitBuilder:
     def constant_word(self, value: int, bits: int) -> list[int]:
         return [self.one if (value >> i) & 1 else self.zero for i in range(bits)]
 
-    def add(self, a: list[int], b: list[int]) -> tuple[list[int], int]:
-        """Ripple-carry addition; returns (sum bits, carry-out)."""
-        if len(a) != len(b):
-            raise ValueError("word width mismatch")
-        carry = self.zero
-        out = []
-        for x, y in zip(a, b):
-            axy = self.xor(x, y)
-            out.append(self.xor(axy, carry))
-            # carry' = (x & y) | (carry & (x ^ y)) = x&y ^ carry&(x^y)
-            carry = self.xor(self.and_(x, y), self.and_(carry, axy))
-        return out, carry
+    def add(
+        self, a: list[int], b: list[int], carry: int = Circuit.CONST_ZERO
+    ) -> tuple[list[int], int]:
+        """Ripple-carry addition with an optional carry-in wire; returns
+        (sum bits, carry-out).
 
-    def sub(self, a: list[int], b: list[int]) -> tuple[list[int], int]:
-        """Ripple-borrow subtraction; returns (difference bits, borrow-out).
-
-        borrow-out is 1 iff a < b as unsigned integers.
+        One AND per bit: ``c' = c ^ ((x ^ c) & (y ^ c))`` is the majority
+        of x, y and c.
         """
         if len(a) != len(b):
             raise ValueError("word width mismatch")
-        borrow = self.zero
         out = []
         for x, y in zip(a, b):
-            xy = self.xor(x, y)
-            out.append(self.xor(xy, borrow))
-            # borrow' = (~x & y) | (borrow & ~(x ^ y))
-            not_x = self.not_(x)
-            borrow = self.xor(
-                self.and_(not_x, y),
-                self.and_(borrow, self.not_(xy)),
-            )
-        return out, borrow
+            xc = self.xor(x, carry)
+            out.append(self.xor(xc, y))
+            carry = self.xor(carry, self.and_(xc, self.xor(y, carry)))
+        return out, carry
+
+    def sub(self, a: list[int], b: list[int]) -> tuple[list[int], int]:
+        """a + ~b + 1; returns (difference bits, borrow-out).
+
+        borrow-out, the negated carry, is 1 iff a < b as unsigned integers.
+        """
+        if len(a) != len(b):
+            raise ValueError("word width mismatch")
+        out, carry = self.add(a, [self.not_(y) for y in b], self.one)
+        return out, self.not_(carry)
 
     def mux_word(
         self, sel: int, when_true: list[int], when_false: list[int]
@@ -235,10 +245,16 @@ class CircuitBuilder:
         return self.mux_word(use_reduced, reduced, total)
 
     def sub_mod(self, a: list[int], b: list[int], modulus: int) -> list[int]:
-        """(a - b) mod modulus for a, b already reduced below modulus."""
+        """(a - b) mod modulus for a, b already reduced below modulus.
+
+        On a borrow the difference wrapped mod 2**bits, so adding back the
+        borrow-gated modulus (its one bits wired to the borrow, a free
+        rewiring) lands on ``a - b + modulus``.
+        """
         diff, borrow = self.sub(a, b)
-        wrapped, _ = self.add(diff, self.constant_word(modulus, len(a)))
-        return self.mux_word(borrow, wrapped, diff)
+        gated = [borrow if (modulus >> i) & 1 else self.zero for i in range(len(a))]
+        out, _ = self.add(diff, gated)
+        return out
 
     def build(self) -> Circuit:
         """A copy of the circuit so far: building on never changes it."""

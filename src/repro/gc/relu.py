@@ -92,13 +92,20 @@ def relu_reference(
 
 
 def relu_and_gates(bits: int) -> int:
-    """AND-gate count of one ReLU circuit (determines its garbled size)."""
-    spec = ReluCircuitSpec(bits=bits, modulus=(1 << bits) - 1, mask_owner="evaluator")
-    return build_relu_circuit(spec).and_count
+    """AND-gate count of the paper's ReLU circuit at ``bits``-bit shares.
+
+    The textbook circuit the paper-scale model prices
+    (``profiling/calibration.py``): two-AND ripple adders and subtractors
+    and multiplexed reductions, ``13 * bits + 1`` ANDs, 534 at DELPHI's
+    41 bits. The circuit this library garbles is leaner; its count is
+    ``build_relu_circuit(spec).and_count``.
+    """
+    return 13 * bits + 1
 
 
 def garbled_relu_bytes(bits: int) -> int:
-    """First-principles size of one garbled ReLU (two ciphertexts per AND).
+    """First-principles size of one garbled paper ReLU (two ciphertexts
+    per AND of :func:`relu_and_gates`).
 
     For the paper's 41-bit share field this lands within ~10% of the
     18.2 KB/ReLU measured from fancy-garbling, which also serializes wire

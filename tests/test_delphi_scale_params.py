@@ -12,7 +12,12 @@ from repro.crypto.rng import SecureRandom
 from repro.gc.circuit import int_to_bits, words_to_int
 from repro.gc.evaluate import Evaluator
 from repro.gc.garble import Garbler
-from repro.gc.relu import ReluCircuitSpec, build_relu_circuit, relu_reference
+from repro.gc.relu import (
+    ReluCircuitSpec,
+    build_relu_circuit,
+    garbled_relu_bytes,
+    relu_reference,
+)
 from repro.he.bfv import BfvContext
 from repro.he.encoder import BatchEncoder
 from repro.he.params import delphi_params
@@ -78,8 +83,12 @@ class TestDelphiScaleRelu:
         assert words_to_int(bits) == relu_reference(sa, sb, r, p)
 
     def test_size_is_the_paper_storage_constant(self):
+        # The paper's circuit: 2.23M of these per ResNet-18/TinyImageNet
+        # inference -> ~41 GB.
+        assert 15_000 <= garbled_relu_bytes(41) <= 20_000
+        # The garbled functional circuit: two ciphertexts per each of its
+        # 286 ANDs plus one decode bit per output wire.
         p = 2061584302081
         spec = ReluCircuitSpec(bits=41, modulus=p, mask_owner="evaluator")
         garbled, _ = Garbler(SecureRandom(6)).garble(build_relu_circuit(spec))
-        # 2.23M of these per ResNet-18/TinyImageNet inference -> ~41 GB.
-        assert 15_000 <= garbled.size_bytes <= 20_000
+        assert garbled.size_bytes == 2 * 16 * 286 + 6 == 9_158

@@ -234,10 +234,140 @@ class TestReluCircuit:
         large = relu_and_gates(16)
         assert 1.7 < large / small < 2.3
 
+    @pytest.mark.parametrize(
+        "bits, modulus, functional, paper",
+        [
+            (41, 1099511795713, 286, 534),
+            (41, 2061584302081, 286, 534),
+            (17, 65537, 118, 222),
+        ],
+    )
+    def test_functional_circuit_is_leaner_than_the_papers(
+        self, bits, modulus, functional, paper
+    ):
+        """The garbled circuit has 7k - 1 ANDs; the paper's model keeps
+        the textbook 13k + 1 its garbled sizes were measured on."""
+        for mask_owner in ("evaluator", "garbler"):
+            spec = ReluCircuitSpec(bits=bits, modulus=modulus, mask_owner=mask_owner)
+            assert build_relu_circuit(spec).and_count == functional
+        assert relu_and_gates(bits) == paper
+
     def test_41_bit_relu_matches_paper_footprint(self):
         """First-principles garbled ReLU size ≈ the paper's 18.2 KB/ReLU."""
         size = garbled_relu_bytes(41)
         assert 0.85 * 18200 <= size <= 1.1 * 18200
+
+
+class TestGarbledLeanRelu:
+    """Garbled batches of the ReLU circuit, on the lane walk (up to
+    LANE_WALK_MAX_ROWS instances) and the column walk (beyond), decode to
+    :func:`relu_reference` of every instance's triple."""
+
+    P = 65537  # fast_params' 17-bit share prime
+
+    @pytest.mark.parametrize("count", [8, LANE_WALK_MAX_ROWS + 1])
+    @pytest.mark.parametrize("mask_owner", ["evaluator", "garbler"])
+    @pytest.mark.parametrize("truncate_bits", [0, 3])
+    def test_batch_decodes_to_the_reference(self, count, mask_owner, truncate_bits):
+        spec = ReluCircuitSpec(
+            bits=17, modulus=self.P, mask_owner=mask_owner, truncate_bits=truncate_bits
+        )
+        circuit = build_relu_circuit(spec)
+        rnd = random.Random(count)
+        edges = [0, self.P // 2, (self.P + 1) // 2, self.P - 1]
+        triples = [
+            [
+                rnd.choice(edges) if rnd.random() < 0.25 else rnd.randrange(self.P)
+                for _ in "abr"
+            ]
+            for _ in range(count)
+        ]
+
+        def bits(*values):
+            return [b for v in values for b in int_to_bits(v, 17)]
+
+        if mask_owner == "garbler":
+            g_bits = [bits(a, r) for a, _, r in triples]
+            e_bits = [bits(b) for _, b, _ in triples]
+        else:
+            g_bits = [bits(a) for a, _, _ in triples]
+            e_bits = [bits(b, r) for _, b, r in triples]
+        circuits, encodings = Garbler(SecureRandom(count)).garble_batch(
+            circuit, count, vectorize=True
+        )
+        own = Garbler.encode_inputs(encodings, circuit, np.array(g_bits, dtype=np.uint8))
+        zero_e, one_e = encodings.evaluator_pairs()
+        chosen = np.where(np.array(e_bits, dtype=bool).reshape(-1, 1), one_e, zero_e)
+        theirs = LabelBatch(
+            circuit.evaluator_inputs, chosen.reshape(count, -1, LABEL_BYTES)
+        )
+        evaluator = Evaluator()
+        outputs = evaluator.evaluate_batch(
+            circuits, {**own.columns(), **theirs.columns()}, vectorize=True
+        )
+        decoded = evaluator.decode(circuits, outputs)
+        assert [words_to_int(row) for row in decoded.tolist()] == [
+            relu_reference(a, b, r, self.P, truncate_bits) for a, b, r in triples
+        ]
+
+
+class TestFoldedOutputs:
+    """A circuit whose outputs fold to input or constant wires — no gate
+    behind them — garbles, evaluates and decodes on every walk."""
+
+    @staticmethod
+    def folded_circuit():
+        b = CircuitBuilder()
+        x, y = b.garbler_input(), b.evaluator_input()
+        b.mark_output(
+            [
+                b.xor(x, b.zero),  # x
+                b.and_(y, b.one),  # y
+                b.and_(x, x),  # x
+                b.xor(y, y),  # constant zero
+                b.not_(b.zero),  # constant one
+                b.and_(x, b.zero),  # constant zero
+                b.and_(x, y),  # one real gate beside them
+            ]
+        )
+        circuit = b.build()
+        assert circuit.outputs[:6] == [x, y, x, b.zero, b.one, b.zero]
+        assert (circuit.and_count, circuit.xor_count) == (1, 0)
+        return circuit
+
+    @pytest.mark.parametrize("x, y", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_scalar_walk(self, x, y):
+        circuit = self.folded_circuit()
+        bits, out_labels, encoding, _ = garble_and_run(circuit, [x], [y])
+        assert bits == [x, y, x, 0, 1, 0, x & y]
+        assert Garbler.decode_output_labels(encoding, circuit, out_labels) == bits
+
+    @pytest.mark.parametrize(
+        "garble_walk, evaluate_walk",
+        [(garble_lanes, evaluate_lanes), (garble_columns, evaluate_columns)],
+        ids=["lanes", "columns"],
+    )
+    def test_batched_walks(self, garble_walk, evaluate_walk):
+        circuit = self.folded_circuit()
+        count = 4
+        deltas, zero = derive_batch_labels(SecureRandom(7), circuit, count)
+        circuits, encodings = garble_walk(circuit, deltas, zero)
+        g_bits = np.array([[0], [0], [1], [1]], dtype=np.uint8)
+        e_bits = np.array([0, 1, 0, 1], dtype=bool)
+        zero_e, one_e = encodings.evaluator_pairs()
+        chosen = np.where(e_bits.reshape(-1, 1), one_e, zero_e)
+        labels = {
+            **Garbler.encode_inputs(encodings, circuit, g_bits).columns(),
+            **LabelBatch(
+                circuit.evaluator_inputs, chosen.reshape(count, -1, LABEL_BYTES)
+            ).columns(),
+        }
+        outputs = evaluate_walk(circuits, labels)
+        bits = Evaluator().decode(circuits, outputs)
+        assert bits.tolist() == [
+            [x, y, x, 0, 1, 0, x & y] for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))
+        ]
+        assert (bits == Garbler.decode_output_labels(encodings, circuit, outputs)).all()
 
 
 class TestBatchedWalkIsTheScalarWalk:

@@ -47,6 +47,7 @@ from repro.runtime import (
 )
 from repro.runtime.client import GatewayClient
 from repro.runtime.policy import BUSY_RETRY_FLOOR, MAX_RETRY_AFTER
+from repro.runtime.pool import mint_offline_job
 from repro.runtime.serving import mint_seed
 from repro.runtime.store import KIND_OFFLINE
 from repro.workload import closed_schedule, draw_schedule_inputs, replay_functional
@@ -64,17 +65,17 @@ def _network(hidden=8):
 
 
 @pytest.mark.parametrize(
-    "garbler, byte_budget, prefill, workers",
+    "garbler, budget_entries, prefill, workers",
     [
         pytest.param("client", None, 1, 1, id="client-unbounded"),
-        pytest.param("client", 200_000, 1, 1, id="client-evicting"),
+        pytest.param("client", 2, 1, 1, id="client-evicting"),
         pytest.param("server", None, 1, 1, id="server-unbounded"),
-        pytest.param("server", 200_000, 1, 1, id="server-evicting"),
+        pytest.param("server", 2, 1, 1, id="server-evicting"),
         pytest.param("server", None, 0, 2, id="server-cold-w2"),
     ],
 )
 def test_replay_matches_serialized_serving_loop(
-    tmp_path, garbler, byte_budget, prefill, workers
+    tmp_path, garbler, budget_entries, prefill, workers
 ):
     """3 clients x 2 requests as a zero-think closed schedule through the
     gateway: per (client, index) the logits are those of the serialized
@@ -86,6 +87,11 @@ def test_replay_matches_serialized_serving_loop(
     selector thread while the 2-worker pool runs the refills."""
     network = _network()
     clients, requests = 3, 2
+    byte_budget = None
+    if budget_entries is not None:
+        # Room for fewer stored precomputes than there are clients.
+        entry = len(mint_offline_job((network, PARAMS, garbler, mint_seed(5, 0, 0), 0)))
+        byte_budget = budget_entries * entry + entry // 2
     loop = ServingLoop(
         network, PARAMS, clients,
         PrecomputeStore(tmp_path / "loop", byte_budget=byte_budget),
