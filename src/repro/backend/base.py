@@ -79,6 +79,11 @@ class ComputeBackend(abc.ABC):
     def asvec(self, values: Sequence[int], q: int) -> Vec:
         """Native vector of ``values`` reduced into [0, q)."""
 
+    def asvecs(self, values: Sequence[int], moduli: Sequence[int]) -> list[Vec]:
+        """Native vectors of ``values`` reduced mod each of ``moduli`` —
+        the residues of one set of integers on a whole chain."""
+        return [self.asvec(values, q) for q in moduli]
+
     @abc.abstractmethod
     def tolist(self, vec: Vec) -> list[int]:
         """Plain Python ints, the interchange format between backends."""
@@ -215,6 +220,26 @@ class ComputeBackend(abc.ABC):
         """
         raise NotImplementedError(
             f"{self.name} backend returned no rns digit plan"
+        )
+
+    def make_rns_scale_plan(self, primes: Sequence[int], t: int):
+        """Precomputed constants for :meth:`rns_scale_round`, or ``None``
+        when this backend has no lane-exact kernel for the chain and
+        ``t`` (never, on the python backend); the caller
+        (:meth:`repro.backend.rns.RnsContext.scale_round`) then rounds
+        the reconstructed integers."""
+        return None
+
+    def rns_scale_round(self, ys: Sequence[Vec], plan) -> tuple[Vec, list[int]]:
+        """``floor((t*x + floor(Q/2)) / Q) mod t`` per coefficient of the
+        CRT representative x, from its halves ``ys`` (as for
+        :meth:`rns_digit_split`) and without bigints, and the indices
+        whose rounding fraction lies too near a boundary to trust: the
+        caller re-derives those exactly. Every other value is REQUIRED
+        to be bit-identical to the integer formula.
+        """
+        raise NotImplementedError(
+            f"{self.name} backend returned no rns scale plan"
         )
 
     # -- transforms --------------------------------------------------------

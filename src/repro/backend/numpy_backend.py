@@ -27,9 +27,11 @@ only in pointwise operations, where the modulus is one scalar, and in
 building tables. A final pass lands the output in [0, q), or in [0, 2q)
 for callers that follow with a reducing product.
 
-Everything is exact integer arithmetic — no floats — so results agree
-bit for bit with the python reference backend (enforced by
-``tests/test_backend_parity.py`` and ``tests/test_chain_ntt.py``). Moduli
+Everything is exact integer arithmetic, so results agree bit for bit with
+the python reference backend (enforced by ``tests/test_backend_parity.py``
+and ``tests/test_chain_ntt.py``). The one float is the rounding fraction
+of :meth:`_NumpyBackendImpl.rns_scale_round`, which reports every value
+it cannot round with certainty for an exact recomputation. Moduli
 at or above 2^62 are rejected by :meth:`supports_modulus`; the registry
 then falls back to python.
 
@@ -57,6 +59,10 @@ _DIRECT_LIMIT = 1 << 31  # q below this: products of residues fit in uint64
 _MODULUS_LIMIT = 1 << 62  # q below this: (lazy) Shoup reduction is exact
 _NARROW_LIMIT = 1 << 30  # q below this: the NTT's lazy values (< 4q) fit 32 bits
 _TRANSPOSED_BLOCK = 32  # butterfly blocks up to this size run transposed
+# A scale-and-round fraction this close to an integer is re-derived
+# exactly: far above the float error of the sum, far below the
+# distance a decryptable coefficient keeps from the boundary.
+_TIE_MARGIN = 2.0**-32
 
 if np is not None:
     _M32 = np.uint64(0xFFFFFFFF)
@@ -198,6 +204,22 @@ class _NumpyRnsDigitPlan:
         self.recips = np.asarray(
             [(1 << shift) // p for p in primes], dtype=np.uint64
         )
+
+
+class _NumpyScalePlan:
+    """Constants for :meth:`_NumpyBackendImpl.rns_scale_round` (Halevi,
+    Polyakov and Shoup's "simple scale-and-round", CT-RSA 2019): per
+    prime q_i, the whole part ``t // q_i`` and the remainder ``t % q_i``
+    of t/q_i, and q_i as a float."""
+
+    __slots__ = ("t", "primes", "whole", "rest", "divisors")
+
+    def __init__(self, primes, t: int):
+        self.t = np.uint64(t)
+        self.primes = np.asarray(primes, dtype=np.uint64)[:, None]
+        self.whole = np.asarray([t // p for p in primes], dtype=np.uint64)[:, None]
+        self.rest = np.asarray([t % p for p in primes], dtype=np.uint64)[:, None]
+        self.divisors = self.primes.astype(np.float64)
 
 
 def _ring_constant(values):
@@ -525,6 +547,16 @@ class _NumpyBackendImpl(ComputeBackend):
             arr = np.remainder(arr, np.uint64(q))
         return arr
 
+    def asvecs(self, values, moduli):
+        if not isinstance(values, np.ndarray):
+            # One conversion for the whole chain: small signed draws (a
+            # ternary key, noise) become an int64 array once, not per prime.
+            try:
+                values = np.asarray(values, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                pass  # wider than a lane: asvec reduces the ints exactly
+        return [self.asvec(values, q) for q in moduli]
+
     def tolist(self, vec) -> list[int]:
         return vec.tolist()  # ndarray.tolist() yields plain Python ints
 
@@ -712,6 +744,28 @@ class _NumpyBackendImpl(ComputeBackend):
             else:  # x < Q < 2^(limbs*w): everything above is zero
                 digits.append(np.zeros(n, dtype=np.uint64))
         return digits
+
+    def make_rns_scale_plan(self, primes, t):
+        if any(p >= _DIRECT_LIMIT for p in primes):
+            return None  # y_i * (t mod q_i) must fit a lane
+        if (len(primes) + 1) * t >= 1 << 63:
+            return None  # the whole parts, summed, must fit a lane
+        return _NumpyScalePlan(primes, t)
+
+    def rns_scale_round(self, ys, plan):
+        # t*y_i/q_i = y_i*(t // q_i) + (y_i*(t % q_i)) / q_i: an exact
+        # whole part in uint64 (each term below t) and a remainder below
+        # q_i, whose fractions add up in float64 to within k^2 * 2^-53 of
+        # their true sum for k primes (2^-47 at six). Q is odd, so adding
+        # 1/2 in place of floor(Q/2)/Q moves no exact sum past an integer.
+        y = np.stack(ys)
+        u = y * plan.rest
+        over = u // plan.primes
+        whole = (y * plan.whole + over).sum(axis=0)
+        fraction = ((u - over * plan.primes) / plan.divisors).sum(axis=0) + 0.5
+        carry = np.floor(fraction)
+        ties = np.flatnonzero(np.abs(fraction - np.rint(fraction)) < _TIE_MARGIN)
+        return (whole + carry.astype(np.uint64)) % plan.t, ties.tolist()
 
     # -- transforms --------------------------------------------------------
 

@@ -13,10 +13,10 @@ scalar lift) commutes with the CRT isomorphism
 so the whole chain runs on the vectorized backend — key switching
 included, whose digits are built from the residues of a few chain primes
 at a time in a 64-bit lane (see
-:meth:`repro.he.params.BfvParams.gadget_factors`). Only two places need
-the *integer representative* of a coefficient: decryption rounding, which
-reconstructs through the CRT (:meth:`RnsContext.from_rns`), and the wire,
-whose format is the little-endian representative. The wire codec
+:meth:`repro.he.params.BfvParams.gadget_factors`), and so does
+decryption's rounding (:meth:`RnsContext.scale_round`). Only the wire
+needs a positional form of the *integer representative* of a
+coefficient: its format is the little-endian representative. The wire codec
 (:meth:`RnsContext.pack_le` / :meth:`RnsContext.unpack_le`) gets there
 without Python ints: outbound through :meth:`RnsContext.decompose_digits`,
 an exact fast base conversion that produces the base-2^16 digits of the
@@ -58,7 +58,8 @@ class RnsContext:
     """
 
     __slots__ = (
-        "primes", "q", "backend", "_m", "_m_inv", "_digit_plans", "_switch_plans"
+        "primes", "q", "backend", "_m", "_m_inv",
+        "_digit_plans", "_scale_plans", "_switch_plans",
     )
 
     _cache: OrderedDict[tuple, "RnsContext"] = OrderedDict()
@@ -85,6 +86,7 @@ class RnsContext:
             mod_inverse(m % p, p) for m, p in zip(self._m, primes)
         )
         self._digit_plans: dict[int, object] = {}
+        self._scale_plans: dict[int, object] = {}
         self._switch_plans: dict[tuple[int, int], tuple] = {}
         # Note: the composite q's factorization is registered with the
         # root finder by BfvParams.__post_init__, not here — RNS itself
@@ -129,12 +131,13 @@ class RnsContext:
     def to_rns(self, values) -> list:
         """Residue vectors of ``values`` (ints, a list, or a native vector).
 
-        The backend's ``asvec`` handles the reduction, so small inputs
+        The backend's ``asvecs`` handles the reduction, so small inputs
         (plaintext coefficients, key-switch digits, noise draws) take the
-        vectorized path and only genuinely wide integers pay for
-        arbitrary-precision reduction.
+        vectorized path, a list converted once for the whole chain, and
+        only genuinely wide integers pay for arbitrary-precision
+        reduction.
         """
-        return [self.backend.asvec(values, p) for p in self.primes]
+        return self.backend.asvecs(values, self.primes)
 
     def from_rns(self, residues: Sequence) -> list[int]:
         """CRT reconstruction to integer coefficients in [0, q).
@@ -144,11 +147,7 @@ class RnsContext:
         arbitrary-precision, so reconstruction costs O(n*k) bigint
         multiply-adds for a chain of k primes.
         """
-        be = self.backend
-        parts = [
-            be.tolist(be.scalar_mul(r, inv, p))
-            for r, inv, p in zip(residues, self._m_inv, self.primes)
-        ]
+        parts = [self.backend.tolist(y) for y in self._halves(residues)]
         q = self.q
         big = self._m
         return [
@@ -194,11 +193,43 @@ class RnsContext:
             self._digit_plans[base_bits] = False if plan is None else plan
         if not plan:
             return None  # backend declined this shape (refusal is cached)
-        ys = [
+        return be.rns_digit_split(self._halves(residues), plan, num_digits)
+
+    def scale_round(self, residues: Sequence, t: int):
+        """``floor((t*x + floor(q/2)) / q) mod t`` for the integer
+        representative x of every coefficient: BFV decryption's rounding,
+        as a native vector of values below ``t`` (a list of ints when
+        the backend has no kernel for the chain and ``t``).
+
+        On the vectorized backend it runs on the residues (Halevi,
+        Polyakov and Shoup's simple scale-and-round,
+        :meth:`~repro.backend.base.ComputeBackend.rns_scale_round`): an
+        exact whole part in lanes, a float fraction, and an exact
+        recomputation of the rare coefficient whose fraction sits at a
+        rounding boundary. Bit-identical to the integer formula on
+        ``from_rns(residues)``, which the python backend runs.
+        """
+        be, q = self.backend, self.q
+        plan = self._scale_plans.get(t)
+        if plan is None:
+            plan = be.make_rns_scale_plan(self.primes, t)
+            self._scale_plans[t] = False if plan is None else plan
+        if not plan:
+            return [(x * t + q // 2) // q % t for x in self.from_rns(residues)]
+        ys = self._halves(residues)
+        out, ties = be.rns_scale_round(ys, plan)
+        for j in ties:
+            x = sum(int(y[j]) * m for y, m in zip(ys, self._m)) % q
+            out[j] = (x * t + q // 2) // q % t
+        return out
+
+    def _halves(self, residues: Sequence) -> list:
+        """y_i = r_i * (q/q_i)^-1 mod q_i: x = sum_i y_i * (q/q_i) mod q."""
+        be = self.backend
+        return [
             be.scalar_mul(r, inv, p)
             for r, inv, p in zip(residues, self._m_inv, self.primes)
         ]
-        return be.rns_digit_split(ys, plan, num_digits)
 
     # -- modulus switching ----------------------------------------------------
 

@@ -323,13 +323,11 @@ class BfvContext:
     def decrypt(self, sk: SecretKey, ct: Ciphertext) -> RingPoly:
         """Decrypt to a plaintext polynomial over Z_t, at the ciphertext's
         own modulus."""
-        q, t = ct.q, self.params.t
-        # The rounding divide mixes q- and t-sized integers (c*t spans
-        # ~q_bits + t_bits), so it runs on exact Python ints regardless of
-        # backend or representation (RNS reconstructs through the CRT
-        # here); decryption is once-per-ciphertext, not the hot loop.
-        coeffs = [(c * t + q // 2) // q % t for c in self._phase(sk, ct).coeffs]
-        return RingPoly(coeffs, t, backend=self._rt)
+        t = self.params.t
+        # The rounding divide floor((t·c + floor(q/2)) / q) mod t: on a
+        # chain it runs on the residues themselves (scale-and-round, no
+        # coefficient rebuilt as an integer), in one ring on exact ints.
+        return RingPoly(self._phase(sk, ct).scale_round(t), t, backend=self._rt)
 
     def noise_budget_bits(self, sk: SecretKey, ct: Ciphertext) -> int:
         """Remaining noise budget in bits at the ciphertext's own modulus

@@ -194,24 +194,28 @@ class SlotLayout:
                 f"{name} has {len(values)} slots, the layout {2 * self.row_size}"
             )
 
-    def reduce(self, slots, modulus: int) -> list[int]:
-        """Per output, the sum of its slots mod ``modulus``."""
-        self._check_slots("slot vector", slots)
-        return [
-            sum(int(slots[j]) for j in group) % modulus
-            for group in self.groups.tolist()
-        ]
+    def _lane(self, modulus: int):
+        """The dtype an output's slots, values below ``modulus``, add up
+        in: int64 when no sum can overflow it, else Python ints."""
+        return np.int64 if self.groups.shape[1] * modulus < 1 << 63 else object
 
-    def masks(self, s, uniform, modulus: int) -> list[int]:
-        """``uniform`` (one draw per slot) with each output's first slot
-        replaced so the output's slots :meth:`reduce` to its ``s``: every
-        slot is uniform, and only the sums are fixed."""
+    def reduce(self, slots, modulus: int) -> list[int]:
+        """Per output, the sum of its slots (values below ``modulus``)
+        mod ``modulus``."""
+        self._check_slots("slot vector", slots)
+        slots = np.asarray(slots, dtype=self._lane(modulus))
+        return (slots[self.groups].sum(axis=1) % modulus).tolist()
+
+    def masks(self, s, uniform, modulus: int) -> np.ndarray:
+        """``uniform`` (one draw below ``modulus`` per slot) with each
+        output's first slot replaced so the output's slots :meth:`reduce`
+        to its ``s``: every slot is uniform, and only the sums are fixed."""
         if len(s) != self.n_out:
             raise ValueError(f"{len(s)} shares for {self.n_out} outputs")
         self._check_slots("mask draw", uniform)
-        masks = [int(v) for v in uniform]
-        for share, (head, *rest) in zip(s, self.groups.tolist()):
-            masks[head] = (share - sum(masks[j] for j in rest)) % modulus
+        masks = np.array(uniform, dtype=self._lane(modulus))
+        rest = masks[self.groups[:, 1:]].sum(axis=1)
+        masks[self.groups[:, 0]] = (np.asarray(s, dtype=masks.dtype) - rest) % modulus
         return masks
 
 
@@ -251,7 +255,7 @@ class SlotGroup:
         """Per member, its outputs (:meth:`SlotLayout.reduce`)."""
         return [layout.reduce(slots, modulus) for layout in self.layouts]
 
-    def masks(self, shares, uniform, modulus: int) -> list[int]:
+    def masks(self, shares, uniform, modulus: int) -> np.ndarray:
         """One ``uniform`` draw for the whole ciphertext, each member's
         outputs fixed to its share (:meth:`SlotLayout.masks`). Slots no
         member uses keep their draw."""

@@ -294,6 +294,13 @@ class RingPoly:
         half = divisor // 2
         return self._down([(c + half) // divisor for c in self.coeffs], primes)
 
+    def scale_round(self, t: int) -> list[int]:
+        """floor((t·c + floor(q/2)) / q) mod t per coefficient — BFV
+        decryption's rounding, in exact integers: the oracle
+        :meth:`RnsPoly.scale_round` is held bit-identical to."""
+        q = self.q
+        return [(c * t + q // 2) // q % t for c in self.coeffs]
+
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -321,11 +328,10 @@ class RnsPoly:
     i-th prime. All ring operations act residue-wise (they commute with
     the CRT isomorphism), so each runs as small-modulus vectorized
     kernels — key-switch digits included, each lifted from the residues
-    of one group of chain primes (:meth:`decompose`); only
-    ``coeffs`` and decryption rounding, which need the integer
-    representative, pay for CRT reconstruction. Mirrors the
-    :class:`RingPoly` surface the BFV layer uses, so ciphertexts are
-    representation-agnostic.
+    of one group of chain primes (:meth:`decompose`), and decryption's
+    rounding too (:meth:`scale_round`). Only ``coeffs`` pays for CRT
+    reconstruction. Mirrors the :class:`RingPoly` surface the BFV layer
+    uses, so ciphertexts are representation-agnostic.
     """
 
     __slots__ = ("ctx", "residues", "n", "_coeffs")
@@ -492,6 +498,12 @@ class RnsPoly:
         bit-identical to :meth:`RingPoly.mod_switch`."""
         ctx = self._prefix(primes)
         return RnsPoly(ctx, self.ctx.divide_round(self.residues, len(ctx.primes)))
+
+    def scale_round(self, t: int):
+        """floor((t·c + floor(q/2)) / q) mod t per coefficient, from the
+        residues (:meth:`RnsContext.scale_round`); bit-identical to
+        :meth:`RingPoly.scale_round`."""
+        return self.ctx.scale_round(self.residues, t)
 
     # -- misc ----------------------------------------------------------------
 

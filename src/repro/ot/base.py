@@ -10,7 +10,8 @@ all the IKNP extension needs: the keys are its column seeds.
 Cost per OT: the sender pays one variable-base exponentiation (B^a; the
 second key reuses it through A^-a, computed once per batch); the
 receiver's two, g^b and A^b, are fixed-base and run off a
-:class:`FixedBaseTable` (one for g per process, one for A per batch).
+:class:`FixedBaseTable` (one for g per process, 8-bit windows; one for A
+per batch, 6-bit windows).
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ GROUP_PRIME = (1 << 255) - 19
 GENERATOR = 2
 
 ELEMENT_BYTES = 32  # one encoded group element on the wire
+# Windows of a table built for one batch of base OTs: fewer entries to
+# build, a few more multiplications per use (see FixedBaseTable).
+BATCH_WINDOW_BITS = 6
 
 
 def _encode(element: int) -> bytes:
@@ -54,29 +58,44 @@ def _index_key(shared: int, index: int) -> bytes:
 class FixedBaseTable:
     """Fixed-base windowed exponentiation modulo :data:`GROUP_PRIME`.
 
-    The fixed-base windowing method of HAC 14.6.3 with 8-bit windows and
-    every digit multiple stored: ``rows[i][d] = base^(d * 256^i)``, so
-    ``base^e`` is the product of one table entry per byte of ``e`` — at
-    most 31 modular multiplications instead of ~380 for a 255-bit
-    square-and-multiply. Exponents are full width (``0 <= e < 2^256``).
-    Building costs 8192 multiplications (~60 ``pow`` calls' worth), which
-    128 uses of one base repay several times over.
+    The fixed-base windowing method of HAC 14.6.3 with ``window_bits``-bit
+    windows and every digit multiple stored:
+    ``rows[i][d] = base^(d * 2^(window_bits * i))``, so ``base^e`` is the
+    product of one table entry per window of ``e`` — at most 32
+    modular multiplications for 8-bit windows, 43 for 6-bit ones,
+    instead of ~380 for a 255-bit square-and-multiply. Exponents are
+    full width (``0 <= e < 2^256``). Building costs a multiplication per
+    entry: 8,192 at 8 bits, which the process-wide generator table
+    repays over every batch; 2,752 at 6 bits, the cheaper total for a
+    base used only by one batch of 128 (:meth:`BaseOtReceiver.keys`).
     """
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, window_bits: int = 8):
+        size = 1 << window_bits
         rows = []
-        for _ in range(ELEMENT_BYTES):
+        for _ in range(-(-8 * ELEMENT_BYTES // window_bits)):
             row = [1]
-            for _ in range(256):
+            for _ in range(size):
                 row.append(row[-1] * base % GROUP_PRIME)
-            base = row.pop()  # base^256: the next window's base
+            base = row.pop()  # base^size: the next window's base
             rows.append(row)
         self._rows = rows
+        self._bits = window_bits
+
+    def _digits(self, exponent: int):
+        """The exponent's windows, least significant first (``OverflowError``
+        when it is negative or wider than the table)."""
+        data = exponent.to_bytes(ELEMENT_BYTES, "little")
+        if self._bits == 8:
+            return data
+        mask = (1 << self._bits) - 1
+        shifts = range(0, 8 * ELEMENT_BYTES, self._bits)
+        return [exponent >> shift & mask for shift in shifts]
 
     def pow(self, exponent: int) -> int:
         """``base ** exponent % GROUP_PRIME``."""
         acc = 1
-        for row, digit in zip(self._rows, exponent.to_bytes(ELEMENT_BYTES, "little")):
+        for row, digit in zip(self._rows, self._digits(exponent)):
             if digit:
                 acc = acc * row[digit] % GROUP_PRIME
         return acc
@@ -136,7 +155,7 @@ class BaseOtReceiver:
 
     def keys(self, sender_public: int) -> list[bytes]:
         """Random-OT output: the sender's key at each instance's choice bit."""
-        table = FixedBaseTable(_check_element(sender_public))
+        table = FixedBaseTable(_check_element(sender_public), BATCH_WINDOW_BITS)
         return [
             _index_key(table.pow(b), index) for index, b in enumerate(self._secrets)
         ]

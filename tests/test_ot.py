@@ -11,6 +11,7 @@ from repro.crypto.prg import Prg, hash_label, key_derivation
 from repro.crypto.rng import SecureRandom
 from repro.ot import extension
 from repro.ot.base import (
+    BATCH_WINDOW_BITS,
     GENERATOR,
     GROUP_PRIME,
     BaseOtReceiver,
@@ -34,20 +35,31 @@ def random_batch(n, msg_len=16, seed=0):
 
 
 class TestFixedBaseTable:
+    """Both window widths in use: 8 bits for the process-wide generator
+    table, :data:`BATCH_WINDOW_BITS` for a table one batch uses."""
+
+    WIDTHS = (8, BATCH_WINDOW_BITS)
+
     @given(
         base=st.integers(min_value=1, max_value=GROUP_PRIME - 1),
         exponent=st.one_of(
-            st.sampled_from([0, 1, GROUP_PRIME - 2, (1 << 255) - 1]),
+            st.sampled_from([0, 1, GROUP_PRIME - 2, (1 << 255) - 1, (1 << 256) - 1]),
             st.integers(min_value=0, max_value=(1 << 256) - 1),
         ),
     )
     @settings(max_examples=25, deadline=None)
     def test_pow_matches_builtin(self, base, exponent):
-        assert FixedBaseTable(base).pow(exponent) == pow(base, exponent, GROUP_PRIME)
+        want = pow(base, exponent, GROUP_PRIME)
+        for window_bits in self.WIDTHS:
+            assert FixedBaseTable(base, window_bits).pow(exponent) == want
 
     def test_exponent_wider_than_the_table_is_rejected(self):
-        with pytest.raises(OverflowError):
-            FixedBaseTable(GENERATOR).pow(1 << 256)
+        for window_bits in self.WIDTHS:
+            table = FixedBaseTable(GENERATOR, window_bits)
+            with pytest.raises(OverflowError):
+                table.pow(1 << 256)
+            with pytest.raises(OverflowError):
+                table.pow(-1)
 
 
 class TestRandomBaseOt:

@@ -624,3 +624,141 @@ class TestFastBaseConversionParity:
                 v.to_bytes(width, "little") for v in values
             )
 
+
+
+class TestScaleRoundParity:
+    """Decryption's rounding ``floor((t·c + floor(q/2)) / q) mod t`` from
+    the residues alone (``RnsContext.scale_round``: an exact whole part,
+    a float fraction, and an exact recomputation at the boundaries) is
+    the integer formula on the reconstructed coefficients, for arbitrary
+    residues, at the four- and six-prime delphi prefixes (after and
+    before the modulus switch) and on the toy chain — on constructed
+    ties ``t·c + floor(q/2) ≡ 0 mod q`` and their neighbours, and at
+    ``c = 0`` and ``c = q - 1``, too. The python backend has no kernel
+    and rounds the reconstructed integers itself."""
+
+    CHAINS = {
+        "delphi4": (delphi_params().rns_primes[:4], delphi_params().t),
+        "delphi6": (delphi_params().rns_primes, delphi_params().t),
+        "toy": (TOY.rns_primes, TOY.t),
+    }
+
+    @staticmethod
+    def _formula(ctx, residues, t):
+        q = ctx.q
+        return [(c * t + q // 2) // q % t for c in ctx.from_rns(residues)]
+
+    @staticmethod
+    def _boundaries(q, t):
+        """Coefficients at and next to a rounding boundary: t·c + q//2
+        is k mod q for k in -3..3 (0 is a tie)."""
+        inverse = pow(t, -1, q)
+        return [(k - q // 2) * inverse % q for k in range(-3, 4)]
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("chain", CHAINS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_residues(self, backend_name, chain, data):
+        primes, t = self.CHAINS[chain]
+        ctx = RnsContext.for_primes(primes, prefer=backend_name)
+        residues = [
+            data.draw(st.lists(st.integers(0, p - 1), min_size=24, max_size=24))
+            for p in primes
+        ]
+        residues = [ctx.backend.asvec(r, p) for r, p in zip(residues, primes)]
+        got = ctx.backend.tolist(ctx.backend.asvec(ctx.scale_round(residues, t), t))
+        assert got == self._formula(ctx, residues, t)
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("chain", CHAINS)
+    def test_ties_and_edges(self, backend_name, chain):
+        primes, t = self.CHAINS[chain]
+        ctx = RnsContext.for_primes(primes, prefer=backend_name)
+        q = ctx.q
+        rng = random.Random(len(primes))
+        values = [0, 1, q - 1, q // 2, q // 2 + 1] + self._boundaries(q, t)
+        values += [rng.randrange(q) for _ in range(64)]
+        residues = ctx.to_rns(values)
+        got = ctx.scale_round(residues, t)
+        assert [int(v) for v in got] == [
+            (c * t + q // 2) // q % t for c in values
+        ]
+        plan = ctx.backend.make_rns_scale_plan(primes, t)
+        if backend_name == "python":
+            assert plan is None
+        else:
+            # The tie itself is one the float sum cannot call: it goes to
+            # the exact path.
+            halves = [
+                ctx.backend.scalar_mul(r, pow(q // p, -1, p), p)
+                for r, p in zip(residues, primes)
+            ]
+            _, ties = ctx.backend.rns_scale_round(halves, plan)
+            assert 5 + 3 in ties
+
+    def test_a_lane_too_narrow_declines(self):
+        if "numpy" not in available_backends():
+            pytest.skip("numpy backend unavailable")
+        primes = delphi_params().rns_primes
+        be = RnsContext.for_primes(primes, prefer="numpy").backend
+        assert be.make_rns_scale_plan(primes, delphi_params().t)
+        assert be.make_rns_scale_plan(primes, 1 << 61) is None
+        wide = generate_ntt_primes(64, count=2, bits=40)
+        assert be.make_rns_scale_plan(wide, 65537) is None
+
+    @pytest.mark.parametrize("garbler", ("client", "server"))
+    def test_delphi_inference_never_reconstructs(self, garbler, monkeypatch):
+        import numpy as np
+
+        from repro.core.protocol import HybridProtocol
+        from repro.nn.datasets import tiny_dataset
+        from repro.nn.models import tiny_mlp
+
+        if "numpy" not in available_backends():
+            pytest.skip("numpy backend unavailable")
+        params = dataclasses.replace(
+            delphi_params(), backend="numpy", representation="rns"
+        )
+        net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=8)
+        net.randomize_weights(params.t, np.random.default_rng(11))
+
+        def refuse(self, residues):
+            raise AssertionError("a coefficient was rebuilt through the CRT")
+
+        monkeypatch.setattr(RnsContext, "from_rns", refuse)
+        proto = HybridProtocol(
+            net, params, garbler=garbler, seed=13, transport="memory"
+        )
+        x = list(range(3, 19))
+        try:
+            proto.run_offline()
+            assert proto.run_online(x) == proto.plaintext_reference(x)
+        finally:
+            proto.close()
+
+
+class TestDrawConversion:
+    """``to_rns`` converts a list of small signed draws once for the whole
+    chain; its residues are those of the same draws as an array, and of
+    Python's own ``%``, per prime."""
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("draw", ("noise", "ternary", "wide"))
+    def test_list_equals_array(self, backend_name, draw):
+        import numpy as np
+
+        rng = SecureRandom(17)
+        values = {
+            "noise": lambda: rng.centered_binomial_vector(256, 4),
+            "ternary": lambda: rng.ternary_vector(256),
+            "wide": lambda: [-(1 << 70), (1 << 80) + 3, -1, 0, 5],
+        }[draw]()
+        assert draw == "wide" or min(values) < 0
+        ctx = RnsContext.for_primes(delphi_params().rns_primes, prefer=backend_name)
+        be = ctx.backend
+        want = [[v % p for v in values] for p in ctx.primes]
+        assert [be.tolist(r) for r in ctx.to_rns(values)] == want
+        if draw != "wide":
+            array = np.asarray(values, dtype=np.int64)
+            assert [be.tolist(r) for r in ctx.to_rns(array)] == want

@@ -13,6 +13,8 @@ determinism, and a packed group's vector, masks and reduction to the
 members' products.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,44 @@ def test_a_short_share_or_draw_is_rejected():
     with pytest.raises(ValueError, match="mask draw has 255 slots, the layout 256"):
         layout.masks(list(range(8)), uniform[:-1], T)
     assert layout.reduce(layout.masks(list(range(8)), uniform, T), T) == list(range(8))
+
+
+def _loop_reduce(layout, slots, modulus):
+    """The reference: a Python sum per output."""
+    return [
+        sum(int(slots[j]) for j in group) % modulus
+        for group in layout.groups.tolist()
+    ]
+
+
+def _loop_masks(layout, s, uniform, modulus):
+    """The reference: each output's head slot set by a Python loop."""
+    masks = [int(v) for v in uniform]
+    for share, (head, *rest) in zip(s, layout.groups.tolist()):
+        masks[head] = (share - sum(masks[j] for j in rest)) % modulus
+    return masks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shapes(),
+    st.sampled_from([T, 2061584302081, (1 << 61) - 1, (1 << 89) - 1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_numpy_passes_equal_the_loops(shape, modulus, seed):
+    """Int64 lanes at the share primes, Python ints where a sum could
+    overflow one (the 61- and 89-bit moduli): the same values as the
+    per-slot loops."""
+    n_out, n_in, row_size = shape
+    layout = slot_layout(n_out, n_in, row_size)
+    rng = random.Random(seed)
+    s = [rng.randrange(modulus) for _ in range(n_out)]
+    uniform = [rng.randrange(modulus) for _ in range(2 * row_size)]
+    uniform[:2] = [0, modulus - 1]
+    masks = layout.masks(s, uniform, modulus)
+    assert [int(m) for m in masks] == _loop_masks(layout, s, uniform, modulus)
+    assert layout.reduce(masks, modulus) == _loop_reduce(layout, masks, modulus) == s
+    assert layout.reduce(uniform, modulus) == _loop_reduce(layout, uniform, modulus)
 
 
 def test_a_short_slot_vector_is_rejected():
