@@ -1,14 +1,19 @@
 """Pseudo-random generation and hashing primitives.
 
-Garbled-circuit constructions are specified in terms of a fixed-key block
-cipher used as a correlation-robust hash. We substitute BLAKE2s with the
-tweak as its salt and a 16-byte digest (:func:`hash_label`, and
-:func:`hash_rows` / :func:`hash_lanes` over a whole label matrix or packed
-label int) — the cheapest hash in the
-standard library that takes the tweak as a parameter: the security
-argument is the standard random-oracle one and the byte layout (16-byte
-blocks, tweakable) matches what an AES-based implementation would
-produce, so all size and count accounting is faithful. Seed expansion
+The garbled-circuit and OT row hash is the tweakable
+circular-correlation-robust hash of Guo, Katz, Wang and Yu ("Efficient
+and Secure Multiparty Computation from Fixed-Key Block Ciphers", IEEE
+S&P 2020) over AES-128 under a fixed public key (:mod:`repro.crypto.aes`):
+
+    H(x, i) = pi(pi(x) xor i) xor pi(x)
+
+with ``i`` a 64-bit tweak as a 16-byte little-endian block. Half-gates
+garbling and IKNP are secure with it in the ideal-permutation model, and
+it is the hash DELPHI's fancy-garbling uses. One definition, three
+shapes: :func:`hash_label` of one label, :func:`hash_rows` of every row
+of a label matrix and :func:`hash_lanes` of every lane of a packed label
+int. Each shape is two cipher calls whatever the number of labels, so a
+whole gate's labels hash in one two-pass call. Seed expansion
 (:class:`Prg`) and key derivation are SHA-256; a seeded ring element's
 uniform half (:func:`expand_uniform`) is SHAKE-256, one digest per
 polynomial.
@@ -17,7 +22,10 @@ polynomial.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
+
+from repro.crypto.aes import encrypt
 
 try:
     import numpy as _np
@@ -26,18 +34,33 @@ except ImportError:  # pragma: no cover - minimal images only
 
 LABEL_BYTES = 16  # 128-bit wire labels, as in DELPHI / fancy-garbling.
 
-_pack_tweak = struct.Struct("<Q").pack  # a BLAKE2s salt is at most 8 bytes
+TWEAK_LIMIT = 1 << 64  # a tweak is a 64-bit index: gate half or OT row
+
+
+def _checked_tweak(tweak) -> int:
+    tweak = operator.index(tweak)
+    if not 0 <= tweak < TWEAK_LIMIT:
+        raise ValueError(f"a tweak is in [0, 2^64), got {tweak}")
+    return tweak
+
+
+def _tccr(blocks: bytes, tweaks: int) -> int:
+    """H of every 16-byte block of ``blocks``, little-endian as one int;
+    ``tweaks`` holds each block's tweak block at that block's place."""
+    y = int.from_bytes(encrypt(blocks), "little")
+    z = encrypt((y ^ tweaks).to_bytes(len(blocks), "little"))
+    return int.from_bytes(z, "little") ^ y
 
 
 def hash_label(label: bytes, tweak: int) -> bytes:
     """Correlation-robust hash H(label, tweak) -> 16 bytes.
 
-    ``tweak`` is the gate index (point-and-permute position folded in by the
-    caller); including it makes each gate's ciphertexts domain-separated.
+    ``tweak`` is the gate's half (``2 * index`` generator, ``+ 1``
+    evaluator) or the OT row; it domain-separates every hash of a walk.
     """
-    return hashlib.blake2s(
-        label, digest_size=LABEL_BYTES, salt=_pack_tweak(tweak)
-    ).digest()
+    if len(label) != LABEL_BYTES:
+        raise ValueError(f"a label is {LABEL_BYTES} bytes, got {len(label)}")
+    return _tccr(label, _checked_tweak(tweak)).to_bytes(LABEL_BYTES, "little")
 
 
 def byte_matrix(rows: list[bytes], width: int = LABEL_BYTES):
@@ -51,47 +74,47 @@ def byte_rows(matrix) -> list[bytes]:
     return rows.view(f"V{rows.shape[1]}").ravel().tolist()
 
 
+def _tweak_words(tweak, count: int):
+    """The tweaks of ``count`` rows as what XORs into a uint64 column: one
+    checked int for every row, or an integer array of one per row."""
+    if _np.ndim(tweak) == 0:
+        return _np.uint64(_checked_tweak(tweak))
+    words = _np.asarray(tweak)
+    # numpy reads ints past 2^64, and a mix past 2^63, as object or float.
+    if words.dtype.kind not in "iu" or (words.size and words.min() < 0):
+        raise ValueError("a tweak is in [0, 2^64): pass per-row tweaks as uint64")
+    if words.shape != (count,):
+        raise ValueError(f"{count} rows need {count} tweaks, got shape {words.shape}")
+    return words.astype(_np.uint64, copy=False)
+
+
 def hash_rows(rows, tweak):
-    """:func:`hash_label` of every row of an (n, width) uint8 matrix.
+    """:func:`hash_label` of every row of an (n, 16) uint8 matrix.
 
-    ``tweak`` is one int for all rows (a gate's label column: the salted
-    state is built once and copied per row) or one per row (OT extension:
-    row ``j`` under tweak ``j``). Returns an (n, 16) matrix; the hash
-    itself cannot be vectorized from Python, everything around it (label
-    XOR, point-and-permute masking) works on the result.
+    ``tweak`` is one int for all rows or an integer array of ``n``, one
+    per row (uint64 when any is 2^63 or more). Returns the (n, 16)
+    matrix of hashes: two cipher calls over the whole matrix, the tweaks
+    XORed in between.
     """
-    digests = []
-    if isinstance(tweak, int):
-        fresh = salted_state(tweak).copy
-        for row in byte_rows(rows):
-            state = fresh()
-            state.update(row)
-            digests.append(state.digest())
-    else:
-        for row, row_tweak in zip(byte_rows(rows), tweak, strict=True):
-            digests.append(hash_label(row, row_tweak))
-    return byte_matrix(digests)
+    if rows.shape[1:] != (LABEL_BYTES,):
+        raise ValueError(f"rows must be {LABEL_BYTES} bytes wide, got {rows.shape}")
+    words = _tweak_words(tweak, rows.shape[0])
+    y = _np.frombuffer(encrypt(rows.tobytes()), "<u8").reshape(-1, 2)
+    tweaked = y.copy()
+    tweaked[:, 0] ^= words
+    z = _np.frombuffer(encrypt(tweaked.tobytes()), "<u8").reshape(-1, 2)
+    return (z ^ y).view(_np.uint8)
 
 
-def salted_state(tweak: int):
-    """The BLAKE2s state :func:`hash_label` starts from under ``tweak``:
-    copy it per label instead of building it again."""
-    return hashlib.blake2s(digest_size=LABEL_BYTES, salt=_pack_tweak(tweak))
-
-
-def hash_lanes(lanes: int, nbytes: int, state) -> int:
+def hash_lanes(lanes: int, nbytes: int, tweaks: int) -> int:
     """:func:`hash_label` of every 16-byte lane of a packed label int.
 
     ``lanes`` holds ``nbytes // 16`` labels little-endian, label ``i`` at
-    bytes ``[16i, 16i + 16)``; ``state`` is :func:`salted_state` of the
-    tweak, copied per lane. The digests come back packed the same way.
+    bytes ``[16i, 16i + 16)``, and ``tweaks`` each lane's tweak packed the
+    same way: ``tweak * lane_lsb(count)`` for one tweak on every lane. The
+    hashes come back packed the same way.
     """
-    digests = []
-    for lane in _np.frombuffer(lanes.to_bytes(nbytes, "little"), "V16").tolist():
-        h = state.copy()
-        h.update(lane)
-        digests.append(h.digest())
-    return int.from_bytes(b"".join(digests), "little")
+    return _tccr(lanes.to_bytes(nbytes, "little"), tweaks)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

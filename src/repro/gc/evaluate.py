@@ -9,7 +9,6 @@ from repro.crypto.prg import (
     hash_label,
     hash_lanes,
     hash_rows,
-    salted_state,
     xor_bytes,
 )
 from repro.gc.circuit import GateType
@@ -110,6 +109,9 @@ def evaluate_columns(garbled_batch: GarbledBatch, input_labels: dict):
     circuit = garbled_batch.circuit
     labels = dict(input_labels)
     tables = garbled_batch.tables
+    count = len(garbled_batch)
+    # Row tweaks of one gate's hash call over a and b, less 2 * index.
+    offsets = _np.repeat(_np.array([0, 1], dtype=_np.uint64), count)
     slot = 0
     for index, gate in enumerate(circuit.gates):
         a = labels[gate.a]
@@ -117,11 +119,12 @@ def evaluate_columns(garbled_batch: GarbledBatch, input_labels: dict):
         if gate.kind is GateType.XOR:
             labels[gate.out] = a ^ b
             continue
+        h_a, h_b = hash_rows(
+            _np.concatenate([a, b]), offsets + _np.uint64(2 * index)
+        ).reshape(2, count, LABEL_BYTES)
         # Point-and-permute bits as 0x00 / 0xFF column masks.
-        w_g = hash_rows(a, 2 * index) ^ (tables[:, slot, 0] & -(a[:, :1] & 1))
-        w_e = hash_rows(b, 2 * index + 1) ^ (
-            (tables[:, slot, 1] ^ a) & -(b[:, :1] & 1)
-        )
+        w_g = h_a ^ (tables[:, slot, 0] & -(a[:, :1] & 1))
+        w_e = h_b ^ ((tables[:, slot, 1] ^ a) & -(b[:, :1] & 1))
         labels[gate.out] = w_g ^ w_e
         slot += 1
     return _np.stack([labels[w] for w in circuit.outputs], axis=1)
@@ -133,7 +136,13 @@ def evaluate_lanes(garbled_batch: GarbledBatch, input_labels: dict):
     circuit = garbled_batch.circuit
     count = len(garbled_batch)
     nbytes = count * LABEL_BYTES
+    bits = 8 * nbytes
+    column = (1 << bits) - 1
     lsb = lane_lsb(count)
+    # A gate's tweaks are tweak * every + upper: 2 * index on a's lanes,
+    # 2 * index + 1 on b's.
+    every = lane_lsb(2 * count)
+    upper = lsb << bits
     labels = {wire: pack_lanes(matrix) for wire, matrix in input_labels.items()}
     # Gate by gate, the generator half then the evaluator half.
     raw = garbled_batch.tables.transpose(1, 2, 0, 3).tobytes()
@@ -146,12 +155,9 @@ def evaluate_lanes(garbled_batch: GarbledBatch, input_labels: dict):
         if tweak is None:
             labels[out] = x ^ y
             continue
-        w_g = hash_lanes(x, nbytes, salted_state(tweak)) ^ (
-            next(halves) & (x & lsb) * LANE
-        )
-        w_e = hash_lanes(y, nbytes, salted_state(tweak + 1)) ^ (
-            (next(halves) ^ x) & (y & lsb) * LANE
-        )
+        h = hash_lanes(x | y << bits, 2 * nbytes, tweak * every + upper)
+        w_g = (h & column) ^ (next(halves) & (x & lsb) * LANE)
+        w_e = (h >> bits) ^ ((next(halves) ^ x) & (y & lsb) * LANE)
         labels[out] = w_g ^ w_e
     outputs = unpack_lanes([labels[w] for w in circuit.outputs], count)
     return _np.ascontiguousarray(outputs.transpose(1, 0, 2))

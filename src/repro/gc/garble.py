@@ -32,7 +32,6 @@ from repro.crypto.prg import (
     hash_label,
     hash_lanes,
     hash_rows,
-    salted_state,
     xor_bytes,
 )
 from repro.crypto.rng import SecureRandom
@@ -255,8 +254,8 @@ class EncodingBatch(_Instances):
 
 # The widest batch that walks on lanes. Per gate the column walk pays
 # numpy calls of ~1 us each whatever the width, the lane walk big-int
-# operations that grow with it: lanes are ~2.2x faster at 8 rows and ~1.1x
-# at 64, break even near 128 and lose 2-11 % at 256-512
+# operations that grow with it: lanes are ~3x faster at 8 rows and level
+# (garbling) to 1.2x (evaluating) at 64; columns win from 128 rows on
 # (ARCHITECTURE.md, *Batched garbling*, has the measured table).
 LANE_WALK_MAX_ROWS = 64
 
@@ -337,20 +336,20 @@ def garble_from_labels(
         b1 = xor_bytes(b0, delta)
         p_a = a0[0] & 1
         p_b = b0[0] & 1
-        tweak_g = 2 * index
-        tweak_e = 2 * index + 1
+        h_a0 = hash_label(a0, 2 * index)
+        h_a1 = hash_label(a1, 2 * index)
+        h_b0 = hash_label(b0, 2 * index + 1)
+        h_b1 = hash_label(b1, 2 * index + 1)
         # Generator half-gate: computes a AND p_b (garbler knows p_b).
-        t_g = xor_bytes(hash_label(a0, tweak_g), hash_label(a1, tweak_g))
+        t_g = xor_bytes(h_a0, h_a1)
         if p_b:
             t_g = xor_bytes(t_g, delta)
-        w_g = hash_label(a0, tweak_g)
+        w_g = h_a0
         if p_a:
             w_g = xor_bytes(w_g, t_g)
         # Evaluator half-gate: computes a AND (b XOR p_b).
-        t_e = xor_bytes(
-            xor_bytes(hash_label(b0, tweak_e), hash_label(b1, tweak_e)), a0
-        )
-        w_e = hash_label(b0, tweak_e)
+        t_e = xor_bytes(xor_bytes(h_b0, h_b1), a0)
+        w_e = h_b0
         if p_b:
             w_e = xor_bytes(w_e, xor_bytes(t_e, a0))
         out0 = xor_bytes(w_g, w_e)
@@ -391,6 +390,9 @@ def garble_columns(
     count = deltas.shape[0]
     zero_labels = dict(zip(circuit.input_wires, input_zero_labels))
     tables = _np.empty((count, circuit.and_count, 2, LABEL_BYTES), dtype=_np.uint8)
+    # Row tweaks of one gate's hash call, less 2 * index: the generator
+    # half's a0, a0 ^ delta, then the evaluator half's b0, b0 ^ delta.
+    offsets = _np.repeat(_np.array([0, 0, 1, 1], dtype=_np.uint64), count)
     slot = 0
     for index, gate in enumerate(circuit.gates):
         a0 = zero_labels[gate.a]
@@ -401,10 +403,10 @@ def garble_columns(
         # Point-and-permute bits as 0x00 / 0xFF column masks.
         p_a = -(a0[:, :1] & 1)
         p_b = -(b0[:, :1] & 1)
-        h_a0 = hash_rows(a0, 2 * index)
-        h_a1 = hash_rows(a0 ^ deltas, 2 * index)
-        h_b0 = hash_rows(b0, 2 * index + 1)
-        h_b1 = hash_rows(b0 ^ deltas, 2 * index + 1)
+        h_a0, h_a1, h_b0, h_b1 = hash_rows(
+            _np.concatenate([a0, a0 ^ deltas, b0, b0 ^ deltas]),
+            offsets + _np.uint64(2 * index),
+        ).reshape(4, count, LABEL_BYTES)
         # Generator half-gate: computes a AND p_b (garbler knows p_b).
         t_g = h_a0 ^ h_a1 ^ (deltas & p_b)
         w_g = h_a0 ^ (t_g & p_a)
@@ -434,13 +436,18 @@ def garble_lanes(
     """The walk with every wire one int of ``count`` lanes (:func:`pack_lanes`).
 
     The column walk's operations carry over lane-wise: a free-XOR gate is
-    one ``^``, a point-and-permute mask is ``(x & lsb) * LANE`` and each
-    half-gate hash one :func:`hash_lanes` call under the gate's salted
-    state, built here per gate and dropped with the walk.
+    one ``^``, a point-and-permute mask is ``(x & lsb) * LANE`` and an AND
+    gate's four label columns hash in one :func:`hash_lanes` call.
     """
     count = deltas.shape[0]
     nbytes = count * LABEL_BYTES
+    bits = 8 * nbytes
+    column = (1 << bits) - 1
     lsb = lane_lsb(count)
+    # A gate's tweaks are tweak * every + upper: 2 * index on the lanes of
+    # a0 and a0 ^ delta, 2 * index + 1 on those of b0 and b0 ^ delta.
+    every = lane_lsb(4 * count)
+    upper = lane_lsb(2 * count) << 2 * bits
     delta = pack_lanes(deltas)
     labels = dict(zip(circuit.input_wires, map(pack_lanes, input_zero_labels)))
     # Gate by gate, the generator half then the evaluator half; bytes, not
@@ -454,14 +461,17 @@ def garble_lanes(
             continue
         p_a = (a0 & lsb) * LANE
         p_b = (b0 & lsb) * LANE
-        salt_g = salted_state(tweak)
-        salt_e = salted_state(tweak + 1)
-        h_a0 = hash_lanes(a0, nbytes, salt_g)
-        h_b0 = hash_lanes(b0, nbytes, salt_e)
+        h = hash_lanes(
+            a0 | (a0 ^ delta) << bits | b0 << 2 * bits | (b0 ^ delta) << 3 * bits,
+            4 * nbytes,
+            tweak * every + upper,
+        )
+        h_a0 = h & column
+        h_b0 = (h >> 2 * bits) & column
         # Generator half-gate: computes a AND p_b (garbler knows p_b).
-        t_g = h_a0 ^ hash_lanes(a0 ^ delta, nbytes, salt_g) ^ (delta & p_b)
+        t_g = h_a0 ^ ((h >> bits) & column) ^ (delta & p_b)
         # Evaluator half-gate: computes a AND (b XOR p_b).
-        h_b = h_b0 ^ hash_lanes(b0 ^ delta, nbytes, salt_e)
+        h_b = h_b0 ^ (h >> 3 * bits)
         labels[out] = h_a0 ^ (t_g & p_a) ^ h_b0 ^ (h_b & p_b)
         halves += t_g.to_bytes(nbytes, "little")
         halves += (h_b ^ a0).to_bytes(nbytes, "little")

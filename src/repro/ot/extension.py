@@ -211,7 +211,7 @@ def _pad(row: bytes, j: int, msg_len: int) -> bytes:
 def _pads(rows, first: int, msg_len: int):
     """:func:`_pad` of every row of an (m, 16) matrix, the rows tweaked
     ``first``, ``first + 1``, ..., as (m, msg_len)."""
-    hashed = hash_rows(rows, range(first, first + len(rows)))
+    hashed = hash_rows(rows, _np.arange(first, first + len(rows), dtype=_np.uint64))
     if msg_len <= LABEL_BYTES:
         return hashed[:, :msg_len]
     return byte_matrix(

@@ -355,6 +355,13 @@ def every_frame_digests(params, garbler, hidden, seed):
 # GOLDEN_TRANSCRIPT the garbled batch's offline direction shrank by
 # relus x (old - new ANDs) x 32 B: 8 x 248 x 32 = 63,488 B at delphi,
 # 128 x 104 x 32 = 425,984 B at fast.
+# The commit that made the row hash fixed-key AES (the TCCR hash of
+# crypto/prg.py) moved the same twelve GC digests once more, and nothing
+# else: each case's garbled-circuit batch and, under the server garbler,
+# the output labels the client returns. Labels and choices are drawn
+# before any hash and the label-OT reply carries the chosen labels, so
+# every HE, key, OT-choice, label, masked-input and final-share digest
+# and every GOLDEN_TRANSCRIPT book kept its value.
 GOLDEN_EVERY_FRAME = {
     ('delphi', 'server', '8', '1701'): {
         "client/offline": [
@@ -363,12 +370,12 @@ GOLDEN_EVERY_FRAME = {
         ],
         "server/offline": [
             "7455aeeed8aac1974e6bc3e440e836c65728caad76635222058e19a02eb0c445",
-            "e326b2bc5059538d52659236b19d1217bdbf2f05ed801f24e8e2e8f135737060",
+            "8a90be20e1ade0dbc7fe77ad87207e6b0778151a3fce7465dfd6535a70a3da23",
             "9b34c9cda2d5a192db29b4a776f718736f3edf98b83bfbf98e3f0268d916817c",
         ],
         "client/online": [
             "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
-            "db76a3c035b01630bd8e1a90dabd64d5d9e6fcee813eceac59314a277e820943",
+            "ce23ba5c16f82ced4616f1c680be23931fb4b7034221bec451fe2b424b6c1990",
         ],
         "server/online": [
             "414d081a67b4cd2fdb500c835e7848e4d483299ec83094a878c0ded4409f13a4",
@@ -378,7 +385,7 @@ GOLDEN_EVERY_FRAME = {
     ('delphi', 'client', '8', '1701'): {
         "client/offline": [
             "9eb9336f8d7d65b5270dc15f0472e28aaaa663e442406f22874ccb36af0de2c4",
-            "da6f0da35b38fc182f6f08429b6b65ff54047b911e911ca1e6c4d307f66afff7",
+            "0bac8723a44017705c081e9179db85d31ddf07b53220ff63dbdae826f644a472",
             "af23bca044f6f7ba5d9e6c3ec2d1a66a5dadf1b64a2ccd5fe664de46d01bfb19",
         ],
         "server/offline": [
@@ -400,12 +407,12 @@ GOLDEN_EVERY_FRAME = {
         ],
         "server/offline": [
             "6fd9f87fecc2f0c529a5ebf05ed1d31f4480debac905d0791f7fb3d74dbe130c",
-            "fa48253750207a34fd222fcf3b5fddc5388f7a02d2b5a71d533fef1e84f1dae7",
+            "be4cc85b9fc513aa11b3f1ef6f7895af555f0ba6f240b0ab596d3b9a9d71898b",
             "f1ae609a7ccc05004d7b813aae6fb96ed172b94ad171258013cb69b18764d429",
         ],
         "client/online": [
             "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
-            "748e7724d9519dfc5d6e6df243c1a5117d7caf87cf51a7e1bb9383eccf1f263e",
+            "07889812f5049d57d532aa47701fdb30409c43d728a253a672a8dba3b33ddeaa",
         ],
         "server/online": [
             "c97bd30e3eebcbf9791829b28ad6b618a2febef2e95a5414ad04a42b04bb96f2",
@@ -415,7 +422,7 @@ GOLDEN_EVERY_FRAME = {
     ('delphi', 'client', '8', '1702'): {
         "client/offline": [
             "ac81df755edf1c1b4340f12a997b8c3fd8cf2c935c884f0434c07a74ce405892",
-            "0dffb63b45cffdf855009e1135970fdea82dc9bdf9fe9c2af79b4abd3b561031",
+            "efb486259547b69b5c4604875f351e3c567eae4c14a78d21a06eda0449ede3eb",
             "70e147b6e46deaca0949ebee05ab04f7567494acda4570921215983e0cdf4618",
         ],
         "server/offline": [
@@ -440,12 +447,12 @@ GOLDEN_EVERY_FRAME = {
         "server/offline": [
             "96bcef168be6e049e939d83f304d20bd4a65b6b0705a5aaf49b3ab3fd2471dbb",
             "35b08d1d76cebdc9dc462bf7c68468adba4e2e18853c67a84212465113204886",
-            "01783c2d0acfa0deee84946ad27993d62301b3c2904c84ea90d2b286b0e84ee3",
+            "35e70e03fb3db661bf2d0e9a1133be77efe2e06bfa700e8e570d999bc1f10d12",
             "f8c4330bd30312c2f8c0458678ca1b5cd24b6078d55b5b47903eae92f5432618",
         ],
         "client/online": [
             "0e78a2c6cdc41be8a2f17f6693c4e0f1c006813ac49c59548ad7518681501b6a",
-            "d0eda7096adc0b067697d557e74db41b6a2c841a60234011f5838f166212a2ba",
+            "913cec0f7f82f4e35c9ce2e3735b1b791a23991cfdcc85e8a57f93ea7bfb85ac",
         ],
         "server/online": [
             "f5697c870dcedc45ebeca841d558178a7a703f56e46c9dc2e715fac81f191946",
@@ -457,7 +464,7 @@ GOLDEN_EVERY_FRAME = {
             "9a181ed864aca26576e9f4d06b93a6961123d8a4f935c3715b4f3242aa8d9995",
             "a6ad7cdd7ea5c1d6400fee3b41663c57a74a0e8db079a91a2e7bbe3ccaf221be",
             "62ca28577205de6dbfb11d707781c7c9a4d33495f71dbca4574eb74e3a1ac173",
-            "cb0fe6c1cf5411ca2f4d7bab60b7873d285dab506272daae65097590301b141a",
+            "c7e89bedd02eb75a718c1bbb891765f22035cef9c486d9004d6c10f08412dcff",
             "7689ecda0e1a30a97ee01599f4e622be00aad4f8f8e05bca8740ebc99948dc5c",
         ],
         "server/offline": [
@@ -483,12 +490,12 @@ GOLDEN_EVERY_FRAME = {
         "server/offline": [
             "37ba79aea252e609c9fabb5112540c7a791e4ee741feca5168534702cb88914c",
             "9bd3f8fa29d7eedbfd23031e5fa8d71722832ed962a1a48d31f675fcbc23accf",
-            "3b9f259af114f0606dba5d562ced8db71780405b5383b918eb628ff60b6c02ba",
+            "f034513acf829cba0a4d893a46859af9e1d3dea6d3d687dac9334bec682201de",
             "a69436d534b3afcc5406d852acd056ed735869c23f12209797638e452b923701",
         ],
         "client/online": [
             "3f19f7b26cd2a871f4b58b1be986b754698e99edc18b7ef8cd0294ad51891c9a",
-            "0d9e6eb991bb86063a26f27dc4e0f525a4ae5e15e5fd4ae592bff7431eba25e3",
+            "239ff52dae87e5e7e29c714b4fe55f10437438a76f5b83a19cf0c90d4c9b79df",
         ],
         "server/online": [
             "e14cdd9cb71ce4347faa7c99d91fbcca18806a58db5571de1c10c7a3f99fc2e6",
@@ -500,7 +507,7 @@ GOLDEN_EVERY_FRAME = {
             "41c452953d83a5d41050af0f1859c3b824c9b6d9dc2800432087b0d638ab0eac",
             "5bd00ae2ee89fe12d06a578a9e34d077a0da4f97665c79dab6db608c10c6dd16",
             "41fc76664dde6c6b9cdec9cc99e8ce35a295e1aa7f9c5db8a0f93a97b55daf5a",
-            "5ed40d6be500e5a588be134f051c678a1e09c370161551cfdcbf85fb5134d84c",
+            "54c4758df1688b151fabfebf82786a40c9f568f198ef4f6482033a5f4c3cce4b",
             "d067f07d1d83e33dbd27fa409ebd07c294b04f09e3852b93c9e8e3abb6c3de62",
         ],
         "server/offline": [
