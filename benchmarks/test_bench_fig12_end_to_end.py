@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import fig12_end_to_end
-from repro.experiments.common import print_rows
+from repro.experiments.common import EVAL_PAIRS, print_rows
 
 
 @pytest.mark.parametrize(
@@ -23,5 +23,14 @@ def test_fig12_panel(once, model, dataset):
 
 
 def test_fig12_full_sweep(once):
-    rows = once(fig12_end_to_end.run_all, replications=1, horizon_hours=4.0)
+    def sweep():
+        return [
+            row
+            for model, dataset in EVAL_PAIRS
+            for row in fig12_end_to_end.run(
+                model, dataset, replications=1, horizon_hours=4.0
+            )
+        ]
+
+    rows = once(sweep)
     assert len(rows) == 6 * 4 * 6  # pairs x systems x rates

@@ -15,9 +15,11 @@ The ``*_bigint`` / ``*_rns`` pairs additionally pit the two
 representations of the wide-modulus parameter sets against each other at
 the same composite q — ``toy_params`` (~100-bit chain) and
 ``delphi_params`` (~180-bit SEAL-style chain, n=2048) — tracking the
-speedup the RNS chain buys on the paper-faithful configurations. Under
-the numpy backend the RNS ciphertext multiply at n=2048 is expected to be
->= 3x faster than the bigint oracle.
+speedup the RNS chain buys on the paper-faithful configurations. The
+representation follows the backend, so a ``*_bigint`` row always runs on
+the python backend and a ``*_rns`` row on numpy, whichever
+``REPRO_BACKEND`` column it lands in. The RNS ciphertext multiply at
+n=2048 is expected to be >= 3x faster than the bigint oracle.
 """
 
 import contextlib
@@ -105,9 +107,17 @@ def test_bench_bfv_rotation(benchmark):
     benchmark(lambda: ctx.rotate(ct, g, gk))
 
 
+def _on_ring(params, representation):
+    """``params`` on the backend whose ring is ``representation``: the
+    python backend computes bigints, numpy RNS residues (this module
+    imports numpy, so that backend is always there)."""
+    backend = {"bigint": "python", "rns": "numpy"}[representation]
+    return dataclasses.replace(params, backend=backend)
+
+
 def _mul_plain_bench(benchmark, params, representation, rounds):
     """Ciphertext x plaintext multiply (two ring products) at wide q."""
-    params = dataclasses.replace(params, representation=representation)
+    params = _on_ring(params, representation)
     ctx = BfvContext(params, SecureRandom(8))
     encoder = BatchEncoder(params)
     sk, pk = ctx.keygen()
@@ -260,7 +270,7 @@ def test_bench_bfv_rotation_delphi_rns(benchmark):
     and under ``REPRO_BENCH_STRICT=1`` (CI bench-smoke) the fresh mean
     must stay within 1.3x of the committed baseline.
     """
-    params = dataclasses.replace(delphi_params(), representation="rns")
+    params = _on_ring(delphi_params(), "rns")
     ctx = BfvContext(params, SecureRandom(13))
     encoder = BatchEncoder(params)
     sk, pk = ctx.keygen()
@@ -278,7 +288,7 @@ def test_bench_bfv_rotation_delphi_rns(benchmark):
 
 
 def _delphi_rns_rig(seed):
-    params = dataclasses.replace(delphi_params(), representation="rns")
+    params = _on_ring(delphi_params(), "rns")
     ctx = BfvContext(params, SecureRandom(seed))
     encoder = BatchEncoder(params)
     sk, pk = ctx.keygen()
@@ -409,7 +419,7 @@ def _matvec_bench(benchmark, params, seed, shape, rounds, warm=False):
 
 
 def _delphi_w16(benchmark, name, warm):
-    params = dataclasses.replace(delphi_params(), representation="rns")
+    params = _on_ring(delphi_params(), "rns")
     _matvec_bench(benchmark, params, seed=29, shape=(8, 16), rounds=3, warm=warm)
     if os.environ.get("REPRO_BENCH_STRICT"):
         _guard_against_committed_baseline(benchmark, name, threshold=1.3)

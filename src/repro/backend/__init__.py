@@ -20,10 +20,12 @@ Whatever is selected, :func:`backend_for` silently falls back to the
 python backend for any modulus the chosen backend cannot compute exactly
 (q >= 2^62), so correctness never depends on configuration. Wide
 ciphertext moduli avoid that fallback via :class:`RnsContext`
-(:mod:`repro.backend.rns`): parameter sets carrying a CRT prime chain
-represent ring elements as per-prime residues, every one of which the
-vectorized backend handles exactly — see
-:class:`repro.he.polynomial.RnsPoly`.
+(:mod:`repro.backend.rns`): on the vectorized backend, parameter sets
+carrying a CRT prime chain represent ring elements as per-prime
+residues, every one of which it handles exactly — see
+:class:`repro.he.polynomial.RnsPoly`. The backend is the only switch:
+the python backend runs the same chain as one bigint vector mod q, the
+oracle (:meth:`repro.he.params.BfvParams.resolve_representation`).
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ def set_backend(name: str) -> None:
 
     Cached NTT contexts are keyed by backend, so switching is safe at any
     point; existing ``RingPoly`` instances keep the backend they were
-    built with.
+    built with. Ring elements made before and after a switch do not
+    combine (a ``TypeError``): on a chain the switch changes their
+    representation too, so select before a session makes its keys.
     """
     global _active
     name = name.strip().lower()

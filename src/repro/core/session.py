@@ -336,6 +336,16 @@ class ProtocolSession:
         self._begin_phase("offline", self._offline_gen())
         self.lifecycle = LIFE_OFFLINE
 
+    def start_online(self, *inputs: list[int]) -> None:
+        """Arm one inference: the client passes its input vector ``x``,
+        the server nothing (its weights are already lowered)."""
+        if self.lifecycle not in (LIFE_READY, LIFE_COMPLETE):
+            raise RuntimeError("offline phase must run before online phase")
+        if any(len(x) != self.lowered.input_size for x in inputs):
+            raise ValueError("input size mismatch")
+        self._begin_phase("online", self._online_gen(*map(list, inputs)))
+        self.lifecycle = LIFE_ONLINE
+
     def step(self, wait: bool = False) -> str:
         """Advance the active phase as far as the transport allows.
 
@@ -396,6 +406,15 @@ class ProtocolSession:
         self.start_offline()
         while self.step(wait=True) != DONE:
             pass  # pragma: no cover - step(wait=True) only returns on DONE
+
+    def run_online(self, *inputs: list[int]):
+        """Blocking convenience: one inference to completion (see
+        :meth:`start_online`); the client gets the logits, the server
+        None."""
+        self.start_online(*inputs)
+        while self.step(wait=True) != DONE:
+            pass  # pragma: no cover - step(wait=True) only returns on DONE
+        return self.finish()
 
     def close(self) -> None:
         if self.transport is not None:
@@ -628,22 +647,6 @@ class ClientSession(ProtocolSession):
     needs_weights = False
     _REQUEST_STATE = ("client_r", "client_linear_share", "_ctx", "_encoder", "_sk")
 
-    def start_online(self, x: list[int]) -> None:
-        """Arm one inference on the client input ``x``."""
-        if self.lifecycle not in (LIFE_READY, LIFE_COMPLETE):
-            raise RuntimeError("offline phase must run before online phase")
-        if len(x) != self.lowered.input_size:
-            raise ValueError("input size mismatch")
-        self._begin_phase("online", self._online_gen(list(x)))
-        self.lifecycle = LIFE_ONLINE
-
-    def run_online(self, x: list[int]) -> list[int]:
-        """Blocking convenience: one inference, returns the logits."""
-        self.start_online(x)
-        while self.step(wait=True) != DONE:
-            pass  # pragma: no cover - step(wait=True) only returns on DONE
-        return self.finish()
-
     def load_offline_state(
         self,
         client_r: list[list[int]],
@@ -758,20 +761,6 @@ class ServerSession(ProtocolSession):
         # request draws its shares and continued by every later request,
         # so no two returns of a keep-alive connection share a mask.
         self._mask_rng: SecureRandom | None = None
-
-    def start_online(self) -> None:
-        """Arm the serving side of one inference."""
-        if self.lifecycle not in (LIFE_READY, LIFE_COMPLETE):
-            raise RuntimeError("offline phase must run before online phase")
-        self._begin_phase("online", self._online_gen())
-        self.lifecycle = LIFE_ONLINE
-
-    def run_online(self) -> None:
-        """Blocking convenience: serve one inference to completion."""
-        self.start_online()
-        while self.step(wait=True) != DONE:
-            pass  # pragma: no cover - step(wait=True) only returns on DONE
-        return self.finish()
 
     def load_offline_state(
         self, server_s: list[list[int]], bundles: dict[int, ReluBundle]

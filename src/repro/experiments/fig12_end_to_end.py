@@ -82,16 +82,6 @@ def run(
     return rows
 
 
-def run_all(replications: int = 2, horizon_hours: float = 24.0) -> list[dict]:
-    rows = []
-    for model, dataset in EVAL_PAIRS:
-        rows.extend(
-            run(model, dataset, replications=replications,
-                horizon_hours=horizon_hours)
-        )
-    return rows
-
-
 def main() -> None:
     for model, dataset in EVAL_PAIRS:
         print_rows(f"Figure 12: {model} on {dataset}", run(model, dataset))

@@ -7,12 +7,13 @@ switching (CRT digits on a prime chain, positional digits otherwise).
 Ciphertext-ciphertext multiplication is deliberately absent — the hybrid
 protocol never uses it.
 
-The ciphertext-ring representation is resolved per parameter set (see
-:meth:`repro.he.params.BfvParams.resolve_representation`): ``bigint``
-keeps one coefficient vector mod q, ``rns`` keeps CRT residues per chain
-prime so wide moduli run on the vectorized backend. Both produce
-bit-identical transcripts under the same randomness; everything below the
-construction helpers is representation-agnostic.
+The ciphertext-ring representation follows from the parameter set and
+its backend (see :meth:`repro.he.params.BfvParams.resolve_representation`):
+``bigint`` keeps one coefficient vector mod q (the python backend),
+``rns`` keeps CRT residues per chain prime so wide moduli run on the
+vectorized backend. Both produce bit-identical transcripts under the
+same randomness; everything below the construction helpers is
+representation-agnostic.
 
 Everything the client sends is made with its secret key: ``Enc(r)`` is a
 symmetric encryption ``(-(a·s + e) + Δm, a)`` and each Galois-key digit
@@ -237,10 +238,9 @@ class BfvContext:
         # oversized q falls back to the exact python backend automatically.
         self._rq = backend_for(params.q, prefer=params.backend)
         self._rt = backend_for(params.t, prefer=params.backend)
-        self.representation = params.resolve_representation()
         self._rns = (
             RnsContext.for_primes(params.rns_primes, prefer=params.backend)
-            if self.representation == "rns"
+            if params.resolve_representation() == "rns"
             else None
         )
 

@@ -15,18 +15,18 @@ Wide ciphertext moduli come in two representations (see
   elements live as per-prime residue vectors, so the whole ciphertext
   ring runs on the vectorized numpy backend. SEAL does exactly this.
 
-``representation="auto"`` (optionally overridden by the
-``REPRO_REPRESENTATION`` environment variable) picks ``rns`` whenever the
-parameter set carries a chain, the modulus is too wide for the numpy
-backend directly (q >= 2^62), and a vectorized backend is active —
-i.e. precisely the case where ``bigint`` would fall back to
-arbitrary-precision Python.
+Which one a parameter set computes in is not a setting: it follows from
+the parameters and the backend (:meth:`BfvParams.resolve_representation`).
+``rns`` is chosen exactly when the set carries a chain, the modulus is
+too wide for the numpy backend directly (q >= 2^62), and the chain's
+primes resolve to a vectorized backend — i.e. precisely the case where
+``bigint`` would fall back to arbitrary-precision Python. So python +
+bigint and numpy + RNS are the two ends every parity test compares.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 from repro.crypto.modmath import (
@@ -36,8 +36,6 @@ from repro.crypto.modmath import (
     register_modulus_factors,
 )
 from repro.crypto.prg import SEED_BYTES
-
-_REPRESENTATIONS = ("auto", "bigint", "rns")
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,6 @@ class BfvParams:
             (see :mod:`repro.backend`).
         rns_primes: optional CRT chain of distinct NTT primes whose
             product is q; required for the ``rns`` representation.
-        representation: ciphertext-ring representation ('auto', 'bigint',
-            'rns'); resolve with :meth:`resolve_representation`.
         digit_primes: consecutive chain primes per key-switching digit
             (defaults to 1): digit G of c is ``c mod`` the product of the
             G-th group of ``rns_primes``. Must divide the chain length,
@@ -78,7 +74,6 @@ class BfvParams:
     decomp_bits: int | None = None
     backend: str = "auto"
     rns_primes: tuple[int, ...] | None = None
-    representation: str = "auto"
     digit_primes: int | None = None
 
     def __post_init__(self) -> None:
@@ -90,14 +85,7 @@ class BfvParams:
             raise ValueError("t must be congruent to 1 mod 2n for batching")
         if self.t >= self.q:
             raise ValueError("plaintext modulus must be below q")
-        if self.representation not in _REPRESENTATIONS:
-            raise ValueError(
-                f"unknown representation {self.representation!r}; choose one "
-                f"of {', '.join(_REPRESENTATIONS)}"
-            )
         if self.rns_primes is None:
-            if self.representation == "rns":
-                raise ValueError("representation='rns' requires rns_primes")
             if self.digit_primes is not None:
                 raise ValueError(
                     "digit_primes applies to chain parameters only: a "
@@ -142,33 +130,22 @@ class BfvParams:
                 register_modulus_factors(self.switched_q, self.switched_primes)
 
     def resolve_representation(self) -> str:
-        """The concrete ciphertext-ring representation for these params.
+        """The ciphertext-ring representation these params compute in.
 
-        Explicit ``representation`` wins; ``auto`` consults the
-        ``REPRO_REPRESENTATION`` environment variable and otherwise picks
         ``rns`` exactly when it beats bigint: a chain exists, q is too
-        wide for direct vectorization, and the resolved backend for the
-        chain's primes is vectorized. An env-forced ``rns`` on chainless
-        params fails soft to ``bigint`` so configs stay portable.
+        wide for direct vectorization, and the backend the chain's primes
+        resolve to is vectorized; ``bigint`` otherwise. Resolved on every
+        call, since :func:`repro.backend.set_backend` can move an
+        ``auto`` backend preference.
         """
-        rep = self.representation
-        if rep == "auto":
-            rep = os.environ.get("REPRO_REPRESENTATION", "").strip().lower()
-            if rep not in ("bigint", "rns"):
-                rep = "auto"
-        if rep == "rns" and not self.rns_primes:
+        if self.rns_primes is None or self.q < (1 << 62):
             return "bigint"
-        if rep == "auto":
-            if self.rns_primes is None or self.q < (1 << 62):
-                return "bigint"
-            from repro.backend import backend_for
+        from repro.backend import backend_for
 
-            vectorized = (
-                backend_for(max(self.rns_primes), prefer=self.backend).name
-                != "python"
-            )
-            return "rns" if vectorized else "bigint"
-        return rep
+        vectorized = (
+            backend_for(max(self.rns_primes), prefer=self.backend).name != "python"
+        )
+        return "rns" if vectorized else "bigint"
 
     @property
     def delta(self) -> int:

@@ -12,6 +12,10 @@ Two representations of a ring element are provided:
   run vectorized. Bit-exact with ``RingPoly`` at the same q; enforced by
   ``tests/test_rns_parity.py``.
 
+A parameter set computes in exactly one of them, picked by its backend
+(:meth:`repro.he.params.BfvParams.resolve_representation`); the two meet
+only as wire bytes, so an operand of the other class is refused.
+
 The ``coeffs`` property of either class materializes (and caches) a
 plain-int list for decryption and tests — for ``RnsPoly`` that is the CRT
 reconstruction. Serialization does not go through it: ``to_bytes`` packs
@@ -143,23 +147,22 @@ class RingPoly:
         packed straight from the backend vector."""
         return self._backend.pack_le([self._vec], width, width)
 
-    def _coerce(self, other: "RingPoly | RnsPoly"):
-        """Other's vector on this poly's backend (same ring checked first).
+    def _coerce(self, other: "RingPoly"):
+        """Other's vector (same ring checked first). One parameter set
+        builds every element on one backend in one representation, so an
+        operand from anywhere else is a caller's error, not a conversion."""
+        if getattr(other, "_backend", None) is not self._backend:
+            raise TypeError(
+                f"cannot combine a {self._backend.name} RingPoly with "
+                f"{type(other).__name__} of another backend or representation"
+            )
+        return other._vec
 
-        Accepts an :class:`RnsPoly` operand too (its ``coeffs`` are the
-        CRT reconstruction), so cross-representation arithmetic works in
-        either operand order.
-        """
-        backend = getattr(other, "_backend", None)
-        if backend is self._backend:
-            return other._vec
-        return self._backend.asvec(other.coeffs, self.q)
-
-    def _check(self, other: "RingPoly | RnsPoly") -> None:
+    def _check(self, other: "RingPoly") -> None:
         if self.n != other.n or self.q != other.q:
             raise ValueError("ring mismatch between polynomials")
 
-    def _operand_vecs(self, other: "RingPoly | RnsPoly") -> list:
+    def _operand_vecs(self, other: "RingPoly") -> list:
         """``other``'s per-ring vectors as an operand of this element
         (``ValueError`` unless it lives in the same ring)."""
         self._check(other)
@@ -310,10 +313,6 @@ class RingPoly:
             if other._backend is self._backend:
                 return self._backend.eq(self._vec, other._vec)
             return self.coeffs == other.coeffs
-        if isinstance(other, RnsPoly) and other.q == self.q:
-            # Mirror RnsPoly.__eq__ so equality is symmetric across
-            # representations.
-            return self.coeffs == other.coeffs
         return False
 
     def __repr__(self) -> str:
@@ -366,20 +365,20 @@ class RnsPoly:
         reconstruction on the vectorized backend)."""
         return self.ctx.pack_le(self.residues, width)
 
-    def _coerce(self, other: "RnsPoly | RingPoly") -> "RnsPoly":
-        if isinstance(other, RnsPoly):
-            if other.ctx.primes != self.ctx.primes or other.n != self.n:
-                raise ValueError("ring mismatch between RNS polynomials")
-            return other
-        if isinstance(other, RingPoly) and other.q == self.q:
-            if other.n != self.n:
-                raise ValueError("ring mismatch between polynomials")
-            # Cross-representation operand (e.g. a deserialized bigint
-            # ciphertext meeting RNS key material): decompose it.
-            return RnsPoly.from_coeffs(self.ctx, other.coeffs)
-        raise TypeError(f"cannot combine RnsPoly with {type(other).__name__}")
+    def _coerce(self, other: "RnsPoly") -> "RnsPoly":
+        """Other itself, refused unless it holds residues of this ring on
+        this backend (see :meth:`RingPoly._coerce`)."""
+        backend = self.ctx.backend
+        if not isinstance(other, RnsPoly) or other.ctx.backend is not backend:
+            raise TypeError(
+                f"cannot combine a {backend.name} RnsPoly with "
+                f"{type(other).__name__} of another backend or representation"
+            )
+        if other.ctx.primes != self.ctx.primes or other.n != self.n:
+            raise ValueError("ring mismatch between RNS polynomials")
+        return other
 
-    def _operand_vecs(self, other: "RnsPoly | RingPoly") -> list:
+    def _operand_vecs(self, other: "RnsPoly") -> list:
         """``other``'s per-ring vectors as an operand of this element."""
         return self._coerce(other).residues
 
@@ -513,8 +512,6 @@ class RnsPoly:
                 self.ctx.backend.eq(a, b)
                 for a, b in zip(self.residues, other.residues)
             )
-        if isinstance(other, (RnsPoly, RingPoly)) and other.q == self.q:
-            return self.coeffs == other.coeffs
         return False
 
     def __repr__(self) -> str:

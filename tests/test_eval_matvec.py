@@ -7,7 +7,7 @@ and keeps its working ciphertext in the evaluation domain between one
 forward and one inverse transform. Nothing about the *result* may depend
 on the second part: these tests hold it equal, residue for residue, to
 the same ``w``-step Horner sum built from the public ``rotate`` /
-``mul_plain`` / ``+`` ops on every backend x representation cell, pin
+``mul_plain`` / ``+`` ops on both backends (python bigint, numpy RNS), pin
 whole-protocol frames to recorded digests, check the lazily reduced
 inner product at its overflow boundary against Python integers, and keep
 every error path raising what it raised before.
@@ -45,12 +45,16 @@ SMALL = {
     "fast": fast_params(n=64),
     "delphi": dataclasses.replace(delphi_params(), n=64),
 }
+# (family, backend, the representation that backend resolves to): python
+# computes the bigint oracle, numpy RNS residues wherever there is a chain.
 CELLS = [
-    (name, backend, representation)
-    for name in SMALL
+    (
+        name,
+        backend,
+        dataclasses.replace(params, backend=backend).resolve_representation(),
+    )
+    for name, params in SMALL.items()
     for backend in available_backends()
-    for representation in ("bigint", "rns")
-    if representation == "bigint" or SMALL[name].rns_primes
 ]
 # (n_out, n_in): widths 1, 2, 16 and the full row; heights 1, n_in, > n_in,
 # and two full rows (64 x 32, 40 x 4), where the layout is the full-width
@@ -108,12 +112,10 @@ class TestBitIdentity:
     def rigs(self):
         cache = {}
 
-        def rig(name, backend, representation):
-            key = (name, backend, representation)
+        def rig(name, backend, _representation):
+            key = (name, backend)
             if key not in cache:
-                params = dataclasses.replace(
-                    SMALL[name], backend=backend, representation=representation
-                )
+                params = dataclasses.replace(SMALL[name], backend=backend)
                 cache[key] = keyed(params)
             return cache[key]
 
@@ -212,8 +214,8 @@ class TestBitIdentity:
 # the digests of the input-rotation kernel could not carry over. What
 # ties them to the public ops is TestBitIdentity above; what they add is
 # that a later change to the kernel cannot move a transcript byte
-# unnoticed. (When recorded, the arbitrary-precision oracle —
-# REPRO_REPRESENTATION=bigint — produced the same eight digests.)
+# unnoticed. (When recorded, the arbitrary-precision bigint oracle
+# produced the same eight digests.)
 # Re-recorded once more on the commit that made the client's Enc(r) a
 # seeded symmetric encryption: every Enc(W r - s) the server returns is
 # computed from a different (equally valid) Enc(r), so all eight moved.

@@ -50,8 +50,10 @@ PARAM_SETS = {
 DIGITS = {"delphi": 3, "toy": 4, "fast": 3}
 
 
-def with_representation(params: BfvParams, rep: str) -> BfvParams:
-    return dataclasses.replace(params, representation=rep)
+def on_backend(params: BfvParams, backend: str) -> BfvParams:
+    """``params`` pinned to ``backend``; on a chain that picks the ring:
+    bigint on python, RNS residues on numpy."""
+    return dataclasses.replace(params, backend=backend)
 
 
 def vectorized(params: BfvParams) -> BfvParams:
@@ -60,13 +62,12 @@ def vectorized(params: BfvParams) -> BfvParams:
     Noise and byte counts do not depend on backend or representation
     (the parity tests here and in ``test_rns_parity`` hold them
     bit-identical), and a 256-wide delphi matvec on the python oracle is
-    minutes — so the CI matrix legs that force python/bigint still run
-    these on numpy residues.
+    minutes — so the CI matrix leg that selects python still runs these
+    on numpy residues.
     """
     if "numpy" not in available_backends():
         return params
-    rep = "rns" if params.rns_primes else params.representation
-    return dataclasses.replace(params, backend="numpy", representation=rep)
+    return on_backend(params, "numpy")
 
 
 def keyed_context(params, seed):
@@ -205,8 +206,8 @@ class TestGadgetParity:
         # The delphi chain at degree 256 (its primes are 1 mod 4096, so
         # they serve any smaller power of two) keeps the oracle quick.
         params = dataclasses.replace(PARAM_SETS[name], n=256)
-        rns = self._transcript(with_representation(params, "rns"))
-        big = self._transcript(with_representation(params, "bigint"))
+        rns = self._transcript(on_backend(params, "numpy"))
+        big = self._transcript(on_backend(params, "python"))
         assert rns == big
         assert rns["decoded"] == list(range(1, 40))
 
@@ -215,11 +216,9 @@ class TestGadgetParity:
     )
     @pytest.mark.parametrize("name", ("fast", "toy"))
     def test_python_equals_numpy(self, name):
-        # Pinned to rns, the chain computes as residues on either backend.
-        params = {
-            "fast": fast_params(n=128),
-            "toy": with_representation(toy_params(n=128), "rns"),
-        }[name]
+        # Unpinned, the params follow the selection: on the chain that
+        # is python bigints against numpy residues.
+        params = {"fast": fast_params(n=128), "toy": toy_params(n=128)}[name]
         runs = {}
         for backend in ("python", "numpy"):
             with using_backend(backend):

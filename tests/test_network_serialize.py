@@ -170,7 +170,9 @@ def reference_poly_pair(params, a_coeffs, b_coeffs) -> bytes:
 
 
 def ring_codec_cases():
-    """(id, params) over every way a ring element is held in memory."""
+    """(id, params) over every way a ring element is held in memory: per
+    backend, and on a chain the representation that backend resolves to
+    (bigint on python, RNS on numpy)."""
     cases = []
     for name, params in (
         ("delphi", delphi_params()),
@@ -181,12 +183,9 @@ def ring_codec_cases():
             pinned = dataclasses.replace(params, backend=backend)
             if params.rns_primes is None:
                 cases.append((f"{name}-{backend}", pinned))
-                continue
-            for rep in ("rns", "bigint"):
-                cases.append((
-                    f"{name}-{rep}-{backend}",
-                    dataclasses.replace(pinned, representation=rep),
-                ))
+            else:
+                rep = pinned.resolve_representation()
+                cases.append((f"{name}-{rep}-{backend}", pinned))
     return cases
 
 

@@ -163,8 +163,10 @@ class TestRnsChainCaching:
     def rig(self):
         import dataclasses
 
+        if "numpy" not in available_backends():
+            pytest.skip("an RNS ring needs the vectorized backend")
         clear_ntt_cache()
-        params = dataclasses.replace(toy_params(n=128), representation="rns")
+        params = dataclasses.replace(toy_params(n=128), backend="numpy")
         ctx = BfvContext(params, SecureRandom(11))
         encoder = BatchEncoder(params)
         sk, pk = ctx.keygen()

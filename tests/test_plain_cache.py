@@ -3,8 +3,8 @@
 ``HomomorphicLinearEvaluator.matvec`` takes each block of diagonals'
 evaluation-domain plaintexts from a process-wide cache keyed by the
 matrix content and the ring, encoding them only on a miss. A hit must
-yield the ciphertext a miss yields, bit for bit, on every backend x
-representation cell; anything that changes the plaintexts — a weight,
+yield the ciphertext a miss yields, bit for bit, on both backends
+(python bigint, numpy RNS); anything that changes the plaintexts — a weight,
 the plaintext modulus, the degree, the ring, the shape — must miss; the
 byte budget evicts without changing a result; threads share it safely;
 ``reset_process_state`` empties it; and what it hands out is read-only.
@@ -39,12 +39,16 @@ SMALL = {
     "fast": fast_params(n=64),
     "delphi": dataclasses.replace(delphi_params(), n=64),
 }
+# (family, backend, the representation that backend resolves to): python
+# computes the bigint oracle, numpy RNS residues wherever there is a chain.
 CELLS = [
-    (name, backend, representation)
-    for name in SMALL
+    (
+        name,
+        backend,
+        dataclasses.replace(params, backend=backend).resolve_representation(),
+    )
+    for name, params in SMALL.items()
     for backend in available_backends()
-    for representation in ("bigint", "rns")
-    if representation == "bigint" or SMALL[name].rns_primes
 ]
 # Two full batching rows of outputs at degree 64: the product is the
 # full-width Horner sum, sixteen diagonals (w = n_in).
@@ -71,10 +75,8 @@ def rig(params, seed=3):
 
 
 def cell_params(cell):
-    name, backend, representation = cell
-    return dataclasses.replace(
-        SMALL[name], backend=backend, representation=representation
-    )
+    name, backend, _ = cell
+    return dataclasses.replace(SMALL[name], backend=backend)
 
 
 def weights(params, shape=SHAPE, seed=0):
@@ -229,11 +231,11 @@ class TestHitsAreMisses:
             fast_params(n=64),
             fast_params(n=64, t_bits=18),  # another t
             fast_params(n=128),  # another n (and q)
-            dataclasses.replace(toy_params(n=64), representation="rns"),
-            dataclasses.replace(toy_params(n=64), representation="bigint"),
-            dataclasses.replace(delphi_params(), n=64, representation="rns"),
+            dataclasses.replace(toy_params(n=64), backend="numpy"),  # RNS
+            dataclasses.replace(toy_params(n=64), backend="python"),  # bigint
+            dataclasses.replace(delphi_params(), n=64, backend="numpy"),
             # another n on the same chain and plaintext prime
-            dataclasses.replace(delphi_params(), n=128, representation="rns"),
+            dataclasses.replace(delphi_params(), n=128, backend="numpy"),
         ]
         matrix = [[(5 * i + j) % 97 for j in range(SHAPE[1])] for i in range(SHAPE[0])]
         rigs = [rig(params) for params in family]
@@ -280,7 +282,7 @@ class TestBudget:
         output (below 2q): 4 bytes for 30-bit chain primes, 8 for a
         62-bit prime; a word per coefficient on the python backend."""
         for params, lane in (
-            (dataclasses.replace(delphi_params(), n=64, representation="rns"), 4),
+            (dataclasses.replace(delphi_params(), n=64, backend="numpy"), 4),
             (fast_params(n=64), 8),
         ):
             clear_plain_cache()

@@ -6,10 +6,13 @@ arbitrary-precision bigint oracle at the same composite q. These tests
 draw random inputs (seeded, plus Hypothesis properties for the CRT maps)
 and assert list-level equality on CRT round-trips, ring-element
 arithmetic, full BFV encrypt→ops→decrypt transcripts, and one end-to-end
-protocol inference at ``toy_params``. Also covers representation
-resolution (auto heuristic, env override, fail-soft) and delphi-scale
-acceptance: the paper-faithful parameters must actually run on the
-vectorized backend via RNS.
+protocol inference at ``toy_params``. The representation is not a
+setting — it follows from the parameters and the backend — so every
+comparison runs the python backend (bigint oracle) against the numpy
+backend (RNS residues). Also covers that resolution (pinned per family
+and backend, deaf to the environment) and delphi-scale acceptance: the
+paper-faithful parameters must actually run on the vectorized backend
+via RNS.
 """
 
 import dataclasses
@@ -35,8 +38,10 @@ from repro.he.polynomial import RingPoly, RnsPoly, clear_ntt_cache
 TOY = toy_params(n=128)
 
 
-def with_representation(params: BfvParams, rep: str) -> BfvParams:
-    return dataclasses.replace(params, representation=rep)
+def on_backend(params: BfvParams, backend: str) -> BfvParams:
+    """``params`` pinned to ``backend``: the python backend computes the
+    ring as bigints, the numpy backend as RNS residues on a chain."""
+    return dataclasses.replace(params, backend=backend)
 
 
 def rand_vec(rng, n, q):
@@ -158,30 +163,28 @@ class TestRingElementParity:
         with pytest.raises(ValueError):
             rns.decompose(None, 16)  # no positional digits on a chain
 
-    def test_equality_crosses_representations(self):
-        rng = random.Random(5)
-        a = rand_vec(rng, TOY.n, TOY.q)
-        big, rns = self._pair(a)
-        assert rns == big
-        assert big == rns  # symmetric, either operand order
-        assert rns == RnsPoly.from_coeffs(rns.ctx, a)
-        other = rand_vec(rng, TOY.n, TOY.q)
-        assert rns != RingPoly(other, TOY.q)
-        assert RingPoly(other, TOY.q) != rns
-
-    def test_mixed_representation_arithmetic_both_orders(self):
+    def test_representations_never_mix(self):
+        """One parameter set computes in one representation on one
+        backend: an operand of the other representation, or of the same
+        chain on the other backend, is refused in either order, never
+        converted."""
         rng = random.Random(15)
-        a, b = rand_vec(rng, TOY.n, TOY.q), rand_vec(rng, TOY.n, TOY.q)
-        big_a, rns_a = self._pair(a)
-        big_b, rns_b = self._pair(b)
-        want_sum = (big_a + big_b).coeffs
-        want_prod = (big_a * big_b).coeffs
-        # RingPoly on the left of an RnsPoly and vice versa both work.
-        assert (big_a + rns_b).coeffs == want_sum
-        assert (rns_a + big_b).coeffs == want_sum
-        assert (big_a * rns_b).coeffs == want_prod
-        assert (rns_a * big_b).coeffs == want_prod
-        assert (big_a - rns_b).coeffs == (big_a - big_b).coeffs
+        big_a, rns_a = self._pair(rand_vec(rng, TOY.n, TOY.q))
+        big_b, rns_b = self._pair(rand_vec(rng, TOY.n, TOY.q))
+        pairs = [(big_a, rns_b), (rns_a, big_b)]
+        if "numpy" in available_backends():
+            # Residues of one chain on the other backend: python lists
+            # and numpy arrays added together are not the sum.
+            on_python = RnsContext.for_primes(TOY.rns_primes, prefer="python")
+            on_numpy = RnsContext.for_primes(TOY.rns_primes, prefer="numpy")
+            coeffs = rand_vec(rng, TOY.n, TOY.q)
+            py_c = RnsPoly.from_coeffs(on_python, coeffs)
+            np_c = RnsPoly.from_coeffs(on_numpy, coeffs)
+            pairs += [(py_c, np_c), (np_c, py_c)]
+        for left, right in pairs:
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(TypeError):
+                    op(left, right)
 
     def test_ring_mismatch_rejected(self):
         rng = random.Random(16)
@@ -228,8 +231,8 @@ class TestBfvTranscriptParity:
         }
 
     def test_toy_transcripts_identical(self):
-        big = self._run(with_representation(TOY, "bigint"))
-        rns = self._run(with_representation(TOY, "rns"))
+        big = self._run(on_backend(TOY, "python"))
+        rns = self._run(on_backend(TOY, "numpy"))
         assert big == rns
         want = [(2 * (3 * (v + 5)) - 1) % TOY.t for v in range(1, 61)]
         assert rns["decoded"][:59] == want[:59]
@@ -240,31 +243,38 @@ class TestBfvTranscriptParity:
             serialize_ciphertext,
         )
 
-        big_params = with_representation(TOY, "bigint")
-        rns_params = with_representation(TOY, "rns")
+        if "numpy" not in available_backends():
+            pytest.skip("needs the vectorized backend")
+        # Two parties on two backends, as two processes would be: what
+        # crosses between their representations is wire bytes only.
+        big_params = on_backend(TOY, "python")
+        rns_params = on_backend(TOY, "numpy")
         ctx_big = BfvContext(big_params, SecureRandom(9))
         encoder = BatchEncoder(big_params)
         sk, pk = ctx_big.keygen()
         ct = ctx_big.encrypt(pk, encoder.encode([11, 22, 33]))
+        assert isinstance(ct.c0, RingPoly)
         # Wire bytes produced by a bigint party land as residues at an RNS
-        # party, and the RNS secret key (same seed) still decrypts them.
+        # party, and the RNS secret key (same seed) still decrypts them;
+        # the RNS party's reply lands as bigints back.
         ctx_rns = BfvContext(rns_params, SecureRandom(9))
         sk_rns, _ = ctx_rns.keygen()
         restored = deserialize_ciphertext(serialize_ciphertext(ct), rns_params)
         assert isinstance(restored.c0, RnsPoly)
         decoded = encoder.decode(ctx_rns.decrypt(sk_rns, restored))
         assert decoded[:3] == [11, 22, 33]
+        doubled = restored + restored
+        back = deserialize_ciphertext(serialize_ciphertext(doubled), big_params)
+        assert isinstance(back.c0, RingPoly)
+        assert encoder.decode(ctx_big.decrypt(sk, back))[:3] == [22, 44, 66]
 
     def test_make_ring_element_follows_resolution(self):
         coeffs = [1, 2, 3, 4] + [0] * (TOY.n - 4)
-        assert isinstance(
-            make_ring_element(coeffs, with_representation(TOY, "bigint")),
-            RingPoly,
-        )
-        assert isinstance(
-            make_ring_element(coeffs, with_representation(TOY, "rns")),
-            RnsPoly,
-        )
+        big = make_ring_element(coeffs, on_backend(TOY, "python"))
+        assert isinstance(big, RingPoly)
+        if "numpy" in available_backends():
+            rns = make_ring_element(coeffs, on_backend(TOY, "numpy"))
+            assert isinstance(rns, RnsPoly) and rns.coeffs == big.coeffs
 
 
 class TestProtocolParity:
@@ -279,25 +289,23 @@ class TestProtocolParity:
         net.randomize_weights(TOY.t, np.random.default_rng(0))
         x = list(range(4))
         runs = {}
-        for rep in ("bigint", "rns"):
+        for backend in ("python", "numpy"):
             clear_ntt_cache()
             proto = HybridProtocol(
-                net,
-                dataclasses.replace(toy_params(n=128), representation=rep),
-                seed=21,
+                net, on_backend(toy_params(n=128), backend), seed=21
             )
             proto.run_offline()
             logits = proto.run_online(x)
             assert logits == proto.plaintext_reference(x)
-            runs[rep] = (logits, proto.channel.total_bytes)
+            runs[backend] = (logits, proto.channel.total_bytes)
         # Identical logits and identical transcript byte accounting.
-        assert runs["bigint"] == runs["rns"]
+        assert runs["python"] == runs["numpy"]
 
 
 class TestMintTranscriptParity:
     """One seeded inference sends the same HE bytes — the seeded Galois
     key, every ciphertext in and out of the Horner matvec — whichever
-    backend and representation computes it. The 64-wide hidden layer
+    backend (and so representation) computes it. The 64-wide hidden layer
     overflows the 128 slots, so its product rotates and the key is sent.
     (GC frames are not compared: the vectorized garbler the numpy backend
     selects and the scalar one draw different, equally valid, labels from
@@ -311,7 +319,7 @@ class TestMintTranscriptParity:
     }
 
     @staticmethod
-    def _he_frames_digest(net, params, x, backend, representation):
+    def _he_frames_digest(net, params, x, backend):
         import hashlib
 
         from repro.core.protocol import HybridProtocol
@@ -325,10 +333,7 @@ class TestMintTranscriptParity:
         }
         clear_ntt_cache()
         proto = HybridProtocol(
-            net,
-            dataclasses.replace(
-                params, backend=backend, representation=representation
-            ),
+            net, on_backend(params, backend),
             garbler="client", seed=33, transport="memory",
         )
         digest, count = hashlib.sha256(), 0
@@ -360,25 +365,25 @@ class TestMintTranscriptParity:
         from repro.nn.datasets import tiny_dataset
         from repro.nn.models import tiny_mlp
 
+        if "numpy" not in available_backends():
+            pytest.skip("needs the vectorized backend")
         params = self.CHAINS[name]
         net = tiny_mlp(tiny_dataset(size=2, classes=2), hidden=64)
         net.randomize_weights(params.t, np.random.default_rng(0))
         x = list(range(4))
         runs = {
-            (backend, rep): self._he_frames_digest(net, params, x, backend, rep)
-            for backend in available_backends()
-            for rep in ("bigint", "rns")
+            backend: self._he_frames_digest(net, params, x, backend)
+            for backend in ("python", "numpy")
         }
-        assert len(runs) >= 2 and len(set(runs.values())) == 1, runs
+        assert len(set(runs.values())) == 1, runs
 
 
 class TestSeedExpansionParity:
     """One seed expands to the same ring element — and a seeded symmetric
-    encryption to the same ciphertext — on every backend x representation
-    cell: the vectorized RNS path and the python bigint oracle (which
-    rebuilds the element from the per-prime residues through the CRT)
-    agree coefficient for coefficient. Runs in CI's backend x
-    representation matrix."""
+    encryption to the same ciphertext — on every backend: the vectorized
+    RNS path and the python bigint oracle (which rebuilds the element
+    from the per-prime residues through the CRT) agree coefficient for
+    coefficient."""
 
     PARAMS = {
         "toy": TOY,
@@ -388,12 +393,7 @@ class TestSeedExpansionParity:
 
     @staticmethod
     def _cells(params):
-        reps = ("bigint", "rns") if params.rns_primes else ("bigint",)
-        return [
-            dataclasses.replace(params, backend=backend, representation=rep)
-            for backend in available_backends()
-            for rep in reps
-        ]
+        return [on_backend(params, backend) for backend in available_backends()]
 
     @pytest.mark.parametrize("name", PARAMS)
     def test_one_seed_one_element(self, name):
@@ -417,15 +417,13 @@ class TestSeedExpansionParity:
 
     @pytest.mark.parametrize("name", ["toy", "delphi"])
     def test_numpy_rns_equals_python_bigint(self, name):
-        """The two ends of the matrix, named: a seeded Enc(r) and a seeded
-        Galois digit are the same ring elements on both."""
+        """The two backends, named: a seeded Enc(r) and a seeded Galois
+        digit are the same ring elements on both."""
         if "numpy" not in available_backends():
             pytest.skip("needs the vectorized backend")
         runs = []
-        for backend, rep in (("numpy", "rns"), ("python", "bigint")):
-            params = dataclasses.replace(
-                self.PARAMS[name], backend=backend, representation=rep
-            )
+        for backend in ("numpy", "python"):
+            params = on_backend(self.PARAMS[name], backend)
             clear_ntt_cache()
             ctx = BfvContext(params, SecureRandom(5))
             encoder = BatchEncoder(params)
@@ -444,10 +442,9 @@ class TestSeedExpansionParity:
 class TestModSwitchParity:
     """round(c·q'/q) from the residues alone (RNS: the dropped group's
     residue through the lane CRT, then (c - r)·P^-1 per kept prime) is
-    the bigint oracle's exact integer rounding on every backend x
-    representation cell — at the rounding edges too: c mod P at (P-1)/2
-    rounds down and (P+1)/2 up (P is odd, so there is no tie), and
-    c = q-1 rounds to q' and wraps to 0."""
+    the bigint oracle's exact integer rounding on every backend — at the
+    rounding edges too: c mod P at (P-1)/2 rounds down and (P+1)/2 up (P
+    is odd, so there is no tie), and c = q-1 rounds to q' and wraps to 0."""
 
     PARAMS = {"toy": TOY, "delphi": dataclasses.replace(delphi_params(), n=128)}
 
@@ -490,20 +487,11 @@ class TestModSwitchParity:
 
 
 class TestRepresentationResolution:
-    def test_explicit_rns_requires_chain(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(fast_params(n=128), representation="rns")
-
-    def test_unknown_representation_rejected(self):
-        with pytest.raises(ValueError):
-            dataclasses.replace(TOY, representation="float")
-
     def test_chain_must_multiply_to_q(self):
         with pytest.raises(ValueError):
             dataclasses.replace(TOY, rns_primes=TOY.rns_primes[:-1])
 
-    def test_auto_picks_rns_only_for_wide_vectorizable_moduli(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REPRESENTATION", raising=False)
+    def test_auto_picks_rns_only_for_wide_vectorizable_moduli(self):
         # fast_params: q < 2^62, no chain -> bigint (directly vectorized).
         assert fast_params(n=128).resolve_representation() == "bigint"
         # RNS exactly when the chain's primes resolve to a vectorized
@@ -517,29 +505,54 @@ class TestRepresentationResolution:
         forced = dataclasses.replace(TOY, backend="python")
         assert forced.resolve_representation() == "bigint"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REPRESENTATION", "bigint")
-        assert TOY.resolve_representation() == "bigint"
-        monkeypatch.setenv("REPRO_REPRESENTATION", "rns")
-        assert TOY.resolve_representation() == "rns"
-        # Fail-soft: forcing rns on chainless params stays functional.
-        assert fast_params(n=128).resolve_representation() == "bigint"
-        monkeypatch.setenv("REPRO_REPRESENTATION", "nonsense")
-        assert TOY.resolve_representation() in ("bigint", "rns")
+    # The ring a context builds, per family and backend: RNS residues only
+    # where a chain meets the vectorized backend. Nothing else moves it —
+    # not an environment variable that once forced the oracle.
+    RING_TYPES = {
+        ("toy", "python"): RingPoly,
+        ("toy", "numpy"): RnsPoly,
+        ("fast", "python"): RingPoly,
+        ("fast", "numpy"): RingPoly,
+        ("delphi", "python"): RingPoly,
+        ("delphi", "numpy"): RnsPoly,
+    }
+    FAMILIES = {
+        "toy": TOY,
+        "fast": fast_params(n=128),
+        "delphi": dataclasses.replace(delphi_params(), n=128),
+    }
 
-    def test_explicit_field_beats_env(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "cell",
+        [cell for cell in RING_TYPES if cell[1] in available_backends()],
+        ids="-".join,
+    )
+    def test_the_backend_alone_picks_the_ring(self, cell, monkeypatch):
+        name, backend = cell
+        params = on_backend(self.FAMILIES[name], backend)
+
+        def ring_type():
+            ctx = BfvContext(params, SecureRandom(1))
+            sk = ctx.secret_keygen()
+            ct = ctx.encrypt(sk, BatchEncoder(params).encode([1, 2, 3]))
+            assert type(sk.s) is type(ct.c0) is type(ct.c1)
+            return type(ct.c0)
+
         monkeypatch.setenv("REPRO_REPRESENTATION", "bigint")
-        assert with_representation(TOY, "rns").resolve_representation() == "rns"
+        forced = ring_type()
+        monkeypatch.delenv("REPRO_REPRESENTATION")
+        assert forced is ring_type() is self.RING_TYPES[cell]
+        want = "rns" if self.RING_TYPES[cell] is RnsPoly else "bigint"
+        assert params.resolve_representation() == want
 
 
 @pytest.mark.skipif(
     "numpy" not in available_backends(), reason="numpy backend unavailable"
 )
 class TestDelphiScaleAcceptance:
-    def test_delphi_ops_run_vectorized_via_rns(self, monkeypatch):
+    def test_delphi_ops_run_vectorized_via_rns(self):
         import numpy as np
 
-        monkeypatch.delenv("REPRO_REPRESENTATION", raising=False)
         params = dataclasses.replace(delphi_params(), backend="numpy")
         assert params.resolve_representation() == "rns"
         ctx = BfvContext(params, SecureRandom(3))
@@ -561,19 +574,19 @@ class TestDelphiScaleAcceptance:
     def test_delphi_parity_spot_check(self):
         params = delphi_params()
         results = {}
-        for rep in ("bigint", "rns"):
-            p = with_representation(params, rep)
+        for backend in ("python", "numpy"):
+            p = on_backend(params, backend)
             ctx = BfvContext(p, SecureRandom(5))
             encoder = BatchEncoder(p)
             sk, pk = ctx.keygen()
             ct = ctx.encrypt(pk, encoder.encode([7, 8, 9]))
             ct = ctx.mul_plain(ct, encoder.encode([1000] * params.n))
-            results[rep] = (
+            results[backend] = (
                 ct.c0.coeffs[:8],
                 ct.c1.coeffs[:8],
                 encoder.decode(ctx.decrypt(sk, ct))[:3],
             )
-        assert results["bigint"] == results["rns"]
+        assert results["python"] == results["numpy"]
 
 
 class TestFastBaseConversionParity:
@@ -717,9 +730,7 @@ class TestScaleRoundParity:
 
         if "numpy" not in available_backends():
             pytest.skip("numpy backend unavailable")
-        params = dataclasses.replace(
-            delphi_params(), backend="numpy", representation="rns"
-        )
+        params = on_backend(delphi_params(), "numpy")
         net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=8)
         net.randomize_weights(params.t, np.random.default_rng(11))
 
