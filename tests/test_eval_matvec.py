@@ -58,10 +58,13 @@ CELLS = [
 ]
 # (n_out, n_in): widths 1, 2, 16 and the full row; heights 1, n_in, > n_in,
 # and two full rows (64 x 32, 40 x 4), where the layout is the full-width
-# sum (w = n_in). The others take 1, 1, 1, 4, 8, 2 and 16 steps.
+# sum (w = n_in). The others take 1, 1, 1, 4, 8, 2 and 16 steps. Then odd
+# heights, which leave unused slots inside a row: one step (3 x 8), four
+# (9 x 16, 17 x 8, 5 x 32), and more outputs than a row at width 2 (33 x
+# 2), the full-width sum again.
 SHAPES = [
     (1, 1), (2, 2), (1, 16), (16, 16), (32, 16), (4, 32), (32, 32), (64, 32),
-    (40, 4),
+    (40, 4), (3, 8), (9, 16), (17, 8), (5, 32), (33, 2),
 ]
 
 
@@ -203,6 +206,76 @@ class TestBitIdentity:
         assert decrypted_product(ctx, encoder, sk, want, *shape) == [
             sum(w * v for w, v in zip(row, x)) % params.t for row in rows
         ]
+
+
+@pytest.mark.skipif(
+    "numpy" not in available_backends(), reason="numpy backend unavailable"
+)
+class TestOraclePair:
+    """The python backend (bigint) and the numpy backend (RNS residues
+    wherever there is a chain) are the oracle pair: keyed from one seed,
+    they hold one secret, and a matvec on either returns the same
+    ciphertext, byte for byte on the wire."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        cache = {}
+
+        def pair(name):
+            # Every test draws the same encryptions on both rigs, so the
+            # two generators stay in step for as long as the class runs.
+            if name not in cache:
+                cache[name] = [
+                    keyed(dataclasses.replace(SMALL[name], backend=backend))
+                    for backend in ("python", "numpy")
+                ]
+            return cache[name]
+
+        return pair
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("name", SMALL)
+    def test_matvec_is_one_ciphertext_on_both_backends(self, pairs, name, shape):
+        n_out, n_in = shape
+        rng = np.random.default_rng([n_out, n_in, 1])
+        t = SMALL[name].t
+        rows = rng.integers(0, t, size=shape).tolist()
+        x = rng.integers(0, t, size=n_in).tolist()
+        wires, products = [], []
+        for ctx, encoder, sk, pk, g, gk in pairs(name):
+            assert ctx.params.resolve_representation() == (
+                "rns" if ctx.params.backend == "numpy" and ctx.params.rns_primes
+                else "bigint"
+            )
+            evaluator = HomomorphicLinearEvaluator(ctx, encoder, gk)
+            ct = ctx.encrypt(pk, encoder.encode(evaluator.pack_vector(x)))
+            out = evaluator.matvec(ct, rows)
+            wires.append(serialize_ciphertext(out))
+            products.append(decrypted_product(ctx, encoder, sk, out, n_out, n_in))
+        assert wires[0] == wires[1]
+        assert products[0] == products[1] == [
+            sum(w * v for w, v in zip(row, x)) % t for row in rows
+        ]
+
+    @pytest.mark.parametrize("name", SMALL)
+    def test_a_packed_group_is_one_ciphertext_on_both_backends(self, pairs, name):
+        shapes = ((4, 8), (3, 4), (5, 2))
+        (group,) = pack_layers(shapes, SMALL[name].n // 2)
+        rng = np.random.default_rng(len(name) + 1)
+        t = SMALL[name].t
+        mats = [rng.integers(0, t, size=shape).tolist() for shape in shapes]
+        xs = [rng.integers(0, t, size=shape[1]).tolist() for shape in shapes]
+        wires = []
+        for ctx, encoder, sk, pk, g, gk in pairs(name):
+            ct = ctx.encrypt(pk, encoder.encode(group.vector(xs)))
+            evaluator = HomomorphicLinearEvaluator(ctx, encoder, None)
+            out = evaluator.matvec(ct, *mats, group=group)
+            wires.append(serialize_ciphertext(out))
+            assert group.reduce(encoder.decode(ctx.decrypt(sk, out)), t) == [
+                [sum(w * v for w, v in zip(row, x)) % t for row in matrix]
+                for matrix, x in zip(mats, xs)
+            ]
+        assert wires[0] == wires[1]
 
 
 # sha256 of each `serialize_ciphertext(ct_out)` frame the server sends in

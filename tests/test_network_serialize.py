@@ -190,6 +190,25 @@ def ring_codec_cases():
 
 
 RING_CODEC_CASES = ring_codec_cases()
+# (id, family, writer's backend, reader's backend): a frame crossing from
+# a party on one backend to a party on the other, as between processes.
+CROSSINGS = [
+    (f"{name}-{writer}-to-{reader}", name, writer, reader)
+    for name in ("delphi", "toy", "fast")
+    for writer, reader in (("python", "numpy"), ("numpy", "python"))
+]
+needs_numpy = pytest.mark.skipif(
+    "numpy" not in available_backends(), reason="needs the vectorized backend"
+)
+
+
+def codec_params(name, backend):
+    """The :data:`RING_CODEC_CASES` params of family ``name`` on ``backend``."""
+    (params,) = [
+        p for cid, p in RING_CODEC_CASES
+        if cid.split("-")[0] == name and p.backend == backend
+    ]
+    return params
 
 
 class TestRingCodec:
@@ -219,6 +238,23 @@ class TestRingCodec:
         assert len(wire) == ciphertext_wire_bytes(params)
         restored = deserialize_ciphertext(wire, params)
         assert isinstance(restored.c0, expected_type)
+        assert restored.c0.coeffs == a and restored.c1.coeffs == b
+        assert serialize_ciphertext(restored) == wire
+
+    @needs_numpy
+    @pytest.mark.parametrize(
+        "name, writer, reader", [c[1:] for c in CROSSINGS], ids=[c[0] for c in CROSSINGS]
+    )
+    def test_a_frame_crosses_backends_unchanged(self, name, writer, reader):
+        """What a party on one backend writes, a party on the other reads
+        as the same ring elements, held in its own representation, and
+        writes back byte for byte."""
+        sent, received = codec_params(name, writer), codec_params(name, reader)
+        a, b = self._coeffs(sent, 4), self._coeffs(sent, 5)
+        pair = [make_ring_element(v, sent) for v in (a, b)]
+        wire = serialize_ciphertext(Ciphertext(sent, *pair))
+        restored = deserialize_ciphertext(wire, received)
+        assert type(restored.c0) is type(make_ring_element(a, received))
         assert restored.c0.coeffs == a and restored.c1.coeffs == b
         assert serialize_ciphertext(restored) == wire
 
@@ -434,6 +470,25 @@ class TestSwitchedFrames:
         assert restored.q == kept and restored.seed is None
         assert [restored.c0.coeffs, restored.c1.coeffs] == want
         assert restored.byte_size == ct.byte_size == params.switched_ciphertext_bytes
+        assert serialize_ciphertext(restored) == wire
+
+    @needs_numpy
+    @pytest.mark.parametrize(
+        "name, writer, reader",
+        [c[1:] for c in CROSSINGS if c[1] != "fast"],
+        ids=[c[0] for c in CROSSINGS if c[1] != "fast"],
+    )
+    def test_a_switched_return_crosses_backends_unchanged(self, name, writer, reader):
+        """A return switched on one backend reads on the other as the same
+        residues at the switched modulus, and writes back the same bytes."""
+        sent, received = codec_params(name, writer), codec_params(name, reader)
+        a, b = TestRingCodec._coeffs(sent, 6), TestRingCodec._coeffs(sent, 7)
+        pair = [make_ring_element(v, sent) for v in (a, b)]
+        ct = BfvContext(sent).mod_switch(Ciphertext(sent, *pair))
+        wire = serialize_ciphertext(ct)
+        restored = deserialize_ciphertext(wire, received)
+        assert restored.q == received.switched_q == ct.q
+        assert [restored.c0.coeffs, restored.c1.coeffs] == [ct.c0.coeffs, ct.c1.coeffs]
         assert serialize_ciphertext(restored) == wire
 
     def test_a_switched_return_decrypts_after_the_wire(self):
