@@ -507,12 +507,13 @@ class RnsPoly:
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RnsPoly) and other.ctx.primes == self.ctx.primes:
-            return all(
-                self.ctx.backend.eq(a, b)
-                for a, b in zip(self.residues, other.residues)
-            )
-        return False
+        if not isinstance(other, RnsPoly) or other.ctx.primes != self.ctx.primes:
+            return False
+        if other.ctx.backend is not self.ctx.backend:
+            return self.coeffs == other.coeffs  # as RingPoly.__eq__ does
+        return all(
+            self.ctx.backend.eq(a, b) for a, b in zip(self.residues, other.residues)
+        )
 
     def __repr__(self) -> str:
         bits = [p.bit_length() for p in self.ctx.primes]

@@ -25,14 +25,13 @@ or by GOAWAY, which ends the connection. The connection-scoped
 (``reset_for_request()``); a ``GWS1`` stats probe works standalone or
 between two requests.
 
-This module is I/O only: frames, sessions, the selector, the refill
-thread, and the set of held connections to retry. It feeds every event
-— a REQ, a miss, a landed or failed mint, a DONE, a drop — to the one
-:class:`~repro.runtime.policy.RefillLedger` under its state lock and
-carries out what comes back (queue, BUSY, GOAWAY, OFFER, HOLD); the
-ledger owns the in-flight counts, the holds and the admission tallies.
-The frame vocabulary is :mod:`repro.network.frames`; the peer is
-:mod:`repro.runtime.client`.
+This module is I/O only: frames, sessions, the selector and the refill
+thread. Each connection's request cycle is a
+:class:`~repro.runtime.connection.ConnectionMachine` over the one
+:class:`~repro.runtime.policy.RefillLedger`, on which the refill thread
+books its mints; the gateway feeds the machine decoded frames and phase
+ends and carries out its actions. The frame vocabulary is
+:mod:`repro.network.frames`; the peer is :mod:`repro.runtime.client`.
 
 Fidelity note: on a hit the gateway ships the *whole* stored transcript
 (both role halves) to the client, mirroring what
@@ -46,26 +45,27 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
 
 from repro.network import frames
 from repro.network.transport import SocketListener, SocketTransport, TransportError
 from repro.runtime.client import GatewayClient  # noqa: F401 - bench_e2e imports it here
-from repro.runtime.policy import (
+from repro.runtime.connection import (
+    ADMIT,
     BUSY,
-    DEFAULT_MAX_QUEUE,
+    DONE,
     GOAWAY,
-    HOLD,
-    OUTCOMES,
-    QUEUE,
-    RefillLedger,
+    OFFER,
+    START_ONLINE,
+    ConnectionMachine,
 )
+from repro.runtime.policy import DEFAULT_MAX_QUEUE, OUTCOMES, RefillLedger
 from repro.runtime.pool import PrecomputePool, mint_offline_job
 from repro.runtime.serving import (
     ServedRequest,
     ServingReport,
     client_id as client_name,  # ``client_id`` is a str everywhere below
     mint_seed,
+    occupancy,
 )
 from repro.runtime.state import derive_worker_seed
 from repro.runtime.store import KIND_OFFLINE, StoreKey
@@ -197,49 +197,39 @@ class _RefillWorker(threading.Thread):
 
 
 class _Connection:
-    """One live client socket: a request queue plus the protocol machine.
+    """One live client socket: the I/O adapter of a :class:`ConnectionMachine`.
 
-    State walk: ``HELLO`` (awaiting the connection's identity) → ``IDLE``
-    (between requests; REQ frames queue here) → ``ADMITTED`` (looking in
-    the store) → one of ``WAIT_STORE`` (held for a refill) / ``OFFLINE``
-    / ``ONLINE`` while the request is active → back to ``IDLE`` after the
-    DONE frame, until a GOAWAY (either direction) or a transport error
-    ends the connection.
+    Decodes control frames into the machine's inputs and carries out its
+    actions: frames, spans, metrics, and one connection-scoped
+    :class:`~repro.core.session.ServerSession`, recycled between requests.
     """
-
-    HELLO, IDLE, ADMITTED, WAIT_STORE, OFFLINE, ONLINE = (
-        "hello", "idle", "admitted", "wait-store", "offline", "online",
-    )
 
     def __init__(self, gateway: "ServingGateway", transport: SocketTransport):
         self.gateway = gateway
         self.transport = transport
         self.session = None
-        self.state = self.HELLO
-        self.client_id = "?"
-        self.client: int | str | None = None  # ledger key: index, else id
-        self.request_index = -1
-        self.pending: deque[int] = deque()  # REQs queued behind the active one
-        self.requests_completed = 0
-        self.queue_depth = 0
-        self.hit = False
-        self.mint_seconds = 0.0
-        self.hold_seconds = 0.0  # admission -> OFFER of a WAIT_STORE hold
-        self.wait_deadline = 0.0
-        self.request_started = 0.0
-        self._mint_start = 0.0
-        self._online_start = 0.0
+        self.machine = ConnectionMachine(
+            gateway.ledger, gateway._take_precompute, time.perf_counter,
+            gateway._state_lock,
+        )
         self.registered_events = selectors.EVENT_READ
         # Under tracing, a per-connection virtual track carrying the
-        # accept -> request* -> close spans.
-        self._track: int | None = None
-        self._t_accept_us: int | None = None
-        self._t_request_us: int | None = None
-        self._t_offline_us: int | None = None
-        self._t_online_us: int | None = None
-        if TRACER.enabled:
-            self._track = TRACER.new_track("gateway-conn")
-            self._t_accept_us = now_us()
+        # connection -> request* -> offline/online spans, by start time.
+        self._track = TRACER.new_track("gateway-conn") if TRACER.enabled else None
+        self._opened: dict[str, int] = {}
+        self._open("connection")
+
+    def _open(self, span: str) -> None:
+        if self._track is not None and TRACER.enabled:
+            self._opened[span] = now_us()
+
+    def _close(self, span: str, **labels) -> None:
+        start = self._opened.pop(span, None)
+        if start is not None:
+            TRACER.emit_since(
+                f"gateway.{span}", start, tid=self._track,
+                client=self.machine.client_id, **labels,
+            )
 
     def on_event(self, mask: int) -> None:
         try:
@@ -254,126 +244,109 @@ class _Connection:
             self.gateway._drop(self, error=exc)
 
     def advance(self) -> None:
-        """Feed buffered frames through the state machine, never blocking."""
-        from repro.core.session import DONE
+        """Feed buffered frames through the machine, never blocking."""
+        from repro.core.session import DONE as PHASE_DONE
 
-        while True:
-            if self.state == self.HELLO:
-                frame = self.transport.recv(wait=False)
-                if frame is None:
+        machine = self.machine
+        while self in self.gateway._connections:
+            state = machine.state
+            if state in (machine.OFFLINE, machine.ONLINE):
+                with TRACER.span(
+                    "gateway.step", client=machine.client_id, state=state
+                ):
+                    done = self.session.step() == PHASE_DONE
+                if not done:
                     return
-                if bytes(frame[:4]) == frames.STATS:
-                    # A monitoring peer, not a protocol client: answer
-                    # with a live snapshot and close. No session is
-                    # created and the session seed counter never
-                    # advances, so stats probes cannot perturb a serving
-                    # run's transcripts.
-                    self.transport.send(
-                        frames.encode_stats_reply(self.gateway.stats())
-                    )
+                self.carry_out(machine.phase_done())
+                continue
+            # An admitted request reads nothing: its peer waits for the OFFER.
+            looking = state in (machine.ADMITTED, machine.WAIT_STORE)
+            frame = None if looking else self.transport.recv(wait=False)
+            if frame is None:
+                # A request looks in the store (again, if held); a queued
+                # REQ may start.
+                self.carry_out(machine.retry())
+                if machine.state == state:
+                    return
+                continue
+            head = bytes(frame[:4])
+            if head == frames.STATS:
+                # In place of a HELLO: a monitoring peer, answered and closed
+                # with no session made, so probes cannot perturb transcripts.
+                # Between two requests: answered inline; the connection lives.
+                self.transport.send(frames.encode_stats_reply(self.gateway.stats()))
+                if state == machine.HELLO:
                     self.gateway._drop(self, error=None)
-                    return
-                self.client_id = frames.decode_hello(frame)
-                self.client = self.gateway._client_index.get(
-                    self.client_id, self.client_id
-                )
+            elif state == machine.HELLO:
+                client_id = frames.decode_hello(frame)
+                machine.hello(client_id, self.gateway._client_index.get(client_id))
                 self.gateway.connections_accepted += 1
-                self.state = self.IDLE
-                continue
-            if self.state == self.IDLE:
-                frame = self.transport.recv(wait=False)
-                if frame is None:
-                    if not self.gateway._maybe_start(self):
-                        return
-                    continue  # a queued request started: run its phase
-                head = bytes(frame[:4])
-                if head == frames.STATS:
-                    # Mid-stream probe between two requests on a live
-                    # keep-alive connection: answered inline, the
-                    # connection (and its recycled session) lives on.
-                    self.transport.send(
-                        frames.encode_stats_reply(self.gateway.stats())
-                    )
-                    continue
-                if head == frames.GOAWAY:
-                    # The client is done with this connection.
-                    self.gateway._drop(self, error=None)
-                    return
-                self.pending.append(frames.decode_request(frame))
-                self.gateway._maybe_start(self)
-                if self not in self.gateway._connections:
-                    return  # rejected with GOAWAY mid-admission
-                continue
-            if self.state == self.WAIT_STORE:
-                return
-            if self.state == self.OFFLINE:
-                with TRACER.span(
-                    "gateway.step", client=self.client_id, state=self.state
-                ):
-                    done = self.session.step() == DONE
-                if not done:
-                    return
-                self.mint_seconds = time.perf_counter() - self._mint_start
-                if self._t_offline_us is not None:
-                    TRACER.emit_since(
-                        "gateway.offline", self._t_offline_us, tid=self._track,
-                        client=self.client_id,
-                    )
-                    self._t_offline_us = None
-                self.session.start_online()
-                self._online_start = time.perf_counter()
-                if TRACER.enabled and self._track is not None:
-                    self._t_online_us = now_us()
-                self.state = self.ONLINE
-                continue
-            if self.state == self.ONLINE:
-                with TRACER.span(
-                    "gateway.step", client=self.client_id, state=self.state
-                ):
-                    done = self.session.step() == DONE
-                if not done:
-                    return
-                self.gateway._complete(
-                    self, time.perf_counter() - self._online_start
+            elif head == frames.GOAWAY:
+                self.gateway._drop(self, error=None)  # the client is done
+            else:
+                self.carry_out(machine.request(frames.decode_request(frame)))
+
+    def carry_out(self, actions) -> None:
+        """Do what the machine asked, in order."""
+        gateway, machine = self.gateway, self.machine
+        for action, value in actions:
+            if action in (ADMIT, BUSY, GOAWAY):
+                gateway._record(
+                    "gateway_requests_total", client=machine.client_id,
+                    outcome=OUTCOMES[OFFER if action == ADMIT else action],
                 )
-                if self not in self.gateway._connections:
-                    return  # dropped during completion
-                continue
-            return  # pragma: no cover - unreachable state
+            if action == ADMIT:
+                self._open("request")
+            elif action == BUSY:
+                self.transport.send(frames.encode_busy(value))
+            elif action == GOAWAY:
+                gateway._goodbye(self, value)
+            elif action == OFFER:
+                self._offer(value)
+            elif action == START_ONLINE:
+                self._close("offline")
+                self.session.start_online()
+                machine.started()
+                self._open("online")
+            elif action == DONE:
+                self._done(value)
 
-    def begin_request(self, taken) -> None:
-        """OFFER the admitted request: adopt a precompute or go offline.
-
-        The connection's session is created on the first request and
-        recycled (``reset_for_request``) for every later one — transport,
-        channel accounting, and counters stay connection-scoped.
-        """
-        from repro.core.session import LIFE_NEW
-
+    def _offer(self, taken) -> None:
+        """OFFER the admitted request: adopt a precompute or go offline. The
+        session is made at the first OFFER and recycled at every DONE."""
         if self.session is None:
             self.session = self.gateway._make_session(self.transport)
-        elif self.session.lifecycle != LIFE_NEW:
-            self.session.reset_for_request()
         if taken is not None:
             blob, server_state = taken
-            self.hit = True
             self.transport.send(frames.encode_offer(True, blob))
             self.session.load_offline_state(*server_state)
-            self.session.start_online()
-            self._online_start = time.perf_counter()
-            if TRACER.enabled and self._track is not None:
-                self._t_online_us = now_us()
-            self.state = self.ONLINE
         else:
             # Miss: the demand mint runs over the wire, on this request's
             # critical path, multiplexed with the other sessions — the
             # measured miss penalty.
             self.transport.send(frames.encode_offer(False))
-            self._mint_start = time.perf_counter()
-            if TRACER.enabled and self._track is not None:
-                self._t_offline_us = now_us()
+            self._open("offline")
             self.session.start_offline()
-            self.state = self.OFFLINE
+            self.machine.started()
+
+    def _done(self, served: ServedRequest) -> None:
+        gateway, client_id = self.gateway, served.client
+        latency = time.perf_counter() - self.machine.admitted_at
+        gateway._record("gateway_request_seconds", latency, client=client_id)
+        gateway._record("gateway_hold_seconds", served.hold_seconds, client=client_id)
+        result = "hit" if served.hit else "miss"
+        gateway._record("gateway_served_total", client=client_id, result=result)
+        self._close("online")
+        self._close("request", index=served.index, hit=served.hit)
+        served.store_bytes = gateway.store.total_bytes
+        gateway._served.append(served)
+        gateway._occupancy.append(occupancy("serve", client_id, gateway.store))
+        self.transport.send(frames.encode_done(served.index, served.hit))
+        if gateway._refill_worker is not None:
+            gateway._refill_worker.kick()  # a refill credit may be owed
+        # Keep-alive: recycle the session (connection-scoped state stays)
+        # for queued or future REQs on this socket.
+        self.session.reset_for_request()
 
 
 class ServingGateway:
@@ -481,7 +454,6 @@ class ServingGateway:
         self._session_counter = 0
         self._evictions_before = store.evictions
         self._connections: set[_Connection] = set()
-        self._waiting: set[_Connection] = set()  # WAIT_STORE holders to retry
         self.connections_accepted = 0
         self.listener: SocketListener | None = None
         self._selector = None
@@ -573,14 +545,9 @@ class ServingGateway:
         # Look again at held offers (a refill may have landed since last
         # round), then at idle connections with queued requests (a
         # completion or a drained backlog may have made them admissible).
-        idle = [c for c in self._connections if c.state == c.IDLE and c.pending]
-        for conn in [*self._waiting, *idle]:
-            try:
-                if conn.state == conn.WAIT_STORE:
-                    self._offer(conn)
-                conn.advance()
-            except (TransportError, ValueError) as exc:
-                self._drop(conn, error=exc)
+        due = [c for c in self._connections if c.machine.due]
+        for conn in sorted(due, key=lambda c: c.machine.state != c.machine.WAIT_STORE):
+            conn.on_event(selectors.EVENT_READ)
         # Register write interest exactly while userspace outbox bytes
         # wait on kernel buffer space; drop it as soon as they drain.
         for conn in list(self._connections):
@@ -645,13 +612,8 @@ class ServingGateway:
             self._refill_worker.stop()
             self._refill_worker.join(timeout=timeout)
         for conn in list(self._connections):
-            # Tell live keep-alive peers the gateway is going away; the
-            # bounded close-flush makes a best effort to deliver it.
-            try:
-                conn.transport.send(frames.encode_goaway("gateway shutting down"))
-            except TransportError:  # pragma: no cover - peer already gone
-                pass
-            self._drop(conn, error=None)
+            # Tell live keep-alive peers the gateway is going away.
+            self._goodbye(conn, "gateway shutting down")
         if self._selector is not None:
             for registered in (self.listener, self._waker):
                 try:
@@ -737,6 +699,7 @@ class ServingGateway:
             # Sessions, not sockets: a stats probe (or a pre-hello
             # connection) holds no session and must not count itself.
             live = sum(1 for conn in connections if conn.session is not None)
+            machines = [conn.machine for conn in connections]
         clients = {}
         for c in range(self.num_clients):
             cid = self.client_id(c)
@@ -773,20 +736,18 @@ class ServingGateway:
             "peak_live_sessions": self.peak_live_sessions,
             "dropped_sessions": self.dropped_sessions,
             # Requests in flight plus REQs queued behind per-client limits.
-            "queue_depth": inflight + sum(
-                len(conn.pending) for conn in connections
-            ),
+            "queue_depth": inflight + sum(len(m.pending) for m in machines),
             "refill_inflight": sum(pending),
             "admission": admission,
             "connections": [
                 {
-                    "client": conn.client_id,
-                    "state": conn.state,
-                    "requests_completed": conn.requests_completed,
-                    "queued": len(conn.pending),
+                    "client": m.client_id,
+                    "state": m.state,
+                    "requests_completed": m.completed,
+                    "queued": len(m.pending),
                 }
-                for conn in connections
-                if conn.session is not None or conn.state != conn.HELLO
+                for conn, m in zip(connections, machines)
+                if conn.session is not None or m.state != m.HELLO
             ],
             "store": {
                 "bytes": self.store.total_bytes,
@@ -818,69 +779,6 @@ class ServingGateway:
                 registry.counter(name, **labels).inc()
             else:
                 registry.histogram(name, **labels).observe(value)
-
-    def _maybe_start(self, conn: _Connection) -> bool:
-        """Ask the ledger to start an idle connection's next queued
-        request and carry out its answer; True when it was admitted.
-
-        QUEUE leaves the request queued (a completion re-triggers us);
-        BUSY and GOAWAY pop it, and the peer decides what happens next.
-        """
-        if conn.state != conn.IDLE or not conn.pending:
-            return False
-        with self._state_lock:
-            verdict, value = self.ledger.request(conn.client)
-        if verdict == QUEUE:
-            return False
-        index = conn.pending.popleft()
-        self._record(
-            "gateway_requests_total", client=conn.client_id,
-            outcome=OUTCOMES[verdict],
-        )
-        if verdict == GOAWAY:
-            try:
-                conn.transport.send(
-                    frames.encode_goaway("admission backlog over max_queue")
-                )
-            except TransportError:  # pragma: no cover - peer gone
-                pass
-            self._drop(conn, error=None)
-            return False
-        if verdict == BUSY:
-            conn.transport.send(frames.encode_busy(value))
-            return False
-        conn.state = conn.ADMITTED  # from here a drop frees its slot
-        conn.request_index = index
-        conn.hit = False
-        conn.mint_seconds = 0.0
-        conn.request_started = time.perf_counter()
-        if TRACER.enabled and conn._track is not None:
-            conn._t_request_us = now_us()
-        # Requests already active when this one started (WAIT_STORE
-        # holders included — they hold an in-flight slot).
-        conn.queue_depth = value
-        self._offer(conn)
-        return True
-
-    def _offer(self, conn: _Connection) -> None:
-        """OFFER an admitted or held request, or hold it for its refill."""
-        taken = self._take_precompute(conn.client_id)
-        held, now = conn in self._waiting, time.perf_counter()
-        with self._state_lock:
-            verdict, deadline = self.ledger.look(
-                conn.client, taken is not None, now,
-                conn.wait_deadline if held else None,
-            )
-        if verdict == HOLD:
-            # A refill for this client is underway: hold the offer rather
-            # than run the offline phase over the wire. Its landing wakes
-            # the selector, which looks again; other sessions flow on.
-            conn.state, conn.wait_deadline = conn.WAIT_STORE, deadline
-            self._waiting.add(conn)
-            return
-        self._waiting.discard(conn)
-        conn.hold_seconds = now - conn.request_started if held else 0.0
-        conn.begin_request(taken)
 
     def _make_session(self, transport):
         seed = derive_worker_seed(
@@ -922,76 +820,22 @@ class ServingGateway:
             self.store.delete(key, KIND_OFFLINE, name)
             return blob, server_state
 
-    def _complete(self, conn: _Connection, online_seconds: float) -> None:
-        self._record(
-            "gateway_request_seconds",
-            time.perf_counter() - conn.request_started,
-            client=conn.client_id,
-        )
-        self._record(
-            "gateway_hold_seconds", conn.hold_seconds, client=conn.client_id
-        )
-        self._record(
-            "gateway_served_total",
-            client=conn.client_id,
-            result="hit" if conn.hit else "miss",
-        )
-        if conn._t_online_us is not None:
-            TRACER.emit_since(
-                "gateway.online", conn._t_online_us, tid=conn._track,
-                client=conn.client_id,
-            )
-            conn._t_online_us = None
-        if conn._t_request_us is not None:
-            TRACER.emit_since(
-                "gateway.request", conn._t_request_us, tid=conn._track,
-                client=conn.client_id, index=conn.request_index, hit=conn.hit,
-            )
-            conn._t_request_us = None
-        self._served.append(
-            ServedRequest(
-                client=conn.client_id,
-                index=conn.request_index,
-                hit=conn.hit,
-                queue_depth=conn.queue_depth,
-                mint_seconds=conn.mint_seconds,
-                online_seconds=online_seconds,
-                store_bytes=self.store.total_bytes,
-                hold_seconds=conn.hold_seconds,
-                logits=[],  # logits materialize client-side; drivers merge them
-            )
-        )
-        self._sample("serve", conn.client_id)
-        conn.transport.send(frames.encode_done(conn.request_index, conn.hit))
-        with self._state_lock:
-            self.ledger.done(conn.client, conn.mint_seconds)
-        # The request is over before anything below can fail: a later
-        # drop must not release its in-flight slot a second time.
-        conn.state = conn.IDLE
-        if self._refill_worker is not None:
-            self._refill_worker.kick()  # a refill credit may be owed
-        # Keep-alive: recycle the session (connection-scoped state stays)
-        # for queued or future REQs on this socket.
-        conn.session.reset_for_request()
-        conn.requests_completed += 1
-        conn.hit = False
-        conn.mint_seconds = 0.0
+    def _goodbye(self, conn: _Connection, reason: str) -> None:
+        """GOAWAY (delivered on a best-effort close-flush), then close."""
+        try:
+            conn.transport.send(frames.encode_goaway(reason))
+        except TransportError:  # pragma: no cover - peer already gone
+            pass
+        self._drop(conn, error=None)
 
     def _drop(self, conn: _Connection, error) -> None:
         if conn not in self._connections:
             return
         self._connections.discard(conn)
-        held = conn in self._waiting
-        self._waiting.discard(conn)
-        had_active_request = conn.state in (
-            conn.ADMITTED, conn.WAIT_STORE, conn.OFFLINE, conn.ONLINE
-        )
-        if had_active_request:
-            # The admitted request dies with the connection: release its
-            # in-flight slot (and hold) so the client's later connections
-            # still fit under the per-client concurrency limit.
-            with self._state_lock:
-                self.ledger.drop(conn.client, held)
+        greeted = conn.machine.state != conn.machine.HELLO
+        # A request dying with the connection frees its in-flight slot, so
+        # the client's later connections are not queued behind it.
+        had_active_request = conn.machine.closed()
         try:
             self._selector.unregister(conn.transport)
         except (KeyError, ValueError):  # pragma: no cover - already gone
@@ -1003,26 +847,13 @@ class ServingGateway:
         # Only connections that completed HELLO get a span: a GWS1 stats
         # probe (or a peer that vanished pre-hello) holds no identity and
         # must not clutter the trace with anonymous connection windows.
-        if conn._t_accept_us is not None and conn.state != conn.HELLO:
-            TRACER.emit_since(
-                "gateway.connection", conn._t_accept_us, tid=conn._track,
-                client=conn.client_id,
-                requests=conn.requests_completed,
+        if greeted:
+            conn._close(
+                "connection", requests=conn.machine.completed,
                 error=repr(error) if error is not None else None,
             )
-            conn._t_accept_us = None
         if error is not None and had_active_request:
             self.dropped_sessions += 1
-
-    def _sample(self, event: str, client_id: str) -> None:
-        self._occupancy.append(
-            {
-                "event": event,
-                "client": client_id,
-                "bytes": self.store.total_bytes,
-                "entries": self.store.entry_count,
-            }
-        )
 
     # -- refill-side internals ------------------------------------------------
 
@@ -1060,7 +891,7 @@ class ServingGateway:
             blob,
             name=f"{index:08d}",
         )
-        self._sample("mint", self.client_id(c))
+        self._occupancy.append(occupancy("mint", self.client_id(c), self.store))
 
     def _settle_refill(self, c: int, seconds: float, landed: bool) -> None:
         """Book a refill mint that landed (after ``_admit``) or failed, then

@@ -6,10 +6,10 @@ down to a few rules — when a request is deferred, turned away or held
 for a refill, when a consumed precompute earns a refill credit and which
 client is refilled first — and :class:`RefillLedger` is those rules,
 once. Events go in (request, look, landed, failed, done, drop); decisions
-come out (QUEUE, BUSY, GOAWAY, OFFER, HOLD). The live
-:class:`~repro.runtime.gateway.ServingGateway` and
-:func:`~repro.workload.drivers.replay_analytic` each drive one and only
-carry its decisions out.
+come out (QUEUE, BUSY, GOAWAY, OFFER, HOLD). A request's events come from
+its :class:`~repro.runtime.connection.ConnectionMachine`, which the live
+gateway and :func:`~repro.workload.drivers.replay_analytic` both run; the
+mint events from the gateway's refill thread or the replay's model of it.
 
 Everything here is pure: no clock, no lock, no I/O. Callers pass the
 time and the stored-entry counts in, and serialize access themselves.

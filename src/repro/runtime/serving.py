@@ -189,6 +189,12 @@ def client_id(index: int) -> str:
     return f"client{index}"
 
 
+def occupancy(event: str, client: str, store: PrecomputeStore) -> dict:
+    """One ``ServingReport.occupancy`` sample: the store after an event."""
+    return {"event": event, "client": client, "bytes": store.total_bytes,
+            "entries": store.entry_count}
+
+
 def mint_seed(base_seed: int, client_index: int, mint_index: int) -> int:
     """The seed of one client's j-th minted precompute.
 
@@ -316,7 +322,7 @@ class ServingLoop:
             finally:
                 minter.shutdown()
             self.minted[client_index] += 1
-            self._sample("mint", client_index)
+            self._occupancy.append(occupancy("mint", client, self.store))
         return span.seconds
 
     def prefill_buffers(self) -> float:
@@ -326,16 +332,6 @@ class ServingLoop:
                 for c in range(self.num_clients):
                     self.mint_one(c)
         return span.seconds
-
-    def _sample(self, event: str, client_index: int) -> None:
-        self._occupancy.append(
-            {
-                "event": event,
-                "client": self.client_id(client_index),
-                "bytes": self.store.total_bytes,
-                "entries": self.store.entry_count,
-            }
-        )
 
     # -- drain --------------------------------------------------------------
 
@@ -375,7 +371,7 @@ class ServingLoop:
             online_seconds = span.seconds
         finally:
             server.shutdown()
-        self._sample("serve", client_index)
+        self._occupancy.append(occupancy("serve", client, self.store))
         return ServedRequest(
             client=client,
             index=request_index,

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.network.serialize import (
+    _need,
     deserialize_field_vector,
     deserialize_relu_bundle,
     serialize_field_vector,
@@ -356,20 +357,22 @@ def _lp(blob: bytes) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Reads a store entry front to back; a cut anywhere is a ValueError."""
+
+    def __init__(self, data: bytes, offset: int = 0):
         self.data = data
-        self.offset = 0
+        self.offset = offset
+
+    def take(self, n: int) -> bytes:
+        _need(self.data, self.offset, n, "offline transcript")
+        self.offset += n
+        return self.data[self.offset - n : self.offset]
 
     def u32(self) -> int:
-        (value,) = struct.unpack_from("<I", self.data, self.offset)
-        self.offset += 4
-        return value
+        return struct.unpack("<I", self.take(4))[0]
 
     def blob(self) -> bytes:
-        n = self.u32()
-        out = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return out
+        return self.take(self.u32())
 
     def done(self) -> bool:
         return self.offset == len(self.data)
@@ -438,10 +441,8 @@ def deserialize_offline_transcript(
         )
     if data[:4] != b"RPC2":
         raise ValueError("not an offline transcript blob")
-    reader = _Reader(data)
-    reader.offset = 4
-    (role_index,) = struct.unpack_from("<B", data, reader.offset)
-    reader.offset += 1
+    reader = _Reader(data, 4)
+    role_index = reader.take(1)[0]
     stored_truncate = reader.u32()
     if role_index >= len(_ROLES):
         raise ValueError("unknown garbler role in offline transcript")

@@ -19,9 +19,10 @@ Both report per-workload latency quantiles (p50/p95/p99 via the
 telemetry :class:`~repro.telemetry.metrics.Histogram`), deferral rate,
 and goodput, keyed by workload name, so the planner can compare
 prediction against measurement number for number. Neither decides
-admission or refill: each feeds the same events to one
-:class:`~repro.runtime.policy.RefillLedger` and reads its tallies back;
-the analytic side keeps only simulated time and its store model.
+admission or refill: both run each request through the one
+:class:`~repro.runtime.connection.ConnectionMachine` over a
+:class:`~repro.runtime.policy.RefillLedger`; the analytic side keeps
+only simulated time and its store model.
 
 Latency convention: open-loop latency is measured from the *scheduled*
 arrival (lateness under overload counts as queueing — the standard
@@ -34,10 +35,12 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
-from repro.runtime.policy import BUSY, DEFAULT_MAX_QUEUE, HOLD, RefillLedger
-from repro.runtime.serving import draw_inputs
+from repro.runtime.connection import BUSY, DONE, OFFER, START_ONLINE, ConnectionMachine
+from repro.runtime.policy import DEFAULT_MAX_QUEUE, RefillLedger
+from repro.runtime.serving import client_id as client_name, draw_inputs
 from repro.runtime.state import derive_worker_seed
 from repro.simulation.engine import Environment, Event, Resource, Timeout
 from repro.telemetry.metrics import Histogram
@@ -292,17 +295,17 @@ class ServiceModel:
 def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     """Replay a schedule through the discrete-event engine; returns columns.
 
-    The model keeps what the gateway's timing rests on: a capacity-1
+    Each client's requests run through the gateway's own
+    :class:`~repro.runtime.connection.ConnectionMachine` on the simulated
+    clock, over one :class:`~repro.runtime.policy.RefillLedger`. Around it
+    the model keeps what the gateway's timing rests on: a capacity-1
     serving resource (the selector thread serializes online phases), a
-    ``workers``-wide mint resource, per-client buffers drained on hits
-    and refilled by a background worker, and FIFO cross-client eviction
-    under ``store_entries``. Every admission and refill decision comes
-    from a :class:`~repro.runtime.policy.RefillLedger` fed the gateway's
-    events: requests, store looks, timed refill landings, and completions
-    with their demand mints' seconds. Every wait ends at its event: a
-    hold when the client's mint lands, the refill worker's idle wait at
-    the next completion. Returns the functional replay's column block
-    plus hit/demand/eviction counters and the admission tallies.
+    ``workers``-wide mint resource, per-client buffers refilled by a
+    background worker, and FIFO cross-client eviction under
+    ``store_entries``. Every wait ends at its event: a hold when the
+    client's mint lands, the refill worker's idle wait at the next
+    completion. Returns the functional replay's column block plus
+    hit/demand/eviction counters and the admission tallies.
     """
     env = Environment()
     C = schedule.num_clients
@@ -318,8 +321,8 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     buffered = [0] * C
     admit_order: list[int] = []  # admission-ordered entries (FIFO eviction)
     latencies: list[float] = []
-    tally = {"completed": 0, "hits": 0, "demand": 0, "evictions": 0,
-             "last_completion": 0.0}
+    served: list = []
+    tally = {"evictions": 0, "last_completion": 0.0}
 
     def admit(c: int) -> None:
         if model.store_entries is not None:
@@ -331,9 +334,13 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         buffered[c] += 1
         admit_order.append(c)
 
-    def take(c: int) -> None:
-        buffered[c] -= 1
-        admit_order.remove(c)  # oldest entry of this client
+    def take(c: int):
+        """The machine's store look: consume client c's oldest entry, or
+        None when it has none."""
+        if buffered[c]:
+            buffered[c] -= 1
+            admit_order.remove(c)  # oldest entry of this client
+            return True
 
     # Re-armed one-shot events: landed[c] fires when a refill mint for
     # client c lands; kicked at every completion, which is when the
@@ -360,7 +367,7 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         fired.succeed()
 
     def refill_proc():
-        while tally["completed"] < total:
+        while len(served) < total:
             claimed = ledger.claim(buffered, env.now)
             if claimed is None:
                 yield kicked
@@ -368,8 +375,19 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
             env.process(mint_proc(claimed[0]))
             yield Timeout(env, 0.0)
 
+    # The phases a request runs: a demand mint (a miss's OFFER) on a mint
+    # slot, the online phase on the serving thread.
+    phases = {
+        OFFER: (mint_slots, model.demand_mint_seconds),
+        START_ONLINE: (serving, model.online_seconds),
+    }
+
     def client_proc(c: int, lane):
         nonlocal kicked
+        machine = ConnectionMachine(
+            ledger, lambda _: take(c), lambda: env.now, nullcontext()
+        )
+        machine.hello(client_name(c), c)
         for a in lane:
             if schedule.mode == MODE_OPEN:
                 delay = a.at - env.now
@@ -381,34 +399,26 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
                     yield Timeout(env, a.think)
                 scheduled = env.now
             # One request at a time per client and no deferral cap: the
-            # answer is BUSY or OFFER, never QUEUE or GOAWAY.
-            verdict, retry_after = ledger.request(c)
-            while verdict == BUSY:
-                yield Timeout(env, retry_after)
-                verdict, retry_after = ledger.request(c)
-            verdict, deadline = ledger.look(c, buffered[c] > 0, env.now)
-            while verdict == HOLD:
-                yield landed[c]
-                verdict, deadline = ledger.look(
-                    c, buffered[c] > 0, env.now, deadline
-                )
-            mint_seconds = 0.0
-            if buffered[c] > 0:
-                take(c)
-                tally["hits"] += 1
-            else:
-                tally["demand"] += 1
-                grant = mint_slots.request()
-                yield grant
-                mint_seconds = model.demand_mint_seconds
-                yield Timeout(env, mint_seconds)
-                mint_slots.release()
-            grant = serving.request()
-            yield grant
-            yield Timeout(env, model.online_seconds)
-            serving.release()
-            ledger.done(c, mint_seconds)
-            tally["completed"] += 1
+            # machine answers BUSY or admits, never queues or says GOAWAY.
+            actions = machine.request(a.index)
+            while not actions or actions[0][0] != DONE:
+                if not actions:  # look in the store; held: when it lands
+                    if machine.state == machine.WAIT_STORE:
+                        yield landed[c]
+                    actions = machine.retry()
+                    continue
+                action, value = actions.pop(0)
+                if action == BUSY:
+                    yield Timeout(env, value)
+                    actions = machine.request(a.index)
+                elif action in phases and value is None:  # not a hit's OFFER
+                    resource, seconds = phases[action]
+                    yield resource.request()
+                    machine.started()
+                    yield Timeout(env, seconds)
+                    resource.release()
+                    actions = machine.phase_done()
+            served.append(actions[0][1])
             fired, kicked = kicked, Event(env)
             fired.succeed()
             tally["last_completion"] = env.now
@@ -428,10 +438,11 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         admission=admission,
         makespan=tally["last_completion"],
     )
+    hits = sum(r.hit for r in served)
     columns.update(
         {
-            "hits": tally["hits"],
-            "demand_mints": tally["demand"],
+            "hits": hits,
+            "demand_mints": len(served) - hits,
             "evictions": tally["evictions"],
             "minted": sum(ledger.minted),
             **admission,

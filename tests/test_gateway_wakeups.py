@@ -27,7 +27,7 @@ from repro.runtime import (
     ServingGateway,
     mint_offline_job,
 )
-from repro.runtime.gateway import _Connection
+from repro.runtime.connection import OFFER, ConnectionMachine
 from repro.runtime.pool import _PoolJob
 from repro.runtime.serving import mint_seed
 from repro.workload import closed_schedule, draw_schedule_inputs, replay_functional
@@ -92,7 +92,7 @@ def test_held_offer_follows_its_landing(tmp_path, monkeypatch, blobs, workers):
     held_offers: list[tuple[bytes, float]] = []  # (blob, when offered)
     selects: list[tuple[float, float]] = []  # (entered, returned)
     start, admit = ServingGateway.start, ServingGateway._admit
-    begin = _Connection.begin_request
+    retry = ConnectionMachine.retry
 
     def timed_start(self):
         start(self)
@@ -111,14 +111,17 @@ def test_held_offer_follows_its_landing(tmp_path, monkeypatch, blobs, workers):
         admit(self, c, index, blob)
         landed[blob] = time.perf_counter()
 
-    def timed_begin(self, taken):
-        if self.state == self.WAIT_STORE:
-            held_offers.append((taken[0], time.perf_counter()))
-        begin(self, taken)
+    def timed_retry(self):
+        held = self.state == self.WAIT_STORE
+        actions = retry(self)
+        for action, taken in actions:
+            if held and action == OFFER:
+                held_offers.append((taken[0], time.perf_counter()))
+        return actions
 
     monkeypatch.setattr(ServingGateway, "start", timed_start)
     monkeypatch.setattr(ServingGateway, "_admit", timed_admit)
-    monkeypatch.setattr(_Connection, "begin_request", timed_begin)
+    monkeypatch.setattr(ConnectionMachine, "retry", timed_retry)
     network = _network()
     schedule = closed_schedule(CLIENTS, REQUESTS, 0.0)
     inputs = draw_schedule_inputs(schedule, network, PARAMS)
@@ -184,7 +187,7 @@ def test_kick_submits_an_owed_refill_at_once(tmp_path, monkeypatch, blobs, worke
             time.sleep(0.1)  # let the driver settle into its idle wait
             with gateway._state_lock:
                 for _ in range(owed):
-                    gateway.ledger.completed(0)  # what _complete() books
+                    gateway.ledger.completed(0)  # what a DONE books
             kicked = time.perf_counter()
             gateway._refill_worker.kick()
             gateway.drain_refills(timeout=30.0)

@@ -186,6 +186,26 @@ class TestRingElementParity:
                 with pytest.raises(TypeError):
                     op(left, right)
 
+    @pytest.mark.skipif(
+        "numpy" not in available_backends(), reason="needs the numpy backend"
+    )
+    def test_equality_across_backends_compares_coefficients(self):
+        """One chain's residues on each backend, from the same
+        coefficients, are equal; one changed coefficient makes them
+        unequal. (Comparing the two used to raise numpy's ambiguous
+        truth-value error.)"""
+        rng = random.Random(17)
+        on_python = RnsContext.for_primes(TOY.rns_primes, prefer="python")
+        on_numpy = RnsContext.for_primes(TOY.rns_primes, prefer="numpy")
+        coeffs = rand_vec(rng, TOY.n, TOY.q)
+        py_c = RnsPoly.from_coeffs(on_python, coeffs)
+        np_c = RnsPoly.from_coeffs(on_numpy, coeffs)
+        assert py_c == np_c and np_c == py_c
+        changed = list(coeffs)
+        changed[5] = (changed[5] + 1) % TOY.q
+        np_changed = RnsPoly.from_coeffs(on_numpy, changed)
+        assert py_c != np_changed and np_changed != py_c
+
     def test_ring_mismatch_rejected(self):
         rng = random.Random(16)
         small = toy_params(n=64)

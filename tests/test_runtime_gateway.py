@@ -479,6 +479,66 @@ def test_dropped_admission_frees_its_in_flight_slot(tmp_path):
     assert gateway.ledger.waiting == 0
 
 
+def test_torn_store_entry_costs_one_connection(tmp_path):
+    """A torn store entry — the first 7 bytes of a transcript — waits in
+    client0's namespace. The request that takes it loses its connection
+    (one dropped session, its in-flight slot returned), and the gateway
+    goes on serving: client1's request comes back with the oracle's
+    logits. The cut used to surface from ``poll()`` as a ``struct.error``
+    and end ``serve()`` for every client."""
+    network = _network()
+    store = PrecomputeStore(tmp_path)
+    oracle = lower_network(network, PARAMS.t)
+    shape = lower_network(network, PARAMS.t, shape_only=True)
+    box: dict = {}
+    errors = []
+    with PrecomputePool(workers=1) as pool:
+        gateway = ServingGateway(
+            network, PARAMS, 2, store, pool=pool, garbler="client",
+            prefill=0, refill=False,
+        )
+        store.put(gateway.store_key("client0"), KIND_OFFLINE, b"RPC2\x01\x00\x00")
+        gateway.start()
+
+        def drive():
+            try:
+                client = GatewayClient(
+                    "127.0.0.1", gateway.port, network, PARAMS,
+                    garbler="client", client_id="client1", lowered=shape,
+                )
+                try:
+                    box["logits"] = client.request(list(range(16)))
+                finally:
+                    client.close()
+            except BaseException as exc:  # pragma: no cover - debug aid
+                errors.append(exc)
+
+        try:
+            transport = SocketTransport.connect(
+                "127.0.0.1", gateway.port, retries=5
+            )
+            transport.send(encode_hello("client0"))
+            transport.send(encode_request(0))
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and (
+                gateway.connections_accepted == 0 or gateway._connections
+            ):
+                gateway.poll(0.05)  # until the torn entry's connection is gone
+            transport.close()
+            thread = threading.Thread(target=drive, daemon=True)
+            thread.start()
+            gateway.serve(1, timeout=120.0)
+            thread.join(timeout=60.0)
+        finally:
+            gateway.stop(drain=False)
+
+    assert errors == []
+    assert gateway.dropped_sessions == 1
+    assert box["logits"] == plaintext_reference(oracle, list(range(16)))
+    assert gateway.ledger.admission()["admitted"] == 2
+    assert gateway.ledger.inflight == {}
+
+
 def test_midstream_stats_on_keepalive_connection(tmp_path):
     """A GWS1 probe between two requests on one live connection: the
     stats frame is answered in-stream, the connection keeps serving, the

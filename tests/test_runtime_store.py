@@ -1,13 +1,19 @@
 """Disk-backed precompute store: round-trips, LRU eviction, persistence,
 and serving the protocol's online phase from precomputes minted earlier."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from repro import HybridProtocol, tiny_dataset, tiny_mlp
 from repro.he.params import fast_params, toy_params
 from repro.runtime import PrecomputeStore, StoreKey, params_fingerprint
-from repro.runtime.store import KIND_OFFLINE, KIND_RELU
+from repro.runtime.store import (
+    KIND_OFFLINE,
+    KIND_RELU,
+    deserialize_offline_transcript,
+)
 
 KEY = StoreKey(model="m", params="p", client="c0")
 
@@ -238,10 +244,10 @@ def test_missing_index_does_not_warn(tmp_path):
 # -- offline-then-online through the store --------------------------------------
 
 
-def _protocol(garbler, seed, **kwargs):
+def _protocol(garbler, seed, hidden=8, **kwargs):
     params = fast_params(n=256)
     dataset = tiny_dataset(size=4, channels=1, classes=3)
-    network = tiny_mlp(dataset, hidden=8)
+    network = tiny_mlp(dataset, hidden=hidden)
     network.randomize_weights(params.t, np.random.default_rng(0))
     return (
         HybridProtocol(network, params, garbler=garbler, seed=seed, **kwargs),
@@ -266,6 +272,23 @@ def test_offline_export_import_serves_online(tmp_path, garbler):
     assert server.run_online(x) == expected
     # Consumed: the buffer drained, a second import finds nothing.
     assert not server.import_offline(store, "tiny_mlp")
+
+
+def test_a_cut_offline_transcript_is_a_value_error():
+    """An entry cut at any length is refused with a ValueError, the error
+    every reader of the store (``import_offline``, the gateway's take
+    path) already handles; a cut inside the container header used to be
+    a ``struct.error``."""
+    minter, _ = _protocol("client", seed=5, hidden=2)
+    minter.run_offline()
+    blob = minter.offline_blob()
+    circuits = defaultdict(minter.server.relu_circuit)
+    deserialize_offline_transcript(blob, circuits)  # whole, it reads
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError) as refused:
+            deserialize_offline_transcript(blob[:cut], circuits)
+        if cut >= 4:  # the magic survives: the cut is named
+            assert "truncated" in str(refused.value), cut
 
 
 def test_import_offline_without_consume_keeps_entry(tmp_path):
