@@ -1,32 +1,26 @@
 """Multi-client PI serving: RLP's sweet spot (§5.2), measured for real.
 
-N clients share one server: per-client precomputes are minted one after
-another by the serialized ServingLoop (or, with --concurrent, as whole
-mints side by side on ONE shared PrecomputePool — the paper's
+N clients share one server: per-client precomputes are minted as whole
+mints side by side on ONE shared PrecomputePool (the paper's
 request-level parallelism), admitted into per-client namespaces of one
-PrecomputeStore under a *global* byte budget, and drained by
-interleaved online requests. Under a tight budget
-one client's admission evicts another's least-recently-used precompute,
-and the victim's next request pays a demand mint — the measured analogue
-of the buffer dynamics the analytic simulator models.
+PrecomputeStore under a *global* byte budget, and drained by the
+ServingGateway: the requests are replayed as a zero-think closed-loop
+schedule by in-process driver threads, many live sockets multiplexed by
+one selector thread while refill mints run in background pool workers.
+Under a tight budget one client's admission evicts another's
+least-recently-used precompute, and the victim's next request pays a
+demand mint — the measured analogue of the buffer dynamics the analytic
+simulator models.
 
 Run:  python examples/multi_client_serving.py --clients 4 --requests 2 \
           --budget-mb 4
 
-Add --transport socket to (a) run every in-process session pair over
-loopback TCP instead of the in-memory transport, and (b) run the
-two-process demo: a forked server process hosts ServerSessions behind a
-listening socket while this process drives ClientSessions against it —
-the client and server genuinely share nothing but serialized wire
-messages.
-
-Add --concurrent to serve through the ServingGateway instead: the same
-requests are replayed as a zero-think closed-loop schedule by in-process
-driver threads, then a second demo forks one OS process per client
-against a gateway hosted in this process — many live sockets multiplexed
-by one selector thread while refill mints run in background pool workers
-(compare throughput_rps and refill_overlap_seconds against the
-serialized run).
+After the served run, two more demos: one forks an OS process per client
+against a gateway hosted in this process (every logit verified in the
+client processes), and one forks a server process that hosts
+ServerSessions behind a listening socket while this process drives
+ClientSessions against it — the parties share nothing but serialized
+wire messages.
 
 Add --analytic to also run the paper-scale system model (PiSystemSimulator,
 resnet18 profile, 1 / 9 / 64 clients of 16 GB, RLP beside LPHE) next to
@@ -227,8 +221,6 @@ def functional_run(args) -> ServingReport:
         budget_mb=args.budget_mb,
         store_dir=args.store,
         summary_path=args.summary,
-        concurrent=args.concurrent,
-        transport=args.transport,
     )
 
 
@@ -287,18 +279,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="whole-mint worker processes for --concurrent (default: "
-        "REPRO_WORKERS, then all cores)",
-    )
-    parser.add_argument(
-        "--concurrent", action="store_true",
-        help="serve through the concurrent socket gateway (selector loop "
-        "+ background refill workers); also runs the forked-client demo",
-    )
-    parser.add_argument(
-        "--transport", choices=("memory", "socket"), default=None,
-        help="session transport for the serving loop; 'socket' also runs "
-        "the two-process loopback demo",
+        help="whole-mint worker processes (default: REPRO_WORKERS, then "
+        "all cores)",
     )
     parser.add_argument(
         "--store", default=None,
@@ -332,13 +314,11 @@ def main() -> None:
 
         telemetry.configure(enabled=True)
     functional_run(args)
-    if args.concurrent:
-        gateway_forked_demo(
-            min(args.clients, 4), max(1, min(args.requests, 2)),
-            workers=args.workers, budget_mb=args.budget_mb or 8.0,
-        )
-    if args.transport == "socket":
-        two_process_demo(min(args.clients, 2), max(1, min(args.requests, 2)))
+    gateway_forked_demo(
+        min(args.clients, 4), max(1, min(args.requests, 2)),
+        workers=args.workers, budget_mb=args.budget_mb or 8.0,
+    )
+    two_process_demo(min(args.clients, 2), max(1, min(args.requests, 2)))
     if args.analytic:
         analytic_run()
     if args.telemetry:

@@ -54,7 +54,6 @@ from repro.profiling.devices import ATOM, EPYC, DeviceProfile
 from repro.runtime import (
     PrecomputePool,
     PrecomputeStore,
-    ServingLoop,
     ServingReport,
 )
 from repro.profiling.model_costs import (
@@ -83,7 +82,6 @@ __all__ = [
     "PrecomputePool",
     "PrecomputeStore",
     "Protocol",
-    "ServingLoop",
     "ServingReport",
     "SpeedupKnobs",
     "SystemConfig",

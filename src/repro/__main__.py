@@ -43,35 +43,21 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="whole-mint worker processes for --serve --serve-concurrent, "
-        "--workload and --plan (overrides the REPRO_WORKERS environment "
-        "variable; default all cores)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("memory", "socket"),
-        default=None,
-        help="session transport for functional protocol runs ('memory', "
-        "the default, pairs the client/server sessions in-process; "
-        "'socket' runs every session pair over loopback TCP)",
+        help="whole-mint worker processes for --serve, --workload and "
+        "--plan (overrides the REPRO_WORKERS environment variable; "
+        "default all cores)",
     )
     parser.add_argument(
         "--serve",
         type=int,
         default=None,
         metavar="N",
-        help="instead of experiments, run the functional multi-client "
-        "serving loop with N clients (one shared precompute pool, "
-        "per-client store namespaces under --serve-budget-mb), mint and "
-        "serve strictly serialized",
-    )
-    parser.add_argument(
-        "--serve-concurrent",
-        action="store_true",
-        help="with --serve: replay the same requests as a zero-think "
-        "closed-loop schedule through the concurrent socket gateway (one "
-        "selector thread multiplexing all client sockets, refill mints "
-        "in background pool workers)",
+        help="instead of experiments, serve N clients through the "
+        "concurrent socket gateway: a zero-think closed-loop schedule, "
+        "one keep-alive socket per client, refill mints in --workers "
+        "pool processes, per-client store namespaces under "
+        "--serve-budget-mb; every logit is checked against the "
+        "plaintext oracle",
     )
     parser.add_argument(
         "--serve-requests",
@@ -93,9 +79,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="with --serve-concurrent or --workload: admission backlog "
-        "threshold — requests arriving while waiters + credits + "
-        "in-flight mints exceed N are answered with BUSY (default 8)",
+        help="with --serve or --workload: the gateway's admission "
+        "backlog threshold — requests arriving while waiters + credits "
+        "+ in-flight mints exceed N are answered with BUSY (default 8)",
     )
     parser.add_argument(
         "--serve-summary",
@@ -252,9 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="with --serve-concurrent: print the gateway's stats "
-        "snapshot (per-client latency quantiles, queue depth, store "
-        "occupancy, expected time-to-miss)",
+        help="with --serve: print the gateway's stats snapshot "
+        "(per-client latency quantiles, queue depth, store occupancy, "
+        "expected time-to-miss)",
     )
     args = parser.parse_args(argv)
     if args.backend is not None:
@@ -273,8 +259,6 @@ def main(argv: list[str] | None = None) -> int:
             workers=args.workers,
             budget_mb=args.serve_budget_mb,
             summary_path=args.serve_summary,
-            concurrent=args.serve_concurrent,
-            transport=args.transport,
             gateway_max_queue=args.gateway_max_queue,
         )
         if args.stats and report.gateway_stats:

@@ -5,14 +5,11 @@ Executes whole offline mints side by side in worker processes
 precomputes in a disk-backed, LRU-evicted buffer
 (:class:`~repro.runtime.store.PrecomputeStore`), mirroring the paper's
 client-storage buffer that the streaming simulator models analytically.
-:class:`~repro.runtime.serving.ServingLoop` closes the loop as the
-serialized reference: N clients' precomputes minted in the serving thread,
-admitted into per-client store namespaces under a global byte budget,
-drained by interleaved online requests (§5.2's multi-client serving,
-measured instead of modeled).
-:class:`~repro.runtime.gateway.ServingGateway` is the concurrent
-deployment shape: one selector thread multiplexing many live client
-sockets while refill mints run in pool worker processes.
+:class:`~repro.runtime.gateway.ServingGateway` closes the loop (§5.2's
+multi-client serving, measured instead of modeled): one selector thread
+multiplexes many live client sockets, N clients' precomputes are minted
+in pool worker processes and admitted into per-client store namespaces
+under a global byte budget, and each request drains its client's oldest.
 
 A mint is a pure function of its seed and compute backend, so a blob
 minted in a worker is byte-identical to the same mint run in-process
@@ -27,7 +24,7 @@ from repro.runtime.pool import (
     mint_offline_job,
     resolve_workers,
 )
-from repro.runtime.serving import ServedRequest, ServingLoop, ServingReport
+from repro.runtime.serving import ServedRequest, ServingReport
 from repro.runtime.state import (
     derive_worker_seed,
     reset_process_state,
@@ -43,7 +40,6 @@ __all__ = [
     "PrecomputeStore",
     "ServedRequest",
     "ServingGateway",
-    "ServingLoop",
     "ServingReport",
     "StoreKey",
     "derive_worker_seed",

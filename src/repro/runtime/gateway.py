@@ -1,9 +1,8 @@
 """Concurrent serving gateway: many live sockets, background refill workers.
 
-:class:`~repro.runtime.serving.ServingLoop` keeps mint and serve strictly
-serialized on one thread. :class:`ServingGateway` overlaps them in
-wall-clock, in the deployment shape the paper's client/server
-characterization assumes: one selectors-based thread hosts a
+:class:`ServingGateway` is the one functional serving path. It overlaps
+mint and serve in wall-clock, in the deployment shape the paper's
+client/server characterization assumes: one selectors-based thread hosts a
 :class:`~repro.core.session.ServerSession` per client socket and
 multiplexes them at message granularity (the sessions' resumable
 ``step()`` machines over length-prefixed frames), while a refill driver
@@ -364,12 +363,11 @@ class ServingGateway:
         gateway.stop()
         report = gateway.report()    # ServingReport with overlap accounting
 
-    Client names, mint seeds and store keys are
-    :class:`~repro.runtime.serving.ServingLoop`'s (one shared
-    definition), which is what makes gateway-served logits comparable
-    against the loop's sequential reference. ``expected_per_client``
-    caps refills so a bounded run mints exactly as many precomputes as
-    the serialized drain would.
+    Client names and mint seeds are :mod:`repro.runtime.serving`'s
+    (one shared definition), which is what makes gateway-served logits
+    comparable per ``(client, index)`` against the per-client sequential
+    reference. ``expected_per_client`` caps refills so a bounded run
+    mints exactly one precompute per request.
     """
 
     def __init__(
@@ -566,10 +564,10 @@ class ServingGateway:
         """Run the selector loop until ``total_requests`` complete.
 
         Returns (and records) the drain-window wall clock —
-        ``throughput_rps``'s denominator, directly comparable with the
-        serialized loop's. ``abort`` is polled each round, so at least
-        every ``IDLE_TICK_SECONDS``; returning True ends the loop early (a
-        driver thread hit an error).
+        ``throughput_rps``'s denominator, directly comparable with a
+        sequential mint-then-serve loop's. ``abort`` is polled each round,
+        so at least every ``IDLE_TICK_SECONDS``; returning True ends the
+        loop early (a driver thread hit an error).
         """
         if self._serve_start is None:
             self._serve_start = time.perf_counter()
@@ -653,7 +651,6 @@ class ServingGateway:
             prefill_seconds=self.prefill_seconds,
             refill_seconds=worker.refill_seconds if worker else 0.0,
             serve_seconds=self.serve_seconds,
-            concurrent=True,
             refill_overlap_seconds=worker.overlap_seconds if worker else 0.0,
             peak_live_sessions=self.peak_live_sessions,
             dropped_sessions=self.dropped_sessions,
@@ -798,9 +795,13 @@ class ServingGateway:
     def _take_precompute(self, client_id: str):
         """Consume the oldest buffered precompute: (blob, server half) or None.
 
-        Validation precedes the delete (same contract as
-        ``import_offline``): a transcript that does not match this
-        network stays buffered and the connection is dropped instead.
+        An entry that does not split against this network (torn, or
+        minted for another shape) is deleted and the error re-raised, so
+        the request holding it loses its connection and the client's
+        next request is served. The namespace holds only this gateway's
+        own mints, so an entry refused once would be refused every time;
+        ``HybridProtocol.import_offline``, whose store may be shared,
+        keeps such an entry buffered instead.
         """
         from repro.core.protocol import split_offline_state
 
@@ -813,11 +814,13 @@ class ServingGateway:
             blob = self.store.get(key, KIND_OFFLINE, name) if name else None
             if blob is None:
                 return None
-            _, server_state = split_offline_state(
-                blob, self.lowered, self._circuit, self.garbler,
-                self.truncate_bits,
-            )
-            self.store.delete(key, KIND_OFFLINE, name)
+            try:
+                _, server_state = split_offline_state(
+                    blob, self.lowered, self._circuit, self.garbler,
+                    self.truncate_bits,
+                )
+            finally:
+                self.store.delete(key, KIND_OFFLINE, name)
             return blob, server_state
 
     def _goodbye(self, conn: _Connection, reason: str) -> None:

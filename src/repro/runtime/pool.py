@@ -72,7 +72,7 @@ def mint_offline_job(args):
         protocol.run_offline()
         return protocol.offline_blob()
     finally:
-        protocol.shutdown()
+        protocol.close()
 
 
 def _init_worker(base_seed, counter) -> None:

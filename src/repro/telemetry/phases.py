@@ -10,8 +10,8 @@ phase lands in the root bucket (``wire`` by convention: serialization,
 framing, socket writes, and scheduler glue are the residue of a serving
 window once compute and waiting are attributed).
 
-Windows are per-thread (thread-local), opened only by serving drivers
-(``ServingLoop.run`` / ``ServingGateway.serve``) when telemetry is on;
+Windows are per-thread (thread-local), opened only by the serving
+driver (``ServingGateway.serve``) when telemetry is on;
 ``phase()`` is safe to call unconditionally from any thread — without
 an open window on that thread it returns a shared no-op.
 """

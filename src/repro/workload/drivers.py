@@ -59,9 +59,9 @@ def draw_schedule_inputs(schedule: Schedule, network, params,
     """Deterministic per-client input vectors for a schedule's requests.
 
     :func:`~repro.runtime.serving.draw_inputs` over the schedule's
-    per-client request counts, so a serialized
-    :class:`~repro.runtime.serving.ServingLoop` reference run (and the
-    plaintext oracle) sees the same vectors the workload replay served.
+    per-client request counts, so a per-client sequential reference run
+    (and the plaintext oracle) sees the same vectors the workload replay
+    served.
     """
     return draw_inputs(network, params, schedule.request_counts(), input_seed)
 

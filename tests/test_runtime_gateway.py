@@ -5,10 +5,10 @@ while refill mints run through the pool's async surface — none of which
 may change a single output bit. These tests pin that down:
 
 * a zero-think closed schedule replayed through the gateway returns, per
-  (client, index), the logits of the serialized ``ServingLoop`` under the
-  same seeds — both garbler roles, with an ample budget (full hit rate,
-  the serialized mint count) and with one tight enough to evict (misses
-  demand-run the offline phase over the wire);
+  (client, index), the plaintext oracle's logits on that request's input
+  — both garbler roles, with an ample budget (full hit rate, one mint per
+  request) and with one tight enough to evict (misses demand-run the
+  offline phase over the wire);
 * forked OS-process clients (nothing shared but the socket) verify their
   logits and exit clean;
 * a client that dies mid-protocol is dropped without disturbing the
@@ -42,13 +42,12 @@ from repro.runtime import (
     PrecomputePool,
     PrecomputeStore,
     ServingGateway,
-    ServingLoop,
     request_inference,
 )
 from repro.runtime.client import GatewayClient
 from repro.runtime.policy import BUSY_RETRY_FLOOR, MAX_RETRY_AFTER
 from repro.runtime.pool import mint_offline_job
-from repro.runtime.serving import mint_seed
+from repro.runtime.serving import draw_inputs, mint_seed
 from repro.runtime.store import KIND_OFFLINE
 from repro.workload import closed_schedule, draw_schedule_inputs, replay_functional
 
@@ -74,17 +73,17 @@ def _network(hidden=8):
         pytest.param("server", None, 0, 2, id="server-cold-w2"),
     ],
 )
-def test_replay_matches_serialized_serving_loop(
+def test_replay_matches_oracle_per_client_and_index(
     tmp_path, garbler, budget_entries, prefill, workers
 ):
     """3 clients x 2 requests as a zero-think closed schedule through the
-    gateway: per (client, index) the logits are those of the serialized
-    ``ServingLoop.run`` under the same ``base_seed``/``input_seed``. With
-    an ample budget every request hits and the mint count is the
-    serialized one; with a budget that cannot hold every client's
-    precompute, admissions evict and misses run offline over the wire;
-    with nothing prefilled the first requests demand-mint in the
-    selector thread while the 2-worker pool runs the refills."""
+    gateway: every (client, index) is served once, with the plaintext
+    oracle's logits on the input ``draw_inputs`` gives it under the same
+    ``input_seed``. With an ample budget every request hits and one
+    precompute is minted per request; with a budget that cannot hold
+    every client's precompute, admissions evict and misses run offline
+    over the wire; with nothing prefilled the first requests demand-mint
+    in the selector thread while the 2-worker pool runs the refills."""
     network = _network()
     clients, requests = 3, 2
     byte_budget = None
@@ -92,12 +91,6 @@ def test_replay_matches_serialized_serving_loop(
         # Room for fewer stored precomputes than there are clients.
         entry = len(mint_offline_job((network, PARAMS, garbler, mint_seed(5, 0, 0), 0)))
         byte_budget = budget_entries * entry + entry // 2
-    loop = ServingLoop(
-        network, PARAMS, clients,
-        PrecomputeStore(tmp_path / "loop", byte_budget=byte_budget),
-        garbler=garbler, prefill=prefill, base_seed=5,
-    )
-    serialized = loop.run(requests, input_seed=9)
 
     schedule = closed_schedule(clients, requests, 0.0)
     store = PrecomputeStore(tmp_path / "gateway", byte_budget=byte_budget)
@@ -107,10 +100,9 @@ def test_replay_matches_serialized_serving_loop(
             prefill=prefill, base_seed=5, input_seed=9,
         )
 
-    assert {(r.client, r.index): r.logits for r in report.requests} == {
-        (r.client, r.index): r.logits for r in serialized.requests
-    }
-    assert report.concurrent and not serialized.concurrent
+    assert sorted((r.client, r.index) for r in report.requests) == [
+        (f"client{c}", j) for c in range(clients) for j in range(requests)
+    ]
     assert report.connections_accepted == clients  # one keep-alive socket each
     assert report.requests_admitted == clients * requests
     assert (
@@ -122,7 +114,7 @@ def test_replay_matches_serialized_serving_loop(
     assert report.dropped_sessions == 0
     assert report.workloads[schedule.name]["requests"] == clients * requests
     oracle = lower_network(network, PARAMS.t)
-    inputs = loop.draw_inputs(requests, input_seed=9)
+    inputs = draw_inputs(network, PARAMS, [requests] * clients, input_seed=9)
     for r in report.requests:
         c = int(r.client[len("client"):])
         assert r.logits == plaintext_reference(oracle, inputs[c][r.index])
@@ -131,7 +123,7 @@ def test_replay_matches_serialized_serving_loop(
     elif byte_budget is None:
         assert report.hit_rate == 1.0  # no request paid a miss
         assert report.demand_mints == 0
-        assert report.minted == serialized.minted == clients * requests
+        assert report.minted == clients * requests
     else:
         assert report.evictions > 0  # the budget actually bit
         assert store.total_bytes <= byte_budget  # never exceeded
@@ -274,27 +266,26 @@ def test_gateway_drops_dead_client_without_disturbing_others(tmp_path):
     (os.cpu_count() or 1) < 2,
     reason="wall-clock overlap needs at least two cores",
 )
-def test_concurrent_throughput_beats_serialized(tmp_path):
+def test_refill_mints_overlap_the_serve_window(tmp_path):
     """With refill mints in worker processes, mint windows overlap the
-    serve window and the logits are the serialized drain's. How much the
-    overlap buys in requests/second is a wall-clock race between two
-    runs; its one stated bar (median of three, concurrent >= serialized)
-    is CI gateway-smoke's."""
+    serve window and every logit is the oracle's. How much the overlap
+    buys in requests/second is a wall-clock race against a sequential
+    mint-then-serve loop; its one stated bar (median of three,
+    gateway >= sequential) is CI gateway-smoke's."""
     network = _network()
-    loop = ServingLoop(
-        network, PARAMS, 3, PrecomputeStore(tmp_path / "serialized")
-    )
-    serialized = loop.run(2)
     with PrecomputePool(workers=2) as pool:
-        concurrent = replay_functional(
+        report = replay_functional(
             closed_schedule(3, 2, 0.0), network, PARAMS,
-            PrecomputeStore(tmp_path / "concurrent"), pool=pool,
+            PrecomputeStore(tmp_path), pool=pool,
         )
 
-    assert {(r.client, r.index): r.logits for r in concurrent.requests} == {
-        (r.client, r.index): r.logits for r in serialized.requests
-    }
-    assert concurrent.refill_overlap_seconds > 0.0
+    assert report.refill_overlap_seconds > 0.0
+    oracle = lower_network(network, PARAMS.t)
+    inputs = draw_inputs(network, PARAMS, [2] * 3)
+    assert len(report.requests) == 6
+    for r in report.requests:
+        c = int(r.client[len("client"):])
+        assert r.logits == plaintext_reference(oracle, inputs[c][r.index])
 
 
 # -- keep-alive connections and admission -----------------------------------------
@@ -537,6 +528,81 @@ def test_torn_store_entry_costs_one_connection(tmp_path):
     assert box["logits"] == plaintext_reference(oracle, list(range(16)))
     assert gateway.ledger.admission()["admitted"] == 2
     assert gateway.ledger.inflight == {}
+
+
+def test_torn_store_entry_is_deleted_so_its_client_is_served_next(tmp_path):
+    """The request that takes a torn entry loses its connection, and the
+    entry goes with it: client0 reconnects and its next request is served
+    (a demand mint, the namespace being empty) with the oracle's logits.
+    A refused entry used to stay at the head of the namespace, so every
+    later request of that client dropped its connection too."""
+    network = _network()
+    store = PrecomputeStore(tmp_path)
+    oracle = lower_network(network, PARAMS.t)
+    shape = lower_network(network, PARAMS.t, shape_only=True)
+    box: dict = {}
+    errors = []
+    with PrecomputePool(workers=1) as pool:
+        gateway = ServingGateway(
+            network, PARAMS, 1, store, pool=pool, garbler="client",
+            prefill=0, refill=False,
+        )
+        key = gateway.store_key("client0")
+        store.put(key, KIND_OFFLINE, b"RPC2\x01\x00\x00")
+        gateway.start()
+
+        def drive():
+            try:
+                client = GatewayClient(
+                    "127.0.0.1", gateway.port, network, PARAMS,
+                    garbler="client", client_id="client0", lowered=shape,
+                )
+                try:
+                    box["logits"] = client.request(list(range(16)))
+                finally:
+                    client.close()
+            except BaseException as exc:
+                errors.append(exc)
+
+        try:
+            transport = SocketTransport.connect(
+                "127.0.0.1", gateway.port, retries=5
+            )
+            transport.send(encode_hello("client0"))
+            transport.send(encode_request(0))
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and (
+                gateway.connections_accepted == 0 or gateway._connections
+            ):
+                gateway.poll(0.05)  # until the torn entry's connection is gone
+            transport.close()
+            thread = threading.Thread(target=drive, daemon=True)
+            thread.start()
+            gateway.serve(1, timeout=120.0, abort=lambda: not thread.is_alive())
+            thread.join(timeout=60.0)
+        finally:
+            gateway.stop(drain=False)
+
+    assert errors == []
+    assert box["logits"] == plaintext_reference(oracle, list(range(16)))
+    assert gateway.dropped_sessions == 1
+    assert store.names(key, KIND_OFFLINE) == []
+    assert gateway.ledger.inflight == {}
+
+
+def test_budget_below_one_precompute_fails_start(tmp_path):
+    """A byte budget that cannot hold a single precompute (the paper's
+    ``buffer_capacity == 0`` regime) is refused when the gateway
+    prefills, before it accepts a connection."""
+    network = _network()
+    store = PrecomputeStore(tmp_path, byte_budget=10_000)  # < one entry
+    with PrecomputePool(workers=1) as pool:
+        gateway = ServingGateway(network, PARAMS, 1, store, pool=pool)
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                gateway.start()
+        finally:
+            gateway.stop(drain=False)
 
 
 def test_midstream_stats_on_keepalive_connection(tmp_path):

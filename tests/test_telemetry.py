@@ -565,14 +565,14 @@ def test_stats_probe_leaves_no_transcript_trace(tmp_path):
 # -- CLI wiring --------------------------------------------------------------------
 
 
-def test_cli_serve_concurrent_with_telemetry_artifacts(tmp_path):
+def test_cli_serve_with_telemetry_artifacts(tmp_path):
     from repro.__main__ import main
 
     trace = tmp_path / "trace.jsonl"
     metrics = tmp_path / "metrics.prom"
     summary = tmp_path / "summary.json"
     argv = [
-        "--serve", "2", "--serve-requests", "1", "--serve-concurrent",
+        "--serve", "2", "--serve-requests", "1",
         "--workers", "1",
         "--serve-summary", str(summary),
         "--telemetry", "--trace-out", str(trace),
@@ -584,7 +584,7 @@ def test_cli_serve_concurrent_with_telemetry_artifacts(tmp_path):
     for key in ("refill_overlap_seconds", "peak_live_sessions",
                 "dropped_sessions", "phase_seconds", "gateway_stats"):
         assert key in data
-    assert data["concurrent"] is True
+    assert data["connections_accepted"] == 2
     assert data["gateway_stats"]["served"] == 2
     phases = data["phase_seconds"]
     assert phases and set(phases) <= set(PHASE_NAMES)
