@@ -605,6 +605,27 @@ def test_budget_below_one_precompute_fails_start(tmp_path):
             gateway.stop(drain=False)
 
 
+def test_gateway_without_prefill_demand_mints_everything(tmp_path):
+    """Nothing prefilled and one request per client: refill credits are
+    capped at the schedule's count, so each request demand-mints on its
+    own critical path and nothing else is minted."""
+    network = _network()
+    with PrecomputePool(workers=1) as pool:
+        report = replay_functional(
+            closed_schedule(2, 1, 0.0), network, PARAMS,
+            PrecomputeStore(tmp_path), pool=pool, prefill=0,
+        )
+
+    assert report.hit_rate == 0.0
+    assert report.demand_mints == 2
+    assert report.minted == 2
+    oracle = lower_network(network, PARAMS.t)
+    inputs = draw_inputs(network, PARAMS, [1] * 2)
+    for r in report.requests:
+        c = int(r.client[len("client"):])
+        assert r.logits == plaintext_reference(oracle, inputs[c][r.index])
+
+
 def test_midstream_stats_on_keepalive_connection(tmp_path):
     """A GWS1 probe between two requests on one live connection: the
     stats frame is answered in-stream, the connection keeps serving, the

@@ -41,3 +41,83 @@ def test_demo_cleans_up_created_store_dir(tmp_path, monkeypatch, capsys):
          store_dir=str(supplied))
     assert supplied.exists()  # caller-owned directory is preserved
     assert len(created) == 1  # and no temp dir was created for it
+
+
+def test_demo_matches_per_client_sequential_runs(tmp_path):
+    """4 clients through the gateway: each served logit vector is
+    byte-identical to that client running its own mint-then-serve
+    sequence alone, ``HybridProtocol(seed=mint_seed(0, c, 0))``."""
+    from repro import HybridProtocol
+    from repro.runtime.serving import (
+        demo,
+        demo_network_and_params,
+        draw_inputs,
+        mint_seed,
+    )
+
+    report = demo(num_clients=4, requests_per_client=1, workers=1,
+                  store_dir=str(tmp_path))
+
+    assert len(report.requests) == 4
+    assert report.num_clients == 4
+    assert report.hit_rate == 1.0  # ample budget: every request buffered
+    assert report.demand_mints == 0
+    assert report.minted == 4
+    assert report.total_mint_seconds > 0
+    network, params = demo_network_and_params()
+    inputs = draw_inputs(network, params, [1] * 4)
+    for request in report.requests:
+        assert request.online_seconds > 0
+        c = int(request.client[len("client"):])
+        sequential = HybridProtocol(
+            network, params, garbler="client", seed=mint_seed(0, c, 0)
+        )
+        sequential.run_offline()
+        assert request.logits == sequential.run_online(inputs[c][0])
+
+
+def test_demo_eviction_never_serves_stale(tmp_path):
+    """A 0.2 MB budget holds 3 of 4 clients' precomputes: the prefill
+    evicts, the evicted client's request demand-mints, the store never
+    exceeds the budget, and every result is the plaintext oracle's."""
+    from repro.core.lowering import lower_network, plaintext_reference
+    from repro.runtime.serving import demo, demo_network_and_params, draw_inputs
+
+    report = demo(num_clients=4, requests_per_client=2, workers=1,
+                  budget_mb=0.2, store_dir=str(tmp_path))
+
+    assert len(report.requests) == 8
+    assert report.evictions > 0
+    assert report.demand_mints > 0
+    assert max(sample["bytes"] for sample in report.occupancy) <= 200_000
+    network, params = demo_network_and_params()
+    oracle = lower_network(network, params.t)
+    inputs = draw_inputs(network, params, [2] * 4)
+    for request in report.requests:
+        c = int(request.client[len("client"):])
+        assert request.logits == plaintext_reference(
+            oracle, inputs[c][request.index]
+        )
+
+
+def test_demo_report_summary_is_json_serializable(tmp_path):
+    """The summary ``--serve --stats`` writes round-trips through JSON and
+    agrees with the report it digests: one occupancy sample per mint and
+    per served request, one keep-alive connection per client."""
+    import json
+
+    from repro.runtime.serving import demo
+
+    summary_path = tmp_path / "summary.json"
+    report = demo(num_clients=2, requests_per_client=1, workers=1,
+                  store_dir=str(tmp_path / "store"),
+                  summary_path=str(summary_path))
+
+    summary = json.loads(summary_path.read_text())
+    assert summary == json.loads(json.dumps(summary))
+    assert summary["clients"] == 2
+    assert summary["requests"] == 2
+    assert summary["connections_accepted"] == 2
+    assert summary["max_queue_depth"] == report.max_queue_depth
+    assert summary["store_dir"] == str(tmp_path / "store")
+    assert len(summary["occupancy"]) == report.minted + len(report.requests)
