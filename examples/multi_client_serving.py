@@ -32,7 +32,8 @@ import multiprocessing
 
 import numpy as np
 
-from repro.runtime.serving import ServingReport, demo, demo_network_and_params
+from repro.runtime.serving import ServingReport, demo_network_and_params
+from repro.workload.cli import demo_workload
 
 
 def _socket_server_main(port_queue, num_sessions: int, garbler: str) -> None:
@@ -211,16 +212,20 @@ def gateway_forked_demo(clients: int, requests: int, garbler: str = "client",
 
 
 def functional_run(args) -> ServingReport:
-    # demo() drives the whole mint -> admit -> drain lifecycle and checks
-    # every served logit vector against the plaintext field evaluation —
-    # eviction pressure must never surface a stale result.
-    return demo(
-        num_clients=args.clients,
-        requests_per_client=args.requests,
+    # The zero-think closed workload drives the whole mint -> admit ->
+    # drain lifecycle and checks every served logit vector against the
+    # plaintext field evaluation — eviction pressure must never surface a
+    # stale result. This is `python -m repro --workload closed
+    # --workload-think 0`.
+    return demo_workload(
+        "closed",
+        clients=args.clients,
+        requests=args.requests,
+        think=0.0,
         workers=args.workers,
         budget_mb=args.budget_mb,
         store_dir=args.store,
-        summary_path=args.summary,
+        out_path=args.summary,
     )
 
 
@@ -288,7 +293,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--summary", default=None, metavar="PATH",
-        help="write the queue-depth/occupancy summary JSON here",
+        help="write the workload artifact JSON (schedule + the "
+        "queue-depth/occupancy summary) here",
     )
     parser.add_argument(
         "--analytic", action="store_true",

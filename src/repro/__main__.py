@@ -5,6 +5,7 @@ Usage::
     python -m repro --list
     python -m repro fig3 fig9 table1
     python -m repro all          # everything (~9 s, 8 of them fig7/10/12/13)
+    python -m repro --workload closed --workload-think 0   # serve clients
 """
 
 from __future__ import annotations
@@ -43,51 +44,18 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="whole-mint worker processes for --serve, --workload and "
-        "--plan (overrides the REPRO_WORKERS environment variable; "
-        "default all cores)",
-    )
-    parser.add_argument(
-        "--serve",
-        type=int,
-        default=None,
-        metavar="N",
-        help="instead of experiments, serve N clients through the "
-        "concurrent socket gateway: a zero-think closed-loop schedule, "
-        "one keep-alive socket per client, refill mints in --workers "
-        "pool processes, per-client store namespaces under "
-        "--serve-budget-mb; every logit is checked against the "
-        "plaintext oracle",
-    )
-    parser.add_argument(
-        "--serve-requests",
-        type=int,
-        default=1,
-        metavar="R",
-        help="online requests per served client (with --serve)",
-    )
-    parser.add_argument(
-        "--serve-budget-mb",
-        type=float,
-        default=8.0,
-        metavar="MB",
-        help="global precompute store byte budget (with --serve; "
-        "0 = unbounded)",
+        help="whole-mint worker processes for --workload and --plan "
+        "(overrides the REPRO_WORKERS environment variable; default all "
+        "cores)",
     )
     parser.add_argument(
         "--gateway-max-queue",
         type=int,
         default=None,
         metavar="N",
-        help="with --serve or --workload: the gateway's admission "
+        help="with --workload: the gateway's admission "
         "backlog threshold — requests arriving while waiters + credits "
         "+ in-flight mints exceed N are answered with BUSY (default 8)",
-    )
-    parser.add_argument(
-        "--serve-summary",
-        default=None,
-        metavar="PATH",
-        help="with --serve: write the ServingReport summary JSON here",
     )
     parser.add_argument(
         "--workload",
@@ -96,7 +64,8 @@ def main(argv: list[str] | None = None) -> int:
         help="instead of experiments, replay a generated arrival schedule "
         "against the concurrent gateway (poisson: uniform open-loop; "
         "skewed: Zipf hot-client rates; burst: skewed + on/off envelope; "
-        "closed: think-time loop) and verify every logit against the "
+        "closed: think-time loop, with --workload-think 0 the one "
+        "functional serving run) and verify every logit against the "
         "plaintext oracle",
     )
     parser.add_argument(
@@ -238,9 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="with --serve: print the gateway's stats snapshot "
+        help="with --workload: print the gateway's stats snapshot "
         "(per-client latency quantiles, queue depth, store occupancy, "
-        "expected time-to-miss)",
+        "expected time-to-miss) after the run",
     )
     args = parser.parse_args(argv)
     if args.backend is not None:
@@ -250,38 +219,11 @@ def main(argv: list[str] | None = None) -> int:
 
         telemetry.configure(enabled=True)
 
-    if args.serve is not None:
-        from repro.runtime.serving import demo
-
-        report = demo(
-            num_clients=max(1, args.serve),
-            requests_per_client=max(1, args.serve_requests),
-            workers=args.workers,
-            budget_mb=args.serve_budget_mb,
-            summary_path=args.serve_summary,
-            gateway_max_queue=args.gateway_max_queue,
-        )
-        if args.stats and report.gateway_stats:
-            import json
-
-            print("gateway stats:")
-            print(json.dumps(report.gateway_stats, indent=2, sort_keys=True))
-        if args.telemetry:
-            from repro.telemetry import METRICS, TRACER
-
-            if args.trace_out:
-                count = TRACER.export_jsonl(args.trace_out)
-                print(f"wrote {count} trace events to {args.trace_out}")
-            if args.metrics_out:
-                with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                    fh.write(METRICS.to_prometheus())
-                print(f"wrote metrics to {args.metrics_out}")
-        return 0
-
+    report = None
     if args.workload is not None:
         from repro.workload.cli import demo_workload
 
-        demo_workload(
+        report = demo_workload(
             args.workload,
             clients=max(1, args.workload_clients),
             rate=args.workload_rate,
@@ -296,9 +238,7 @@ def main(argv: list[str] | None = None) -> int:
             time_scale=args.workload_time_scale,
             out_path=args.workload_out,
         )
-        return 0
-
-    if args.plan:
+    elif args.plan:
         from repro.workload.cli import demo_plan
 
         demo_plan(
@@ -309,27 +249,42 @@ def main(argv: list[str] | None = None) -> int:
             slo_p95=args.plan_slo_p95,
             out_path=args.plan_out,
         )
-        return 0
-
-    if args.list or not args.experiments:
+    elif args.list or not args.experiments:
         for key, module in ALL_EXPERIMENTS.items():
             doc = (module.__doc__ or "").strip().splitlines()[0]
             print(f"{key:8s} {doc}")
         return 0
+    else:
+        selected: list[str] = []
+        for item in args.experiments:
+            if item == "all":
+                selected.extend(ALL_EXPERIMENTS)
+            elif item == "fast":
+                selected.extend(FAST)
+            elif item in ALL_EXPERIMENTS:
+                selected.append(item)
+            else:
+                print(f"unknown experiment {item!r}; try --list",
+                      file=sys.stderr)
+                return 2
+        for key in selected:
+            ALL_EXPERIMENTS[key].main()
 
-    selected: list[str] = []
-    for item in args.experiments:
-        if item == "all":
-            selected.extend(ALL_EXPERIMENTS)
-        elif item == "fast":
-            selected.extend(FAST)
-        elif item in ALL_EXPERIMENTS:
-            selected.append(item)
-        else:
-            print(f"unknown experiment {item!r}; try --list", file=sys.stderr)
-            return 2
-    for key in selected:
-        ALL_EXPERIMENTS[key].main()
+    if args.stats and report is not None and report.gateway_stats:
+        import json
+
+        print("gateway stats:")
+        print(json.dumps(report.gateway_stats, indent=2, sort_keys=True))
+    if args.telemetry:
+        from repro.telemetry import METRICS, TRACER
+
+        if args.trace_out:
+            count = TRACER.export_jsonl(args.trace_out)
+            print(f"wrote {count} trace events to {args.trace_out}")
+        if args.metrics_out:
+            with open(args.metrics_out, "w", encoding="utf-8") as fh:
+                fh.write(METRICS.to_prometheus())
+            print(f"wrote metrics to {args.metrics_out}")
     return 0
 
 

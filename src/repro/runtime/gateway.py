@@ -795,32 +795,30 @@ class ServingGateway:
     def _take_precompute(self, client_id: str):
         """Consume the oldest buffered precompute: (blob, server half) or None.
 
-        An entry that does not split against this network (torn, or
-        minted for another shape) is deleted and the error re-raised, so
-        the request holding it loses its connection and the client's
-        next request is served. The namespace holds only this gateway's
-        own mints, so an entry refused once would be refused every time;
+        The entry leaves the store on one fetch-and-delete
+        (:meth:`PrecomputeStore.take`, one index write), before it is
+        split. An entry that does not split against this network (torn,
+        or minted for another shape) is therefore already gone when the
+        error is re-raised, so the request holding it loses its
+        connection and the client's next request is served. The
+        namespace holds only this gateway's own mints, so an entry
+        refused once would be refused every time;
         ``HybridProtocol.import_offline``, whose store may be shared,
         keeps such an entry buffered instead.
         """
         from repro.core.protocol import split_offline_state
 
         # Charged wholesale to the "store" bucket: the split is part of
-        # the price of serving from storage (nested store.get/delete
-        # sections are fine — exclusive accounting handles re-entry).
+        # the price of serving from storage (the nested store.take
+        # section is fine — exclusive accounting handles re-entry).
         with section("store", "gateway.take_precompute", client=client_id):
-            key = self.store_key(client_id)
-            name = next(iter(self.store.names(key, KIND_OFFLINE)), None)
-            blob = self.store.get(key, KIND_OFFLINE, name) if name else None
+            blob = self.store.take(self.store_key(client_id), KIND_OFFLINE)
             if blob is None:
                 return None
-            try:
-                _, server_state = split_offline_state(
-                    blob, self.lowered, self._circuit, self.garbler,
-                    self.truncate_bits,
-                )
-            finally:
-                self.store.delete(key, KIND_OFFLINE, name)
+            _, server_state = split_offline_state(
+                blob, self.lowered, self._circuit, self.garbler,
+                self.truncate_bits,
+            )
             return blob, server_state
 
     def _goodbye(self, conn: _Connection, reason: str) -> None:

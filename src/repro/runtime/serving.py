@@ -1,4 +1,4 @@
-"""Multi-client serving: the report, the shared identities, the demo (§5.2).
+"""Multi-client serving: the report, shared identities, demo model (§5.2).
 
 The paper's closing multi-client argument is a statement about *buffers*:
 one server mints offline precomputes for N clients, each client buffers
@@ -16,7 +16,10 @@ names the same precomputes and inputs on every path. The reference a
 served logit vector is checked against is the per-client *sequential*
 run — ``HybridProtocol(seed=mint_seed(base, c, j))``, offline then
 online on request j's input — or, equivalently, the plaintext oracle.
-:func:`demo` is the ``python -m repro --serve`` entry point.
+:func:`repro.workload.cli.demo_workload` is the one functional serving
+run; ``python -m repro --workload closed --workload-think 0`` is its
+zero-think closed loop, each client issuing its next request as soon as
+the last one is answered.
 """
 
 from __future__ import annotations
@@ -228,94 +231,3 @@ def demo_network_and_params():
     network.randomize_weights(params.t, np.random.default_rng(0))
     return network, params
 
-
-def demo(
-    num_clients: int = 4,
-    requests_per_client: int = 1,
-    workers: int | None = None,
-    budget_mb: float = 8.0,
-    store_dir: str | None = None,
-    summary_path: str | None = None,
-    gateway_max_queue: int | None = None,
-) -> ServingReport:
-    """Self-contained serving run on a tiny network, through the gateway.
-
-    Replays ``requests_per_client`` requests per client as a zero-think
-    closed-loop schedule through the socket gateway (one keep-alive
-    driver thread per client over loopback TCP, refill mints in
-    ``workers`` pool worker processes), checks every served logit vector
-    against the plaintext oracle (eviction pressure must never surface a
-    stale result), and optionally writes the queue-depth summary JSON.
-    Both ``python -m repro --serve N`` and
-    ``examples/multi_client_serving.py`` are thin wrappers over this.
-    ``budget_mb=0`` means unbounded. When ``store_dir`` is None the
-    temporary store directory is removed before returning (after the
-    summary, if any, is written).
-    """
-    import json
-    import tempfile
-
-    from repro.core.lowering import lower_network, plaintext_reference
-    from repro.runtime.pool import PrecomputePool
-    from repro.workload.drivers import replay_functional
-    from repro.workload.generators import closed_schedule
-
-    network, params = demo_network_and_params()
-    made_tempdir = store_dir is None
-    root = store_dir or tempfile.mkdtemp(prefix="repro-serving-")
-    store = PrecomputeStore(root, byte_budget=int(budget_mb * 1e6) or None)
-    inputs = draw_inputs(network, params, [requests_per_client] * num_clients)
-    print(
-        f"serving {num_clients} clients x {requests_per_client} requests "
-        f"through the gateway (budget {budget_mb:g} MB, store {root})"
-    )
-    with PrecomputePool(workers=workers) as pool:
-        print(f"  {pool.workers} whole-mint worker process(es)")
-        report = replay_functional(
-            closed_schedule(num_clients, requests_per_client, 0.0),
-            network, params, store, pool=pool, inputs=inputs,
-            gateway_max_queue=gateway_max_queue,
-        )
-
-    lowered = lower_network(network, params.t)
-    for request in report.requests:
-        c = int(request.client[len("client"):])
-        assert request.logits == plaintext_reference(
-            lowered, inputs[c][request.index]
-        )
-    print(f"all {len(report.requests)} results match the plaintext reference")
-    print(
-        f"  hit rate {report.hit_rate:.2f}  demand mints "
-        f"{report.demand_mints}  evictions {report.evictions}  "
-        f"max queue depth {report.max_queue_depth}"
-    )
-    print(
-        f"  mint {report.total_mint_seconds:.2f}s total, online "
-        f"{report.mean_online_seconds * 1e3:.0f} ms mean, steady-state "
-        f"{report.throughput_rps:.2f} req/s"
-    )
-    print(
-        f"  refill overlap {report.refill_overlap_seconds:.2f}s, peak "
-        f"{report.peak_live_sessions} live session(s), "
-        f"{report.dropped_sessions} dropped"
-    )
-    print(
-        f"  admission: {report.connections_accepted} connection(s), "
-        f"{report.requests_issued} issued = "
-        f"{report.requests_admitted} admitted + "
-        f"{report.requests_deferred} deferred + "
-        f"{report.requests_rejected} rejected"
-    )
-    if summary_path:
-        summary = report.summary()
-        summary["store_dir"] = root
-        with open(summary_path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-        print(f"  queue-depth summary written to {summary_path}")
-    if made_tempdir:
-        # The demo created this directory; a long-lived host running the
-        # smoke entry point repeatedly must not accrete orphaned stores.
-        import shutil
-
-        shutil.rmtree(root, ignore_errors=True)
-    return report

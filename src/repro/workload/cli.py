@@ -5,7 +5,10 @@ CLI knobs, replay it functionally against a real gateway (checking every
 logit against the plaintext oracle), and emit a JSON artifact carrying
 the canonical schedule plus the measured summary — or run the
 calibrate → validate → sweep → plan pipeline and emit the planner
-artifact. Both are what the CI ``workload-smoke`` job drives.
+artifact. :func:`demo_workload` is the one functional serving run:
+``--workload closed --workload-think 0`` serves N clients R requests
+each with zero think time, the run CI's serving, saturation and
+telemetry smokes drive.
 """
 
 from __future__ import annotations
@@ -81,15 +84,20 @@ def demo_workload(
     budget_mb: float = 8.0,
     gateway_max_queue: int | None = None,
     time_scale: float = 1.0,
+    store_dir: str | None = None,
     out_path: str | None = None,
 ):
     """Generate a schedule, replay it against a live gateway, verify, report.
 
     Every served logit vector is checked against the plaintext oracle
-    (realistic traffic must never surface a stale or corrupted result).
-    With ``out_path`` the run writes a JSON artifact holding the
-    canonical schedule, the full report summary, and the per-workload
-    columns — the bytes CI asserts on. Returns the ServingReport.
+    (realistic traffic and eviction pressure must never surface a stale
+    or corrupted result). ``budget_mb=0`` means unbounded. The store
+    lives in ``store_dir``, which is kept; without one a temporary
+    directory is made and removed again, whether the run succeeds or
+    raises. With ``out_path`` the run writes a JSON artifact holding the
+    canonical schedule and the full report summary (with its per-workload
+    columns and ``store_dir``) — the bytes CI asserts on. Returns the
+    ServingReport.
     """
     import shutil
     import tempfile
@@ -114,7 +122,7 @@ def demo_workload(
         seed=seed,
     )
     inputs = draw_schedule_inputs(schedule, network, params)
-    root = tempfile.mkdtemp(prefix="repro-workload-")
+    root = store_dir or tempfile.mkdtemp(prefix="repro-workload-")
     try:
         store = PrecomputeStore(root, byte_budget=int(budget_mb * 1e6) or None)
         with PrecomputePool(workers=workers) as pool:
@@ -136,7 +144,8 @@ def demo_workload(
                 inputs=inputs,
             )
     finally:
-        shutil.rmtree(root, ignore_errors=True)
+        if root != store_dir:  # the run made it
+            shutil.rmtree(root, ignore_errors=True)
     lowered = lower_network(network, params.t)
     for request in report.requests:
         c = int(request.client[len("client"):])
@@ -152,6 +161,12 @@ def demo_workload(
         f"(offered {columns['offered_rps']:.2f})"
     )
     print(
+        f"  hit rate {report.hit_rate:.2f}, demand mints "
+        f"{report.demand_mints}, evictions {report.evictions}, max queue "
+        f"depth {report.max_queue_depth}, peak {report.peak_live_sessions} "
+        f"live session(s), {report.dropped_sessions} dropped"
+    )
+    print(
         f"  admission: {report.requests_issued} issued = "
         f"{report.requests_admitted} admitted + "
         f"{report.requests_deferred} deferred + "
@@ -162,7 +177,7 @@ def demo_workload(
     if out_path:
         artifact = {
             "schedule": json.loads(schedule.to_json()),
-            "summary": report.summary(),
+            "summary": {**report.summary(), "store_dir": root},
         }
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(artifact, fh, indent=2, sort_keys=True)

@@ -605,6 +605,36 @@ def test_budget_below_one_precompute_fails_start(tmp_path):
             gateway.stop(drain=False)
 
 
+def test_buffered_hit_writes_the_store_index_once(tmp_path, monkeypatch):
+    """A hit consumes its precompute through one ``PrecomputeStore.take``:
+    one fsynced index write, not a ``get`` (an LRU refresh for an entry
+    about to go) followed by a ``delete``. The taken entry is the
+    prefilled one, and it is gone afterwards."""
+    network = _network()
+    store = PrecomputeStore(tmp_path)
+    with PrecomputePool(workers=1) as pool:
+        gateway = ServingGateway(
+            network, PARAMS, 1, store, pool=pool, garbler="client",
+            prefill=1, refill=False,
+        )
+        gateway.start()
+        try:
+            key = gateway.store_key("client0")
+            assert len(store.names(key, KIND_OFFLINE)) == 1
+            writes = []
+            real_save = store._save_index
+            monkeypatch.setattr(
+                store, "_save_index", lambda: writes.append(real_save())
+            )
+            taken = gateway._take_precompute("client0")
+        finally:
+            gateway.stop(drain=False)
+
+    assert taken is not None
+    assert len(writes) == 1
+    assert store.names(key, KIND_OFFLINE) == []
+
+
 def test_gateway_without_prefill_demand_mints_everything(tmp_path):
     """Nothing prefilled and one request per client: refill credits are
     capped at the schedule's count, so each request demand-mints on its

@@ -1,17 +1,26 @@
-"""The ``--serve`` entry point, :func:`repro.runtime.serving.demo`."""
+"""The one functional serving run, :func:`repro.workload.cli.demo_workload`,
+as ``python -m repro --workload closed --workload-think 0`` drives it: N
+clients, R requests each, zero think time."""
+
+import json
+import os
+import tempfile
+
+import pytest
+
+from repro.workload.cli import demo_workload
 
 
-def test_demo_cleans_up_created_store_dir(tmp_path, monkeypatch, capsys):
-    """demo() must remove the temp store dir it created — and only that.
+def _serve(clients, requests, **kwargs):
+    return demo_workload(
+        "closed", clients=clients, requests=requests, think=0.0, workers=1,
+        **kwargs,
+    )
 
-    A host running the smoke entry point repeatedly must not accrete
-    orphaned store directories; a caller-supplied ``store_dir`` stays
-    untouched (it is the caller's directory, not the demo's).
-    """
-    import tempfile
 
-    from repro.runtime.serving import demo
-
+@pytest.fixture
+def recorded_mkdtemp(tmp_path, monkeypatch):
+    """Every temp dir the run makes, created under ``tmp_path``."""
     created = []
     real_mkdtemp = tempfile.mkdtemp
 
@@ -22,25 +31,40 @@ def test_demo_cleans_up_created_store_dir(tmp_path, monkeypatch, capsys):
         return path
 
     monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
-    summary_path = tmp_path / "summary.json"
-    demo(
-        num_clients=1, requests_per_client=1, workers=1,
-        summary_path=str(summary_path),
-    )
-    assert len(created) == 1
-    import json
-    import os
+    return created
 
+
+def test_demo_cleans_up_created_store_dir(tmp_path, recorded_mkdtemp):
+    """The run must remove the temp store dir it created — and only that.
+
+    A host running the smoke entry point repeatedly must not accrete
+    orphaned store directories; a caller-supplied ``store_dir`` stays
+    untouched (it is the caller's directory, not the run's).
+    """
+    created = recorded_mkdtemp
+    artifact_path = tmp_path / "artifact.json"
+    _serve(1, 1, out_path=str(artifact_path))
+    assert len(created) == 1
     assert not os.path.exists(created[0])  # cleaned up after the run
-    summary = json.loads(summary_path.read_text())  # written before cleanup
+    summary = json.loads(artifact_path.read_text())["summary"]
     assert summary["store_dir"] == created[0]
 
     supplied = tmp_path / "keep-me"
     supplied.mkdir()
-    demo(num_clients=1, requests_per_client=1, workers=1,
-         store_dir=str(supplied))
+    _serve(1, 1, store_dir=str(supplied))
     assert supplied.exists()  # caller-owned directory is preserved
     assert len(created) == 1  # and no temp dir was created for it
+
+
+def test_demo_budget_below_one_entry_leaves_no_temp_dir(recorded_mkdtemp):
+    """A budget smaller than one precompute fails the gateway's prefill
+    with the store's ``ValueError``, and the temp store dir the run made
+    is removed on the way out all the same."""
+    created = recorded_mkdtemp
+    with pytest.raises(ValueError, match="exceeds the"):
+        _serve(1, 1, budget_mb=0.01)
+    assert len(created) == 1
+    assert not os.path.exists(created[0])
 
 
 def test_demo_matches_per_client_sequential_runs(tmp_path):
@@ -49,14 +73,12 @@ def test_demo_matches_per_client_sequential_runs(tmp_path):
     sequence alone, ``HybridProtocol(seed=mint_seed(0, c, 0))``."""
     from repro import HybridProtocol
     from repro.runtime.serving import (
-        demo,
         demo_network_and_params,
         draw_inputs,
         mint_seed,
     )
 
-    report = demo(num_clients=4, requests_per_client=1, workers=1,
-                  store_dir=str(tmp_path))
+    report = _serve(4, 1, store_dir=str(tmp_path))
 
     assert len(report.requests) == 4
     assert report.num_clients == 4
@@ -81,10 +103,9 @@ def test_demo_eviction_never_serves_stale(tmp_path):
     evicts, the evicted client's request demand-mints, the store never
     exceeds the budget, and every result is the plaintext oracle's."""
     from repro.core.lowering import lower_network, plaintext_reference
-    from repro.runtime.serving import demo, demo_network_and_params, draw_inputs
+    from repro.runtime.serving import demo_network_and_params, draw_inputs
 
-    report = demo(num_clients=4, requests_per_client=2, workers=1,
-                  budget_mb=0.2, store_dir=str(tmp_path))
+    report = _serve(4, 2, budget_mb=0.2, store_dir=str(tmp_path))
 
     assert len(report.requests) == 8
     assert report.evictions > 0
@@ -101,19 +122,14 @@ def test_demo_eviction_never_serves_stale(tmp_path):
 
 
 def test_demo_report_summary_is_json_serializable(tmp_path):
-    """The summary ``--serve --stats`` writes round-trips through JSON and
+    """The summary ``--workload-out`` writes round-trips through JSON and
     agrees with the report it digests: one occupancy sample per mint and
     per served request, one keep-alive connection per client."""
-    import json
+    artifact_path = tmp_path / "artifact.json"
+    report = _serve(2, 1, store_dir=str(tmp_path / "store"),
+                    out_path=str(artifact_path))
 
-    from repro.runtime.serving import demo
-
-    summary_path = tmp_path / "summary.json"
-    report = demo(num_clients=2, requests_per_client=1, workers=1,
-                  store_dir=str(tmp_path / "store"),
-                  summary_path=str(summary_path))
-
-    summary = json.loads(summary_path.read_text())
+    summary = json.loads(artifact_path.read_text())["summary"]
     assert summary == json.loads(json.dumps(summary))
     assert summary["clients"] == 2
     assert summary["requests"] == 2

@@ -68,8 +68,8 @@ def test_lru_eviction_respects_access_order(tmp_path):
 
 def test_gateway_take_path_evicts_in_admission_order(tmp_path):
     """The gateway reads an offline entry only to consume it
-    (``ServingGateway._take_precompute``: oldest name, ``get``, then
-    ``delete``), so no survivor's LRU recency is ever refreshed: the
+    (``ServingGateway._take_precompute``: one ``take`` of the oldest
+    name), so no survivor's LRU recency is ever refreshed: the
     store's victims are the oldest-admitted survivors, the FIFO
     ``admit_order`` that ``replay_analytic`` models."""
     keys = [StoreKey(model="m", params="p", client=f"c{c}") for c in range(3)]
@@ -84,8 +84,7 @@ def test_gateway_take_path_evicts_in_admission_order(tmp_path):
 
     def take(c: int) -> None:
         name = store.names(keys[c], KIND_OFFLINE)[0]
-        assert store.get(keys[c], KIND_OFFLINE, name) is not None
-        store.delete(keys[c], KIND_OFFLINE, name)
+        assert store.take(keys[c], KIND_OFFLINE) is not None
         admit_order.remove((c, name))
 
     def stored() -> set:

@@ -572,15 +572,16 @@ def test_cli_serve_with_telemetry_artifacts(tmp_path):
     metrics = tmp_path / "metrics.prom"
     summary = tmp_path / "summary.json"
     argv = [
-        "--serve", "2", "--serve-requests", "1",
+        "--workload", "closed", "--workload-think", "0",
+        "--workload-clients", "2", "--workload-requests", "1",
         "--workers", "1",
-        "--serve-summary", str(summary),
+        "--workload-out", str(summary),
         "--telemetry", "--trace-out", str(trace),
         "--metrics-out", str(metrics), "--stats",
     ]
     assert main(argv) == 0
 
-    data = json.loads(summary.read_text())
+    data = json.loads(summary.read_text())["summary"]
     for key in ("refill_overlap_seconds", "peak_live_sessions",
                 "dropped_sessions", "phase_seconds", "gateway_stats"):
         assert key in data
@@ -602,3 +603,29 @@ def test_cli_serve_with_telemetry_artifacts(tmp_path):
         k for k in snap["counters"] if k.startswith("transport_frames_total")
     ]
     assert frame_counters, "transport frame counters missing from exposition"
+
+
+def test_cli_workload_exports_telemetry_after_the_run(tmp_path, capsys):
+    """``--trace-out``, ``--metrics-out`` and ``--stats`` are handled once,
+    after whichever mode ran: an open-loop ``--workload`` run without an
+    artifact still writes a schema-valid trace and an exposition that
+    round-trips, and prints the gateway's stats snapshot."""
+    from repro.__main__ import main
+
+    trace = tmp_path / "trace.jsonl"
+    metrics = tmp_path / "metrics.prom"
+    argv = [
+        "--workload", "poisson", "--workload-clients", "2",
+        "--workload-rate", "4", "--workload-horizon", "0.5",
+        "--workload-requests", "1", "--workers", "1",
+        "--telemetry", "--trace-out", str(trace),
+        "--metrics-out", str(metrics), "--stats",
+    ]
+    assert main(argv) == 0
+
+    assert validate_trace_events(read_trace_events(trace)) > 0
+    text = metrics.read_text()
+    assert snapshot_to_prometheus(prometheus_to_snapshot(text)) == text
+    out = capsys.readouterr().out
+    assert "gateway stats:" in out
+    assert f"to {trace}" in out and f"to {metrics}" in out
