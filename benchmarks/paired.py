@@ -44,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "BENCH_e2e.json"
 MIN_WIN_SHARE = 0.9
+STDERR_TAIL_LINES = 20  # of a failed run, kept in its error
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -96,16 +97,28 @@ def verdict(pairs: list[list[float]], better: str, bound: float) -> dict:
 
 
 def run_bench(checkout: Path, workload: str, seed: int) -> dict:
-    """One ``python3 -m bench_e2e`` run in ``checkout``: its JSON result."""
+    """One ``python3 -m bench_e2e`` run in ``checkout``: its JSON result.
+
+    A run that exits non-zero raises a ``RuntimeError`` naming the
+    checkout, the workload, the seed, the exit code and the last lines of
+    the run's stderr, so a failed pair says why it failed.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "result.json"
-        subprocess.run(
+        done = subprocess.run(
             [sys.executable, "-m", "bench_e2e", "--seed", str(seed),
              "--workload", workload, "--out", str(out)],
-            cwd=checkout, check=True, stdout=subprocess.DEVNULL,
+            cwd=checkout, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True,
             # each checkout runs its own src/, whatever this process imports
             env={k: v for k, v in os.environ.items() if k != "PYTHONPATH"},
         )
+        if done.returncode:
+            tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL_LINES:])
+            raise RuntimeError(
+                f"bench_e2e in {checkout} (workload {workload}, seed {seed}) "
+                f"exited {done.returncode}; last lines of its stderr:\n{tail}"
+            )
         return json.loads(out.read_text())
 
 

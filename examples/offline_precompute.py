@@ -17,6 +17,7 @@ minted in a worker is byte-identical to the same mint run in-process;
 """
 
 import argparse
+import shutil
 import tempfile
 import time
 
@@ -50,12 +51,13 @@ def main() -> None:
     parser.add_argument(
         "--serve", type=int, default=None, metavar="N",
         help="serve at most N inferences from the store (default: drain "
-        "it; pass fewer than --precomputes to leave minted entries on "
-        "disk, e.g. for artifact inspection)",
+        "it; with --store, pass fewer than --precomputes to leave minted "
+        "entries on disk, e.g. for artifact inspection)",
     )
     parser.add_argument(
         "--store", default=None,
-        help="store directory (default: a temporary directory)",
+        help="store directory, kept after the run (default: a temporary "
+        "directory, removed when the run ends)",
     )
     parser.add_argument(
         "--budget-mb", type=float, default=64.0,
@@ -69,7 +71,20 @@ def main() -> None:
     network.randomize_weights(params.t, np.random.default_rng(3))
     print(network.summary())
 
+    # A directory this run made is removed when it ends, however it ends;
+    # a --store directory is the caller's and is kept.
     store_dir = args.store or tempfile.mkdtemp(prefix="repro-precompute-")
+    try:
+        mint_and_serve(args, params, network, store_dir)
+    finally:
+        if args.store is None:
+            shutil.rmtree(store_dir, ignore_errors=True)
+
+
+def mint_and_serve(args, params, network, store_dir: str) -> None:
+    """Mint ``args.precomputes`` offline phases into a store at
+    ``store_dir``, then serve from it: ``args.serve`` inferences, or
+    until it drains."""
     store = PrecomputeStore(store_dir, byte_budget=int(args.budget_mb * 1e6))
     print(f"\nstore: {store_dir} (budget {args.budget_mb:.0f} MB)")
 

@@ -58,6 +58,7 @@ _PY_FALLBACK = PythonBackend()  # exact path for shapes uint64 cannot hold
 _DIRECT_LIMIT = 1 << 31  # q below this: products of residues fit in uint64
 _MODULUS_LIMIT = 1 << 62  # q below this: (lazy) Shoup reduction is exact
 _NARROW_LIMIT = 1 << 30  # q below this: the NTT's lazy values (< 4q) fit 32 bits
+_MID_LIMIT = 1 << 49  # q below this: a float64 product gives the Shoup quotient
 _TRANSPOSED_BLOCK = 32  # butterfly blocks up to this size run transposed
 # A scale-and-round fraction this close to an integer is re-derived
 # exactly: far above the float error of the sum, far below the
@@ -345,6 +346,35 @@ class _WideLanes:
         """Stage values are in the lazy output range [0, 2q) already."""
 
 
+class _MidLanes(_NarrowLanes):
+    """Butterfly arithmetic for a chain whose moduli are all below 2^49:
+    :class:`_NarrowLanes`' lazy butterfly, the twiddle product's Shoup
+    quotient taken from one float64 product.
+
+    Stage values x lie below 4q < 2^51 and w < q, so fl(w / q) is within
+    2^-54 of w / q and fl(x * fl(w / q)) within 1/4 of x*w/q. Taking 1/2
+    off before truncating toward zero leaves the quotient at floor(x*w/q)
+    or one short, never over: the remainder x*w - q_hat*q, exact modulo
+    2^64, lies in [0, 2q) as :class:`_NarrowLanes` needs, in six passes
+    where :class:`_WideLanes`' 32-bit limbs take fourteen.
+    """
+
+    def table(self, w):
+        """A constant multiplier table with fl(w / q)."""
+        return w, w.astype(np.float64) / self.q.astype(np.float64)
+
+    def mul(self, x, table, out, tmp):
+        """out = x*w mod q lazily, in [0, 2q), for x < 4q (out may be x)."""
+        w, w_over_q = table
+        quotient = tmp.view(np.float64)
+        np.multiply(x, w_over_q, out=quotient)
+        quotient -= 0.5
+        np.copyto(tmp.view(np.int64), quotient, casting="unsafe")  # toward 0
+        tmp *= self.q
+        np.multiply(x, w, out=out)
+        out -= tmp
+
+
 def _bit_reverse_indices(n: int):
     bits = n.bit_length() - 1
     index = np.arange(n, dtype=np.intp)
@@ -385,7 +415,9 @@ class _NumpyNttPlan(NttPlan):
         self.n = n
         self.rings = rings
         self.lanes = (
-            _NarrowLanes if max(moduli) < _NARROW_LIMIT else _WideLanes
+            _NarrowLanes
+            if max(moduli) < _NARROW_LIMIT
+            else _MidLanes if max(moduli) < _MID_LIMIT else _WideLanes
         )(moduli)
         self.lead = self.lanes.q.shape[:-3]  # (rings,), or () for a chain of one
         self.block = _TRANSPOSED_BLOCK if n >= 2 * _TRANSPOSED_BLOCK else 1

@@ -56,7 +56,7 @@ from repro.core.lowering import (
 )
 from repro.crypto.modmath import matvec_mod, mod_add_vec, mod_sub_vec
 from repro.crypto.rng import SecureRandom
-from repro.gc.circuit import Circuit, int_to_bits, words_to_int
+from repro.gc.circuit import Circuit
 from repro.gc.evaluate import Evaluator
 from repro.gc.garble import EncodingBatch, GarbledBatch, Garbler, LabelBatch
 from repro.gc.relu import ReluCircuitSpec, build_relu_circuit
@@ -148,6 +148,12 @@ def role_seed(seed: int | None, role: str) -> int | None:
     return derive_worker_seed(seed, 0 if role == CLIENT else 1)
 
 
+def _words(bits) -> list[int]:
+    """The integer of each row of a little-endian bit matrix."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 class ProtocolSession:
     """Common machinery of the two role sessions (state, stepping, accounting).
 
@@ -184,6 +190,7 @@ class ProtocolSession:
         self.modulus = self.params.t
         self.bits = self.modulus.bit_length()
         self.truncate_bits = truncate_bits
+        self._relu_circuit: Circuit | None = None  # built on first use
         # ``lowered`` lets a caller that already holds a lowering reuse it;
         # otherwise the client lowers shape-only (no weight matrices ever
         # materialize on its side) while the server pays the full
@@ -252,17 +259,19 @@ class ProtocolSession:
         (:func:`build_relu_circuit`), which also lets stored bundles
         rebind without re-lowering.
         """
-        # The mask r is the client's input, so it sits on whichever half
-        # of the circuit the client plays.
-        client_garbles = self.garbles == (self.role == CLIENT)
-        return build_relu_circuit(
-            ReluCircuitSpec(
-                bits=self.bits,
-                modulus=self.modulus,
-                mask_owner="garbler" if client_garbles else "evaluator",
-                truncate_bits=self.truncate_bits,
+        if self._relu_circuit is None:
+            # The mask r is the client's input, so it sits on whichever
+            # half of the circuit the client plays.
+            client_garbles = self.garbles == (self.role == CLIENT)
+            self._relu_circuit = build_relu_circuit(
+                ReluCircuitSpec(
+                    bits=self.bits,
+                    modulus=self.modulus,
+                    mask_owner="garbler" if client_garbles else "evaluator",
+                    truncate_bits=self.truncate_bits,
+                )
             )
-        )
+        return self._relu_circuit
 
     def _relu_plan(self) -> list[tuple[int, int, int, int]]:
         """(step position, linear index, mask index, width) per ReLU layer."""
@@ -435,14 +444,22 @@ class ProtocolSession:
     _CONST_WIRES = [Circuit.CONST_ZERO, Circuit.CONST_ONE]
 
     def _bit_matrix(self, *vectors: list[int]):
-        """Per instance, the little-endian bits of one word from each vector."""
-        return np.array(
-            [
-                [bit for word in words for bit in int_to_bits(word, self.bits)]
+        """Per instance, the little-endian bits of one word from each vector:
+        every word's bytes unpacked at once, then cut to the field width."""
+        width = (self.bits + 7) // 8
+        try:
+            data = b"".join(
+                int(word).to_bytes(width, "little")
                 for words in zip(*vectors)
-            ],
-            dtype=np.uint8,
-        )
+                for word in words
+            )
+        except OverflowError:
+            raise ValueError(f"a word does not fit in {self.bits} bits") from None
+        bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+        bits = bits.reshape(-1, len(vectors), 8 * width)
+        if bits[..., self.bits :].any():
+            raise ValueError(f"a word does not fit in {self.bits} bits")
+        return bits[..., : self.bits].reshape(len(bits), len(vectors) * self.bits)
 
     def _garbler_offline(self, own_input_bits, keep_decode_bits: bool):
         """Garbler half of the offline phase: garble, ship, deliver labels.
@@ -695,7 +712,7 @@ class ClientSession(ProtocolSession):
             ct_out = deserialize_ciphertext(frame, params)
             self._note_recv(ct_out)
             with section("he_linear", "he.decrypt"):
-                shares = group.reduce(encoder.decode(ctx.decrypt(sk, ct_out)), p)
+                shares = group.reduce(encoder.decode_vec(ctx.decrypt(sk, ct_out)), p)
             self.counters.he_decryptions += 1
             for i, share in zip(group.layers, shares):
                 self.client_linear_share[i] = share
@@ -803,7 +820,7 @@ class ServerSession(ProtocolSession):
                 )
                 masks = group.masks(
                     [self.server_s[i] for i in group.layers],
-                    self._mask_rng.field_vector(2 * params.row_size, p),
+                    self._mask_rng.field_array(2 * params.row_size, p),
                     p,
                 )
                 ct_out = ctx.sub_plain(ct_y, encoder.encode(masks))
@@ -868,7 +885,7 @@ class ServerSession(ProtocolSession):
                 arrived = yield from self._label_ot_chooser(share_bits)
                 outputs = self._evaluate_layer(bundle, arrived)
                 output_bits = Evaluator().decode(bundle.circuits, outputs)
-            server_vec = [words_to_int(bits) for bits in output_bits.tolist()]
+            server_vec = _words(output_bits)
 
         # Final reconstruction: ship this side's output share.
         self._send(serialize_field_vector(server_vec, p), payload=server_vec)

@@ -4,8 +4,8 @@ The garbled-circuit and OT row hash (:mod:`repro.crypto.prg`) is built
 on AES-128 under a fixed public key, as in DELPHI's fancy-garbling. The
 standard library has no block cipher, but its ``_hashlib`` extension is
 linked against OpenSSL's libcrypto, so OpenSSL's EVP cipher interface is
-one :mod:`ctypes` handle away: no package to install, and the library is
-already mapped into any process that imports :mod:`hashlib`.
+one :mod:`ctypes` handle away (:mod:`repro.crypto.libcrypto`), and the
+library is already mapped into any process that imports :mod:`hashlib`.
 
 The handle is a :class:`ctypes.PyDLL`, which keeps the GIL held for the
 whole of each call. One cipher context per key is built on first use and
@@ -21,12 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 
-try:
-    import _hashlib
-except ImportError as exc:  # pragma: no cover - Pythons built without OpenSSL
-    raise ImportError(
-        "repro.crypto.aes needs a Python whose hashlib is built on OpenSSL"
-    ) from exc
+from repro.crypto.libcrypto import lib as _lib
 
 BLOCK_BYTES = 16
 
@@ -37,44 +32,6 @@ FIXED_KEY = bytes.fromhex("243f6a8885a308d313198a2e03707344")
 # Largest input one EVP_EncryptUpdate takes: its length is a C int.
 _MAX_BYTES = (1 << 31) - BLOCK_BYTES
 
-_SIGNATURES = {
-    "EVP_CIPHER_CTX_new": (ctypes.c_void_p, []),
-    "EVP_aes_128_ecb": (ctypes.c_void_p, []),
-    "EVP_EncryptInit_ex": (
-        ctypes.c_int,
-        [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_char_p],
-    ),
-    "EVP_CIPHER_CTX_set_padding": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_int]),
-    "EVP_EncryptUpdate": (
-        ctypes.c_int,
-        [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.POINTER(ctypes.c_int),
-            ctypes.c_char_p,
-            ctypes.c_int,
-        ],
-    ),
-}
-
-
-def _bind() -> ctypes.PyDLL:
-    """The EVP cipher functions of hashlib's libcrypto, with signatures."""
-    lib = ctypes.PyDLL(_hashlib.__file__)
-    for name, (restype, argtypes) in _SIGNATURES.items():
-        try:
-            function = getattr(lib, name)
-        except AttributeError as exc:
-            raise ImportError(
-                f"{_hashlib.__file__} does not export {name}: fixed-key AES "
-                "needs OpenSSL's libcrypto (1.1 or 3.x) linked into hashlib"
-            ) from exc
-        function.restype = restype
-        function.argtypes = argtypes
-    return lib
-
-
-_lib = _bind()
 _update = _lib.EVP_EncryptUpdate
 
 

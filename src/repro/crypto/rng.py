@@ -63,18 +63,26 @@ class SecureRandom:
         and keeps, in order, the values below the modulus (at least half
         of them) — one numpy pass for moduli up to 64 bits.
         """
+        return self.field_array(n, modulus).tolist()
+
+    def field_array(self, n: int, modulus: int) -> np.ndarray:
+        """:meth:`field_vector`'s draw as an array for a caller that computes
+        on it: ``int64`` for moduli up to 2^63, Python ints beyond."""
         bits = modulus.bit_length()
         width = 4 if bits <= 32 else 8 if bits <= 64 else (bits + 7) // 8
         mask = (1 << bits) - 1
-        out: list[int] = []
-        while len(out) < n:
-            words = self._words(n - len(out), width)
-            if width in _LANES:
-                words = words & mask
-                out += words[words < modulus].tolist()
-            else:
-                out += [v for v in (w & mask for w in words) if v < modulus]
-        return out
+        if modulus > 1 << 63:
+            out: list[int] = []
+            while len(out) < n:
+                words = self._words(n - len(out), width)
+                out += [v for v in (int(w) & mask for w in words) if v < modulus]
+            return np.array(out, dtype=object)
+        kept, have = [], 0
+        while have < n:
+            words = self._words(n - have, width) & np.uint64(mask)
+            kept.append(words[words < modulus])
+            have += len(kept[-1])
+        return np.concatenate(kept).astype(np.int64) if kept else np.zeros(0, np.int64)
 
     def bits(self, n: int) -> list[int]:
         return [self._rng.getrandbits(1) for _ in range(n)]
@@ -85,7 +93,11 @@ class SecureRandom:
     def ternary_vector(self, n: int) -> list[int]:
         """``n`` draws from {-1, 0, 1} (RLWE secret coefficients): one
         32-bit word each, reduced mod 3 (off uniform by under 2^-31)."""
-        return ((self._words(n, 4) % 3).astype(np.int64) - 1).tolist()
+        return self.ternary_array(n).tolist()
+
+    def ternary_array(self, n: int) -> np.ndarray:
+        """:meth:`ternary_vector`'s draw as an ``int64`` array."""
+        return (self._words(n, 4) % 3).astype(np.int64) - 1
 
     def centered_binomial_vector(self, n: int, eta: int = 4) -> list[int]:
         """``n`` centered-binomial noise draws, the standard discrete-

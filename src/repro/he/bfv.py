@@ -249,6 +249,12 @@ class BfvContext:
             return RnsPoly.from_coeffs(self._rns, coeffs)
         return RingPoly(coeffs, self.params.q, backend=self._rq)
 
+    def _ternary_poly(self):
+        """A ternary ring element (a secret key, public-key encryption's u):
+        the residue chain takes the draw as an array, the exact ring as ints."""
+        draw = self._rng.ternary_array(self.params.n)
+        return self._ring_poly(draw if self._rns is not None else draw.tolist())
+
     def _lift_plain(self, plaintext: RingPoly):
         """Reinterpret a mod-t plaintext in the ciphertext ring."""
         if self._rns is not None:
@@ -269,8 +275,7 @@ class BfvContext:
 
     def secret_keygen(self) -> SecretKey:
         """A ternary secret key: all the protocol's client needs."""
-        p = self.params
-        return SecretKey(p, self._ring_poly(self._rng.ternary_vector(p.n)))
+        return SecretKey(self.params, self._ternary_poly())
 
     def keygen(self) -> tuple[SecretKey, PublicKey]:
         """A secret key and its public key ``(-(a·s + e), a)``."""
@@ -313,7 +318,7 @@ class BfvContext:
             c0, a, seed = self._seeded_sample(key)
             return Ciphertext(p, c0 + self._scale_plain(plaintext), a, seed)
         pk = key
-        u = self._ring_poly(self._rng.ternary_vector(p.n))
+        u = self._ternary_poly()
         e1, e2 = self._noise(), self._noise()
         scaled = self._scale_plain(plaintext)
         # u multiplies both key components: one shared forward transform.

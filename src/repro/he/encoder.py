@@ -93,6 +93,11 @@ class BatchEncoder:
 
     def decode(self, plaintext: RingPoly) -> list[int]:
         """Decode a plaintext polynomial back to its n slot values."""
+        return self._backend.tolist(self.decode_vec(plaintext))
+
+    def decode_vec(self, plaintext: RingPoly):
+        """:meth:`decode` as a backend vector, for a caller that computes on
+        the slots rather than reading them."""
         p = self.params
         be = self._backend
         if plaintext.n != p.n:
@@ -100,8 +105,7 @@ class BatchEncoder:
         vec = plaintext.vec if plaintext.backend is be else be.asvec(
             plaintext.coeffs, p.t
         )
-        evals = self._ntt.forward_vec(vec)
-        return be.tolist(be.permute(evals, self._gather_decode))
+        return be.permute(self._ntt.forward_vec(vec), self._gather_decode)
 
     def galois_element_for_rotation(self, steps: int) -> int:
         """Galois element realizing a cyclic row rotation by ``steps``.

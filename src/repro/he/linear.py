@@ -239,20 +239,28 @@ class SlotGroup:
     def steps(self) -> int:
         return max(layout.steps for layout in self.layouts)
 
-    def vector(self, inputs) -> list[int]:
+    def vector(self, inputs) -> np.ndarray:
         """The slots the client encrypts, one input per member: each
         replicated over its member's span (both rows, for a product that
-        rotates), zero in slots no member uses."""
-        slots = [0] * (2 * self.layouts[0].row_size)
-        for layout, x in zip(self.layouts, inputs, strict=True):
+        rotates), zero in slots no member uses. An ``int64`` array, or
+        Python ints where a value does not fit one."""
+        try:
+            rows = [np.asarray(x, dtype=np.int64) for x in inputs]
+        except OverflowError:
+            rows = [np.asarray(x, dtype=object) for x in inputs]
+        slots = np.zeros(2 * self.layouts[0].row_size, dtype=rows[0].dtype)
+        for layout, x in zip(self.layouts, rows, strict=True):
             if len(x) != layout.n_in:
                 raise ValueError(f"input of {len(x)} for a width-{layout.n_in} product")
             start, stop = layout.span
-            slots[start:stop] = list(x) * ((stop - start) // layout.n_in)
+            slots[start:stop] = np.resize(x, stop - start)
         return slots
 
     def reduce(self, slots, modulus: int) -> list[list[int]]:
-        """Per member, its outputs (:meth:`SlotLayout.reduce`)."""
+        """Per member, its outputs (:meth:`SlotLayout.reduce`): the slots
+        convert to an array once, not once per member."""
+        lanes = {layout._lane(modulus) for layout in self.layouts}
+        slots = np.asarray(slots, dtype=object if object in lanes else np.int64)
         return [layout.reduce(slots, modulus) for layout in self.layouts]
 
     def masks(self, shares, uniform, modulus: int) -> np.ndarray:

@@ -93,6 +93,28 @@ class TestRule:
             verdict(_pairs(PARENT, PARENT), "smaller", 0.25)
 
 
+def test_a_failed_run_names_its_checkout_workload_seed_exit_code_and_stderr(tmp_path):
+    """A checkout whose ``bench_e2e`` exits non-zero: the error keeps what
+    a refused pair needs to be diagnosed, and only the tail of stderr."""
+    fake = tmp_path / "bench_e2e"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "__main__.py").write_text(
+        "import sys\n"
+        "for i in range(40):\n"
+        "    print(f'progress line {i}', file=sys.stderr)\n"
+        "print('ImportError: libcrypto lacks BN_no_such_symbol', file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    )
+    with pytest.raises(RuntimeError) as failed:
+        _paired().run_bench(tmp_path, "infer_cg_delphi", 7)
+    message = str(failed.value)
+    for part in (str(tmp_path), "infer_cg_delphi", "seed 7", "exited 3",
+                 "progress line 39", "BN_no_such_symbol"):
+        assert part in message
+    assert "progress line 0\n" not in message
+
+
 ROWS = LEDGER["rows"]
 
 

@@ -26,8 +26,10 @@ NP = get_backend("numpy")
 PY = get_backend("python")
 
 # Just below 2^30 (the 32-bit Shoup regime at its bound), in [2^30, 2^31)
-# (pointwise products still fit a lane, the transform is 64-bit), 62 bits.
-REGIMES = {"narrow": 30, "edge": 31, "wide": 62}
+# (pointwise products still fit a lane; the transform takes its quotient
+# from a float64 product), just below 2^49 (that product's bound), 62 bits
+# (the 32-bit-limb quotient).
+REGIMES = {"narrow": 30, "edge": 31, "mid": 48, "wide": 62}
 
 
 def _plans(n, moduli):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import aes
+from repro.crypto import libcrypto
 from repro.crypto.aes import FIXED_KEY, encrypt
 from repro.crypto.prg import (
     LABEL_BYTES,
@@ -80,10 +80,10 @@ class TestAesBinding:
 
     def test_a_library_without_the_symbols_is_an_import_error(self, monkeypatch):
         monkeypatch.setitem(
-            aes._SIGNATURES, "EVP_no_such_cipher", (None, [])
+            libcrypto._SIGNATURES, "EVP_no_such_cipher", (None, [])
         )
         with pytest.raises(ImportError, match="EVP_no_such_cipher.*libcrypto"):
-            aes._bind()
+            libcrypto._bind()
 
 
 def tccr(label: bytes, tweak: int) -> bytes:

@@ -10,6 +10,7 @@ import random
 import struct
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.crypto.rng import SecureRandom
@@ -140,6 +141,20 @@ class TestOnePassDraws:
         assert got == reference_field_vector(slow, 2048, modulus)
         assert fast._rng.calls == slow._rng.calls > 1
         assert fast.field_vector(5, modulus) == reference_field_vector(slow, 5, modulus)
+
+    @pytest.mark.parametrize("modulus", [*MODULI, (1 << 180) - 47])
+    def test_the_array_draws_are_the_list_draws(self, modulus):
+        """A caller that computes on a draw gets the same values as an
+        array (int64 up to 2^63, Python ints beyond), and the stream moves
+        on the same."""
+        a, b = SecureRandom(14), SecureRandom(14)
+        got = a.field_array(300, modulus)
+        assert got.dtype == (np.int64 if modulus <= 1 << 63 else object)
+        assert got.tolist() == b.field_vector(300, modulus)
+        ternary = a.ternary_array(64)
+        assert ternary.dtype == np.int64
+        assert ternary.tolist() == b.ternary_vector(64)
+        assert a.bytes(16) == b.bytes(16)
 
     @pytest.mark.parametrize("n", (0, 1, 16, 2048))
     def test_ternary_vector_is_the_reference_loop(self, n):

@@ -163,7 +163,7 @@ class TestBitIdentity:
                 vector[offset + j] = x[j % n_in]
                 diag[offset + j] = matrix[j // n_in][j % n_in]
             offset += n_out * n_in
-        assert group.vector(xs) == vector
+        assert group.vector(xs).tolist() == vector
         ct = ctx.encrypt(pk, encoder.encode(vector))
         want = ctx.mul_plain(ct, encoder.encode(diag))
         evaluator = HomomorphicLinearEvaluator(ctx, encoder, None)

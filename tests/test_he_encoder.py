@@ -1,11 +1,13 @@
 """Tests for the BFV batch encoder (slot layout and rotation semantics)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.he.encoder import BatchEncoder
-from repro.he.params import toy_params
+from repro.he.params import delphi_params, toy_params
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +41,17 @@ class TestRoundtrip:
         t = encoder.params.t
         values = [v % t for v in values]
         assert encoder.decode(encoder.encode(values))[: len(values)] == values
+
+
+def test_delphi_t_round_trips_and_decode_vec_is_decode():
+    """delphi's 41-bit t transforms in the float-quotient lanes; decode_vec
+    is decode's vector before the conversion to ints."""
+    params = dataclasses.replace(delphi_params(), n=128)
+    encoder = BatchEncoder(params)
+    values = [(i * 0x9E3779B97F4A7C15 + params.t - 1) % params.t for i in range(params.n)]
+    plaintext = encoder.encode(values)
+    assert encoder.decode(plaintext) == values
+    assert encoder.backend.tolist(encoder.decode_vec(plaintext)) == values
 
 
 class TestSlotStructure:

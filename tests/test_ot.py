@@ -2,22 +2,19 @@
 
 import hashlib
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.libcrypto import modexp
 from repro.crypto.prg import Prg, hash_label, key_derivation
 from repro.crypto.rng import SecureRandom
 from repro.ot import extension
-from repro.ot.base import (
-    BATCH_WINDOW_BITS,
-    GENERATOR,
-    GROUP_PRIME,
-    BaseOtReceiver,
-    BaseOtSender,
-    FixedBaseTable,
-)
+from repro.ot.base import GENERATOR, GROUP_PRIME, BaseOtReceiver, BaseOtSender
 from repro.ot.extension import (
     KAPPA,
     IknpStream,
@@ -34,11 +31,10 @@ def random_batch(n, msg_len=16, seed=0):
     return pairs, [rnd.getrandbits(1) for _ in range(n)]
 
 
-class TestFixedBaseTable:
-    """Both window widths in use: 8 bits for the process-wide generator
-    table, :data:`BATCH_WINDOW_BITS` for a table one batch uses."""
-
-    WIDTHS = (8, BATCH_WINDOW_BITS)
+class TestModexp:
+    """Every base-OT exponentiation is libcrypto's constant-time
+    :func:`modexp`; it must be ``pow`` on every group element and every
+    full-width exponent, from any thread."""
 
     @given(
         base=st.integers(min_value=1, max_value=GROUP_PRIME - 1),
@@ -47,19 +43,55 @@ class TestFixedBaseTable:
             st.integers(min_value=0, max_value=(1 << 256) - 1),
         ),
     )
-    @settings(max_examples=25, deadline=None)
-    def test_pow_matches_builtin(self, base, exponent):
-        want = pow(base, exponent, GROUP_PRIME)
-        for window_bits in self.WIDTHS:
-            assert FixedBaseTable(base, window_bits).pow(exponent) == want
+    @settings(max_examples=50, deadline=None)
+    def test_matches_builtin_pow(self, base, exponent):
+        assert modexp(base, exponent, GROUP_PRIME) == pow(base, exponent, GROUP_PRIME)
 
-    def test_exponent_wider_than_the_table_is_rejected(self):
-        for window_bits in self.WIDTHS:
-            table = FixedBaseTable(GENERATOR, window_bits)
-            with pytest.raises(OverflowError):
-                table.pow(1 << 256)
-            with pytest.raises(OverflowError):
-                table.pow(-1)
+    @pytest.mark.parametrize("modulus", [3, (1 << 61) - 1, (1 << 127) - 1, (1 << 521) - 1])
+    def test_other_odd_moduli_match_builtin_pow(self, modulus):
+        rnd = random.Random(modulus)
+        for _ in range(20):
+            base, exponent = rnd.randrange(modulus), rnd.getrandbits(256)
+            assert modexp(base, exponent, modulus) == pow(base, exponent, modulus)
+
+    @pytest.mark.parametrize("exponent", [-1, -(1 << 255), 1 << 256, (1 << 300) + 5])
+    def test_exponent_out_of_range_is_rejected(self, exponent):
+        with pytest.raises(OverflowError):
+            modexp(GENERATOR, exponent, GROUP_PRIME)
+
+    @pytest.mark.parametrize("modulus", [1, 2, 1 << 255])
+    def test_modulus_without_a_montgomery_form_is_rejected(self, modulus):
+        with pytest.raises(ValueError, match="odd modulus"):
+            modexp(GENERATOR, 5, modulus)
+
+    def test_concurrent_threads_each_get_pow(self):
+        """Four threads at once, at a 1 us switch interval: each call has
+        its own BN_CTX and BIGNUMs, and the GIL is released between
+        foreign calls. Half the calls use a modulus no other test uses, so
+        its Montgomery context is first built under contention."""
+        rnd = random.Random(4)
+        moduli = (GROUP_PRIME, (1 << 256) - 189)
+        cases = [
+            (rnd.randrange(1, GROUP_PRIME), rnd.getrandbits(256), moduli[i % 2])
+            for i in range(4 * 150)
+        ]
+        chunks = [cases[i::4] for i in range(4)]
+        start = threading.Barrier(4)
+
+        def run(chunk):
+            start.wait(timeout=60)
+            return [modexp(*case) for case in chunk]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, chunk) for chunk in chunks]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for chunk, got in zip(chunks, results):
+            assert got == [pow(*case) for case in chunk]
 
 
 class TestRandomBaseOt:

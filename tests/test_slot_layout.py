@@ -308,7 +308,7 @@ def test_a_group_reduces_to_each_members_product_and_share(case, seed):
         for layout, matrix, x in zip(group.layouts, matrices, inputs):
             start, stop = layout.span
             # The member's input, replicated over its span.
-            assert vector[start:stop] == np.resize(x, stop - start).tolist()
+            assert vector[start:stop].tolist() == np.resize(x, stop - start).tolist()
             for j, v in enumerate(partial_sums(layout, matrix, x)):
                 slots[j] += v
         # Slots no member uses encrypt zero.
