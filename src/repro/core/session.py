@@ -190,7 +190,6 @@ class ProtocolSession:
         self.modulus = self.params.t
         self.bits = self.modulus.bit_length()
         self.truncate_bits = truncate_bits
-        self._relu_circuit: Circuit | None = None  # built on first use
         # ``lowered`` lets a caller that already holds a lowering reuse it;
         # otherwise the client lowers shape-only (no weight matrices ever
         # materialize on its side) while the server pays the full
@@ -259,19 +258,17 @@ class ProtocolSession:
         (:func:`build_relu_circuit`), which also lets stored bundles
         rebind without re-lowering.
         """
-        if self._relu_circuit is None:
-            # The mask r is the client's input, so it sits on whichever
-            # half of the circuit the client plays.
-            client_garbles = self.garbles == (self.role == CLIENT)
-            self._relu_circuit = build_relu_circuit(
-                ReluCircuitSpec(
-                    bits=self.bits,
-                    modulus=self.modulus,
-                    mask_owner="garbler" if client_garbles else "evaluator",
-                    truncate_bits=self.truncate_bits,
-                )
+        # The mask r is the client's input, so it sits on whichever half
+        # of the circuit the client plays.
+        client_garbles = self.garbles == (self.role == CLIENT)
+        return build_relu_circuit(
+            ReluCircuitSpec(
+                bits=self.bits,
+                modulus=self.modulus,
+                mask_owner="garbler" if client_garbles else "evaluator",
+                truncate_bits=self.truncate_bits,
             )
-        return self._relu_circuit
+        )
 
     def _relu_plan(self) -> list[tuple[int, int, int, int]]:
         """(step position, linear index, mask index, width) per ReLU layer."""

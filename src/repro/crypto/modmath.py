@@ -212,17 +212,10 @@ def _backend(modulus: int, prefer: str | None = None):
     return backend_for(modulus, prefer=prefer)
 
 
-# Up to this many values a vector op runs on Python ints: for a handful of
-# shares, converting to a backend vector and back costs more than the op.
-_FEW_VALUES = 64
-
-
 def mod_add_vec(
     a: Sequence[int], b: Sequence[int], modulus: int, prefer: str | None = None
 ) -> list[int]:
     """Elementwise (a + b) mod modulus."""
-    if len(a) <= _FEW_VALUES:
-        return [(int(x) + int(y)) % modulus for x, y in zip(a, b, strict=True)]
     be = _backend(modulus, prefer)
     return be.tolist(be.add(be.asvec(a, modulus), be.asvec(b, modulus), modulus))
 
@@ -231,8 +224,6 @@ def mod_sub_vec(
     a: Sequence[int], b: Sequence[int], modulus: int, prefer: str | None = None
 ) -> list[int]:
     """Elementwise (a - b) mod modulus."""
-    if len(a) <= _FEW_VALUES:
-        return [(int(x) - int(y)) % modulus for x, y in zip(a, b, strict=True)]
     be = _backend(modulus, prefer)
     return be.tolist(be.sub(be.asvec(a, modulus), be.asvec(b, modulus), modulus))
 

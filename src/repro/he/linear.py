@@ -257,10 +257,7 @@ class SlotGroup:
         return slots
 
     def reduce(self, slots, modulus: int) -> list[list[int]]:
-        """Per member, its outputs (:meth:`SlotLayout.reduce`): the slots
-        convert to an array once, not once per member."""
-        lanes = {layout._lane(modulus) for layout in self.layouts}
-        slots = np.asarray(slots, dtype=object if object in lanes else np.int64)
+        """Per member, its outputs (:meth:`SlotLayout.reduce`)."""
         return [layout.reduce(slots, modulus) for layout in self.layouts]
 
     def masks(self, shares, uniform, modulus: int) -> np.ndarray:

@@ -157,10 +157,8 @@ class TestKernelParity:
         a, b = rand_vec(rng, n, q), rand_vec(rng, n, q)
         for name in ("python", "numpy"):
             with using_backend(name):
-                # 32 values take the Python-int path, 100 the backend's.
-                for c, d in ((a, b), (a * 3 + a[:4], b * 3 + b[:4])):
-                    assert mod_add_vec(c, d, q) == [(x + y) % q for x, y in zip(c, d)]
-                    assert mod_sub_vec(c, d, q) == [(x - y) % q for x, y in zip(c, d)]
+                assert mod_add_vec(a, b, q) == [(x + y) % q for x, y in zip(a, b)]
+                assert mod_sub_vec(a, b, q) == [(x - y) % q for x, y in zip(a, b)]
                 be = backend_for(q)
                 product = be.mul(be.asvec(a, q), be.asvec(b, q), q)
                 assert be.tolist(product) == [x * y % q for x, y in zip(a, b)]
