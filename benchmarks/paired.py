@@ -25,7 +25,10 @@ stored verdict from its pairs. Record pairs with::
 
 ``--parent-dir`` is a second checkout of the parent commit (``git clone``
 or ``git archive``); the change is this checkout. Rows are appended to
-``BENCH_e2e.json``; nothing else is written.
+``BENCH_e2e.json``; nothing else is written. A run that exits non-zero
+is kept as a row of its own (``"verdict": "run_failed"``) and its pair
+is left out of the metric rows; the recording carries on, and the script
+exits 1 once the rows are written.
 """
 
 from __future__ import annotations
@@ -96,10 +99,23 @@ def verdict(pairs: list[list[float]], better: str, bound: float) -> dict:
     }
 
 
+class RunFailed(RuntimeError):
+    """One ``bench_e2e`` run that exited non-zero, and what says why."""
+
+    def __init__(self, checkout: Path, workload: str, seed: int,
+                 exit_code: int, stderr_tail: str):
+        super().__init__(
+            f"bench_e2e in {checkout} (workload {workload}, seed {seed}) "
+            f"exited {exit_code}; last lines of its stderr:\n{stderr_tail}"
+        )
+        self.checkout, self.exit_code = str(checkout), exit_code
+        self.stderr_tail = stderr_tail
+
+
 def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     """One ``python3 -m bench_e2e`` run in ``checkout``: its JSON result.
 
-    A run that exits non-zero raises a ``RuntimeError`` naming the
+    A run that exits non-zero raises :class:`RunFailed`, naming the
     checkout, the workload, the seed, the exit code and the last lines of
     the run's stderr, so a failed pair says why it failed.
     """
@@ -115,24 +131,35 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict:
         )
         if done.returncode:
             tail = "\n".join(done.stderr.splitlines()[-STDERR_TAIL_LINES:])
-            raise RuntimeError(
-                f"bench_e2e in {checkout} (workload {workload}, seed {seed}) "
-                f"exited {done.returncode}; last lines of its stderr:\n{tail}"
-            )
+            raise RunFailed(checkout, workload, seed, done.returncode, tail)
         return json.loads(out.read_text())
 
 
 def record(args) -> list[dict]:
-    """Run the pairs and build one ledger row per end-to-end metric."""
+    """Run the pairs and build one ledger row per end-to-end metric, over
+    the pairs whose two runs both finished, and one row per failed run.
+
+    A failed run does not stop the recording: its row (``verdict``
+    ``"run_failed"``) keeps the pair, the side, the checkout, the exit
+    code and the stderr tail, and the metric rows list its pair as
+    ``dropped``.
+    """
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": Path(args.parent_dir).resolve(), "change": ROOT}
     runs = {"parent": [], "change": []}
-    orders = []
+    orders, failures = [], []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         orders.append(order[0])
         for side in order:
-            runs[side].append(run_bench(sides[side], args.workload, args.seed))
+            try:
+                runs[side].append(run_bench(sides[side], args.workload, args.seed))
+            except RunFailed as failed:
+                runs[side].append(None)
+                failures.append({"pair": i, "side": side, "checkout": failed.checkout,
+                                 "exit_code": failed.exit_code,
+                                 "stderr_tail": failed.stderr_tail})
+                print(failed, file=sys.stderr)
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
     host = {
         "cpu_count": os.cpu_count(),
@@ -140,30 +167,36 @@ def record(args) -> list[dict]:
         "machine": platform.machine(),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    rows = []
+    common = {
+        "title": args.title,
+        "parent": args.parent_rev,
+        "workload": args.workload,
+        "seed": args.seed,
+        "command": f"python3 -m bench_e2e --seed {args.seed} "
+                   f"--workload {args.workload}",
+    }
+    rows = [{**common, "verdict": "run_failed", **f, "host": host} for f in failures]
+    dropped = sorted({f["pair"] for f in failures})
+    kept = [i for i in range(args.pairs) if i not in dropped]
+    done = [(runs["parent"][i], runs["change"][i]) for i in kept]
+    if len(done) < 2:
+        return rows  # too few pairs left for a verdict
     for metric in contract["end_to_end"]:
         name = metric["name"]
-        if not all(name in r["metrics"] for side in runs.values() for r in side):
+        if not all(name in r["metrics"] for pair in done for r in pair):
             continue  # the workload does not report this metric
-        pairs = [
-            [p["metrics"][name]["value"], c["metrics"][name]["value"]]
-            for p, c in zip(runs["parent"], runs["change"])
-        ]
+        pairs = [[p["metrics"][name]["value"], c["metrics"][name]["value"]]
+                 for p, c in done]
         rows.append({
-            "title": args.title,
-            "parent": args.parent_rev,
-            "workload": args.workload,
+            **common,
             "metric": name,
             "unit": metric["unit"],
             "better": metric["better"],
             "bound": metric["bound"],
             "claimed": name in args.claim,
-            "seed": args.seed,
-            "command": f"python3 -m bench_e2e --seed {args.seed} "
-                       f"--workload {args.workload}",
-            "first": orders,
-            "failed": [[p["failed"], c["failed"]]
-                       for p, c in zip(runs["parent"], runs["change"])],
+            "first": [orders[i] for i in kept],
+            "dropped": dropped,
+            "failed": [[p["failed"], c["failed"]] for p, c in done],
             "pairs": pairs,
             "host": host,
             **verdict(pairs, metric["better"], metric["bound"]),
@@ -192,10 +225,16 @@ def main(argv=None) -> None:
     lines = ",\n".join(json.dumps(row) for row in ledger["rows"])
     LEDGER.write_text(f'{{"rows": [\n{lines}\n]}}\n')
     for row in rows:
+        if row["verdict"] == "run_failed":
+            print(f"{row['workload']}: pair {row['pair'] + 1}'s {row['side']} "
+                  f"run exited {row['exit_code']}")
+            continue
         print(f"{row['workload']}/{row['metric']}: {row['verdict']} "
               f"({row['wins']}/{len(row['pairs'])} wins, medians "
               f"{row['parent_quartiles'][1]:.6g} -> "
               f"{row['change_quartiles'][1]:.6g})")
+    if any(row["verdict"] == "run_failed" for row in rows):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

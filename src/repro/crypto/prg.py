@@ -13,10 +13,22 @@ it is the hash DELPHI's fancy-garbling uses. One definition, three
 shapes: :func:`hash_label` of one label, :func:`hash_rows` of every row
 of a label matrix and :func:`hash_lanes` of every lane of a packed label
 int. Each shape is two cipher calls whatever the number of labels, so a
-whole gate's labels hash in one two-pass call. Seed expansion
-(:class:`Prg`) and key derivation are SHA-256; a seeded ring element's
-uniform half (:func:`expand_uniform`) is SHAKE-256, one digest per
-polynomial.
+whole gate's labels hash in one two-pass call.
+
+Seed expansion is the same hash in counter mode: a 16-byte seed ``k``
+stretches to
+
+    G(k) = H(k, 0) || H(k, 1) || H(k, 2) || ...
+
+(:func:`expand_seeds` for a matrix of seeds at once, :class:`Prg` for
+one). It is a PRG on the argument the row hash already rests on: with
+``pi`` an ideal permutation and ``k`` secret and uniform, ``pi(k)`` is
+a secret uniform block, so block ``i`` is ``pi(pi(k) xor i) xor pi(k)``
+at a point no one else can name, and distinct tweaks give distinct
+points. Every seed it expands — an IKNP base-OT key, a long OT pad's
+row hash — is secret and uniform to whoever does not hold it. Key
+derivation is SHA-256; a seeded ring element's uniform half
+(:func:`expand_uniform`) is SHAKE-256, one digest per polynomial.
 """
 
 from __future__ import annotations
@@ -25,12 +37,9 @@ import hashlib
 import operator
 import struct
 
-from repro.crypto.aes import encrypt
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - minimal images only
-    _np = None
+from repro.crypto.aes import encrypt
 
 LABEL_BYTES = 16  # 128-bit wire labels, as in DELPHI / fancy-garbling.
 
@@ -126,31 +135,38 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     )
 
 
-class Prg:
-    """Deterministic expandable PRG (SHA-256 in counter mode).
+def expand_seeds(seeds, offset: int, nbytes: int):
+    """Bytes ``[offset, offset + nbytes)`` of ``G(k)`` for every row ``k``
+    of an (n, 16) uint8 seed matrix, as an (n, nbytes) matrix.
 
-    Used for OT-extension column expansion and anywhere the protocol calls
-    for expanding a short seed into a long pseudo-random string.
+    One :func:`hash_rows` call hashes every block the stretch touches, for
+    every seed; a block that an earlier stretch ended inside is hashed
+    again, not kept.
     """
+    low = offset // LABEL_BYTES
+    high = -(-(offset + nbytes) // LABEL_BYTES)
+    blocks = high - low
+    tweaks = _np.tile(_np.arange(low, high, dtype=_np.uint64), len(seeds))
+    stream = hash_rows(_np.repeat(seeds, blocks, axis=0), tweaks)
+    start = offset - low * LABEL_BYTES
+    return stream.reshape(len(seeds), -1)[:, start : start + nbytes]
+
+
+class Prg:
+    """One seed's ``G(k)``, read on from where the last read stopped."""
 
     def __init__(self, seed: bytes):
-        if not seed:
-            raise ValueError("PRG seed must be non-empty")
-        self._seed = bytes(seed)
-        self._counter = 0
-        self._buffer = b""
+        if len(seed) != LABEL_BYTES:
+            raise ValueError(f"a PRG seed is {LABEL_BYTES} bytes, got {len(seed)}")
+        self._seed = byte_matrix([bytes(seed)])
+        self._offset = 0
 
     def read(self, n: int) -> bytes:
         """Return the next ``n`` pseudo-random bytes."""
         if n < 0:
             raise ValueError("cannot read a negative number of bytes")
-        while len(self._buffer) < n:
-            block = hashlib.sha256(
-                self._seed + struct.pack("<Q", self._counter)
-            ).digest()
-            self._counter += 1
-            self._buffer += block
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
+        out = expand_seeds(self._seed, self._offset, n).tobytes()
+        self._offset += n
         return out
 
 
@@ -163,14 +179,12 @@ def expand_uniform(seed: bytes, n: int, moduli) -> list:
     """``n`` uniform elements of Z_m for each modulus ``m``, from ``seed``.
 
     One SHAKE-256 stream, read on across the moduli in order: per
-    modulus, exact rejection sampling as
-    :meth:`repro.crypto.rng.SecureRandom.field_vector` does it — one word
-    per missing element (4 or 8 bytes, else the modulus' byte width),
-    masked to its bit length, the values below the modulus kept in
-    order. The stream is a single digest sized for the expected draw
-    plus a margin; SHAKE output is a prefix of every longer output, so
-    the rare rejection run past the margin re-reads a longer digest and
-    carries on. Returns a uint64 array per modulus up to 64 bits, else a
+    modulus, exact rejection sampling — one word per missing element (4
+    or 8 bytes, else the modulus' byte width), masked to its bit length,
+    the values below the modulus kept in order. The stream is a single
+    digest sized for the expected draw plus a margin; SHAKE output is a
+    prefix of every longer output, so the rare rejection run past the
+    margin re-reads a longer digest and carries on. Returns a uint64 array per modulus up to 64 bits, else a
     list of ints.
     """
     if len(seed) != SEED_BYTES:

@@ -58,29 +58,32 @@ class SecureRandom:
     def field_vector(self, n: int, modulus: int) -> list[int]:
         """Vector of ``n`` uniform elements of Z_modulus.
 
-        Exact rejection sampling over whole-vector draws: each pass takes
-        one word per missing element, masks it to the modulus' bit length
-        and keeps, in order, the values below the modulus (at least half
-        of them) — one numpy pass for moduli up to 64 bits.
+        Exact rejection sampling over whole-vector draws. Up to 2^63, each
+        pass takes one 64-bit word per missing element, keeps, in order,
+        the words below the largest multiple of the modulus that fits in
+        64 bits and reduces them mod the modulus: one numpy pass nearly
+        always, since at least half (at most moduli nearly all) of the
+        words are kept. Wider moduli take one word of their byte width,
+        masked to their bit length, and keep the values below them.
         """
         return self.field_array(n, modulus).tolist()
 
     def field_array(self, n: int, modulus: int) -> np.ndarray:
         """:meth:`field_vector`'s draw as an array for a caller that computes
         on it: ``int64`` for moduli up to 2^63, Python ints beyond."""
-        bits = modulus.bit_length()
-        width = 4 if bits <= 32 else 8 if bits <= 64 else (bits + 7) // 8
-        mask = (1 << bits) - 1
         if modulus > 1 << 63:
+            bits = modulus.bit_length()
+            width, mask = (bits + 7) // 8, (1 << bits) - 1
             out: list[int] = []
             while len(out) < n:
                 words = self._words(n - len(out), width)
                 out += [v for v in (int(w) & mask for w in words) if v < modulus]
             return np.array(out, dtype=object)
+        top = np.uint64((1 << 64) // modulus * modulus - 1)  # the last kept word
         kept, have = [], 0
         while have < n:
-            words = self._words(n - have, width) & np.uint64(mask)
-            kept.append(words[words < modulus])
+            words = self._words(n - have, 8)
+            kept.append(words[words <= top] % np.uint64(modulus))
             have += len(kept[-1])
         return np.concatenate(kept).astype(np.int64) if kept else np.zeros(0, np.int64)
 

@@ -28,14 +28,23 @@ the chooser/holder pair. Its first batch runs the base OTs
 
 Each batch reads on where the last one stopped, in every PRG stream and
 in the row tweaks, so no column bit and no pad is ever used twice however
-many batches share the base OTs. Columns are m-bit Python integers (XOR
-is one big-int operation); the kappa x m bit-matrix transpose to 16-byte
-rows is one ``unpackbits``/``packbits`` under the numpy backend.
+many batches share the base OTs.
+
+``G`` is the row hash in counter mode, ``G(k) = H(k, 0) || H(k, 1) ||
+...`` (:func:`repro.crypto.prg.expand_seeds`): a PRG because ``H`` is
+fixed-key AES in the ideal-permutation model, every base-OT key is a
+secret uniform seed, and a seed's blocks are hashed under distinct
+tweaks. A batch expands all 3 * kappa seeds in one two-pass call. The
+columns stay (kappa, ceil(m/8)) uint8 matrices from end to end, and the
+kappa x m transpose to 16-byte rows is one ``unpackbits``/``packbits``,
+under either backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as _np
 
 from repro.backend import get_backend
 from repro.crypto.prg import (
@@ -43,6 +52,7 @@ from repro.crypto.prg import (
     Prg,
     byte_matrix,
     byte_rows,
+    expand_seeds,
     hash_label,
     hash_rows,
     xor_bytes,
@@ -50,13 +60,7 @@ from repro.crypto.prg import (
 from repro.crypto.rng import SecureRandom
 from repro.ot.base import ELEMENT_BYTES, BaseOtReceiver, BaseOtSender
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - minimal images only
-    _np = None
-
 KAPPA = 128  # computational security parameter / number of base OTs
-_ROW_BYTES = KAPPA // 8
 
 
 @dataclass(frozen=True)
@@ -111,12 +115,13 @@ def base_seed_ot(rng: SecureRandom) -> BaseSeeds:
 class IknpStream:
     """One chooser/holder pair's IKNP extension, continued batch after batch.
 
-    Holds the base seeds, one :class:`Prg` per seed that keeps reading,
-    and the row index the next batch's tweaks start at. The base OTs run
-    on the first batch (:meth:`start`), seeded by one child of ``rng``
-    spawned then, so a fresh stream's first batch is exactly the one-shot
-    extension over ``base_seed_ot(rng.spawn())``; later batches draw
-    nothing. ``seeds`` adopts base OTs that already ran instead.
+    Holds the base seeds, how many bytes of every seed's ``G`` earlier
+    batches read, and the row index the next batch's tweaks start at. The
+    base OTs run on the first batch (:meth:`start`), seeded by one child
+    of ``rng`` spawned then, so a fresh stream's first batch is exactly
+    the one-shot extension over ``base_seed_ot(rng.spawn())``; later
+    batches draw nothing. ``seeds`` adopts base OTs that already ran
+    instead.
 
     The holder runs both halves (see the fidelity note in
     :mod:`repro.core.session`), so one object keeps the chooser's
@@ -144,61 +149,39 @@ class IknpStream:
 
     def _adopt(self, seeds: BaseSeeds) -> None:
         self.seeds = seeds
-        self._t_prgs = [Prg(k0) for k0, _ in seeds.chooser_pairs]
-        self._k1_prgs = [Prg(k1) for _, k1 in seeds.chooser_pairs]
-        self._held_prgs = [Prg(seed) for seed in seeds.holder_seeds]
+        # k0_i, then k1_i, then k_{s_i}: one row each.
+        self._seed_matrix = byte_matrix(
+            [k0 for k0, _ in seeds.chooser_pairs]
+            + [k1 for _, k1 in seeds.chooser_pairs]
+            + seeds.holder_seeds
+        )
+        self._offset = 0  # bytes of every seed's G that earlier batches read
 
     def take(self, m: int):
         """Claim the next m rows: ``(first, t, k1, held)``.
 
-        ``first`` is the rows' first tweak; the three column lists are the
-        next ceil(m/8) bytes of every seed's stream as m-bit integers —
-        ``G(k0_i)``, ``G(k1_i)`` and ``G(k_{s_i})`` (bits past m are never
-        read, and never read again).
+        ``first`` is the rows' first tweak; the three (kappa, ceil(m/8))
+        uint8 matrices are the next ceil(m/8) bytes of every seed's
+        stream — ``G(k0_i)``, ``G(k1_i)`` and ``G(k_{s_i})`` in row i
+        (bits past m are never read, and never read again).
         """
         first, self.next_index = self.next_index, self.next_index + m
         nbytes = (m + 7) // 8
-        return first, *(
-            [int.from_bytes(prg.read(nbytes), "little") for prg in prgs]
-            for prgs in (self._t_prgs, self._k1_prgs, self._held_prgs)
-        )
+        columns = expand_seeds(self._seed_matrix, self._offset, nbytes)
+        self._offset += nbytes
+        return first, *columns.reshape(3, KAPPA, nbytes)
 
 
-def _pack_bits(bits: list[int]) -> int:
-    packed = 0
-    for i, bit in enumerate(bits):
-        packed |= (bit & 1) << i
-    return packed
+def _pack_bits(bits):
+    """Bits, least significant first, packed into uint8 bytes."""
+    return _np.packbits(_np.asarray(bits, dtype=_np.uint8) & 1, bitorder="little")
 
 
-def _row(columns: list[int], row_index: int) -> int:
-    """Extract row ``row_index`` from column-major integer matrix."""
-    value = 0
-    for i, col in enumerate(columns):
-        value |= ((col >> row_index) & 1) << i
-    return value
-
-
-def _transpose_python(columns: list[int], m: int) -> bytes:
-    return b"".join(
-        _row(columns, j).to_bytes(_ROW_BYTES, "little") for j in range(m)
-    )
-
-
-def _transpose_numpy(columns: list[int], m: int) -> bytes:
-    nbytes = (m + 7) // 8
-    packed = _np.frombuffer(
-        b"".join(col.to_bytes(nbytes, "little") for col in columns), dtype=_np.uint8
-    ).reshape(len(columns), nbytes)
-    bits = _np.unpackbits(packed, axis=1, count=m, bitorder="little")
-    return _np.packbits(bits.T, axis=1, bitorder="little").tobytes()
-
-
-def _transpose(columns: list[int], m: int) -> bytes:
-    """The m rows of kappa m-bit columns, ``_ROW_BYTES`` bytes each."""
-    if _np is not None and get_backend().name == "numpy":
-        return _transpose_numpy(columns, m)
-    return _transpose_python(columns, m)
+def _transpose(columns, m: int):
+    """The (m, 16) rows of a (kappa, ceil(m/8)) column matrix: bit i of
+    row j is bit j of column i."""
+    bits = _np.unpackbits(columns, axis=1, count=m, bitorder="little")
+    return _np.packbits(_np.ascontiguousarray(bits.T), axis=1, bitorder="little")
 
 
 def _pad(row: bytes, j: int, msg_len: int) -> bytes:
@@ -214,29 +197,27 @@ def _pads(rows, first: int, msg_len: int):
     hashed = hash_rows(rows, _np.arange(first, first + len(rows), dtype=_np.uint64))
     if msg_len <= LABEL_BYTES:
         return hashed[:, :msg_len]
-    return byte_matrix(
-        [Prg(seed).read(msg_len) for seed in byte_rows(hashed)], msg_len
-    )
+    return expand_seeds(hashed, 0, msg_len)
 
 
-def mask_row_block(pairs, q_rows: bytes, s_row: bytes, first: int, msg_len: int):
+def mask_row_block(pairs, q, s, first: int, msg_len: int):
     """Holder side: mask every message pair with the row hashes of Q.
 
-    ``pairs`` is a pair of (m, msg_len) matrices — every zero message,
-    every one message — masked in one pass per side, or (the scalar
-    reference) a list of (m0, m1) byte pairs masked row by row; the
-    masked pairs come back in the same form. Row j is tweaked
+    ``q`` is Q's (m, 16) row matrix and ``s`` the holder's 16-byte row of
+    base-OT choices. ``pairs`` is a pair of (m, msg_len) matrices — every
+    zero message, every one message — masked in one pass per side, or
+    (the scalar reference) a list of (m0, m1) byte pairs masked row by
+    row; the masked pairs come back in the same form. Row j is tweaked
     ``first + j``.
     """
     if isinstance(pairs, tuple):
-        q = byte_matrix([q_rows], _ROW_BYTES)
         return (
             pairs[0] ^ _pads(q, first, msg_len),
-            pairs[1] ^ _pads(q ^ byte_matrix([s_row], _ROW_BYTES), first, msg_len),
+            pairs[1] ^ _pads(q ^ s, first, msg_len),
         )
+    s_row = s.tobytes()
     masked = []
-    for j, (m0, m1) in enumerate(pairs):
-        q_j = q_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES]
+    for j, ((m0, m1), q_j) in enumerate(zip(pairs, byte_rows(q))):
         masked.append(
             (
                 xor_bytes(m0, _pad(q_j, first + j, msg_len)),
@@ -246,21 +227,16 @@ def mask_row_block(pairs, q_rows: bytes, s_row: bytes, first: int, msg_len: int)
     return masked
 
 
-def unmask_row_block(
-    masked, choices: list[int], t_rows: bytes, first: int, msg_len: int
-):
-    """Chooser side: unmask the chosen message of every row — an
-    (m, msg_len) matrix for a pair of matrices, a list for a list."""
+def unmask_row_block(masked, choices: list[int], t, first: int, msg_len: int):
+    """Chooser side: unmask the chosen message of every row with the row
+    hashes of T's (m, 16) row matrix ``t`` — an (m, msg_len) matrix for a
+    pair of matrices, a list for a list."""
     if isinstance(masked, tuple):
         chose_one = _np.array(choices, dtype=bool)[:, None]
-        pads = _pads(byte_matrix([t_rows], _ROW_BYTES), first, msg_len)
-        return _np.where(chose_one, masked[1], masked[0]) ^ pads
+        return _np.where(chose_one, masked[1], masked[0]) ^ _pads(t, first, msg_len)
     return [
-        xor_bytes(
-            pair[c & 1],
-            _pad(t_rows[j * _ROW_BYTES : (j + 1) * _ROW_BYTES], first + j, msg_len),
-        )
-        for j, (pair, c) in enumerate(zip(masked, choices))
+        xor_bytes(pair[c & 1], _pad(t_j, first + j, msg_len))
+        for j, (pair, c, t_j) in enumerate(zip(masked, choices, byte_rows(t)))
     ]
 
 
@@ -306,31 +282,25 @@ def extend(stream: IknpStream, message_pairs, choices: list[int]):
             if len(m0) != msg_len or len(m1) != msg_len:
                 raise ValueError("all messages must share one length")
     seeds = stream.start()
-    first, t_columns, k1_columns, held_columns = stream.take(m)
+    first, t, k1, held = stream.take(m)
 
     # Chooser: t columns from the k0 streams, u columns to the holder.
-    r_packed = _pack_bits(choices)
-    u_columns = [t_i ^ k1_i ^ r_packed for t_i, k1_i in zip(t_columns, k1_columns)]
+    u = t ^ k1 ^ _pack_bits(choices)
 
     # Holder: q_i = G(k_{s_i}) xor s_i * u_i, then mask each pair by row.
-    q_columns = [
-        g_i ^ (u_i if s_i else 0)
-        for g_i, s_i, u_i in zip(held_columns, seeds.holder_bits, u_columns)
-    ]
-    s_row = _pack_bits(seeds.holder_bits).to_bytes(_ROW_BYTES, "little")
-    vectorize = _np is not None and get_backend().name == "numpy"
+    s_bits = _np.array(seeds.holder_bits, dtype=_np.uint8)[:, None]
+    q = held ^ (u * s_bits)
+    vectorize = get_backend().name == "numpy"
     if vectorize and not as_matrices:
         message_pairs = _to_matrices(message_pairs, msg_len)
     elif as_matrices and not vectorize:
         message_pairs = _to_pairs(message_pairs)
     masked = mask_row_block(
-        message_pairs, _transpose(q_columns, m), s_row, first, msg_len
+        message_pairs, _transpose(q, m), _pack_bits(seeds.holder_bits), first, msg_len
     )
 
     # Chooser: unmask its choice of each pair with row hashes of T.
-    chosen = unmask_row_block(
-        masked, choices, _transpose(t_columns, m), first, msg_len
-    )
+    chosen = unmask_row_block(masked, choices, _transpose(t, m), first, msg_len)
     if vectorize and not as_matrices:
         return byte_rows(chosen), _to_pairs(masked)
     if as_matrices and not vectorize:

@@ -106,8 +106,11 @@ def test_a_failed_run_names_its_checkout_workload_seed_exit_code_and_stderr(tmp_
         "print('ImportError: libcrypto lacks BN_no_such_symbol', file=sys.stderr)\n"
         "sys.exit(3)\n"
     )
-    with pytest.raises(RuntimeError) as failed:
-        _paired().run_bench(tmp_path, "infer_cg_delphi", 7)
+    paired = _paired()
+    with pytest.raises(paired.RunFailed) as failed:
+        paired.run_bench(tmp_path, "infer_cg_delphi", 7)
+    assert (failed.value.exit_code, failed.value.checkout) == (3, str(tmp_path))
+    assert failed.value.stderr_tail.splitlines()[0] == "progress line 21"
     message = str(failed.value)
     for part in (str(tmp_path), "infer_cg_delphi", "seed 7", "exited 3",
                  "progress line 39", "BN_no_such_symbol"):
@@ -115,7 +118,45 @@ def test_a_failed_run_names_its_checkout_workload_seed_exit_code_and_stderr(tmp_
     assert "progress line 0\n" not in message
 
 
+def test_a_failed_run_is_a_row_and_the_recording_carries_on(tmp_path, monkeypatch):
+    """Pair 2's parent run fails: the other pairs are still run and
+    recorded, the failure is a row of its own with its checkout, workload,
+    seed, exit code and stderr tail, the metric rows leave its pair out,
+    and the script exits 1 once the ledger is written."""
+    paired = _paired()
+    calls = []
+
+    def run_bench(checkout, workload, seed):
+        calls.append(checkout)
+        if len(calls) == 4:  # pair 2 runs the change first, then the parent
+            raise paired.RunFailed(checkout, workload, seed, 3, "Traceback\nboom")
+        value = 1.0 if checkout != paired.ROOT else 0.5
+        return {"failed": 0, "metrics": {"offline_s": {"value": value}}}
+
+    ledger = tmp_path / "BENCH_e2e.json"
+    monkeypatch.setattr(paired, "run_bench", run_bench)
+    monkeypatch.setattr(paired, "LEDGER", ledger)
+    with pytest.raises(SystemExit) as exited:
+        paired.main(["--parent-dir", str(tmp_path), "--parent-rev", "abc",
+                     "--title", "t", "--workload", "infer_sg_wide", "--seed", "4",
+                     "--pairs", "4", "--claim", "offline_s"])
+    assert exited.value.code == 1
+    assert len(calls) == 8
+    failure, metric = json.loads(ledger.read_text())["rows"]
+    assert {k: failure[k] for k in ("verdict", "workload", "seed", "pair", "side",
+                                    "checkout", "exit_code", "stderr_tail")} == {
+        "verdict": "run_failed", "workload": "infer_sg_wide", "seed": 4, "pair": 1,
+        "side": "parent", "checkout": str(tmp_path.resolve()), "exit_code": 3,
+        "stderr_tail": "Traceback\nboom",
+    }
+    assert metric["metric"] == "offline_s" and metric["dropped"] == [1]
+    assert metric["pairs"] == [[1.0, 0.5]] * 3
+    assert metric["first"] == ["parent", "parent", "change"]
+    test_every_stored_verdict_follows_from_its_pairs(metric)
+
+
 ROWS = LEDGER["rows"]
+METRIC_ROWS = [r for r in ROWS if r["verdict"] != "run_failed"]
 
 
 def test_the_ledger_has_rows():
@@ -123,7 +164,8 @@ def test_the_ledger_has_rows():
 
 
 @pytest.mark.parametrize(
-    "row", ROWS, ids=[f"{r['workload']}-{r['metric']}-seed{r['seed']}" for r in ROWS]
+    "row", METRIC_ROWS,
+    ids=[f"{r['workload']}-{r['metric']}-seed{r['seed']}" for r in METRIC_ROWS],
 )
 def test_every_stored_verdict_follows_from_its_pairs(row):
     metric = CONTRACT[row["metric"]]
@@ -131,7 +173,10 @@ def test_every_stored_verdict_follows_from_its_pairs(row):
         metric["better"], metric["bound"], metric["unit"]
     )
     assert len(row["pairs"]) == len(row["first"]) == len(row["failed"]) >= 2
-    # Alternating pairs: each side goes first in turn.
-    assert row["first"] == [("parent", "change")[i % 2] for i in range(len(row["first"]))]
+    # Alternating pairs: each side goes first in turn, counting the pairs
+    # a failed run dropped.
+    dropped = row.get("dropped", [])
+    kept = [i for i in range(len(row["first"]) + len(dropped)) if i not in dropped]
+    assert row["first"] == [("parent", "change")[i % 2] for i in kept]
     derived = verdict(row["pairs"], row["better"], row["bound"])
     assert {key: row[key] for key in derived} == derived

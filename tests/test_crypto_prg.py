@@ -16,6 +16,7 @@ from repro.crypto.prg import (
     SEED_BYTES,
     TWEAK_LIMIT,
     Prg,
+    expand_seeds,
     expand_uniform,
     hash_label,
     hash_lanes,
@@ -233,26 +234,46 @@ class TestXorBytes:
             xor_bytes(b"ab", b"abc")
 
 
+SEED = bytes(range(16))
+
+
 class TestPrg:
+    """G(k) = H(k, 0) || H(k, 1) || ...: the row hash in counter mode."""
+
+    def test_is_the_row_hash_in_counter_mode(self):
+        want = b"".join(hash_label(SEED, i) for i in range(7))
+        assert Prg(SEED).read(100) == want[:100]
+
     def test_deterministic(self):
-        assert Prg(b"seed").read(100) == Prg(b"seed").read(100)
+        assert Prg(SEED).read(100) == Prg(SEED).read(100)
 
     def test_different_seeds_differ(self):
-        assert Prg(b"seed1").read(32) != Prg(b"seed2").read(32)
+        assert Prg(SEED).read(32) != Prg(bytes(16)).read(32)
 
     def test_stream_continuity(self):
-        """Reading 10+10 bytes equals reading 20 bytes once."""
-        p1 = Prg(b"s")
-        combined = p1.read(10) + p1.read(10)
-        assert combined == Prg(b"s").read(20)
+        """Reads that split blocks anywhere are one long read."""
+        prg = Prg(SEED)
+        combined = b"".join(prg.read(n) for n in (10, 10, 0, 1, 15, 16, 33))
+        assert combined == Prg(SEED).read(85)
 
-    def test_empty_seed_rejected(self):
-        with pytest.raises(ValueError):
-            Prg(b"")
+    @pytest.mark.parametrize("length", [0, 8, 15, 17, 32])
+    def test_a_seed_is_one_label_wide(self, length):
+        with pytest.raises(ValueError, match="16 bytes"):
+            Prg(bytes(length))
 
     def test_negative_read_rejected(self):
         with pytest.raises(ValueError):
-            Prg(b"s").read(-1)
+            Prg(SEED).read(-1)
+
+    @pytest.mark.parametrize("offset,nbytes", [(0, 0), (0, 16), (3, 1), (15, 2),
+                                               (16, 48), (21, 100), (40, 0)])
+    def test_expand_seeds_reads_every_seeds_stream_at_once(self, offset, nbytes):
+        seeds = [bytes([i]) * 16 for i in range(5)]
+        got = expand_seeds(np.frombuffer(b"".join(seeds), np.uint8).reshape(5, 16),
+                           offset, nbytes)
+        assert got.shape == (5, nbytes)
+        for row, seed in zip(got, seeds):
+            assert row.tobytes() == Prg(seed).read(offset + nbytes)[offset:]
 
 
 class TestKeyDerivation:

@@ -94,14 +94,21 @@ class TestTernaryVector:
 
 
 def reference_field_vector(rng, n, modulus):
-    """The per-word loop the numpy pass replaces: same bytes, same order."""
+    """The per-word loop the numpy pass replaces: same bytes, same order.
+    Up to 2^63, 64-bit words below the largest multiple of the modulus,
+    reduced; beyond, words masked to the modulus' bit length, below it."""
     bits = modulus.bit_length()
-    width = 4 if bits <= 32 else 8
+    width = 8 if modulus <= 1 << 63 else (bits + 7) // 8
+    limit = (1 << 64) // modulus * modulus
     out = []
     while len(out) < n:
         data = rng.bytes((n - len(out)) * width)
-        words = struct.unpack(f"<{len(data) // width}{'I' if width == 4 else 'Q'}", data)
-        out += [v for v in (w & ((1 << bits) - 1) for w in words) if v < modulus]
+        words = [int.from_bytes(data[i : i + width], "little")
+                 for i in range(0, len(data), width)]
+        if modulus <= 1 << 63:
+            out += [w % modulus for w in words if w < limit]
+        else:
+            out += [v for v in (w & ((1 << bits) - 1) for w in words) if v < modulus]
     return out
 
 
@@ -120,9 +127,11 @@ class TestOnePassDraws:
         fast_params().t,
         (1 << 41) - 21,
         3,
-        (1 << 30) + 3,  # half the words rejected: several retry passes
+        (1 << 30) + 3,
         (1 << 32) - 5,
-        (1 << 64) - 59,
+        (1 << 62) + 1,  # a quarter of the words rejected: retry passes
+        1 << 63,  # every word kept
+        (1 << 64) - 59,  # past 2^63: masked words
     ]
 
     @pytest.mark.parametrize("n", (0, 1, 16, 2048))
@@ -135,7 +144,7 @@ class TestOnePassDraws:
         assert fast.bytes(16) == slow.bytes(16)  # the same stream position
 
     def test_rejection_retries_take_the_same_words(self):
-        modulus = (1 << 30) + 3
+        modulus = (1 << 62) + 1  # a quarter of the 64-bit words rejected
         fast, slow = counted(12), counted(12)
         got = fast.field_vector(2048, modulus)
         assert got == reference_field_vector(slow, 2048, modulus)
@@ -155,6 +164,29 @@ class TestOnePassDraws:
         assert ternary.dtype == np.int64
         assert ternary.tolist() == b.ternary_vector(64)
         assert a.bytes(16) == b.bytes(16)
+
+    @pytest.mark.parametrize(
+        "modulus", [2, 3, delphi_params().t, (1 << 62) - 57, (1 << 62) + 1]
+    )
+    def test_the_last_kept_word_is_below_the_largest_multiple(self, modulus, monkeypatch):
+        """Words up to ``limit - 1`` are kept and reduced, ``limit`` (the
+        largest multiple of the modulus under 2^64) and above are redrawn."""
+        limit = (1 << 64) // modulus * modulus
+        passes = [[limit - 1, limit, 0, modulus], [modulus + 1]]
+        if limit == 1 << 64:  # a power of two: every word is kept
+            passes = [[limit - 1, 0, modulus, modulus + 1]]
+        asked = []
+
+        def words(count, width):
+            asked.append((count, width))
+            return np.array(passes[len(asked) - 1], dtype=np.uint64)
+
+        rng = SecureRandom(0)
+        monkeypatch.setattr(rng, "_words", words)
+        got = rng.field_vector(4, modulus)
+        assert got == [modulus - 1, 0, 0, 1 % modulus]
+        assert all(0 <= v < modulus for v in got)
+        assert asked == [(4, 8), (1, 8)][: len(passes)]
 
     @pytest.mark.parametrize("n", (0, 1, 16, 2048))
     def test_ternary_vector_is_the_reference_loop(self, n):

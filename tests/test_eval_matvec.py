@@ -301,20 +301,24 @@ class TestOraclePair:
 # returns of each seed became one when both products were packed into
 # one ciphertext (:func:`repro.he.linear.pack_layers`); the fast 16-128-3
 # ones, whose layers rotate and stay alone, kept their digests.
+# All six moved once more when SecureRandom.field_vector began drawing
+# 64-bit words and reducing those below the largest multiple of the
+# modulus (it masked words to the modulus' bit length): r, s and the
+# masks are other draws from the same streams.
 GOLDEN_FRAMES = {
     ('delphi', 'client', 8, 1701): [
-        "7455aeeed8aac1974e6bc3e440e836c65728caad76635222058e19a02eb0c445",
+        "f587faeab2117ec0ae64c51abb982a2e9ad1a3ec0f6ffdce67753a23f0014050",
     ],
     ('delphi', 'client', 8, 1702): [
-        "6fd9f87fecc2f0c529a5ebf05ed1d31f4480debac905d0791f7fb3d74dbe130c",
+        "6395c2639d9d8fb6962cdde8874c384001e73093c7bcca97c852dc021ed145ef",
     ],
     ('fast', 'server', 128, 1701): [
-        "96bcef168be6e049e939d83f304d20bd4a65b6b0705a5aaf49b3ab3fd2471dbb",
-        "35b08d1d76cebdc9dc462bf7c68468adba4e2e18853c67a84212465113204886",
+        "6a723be4a232f5f40107d28eafcfad167ba806ed251e2d5aa52fb6a0b97a4725",
+        "8ca40f90de437760794f43a73869b1924a8148a828853ee9d17bf4c59063d016",
     ],
     ('fast', 'server', 128, 1702): [
-        "37ba79aea252e609c9fabb5112540c7a791e4ee741feca5168534702cb88914c",
-        "9bd3f8fa29d7eedbfd23031e5fa8d71722832ed962a1a48d31f675fcbc23accf",
+        "b2a0a83fdd73aa02c8c7a6fadd2f39d89b85b7a2557b702ecf3551d89c91c05b",
+        "ca4ddd2bfd4ca6a4d91ea227ce623a33cffa8fdf960ca3df51c2616d88853e97",
     ],
 }
 
@@ -437,165 +441,175 @@ def every_frame_digests(params, garbler, hidden, seed):
 # before any hash and the label-OT reply carries the chosen labels, so
 # every HE, key, OT-choice, label, masked-input and final-share digest
 # and every GOLDEN_TRANSCRIPT book kept its value.
+# The commit that made SecureRandom.field_vector draw 64-bit words below
+# the largest multiple of the modulus and reduce them (it masked words to
+# the modulus' bit length) moved every frame that a field draw reaches —
+# the client's r and hence Enc(r), the server's s and masks and hence its
+# returns, and every GC, OT and share frame after them — and only the
+# fast client's Galois-key frame kept its digest; every GOLDEN_TRANSCRIPT
+# book kept its value. The same commit made the IKNP column PRG the row
+# hash in counter mode; the sessions charge the columns and masked pairs
+# by their transcript and send the chosen labels, so that half moved no
+# frame (checked alone, before the draw changed).
 GOLDEN_EVERY_FRAME = {
     ('delphi', 'server', '8', '1701'): {
         "client/offline": [
-            "9eb9336f8d7d65b5270dc15f0472e28aaaa663e442406f22874ccb36af0de2c4",
-            "7cb5808c1adabd364205b23b343568032cf578ea9b2a978365ddc11c174283d8",
+            "608f0b60362361a8624b79868b456453ddde6ff6fdf4f04b8fc104fbf07ec738",
+            "c4d34af7f37b60d06bda2ca7462a13b7f716a42b963ca147e29080cae6fb18ec",
         ],
         "server/offline": [
-            "7455aeeed8aac1974e6bc3e440e836c65728caad76635222058e19a02eb0c445",
-            "8a90be20e1ade0dbc7fe77ad87207e6b0778151a3fce7465dfd6535a70a3da23",
-            "9b34c9cda2d5a192db29b4a776f718736f3edf98b83bfbf98e3f0268d916817c",
+            "f587faeab2117ec0ae64c51abb982a2e9ad1a3ec0f6ffdce67753a23f0014050",
+            "dc1277d944e20ce99ce9ffca688809ef343a4c3932ccabed533d8cb2db1d363f",
+            "32b90f38a1c839745f24ea139aefbe651d6799a4b5e9828ca491b5f7110db7df",
         ],
         "client/online": [
-            "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
-            "ce23ba5c16f82ced4616f1c680be23931fb4b7034221bec451fe2b424b6c1990",
+            "8f76fd924d407da99db74a84314e3eba48c108b1b6f51a5afefb28db2fd1ce37",
+            "265cce265379f8fa3eeac8e25af9cff303e9b8336b7a60246c4f3f745e5cc0d1",
         ],
         "server/online": [
-            "414d081a67b4cd2fdb500c835e7848e4d483299ec83094a878c0ded4409f13a4",
-            "aeadc0a5bb3676f860b57ecf320fa31f57ac872730d7ec8a24d6aa70a024f674",
+            "321c98d9ca4dcf0b4fbdf3fce689d095fa55f02ff11a1eecb64b901e688af59f",
+            "3bd497de6e3b0a444bde34485ef2ee59bd2df57ab8f8cc5a25ba77a3486bebbd",
         ],
     },
     ('delphi', 'client', '8', '1701'): {
         "client/offline": [
-            "9eb9336f8d7d65b5270dc15f0472e28aaaa663e442406f22874ccb36af0de2c4",
-            "0bac8723a44017705c081e9179db85d31ddf07b53220ff63dbdae826f644a472",
-            "af23bca044f6f7ba5d9e6c3ec2d1a66a5dadf1b64a2ccd5fe664de46d01bfb19",
+            "608f0b60362361a8624b79868b456453ddde6ff6fdf4f04b8fc104fbf07ec738",
+            "9f66d483a26cae0e6d63095c87165934c45022a9ce243d6805c17256724f05b7",
+            "fcdff4a4b221896793e074b8f789d54288ef6499155631a4c0e96de69c9122fc",
         ],
         "server/offline": [
-            "7455aeeed8aac1974e6bc3e440e836c65728caad76635222058e19a02eb0c445",
+            "f587faeab2117ec0ae64c51abb982a2e9ad1a3ec0f6ffdce67753a23f0014050",
         ],
         "client/online": [
-            "6392cf04c03bd66865c358d0a03ab017f402d8b9c279838d079210a64550d60e",
-            "8b1db8c8d5d14f32404251741d614bc4ad83477470e5e716c978d09e3376b315",
+            "8f76fd924d407da99db74a84314e3eba48c108b1b6f51a5afefb28db2fd1ce37",
+            "3cd61a9de4ee479826db763778981bd169522913fd6746d1214260ea1a14d690",
         ],
         "server/online": [
-            "49d61066e7447a16bfdc05e0c95289d4b0d6ca1a62a8c6600e7053432e9edae2",
-            "aeadc0a5bb3676f860b57ecf320fa31f57ac872730d7ec8a24d6aa70a024f674",
+            "304e2733384db4fd74fde79865adb86f3b6463bc30da0c4e14d75f7296883c08",
+            "3bd497de6e3b0a444bde34485ef2ee59bd2df57ab8f8cc5a25ba77a3486bebbd",
         ],
     },
     ('delphi', 'server', '8', '1702'): {
         "client/offline": [
-            "ac81df755edf1c1b4340f12a997b8c3fd8cf2c935c884f0434c07a74ce405892",
-            "f0325c018c42a94c9df1fffc9cbdb7f5ae7e39a758b062ef963358b70a4b5bc7",
+            "00bec5844926893705f44f6145294088022a05f13c21c9fd7641200de9d1be63",
+            "df8e1b15c8718a29d94007aa2bd95046f498ef0a118370a5c8751b025d2cd6c8",
         ],
         "server/offline": [
-            "6fd9f87fecc2f0c529a5ebf05ed1d31f4480debac905d0791f7fb3d74dbe130c",
-            "be4cc85b9fc513aa11b3f1ef6f7895af555f0ba6f240b0ab596d3b9a9d71898b",
-            "f1ae609a7ccc05004d7b813aae6fb96ed172b94ad171258013cb69b18764d429",
+            "6395c2639d9d8fb6962cdde8874c384001e73093c7bcca97c852dc021ed145ef",
+            "b5fa5f7176051ed5d16be8d27bf0a452451df68d547683cb686afc67fddc7a3c",
+            "222e7b2b93663664d4b0c0b4453e732d382942cbadcd66400a60260c99d49222",
         ],
         "client/online": [
-            "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
-            "07889812f5049d57d532aa47701fdb30409c43d728a253a672a8dba3b33ddeaa",
+            "871070d3c0ad8dbd10a04c083d46adbb11b9086b130deae91738c66b8487be65",
+            "add1fb5388a775dfe12c150bae992254c4dc6cc4d1cd0775491c5744699e73d9",
         ],
         "server/online": [
-            "c97bd30e3eebcbf9791829b28ad6b618a2febef2e95a5414ad04a42b04bb96f2",
-            "29f8794cc836eb57990f0aac6f87e3ce1a2f1e92843fb52f0e0d2eeee382bb01",
+            "3a0c67524d938f009971e67339d7d390acd7f19830d5d291709008d8e0247d5f",
+            "0453f8b19483ca57fdc533088ce11be05adcb5cf91ea8ce320c2e93ec45a08da",
         ],
     },
     ('delphi', 'client', '8', '1702'): {
         "client/offline": [
-            "ac81df755edf1c1b4340f12a997b8c3fd8cf2c935c884f0434c07a74ce405892",
-            "efb486259547b69b5c4604875f351e3c567eae4c14a78d21a06eda0449ede3eb",
-            "70e147b6e46deaca0949ebee05ab04f7567494acda4570921215983e0cdf4618",
+            "00bec5844926893705f44f6145294088022a05f13c21c9fd7641200de9d1be63",
+            "fb9fe3ff10fe4ad65e96199ea424abd4f236b02e256fcf46ee015284b99231b9",
+            "195307fb52c8fc9dce0af7826fd66e3100e7a1343c1e8c2b704e9ead6d72e4cd",
         ],
         "server/offline": [
-            "6fd9f87fecc2f0c529a5ebf05ed1d31f4480debac905d0791f7fb3d74dbe130c",
+            "6395c2639d9d8fb6962cdde8874c384001e73093c7bcca97c852dc021ed145ef",
         ],
         "client/online": [
-            "e1f963eb5208365b76db105d7b7b1618babb74f3bbeb98e86328097a8ae47827",
-            "756c5d2c1f99985b2e0f459fc69e5040776a94cdfba6dd81af6c5188e9eb5cee",
+            "871070d3c0ad8dbd10a04c083d46adbb11b9086b130deae91738c66b8487be65",
+            "11dce76b32cba2249e9cd8cc43860d6e5696404337e1130ec5c8d63b92d7b54b",
         ],
         "server/online": [
-            "95caeb6dd3c3b68041f9edd4f8b04a42e251cf792ab2d85065ab7a03a5c2542b",
-            "29f8794cc836eb57990f0aac6f87e3ce1a2f1e92843fb52f0e0d2eeee382bb01",
+            "ef17c40b5ceb89c1bc76685d537836554df66a82b165203e251d4a1dee2df6b6",
+            "0453f8b19483ca57fdc533088ce11be05adcb5cf91ea8ce320c2e93ec45a08da",
         ],
     },
     ('fast', 'server', '128', '1701'): {
         "client/offline": [
             "9a181ed864aca26576e9f4d06b93a6961123d8a4f935c3715b4f3242aa8d9995",
-            "a6ad7cdd7ea5c1d6400fee3b41663c57a74a0e8db079a91a2e7bbe3ccaf221be",
-            "62ca28577205de6dbfb11d707781c7c9a4d33495f71dbca4574eb74e3a1ac173",
-            "f5bd45b67177f404df740a16a28c173b812bf253870f27a08e0d9e2e9d19b4bc",
+            "eb7bbbc36e5da4f08638611b92fd49850399bf3a4adcb4cbb5b67f622c5220ce",
+            "ac0e899d6574f22fed703eb2bcf5b33915347922c1f1f4d56ba57f7c6c172fea",
+            "4903ea483bd060b8af1ea963374d21c414b3753b632fa1d6ae22a60ca7df1ba1",
         ],
         "server/offline": [
-            "96bcef168be6e049e939d83f304d20bd4a65b6b0705a5aaf49b3ab3fd2471dbb",
-            "35b08d1d76cebdc9dc462bf7c68468adba4e2e18853c67a84212465113204886",
-            "35e70e03fb3db661bf2d0e9a1133be77efe2e06bfa700e8e570d999bc1f10d12",
-            "f8c4330bd30312c2f8c0458678ca1b5cd24b6078d55b5b47903eae92f5432618",
+            "6a723be4a232f5f40107d28eafcfad167ba806ed251e2d5aa52fb6a0b97a4725",
+            "8ca40f90de437760794f43a73869b1924a8148a828853ee9d17bf4c59063d016",
+            "546f2db4a669d344ef756adfd6bafb2113914775d966df9dc397d7ce3a455faa",
+            "0ed5a92986227f3daea6e246a47853549cf9b2af9a4603a028b31b93cae1cd56",
         ],
         "client/online": [
-            "0e78a2c6cdc41be8a2f17f6693c4e0f1c006813ac49c59548ad7518681501b6a",
-            "913cec0f7f82f4e35c9ce2e3735b1b791a23991cfdcc85e8a57f93ea7bfb85ac",
+            "5cd95cfa05b2d0422f3a07f2ba33d124cb672817a4c0ef02dcf07522cec94ca4",
+            "23c0134631f8221f5b6f098c946c29e64620038b7ec70f03367d27ee12a9eed6",
         ],
         "server/online": [
-            "f5697c870dcedc45ebeca841d558178a7a703f56e46c9dc2e715fac81f191946",
-            "6fe50986f61cfdd664e36a98659688b9ddd82918d991e3e4bfb54e45fd415ba4",
+            "ff3a6e7aef831f60999b9e9c77cc9d8f49597ae09c182f4efa99a7a3c181d174",
+            "c6a9c7923c50f36995c4ee6eff3b5749e2fe45b001fe9a6600c7572f421cc8c0",
         ],
     },
     ('fast', 'client', '128', '1701'): {
         "client/offline": [
             "9a181ed864aca26576e9f4d06b93a6961123d8a4f935c3715b4f3242aa8d9995",
-            "a6ad7cdd7ea5c1d6400fee3b41663c57a74a0e8db079a91a2e7bbe3ccaf221be",
-            "62ca28577205de6dbfb11d707781c7c9a4d33495f71dbca4574eb74e3a1ac173",
-            "c7e89bedd02eb75a718c1bbb891765f22035cef9c486d9004d6c10f08412dcff",
-            "7689ecda0e1a30a97ee01599f4e622be00aad4f8f8e05bca8740ebc99948dc5c",
+            "eb7bbbc36e5da4f08638611b92fd49850399bf3a4adcb4cbb5b67f622c5220ce",
+            "ac0e899d6574f22fed703eb2bcf5b33915347922c1f1f4d56ba57f7c6c172fea",
+            "9ea0a59218f15310819f40afe6d4792d7e5e6227a7b9af4a672d2f327b05f944",
+            "8c7b6d4ffe0e7b0a8ecfc093b7435e17a34fd59933916861015bcbe629cfe97e",
         ],
         "server/offline": [
-            "96bcef168be6e049e939d83f304d20bd4a65b6b0705a5aaf49b3ab3fd2471dbb",
-            "35b08d1d76cebdc9dc462bf7c68468adba4e2e18853c67a84212465113204886",
+            "6a723be4a232f5f40107d28eafcfad167ba806ed251e2d5aa52fb6a0b97a4725",
+            "8ca40f90de437760794f43a73869b1924a8148a828853ee9d17bf4c59063d016",
         ],
         "client/online": [
-            "0e78a2c6cdc41be8a2f17f6693c4e0f1c006813ac49c59548ad7518681501b6a",
-            "92af4a64d34b42978141e590a440bbbe2f56aab6b66fdb0cc74256650d86d1da",
+            "5cd95cfa05b2d0422f3a07f2ba33d124cb672817a4c0ef02dcf07522cec94ca4",
+            "05aa1b0d423196ccd60d14715aa3313d3a25df5aab3bc3905848f95b113483d7",
         ],
         "server/online": [
-            "ff423f68da019c6445693c86edac89972d8e8ff8996e5fa61d621d13c23846eb",
-            "6fe50986f61cfdd664e36a98659688b9ddd82918d991e3e4bfb54e45fd415ba4",
+            "35b1cfaf404396f5554a4f31435e1fb3beed4fbf8c47854b27ac3e624fa0845d",
+            "c6a9c7923c50f36995c4ee6eff3b5749e2fe45b001fe9a6600c7572f421cc8c0",
         ],
     },
     ('fast', 'server', '128', '1702'): {
         "client/offline": [
             "41c452953d83a5d41050af0f1859c3b824c9b6d9dc2800432087b0d638ab0eac",
-            "5bd00ae2ee89fe12d06a578a9e34d077a0da4f97665c79dab6db608c10c6dd16",
-            "41fc76664dde6c6b9cdec9cc99e8ce35a295e1aa7f9c5db8a0f93a97b55daf5a",
-            "3dd64ea9b2fe347bb5f636be07fd16d425fb4b10decc23e36d205d9dc2e7b4b4",
+            "8f79e9136e6ea8ed97f54847e51f5cfe43d71ca14247ef6616c9028fbc4562b1",
+            "39618a457b2329bff52936ef6d025adbb9d54e351157e6a1cde8edeaa5f321f4",
+            "5e27e99c9b824d60b470cb92db5160e7ad209fe71e154aecfd1469e109d8d4e1",
         ],
         "server/offline": [
-            "37ba79aea252e609c9fabb5112540c7a791e4ee741feca5168534702cb88914c",
-            "9bd3f8fa29d7eedbfd23031e5fa8d71722832ed962a1a48d31f675fcbc23accf",
-            "f034513acf829cba0a4d893a46859af9e1d3dea6d3d687dac9334bec682201de",
-            "a69436d534b3afcc5406d852acd056ed735869c23f12209797638e452b923701",
+            "b2a0a83fdd73aa02c8c7a6fadd2f39d89b85b7a2557b702ecf3551d89c91c05b",
+            "ca4ddd2bfd4ca6a4d91ea227ce623a33cffa8fdf960ca3df51c2616d88853e97",
+            "df8cda4b1170d03ede27fd3d993e916f7d1457f3eb943fc8a6104784c433de15",
+            "992185203418ad9dd5f6b608f5067d10c833635072b63714bfbf4cd9dac955b2",
         ],
         "client/online": [
-            "3f19f7b26cd2a871f4b58b1be986b754698e99edc18b7ef8cd0294ad51891c9a",
-            "239ff52dae87e5e7e29c714b4fe55f10437438a76f5b83a19cf0c90d4c9b79df",
+            "be788ae9dd5887bad9207dd08228c1399580209aa54d3fa3a7a5456b5277502f",
+            "b806683c89b387f15b65fb67a0fccd542c020b494e5b73a0e7ebabf67f4a73d5",
         ],
         "server/online": [
-            "e14cdd9cb71ce4347faa7c99d91fbcca18806a58db5571de1c10c7a3f99fc2e6",
-            "f39020dd31478d6e98906f197c795c38e5225c5590bf7a589fbab52cc701475a",
+            "7733b6957ee7c17e06becbb0f3802edd2b1fb083532725d2ee10a89330632dfd",
+            "3caa8ae60b023a702ca343e0e6cafa62636f5527d12dca2b55cbc3da7c13b279",
         ],
     },
     ('fast', 'client', '128', '1702'): {
         "client/offline": [
             "41c452953d83a5d41050af0f1859c3b824c9b6d9dc2800432087b0d638ab0eac",
-            "5bd00ae2ee89fe12d06a578a9e34d077a0da4f97665c79dab6db608c10c6dd16",
-            "41fc76664dde6c6b9cdec9cc99e8ce35a295e1aa7f9c5db8a0f93a97b55daf5a",
-            "54c4758df1688b151fabfebf82786a40c9f568f198ef4f6482033a5f4c3cce4b",
-            "d067f07d1d83e33dbd27fa409ebd07c294b04f09e3852b93c9e8e3abb6c3de62",
+            "8f79e9136e6ea8ed97f54847e51f5cfe43d71ca14247ef6616c9028fbc4562b1",
+            "39618a457b2329bff52936ef6d025adbb9d54e351157e6a1cde8edeaa5f321f4",
+            "b60d807f3cfe3fa6b2f81a52a4990c189f5b3e17e72dea97c3763df22e8f6208",
+            "1fa772abd4c3b14e99a948523329ee118070a9d0dce66ab1027eddb7fda8ac18",
         ],
         "server/offline": [
-            "37ba79aea252e609c9fabb5112540c7a791e4ee741feca5168534702cb88914c",
-            "9bd3f8fa29d7eedbfd23031e5fa8d71722832ed962a1a48d31f675fcbc23accf",
+            "b2a0a83fdd73aa02c8c7a6fadd2f39d89b85b7a2557b702ecf3551d89c91c05b",
+            "ca4ddd2bfd4ca6a4d91ea227ce623a33cffa8fdf960ca3df51c2616d88853e97",
         ],
         "client/online": [
-            "3f19f7b26cd2a871f4b58b1be986b754698e99edc18b7ef8cd0294ad51891c9a",
-            "2bd19505c227fb7fc3f6de3e70c0c11e0f4a8fb30b29502455fcc815514f3493",
+            "be788ae9dd5887bad9207dd08228c1399580209aa54d3fa3a7a5456b5277502f",
+            "35f261f26b6fd2533b01ceed5489a344b386f51f57aa3d37cd686c79ab204d54",
         ],
         "server/online": [
-            "059530f384bfea90f1d97c25b3a72bda46b19057edd64f1fecc5c9d99a3d760c",
-            "f39020dd31478d6e98906f197c795c38e5225c5590bf7a589fbab52cc701475a",
+            "ea87b9d68b76cd63d9313eaa6b2a5de4cfe499d6bb26024692f970c9a75ddda1",
+            "3caa8ae60b023a702ca343e0e6cafa62636f5527d12dca2b55cbc3da7c13b279",
         ],
     },
 }

@@ -311,13 +311,19 @@ class TestSeedFormExtension:
         seed=st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=20, deadline=None)
-    def test_numpy_transpose_matches_row_reference(self, m, seed):
-        pytest.importorskip("numpy")
+    def test_transpose_matches_the_bit_by_bit_reference(self, m, seed):
+        """Bit i of row j is bit j of column i, whatever the bits past m."""
+        np = pytest.importorskip("numpy")
         rnd = random.Random(seed)
-        columns = [rnd.getrandbits(m) for _ in range(KAPPA)]
-        rows = extension._transpose_numpy(columns, m)
-        assert rows == extension._transpose_python(columns, m)
-        assert rows[:16] == extension._row(columns, 0).to_bytes(16, "little")
+        columns = [rnd.getrandbits(8 * ((m + 7) // 8)) for _ in range(KAPPA)]
+        matrix = np.frombuffer(
+            b"".join(c.to_bytes((m + 7) // 8, "little") for c in columns), np.uint8
+        ).reshape(KAPPA, -1)
+        rows = extension._transpose(matrix, m)
+        assert rows.shape == (m, 16)
+        for j in range(m):
+            want = sum(((c >> j) & 1) << i for i, c in enumerate(columns))
+            assert rows[j].tobytes() == want.to_bytes(16, "little")
 
     @pytest.mark.parametrize("msg_len", [16, 8, 48])
     @pytest.mark.parametrize("m", [1, 9, 136, 1000])
@@ -436,12 +442,15 @@ def reference_batches(seeds, batches):
 # from 0), over base_seed_ot(SecureRandom(20)) and random_batch(m, len,
 # seed=m + len): a fresh stream's first batch must reproduce them.
 # Re-recorded once, when the row hash became fixed-key AES (TCCR): the
-# pads moved, the base OTs and the columns did not.
+# pads moved, the base OTs and the columns did not. Re-recorded once more
+# when the column PRG G became that row hash in counter mode (it was
+# SHA-256 in counter mode): the columns moved, and with them every row
+# and pad; the base OTs did not.
 ONE_SHOT_DIGESTS = {
-    (1, 16): "a267b77bab24bb38",
-    (136, 16): "bd22fa7758f73d7b",
-    (1000, 16): "0a7c3977c089d226",
-    (9, 48): "7557e804766ab724",
+    (1, 16): "86177c947e439fa3",
+    (136, 16): "5e9d1c0cdd3120ab",
+    (1000, 16): "d6cc6a0599d4b5ac",
+    (9, 48): "4e063332d62cf74b",
 }
 
 
@@ -517,6 +526,32 @@ class TestIknpStream:
             assert all(tweak_range.isdisjoint(other) for other in ranges[k + 1 :])
         for (chosen, _), (pairs, choices) in zip(got, batches):
             assert chosen == [pair[c] for pair, c in zip(pairs, choices)]
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1, 7, 9, 129, 4352), (4352, 129, 9, 7, 1), (9, 1, 4352, 7, 129), (7,) * 5],
+        ids=str,
+    )
+    def test_take_at_any_byte_offset_is_one_long_read(self, seeds, sizes):
+        """Batches end at byte offsets that split the 16-byte blocks of G
+        anywhere; every seed's columns, batch after batch, are one read."""
+        np = pytest.importorskip("numpy")
+        stream = IknpStream(seeds=seeds)
+        taken = []
+        for m in sizes:
+            first, *columns = stream.take(m)
+            assert first == stream.next_index - m
+            assert all(c.shape == (KAPPA, (m + 7) // 8) for c in columns)
+            taken.append(np.concatenate(columns))
+        total = sum((m + 7) // 8 for m in sizes)
+        keys = (
+            [k0 for k0, _ in seeds.chooser_pairs]
+            + [k1 for _, k1 in seeds.chooser_pairs]
+            + seeds.holder_seeds
+        )
+        long_read = np.concatenate(taken, axis=1)
+        for row, key in zip(long_read, keys):
+            assert row.tobytes() == Prg(key).read(total)
 
     def test_a_continued_batch_masks_with_fresh_pads(self, seeds):
         """Two identical batches on one stream: both transfer correctly,
