@@ -272,6 +272,9 @@ def extend(stream: IknpStream, message_pairs, choices: list[int]):
     m = _batch_size(message_pairs)
     if len(choices) != m:
         raise ValueError("one choice bit per message pair required")
+    bits = _np.asarray(choices)
+    if ((bits != 0) & (bits != 1)).any():
+        raise ValueError("every choice must be 0 or 1")
     if m == 0:
         return (message_pairs[0][:0], message_pairs) if as_matrices else ([], [])
     if as_matrices:
@@ -285,7 +288,7 @@ def extend(stream: IknpStream, message_pairs, choices: list[int]):
     first, t, k1, held = stream.take(m)
 
     # Chooser: t columns from the k0 streams, u columns to the holder.
-    u = t ^ k1 ^ _pack_bits(choices)
+    u = t ^ k1 ^ _pack_bits(bits)
 
     # Holder: q_i = G(k_{s_i}) xor s_i * u_i, then mask each pair by row.
     s_bits = _np.array(seeds.holder_bits, dtype=_np.uint8)[:, None]

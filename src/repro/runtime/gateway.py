@@ -747,6 +747,7 @@ class ServingGateway:
                 if conn.session is not None or m.state != m.HELLO
             ],
             "store": {
+                "budget": self.store.byte_budget,
                 "bytes": self.store.total_bytes,
                 "entries": self.store.entry_count,
                 "evictions": self.store.evictions - self._evictions_before,
@@ -865,7 +866,7 @@ class ServingGateway:
     def _stored_counts(self) -> list[int]:
         """Precomputes each client has in the store right now."""
         return [
-            len(self.store.names(self.store_key(self.client_id(c)), KIND_OFFLINE))
+            self.store.count(self.store_key(self.client_id(c)), KIND_OFFLINE)
             for c in range(self.num_clients)
         ]
 
@@ -873,7 +874,7 @@ class ServingGateway:
         """Claim the most urgent owed refill: (client, mint index, seed)."""
         with self._state_lock:
             if not any(self.ledger.credits):
-                return None  # nothing owed: skip the store scan
+                return None  # nothing owed: skip the store counts
             c, index = self.ledger.claim(
                 self._stored_counts(), self._serve_elapsed()
             )

@@ -1,17 +1,23 @@
-"""Disk-backed precompute store with LRU byte-budget eviction.
+"""Precompute buffer: one index of what it holds, payloads on disk.
 
 The paper's whole streaming story revolves around a *storage buffer* of
 offline precomputes: the client (or, under Client-Garbler, the server)
-holds as many garbled-ReLU + OT + HE-share bundles as its byte budget
-allows, and the online phase consumes them. The system simulator models
-that buffer analytically (``SystemConfig.buffer_capacity``); this module
-is its functional counterpart — real bytes on disk, real eviction.
+holds as many garbled-ReLU + OT + HE-share bundles as its budget allows,
+and the online phase consumes them. :class:`StoreIndex` is that buffer's
+bookkeeping and nothing else: namespaces, insertion order per namespace,
+one LRU recency order, a running size total and eviction under the
+budget. Both executions of a workload drive it — the serving gateway
+through :class:`PrecomputeStore` (real bytes on disk, a byte budget),
+:func:`~repro.workload.drivers.replay_analytic` directly (one unit per
+entry, on the simulated clock). The system simulator's
+``SystemConfig.buffer_capacity`` is the closed-form counterpart of both.
 
 Layout: one file per entry under ``root/<model>/<params>/<client>/``,
 named ``<kind>-<name>.bin``, plus a single ``index.json`` at the root
-recording byte sizes and an access sequence number per entry. Eviction is
-LRU at entry granularity — one entry is one precompute unit, matching how
-the paper's buffer admits and consumes whole precomputes.
+recording each entry's byte size, kind, insertion stamp (``created``)
+and access stamp (``seq``). Eviction is LRU at entry granularity — one
+entry is one precompute unit, matching how the paper's buffer admits and
+consumes whole precomputes.
 
 Entry payloads use the wire formats of :mod:`repro.network.serialize`
 (garbled circuits, label maps, field vectors), so a stored precompute is
@@ -26,6 +32,7 @@ import os
 import struct
 import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,24 +103,138 @@ class StoreKey:
         return (_sanitize(self.model), _sanitize(self.params), _sanitize(self.client))
 
 
+class StoreIndex:
+    """A precompute buffer's bookkeeping, with no I/O and no lock.
+
+    An entry is ``(space, name)``, where ``space`` is any hashable
+    namespace: a store's key and kind, or the analytic replay's client.
+    Each space keeps insertion order, which :meth:`take` and
+    :meth:`names` drain, so a client's next entry is always known. One
+    LRU order spans the spaces; only :meth:`get` refreshes it, and
+    eviction pops it. ``budget`` bounds the summed entry sizes (None =
+    unbounded); ``seq`` is the clock that every put and get ticks.
+    """
+
+    def __init__(self, budget: int | None = None):
+        self.budget = budget
+        self.seq = self.total_bytes = self.evictions = 0
+        # (space, name) -> (size, created, seq), least recently used first:
+        # ``created`` ticked at the entry's put, ``seq`` at its last put or get.
+        self._recency: OrderedDict = OrderedDict()
+        self._spaces: dict = {}  # space -> OrderedDict of names, oldest first
+
+    def __len__(self) -> int:
+        return len(self._recency)
+
+    def items(self):
+        """``((space, name), (size, created, seq))`` per entry, least
+        recently used first."""
+        return self._recency.items()
+
+    def names(self, space) -> list:
+        return list(self._spaces.get(space, ()))
+
+    def count(self, space) -> int:
+        return len(self._spaces.get(space, ()))
+
+    def put(self, space, name, size: int) -> list:
+        """Admit one entry (replacing a same-named one), then evict least
+        recently used entries until the budget holds; returns the victims.
+
+        The new entry is the most recent one and fits alone, so it is
+        never a victim. One larger than the whole budget raises
+        ``ValueError`` before anything changes: the analogue of
+        ``buffer_capacity == 0``, where the paper's streaming system
+        cannot buffer at all.
+        """
+        if self.budget is not None and size > self.budget:
+            raise ValueError(
+                f"entry of {size} bytes exceeds the {self.budget}-byte budget"
+            )
+        self.remove(space, name)
+        self.seq += 1
+        self._recency[(space, name)] = (size, self.seq, self.seq)
+        self._spaces.setdefault(space, OrderedDict())[name] = None
+        self.total_bytes += size
+        victims = []
+        while self.budget is not None and self.total_bytes > self.budget:
+            victims.append(next(iter(self._recency)))
+            self.remove(*victims[-1])
+        self.evictions += len(victims)
+        return victims
+
+    def get(self, space, name) -> bool:
+        """Refresh an entry's LRU recency; False if it is not held."""
+        if (space, name) not in self._recency:
+            return False
+        size, created, _ = self._recency[(space, name)]
+        self.seq += 1
+        self._recency[(space, name)] = (size, created, self.seq)
+        self._recency.move_to_end((space, name))
+        return True
+
+    def take(self, space, name=None):
+        """Remove the space's oldest entry, or the named one; returns its
+        name, or None when there is no such entry."""
+        if name is None:
+            name = next(iter(self._spaces.get(space, ())), None)
+        return name if name is not None and self.remove(space, name) else None
+
+    def remove(self, space, name) -> bool:
+        stamps = self._recency.pop((space, name), None)
+        if stamps is None:
+            return False
+        del self._spaces[space][name]
+        self.total_bytes -= stamps[0]
+        return True
+
+
+def _rel(space: tuple[str, str], name: str) -> str:
+    return f"{space[0]}/{space[1]}-{name}.bin"
+
+
+def _load_index(path: Path) -> StoreIndex:
+    """Rebuild the index an ``index.json`` describes: its entries put in
+    ``created`` order, then touched in ``seq`` order. The clock carries
+    on from the file's, so a new default name never reuses an old one."""
+    loaded = json.loads(path.read_text())
+    if (
+        not isinstance(loaded, dict)
+        or not isinstance(loaded.get("entries"), dict)
+        or not isinstance(loaded.get("seq"), int)
+    ):
+        raise ValueError("index has unexpected structure")
+    index = StoreIndex()
+    index.seq = loaded["seq"]
+    rows = []
+    for rel, entry in loaded["entries"].items():
+        directory, _, file = rel.rpartition("/")
+        space = (directory, _sanitize(entry["kind"]))
+        rows.append((entry, space, file[len(space[1]) + 1 : -len(".bin")]))
+    for entry, space, name in sorted(rows, key=lambda row: row[0]["created"]):
+        index.put(space, name, entry["bytes"])
+    for entry, space, name in sorted(rows, key=lambda row: row[0]["seq"]):
+        index.get(space, name)
+    return index
+
+
 class PrecomputeStore:
-    """Persistent precompute buffer with an LRU byte budget.
+    """Persistent precompute buffer: a :class:`StoreIndex` under a byte
+    budget, plus one payload file per entry.
 
     ``byte_budget=None`` disables eviction (unbounded store). Access is
     single-process by design — the store models one party's local buffer,
     not a shared service — but thread-safe within that process: the
     serving gateway's background refill worker admits entries while the
-    selector thread drains them, so every index mutation (and the
-    eviction counter) runs under one internal lock.
+    selector thread drains them, so the index and the payload files
+    change under one internal lock.
     """
 
     def __init__(self, root, byte_budget: int | None = None):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.byte_budget = byte_budget
-        self.evictions = 0
         self._lock = threading.RLock()
-        self._index: dict = {"seq": 0, "entries": {}}
+        self._index = StoreIndex()
         index_path = self.root / INDEX_NAME
         # A leftover .tmp means a crash interrupted _save_index before its
         # atomic rename; the published index is still the previous
@@ -125,19 +246,14 @@ class PrecomputeStore:
         corruption: Exception | None = None
         if index_path.exists():
             try:
-                loaded = json.loads(index_path.read_text())
-                if (
-                    not isinstance(loaded, dict)
-                    or not isinstance(loaded.get("entries"), dict)
-                    or not isinstance(loaded.get("seq"), int)
-                ):
-                    raise ValueError("index has unexpected structure")
-                self._index = loaded
-            except (OSError, ValueError) as exc:
+                self._index = _load_index(index_path)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
                 # Resetting the index orphans every payload file: invisible
                 # to lookups but still occupying disk the byte budget no
                 # longer accounts for.
                 corruption = exc
+        # Loaded unbounded: opening under a smaller budget evicts nothing.
+        self._index.budget = byte_budget
         # Unindexed payloads occupy disk the byte budget doesn't account
         # for; sweep them on every open — they appear when the index is
         # reset, but also when a crash lands between a payload write and
@@ -170,17 +286,24 @@ class PrecomputeStore:
         # fsync matters — without it a power loss can commit the rename
         # before the temp file's data blocks, publishing garbage that the
         # corrupt-index recovery would then "fix" by sweeping every payload.
+        entries = {
+            _rel(space, name): {"bytes": size, "seq": seq, "created": created,
+                                "kind": space[1]}
+            for (space, name), (size, created, seq) in self._index.items()
+        }
         path = self.root / INDEX_NAME
         tmp = self.root / (INDEX_NAME + ".tmp")
         with open(tmp, "w") as fh:
-            fh.write(json.dumps(self._index, indent=1, sort_keys=True) + "\n")
+            document = {"seq": self._index.seq, "entries": entries}
+            fh.write(json.dumps(document, indent=1, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
 
     def _sweep_orphans(self) -> int:
         """Delete payload files the index does not know about; returns count."""
-        indexed = {(self.root / rel).resolve() for rel in self._index["entries"]}
+        indexed = {(self.root / _rel(*entry)).resolve()
+                   for entry, _ in self._index.items()}
         swept = 0
         for path in self.root.rglob("*.bin"):
             if path.resolve() in indexed:
@@ -192,72 +315,45 @@ class PrecomputeStore:
                 pass
         return swept
 
-    def _next_seq(self) -> int:
-        self._index["seq"] += 1
-        return self._index["seq"]
-
-    def _rel(self, key: StoreKey, kind: str, name: str) -> str:
-        return "/".join(key.parts() + (f"{_sanitize(kind)}-{_sanitize(name)}.bin",))
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(e["bytes"] for e in self._index["entries"].values())
-
-    @property
-    def entry_count(self) -> int:
-        with self._lock:
-            return len(self._index["entries"])
-
-    def _evict_to_budget(self, keep: str) -> None:
-        if self.byte_budget is None:
-            return
-        entries = self._index["entries"]
-        while self.total_bytes > self.byte_budget:
-            victims = [rel for rel in entries if rel != keep]
-            if not victims:
-                break
-            victim = min(victims, key=lambda rel: entries[rel]["seq"])
-            self._remove(victim)
-            self.evictions += 1
-            METRICS.counter("store_evictions_total").inc()
-            TRACER.instant("store.evict", victim=victim)
-
-    def _remove(self, rel: str) -> None:
-        self._index["entries"].pop(rel, None)
-        path = self.root / rel
+    def _unlink(self, space, name) -> None:
         try:
-            path.unlink()
+            (self.root / _rel(space, name)).unlink()
         except OSError:
             pass
+
+    @staticmethod
+    def _space(key: StoreKey, kind: str) -> tuple[str, str]:
+        return "/".join(key.parts()), _sanitize(kind)
+
+    byte_budget = property(lambda self: self._index.budget)
+    evictions = property(lambda self: self._index.evictions)
+    total_bytes = property(lambda self: self._index.total_bytes)
+    entry_count = property(lambda self: len(self._index))
 
     # -- core API -----------------------------------------------------------
 
     def put(self, key: StoreKey, kind: str, blob: bytes, name: str | None = None) -> str:
         """Store one precompute entry; returns its name.
 
-        Raises ``ValueError`` if the blob alone exceeds the byte budget —
-        the functional analogue of ``buffer_capacity == 0``, where the
-        paper's streaming system cannot buffer at all.
+        Raises ``ValueError`` if the blob alone exceeds the byte budget
+        (:meth:`StoreIndex.put`).
         """
-        if self.byte_budget is not None and len(blob) > self.byte_budget:
-            raise ValueError(
-                f"entry of {len(blob)} bytes exceeds the {self.byte_budget}-byte budget"
-            )
+        space = self._space(key, kind)
         with section("store", "store.put", kind=kind), self._lock:
-            seq = self._next_seq()
             if name is None:
-                name = f"{seq:08d}"
-            rel = self._rel(key, kind, name)
-            path = self.root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(blob)
-            # "created" orders the FIFO drain (names/take); "seq" is the LRU
-            # recency that get() refreshes and eviction consults.
-            self._index["entries"][rel] = {
-                "bytes": len(blob), "seq": seq, "created": seq, "kind": kind,
-            }
-            self._evict_to_budget(keep=rel)
+                name = f"{self._index.seq + 1:08d}"
+            entry = _sanitize(name)
+            for victim in self._index.put(space, entry, len(blob)):
+                self._unlink(*victim)
+                METRICS.counter("store_evictions_total").inc()
+                TRACER.instant("store.evict", victim=_rel(*victim))
+            path = self.root / _rel(space, entry)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(blob)
+            except OSError:
+                self._index.remove(space, entry)  # its victims stay evicted
+                raise
             self._save_index()
         if METRICS.enabled:
             METRICS.counter("store_puts_total", kind=kind).inc()
@@ -268,18 +364,14 @@ class PrecomputeStore:
     def get(self, key: StoreKey, kind: str, name: str) -> bytes | None:
         """Fetch an entry (refreshing its LRU position), or None."""
         blob = None
+        space, entry = self._space(key, kind), _sanitize(name)
         with section("store", "store.get", kind=kind), self._lock:
-            rel = self._rel(key, kind, name)
-            entry = self._index["entries"].get(rel)
-            if entry is not None:
+            if self._index.get(space, entry):
                 try:
-                    blob = (self.root / rel).read_bytes()
+                    blob = (self.root / _rel(space, entry)).read_bytes()
                 except OSError:
-                    self._remove(rel)
-                    self._save_index()
-                else:
-                    entry["seq"] = self._next_seq()
-                    self._save_index()
+                    self._index.remove(space, entry)
+                self._save_index()
         METRICS.counter(
             "store_gets_total", result="hit" if blob is not None else "miss"
         ).inc()
@@ -295,19 +387,18 @@ class PrecomputeStore:
         being removed anyway).
         """
         blob = None
+        space = self._space(key, kind)
         with section("store", "store.take", kind=kind), self._lock:
-            if name is None:
-                names = self.names(key, kind)
-                name = names[0] if names else None
             if name is not None:
-                rel = self._rel(key, kind, name)
-                if rel in self._index["entries"]:
-                    try:
-                        blob = (self.root / rel).read_bytes()
-                    except OSError:
-                        blob = None
-                    self._remove(rel)
-                    self._save_index()
+                name = _sanitize(name)
+            name = self._index.take(space, name)
+            if name is not None:
+                try:
+                    blob = (self.root / _rel(space, name)).read_bytes()
+                except OSError:
+                    pass
+                self._unlink(space, name)
+                self._save_index()
         if METRICS.enabled:
             METRICS.counter(
                 "store_takes_total",
@@ -318,11 +409,11 @@ class PrecomputeStore:
         return blob
 
     def delete(self, key: StoreKey, kind: str, name: str) -> bool:
+        space, entry = self._space(key, kind), _sanitize(name)
         with section("store", "store.delete", kind=kind), self._lock:
-            rel = self._rel(key, kind, name)
-            if rel not in self._index["entries"]:
+            if not self._index.remove(space, entry):
                 return False
-            self._remove(rel)
+            self._unlink(space, entry)
             self._save_index()
             return True
 
@@ -332,16 +423,13 @@ class PrecomputeStore:
         Ordered by insertion, not LRU recency — peeking an entry with
         :meth:`get` must not change which one :meth:`take` drains next.
         """
-        prefix = "/".join(key.parts()) + "/" + _sanitize(kind) + "-"
         with self._lock:
-            matches = [
-                (entry.get("created", entry["seq"]), rel)
-                for rel, entry in self._index["entries"].items()
-                if rel.startswith(prefix)
-            ]
-        return [
-            rel[len(prefix) : -len(".bin")] for _, rel in sorted(matches)
-        ]
+            return self._index.names(self._space(key, kind))
+
+    def count(self, key: StoreKey, kind: str) -> int:
+        """How many entries of one kind a key holds, without listing them."""
+        with self._lock:
+            return self._index.count(self._space(key, kind))
 
 
 # -- offline transcript codec ---------------------------------------------------

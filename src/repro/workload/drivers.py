@@ -19,10 +19,11 @@ Both report per-workload latency quantiles (p50/p95/p99 via the
 telemetry :class:`~repro.telemetry.metrics.Histogram`), deferral rate,
 and goodput, keyed by workload name, so the planner can compare
 prediction against measurement number for number. Neither decides
-admission or refill: both run each request through the one
+admission, refill or eviction: both run each request through the one
 :class:`~repro.runtime.connection.ConnectionMachine` over a
-:class:`~repro.runtime.policy.RefillLedger`; the analytic side keeps
-only simulated time and its store model.
+:class:`~repro.runtime.policy.RefillLedger` and a
+:class:`~repro.runtime.store.StoreIndex`; the analytic side keeps only
+simulated time.
 
 Latency convention: open-loop latency is measured from the *scheduled*
 arrival (lateness under overload counts as queueing — the standard
@@ -35,13 +36,14 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 
 from repro.runtime.connection import BUSY, DONE, OFFER, START_ONLINE, ConnectionMachine
 from repro.runtime.policy import DEFAULT_MAX_QUEUE, RefillLedger
 from repro.runtime.serving import client_id as client_name, draw_inputs
 from repro.runtime.state import derive_worker_seed
+from repro.runtime.store import StoreIndex
 from repro.simulation.engine import Environment, Event, Resource, Timeout
 from repro.telemetry.metrics import Histogram
 from repro.workload.generators import MODE_OPEN, Schedule
@@ -278,9 +280,10 @@ class ServiceModel:
     ``online_seconds`` is one online phase on the (serialized) serving
     thread; ``demand_mint_seconds`` one miss-path offline phase;
     ``refill_mint_seconds`` one background refill mint on a pool worker.
-    ``workers`` bounds concurrent mints, ``store_entries`` the store's
-    capacity in precompute entries (None = unbounded), ``max_queue``
-    the gateway's admission threshold.
+    ``workers`` bounds concurrent mints, ``store_entries`` is the budget
+    of the replay's :class:`~repro.runtime.store.StoreIndex` in
+    precompute entries, each counted as one unit (None = unbounded; 0
+    stores nothing), ``max_queue`` the gateway's admission threshold.
     """
 
     online_seconds: float
@@ -297,15 +300,17 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
 
     Each client's requests run through the gateway's own
     :class:`~repro.runtime.connection.ConnectionMachine` on the simulated
-    clock, over one :class:`~repro.runtime.policy.RefillLedger`. Around it
-    the model keeps what the gateway's timing rests on: a capacity-1
-    serving resource (the selector thread serializes online phases), a
-    ``workers``-wide mint resource, per-client buffers refilled by a
-    background worker, and FIFO cross-client eviction under
-    ``store_entries``. Every wait ends at its event: a hold when the
-    client's mint lands, the refill worker's idle wait at the next
-    completion. Returns the functional replay's column block plus
-    hit/demand/eviction counters and the admission tallies.
+    clock, over one :class:`~repro.runtime.policy.RefillLedger` and the
+    gateway's own :class:`~repro.runtime.store.StoreIndex` (one unit per
+    entry, budget ``store_entries``): the machine's store look is its
+    ``take``, the refill ranking reads its per-client counts, and the
+    ``evictions`` column is its count. Around them the model keeps what
+    the gateway's timing rests on: a capacity-1 serving resource (the
+    selector thread serializes online phases), a ``workers``-wide mint
+    resource and a background refill worker. Every wait ends at its
+    event: a hold when the client's mint lands, the refill worker's idle
+    wait at the next completion. Returns the functional replay's column
+    block plus hit/demand/eviction counters and the admission tallies.
     """
     env = Environment()
     C = schedule.num_clients
@@ -318,29 +323,13 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         max_queue=model.max_queue,
         mint_parallelism=model.workers,
     )
-    buffered = [0] * C
-    admit_order: list[int] = []  # admission-ordered entries (FIFO eviction)
+    # Client c's space holds its landed mints, named by mint index. A mint
+    # that does not fit (a zero budget) lands unstored, as a refused put
+    # does on the gateway.
+    store = StoreIndex(model.store_entries)
     latencies: list[float] = []
     served: list = []
-    tally = {"evictions": 0, "last_completion": 0.0}
-
-    def admit(c: int) -> None:
-        if model.store_entries is not None:
-            if model.store_entries < 1:
-                return  # budget admits no entry: every request misses
-            while sum(buffered) >= model.store_entries:
-                buffered[admit_order.pop(0)] -= 1
-                tally["evictions"] += 1
-        buffered[c] += 1
-        admit_order.append(c)
-
-    def take(c: int):
-        """The machine's store look: consume client c's oldest entry, or
-        None when it has none."""
-        if buffered[c]:
-            buffered[c] -= 1
-            admit_order.remove(c)  # oldest entry of this client
-            return True
+    last_completion = 0.0
 
     # Re-armed one-shot events: landed[c] fires when a refill mint for
     # client c lands; kicked at every completion, which is when the
@@ -352,27 +341,29 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     # functional run brackets prefill outside the serve window too).
     for _ in range(model.prefill):
         for c in range(C):
-            ledger.reserve(c)
+            index = ledger.reserve(c)
             ledger.landed(c)
-            admit(c)
+            with suppress(ValueError):
+                store.put(c, index, 1)
 
-    def mint_proc(c: int):
+    def mint_proc(c: int, index: int):
         grant = mint_slots.request()
         yield grant
         yield Timeout(env, model.refill_mint_seconds)
         mint_slots.release()
         ledger.landed(c, model.refill_mint_seconds)
-        admit(c)
+        with suppress(ValueError):
+            store.put(c, index, 1)
         fired, landed[c] = landed[c], Event(env)
         fired.succeed()
 
     def refill_proc():
         while len(served) < total:
-            claimed = ledger.claim(buffered, env.now)
+            claimed = ledger.claim([store.count(c) for c in range(C)], env.now)
             if claimed is None:
                 yield kicked
                 continue
-            env.process(mint_proc(claimed[0]))
+            env.process(mint_proc(*claimed))
             yield Timeout(env, 0.0)
 
     # The phases a request runs: a demand mint (a miss's OFFER) on a mint
@@ -383,9 +374,9 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
     }
 
     def client_proc(c: int, lane):
-        nonlocal kicked
+        nonlocal kicked, last_completion
         machine = ConnectionMachine(
-            ledger, lambda _: take(c), lambda: env.now, nullcontext()
+            ledger, lambda _: store.take(c), lambda: env.now, nullcontext()
         )
         machine.hello(client_name(c), c)
         for a in lane:
@@ -421,7 +412,7 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
             served.append(actions[0][1])
             fired, kicked = kicked, Event(env)
             fired.succeed()
-            tally["last_completion"] = env.now
+            last_completion = env.now
             latencies.append(env.now - scheduled)
 
     lanes = schedule.per_client()
@@ -436,14 +427,14 @@ def replay_analytic(schedule: Schedule, model: ServiceModel) -> dict:
         schedule,
         latencies,
         admission=admission,
-        makespan=tally["last_completion"],
+        makespan=last_completion,
     )
     hits = sum(r.hit for r in served)
     columns.update(
         {
             "hits": hits,
             "demand_mints": len(served) - hits,
-            "evictions": tally["evictions"],
+            "evictions": store.evictions,
             "minted": sum(ledger.minted),
             **admission,
         }

@@ -576,6 +576,35 @@ class TestIknpStream:
             seeds, [random_batch(9), (pairs, choices)]
         )[1:]
 
+    @pytest.mark.parametrize("bad", [2, -1, 255])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_a_choice_outside_0_1_is_refused_before_the_stream_moves(
+        self, seeds, backend, bad
+    ):
+        """A choice that is not a bit used to return m0 (python) or random
+        bytes (numpy); it is refused, and the next batch is the one the
+        stream would have run without it."""
+        from repro.backend import using_backend
+
+        pytest.importorskip("numpy")
+        pairs, choices = random_batch(9)
+        with using_backend(backend):
+            stream = IknpStream(seeds=seeds)
+            extend(stream, pairs, choices)
+            with pytest.raises(ValueError, match="0 or 1"):
+                extend(stream, [(b"x" * 16, b"y" * 16)] * 2, [0, bad])
+            assert stream.next_index == 9
+            later = random_batch(20, seed=3)
+            assert [extend(stream, *later)] == reference_batches(
+                seeds, [(pairs, choices), later]
+            )[1:]
+
+    def test_a_fresh_stream_refuses_a_bad_choice_before_its_base_ots(self):
+        stream = IknpStream(SecureRandom(25))
+        with pytest.raises(ValueError, match="0 or 1"):
+            extend(stream, [(b"x" * 16, b"y" * 16)], [2])
+        assert not stream.started
+
     def test_transcripts_carry_the_base_ots_on_the_first_batch_only(self):
         stream = IknpStream(SecureRandom(24))
         sizes = (136, 328, 136)

@@ -1,6 +1,7 @@
 """Disk-backed precompute store: round-trips, LRU eviction, persistence,
 and serving the protocol's online phase from precomputes minted earlier."""
 
+import random
 from collections import defaultdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.runtime import PrecomputeStore, StoreKey, params_fingerprint
 from repro.runtime.store import (
     KIND_OFFLINE,
     KIND_RELU,
+    StoreIndex,
     deserialize_offline_transcript,
 )
 
@@ -70,8 +72,9 @@ def test_gateway_take_path_evicts_in_admission_order(tmp_path):
     """The gateway reads an offline entry only to consume it
     (``ServingGateway._take_precompute``: one ``take`` of the oldest
     name), so no survivor's LRU recency is ever refreshed: the
-    store's victims are the oldest-admitted survivors, the FIFO
-    ``admit_order`` that ``replay_analytic`` models."""
+    store's victims are the oldest-admitted survivors, the admission
+    order that ``replay_analytic``'s unit-size ``StoreIndex`` evicts in
+    too (it never calls ``get``)."""
     keys = [StoreKey(model="m", params="p", client=f"c{c}") for c in range(3)]
     store = PrecomputeStore(tmp_path, byte_budget=60)  # six 10-byte entries
     admit_order: list[tuple[int, str]] = []
@@ -106,6 +109,66 @@ def test_gateway_take_path_evicts_in_admission_order(tmp_path):
     # oldest-admitted survivors, whatever the takes read before them.
     assert (2, "00000000") not in stored() and (0, "00000001") not in stored()
     assert stored() == set(admit_order)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_store_and_bare_index_agree(tmp_path, seed):
+    """One seeded run of puts, takes (oldest and by name), gets and
+    same-name replacements over three namespaces, driven through a
+    byte-budget store of equal-size entries and through a bare unit-size
+    ``StoreIndex``: the same victims, the same order per namespace and
+    the same eviction count after every step, and again after the store
+    is reopened from its ``index.json``."""
+    rng = random.Random(seed)
+    keys = [StoreKey(model="m", params="p", client=f"c{c}") for c in range(3)]
+    store = PrecomputeStore(tmp_path, byte_budget=60)  # six 10-byte entries
+    index = StoreIndex(6)
+    minted = [0, 0, 0]
+
+    def held() -> set:
+        return {(c, n) for c in range(3) for n in store.names(keys[c], KIND_RELU)}
+
+    def agree() -> None:
+        for c in range(3):
+            assert store.names(keys[c], KIND_RELU) == index.names(c)
+            assert store.count(keys[c], KIND_RELU) == index.count(c)
+        assert store.evictions == index.evictions
+        assert store.entry_count == len(index)
+
+    def put(c: int, name: str, mark: bytes) -> None:
+        before = held()
+        store.put(keys[c], KIND_RELU, f"{c}".encode() + mark + name.encode(),
+                  name=name)
+        victims = index.put(c, name, 1)
+        assert before - held() == set(victims)
+
+    def run(steps: int) -> None:
+        for _ in range(steps):
+            c = rng.randrange(3)
+            names = index.names(c)
+            op = rng.choice(["put", "put", "put", "replace", "take",
+                             "take_named", "get", "get"])
+            if op == "put" or not names:
+                put(c, f"{minted[c]:08d}", b":")
+                minted[c] += 1
+            elif op == "replace":
+                put(c, rng.choice(names), b"=")
+            elif op == "get":
+                name = rng.choice(names)
+                assert store.get(keys[c], KIND_RELU, name)[2:] == name.encode()
+                assert index.get(c, name)
+            else:
+                name = rng.choice(names) if op == "take_named" else None
+                blob = store.take(keys[c], KIND_RELU, name)
+                assert blob[2:].decode() == index.take(c, name)
+            agree()
+
+    run(150)
+    assert index.evictions > 0
+    store = PrecomputeStore(tmp_path, byte_budget=60)
+    index.evictions = 0  # a reopened store counts its own evictions
+    agree()
+    run(60)
 
 
 def test_oversized_entry_is_rejected(tmp_path):
