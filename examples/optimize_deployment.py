@@ -4,12 +4,17 @@ Given a client device, a storage budget, and a wireless link, this walks
 the paper's decision process: compare client storage footprints, compute
 the optimal TDD slot allocation for each protocol (Figure 11), and
 estimate single-inference latency with and without each optimization
-(Table 1 / §6.1).
+(Table 1 / §6.1): a ``SystemConfig`` whose ``parallelism`` picks
+sequential or layer-parallel HE (LPHE) and whose ``wsa`` picks the even
+or the optimal slot split.
 
 Run:  python examples/optimize_deployment.py
 """
 
-from repro import ATOM, EPYC, TINY_IMAGENET, Protocol, profile_network, resnet18
+from repro import (
+    ATOM, EPYC, TINY_IMAGENET, OfflineParallelism, Protocol, SystemConfig,
+    profile_network, resnet18,
+)
 from repro.core.estimator import estimate
 from repro.core.wsa import improvement_over_even_split, optimal_upload_fraction
 
@@ -33,12 +38,15 @@ def main() -> None:
               f"  -> {'fits' if fits else 'DOES NOT FIT'} in {client_storage_gb} GB")
         print(f"  optimal slot allocation: {f_up:.0%} upload / {1 - f_up:.0%} download"
               f"  (saves {improvement_over_even_split(volumes, GBPS):.0%} vs even)")
-        for lphe, wsa, label in (
-            (False, False, "no optimizations"),
-            (True, False, "+ LPHE"),
-            (True, True, "+ LPHE + WSA"),
+        for parallelism, wsa, label in (
+            (OfflineParallelism.SEQUENTIAL, False, "no optimizations"),
+            (OfflineParallelism.LPHE, False, "+ LPHE"),
+            (OfflineParallelism.LPHE, True, "+ LPHE + WSA"),
         ):
-            est = estimate(profile, protocol, ATOM, EPYC, GBPS, lphe=lphe, wsa=wsa)
+            est = estimate(SystemConfig(
+                profile, protocol, ATOM, EPYC, total_bps=GBPS,
+                wsa=wsa, parallelism=parallelism,
+            ))
             print(f"  single inference ({label:18s}): "
                   f"{est.total_seconds:7.1f} s "
                   f"(offline {est.offline.total:7.1f} s, "

@@ -31,16 +31,6 @@ class AnalyticLatency:
         return self.service_seconds + self.queue_seconds
 
 
-def online_service_seconds(config: SystemConfig) -> float:
-    """Online-phase duration: comm + GC evaluation + SS."""
-    return pipeline_times(config).online_seconds
-
-
-def offline_service_seconds(config: SystemConfig) -> float:
-    """Full offline pipeline duration when incurred inline."""
-    return pipeline_times(config).offline_seconds
-
-
 def md1_mean_wait(service: float, mean_interarrival: float) -> float:
     """Pollaczek-Khinchine mean queue wait for M/D/1 (infinite if unstable)."""
     rho = service / mean_interarrival
@@ -52,7 +42,7 @@ def md1_mean_wait(service: float, mean_interarrival: float) -> float:
 
 def best_case_latency(config: SystemConfig, mean_interarrival: float) -> AnalyticLatency:
     """Latency if every request finds a buffered pre-compute."""
-    service = online_service_seconds(config)
+    service = pipeline_times(config).online_seconds
     return AnalyticLatency(
         service_seconds=service,
         queue_seconds=md1_mean_wait(service, mean_interarrival),
@@ -62,7 +52,8 @@ def best_case_latency(config: SystemConfig, mean_interarrival: float) -> Analyti
 
 def worst_case_latency(config: SystemConfig, mean_interarrival: float) -> AnalyticLatency:
     """Latency if every request must run the offline phase inline."""
-    service = online_service_seconds(config) + offline_service_seconds(config)
+    times = pipeline_times(config)
+    service = times.online_seconds + times.offline_seconds
     return AnalyticLatency(
         service_seconds=service,
         queue_seconds=md1_mean_wait(service, mean_interarrival),

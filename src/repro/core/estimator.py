@@ -1,23 +1,18 @@
 """End-to-end protocol latency estimation (single inference).
 
-Combines the calibrated network cost profile, device profiles, and the TDD
-link into the paper's Table 1 decomposition — offline/online x GC/HE/SS/
-communication — for either protocol, with LPHE and WSA toggles and the
-speedup knobs used by the Figure 14 future-optimization analysis.
+Table 1's view of one deployment: the offline/online x GC/HE/SS/
+communication decomposition of :func:`~repro.core.system.pipeline_times`
+for a :class:`~repro.core.system.SystemConfig`, whose ``parallelism`` and
+``wsa`` pick the HE schedule and the TDD slot split, with the speedup
+knobs used by the Figure 14 future-optimization analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from repro.network.bandwidth import TddLink
-from repro.profiling.devices import ATOM, EPYC, DeviceProfile
-from repro.profiling.model_costs import (
-    CommVolumes,
-    NetworkCostProfile,
-    Protocol,
-)
-from repro.core.wsa import optimal_upload_fraction
+from repro.core.system import SystemConfig, pipeline_times
+from repro.profiling.model_costs import Protocol
 
 
 @dataclass(frozen=True)
@@ -25,7 +20,7 @@ class SpeedupKnobs:
     """Hypothetical accelerator speedups for the future-optimization study."""
 
     gc: float = 1.0  # garbling and evaluation
-    he: float = 1.0  # homomorphic evaluation (server side)
+    he: float = 1.0  # homomorphic encryption, server and client side
     bandwidth: float = 1.0
     relu_reduction: float = 1.0  # PI-friendly architectures (fewer ReLUs)
 
@@ -52,9 +47,6 @@ class ProtocolEstimate:
     offline: PhaseBreakdown
     online: PhaseBreakdown
     client_storage_bytes: float
-    server_storage_bytes: float
-    upload_fraction: float
-    client_energy_joules: float
 
     @property
     def total_seconds(self) -> float:
@@ -82,81 +74,39 @@ class ProtocolEstimate:
         return rows
 
 
-def _scaled_volumes(volumes: CommVolumes, relu_scale: float, profile) -> CommVolumes:
-    """Shrink the per-ReLU communication terms by a ReLU-reduction factor."""
-    if relu_scale == 1.0:
-        return volumes
-    # Everything except HE ciphertexts and the input/result vectors scales
-    # with ReLU count; approximate by scaling the whole per-phase volumes
-    # minus the HE/input floors.
-    from repro.profiling.model_costs import HE_KEY_BYTES
-    from repro.profiling import calibration as cal
-
-    he_up = profile.he_input_cts * cal.HE_CIPHERTEXT_BYTES + HE_KEY_BYTES
-    he_down = profile.he_output_cts * cal.HE_CIPHERTEXT_BYTES
-    input_up = profile.input_elements * cal.FIELD_BYTES
-    result_down = profile.output_elements * cal.FIELD_BYTES
-    return CommVolumes(
-        offline_up=he_up + (volumes.offline_up - he_up) * relu_scale,
-        offline_down=he_down + (volumes.offline_down - he_down) * relu_scale,
-        online_up=input_up + (volumes.online_up - input_up) * relu_scale,
-        online_down=result_down + (volumes.online_down - result_down) * relu_scale,
-    )
-
-
 def estimate(
-    profile: NetworkCostProfile,
-    protocol: Protocol,
-    client: DeviceProfile = ATOM,
-    server: DeviceProfile = EPYC,
-    total_bps: float = 1e9,
-    lphe: bool = True,
-    wsa: bool = True,
-    knobs: SpeedupKnobs = SpeedupKnobs(),
+    config: SystemConfig, knobs: SpeedupKnobs = SpeedupKnobs()
 ) -> ProtocolEstimate:
-    """Estimate one private inference end to end.
+    """Estimate one private inference of ``config`` end to end.
 
-    ``lphe`` switches the offline HE pass between sequential and
-    layer-parallel execution; ``wsa`` switches the link between the even
-    split and the optimal slot allocation; ``knobs`` applies the Figure 14
-    accelerator/architecture speedups.
+    ``knobs`` applies the Figure 14 accelerator/architecture speedups: the
+    ReLU reduction and the bandwidth act on the deployment itself, the GC
+    and HE factors on the stage times it yields.
     """
-    relu_scale = 1.0 / knobs.relu_reduction
-    volumes = _scaled_volumes(profile.comm(protocol), relu_scale, profile)
-    fraction = optimal_upload_fraction(volumes) if wsa else 0.5
-    link = TddLink(total_bps * knobs.bandwidth, fraction)
-
-    he_seconds = (
-        profile.he_lphe_seconds(server) if lphe else profile.he_sequential_seconds(server)
+    profile = replace(
+        config.profile, relu_count=config.profile.relu_count / knobs.relu_reduction
     )
+    config = replace(
+        config, profile=profile, total_bps=config.total_bps * knobs.bandwidth
+    )
+    t = pipeline_times(config)
     # The HE-accelerator knob covers both sides: server evaluation and the
     # client's encrypt/decrypt (client-side HE acceleration, e.g. [82]).
-    he_seconds = (he_seconds + profile.client_he_seconds(client)) / knobs.he
-    garbler, evaluator = (
-        (server, client) if protocol is Protocol.SERVER_GARBLER else (client, server)
-    )
-    garble = profile.garble_seconds(garbler) * relu_scale / knobs.gc
-    gc_eval = profile.gc_eval_seconds(evaluator) * relu_scale / knobs.gc
-
     offline = PhaseBreakdown(
-        gc=garble,
-        he=he_seconds,
+        gc=t.garble / knobs.gc,
+        he=(t.server_he + t.client_he) / knobs.he,
         ss=0.0,
-        comm=link.transfer_seconds(volumes.offline_up, volumes.offline_down),
+        comm=t.offline_up + t.offline_down,
     )
     online = PhaseBreakdown(
-        gc=gc_eval,
+        gc=t.gc_eval / knobs.gc,
         he=0.0,
-        ss=profile.ss_online_seconds(server),
-        comm=link.transfer_seconds(volumes.online_up, volumes.online_down),
+        ss=t.ss,
+        comm=t.online_up + t.online_down,
     )
-    storage = profile.storage(protocol)
     return ProtocolEstimate(
-        protocol=protocol,
+        protocol=config.protocol,
         offline=offline,
         online=online,
-        client_storage_bytes=storage.client_bytes * relu_scale,
-        server_storage_bytes=storage.server_bytes * relu_scale,
-        upload_fraction=fraction,
-        client_energy_joules=profile.client_energy_joules(protocol) * relu_scale,
+        client_storage_bytes=config.precompute_footprint,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.estimator import ProtocolEstimate, SpeedupKnobs, estimate
-from repro.profiling.devices import ATOM, EPYC, DeviceProfile
+from repro.core.system import SystemConfig
 from repro.profiling.model_costs import NetworkCostProfile, Protocol
 
 
@@ -44,32 +44,21 @@ FUTURE_STEPS: tuple[tuple[str, SpeedupKnobs], ...] = (
 )
 
 
-def waterfall(
-    profile: NetworkCostProfile,
-    client: DeviceProfile = ATOM,
-    server: DeviceProfile = EPYC,
-    total_bps: float = 1e9,
-) -> list[WaterfallStep]:
-    """The full Figure 14 series, including the Server-Garbler* baseline."""
+def waterfall(profile: NetworkCostProfile) -> list[WaterfallStep]:
+    """The full Figure 14 series, including the Server-Garbler* baseline.
+
+    Every step runs the default deployment (Atom client, EPYC server,
+    1 Gbps, LPHE and WSA) of ``profile``.
+    """
     steps = [
         WaterfallStep(
             "Server Garbler*",
-            estimate(
-                profile, Protocol.SERVER_GARBLER, client, server, total_bps,
-                lphe=True, wsa=True,
-            ),
+            estimate(SystemConfig(profile, protocol=Protocol.SERVER_GARBLER)),
         )
     ]
+    client_garbler = SystemConfig(profile, protocol=Protocol.CLIENT_GARBLER)
     for label, knobs in FUTURE_STEPS:
-        steps.append(
-            WaterfallStep(
-                label,
-                estimate(
-                    profile, Protocol.CLIENT_GARBLER, client, server, total_bps,
-                    lphe=True, wsa=True, knobs=knobs,
-                ),
-            )
-        )
+        steps.append(WaterfallStep(label, estimate(client_garbler, knobs)))
     return steps
 
 

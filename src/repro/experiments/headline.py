@@ -38,10 +38,8 @@ def _configs(p):
 def run() -> list[dict]:
     rows = []
     for model, dataset in EVAL_PAIRS:
-        p = profile(model, dataset)
-        base_est = estimate(p, Protocol.SERVER_GARBLER, lphe=False, wsa=False)
-        prop_est = estimate(p, Protocol.CLIENT_GARBLER, lphe=True, wsa=True)
-        baseline, proposed = _configs(p)
+        baseline, proposed = _configs(profile(model, dataset))
+        base_est, prop_est = estimate(baseline), estimate(proposed)
         rows.append(
             {
                 "model": model,

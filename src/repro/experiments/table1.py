@@ -7,6 +7,7 @@ online GC 200, SS 0.61, comm 42.5 (total 243); grand total 2052.
 from __future__ import annotations
 
 from repro.core.estimator import estimate
+from repro.core.system import OfflineParallelism, SystemConfig
 from repro.experiments.common import print_rows, profile
 from repro.profiling.model_costs import Protocol
 
@@ -19,7 +20,12 @@ PAPER = {
 
 def run(model: str = "ResNet-18", dataset: str = "TinyImageNet") -> list[dict]:
     est = estimate(
-        profile(model, dataset), Protocol.SERVER_GARBLER, lphe=False, wsa=False
+        SystemConfig(
+            profile=profile(model, dataset),
+            protocol=Protocol.SERVER_GARBLER,
+            wsa=False,
+            parallelism=OfflineParallelism.SEQUENTIAL,
+        )
     )
     rows = []
     for phase, values in est.table_rows().items():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.estimator import SpeedupKnobs, estimate
 from repro.core.future import waterfall
+from repro.core.system import OfflineParallelism, SystemConfig
 from repro.core.wsa import (
     comm_seconds,
     improvement_over_even_split,
@@ -105,7 +106,12 @@ class TestWsaOptimum:
 
 class TestEstimator:
     def test_table1_regression(self, r18_tiny):
-        est = estimate(r18_tiny, Protocol.SERVER_GARBLER, lphe=False, wsa=False)
+        est = estimate(
+            SystemConfig(
+                r18_tiny, Protocol.SERVER_GARBLER,
+                wsa=False, parallelism=OfflineParallelism.SEQUENTIAL,
+            )
+        )
         rows = est.table_rows()
         assert rows["offline"]["HE"] == pytest.approx(1113.8, rel=0.05)
         assert rows["offline"]["GC"] == pytest.approx(25.1, rel=0.1)
@@ -117,41 +123,53 @@ class TestEstimator:
 
     def test_lphe_and_wsa_cut_54_percent(self, r18_tiny):
         """Paper §6.1: LPHE + WSA reduce Server-Garbler latency by 54.6%."""
-        base = estimate(r18_tiny, Protocol.SERVER_GARBLER, lphe=False, wsa=False)
-        opt = estimate(r18_tiny, Protocol.SERVER_GARBLER, lphe=True, wsa=True)
+        base = estimate(
+            SystemConfig(
+                r18_tiny, Protocol.SERVER_GARBLER,
+                wsa=False, parallelism=OfflineParallelism.SEQUENTIAL,
+            )
+        )
+        opt = estimate(SystemConfig(r18_tiny, Protocol.SERVER_GARBLER))
         reduction = 1 - opt.total_seconds / base.total_seconds
         assert 0.45 <= reduction <= 0.62
 
     def test_client_garbler_online_speedup(self, r18_tiny):
         """Paper §5.1: Client-Garbler gives ~2x online speedup."""
-        sg = estimate(r18_tiny, Protocol.SERVER_GARBLER, lphe=True, wsa=True)
-        cg = estimate(r18_tiny, Protocol.CLIENT_GARBLER, lphe=True, wsa=True)
+        sg = estimate(SystemConfig(r18_tiny, Protocol.SERVER_GARBLER))
+        cg = estimate(SystemConfig(r18_tiny, Protocol.CLIENT_GARBLER))
         speedup = sg.online.total / cg.online.total
         assert 1.5 <= speedup <= 2.6
 
     def test_single_inference_sg_beats_cg(self, r18_tiny):
         """Paper §6.1: for one inference SG* is ~13% faster than CG."""
-        sg = estimate(r18_tiny, Protocol.SERVER_GARBLER, lphe=True, wsa=True)
-        cg = estimate(r18_tiny, Protocol.CLIENT_GARBLER, lphe=True, wsa=True)
+        sg = estimate(SystemConfig(r18_tiny, Protocol.SERVER_GARBLER))
+        cg = estimate(SystemConfig(r18_tiny, Protocol.CLIENT_GARBLER))
         assert sg.total_seconds < cg.total_seconds
         assert cg.total_seconds / sg.total_seconds < 1.25
 
     def test_knobs_monotone(self, r18_tiny):
-        base = estimate(r18_tiny, Protocol.CLIENT_GARBLER)
+        base = estimate(SystemConfig(r18_tiny, Protocol.CLIENT_GARBLER))
         faster = estimate(
-            r18_tiny, Protocol.CLIENT_GARBLER, knobs=SpeedupKnobs(gc=10, he=10)
+            SystemConfig(r18_tiny, Protocol.CLIENT_GARBLER),
+            knobs=SpeedupKnobs(gc=10, he=10),
         )
         assert faster.total_seconds < base.total_seconds
 
     def test_relu_reduction_shrinks_storage(self, r18_tiny):
-        base = estimate(r18_tiny, Protocol.CLIENT_GARBLER)
+        base = estimate(SystemConfig(r18_tiny, Protocol.CLIENT_GARBLER))
         fewer = estimate(
-            r18_tiny, Protocol.CLIENT_GARBLER, knobs=SpeedupKnobs(relu_reduction=10)
+            SystemConfig(r18_tiny, Protocol.CLIENT_GARBLER),
+            knobs=SpeedupKnobs(relu_reduction=10),
         )
         assert fewer.client_storage_bytes < base.client_storage_bytes / 5
 
     def test_offline_fraction_dominates(self, r18_tiny):
-        est = estimate(r18_tiny, Protocol.SERVER_GARBLER, lphe=False, wsa=False)
+        est = estimate(
+            SystemConfig(
+                r18_tiny, Protocol.SERVER_GARBLER,
+                wsa=False, parallelism=OfflineParallelism.SEQUENTIAL,
+            )
+        )
         assert 0.8 < est.offline_fraction < 0.95  # paper: 88%
 
 

@@ -6,8 +6,9 @@ stays fast while still checking the qualitative claims of each figure.
 
 import pytest
 
-from repro.core.analytic import offline_service_seconds, online_service_seconds
-from repro.core.system import SystemConfig, pipeline_times
+from repro.core.analytic import worst_case_latency
+from repro.core.estimator import estimate
+from repro.core.system import OfflineParallelism, SystemConfig, pipeline_times
 from repro.experiments import (
     fig07_streaming,
     fig10_lphe_vs_rlp,
@@ -270,9 +271,20 @@ def test_figure_rows_are_pinned(case):
 @pytest.mark.parametrize("protocol", list(Protocol))
 @pytest.mark.parametrize("model,dataset", EVAL_PAIRS)
 def test_bounds_and_simulator_read_one_set_of_stage_times(model, dataset, protocol):
-    """The M/D/1 service times are the simulator's stage durations, summed."""
-    config = SystemConfig(profile=profile(model, dataset), protocol=protocol)
-    times = pipeline_times(config)
-    assert online_service_seconds(config) + offline_service_seconds(config) == (
-        times.online_seconds + times.offline_seconds
-    )
+    """The M/D/1 service times and Table 1's estimate are the simulator's
+    stage durations, summed."""
+    p = profile(model, dataset)
+    for parallelism, wsa in (
+        (OfflineParallelism.LPHE, True),
+        (OfflineParallelism.SEQUENTIAL, False),
+    ):
+        config = SystemConfig(
+            profile=p, protocol=protocol, wsa=wsa, parallelism=parallelism
+        )
+        times = pipeline_times(config)
+        assert worst_case_latency(config, 1.0).service_seconds == (
+            times.online_seconds + times.offline_seconds
+        )
+        est = estimate(config)
+        assert est.offline.total == pytest.approx(times.offline_seconds, rel=1e-12)
+        assert est.online.total == pytest.approx(times.online_seconds, rel=1e-12)

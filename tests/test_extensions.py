@@ -6,11 +6,14 @@ from repro.core.analytic import (
     best_case_latency,
     max_sustainable_rate_per_minute,
     md1_mean_wait,
-    offline_service_seconds,
-    online_service_seconds,
     worst_case_latency,
 )
-from repro.core.system import OfflineParallelism, SystemConfig, simulate_mean_latency
+from repro.core.system import (
+    OfflineParallelism,
+    SystemConfig,
+    pipeline_times,
+    simulate_mean_latency,
+)
 from repro.experiments import ALL_EXPERIMENTS
 from repro.nn.datasets import TINY_IMAGENET
 from repro.nn.models import resnet18
@@ -80,7 +83,8 @@ class TestAnalytic:
         ) > max_sustainable_rate_per_minute(baseline)
 
     def test_service_components(self, cg_config):
-        assert 0 < online_service_seconds(cg_config) < offline_service_seconds(cg_config)
+        times = pipeline_times(cg_config)
+        assert 0 < times.online_seconds < times.offline_seconds
 
 
 class TestCli:
