@@ -595,6 +595,14 @@ def test_bench_evaluate_relu_layer_narrow(benchmark):
     )
 
 
+def test_bench_evaluate_relu_layer_wide(benchmark):
+    """infer_sg_wide's ReLU layer: 128 instances, wider than the lanes
+    take, so the column walk."""
+    _evaluate_relu_layer_bench(
+        benchmark, "test_bench_evaluate_relu_layer_wide", 128, rounds=5
+    )
+
+
 def test_bench_circuit_batch_codec_wide(benchmark):
     """infer_sg_wide's garbled layer (128 instances) to wire bytes and back."""
     spec = ReluCircuitSpec(bits=17, modulus=PARAMS.t, mask_owner="evaluator")

@@ -542,7 +542,7 @@ class ProtocolSession:
         self._base_ots_done = True
         self._book_base_ots(transcript, holder=self.peer)
         self._send(
-            serialize_bit_vector(choice_bits.ravel().tolist()),
+            serialize_bit_vector(choice_bits),
             nbytes=transcript.column_bytes,
         )
         frame = yield

@@ -45,6 +45,10 @@ LABEL_BYTES = 16  # 128-bit wire labels, as in DELPHI / fancy-garbling.
 
 TWEAK_LIMIT = 1 << 64  # a tweak is a 64-bit index: gate half or OT row
 
+LABEL_WORD = _np.dtype("<u8")  # a label is two of these, low word first
+# A label as one 16-byte item, which a transpose or a take moves whole.
+LABEL_ITEM = _np.dtype((_np.void, LABEL_BYTES))
+
 
 def _checked_tweak(tweak) -> int:
     tweak = operator.index(tweak)
@@ -83,6 +87,17 @@ def byte_rows(matrix) -> list[bytes]:
     return rows.view(f"V{rows.shape[1]}").ravel().tolist()
 
 
+def label_words(labels):
+    """A label array as each label's two words, low word first: uint8
+    (..., 16) or :data:`LABEL_ITEM` (..., 1) -> (..., 2) uint64."""
+    return _np.ascontiguousarray(labels).view(LABEL_WORD)
+
+
+def label_items(labels):
+    """A uint8 label array as one item per label: (..., 16) -> (..., 1)."""
+    return _np.ascontiguousarray(labels).view(LABEL_ITEM)
+
+
 def _tweak_words(tweak, count: int):
     """The tweaks of ``count`` rows as what XORs into a uint64 column: one
     checked int for every row, or an integer array of one per row."""
@@ -108,11 +123,18 @@ def hash_rows(rows, tweak):
     if rows.shape[1:] != (LABEL_BYTES,):
         raise ValueError(f"rows must be {LABEL_BYTES} bytes wide, got {rows.shape}")
     words = _tweak_words(tweak, rows.shape[0])
-    y = _np.frombuffer(encrypt(rows.tobytes()), "<u8").reshape(-1, 2)
+    return hash_words(label_words(rows), words).view(_np.uint8)
+
+
+def hash_words(labels, tweaks):
+    """:func:`hash_rows` unchecked, on label words (:func:`label_words`):
+    the hashes of an (..., 2) uint64 array, each label under the tweak
+    that ``tweaks``, a uint64 array, broadcasts to it from ``labels[..., 0]``."""
+    y = _np.frombuffer(encrypt(labels.tobytes()), LABEL_WORD).reshape(labels.shape)
     tweaked = y.copy()
-    tweaked[:, 0] ^= words
-    z = _np.frombuffer(encrypt(tweaked.tobytes()), "<u8").reshape(-1, 2)
-    return (z ^ y).view(_np.uint8)
+    tweaked[..., 0] ^= tweaks
+    z = _np.frombuffer(encrypt(tweaked.tobytes()), LABEL_WORD)
+    return z.reshape(labels.shape) ^ y
 
 
 def hash_lanes(lanes: int, nbytes: int, tweaks: int) -> int:

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 
 class GateType(Enum):
@@ -26,6 +29,24 @@ class Gate:
     out: int
 
 
+class Level(NamedTuple):
+    """One AND depth of a circuit, as the column walk reads it: its AND
+    gates as index arrays, then its XOR gates.
+
+    An AND gate sits one level above the deeper of its inputs, an XOR gate
+    at the deeper of its inputs' levels, an input wire at level 0. So a
+    level's AND gates read only wires of lower levels and hash together,
+    and its XOR gates, run after them in gate-list order, read only wires
+    that are ready.
+    """
+
+    inputs: np.ndarray  # (g, 2) intp: each AND gate's a and b wires
+    out: np.ndarray  # (g,) intp: each AND gate's output wire
+    tweaks: np.ndarray  # (g, 2, 1) uint64: 2 * gate index for a, + 1 for b
+    slot: np.ndarray  # (g,) intp: each AND gate's position in and_indices
+    xors: tuple[tuple[int, int, int], ...]  # (a, b, out), gate-list order
+
+
 @dataclass
 class Circuit:
     """A garbling-ready boolean circuit.
@@ -36,8 +57,10 @@ class Circuit:
 
     A built circuit is never changed (:meth:`CircuitBuilder.build` hands
     out a copy), so one instance is shared by every session of a process
-    and its derived values — the AND positions, the input wires, the lane
-    program — are computed once; callers must not mutate the lists.
+    and its derived values — ``and_indices`` (the AND positions),
+    ``input_wires``, the lane walk's ``lane_program`` and the column walk's
+    ``level_program`` — are computed once; callers must not mutate the
+    lists. Every gate writes a wire no input and no other gate writes.
     """
 
     n_wires: int = 2
@@ -83,6 +106,43 @@ class Circuit:
             (g.a, g.b, g.out, None if g.kind is GateType.XOR else 2 * index)
             for index, g in enumerate(self.gates)
         )
+
+    @cached_property
+    def level_program(self) -> tuple[Level, ...]:
+        """The gate list by AND depth (:class:`Level`), level 0 first.
+
+        Level 0 holds no AND gate; every deeper level holds at least one,
+        so a ReLU's program is as long as its AND depth plus one.
+        """
+        depth = [0] * self.n_wires
+        ands: list[list[tuple[int, int, int, int, int]]] = [[]]
+        xors: list[list[tuple[int, int, int]]] = [[]]
+        slot = 0
+        for index, g in enumerate(self.gates):
+            level = max(depth[g.a], depth[g.b])
+            if g.kind is GateType.AND:
+                level += 1
+                if level == len(ands):
+                    ands.append([])
+                    xors.append([])
+                ands[level].append((g.a, g.b, g.out, 2 * index, slot))
+                slot += 1
+            else:
+                xors[level].append((g.a, g.b, g.out))
+            depth[g.out] = level
+        program = []
+        for gates, level_xors in zip(ands, xors):
+            a, b, out, tweak, slots = np.array(gates, dtype=np.int64).reshape(-1, 5).T
+            program.append(
+                Level(
+                    np.stack([a, b], axis=1).astype(np.intp),
+                    out.astype(np.intp),
+                    (tweak[:, None, None] + [[0], [1]]).astype(np.uint64),
+                    slots.astype(np.intp),
+                    tuple(level_xors),
+                )
+            )
+        return tuple(program)
 
     def evaluate_plain(
         self, garbler_bits: list[int], evaluator_bits: list[int]

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 from repro.crypto.prg import (
     LABEL_BYTES,
+    LABEL_WORD,
     byte_matrix,
     byte_rows,
     hash_label,
     hash_lanes,
-    hash_rows,
+    hash_words,
+    label_items,
+    label_words,
     xor_bytes,
 )
 from repro.gc.circuit import GateType
@@ -104,30 +107,29 @@ class Evaluator:
 
 
 def evaluate_columns(garbled_batch: GarbledBatch, input_labels: dict):
-    """The batch walk with every wire a (count, 16) label matrix: free-XOR
-    gates are one vectorized XOR, half-gate corrections column masks."""
+    """The batch walk with every wire a (count, 2) block of label words,
+    one AND level at a time, as the garbler's column walk: a level's AND
+    gates hash in one call, its XOR gates run in place after them."""
     circuit = garbled_batch.circuit
-    labels = dict(input_labels)
-    tables = garbled_batch.tables
     count = len(garbled_batch)
-    # Row tweaks of one gate's hash call over a and b, less 2 * index.
-    offsets = _np.repeat(_np.array([0, 1], dtype=_np.uint64), count)
-    slot = 0
-    for index, gate in enumerate(circuit.gates):
-        a = labels[gate.a]
-        b = labels[gate.b]
-        if gate.kind is GateType.XOR:
-            labels[gate.out] = a ^ b
-            continue
-        h_a, h_b = hash_rows(
-            _np.concatenate([a, b]), offsets + _np.uint64(2 * index)
-        ).reshape(2, count, LABEL_BYTES)
-        # Point-and-permute bits as 0x00 / 0xFF column masks.
-        w_g = h_a ^ (tables[:, slot, 0] & -(a[:, :1] & 1))
-        w_e = h_b ^ ((tables[:, slot, 1] ^ a) & -(b[:, :1] & 1))
-        labels[gate.out] = w_g ^ w_e
-        slot += 1
-    return _np.stack([labels[w] for w in circuit.outputs], axis=1)
+    labels = _np.empty((circuit.n_wires, count, 2), LABEL_WORD)
+    labels[list(input_labels)] = label_words(_np.stack(list(input_labels.values())))
+    tables = label_items(garbled_batch.tables)
+    xor = _np.bitwise_xor
+    for level in circuit.level_program:
+        if len(level.out):
+            x = labels[level.inputs]  # each gate's a and b
+            h = hash_words(x, level.tweaks)
+            t = label_words(tables.take(level.slot, axis=1).transpose(1, 2, 0, 3))
+            t[:, 1] ^= x[:, 0]
+            # Point-and-permute bits of a and b as 0 / 1 multipliers.
+            t *= x[..., :1] & 1
+            h ^= t
+            labels[level.out] = h[:, 0] ^ h[:, 1]
+        for a, b, out in level.xors:
+            xor(labels[a], labels[b], labels[out])
+    outputs = labels[circuit.outputs].transpose(1, 0, 2)
+    return _np.ascontiguousarray(outputs).view(_np.uint8)
 
 
 def evaluate_lanes(garbled_batch: GarbledBatch, input_labels: dict):

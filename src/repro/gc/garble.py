@@ -15,8 +15,9 @@ builds that instance's :class:`GarbledCircuit` / :class:`InputEncoding` /
 label dict on demand, which is what the scalar reference walk and the
 tests read.
 
-The batched walks carry a wire's labels either as a (count, 16) matrix
-(:func:`garble_columns`) or, for batches of up to
+The batched walks carry a wire's labels either as a (count, 2) block of
+label words in one array of every wire, walked one AND level at a time
+(:func:`garble_columns`), or, for batches of up to
 :data:`LANE_WALK_MAX_ROWS` instances, packed into one Python int
 (:func:`garble_lanes`); both produce the same batch, byte for byte.
 """
@@ -27,11 +28,14 @@ from dataclasses import dataclass, field
 
 from repro.crypto.prg import (
     LABEL_BYTES,
+    LABEL_ITEM,
+    LABEL_WORD,
     byte_matrix,
     byte_rows,
     hash_label,
     hash_lanes,
-    hash_rows,
+    hash_words,
+    label_words,
     xor_bytes,
 )
 from repro.crypto.rng import SecureRandom
@@ -252,12 +256,13 @@ class EncodingBatch(_Instances):
 
 # -- lanes -------------------------------------------------------------------------
 
-# The widest batch that walks on lanes. Per gate the column walk pays
-# numpy calls of ~1 us each whatever the width, the lane walk big-int
-# operations that grow with it: lanes are ~3x faster at 8 rows and level
-# (garbling) to 1.2x (evaluating) at 64; columns win from 128 rows on
-# (ARCHITECTURE.md, *Batched garbling*, has the measured table).
-LANE_WALK_MAX_ROWS = 64
+# The widest batch that walks on lanes. Per AND level the column walk
+# pays numpy calls of ~1 us each whatever the width, the lane walk per
+# gate big-int operations that grow with it: lanes are ~2x faster at 8
+# rows and 1.0-1.5x at 16, the walks are level at 32, and columns win
+# from 64 rows on, 0.6x there and 0.5x at 128 (ARCHITECTURE.md,
+# *Batched garbling*, has the measured table).
+LANE_WALK_MAX_ROWS = 32
 
 LANE = (1 << 8 * LABEL_BYTES) - 1  # every bit of one lane
 
@@ -386,46 +391,43 @@ def garble_batch_from_labels(
 def garble_columns(
     circuit: Circuit, deltas, input_zero_labels
 ) -> tuple[GarbledBatch, EncodingBatch]:
-    """The walk with every wire a (count, 16) label matrix."""
+    """The walk with every wire a (count, 2) block of label words
+    (:func:`~repro.crypto.prg.label_words`), one AND level at a time
+    (:attr:`Circuit.level_program`): a level's AND gates hash in one call
+    and take their half-gate corrections as (g, 2, count, 2) blocks, a and
+    b side by side; its XOR gates then run in place."""
     count = deltas.shape[0]
-    zero_labels = dict(zip(circuit.input_wires, input_zero_labels))
-    tables = _np.empty((count, circuit.and_count, 2, LABEL_BYTES), dtype=_np.uint8)
-    # Row tweaks of one gate's hash call, less 2 * index: the generator
-    # half's a0, a0 ^ delta, then the evaluator half's b0, b0 ^ delta.
-    offsets = _np.repeat(_np.array([0, 0, 1, 1], dtype=_np.uint64), count)
-    slot = 0
-    for index, gate in enumerate(circuit.gates):
-        a0 = zero_labels[gate.a]
-        b0 = zero_labels[gate.b]
-        if gate.kind is GateType.XOR:
-            zero_labels[gate.out] = a0 ^ b0
-            continue
-        # Point-and-permute bits as 0x00 / 0xFF column masks.
-        p_a = -(a0[:, :1] & 1)
-        p_b = -(b0[:, :1] & 1)
-        h_a0, h_a1, h_b0, h_b1 = hash_rows(
-            _np.concatenate([a0, a0 ^ deltas, b0, b0 ^ deltas]),
-            offsets + _np.uint64(2 * index),
-        ).reshape(4, count, LABEL_BYTES)
-        # Generator half-gate: computes a AND p_b (garbler knows p_b).
-        t_g = h_a0 ^ h_a1 ^ (deltas & p_b)
-        w_g = h_a0 ^ (t_g & p_a)
-        # Evaluator half-gate: computes a AND (b XOR p_b).
-        h_b = h_b0 ^ h_b1
-        t_e = h_b ^ a0
-        w_e = h_b0 ^ (h_b & p_b)
-        zero_labels[gate.out] = w_g ^ w_e
-        tables[:, slot, 0] = t_g
-        tables[:, slot, 1] = t_e
-        slot += 1
+    delta = label_words(deltas)
+    labels = _np.empty((circuit.n_wires, count, 2), LABEL_WORD)
+    labels[circuit.input_wires] = label_words(input_zero_labels)
+    tables = _np.empty((count, circuit.and_count, 2, 1), LABEL_ITEM)
+    xor = _np.bitwise_xor
+    for level in circuit.level_program:
+        if len(level.out):
+            # Zero-labels, then one-labels, of each gate's a and b.
+            x = _np.empty((2, len(level.out), 2, count, 2), LABEL_WORD)
+            labels.take(level.inputs, axis=0, out=x[0])
+            xor(x[0], delta, x[1])
+            h0, h1 = hash_words(x, level.tweaks)
+            p = x[0, ..., :1] & 1  # point-and-permute bits of a and b
+            t = h0 ^ h1
+            # Generator half-gate: computes a AND p_b (garbler knows p_b).
+            t[:, 0] ^= delta * p[:, 1]
+            # Output zero-label: (h_a0 ^ t_g p_a) ^ (h_b0 ^ (h_b0 ^ h_b1) p_b).
+            w = t * p
+            w ^= h0
+            labels[level.out] = w[:, 0] ^ w[:, 1]
+            # Evaluator half-gate: computes a AND (b XOR p_b).
+            t[:, 1] ^= x[0, :, 0]
+            tables[:, level.slot] = t.view(LABEL_ITEM).transpose(2, 0, 1, 3)
+        for a, b, out in level.xors:
+            xor(labels[a], labels[b], labels[out])
 
-    output_zero_labels = _np.empty(
-        (len(circuit.outputs), count, LABEL_BYTES), dtype=_np.uint8
-    )
-    for k, wire in enumerate(circuit.outputs):
-        output_zero_labels[k] = zero_labels[wire]
+    output_zero_labels = labels[circuit.outputs].view(_np.uint8)
     return (
-        GarbledBatch(circuit, tables, output_zero_labels[:, :, 0].T & 1),
+        GarbledBatch(
+            circuit, tables.view(_np.uint8), output_zero_labels[:, :, 0].T & 1
+        ),
         EncodingBatch(circuit, deltas, input_zero_labels, output_zero_labels),
     )
 
@@ -508,9 +510,9 @@ class Garbler:
         A ReLU layer garbles one identical circuit per activation wire, so
         instead of walking the gate list once per instance we walk it once
         and carry every instance's labels together (a packed int or a
-        (count, 16) byte matrix, :func:`garble_batch_from_labels`):
+        (count, 2) block of label words, :func:`garble_batch_from_labels`):
         free-XOR gates become single XORs across the whole batch and
-        half-gate masking becomes lane or column masks. Each
+        half-gate masking becomes lane masks or 0 / 1 multipliers. Each
         instance still draws its own delta and input labels, and the
         produced tables are exactly what per-instance :meth:`garble` would
         accept — only the RNG draw order differs.

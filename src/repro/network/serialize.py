@@ -383,16 +383,14 @@ def deserialize_galois_keys(data: bytes, params: BfvParams) -> GaloisKeys:
 
 # -- bit vectors ----------------------------------------------------------------
 
-def serialize_bit_vector(bits: list[int]) -> bytes:
-    """A packed vector of bits (OT choice bits on the wire)."""
-    packed = 0
-    for i, bit in enumerate(bits):
-        packed |= (bit & 1) << i
-    nbytes = (len(bits) + 7) // 8
+def serialize_bit_vector(bits) -> bytes:
+    """A packed vector of bits (OT choice bits on the wire): bit ``i`` is
+    bit ``i % 8`` of byte ``i // 8``, the padding bits clear."""
+    bits = np.asarray(bits, dtype=np.uint8).ravel() & 1
     return (
         wire_header(FMT_BIT_VECTOR)
         + struct.pack("<I", len(bits))
-        + packed.to_bytes(nbytes, "little")
+        + np.packbits(bits, bitorder="little").tobytes()
     )
 
 
@@ -403,10 +401,11 @@ def deserialize_bit_vector(data: bytes) -> list[int]:
     nbytes = (count + 7) // 8
     if len(data) != WIRE_HEADER_BYTES + 4 + nbytes:
         raise ValueError("bit vector length mismatch")
-    packed = int.from_bytes(data[WIRE_HEADER_BYTES + 4 :], "little")
-    if count % 8 and packed >> count:
+    packed = np.frombuffer(data, dtype=np.uint8, offset=WIRE_HEADER_BYTES + 4)
+    bits = np.unpackbits(packed, bitorder="little")
+    if bits[count:].any():
         raise ValueError("bit vector has set padding bits")
-    return [(packed >> i) & 1 for i in range(count)]
+    return bits[:count].tolist()
 
 
 # -- columnar records ------------------------------------------------------------

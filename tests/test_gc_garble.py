@@ -594,3 +594,131 @@ class TestLaneWalk:
             )
             kind = "lanes" if count <= LANE_WALK_MAX_ROWS else "columns"
             assert walked == [f"garble_{kind}", f"evaluate_{kind}"]
+
+
+def check_level_program(circuit):
+    """The column walk's schedule runs every gate once, each after its
+    inputs, with the tweak and table slot of its gate-list position."""
+    level_of = dict.fromkeys(circuit.input_wires, 0)  # the wires made so far
+    seen = []
+    for depth, level in enumerate(circuit.level_program):
+        assert len(level.inputs) == len(level.out) == len(level.tweaks)
+        assert len(level.slot) == len(level.out)
+        assert (len(level.out) > 0) == (depth > 0)
+        for (a, b), out, tweaks, slot in zip(
+            level.inputs.tolist(),
+            level.out.tolist(),
+            level.tweaks.tolist(),
+            level.slot.tolist(),
+        ):
+            index = circuit.and_indices[slot]
+            assert circuit.gates[index] == Gate(GateType.AND, a, b, out)
+            assert tweaks == [[2 * index], [2 * index + 1]]
+            assert max(level_of[a], level_of[b]) < depth
+            seen.append(index)
+        for out in level.out.tolist():
+            level_of[out] = depth
+        for a, b, out in level.xors:
+            index = next(i for i, g in enumerate(circuit.gates) if g.out == out)
+            assert circuit.gates[index] == Gate(GateType.XOR, a, b, out)
+            assert max(level_of[a], level_of[b]) <= depth
+            level_of[out] = depth
+            seen.append(index)
+    assert sorted(seen) == list(range(len(circuit.gates)))
+
+
+class TestLevelProgram:
+    """``Circuit.level_program``, the schedule of the column walk."""
+
+    @given(circuit=random_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_invariants_on_random_circuits(self, circuit):
+        check_level_program(circuit)
+
+    @pytest.mark.parametrize("mask_owner", ["evaluator", "garbler"])
+    def test_invariants_on_a_relu(self, mask_owner):
+        circuit = build_relu_circuit(
+            ReluCircuitSpec(bits=17, modulus=65521, mask_owner=mask_owner)
+        )
+        check_level_program(circuit)
+        # The ripple-carry chains set the depth, not the gate count.
+        assert len(circuit.level_program) - 1 < circuit.and_count
+
+    @staticmethod
+    def wide_level_circuit(width=40):
+        """``width`` AND gates side by side in one level, then an XOR
+        chain over their outputs."""
+        b = CircuitBuilder()
+        xs = b.garbler_input_word(width)
+        ys = b.evaluator_input_word(width)
+        ands = [b.and_(x, y) for x, y in zip(xs, ys)]
+        acc = ands[0]
+        for wire in ands[1:]:
+            acc = b.xor(acc, wire)
+        b.mark_output(ands + [acc])
+        return b.build()
+
+    def test_one_wide_level(self):
+        circuit = self.wide_level_circuit()
+        assert [len(level.out) for level in circuit.level_program] == [0, 40]
+        assert len(circuit.level_program[1].xors) == 39
+        check_level_program(circuit)
+
+    @pytest.mark.parametrize("count", [65, 128])
+    def test_wide_level_walks_as_the_scalar_walk(self, count):
+        circuit = self.wide_level_circuit()
+        deltas, zero = derive_batch_labels(SecureRandom(count), circuit, count)
+        circuits, encodings = garble_columns(circuit, deltas, zero)
+        scalar = [
+            garble_from_labels(
+                circuit,
+                deltas[i].tobytes(),
+                {w: zero[k, i].tobytes() for k, w in enumerate(circuit.input_wires)},
+            )
+            for i in range(count)
+        ]
+        assert list(circuits) == [garbled for garbled, _ in scalar]
+        assert list(encodings) == [encoding for _, encoding in scalar]
+
+        rnd = random.Random(count)
+        g_bits = np.array(
+            [[rnd.getrandbits(1) for _ in range(40)] for _ in range(count)],
+            dtype=np.uint8,
+        )
+        e_bits = np.array(
+            [[rnd.getrandbits(1) for _ in range(40)] for _ in range(count)], dtype=bool
+        )
+        zero_e, one_e = encodings.evaluator_pairs()
+        chosen = np.where(e_bits.reshape(-1, 1), one_e, zero_e)
+        labels = {
+            **Garbler.encode_inputs(encodings, circuit, g_bits).columns(),
+            **LabelBatch(
+                circuit.evaluator_inputs, chosen.reshape(count, -1, LABEL_BYTES)
+            ).columns(),
+        }
+        evaluator = Evaluator()
+        outputs = evaluate_columns(circuits, labels)
+        assert (
+            outputs == evaluator.evaluate_batch(circuits, labels, vectorize=False)
+        ).all()
+        products = g_bits & e_bits
+        expected = np.concatenate(
+            [products, np.bitwise_xor.reduce(products, axis=1, keepdims=True)], axis=1
+        )
+        assert (evaluator.decode(circuits, outputs) == expected).all()
+
+    def test_an_empty_batch(self):
+        """A layer of no activations garbles and evaluates to empty blocks."""
+        circuit = build_relu_circuit(
+            ReluCircuitSpec(bits=8, modulus=251, mask_owner="evaluator")
+        )
+        circuits, encodings = Garbler(SecureRandom(0)).garble_batch(
+            circuit, 0, vectorize=True
+        )
+        assert circuits.tables.shape == (0, circuit.and_count, 2, LABEL_BYTES)
+        assert circuits.decode_bits.shape == (0, len(circuit.outputs))
+        assert circuits.size_bytes == 0
+        labels = dict(zip(circuit.input_wires, encodings.zero_labels))
+        outputs = Evaluator().evaluate_batch(circuits, labels, vectorize=True)
+        assert outputs.shape == (0, len(circuit.outputs), LABEL_BYTES)
+        assert Evaluator().decode(circuits, outputs).shape == (0, len(circuit.outputs))
