@@ -121,21 +121,61 @@ def split_offline_state(
     }
     found = {
         pos: (mask_index, len(circuits))
-        for pos, (mask_index, circuits, _, _) in bundles.items()
+        for pos, (mask_index, circuits, *_) in bundles.items()
     }
     if found != expected:
         raise ValueError(
             "stored transcript's ReLU bundles do not match this network"
         )
     evaluator_bundles, garbler_bundles = {}, {}
-    for pos, (mask_index, circuits, encodings, labels) in bundles.items():
+    for pos, (mask_index, circuits, seed, encodings, labels) in bundles.items():
         evaluator_bundles[pos] = ReluBundle(
             mask_index, circuits=circuits, evaluator_labels=labels
         )
-        garbler_bundles[pos] = ReluBundle(mask_index, encodings=encodings)
+        garbler_bundles[pos] = ReluBundle(mask_index, encodings=encodings, seed=seed)
     by_role = dict.fromkeys((CLIENT, SERVER), evaluator_bundles)
     by_role[garbler_role] = garbler_bundles
     return (client_r, shares, by_role[CLIENT]), (server_s, by_role[SERVER])
+
+
+def party_storage_bytes(
+    blob: bytes,
+    lowered,
+    circuit,
+    garbler_role: str,
+    truncate_bits: int = 0,
+) -> dict[str, int]:
+    """Each party's bytes of one stored entry, split as
+    :func:`split_offline_state` splits it.
+
+    The client owns r and its shares, the server s; of each ReLU layer
+    the garbler owns its label seed and any output zero-labels, the
+    evaluator the garbled circuits and its label maps. ``"shared"`` is
+    the container's framing (magic, role, counts), so the three values
+    sum to ``len(blob)``.
+    """
+    from repro.network.serialize import relu_bundle_bytes, serialize_field_vector
+
+    (client_r, shares, client_bundles), (server_s, server_bundles) = (
+        split_offline_state(blob, lowered, circuit, garbler_role, truncate_bits)
+    )
+
+    def vectors(*groups) -> int:
+        return sum(
+            4 + len(serialize_field_vector(v, lowered.modulus))
+            for group in groups
+            for v in group
+        )
+
+    evaluator_role, evaluator_bundles = (
+        (SERVER, server_bundles) if garbler_role == CLIENT else (CLIENT, client_bundles)
+    )
+    owned = {CLIENT: vectors(client_r, shares), SERVER: vectors(server_s)}
+    for bundle in evaluator_bundles.values():
+        layer = relu_bundle_bytes(bundle.circuits, bundle.evaluator_labels.wires)
+        owned[garbler_role] += layer["garbler"]
+        owned[evaluator_role] += layer["evaluator"]
+    return {**owned, "shared": len(blob) - sum(owned.values())}
 
 
 class HybridProtocol:
@@ -330,7 +370,9 @@ class HybridProtocol:
         garbler, evaluator = self._gc_parties
         for pos, eb in evaluator._relu_bundles.items():
             gb = garbler._relu_bundles[pos]
-            bundles[pos] = (eb.mask_index, eb.circuits, gb.encodings, eb.evaluator_labels)
+            bundles[pos] = (
+                eb.mask_index, eb.circuits, gb.seed, gb.encodings, eb.evaluator_labels
+            )
         return serialize_offline_transcript(
             self.modulus,
             self.client.client_r,

@@ -106,14 +106,17 @@ class ReluBundle:
     """Everything one party stores for one garbled ReLU layer.
 
     Each session holds only its role's slice: the garbler keeps
-    ``encodings``; the evaluator keeps ``circuits`` plus the label
-    material it received (``evaluator_labels``). Unused fields are None.
+    ``encodings`` and the ``seed`` of the generator that drew their
+    labels (a store entry keeps the seed, not the labels); the evaluator
+    keeps ``circuits`` plus the label material it received
+    (``evaluator_labels``). Unused fields are None.
     """
 
     mask_index: int  # which linear layer's r masks this ReLU's output
     circuits: GarbledBatch | None = None
     encodings: EncodingBatch | None = None
     evaluator_labels: LabelBatch | None = None
+    seed: bytes | None = None
 
 
 @dataclass
@@ -461,8 +464,10 @@ class ProtocolSession:
     def _garbler_offline(self, own_input_bits, keep_decode_bits: bool):
         """Garbler half of the offline phase: garble, ship, deliver labels.
 
-        Every layer's RNG spawns first, in plan order, and only then does
-        garbling run layer by layer — the draw order is transcript-critical.
+        Every layer's generator seed is drawn first, in plan order, and
+        only then does garbling run layer by layer — the draw order is
+        transcript-critical. The bundle keeps the seed beside the labels it
+        drew, which is all a store entry keeps of them.
         ``keep_decode_bits`` ships the output decode bits with the circuits
         (the evaluating server may learn x - r and decodes locally); without
         them the evaluating client returns output labels it cannot read.
@@ -471,13 +476,17 @@ class ProtocolSession:
         """
         circuit = self.relu_circuit()
         plan = self._relu_plan()
-        layer_rngs = [self.rng.spawn() for _ in plan]
+        seeds = [self.rng.spawn_seed() for _ in plan]
         with section("gc", "gc.garble_layers", layers=len(plan)):
             batches = [
-                Garbler(rng).garble_batch(circuit, n, vectorize=self._vectorize_gc)
-                for (_, _, _, n), rng in zip(plan, layer_rngs)
+                Garbler(SecureRandom.from_seed(seed)).garble_batch(
+                    circuit, n, vectorize=self._vectorize_gc
+                )
+                for (_, _, _, n), seed in zip(plan, seeds)
             ]
-        for (pos, lin_idx, mask_index, n), (circuits, encodings) in zip(plan, batches):
+        for (pos, lin_idx, mask_index, n), (circuits, encodings), seed in zip(
+            plan, batches, seeds
+        ):
             self.counters.gc_circuits_garbled += n
             if not keep_decode_bits:
                 circuits = circuits.without_decode_bits()
@@ -489,7 +498,9 @@ class ProtocolSession:
                     encodings, circuit, own_input_bits(lin_idx, mask_index)
                 ).labels
                 self._send(serialize_label_lists(labels), nbytes=labels.nbytes)
-            self._relu_bundles[pos] = ReluBundle(mask_index, encodings=encodings)
+            self._relu_bundles[pos] = ReluBundle(
+                mask_index, encodings=encodings, seed=seed
+            )
 
     def _evaluator_offline(self, own_input_bits):
         """Evaluator half of the offline phase: store circuits and labels.

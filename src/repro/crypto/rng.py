@@ -13,6 +13,8 @@ import random
 
 import numpy as np
 
+SPAWN_SEED_BYTES = 16  # a child stream's seed: one 128-bit draw
+
 # Word widths drawn as one array: the bytes of a draw read in place.
 _LANES = {4: np.dtype("<u4"), 8: np.dtype("<u8")}
 
@@ -123,4 +125,17 @@ class SecureRandom:
 
     def spawn(self) -> "SecureRandom":
         """Independent child stream (for per-request generators)."""
-        return SecureRandom(self._rng.getrandbits(128))
+        return SecureRandom.from_seed(self.spawn_seed())
+
+    def spawn_seed(self) -> bytes:
+        """The 16-byte seed of the child :meth:`spawn` would return, which
+        :meth:`from_seed` rebuilds: a party can keep the seed and not what
+        the child draws."""
+        return self.bytes(SPAWN_SEED_BYTES)
+
+    @classmethod
+    def from_seed(cls, seed: bytes) -> "SecureRandom":
+        """The child stream of a :meth:`spawn_seed` draw."""
+        if len(seed) != SPAWN_SEED_BYTES:
+            raise ValueError(f"seed must be {SPAWN_SEED_BYTES} bytes, got {len(seed)}")
+        return cls(int.from_bytes(seed, "little"))

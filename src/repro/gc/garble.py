@@ -186,7 +186,9 @@ class EncodingBatch(_Instances):
     ``zero_labels[k]`` is the (count, 16) zero-label matrix of the
     ``k``-th wire of ``circuit.input_wires`` and ``output_zero_labels[k]``
     that of the ``k``-th output wire; instance ``i``'s one-labels are its
-    zero-labels XOR ``deltas[i]``.
+    zero-labels XOR ``deltas[i]``. A batch restored from a store entry for
+    a garbler that never decodes (the evaluator holds the decode bits)
+    has no output zero-labels: ``output_zero_labels`` is (0, count, 16).
     """
 
     circuit: Circuit
@@ -290,30 +292,17 @@ def lane_lsb(count: int) -> int:
 # -- label derivation and the walks ------------------------------------------------
 
 
-def derive_instance_labels(
-    rng: SecureRandom, circuit: Circuit
-) -> tuple[bytes, dict[int, bytes]]:
-    """Draw one instance's delta and input zero-labels.
-
-    This is the *only* randomness one garbling consumes; the half-gates
-    walk after it is deterministic. Draw order: delta, then CONST_ZERO,
-    CONST_ONE, garbler inputs, evaluator inputs.
-    """
-    delta = bytearray(rng.bytes(LABEL_BYTES))
-    delta[0] |= 1  # point-and-permute bit rides on the LSB
-    # Constant wires: the garbler knows their truth values, so it hands
-    # the evaluator the label of the actual value; zero-label bookkeeping
-    # stays uniform.
-    return bytes(delta), {wire: rng.bytes(LABEL_BYTES) for wire in circuit.input_wires}
-
-
 def derive_batch_labels(rng: SecureRandom, circuit: Circuit, count: int):
     """Draw a batch's deltas (count, 16) and input zero-labels (n_inputs, count, 16).
 
-    The vectorized analogue of :func:`derive_instance_labels`: all deltas
-    first, then each input wire's labels for the whole batch (one draw —
-    the generator's output is a word stream, so it equals a draw per wire).
-    Row ``i`` of every matrix belongs to instance ``i``.
+    This is the *only* randomness a garbling consumes; the half-gates walk
+    after it is deterministic. Draw order: all deltas, then each input
+    wire's labels for the whole batch, wires in ``circuit.input_wires``
+    order (CONST_ZERO, CONST_ONE, garbler inputs, evaluator inputs) — one
+    draw, as the generator's output is a word stream. Row ``i`` of every
+    matrix belongs to instance ``i``. The constant wires' truth values are
+    known to the garbler, which hands the evaluator the label of the
+    actual value; zero-label bookkeeping stays uniform.
     """
 
     def fresh_labels(wires: int):
@@ -369,6 +358,15 @@ def garble_from_labels(
     )
     garbled = GarbledCircuit(circuit, tables, decode_bits)
     return garbled, encoding
+
+
+def _garble_row(circuit: Circuit, deltas, zero_labels, i: int):
+    """The scalar walk over row ``i`` of a batch's label matrices."""
+    return garble_from_labels(
+        circuit,
+        deltas[i].tobytes(),
+        dict(zip(circuit.input_wires, byte_rows(zero_labels[:, i]))),
+    )
 
 
 def garble_batch_from_labels(
@@ -499,8 +497,9 @@ class Garbler:
         self._rng = rng or SecureRandom()
 
     def garble(self, circuit: Circuit) -> tuple[GarbledCircuit, InputEncoding]:
-        delta, zero_labels = derive_instance_labels(self._rng, circuit)
-        return garble_from_labels(circuit, delta, zero_labels)
+        """One instance: the scalar walk over a one-row batch's labels."""
+        deltas, zero_labels = derive_batch_labels(self._rng, circuit, 1)
+        return _garble_row(circuit, deltas, zero_labels, 0)
 
     def garble_batch(
         self, circuit: Circuit, count: int, vectorize: bool | None = None
@@ -518,19 +517,24 @@ class Garbler:
         accept — only the RNG draw order differs.
 
         ``vectorize`` overrides the default gate (label matrices when the
-        active backend is numpy); pass False to garble instance by
-        instance with the scalar walk (keeping `REPRO_BACKEND=python` runs
-        pure) or True to vectorize regardless of the global selection,
-        e.g. from a per-protocol backend preference.
+        active backend is numpy); pass False to walk instance by instance
+        with the scalar walk (keeping `REPRO_BACKEND=python` runs pure) or
+        True to vectorize regardless of the global selection, e.g. from a
+        per-protocol backend preference. Both walks draw their labels with
+        :func:`derive_batch_labels`, so one generator state garbles the
+        same batch under either, byte for byte: a garbler that keeps only
+        its generator's seed re-derives the labels under either backend.
         """
         if vectorize is None:
             from repro.backend import get_backend
 
             vectorize = get_backend().name == "numpy"
+        deltas, zero_labels = derive_batch_labels(self._rng, circuit, count)
         if vectorize:
-            deltas, zero_labels = derive_batch_labels(self._rng, circuit, count)
             return garble_batch_from_labels(circuit, deltas, zero_labels)
-        instances = [self.garble(circuit) for _ in range(count)]
+        instances = [
+            _garble_row(circuit, deltas, zero_labels, i) for i in range(count)
+        ]
         return (
             GarbledBatch.from_instances(circuit, [g for g, _ in instances]),
             EncodingBatch.from_instances(circuit, [e for _, e in instances]),

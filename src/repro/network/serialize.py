@@ -29,8 +29,15 @@ import struct
 import numpy as np
 
 from repro.crypto.prg import LABEL_BYTES, SEED_BYTES
+from repro.crypto.rng import SPAWN_SEED_BYTES, SecureRandom
 from repro.gc.circuit import Circuit
-from repro.gc.garble import EncodingBatch, GarbledBatch, GarbledCircuit, LabelBatch
+from repro.gc.garble import (
+    EncodingBatch,
+    GarbledBatch,
+    GarbledCircuit,
+    LabelBatch,
+    derive_batch_labels,
+)
 from repro.he.bfv import (
     Ciphertext,
     GaloisKeys,
@@ -52,7 +59,8 @@ FMT_FIELD_VECTOR = 0x01
 FMT_CIPHERTEXT = 0x02
 FMT_LABELS = 0x03
 FMT_LABEL_MAP = 0x04
-FMT_INPUT_ENCODING = 0x05
+# 0x05 was a stored layer's full input encoding (delta and every zero-
+# label); a store entry now keeps the seed they are drawn from instead.
 FMT_GARBLED_CIRCUIT = 0x06
 FMT_PUBLIC_KEY = 0x07
 FMT_BIT_VECTOR = 0x09
@@ -63,6 +71,7 @@ FMT_SEEDED_CIPHERTEXT = 0x0C
 # a peer that still sends it fails on the format code, not mid-parse.
 FMT_GALOIS_KEYS = 0x0D
 FMT_SWITCHED_CIPHERTEXT = 0x0E
+FMT_LABEL_SEED = 0x0F
 
 
 _FMT_NAMES = {
@@ -70,7 +79,6 @@ _FMT_NAMES = {
     FMT_CIPHERTEXT: "ciphertext",
     FMT_LABELS: "labels",
     FMT_LABEL_MAP: "label_map",
-    FMT_INPUT_ENCODING: "input_encoding",
     FMT_GARBLED_CIRCUIT: "garbled_circuit",
     FMT_PUBLIC_KEY: "public_key",
     FMT_GALOIS_KEYS: "galois_keys",
@@ -79,6 +87,7 @@ _FMT_NAMES = {
     FMT_CIRCUIT_BATCH: "circuit_batch",
     FMT_SEEDED_CIPHERTEXT: "seeded_ciphertext",
     FMT_SWITCHED_CIPHERTEXT: "switched_ciphertext",
+    FMT_LABEL_SEED: "label_seed",
 }
 
 
@@ -536,25 +545,10 @@ def _label_map_layout(wires: list[int]):
     ]
 
 
-def _input_encoding_layout(circuit: Circuit):
-    """Delta plus the (ordered) zero-label and output-zero-label maps."""
-    zero, zero_constants = _label_map_layout(circuit.input_wires)
-    outputs, output_constants = _label_map_layout(circuit.outputs)
-    return np.dtype(
-        [
-            ("head", _U32),
-            ("zero_len", _U32),
-            ("outputs_len", _U32),
-            ("delta", *_LABEL),
-            ("zero", zero),
-            ("outputs", outputs),
-        ]
-    ), [
-        (("head",), _head(FMT_INPUT_ENCODING)),
-        (("zero_len",), zero.itemsize),
-        (("outputs_len",), outputs.itemsize),
-        *((("zero",) + path, value) for path, value in zero_constants),
-        *((("outputs",) + path, value) for path, value in output_constants),
+def _label_seed_layout():
+    """The 16-byte seed a stored layer's garbler re-derives its labels from."""
+    return np.dtype([("head", _U32), ("seed", "u1", (SPAWN_SEED_BYTES,))]), [
+        (("head",), _head(FMT_LABEL_SEED))
     ]
 
 
@@ -581,16 +575,20 @@ def _circuit_layout(circuit: Circuit, n_decode: int):
     ]
 
 
-def _peek_circuit_layout(data: bytes, offset: int, circuit: Circuit):
-    """The layout the circuit record at ``offset`` claims: its decode-bit
-    count is the one field the circuit leaves open (all or none)."""
+def _peek_n_decode(data: bytes, offset: int, circuit: Circuit) -> int:
+    """The decode-bit count the circuit record at ``offset`` claims: the
+    one field the circuit leaves open (all or none)."""
     n_decode = _peek_u32(data, offset + 8, "garbled circuit header")
     if n_decode not in (0, len(circuit.outputs)):
         raise ValueError(
             f"garbled circuit carries {n_decode} decode bits, "
             f"the circuit has {len(circuit.outputs)} outputs"
         )
-    return _circuit_layout(circuit, n_decode)
+    return n_decode
+
+
+def _peek_circuit_layout(data: bytes, offset: int, circuit: Circuit):
+    return _circuit_layout(circuit, _peek_n_decode(data, offset, circuit))
 
 
 def _fill_circuits(records, batch: GarbledBatch) -> None:
@@ -669,67 +667,107 @@ def deserialize_circuit_batch(data: bytes, circuit: Circuit) -> GarbledBatch:
 
 
 # -- one ReLU layer of a store entry ------------------------------------------------
+#
+# A stored layer is the garbler's label seed, then per instance its garbled
+# circuit, the garbler's output zero-labels when the circuit withholds its
+# decode bits (the garbler decodes what the evaluator returns), and the
+# evaluator's label map. Delta and the input zero-labels are the seed's
+# draws (:func:`~repro.gc.garble.derive_batch_labels`), so the garbler's
+# half of a layer is 20 bytes under Client-Garbler, where the evaluator
+# decodes with the decode bits.
 
-def _bundle_layout(circuit: Circuit, circuit_layout, label_wires: list[int]):
-    return _length_prefixed(
-        [
-            ("circuit", circuit_layout),
-            ("encoding", _input_encoding_layout(circuit)),
-            ("labels", _label_map_layout(label_wires)),
-        ]
-    )
+
+def _bundle_layout(circuit: Circuit, n_decode: int, label_wires: list[int]):
+    parts = [("circuit", _circuit_layout(circuit, n_decode))]
+    if not n_decode:
+        parts.append(("outputs", _label_map_layout(circuit.outputs)))
+    parts.append(("labels", _label_map_layout(label_wires)))
+    return _length_prefixed(parts)
 
 
 def serialize_relu_bundle(
-    circuits: GarbledBatch, encodings: EncodingBatch, labels: LabelBatch
+    circuits: GarbledBatch, seed: bytes, encodings: EncodingBatch, labels: LabelBatch
 ) -> bytes:
-    """One layer of a store entry: per instance its garbled circuit, input
-    encoding and evaluator label map, each length-prefixed."""
-    circuit = circuits.circuit
-    layout = _bundle_layout(
-        circuit, _circuit_layout(circuit, circuits.decode_bits.shape[1]), labels.wires
-    )
+    """One layer of a store entry: the garbler's label ``seed`` (what drew
+    ``encodings``' delta and input zero-labels), then per instance its
+    garbled circuit, its output zero-labels if the circuit withholds the
+    decode bits, and its evaluator label map, each length-prefixed."""
+    n_decode = circuits.decode_bits.shape[1]
+    seed_record = _blank(1, _label_seed_layout())
+    seed_record["seed"] = np.frombuffer(seed, np.uint8)
+    layout = _bundle_layout(circuits.circuit, n_decode, labels.wires)
     records = _blank(len(circuits), layout)
     _fill_circuits(records["circuit"], circuits)
-    encoding = records["encoding"]
-    encoding["delta"] = encodings.deltas
-    encoding["zero"]["entries"]["label"] = encodings.zero_labels.transpose(1, 0, 2)
-    encoding["outputs"]["entries"]["label"] = encodings.output_zero_labels.transpose(
-        1, 0, 2
-    )
+    if not n_decode:
+        records["outputs"]["entries"]["label"] = (
+            encodings.output_zero_labels.transpose(1, 0, 2)
+        )
     records["labels"]["entries"]["label"] = labels.labels
-    return records.tobytes()
+    return seed_record.tobytes() + records.tobytes()
 
 
 def deserialize_relu_bundle(data: bytes, offset: int, count: int, circuit: Circuit):
     """``count`` instances of one stored layer starting at ``offset``.
 
-    Returns ``(circuits, encodings, labels, end offset)``. The label map
-    is self-describing (it lists its wires); what is required of it is
-    that every instance lists the same wires in the same order.
+    Returns ``(circuits, seed, encodings, labels, end offset)``, the
+    encodings re-derived from the seed. The label map is self-describing
+    (it lists its wires); what is required of it is that every instance
+    lists the same wires in the same order, among them both constant
+    wires, whose labels must be the ones the seed derives: a seed or a
+    label that does not belong to its layer is refused here.
     """
+    seed_layout = _label_seed_layout()
+    seed = bytes(_records(data, offset, 1, seed_layout, "label seed")["seed"][0])
+    offset += seed_layout[0].itemsize
     if not count:
-        circuit_layout, label_wires = _circuit_layout(circuit, 0), []
+        n_decode, label_wires = 0, []
     else:
-        circuit_layout = _peek_circuit_layout(data, offset + 4, circuit)
-        fixed = _bundle_layout(circuit, circuit_layout, [])[0]
+        n_decode = _peek_n_decode(data, offset + 4, circuit)
+        fixed = _bundle_layout(circuit, n_decode, [])[0]
         n_labels = _peek_u32(data, offset + fixed.itemsize - 4, "label map header")
         entries = offset + fixed.itemsize
         _need(data, entries, n_labels * _LABEL_MAP_ENTRY.itemsize, "label map")
         label_wires = np.frombuffer(
             data, dtype=_LABEL_MAP_ENTRY, count=n_labels, offset=entries
         )["wire"].tolist()
-    layout = _bundle_layout(circuit, circuit_layout, label_wires)
+    layout = _bundle_layout(circuit, n_decode, label_wires)
     records = _records(data, offset, count, layout, "stored ReLU layer")
-    encoding = records["encoding"]
+    deltas, zero_labels = derive_batch_labels(
+        SecureRandom.from_seed(seed), circuit, count
+    )
+    output_zero_labels = (
+        np.empty((0, count, LABEL_BYTES), np.uint8)
+        if n_decode
+        else records["outputs"]["entries"]["label"].transpose(1, 0, 2)
+    )
+    encodings = EncodingBatch(circuit, deltas, zero_labels, output_zero_labels)
+    labels = LabelBatch(label_wires, records["labels"]["entries"]["label"])
+    if count:
+        constants = [Circuit.CONST_ZERO, Circuit.CONST_ONE]
+        if not set(constants) <= set(label_wires):
+            raise ValueError("stored label map lacks the constant wires")
+        stored = labels.labels[:, [label_wires.index(w) for w in constants]]
+        if (stored != encodings.constant_labels()).any():
+            raise ValueError("stored labels are not the layer's label seed's")
     return (
         _read_circuits(records["circuit"], circuit),
-        EncodingBatch(
-            circuit,
-            encoding["delta"],
-            encoding["zero"]["entries"]["label"].transpose(1, 0, 2),
-            encoding["outputs"]["entries"]["label"].transpose(1, 0, 2),
-        ),
-        LabelBatch(label_wires, records["labels"]["entries"]["label"]),
+        seed,
+        encodings,
+        labels,
         offset + count * layout[0].itemsize,
     )
+
+
+def relu_bundle_bytes(circuits: GarbledBatch, label_wires: list[int]) -> dict:
+    """A stored layer's bytes by owner: the garbler's seed record and any
+    output zero-labels, the evaluator's circuits and label maps."""
+    n_decode = circuits.decode_bits.shape[1]
+    dtype = _bundle_layout(circuits.circuit, n_decode, label_wires)[0]
+    garbler = sum(
+        dtype.fields[name][0].itemsize for name in ("outputs_len", "outputs")
+        if name in dtype.fields
+    )
+    return {
+        "garbler": _label_seed_layout()[0].itemsize + len(circuits) * garbler,
+        "evaluator": len(circuits) * (dtype.itemsize - garbler),
+    }

@@ -467,6 +467,12 @@ class _Reader:
 
 
 _ROLES = ("server", "client")
+_MAGIC = b"RPC3"
+# Layouts no build reads any more, by the build that wrote them.
+_RETIRED = {
+    b"RPC1": "a pre-wire-versioning",  # embedded blobs had no wire header
+    b"RPC2": "a label-storing",  # layers kept delta and every zero-label
+}
 
 
 def serialize_offline_transcript(
@@ -481,17 +487,18 @@ def serialize_offline_transcript(
     """Pack one offline phase's outputs into a store entry.
 
     ``bundles`` maps ReLU step position to (mask_index, garbled batch,
-    encoding batch, evaluator label batch). The garbler role and
-    truncation are recorded so an importer with a different circuit shape
-    (the mask owner flips between roles) is rejected instead of
-    mis-binding stored labels to the wrong wires.
+    label seed, encoding batch, evaluator label batch); of the encodings
+    only the output zero-labels are stored, and only where the garbler
+    decodes (:func:`~repro.network.serialize.serialize_relu_bundle`). The
+    garbler role and truncation are recorded so an importer with a
+    different circuit shape (the mask owner flips between roles) is
+    rejected instead of mis-binding stored labels to the wrong wires.
     """
     out = [
-        # Container magic "RPC2": bumped with the wire-format versioning of
-        # serialize.py (every embedded blob now carries a magic + version
-        # header), so a store minted by a pre-versioning build is rejected
-        # at the container level instead of crashing mid-parse.
-        b"RPC2",
+        # Container magic: bumped whenever the layout changes, so an entry
+        # minted by an older build is rejected at the container level
+        # instead of crashing mid-parse (see _RETIRED).
+        _MAGIC,
         struct.pack(
             "<BI", _ROLES.index(garbler_role), truncate_bits
         ),
@@ -503,9 +510,9 @@ def serialize_offline_transcript(
         out.append(_lp(serialize_field_vector(share, modulus)))
     out.append(struct.pack("<I", len(bundles)))
     for pos in sorted(bundles):
-        mask_index, circuits, encodings, labels = bundles[pos]
+        mask_index, circuits, seed, encodings, labels = bundles[pos]
         out.append(struct.pack("<III", pos, mask_index, len(circuits)))
-        out.append(serialize_relu_bundle(circuits, encodings, labels))
+        out.append(serialize_relu_bundle(circuits, seed, encodings, labels))
     return b"".join(out)
 
 
@@ -522,12 +529,13 @@ def deserialize_offline_transcript(
     those change the (public) circuit wire assignment, so the stored
     label maps would silently bind to the wrong wires.
     """
-    if data[:4] == b"RPC1":
+    magic = bytes(data[:4])
+    if magic in _RETIRED:
         raise ValueError(
-            "offline transcript was minted by a pre-wire-versioning build "
-            "(container RPC1); re-mint the precompute store"
+            f"offline transcript was minted by {_RETIRED[magic]} build "
+            f"(container {magic.decode()}); re-mint the precompute store"
         )
-    if data[:4] != b"RPC2":
+    if magic != _MAGIC:
         raise ValueError("not an offline transcript blob")
     reader = _Reader(data, 4)
     role_index = reader.take(1)[0]
@@ -556,10 +564,10 @@ def deserialize_offline_transcript(
         pos = reader.u32()
         mask_index = reader.u32()
         count = reader.u32()
-        circuits, encodings, labels, reader.offset = deserialize_relu_bundle(
+        circuits, seed, encodings, labels, reader.offset = deserialize_relu_bundle(
             data, reader.offset, count, circuits_by_pos[pos]
         )
-        bundles[pos] = (mask_index, circuits, encodings, labels)
+        bundles[pos] = (mask_index, circuits, seed, encodings, labels)
     if not reader.done():
         raise ValueError("trailing bytes in offline transcript")
     return client_r, server_s, client_shares, bundles

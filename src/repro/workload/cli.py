@@ -96,17 +96,32 @@ def demo_workload(
     directory is made and removed again, whether the run succeeds or
     raises. With ``out_path`` the run writes a JSON artifact holding the
     canonical schedule and the full report summary (with its per-workload
-    columns and ``store_dir``) — the bytes CI asserts on. Returns the
+    columns, ``store_dir`` and ``party_bytes``, each party's bytes of the
+    first entry the run stored) — the bytes CI asserts on. Returns the
     ServingReport.
     """
     import shutil
     import tempfile
 
     from repro.core.lowering import lower_network, plaintext_reference
+    from repro.core.protocol import party_storage_bytes
+    from repro.core.session import ServerSession
     from repro.runtime.pool import PrecomputePool
     from repro.runtime.serving import demo_network_and_params
     from repro.runtime.store import PrecomputeStore
     from repro.workload.drivers import draw_schedule_inputs, replay_functional
+
+    class _SampledStore(PrecomputeStore):
+        """Keeps the first entry put in it: the run drains the store, and
+        the summary splits one served entry by party."""
+
+        first_entry = None
+
+        def put(self, key, kind, blob, name=None):
+            with self._lock:  # the gateway's refill worker puts too
+                if self.first_entry is None:
+                    self.first_entry = blob
+                return super().put(key, kind, blob, name)
 
     if kind not in WORKLOAD_KINDS:
         raise ValueError(f"unknown workload kind {kind!r}")
@@ -122,9 +137,10 @@ def demo_workload(
         seed=seed,
     )
     inputs = draw_schedule_inputs(schedule, network, params)
+    garbler = "client"
     root = store_dir or tempfile.mkdtemp(prefix="repro-workload-")
     try:
-        store = PrecomputeStore(root, byte_budget=int(budget_mb * 1e6) or None)
+        store = _SampledStore(root, byte_budget=int(budget_mb * 1e6) or None)
         with PrecomputePool(workers=workers) as pool:
             print(
                 f"workload {schedule.name!r}: {schedule.total_requests} "
@@ -139,6 +155,7 @@ def demo_workload(
                 params,
                 store,
                 pool=pool,
+                garbler=garbler,
                 time_scale=time_scale,
                 gateway_max_queue=gateway_max_queue,
                 inputs=inputs,
@@ -177,7 +194,21 @@ def demo_workload(
     if out_path:
         artifact = {
             "schedule": json.loads(schedule.to_json()),
-            "summary": {**report.summary(), "store_dir": root},
+            "summary": {
+                **report.summary(),
+                "store_dir": root,
+                "party_bytes": {
+                    "garbler": garbler,
+                    **party_storage_bytes(
+                        store.first_entry,
+                        lowered,
+                        ServerSession(
+                            network, params, garbler, seed=0, lowered=lowered
+                        ).relu_circuit(),
+                        garbler,
+                    ),
+                },
+            },
         }
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(artifact, fh, indent=2, sort_keys=True)

@@ -446,16 +446,28 @@ class TestBatchedWalkIsTheScalarWalk:
                 g_bits[i].tolist(), e_bits[i]
             )
 
-    def test_scalar_garbler_fills_the_same_columns(self, circuit):
-        """``vectorize=False`` (the python backend's garbler) is ``count``
-        ``garble()`` calls packed into the batch."""
-        circuits, encodings = Garbler(SecureRandom(9)).garble_batch(
-            circuit, 3, vectorize=False
+    @pytest.mark.parametrize("count", [3, LANE_WALK_MAX_ROWS + 1])
+    def test_scalar_garbler_fills_the_same_columns(self, circuit, count):
+        """``vectorize=False`` (the python backend's garbler) and
+        ``vectorize=True`` garble the same batch, byte for byte, from one
+        seed: both draw with ``derive_batch_labels``, so a stored label
+        seed re-derives its labels under either backend."""
+        scalar_circuits, scalar_encodings = Garbler(SecureRandom(9)).garble_batch(
+            circuit, count, vectorize=False
         )
-        rng = SecureRandom(9)
-        scalar = [Garbler(rng).garble(circuit) for _ in range(3)]
-        assert list(circuits) == [garbled for garbled, _ in scalar]
-        assert list(encodings) == [encoding for _, encoding in scalar]
+        circuits, encodings = Garbler(SecureRandom(9)).garble_batch(
+            circuit, count, vectorize=True
+        )
+        pairs = [
+            (scalar_circuits, circuits, name) for name in ("tables", "decode_bits")
+        ]
+        pairs += [
+            (scalar_encodings, encodings, name)
+            for name in ("deltas", "zero_labels", "output_zero_labels")
+        ]
+        for scalar, batch, name in pairs:
+            assert getattr(scalar, name).dtype == getattr(batch, name).dtype
+            assert np.array_equal(getattr(scalar, name), getattr(batch, name))
 
     def test_a_forged_output_label_is_rejected_in_the_batch_too(self, circuit):
         circuits, encodings = Garbler(SecureRandom(2)).garble_batch(circuit, 4)

@@ -864,16 +864,6 @@ def reference_label_map(labels: dict) -> bytes:
     return out
 
 
-def reference_input_encoding(encoding) -> bytes:
-    zero = reference_label_map(encoding.zero_labels)
-    outputs = reference_label_map(encoding.output_zero_labels)
-    return (
-        wire_header(0x05)
-        + struct.pack("<II", len(zero), len(outputs))
-        + encoding.delta
-        + zero
-        + outputs
-    )
 
 
 def length_prefixed(blob: bytes) -> bytes:
@@ -892,17 +882,38 @@ def reference_label_lists(lists) -> bytes:
     )
 
 
-def reference_offline_transcript(modulus, r, s, share, role, pos, mask_index, bundle):
+def reference_offline_transcript(
+    modulus, r, s, share, role, pos, mask_index, seed, bundle
+):
+    """One layer: the label seed, then per instance the circuit, the
+    output zero-labels when the circuit withholds its decode bits, and
+    the evaluator's label map."""
     circuits, encodings, label_maps = bundle
-    out = b"RPC2" + struct.pack("<BI", role, 0) + struct.pack("<I", 1)
+    out = b"RPC3" + struct.pack("<BI", role, 0) + struct.pack("<I", 1)
     for vector in (r, s, share):
         out += length_prefixed(serialize_field_vector(vector, modulus))
     out += struct.pack("<I", 1) + struct.pack("<III", pos, mask_index, len(circuits))
+    out += wire_header(0x0F) + seed
     for garbled, encoding, labels in zip(circuits, encodings, label_maps):
         out += length_prefixed(reference_garbled_circuit(garbled))
-        out += length_prefixed(reference_input_encoding(encoding))
+        if not garbled.output_decode_bits:
+            out += length_prefixed(reference_label_map(encoding.output_zero_labels))
         out += length_prefixed(reference_label_map(labels))
     return out
+
+
+def seeded_layer(circuit, count, seed, wires, vectorize=None):
+    """A layer garbled from a label seed, with an evaluator label map over
+    ``wires``: random labels, save that the constant wires carry the labels
+    the seed derives for them (what a store entry is checked against)."""
+    label_seed = SecureRandom(seed).spawn_seed()
+    circuits, encodings = Garbler(SecureRandom.from_seed(label_seed)).garble_batch(
+        circuit, count, vectorize=vectorize
+    )
+    block = label_block(seed, count, len(wires)).copy()
+    for k, wire in enumerate((Circuit.CONST_ZERO, Circuit.CONST_ONE)):
+        block[:, wires.index(wire)] = encodings.constant_labels()[:, k]
+    return circuits, label_seed, encodings, LabelBatch(wires, block)
 
 
 class TestColumnarCodecParity:
@@ -946,13 +957,12 @@ class TestColumnarCodecParity:
         )
 
         circuit = self.CIRCUITS[role]
-        circuits, encodings = Garbler(SecureRandom(seed)).garble_batch(
-            circuit, count, vectorize=vectorize
+        wires = self._stored_wires(circuit, role)
+        circuits, label_seed, encodings, labels = seeded_layer(
+            circuit, count, seed, wires, vectorize
         )
         if not keep_decode_bits:
             circuits = circuits.without_decode_bits()
-        wires = self._stored_wires(circuit, role)
-        labels = LabelBatch(wires, label_block(seed, count, len(wires)))
 
         wire = serialize_circuit_batch(circuits)
         assert wire == reference_circuit_batch(list(circuits))
@@ -977,35 +987,36 @@ class TestColumnarCodecParity:
         r, s_vec, share = [1, 2], [3, 4], [5, 6]
         role_index = ("server", "client").index(role)
         entry = serialize_offline_transcript(
-            self.P, [r], [s_vec], [share], {3: (1, circuits, encodings, labels)},
+            self.P, [r], [s_vec], [share],
+            {3: (1, circuits, label_seed, encodings, labels)},
             garbler_role=role,
         )
         assert entry == reference_offline_transcript(
-            self.P, r, s_vec, share, role_index, 3, 1,
+            self.P, r, s_vec, share, role_index, 3, 1, label_seed,
             (list(circuits), list(encodings), list(labels)),
         )
         *vectors, bundles = deserialize_offline_transcript(
             entry, {3: circuit}, garbler_role=role, truncate_bits=0
         )
         assert vectors == [[r], [s_vec], [share]]
-        mask_index, got_circuits, got_encodings, got_labels = bundles[3]
+        mask_index, got_circuits, got_seed, got_encodings, got_labels = bundles[3]
         assert mask_index == 1 and got_labels.wires == wires
+        assert got_seed == label_seed
         assert (got_circuits.tables == circuits.tables).all()
         assert (got_circuits.decode_bits == circuits.decode_bits).all()
         assert (got_encodings.deltas == encodings.deltas).all()
         assert (got_encodings.zero_labels == encodings.zero_labels).all()
-        assert (
-            got_encodings.output_zero_labels == encodings.output_zero_labels
-        ).all()
+        # Only a garbler that decodes keeps its output zero-labels.
+        kept = encodings.output_zero_labels[: 0 if keep_decode_bits else None]
+        assert np.array_equal(got_encodings.output_zero_labels, kept)
         assert (got_labels.labels == labels.labels).all()
 
     def test_a_stored_layer_with_a_foreign_wire_list_in_one_instance_is_rejected(self):
         circuit = self.CIRCUITS["client"]
-        circuits, encodings = Garbler(SecureRandom(1)).garble_batch(circuit, 3)
         wires = self._stored_wires(circuit, "client")
-        labels = LabelBatch(wires, label_block(1, 3, len(wires)))
-        blob = bytearray(serialize_relu_bundle(circuits, encodings, labels))
-        assert deserialize_relu_bundle(bytes(blob), 0, 3, circuit)[3] == len(blob)
+        layer = seeded_layer(circuit, 3, 1, wires)
+        blob = bytearray(serialize_relu_bundle(*layer))
+        assert deserialize_relu_bundle(bytes(blob), 0, 3, circuit)[-1] == len(blob)
         # the last instance's last label-map entry names another wire
         struct.pack_into("<I", blob, len(blob) - 20, wires[0])
         with pytest.raises(ValueError, match="labels.entries.wire"):

@@ -42,7 +42,7 @@ from repro.runtime.serving import client_id
 SERVED = 2
 OUTSIDER = "intruder"  # a HELLO naming a client outside the N served
 PEERS = [*range(SERVED), OUTSIDER]
-TORN = b"RPC2\x01\x00\x00"  # a cut store entry: take refuses it
+TORN = b"RPC3\x01\x00\x00"  # a cut store entry: take refuses it
 M = ConnectionMachine
 PHASES = (M.OFFLINE, M.ONLINE)
 

@@ -488,7 +488,7 @@ def test_torn_store_entry_costs_one_connection(tmp_path):
             network, PARAMS, 2, store, pool=pool, garbler="client",
             prefill=0, refill=False,
         )
-        store.put(gateway.store_key("client0"), KIND_OFFLINE, b"RPC2\x01\x00\x00")
+        store.put(gateway.store_key("client0"), KIND_OFFLINE, b"RPC3\x01\x00\x00")
         gateway.start()
 
         def drive():
@@ -548,7 +548,7 @@ def test_torn_store_entry_is_deleted_so_its_client_is_served_next(tmp_path):
             prefill=0, refill=False,
         )
         key = gateway.store_key("client0")
-        store.put(key, KIND_OFFLINE, b"RPC2\x01\x00\x00")
+        store.put(key, KIND_OFFLINE, b"RPC3\x01\x00\x00")
         gateway.start()
 
         def drive():

@@ -99,18 +99,18 @@ def test_demo_matches_per_client_sequential_runs(tmp_path):
 
 
 def test_demo_eviction_never_serves_stale(tmp_path):
-    """A 0.2 MB budget holds 3 of 4 clients' precomputes: the prefill
+    """A 0.15 MB budget holds 3 of 4 clients' precomputes: the prefill
     evicts, the evicted client's request demand-mints, the store never
     exceeds the budget, and every result is the plaintext oracle's."""
     from repro.core.lowering import lower_network, plaintext_reference
     from repro.runtime.serving import demo_network_and_params, draw_inputs
 
-    report = _serve(4, 2, budget_mb=0.2, store_dir=str(tmp_path))
+    report = _serve(4, 2, budget_mb=0.15, store_dir=str(tmp_path))
 
     assert len(report.requests) == 8
     assert report.evictions > 0
     assert report.demand_mints > 0
-    assert max(sample["bytes"] for sample in report.occupancy) <= 200_000
+    assert max(sample["bytes"] for sample in report.occupancy) <= 150_000
     network, params = demo_network_and_params()
     oracle = lower_network(network, params.t)
     inputs = draw_inputs(network, params, [2] * 4)
@@ -137,3 +137,12 @@ def test_demo_report_summary_is_json_serializable(tmp_path):
     assert summary["max_queue_depth"] == report.max_queue_depth
     assert summary["store_dir"] == str(tmp_path / "store")
     assert len(summary["occupancy"]) == report.minted + len(report.requests)
+    # Each party's bytes of one entry add up to what the store holds per
+    # entry; the Client-Garbler client keeps r, its shares and a seed.
+    split = summary["party_bytes"]
+    minted = next(sample for sample in summary["occupancy"] if sample["entries"])
+    assert split["garbler"] == "client" and split["client"] < 1_000
+    assert (
+        split["client"] + split["server"] + split["shared"]
+        == minted["bytes"] // minted["entries"]
+    )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import HybridProtocol, tiny_dataset, tiny_mlp
+from repro.core.protocol import party_storage_bytes
 from repro.he.params import fast_params, toy_params
 from repro.runtime import PrecomputeStore, StoreKey, params_fingerprint
 from repro.runtime.store import (
@@ -418,3 +419,142 @@ def test_import_offline_rejects_moved_relu_structure(tmp_path):
     with pytest.raises(ValueError, match="ReLU"):
         other.import_offline(store, "tiny_mlp")
     assert store.entry_count == 1  # rejected transcripts stay buffered
+
+
+# -- the garbler's half is a label seed -------------------------------------------
+
+SEED_HEAD = b"PI\x01\x0f"  # wire header of a stored layer's label seed record
+
+
+@pytest.mark.parametrize("garbler", ["server", "client"])
+def test_a_cut_or_flipped_label_seed_is_refused_before_anything_loads(
+    tmp_path, garbler
+):
+    """Every cut of the seed record and every flipped bit of it is the
+    codec's ValueError; through ``import_offline`` the entry stays
+    buffered and neither session adopts any state. A flipped seed bit is
+    caught because the evaluator's stored constant-wire labels are no
+    longer the ones the seed derives."""
+    from repro.core.protocol import split_offline_state
+    from repro.core.session import LIFE_NEW
+
+    minter, _ = _protocol(garbler, seed=5, hidden=2)
+    minter.run_offline()
+    blob = minter.offline_blob()
+    at = blob.index(SEED_HEAD)
+    assert blob.count(SEED_HEAD) == 1  # one ReLU layer, one seed record
+    circuits = defaultdict(minter._gc_parties[1].relu_circuit)
+    for cut in range(at, at + 20):
+        with pytest.raises(ValueError, match="truncated"):
+            deserialize_offline_transcript(blob[:cut], circuits)
+
+    def flipped(bit: int) -> bytes:
+        data = bytearray(blob)
+        data[at + bit // 8] ^= 1 << bit % 8
+        return bytes(data)
+
+    args = (minter.lowered, minter._gc_parties[1].relu_circuit(), garbler)
+    split_offline_state(blob, *args)  # unflipped, it splits
+    for bit in range(8 * 20):
+        with pytest.raises(ValueError):
+            split_offline_state(flipped(bit), *args)
+
+    store = PrecomputeStore(tmp_path)
+    loader, params = _protocol(garbler, seed=6, hidden=2)
+    key = StoreKey.for_protocol("m", params, "client0")
+    for bit in (5, 8 * 4, 8 * 19 + 7):  # the head, the seed's first and last bytes
+        store.put(key, KIND_OFFLINE, flipped(bit), name="flipped")
+        with pytest.raises(ValueError):
+            loader.import_offline(store, "m", name="flipped")
+        assert store.entry_count == 1
+        for session in (loader.client, loader.server):
+            assert session.lifecycle == LIFE_NEW
+            assert session._relu_bundles == {}
+        store.delete(key, KIND_OFFLINE, "flipped")
+
+
+def test_a_label_storing_entry_is_refused_with_the_remint_error():
+    """An entry of the layout that kept delta and every zero-label (RPC2)
+    is refused at the container, as the pre-versioning one (RPC1) is."""
+    minter, _ = _protocol("client", seed=5, hidden=2)
+    minter.run_offline()
+    blob = minter.offline_blob()
+    assert blob[:4] == b"RPC3"
+    circuits = defaultdict(minter.server.relu_circuit)
+    for magic in (b"RPC1", b"RPC2"):
+        with pytest.raises(ValueError, match="re-mint the precompute store"):
+            deserialize_offline_transcript(magic + blob[4:], circuits)
+
+
+@pytest.mark.parametrize("garbler", ["server", "client"])
+@pytest.mark.parametrize(
+    "minted_on, loaded_on", [("numpy", "python"), ("python", "numpy")]
+)
+def test_an_entry_loads_under_the_other_backend(
+    tmp_path, garbler, minted_on, loaded_on
+):
+    """Both backends draw a layer's labels from its seed one way, so an
+    entry minted under one serves the other's online phase, byte for
+    byte the same entry and with the oracle's logits."""
+    import dataclasses
+
+    from repro.backend import available_backends
+
+    if "numpy" not in available_backends():
+        pytest.skip("needs the numpy backend")
+
+    def protocol(backend, seed):
+        params = dataclasses.replace(fast_params(n=256), backend=backend)
+        network = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=8)
+        network.randomize_weights(params.t, np.random.default_rng(0))
+        return HybridProtocol(network, params, garbler=garbler, seed=seed), params
+
+    blobs = {}
+    for backend in ("numpy", "python"):
+        minter, _ = protocol(backend, seed=42)
+        minter.run_offline()
+        blobs[backend] = minter.offline_blob()
+    assert blobs["numpy"] == blobs["python"]
+
+    store = PrecomputeStore(tmp_path)
+    loader, params = protocol(loaded_on, seed=777)
+    key = StoreKey.for_protocol("m", params, "client0")
+    store.put(key, KIND_OFFLINE, blobs[minted_on])
+    assert loader.import_offline(store, "m")
+    x = np.random.default_rng(1).integers(0, params.t, size=16).tolist()
+    assert loader.run_online(x) == loader.plaintext_reference(x)
+
+
+# Each party's bytes of one 16-8-3 entry. Before the garbler kept a seed,
+# its half held delta and every input and output zero-label: the client
+# half of a Client-Garbler delphi entry was 27,206 B of 123,407.
+PARTY_BYTES = {
+    ("fast", "client"): {"client": 177, "server": 40_051, "shared": 29},
+    ("fast", "server"): {"client": 40_125, "server": 2_895, "shared": 29},
+    ("delphi", "client"): {"client": 282, "server": 96_172, "shared": 29},
+    ("delphi", "server"): {"client": 96_294, "server": 6_768, "shared": 29},
+}
+
+
+@pytest.mark.parametrize("case", PARTY_BYTES, ids="-".join)
+def test_party_storage_bytes_of_a_16_8_3_entry(case):
+    """The garbler's half of a ReLU layer is its 20-byte seed record, plus
+    the output zero-labels under Server-Garbler, where the garbler decodes
+    what the client returns; the three parts sum to the entry."""
+    from repro.backend import backend_for
+    from repro.he.params import delphi_params
+
+    name, garbler = case
+    params = {"delphi": delphi_params(), "fast": fast_params(n=256)}[name]
+    if backend_for(params.t, prefer=params.backend).name != "numpy":
+        pytest.skip("full-degree mints need the vectorized backend")
+    network = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=8)
+    network.randomize_weights(params.t, np.random.default_rng(0))
+    protocol = HybridProtocol(network, params, garbler=garbler, seed=3)
+    protocol.run_offline()
+    blob = protocol.offline_blob()
+    split = party_storage_bytes(
+        blob, protocol.lowered, protocol.server.relu_circuit(), garbler
+    )
+    assert split == PARTY_BYTES[case]
+    assert sum(split.values()) == len(blob)

@@ -503,3 +503,90 @@ class TestReturnsAreMaskedPerSlot:
         first, second = set(drawn[0]), set(drawn[1])
         assert len(first) == 2 * params.row_size
         assert not first & second
+
+
+class TestTheGarblerKeepsItsLabelSeed:
+    """A store entry keeps the 16-byte seed each ReLU layer's labels are
+    drawn from, not the labels. The seed is the garbler's alone: it
+    crosses no wire and is not in the evaluator's half of an entry, and a
+    Server-Garbler half restored from it decodes, and refuses, exactly
+    as the garbler's in-memory encodings do."""
+
+    @staticmethod
+    def _mint(garbler):
+        """An inference, every frame either party sent, and its entry."""
+        params = fast_params(256)
+        net = tiny_mlp(tiny_dataset(size=4, channels=1, classes=3), hidden=8)
+        net.randomize_weights(params.t, np.random.default_rng(3))
+        proto = HybridProtocol(net, params, garbler=garbler, seed=5, transport="memory")
+        sent = []
+        for party in (proto.client, proto.server):
+            def send(frame, _send=party.transport.send):
+                sent.append(bytes(frame))
+                _send(frame)
+
+            party.transport.send = send
+        x = list(range(16))
+        try:
+            proto.run_offline()
+            blob = proto.offline_blob()
+            assert proto.run_online(x) == proto.plaintext_reference(x)
+        finally:
+            proto.close()
+        return proto, sent, blob
+
+    @staticmethod
+    def _halves(proto, blob):
+        """(garbler's half, evaluator's half) of the entry."""
+        from repro.core.protocol import split_offline_state
+
+        garbling, evaluating = proto._gc_parties
+        client, server = split_offline_state(
+            blob, proto.lowered, evaluating.relu_circuit(), proto.garbler_role
+        )
+        return (client, server) if garbling is proto.client else (server, client)
+
+    @pytest.mark.parametrize("garbler", ["server", "client"])
+    def test_the_seed_is_in_no_frame_and_not_in_the_evaluator_s_half(self, garbler):
+        from repro.network.serialize import frame_format_name, serialize_field_vector
+
+        proto, sent, blob = self._mint(garbler)
+        garbling, _ = proto._gc_parties
+        seeds = [bundle.seed for bundle in garbling._relu_bundles.values()]
+        assert len(seeds) == 1 and len(seeds[0]) == 16
+        assert blob.count(seeds[0]) == 1  # the entry keeps it once
+        # Both phases: the garbled batch and labels offline, the masked
+        # input and the final share online.
+        names = {frame_format_name(frame) for frame in sent}
+        assert {"circuit_batch", "label_lists", "field_vector"} <= names
+        assert not [frame for frame in sent if seeds[0] in frame]
+
+        own, other = self._halves(proto, blob)
+        assert [bundle.seed for bundle in own[-1].values()] == seeds
+        held = b"".join(
+            serialize_field_vector(vector, proto.modulus)
+            for group in other[:-1]
+            for vector in group
+        )
+        for bundle in other[-1].values():
+            assert bundle.seed is None and bundle.encodings is None
+            held += bundle.circuits.tables.tobytes()
+            held += bundle.evaluator_labels.labels.tobytes()
+        assert seeds[0] not in held
+
+    def test_a_restored_server_garbler_half_rejects_a_forged_output_label(self):
+        proto, _, blob = self._mint("server")
+        circuit = proto.server.relu_circuit()
+        (_, restored), _ = self._halves(proto, blob)
+        for pos, bundle in restored.items():
+            encodings = bundle.encodings
+            live = proto.server._relu_bundles[pos].encodings
+            for name in ("deltas", "zero_labels", "output_zero_labels"):
+                assert np.array_equal(getattr(encodings, name), getattr(live, name))
+            zeros = encodings.output_zero_labels.transpose(1, 0, 2).copy()
+            ones = zeros ^ encodings.deltas[:, None, :]
+            assert not Garbler.decode_output_labels(encodings, circuit, zeros).any()
+            assert Garbler.decode_output_labels(encodings, circuit, ones).all()
+            zeros[1, 2, 3] ^= 1
+            with pytest.raises(ValueError, match="not in the encoding"):
+                Garbler.decode_output_labels(encodings, circuit, zeros)
